@@ -1525,7 +1525,7 @@ pub fn storage_shard_run(
         k.violations()
     );
     let shards_used = (0..shards)
-        .filter(|&i| drv.urb_path.set().shard_stats(i).submitted > 0)
+        .filter(|&i| drv.urb_path.set().shard_stats(i).posted > 0)
         .count();
     if shards > 1 {
         assert!(

@@ -1658,7 +1658,7 @@ mod tests {
         );
         // LUN steering actually spread the queues.
         let used = (0..4)
-            .filter(|&i| drv.urb_path.set().shard_stats(i).submitted > 0)
+            .filter(|&i| drv.urb_path.set().shard_stats(i).posted > 0)
             .count();
         assert!(used >= 2, "all LUN traffic collapsed onto {used} shard(s)");
         assert!(drv.urb_path.conserved(), "per-shard URB conservation");

@@ -573,7 +573,7 @@ mod tests {
         assert_eq!(k.stats().bytes_copied, 0, "zero-copy across all LUNs");
         assert!(drv.urb_path.conserved());
         let used = (0..4)
-            .filter(|&i| drv.urb_path.set().shard_stats(i).submitted > 0)
+            .filter(|&i| drv.urb_path.set().shard_stats(i).posted > 0)
             .count();
         assert!(used >= 2, "LUN steering left traffic on {used} shard(s)");
         assert!(k.violations().is_empty(), "{:?}", k.violations());

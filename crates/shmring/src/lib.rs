@@ -42,15 +42,16 @@
 //!   oldest post has waited longer than a coalescing deadline
 //!   ([`decaf_simkernel::costs::DOORBELL_COALESCE_NS`]), so low-rate
 //!   paths are not held hostage by batching.
-//! * [`RingSet`] — RSS-style multi-queue: N per-shard descriptor rings
-//!   and completion rings behind one object, with deterministic flow
-//!   steering and a completion-steering policy that routes the IRQ-side
-//!   handback to the shard that posted the descriptor.
-//! * [`UrbRingSet`] — the storage-shaped multi-queue: N per-shard URB
-//!   submit/giveback ring *pairs* over one shared [`SectorPool`], with
-//!   per-LUN steering (a storage transaction's FIFO order is
-//!   load-bearing, so one LUN stays on one shard) and per-shard
-//!   conservation counters.
+//! * [`ShardedRings`] — RSS-style multi-queue, generic over the
+//!   descriptor: N per-shard descriptor rings and completion rings
+//!   behind one object, with deterministic steering, a
+//!   completion-steering policy that routes the handback to the shard
+//!   that posted the descriptor, and per-shard conservation counters.
+//!   One shard is the unsharded data path. [`RingSet`] is the NIC
+//!   instantiation (flow steering); [`UrbRingSet`] the storage one
+//!   (submit/giveback ring *pairs* over one shared [`SectorPool`],
+//!   steered per LUN because a storage transaction's FIFO order is
+//!   load-bearing).
 //!
 //! The XPC layer builds its data-path channels on these pieces
 //! (`DataPathChannel` for NIC streams, `UrbDataPath` for storage
@@ -112,12 +113,15 @@ pub mod ring;
 pub mod ringset;
 pub mod sector;
 pub mod urb;
-pub mod urbset;
+#[cfg(test)]
+#[path = "ringset_urb_tests.rs"]
+mod urbset;
 
 pub use doorbell::DoorbellPolicy;
 pub use pool::{BufHandle, BufPool, PoolError, PoolStats};
 pub use ring::{Descriptor, RingError, RingStats, ShmRing, SlotOwner};
-pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats};
+pub use ringset::{
+    flow_hash, RingDescriptor, RingSet, RingSetError, RingSetStats, ShardedRings, UrbRingSet,
+};
 pub use sector::{AllocMode, SectorHandle, SectorPool, SectorPoolStats, SgHandle, SgSegment};
 pub use urb::{UrbDescriptor, XferDir};
-pub use urbset::{UrbRingSet, UrbShardStats};

@@ -1,35 +1,93 @@
 //! Multi-queue ring sets: RSS-style per-shard descriptor rings with a
-//! completion-steering policy.
+//! completion-steering policy, generic over the descriptor they carry.
 //!
 //! One [`crate::ShmRing`] per direction is enough for one producer and
 //! one consumer. Scaling the user-level data path across CPUs needs N
-//! parallel rings feeding one device — per-CPU (or per-flow) TX/RX
-//! queues, exactly the receive-side-scaling shape real NICs expose. A
-//! [`RingSet`] groups N descriptor rings and their N completion rings
-//! behind one object and adds the two policies sharding requires:
+//! parallel rings feeding one device — per-CPU (or per-flow) queues,
+//! exactly the receive-side-scaling shape real NICs expose. A
+//! [`ShardedRings`] groups N descriptor rings and their N completion
+//! rings behind one object and adds the two policies sharding requires:
 //!
-//! * **flow steering** ([`RingSet::steer`]) — a deterministic hash maps
-//!   a flow key to a shard, so one flow's descriptors stay on one ring
-//!   (ordering within the flow is preserved; different flows spread);
-//! * **completion steering** ([`RingSet::complete`]) — the IRQ side
-//!   hands a finished descriptor back *to the shard that posted it*,
-//!   looked up from the cookie recorded at post time. Completions must
-//!   come home: a buffer freed on the wrong shard's ring would corrupt
-//!   that shard's pool accounting and break descriptor conservation.
+//! * **steering** ([`ShardedRings::steer`]) — a deterministic hash maps
+//!   a key to a shard, so one key's descriptors stay on one ring
+//!   (ordering within the key is preserved; different keys spread);
+//! * **completion steering** ([`ShardedRings::complete`]) — the
+//!   consumer hands a finished descriptor back *to the shard that posted
+//!   it*, looked up from the cookie recorded at post time. Completions
+//!   must come home: a descriptor handed back on the wrong shard's ring
+//!   would corrupt that shard's in-flight accounting and break
+//!   per-shard conservation.
 //!
-//! The set keeps conservation counters: every descriptor noted as
-//! posted is either still in flight or has been completed, and
-//! completions are always steered to the posting shard. The
-//! `tests/shard_sched.rs` interleaving harness asserts these invariants
-//! over enumerated schedules.
+//! The two instantiations differ only in what [`RingDescriptor`] says
+//! about the descriptor:
+//!
+//! * [`RingSet`] carries NIC frame [`Descriptor`]s: a TX (or RX) ring
+//!   and its completion ring per shard, steered per **flow**, with no
+//!   shared pool of its own.
+//! * [`UrbRingSet`] carries [`UrbDescriptor`]s: a **submit/giveback
+//!   ring pair** per shard (the giveback carries `status` and the
+//!   *actual* transferred length, and for IN transfers the payload
+//!   run's ownership), steered per **LUN** — a storage transaction is a
+//!   *sequence* of URBs (stage command, then data transfer) whose FIFO
+//!   order is load-bearing, so every URB of one LUN must ride one
+//!   shard's rings — with every shard allocating out of **one shared
+//!   [`SectorPool`]** (the pool is carved from the device's DMA region,
+//!   and the device is singular), so pool conservation is a cross-shard
+//!   invariant while descriptor conservation is tracked per shard.
+//!
+//! A set with one shard *is* the unsharded data path: steering is the
+//! constant 0 and every completion's home is the only ring there is.
+//!
+//! The set keeps per-shard conservation counters: every descriptor
+//! noted as posted is either still in flight or has been completed on
+//! the shard that posted it. The `tests/shard_sched.rs` and
+//! `tests/storage_sched.rs` harnesses assert these invariants over
+//! hundreds of enumerated interleavings.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use decaf_simkernel::{CpuClass, Kernel};
 
 use crate::ring::{Descriptor, RingError, ShmRing};
+use crate::sector::SectorPool;
+use crate::urb::UrbDescriptor;
+
+/// Oracle-sensitivity seam for the storage fault-exploration harness
+/// (`tests/storage_sched.rs`): a one-shot, thread-local switch that
+/// plants a *deliberate* completion-steering bug so the harness can
+/// prove its differential oracle rejects one. Debug-build only
+/// (`debug_assertions`) — `#[cfg(test)]` would not reach an
+/// integration-test dependency build of this crate, and the release
+/// build the ablations measure must not carry the seam.
+#[cfg(debug_assertions)]
+pub mod mutation {
+    use std::cell::Cell;
+
+    thread_local! {
+        static DOUBLE_COMPLETE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Arms the planted bug: the next [`super::ShardedRings::complete`]
+    /// on this thread pushes the completed descriptor onto the home ring
+    /// *twice* — the producer reclaims the same descriptor two times,
+    /// which the exactly-once-completion / pool-conservation oracle must
+    /// reject.
+    pub fn arm_double_complete() {
+        DOUBLE_COMPLETE.with(|c| c.set(true));
+    }
+
+    /// Disarms without consuming (cleanup after a caught failure).
+    pub fn disarm() {
+        DOUBLE_COMPLETE.with(|c| c.set(false));
+    }
+
+    pub(crate) fn take_double_complete() -> bool {
+        DOUBLE_COMPLETE.with(|c| c.replace(false))
+    }
+}
 
 /// Failure modes specific to multi-queue steering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +119,16 @@ impl std::fmt::Display for RingSetError {
 
 impl std::error::Error for RingSetError {}
 
-/// Conservation counters for one ring set.
+/// Conservation counters: one shard's, or the merged view
+/// ([`ShardedRings::stats`]: sums across shards, max for the high-water
+/// mark).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RingSetStats {
-    /// Descriptors noted as posted across all shards.
+    /// Descriptors noted as posted.
     pub posted: u64,
     /// Descriptors completed (steered home).
     pub completed: u64,
-    /// Most descriptors simultaneously in flight (posted, not completed).
+    /// Most descriptors simultaneously in flight on one shard.
     pub in_flight_hwm: u64,
 }
 
@@ -81,44 +141,180 @@ pub fn flow_hash(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// N parallel descriptor rings plus their completion rings, with flow
-/// and completion steering.
+/// One [`flow_hash`] round per ledger operation. Cookies are minted by
+/// the drivers (sequence numbers, device slot indices), never taken
+/// from outside the program, so the default hasher's collision defence
+/// buys nothing here — and the ledger is consulted three times per
+/// descriptor at every shard count, one shard included.
+#[derive(Default)]
+struct CookieHasher(u64);
+
+impl Hasher for CookieHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, cookie: u64) {
+        self.0 = flow_hash(self.0 ^ cookie);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// What a ring set needs to know about the descriptor it carries.
+pub trait RingDescriptor: Copy + Default {
+    /// What every shard of a set shares besides the rings: the
+    /// [`SectorPool`] for URBs, nothing for NIC frames (their buffers
+    /// belong to the data path or the device).
+    type Pool: std::fmt::Debug;
+
+    /// The cookie identifying this descriptor while it is in flight.
+    fn cookie(&self) -> u64;
+}
+
+impl RingDescriptor for Descriptor {
+    type Pool = ();
+
+    fn cookie(&self) -> u64 {
+        self.cookie
+    }
+}
+
+impl RingDescriptor for UrbDescriptor {
+    type Pool = Rc<SectorPool>;
+
+    fn cookie(&self) -> u64 {
+        self.cookie
+    }
+}
+
+/// One noted post: where it went, and the shard's high-water mark
+/// before the note (restored on cancel).
+#[derive(Debug, Clone, Copy)]
+struct Noted {
+    shard: usize,
+    hwm_before: u64,
+}
+
+/// One shard's counters plus its in-flight count (denormalized from the
+/// origin ledger so the per-shard conservation check is O(1)).
+#[derive(Debug, Default, Clone, Copy)]
+struct ShardLedger {
+    stats: RingSetStats,
+    in_flight: u64,
+}
+
+/// N parallel descriptor rings plus their completion rings, with
+/// steering and completion steering.
 ///
 /// Cookie discipline: a cookie identifies one in-flight descriptor. The
 /// same cookie may be reused only after its previous incarnation has
 /// been completed (device RX slots naturally satisfy this: a slot is
-/// recycled only after its completion comes home).
+/// recycled only after its completion comes home; the uhci build draws
+/// URB cookies from one monotonic sequence, so they are unique across
+/// shards by construction).
 #[derive(Debug)]
-pub struct RingSet {
-    rings: Vec<Rc<ShmRing>>,
-    completions: Vec<Rc<ShmRing>>,
-    /// Posting shard of every in-flight cookie.
-    origin: RefCell<HashMap<u64, usize>>,
-    stats: Cell<RingSetStats>,
+pub struct ShardedRings<D: RingDescriptor> {
+    rings: Vec<Rc<ShmRing<D>>>,
+    completions: Vec<Rc<ShmRing<D>>>,
+    pool: D::Pool,
+    /// Posting shard of every in-flight cookie, plus the shard's
+    /// in-flight high-water mark *before* the note — what
+    /// [`ShardedRings::cancel_post`] restores when the post the note
+    /// announced never happened.
+    origin: RefCell<HashMap<u64, Noted, BuildHasherDefault<CookieHasher>>>,
+    shards: RefCell<Vec<ShardLedger>>,
 }
+
+/// The NIC instantiation: per-shard TX (or RX) rings and completion
+/// rings of frame [`Descriptor`]s, steered per flow.
+pub type RingSet = ShardedRings<Descriptor>;
+
+/// The storage instantiation: per-shard URB submit/giveback ring pairs
+/// over one shared [`SectorPool`], steered per LUN.
+pub type UrbRingSet = ShardedRings<UrbDescriptor>;
 
 impl RingSet {
     /// Builds `shards` descriptor rings of `capacity` slots (named
-    /// `{name}-{i}`) and completion rings of `completion_capacity`.
+    /// `{name}-{i}`) and completion rings of `completion_capacity`
+    /// (named `{name}-done-{i}`).
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn new(name: &str, shards: usize, capacity: usize, completion_capacity: usize) -> Rc<Self> {
+        Self::with_pool(name, shards, capacity, completion_capacity, ())
+    }
+}
+
+impl UrbRingSet {
+    /// Builds `shards` submit rings of `capacity` slots (named
+    /// `{name}-{i}`) and giveback rings of `giveback_capacity` (named
+    /// `{name}-done-{i}`), all allocating out of `pool`.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn new(
+        name: &str,
+        shards: usize,
+        capacity: usize,
+        giveback_capacity: usize,
+        pool: Rc<SectorPool>,
+    ) -> Rc<Self> {
+        Self::with_pool(name, shards, capacity, giveback_capacity, pool)
+    }
+
+    /// The shared sector pool all shards allocate from.
+    pub fn pool(&self) -> &Rc<SectorPool> {
+        &self.pool
+    }
+
+    /// Shard `i`'s submit ring (requests, submitter → completer) —
+    /// [`ShardedRings::ring`] in storage vocabulary.
+    pub fn submit_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
+        self.ring(shard)
+    }
+
+    /// Shard `i`'s giveback ring (completions, completer → submitter) —
+    /// [`ShardedRings::completions`] in storage vocabulary.
+    pub fn giveback_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
+        self.completions(shard)
+    }
+
+    /// [`ShardedRings::note_post`] in storage vocabulary.
+    pub fn note_submit(&self, shard: usize, cookie: u64) {
+        self.note_post(shard, cookie);
+    }
+
+    /// [`ShardedRings::cancel_post`] in storage vocabulary.
+    pub fn cancel_submit(&self, cookie: u64) {
+        self.cancel_post(cookie);
+    }
+}
+
+impl<D: RingDescriptor> ShardedRings<D> {
+    fn with_pool(
+        name: &str,
+        shards: usize,
+        capacity: usize,
+        completion_capacity: usize,
+        pool: D::Pool,
+    ) -> Rc<Self> {
         assert!(shards > 0, "a ring set needs at least one shard");
-        Rc::new(RingSet {
-            rings: (0..shards)
-                .map(|i| Rc::new(ShmRing::new(format!("{name}-{i}"), capacity)))
-                .collect(),
-            completions: (0..shards)
-                .map(|i| {
-                    Rc::new(ShmRing::new(
-                        format!("{name}-done-{i}"),
-                        completion_capacity,
-                    ))
-                })
-                .collect(),
-            origin: RefCell::new(HashMap::new()),
-            stats: Cell::new(RingSetStats::default()),
+        let rings = |suffix: &str, slots: usize| {
+            (0..shards)
+                .map(|i| Rc::new(ShmRing::new(format!("{name}{suffix}-{i}"), slots)))
+                .collect()
+        };
+        Rc::new(ShardedRings {
+            rings: rings("", capacity),
+            completions: rings("-done", completion_capacity),
+            pool,
+            origin: RefCell::new(HashMap::default()),
+            shards: RefCell::new(vec![ShardLedger::default(); shards]),
         })
     }
 
@@ -127,42 +323,59 @@ impl RingSet {
         self.rings.len()
     }
 
-    /// Shard `i`'s descriptor ring.
-    pub fn ring(&self, shard: usize) -> &Rc<ShmRing> {
+    /// Shard `i`'s descriptor ring (producer → consumer).
+    pub fn ring(&self, shard: usize) -> &Rc<ShmRing<D>> {
         &self.rings[shard]
     }
 
-    /// Shard `i`'s completion ring.
-    pub fn completions(&self, shard: usize) -> &Rc<ShmRing> {
+    /// Shard `i`'s completion ring (consumer → producer).
+    pub fn completions(&self, shard: usize) -> &Rc<ShmRing<D>> {
         &self.completions[shard]
     }
 
-    /// Maps a flow key to its shard. Deterministic: the same flow always
-    /// lands on the same ring, so per-flow ordering is preserved.
-    pub fn steer(&self, flow: u64) -> usize {
-        (flow_hash(flow) % self.rings.len() as u64) as usize
+    /// Maps a steering key (a flow, a LUN) to its shard. Deterministic:
+    /// the same key always lands on the same ring, so per-key FIFO order
+    /// is preserved while distinct keys spread.
+    pub fn steer(&self, key: u64) -> usize {
+        (flow_hash(key) % self.rings.len() as u64) as usize
     }
 
     /// Records that `cookie` was posted on `shard` without touching the
-    /// ring — for producers that post through a higher-level path (e.g. a
-    /// `DataPathChannel` holding the same ring `Rc`).
+    /// ring — for producers that post through a higher-level path (a
+    /// `DataPathChannel` or `UrbDataPath` holding the same ring `Rc`).
+    /// Note first, [`ShardedRings::cancel_post`] if the post never
+    /// happens: a synchronously-triggered consumer must be able to steer
+    /// the completion home.
     pub fn note_post(&self, shard: usize, cookie: u64) {
-        debug_assert!(shard < self.rings.len());
-        self.origin.borrow_mut().insert(cookie, shard);
-        let in_flight = self.origin.borrow().len() as u64;
-        self.bump(|s| {
-            s.posted += 1;
-            s.in_flight_hwm = s.in_flight_hwm.max(in_flight);
-        });
+        let mut shards = self.shards.borrow_mut();
+        let s = &mut shards[shard];
+        s.in_flight += 1;
+        s.stats.posted += 1;
+        self.origin.borrow_mut().insert(
+            cookie,
+            Noted {
+                shard,
+                hwm_before: s.stats.in_flight_hwm,
+            },
+        );
+        s.stats.in_flight_hwm = s.stats.in_flight_hwm.max(s.in_flight);
     }
 
-    /// Cancels an origin record whose post failed after being noted
-    /// (producer-side unwind: note first so a synchronously-triggered
-    /// consumer can steer completions, cancel if the post never
-    /// happened). Conservation treats the descriptor as never posted.
+    /// Cancels an origin record whose post failed after being noted.
+    /// Conservation treats the descriptor as never posted, and the
+    /// high-water mark is restored: a refused descriptor was never in
+    /// flight, so a backpressured burst must not report a peak the ring
+    /// could not even hold. The cancel must immediately follow its
+    /// failed note (with at most completions in between — the
+    /// forced-doorbell drain only ever *lowers* in-flight), which is the
+    /// only way the note/cancel pair is used.
     pub fn cancel_post(&self, cookie: u64) {
-        if self.origin.borrow_mut().remove(&cookie).is_some() {
-            self.bump(|s| s.posted -= 1);
+        if let Some(noted) = self.origin.borrow_mut().remove(&cookie) {
+            let mut shards = self.shards.borrow_mut();
+            let s = &mut shards[noted.shard];
+            s.in_flight -= 1;
+            s.stats.posted -= 1;
+            s.stats.in_flight_hwm = s.stats.in_flight_hwm.min(noted.hwm_before.max(s.in_flight));
         }
     }
 
@@ -173,11 +386,11 @@ impl RingSet {
         kernel: &Kernel,
         class: CpuClass,
         shard: usize,
-        desc: Descriptor,
+        desc: D,
     ) -> Result<(), RingSetError> {
         match self.rings[shard].push(kernel, class, desc) {
             Ok(()) => {
-                self.note_post(shard, desc.cookie);
+                self.note_post(shard, desc.cookie());
                 kernel.trace_instant(
                     "ring",
                     "post",
@@ -199,18 +412,24 @@ impl RingSet {
         &self,
         kernel: &Kernel,
         class: CpuClass,
-        desc: Descriptor,
+        desc: D,
     ) -> Result<usize, RingSetError> {
-        let shard = {
-            let origin = self.origin.borrow();
-            *origin
-                .get(&desc.cookie)
-                .ok_or(RingSetError::UnknownOrigin(desc.cookie))?
-        };
+        let cookie = desc.cookie();
+        let shard = self
+            .origin_of(cookie)
+            .ok_or(RingSetError::UnknownOrigin(cookie))?;
         match self.completions[shard].push(kernel, class, desc) {
             Ok(()) => {
-                self.origin.borrow_mut().remove(&desc.cookie);
-                self.bump(|s| s.completed += 1);
+                #[cfg(debug_assertions)]
+                if mutation::take_double_complete() {
+                    // Planted bug (oracle-sensitivity harness): the same
+                    // completion lands on the home ring twice.
+                    let _ = self.completions[shard].push(kernel, class, desc);
+                }
+                self.origin.borrow_mut().remove(&cookie);
+                let mut shards = self.shards.borrow_mut();
+                shards[shard].in_flight -= 1;
+                shards[shard].stats.completed += 1;
                 kernel.trace_instant("ring", "complete", &[("shard", shard as u64)]);
                 Ok(shard)
             }
@@ -219,8 +438,8 @@ impl RingSet {
     }
 
     /// Drains `shard`'s completion ring (the producer reclaiming its
-    /// handed-back descriptors).
-    pub fn reclaim(&self, kernel: &Kernel, class: CpuClass, shard: usize) -> Vec<Descriptor> {
+    /// handed-back descriptors, oldest first).
+    pub fn reclaim(&self, kernel: &Kernel, class: CpuClass, shard: usize) -> Vec<D> {
         let done = self.completions[shard].drain(kernel, class);
         if !done.is_empty() {
             kernel.trace_instant(
@@ -232,33 +451,51 @@ impl RingSet {
         done
     }
 
-    /// Descriptors posted but not yet completed.
+    /// Descriptors posted but not yet completed, across all shards.
     pub fn in_flight(&self) -> usize {
         self.origin.borrow().len()
     }
 
+    /// Descriptors in flight on one shard.
+    pub fn shard_in_flight(&self, shard: usize) -> u64 {
+        self.shards.borrow()[shard].in_flight
+    }
+
     /// The posting shard of an in-flight cookie.
     pub fn origin_of(&self, cookie: u64) -> Option<usize> {
-        self.origin.borrow().get(&cookie).copied()
+        self.origin.borrow().get(&cookie).map(|n| n.shard)
     }
 
-    /// Counter snapshot.
+    /// One shard's conservation counters.
+    pub fn shard_stats(&self, shard: usize) -> RingSetStats {
+        self.shards.borrow()[shard].stats
+    }
+
+    /// Merged counters: sums across shards, max for high-water marks.
     pub fn stats(&self) -> RingSetStats {
-        self.stats.get()
+        let mut total = RingSetStats::default();
+        for s in self.shards.borrow().iter() {
+            total.posted += s.stats.posted;
+            total.completed += s.stats.completed;
+            total.in_flight_hwm = total.in_flight_hwm.max(s.stats.in_flight_hwm);
+        }
+        total
     }
 
-    /// The conservation invariant: every descriptor ever noted as posted
-    /// is either completed or still in flight — none lost, none
-    /// double-completed.
+    /// Per-shard conservation: every descriptor ever posted on `shard`
+    /// is either completed (home) or still in flight there.
+    pub fn shard_conserved(&self, shard: usize) -> bool {
+        let s = self.shards.borrow()[shard];
+        s.stats.posted == s.stats.completed + s.in_flight
+    }
+
+    /// The full conservation invariant: every shard conserves — none
+    /// lost, none double-completed — and the origin ledger agrees with
+    /// the denormalized per-shard counts.
     pub fn conserved(&self) -> bool {
-        let s = self.stats.get();
-        s.posted == s.completed + self.in_flight() as u64
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut RingSetStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
+        let per_shard_sum: u64 = self.shards.borrow().iter().map(|s| s.in_flight).sum();
+        per_shard_sum == self.in_flight() as u64
+            && (0..self.shards()).all(|i| self.shard_conserved(i))
     }
 }
 
@@ -372,6 +609,35 @@ mod tests {
         set.complete(&k, CpuClass::User, desc(1)).unwrap();
         set.cancel_post(1);
         assert_eq!(set.stats().posted, 1);
+        assert!(set.conserved());
+    }
+
+    #[test]
+    fn cancelled_post_does_not_inflate_the_high_water_mark() {
+        // Regression: the NIC set's cancel used to leave `in_flight_hwm`
+        // at a peak that never held a descriptor (the URB set had the
+        // restore; its sibling never got it). A sharded xmit whose send
+        // is refused notes, then cancels.
+        let k = Kernel::new();
+        let set = RingSet::new("tx", 2, 4, 8);
+        set.note_post(0, 7);
+        set.cancel_post(7);
+        assert_eq!(set.shard_stats(0).in_flight_hwm, 0, "phantom peak recorded");
+        // A real peak of two…
+        set.post(&k, CpuClass::Kernel, 0, desc(0)).unwrap();
+        set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
+        assert_eq!(set.stats().in_flight_hwm, 2);
+        set.note_post(0, 2);
+        set.cancel_post(2);
+        assert_eq!(set.stats().in_flight_hwm, 2, "phantom peak recorded");
+        // …survives a refused post after the ring has drained to zero.
+        for d in set.ring(0).drain(&k, CpuClass::User) {
+            set.complete(&k, CpuClass::User, d).unwrap();
+        }
+        assert_eq!(set.shard_in_flight(0), 0);
+        set.note_post(0, 3);
+        set.cancel_post(3);
+        assert_eq!(set.stats().in_flight_hwm, 2, "legitimate peak erased");
         assert!(set.conserved());
     }
 

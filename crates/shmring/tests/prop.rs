@@ -353,10 +353,10 @@ proptest! {
         prop_assert_eq!(set.in_flight(), 0);
         for (shard, &count) in reclaimed.iter().enumerate() {
             prop_assert!(set.shard_conserved(shard), "shard {} not conserved", shard);
-            prop_assert_eq!(count, set.shard_stats(shard).submitted);
+            prop_assert_eq!(count, set.shard_stats(shard).posted);
             prop_assert_eq!(
                 set.shard_stats(shard).completed,
-                set.shard_stats(shard).submitted
+                set.shard_stats(shard).posted
             );
         }
         prop_assert!(set.pool().conserved());

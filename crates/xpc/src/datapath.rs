@@ -13,7 +13,8 @@
 //!   arguments*: one crossing, priced by the channel's transport, that
 //!   tells the consumer "descriptors await". A [`DoorbellPolicy`] coalesces
 //!   it — ring at a watermark occupancy, or once the oldest post has
-//!   waited out the coalescing deadline;
+//!   waited out the coalescing deadline. The protocol is
+//!   [`crate::Doorbell`], shared with the storage path;
 //! * the **consumer** (the decaf driver's drain handler) pops
 //!   descriptors — paying cache-line pulls, not per-byte marshal — and
 //!   hands them back through a **completion ring**, so buffer ownership
@@ -26,26 +27,20 @@
 
 use std::rc::Rc;
 
-use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, PoolError, RingError, ShmRing};
+use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, PoolError, ShmRing};
 use decaf_simkernel::{costs, Kernel};
-use decaf_xdr::XdrValue;
 
 use crate::domain::Domain;
+use crate::doorbell::Doorbell;
 use crate::endpoint::XpcChannel;
 use crate::error::{XpcError, XpcResult};
-use crate::transport::TransportKind;
 
 /// Producer-side handle: posts descriptors, coalesces doorbells,
 /// reclaims completed buffers.
 pub struct DataPathChannel {
-    channel: Rc<XpcChannel>,
-    producer: Domain,
-    consumer: Domain,
-    ring: Rc<ShmRing>,
+    bell: Doorbell<Descriptor>,
     completions: Rc<ShmRing>,
     pool: Option<Rc<BufPool>>,
-    policy: DoorbellPolicy,
-    doorbell_proc: String,
 }
 
 impl DataPathChannel {
@@ -66,27 +61,21 @@ impl DataPathChannel {
         pool: Option<Rc<BufPool>>,
         policy: DoorbellPolicy,
     ) -> XpcResult<Rc<Self>> {
-        let consumer = channel.peer_domain(producer)?;
         Ok(Rc::new(DataPathChannel {
-            channel,
-            producer,
-            consumer,
-            ring,
+            bell: Doorbell::new(channel, producer, doorbell_proc, ring, policy)?,
             completions,
             pool,
-            policy,
-            doorbell_proc: doorbell_proc.into(),
         }))
     }
 
     /// The underlying control channel.
     pub fn channel(&self) -> &Rc<XpcChannel> {
-        &self.channel
+        self.bell.channel()
     }
 
     /// The descriptor ring (producer → consumer).
     pub fn ring(&self) -> &Rc<ShmRing> {
-        &self.ring
+        self.bell.ring()
     }
 
     /// The completion ring (consumer → producer).
@@ -101,7 +90,7 @@ impl DataPathChannel {
 
     /// Descriptors posted and not yet drained by a doorbell.
     pub fn pending(&self) -> usize {
-        self.ring.len()
+        self.ring().len()
     }
 
     /// An end handle for `domain` — what drain handlers and interrupt
@@ -109,7 +98,7 @@ impl DataPathChannel {
     /// through registered procedures).
     pub fn end(&self, domain: Domain) -> DataPathEnd {
         DataPathEnd {
-            ring: Rc::clone(&self.ring),
+            ring: Rc::clone(self.ring()),
             completions: Rc::clone(&self.completions),
             pool: self.pool.clone(),
             domain,
@@ -150,7 +139,8 @@ impl DataPathChannel {
         // From here the buffer is ours until a descriptor carries it: on
         // any failure it must go back to the pool, or backpressure would
         // become permanent pool shrinkage.
-        if let Err(e) = pool.write_payload(kernel, self.producer.cpu_class(), handle, payload) {
+        let class = self.bell.producer().cpu_class();
+        if let Err(e) = pool.write_payload(kernel, class, handle, payload) {
             let _ = pool.free(handle);
             return Err(Self::map_pool_err(e));
         }
@@ -179,100 +169,23 @@ impl DataPathChannel {
     /// Safe from atomic context (no crossing happens); the caller decides
     /// when to ring — interrupt handlers defer that to a work item.
     pub fn post(&self, kernel: &Kernel, desc: Descriptor) -> XpcResult<()> {
-        match self.ring.push(kernel, self.producer.cpu_class(), desc) {
-            Ok(()) => {}
-            Err(RingError::Full) => {
-                return Err(XpcError::Backpressure(format!(
-                    "ring `{}` full",
-                    self.ring.name()
-                )))
-            }
-        }
-        self.policy.note_post(kernel.now_ns());
-        kernel.trace_instant(
-            "ring",
-            "post",
-            &[
-                ("occupancy", self.ring.len() as u64),
-                ("bytes", desc.len as u64),
-            ],
-        );
-        let hwm = self.ring.stats().occupancy_hwm;
-        self.channel.bump(|s| {
-            s.ring_posts += 1;
-            s.ring_occupancy_hwm = s.ring_occupancy_hwm.max(hwm);
-        });
-        Ok(())
+        self.bell
+            .post(kernel, desc, desc.len as u64)
+            .map_err(|_| XpcError::Backpressure(format!("ring `{}` full", self.ring().name())))
     }
 
     /// Rings the doorbell if the policy says the parked descriptors are
-    /// due (watermark reached or coalescing deadline expired).
+    /// due — see [`Doorbell::maybe_ring`].
     pub fn maybe_ring(&self, kernel: &Kernel) -> XpcResult<bool> {
-        if self.policy.due(kernel.now_ns(), self.ring.len()) {
-            self.ring_doorbell(kernel)?;
-            return Ok(true);
-        }
-        if !self.ring.is_empty() {
-            // The policy held the doorbell back: a coalesce, with the
-            // age of the oldest parked descriptor as evidence.
-            kernel.trace_instant(
-                "ring",
-                "coalesce",
-                &[
-                    ("parked", self.ring.len() as u64),
-                    (
-                        "age_ns",
-                        self.policy.armed_age_ns(kernel.now_ns()).unwrap_or(0),
-                    ),
-                ],
-            );
-        }
-        Ok(false)
+        self.bell.maybe_ring(kernel)
     }
 
-    /// Rings the doorbell unconditionally (no-op on an empty ring): one
-    /// XPC crossing, zero object arguments, carrying only the descriptor
-    /// count. The registered drain handler consumes the ring.
-    ///
-    /// On an async control transport the doorbell *launches*: the drain
-    /// handler still runs right here (descriptors are consumed and
-    /// completed), but the crossing's latency is banked against a
-    /// completion token and settled — net of overlap — when the producer
-    /// next harvests ([`DataPathChannel::reclaim_completions`] does).
+    /// Rings the doorbell unconditionally (no-op on an empty ring) — see
+    /// [`Doorbell::ring_doorbell`]. A doorbell launched on an async
+    /// control transport is settled when the producer next harvests
+    /// ([`DataPathChannel::reclaim_completions`] does).
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
-        if self.ring.is_empty() {
-            return Ok(());
-        }
-        let count = self.ring.len() as u32;
-        let _span = kernel.trace_span("ring", "doorbell");
-        kernel.trace_instant("ring", "ring", &[("descriptors", count as u64)]);
-        if self.channel.transport_kind() == TransportKind::Async {
-            self.channel.call_async(
-                kernel,
-                self.producer,
-                &self.doorbell_proc,
-                &[],
-                &[XdrValue::UInt(count)],
-            )?;
-            // Launch now: the drain must run before the producer reuses
-            // the ring, only the crossing latency is deferred.
-            self.channel.flush(kernel)?;
-        } else {
-            self.channel.call(
-                kernel,
-                self.producer,
-                &self.doorbell_proc,
-                &[],
-                &[XdrValue::UInt(count)],
-            )?;
-        }
-        self.channel.bump(|s| s.doorbells += 1);
-        // A budgeted or declining consumer may have left descriptors
-        // parked; re-arm the deadline for the survivors instead of
-        // disarming into the never-fires state.
-        self.policy
-            .rang_with_survivors(kernel.now_ns(), self.ring.len());
-        Ok(())
+        self.bell.ring_doorbell(kernel)
     }
 
     /// Producer-side poll hook (call from a timer's work item): reclaims
@@ -290,8 +203,9 @@ impl DataPathChannel {
     pub fn reclaim_completions(&self, kernel: &Kernel) -> Vec<Descriptor> {
         // Settle any launched doorbell crossings first: time spent
         // producing since the launch covers them as overlap.
-        let _ = self.channel.harvest(kernel);
-        let done = self.completions.drain(kernel, self.producer.cpu_class());
+        let _ = self.channel().harvest(kernel);
+        let class = self.bell.producer().cpu_class();
+        let done = self.completions.drain(kernel, class);
         if !done.is_empty() {
             kernel.trace_instant("ring", "reclaim", &[("completions", done.len() as u64)]);
         }
@@ -309,10 +223,9 @@ impl DataPathChannel {
 impl std::fmt::Debug for DataPathChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DataPathChannel")
-            .field("producer", &self.producer)
-            .field("consumer", &self.consumer)
-            .field("ring", &self.ring.name())
-            .field("pending", &self.ring.len())
+            .field("producer", &self.bell.producer())
+            .field("ring", &self.ring().name())
+            .field("pending", &self.pending())
             .finish()
     }
 }
@@ -389,7 +302,7 @@ mod tests {
     use crate::endpoint::{ChannelConfig, ProcDef};
     use decaf_simkernel::costs;
     use decaf_xdr::mask::MaskSet;
-    use decaf_xdr::XdrSpec;
+    use decaf_xdr::{XdrSpec, XdrValue};
     use std::cell::RefCell;
 
     fn channel() -> Rc<XpcChannel> {

@@ -446,9 +446,9 @@ mod tests {
         let cookies: Vec<u64> = done.iter().map(|r| r.cookie).collect();
         assert_eq!(cookies, (0..6).collect::<Vec<_>>(), "FIFO within the LUN");
         let shard = path.steer(5);
-        assert_eq!(path.set().shard_stats(shard).submitted, 6);
+        assert_eq!(path.set().shard_stats(shard).posted, 6);
         for other in (0..3).filter(|&s| s != shard) {
-            assert_eq!(path.set().shard_stats(other).submitted, 0);
+            assert_eq!(path.set().shard_stats(other).posted, 0);
         }
     }
 
@@ -511,7 +511,7 @@ mod tests {
         path.poll(&k).unwrap();
         assert_eq!(path.reclaim(&k).len(), 1);
         assert!(path.conserved());
-        assert_eq!(path.set().stats().submitted, 3);
+        assert_eq!(path.set().stats().posted, 3);
         assert_eq!(path.set().pool().stats().exhausted, 1);
     }
 
@@ -555,10 +555,10 @@ mod tests {
         // no origin record, no ring slot, no pool sector was touched.
         path.submit_out(&k, 0, 2, &[1; 64], 0).unwrap();
         path.submit_out(&k, 1, 2, &[1; 64], 1).unwrap();
-        let before = path.set().stats().submitted;
+        let before = path.set().stats().posted;
         let err = path.submit_out(&k, 0, 2, &[1; 64], 2).unwrap_err();
         assert!(matches!(err, XpcError::AdmissionReject(_)), "{err}");
-        assert_eq!(path.set().stats().submitted, before, "nothing was queued");
+        assert_eq!(path.set().stats().posted, before, "nothing was queued");
         // Virtual time refills the bucket and the retry goes through.
         k.run_for(1_000_001);
         path.submit_out(&k, 0, 2, &[1; 64], 2).unwrap();

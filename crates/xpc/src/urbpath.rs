@@ -11,10 +11,10 @@
 //!   zero-length status-stage transfer — *adopts* the payload into it
 //!   (zero-copy page donation, never a marshal or a memcpy) and posts a
 //!   [`UrbDescriptor`] request into the **submit ring**;
-//! * the **doorbell** is an ordinary XPC call with zero object
-//!   arguments, coalesced by a [`DoorbellPolicy`] exactly like the NIC
-//!   paths: ring at a watermark, or once the oldest request has waited
-//!   out the coalescing deadline;
+//! * the **doorbell** is the one [`crate::Doorbell`] the NIC paths
+//!   ride too: an ordinary XPC call with zero object arguments,
+//!   coalesced by a [`DoorbellPolicy`] — ring at a watermark, or once
+//!   the oldest request has waited out the coalescing deadline;
 //! * the **completer** (the decaf driver's drain handler) consumes
 //!   requests, programs the hardware straight from the shared sector
 //!   run, and pushes each descriptor — now carrying `status` and the
@@ -30,13 +30,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use decaf_shmring::{
-    DoorbellPolicy, PoolError, RingError, SectorPool, ShmRing, UrbDescriptor, XferDir,
-};
+use decaf_shmring::{DoorbellPolicy, PoolError, SectorPool, ShmRing, UrbDescriptor, XferDir};
 use decaf_simkernel::Kernel;
-use decaf_xdr::XdrValue;
 
 use crate::domain::Domain;
+use crate::doorbell::Doorbell;
 use crate::endpoint::XpcChannel;
 use crate::error::{XpcError, XpcResult};
 
@@ -80,13 +78,9 @@ impl UrbReclaim {
 /// Submitter-side handle: posts URB requests, coalesces doorbells,
 /// reclaims givebacks.
 pub struct UrbDataPath {
-    channel: Rc<XpcChannel>,
-    producer: Domain,
-    submit: Rc<ShmRing<UrbDescriptor>>,
+    bell: Doorbell<UrbDescriptor>,
     giveback: Rc<ShmRing<UrbDescriptor>>,
     pool: Rc<SectorPool>,
-    policy: DoorbellPolicy,
-    doorbell_proc: String,
     in_flight: Cell<u64>,
     stats: Cell<UrbPathStats>,
 }
@@ -105,15 +99,10 @@ impl UrbDataPath {
         pool: Rc<SectorPool>,
         policy: DoorbellPolicy,
     ) -> XpcResult<Rc<Self>> {
-        channel.peer_domain(producer)?;
         Ok(Rc::new(UrbDataPath {
-            channel,
-            producer,
-            submit,
+            bell: Doorbell::new(channel, producer, doorbell_proc, submit, policy)?,
             giveback,
             pool,
-            policy,
-            doorbell_proc: doorbell_proc.into(),
             in_flight: Cell::new(0),
             stats: Cell::new(UrbPathStats::default()),
         }))
@@ -121,7 +110,7 @@ impl UrbDataPath {
 
     /// The underlying control channel.
     pub fn channel(&self) -> &Rc<XpcChannel> {
-        &self.channel
+        self.bell.channel()
     }
 
     /// The shared sector pool.
@@ -131,7 +120,7 @@ impl UrbDataPath {
 
     /// The submit ring (requests, submitter → completer).
     pub fn submit_ring(&self) -> &Rc<ShmRing<UrbDescriptor>> {
-        &self.submit
+        self.bell.ring()
     }
 
     /// The giveback ring (completions, completer → submitter).
@@ -141,7 +130,7 @@ impl UrbDataPath {
 
     /// Requests posted and not yet drained by a doorbell.
     pub fn pending(&self) -> usize {
-        self.submit.len()
+        self.submit_ring().len()
     }
 
     /// URBs submitted and not yet given back.
@@ -176,7 +165,7 @@ impl UrbDataPath {
     /// registered procedures).
     pub fn end(&self, domain: Domain) -> UrbEnd {
         UrbEnd {
-            submit: Rc::clone(&self.submit),
+            submit: Rc::clone(self.submit_ring()),
             giveback: Rc::clone(&self.giveback),
             pool: Rc::clone(&self.pool),
             domain,
@@ -279,38 +268,22 @@ impl UrbDataPath {
     }
 
     fn post(&self, kernel: &Kernel, desc: UrbDescriptor) -> XpcResult<()> {
-        let chain = desc.buf;
-        let bytes = desc.len as u64;
-        match self.submit.push(kernel, self.producer.cpu_class(), desc) {
-            Ok(()) => {}
-            Err(RingError::Full) => {
-                let _ = self.pool.free_sg(chain);
-                // Same staged backpressure as sector exhaustion: force
-                // the completer to drain, so the caller's
-                // reclaim-and-retry can actually succeed.
-                let _ = self.ring_doorbell(kernel);
-                return Err(XpcError::Backpressure(format!(
-                    "ring `{}` full: reclaim givebacks and retry",
-                    self.submit.name()
-                )));
-            }
+        if self.bell.post(kernel, desc, desc.len as u64).is_err() {
+            let _ = self.pool.free_sg(desc.buf);
+            // Same staged backpressure as sector exhaustion: force
+            // the completer to drain, so the caller's
+            // reclaim-and-retry can actually succeed.
+            let _ = self.ring_doorbell(kernel);
+            return Err(XpcError::Backpressure(format!(
+                "ring `{}` full: reclaim givebacks and retry",
+                self.submit_ring().name()
+            )));
         }
-        self.policy.note_post(kernel.now_ns());
-        kernel.trace_instant(
-            "ring",
-            "post",
-            &[("occupancy", self.submit.len() as u64), ("bytes", bytes)],
-        );
         let in_flight = self.in_flight.get() + 1;
         self.in_flight.set(in_flight);
-        let hwm = self.submit.stats().occupancy_hwm;
         self.bump(|s| {
             s.submitted += 1;
             s.in_flight_hwm = s.in_flight_hwm.max(in_flight);
-        });
-        self.channel.bump(|s| {
-            s.ring_posts += 1;
-            s.ring_occupancy_hwm = s.ring_occupancy_hwm.max(hwm);
         });
         // The URB is committed; the doorbell is best-effort (a completer
         // fault is contained by the XPC layer and the deadline poll
@@ -320,52 +293,15 @@ impl UrbDataPath {
     }
 
     /// Rings the doorbell if the policy says the parked requests are due
-    /// (watermark reached or coalescing deadline expired).
+    /// — see [`Doorbell::maybe_ring`].
     pub fn maybe_ring(&self, kernel: &Kernel) -> XpcResult<bool> {
-        if self.policy.due(kernel.now_ns(), self.submit.len()) {
-            self.ring_doorbell(kernel)?;
-            return Ok(true);
-        }
-        if !self.submit.is_empty() {
-            kernel.trace_instant(
-                "ring",
-                "coalesce",
-                &[
-                    ("parked", self.submit.len() as u64),
-                    (
-                        "age_ns",
-                        self.policy.armed_age_ns(kernel.now_ns()).unwrap_or(0),
-                    ),
-                ],
-            );
-        }
-        Ok(false)
+        self.bell.maybe_ring(kernel)
     }
 
     /// Rings the doorbell unconditionally (no-op on an empty submit
-    /// ring): one XPC crossing, zero object arguments, carrying only the
-    /// request count.
+    /// ring) — see [`Doorbell::ring_doorbell`].
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
-        if self.submit.is_empty() {
-            return Ok(());
-        }
-        let count = self.submit.len() as u32;
-        let _span = kernel.trace_span("ring", "doorbell");
-        kernel.trace_instant("ring", "ring", &[("descriptors", count as u64)]);
-        self.channel.call(
-            kernel,
-            self.producer,
-            &self.doorbell_proc,
-            &[],
-            &[XdrValue::UInt(count)],
-        )?;
-        self.channel.bump(|s| s.doorbells += 1);
-        // A completer that declined or drained under a budget may have
-        // left requests parked; re-arm the deadline for the survivors
-        // instead of disarming into the never-fires state.
-        self.policy
-            .rang_with_survivors(kernel.now_ns(), self.submit.len());
-        Ok(())
+        self.bell.ring_doorbell(kernel)
     }
 
     /// Submitter-side poll hook (call from a timer's work item): rings
@@ -381,7 +317,9 @@ impl UrbDataPath {
     /// the sector run, and returns a [`UrbReclaim`] for the submitter's
     /// callback dispatch. Givebacks may arrive in any order.
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
-        let done = self.giveback.drain(kernel, self.producer.cpu_class());
+        let done = self
+            .giveback
+            .drain(kernel, self.bell.producer().cpu_class());
         if !done.is_empty() {
             // Every giveback frees its sector run below, so one instant
             // carries both the reclaim count and the pool releases.
@@ -429,9 +367,9 @@ impl UrbDataPath {
 impl std::fmt::Debug for UrbDataPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UrbDataPath")
-            .field("producer", &self.producer)
-            .field("submit", &self.submit.name())
-            .field("pending", &self.submit.len())
+            .field("producer", &self.bell.producer())
+            .field("submit", &self.submit_ring().name())
+            .field("pending", &self.pending())
             .field("in_flight", &self.in_flight.get())
             .finish()
     }
@@ -479,7 +417,7 @@ mod tests {
     use crate::endpoint::{ChannelConfig, ProcDef};
     use decaf_simkernel::costs;
     use decaf_xdr::mask::MaskSet;
-    use decaf_xdr::XdrSpec;
+    use decaf_xdr::{XdrSpec, XdrValue};
 
     fn channel() -> Rc<XpcChannel> {
         Rc::new(XpcChannel::new(

@@ -186,11 +186,11 @@ fn run_storage_schedule(shards: usize, schedule: &[usize]) {
         );
         assert_eq!(
             reclaimed,
-            set.shard_stats(shard).submitted,
+            set.shard_stats(shard).posted,
             "schedule {schedule:?}: shard {shard} reclaim count"
         );
         assert_eq!(
-            set.shard_stats(shard).submitted,
+            set.shard_stats(shard).posted,
             schedule.iter().filter(|&&s| s == shard).count() as u64,
             "schedule {schedule:?}: shard {shard} submit count"
         );
@@ -304,7 +304,7 @@ fn storage_fault_sweep_four_shards() {
 #[test]
 #[cfg(debug_assertions)] // the mutation seam exists in debug builds only
 fn fault_oracle_rejects_planted_double_completion() {
-    use decaf_core::shmring::urbset::mutation;
+    use decaf_core::shmring::ringset::mutation;
     let golden = fault_harness::storage_golden_flash(2, 2);
     let schedule = [0usize, 1, 0, 1];
     let plan = FaultPlan::single(1, 0);
