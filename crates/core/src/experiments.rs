@@ -937,11 +937,11 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
             ("batched-copy (marshal)", Rc::clone(&d.channel), None)
         }
         DataPathKind::Shmring => {
-            let d =
-                decaf_drivers::uhci::install_shmring(&k, "uhci0").expect("shmring uhci installs");
+            let d = decaf_drivers::uhci::install_sharded(&k, "uhci0", 1)
+                .expect("shmring uhci installs");
             (
                 "shmring (descriptors)",
-                Rc::clone(&d.channel),
+                Rc::clone(d.channels.shard(0)),
                 Some(Rc::clone(&d.urb_path)),
             )
         }
@@ -975,7 +975,7 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
     );
     if let Some(path) = &urb_path {
         assert!(path.conserved(), "URB conservation violated");
-        assert_eq!(path.pool().in_use_sectors(), 0, "sector runs leaked");
+        assert_eq!(path.set().pool().in_use_sectors(), 0, "sector runs leaked");
         assert_eq!(
             k.stats().bytes_copied - copied_before,
             0,
@@ -1095,9 +1095,9 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         decaf_shmring::AllocMode::BuddySg => "buddy+SG",
     };
     let k = Kernel::new();
-    let drv = decaf_drivers::uhci::install_shmring_with(&k, "uhci0", mode)
+    let drv = decaf_drivers::uhci::install_sharded_with(&k, "uhci0", 1, mode)
         .expect("shmring uhci installs");
-    let pool = drv.urb_path.pool();
+    let pool = drv.urb_path.set().pool();
 
     // Adversarial pinning: every sector leaves the pool as a
     // single-sector chain, then the evenly-spread complement comes back
@@ -1157,7 +1157,7 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         // pinning, not of in-flight depth.
         k.run_for(2 * costs::DOORBELL_COALESCE_NS);
     }
-    let _ = drv.channel.flush(&k);
+    let _ = drv.channels.flush_all(&k);
     k.run_for(2 * costs::DOORBELL_COALESCE_NS);
 
     let stats = pool.stats();

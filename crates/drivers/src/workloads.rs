@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn tar_streaming_read_on_shmring_uhci_is_zero_copy() {
         let k = Kernel::new();
-        let drv = crate::uhci::install_shmring(&k, "uhci0").unwrap();
+        let drv = crate::uhci::install_sharded(&k, "uhci0", 1).unwrap();
         for s in 0..32u32 {
             drv.dev.borrow_mut().preload_sector(s, vec![s as u8; 512]);
         }
@@ -508,9 +508,9 @@ mod tests {
         assert_eq!(k.stats().bytes_copied, 0, "bulk payloads never copied");
         assert!(drv.urb_path.conserved());
         assert!(
-            drv.channel.stats().descriptors_per_doorbell() > 2.0,
+            drv.channels.stats().descriptors_per_doorbell() > 2.0,
             "readahead bursts amortize doorbells: {}",
-            drv.channel.stats().descriptors_per_doorbell()
+            drv.channels.stats().descriptors_per_doorbell()
         );
         assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
@@ -549,7 +549,7 @@ mod tests {
         // on the coalescing deadline, so a lost partial burst would show
         // up as missing ops here first.
         let k = Kernel::new();
-        let drv = crate::uhci::install_shmring(&k, "uhci0").unwrap();
+        let drv = crate::uhci::install_sharded(&k, "uhci0", 1).unwrap();
         for s in 0..10u32 {
             drv.dev.borrow_mut().preload_sector(s, vec![7; 512]);
         }

@@ -1,8 +1,9 @@
 //! Storage shmring smoke: drives the `tar` write + streaming-read pair
-//! through the uhci `install_shmring` build and prints the three-way
-//! storage ablation. With a shard-count argument it instead drives the
-//! **sharded multi-LUN** build at that width (the CI storage-sched job
-//! runs `storage_smoke 4`).
+//! through the uhci ring build — `install_sharded(…, 1)`, one shard
+//! being the unsharded build — and prints the three-way storage
+//! ablation. With a shard-count argument it instead drives the
+//! **multi-LUN** workload at that width (the CI storage-sched job runs
+//! `storage_smoke 4`).
 //!
 //! The heavy lifting — and every invariant check (URB conservation,
 //! sector-run reclamation, zero kernel-rule violations, and the
@@ -36,7 +37,7 @@ fn traced_smoke(path: &str) {
     let k = Kernel::new();
     let t = Tracer::new();
     k.set_tracer(Some(std::rc::Rc::clone(&t)));
-    let _drv = decaf_core::drivers::uhci::install_shmring(&k, "uhci0").expect("uhci shmring");
+    let _drv = decaf_core::drivers::uhci::install_sharded(&k, "uhci0", 1).expect("uhci shmring");
     workloads::tar_to_flash(&k, "uhci0", STORAGE_FILES, STORAGE_SECTORS_PER_FILE).expect("tar out");
     workloads::tar_from_flash(&k, "uhci0", STORAGE_FILES, STORAGE_SECTORS_PER_FILE)
         .expect("tar in");

@@ -22,10 +22,10 @@
 //! The **differential oracle** then replays one multi-LUN workload —
 //! interleaved short and full sector writes, then streaming reads —
 //! through every hosting of the uhci URB path (`install_native`,
-//! `install_value` copy + batched, `install_shmring`,
-//! `install_sharded(1..=4)`) and asserts byte-identical flash contents
-//! and identical actual-length read results across all of them: eight
-//! drivers, one observable behaviour.
+//! `install_value` copy + batched, `install_sharded(1..=4)` — one shard
+//! being the unsharded ring build) and asserts byte-identical flash
+//! contents and identical actual-length read results across all of
+//! them: seven drivers, one observable behaviour.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -466,12 +466,6 @@ fn differential_oracle_all_hostings_agree_bit_for_bit() {
                 uhci::install_value(k, "uhci0", true).unwrap().dev
             }),
         ),
-        (
-            "shmring".into(),
-            run("shmring", &|k| {
-                uhci::install_shmring(k, "uhci0").unwrap().dev
-            }),
-        ),
     ]
     .into_iter()
     .chain((1..=4).map(|shards| {
@@ -513,12 +507,6 @@ fn differential_oracle_zero_copy_only_on_ring_hostings() {
             uhci::install_value(k, "uhci0", false).unwrap();
         }) > 0,
         "the by-value hosting must pay its copies"
-    );
-    assert_eq!(
-        copied(&|k| {
-            uhci::install_shmring(k, "uhci0").unwrap();
-        }),
-        0
     );
     for shards in [1usize, 4] {
         assert_eq!(
