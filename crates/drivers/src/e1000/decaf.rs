@@ -7,14 +7,20 @@
 //! at user level. The channel's XDR spec and field masks are the slicer's
 //! generated artifacts, not hand-written ones.
 //!
-//! [`install_shmring`] goes one step further — the
-//! `ChannelConfig::kernel_user_shmring()` build: the *data path* is
-//! hosted at user level too. Transmit payloads are written once into a
-//! shared buffer pool carved from the device's DMA region; 16-byte
-//! descriptors cross through pinned SPSC rings; the decaf driver's drain
-//! handlers program the hardware descriptor ring straight from the
-//! shared mapping (one TDT write per batch); and received frames flow
-//! back the same way. Zero payload bytes touch the XDR marshaler.
+//! A channel configuration with `shmring` set goes one step further:
+//! the *data path* is hosted at user level too. Transmit payloads are
+//! written once into a shared buffer pool carved from the device's DMA
+//! region; 16-byte descriptors cross through pinned SPSC rings; the
+//! decaf driver's drain handlers program the hardware descriptor ring
+//! straight from the shared mapping (one TDT write per batch); and
+//! received frames flow back the same way. Zero payload bytes touch the
+//! XDR marshaler.
+//!
+//! There is one build, parametric in the channel configuration, the
+//! receive mode and the shard count; the four public installers name
+//! the four points of that space the tables use. One shard *is* the
+//! unsharded build — [`install_shmring`] is the same code as
+//! [`install_sharded`] at width 1 on the synchronous shmring transport.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,8 +28,9 @@ use std::rc::Rc;
 
 use decaf_simdev::E1000Device;
 
-use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet, ShmRing};
+use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet};
 use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{CpuClass, KError, KResult, Kernel, SkBuff, TimerId};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
@@ -42,7 +49,9 @@ use decaf_simdev::e1000 as hwreg;
 /// deadline).
 pub const TX_DOORBELL_WATERMARK: usize = 8;
 
-/// The installed decaf driver.
+/// The installed decaf driver on a single channel: the kernel-resident
+/// data path ([`install`]) or the one-shard ring data path
+/// ([`install_shmring`], [`install_shmring_poll`]).
 pub struct DecafE1000 {
     /// Kernel handle.
     pub kernel: Kernel,
@@ -69,458 +78,7 @@ pub struct DecafE1000 {
     /// How this build collects received frames (shmring builds only;
     /// the kernel-data-path build always uses the hardware interrupt).
     pub rx_mode: RxMode,
-    watchdog: decaf_simkernel::TimerId,
-    poll_timer: Option<TimerId>,
-    rx_poll_timer: Option<TimerId>,
-}
-
-/// Loads the decaf driver (kernel-resident data path, batched control
-/// paths — the `ChannelConfig::kernel_user_batched()` build).
-pub fn install(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    install_with(kernel, ifname, false, RxMode::Interrupt)
-}
-
-/// Loads the decaf driver with the *user-level* shmring data path — the
-/// `ChannelConfig::kernel_user_shmring()` build. netperf-shaped
-/// workloads run entirely through the descriptor rings: payloads cross
-/// as pool handles, never as marshaled bytes.
-pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    install_with(kernel, ifname, true, RxMode::Interrupt)
-}
-
-/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
-/// interrupt masks further ones, and a periodic budgeted poll probes
-/// the receive ring instead of riding doorbell upcalls.
-pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    install_with(kernel, ifname, true, RxMode::Poll)
-}
-
-fn install_with(
-    kernel: &Kernel,
-    ifname: &str,
-    shmring: bool,
-    rx_mode: RxMode,
-) -> KResult<DecafE1000> {
-    let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(E1000Hw::new(bar.clone(), dma));
-    let plan = slice(super::minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
-    let config = if shmring {
-        ChannelConfig::kernel_user_shmring()
-    } else {
-        ChannelConfig::kernel_user_batched()
-    };
-    let channel = support::channel_from_plan_with(&plan, config);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
-
-    let datapath = if shmring {
-        Some(build_datapath(kernel, &channel, &hw, ifname, rx_mode).map_err(|_| KError::Io)?)
-    } else {
-        None
-    };
-    let irq_handler: IrqHandler = match &datapath {
-        Some(dp) => Rc::clone(&dp.irq_handler),
-        None => {
-            let hw_irq = Rc::clone(&hw);
-            let name = ifname.to_string();
-            Rc::new(move |k| {
-                hw_irq.handle_irq(k, &name);
-            })
-        }
-    };
-    let xmit: decaf_simkernel::net::XmitOp = match &datapath {
-        Some(dp) => support::shmring_xmit_op(Rc::clone(&dp.tx), BUF_SIZE),
-        None => {
-            let hw_ops = Rc::clone(&hw);
-            Rc::new(move |k, skb| hw_ops.xmit(k, &skb))
-        }
-    };
-
-    register_nucleus_procs(kernel, &channel, &hw, irq_handler).map_err(|_| KError::Io)?;
-    register_decaf_handlers(&channel).map_err(|_| KError::Io)?;
-
-    let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
-        Rc::clone(&channel),
-        Some(IRQ_LINE),
-    ));
-
-    // insmod: allocate the shared adapter and run the user-level probe.
-    let mut adapter = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let ch_init = Rc::clone(&channel);
-    let name_init = ifname.to_string();
-    let plan_spec = plan.spec.clone();
-    let adapter_ref = &mut adapter;
-    let init_latency_ns = kernel.insmod("e1000_decaf", move |k| {
-        let a = {
-            let heap = ch_init.heap(Domain::Nucleus);
-            let mut h = heap.borrow_mut();
-            h.alloc_default("e1000_adapter", &plan_spec)
-                .map_err(|_| KError::NoMem)?
-        };
-        *adapter_ref = a;
-        let ret = nuc_init
-            .upcall_errno("e1000_probe", &[Some(a)], &[])
-            .map_err(|_| KError::Io)?;
-        if ret < 0 {
-            return Err(KError::from_errno(ret).unwrap_or(KError::Io));
-        }
-        // Register the netdevice: open/stop go through the decaf driver;
-        // transmit stays in the nucleus (copy build) or posts into the
-        // shared-memory ring (shmring build).
-        let nuc_open = Rc::clone(&nuc_init);
-        let nuc_stop = Rc::clone(&nuc_init);
-        k.register_netdev(
-            &name_init,
-            decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |_k| {
-                    match nuc_open.upcall_errno("e1000_open", &[Some(a)], &[]) {
-                        Ok(0) => Ok(()),
-                        Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
-                        Err(_) => Err(KError::Io),
-                    }
-                }),
-                stop: Rc::new(move |_k| {
-                    match nuc_stop.upcall_errno("e1000_close", &[Some(a)], &[]) {
-                        Ok(_) => Ok(()),
-                        Err(_) => Err(KError::Io),
-                    }
-                }),
-                xmit,
-            },
-        )?;
-        Ok(())
-    })?;
-
-    // The watchdog timer fires at softirq priority, so it only enqueues a
-    // work item; the work item (process context) makes the upcall
-    // (paper §3.1.3).
-    let nuc_wd = Rc::clone(&nuc);
-    let ch_wd = Rc::clone(&channel);
-    let name_wd = ifname.to_string();
-    let watchdog = kernel.timer_create(
-        "e1000_watchdog",
-        Rc::new(move |k| {
-            let nuc = Rc::clone(&nuc_wd);
-            let ch = Rc::clone(&ch_wd);
-            let name = name_wd.clone();
-            let a = adapter;
-            k.schedule_work("e1000_watchdog_task", move |k| {
-                if nuc.upcall("e1000_watchdog_task", &[Some(a)], &[]).is_ok() {
-                    // The decaf driver updated adapter->link_up; the nucleus
-                    // mirrors it into the stack.
-                    let heap = ch.heap(Domain::Nucleus);
-                    let up = heap
-                        .borrow()
-                        .scalar(a, "link_up")
-                        .ok()
-                        .and_then(|v| v.as_int())
-                        .unwrap_or(0);
-                    k.netif_carrier(&name, up != 0);
-                }
-            });
-        }),
-    );
-    kernel.timer_arm_periodic(watchdog, 2_000_000_000);
-
-    let (tx_path, rx_path, poll_timer, rx_poll_timer) = match datapath {
-        Some(dp) => (
-            Some(dp.tx),
-            Some(dp.rx),
-            Some(dp.poll_timer),
-            dp.rx_poll_timer,
-        ),
-        None => (None, None, None, None),
-    };
-    Ok(DecafE1000 {
-        kernel: kernel.clone(),
-        hw,
-        ifname: ifname.to_string(),
-        channel,
-        nuc,
-        adapter,
-        init_latency_ns,
-        plan,
-        dev,
-        tx_path,
-        rx_path,
-        rx_mode,
-        watchdog,
-        poll_timer,
-        rx_poll_timer,
-    })
-}
-
-/// Builds the rings, the shared buffer pool, the decaf drain handlers,
-/// the nucleus interrupt handler and the coalescing poll timer.
-fn build_datapath(
-    kernel: &Kernel,
-    channel: &Rc<XpcChannel>,
-    hw: &Rc<E1000Hw>,
-    ifname: &str,
-    rx_mode: RxMode,
-) -> decaf_xpc::XpcResult<support::ShmDataPath> {
-    // TX: payloads live in a pool carved from the device's own DMA
-    // region, so a posted descriptor already points where the NIC reads.
-    let tx = DataPathChannel::new(
-        Rc::clone(channel),
-        Domain::Nucleus,
-        "e1000_tx_drain",
-        Rc::new(ShmRing::new("e1000-tx", N_DESC as usize)),
-        Rc::new(ShmRing::new("e1000-tx-done", 2 * N_DESC as usize)),
-        Some(Rc::new(BufPool::new(
-            hw.dma.clone(),
-            TX_BUF_OFF,
-            BUF_SIZE,
-            N_DESC as usize,
-        ))),
-        DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
-    )?;
-    // RX: descriptors reference device receive slots (no pool); the IRQ
-    // handler posts, a work item rings, the decaf driver drains.
-    let rx = DataPathChannel::new(
-        Rc::clone(channel),
-        Domain::Nucleus,
-        "e1000_rx_drain",
-        Rc::new(ShmRing::new("e1000-rx", N_DESC as usize)),
-        Rc::new(ShmRing::new("e1000-rx-done", 2 * N_DESC as usize)),
-        None,
-        DoorbellPolicy::with_watermark(N_DESC as usize),
-    )?;
-
-    // TX descriptors queued to hardware by the decaf drain, completed
-    // (ownership handed back through the completion ring) by the IRQ.
-    let inflight: Rc<RefCell<VecDeque<Descriptor>>> = Rc::new(RefCell::new(VecDeque::new()));
-
-    // Decaf-side TX drain: the user-level driver programs the hardware
-    // descriptor ring straight from its mapping of the shared pool —
-    // no payload copy — and publishes the whole batch with one TDT write.
-    {
-        let end = tx.end(Domain::Decaf);
-        let hw = Rc::clone(hw);
-        let inflight = Rc::clone(&inflight);
-        channel.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "e1000_tx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    let drained = end.consume(k);
-                    if drained.is_empty() {
-                        return XdrValue::Int(0);
-                    }
-                    let pool = end.pool().expect("tx path owns a pool");
-                    let mut queued = 0;
-                    for d in &drained {
-                        let off = pool.offset_of(d.buf).expect("live pool handle");
-                        match hw.xmit_desc(k, off, d.len as usize) {
-                            Ok(()) => {
-                                inflight.borrow_mut().push_back(*d);
-                                queued += 1;
-                            }
-                            // A frame the hardware rejects never becomes
-                            // in-flight (it would be counted as sent at
-                            // the next TXDW); hand its buffer straight
-                            // back through the completion ring.
-                            Err(_) => {
-                                let _ = end.complete(k, *d);
-                            }
-                        }
-                    }
-                    if queued > 0 {
-                        hw.tx_kick(k);
-                    }
-                    XdrValue::Int(queued)
-                }),
-            },
-        )?;
-    }
-
-    // Decaf-side RX drain: user-level receive processing sees every
-    // descriptor, then hands buffer ownership back in completion order.
-    {
-        let end = rx.end(Domain::Decaf);
-        channel.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "e1000_rx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    let mut n = 0;
-                    for d in end.consume(k) {
-                        let _ = end.complete(k, d);
-                        n += 1;
-                    }
-                    XdrValue::Int(n)
-                }),
-            },
-        )?;
-    }
-
-    // Nucleus IRQ handler: completes TX buffers, harvests RX slots into
-    // the ring, and defers the doorbell upcall to a work item (process
-    // context — §3.1.3 forbids upcalls from atomic context).
-    let irq_handler: IrqHandler = {
-        let hw = Rc::clone(hw);
-        let tx_end = tx.end(Domain::Nucleus);
-        let inflight = Rc::clone(&inflight);
-        let rx_dp = Rc::clone(&rx);
-        let name = ifname.to_string();
-        Rc::new(move |k| {
-            let icr = hw.bar.read32(k, hwreg::ICR);
-            if icr & hwreg::ICR_TXDW != 0 {
-                let (mut pkts, mut bytes) = (0u64, 0u64);
-                let done: Vec<Descriptor> = inflight.borrow_mut().drain(..).collect();
-                for d in done {
-                    pkts += 1;
-                    bytes += d.len as u64;
-                    let _ = tx_end.complete(k, d);
-                }
-                k.net_tx_done(&name, pkts, bytes);
-            }
-            if icr & hwreg::ICR_RXT0 != 0 && rx_mode == RxMode::Poll {
-                // NAPI-style handoff: the first receive interrupt masks
-                // further ones; the harvested frames wait in the
-                // hardware ring for the next poll tick.
-                hw.bar.write32(k, hwreg::IMC, hwreg::ICR_RXT0);
-            } else if icr & hwreg::ICR_RXT0 != 0 {
-                let _span = k.trace_span("rx", "irq");
-                for (slot, len) in hw.rx_harvest(k) {
-                    let _ = rx_dp.post(
-                        k,
-                        Descriptor {
-                            buf: BufHandle(slot),
-                            len: len as u32,
-                            cookie: slot as u64,
-                        },
-                    );
-                }
-                if rx_dp.pending() > 0 {
-                    let rx_dp = Rc::clone(&rx_dp);
-                    let hw = Rc::clone(&hw);
-                    let name = name.clone();
-                    k.schedule_work("e1000_rx_drain_task", move |k| {
-                        let _span = k.trace_span("rx", "drain");
-                        let _ = rx_dp.ring_doorbell(k);
-                        let mut last = None;
-                        for d in rx_dp.reclaim_completions(k) {
-                            let slot = d.cookie as u32;
-                            let data = hw.dma.read_bytes(E1000Hw::rx_buf_off(slot), d.len as usize);
-                            let _ = k.netif_rx(
-                                &name,
-                                SkBuff {
-                                    data,
-                                    protocol: 0x0800,
-                                },
-                            );
-                            hw.rx_recycle(k, slot);
-                            last = Some(slot);
-                        }
-                        if let Some(slot) = last {
-                            hw.rx_kick(k, slot);
-                        }
-                    });
-                }
-            }
-            if icr & hwreg::ICR_LSC != 0 {
-                k.netif_carrier(&name, hw.link_up(k));
-            }
-        })
-    };
-
-    let poll_timer = support::shmring_poll_timer(kernel, "e1000_shmring_poll", &tx);
-
-    // Poll-mode receive: a fixed-grid tick replaces the RX doorbell
-    // upcall. Each tick harvests the hardware ring into the shm ring,
-    // probes it from the decaf side under a budget (paying the spin tax
-    // whether or not frames arrived), and delivers completions — no
-    // interrupt entry, no crossing.
-    let rx_poll_timer = if rx_mode == RxMode::Poll {
-        let rx_dp = Rc::clone(&rx);
-        let hw_poll = Rc::clone(hw);
-        let name = ifname.to_string();
-        let timer = kernel.timer_create(
-            "e1000_rx_poll",
-            Rc::new(move |k| {
-                let rx_dp = Rc::clone(&rx_dp);
-                let hw = Rc::clone(&hw_poll);
-                let name = name.clone();
-                k.schedule_work("e1000_rx_poll_task", move |k| {
-                    let _span = k.trace_span("rx", "poll");
-                    for (slot, len) in hw.rx_harvest(k) {
-                        let _ = rx_dp.post(
-                            k,
-                            Descriptor {
-                                buf: BufHandle(slot),
-                                len: len as u32,
-                                cookie: slot as u64,
-                            },
-                        );
-                    }
-                    let end = rx_dp.end(Domain::Decaf);
-                    for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
-                        let _ = end.complete(k, d);
-                    }
-                    let mut last = None;
-                    for d in rx_dp.reclaim_completions(k) {
-                        let slot = d.cookie as u32;
-                        let data = hw.dma.read_bytes(E1000Hw::rx_buf_off(slot), d.len as usize);
-                        let _ = k.netif_rx(
-                            &name,
-                            SkBuff {
-                                data,
-                                protocol: 0x0800,
-                            },
-                        );
-                        hw.rx_recycle(k, slot);
-                        last = Some(slot);
-                    }
-                    if let Some(slot) = last {
-                        hw.rx_kick(k, slot);
-                    }
-                });
-            }),
-        );
-        kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
-        Some(timer)
-    } else {
-        None
-    };
-
-    Ok(support::ShmDataPath {
-        tx,
-        rx,
-        irq_handler,
-        poll_timer,
-        rx_poll_timer,
-    })
-}
-
-impl DecafE1000 {
-    /// Round trips between nucleus and decaf driver so far.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
-
-    /// Upcalls into the decaf driver so far.
-    pub fn decaf_invocations(&self) -> u64 {
-        self.nuc.decaf_invocations()
-    }
-
-    /// Unloads the driver.
-    pub fn remove(self) {
-        self.kernel.timer_del(self.watchdog);
-        if let Some(t) = self.poll_timer {
-            self.kernel.timer_del(t);
-        }
-        if let Some(t) = self.rx_poll_timer {
-            self.kernel.timer_del(t);
-        }
-        self.kernel.free_irq(IRQ_LINE);
-        let ifname = self.ifname.clone();
-        self.kernel
-            .rmmod("e1000_decaf", move |k| k.unregister_netdev(&ifname));
-    }
+    timers: Vec<TimerId>,
 }
 
 /// The sharded decaf driver: N parallel XPC channels behind a
@@ -569,8 +127,136 @@ pub struct ShardedE1000 {
     pub tx_set: Rc<RingSet>,
     /// The RX ring set.
     pub rx_set: Rc<RingSet>,
-    watchdog: TimerId,
-    poll_timer: TimerId,
+    timers: Vec<TimerId>,
+}
+
+/// Loads the decaf driver (kernel-resident data path, batched control
+/// paths — the `ChannelConfig::kernel_user_batched()` build).
+pub fn install(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
+    let config = ChannelConfig::kernel_user_batched();
+    build(kernel, ifname, config, RxMode::Interrupt, 1).map(Build::into_unsharded)
+}
+
+/// Loads the decaf driver with the *user-level* shmring data path — the
+/// `ChannelConfig::kernel_user_shmring()` build. netperf-shaped
+/// workloads run entirely through the descriptor rings: payloads cross
+/// as pool handles, never as marshaled bytes.
+pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
+    let config = ChannelConfig::kernel_user_shmring();
+    build(kernel, ifname, config, RxMode::Interrupt, 1).map(Build::into_unsharded)
+}
+
+/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
+/// interrupt masks further ones, and a periodic budgeted poll probes
+/// the receive ring instead of riding doorbell upcalls.
+pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
+    let config = ChannelConfig::kernel_user_shmring();
+    build(kernel, ifname, config, RxMode::Poll, 1).map(Build::into_unsharded)
+}
+
+/// Loads the decaf driver with `shards` parallel channels and per-shard
+/// shmring TX/RX queues — the multi-queue, multi-channel build. It rides
+/// the completion-based async transport: per-shard doorbells *launch*
+/// rather than block, and the send-path reclaim harvests them —
+/// crossing latency overlaps with posting.
+pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<ShardedE1000> {
+    let config = ChannelConfig::kernel_user_async_shmring();
+    build(kernel, ifname, config, RxMode::Interrupt, shards).map(Build::into_sharded)
+}
+
+/// The per-shard rings and data paths of a build whose configuration
+/// hosts the data path at user level.
+struct Rings {
+    tx_paths: Vec<Rc<DataPathChannel>>,
+    rx_paths: Vec<Rc<DataPathChannel>>,
+    tx_set: Rc<RingSet>,
+    rx_set: Rc<RingSet>,
+}
+
+/// One installed build, before it takes the shape of the public struct
+/// its installer returns.
+struct Build {
+    kernel: Kernel,
+    hw: Rc<E1000Hw>,
+    ifname: String,
+    channels: Rc<ShardedChannel>,
+    nuc: Rc<NuclearRuntime>,
+    adapter: CAddr,
+    init_latency_ns: u64,
+    plan: SlicePlan,
+    dev: Rc<RefCell<E1000Device>>,
+    rings: Option<Rings>,
+    rx_mode: RxMode,
+    timers: Vec<TimerId>,
+}
+
+impl Build {
+    fn into_unsharded(self) -> DecafE1000 {
+        let path = |paths: fn(&Rings) -> &Vec<Rc<DataPathChannel>>| {
+            self.rings.as_ref().map(|r| Rc::clone(&paths(r)[0]))
+        };
+        DecafE1000 {
+            channel: Rc::clone(self.channels.shard(0)),
+            tx_path: path(|r| &r.tx_paths),
+            rx_path: path(|r| &r.rx_paths),
+            kernel: self.kernel,
+            hw: self.hw,
+            ifname: self.ifname,
+            nuc: self.nuc,
+            adapter: self.adapter,
+            init_latency_ns: self.init_latency_ns,
+            plan: self.plan,
+            dev: self.dev,
+            rx_mode: self.rx_mode,
+            timers: self.timers,
+        }
+    }
+
+    fn into_sharded(self) -> ShardedE1000 {
+        let rings = self.rings.expect("the sharded configuration has rings");
+        ShardedE1000 {
+            kernel: self.kernel,
+            hw: self.hw,
+            ifname: self.ifname,
+            channels: self.channels,
+            nuc: self.nuc,
+            adapter: self.adapter,
+            init_latency_ns: self.init_latency_ns,
+            plan: self.plan,
+            dev: self.dev,
+            tx_paths: rings.tx_paths,
+            rx_paths: rings.rx_paths,
+            tx_set: rings.tx_set,
+            rx_set: rings.rx_set,
+            timers: self.timers,
+        }
+    }
+}
+
+/// Unloads a build: timers, the IRQ line and the netdev registration.
+fn remove(kernel: &Kernel, ifname: String, timers: Vec<TimerId>) {
+    for t in timers {
+        kernel.timer_del(t);
+    }
+    kernel.free_irq(IRQ_LINE);
+    kernel.rmmod("e1000_decaf", move |k| k.unregister_netdev(&ifname));
+}
+
+impl DecafE1000 {
+    /// Round trips between nucleus and decaf driver so far.
+    pub fn crossings(&self) -> u64 {
+        self.channel.stats().round_trips
+    }
+
+    /// Upcalls into the decaf driver so far.
+    pub fn decaf_invocations(&self) -> u64 {
+        self.nuc.decaf_invocations()
+    }
+
+    /// Unloads the driver.
+    pub fn remove(self) {
+        remove(&self.kernel, self.ifname, self.timers);
+    }
 }
 
 impl ShardedE1000 {
@@ -586,28 +272,28 @@ impl ShardedE1000 {
 
     /// Unloads the driver.
     pub fn remove(self) {
-        self.kernel.timer_del(self.watchdog);
-        self.kernel.timer_del(self.poll_timer);
-        self.kernel.free_irq(IRQ_LINE);
-        let ifname = self.ifname.clone();
-        self.kernel
-            .rmmod("e1000_decaf_sharded", move |k| k.unregister_netdev(&ifname));
+        remove(&self.kernel, self.ifname, self.timers);
     }
 }
 
-/// Loads the decaf driver with `shards` parallel channels and per-shard
-/// shmring TX/RX queues — the multi-queue, multi-channel build.
-pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<ShardedE1000> {
+/// Loads the decaf driver over `shards` channels of `config`. With
+/// `config.shmring` the data path is hosted at user level on per-shard
+/// rings and `rx_mode` picks how received frames are collected;
+/// without it the data path stays in the nucleus and neither applies.
+fn build(
+    kernel: &Kernel,
+    ifname: &str,
+    config: ChannelConfig,
+    rx_mode: RxMode,
+    shards: usize,
+) -> KResult<Build> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar.clone(), dma));
     let plan = slice(super::minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
-    // The sharded build rides the completion-based async transport:
-    // per-shard doorbells *launch* rather than block, and the send-path
-    // reclaim harvests them — crossing latency overlaps with posting.
     let channels = ShardedChannel::new(
         plan.spec.clone(),
         plan.masks.clone(),
-        ChannelConfig::kernel_user_async_shmring(),
+        config,
         Domain::Nucleus,
         Domain::Decaf,
         shards,
@@ -618,194 +304,35 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         register_decaf_handlers(channels.shard(i)).map_err(|_| KError::Io)?;
     }
 
-    // Per-shard rings and data paths over one shared DMA-resident pool.
-    let tx_set = RingSet::new("e1000-tx", shards, N_DESC as usize, 2 * N_DESC as usize);
-    let rx_set = RingSet::new("e1000-rx", shards, N_DESC as usize, 2 * N_DESC as usize);
-    let pool = Rc::new(BufPool::new(
-        hw.dma.clone(),
-        TX_BUF_OFF,
-        BUF_SIZE,
-        N_DESC as usize,
-    ));
-    let mut tx_paths = Vec::with_capacity(shards);
-    let mut rx_paths = Vec::with_capacity(shards);
-    for i in 0..shards {
-        tx_paths.push(
-            DataPathChannel::new(
-                Rc::clone(channels.shard(i)),
-                Domain::Nucleus,
-                "e1000_tx_drain",
-                Rc::clone(tx_set.ring(i)),
-                Rc::clone(tx_set.completions(i)),
-                Some(Rc::clone(&pool)),
-                DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
-            )
-            .map_err(|_| KError::Io)?,
-        );
-        rx_paths.push(
-            DataPathChannel::new(
-                Rc::clone(channels.shard(i)),
-                Domain::Nucleus,
-                "e1000_rx_drain",
-                Rc::clone(rx_set.ring(i)),
-                Rc::clone(rx_set.completions(i)),
-                None,
-                DoorbellPolicy::with_watermark(N_DESC as usize),
-            )
-            .map_err(|_| KError::Io)?,
-        );
-    }
-
-    // TX descriptors queued to hardware, awaiting the TXDW completion.
-    let inflight: Rc<RefCell<VecDeque<Descriptor>>> = Rc::new(RefCell::new(VecDeque::new()));
-
-    // Decaf-side drains, one pair per shard, each charged to its shard.
-    for (i, (tx_path, rx_path)) in tx_paths.iter().zip(&rx_paths).enumerate() {
-        let end = tx_path.end(Domain::Decaf);
-        let hw_drain = Rc::clone(&hw);
-        let inflight_drain = Rc::clone(&inflight);
-        let set = Rc::clone(&tx_set);
-        channels
-            .shard(i)
-            .register_proc(
-                Domain::Decaf,
-                ProcDef {
-                    name: "e1000_tx_drain".into(),
-                    arg_types: vec![],
-                    handler: Rc::new(move |k, _, _, _| {
-                        k.shard_scope(i, || {
-                            let drained = end.consume(k);
-                            if drained.is_empty() {
-                                return XdrValue::Int(0);
-                            }
-                            let pool = end.pool().expect("tx path owns a pool");
-                            let mut queued = 0;
-                            for d in &drained {
-                                let off = pool.offset_of(d.buf).expect("live pool handle");
-                                match hw_drain.xmit_desc(k, off, d.len as usize) {
-                                    Ok(()) => {
-                                        inflight_drain.borrow_mut().push_back(*d);
-                                        queued += 1;
-                                    }
-                                    // A rejected frame is completed on the
-                                    // spot — steered home like any other.
-                                    Err(_) => {
-                                        let _ = set.complete(k, CpuClass::User, *d);
-                                    }
-                                }
-                            }
-                            if queued > 0 {
-                                hw_drain.tx_kick(k);
-                            }
-                            XdrValue::Int(queued)
-                        })
-                    }),
-                },
-            )
-            .map_err(|_| KError::Io)?;
-
-        let end = rx_path.end(Domain::Decaf);
-        let set = Rc::clone(&rx_set);
-        channels
-            .shard(i)
-            .register_proc(
-                Domain::Decaf,
-                ProcDef {
-                    name: "e1000_rx_drain".into(),
-                    arg_types: vec![],
-                    handler: Rc::new(move |k, _, _, _| {
-                        k.shard_scope(i, || {
-                            let mut n = 0;
-                            for d in end.consume(k) {
-                                let _ = set.complete(k, CpuClass::User, d);
-                                n += 1;
-                            }
-                            XdrValue::Int(n)
-                        })
-                    }),
-                },
-            )
-            .map_err(|_| KError::Io)?;
-    }
-
-    // Nucleus IRQ handler: TX completions steer home through the ring
-    // set; harvested RX slots flow-hash across the per-shard RX rings.
-    let irq_handler: IrqHandler = {
-        let hw = Rc::clone(&hw);
-        let inflight = Rc::clone(&inflight);
-        let tx_set = Rc::clone(&tx_set);
-        let rx_set = Rc::clone(&rx_set);
-        let rx_paths_irq = rx_paths.clone();
+    let mut timers = Vec::new();
+    let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = if config.shmring {
+        let rings = build_rings(&channels, &hw).map_err(|_| KError::Io)?;
+        let rx = Rc::new(RxSide {
+            hw: Rc::clone(&hw),
+            ifname: ifname.to_string(),
+            set: Rc::clone(&rings.rx_set),
+            paths: rings.rx_paths.clone(),
+        });
+        let inflight = register_drains(&channels, &hw, &rings).map_err(|_| KError::Io)?;
+        let irq = ring_irq_handler(&hw, ifname, &rings.tx_set, inflight, &rx, rx_mode);
+        let xmit =
+            support::sharded_xmit_op(Rc::clone(&rings.tx_set), rings.tx_paths.clone(), BUF_SIZE);
+        if rx_mode == RxMode::Poll {
+            timers.push(rx_poll_timer(kernel, rx));
+        }
+        (Some(rings), irq, xmit)
+    } else {
+        let hw_irq = Rc::clone(&hw);
         let name = ifname.to_string();
-        Rc::new(move |k| {
-            let icr = hw.bar.read32(k, hwreg::ICR);
-            if icr & hwreg::ICR_TXDW != 0 {
-                let (mut pkts, mut bytes) = (0u64, 0u64);
-                let done: Vec<Descriptor> = inflight.borrow_mut().drain(..).collect();
-                for d in done {
-                    pkts += 1;
-                    bytes += d.len as u64;
-                    // Completion steering: handback lands on the ring of
-                    // the shard that posted the descriptor.
-                    let _ = tx_set.complete(k, CpuClass::Kernel, d);
-                }
-                k.net_tx_done(&name, pkts, bytes);
-            }
-            if icr & hwreg::ICR_RXT0 != 0 {
-                for (slot, len) in hw.rx_harvest(k) {
-                    let shard = rx_set.steer(slot as u64);
-                    let posted = rx_paths_irq[shard].post(
-                        k,
-                        Descriptor {
-                            buf: BufHandle(slot),
-                            len: len as u32,
-                            cookie: slot as u64,
-                        },
-                    );
-                    if posted.is_ok() {
-                        rx_set.note_post(shard, slot as u64);
-                    }
-                }
-                if rx_paths_irq.iter().any(|p| p.pending() > 0) {
-                    let rx_paths_work = rx_paths_irq.clone();
-                    let hw_work = Rc::clone(&hw);
-                    let name_work = name.clone();
-                    k.schedule_work("e1000_rx_drain_task", move |k| {
-                        for (i, path) in rx_paths_work.iter().enumerate() {
-                            k.shard_scope(i, || {
-                                let _ = path.ring_doorbell(k);
-                            });
-                        }
-                        let mut last = None;
-                        for path in &rx_paths_work {
-                            for d in path.reclaim_completions(k) {
-                                let slot = d.cookie as u32;
-                                let data = hw_work
-                                    .dma
-                                    .read_bytes(E1000Hw::rx_buf_off(slot), d.len as usize);
-                                let _ = k.netif_rx(
-                                    &name_work,
-                                    SkBuff {
-                                        data,
-                                        protocol: 0x0800,
-                                    },
-                                );
-                                hw_work.rx_recycle(k, slot);
-                                last = Some(slot);
-                            }
-                        }
-                        if let Some(slot) = last {
-                            hw_work.rx_kick(k, slot);
-                        }
-                    });
-                }
-            }
-            if icr & hwreg::ICR_LSC != 0 {
-                k.netif_carrier(&name, hw.link_up(k));
-            }
-        })
+        let hw_ops = Rc::clone(&hw);
+        (
+            None,
+            Rc::new(move |k| {
+                hw_irq.handle_irq(k, &name);
+            }),
+            Rc::new(move |k, skb| hw_ops.xmit(k, &skb)),
+        )
     };
-
     for i in 0..shards {
         register_nucleus_procs(kernel, channels.shard(i), &hw, Rc::clone(&irq_handler))
             .map_err(|_| KError::Io)?;
@@ -817,15 +344,14 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         Some(IRQ_LINE),
     ));
 
-    let xmit = support::sharded_xmit_op(Rc::clone(&tx_set), tx_paths.clone(), BUF_SIZE);
-
-    // insmod: the adapter is homed on the control shard; probe runs there.
+    // insmod: the adapter is homed on the control shard; the user-level
+    // probe runs there.
     let mut adapter = 0;
     let nuc_init = Rc::clone(&nuc);
     let channels_init = Rc::clone(&channels);
     let name_init = ifname.to_string();
     let adapter_ref = &mut adapter;
-    let init_latency_ns = kernel.insmod("e1000_decaf_sharded", move |k| {
+    let init_latency_ns = kernel.insmod("e1000_decaf", move |k| {
         let a = channels_init
             .alloc_shared_at(0, Domain::Nucleus, "e1000_adapter")
             .map_err(|_| KError::NoMem)?;
@@ -836,6 +362,9 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         if ret < 0 {
             return Err(KError::from_errno(ret).unwrap_or(KError::Io));
         }
+        // Register the netdevice: open/stop go through the decaf driver;
+        // transmit stays in the nucleus or posts into the shared-memory
+        // rings, as the configuration says.
         let nuc_open = Rc::clone(&nuc_init);
         let nuc_stop = Rc::clone(&nuc_init);
         k.register_netdev(
@@ -860,6 +389,9 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         Ok(())
     })?;
 
+    // The watchdog timer fires at softirq priority, so it only enqueues a
+    // work item; the work item (process context) makes the upcall
+    // (paper §3.1.3).
     let nuc_wd = Rc::clone(&nuc);
     let channels_wd = Rc::clone(&channels);
     let name_wd = ifname.to_string();
@@ -872,6 +404,8 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
             let a = adapter;
             k.schedule_work("e1000_watchdog_task", move |k| {
                 if nuc.upcall("e1000_watchdog_task", &[Some(a)], &[]).is_ok() {
+                    // The decaf driver updated adapter->link_up; the nucleus
+                    // mirrors it into the stack.
                     let heap = channels.heap(0, Domain::Nucleus);
                     let up = heap
                         .borrow()
@@ -885,10 +419,19 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         }),
     );
     kernel.timer_arm_periodic(watchdog, 2_000_000_000);
+    timers.push(watchdog);
 
-    let poll_timer = support::sharded_poll_timer(kernel, "e1000_shard_poll", &tx_paths);
+    // The coalescing poll is armed after `insmod`, at every width: its
+    // phase against the traffic is part of what the tables pin.
+    if let Some(rings) = &rings {
+        timers.push(support::sharded_poll_timer(
+            kernel,
+            "e1000_shard_poll",
+            &rings.tx_paths,
+        ));
+    }
 
-    Ok(ShardedE1000 {
+    Ok(Build {
         kernel: kernel.clone(),
         hw,
         ifname: ifname.to_string(),
@@ -898,13 +441,285 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
         init_latency_ns,
         plan,
         dev,
+        rings,
+        rx_mode,
+        timers,
+    })
+}
+
+/// Builds the per-shard rings and data paths over one shared
+/// DMA-resident pool.
+fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>) -> decaf_xpc::XpcResult<Rings> {
+    let shards = channels.shard_count();
+    let tx_set = RingSet::new("e1000-tx", shards, N_DESC as usize, 2 * N_DESC as usize);
+    let rx_set = RingSet::new("e1000-rx", shards, N_DESC as usize, 2 * N_DESC as usize);
+    // TX payloads live in a pool carved from the device's own DMA
+    // region, so a posted descriptor already points where the NIC reads.
+    let pool = Rc::new(BufPool::new(
+        hw.dma.clone(),
+        TX_BUF_OFF,
+        BUF_SIZE,
+        N_DESC as usize,
+    ));
+    let mut tx_paths = Vec::with_capacity(shards);
+    let mut rx_paths = Vec::with_capacity(shards);
+    for i in 0..shards {
+        tx_paths.push(DataPathChannel::new(
+            Rc::clone(channels.shard(i)),
+            Domain::Nucleus,
+            "e1000_tx_drain",
+            Rc::clone(tx_set.ring(i)),
+            Rc::clone(tx_set.completions(i)),
+            Some(Rc::clone(&pool)),
+            DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
+        )?);
+        // RX descriptors reference device receive slots (no pool); the
+        // IRQ handler posts, a work item rings, the decaf driver drains.
+        rx_paths.push(DataPathChannel::new(
+            Rc::clone(channels.shard(i)),
+            Domain::Nucleus,
+            "e1000_rx_drain",
+            Rc::clone(rx_set.ring(i)),
+            Rc::clone(rx_set.completions(i)),
+            None,
+            DoorbellPolicy::with_watermark(N_DESC as usize),
+        )?);
+    }
+    Ok(Rings {
         tx_paths,
         rx_paths,
         tx_set,
         rx_set,
-        watchdog,
-        poll_timer,
     })
+}
+
+/// TX descriptors queued to hardware by a decaf drain, completed
+/// (ownership handed back through the completion ring) by the IRQ.
+type TxInflight = Rc<RefCell<VecDeque<Descriptor>>>;
+
+/// Registers the decaf-side drains, one pair per shard, each charged to
+/// its shard. Completions go through the ring sets so every handback
+/// steers home to the posting shard.
+fn register_drains(
+    channels: &Rc<ShardedChannel>,
+    hw: &Rc<E1000Hw>,
+    rings: &Rings,
+) -> decaf_xpc::XpcResult<TxInflight> {
+    let inflight: TxInflight = Rc::new(RefCell::new(VecDeque::new()));
+    for (i, (tx_path, rx_path)) in rings.tx_paths.iter().zip(&rings.rx_paths).enumerate() {
+        // TX drain: the user-level driver programs the hardware
+        // descriptor ring straight from its mapping of the shared pool —
+        // no payload copy — and publishes the whole batch with one TDT
+        // write.
+        let end = tx_path.end(Domain::Decaf);
+        let hw = Rc::clone(hw);
+        let inflight = Rc::clone(&inflight);
+        let set = Rc::clone(&rings.tx_set);
+        channels.shard(i).register_proc(
+            Domain::Decaf,
+            ProcDef {
+                name: "e1000_tx_drain".into(),
+                arg_types: vec![],
+                handler: Rc::new(move |k, _, _, _| {
+                    k.shard_scope(i, || {
+                        let drained = end.consume(k);
+                        if drained.is_empty() {
+                            return XdrValue::Int(0);
+                        }
+                        let pool = end.pool().expect("tx path owns a pool");
+                        let mut queued = 0;
+                        for d in &drained {
+                            let off = pool.offset_of(d.buf).expect("live pool handle");
+                            match hw.xmit_desc(k, off, d.len as usize) {
+                                Ok(()) => {
+                                    inflight.borrow_mut().push_back(*d);
+                                    queued += 1;
+                                }
+                                // A frame the hardware rejects never
+                                // becomes in-flight (it would be counted
+                                // as sent at the next TXDW); it is
+                                // completed on the spot — steered home
+                                // like any other.
+                                Err(_) => {
+                                    let _ = set.complete(k, CpuClass::User, *d);
+                                }
+                            }
+                        }
+                        if queued > 0 {
+                            hw.tx_kick(k);
+                        }
+                        XdrValue::Int(queued)
+                    })
+                }),
+            },
+        )?;
+
+        // RX drain: user-level receive processing sees every descriptor,
+        // then hands buffer ownership back in completion order.
+        let end = rx_path.end(Domain::Decaf);
+        let set = Rc::clone(&rings.rx_set);
+        channels.shard(i).register_proc(
+            Domain::Decaf,
+            ProcDef {
+                name: "e1000_rx_drain".into(),
+                arg_types: vec![],
+                handler: Rc::new(move |k, _, _, _| {
+                    k.shard_scope(i, || {
+                        let mut n = 0;
+                        for d in end.consume(k) {
+                            let _ = set.complete(k, CpuClass::User, d);
+                            n += 1;
+                        }
+                        XdrValue::Int(n)
+                    })
+                }),
+            },
+        )?;
+    }
+    Ok(inflight)
+}
+
+/// The nucleus side of the receive rings: what the interrupt handler
+/// and the poll tick share.
+struct RxSide {
+    hw: Rc<E1000Hw>,
+    ifname: String,
+    set: Rc<RingSet>,
+    paths: Vec<Rc<DataPathChannel>>,
+}
+
+impl RxSide {
+    /// Harvests the hardware ring: each filled receive slot flow-hashes
+    /// to a shard's RX ring.
+    fn harvest(&self, k: &Kernel) {
+        for (slot, len) in self.hw.rx_harvest(k) {
+            let shard = self.set.steer(slot as u64);
+            let posted = self.paths[shard].post(
+                k,
+                Descriptor {
+                    buf: BufHandle(slot),
+                    len: len as u32,
+                    cookie: slot as u64,
+                },
+            );
+            if posted.is_ok() {
+                self.set.note_post(shard, slot as u64);
+            }
+        }
+    }
+
+    /// Delivers every completed receive descriptor to the stack and
+    /// recycles its hardware slot.
+    fn deliver(&self, k: &Kernel) {
+        let mut last = None;
+        for path in &self.paths {
+            for d in path.reclaim_completions(k) {
+                let slot = d.cookie as u32;
+                let data = self
+                    .hw
+                    .dma
+                    .read_bytes(E1000Hw::rx_buf_off(slot), d.len as usize);
+                let _ = k.netif_rx(
+                    &self.ifname,
+                    SkBuff {
+                        data,
+                        protocol: 0x0800,
+                    },
+                );
+                self.hw.rx_recycle(k, slot);
+                last = Some(slot);
+            }
+        }
+        if let Some(slot) = last {
+            self.hw.rx_kick(k, slot);
+        }
+    }
+}
+
+/// The nucleus IRQ handler of a ring build: TX completions steer home
+/// through the ring set, harvested RX slots flow-hash across the
+/// per-shard RX rings, and the doorbell upcall is deferred to a work
+/// item (process context — §3.1.3 forbids upcalls from atomic context).
+fn ring_irq_handler(
+    hw: &Rc<E1000Hw>,
+    ifname: &str,
+    tx_set: &Rc<RingSet>,
+    inflight: TxInflight,
+    rx: &Rc<RxSide>,
+    rx_mode: RxMode,
+) -> IrqHandler {
+    let hw = Rc::clone(hw);
+    let name = ifname.to_string();
+    let tx_set = Rc::clone(tx_set);
+    let rx = Rc::clone(rx);
+    Rc::new(move |k| {
+        let icr = hw.bar.read32(k, hwreg::ICR);
+        if icr & hwreg::ICR_TXDW != 0 {
+            let (mut pkts, mut bytes) = (0u64, 0u64);
+            let done: Vec<Descriptor> = inflight.borrow_mut().drain(..).collect();
+            for d in done {
+                pkts += 1;
+                bytes += d.len as u64;
+                // Completion steering: handback lands on the ring of
+                // the shard that posted the descriptor.
+                let _ = tx_set.complete(k, CpuClass::Kernel, d);
+            }
+            k.net_tx_done(&name, pkts, bytes);
+        }
+        if icr & hwreg::ICR_RXT0 != 0 && rx_mode == RxMode::Poll {
+            // NAPI-style handoff: the first receive interrupt masks
+            // further ones; the harvested frames wait in the
+            // hardware ring for the next poll tick.
+            hw.bar.write32(k, hwreg::IMC, hwreg::ICR_RXT0);
+        } else if icr & hwreg::ICR_RXT0 != 0 {
+            let _span = k.trace_span("rx", "irq");
+            rx.harvest(k);
+            if rx.paths.iter().any(|p| p.pending() > 0) {
+                let rx = Rc::clone(&rx);
+                k.schedule_work("e1000_rx_drain_task", move |k| {
+                    let _span = k.trace_span("rx", "drain");
+                    for (i, path) in rx.paths.iter().enumerate() {
+                        k.shard_scope(i, || {
+                            let _ = path.ring_doorbell(k);
+                        });
+                    }
+                    rx.deliver(k);
+                });
+            }
+        }
+        if icr & hwreg::ICR_LSC != 0 {
+            k.netif_carrier(&name, hw.link_up(k));
+        }
+    })
+}
+
+/// Poll-mode receive: a fixed-grid tick replaces the RX doorbell
+/// upcall. Each tick harvests the hardware ring into the shm rings,
+/// probes each from the decaf side under a budget (paying the spin tax
+/// whether or not frames arrived), and delivers completions — no
+/// interrupt entry, no crossing.
+fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
+    let timer = kernel.timer_create(
+        "e1000_rx_poll",
+        Rc::new(move |k| {
+            let rx = Rc::clone(&rx);
+            k.schedule_work("e1000_rx_poll_task", move |k| {
+                let _span = k.trace_span("rx", "poll");
+                rx.harvest(k);
+                for (i, path) in rx.paths.iter().enumerate() {
+                    k.shard_scope(i, || {
+                        let end = path.end(Domain::Decaf);
+                        for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
+                            let _ = rx.set.complete(k, CpuClass::User, d);
+                        }
+                    });
+                }
+                rx.deliver(k);
+            });
+        }),
+    );
+    kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
+    timer
 }
 
 /// Kernel procedures the decaf driver calls down into. These correspond
@@ -1497,35 +1312,6 @@ mod tests {
             "expected work on ≥2 shards: {busy:?}"
         );
         assert!(k.violations().is_empty(), "{:?}", k.violations());
-    }
-
-    #[test]
-    fn sharded_build_with_one_shard_matches_shmring_copy_audit() {
-        // shards=1 must behave exactly like the unsharded shmring build:
-        // same packet delivery, same copy accounting.
-        const PKTS: u64 = 20;
-        const LEN: usize = 1000;
-        let run = |sharded: bool| {
-            let k = Kernel::new();
-            if sharded {
-                install_sharded(&k, "eth0", 1).map(|_| ()).unwrap();
-            } else {
-                install_shmring(&k, "eth0").map(|_| ()).unwrap();
-            }
-            k.netdev_open("eth0").unwrap();
-            k.schedule_point();
-            let before = k.stats().bytes_copied;
-            for i in 0..PKTS {
-                k.net_xmit("eth0", SkBuff::synthetic(LEN, i as u8, 0x0800))
-                    .unwrap();
-                k.schedule_point();
-                k.run_for(200_000);
-            }
-            k.run_for(2 * decaf_simkernel::costs::DOORBELL_COALESCE_NS);
-            assert_eq!(k.net_stats("eth0").tx_packets, PKTS);
-            k.stats().bytes_copied - before
-        };
-        assert_eq!(run(true), run(false), "copy audit must not regress");
     }
 
     #[test]

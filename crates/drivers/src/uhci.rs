@@ -1207,7 +1207,11 @@ mod tests {
         );
         assert!(s.bytes_in < after_init * 64 + 64, "no payload marshaled");
         assert!(drv.urb_path.conserved(), "URB conservation");
-        assert_eq!(drv.urb_path.set().pool().in_use_sectors(), 0, "no run leaked");
+        assert_eq!(
+            drv.urb_path.set().pool().in_use_sectors(),
+            0,
+            "no run leaked"
+        );
         assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
 
@@ -1281,7 +1285,11 @@ mod tests {
         );
         assert_eq!(k.stats().bytes_copied, 0, "chaining stays zero-copy");
         assert!(drv.urb_path.conserved());
-        assert_eq!(drv.urb_path.set().pool().in_use_sectors(), 0, "chain reclaimed");
+        assert_eq!(
+            drv.urb_path.set().pool().in_use_sectors(),
+            0,
+            "chain reclaimed"
+        );
     }
 
     #[test]
