@@ -39,9 +39,11 @@ pub const RX_POLL_TICK_NS: u64 = 50_000;
 /// Descriptors one poll-mode tick may consume before yielding.
 pub const RX_POLL_BUDGET: usize = 64;
 
-/// The shmring data-path pieces of one installed driver build: the TX
-/// and RX descriptor paths, the interrupt handler that feeds them, and
-/// the coalescing poll timer.
+/// The shmring data-path pieces of the rtl8139 build (its byte-packed
+/// RX ring is a different hardware shape from the e1000's descriptor
+/// rings, so it keeps a single-queue build of its own): the TX and RX
+/// descriptor paths, the interrupt handler that feeds them, and the
+/// coalescing poll timer.
 pub struct ShmDataPath {
     /// Transmit path (stack → decaf driver → device).
     pub tx: Rc<DataPathChannel>,
@@ -55,8 +57,8 @@ pub struct ShmDataPath {
     pub rx_poll_timer: Option<TimerId>,
 }
 
-/// Builds the netdev transmit op for a shmring TX path: frames post
-/// into the ring with a monotonic cookie. Frames over `max_len` fail
+/// Builds the netdev transmit op for a single-queue shmring TX path
+/// (rtl8139): frames post into the ring with a monotonic cookie. Frames over `max_len` fail
 /// with `Inval` — the same check (and `tx_errors` accounting through
 /// `net_xmit`) the kernel-resident paths apply, so the ring never
 /// carries a descriptor the hardware would reject.
@@ -72,8 +74,9 @@ pub fn shmring_xmit_op(tx_dp: Rc<DataPathChannel>, max_len: usize) -> decaf_simk
     })
 }
 
-/// Builds the netdev transmit op for a *sharded* TX data path: each
-/// frame is steered to a shard by an RSS-style flow hash over its
+/// Builds the netdev transmit op for a *sharded* TX data path (e1000,
+/// at every width — one shard is the unsharded build): each frame is
+/// steered to a shard by an RSS-style flow hash over its
 /// protocol and leading payload bytes, posted into that shard's ring
 /// under the shard's cost scope, and recorded in the [`RingSet`] so the
 /// IRQ-side completion steers back to the posting shard.
@@ -143,8 +146,8 @@ pub fn sharded_poll_timer(
     timer
 }
 
-/// Arms the periodic coalescing poll for a shmring TX path: the timer
-/// (softirq priority) defers to a work item — upcalls are illegal from
+/// Arms the periodic coalescing poll for a single-queue shmring TX path
+/// (rtl8139): the timer (softirq priority) defers to a work item — upcalls are illegal from
 /// atomic context — which flushes descriptors past the doorbell
 /// deadline and reclaims completed buffers.
 pub fn shmring_poll_timer(

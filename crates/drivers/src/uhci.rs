@@ -203,17 +203,17 @@ impl UhciHw {
         self.bar.outl(kernel, hwreg::USBCMD, hwreg::CMD_RS);
     }
 
-    /// Programs one TD pointing at `buf` (an absolute DMA offset — a
-    /// staging slot for the by-value paths, a shared sector run for the
-    /// shmring build), kicks the schedule and returns `(status,
-    /// actual)`: 0 or a negative errno, plus the bytes the device
-    /// actually transferred. No payload copy happens here — whoever
-    /// owns `buf` decides whether one was paid getting the data there.
+    /// Programs one TD pointing at `buf` (an absolute DMA offset — the
+    /// staging slot of the by-value paths; the ring build chains TDs
+    /// over shared sector runs with [`UhciHw::submit_sg`] instead),
+    /// kicks the schedule and returns `(status, actual)`: 0 or a
+    /// negative errno, plus the bytes the device actually transferred.
+    /// No payload copy happens here — whoever owns `buf` decides whether
+    /// one was paid getting the data there.
     ///
     /// Transfers beyond [`MAX_TD_XFER`] are rejected with `-EINVAL`
     /// rather than silently truncated: the TD's 11-bit maxlen field
-    /// cannot express them (the sector pool can hand out longer runs —
-    /// TD chaining is a ROADMAP item, not an excuse to corrupt data).
+    /// cannot express them.
     pub fn submit_at(&self, kernel: &Kernel, endpoint: u8, buf: usize, len: usize) -> (i32, u32) {
         if len > MAX_TD_XFER {
             return (KError::Inval.errno(), 0);
@@ -863,11 +863,7 @@ fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: PendingUrbs) -> HcdOps {
 /// due shard is polled under its own cost scope by
 /// [`ShardedUrbPath::poll`] and the givebacks that came home are
 /// dispatched.
-fn sharded_urb_poll_timer(
-    kernel: &Kernel,
-    path: &Rc<ShardedUrbPath>,
-    pending: &PendingUrbs,
-) -> TimerId {
+fn arm_poll_timer(kernel: &Kernel, path: &Rc<ShardedUrbPath>, pending: &PendingUrbs) -> TimerId {
     const NAME: &str = "uhci_shard_poll";
     let path = Rc::clone(path);
     let pending = Rc::clone(pending);
@@ -1010,7 +1006,7 @@ pub fn install_sharded_with(
         Ok(())
     })?;
 
-    let poll_timer = sharded_urb_poll_timer(kernel, &urb_path, &pending);
+    let poll_timer = arm_poll_timer(kernel, &urb_path, &pending);
 
     Ok(ShardedUhci {
         kernel: kernel.clone(),
