@@ -192,13 +192,17 @@ struct Build {
 
 impl Build {
     fn into_unsharded(self) -> DecafE1000 {
-        let path = |paths: fn(&Rings) -> &Vec<Rc<DataPathChannel>>| {
-            self.rings.as_ref().map(|r| Rc::clone(&paths(r)[0]))
+        let (tx_path, rx_path) = match &self.rings {
+            Some(r) => (
+                Some(Rc::clone(&r.tx_paths[0])),
+                Some(Rc::clone(&r.rx_paths[0])),
+            ),
+            None => (None, None),
         };
         DecafE1000 {
             channel: Rc::clone(self.channels.shard(0)),
-            tx_path: path(|r| &r.tx_paths),
-            rx_path: path(|r| &r.rx_paths),
+            tx_path,
+            rx_path,
             kernel: self.kernel,
             hw: self.hw,
             ifname: self.ifname,

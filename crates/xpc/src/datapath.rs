@@ -14,7 +14,7 @@
 //!   tells the consumer "descriptors await". A [`DoorbellPolicy`] coalesces
 //!   it — ring at a watermark occupancy, or once the oldest post has
 //!   waited out the coalescing deadline. The protocol is
-//!   [`crate::Doorbell`], shared with the storage path;
+//!   `Doorbell`, shared with the storage path;
 //! * the **consumer** (the decaf driver's drain handler) pops
 //!   descriptors — paying cache-line pulls, not per-byte marshal — and
 //!   hands them back through a **completion ring**, so buffer ownership
@@ -175,13 +175,13 @@ impl DataPathChannel {
     }
 
     /// Rings the doorbell if the policy says the parked descriptors are
-    /// due — see [`Doorbell::maybe_ring`].
+    /// due — see `Doorbell::maybe_ring`.
     pub fn maybe_ring(&self, kernel: &Kernel) -> XpcResult<bool> {
         self.bell.maybe_ring(kernel)
     }
 
     /// Rings the doorbell unconditionally (no-op on an empty ring) — see
-    /// [`Doorbell::ring_doorbell`]. A doorbell launched on an async
+    /// `Doorbell::ring_doorbell`. A doorbell launched on an async
     /// control transport is settled when the producer next harvests
     /// ([`DataPathChannel::reclaim_completions`] does).
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {

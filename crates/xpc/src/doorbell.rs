@@ -1,7 +1,8 @@
 //! The doorbell protocol every shared-memory data path rides, written
 //! once: [`crate::DataPathChannel`] (NIC streams) and
 //! [`crate::UrbDataPath`] (storage request/response) each hold a
-//! [`Doorbell`] over their producer-side ring.
+//! [`Doorbell`] over their producer-side ring and expose its
+//! `maybe_ring` / `ring_doorbell` as their own.
 //!
 //! The protocol has four steps, and every wakeup bug this repo has had
 //! lived in one of them:
@@ -32,7 +33,7 @@ use crate::transport::TransportKind;
 
 /// The producer's half of one descriptor ring plus the coalesced
 /// doorbell that tells the consumer "descriptors await".
-pub struct Doorbell<D: Copy + Default> {
+pub(crate) struct Doorbell<D: Copy + Default> {
     channel: Rc<XpcChannel>,
     producer: Domain,
     ring: Rc<ShmRing<D>>,
@@ -44,7 +45,7 @@ impl<D: Copy + Default> Doorbell<D> {
     /// A doorbell for descriptors flowing `producer` → peer through
     /// `ring`, invoking `proc_name` (which must be registered at the
     /// peer end of `channel`) under `policy`.
-    pub(crate) fn new(
+    pub fn new(
         channel: Rc<XpcChannel>,
         producer: Domain,
         proc_name: impl Into<String>,
@@ -81,7 +82,7 @@ impl<D: Copy + Default> Doorbell<D> {
     /// channel's post counter and occupancy high-water mark move. A full
     /// ring refuses the post and changes nothing. Safe from atomic
     /// context — no crossing happens here.
-    pub(crate) fn post(&self, kernel: &Kernel, desc: D, bytes: u64) -> Result<(), RingError> {
+    pub fn post(&self, kernel: &Kernel, desc: D, bytes: u64) -> Result<(), RingError> {
         self.ring.push(kernel, self.producer.cpu_class(), desc)?;
         self.bell.note_post(kernel.now_ns());
         kernel.trace_instant(

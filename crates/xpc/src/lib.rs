@@ -60,7 +60,7 @@ pub mod admission;
 pub mod combolock;
 pub mod datapath;
 pub mod domain;
-pub mod doorbell;
+mod doorbell;
 pub mod endpoint;
 pub mod error;
 pub mod runtime;
@@ -77,7 +77,6 @@ pub use admission::{
 pub use combolock::{ComboStats, Combolock};
 pub use datapath::{DataPathChannel, DataPathEnd};
 pub use domain::Domain;
-pub use doorbell::Doorbell;
 pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, SharedObject, XpcChannel};
 pub use error::{XpcError, XpcResult};
 pub use runtime::{DecafRuntime, NuclearRuntime};

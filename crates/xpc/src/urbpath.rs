@@ -11,7 +11,7 @@
 //!   zero-length status-stage transfer — *adopts* the payload into it
 //!   (zero-copy page donation, never a marshal or a memcpy) and posts a
 //!   [`UrbDescriptor`] request into the **submit ring**;
-//! * the **doorbell** is the one [`crate::Doorbell`] the NIC paths
+//! * the **doorbell** is the one `Doorbell` the NIC paths
 //!   ride too: an ordinary XPC call with zero object arguments,
 //!   coalesced by a [`DoorbellPolicy`] — ring at a watermark, or once
 //!   the oldest request has waited out the coalescing deadline;
@@ -293,13 +293,13 @@ impl UrbDataPath {
     }
 
     /// Rings the doorbell if the policy says the parked requests are due
-    /// — see [`Doorbell::maybe_ring`].
+    /// — see `Doorbell::maybe_ring`.
     pub fn maybe_ring(&self, kernel: &Kernel) -> XpcResult<bool> {
         self.bell.maybe_ring(kernel)
     }
 
     /// Rings the doorbell unconditionally (no-op on an empty submit
-    /// ring) — see [`Doorbell::ring_doorbell`].
+    /// ring) — see `Doorbell::ring_doorbell`.
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
         self.bell.ring_doorbell(kernel)
     }
