@@ -322,6 +322,8 @@ fn build(
         let xmit =
             support::sharded_xmit_op(Rc::clone(&rings.tx_set), rings.tx_paths.clone(), BUF_SIZE);
         if rx_mode == RxMode::Poll {
+            // The receive grid keeps the pre-`insmod` phase the poll
+            // build has always had: per-packet latencies depend on it.
             timers.push(rx_poll_timer(kernel, rx));
         }
         (Some(rings), irq, xmit)

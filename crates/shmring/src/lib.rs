@@ -113,6 +113,8 @@ pub mod ring;
 pub mod ringset;
 pub mod sector;
 pub mod urb;
+// `UrbRingSet`'s unit tests, mounted where its module used to be so
+// their ids (`urbset::tests::*`) stay stable.
 #[cfg(test)]
 #[path = "ringset_urb_tests.rs"]
 mod urbset;
