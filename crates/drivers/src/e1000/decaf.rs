@@ -25,6 +25,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use decaf_simdev::E1000Device;
 
@@ -32,7 +33,7 @@ use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet};
 use decaf_simkernel::kernel::IrqHandler;
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{CpuClass, KError, KResult, Kernel, SkBuff, TimerId};
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
+use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
@@ -67,8 +68,8 @@ pub struct DecafE1000 {
     pub adapter: CAddr,
     /// Measured `insmod` latency (virtual ns).
     pub init_latency_ns: u64,
-    /// The slicing plan this build implements.
-    pub plan: SlicePlan,
+    /// The slicing plan this build implements (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model (for traffic injection in workloads).
     pub dev: Rc<RefCell<E1000Device>>,
     /// The transmit shmring data path (shmring build only).
@@ -115,8 +116,8 @@ pub struct ShardedE1000 {
     pub adapter: CAddr,
     /// Measured `insmod` latency (virtual ns).
     pub init_latency_ns: u64,
-    /// The slicing plan this build implements.
-    pub plan: SlicePlan,
+    /// The slicing plan this build implements (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model.
     pub dev: Rc<RefCell<E1000Device>>,
     /// Per-shard transmit data paths.
@@ -183,7 +184,7 @@ struct Build {
     nuc: Rc<NuclearRuntime>,
     adapter: CAddr,
     init_latency_ns: u64,
-    plan: SlicePlan,
+    plan: Arc<SlicePlan>,
     dev: Rc<RefCell<E1000Device>>,
     rings: Option<Rings>,
     rx_mode: RxMode,
@@ -293,10 +294,10 @@ fn build(
 ) -> KResult<Build> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar.clone(), dma));
-    let plan = slice(super::minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
+    let plan = super::image();
     let channels = ShardedChannel::new(
-        plan.spec.clone(),
-        plan.masks.clone(),
+        Arc::clone(&plan.spec),
+        Arc::clone(&plan.masks),
         config,
         Domain::Nucleus,
         Domain::Decaf,
@@ -340,12 +341,10 @@ fn build(
         )
     };
     for i in 0..shards {
-        register_nucleus_procs(kernel, channels.shard(i), &hw, Rc::clone(&irq_handler))
-            .map_err(|_| KError::Io)?;
+        register_nucleus_procs(channels.shard(i), &hw, &irq_handler).map_err(|_| KError::Io)?;
     }
 
     let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
         Rc::clone(channels.shard(0)),
         Some(IRQ_LINE),
     ));
@@ -363,7 +362,7 @@ fn build(
             .map_err(|_| KError::NoMem)?;
         *adapter_ref = a;
         let ret = nuc_init
-            .upcall_errno("e1000_probe", &[Some(a)], &[])
+            .upcall_errno(k, "e1000_probe", &[Some(a)], &[])
             .map_err(|_| KError::Io)?;
         if ret < 0 {
             return Err(KError::from_errno(ret).unwrap_or(KError::Io));
@@ -376,15 +375,19 @@ fn build(
         k.register_netdev(
             &name_init,
             decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |_k| {
-                    match nuc_open.upcall_errno("e1000_open", &[Some(a)], &[]) {
+                open: Rc::new(move |k| {
+                    // The interface owns the interrupt handler `e1000_open`
+                    // is about to request; the `request_irq` procedure on
+                    // the channel only borrows it.
+                    let _owned_while_registered = &irq_handler;
+                    match nuc_open.upcall_errno(k, "e1000_open", &[Some(a)], &[]) {
                         Ok(0) => Ok(()),
                         Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
                         Err(_) => Err(KError::Io),
                     }
                 }),
-                stop: Rc::new(move |_k| {
-                    match nuc_stop.upcall_errno("e1000_close", &[Some(a)], &[]) {
+                stop: Rc::new(move |k| {
+                    match nuc_stop.upcall_errno(k, "e1000_close", &[Some(a)], &[]) {
                         Ok(_) => Ok(()),
                         Err(_) => Err(KError::Io),
                     }
@@ -409,7 +412,10 @@ fn build(
             let name = name_wd.clone();
             let a = adapter;
             k.schedule_work("e1000_watchdog_task", move |k| {
-                if nuc.upcall("e1000_watchdog_task", &[Some(a)], &[]).is_ok() {
+                if nuc
+                    .upcall(k, "e1000_watchdog_task", &[Some(a)], &[])
+                    .is_ok()
+                {
                     // The decaf driver updated adapter->link_up; the nucleus
                     // mirrors it into the stack.
                     let heap = channels.heap(0, Domain::Nucleus);
@@ -732,11 +738,14 @@ fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
 /// to the slicer's `kernel_entry_points` and `kernel_imports_from_user`.
 /// `irq_handler` is what `request_irq` installs — the kernel-resident
 /// data path for the copy build, the ring-posting handler for shmring.
+/// It is held weakly: the ring handler reaches the channel through its
+/// receive paths, and a procedure stored on the channel that owned it
+/// would keep channel, rings and DMA region alive for ever. The netdev
+/// `open` op, the only way to `request_irq`, is the owner.
 fn register_nucleus_procs(
-    kernel: &Kernel,
     channel: &Rc<XpcChannel>,
     hw: &Rc<E1000Hw>,
-    irq_handler: IrqHandler,
+    irq_handler: &IrqHandler,
 ) -> decaf_xpc::XpcResult<()> {
     type ScalarFn = Rc<dyn Fn(&Kernel, &[XdrValue]) -> XdrValue>;
     let scalar_proc = |name: &str, f: ScalarFn| ProcDef {
@@ -816,27 +825,25 @@ fn register_nucleus_procs(
             }),
         ),
     )?;
-    let k_handle = kernel.clone();
+    let irq_handler = Rc::downgrade(irq_handler);
     channel.register_proc(
         Domain::Nucleus,
         scalar_proc(
             "request_irq",
-            Rc::new(move |_k, _| {
-                support::errno_value(k_handle.request_irq(
-                    IRQ_LINE,
-                    "e1000_decaf",
-                    Rc::clone(&irq_handler),
-                ))
+            Rc::new(move |k, _| {
+                support::errno_value(match irq_handler.upgrade() {
+                    Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
+                    None => Err(KError::NoDev),
+                })
             }),
         ),
     )?;
-    let k_handle = kernel.clone();
     channel.register_proc(
         Domain::Nucleus,
         scalar_proc(
             "free_irq",
-            Rc::new(move |_k, _| {
-                k_handle.free_irq(IRQ_LINE);
+            Rc::new(move |k, _| {
+                k.free_irq(IRQ_LINE);
                 XdrValue::Int(0)
             }),
         ),

@@ -7,10 +7,12 @@ pub mod native;
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_simdev::e1000 as hwreg;
 use decaf_simdev::E1000Device;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
+use decaf_slicer::{slice, SliceConfig, SlicePlan};
 
 /// Descriptors per ring.
 pub const N_DESC: u32 = 64;
@@ -28,6 +30,16 @@ pub const RX_BUF_OFF: usize = 0x3_0000;
 pub const MAC: [u8; 6] = [0x00, 0x1b, 0x21, 0x6a, 0x7b, 0x8c];
 /// IRQ line the platform assigns the adapter.
 pub const IRQ_LINE: u32 = 11;
+
+/// The driver image: DriverSlicer's output for [`minic::SOURCE`] —
+/// partition, entry points, XDR spec, field masks. In the paper this is
+/// a build-time artefact compiled into the nucleus and the decaf driver;
+/// here it is built on first use and shared immutably by every load
+/// (`insmod` links a prebuilt image, it does not re-slice the source).
+pub fn image() -> Arc<SlicePlan> {
+    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
+    crate::support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
+}
 
 /// Creates the device model and plugs it into the PCI bus.
 ///

@@ -8,6 +8,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_simdev::ens1371 as hwreg;
 use decaf_simdev::Ens1371Device;
@@ -262,6 +263,15 @@ pub fn install_native(kernel: &Kernel, card: &str) -> KResult<NativeEns> {
     })
 }
 
+/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
+/// first use and shared immutably by every load — `insmod` links a
+/// prebuilt image, it does not re-slice the source (see
+/// [`crate::e1000::image`]).
+pub fn image() -> Arc<SlicePlan> {
+    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
+    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
+}
+
 /// The installed decaf driver.
 pub struct DecafEns {
     /// Kernel handle.
@@ -278,8 +288,8 @@ pub struct DecafEns {
     pub chip: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
-    /// Slicing plan.
-    pub plan: SlicePlan,
+    /// Slicing plan (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model.
     pub dev: Rc<std::cell::RefCell<Ens1371Device>>,
 }
@@ -289,7 +299,7 @@ pub struct DecafEns {
 pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(EnsHw::new(bar.clone(), dma));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
+    let plan = image();
     let channel = support::channel_from_plan(&plan);
     support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
 
@@ -311,23 +321,24 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
         )
         .map_err(|_| KError::Io)?;
     // snd_card_register import: the nucleus registers the card with ops
-    // that route open/close back up to the decaf driver.
-    let k_reg = kernel.clone();
+    // that route open/close back up to the decaf driver. The procedure
+    // lives on the channel, so it may only hold the channel weakly; the
+    // ops it hands the kernel own it for real.
     let hw_write = Rc::clone(&hw);
     let card_name = card.to_string();
-    let ch_for_ops = Rc::clone(&channel);
+    let ch_for_ops = Rc::downgrade(&channel);
     channel
         .register_proc(
             Domain::Nucleus,
             ProcDef {
                 name: "snd_card_register".into(),
                 arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(move |_k, _, args, _| {
+                handler: Rc::new(move |k, _, args, _| {
                     let chip = args[0];
-                    let ch_open = Rc::clone(&ch_for_ops);
-                    let ch_close = Rc::clone(&ch_for_ops);
+                    let ch_open = ch_for_ops.upgrade().expect("a call is running on it");
+                    let ch_close = Rc::clone(&ch_open);
                     let hww = Rc::clone(&hw_write);
-                    let result = k_reg.snd_card_register(
+                    let result = k.snd_card_register(
                         &card_name,
                         decaf_simkernel::sound::SoundCardOps {
                             open: Rc::new(move |k| {
@@ -488,17 +499,13 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
         )
         .map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
-        Rc::clone(&channel),
-        Some(IRQ_LINE),
-    ));
+    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
     let mut chip = 0;
     let nuc_init = Rc::clone(&nuc);
     let ch_init = Rc::clone(&channel);
     let hw_irq = Rc::clone(&hw);
-    let spec = plan.spec.clone();
+    let spec = Arc::clone(&plan.spec);
     let chip_ref = &mut chip;
     let init_latency_ns = kernel.insmod("snd-ens1371-decaf", move |k| {
         let c = {
@@ -509,7 +516,7 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
         };
         *chip_ref = c;
         let ret = nuc_init
-            .upcall_errno("snd_audiopci_probe", &[Some(c)], &[])
+            .upcall_errno(k, "snd_audiopci_probe", &[Some(c)], &[])
             .map_err(|_| KError::Io)?;
         if ret < 0 {
             return Err(KError::from_errno(ret).unwrap_or(KError::Io));
@@ -548,7 +555,7 @@ mod tests {
 
     #[test]
     fn slicer_plan_moves_most_functions() {
-        let plan = slice(minic::SOURCE, &SliceConfig::default()).unwrap();
+        let plan = image();
         assert!(plan
             .kernel_fns
             .contains(&"snd_audiopci_interrupt".to_string()));

@@ -82,6 +82,19 @@ impl DriverKind {
         }
     }
 
+    /// The driver's image — [`decaf_slicer::slice`] of
+    /// [`DriverKind::minic_source`], built once and shared by every load
+    /// (each driver module's `image()`).
+    pub fn image(self) -> std::sync::Arc<decaf_slicer::SlicePlan> {
+        match self {
+            DriverKind::Rtl8139 => rtl8139::image(),
+            DriverKind::E1000 => e1000::image(),
+            DriverKind::Ens1371 => ens1371::image(),
+            DriverKind::UhciHcd => uhci::image(),
+            DriverKind::Psmouse => psmouse::image(),
+        }
+    }
+
     /// The driver's type as named in Table 2.
     pub fn device_type(self) -> &'static str {
         match self {

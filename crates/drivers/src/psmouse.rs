@@ -9,6 +9,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_simdev::psmouse as hwreg;
 use decaf_simdev::PsMouseDevice;
@@ -272,6 +273,15 @@ pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<NativeMouse> {
     })
 }
 
+/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
+/// first use and shared immutably by every load — `insmod` links a
+/// prebuilt image, it does not re-slice the source (see
+/// [`crate::e1000::image`]).
+pub fn image() -> Arc<SlicePlan> {
+    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
+    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
+}
+
 /// The installed decaf driver.
 pub struct DecafMouse {
     /// Kernel handle.
@@ -288,8 +298,8 @@ pub struct DecafMouse {
     pub mouse_obj: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
-    /// Slicing plan.
-    pub plan: SlicePlan,
+    /// Slicing plan (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model (movement injection).
     pub dev: Rc<std::cell::RefCell<PsMouseDevice>>,
 }
@@ -299,7 +309,7 @@ pub struct DecafMouse {
 pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
     let (bar, dev) = attach(kernel);
     let hw = Rc::new(MouseHw::new(bar.clone()));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
+    let plan = image();
     let channel = support::channel_from_plan(&plan);
     support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
 
@@ -358,18 +368,14 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
         )
         .map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
-        Rc::clone(&channel),
-        Some(IRQ_LINE),
-    ));
+    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
     let mut mouse_obj = 0;
     let nuc_init = Rc::clone(&nuc);
     let ch_init = Rc::clone(&channel);
     let hw_init = Rc::clone(&hw);
     let name = devname.to_string();
-    let spec = plan.spec.clone();
+    let spec = Arc::clone(&plan.spec);
     let obj_ref = &mut mouse_obj;
     let init_latency_ns = kernel.insmod("psmouse-decaf", move |k| {
         let m = {
@@ -380,7 +386,7 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
         };
         *obj_ref = m;
         let ret = nuc_init
-            .upcall_errno("psmouse_probe", &[Some(m)], &[])
+            .upcall_errno(k, "psmouse_probe", &[Some(m)], &[])
             .map_err(|_| KError::Io)?;
         if ret < 0 {
             return Err(KError::from_errno(ret).unwrap_or(KError::Io));
@@ -422,7 +428,7 @@ mod tests {
 
     #[test]
     fn slicer_keeps_protocol_handlers_in_library() {
-        let plan = slice(minic::SOURCE, &SliceConfig::default()).unwrap();
+        let plan = image();
         assert_eq!(
             plan.library_fns.len(),
             10,

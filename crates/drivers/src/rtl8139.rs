@@ -11,6 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, ShmRing};
 use decaf_simdev::rtl8139 as hwreg;
@@ -375,6 +376,15 @@ pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native8139> {
     })
 }
 
+/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
+/// first use and shared immutably by every load — `insmod` links a
+/// prebuilt image, it does not re-slice the source (see
+/// [`crate::e1000::image`]).
+pub fn image() -> Arc<SlicePlan> {
+    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
+    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
+}
+
 /// The installed decaf driver.
 pub struct Decaf8139 {
     /// Kernel handle.
@@ -391,8 +401,8 @@ pub struct Decaf8139 {
     pub priv_obj: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
-    /// Slicing plan.
-    pub plan: SlicePlan,
+    /// Slicing plan (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model.
     pub dev: Rc<std::cell::RefCell<Rtl8139Device>>,
     /// The transmit shmring data path (shmring build only).
@@ -431,7 +441,7 @@ fn install_decaf_with(
 ) -> KResult<Decaf8139> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar.clone(), dma));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
+    let plan = image();
     let config = if shmring {
         ChannelConfig::kernel_user_shmring()
     } else {
@@ -463,33 +473,33 @@ fn install_decaf_with(
         }
     };
 
-    // Kernel imports called from user level.
-    let k_handle = kernel.clone();
+    // Kernel imports called from user level. `request_irq` borrows the
+    // handler and the netdev `open` op owns it, for the e1000's reason: the
+    // ring handler reaches this channel through its receive path.
+    let irq_weak = Rc::downgrade(&irq_handler);
     channel
         .register_proc(
             Domain::Nucleus,
             ProcDef {
                 name: "request_irq".into(),
                 arg_types: vec![],
-                handler: Rc::new(move |_k, _, _, _| {
-                    support::errno_value(k_handle.request_irq(
-                        IRQ_LINE,
-                        "8139too",
-                        Rc::clone(&irq_handler),
-                    ))
+                handler: Rc::new(move |k, _, _, _| {
+                    support::errno_value(match irq_weak.upgrade() {
+                        Some(handler) => k.request_irq(IRQ_LINE, "8139too", handler),
+                        None => Err(KError::NoDev),
+                    })
                 }),
             },
         )
         .map_err(|_| KError::Io)?;
-    let k_handle = kernel.clone();
     channel
         .register_proc(
             Domain::Nucleus,
             ProcDef {
                 name: "free_irq".into(),
                 arg_types: vec![],
-                handler: Rc::new(move |_k, _, _, _| {
-                    k_handle.free_irq(IRQ_LINE);
+                handler: Rc::new(|k, _, _, _| {
+                    k.free_irq(IRQ_LINE);
                     XdrValue::Int(0)
                 }),
             },
@@ -587,17 +597,13 @@ fn install_decaf_with(
         )
         .map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
-        Rc::clone(&channel),
-        Some(IRQ_LINE),
-    ));
+    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
     let mut priv_obj = 0;
     let nuc_init = Rc::clone(&nuc);
     let ch_init = Rc::clone(&channel);
     let name = ifname.to_string();
-    let spec = plan.spec.clone();
+    let spec = Arc::clone(&plan.spec);
     let priv_ref = &mut priv_obj;
     let init_latency_ns = kernel.insmod("8139too_decaf", move |k| {
         let a = {
@@ -608,7 +614,7 @@ fn install_decaf_with(
         };
         *priv_ref = a;
         let ret = nuc_init
-            .upcall_errno("rtl8139_probe", &[Some(a)], &[])
+            .upcall_errno(k, "rtl8139_probe", &[Some(a)], &[])
             .map_err(|_| KError::Io)?;
         if ret < 0 {
             return Err(KError::from_errno(ret).unwrap_or(KError::Io));
@@ -618,15 +624,16 @@ fn install_decaf_with(
         k.register_netdev(
             &name,
             decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |_k| {
-                    match nuc_open.upcall_errno("rtl8139_open", &[Some(a)], &[]) {
+                open: Rc::new(move |k| {
+                    let _owned_while_registered = &irq_handler;
+                    match nuc_open.upcall_errno(k, "rtl8139_open", &[Some(a)], &[]) {
                         Ok(0) => Ok(()),
                         Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
                         Err(_) => Err(KError::Io),
                     }
                 }),
-                stop: Rc::new(move |_k| {
-                    let _ = nuc_stop.upcall_errno("rtl8139_close", &[Some(a)], &[]);
+                stop: Rc::new(move |k| {
+                    let _ = nuc_stop.upcall_errno(k, "rtl8139_close", &[Some(a)], &[]);
                     Ok(())
                 }),
                 xmit,
@@ -929,7 +936,7 @@ mod tests {
 
     #[test]
     fn slicer_plan_shape_matches_table2() {
-        let plan = slice(minic::SOURCE, &SliceConfig::default()).unwrap();
+        let plan = image();
         assert!(plan.kernel_fns.contains(&"rtl8139_interrupt".to_string()));
         assert!(plan.decaf_fns.contains(&"rtl8139_open".to_string()));
         assert_eq!(plan.library_fns.len(), 2, "two @library helpers");

@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::RingSet;
 use decaf_simkernel::kernel::IrqHandler;
@@ -171,9 +172,22 @@ pub fn shmring_poll_timer(
     timer
 }
 
+/// The body of every driver module's `image()` accessor: the plan in
+/// `cell`, produced by `build` on first use. The sources are static, so
+/// a slicing error is a bug in this repository, not a load-time failure.
+pub fn shared_image(
+    cell: &'static OnceLock<Arc<decaf_slicer::SlicePlan>>,
+    build: impl FnOnce() -> decaf_slicer::SliceResult<decaf_slicer::SlicePlan>,
+) -> Arc<decaf_slicer::SlicePlan> {
+    Arc::clone(
+        cell.get_or_init(|| Arc::new(build().expect("a driver's static mini-C source slices"))),
+    )
+}
+
 /// Builds an [`XpcChannel`] between nucleus and decaf driver from a
 /// DriverSlicer plan — the spec and masks are exactly what the slicer
-/// generated from the driver's mini-C source.
+/// generated from the driver's mini-C source, and the channel shares the
+/// plan's copy of both rather than taking its own.
 ///
 /// All five decaf driver builds route their configuration/control paths
 /// through the batched transport with delta marshaling: register writes
@@ -190,8 +204,8 @@ pub fn channel_from_plan_with(
     config: ChannelConfig,
 ) -> Rc<XpcChannel> {
     Rc::new(XpcChannel::new(
-        plan.spec.clone(),
-        plan.masks.clone(),
+        Arc::clone(&plan.spec),
+        Arc::clone(&plan.masks),
         config,
         Domain::Nucleus,
         Domain::Decaf,
@@ -438,12 +452,7 @@ mod tests {
     #[test]
     fn io_procs_roundtrip_registers() {
         let kernel = Kernel::new();
-        let plan = decaf_slicer::slice(
-            "struct s { int a; };\nint init(struct s *p) @export { return 0; }",
-            &decaf_slicer::SliceConfig::default(),
-        )
-        .unwrap();
-        let ch = channel_from_plan(&plan);
+        let ch = channel_from_plan(&crate::psmouse::image());
         let bar = MmioRegion::new(Rc::new(RefCell::new(Scratch([0; 8]))));
         register_io_procs(&ch, bar).unwrap();
         decaf_writel(&kernel, &ch, 12, 0xfeed);

@@ -11,6 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::{AllocMode, SectorPool, SgSegment, UrbRingSet};
 use decaf_simdev::uhci as hwreg;
@@ -420,6 +421,50 @@ pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<NativeUhci> {
     })
 }
 
+/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
+/// first use and shared immutably by every load — `insmod` links a
+/// prebuilt image, it does not re-slice the source (see
+/// [`crate::e1000::image`]).
+pub fn image() -> Arc<SlicePlan> {
+    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
+    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
+}
+
+/// What every user-level build starts from: the attached controller,
+/// the driver image, and `shards` channels of `config` built from the
+/// image with the register-access procedures on each. A single-channel
+/// build is one shard and takes `channels.shard(0)`.
+struct Attached {
+    hw: Rc<UhciHw>,
+    plan: Arc<SlicePlan>,
+    channels: Rc<ShardedChannel>,
+    dev: Rc<RefCell<UhciDevice>>,
+}
+
+fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KResult<Attached> {
+    let (bar, dma, dev) = attach(kernel);
+    let hw = Rc::new(UhciHw::new(bar.clone(), dma));
+    let plan = image();
+    let channels = ShardedChannel::new(
+        Arc::clone(&plan.spec),
+        Arc::clone(&plan.masks),
+        config,
+        Domain::Nucleus,
+        Domain::Decaf,
+        shards,
+        ShardPolicy::FlowHash,
+    );
+    for i in 0..shards {
+        support::register_io_procs(channels.shard(i), bar.clone()).map_err(|_| KError::Io)?;
+    }
+    Ok(Attached {
+        hw,
+        plan,
+        channels,
+        dev,
+    })
+}
+
 /// The installed decaf driver.
 pub struct DecafUhci {
     /// Kernel handle.
@@ -436,8 +481,8 @@ pub struct DecafUhci {
     pub uhci_obj: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
-    /// Slicing plan.
-    pub plan: SlicePlan,
+    /// Slicing plan (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model (flash media inspection).
     pub dev: Rc<std::cell::RefCell<UhciDevice>>,
 }
@@ -503,25 +548,23 @@ fn register_roothub_procs(channel: &Rc<XpcChannel>) -> XpcResult<()> {
 /// Loads the decaf driver: the schedule path stays in the kernel; root
 /// hub suspend/resume/port counting run at user level.
 pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
-    let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(UhciHw::new(bar.clone(), dma));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
-    let channel = support::channel_from_plan(&plan);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
+    let Attached {
+        hw,
+        plan,
+        channels,
+        dev,
+    } = attach_channels(kernel, ChannelConfig::kernel_user_batched(), 1)?;
+    let channel = Rc::clone(channels.shard(0));
     register_roothub_procs(&channel).map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
-        Rc::clone(&channel),
-        Some(IRQ_LINE),
-    ));
+    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
     let mut uhci_obj = 0;
     let nuc_init = Rc::clone(&nuc);
     let ch_init = Rc::clone(&channel);
     let hw_init = Rc::clone(&hw);
     let name = hcd.to_string();
-    let spec = plan.spec.clone();
+    let spec = Arc::clone(&plan.spec);
     let obj_ref = &mut uhci_obj;
     let init_latency_ns = kernel.insmod("uhci-hcd-decaf", move |k| {
         let u = {
@@ -536,16 +579,16 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
         // management exercise.
         hw_init.start(k);
         let ports = nuc_init
-            .upcall_errno("uhci_count_ports", &[Some(u)], &[])
+            .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
             .map_err(|_| KError::Io)?;
         if ports == 0 {
             return Err(KError::NoDev);
         }
         nuc_init
-            .upcall_errno("uhci_rh_suspend", &[Some(u)], &[])
+            .upcall_errno(k, "uhci_rh_suspend", &[Some(u)], &[])
             .map_err(|_| KError::Io)?;
         nuc_init
-            .upcall_errno("uhci_rh_resume", &[Some(u)], &[])
+            .upcall_errno(k, "uhci_rh_resume", &[Some(u)], &[])
             .map_err(|_| KError::Io)?;
         k.usb_register_hcd(&name, hcd_ops(Rc::clone(&hw_init)))?;
         let hw_irq = Rc::clone(&hw_init);
@@ -599,16 +642,15 @@ pub struct ValueUhci {
 /// synchronous marshal) baseline, or with `batched` the `batched-copy`
 /// middle rung of the storage ablation.
 pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<ValueUhci> {
-    let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(UhciHw::new(bar.clone(), dma));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
     let config = if batched {
         ChannelConfig::kernel_user_batched()
     } else {
         ChannelConfig::kernel_user()
     };
-    let channel = support::channel_from_plan_with(&plan, config);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
+    let Attached {
+        hw, channels, dev, ..
+    } = attach_channels(kernel, config, 1)?;
+    let channel = Rc::clone(channels.shard(0));
 
     // The user-level submit handler: the payload arrives by value
     // through the marshaler; `UhciHw::submit` copies it into the
@@ -779,8 +821,8 @@ pub struct ShardedUhci {
     pub uhci_obj: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
-    /// Slicing plan.
-    pub plan: SlicePlan,
+    /// Slicing plan (the shared driver image).
+    pub plan: Arc<SlicePlan>,
     /// Handle to the device model (multi-LUN flash inspection/preload).
     pub dev: Rc<RefCell<UhciDevice>>,
     /// The sharded URB data path.
@@ -901,27 +943,20 @@ pub fn install_sharded_with(
     shards: usize,
     mode: AllocMode,
 ) -> KResult<ShardedUhci> {
-    let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(UhciHw::new(bar.clone(), dma.clone()));
-    let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
-    let channels = ShardedChannel::new(
-        plan.spec.clone(),
-        plan.masks.clone(),
-        ChannelConfig::kernel_user_shmring(),
-        Domain::Nucleus,
-        Domain::Decaf,
-        shards,
-        ShardPolicy::FlowHash,
-    );
+    let Attached {
+        hw,
+        plan,
+        channels,
+        dev,
+    } = attach_channels(kernel, ChannelConfig::kernel_user_shmring(), shards)?;
     for i in 0..shards {
-        support::register_io_procs(channels.shard(i), bar.clone()).map_err(|_| KError::Io)?;
         register_roothub_procs(channels.shard(i)).map_err(|_| KError::Io)?;
     }
 
     // One pool in the controller's DMA region, shared by every shard's
     // ring pair: the device is singular even when the queues are not.
     let pool = Rc::new(SectorPool::new_with_mode(
-        dma,
+        hw.dma.clone(),
         SECTOR_POOL_OFF,
         hwreg::SECTOR_SIZE,
         SECTOR_POOL_SECTORS,
@@ -974,7 +1009,6 @@ pub fn install_sharded_with(
     }
 
     let nuc = Rc::new(NuclearRuntime::new(
-        kernel.clone(),
         Rc::clone(channels.shard(0)),
         Some(IRQ_LINE),
     ));
@@ -995,7 +1029,7 @@ pub fn install_sharded_with(
         *obj_ref = u;
         hw_init.start(k);
         let ports = nuc_init
-            .upcall_errno("uhci_count_ports", &[Some(u)], &[])
+            .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
             .map_err(|_| KError::Io)?;
         if ports == 0 {
             return Err(KError::NoDev);
@@ -1060,7 +1094,7 @@ mod tests {
 
     #[test]
     fn slicer_keeps_most_functions_kernel() {
-        let plan = slice(minic::SOURCE, &SliceConfig::default()).unwrap();
+        let plan = image();
         // uhci-hcd is the outlier: only a few functions convert (§4.1).
         assert!(plan.kernel_fns.len() > plan.decaf_fns.len());
         assert_eq!(plan.decaf_fns.len(), 3);

@@ -2,7 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use crate::clock::{Clock, ClockSnapshot, CpuClass};
 use crate::costs;
@@ -158,6 +158,25 @@ pub struct Kernel {
     inner: Rc<Inner>,
 }
 
+/// A handle that does not keep the kernel alive.
+///
+/// Everything the kernel *stores* — timer callbacks, interrupt handlers,
+/// device ops, work items — is handed `&Kernel` when it runs and must not
+/// own a [`Kernel`] clone: the kernel would then own itself and never be
+/// freed. Code that has to name the kernel from outside such a call holds
+/// one of these; tests hold one to observe that a dropped machine is gone.
+#[derive(Clone)]
+pub struct WeakKernel {
+    inner: Weak<Inner>,
+}
+
+impl WeakKernel {
+    /// The kernel, if any owning handle to it is still alive.
+    pub fn upgrade(&self) -> Option<Kernel> {
+        self.inner.upgrade().map(|inner| Kernel { inner })
+    }
+}
+
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
@@ -197,6 +216,13 @@ impl Kernel {
                 input: RefCell::new(InputState::default()),
                 pci: RefCell::new(PciState::default()),
             }),
+        }
+    }
+
+    /// A non-owning handle to this kernel.
+    pub fn downgrade(&self) -> WeakKernel {
+        WeakKernel {
+            inner: Rc::downgrade(&self.inner),
         }
     }
 

@@ -53,7 +53,7 @@ pub use decaf_trace;
 
 pub use clock::CpuClass;
 pub use error::{KError, KResult};
-pub use kernel::{ExecContext, Kernel, TimerId, Violation, ViolationKind};
+pub use kernel::{ExecContext, Kernel, TimerId, Violation, ViolationKind, WeakKernel};
 pub use mmio::{DmaMemory, MmioDevice, MmioHandle, MmioRegion};
 pub use net::SkBuff;
 pub use trace::TraceSpan;

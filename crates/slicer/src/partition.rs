@@ -8,6 +8,7 @@
 //! transfers between kernel mode and user mode" (paper §2.4).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use decaf_xdr::mask::MaskSet;
 use decaf_xdr::spec::XdrSpec;
@@ -84,7 +85,7 @@ pub struct PartitionLoc {
 }
 
 /// The complete output of one slicing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlicePlan {
     /// Functions that stay in the kernel, sorted.
     pub kernel_fns: Vec<String>,
@@ -102,10 +103,12 @@ pub struct SlicePlan {
     /// Kernel API imports (undefined functions) called from user level;
     /// each needs a downcall stub in the nuclear runtime.
     pub kernel_imports_from_user: Vec<String>,
-    /// Field-selective marshaling masks for boundary structures.
-    pub masks: MaskSet,
+    /// Field-selective marshaling masks for boundary structures. Behind
+    /// a shared pointer, like [`SlicePlan::spec`]: every channel built
+    /// from this plan marshals against the one copy.
+    pub masks: Arc<MaskSet>,
     /// Generated XDR interface specification.
-    pub spec: XdrSpec,
+    pub spec: Arc<XdrSpec>,
     /// Number of annotations in the source (Table 2 column).
     pub annotations: usize,
     /// Placement of every function.
@@ -255,8 +258,8 @@ pub fn partition(program: &Program, config: &SliceConfig) -> SliceResult<SlicePl
         user_entry_points,
         kernel_entry_points,
         kernel_imports_from_user,
-        masks,
-        spec,
+        masks: Arc::new(masks),
+        spec: Arc::new(spec),
         annotations: program.annotation_count(),
         placement,
         loc,

@@ -22,6 +22,7 @@
 //!   call, so cross-parameter sharing transfers a structure once;
 //! * [`unmarshal_graph`] consults a [`TrackerHook`] before allocating.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::codec::{self, Cursor};
@@ -201,10 +202,13 @@ impl ObjHeap {
 
     fn mark_field_written(&mut self, addr: CAddr, field: &str) {
         self.generation += 1;
-        self.field_gens
-            .entry(addr)
-            .or_default()
-            .insert(field.to_string(), self.generation);
+        let gens = self.field_gens.entry(addr).or_default();
+        match gens.get_mut(field) {
+            Some(gen) => *gen = self.generation,
+            None => {
+                gens.insert(field.to_string(), self.generation);
+            }
+        }
     }
 
     /// Whether `addr` names a live object.
@@ -248,8 +252,8 @@ impl ObjHeap {
     /// a transfer: the received value matches the sender's, so it must not
     /// be echoed back by the next delta.
     fn set_scalar_quiet(&mut self, addr: CAddr, field: &str, value: XdrValue) -> XdrResult<()> {
-        let type_name = self.get(addr)?.type_name.clone();
-        match self.get_mut_untracked(addr)?.field_mut(field) {
+        let obj = self.get_mut_untracked(addr)?;
+        match obj.field_mut(field) {
             Some(FieldVal::Scalar(slot)) => {
                 *slot = value;
                 Ok(())
@@ -259,7 +263,7 @@ impl ObjHeap {
                 found: "pointer field".into(),
             }),
             None => Err(XdrError::UnknownField {
-                type_name,
+                type_name: obj.type_name.clone(),
                 field: field.into(),
             }),
         }
@@ -289,8 +293,8 @@ impl ObjHeap {
 
     /// Writes a pointer field without marking it dirty (decode path).
     fn set_ptr_quiet(&mut self, addr: CAddr, field: &str, target: Option<CAddr>) -> XdrResult<()> {
-        let type_name = self.get(addr)?.type_name.clone();
-        match self.get_mut_untracked(addr)?.field_mut(field) {
+        let obj = self.get_mut_untracked(addr)?;
+        match obj.field_mut(field) {
             Some(FieldVal::Ptr(slot)) => {
                 *slot = target;
                 Ok(())
@@ -300,7 +304,7 @@ impl ObjHeap {
                 found: "scalar field".into(),
             }),
             None => Err(XdrError::UnknownField {
-                type_name,
+                type_name: obj.type_name.clone(),
                 field: field.into(),
             }),
         }
@@ -448,6 +452,25 @@ pub fn marshal_args_delta(
     delta: &mut dyn DeltaHook,
 ) -> XdrResult<(Vec<u8>, DeltaStats)> {
     let mut out = Vec::new();
+    let stats = marshal_args_delta_into(heap, roots, spec, masks, dir, translate, delta, &mut out)?;
+    Ok((out, stats))
+}
+
+/// [`marshal_args_delta`] appending the wire message to a buffer the
+/// caller owns, so a stub that marshals on every call reuses one
+/// allocation. On error `out` holds a partial message the caller must
+/// discard.
+#[allow(clippy::too_many_arguments)]
+pub fn marshal_args_delta_into(
+    heap: &ObjHeap,
+    roots: &[Option<CAddr>],
+    spec: &XdrSpec,
+    masks: &MaskSet,
+    dir: Direction,
+    translate: &dyn Fn(CAddr) -> CAddr,
+    delta: &mut dyn DeltaHook,
+    out: &mut Vec<u8>,
+) -> XdrResult<DeltaStats> {
     let mut seen: HashMap<CAddr, u32> = HashMap::new();
     let mut stats = DeltaStats::default();
     let mut enc = Encoder {
@@ -463,7 +486,7 @@ pub fn marshal_args_delta(
         sent: Vec::new(),
     };
     for root in roots {
-        enc.encode_ptr(*root, &mut seen, &mut out)?;
+        enc.encode_ptr(*root, &mut seen, out)?;
     }
     // Only now that the whole message encoded does the delta map advance:
     // a mid-marshal error discards the wire, and recording sends for it
@@ -478,7 +501,7 @@ pub fn marshal_args_delta(
     for addr in sent {
         delta.mark_sent(addr, dir, sent_gen);
     }
-    Ok((out, stats))
+    Ok(stats)
 }
 
 /// Encoder state threaded through the graph walk.
@@ -525,8 +548,11 @@ impl Encoder<'_> {
         out.extend_from_slice(&(self.translate)(addr).to_be_bytes());
         let index = seen.len() as u32;
         seen.insert(addr, index);
-        let obj = self.heap.get(addr)?;
-        let decl = self.spec.struct_fields(&obj.type_name)?.to_vec();
+        // `heap` and `spec` outlive the encoder borrow, so the object and
+        // its field declarations are read in place.
+        let (heap, spec) = (self.heap, self.spec);
+        let obj = heap.get(addr)?;
+        let decl = spec.struct_fields(&obj.type_name)?;
         let masked: Vec<&(String, XdrType)> = decl
             .iter()
             .filter(|(fname, _)| self.masks.includes(&obj.type_name, fname, self.dir))
@@ -597,9 +623,9 @@ impl Encoder<'_> {
                 return Ok(false);
             }
         };
-        let obj = self.heap.get(addr)?;
-        let decl = self.spec.struct_fields(&obj.type_name)?.to_vec();
-        for (fname, _) in &decl {
+        let (heap, spec) = (self.heap, self.spec);
+        let obj = heap.get(addr)?;
+        for (fname, _) in spec.struct_fields(&obj.type_name)? {
             if !self.masks.includes(&obj.type_name, fname, self.dir) {
                 continue;
             }
@@ -658,14 +684,19 @@ pub fn unmarshal_graph(
     dir: Direction,
     tracker: &mut dyn TrackerHook,
 ) -> XdrResult<Option<CAddr>> {
-    let roots = unmarshal_args(bytes, &[root_type], heap, spec, masks, dir, tracker)?;
+    let roots = unmarshal_args(bytes, [root_type], heap, spec, masks, dir, tracker)?;
     Ok(roots[0])
 }
 
 /// Unmarshals the argument list of one XPC produced by [`marshal_args`].
-pub fn unmarshal_args(
+///
+/// `root_types` names the struct type of each root, in order, in
+/// whatever form the caller already holds them (`&[&str]`, a registered
+/// procedure's `Vec<String>`, or a chain over several) — the stub layer
+/// unmarshals on every call and must not rebuild a name list to do it.
+pub fn unmarshal_args<T: AsRef<str>>(
     bytes: &[u8],
-    root_types: &[&str],
+    root_types: impl IntoIterator<Item = T>,
     heap: &mut ObjHeap,
     spec: &XdrSpec,
     masks: &MaskSet,
@@ -674,10 +705,18 @@ pub fn unmarshal_args(
 ) -> XdrResult<Vec<Option<CAddr>>> {
     let mut cur = Cursor::new(bytes);
     let mut table: Vec<CAddr> = Vec::new();
-    let mut out = Vec::with_capacity(root_types.len());
+    let root_types = root_types.into_iter();
+    let mut out = Vec::with_capacity(root_types.size_hint().0);
     for root_type in root_types {
         out.push(decode_ptr(
-            &mut cur, root_type, heap, spec, masks, dir, tracker, &mut table,
+            &mut cur,
+            root_type.as_ref(),
+            heap,
+            spec,
+            masks,
+            dir,
+            tracker,
+            &mut table,
         )?);
     }
     if cur.remaining() != 0 {
@@ -734,8 +773,8 @@ fn decode_ptr(
             };
             table.push(local);
             let mode = cur.read_u32()?;
-            let decl = spec.struct_fields(type_name)?.to_vec();
-            let masked: Vec<&(String, XdrType)> = decl
+            let masked: Vec<&(String, XdrType)> = spec
+                .struct_fields(type_name)?
                 .iter()
                 .filter(|(fname, _)| masks.includes(type_name, fname, dir))
                 .collect();
@@ -775,13 +814,16 @@ fn decode_ptr(
 }
 
 /// If `ty` is a pointer-to-struct (possibly through aliases), returns the
-/// target struct name; otherwise `None` (scalar field).
-pub fn pointer_target(ty: &XdrType, spec: &XdrSpec) -> XdrResult<Option<String>> {
+/// target struct name; otherwise `None` (scalar field). The name is
+/// borrowed from `ty` in the direct `struct s *` case — the marshalers ask
+/// this once per field per crossing — and owned only when an alias had to
+/// be resolved.
+pub fn pointer_target<'a>(ty: &'a XdrType, spec: &XdrSpec) -> XdrResult<Option<Cow<'a, str>>> {
     match ty {
         XdrType::Optional(inner) => match inner.as_ref() {
-            XdrType::Struct(name) => Ok(Some(name.clone())),
+            XdrType::Struct(name) => Ok(Some(Cow::Borrowed(name))),
             XdrType::Named(name) => match spec.resolve(name)? {
-                XdrType::Struct(resolved) => Ok(Some(resolved)),
+                XdrType::Struct(resolved) => Ok(Some(Cow::Owned(resolved))),
                 _ => Ok(None),
             },
             _ => Ok(None),
@@ -791,7 +833,7 @@ pub fn pointer_target(ty: &XdrType, spec: &XdrSpec) -> XdrResult<Option<String>>
             if resolved == *ty {
                 return Ok(None);
             }
-            pointer_target(&resolved, spec)
+            Ok(pointer_target(&resolved, spec)?.map(|t| Cow::Owned(t.into_owned())))
         }
         _ => Ok(None),
     }
@@ -799,14 +841,14 @@ pub fn pointer_target(ty: &XdrType, spec: &XdrSpec) -> XdrResult<Option<String>>
 
 /// Schema-default fields for a freshly allocated structure.
 pub fn default_fields(type_name: &str, spec: &XdrSpec) -> XdrResult<Vec<(String, FieldVal)>> {
-    let decl = spec.struct_fields(type_name)?.to_vec();
+    let decl = spec.struct_fields(type_name)?;
     let mut fields = Vec::with_capacity(decl.len());
     for (fname, fty) in decl {
-        let val = match pointer_target(&fty, spec)? {
+        let val = match pointer_target(fty, spec)? {
             Some(_) => FieldVal::Ptr(None),
-            None => FieldVal::Scalar(default_value(&fty, spec)?),
+            None => FieldVal::Scalar(default_value(fty, spec)?),
         };
-        fields.push((fname, val));
+        fields.push((fname.clone(), val));
     }
     Ok(fields)
 }
@@ -835,10 +877,10 @@ pub fn default_value(ty: &XdrType, spec: &XdrSpec) -> XdrResult<XdrValue> {
         }
         XdrType::ArrayVar(_, _) => XdrValue::Array(Vec::new()),
         XdrType::Struct(name) => {
-            let decl = spec.struct_fields(name)?.to_vec();
+            let decl = spec.struct_fields(name)?;
             let mut fields = Vec::with_capacity(decl.len());
             for (fname, fty) in decl {
-                fields.push((fname, default_value(&fty, spec)?));
+                fields.push((fname.clone(), default_value(fty, spec)?));
             }
             XdrValue::Struct {
                 type_name: name.clone(),
@@ -994,7 +1036,7 @@ mod tests {
         let mut dst = ObjHeap::with_base(0x9000_0000);
         let roots = unmarshal_args(
             &bytes,
-            &["ring", "ring"],
+            ["ring", "ring"],
             &mut dst,
             &s,
             &MaskSet::full(),

@@ -110,7 +110,7 @@ impl FieldMask {
 ///
 /// `Full` reproduces naive RPC marshaling (every declared field both ways)
 /// and exists so the field-selectivity ablation bench can compare the two.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MaskSet {
     masks: HashMap<String, FieldMask>,
     /// When true, types without an explicit mask transfer all fields.

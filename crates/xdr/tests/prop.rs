@@ -330,7 +330,7 @@ proptest! {
             )
             .unwrap();
             let roots = graph::unmarshal_args(
-                &bytes, &["dnode"], dst, &spec, &masks, Direction::In, tracker,
+                &bytes, ["dnode"], dst, &spec, &masks, Direction::In, tracker,
             )
             .unwrap();
             (bytes.len(), roots[0].unwrap())

@@ -49,6 +49,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use decaf_simkernel::{costs, CpuClass, Kernel, TimerId, ViolationKind};
 use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap};
@@ -300,7 +301,9 @@ struct DomainEnd {
     heap_base: u64,
     heap: Rc<RefCell<ObjHeap>>,
     tracker: RefCell<ObjectTracker>,
-    procs: RefCell<HashMap<String, ProcDef>>,
+    /// Shared, so the call and flush paths take a reference-count bump
+    /// instead of cloning a name and an argument-type list per call.
+    procs: RefCell<HashMap<String, Rc<ProcDef>>>,
     delta: RefCell<DeltaMap>,
 }
 
@@ -337,8 +340,11 @@ struct DeadlineWakeup {
 
 /// A two-ended XPC channel: stub layer plus a pluggable transport.
 pub struct XpcChannel {
-    spec: XdrSpec,
-    masks: MaskSet,
+    /// Shared with the driver image (and every sibling shard) the channel
+    /// was built from: the interface is fixed when the driver is sliced,
+    /// so no channel needs a copy of its own.
+    spec: Arc<XdrSpec>,
+    masks: Arc<MaskSet>,
     config: ChannelConfig,
     transport: Box<dyn Transport>,
     a: DomainEnd,
@@ -361,12 +367,25 @@ pub struct XpcChannel {
     /// opted this channel in. `None` means the classic behavior: the
     /// deadline is only evaluated when the next call or poll arrives.
     wakeup: Cell<Option<DeadlineWakeup>>,
+    /// Wire-message scratch. A stub step marshals into it and unmarshals
+    /// out of it before any handler runs, so one buffer serves the
+    /// request and the reply of every call, nested ones included; whoever
+    /// needs it takes it and puts it back (an error path that drops it
+    /// only costs the next call a fresh allocation).
+    wire: Cell<Vec<u8>>,
 }
 
 impl XpcChannel {
     /// Creates a channel between two domains over a shared interface spec
-    /// and mask set (both produced by DriverSlicer).
-    pub fn new(spec: XdrSpec, masks: MaskSet, config: ChannelConfig, a: Domain, b: Domain) -> Self {
+    /// and mask set (both produced by DriverSlicer). Either is taken by
+    /// value or by the shared pointer a driver image already holds.
+    pub fn new(
+        spec: impl Into<Arc<XdrSpec>>,
+        masks: impl Into<Arc<MaskSet>>,
+        config: ChannelConfig,
+        a: Domain,
+        b: Domain,
+    ) -> Self {
         XpcChannel::with_heap_offset(spec, masks, config, a, b, 0)
     }
 
@@ -376,8 +395,8 @@ impl XpcChannel {
     /// names exactly one (shard, domain, object) — what makes home-shard
     /// lookup by address exact.
     pub fn with_heap_offset(
-        spec: XdrSpec,
-        masks: MaskSet,
+        spec: impl Into<Arc<XdrSpec>>,
+        masks: impl Into<Arc<MaskSet>>,
         config: ChannelConfig,
         a: Domain,
         b: Domain,
@@ -385,8 +404,8 @@ impl XpcChannel {
     ) -> Self {
         assert_ne!(a, b, "a channel needs two distinct domains");
         XpcChannel {
-            spec,
-            masks,
+            spec: spec.into(),
+            masks: masks.into(),
             config,
             transport: transport::build(
                 config.transport,
@@ -402,6 +421,7 @@ impl XpcChannel {
             outstanding: RefCell::new(HashSet::new()),
             next_sync_token: Cell::new(1 << 63),
             wakeup: Cell::new(None),
+            wire: Cell::new(Vec::new()),
         }
     }
 
@@ -451,8 +471,9 @@ impl XpcChannel {
         Rc::clone(&self.end(domain).expect("domain not on this channel").heap)
     }
 
-    /// The interface spec this channel marshals against.
-    pub fn spec(&self) -> &XdrSpec {
+    /// The interface spec this channel marshals against — two channels
+    /// built from one driver image return pointer-equal values.
+    pub fn spec(&self) -> &Arc<XdrSpec> {
         &self.spec
     }
 
@@ -480,7 +501,7 @@ impl XpcChannel {
         self.end(domain)?
             .procs
             .borrow_mut()
-            .insert(def.name.clone(), def);
+            .insert(def.name.clone(), Rc::new(def));
         Ok(())
     }
 
@@ -596,7 +617,9 @@ impl XpcChannel {
     }
 
     /// Stub steps 2+3: tracker translation and delta-aware marshaling of
-    /// `roots` out of `end`'s heap.
+    /// `roots` out of `end`'s heap. The message is written into the
+    /// channel's wire scratch, which the caller puts back (`wire.set`)
+    /// once the far side has unmarshaled it.
     fn marshal_from(
         &self,
         kernel: &Kernel,
@@ -604,6 +627,8 @@ impl XpcChannel {
         roots: &[Option<CAddr>],
         dir: Direction,
     ) -> XpcResult<Vec<u8>> {
+        let mut wire = self.wire.take();
+        wire.clear();
         let heap = end.heap.borrow();
         let tracker = &end.tracker;
         let translate = |local| tracker.borrow().canonical_for(local).unwrap_or(local);
@@ -615,7 +640,7 @@ impl XpcChannel {
         } else {
             &mut no_delta
         };
-        let (wire, dstats) = graph::marshal_args_delta(
+        let dstats = graph::marshal_args_delta_into(
             &heap,
             roots,
             &self.spec,
@@ -623,6 +648,7 @@ impl XpcChannel {
             dir,
             &translate,
             hook,
+            &mut wire,
         )?;
         let class = end.domain.cpu_class();
         kernel.charge(class, wire.len() as u64 * costs::MARSHAL_BYTE_NS);
@@ -645,12 +671,12 @@ impl XpcChannel {
 
     /// Stub step 5 (and the caller-side half of step 6): tracker-aware
     /// unmarshaling of `wire` into `end`'s heap.
-    fn unmarshal_into(
+    fn unmarshal_into<T: AsRef<str>>(
         &self,
         kernel: &Kernel,
         end: &DomainEnd,
         wire: &[u8],
-        types: &[&str],
+        types: impl IntoIterator<Item = T>,
         dir: Direction,
         object_args: usize,
     ) -> XpcResult<Vec<Option<CAddr>>> {
@@ -691,7 +717,7 @@ impl XpcChannel {
         }
     }
 
-    fn lookup_proc(&self, target: &DomainEnd, proc: &str) -> XpcResult<ProcDef> {
+    fn lookup_proc(&self, target: &DomainEnd, proc: &str) -> XpcResult<Rc<ProcDef>> {
         target
             .procs
             .borrow()
@@ -755,19 +781,20 @@ impl XpcChannel {
         self.charge_transfer(kernel, from, wire_in.len() + scalar_in);
 
         // Step 5: unmarshal at the target, tracker-aware.
-        let arg_type_refs: Vec<&str> = def.arg_types.iter().map(String::as_str).collect();
         let locals = self.unmarshal_into(
             kernel,
             target,
             &wire_in,
-            &arg_type_refs,
+            &def.arg_types,
             Direction::In,
             args.len(),
         )?;
+        self.wire.set(wire_in);
 
         // Dispatch, catching user-level faults.
-        let handler = Rc::clone(&def.handler);
-        let result = catch_unwind(AssertUnwindSafe(|| handler(kernel, self, &locals, scalars)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            (def.handler)(kernel, self, &locals, scalars)
+        }));
         let ret = match result {
             Ok(v) => v,
             Err(payload) => {
@@ -790,7 +817,8 @@ impl XpcChannel {
         let wire_out = self.marshal_from(kernel, target, &locals, Direction::Out)?;
         self.bump(|s| s.bytes_out += (wire_out.len() + scalar_out) as u64);
         self.charge_transfer(kernel, target.domain, wire_out.len() + scalar_out);
-        self.unmarshal_into(kernel, caller, &wire_out, &arg_type_refs, Direction::Out, 0)?;
+        self.unmarshal_into(kernel, caller, &wire_out, &def.arg_types, Direction::Out, 0)?;
+        self.wire.set(wire_out);
 
         self.bump(|s| s.round_trips += 1);
         Ok(ret)
@@ -1218,18 +1246,16 @@ impl XpcChannel {
         let target = self.peer(from)?;
         self.record_atomic_violation(kernel, target, "batched flush");
 
-        let defs: Vec<ProcDef> = group
+        let defs: Vec<Rc<ProcDef>> = group
             .iter()
             .map(|c| self.lookup_proc(target, &c.proc))
             .collect::<XpcResult<_>>()?;
 
         // One wire message for the whole batch: roots share a seen-table,
         // so an object repeated across calls crosses once.
-        let all_roots: Vec<Option<CAddr>> = group.iter().flat_map(|c| c.args.clone()).collect();
-        let all_types: Vec<&str> = defs
-            .iter()
-            .flat_map(|d| d.arg_types.iter().map(String::as_str))
-            .collect();
+        let all_roots: Vec<Option<CAddr>> =
+            group.iter().flat_map(|c| c.args.iter().copied()).collect();
+        let all_types = || defs.iter().flat_map(|d| d.arg_types.iter());
         let scalar_in: usize = group
             .iter()
             .flat_map(|c| c.scalars.iter())
@@ -1250,10 +1276,11 @@ impl XpcChannel {
             kernel,
             target,
             &wire_in,
-            &all_types,
+            all_types(),
             Direction::In,
             all_roots.len(),
         )?;
+        self.wire.set(wire_in);
 
         // Dispatch each call in queue order; results are discarded and
         // faults contained (deferred calls have no waiting caller).
@@ -1262,9 +1289,8 @@ impl XpcChannel {
             let arity = def.arg_types.len();
             let call_locals = &locals[offset..offset + arity];
             offset += arity;
-            let handler = Rc::clone(&def.handler);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                handler(kernel, self, call_locals, &call.scalars)
+                (def.handler)(kernel, self, call_locals, &call.scalars)
             }));
             if result.is_err() {
                 self.bump(|s| s.faults += 1);
@@ -1279,7 +1305,8 @@ impl XpcChannel {
         }
         self.charge_transfer(kernel, target.domain, wire_out.len());
         self.launching.set(false);
-        self.unmarshal_into(kernel, caller, &wire_out, &all_types, Direction::Out, 0)?;
+        self.unmarshal_into(kernel, caller, &wire_out, all_types(), Direction::Out, 0)?;
+        self.wire.set(wire_out);
 
         if launch {
             // Bank the batch's crossing latency for harvest to settle:

@@ -24,8 +24,12 @@ use crate::error::{XpcError, XpcResult};
 /// driver runs" (§3.1.3), so the driver never interrupts itself. It also
 /// counts decaf-driver invocations, the statistic §4.2 reports (e.g. the
 /// ens1371 decaf driver was called 15 times during playback).
+///
+/// The runtime holds no [`Kernel`]: it is captured by closures the kernel
+/// stores (netdev ops, watchdog work items), and a stored closure that
+/// owned a kernel handle would keep the whole machine alive forever.
+/// Every entry point takes the `&Kernel` its caller was handed.
 pub struct NuclearRuntime {
-    kernel: Kernel,
     channel: Rc<XpcChannel>,
     device_irq: Option<u32>,
     decaf_invocations: Cell<u64>,
@@ -33,9 +37,8 @@ pub struct NuclearRuntime {
 
 impl NuclearRuntime {
     /// Creates the runtime for one driver nucleus.
-    pub fn new(kernel: Kernel, channel: Rc<XpcChannel>, device_irq: Option<u32>) -> Self {
+    pub fn new(channel: Rc<XpcChannel>, device_irq: Option<u32>) -> Self {
         NuclearRuntime {
-            kernel,
             channel,
             device_irq,
             decaf_invocations: Cell::new(0),
@@ -55,19 +58,20 @@ impl NuclearRuntime {
     /// Invokes a decaf-driver procedure with the device IRQ masked.
     pub fn upcall(
         &self,
+        kernel: &Kernel,
         proc: &str,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
         if let Some(line) = self.device_irq {
-            self.kernel.disable_irq(line);
+            kernel.disable_irq(line);
         }
         self.decaf_invocations.set(self.decaf_invocations.get() + 1);
         let result = self
             .channel
-            .call(&self.kernel, Domain::Nucleus, proc, args, scalars);
+            .call(kernel, Domain::Nucleus, proc, args, scalars);
         if let Some(line) = self.device_irq {
-            self.kernel.enable_irq(line);
+            kernel.enable_irq(line);
         }
         result
     }
@@ -76,11 +80,12 @@ impl NuclearRuntime {
     /// errno-style result: negative values become errors.
     pub fn upcall_errno(
         &self,
+        kernel: &Kernel,
         proc: &str,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<i32> {
-        match self.upcall(proc, args, scalars)? {
+        match self.upcall(kernel, proc, args, scalars)? {
             XdrValue::Int(v) => Ok(v),
             XdrValue::Void => Ok(0),
             other => Err(XpcError::Xdr(decaf_xdr::XdrError::TypeMismatch {
@@ -88,13 +93,6 @@ impl NuclearRuntime {
                 found: other.kind().into(),
             })),
         }
-    }
-
-    /// Defers `f` to a worker thread (process context). This is how code
-    /// that runs at high priority — timers, interrupt handlers — reaches
-    /// the decaf driver legally (§3.1.3).
-    pub fn defer(&self, name: &str, f: impl FnOnce(&Kernel) + 'static) {
-        self.kernel.schedule_work(name, f);
     }
 }
 
@@ -112,16 +110,14 @@ impl std::fmt::Debug for NuclearRuntime {
 /// Provides the downcall path into the kernel and the recovery path after
 /// a decaf-driver fault.
 pub struct DecafRuntime {
-    kernel: Kernel,
     channel: Rc<XpcChannel>,
     restarts: Cell<u64>,
 }
 
 impl DecafRuntime {
     /// Creates the user-side runtime over a channel to the nucleus.
-    pub fn new(kernel: Kernel, channel: Rc<XpcChannel>) -> Self {
+    pub fn new(channel: Rc<XpcChannel>) -> Self {
         DecafRuntime {
-            kernel,
             channel,
             restarts: Cell::new(0),
         }
@@ -135,12 +131,13 @@ impl DecafRuntime {
     /// Invokes a kernel (nucleus) procedure from the decaf driver.
     pub fn downcall(
         &self,
+        kernel: &Kernel,
         proc: &str,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
         self.channel
-            .call(&self.kernel, Domain::Decaf, proc, args, scalars)
+            .call(kernel, Domain::Decaf, proc, args, scalars)
     }
 
     /// Restarts the decaf driver after a fault: clears its heap and
@@ -211,8 +208,8 @@ mod tests {
         )
         .unwrap();
 
-        let rt = NuclearRuntime::new(kernel.clone(), Rc::clone(&ch), Some(irq_line));
-        rt.upcall("probe", &[], &[]).unwrap();
+        let rt = NuclearRuntime::new(Rc::clone(&ch), Some(irq_line));
+        rt.upcall(&kernel, "probe", &[], &[]).unwrap();
         assert!(!fired.get());
         // After the upcall returns, the pending IRQ is delivered.
         kernel.schedule_point();
@@ -232,8 +229,8 @@ mod tests {
             },
         )
         .unwrap();
-        let rt = NuclearRuntime::new(kernel, ch, None);
-        assert_eq!(rt.upcall_errno("ret5", &[], &[]).unwrap(), 5);
+        let rt = NuclearRuntime::new(ch, None);
+        assert_eq!(rt.upcall_errno(&kernel, "ret5", &[], &[]).unwrap(), 5);
     }
 
     #[test]
@@ -248,9 +245,9 @@ mod tests {
             },
         )
         .unwrap();
-        let nuc = NuclearRuntime::new(kernel.clone(), Rc::clone(&ch), None);
-        let dec = DecafRuntime::new(kernel, ch);
-        let err = nuc.upcall("boom", &[], &[]).unwrap_err();
+        let nuc = NuclearRuntime::new(Rc::clone(&ch), None);
+        let dec = DecafRuntime::new(ch);
+        let err = nuc.upcall(&kernel, "boom", &[], &[]).unwrap_err();
         assert!(matches!(err, XpcError::DecafFault(_)));
         dec.restart().unwrap();
         assert_eq!(dec.restarts(), 1);
@@ -268,9 +265,10 @@ mod tests {
             },
         )
         .unwrap();
-        let rt = DecafRuntime::new(kernel, ch);
+        let rt = DecafRuntime::new(ch);
         assert_eq!(
-            rt.downcall("readl", &[], &[XdrValue::Int(21)]).unwrap(),
+            rt.downcall(&kernel, "readl", &[], &[XdrValue::Int(21)])
+                .unwrap(),
             XdrValue::Int(42)
         );
     }

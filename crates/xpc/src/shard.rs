@@ -39,6 +39,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use decaf_shmring::flow_hash;
 use decaf_simkernel::Kernel;
@@ -163,13 +164,14 @@ pub struct ShardedChannel {
 impl ShardedChannel {
     /// Builds `shards` parallel channels between `a` and `b`, each with
     /// its own transport, delta maps and heaps (disjoint address
-    /// ranges).
+    /// ranges). The interface spec and the masks are the one thing the
+    /// shards share: every shard holds the same pointer.
     ///
     /// # Panics
     /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
     pub fn new(
-        spec: XdrSpec,
-        masks: MaskSet,
+        spec: impl Into<Arc<XdrSpec>>,
+        masks: impl Into<Arc<MaskSet>>,
         config: ChannelConfig,
         a: Domain,
         b: Domain,
@@ -180,12 +182,13 @@ impl ShardedChannel {
             (1..=MAX_SHARDS).contains(&shards),
             "shard count {shards} outside 1..={MAX_SHARDS}"
         );
+        let (spec, masks) = (spec.into(), masks.into());
         Rc::new(ShardedChannel {
             shards: (0..shards)
                 .map(|i| {
                     Rc::new(XpcChannel::with_heap_offset(
-                        spec.clone(),
-                        masks.clone(),
+                        Arc::clone(&spec),
+                        Arc::clone(&masks),
                         config,
                         a,
                         b,

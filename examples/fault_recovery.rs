@@ -26,7 +26,10 @@ fn main() {
         .unwrap();
 
     // The kernel invokes it; the fault is contained in the XPC layer.
-    let err = drv.nuc.upcall("e1000_buggy_diag", &[], &[]).unwrap_err();
+    let err = drv
+        .nuc
+        .upcall(&kernel, "e1000_buggy_diag", &[], &[])
+        .unwrap_err();
     match &err {
         XpcError::DecafFault(msg) => println!("decaf driver fault caught: {msg}"),
         other => println!("unexpected: {other}"),
@@ -35,13 +38,13 @@ fn main() {
     println!("channel faults recorded: {}", drv.channel.stats().faults);
 
     // Restart the decaf driver (clears its heap and tracker) and re-probe.
-    let decaf_rt = DecafRuntime::new(kernel.clone(), Rc::clone(&drv.channel));
+    let decaf_rt = DecafRuntime::new(Rc::clone(&drv.channel));
     decaf_rt.restart().expect("restart");
     println!("decaf driver restarted (restart #{})", decaf_rt.restarts());
 
     let ret = drv
         .nuc
-        .upcall("e1000_probe", &[Some(drv.adapter)], &[])
+        .upcall(&kernel, "e1000_probe", &[Some(drv.adapter)], &[])
         .expect("re-probe after restart");
     assert_eq!(ret, XdrValue::Int(0));
     println!("re-probe after restart: OK");

@@ -1,0 +1,229 @@
+//! The driver image: what `insmod` links instead of re-slicing.
+//!
+//! Each driver module builds DriverSlicer's output for its static mini-C
+//! source once and shares it with every load. These tests pin the three
+//! things that must stay true of that arrangement: the image *is* the
+//! slicer's output, loads share it rather than copy it, and nothing the
+//! model counts — virtual time, wire bytes, crossings — can tell whether
+//! a buffer was reused. The last test is the regression for the leak the
+//! shared image made visible: a dropped machine frees its drivers.
+
+use std::rc::Rc;
+use std::sync::Arc;
+
+use decaf_core::drivers::{e1000, ens1371, psmouse, rtl8139, uhci, DriverKind};
+use decaf_core::simkernel::Kernel;
+use decaf_core::slicer::{slice, SliceConfig};
+use decaf_core::xdr::mask::MaskSet;
+use decaf_core::xdr::{XdrSpec, XdrValue};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, TransportKind, XpcChannel};
+
+/// `SlicePlan: PartialEq` compares every field — the five function
+/// lists, both entry-point lists, the kernel imports, masks, spec,
+/// annotations, placement, line counts and boundary structs.
+#[test]
+fn image_is_exactly_the_slicers_output() {
+    for kind in DriverKind::all() {
+        let fresh = slice(kind.minic_source(), &SliceConfig::default()).unwrap();
+        let image = kind.image();
+        assert_eq!(image.spec, fresh.spec, "{}: spec", kind.name());
+        assert_eq!(image.masks, fresh.masks, "{}: masks", kind.name());
+        assert_eq!(*image, fresh, "{}: plan", kind.name());
+        assert!(
+            Arc::ptr_eq(&image, &kind.image()),
+            "{}: the accessor hands out one allocation",
+            kind.name()
+        );
+    }
+}
+
+#[test]
+fn loads_share_the_image_instead_of_copying_it() {
+    let (k1, k2) = (Kernel::new(), Kernel::new());
+    let a = e1000::decaf::install(&k1, "eth0").unwrap();
+    let b = e1000::decaf::install(&k2, "eth0").unwrap();
+    assert!(Arc::ptr_eq(&a.plan, &b.plan));
+    assert!(Arc::ptr_eq(&a.plan, &DriverKind::E1000.image()));
+    assert!(Arc::ptr_eq(a.channel.spec(), b.channel.spec()));
+    assert!(Arc::ptr_eq(a.channel.spec(), &a.plan.spec));
+
+    // One spec behind all four shards, and it is the image's.
+    let k = Kernel::new();
+    let sharded = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
+    for i in 0..4 {
+        assert!(
+            Arc::ptr_eq(sharded.channels.shard(i).spec(), &sharded.plan.spec),
+            "shard {i} holds its own spec"
+        );
+    }
+    let k = Kernel::new();
+    let storage = uhci::install_sharded(&k, "uhci0", 4).unwrap();
+    for i in 0..4 {
+        assert!(Arc::ptr_eq(
+            storage.channels.shard(i).spec(),
+            &DriverKind::UhciHcd.image().spec
+        ));
+    }
+
+    let k = Kernel::new();
+    let r = rtl8139::install_decaf(&k, "eth1").unwrap();
+    let s = ens1371::install_decaf(&k, "card0").unwrap();
+    let u = uhci::install_decaf(&k, "uhci0").unwrap();
+    let m = psmouse::install_decaf(&k, "mouse0").unwrap();
+    assert!(Arc::ptr_eq(&r.plan, &DriverKind::Rtl8139.image()));
+    assert!(Arc::ptr_eq(&s.plan, &DriverKind::Ens1371.image()));
+    assert!(Arc::ptr_eq(&u.plan, &DriverKind::UhciHcd.image()));
+    assert!(Arc::ptr_eq(&m.plan, &DriverKind::Psmouse.image()));
+}
+
+const SPEC: &str = "struct ring { int count; int next; opaque pad[32]; };\n\
+     struct adapter { int msg_enable; int link_up; hyper stats; opaque mac[6]; \
+     struct ring *tx; };\n\
+     struct blob { opaque data[4096]; };";
+
+/// What the model sees of a stretch of channel traffic.
+#[derive(Debug, PartialEq, Eq)]
+struct Seen {
+    bytes_in: u64,
+    bytes_out: u64,
+    one_way_crossings: u64,
+    kernel_busy_ns: u64,
+    user_busy_ns: u64,
+}
+
+/// One synchronous call, then eight deferred calls flushed (and, on the
+/// async transport, harvested) — on a channel whose wire scratch is
+/// either still empty or was first grown by a 4 KiB message.
+fn traffic(config: ChannelConfig, grow_scratch_first: bool) -> Seen {
+    let k = Kernel::new();
+    let spec = XdrSpec::parse(SPEC).unwrap();
+    let ch = XpcChannel::new(
+        spec.clone(),
+        MaskSet::full(),
+        config,
+        Domain::Nucleus,
+        Domain::Decaf,
+    );
+    for (name, ty) in [("touch", "adapter"), ("sink", "blob")] {
+        ch.register_proc(
+            Domain::Decaf,
+            ProcDef {
+                name: name.into(),
+                arg_types: vec![ty.into()],
+                handler: Rc::new(|_, _, _, _| XdrValue::Int(0)),
+            },
+        )
+        .unwrap();
+    }
+    let (adapter, blob) = {
+        let heap = ch.heap(Domain::Nucleus);
+        let mut h = heap.borrow_mut();
+        let tx = h.alloc_default("ring", &spec).unwrap();
+        let a = h.alloc_default("adapter", &spec).unwrap();
+        h.set_ptr(a, "tx", Some(tx)).unwrap();
+        (a, h.alloc_default("blob", &spec).unwrap())
+    };
+    if grow_scratch_first {
+        ch.call(&k, Domain::Nucleus, "sink", &[Some(blob)], &[])
+            .unwrap();
+    }
+
+    let (before, clock) = (ch.stats(), k.snapshot());
+    ch.call(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+        .unwrap();
+    for _ in 0..8 {
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+            .unwrap();
+    }
+    ch.flush(&k).unwrap();
+    ch.harvest(&k);
+    let (after, now) = (ch.stats(), k.snapshot());
+    assert_eq!(ch.tokens_outstanding(), 0);
+    Seen {
+        bytes_in: after.bytes_in - before.bytes_in,
+        bytes_out: after.bytes_out - before.bytes_out,
+        one_way_crossings: after.one_way_crossings - before.one_way_crossings,
+        kernel_busy_ns: now.kernel_busy_ns - clock.kernel_busy_ns,
+        user_busy_ns: now.user_busy_ns - clock.user_busy_ns,
+    }
+}
+
+#[test]
+fn wire_scratch_reuse_is_invisible_to_the_model() {
+    let inproc = ChannelConfig {
+        transport: TransportKind::InProc,
+        delta: false,
+        ..ChannelConfig::kernel_user()
+    };
+    for (name, config) in [
+        ("inproc", inproc),
+        ("batched", ChannelConfig::kernel_user_batched()),
+        ("async", ChannelConfig::kernel_user_async()),
+    ] {
+        let cold = traffic(config, false);
+        assert!(cold.bytes_in > 0 && cold.bytes_out > 0 && cold.one_way_crossings >= 4);
+        assert_eq!(cold, traffic(config, true), "{name}: grown scratch");
+        assert_eq!(cold, traffic(config, false), "{name}: repeatable");
+    }
+}
+
+/// `ctl_init` used to leak ~120 KiB per five-driver load: the runtimes
+/// and a few channel procedures owned `Kernel` clones, the kernel stored
+/// the closures that owned *them*, and three of the five drivers have no
+/// `remove` to break the loop. Stored closures now use the `&Kernel` they
+/// are handed, so dropping the machine frees it and everything on it.
+#[test]
+fn a_dropped_kernel_frees_its_drivers() {
+    let k = Kernel::new();
+    let e = e1000::decaf::install(&k, "eth0").unwrap();
+    let r = rtl8139::install_decaf(&k, "eth1").unwrap();
+    let s = ens1371::install_decaf(&k, "card0").unwrap();
+    let u = uhci::install_decaf(&k, "uhci0").unwrap();
+    let m = psmouse::install_decaf(&k, "mouse0").unwrap();
+    k.netdev_open("eth0").unwrap();
+    k.netdev_open("eth1").unwrap();
+    k.schedule_point();
+    k.run_for(2_000_000_000);
+    let channels = [&e.channel, &r.channel, &s.channel, &u.channel, &m.channel].map(Rc::downgrade);
+    let hw = Rc::downgrade(&e.hw);
+
+    // Unload exactly as `decaf_bench`'s `load_five` does.
+    e.remove();
+    r.remove();
+    drop((s, u, m));
+    let machine = k.downgrade();
+    assert!(machine.upgrade().is_some(), "the test still holds it");
+    drop(k);
+    assert!(machine.upgrade().is_none(), "the kernel outlived its owner");
+    for (i, ch) in channels.iter().enumerate() {
+        assert!(ch.upgrade().is_none(), "channel {i} outlived the kernel");
+    }
+    assert!(
+        hw.upgrade().is_none(),
+        "e1000 hardware state (and its DMA region) leaked"
+    );
+}
+
+/// The ring builds had a second loop of their own: channel → the
+/// `request_irq` procedure → the ring interrupt handler → its receive
+/// paths → the channel.
+#[test]
+fn a_dropped_ring_build_frees_its_channels() {
+    let k = Kernel::new();
+    let e = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
+    let r = rtl8139::install_shmring(&k, "eth1").unwrap();
+    k.netdev_open("eth0").unwrap();
+    k.netdev_open("eth1").unwrap();
+    k.run_for(1_000_000);
+    let channels = [
+        Rc::downgrade(e.channels.shard(0)),
+        Rc::downgrade(e.channels.shard(3)),
+        Rc::downgrade(&r.channel),
+    ];
+    e.remove();
+    r.remove();
+    drop(k);
+    for (i, ch) in channels.iter().enumerate() {
+        assert!(ch.upgrade().is_none(), "ring-build channel {i} leaked");
+    }
+}

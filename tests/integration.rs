@@ -153,8 +153,7 @@ fn upcall_from_interrupt_context_is_flagged() {
         "bad_timer",
         Rc::new(move |k| {
             // A timer (softirq) calling the decaf driver directly: illegal.
-            let _ = nuc.upcall("e1000_watchdog_task", &[Some(adapter)], &[]);
-            let _ = k; // context checked inside the channel
+            let _ = nuc.upcall(k, "e1000_watchdog_task", &[Some(adapter)], &[]);
         }),
     );
     k.timer_arm(t, 1_000);
