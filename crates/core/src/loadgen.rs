@@ -26,10 +26,10 @@
 //! sectors at once). [`merge_schedules`] interleaves several classes
 //! into one time-ordered dispatch list.
 
-/// SplitMix64: a tiny deterministic, seedable generator. Public here —
-/// unlike the private Table 4 helper — because open-loop schedules are
-/// part of the experiment *interface*: a test that wants to replay the
-/// exact arrival stream only needs the seed.
+/// SplitMix64: a tiny deterministic, seedable generator (the Table 4
+/// patch stream draws from it too). Public because open-loop schedules
+/// are part of the experiment *interface*: a test that wants to replay
+/// the exact arrival stream only needs the seed.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

@@ -4,8 +4,8 @@
 //! then replays the full rate sweep.
 //!
 //! The measurement — and every invariant check (zero payload bytes
-//! copied, no stranded descriptors, zero poll-mode doorbells, a single
-//! monotone winner flip) — lives in
+//! copied, every frame delivered, no stranded descriptors, zero
+//! poll-mode doorbells, a single monotone winner flip) — lives in
 //! `decaf_core::experiments::rx_mode_run` / `rx_mode_sweep`, the same
 //! functions the published table rows are built from, so this smoke and
 //! the paper numbers can never diverge. Everything is deterministic
@@ -27,15 +27,17 @@ fn main() {
     println!("poll ablation: 1 virtual second at {low} and {high} pkts/s");
 
     for pps in [low, high] {
-        let (interrupt_ns, _, interrupt_doorbells, _) = rx_mode_run(RxMode::Interrupt, pps);
-        let (poll_ns, _, poll_doorbells, _) = rx_mode_run(RxMode::Poll, pps);
+        let interrupt = rx_mode_run(RxMode::Interrupt, pps);
+        let poll = rx_mode_run(RxMode::Poll, pps);
+        let (interrupt_ns, poll_ns) = (interrupt.busy_ns, poll.busy_ns);
         println!(
-            "  {pps:>6} pkts/s: interrupt {:.1} µs ({interrupt_doorbells} doorbells), \
-             poll {:.1} µs ({poll_doorbells} doorbells)",
+            "  {pps:>6} pkts/s: interrupt {:.1} µs ({} doorbells), poll {:.1} µs ({} doorbells)",
             interrupt_ns as f64 / 1e3,
+            interrupt.channel.doorbells,
             poll_ns as f64 / 1e3,
+            poll.channel.doorbells,
         );
-        assert_eq!(poll_doorbells, 0, "poll mode rang a doorbell");
+        assert_eq!(poll.channel.doorbells, 0, "poll mode rang a doorbell");
         if pps == low {
             assert!(
                 interrupt_ns < poll_ns,
