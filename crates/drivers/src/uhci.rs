@@ -286,46 +286,33 @@ impl UhciHw {
         segments: &[SgSegment],
         len: usize,
     ) -> (i32, u32) {
-        // Flatten the chain into (offset, bytes) TDs up front so the
-        // final TD — the only one without MORE — is known before any
-        // hardware is touched.
-        let mut tds: Vec<(usize, usize)> = Vec::new();
-        let mut remaining = len;
-        for seg in segments {
-            if remaining == 0 {
-                break;
-            }
-            let mut off = seg.offset;
-            let mut left = seg.bytes.min(remaining);
-            while left > 0 {
-                let chunk = left.min(MAX_TD_XFER);
-                tds.push((off, chunk));
-                off += chunk;
-                left -= chunk;
-                remaining -= chunk;
-            }
-        }
-        if remaining > 0 {
+        if len > segments.iter().map(|s| s.bytes).sum() {
             // The chain cannot hold the requested length. The URB path
             // validates this at submission; refuse rather than truncate
             // if a caller reaches the hardware directly.
             return (KError::Inval.errno(), 0);
         }
-        if tds.is_empty() {
-            self.urbs_done.set(self.urbs_done.get() + 1);
-            return (0, 0);
-        }
+        // With the length known to fit, the final TD — the only one
+        // without MORE — is the one that brings `remaining` to zero.
         let mut total: u32 = 0;
-        let last = tds.len() - 1;
-        for (i, &(buf, chunk)) in tds.iter().enumerate() {
-            let (status, actual) = self.raw_td(kernel, endpoint, buf, chunk, i < last);
-            if status != 0 {
-                return (status, 0);
-            }
-            total += actual;
-            if (actual as usize) < chunk {
-                // Short packet: the device ended the transfer here.
-                break;
+        let mut remaining = len;
+        'chain: for seg in segments {
+            let mut off = seg.offset;
+            let mut left = seg.bytes.min(remaining);
+            while left > 0 {
+                let chunk = left.min(MAX_TD_XFER);
+                remaining -= chunk;
+                let (status, actual) = self.raw_td(kernel, endpoint, off, chunk, remaining > 0);
+                if status != 0 {
+                    return (status, 0);
+                }
+                total += actual;
+                if (actual as usize) < chunk {
+                    // Short packet: the device ended the transfer here.
+                    break 'chain;
+                }
+                off += chunk;
+                left -= chunk;
             }
         }
         self.urbs_done.set(self.urbs_done.get() + 1);

@@ -193,9 +193,10 @@ pub fn tar_to_flash_luns(
         for s in 0..sectors_per_file {
             let sector = f * sectors_per_file + s;
             for lun in 0..luns {
-                let mut data = vec![FLASH_CMD_WRITE];
+                let mut data = Vec::with_capacity(5 + SECTOR_SIZE);
+                data.push(FLASH_CMD_WRITE);
                 data.extend_from_slice(&sector.to_le_bytes());
-                data.extend_from_slice(&vec![(f & 0xff) as u8 ^ lun as u8; SECTOR_SIZE]);
+                data.resize(5 + SECTOR_SIZE, (f & 0xff) as u8 ^ lun as u8);
                 // Request span: submit → completion callback, so the
                 // histogram sees coalescing delay, not just CPU cost.
                 let id = sector as u64 * luns as u64 + lun as u64;

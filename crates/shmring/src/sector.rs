@@ -46,6 +46,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use decaf_simkernel::{costs, CpuClass, DmaMemory, Kernel};
 
@@ -271,13 +272,19 @@ pub struct SectorPool {
     mode: AllocMode,
     /// Per-sector in-use flags (authoritative occupancy, every mode).
     in_use: RefCell<Vec<bool>>,
+    /// How many flags are set — kept beside them so occupancy is a read,
+    /// not a scan; [`SectorPool::conserved`] recounts the flags against
+    /// it.
+    used: Cell<usize>,
     /// Run length (in sectors) keyed by the run's first sector.
     runs: RefCell<HashMap<u32, u32>>,
     /// Buddy free lists — maintained in the buddy modes, absent under
     /// first-fit.
     buddy: RefCell<Option<Buddy>>,
-    /// Segment chains keyed by SG handle id.
-    chains: RefCell<HashMap<u32, Vec<SectorHandle>>>,
+    /// Live chains keyed by SG handle id: each chain's DMA extents,
+    /// resolved once at allocation (its runs cannot move or die before
+    /// [`SectorPool::free_sg`]) and shared with every reader.
+    chains: RefCell<HashMap<u32, Rc<[SgSegment]>>>,
     next_sg: Cell<u32>,
     stats: Cell<SectorPoolStats>,
 }
@@ -324,6 +331,7 @@ impl SectorPool {
             sector_size,
             mode,
             in_use: RefCell::new(vec![false; count]),
+            used: Cell::new(0),
             runs: RefCell::new(HashMap::new()),
             buddy: RefCell::new(buddy),
             chains: RefCell::new(HashMap::new()),
@@ -366,12 +374,12 @@ impl SectorPool {
 
     /// Sectors currently free (not necessarily contiguous).
     pub fn available_sectors(&self) -> usize {
-        self.in_use.borrow().iter().filter(|u| !**u).count()
+        self.capacity_sectors() - self.used.get()
     }
 
     /// Sectors currently allocated.
     pub fn in_use_sectors(&self) -> usize {
-        self.capacity_sectors() - self.available_sectors()
+        self.used.get()
     }
 
     /// Live contiguous runs (SG chains count once per segment).
@@ -390,12 +398,14 @@ impl SectorPool {
     }
 
     /// The conservation invariant: every sector ever allocated is either
-    /// reclaimed or still in use — none lost, none double-counted. In
-    /// the buddy modes the free lists must also agree exactly with the
-    /// occupancy flags.
+    /// reclaimed or still in use — none lost, none double-counted. The
+    /// occupancy counter must equal a recount of the flags, and in the
+    /// buddy modes the free lists must agree exactly with both.
     pub fn conserved(&self) -> bool {
         let s = self.stats.get();
-        let counters = s.sectors_allocated == s.sectors_reclaimed + self.in_use_sectors() as u64;
+        let flagged = self.in_use.borrow().iter().filter(|u| **u).count();
+        let counters = flagged == self.used.get()
+            && s.sectors_allocated == s.sectors_reclaimed + flagged as u64;
         let buddy_sync = match &*self.buddy.borrow() {
             None => true,
             Some(b) => {
@@ -470,6 +480,7 @@ impl SectorPool {
             debug_assert!(!*flag, "allocator handed out a sector already in use");
             *flag = true;
         }
+        self.used.set(self.used.get() + need);
         let prev = self.runs.borrow_mut().insert(start as u32, need as u32);
         debug_assert!(prev.is_none(), "run start reused while live");
     }
@@ -523,6 +534,7 @@ impl SectorPool {
             *flag = false;
         }
         drop(in_use);
+        self.used.set(self.used.get() - len as usize);
         if let Some(b) = self.buddy.borrow_mut().as_mut() {
             b.insert_range(h.0 as usize, len as usize);
         }
@@ -597,11 +609,11 @@ impl SectorPool {
                 buf_size: self.capacity_sectors() * self.sector_size,
             });
         }
-        let mut segs: Vec<SectorHandle> = Vec::new();
+        let mut segs: Vec<SgSegment> = Vec::new();
         let mut remaining = need;
         while remaining > 0 {
             if let Some(start) = self.grab_contig(remaining) {
-                segs.push(SectorHandle(start as u32));
+                segs.push(self.segment(start, remaining));
                 break;
             }
             let grabbed = match self.mode {
@@ -616,19 +628,20 @@ impl SectorPool {
             let Some((start, size)) = grabbed else {
                 // Roll the partial chain back — a refused allocation
                 // must leave the pool exactly as it found it.
-                for s in segs.drain(..) {
-                    self.release_run(s).expect("rollback frees what it grabbed");
+                for s in &segs {
+                    self.release_run(self.run_of(s))
+                        .expect("rollback frees what it grabbed");
                 }
                 return Err(self.refuse(need));
             };
             debug_assert!(size < remaining, "a covering block would have been taken");
             self.mark_run(start, size);
-            segs.push(SectorHandle(start as u32));
+            segs.push(self.segment(start, size));
             remaining -= size;
         }
         let id = self.next_sg.get();
         self.next_sg.set(id.wrapping_add(1));
-        self.chains.borrow_mut().insert(id, segs);
+        self.chains.borrow_mut().insert(id, segs.into());
         self.note_alloc(need);
         Ok(SgHandle(id))
     }
@@ -641,9 +654,9 @@ impl SectorPool {
             return Err(PoolError::NotAllocated(h.0));
         };
         let mut total = 0usize;
-        for s in segs {
+        for s in segs.iter() {
             total += self
-                .release_run(s)
+                .release_run(self.run_of(s))
                 .expect("chain segments are live until the chain is freed");
         }
         self.bump(|s| {
@@ -653,24 +666,30 @@ impl SectorPool {
         Ok(total)
     }
 
-    fn chain(&self, h: SgHandle) -> Result<Vec<SectorHandle>, PoolError> {
-        self.chains
-            .borrow()
-            .get(&h.0)
-            .cloned()
-            .ok_or(PoolError::NotAllocated(h.0))
+    /// The DMA extent of the run `[start, start + sectors)`.
+    fn segment(&self, start: usize, sectors: usize) -> SgSegment {
+        SgSegment {
+            offset: self.base + start * self.sector_size,
+            bytes: sectors * self.sector_size,
+        }
+    }
+
+    /// The run a chain segment was resolved from.
+    fn run_of(&self, seg: &SgSegment) -> SectorHandle {
+        SectorHandle(((seg.offset - self.base) / self.sector_size) as u32)
     }
 
     /// The chain's segments in transfer order, as DMA extents — what
-    /// the HCD programs one transfer descriptor per entry from.
-    pub fn sg_segments(&self, h: SgHandle) -> Result<Vec<SgSegment>, PoolError> {
-        self.chain(h)?
-            .into_iter()
-            .map(|s| {
-                self.check(s)
-                    .map(|(offset, bytes)| SgSegment { offset, bytes })
-            })
-            .collect()
+    /// the HCD programs one transfer descriptor per entry from. The
+    /// slice is the one resolved at [`SectorPool::alloc_sg`], shared by
+    /// pointer: holding it across [`SectorPool::free_sg`] keeps the
+    /// extents readable but no longer owned.
+    pub fn sg_segments(&self, h: SgHandle) -> Result<Rc<[SgSegment]>, PoolError> {
+        self.chains
+            .borrow()
+            .get(&h.0)
+            .map(Rc::clone)
+            .ok_or(PoolError::NotAllocated(h.0))
     }
 
     /// Total byte capacity of a chain (zero for an empty chain).
@@ -766,7 +785,7 @@ impl SectorPool {
             });
         }
         let mut written = 0usize;
-        for seg in &segs {
+        for seg in segs.iter() {
             if written >= data.len() {
                 break;
             }
@@ -806,12 +825,13 @@ impl SectorPool {
             return Err(PoolError::TooLarge { len, buf_size: cap });
         }
         let mut out = Vec::with_capacity(len);
-        for seg in &segs {
+        for seg in segs.iter() {
             if out.len() >= len {
                 break;
             }
             let n = seg.bytes.min(len - out.len());
-            out.extend_from_slice(&self.dma.read_bytes(seg.offset, n));
+            self.dma
+                .with_bytes(seg.offset, n, |bytes| out.extend_from_slice(bytes));
         }
         Ok(out)
     }
@@ -965,6 +985,64 @@ mod tests {
         assert_eq!(p.free_sg(chain).unwrap(), 2);
         assert_eq!(p.stats().frag_refusals, 0, "never refused");
         assert!(p.conserved());
+    }
+
+    #[test]
+    fn stored_chain_matches_its_runs_and_outlives_other_traffic() {
+        // Pin every other sector so a 3-sector transfer must chain.
+        let p = SectorPool::with_capacity(64, 8);
+        let pins: Vec<_> = (0..8).map(|_| p.alloc(1).unwrap()).collect();
+        for pin in pins.iter().step_by(2) {
+            p.free(*pin).unwrap();
+        }
+        let chain = p.alloc_sg(3 * 64).unwrap();
+        let segs = p.sg_segments(chain).unwrap();
+        assert_eq!(segs.len(), 3, "three scattered singles");
+        // Segment for segment, the store agrees with the per-run view.
+        for seg in segs.iter() {
+            let run = SectorHandle((seg.offset / 64) as u32);
+            assert_eq!(p.offset_of(run).unwrap(), seg.offset);
+            assert_eq!(p.run_sectors(run).unwrap() * 64, seg.bytes);
+        }
+        assert_eq!(p.sg_capacity(chain).unwrap(), 3 * 64);
+        // Other chains coming and going do not disturb it.
+        let other = p.alloc_sg(64).unwrap();
+        p.free(pins[1]).unwrap();
+        let third = p.alloc_sg(64).unwrap();
+        p.free_sg(other).unwrap();
+        p.free_sg(third).unwrap();
+        assert_eq!(p.sg_segments(chain).unwrap(), segs);
+        // Freed, the handle is dead to every accessor.
+        p.free_sg(chain).unwrap();
+        let gone = Some(PoolError::NotAllocated(chain.0));
+        assert_eq!(p.sg_segments(chain).err(), gone);
+        assert_eq!(p.sg_capacity(chain).err(), gone);
+        assert_eq!(p.adopt_payload_sg(&Kernel::new(), &[1], chain).err(), gone);
+        assert_eq!(p.read_payload_sg(chain, 1).err(), gone);
+        assert_eq!(p.free_sg(chain).err(), gone);
+        assert!(p.conserved());
+    }
+
+    #[test]
+    fn occupancy_counter_tracks_the_flags() {
+        // Every path that sets or clears a flag moves the counter: runs,
+        // chains, a rolled-back chain, in all three modes.
+        for mode in [AllocMode::FirstFit, AllocMode::Buddy, AllocMode::BuddySg] {
+            let p = SectorPool::with_capacity_mode(64, 12, mode);
+            let a = p.alloc(3 * 64).unwrap();
+            let b = p.alloc_sg(2 * 64).unwrap();
+            let c = p.alloc(64).unwrap();
+            assert_eq!((p.in_use_sectors(), p.available_sectors()), (6, 6));
+            p.free(a).unwrap();
+            assert_eq!(p.alloc_sg(10 * 64), Err(PoolError::Exhausted));
+            assert_eq!((p.in_use_sectors(), p.available_sectors()), (3, 9));
+            assert!(p.conserved(), "{mode:?}: counter equals a flag recount");
+            p.free_sg(b).unwrap();
+            p.free(c).unwrap();
+            assert_eq!((p.in_use_sectors(), p.available_sectors()), (0, 12));
+            assert_eq!(p.stats().in_use_hwm, 6);
+            assert!(p.conserved());
+        }
     }
 
     #[test]

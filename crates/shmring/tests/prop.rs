@@ -406,7 +406,7 @@ proptest! {
         const COUNT: usize = 16;
         let pool = SectorPool::with_capacity(SECTOR, COUNT);
         // Live chains as (handle, requested bytes, segments).
-        let mut live: Vec<(SgHandle, usize, Vec<SgSegment>)> = Vec::new();
+        let mut live: Vec<(SgHandle, usize, Rc<[SgSegment]>)> = Vec::new();
         for op in ops {
             if op % 5 < 3 {
                 let len = 1 + (op as usize * 37) % (4 * SECTOR);
@@ -415,9 +415,9 @@ proptest! {
                         let segs = pool.sg_segments(h).unwrap();
                         let cap: usize = segs.iter().map(|s| s.bytes).sum();
                         prop_assert!(cap >= len, "chain covers the transfer");
-                        for s in &segs {
+                        for s in segs.iter() {
                             for (_, _, other) in &live {
-                                for o in other {
+                                for o in other.iter() {
                                     prop_assert!(
                                         s.offset + s.bytes <= o.offset
                                             || o.offset + o.bytes <= s.offset,
@@ -451,7 +451,17 @@ proptest! {
             let in_use: usize =
                 live.iter().map(|(_, _, s)| s.iter().map(|x| x.bytes).sum::<usize>()).sum();
             prop_assert_eq!(pool.in_use_sectors() * SECTOR, in_use);
+            prop_assert_eq!(
+                pool.in_use_sectors() + pool.available_sectors(),
+                pool.capacity_sectors(),
+                "the occupancy counter and its complement cover the pool"
+            );
             prop_assert_eq!(pool.live_chains(), live.len());
+            // The chain store: what a chain resolved to at allocation is
+            // what it reads as now, whatever came and went in between.
+            for (h, _, segs) in &live {
+                prop_assert_eq!(&pool.sg_segments(*h).unwrap()[..], &segs[..]);
+            }
         }
         for (h, _, _) in live.drain(..) {
             pool.free_sg(h).unwrap();

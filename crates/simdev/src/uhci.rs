@@ -68,6 +68,13 @@ pub const TD_STALLED: u32 = 1 << 22;
 pub const TD_TOKEN_MORE: u32 = 1 << 19;
 /// Frame-list/link terminate bit.
 pub const LINK_TERMINATE: u32 = 1;
+/// Entries in the frame list (one dword each).
+const FRAME_LIST_ENTRIES: usize = 1024;
+
+/// The little-endian dword at the head of `bytes`.
+fn le_dword(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes sliced"))
+}
 
 /// Bulk OUT endpoint of the flash drive (LUN 0).
 pub const EP_BULK_OUT: u32 = 2;
@@ -269,91 +276,22 @@ impl UhciDevice {
     }
 
     /// Walks the frame list, executing every active TD chain.
+    ///
+    /// The walk reads memory, never a snapshot: terminated entries are
+    /// skipped in bulk under one borrow, and after each executed chain
+    /// the scan resumes *from memory* at the next frame — so an entry is
+    /// read only after every TD of every earlier frame has run, exactly
+    /// as a controller stepping frame by frame would see it.
     fn run_schedule(&mut self, kernel: &Kernel) {
         if self.usbcmd & CMD_RS == 0 || !self.frbase_installed {
             return;
         }
         let mut completed = false;
-        for frame in 0..1024usize {
-            let entry = self.dma.read_u32(self.frbase as usize + frame * 4);
-            if entry & LINK_TERMINATE != 0 {
-                continue;
-            }
-            let mut td_addr = (entry & !0xf) as usize;
-            // Bounded walk to tolerate malformed schedules.
-            for _ in 0..256 {
-                let link = self.dma.read_u32(td_addr);
-                let status = self.dma.read_u32(td_addr + 4);
-                let token = self.dma.read_u32(td_addr + 8);
-                let buffer = self.dma.read_u32(td_addr + 12) as usize;
-                if status & TD_ACTIVE != 0 {
-                    kernel.charge_kernel(costs::DMA_DESC_NS);
-                    let endpoint = (token >> 15) & 0xf;
-                    let more = token & TD_TOKEN_MORE != 0;
-                    let max_len = ((token >> 21) & 0x7ff) as usize;
-                    let len = if max_len == 0x7ff { 0 } else { max_len + 1 };
-                    // Each LUN owns an endpoint pair: odd endpoints are
-                    // IN, even (non-zero) endpoints OUT, striding by 2.
-                    let result = match lun_of_endpoint(endpoint) {
-                        Some(lun) if endpoint.is_multiple_of(2) => {
-                            let data = self.dma.read_bytes(buffer, len);
-                            let drive = &mut self.luns[lun];
-                            if more {
-                                // Mid-chain: accumulate, execute later.
-                                drive.out_accum.extend_from_slice(&data);
-                                Ok(len)
-                            } else if drive.out_accum.is_empty() {
-                                drive.handle_out(&data).map(|_| len)
-                            } else {
-                                // Chain-final TD: the accumulated bytes
-                                // plus this TD's are one flash command.
-                                drive.out_accum.extend_from_slice(&data);
-                                let cmd = std::mem::take(&mut drive.out_accum);
-                                drive.handle_out(&cmd).map(|_| len)
-                            }
-                        }
-                        Some(lun) => {
-                            let staged = match self.luns[lun].in_stream.take() {
-                                Some(stream) => Ok(stream),
-                                None => self.luns[lun].handle_in(),
-                            };
-                            staged.map(|data| {
-                                // The TD's maxlen bounds the transfer: a
-                                // staged sector longer than the buffer
-                                // the TD names is truncated, never
-                                // written past it — and `actual` reports
-                                // the truncated length, honouring the TD
-                                // contract the OUT path enforces via its
-                                // read window. With MORE set the
-                                // remainder streams into the next TD of
-                                // the chain — but only after a *full*
-                                // packet: a short packet terminates the
-                                // transfer and drops the stream, like a
-                                // real bulk pipe.
-                                let n = data.len().min(len);
-                                self.dma.write_bytes(buffer, &data[..n]);
-                                if more && n == len {
-                                    self.luns[lun].in_stream = Some(data[n..].to_vec());
-                                }
-                                n
-                            })
-                        }
-                        None => Err(()),
-                    };
-                    let new_status = match result {
-                        Ok(actual) => (actual as u32) & 0x7ff,
-                        Err(()) => TD_STALLED,
-                    };
-                    self.dma.write_u32(td_addr + 4, new_status);
-                    self.tds_completed += 1;
-                    completed = true;
-                }
-                if link & LINK_TERMINATE != 0 {
-                    break;
-                }
-                td_addr = (link & !0xf) as usize;
-            }
-            self.frnum = frame as u32;
+        let mut frame = 0;
+        while let Some((live, entry)) = self.next_live_frame(frame) {
+            completed |= self.run_chain(kernel, (entry & !0xf) as usize);
+            self.frnum = live as u32;
+            frame = live + 1;
         }
         if completed {
             self.usbsts |= STS_USBINT;
@@ -361,6 +299,109 @@ impl UhciDevice {
                 kernel.raise_irq(self.irq_line);
             }
         }
+    }
+
+    /// The first frame at or after `from` whose list entry lacks the
+    /// terminate bit, with that entry — the rest of the list scanned
+    /// under a single borrow. A frame list reaching past the DMA region
+    /// is a bounds panic, as every out-of-range DMA access is.
+    fn next_live_frame(&self, from: usize) -> Option<(usize, u32)> {
+        /// Entries skipped per step while everything is terminated.
+        const BLOCK: usize = 16;
+        // A block's entries ANDed together keep the terminate bit only
+        // if every one carries it: no branch per entry, so the skip over
+        // a mostly-empty list compiles to a handful of vector ops.
+        let all_terminated = |block: &[u8]| {
+            let and = |acc, entry| acc & le_dword(entry);
+            block.chunks_exact(4).fold(LINK_TERMINATE, and) != 0
+        };
+        let at = self.frbase as usize + from * 4;
+        let rest = (FRAME_LIST_ENTRIES - from) * 4;
+        self.dma.with_bytes(at, rest, |list| {
+            let blocks = list.chunks_exact(BLOCK * 4);
+            let skip = BLOCK * blocks.take_while(|b| all_terminated(b)).count();
+            let live = skip
+                + list[skip * 4..]
+                    .chunks_exact(4)
+                    .position(|entry| le_dword(entry) & LINK_TERMINATE == 0)?;
+            Some((from + live, le_dword(&list[live * 4..])))
+        })
+    }
+
+    /// Executes one frame's TD chain starting at `td_addr`; returns
+    /// whether any TD completed.
+    fn run_chain(&mut self, kernel: &Kernel, mut td_addr: usize) -> bool {
+        let mut completed = false;
+        // Bounded walk to tolerate malformed schedules.
+        for _ in 0..256 {
+            let [link, status, token, buffer] = self.dma.with_bytes(td_addr, 16, |td| {
+                [0, 4, 8, 12].map(|at| le_dword(&td[at..]))
+            });
+            if status & TD_ACTIVE != 0 {
+                kernel.charge_kernel(costs::DMA_DESC_NS);
+                let new_status = match self.execute_td(token, buffer as usize) {
+                    Ok(actual) => (actual as u32) & 0x7ff,
+                    Err(()) => TD_STALLED,
+                };
+                self.dma.write_u32(td_addr + 4, new_status);
+                self.tds_completed += 1;
+                completed = true;
+            }
+            if link & LINK_TERMINATE != 0 {
+                break;
+            }
+            td_addr = (link & !0xf) as usize;
+        }
+        completed
+    }
+
+    /// Moves one active TD's data between `buffer` and the LUN its
+    /// endpoint names; returns the bytes actually transferred.
+    fn execute_td(&mut self, token: u32, buffer: usize) -> Result<usize, ()> {
+        let endpoint = (token >> 15) & 0xf;
+        let more = token & TD_TOKEN_MORE != 0;
+        let max_len = ((token >> 21) & 0x7ff) as usize;
+        let len = if max_len == 0x7ff { 0 } else { max_len + 1 };
+        // Each LUN owns an endpoint pair: odd endpoints are IN, even
+        // (non-zero) endpoints OUT, striding by 2.
+        let lun = lun_of_endpoint(endpoint).ok_or(())?;
+        let drive = &mut self.luns[lun];
+        if endpoint.is_multiple_of(2) {
+            // The payload is read where it sits, as the device's DMA
+            // engine would: a borrowed view, no staging copy.
+            return self.dma.with_bytes(buffer, len, |data| {
+                if more {
+                    // Mid-chain: accumulate, execute later.
+                    drive.out_accum.extend_from_slice(data);
+                    Ok(len)
+                } else if drive.out_accum.is_empty() {
+                    drive.handle_out(data).map(|_| len)
+                } else {
+                    // Chain-final TD: the accumulated bytes plus this
+                    // TD's are one flash command.
+                    drive.out_accum.extend_from_slice(data);
+                    let cmd = std::mem::take(&mut drive.out_accum);
+                    drive.handle_out(&cmd).map(|_| len)
+                }
+            });
+        }
+        let data = match drive.in_stream.take() {
+            Some(stream) => stream,
+            None => drive.handle_in()?,
+        };
+        // The TD's maxlen bounds the transfer: a staged sector longer
+        // than the buffer the TD names is truncated, never written past
+        // it — and `actual` reports the truncated length, honouring the
+        // TD contract the OUT path enforces via its read window. With
+        // MORE set the remainder streams into the next TD of the chain —
+        // but only after a *full* packet: a short packet terminates the
+        // transfer and drops the stream, like a real bulk pipe.
+        let n = data.len().min(len);
+        self.dma.write_bytes(buffer, &data[..n]);
+        if more && n == len {
+            drive.in_stream = Some(data[n..].to_vec());
+        }
+        Ok(n)
     }
 }
 
@@ -738,6 +779,94 @@ mod tests {
         let status = dma.read_u32(0x2004);
         assert_eq!(status & TD_STALLED, 0, "ZLP is a success, not a stall");
         assert_eq!(status & 0x7ff, 0, "zero-length packet");
+    }
+
+    /// A `W` command for `sector` filled with `fill`, placed at `buf`.
+    fn stage_write(dma: &DmaMemory, buf: usize, sector: u32, fill: u8) -> usize {
+        let mut w = vec![FLASH_CMD_WRITE];
+        w.extend_from_slice(&sector.to_le_bytes());
+        w.extend_from_slice(&[fill; SECTOR_SIZE]);
+        dma.write_bytes(buf, &w);
+        w.len()
+    }
+
+    #[test]
+    fn live_frames_far_apart_run_in_frame_order_in_one_kick() {
+        // Both writes target sector 1: the later frame's fill must win,
+        // and FRNUM must end at the last live frame.
+        let (k, mut dev, dma) = setup();
+        let len = stage_write(&dma, 0x6000, 1, 0x0a);
+        build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, len);
+        stage_write(&dma, 0x6800, 1, 0x0b);
+        build_td(&dma, 0x2010, EP_BULK_OUT, 0x6800, len);
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dma.write_u32(700 * 4, 0x2010);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.tds_completed, 2, "one kick ran both frames");
+        assert_eq!(dev.flash_sector(1).unwrap(), vec![0x0b; SECTOR_SIZE]);
+        assert_eq!(dev.read32(&k, FRNUM), 700);
+    }
+
+    #[test]
+    fn the_last_frame_is_walked_too() {
+        // Frame 1023 sits past the last whole block of the bulk skip
+        // once the scan resumes from frame 1.
+        let (k, mut dev, dma) = setup();
+        let len = stage_write(&dma, 0x6000, 2, 0x0c);
+        build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, len);
+        stage_write(&dma, 0x6800, 3, 0x0d);
+        build_td(&dma, 0x2010, EP_BULK_OUT, 0x6800, len);
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dma.write_u32(1023 * 4, 0x2010);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.flash_sector(3).unwrap(), vec![0x0d; SECTOR_SIZE]);
+        assert_eq!(dev.read32(&k, FRNUM), 1023);
+    }
+
+    #[test]
+    fn entry_rewritten_by_an_earlier_frame_is_seen_in_the_same_kick() {
+        // The walk reads memory, not a snapshot: frame 0's IN TD lands
+        // its data on frame-list entry 9, turning it from "terminate"
+        // into a pointer at a second live TD — which this kick must run,
+        // because entry 9 is read only after frame 0's chain finished.
+        let (k, mut dev, dma) = setup();
+        dev.preload_sector(3, 0x2010u32.to_le_bytes().to_vec());
+        let mut r = vec![FLASH_CMD_READ];
+        r.extend_from_slice(&3u32.to_le_bytes());
+        dma.write_bytes(0x6000, &r);
+        build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, r.len());
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dev.write32(&k, USBCMD, CMD_RS);
+
+        build_td(&dma, 0x2000, EP_BULK_IN, 9 * 4, 4);
+        let len = stage_write(&dma, 0x6800, 5, 0xc4);
+        build_td(&dma, 0x2010, EP_BULK_OUT, 0x6800, len);
+        assert_eq!(dma.read_u32(9 * 4), LINK_TERMINATE, "dead before the kick");
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dma.read_u32(9 * 4), 0x2010, "frame 0 rewrote entry 9");
+        assert_eq!(dev.flash_sector(5).unwrap(), vec![0xc4; SECTOR_SIZE]);
+        assert_eq!(dev.read32(&k, FRNUM), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma with_bytes bounds")]
+    fn frame_list_reaching_past_the_dma_region_is_a_bounds_panic() {
+        let (k, mut dev, dma) = setup();
+        dev.write32(&k, USBCMD, CMD_RS);
+        dev.write32(&k, FRBASEADD, (dma.len() - 4092) as u32);
+    }
+
+    #[test]
+    fn all_terminated_list_completes_nothing() {
+        let (k, mut dev, dma) = setup();
+        dev.write32(&k, USBINTR, 1);
+        dev.write32(&k, FRNUM, 77);
+        install_frame_list(&k, &mut dev, &dma, LINK_TERMINATE as usize);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.tds_completed, 0);
+        assert_eq!(dev.read32(&k, USBSTS) & STS_USBINT, 0);
+        assert!(!k.irq_pending(9));
+        assert_eq!(dev.read32(&k, FRNUM), 77, "no live frame, FRNUM untouched");
     }
 
     #[test]

@@ -66,6 +66,9 @@ pub enum ViolationKind {
 pub struct TimerId(usize);
 
 struct TimerEntry {
+    /// A label for whoever inspects the timer table; dispatch never
+    /// reads it (and so never clones it per fire).
+    #[allow(dead_code)]
     name: String,
     callback: Rc<dyn Fn(&Kernel)>,
     deadline_ns: Option<u64>,
@@ -87,7 +90,7 @@ type WorkFn = Box<dyn FnOnce(&Kernel)>;
 
 #[derive(Default)]
 struct WorkState {
-    queue: VecDeque<(String, WorkFn)>,
+    queue: VecDeque<(&'static str, WorkFn)>,
     executed: u64,
 }
 
@@ -576,12 +579,12 @@ impl Kernel {
     ///
     /// Work items may block — this is how high-priority code defers
     /// operations that must reach the decaf driver (§3.1.3).
-    pub fn schedule_work(&self, name: impl Into<String>, f: impl FnOnce(&Kernel) + 'static) {
+    pub fn schedule_work(&self, name: &'static str, f: impl FnOnce(&Kernel) + 'static) {
         self.inner
             .work
             .borrow_mut()
             .queue
-            .push_back((name.into(), Box::new(f)));
+            .push_back((name, Box::new(f)));
     }
 
     /// Number of work items waiting.
@@ -611,11 +614,11 @@ impl Kernel {
     fn deliver_one_irq(&self) -> bool {
         let found = {
             let mut irqs = self.inner.irqs.borrow_mut();
-            irqs.iter_mut().enumerate().find_map(|(line, entry)| {
+            irqs.iter_mut().find_map(|entry| {
                 if entry.pending && entry.disable_depth == 0 {
-                    if let Some((name, handler)) = &entry.handler {
+                    if let Some((_name, handler)) = &entry.handler {
                         entry.pending = false;
-                        return Some((line, name.clone(), Rc::clone(handler)));
+                        return Some(Rc::clone(handler));
                     }
                     // Pending IRQ with no handler: drop it (spurious).
                     entry.pending = false;
@@ -624,7 +627,7 @@ impl Kernel {
             })
         };
         match found {
-            Some((_line, _name, handler)) => {
+            Some(handler) => {
                 let _span = self.trace_span("kernel", "irq");
                 self.charge_kernel(costs::IRQ_ENTRY_NS);
                 self.bump_stats(|s| s.irqs_delivered += 1);
@@ -649,14 +652,14 @@ impl Kernel {
                             Some(p) => t.deadline_ns = Some(now + p),
                             None => t.deadline_ns = None,
                         }
-                        Some((t.name.clone(), Rc::clone(&t.callback)))
+                        Some(Rc::clone(&t.callback))
                     }
                     _ => None,
                 }
             })
         };
         match due {
-            Some((_name, cb)) => {
+            Some(cb) => {
                 let _span = self.trace_span("kernel", "timer");
                 self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
                 self.bump_stats(|s| s.timers_fired += 1);

@@ -127,9 +127,30 @@ impl DmaMemory {
         b[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
     }
 
+    /// Lends `len` bytes at `offset` to `f` as one bounds-checked
+    /// borrowed view — how a device model reads a descriptor, a frame
+    /// list or a payload without a borrow per dword or a `Vec` per read.
+    ///
+    /// The region stays borrowed while `f` runs, so `f` must not write
+    /// it (`write_*` from inside the closure is a `RefCell` panic): take
+    /// what is needed out of the view, return, then write.
+    ///
+    /// # Panics
+    /// Panics if `offset + len` exceeds the region — a DMA fault in real
+    /// hardware, which is always a simulator-usage bug here.
+    pub fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let b = self.bytes.borrow();
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= b.len()),
+            "dma with_bytes bounds: {offset}+{len} > {}",
+            b.len()
+        );
+        f(&b[offset..offset + len])
+    }
+
     /// Copies bytes out of the region.
     pub fn read_bytes(&self, offset: usize, len: usize) -> Vec<u8> {
-        self.bytes.borrow()[offset..offset + len].to_vec()
+        self.with_bytes(offset, len, <[u8]>::to_vec)
     }
 
     /// Copies bytes into the region.
@@ -176,6 +197,23 @@ mod tests {
         m.write_bytes(16, &[1, 2, 3]);
         assert_eq!(m.read_bytes(16, 3), vec![1, 2, 3]);
         assert_eq!(m.len(), 64);
+    }
+
+    #[test]
+    fn with_bytes_lends_the_bytes_read_bytes_copies() {
+        let m = DmaMemory::new(64);
+        m.write_bytes(8, &[9, 8, 7, 6, 5]);
+        let seen = m.with_bytes(8, 5, |view| view.to_vec());
+        assert_eq!(seen, m.read_bytes(8, 5));
+        assert_eq!(m.with_bytes(64, 0, |view| view.len()), 0, "empty tail view");
+        // The view is a read borrow: reads nest, and the value returns.
+        assert_eq!(m.with_bytes(8, 4, |_| m.read_u32(8)), 0x0607_0809);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma with_bytes bounds: 60+8 > 64")]
+    fn with_bytes_out_of_bounds_panics_with_offset_and_length() {
+        DmaMemory::new(64).with_bytes(60, 8, |_| ());
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! into span attribution. When no tracer is installed each wrapper is a
 //! single `Option` check that charges **zero virtual time**, so a
 //! tracing-disabled run is bit-identical to an untraced one.
+//!
+//! That check comes *after* the caller has evaluated its arguments, so
+//! the host-time half of "free when off" is the call site's job:
+//! **arguments must be O(1) reads** (a length, a counter, a field).
+//! Anything else — a scan, a sum over a collection, a formatted string —
+//! goes behind `kernel.tracer().is_some()`.
 
 use std::rc::Rc;
 

@@ -80,11 +80,11 @@ fn run_storage_schedule(shards: usize, schedule: &[usize]) {
         pool,
     );
     // Live chains as cookie -> (segments, submitting shard).
-    let mut live: HashMap<u64, (Vec<SgSegment>, usize)> = HashMap::new();
+    let mut live: HashMap<u64, (Rc<[SgSegment]>, usize)> = HashMap::new();
     let mut reclaimed_per_shard = vec![0u64; shards];
 
     let complete_ring =
-        |kernel: &Kernel, victim: usize, live: &HashMap<u64, (Vec<SgSegment>, usize)>| {
+        |kernel: &Kernel, victim: usize, live: &HashMap<u64, (Rc<[SgSegment]>, usize)>| {
             for d in set.submit_ring(victim).drain(kernel, CpuClass::User) {
                 let (_, submitter) = &live[&d.cookie];
                 let submitter = *submitter;
@@ -108,8 +108,8 @@ fn run_storage_schedule(shards: usize, schedule: &[usize]) {
         // Alias freedom: no segment of the fresh chain overlaps any
         // segment of any live chain.
         for (&other, (osegs, _)) in &live {
-            for s in &segs {
-                for o in osegs {
+            for s in segs.iter() {
+                for o in osegs.iter() {
                     assert!(
                         s.offset + s.bytes <= o.offset || o.offset + o.bytes <= s.offset,
                         "schedule {schedule:?}: chain of cookie {cookie} [{}, {}) \
