@@ -3,12 +3,11 @@
 //! * [`tables`] — renders Tables 1–4 of the paper and every ablation
 //!   table into a `String`; `benches/tables.rs` prints it and
 //!   `tests/golden_tables.rs` pins it;
-//! * `benches/figures.rs` — regenerates Figures 1–5;
-//! * `benches/micro.rs` — criterion microbenches of the XDR codec, graph
-//!   marshaler, XPC round trips and combolocks, including the ablations
-//!   listed in DESIGN.md.
+//! * `benches/figures.rs` — regenerates Figures 1–5.
 //!
-//! All three bench targets run under `cargo bench --workspace`.
+//! Both bench targets run under `cargo bench --workspace`. Per-function
+//! host timings live in the top-level `decaf_bench` package's unit
+//! drives, not here.
 
 #![forbid(unsafe_code)]
 

@@ -203,17 +203,13 @@ fn drained_path(
     let end = dp.end(Domain::Decaf);
     ch.register_proc(
         Domain::Decaf,
-        ProcDef {
-            name: drain_proc.into(),
-            arg_types: vec![],
-            handler: Rc::new(move |k, _, _, _| {
-                for d in end.consume(k) {
-                    k.charge(CpuClass::User, costs::DMA_DESC_NS);
-                    let _ = end.complete(k, d);
-                }
-                XdrValue::Void
-            }),
-        },
+        ProcDef::scalar(drain_proc, move |k, _| {
+            for d in end.consume(k) {
+                k.charge(CpuClass::User, costs::DMA_DESC_NS);
+                let _ = end.complete(k, d);
+            }
+            XdrValue::Void
+        }),
     )
     .expect("register drain");
     dp
@@ -221,12 +217,8 @@ fn drained_path(
 
 /// Registers `writel` on `domain`: a posted register write, result-free.
 fn register_writel(ch: &XpcChannel, domain: Domain) {
-    let writel = ProcDef {
-        name: "writel".into(),
-        arg_types: vec![],
-        handler: Rc::new(|_, _, _, _| XdrValue::Void),
-    };
-    ch.register_proc(domain, writel).expect("register writel");
+    ch.register_proc(domain, ProcDef::scalar("writel", |_, _| XdrValue::Void))
+        .expect("register writel");
 }
 
 /// The integer `field` of the decaf-side copy of `obj` (0 when absent).
@@ -277,11 +269,13 @@ fn workspace_root() -> Option<std::path::PathBuf> {
 }
 
 /// Table 1's counting rule over one file's text: lines that are neither
-/// blank nor comment. A line starting with `*` is a block-comment
-/// continuation only as a bare `*`, a `*/` or `* …` — `*total += n;` is
-/// a dereference, and code.
+/// blank nor comment, up to the first column-0 `#[cfg(test)]` — in this
+/// workspace always the trailing test module, which is not product code.
+/// A line starting with `*` is a block-comment continuation only as a
+/// bare `*`, a `*/` or `* …` — `*total += n;` is a dereference, and code.
 fn code_lines(text: &str) -> usize {
     text.lines()
+        .take_while(|l| *l != "#[cfg(test)]")
         .map(str::trim)
         .filter(|l| {
             let comment = l.starts_with("//")
@@ -294,22 +288,30 @@ fn code_lines(text: &str) -> usize {
         .count()
 }
 
-/// Counts non-comment, non-blank Rust lines under `dir` (relative to the
-/// workspace root). Returns 0 — the [`Table1Row::measured_loc`] "not
-/// measurable" marker — rather than panicking when the sources are
-/// absent.
+/// The files `text` mounts with `#[cfg(test)] #[path = "…"] mod …;` —
+/// test modules kept in a file of their own, named relative to the
+/// mounting file.
+fn test_only_files(text: &str) -> impl Iterator<Item = &str> {
+    let after_cfg_test = text.split("#[cfg(test)]\n").skip(1);
+    after_cfg_test.filter_map(|rest| rest.strip_prefix("#[path = \"")?.split('"').next())
+}
+
+/// Counts non-comment, non-blank, non-test Rust lines under `dir`
+/// (relative to the workspace root). Returns 0 — the
+/// [`Table1Row::measured_loc`] "not measurable" marker — rather than
+/// panicking when the sources are absent.
 fn count_loc(dir: &str) -> usize {
-    fn walk(path: &std::path::Path, total: &mut usize) {
+    fn walk(path: &std::path::Path, files: &mut Vec<(std::path::PathBuf, String)>) {
         let Ok(entries) = std::fs::read_dir(path) else {
             return;
         };
         for entry in entries.flatten() {
             let p = entry.path();
             if p.is_dir() {
-                walk(&p, total);
+                walk(&p, files);
             } else if p.extension().is_some_and(|e| e == "rs") {
                 if let Ok(text) = std::fs::read_to_string(&p) {
-                    *total += code_lines(&text);
+                    files.push((p, text));
                 }
             }
         }
@@ -317,9 +319,17 @@ fn count_loc(dir: &str) -> usize {
     let Some(root) = workspace_root() else {
         return 0;
     };
-    let mut total = 0;
-    walk(&root.join(dir), &mut total);
-    total
+    let mut files = Vec::new();
+    walk(&root.join(dir), &mut files);
+    let test_only: Vec<_> = files
+        .iter()
+        .flat_map(|(p, text)| test_only_files(text).map(|name| p.with_file_name(name)))
+        .collect();
+    files
+        .iter()
+        .filter(|(p, _)| !test_only.contains(p))
+        .map(|(_, text)| code_lines(text))
+        .sum()
 }
 
 /// Table 1's rows: group, component, the paper's line count for the
@@ -936,18 +946,14 @@ pub fn datapath_run(kind: DataPathKind, packets: u32) -> DataPathAblationRow {
         // (the same single device-bound copy the shmring pool performs).
         ch.register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "xmit_pkt".into(),
-                arg_types: vec!["pkt".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(p) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    k.charge_copy(CpuClass::User, decaf_int(ch, p, "len") as u64);
-                    k.charge(CpuClass::User, costs::DMA_DESC_NS);
-                    XdrValue::Int(0)
-                }),
-            },
+            ProcDef::entry("xmit_pkt", ["pkt"], |k, ch, args, _| {
+                let Some(p) = args[0] else {
+                    return XdrValue::Int(-22);
+                };
+                k.charge_copy(CpuClass::User, decaf_int(ch, p, "len") as u64);
+                k.charge(CpuClass::User, costs::DMA_DESC_NS);
+                XdrValue::Int(0)
+            }),
         )
         .expect("register xmit_pkt");
         let heap = ch.heap(Domain::Nucleus);
@@ -1673,29 +1679,25 @@ pub fn repeated_config_run(config: ChannelConfig, iters: u32) -> TransportAblati
     // Decaf driver: apply the configuration, acknowledge in `flags`.
     ch.register_proc(
         Domain::Decaf,
-        ProcDef {
-            name: "apply_config".into(),
-            arg_types: vec!["cfg".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let Some(c) = args[0] else {
-                    return XdrValue::Int(-22);
-                };
-                let itr = decaf_int(ch, c, "itr");
-                // Program the device: three posted writes.
-                for (reg, val) in [(0xc8u32, itr as u32), (0x00, 1), (0x38, 0)] {
-                    let _ = ch.call_deferred(
-                        k,
-                        Domain::Decaf,
-                        "writel",
-                        &[],
-                        &[XdrValue::UInt(reg), XdrValue::UInt(val)],
-                    );
-                }
-                let heap = ch.heap(Domain::Decaf);
-                let _ = heap.borrow_mut().set_scalar(c, "flags", XdrValue::Int(itr));
-                XdrValue::Int(0)
-            }),
-        },
+        ProcDef::entry("apply_config", ["cfg"], |k, ch, args, _| {
+            let Some(c) = args[0] else {
+                return XdrValue::Int(-22);
+            };
+            let itr = decaf_int(ch, c, "itr");
+            // Program the device: three posted writes.
+            for (reg, val) in [(0xc8u32, itr as u32), (0x00, 1), (0x38, 0)] {
+                let _ = ch.call_deferred(
+                    k,
+                    Domain::Decaf,
+                    "writel",
+                    &[],
+                    &[XdrValue::UInt(reg), XdrValue::UInt(val)],
+                );
+            }
+            let heap = ch.heap(Domain::Decaf);
+            let _ = heap.borrow_mut().set_scalar(c, "flags", XdrValue::Int(itr));
+            XdrValue::Int(0)
+        }),
     )
     .expect("register apply_config");
 
@@ -2605,12 +2607,12 @@ pub struct KneeVerdict {
     pub goodput_fraction: f64,
     /// The policy that achieved the bound.
     pub bounded_policy: AdmissionPolicy,
-    /// Whether the acceptance criterion holds: blowup ≥ 10×, bounded
+    /// Whether the acceptance test holds: blowup ≥ 10×, bounded
     /// ratio ≤ 3×, goodput fraction ≥ 0.8.
     pub holds: bool,
 }
 
-/// Evaluates the acceptance criterion over [`overload_sweep`] rows.
+/// Evaluates the acceptance test over [`overload_sweep`] rows.
 pub fn knee_verdict(rows: &[OverloadKneeRow]) -> KneeVerdict {
     let top = *OVERLOAD_MULTIPLIERS_PCT.last().expect("non-empty");
     let base = OVERLOAD_MULTIPLIERS_PCT[0];
@@ -2663,6 +2665,19 @@ mod tests {
                 row.component
             );
         }
+    }
+
+    #[test]
+    fn code_lines_stop_at_the_test_module() {
+        assert_eq!(
+            code_lines("fn f() {}\n#[cfg(test)]\nmod tests { fn t() {} }"),
+            1
+        );
+        // Only the column-0 attribute is the trailing module's.
+        assert_eq!(code_lines("fn f() {\n    #[cfg(test)]\n    g();\n}"), 4);
+        let lib = "pub mod a;\n#[cfg(test)]\n#[path = \"a_tests.rs\"]\nmod a_tests;\n";
+        assert_eq!(test_only_files(lib).collect::<Vec<_>>(), ["a_tests.rs"]);
+        assert_eq!(test_only_files("#[cfg(test)]\nmod tests {}\n").count(), 0);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardPolicy, ShardedChannel,
-    XpcChannel,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
+    XpcResult,
 };
 
 use super::{attach, E1000Hw, BUF_SIZE, IRQ_LINE, N_DESC, TX_BUF_OFF};
@@ -169,9 +169,8 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
 /// hosts the data path at user level.
 struct Rings {
     tx_paths: Vec<Rc<DataPathChannel>>,
-    rx_paths: Vec<Rc<DataPathChannel>>,
     tx_set: Rc<RingSet>,
-    rx_set: Rc<RingSet>,
+    rx: Rc<RxSide>,
 }
 
 /// One installed build, before it takes the shape of the public struct
@@ -196,7 +195,7 @@ impl Build {
         let (tx_path, rx_path) = match &self.rings {
             Some(r) => (
                 Some(Rc::clone(&r.tx_paths[0])),
-                Some(Rc::clone(&r.rx_paths[0])),
+                Some(Rc::clone(&r.rx.paths[0])),
             ),
             None => (None, None),
         };
@@ -230,9 +229,9 @@ impl Build {
             plan: self.plan,
             dev: self.dev,
             tx_paths: rings.tx_paths,
-            rx_paths: rings.rx_paths,
+            rx_paths: rings.rx.paths.clone(),
             tx_set: rings.tx_set,
-            rx_set: rings.rx_set,
+            rx_set: Rc::clone(&rings.rx.set),
             timers: self.timers,
         }
     }
@@ -293,55 +292,17 @@ fn build(
     shards: usize,
 ) -> KResult<Build> {
     let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(E1000Hw::new(bar.clone(), dma));
+    let hw = Rc::new(E1000Hw::new(bar, dma));
     let plan = super::image();
-    let channels = ShardedChannel::new(
-        Arc::clone(&plan.spec),
-        Arc::clone(&plan.masks),
-        config,
-        Domain::Nucleus,
-        Domain::Decaf,
-        shards,
-        ShardPolicy::FlowHash,
-    );
-    for i in 0..shards {
-        support::register_io_procs(channels.shard(i), bar.clone()).map_err(|_| KError::Io)?;
-        register_decaf_handlers(channels.shard(i)).map_err(|_| KError::Io)?;
-    }
+    let channels = support::channels_from_plan(&plan, config, shards);
+    let (rings, irq_handler, xmit) =
+        link(&channels, &plan, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
 
     let mut timers = Vec::new();
-    let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = if config.shmring {
-        let rings = build_rings(&channels, &hw).map_err(|_| KError::Io)?;
-        let rx = Rc::new(RxSide {
-            hw: Rc::clone(&hw),
-            ifname: ifname.to_string(),
-            set: Rc::clone(&rings.rx_set),
-            paths: rings.rx_paths.clone(),
-        });
-        let inflight = register_drains(&channels, &hw, &rings).map_err(|_| KError::Io)?;
-        let irq = ring_irq_handler(&hw, ifname, &rings.tx_set, inflight, &rx, rx_mode);
-        let xmit =
-            support::sharded_xmit_op(Rc::clone(&rings.tx_set), rings.tx_paths.clone(), BUF_SIZE);
-        if rx_mode == RxMode::Poll {
-            // The receive grid keeps the pre-`insmod` phase the poll
-            // build has always had: per-packet latencies depend on it.
-            timers.push(rx_poll_timer(kernel, rx));
-        }
-        (Some(rings), irq, xmit)
-    } else {
-        let hw_irq = Rc::clone(&hw);
-        let name = ifname.to_string();
-        let hw_ops = Rc::clone(&hw);
-        (
-            None,
-            Rc::new(move |k| {
-                hw_irq.handle_irq(k, &name);
-            }),
-            Rc::new(move |k, skb| hw_ops.xmit(k, &skb)),
-        )
-    };
-    for i in 0..shards {
-        register_nucleus_procs(channels.shard(i), &hw, &irq_handler).map_err(|_| KError::Io)?;
+    if let (Some(rings), RxMode::Poll) = (&rings, rx_mode) {
+        // The receive grid keeps the pre-`insmod` phase the poll build
+        // has always had: per-packet latencies depend on it.
+        timers.push(rx_poll_timer(kernel, Rc::clone(&rings.rx)));
     }
 
     let nuc = Rc::new(NuclearRuntime::new(
@@ -351,52 +312,30 @@ fn build(
 
     // insmod: the adapter is homed on the control shard; the user-level
     // probe runs there.
-    let mut adapter = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let channels_init = Rc::clone(&channels);
-    let name_init = ifname.to_string();
-    let adapter_ref = &mut adapter;
-    let init_latency_ns = kernel.insmod("e1000_decaf", move |k| {
-        let a = channels_init
-            .alloc_shared_at(0, Domain::Nucleus, "e1000_adapter")
-            .map_err(|_| KError::NoMem)?;
-        *adapter_ref = a;
-        let ret = nuc_init
-            .upcall_errno(k, "e1000_probe", &[Some(a)], &[])
-            .map_err(|_| KError::Io)?;
-        if ret < 0 {
-            return Err(KError::from_errno(ret).unwrap_or(KError::Io));
-        }
-        // Register the netdevice: open/stop go through the decaf driver;
-        // transmit stays in the nucleus or posts into the shared-memory
-        // rings, as the configuration says.
-        let nuc_open = Rc::clone(&nuc_init);
-        let nuc_stop = Rc::clone(&nuc_init);
-        k.register_netdev(
-            &name_init,
-            decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    // The interface owns the interrupt handler `e1000_open`
-                    // is about to request; the `request_irq` procedure on
-                    // the channel only borrows it.
-                    let _owned_while_registered = &irq_handler;
-                    match nuc_open.upcall_errno(k, "e1000_open", &[Some(a)], &[]) {
-                        Ok(0) => Ok(()),
-                        Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
-                        Err(_) => Err(KError::Io),
-                    }
-                }),
-                stop: Rc::new(move |k| {
-                    match nuc_stop.upcall_errno(k, "e1000_close", &[Some(a)], &[]) {
-                        Ok(_) => Ok(()),
-                        Err(_) => Err(KError::Io),
-                    }
-                }),
-                xmit,
-            },
-        )?;
-        Ok(())
-    })?;
+    let (adapter, init_latency_ns) =
+        support::load(kernel, "e1000_decaf", &channels, "e1000_adapter", |k, a| {
+            support::upcall(&nuc, k, "e1000_probe", a)?;
+            // Register the netdevice: open/stop go through the decaf
+            // driver; transmit stays in the nucleus or posts into the
+            // shared-memory rings, as the configuration says.
+            let nuc_open = Rc::clone(&nuc);
+            let nuc_stop = Rc::clone(&nuc);
+            k.register_netdev(
+                ifname,
+                decaf_simkernel::net::NetDeviceOps {
+                    open: Rc::new(move |k| {
+                        // The interface owns the interrupt handler
+                        // `e1000_open` is about to request; the
+                        // `request_irq` procedure on the channel only
+                        // borrows it.
+                        let _owned_while_registered = &irq_handler;
+                        support::upcall(&nuc_open, k, "e1000_open", a)
+                    }),
+                    stop: Rc::new(move |k| support::upcall(&nuc_stop, k, "e1000_close", a)),
+                    xmit,
+                },
+            )
+        })?;
 
     // The watchdog timer fires at softirq priority, so it only enqueues a
     // work item; the work item (process context) makes the upcall
@@ -459,9 +398,52 @@ fn build(
     })
 }
 
+/// Links every shard's channel: the register-access imports and the
+/// decaf driver's entry points, the rings and their drains when the
+/// configuration hosts the data path at user level, then the kernel
+/// imports — which need the interrupt handler the data path decided.
+/// Returns that handler and the netdev transmit op beside the rings.
+fn link(
+    channels: &Rc<ShardedChannel>,
+    plan: &SlicePlan,
+    hw: &Rc<E1000Hw>,
+    ifname: &str,
+    shmring: bool,
+    rx_mode: RxMode,
+) -> XpcResult<(Option<Rings>, IrqHandler, XmitOp)> {
+    let shards = channels.shard_count();
+    for i in 0..shards {
+        support::register_io_procs(channels.shard(i), hw.bar.clone())?;
+        register_decaf_handlers(channels.shard(i), plan)?;
+    }
+    let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = if shmring {
+        let rings = build_rings(channels, hw, ifname)?;
+        let inflight = register_drains(channels, hw, &rings)?;
+        let irq = ring_irq_handler(hw, ifname, &rings.tx_set, inflight, &rings.rx, rx_mode);
+        let xmit =
+            support::sharded_xmit_op(Rc::clone(&rings.tx_set), rings.tx_paths.clone(), BUF_SIZE);
+        (Some(rings), irq, xmit)
+    } else {
+        let hw_irq = Rc::clone(hw);
+        let name = ifname.to_string();
+        let hw_ops = Rc::clone(hw);
+        (
+            None,
+            Rc::new(move |k| {
+                hw_irq.handle_irq(k, &name);
+            }),
+            Rc::new(move |k, skb| hw_ops.xmit(k, &skb)),
+        )
+    };
+    for i in 0..shards {
+        register_nucleus_procs(channels.shard(i), hw, &irq_handler)?;
+    }
+    Ok((rings, irq_handler, xmit))
+}
+
 /// Builds the per-shard rings and data paths over one shared
 /// DMA-resident pool.
-fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>) -> decaf_xpc::XpcResult<Rings> {
+fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>, ifname: &str) -> XpcResult<Rings> {
     let shards = channels.shard_count();
     let tx_set = RingSet::new("e1000-tx", shards, N_DESC as usize, 2 * N_DESC as usize);
     let rx_set = RingSet::new("e1000-rx", shards, N_DESC as usize, 2 * N_DESC as usize);
@@ -499,9 +481,13 @@ fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>) -> decaf_xpc::Xp
     }
     Ok(Rings {
         tx_paths,
-        rx_paths,
         tx_set,
-        rx_set,
+        rx: Rc::new(RxSide {
+            hw: Rc::clone(hw),
+            ifname: ifname.to_string(),
+            set: rx_set,
+            paths: rx_paths,
+        }),
     })
 }
 
@@ -516,9 +502,9 @@ fn register_drains(
     channels: &Rc<ShardedChannel>,
     hw: &Rc<E1000Hw>,
     rings: &Rings,
-) -> decaf_xpc::XpcResult<TxInflight> {
+) -> XpcResult<TxInflight> {
     let inflight: TxInflight = Rc::new(RefCell::new(VecDeque::new()));
-    for (i, (tx_path, rx_path)) in rings.tx_paths.iter().zip(&rings.rx_paths).enumerate() {
+    for (i, (tx_path, rx_path)) in rings.tx_paths.iter().zip(&rings.rx.paths).enumerate() {
         // TX drain: the user-level driver programs the hardware
         // descriptor ring straight from its mapping of the shared pool —
         // no payload copy — and publishes the whole batch with one TDT
@@ -529,63 +515,54 @@ fn register_drains(
         let set = Rc::clone(&rings.tx_set);
         channels.shard(i).register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "e1000_tx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    k.shard_scope(i, || {
-                        let drained = end.consume(k);
-                        if drained.is_empty() {
-                            return XdrValue::Int(0);
-                        }
-                        let pool = end.pool().expect("tx path owns a pool");
-                        let mut queued = 0;
-                        for d in &drained {
-                            let off = pool.offset_of(d.buf).expect("live pool handle");
-                            match hw.xmit_desc(k, off, d.len as usize) {
-                                Ok(()) => {
-                                    inflight.borrow_mut().push_back(*d);
-                                    queued += 1;
-                                }
-                                // A frame the hardware rejects never
-                                // becomes in-flight (it would be counted
-                                // as sent at the next TXDW); it is
-                                // completed on the spot — steered home
-                                // like any other.
-                                Err(_) => {
-                                    let _ = set.complete(k, CpuClass::User, *d);
-                                }
+            ProcDef::scalar("e1000_tx_drain", move |k, _| {
+                k.shard_scope(i, || {
+                    let drained = end.consume(k);
+                    if drained.is_empty() {
+                        return XdrValue::Int(0);
+                    }
+                    let pool = end.pool().expect("tx path owns a pool");
+                    let mut queued = 0;
+                    for d in &drained {
+                        let off = pool.offset_of(d.buf).expect("live pool handle");
+                        match hw.xmit_desc(k, off, d.len as usize) {
+                            Ok(()) => {
+                                inflight.borrow_mut().push_back(*d);
+                                queued += 1;
+                            }
+                            // A frame the hardware rejects never becomes
+                            // in-flight (it would be counted as sent at
+                            // the next TXDW); it is completed on the
+                            // spot — steered home like any other.
+                            Err(_) => {
+                                let _ = set.complete(k, CpuClass::User, *d);
                             }
                         }
-                        if queued > 0 {
-                            hw.tx_kick(k);
-                        }
-                        XdrValue::Int(queued)
-                    })
-                }),
-            },
+                    }
+                    if queued > 0 {
+                        hw.tx_kick(k);
+                    }
+                    XdrValue::Int(queued)
+                })
+            }),
         )?;
 
         // RX drain: user-level receive processing sees every descriptor,
         // then hands buffer ownership back in completion order.
         let end = rx_path.end(Domain::Decaf);
-        let set = Rc::clone(&rings.rx_set);
+        let set = Rc::clone(&rings.rx.set);
         channels.shard(i).register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "e1000_rx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    k.shard_scope(i, || {
-                        let mut n = 0;
-                        for d in end.consume(k) {
-                            let _ = set.complete(k, CpuClass::User, d);
-                            n += 1;
-                        }
-                        XdrValue::Int(n)
-                    })
-                }),
-            },
+            ProcDef::scalar("e1000_rx_drain", move |k, _| {
+                k.shard_scope(i, || {
+                    let mut n = 0;
+                    for d in end.consume(k) {
+                        let _ = set.complete(k, CpuClass::User, d);
+                        n += 1;
+                    }
+                    XdrValue::Int(n)
+                })
+            }),
         )?;
     }
     Ok(inflight)
@@ -743,133 +720,87 @@ fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
 /// would keep channel, rings and DMA region alive for ever. The netdev
 /// `open` op, the only way to `request_irq`, is the owner.
 fn register_nucleus_procs(
-    channel: &Rc<XpcChannel>,
+    channel: &XpcChannel,
     hw: &Rc<E1000Hw>,
     irq_handler: &IrqHandler,
-) -> decaf_xpc::XpcResult<()> {
-    type ScalarFn = Rc<dyn Fn(&Kernel, &[XdrValue]) -> XdrValue>;
-    let scalar_proc = |name: &str, f: ScalarFn| ProcDef {
-        name: name.into(),
-        arg_types: vec![],
-        handler: Rc::new(move |k, _, _, scalars| f(k, scalars)),
-    };
-
+) -> XpcResult<()> {
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "eeprom_read",
-            Rc::new(move |k, s| {
-                XdrValue::UInt(h.eeprom_read(k, s[0].as_uint().unwrap_or(0)) as u32)
-            }),
-        ),
+        ProcDef::scalar("eeprom_read", move |k, s| {
+            XdrValue::UInt(h.eeprom_read(k, s[0].as_uint().unwrap_or(0)) as u32)
+        }),
     )?;
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "phy_read",
-            Rc::new(move |k, s| XdrValue::UInt(h.phy_read(k, s[0].as_uint().unwrap_or(0)) as u32)),
-        ),
+        ProcDef::scalar("phy_read", move |k, s| {
+            XdrValue::UInt(h.phy_read(k, s[0].as_uint().unwrap_or(0)) as u32)
+        }),
     )?;
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "phy_write",
-            Rc::new(move |k, s| {
-                h.phy_write(
-                    k,
-                    s[0].as_uint().unwrap_or(0),
-                    s[1].as_uint().unwrap_or(0) as u16,
-                );
-                XdrValue::Int(0)
-            }),
-        ),
+        ProcDef::scalar("phy_write", move |k, s| {
+            h.phy_write(
+                k,
+                s[0].as_uint().unwrap_or(0),
+                s[1].as_uint().unwrap_or(0) as u16,
+            );
+            XdrValue::Int(0)
+        }),
     )?;
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "setup_tx_resources",
-            Rc::new(move |k, _| support::errno_value(h.setup_tx(k))),
-        ),
+        ProcDef::scalar("setup_tx_resources", move |k, _| {
+            support::errno_value(h.setup_tx(k))
+        }),
     )?;
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "setup_rx_resources",
-            Rc::new(move |k, _| support::errno_value(h.setup_rx(k))),
-        ),
-    )?;
-    let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        scalar_proc(
-            "free_tx_resources",
-            Rc::new(move |k, _| {
-                h.down(k);
-                XdrValue::Int(0)
-            }),
-        ),
-    )?;
-    let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        scalar_proc(
-            "free_rx_resources",
-            Rc::new(move |k, _| {
-                h.down(k);
-                XdrValue::Int(0)
-            }),
-        ),
+        ProcDef::scalar("setup_rx_resources", move |k, _| {
+            support::errno_value(h.setup_rx(k))
+        }),
     )?;
     let irq_handler = Rc::downgrade(irq_handler);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "request_irq",
-            Rc::new(move |k, _| {
-                support::errno_value(match irq_handler.upgrade() {
-                    Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
-                    None => Err(KError::NoDev),
-                })
-            }),
-        ),
+        ProcDef::scalar("request_irq", move |k, _| {
+            support::errno_value(match irq_handler.upgrade() {
+                Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
+                None => Err(KError::NoDev),
+            })
+        }),
     )?;
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "free_irq",
-            Rc::new(move |k, _| {
-                k.free_irq(IRQ_LINE);
-                XdrValue::Int(0)
-            }),
-        ),
+        ProcDef::scalar("free_irq", |k, _| {
+            k.free_irq(IRQ_LINE);
+            XdrValue::Int(0)
+        }),
     )?;
     let h = Rc::clone(hw);
     channel.register_proc(
         Domain::Nucleus,
-        scalar_proc(
-            "up_datapath",
-            Rc::new(move |k, _| {
-                h.up(k);
-                XdrValue::Int(0)
-            }),
-        ),
+        ProcDef::scalar("up_datapath", move |k, _| {
+            h.up(k);
+            XdrValue::Int(0)
+        }),
     )?;
-    let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        scalar_proc(
-            "down_datapath",
-            Rc::new(move |k, _| {
+    // Freeing either ring's resources and stopping the data path are the
+    // same quiesce on this hardware model.
+    for name in ["free_tx_resources", "free_rx_resources", "down_datapath"] {
+        let h = Rc::clone(hw);
+        channel.register_proc(
+            Domain::Nucleus,
+            ProcDef::scalar(name, move |k, _| {
                 h.down(k);
                 XdrValue::Int(0)
             }),
-        ),
-    )?;
+        )?;
+    }
     Ok(())
 }
 
@@ -897,216 +828,152 @@ fn get_int(ch: &XpcChannel, adapter: CAddr, field: &str) -> i32 {
 
 /// User-level decaf-driver handlers: the converted Java (here: safe Rust)
 /// implementations of the user partition.
-fn register_decaf_handlers(channel: &Rc<XpcChannel>) -> decaf_xpc::XpcResult<()> {
+fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<()> {
     // e1000_probe: sw_init + check_options + EEPROM + reset + link setup,
     // mirroring the mini-C bodies.
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_probe".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let a = match args[0] {
-                    Some(a) => a,
-                    None => return XdrValue::Int(KError::Inval.errno()),
-                };
-                // e1000_sw_init.
-                set_field(ch, a, "msg_enable", XdrValue::Int(3));
-                set_field(ch, a, "itr", XdrValue::Int(8000));
-                set_field(ch, a, "rx_csum", XdrValue::Int(1));
-                set_hw_member(ch, a, "mac_type", XdrValue::Int(5));
-                set_hw_member(ch, a, "media_type", XdrValue::Int(1));
-                set_hw_member(ch, a, "autoneg", XdrValue::Int(1));
-                // e1000_check_options: range/set-membership validation.
-                set_field(ch, a, "speed", XdrValue::Int(1000));
-                set_field(ch, a, "duplex", XdrValue::Int(1));
-                // e1000_init_eeprom: MAC + checksum through downcalls.
-                let mut mac = [0u8; 6];
-                for w in 0..3u32 {
-                    let word = ch
-                        .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(w)])
-                        .ok()
-                        .and_then(|v| v.as_uint())
-                        .unwrap_or(0) as u16;
-                    mac[w as usize * 2] = (word & 0xff) as u8;
-                    mac[w as usize * 2 + 1] = (word >> 8) as u8;
-                }
-                let _checksum = ch
-                    .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(63)])
-                    .ok();
-                set_field(ch, a, "mac", XdrValue::Opaque(mac.to_vec()));
-                set_hw_member(ch, a, "fc_mode", XdrValue::Int(3));
-                // e1000_reset_hw_decaf.
-                decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
-                let _ = decaf_readl(k, ch, hwreg::STATUS);
-                decaf_writel(k, ch, hwreg::IMC, 0xffff_ffff);
-                let _ = decaf_readl(k, ch, hwreg::ICR);
-                // Save PCI config space (the @exp(PCI_LEN) array exists
-                // for this path).
-                for w in 0..8u64 {
-                    let _ = decaf_readl(k, ch, w * 4);
-                }
-                // e1000_setup_link + the Figure 5 DSP sequence.
-                let phy_read = |k: &Kernel, reg: u32| {
-                    ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(reg)])
-                        .ok()
-                        .and_then(|v| v.as_uint())
-                        .unwrap_or(0)
-                };
-                // PHY writes are posted: defer them so a whole DSP
-                // programming sequence crosses in one batched flush.
-                let phy_write = |k: &Kernel, reg: u32, val: u32| {
-                    let _ = ch.call_deferred(
-                        k,
-                        Domain::Decaf,
-                        "phy_write",
-                        &[],
-                        &[XdrValue::UInt(reg), XdrValue::UInt(val)],
-                    );
-                };
-                let _ctrl = phy_read(k, 0);
-                phy_write(k, 0, 0x1140);
-                phy_write(k, 4, 0x0de0);
-                phy_write(k, 9, 0x0300);
-                let _status = phy_read(k, 1);
-                for (reg, val) in [
-                    (29u32, 0x001f_u32),
-                    (30, 0x0646),
-                    (29, 0x001b),
-                    (30, 0x8fae),
-                ] {
-                    phy_write(k, reg, val);
-                }
-                let _ = phy_read(k, 30);
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
+    support::register_entry(channel, plan, "e1000_probe", |k, ch, a, _| {
+        // e1000_sw_init.
+        set_field(ch, a, "msg_enable", XdrValue::Int(3));
+        set_field(ch, a, "itr", XdrValue::Int(8000));
+        set_field(ch, a, "rx_csum", XdrValue::Int(1));
+        set_hw_member(ch, a, "mac_type", XdrValue::Int(5));
+        set_hw_member(ch, a, "media_type", XdrValue::Int(1));
+        set_hw_member(ch, a, "autoneg", XdrValue::Int(1));
+        // e1000_check_options: range/set-membership validation.
+        set_field(ch, a, "speed", XdrValue::Int(1000));
+        set_field(ch, a, "duplex", XdrValue::Int(1));
+        // e1000_init_eeprom: MAC + checksum through downcalls.
+        let mut mac = [0u8; 6];
+        for w in 0..3u32 {
+            let word = ch
+                .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(w)])
+                .ok()
+                .and_then(|v| v.as_uint())
+                .unwrap_or(0) as u16;
+            mac[w as usize * 2] = (word & 0xff) as u8;
+            mac[w as usize * 2 + 1] = (word >> 8) as u8;
+        }
+        let _checksum = ch
+            .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(63)])
+            .ok();
+        set_field(ch, a, "mac", XdrValue::Opaque(mac.to_vec()));
+        set_hw_member(ch, a, "fc_mode", XdrValue::Int(3));
+        // e1000_reset_hw_decaf.
+        decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
+        let _ = decaf_readl(k, ch, hwreg::STATUS);
+        decaf_writel(k, ch, hwreg::IMC, 0xffff_ffff);
+        let _ = decaf_readl(k, ch, hwreg::ICR);
+        // Save PCI config space (the @exp(PCI_LEN) array exists
+        // for this path).
+        for w in 0..8u64 {
+            let _ = decaf_readl(k, ch, w * 4);
+        }
+        // e1000_setup_link + the Figure 5 DSP sequence.
+        let phy_read = |k: &Kernel, reg: u32| {
+            ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(reg)])
+                .ok()
+                .and_then(|v| v.as_uint())
+                .unwrap_or(0)
+        };
+        // PHY writes are posted: defer them so a whole DSP
+        // programming sequence crosses in one batched flush.
+        let phy_write = |k: &Kernel, reg: u32, val: u32| {
+            let _ = ch.call_deferred(
+                k,
+                Domain::Decaf,
+                "phy_write",
+                &[],
+                &[XdrValue::UInt(reg), XdrValue::UInt(val)],
+            );
+        };
+        let _ctrl = phy_read(k, 0);
+        phy_write(k, 0, 0x1140);
+        phy_write(k, 4, 0x0de0);
+        phy_write(k, 9, 0x0300);
+        let _status = phy_read(k, 1);
+        for (reg, val) in [
+            (29u32, 0x001f_u32),
+            (30, 0x0646),
+            (29, 0x001b),
+            (30, 0x8fae),
+        ] {
+            phy_write(k, reg, val);
+        }
+        let _ = phy_read(k, 30);
+        XdrValue::Int(0)
+    })?;
 
     // e1000_open: the Figure 4 function. Result-based staged cleanup —
     // the Rust rendition of the nested exception handlers.
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_open".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let a = match args[0] {
-                    Some(a) => a,
-                    None => return XdrValue::Int(KError::Inval.errno()),
-                };
-                let down = |k: &Kernel, proc: &str| -> Result<(), i32> {
-                    match ch.call(k, Domain::Decaf, proc, &[], &[]) {
-                        Ok(XdrValue::Int(0)) => Ok(()),
-                        Ok(XdrValue::Int(e)) => Err(e),
-                        _ => Err(KError::Io.errno()),
-                    }
-                };
-                // Stage 1: transmit resources.
-                if let Err(e) = down(k, "setup_tx_resources") {
-                    let _ = down(k, "down_datapath"); // e1000_reset
-                    return XdrValue::Int(e);
-                }
-                // Stage 2: receive resources; on failure free stage 1.
-                if let Err(e) = down(k, "setup_rx_resources") {
-                    let _ = down(k, "free_tx_resources");
-                    return XdrValue::Int(e);
-                }
-                // Stage 3: the interrupt line; on failure free stages 1-2.
-                if let Err(e) = down(k, "request_irq") {
-                    let _ = down(k, "free_rx_resources");
-                    let _ = down(k, "free_tx_resources");
-                    return XdrValue::Int(e);
-                }
-                // Power up the PHY and start the data path.
-                let _ = ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(0)]);
-                let _ = ch.call_deferred(
-                    k,
-                    Domain::Decaf,
-                    "phy_write",
-                    &[],
-                    &[XdrValue::UInt(0), XdrValue::UInt(0x1000)],
-                );
-                if let Err(e) = down(k, "up_datapath") {
-                    let _ = down(k, "free_irq");
-                    let _ = down(k, "free_rx_resources");
-                    let _ = down(k, "free_tx_resources");
-                    return XdrValue::Int(e);
-                }
-                set_field(ch, a, "link_up", XdrValue::Int(1));
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
+    support::register_entry(channel, plan, "e1000_open", |k, ch, a, _| {
+        let down = |k: &Kernel, proc: &str| -> Result<(), i32> {
+            match ch.call(k, Domain::Decaf, proc, &[], &[]) {
+                Ok(XdrValue::Int(0)) => Ok(()),
+                Ok(XdrValue::Int(e)) => Err(e),
+                _ => Err(KError::Io.errno()),
+            }
+        };
+        // Stage 1: transmit resources.
+        if let Err(e) = down(k, "setup_tx_resources") {
+            let _ = down(k, "down_datapath"); // e1000_reset
+            return XdrValue::Int(e);
+        }
+        // Stage 2: receive resources; on failure free stage 1.
+        if let Err(e) = down(k, "setup_rx_resources") {
+            let _ = down(k, "free_tx_resources");
+            return XdrValue::Int(e);
+        }
+        // Stage 3: the interrupt line; on failure free stages 1-2.
+        if let Err(e) = down(k, "request_irq") {
+            let _ = down(k, "free_rx_resources");
+            let _ = down(k, "free_tx_resources");
+            return XdrValue::Int(e);
+        }
+        // Power up the PHY and start the data path.
+        let _ = ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(0)]);
+        let _ = ch.call_deferred(
+            k,
+            Domain::Decaf,
+            "phy_write",
+            &[],
+            &[XdrValue::UInt(0), XdrValue::UInt(0x1000)],
+        );
+        if let Err(e) = down(k, "up_datapath") {
+            let _ = down(k, "free_irq");
+            let _ = down(k, "free_rx_resources");
+            let _ = down(k, "free_tx_resources");
+            return XdrValue::Int(e);
+        }
+        set_field(ch, a, "link_up", XdrValue::Int(1));
+        XdrValue::Int(0)
+    })?;
 
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_close".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                if let Some(a) = args[0] {
-                    set_field(ch, a, "link_up", XdrValue::Int(0));
-                }
-                let _ = ch.call(k, Domain::Decaf, "down_datapath", &[], &[]);
-                let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
+    support::register_entry(channel, plan, "e1000_close", |k, ch, a, _| {
+        set_field(ch, a, "link_up", XdrValue::Int(0));
+        let _ = ch.call(k, Domain::Decaf, "down_datapath", &[], &[]);
+        let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
+        XdrValue::Int(0)
+    })?;
 
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_watchdog_task".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let a = match args[0] {
-                    Some(a) => a,
-                    None => return XdrValue::Int(KError::Inval.errno()),
-                };
-                let status = decaf_readl(k, ch, hwreg::STATUS);
-                let up = status & hwreg::STATUS_LU != 0;
-                set_field(ch, a, "link_up", XdrValue::Int(up as i32));
-                let events = get_int(ch, a, "watchdog_events");
-                set_field(ch, a, "watchdog_events", XdrValue::Int(events + 1));
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
+    support::register_entry(channel, plan, "e1000_watchdog_task", |k, ch, a, _| {
+        let status = decaf_readl(k, ch, hwreg::STATUS);
+        let up = status & hwreg::STATUS_LU != 0;
+        set_field(ch, a, "link_up", XdrValue::Int(up as i32));
+        let events = get_int(ch, a, "watchdog_events");
+        set_field(ch, a, "watchdog_events", XdrValue::Int(events + 1));
+        XdrValue::Int(0)
+    })?;
 
     // Management paths (ethtool get/set analogues).
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_get_settings".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|_k, ch, args, _| {
-                let a = match args[0] {
-                    Some(a) => a,
-                    None => return XdrValue::Int(0),
-                };
-                XdrValue::Int(get_int(ch, a, "speed"))
-            }),
-        },
-    )?;
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "e1000_set_settings".into(),
-            arg_types: vec!["e1000_adapter".into()],
-            handler: Rc::new(|k, ch, args, scalars| {
-                let a = match args[0] {
-                    Some(a) => a,
-                    None => return XdrValue::Int(KError::Inval.errno()),
-                };
-                let speed = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
-                set_field(ch, a, "speed", XdrValue::Int(speed));
-                decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
+    support::register_entry(channel, plan, "e1000_get_settings", |_k, ch, a, _| {
+        XdrValue::Int(get_int(ch, a, "speed"))
+    })?;
+    support::register_entry(channel, plan, "e1000_set_settings", |k, ch, a, scalars| {
+        let speed = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
+        set_field(ch, a, "speed", XdrValue::Int(speed));
+        decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
+        XdrValue::Int(0)
+    })?;
     Ok(())
 }
 

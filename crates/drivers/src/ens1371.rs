@@ -16,7 +16,7 @@ use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{Domain, NuclearRuntime, ProcDef, XpcChannel};
+use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, ProcDef, XpcChannel, XpcResult};
 
 use crate::support::{self, decaf_readl, decaf_writel};
 
@@ -294,240 +294,173 @@ pub struct DecafEns {
     pub dev: Rc<std::cell::RefCell<Ens1371Device>>,
 }
 
-/// Loads the decaf driver: probe/open/close run at user level, the PCM
-/// write path and the period interrupt stay in the kernel.
-pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
-    let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(EnsHw::new(bar.clone(), dma));
-    let plan = image();
-    let channel = support::channel_from_plan(&plan);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
-
-    // codec_write import.
-    let hw_codec = Rc::clone(&hw);
-    channel
-        .register_proc(
-            Domain::Nucleus,
-            ProcDef {
-                name: "codec_write".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, s| {
-                    let reg = s[0].as_uint().unwrap_or(0);
-                    let val = s[1].as_uint().unwrap_or(0);
-                    hw_codec.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
+/// Links the channel: the register and codec imports, the card-register
+/// import that routes the card's open/close back up, and the decaf
+/// driver's four entry points.
+fn register_procs(
+    channel: &Rc<XpcChannel>,
+    plan: &SlicePlan,
+    hw: &Rc<EnsHw>,
+    card: &str,
+) -> XpcResult<()> {
+    support::register_io_procs(channel, hw.bar.clone())?;
+    let hw_codec = Rc::clone(hw);
+    channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::scalar("codec_write", move |k, s| {
+            let reg = s[0].as_uint().unwrap_or(0);
+            let val = s[1].as_uint().unwrap_or(0);
+            hw_codec.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
+            XdrValue::Int(0)
+        }),
+    )?;
     // snd_card_register import: the nucleus registers the card with ops
     // that route open/close back up to the decaf driver. The procedure
     // lives on the channel, so it may only hold the channel weakly; the
     // ops it hands the kernel own it for real.
-    let hw_write = Rc::clone(&hw);
+    let hw_write = Rc::clone(hw);
     let card_name = card.to_string();
-    let ch_for_ops = Rc::downgrade(&channel);
-    channel
-        .register_proc(
-            Domain::Nucleus,
-            ProcDef {
-                name: "snd_card_register".into(),
-                arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(move |k, _, args, _| {
-                    let chip = args[0];
-                    let ch_open = ch_for_ops.upgrade().expect("a call is running on it");
-                    let ch_close = Rc::clone(&ch_open);
-                    let hww = Rc::clone(&hw_write);
-                    let result = k.snd_card_register(
-                        &card_name,
-                        decaf_simkernel::sound::SoundCardOps {
-                            open: Rc::new(move |k| {
-                                match ch_open.call(
-                                    k,
-                                    Domain::Nucleus,
-                                    "snd_ensoniq_playback_open",
-                                    &[chip],
-                                    &[],
-                                ) {
-                                    Ok(XdrValue::Int(0)) => Ok(()),
-                                    _ => Err(KError::Io),
-                                }
-                            }),
-                            write: Rc::new(move |k, frames| hww.pcm_write(k, frames)),
-                            close: Rc::new(move |k| {
-                                match ch_close.call(
-                                    k,
-                                    Domain::Nucleus,
-                                    "snd_ensoniq_playback_close",
-                                    &[chip],
-                                    &[],
-                                ) {
-                                    Ok(XdrValue::Int(0)) => Ok(()),
-                                    _ => Err(KError::Io),
-                                }
-                            }),
-                        },
-                    );
-                    support::errno_value(result)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
+    let ch_for_ops = Rc::downgrade(channel);
+    channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::entry("snd_card_register", ["ensoniq"], move |k, _, args, _| {
+            let chip = args[0];
+            let ch = ch_for_ops.upgrade().expect("a call is running on it");
+            let op = move |proc: &'static str| -> decaf_simkernel::sound::StreamOp {
+                let ch = Rc::clone(&ch);
+                Rc::new(
+                    move |k| match ch.call(k, Domain::Nucleus, proc, &[chip], &[]) {
+                        Ok(XdrValue::Int(0)) => Ok(()),
+                        _ => Err(KError::Io),
+                    },
+                )
+            };
+            let hww = Rc::clone(&hw_write);
+            let result = k.snd_card_register(
+                &card_name,
+                decaf_simkernel::sound::SoundCardOps {
+                    open: op("snd_ensoniq_playback_open"),
+                    write: Rc::new(move |k, frames| hww.pcm_write(k, frames)),
+                    close: op("snd_ensoniq_playback_close"),
+                },
+            );
+            support::errno_value(result)
+        }),
+    )?;
 
-    // Decaf handlers.
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "snd_audiopci_probe".into(),
-                arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(chip) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    // snd_ensoniq_create.
-                    decaf_writel(k, ch, hwreg::CTRL, 0);
-                    decaf_writel(k, ch, hwreg::SRC, 44_100);
-                    {
-                        let heap = ch.heap(Domain::Decaf);
-                        let mut h = heap.borrow_mut();
-                        let _ = h.set_scalar(chip, "rate", XdrValue::Int(44_100));
-                        let _ = h.set_scalar(chip, "ctrl", XdrValue::Int(0));
-                        let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(10));
-                        let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(10));
-                    }
-                    // 1371 mixer: three codec writes, posted — the batch
-                    // crosses once when the card-register downcall flushes.
-                    for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-                        let _ = ch.call_deferred(
-                            k,
-                            Domain::Decaf,
-                            "codec_write",
-                            &[],
-                            &[XdrValue::UInt(reg), XdrValue::UInt(val)],
-                        );
-                    }
-                    // Register the card (downcall carrying the chip object).
-                    match ch.call(k, Domain::Decaf, "snd_card_register", &[Some(chip)], &[]) {
-                        Ok(XdrValue::Int(0)) => XdrValue::Int(0),
-                        Ok(XdrValue::Int(e)) => XdrValue::Int(e),
-                        _ => XdrValue::Int(KError::Io.errno()),
-                    }
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "snd_ensoniq_playback_open".into(),
-                arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(chip) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    let _src = decaf_readl(k, ch, hwreg::SRC);
-                    decaf_writel(k, ch, hwreg::SRC, 44_100);
-                    decaf_writel(k, ch, hwreg::DAC2_PERIOD, 1102);
-                    let heap = ch.heap(Domain::Decaf);
-                    let _ = heap
-                        .borrow_mut()
-                        .set_scalar(chip, "playing", XdrValue::Int(1));
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "snd_ensoniq_playback_close".into(),
-                arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(chip) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    decaf_writel(k, ch, hwreg::CTRL, 0);
-                    // Power down the codec (posted, batched with the
-                    // control-register write above).
-                    let _ = ch.call_deferred(
-                        k,
-                        Domain::Decaf,
-                        "codec_write",
-                        &[],
-                        &[XdrValue::UInt(38), XdrValue::UInt(0xffff)],
-                    );
-                    let heap = ch.heap(Domain::Decaf);
-                    let _ = heap
-                        .borrow_mut()
-                        .set_scalar(chip, "playing", XdrValue::Int(0));
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "snd_ensoniq_volume_put".into(),
-                arg_types: vec!["ensoniq".into()],
-                handler: Rc::new(|k, ch, args, scalars| {
-                    let Some(chip) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
-                    let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
-                    {
-                        let heap = ch.heap(Domain::Decaf);
-                        let mut h = heap.borrow_mut();
-                        let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(left));
-                        let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(right));
-                    }
-                    let _ = ch.call_deferred(
-                        k,
-                        Domain::Decaf,
-                        "codec_write",
-                        &[],
-                        &[XdrValue::UInt(2), XdrValue::UInt(left as u32)],
-                    );
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
+    support::register_entry(channel, plan, "snd_audiopci_probe", |k, ch, chip, _| {
+        // snd_ensoniq_create.
+        decaf_writel(k, ch, hwreg::CTRL, 0);
+        decaf_writel(k, ch, hwreg::SRC, 44_100);
+        {
+            let heap = ch.heap(Domain::Decaf);
+            let mut h = heap.borrow_mut();
+            let _ = h.set_scalar(chip, "rate", XdrValue::Int(44_100));
+            let _ = h.set_scalar(chip, "ctrl", XdrValue::Int(0));
+            let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(10));
+            let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(10));
+        }
+        // 1371 mixer: three codec writes, posted — the batch
+        // crosses once when the card-register downcall flushes.
+        for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
+            let _ = ch.call_deferred(
+                k,
+                Domain::Decaf,
+                "codec_write",
+                &[],
+                &[XdrValue::UInt(reg), XdrValue::UInt(val)],
+            );
+        }
+        // Register the card (downcall carrying the chip object).
+        match ch.call(k, Domain::Decaf, "snd_card_register", &[Some(chip)], &[]) {
+            Ok(XdrValue::Int(0)) => XdrValue::Int(0),
+            Ok(XdrValue::Int(e)) => XdrValue::Int(e),
+            _ => XdrValue::Int(KError::Io.errno()),
+        }
+    })?;
+    support::register_entry(
+        channel,
+        plan,
+        "snd_ensoniq_playback_open",
+        |k, ch, chip, _| {
+            let _src = decaf_readl(k, ch, hwreg::SRC);
+            decaf_writel(k, ch, hwreg::SRC, 44_100);
+            decaf_writel(k, ch, hwreg::DAC2_PERIOD, 1102);
+            let heap = ch.heap(Domain::Decaf);
+            let _ = heap
+                .borrow_mut()
+                .set_scalar(chip, "playing", XdrValue::Int(1));
+            XdrValue::Int(0)
+        },
+    )?;
+    support::register_entry(
+        channel,
+        plan,
+        "snd_ensoniq_playback_close",
+        |k, ch, chip, _| {
+            decaf_writel(k, ch, hwreg::CTRL, 0);
+            // Power down the codec (posted, batched with the
+            // control-register write above).
+            let _ = ch.call_deferred(
+                k,
+                Domain::Decaf,
+                "codec_write",
+                &[],
+                &[XdrValue::UInt(38), XdrValue::UInt(0xffff)],
+            );
+            let heap = ch.heap(Domain::Decaf);
+            let _ = heap
+                .borrow_mut()
+                .set_scalar(chip, "playing", XdrValue::Int(0));
+            XdrValue::Int(0)
+        },
+    )?;
+    support::register_entry(
+        channel,
+        plan,
+        "snd_ensoniq_volume_put",
+        |k, ch, chip, scalars| {
+            let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
+            let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
+            {
+                let heap = ch.heap(Domain::Decaf);
+                let mut h = heap.borrow_mut();
+                let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(left));
+                let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(right));
+            }
+            let _ = ch.call_deferred(
+                k,
+                Domain::Decaf,
+                "codec_write",
+                &[],
+                &[XdrValue::UInt(2), XdrValue::UInt(left as u32)],
+            );
+            XdrValue::Int(0)
+        },
+    )
+}
+
+/// Loads the decaf driver: probe/open/close run at user level, the PCM
+/// write path and the period interrupt stay in the kernel.
+pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
+    let (bar, dma, dev) = attach(kernel);
+    let hw = Rc::new(EnsHw::new(bar, dma));
+    let plan = image();
+    let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
+    let channel = Rc::clone(channels.shard(0));
+    register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-
-    let mut chip = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let ch_init = Rc::clone(&channel);
-    let hw_irq = Rc::clone(&hw);
-    let spec = Arc::clone(&plan.spec);
-    let chip_ref = &mut chip;
-    let init_latency_ns = kernel.insmod("snd-ens1371-decaf", move |k| {
-        let c = {
-            let heap = ch_init.heap(Domain::Nucleus);
-            let mut h = heap.borrow_mut();
-            h.alloc_default("ensoniq", &spec)
-                .map_err(|_| KError::NoMem)?
-        };
-        *chip_ref = c;
-        let ret = nuc_init
-            .upcall_errno(k, "snd_audiopci_probe", &[Some(c)], &[])
-            .map_err(|_| KError::Io)?;
-        if ret < 0 {
-            return Err(KError::from_errno(ret).unwrap_or(KError::Io));
-        }
-        k.request_irq(
-            IRQ_LINE,
-            "snd-ens1371",
-            Rc::new(move |k| hw_irq.handle_irq(k)),
-        )?;
-        Ok(())
-    })?;
+    let (chip, init_latency_ns) =
+        support::load(kernel, "snd-ens1371-decaf", &channels, "ensoniq", |k, c| {
+            support::upcall(&nuc, k, "snd_audiopci_probe", c)?;
+            let hw_irq = Rc::clone(&hw);
+            k.request_irq(
+                IRQ_LINE,
+                "snd-ens1371",
+                Rc::new(move |k| hw_irq.handle_irq(k)),
+            )
+        })?;
 
     Ok(DecafEns {
         kernel: kernel.clone(),

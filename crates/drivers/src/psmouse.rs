@@ -18,7 +18,7 @@ use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{Domain, NuclearRuntime, ProcDef, XpcChannel};
+use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, XpcChannel, XpcResult};
 
 use crate::support::{self, decaf_readl, decaf_writel};
 
@@ -304,103 +304,79 @@ pub struct DecafMouse {
     pub dev: Rc<std::cell::RefCell<PsMouseDevice>>,
 }
 
+/// Links the channel: the register-access imports and the decaf
+/// driver's one entry point, `psmouse_probe` — reset, detect, configure
+/// and activate the mouse through register downcalls, then record what
+/// it found in the shared object.
+fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<()> {
+    support::register_io_procs(channel, bar)?;
+    support::register_entry(channel, plan, "psmouse_probe", |k, ch, m, _| {
+        let send = |k: &Kernel, cmd: u32| {
+            decaf_writel(k, ch, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
+            decaf_writel(k, ch, hwreg::PORT_DATA, cmd);
+        };
+        let drain = |k: &Kernel| {
+            let mut out = Vec::new();
+            while decaf_readl(k, ch, hwreg::PORT_STATUS) & hwreg::STATUS_OBF != 0 {
+                out.push(decaf_readl(k, ch, hwreg::PORT_DATA) as u8);
+            }
+            out
+        };
+        // psmouse_reset: expect ACK + self-test + id.
+        send(k, hwreg::MOUSE_RESET);
+        let resp = drain(k);
+        if resp != vec![hwreg::MOUSE_ACK, hwreg::MOUSE_SELFTEST_OK, 0x00] {
+            return XdrValue::Int(KError::NoDev.errno());
+        }
+        // psmouse_detect.
+        send(k, hwreg::MOUSE_GET_ID);
+        let _ = drain(k);
+        // psmouse_initialize: rate + resolution.
+        send(k, hwreg::MOUSE_SET_RATE);
+        send(k, 100);
+        let _ = drain(k);
+        // psmouse_activate.
+        send(k, hwreg::MOUSE_ENABLE);
+        let ack = drain(k);
+        if ack != vec![hwreg::MOUSE_ACK] {
+            return XdrValue::Int(KError::Io.errno());
+        }
+        let heap = ch.heap(Domain::Decaf);
+        {
+            let mut h = heap.borrow_mut();
+            let _ = h.set_scalar(m, "state", XdrValue::Int(2));
+            let _ = h.set_scalar(m, "protocol", XdrValue::Int(1));
+            let _ = h.set_scalar(m, "pktsize", XdrValue::Int(3));
+            let _ = h.set_scalar(m, "rate", XdrValue::Int(100));
+            let _ = h.set_scalar(m, "resolution", XdrValue::Int(4));
+        }
+        XdrValue::Int(0)
+    })
+}
+
 /// Loads the decaf driver: detection/configuration at user level, the
 /// byte-stream interrupt path in the kernel.
 pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
     let (bar, dev) = attach(kernel);
     let hw = Rc::new(MouseHw::new(bar.clone()));
     let plan = image();
-    let channel = support::channel_from_plan(&plan);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
-
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "psmouse_probe".into(),
-                arg_types: vec!["psmouse".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(m) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    let send = |k: &Kernel, cmd: u32| {
-                        decaf_writel(k, ch, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
-                        decaf_writel(k, ch, hwreg::PORT_DATA, cmd);
-                    };
-                    let drain = |k: &Kernel| {
-                        let mut out = Vec::new();
-                        while decaf_readl(k, ch, hwreg::PORT_STATUS) & hwreg::STATUS_OBF != 0 {
-                            out.push(decaf_readl(k, ch, hwreg::PORT_DATA) as u8);
-                        }
-                        out
-                    };
-                    // psmouse_reset: expect ACK + self-test + id.
-                    send(k, hwreg::MOUSE_RESET);
-                    let resp = drain(k);
-                    if resp != vec![hwreg::MOUSE_ACK, hwreg::MOUSE_SELFTEST_OK, 0x00] {
-                        return XdrValue::Int(KError::NoDev.errno());
-                    }
-                    // psmouse_detect.
-                    send(k, hwreg::MOUSE_GET_ID);
-                    let _ = drain(k);
-                    // psmouse_initialize: rate + resolution.
-                    send(k, hwreg::MOUSE_SET_RATE);
-                    send(k, 100);
-                    let _ = drain(k);
-                    // psmouse_activate.
-                    send(k, hwreg::MOUSE_ENABLE);
-                    let ack = drain(k);
-                    if ack != vec![hwreg::MOUSE_ACK] {
-                        return XdrValue::Int(KError::Io.errno());
-                    }
-                    let heap = ch.heap(Domain::Decaf);
-                    {
-                        let mut h = heap.borrow_mut();
-                        let _ = h.set_scalar(m, "state", XdrValue::Int(2));
-                        let _ = h.set_scalar(m, "protocol", XdrValue::Int(1));
-                        let _ = h.set_scalar(m, "pktsize", XdrValue::Int(3));
-                        let _ = h.set_scalar(m, "rate", XdrValue::Int(100));
-                        let _ = h.set_scalar(m, "resolution", XdrValue::Int(4));
-                    }
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
+    let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
+    let channel = Rc::clone(channels.shard(0));
+    register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-
-    let mut mouse_obj = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let ch_init = Rc::clone(&channel);
-    let hw_init = Rc::clone(&hw);
-    let name = devname.to_string();
-    let spec = Arc::clone(&plan.spec);
-    let obj_ref = &mut mouse_obj;
-    let init_latency_ns = kernel.insmod("psmouse-decaf", move |k| {
-        let m = {
-            let heap = ch_init.heap(Domain::Nucleus);
-            let mut h = heap.borrow_mut();
-            h.alloc_default("psmouse", &spec)
-                .map_err(|_| KError::NoMem)?
-        };
-        *obj_ref = m;
-        let ret = nuc_init
-            .upcall_errno(k, "psmouse_probe", &[Some(m)], &[])
-            .map_err(|_| KError::Io)?;
-        if ret < 0 {
-            return Err(KError::from_errno(ret).unwrap_or(KError::Io));
-        }
-        k.input_register_device(&name)?;
-        let hw_irq = Rc::clone(&hw_init);
-        let n = name.clone();
-        k.request_irq(
-            IRQ_LINE,
-            "psmouse",
-            Rc::new(move |k| hw_irq.handle_irq(k, &n)),
-        )?;
-        Ok(())
-    })?;
+    let (mouse_obj, init_latency_ns) =
+        support::load(kernel, "psmouse-decaf", &channels, "psmouse", |k, m| {
+            support::upcall(&nuc, k, "psmouse_probe", m)?;
+            k.input_register_device(devname)?;
+            let hw_irq = Rc::clone(&hw);
+            let n = devname.to_string();
+            k.request_irq(
+                IRQ_LINE,
+                "psmouse",
+                Rc::new(move |k| hw_irq.handle_irq(k, &n)),
+            )
+        })?;
 
     Ok(DecafMouse {
         kernel: kernel.clone(),

@@ -23,7 +23,9 @@ use decaf_simkernel::{
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel};
+use decaf_xpc::{
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel, XpcResult,
+};
 
 use crate::support::{self, decaf_readl, decaf_writel, RxMode};
 
@@ -440,21 +442,20 @@ fn install_decaf_with(
     rx_mode: RxMode,
 ) -> KResult<Decaf8139> {
     let (bar, dma, dev) = attach(kernel);
-    let hw = Rc::new(Rtl8139Hw::new(bar.clone(), dma));
+    let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let plan = image();
     let config = if shmring {
         ChannelConfig::kernel_user_shmring()
     } else {
         ChannelConfig::kernel_user_batched()
     };
-    let channel = support::channel_from_plan_with(&plan, config);
-    support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
+    let channels = support::channels_from_plan(&plan, config, 1);
+    let channel = Rc::clone(channels.shard(0));
 
-    let datapath = if shmring {
-        Some(build_datapath(kernel, &channel, &hw, ifname, rx_mode).map_err(|_| KError::Io)?)
-    } else {
-        None
-    };
+    let datapath = shmring
+        .then(|| build_datapath(kernel, &channel, &hw, ifname, rx_mode))
+        .transpose()
+        .map_err(|_| KError::Io)?;
     let irq_handler: IrqHandler = match &datapath {
         Some(dp) => Rc::clone(&dp.irq_handler),
         None => {
@@ -472,175 +473,34 @@ fn install_decaf_with(
             Rc::new(move |k, skb| hw_x.xmit(k, &skb))
         }
     };
-
-    // Kernel imports called from user level. `request_irq` borrows the
-    // handler and the netdev `open` op owns it, for the e1000's reason: the
-    // ring handler reaches this channel through its receive path.
-    let irq_weak = Rc::downgrade(&irq_handler);
-    channel
-        .register_proc(
-            Domain::Nucleus,
-            ProcDef {
-                name: "request_irq".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    support::errno_value(match irq_weak.upgrade() {
-                        Some(handler) => k.request_irq(IRQ_LINE, "8139too", handler),
-                        None => Err(KError::NoDev),
-                    })
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Nucleus,
-            ProcDef {
-                name: "free_irq".into(),
-                arg_types: vec![],
-                handler: Rc::new(|k, _, _, _| {
-                    k.free_irq(IRQ_LINE);
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    let hw_start = Rc::clone(&hw);
-    channel
-        .register_proc(
-            Domain::Nucleus,
-            ProcDef {
-                name: "hw_start_datapath".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    hw_start.hw_start(k);
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-
-    // Decaf handlers: probe, open, close.
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "rtl8139_probe".into(),
-                arg_types: vec!["rtl8139_private".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(a) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    // init_board: reset and settle.
-                    decaf_writel(k, ch, hwreg::CR, hwreg::CR_RST);
-                    let _ = decaf_readl(k, ch, hwreg::CR);
-                    // read_mac.
-                    let lo = decaf_readl(k, ch, hwreg::IDR0).to_le_bytes();
-                    let hi = decaf_readl(k, ch, hwreg::IDR4).to_le_bytes();
-                    let heap = ch.heap(Domain::Decaf);
-                    {
-                        let mut h = heap.borrow_mut();
-                        let _ = h.set_scalar(a, "msg_enable", XdrValue::Int(7));
-                        let _ = h.set_scalar(a, "media", XdrValue::Int(1));
-                        let _ = h.set_scalar(
-                            a,
-                            "mac",
-                            XdrValue::Opaque(vec![lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]]),
-                        );
-                    }
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "rtl8139_open".into(),
-                arg_types: vec!["rtl8139_private".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    let Some(a) = args[0] else {
-                        return XdrValue::Int(-22);
-                    };
-                    // request_irq, then hw_start; free the irq if start fails.
-                    match ch.call(k, Domain::Decaf, "request_irq", &[], &[]) {
-                        Ok(XdrValue::Int(0)) => {}
-                        Ok(XdrValue::Int(e)) => return XdrValue::Int(e),
-                        _ => return XdrValue::Int(KError::Io.errno()),
-                    }
-                    let _ = ch.call(k, Domain::Decaf, "hw_start_datapath", &[], &[]);
-                    decaf_writel(k, ch, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
-                    let heap = ch.heap(Domain::Decaf);
-                    let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(1));
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
-    channel
-        .register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "rtl8139_close".into(),
-                arg_types: vec!["rtl8139_private".into()],
-                handler: Rc::new(|k, ch, args, _| {
-                    if let Some(a) = args[0] {
-                        let heap = ch.heap(Domain::Decaf);
-                        let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(0));
-                    }
-                    decaf_writel(k, ch, hwreg::CR, 0);
-                    let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .map_err(|_| KError::Io)?;
+    register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-
-    let mut priv_obj = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let ch_init = Rc::clone(&channel);
-    let name = ifname.to_string();
-    let spec = Arc::clone(&plan.spec);
-    let priv_ref = &mut priv_obj;
-    let init_latency_ns = kernel.insmod("8139too_decaf", move |k| {
-        let a = {
-            let heap = ch_init.heap(Domain::Nucleus);
-            let mut h = heap.borrow_mut();
-            h.alloc_default("rtl8139_private", &spec)
-                .map_err(|_| KError::NoMem)?
-        };
-        *priv_ref = a;
-        let ret = nuc_init
-            .upcall_errno(k, "rtl8139_probe", &[Some(a)], &[])
-            .map_err(|_| KError::Io)?;
-        if ret < 0 {
-            return Err(KError::from_errno(ret).unwrap_or(KError::Io));
-        }
-        let nuc_open = Rc::clone(&nuc_init);
-        let nuc_stop = Rc::clone(&nuc_init);
-        k.register_netdev(
-            &name,
-            decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    let _owned_while_registered = &irq_handler;
-                    match nuc_open.upcall_errno(k, "rtl8139_open", &[Some(a)], &[]) {
-                        Ok(0) => Ok(()),
-                        Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
-                        Err(_) => Err(KError::Io),
-                    }
-                }),
-                stop: Rc::new(move |k| {
-                    let _ = nuc_stop.upcall_errno(k, "rtl8139_close", &[Some(a)], &[]);
-                    Ok(())
-                }),
-                xmit,
-            },
-        )?;
-        Ok(())
-    })?;
+    let (priv_obj, init_latency_ns) = support::load(
+        kernel,
+        "8139too_decaf",
+        &channels,
+        "rtl8139_private",
+        |k, a| {
+            support::upcall(&nuc, k, "rtl8139_probe", a)?;
+            let nuc_open = Rc::clone(&nuc);
+            let nuc_stop = Rc::clone(&nuc);
+            k.register_netdev(
+                ifname,
+                decaf_simkernel::net::NetDeviceOps {
+                    open: Rc::new(move |k| {
+                        let _owned_while_registered = &irq_handler;
+                        support::upcall(&nuc_open, k, "rtl8139_open", a)
+                    }),
+                    stop: Rc::new(move |k| {
+                        let _ = support::upcall(&nuc_stop, k, "rtl8139_close", a);
+                        Ok(())
+                    }),
+                    xmit,
+                },
+            )
+        },
+    )?;
 
     let (tx_path, rx_path, poll_timer, rx_poll_timer) = match datapath {
         Some(dp) => (
@@ -669,6 +529,132 @@ fn install_decaf_with(
     })
 }
 
+/// Links the channel: the register-access imports, the kernel imports
+/// `rtl8139_open`/`rtl8139_close` call down into, and the decaf driver's
+/// three entry points. `request_irq` borrows the handler and the netdev
+/// `open` op owns it, for the e1000's reason: the ring handler reaches
+/// this channel through its receive path.
+fn register_procs(
+    channel: &XpcChannel,
+    plan: &SlicePlan,
+    hw: &Rc<Rtl8139Hw>,
+    irq_handler: &IrqHandler,
+) -> XpcResult<()> {
+    support::register_io_procs(channel, hw.bar.clone())?;
+    let irq_weak = Rc::downgrade(irq_handler);
+    channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::scalar("request_irq", move |k, _| {
+            support::errno_value(match irq_weak.upgrade() {
+                Some(handler) => k.request_irq(IRQ_LINE, "8139too", handler),
+                None => Err(KError::NoDev),
+            })
+        }),
+    )?;
+    channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::scalar("free_irq", |k, _| {
+            k.free_irq(IRQ_LINE);
+            XdrValue::Int(0)
+        }),
+    )?;
+    // The mini-C source lists `rtl8139_hw_start` as a user function; this
+    // build keeps the ring start in the nucleus, behind a downcall.
+    let hw_start = Rc::clone(hw);
+    channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::scalar("hw_start_datapath", move |k, _| {
+            hw_start.hw_start(k);
+            XdrValue::Int(0)
+        }),
+    )?;
+
+    support::register_entry(channel, plan, "rtl8139_probe", |k, ch, a, _| {
+        // init_board: reset and settle.
+        decaf_writel(k, ch, hwreg::CR, hwreg::CR_RST);
+        let _ = decaf_readl(k, ch, hwreg::CR);
+        // read_mac.
+        let lo = decaf_readl(k, ch, hwreg::IDR0).to_le_bytes();
+        let hi = decaf_readl(k, ch, hwreg::IDR4).to_le_bytes();
+        let heap = ch.heap(Domain::Decaf);
+        {
+            let mut h = heap.borrow_mut();
+            let _ = h.set_scalar(a, "msg_enable", XdrValue::Int(7));
+            let _ = h.set_scalar(a, "media", XdrValue::Int(1));
+            let _ = h.set_scalar(
+                a,
+                "mac",
+                XdrValue::Opaque(vec![lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]]),
+            );
+        }
+        XdrValue::Int(0)
+    })?;
+    support::register_entry(channel, plan, "rtl8139_open", |k, ch, a, _| {
+        // request_irq, then hw_start; free the irq if start fails.
+        match ch.call(k, Domain::Decaf, "request_irq", &[], &[]) {
+            Ok(XdrValue::Int(0)) => {}
+            Ok(XdrValue::Int(e)) => return XdrValue::Int(e),
+            _ => return XdrValue::Int(KError::Io.errno()),
+        }
+        let _ = ch.call(k, Domain::Decaf, "hw_start_datapath", &[], &[]);
+        decaf_writel(k, ch, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
+        let heap = ch.heap(Domain::Decaf);
+        let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(1));
+        XdrValue::Int(0)
+    })?;
+    support::register_entry(channel, plan, "rtl8139_close", |k, ch, a, _| {
+        let heap = ch.heap(Domain::Decaf);
+        let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(0));
+        decaf_writel(k, ch, hwreg::CR, 0);
+        let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
+        XdrValue::Int(0)
+    })
+}
+
+/// The nucleus side of the receive ring: what the interrupt handler, its
+/// drain work item and the poll tick share. RX descriptors carry raw
+/// hardware-ring offsets in their cookies (the 8139's receive ring is
+/// byte-packed, not slot-based).
+struct RxSide {
+    hw: Rc<Rtl8139Hw>,
+    ifname: String,
+    path: Rc<DataPathChannel>,
+}
+
+impl RxSide {
+    /// Harvests only what the shm ring can hold: the read pointer stays
+    /// on the first unharvested frame, so a burst larger than the ring
+    /// waits in the hardware ring for the next harvest instead of being
+    /// dropped.
+    fn harvest(&self, k: &Kernel) {
+        let avail = self.path.ring().capacity() - self.path.pending();
+        for (off, len) in self.hw.rx_harvest_limited(k, avail) {
+            let _ = self.path.post(
+                k,
+                Descriptor {
+                    buf: decaf_shmring::BufHandle(0),
+                    len: len as u32,
+                    cookie: off as u64,
+                },
+            );
+        }
+    }
+
+    /// Delivers every completed receive descriptor to the stack.
+    fn deliver(&self, k: &Kernel) {
+        for d in self.path.reclaim_completions(k) {
+            let data = self.hw.dma.read_bytes(d.cookie as usize, d.len as usize);
+            let _ = k.netif_rx(
+                &self.ifname,
+                SkBuff {
+                    data,
+                    protocol: 0x0800,
+                },
+            );
+        }
+    }
+}
+
 /// Builds the rings, the pool over the four hardware transmit buffers,
 /// the decaf drain handlers, the interrupt handler and the poll timer.
 fn build_datapath(
@@ -677,7 +663,7 @@ fn build_datapath(
     hw: &Rc<Rtl8139Hw>,
     ifname: &str,
     rx_mode: RxMode,
-) -> decaf_xpc::XpcResult<support::ShmDataPath> {
+) -> XpcResult<support::ShmDataPath> {
     // The 8139 has exactly four 2 KiB transmit buffers; the pool wraps
     // them so ring descriptors point straight at hardware memory.
     let tx = DataPathChannel::new(
@@ -689,17 +675,19 @@ fn build_datapath(
         Some(Rc::new(BufPool::new(hw.dma.clone(), TX_BUF_OFF, 2048, 4))),
         DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
     )?;
-    // RX descriptors carry raw ring offsets in their cookies (the 8139's
-    // receive ring is byte-packed, not slot-based), so no pool.
-    let rx = DataPathChannel::new(
-        Rc::clone(channel),
-        Domain::Nucleus,
-        "rtl8139_rx_drain",
-        Rc::new(ShmRing::new("8139-rx", 64)),
-        Rc::new(ShmRing::new("8139-rx-done", 128)),
-        None,
-        DoorbellPolicy::with_watermark(64),
-    )?;
+    let rx = Rc::new(RxSide {
+        hw: Rc::clone(hw),
+        ifname: ifname.to_string(),
+        path: DataPathChannel::new(
+            Rc::clone(channel),
+            Domain::Nucleus,
+            "rtl8139_rx_drain",
+            Rc::new(ShmRing::new("8139-rx", 64)),
+            Rc::new(ShmRing::new("8139-rx-done", 128)),
+            None,
+            DoorbellPolicy::with_watermark(64),
+        )?,
+    });
 
     let inflight: Rc<RefCell<VecDeque<Descriptor>>> = Rc::new(RefCell::new(VecDeque::new()));
 
@@ -712,60 +700,50 @@ fn build_datapath(
         let inflight = Rc::clone(&inflight);
         channel.register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "rtl8139_tx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    let mut n = 0;
-                    let pool = end.pool().expect("tx path owns a pool");
-                    while let Some(d) = end.consume_one(k) {
-                        let off = pool.offset_of(d.buf).expect("live pool handle");
-                        match hw.xmit_desc(k, off, d.len as usize) {
-                            Ok(()) => {
-                                inflight.borrow_mut().push_back(d);
-                                n += 1;
-                            }
-                            // A rejected frame must not become in-flight
-                            // (it would be counted as transmitted at the
-                            // next INT_TOK); hand its buffer back.
-                            Err(_) => {
-                                let _ = end.complete(k, d);
-                            }
+            ProcDef::scalar("rtl8139_tx_drain", move |k, _| {
+                let mut n = 0;
+                let pool = end.pool().expect("tx path owns a pool");
+                while let Some(d) = end.consume_one(k) {
+                    let off = pool.offset_of(d.buf).expect("live pool handle");
+                    match hw.xmit_desc(k, off, d.len as usize) {
+                        Ok(()) => {
+                            inflight.borrow_mut().push_back(d);
+                            n += 1;
+                        }
+                        // A rejected frame must not become in-flight
+                        // (it would be counted as transmitted at the
+                        // next INT_TOK); hand its buffer back.
+                        Err(_) => {
+                            let _ = end.complete(k, d);
                         }
                     }
-                    XdrValue::Int(n)
-                }),
-            },
+                }
+                XdrValue::Int(n)
+            }),
         )?;
     }
 
     // Decaf-side RX drain: sees every received descriptor, hands the
     // ring memory back in order.
     {
-        let end = rx.end(Domain::Decaf);
+        let end = rx.path.end(Domain::Decaf);
         channel.register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "rtl8139_rx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    let mut n = 0;
-                    for d in end.consume(k) {
-                        let _ = end.complete(k, d);
-                        n += 1;
-                    }
-                    XdrValue::Int(n)
-                }),
-            },
+            ProcDef::scalar("rtl8139_rx_drain", move |k, _| {
+                let mut n = 0;
+                for d in end.consume(k) {
+                    let _ = end.complete(k, d);
+                    n += 1;
+                }
+                XdrValue::Int(n)
+            }),
         )?;
     }
 
     let irq_handler: IrqHandler = {
         let hw = Rc::clone(hw);
         let tx_end = tx.end(Domain::Nucleus);
-        let inflight = Rc::clone(&inflight);
-        let rx_dp = Rc::clone(&rx);
-        let name = ifname.to_string();
+        let rx = Rc::clone(&rx);
         Rc::new(move |k| {
             let isr = hw.bar.read32(k, hwreg::ISR);
             if isr & hwreg::INT_TOK != 0 {
@@ -776,7 +754,7 @@ fn build_datapath(
                     bytes += d.len as u64;
                     let _ = tx_end.complete(k, d);
                 }
-                k.net_tx_done(&name, pkts, bytes);
+                k.net_tx_done(&rx.ifname, pkts, bytes);
             }
             if isr & hwreg::INT_ROK != 0 && rx_mode == RxMode::Poll {
                 // NAPI-style handoff: the first receive interrupt masks
@@ -785,59 +763,24 @@ fn build_datapath(
                 hw.bar.write32(k, hwreg::IMR, hwreg::INT_TOK);
             } else if isr & hwreg::INT_ROK != 0 {
                 let _span = k.trace_span("rx", "irq");
-                // Harvest only what the shm ring can hold: the read
-                // pointer stays on the first unharvested frame, so a
-                // burst larger than the ring waits in the hardware ring
-                // for the drain work item instead of being dropped.
-                let avail = rx_dp.ring().capacity() - rx_dp.pending();
-                for (off, len) in hw.rx_harvest_limited(k, avail) {
-                    let _ = rx_dp.post(
-                        k,
-                        Descriptor {
-                            buf: decaf_shmring::BufHandle(0),
-                            len: len as u32,
-                            cookie: off as u64,
-                        },
-                    );
-                }
-                if rx_dp.pending() > 0 {
-                    let rx_dp = Rc::clone(&rx_dp);
-                    let hw = Rc::clone(&hw);
-                    let name = name.clone();
+                rx.harvest(k);
+                if rx.path.pending() > 0 {
+                    let rx = Rc::clone(&rx);
                     k.schedule_work("rtl8139_rx_drain_task", move |k| {
                         let _span = k.trace_span("rx", "drain");
+                        // Keep picking up the frames the IRQ handler had
+                        // to leave behind for want of ring slots.
                         loop {
-                            let _ = rx_dp.ring_doorbell(k);
-                            for d in rx_dp.reclaim_completions(k) {
-                                let data = hw.dma.read_bytes(d.cookie as usize, d.len as usize);
-                                let _ = k.netif_rx(
-                                    &name,
-                                    SkBuff {
-                                        data,
-                                        protocol: 0x0800,
-                                    },
-                                );
-                            }
-                            // Pick up any frames the IRQ handler had to
-                            // leave behind for want of ring slots.
-                            let avail = rx_dp.ring().capacity() - rx_dp.pending();
-                            for (off, len) in hw.rx_harvest_limited(k, avail) {
-                                let _ = rx_dp.post(
-                                    k,
-                                    Descriptor {
-                                        buf: decaf_shmring::BufHandle(0),
-                                        len: len as u32,
-                                        cookie: off as u64,
-                                    },
-                                );
-                            }
-                            if rx_dp.pending() == 0 {
+                            let _ = rx.path.ring_doorbell(k);
+                            rx.deliver(k);
+                            rx.harvest(k);
+                            if rx.path.pending() == 0 {
                                 break;
                             }
                         }
                         // Everything harvested and delivered: the rewind
                         // cannot discard unread frames.
-                        hw.rx_maybe_rewind(k);
+                        rx.hw.rx_maybe_rewind(k);
                     });
                 }
             }
@@ -845,64 +788,40 @@ fn build_datapath(
         })
     };
 
-    let poll_timer = support::shmring_poll_timer(kernel, "rtl8139_shmring_poll", &tx);
+    let poll_timer =
+        support::sharded_poll_timer(kernel, "rtl8139_shmring_poll", std::slice::from_ref(&tx));
 
     // Poll-mode receive: a fixed-grid tick replaces the RX doorbell
     // upcall (see the e1000 sibling for the cost shape).
-    let rx_poll_timer = if rx_mode == RxMode::Poll {
-        let rx_dp = Rc::clone(&rx);
-        let hw_poll = Rc::clone(hw);
-        let name = ifname.to_string();
+    let rx_poll_timer = (rx_mode == RxMode::Poll).then(|| {
+        let rx = Rc::clone(&rx);
         let timer = kernel.timer_create(
             "rtl8139_rx_poll",
             Rc::new(move |k| {
-                let rx_dp = Rc::clone(&rx_dp);
-                let hw = Rc::clone(&hw_poll);
-                let name = name.clone();
+                let rx = Rc::clone(&rx);
                 k.schedule_work("rtl8139_rx_poll_task", move |k| {
                     let _span = k.trace_span("rx", "poll");
-                    let avail = rx_dp.ring().capacity() - rx_dp.pending();
-                    for (off, len) in hw.rx_harvest_limited(k, avail) {
-                        let _ = rx_dp.post(
-                            k,
-                            Descriptor {
-                                buf: decaf_shmring::BufHandle(0),
-                                len: len as u32,
-                                cookie: off as u64,
-                            },
-                        );
-                    }
-                    let end = rx_dp.end(Domain::Decaf);
+                    rx.harvest(k);
+                    let end = rx.path.end(Domain::Decaf);
                     for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
                         let _ = end.complete(k, d);
                     }
-                    for d in rx_dp.reclaim_completions(k) {
-                        let data = hw.dma.read_bytes(d.cookie as usize, d.len as usize);
-                        let _ = k.netif_rx(
-                            &name,
-                            SkBuff {
-                                data,
-                                protocol: 0x0800,
-                            },
-                        );
-                    }
+                    rx.deliver(k);
                     // Only rewind once nothing unread remains parked in
                     // the shm ring (the hardware pointer is then safe).
-                    if rx_dp.pending() == 0 {
-                        hw.rx_maybe_rewind(k);
+                    if rx.path.pending() == 0 {
+                        rx.hw.rx_maybe_rewind(k);
                     }
                 });
             }),
         );
         kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
-        Some(timer)
-    } else {
-        None
-    };
+        timer
+    });
 
     Ok(support::ShmDataPath {
         tx,
-        rx,
+        rx: Rc::clone(&rx.path),
         irq_handler,
         poll_timer,
         rx_poll_timer,

@@ -6,9 +6,14 @@ use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::RingSet;
 use decaf_simkernel::kernel::IrqHandler;
-use decaf_simkernel::{costs, KError, Kernel, MmioRegion, TimerId};
+use decaf_simkernel::{costs, KError, KResult, Kernel, MmioRegion, TimerId};
+use decaf_slicer::SlicePlan;
+use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, ProcDef, XpcChannel, XpcResult};
+use decaf_xpc::{
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardPolicy, ShardedChannel,
+    XpcChannel, XpcError, XpcResult,
+};
 
 /// How a shmring NIC build collects received frames.
 ///
@@ -147,69 +152,104 @@ pub fn sharded_poll_timer(
     timer
 }
 
-/// Arms the periodic coalescing poll for a single-queue shmring TX path
-/// (rtl8139): the timer (softirq priority) defers to a work item — upcalls are illegal from
-/// atomic context — which flushes descriptors past the doorbell
-/// deadline and reclaims completed buffers.
-pub fn shmring_poll_timer(
-    kernel: &Kernel,
-    name: &'static str,
-    tx_dp: &Rc<DataPathChannel>,
-) -> TimerId {
-    let tx = Rc::clone(tx_dp);
-    let timer = kernel.timer_create(
-        name,
-        Rc::new(move |k| {
-            if tx.pending() > 0 || !tx.completions().is_empty() {
-                let tx = Rc::clone(&tx);
-                k.schedule_work(name, move |k| {
-                    let _ = tx.poll(k);
-                });
-            }
-        }),
-    );
-    kernel.timer_arm_periodic(timer, costs::DOORBELL_COALESCE_NS);
-    timer
-}
-
 /// The body of every driver module's `image()` accessor: the plan in
 /// `cell`, produced by `build` on first use. The sources are static, so
 /// a slicing error is a bug in this repository, not a load-time failure.
 pub fn shared_image(
-    cell: &'static OnceLock<Arc<decaf_slicer::SlicePlan>>,
-    build: impl FnOnce() -> decaf_slicer::SliceResult<decaf_slicer::SlicePlan>,
-) -> Arc<decaf_slicer::SlicePlan> {
+    cell: &'static OnceLock<Arc<SlicePlan>>,
+    build: impl FnOnce() -> decaf_slicer::SliceResult<SlicePlan>,
+) -> Arc<SlicePlan> {
     Arc::clone(
         cell.get_or_init(|| Arc::new(build().expect("a driver's static mini-C source slices"))),
     )
 }
 
-/// Builds an [`XpcChannel`] between nucleus and decaf driver from a
-/// DriverSlicer plan — the spec and masks are exactly what the slicer
-/// generated from the driver's mini-C source, and the channel shares the
-/// plan's copy of both rather than taking its own.
+/// Builds the channels between nucleus and decaf driver from a
+/// DriverSlicer plan: `shards` parallel channels of `config` — a
+/// single-channel build is one shard and takes `shard(0)`. The spec and
+/// masks are exactly what the slicer generated from the driver's mini-C
+/// source, and every shard shares the plan's copy of both rather than
+/// taking its own.
 ///
-/// All five decaf driver builds route their configuration/control paths
-/// through the batched transport with delta marshaling: register writes
-/// defer into the transport queue and flush in one crossing, and a shared
-/// structure that crosses repeatedly marshals only its dirty fields.
-pub fn channel_from_plan(plan: &decaf_slicer::SlicePlan) -> Rc<XpcChannel> {
-    channel_from_plan_with(plan, ChannelConfig::kernel_user_batched())
-}
-
-/// Like [`channel_from_plan`] with an explicit configuration — used by
-/// the transport ablation to rebuild the seed per-call `InProc` path.
-pub fn channel_from_plan_with(
-    plan: &decaf_slicer::SlicePlan,
+/// The default build of all five drivers routes its configuration and
+/// control paths through [`ChannelConfig::kernel_user_batched`]:
+/// register writes defer into the transport queue and flush in one
+/// crossing, and a shared structure that crosses repeatedly marshals
+/// only its dirty fields.
+pub fn channels_from_plan(
+    plan: &SlicePlan,
     config: ChannelConfig,
-) -> Rc<XpcChannel> {
-    Rc::new(XpcChannel::new(
+    shards: usize,
+) -> Rc<ShardedChannel> {
+    ShardedChannel::new(
         Arc::clone(&plan.spec),
         Arc::clone(&plan.masks),
         config,
         Domain::Nucleus,
         Domain::Decaf,
-    ))
+        shards,
+        ShardPolicy::FlowHash,
+    )
+}
+
+/// Registers the decaf-side handler of one entry point of the driver
+/// image — the stub DriverSlicer generates (§3.1.1). The object-argument
+/// types are the image's, not the caller's; `handler` receives the
+/// entry point's object already checked (a null object answers
+/// `-EINVAL` here, before the handler runs). A `name` the image does not
+/// list as a user entry point is refused: the procedure would cross
+/// untyped.
+pub fn register_entry(
+    channel: &XpcChannel,
+    plan: &SlicePlan,
+    name: &str,
+    handler: impl Fn(&Kernel, &XpcChannel, CAddr, &[XdrValue]) -> XdrValue + 'static,
+) -> XpcResult<()> {
+    let entry = plan
+        .user_entry_point(name)
+        .ok_or_else(|| XpcError::UnknownProc {
+            domain: "the driver image's user entry points".into(),
+            proc: name.into(),
+        })?;
+    let types = entry.object_params.iter().map(|(_, ty)| ty.as_str());
+    let stub = ProcDef::entry(name, types, move |k, ch, args, scalars| {
+        match args.first().copied().flatten() {
+            Some(obj) => handler(k, ch, obj, scalars),
+            None => XdrValue::Int(KError::Inval.errno()),
+        }
+    });
+    channel.register_proc(Domain::Decaf, stub)
+}
+
+/// The `insmod` prologue every decaf driver shares: allocates the
+/// driver's root object (`root_type`, homed on the control shard's
+/// nucleus heap — heap allocation charges no virtual time, so it needs
+/// no place inside the measured region) and runs `init` with it as the
+/// module's init function. Returns the object and the measured load
+/// latency; an `init` error leaves no module behind.
+pub fn load(
+    kernel: &Kernel,
+    module: &str,
+    channels: &ShardedChannel,
+    root_type: &str,
+    init: impl FnOnce(&Kernel, CAddr) -> KResult<()>,
+) -> KResult<(CAddr, u64)> {
+    let root = channels
+        .alloc_shared_at(0, Domain::Nucleus, root_type)
+        .map_err(|_| KError::NoMem)?;
+    let init_latency_ns = kernel.insmod(module, |k| init(k, root))?;
+    Ok((root, init_latency_ns))
+}
+
+/// Upcalls entry point `proc` on `obj` and maps its errno-style return
+/// to a `KResult`: what a probe path or a netdev/sound op does with a
+/// decaf driver's answer. A channel failure is `-EIO`.
+pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: &str, obj: CAddr) -> KResult<()> {
+    match nuc.upcall_errno(kernel, proc, &[Some(obj)], &[]) {
+        Ok(0) => Ok(()),
+        Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
+        Err(_) => Err(KError::Io),
+    }
 }
 
 /// Registers the universal kernel helper procedures every decaf driver
@@ -221,30 +261,20 @@ pub fn register_io_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<()>
     let b = bar.clone();
     channel.register_proc(
         Domain::Nucleus,
-        ProcDef {
-            name: "readl".into(),
-            arg_types: vec![],
-            handler: Rc::new(move |k, _, _, scalars| {
-                let off = scalars[0].as_uint().unwrap_or(0) as u64;
-                XdrValue::UInt(b.read32(k, off))
-            }),
-        },
+        ProcDef::scalar("readl", move |k, scalars| {
+            let off = scalars[0].as_uint().unwrap_or(0) as u64;
+            XdrValue::UInt(b.read32(k, off))
+        }),
     )?;
-    let b = bar;
     channel.register_proc(
         Domain::Nucleus,
-        ProcDef {
-            name: "writel".into(),
-            arg_types: vec![],
-            handler: Rc::new(move |k, _, _, scalars| {
-                let off = scalars[0].as_uint().unwrap_or(0) as u64;
-                let val = scalars[1].as_uint().unwrap_or(0);
-                b.write32(k, off, val);
-                XdrValue::Void
-            }),
-        },
-    )?;
-    Ok(())
+        ProcDef::scalar("writel", move |k, scalars| {
+            let off = scalars[0].as_uint().unwrap_or(0) as u64;
+            let val = scalars[1].as_uint().unwrap_or(0);
+            bar.write32(k, off, val);
+            XdrValue::Void
+        }),
+    )
 }
 
 /// Reads a register through the channel from the decaf side (downcall).
@@ -313,8 +343,6 @@ pub fn install_open_loop_net(
     watermark: usize,
 ) -> XpcResult<OpenLoopNet> {
     use decaf_shmring::{DoorbellPolicy, ShmRing};
-    use decaf_xpc::{ShardPolicy, ShardedChannel};
-
     let sc = ShardedChannel::new(
         decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
         decaf_xdr::mask::MaskSet::full(),
@@ -340,18 +368,14 @@ pub fn install_open_loop_net(
         let end = dp.end(Domain::Decaf);
         sc.shard(i).register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "rx_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    let mut n = 0;
-                    for d in end.consume(k) {
-                        let _ = end.complete(k, d);
-                        n += 1;
-                    }
-                    XdrValue::Int(n)
-                }),
-            },
+            ProcDef::scalar("rx_drain", move |k, _| {
+                let mut n = 0;
+                for d in end.consume(k) {
+                    let _ = end.complete(k, d);
+                    n += 1;
+                }
+                XdrValue::Int(n)
+            }),
         )?;
         paths.push(dp);
     }
@@ -374,7 +398,7 @@ pub fn install_open_loop_storage(
 ) -> XpcResult<(Rc<decaf_xpc::ShardedChannel>, Rc<decaf_xpc::ShardedUrbPath>)> {
     use decaf_shmring::{SectorPool, UrbRingSet, XferDir};
     use decaf_simkernel::CpuClass;
-    use decaf_xpc::{ShardPolicy, ShardedChannel, ShardedUrbPath};
+    use decaf_xpc::ShardedUrbPath;
 
     let sc = ShardedChannel::new(
         decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
@@ -398,20 +422,16 @@ pub fn install_open_loop_storage(
         let set = Rc::clone(path.set());
         sc.shard(i).register_proc(
             Domain::Decaf,
-            ProcDef {
-                name: "urb_drain".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    for d in end.consume(k) {
-                        let actual = match d.dir {
-                            XferDir::Out => d.len,
-                            XferDir::In => 512,
-                        };
-                        let _ = set.complete(k, CpuClass::User, d.completed(0, actual));
-                    }
-                    XdrValue::Void
-                }),
-            },
+            ProcDef::scalar("urb_drain", move |k, _| {
+                for d in end.consume(k) {
+                    let actual = match d.dir {
+                        XferDir::Out => d.len,
+                        XferDir::In => 512,
+                    };
+                    let _ = set.complete(k, CpuClass::User, d.completed(0, actual));
+                }
+                XdrValue::Void
+            }),
         )?;
     }
     Ok((sc, path))
@@ -449,15 +469,107 @@ mod tests {
         }
     }
 
+    fn batched_channels(plan: &SlicePlan) -> Rc<ShardedChannel> {
+        channels_from_plan(plan, ChannelConfig::kernel_user_batched(), 1)
+    }
+
     #[test]
     fn io_procs_roundtrip_registers() {
         let kernel = Kernel::new();
-        let ch = channel_from_plan(&crate::psmouse::image());
+        let channels = batched_channels(&crate::psmouse::image());
+        let ch = channels.shard(0);
         let bar = MmioRegion::new(Rc::new(RefCell::new(Scratch([0; 8]))));
-        register_io_procs(&ch, bar).unwrap();
-        decaf_writel(&kernel, &ch, 12, 0xfeed);
-        assert_eq!(decaf_readl(&kernel, &ch, 12), 0xfeed);
+        register_io_procs(ch, bar).unwrap();
+        decaf_writel(&kernel, ch, 12, 0xfeed);
+        assert_eq!(decaf_readl(&kernel, ch, 12), 0xfeed);
         assert_eq!(ch.stats().round_trips, 2);
+    }
+
+    #[test]
+    fn a_name_outside_the_image_is_refused_by_name() {
+        let plan = crate::e1000::image();
+        let channels = batched_channels(&plan);
+        // A kernel function of the same image is not a user entry point.
+        let refused = register_entry(channels.shard(0), &plan, "e1000_intr", |_, _, _, _| {
+            XdrValue::Void
+        });
+        match refused {
+            Err(XpcError::UnknownProc { proc, .. }) => assert_eq!(proc, "e1000_intr"),
+            other => panic!("expected a refusal naming the procedure, got {other:?}"),
+        }
+        assert!(channels.shard(0).proc_names(Domain::Decaf).is_empty());
+    }
+
+    #[test]
+    fn stub_types_come_from_the_image_and_null_objects_stop_at_the_stub() {
+        let kernel = Kernel::new();
+        let plan = crate::e1000::image();
+        let channels = batched_channels(&plan);
+        let ch = channels.shard(0);
+        // The caller names no type; the handler reports whether the
+        // object it was handed has a field only `e1000_adapter` has.
+        let typed = Rc::new(Cell::new(None));
+        let seen = Rc::clone(&typed);
+        register_entry(ch, &plan, "e1000_check_options", move |_, ch, obj, _| {
+            let heap = ch.heap(Domain::Decaf);
+            seen.set(Some(heap.borrow().scalar(obj, "watchdog_events").is_ok()));
+            XdrValue::Int(0)
+        })
+        .unwrap();
+
+        let null = ch.call(
+            &kernel,
+            Domain::Nucleus,
+            "e1000_check_options",
+            &[None],
+            &[],
+        );
+        assert_eq!(null, Ok(XdrValue::Int(-22)));
+        assert_eq!(typed.get(), None, "the handler never sees a null object");
+
+        let adapter = channels
+            .alloc_shared_at(0, Domain::Nucleus, "e1000_adapter")
+            .unwrap();
+        let nuc = NuclearRuntime::new(Rc::clone(ch), None);
+        assert_eq!(
+            upcall(&nuc, &kernel, "e1000_check_options", adapter),
+            Ok(())
+        );
+        assert_eq!(typed.get(), Some(true), "unmarshaled as the image's type");
+        assert_eq!(
+            upcall(&nuc, &kernel, "e1000_probe", adapter),
+            Err(KError::Io),
+            "an unregistered entry point is a channel failure"
+        );
+    }
+
+    #[test]
+    fn load_hands_back_the_object_init_saw_and_its_error() {
+        let kernel = Kernel::new();
+        let channels = batched_channels(&crate::uhci::image());
+        let mut saw = 0;
+        let (root, latency) = load(&kernel, "m", &channels, "uhci_hcd", |k, obj| {
+            saw = obj;
+            k.charge_kernel(700);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((root, latency), (saw, 700));
+        assert_eq!(
+            channels.home_of(root),
+            Some(0),
+            "homed on the control shard"
+        );
+        assert_eq!(kernel.modules().len(), 1);
+
+        let failed = load(&kernel, "n", &channels, "uhci_hcd", |_, _| {
+            Err(KError::NoDev)
+        });
+        assert_eq!(failed, Err(KError::NoDev));
+        let unknown = load(&kernel, "n", &channels, "no_such_struct", |_, _| Ok(()));
+        assert_eq!(unknown, Err(KError::NoMem));
+        let loaded: Vec<_> = kernel.modules().into_iter().map(|m| m.name).collect();
+        assert_eq!(loaded, ["m"], "a failed load leaves no module behind");
     }
 
     #[test]

@@ -24,8 +24,8 @@ use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, Domain, NuclearRuntime, ProcDef, ShardPolicy, ShardedChannel, ShardedUrbPath,
-    XpcChannel, XpcResult,
+    ChannelConfig, Domain, NuclearRuntime, ProcDef, ShardedChannel, ShardedUrbPath, XpcChannel,
+    XpcResult,
 };
 
 use crate::support::{self, decaf_readl, decaf_writel};
@@ -419,8 +419,9 @@ pub fn image() -> Arc<SlicePlan> {
 
 /// What every user-level build starts from: the attached controller,
 /// the driver image, and `shards` channels of `config` built from the
-/// image with the register-access procedures on each. A single-channel
-/// build is one shard and takes `channels.shard(0)`.
+/// image, each linked with the register-access imports and the image's
+/// three root-hub entry points. A single-channel build is one shard and
+/// takes `channels.shard(0)`.
 struct Attached {
     hw: Rc<UhciHw>,
     plan: Arc<SlicePlan>,
@@ -432,18 +433,10 @@ fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KRe
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(UhciHw::new(bar.clone(), dma));
     let plan = image();
-    let channels = ShardedChannel::new(
-        Arc::clone(&plan.spec),
-        Arc::clone(&plan.masks),
-        config,
-        Domain::Nucleus,
-        Domain::Decaf,
-        shards,
-        ShardPolicy::FlowHash,
-    );
-    for i in 0..shards {
-        support::register_io_procs(channels.shard(i), bar.clone()).map_err(|_| KError::Io)?;
-    }
+    let channels = support::channels_from_plan(&plan, config, shards);
+    (0..shards)
+        .try_for_each(|i| register_procs(channels.shard(i), &plan, bar.clone()))
+        .map_err(|_| KError::Io)?;
     Ok(Attached {
         hw,
         plan,
@@ -474,61 +467,47 @@ pub struct DecafUhci {
     pub dev: Rc<std::cell::RefCell<UhciDevice>>,
 }
 
-/// Registers the three root-hub procedures the slicer moved to the
-/// decaf driver — shared by every user-level uhci build.
-fn register_roothub_procs(channel: &Rc<XpcChannel>) -> XpcResult<()> {
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "uhci_rh_suspend".into(),
-            arg_types: vec!["uhci_hcd".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let Some(u) = args[0] else {
-                    return XdrValue::Int(-22);
-                };
-                {
-                    let heap = ch.heap(Domain::Decaf);
-                    let mut h = heap.borrow_mut();
-                    let _ = h.set_scalar(u, "rh_state", XdrValue::Int(1));
-                    let _ = h.set_scalar(u, "port_c_suspend", XdrValue::Int(1));
-                }
-                decaf_writel(k, ch, hwreg::USBCMD, 0x10);
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "uhci_rh_resume".into(),
-            arg_types: vec!["uhci_hcd".into()],
-            handler: Rc::new(|k, ch, args, _| {
-                let Some(u) = args[0] else {
-                    return XdrValue::Int(-22);
-                };
-                let _cmd = decaf_readl(k, ch, hwreg::USBCMD);
-                decaf_writel(k, ch, hwreg::USBCMD, hwreg::CMD_RS);
-                {
-                    let heap = ch.heap(Domain::Decaf);
-                    let mut h = heap.borrow_mut();
-                    let _ = h.set_scalar(u, "rh_state", XdrValue::Int(2));
-                    let _ = h.set_scalar(u, "resume_detect", XdrValue::Int(0));
-                }
-                XdrValue::Int(0)
-            }),
-        },
-    )?;
-    channel.register_proc(
-        Domain::Decaf,
-        ProcDef {
-            name: "uhci_count_ports".into(),
-            arg_types: vec!["uhci_hcd".into()],
-            handler: Rc::new(|k, ch, _args, _| {
-                let sc = decaf_readl(k, ch, hwreg::PORTSC1);
-                XdrValue::Int(if sc == 0 { 0 } else { 2 })
-            }),
-        },
-    )?;
+/// Links one channel: the register-access imports and the three
+/// root-hub procedures the slicer moved to the decaf driver.
+fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<()> {
+    support::register_io_procs(channel, bar)?;
+    support::register_entry(channel, plan, "uhci_rh_suspend", |k, ch, u, _| {
+        {
+            let heap = ch.heap(Domain::Decaf);
+            let mut h = heap.borrow_mut();
+            let _ = h.set_scalar(u, "rh_state", XdrValue::Int(1));
+            let _ = h.set_scalar(u, "port_c_suspend", XdrValue::Int(1));
+        }
+        decaf_writel(k, ch, hwreg::USBCMD, 0x10);
+        XdrValue::Int(0)
+    })?;
+    support::register_entry(channel, plan, "uhci_rh_resume", |k, ch, u, _| {
+        let _cmd = decaf_readl(k, ch, hwreg::USBCMD);
+        decaf_writel(k, ch, hwreg::USBCMD, hwreg::CMD_RS);
+        {
+            let heap = ch.heap(Domain::Decaf);
+            let mut h = heap.borrow_mut();
+            let _ = h.set_scalar(u, "rh_state", XdrValue::Int(2));
+            let _ = h.set_scalar(u, "resume_detect", XdrValue::Int(0));
+        }
+        XdrValue::Int(0)
+    })?;
+    support::register_entry(channel, plan, "uhci_count_ports", |k, ch, _, _| {
+        let sc = decaf_readl(k, ch, hwreg::PORTSC1);
+        XdrValue::Int(if sc == 0 { 0 } else { 2 })
+    })
+}
+
+/// The start of every decaf `insmod`: the kernel-side controller start
+/// (data path), then the user-level port count — no ports, no device.
+fn start_controller(k: &Kernel, hw: &UhciHw, nuc: &NuclearRuntime, u: CAddr) -> KResult<()> {
+    hw.start(k);
+    let ports = nuc
+        .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
+        .map_err(|_| KError::Io)?;
+    if ports == 0 {
+        return Err(KError::NoDev);
+    }
     Ok(())
 }
 
@@ -542,46 +521,19 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
         dev,
     } = attach_channels(kernel, ChannelConfig::kernel_user_batched(), 1)?;
     let channel = Rc::clone(channels.shard(0));
-    register_roothub_procs(&channel).map_err(|_| KError::Io)?;
-
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
-    let mut uhci_obj = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let ch_init = Rc::clone(&channel);
-    let hw_init = Rc::clone(&hw);
-    let name = hcd.to_string();
-    let spec = Arc::clone(&plan.spec);
-    let obj_ref = &mut uhci_obj;
-    let init_latency_ns = kernel.insmod("uhci-hcd-decaf", move |k| {
-        let u = {
-            let heap = ch_init.heap(Domain::Nucleus);
-            let mut h = heap.borrow_mut();
-            h.alloc_default("uhci_hcd", &spec)
-                .map_err(|_| KError::NoMem)?
-        };
-        *obj_ref = u;
-        // Kernel-side start (data path), then user-level root-hub checks:
-        // count ports, a suspend/resume cycle as the paper's power
-        // management exercise.
-        hw_init.start(k);
-        let ports = nuc_init
-            .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
-            .map_err(|_| KError::Io)?;
-        if ports == 0 {
-            return Err(KError::NoDev);
-        }
-        nuc_init
-            .upcall_errno(k, "uhci_rh_suspend", &[Some(u)], &[])
-            .map_err(|_| KError::Io)?;
-        nuc_init
-            .upcall_errno(k, "uhci_rh_resume", &[Some(u)], &[])
-            .map_err(|_| KError::Io)?;
-        k.usb_register_hcd(&name, hcd_ops(Rc::clone(&hw_init)))?;
-        let hw_irq = Rc::clone(&hw_init);
-        k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))?;
-        Ok(())
-    })?;
+    let (uhci_obj, init_latency_ns) =
+        support::load(kernel, "uhci-hcd-decaf", &channels, "uhci_hcd", |k, u| {
+            start_controller(k, &hw, &nuc, u)?;
+            // A suspend/resume cycle as the paper's power management
+            // exercise.
+            support::upcall(&nuc, k, "uhci_rh_suspend", u)?;
+            support::upcall(&nuc, k, "uhci_rh_resume", u)?;
+            k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
+            let hw_irq = Rc::clone(&hw);
+            k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
+        })?;
 
     Ok(DecafUhci {
         kernel: kernel.clone(),
@@ -643,63 +595,52 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
     // through the marshaler; `UhciHw::submit` copies it into the
     // staging buffer (audited) and, for IN, copies the result back out
     // — which then marshals back by value too.
-    {
-        let hw_sub = Rc::clone(&hw);
-        channel
-            .register_proc(
-                Domain::Decaf,
-                ProcDef {
-                    name: "uhci_submit_value".into(),
-                    arg_types: vec![],
-                    handler: Rc::new(move |k, _, _, scalars| {
-                        let endpoint = scalars[0].as_uint().unwrap_or(0) as u8;
-                        let dir_in = scalars[1].as_uint().unwrap_or(0) != 0;
-                        let data = scalars[2].as_opaque().unwrap_or(&[]).to_vec();
-                        let urb = Urb {
-                            endpoint,
-                            dir: if dir_in { UrbDir::In } else { UrbDir::Out },
-                            data,
-                        };
-                        match hw_sub.submit(k, &urb) {
-                            Ok(data) if dir_in => XdrValue::Opaque(data),
-                            Ok(_) => XdrValue::Int(0),
-                            Err(e) => XdrValue::Int(e.errno()),
-                        }
-                    }),
-                },
-            )
-            .map_err(|_| KError::Io)?;
-    }
+    let hw_sub = Rc::clone(&hw);
+    channel
+        .register_proc(
+            Domain::Decaf,
+            ProcDef::scalar("uhci_submit_value", move |k, scalars| {
+                let endpoint = scalars[0].as_uint().unwrap_or(0) as u8;
+                let dir_in = scalars[1].as_uint().unwrap_or(0) != 0;
+                let data = scalars[2].as_opaque().unwrap_or(&[]).to_vec();
+                let urb = Urb {
+                    endpoint,
+                    dir: if dir_in { UrbDir::In } else { UrbDir::Out },
+                    data,
+                };
+                match hw_sub.submit(k, &urb) {
+                    Ok(data) if dir_in => XdrValue::Opaque(data),
+                    Ok(_) => XdrValue::Int(0),
+                    Err(e) => XdrValue::Int(e.errno()),
+                }
+            }),
+        )
+        .map_err(|_| KError::Io)?;
 
     let ch_ops = Rc::clone(&channel);
     let ops = HcdOps {
         submit: Rc::new(move |k: &Kernel, urb: Urb, completion: UrbCompletion| {
-            let ep = XdrValue::UInt(urb.endpoint as u32);
-            if urb.dir == UrbDir::Out && batched {
+            let posted = urb.dir == UrbDir::Out && batched;
+            let scalars = [
+                XdrValue::UInt(urb.endpoint as u32),
+                XdrValue::UInt((urb.dir == UrbDir::In) as u32),
+                XdrValue::Opaque(urb.data),
+            ];
+            let (from, proc) = (Domain::Nucleus, "uhci_submit_value");
+            let ret = if posted {
                 ch_ops
-                    .call_deferred(
-                        k,
-                        Domain::Nucleus,
-                        "uhci_submit_value",
-                        &[],
-                        &[ep, XdrValue::UInt(0), XdrValue::Opaque(urb.data)],
-                    )
-                    .map_err(|_| KError::Io)?;
+                    .call_deferred(k, from, proc, &[], &scalars)
+                    .map(|_| None)
+            } else {
+                ch_ops.call(k, from, proc, &[], &scalars).map(Some)
+            }
+            .map_err(|_| KError::Io)?;
+            let Some(ret) = ret else {
                 // Posted-write semantics: the URB is committed to the
                 // batch; errors surface through device status counters.
                 completion(k, Ok(Vec::new()));
                 return Ok(());
-            }
-            let dir_flag = XdrValue::UInt((urb.dir == UrbDir::In) as u32);
-            let ret = ch_ops
-                .call(
-                    k,
-                    Domain::Nucleus,
-                    "uhci_submit_value",
-                    &[],
-                    &[ep, dir_flag, XdrValue::Opaque(urb.data.clone())],
-                )
-                .map_err(|_| KError::Io)?;
+            };
             let result = match ret {
                 XdrValue::Opaque(data) => Ok(data),
                 XdrValue::Int(0) => Ok(Vec::new()),
@@ -936,64 +877,7 @@ pub fn install_sharded_with(
         channels,
         dev,
     } = attach_channels(kernel, ChannelConfig::kernel_user_shmring(), shards)?;
-    for i in 0..shards {
-        register_roothub_procs(channels.shard(i)).map_err(|_| KError::Io)?;
-    }
-
-    // One pool in the controller's DMA region, shared by every shard's
-    // ring pair: the device is singular even when the queues are not.
-    let pool = Rc::new(SectorPool::new_with_mode(
-        hw.dma.clone(),
-        SECTOR_POOL_OFF,
-        hwreg::SECTOR_SIZE,
-        SECTOR_POOL_SECTORS,
-        mode,
-    ));
-    let set = UrbRingSet::new("uhci-urb", shards, URB_RING_DEPTH, 2 * URB_RING_DEPTH, pool);
-    let urb_path = ShardedUrbPath::new(
-        Rc::clone(&channels),
-        Domain::Nucleus,
-        "uhci_urb_drain",
-        set,
-        URB_DOORBELL_WATERMARK,
-    )
-    .map_err(|_| KError::Io)?;
-
-    // Per-shard decaf drains against the one simulated controller: each
-    // walks its own submit ring in FIFO order (command stages before
-    // data stages within the LUNs steered here), programs TDs straight
-    // from the shared runs, and gives back through the set so every
-    // completion steers home — all charged to this shard's scope.
-    for i in 0..shards {
-        let end = urb_path.path(i).end(Domain::Decaf);
-        let set = Rc::clone(urb_path.set());
-        let hw_drain = Rc::clone(&hw);
-        channels
-            .shard(i)
-            .register_proc(
-                Domain::Decaf,
-                ProcDef {
-                    name: "uhci_urb_drain".into(),
-                    arg_types: vec![],
-                    handler: Rc::new(move |k, _, _, _| {
-                        k.shard_scope(i, || {
-                            let _span = k.trace_span("urb", "drain");
-                            let mut n = 0;
-                            for d in end.consume(k) {
-                                let segs = end.pool().sg_segments(d.buf).expect("live chain");
-                                let (status, actual) =
-                                    hw_drain.submit_sg(k, d.endpoint, &segs, d.len as usize);
-                                set.complete(k, CpuClass::User, d.completed(status, actual))
-                                    .expect("giveback ring sized 2x submit ring");
-                                n += 1;
-                            }
-                            XdrValue::Int(n)
-                        })
-                    }),
-                },
-            )
-            .map_err(|_| KError::Io)?;
-    }
+    let urb_path = build_urb_path(&channels, &hw, mode).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(
         Rc::clone(channels.shard(0)),
@@ -1001,31 +885,14 @@ pub fn install_sharded_with(
     ));
     let pending: PendingUrbs = Rc::new(RefCell::new(HashMap::new()));
 
-    let mut uhci_obj = 0;
-    let nuc_init = Rc::clone(&nuc);
-    let channels_init = Rc::clone(&channels);
-    let hw_init = Rc::clone(&hw);
-    let path_init = Rc::clone(&urb_path);
-    let pending_init = Rc::clone(&pending);
-    let name = hcd.to_string();
-    let obj_ref = &mut uhci_obj;
-    let init_latency_ns = kernel.insmod("uhci-hcd-sharded", move |k| {
-        let u = channels_init
-            .alloc_shared_at(0, Domain::Nucleus, "uhci_hcd")
-            .map_err(|_| KError::NoMem)?;
-        *obj_ref = u;
-        hw_init.start(k);
-        let ports = nuc_init
-            .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
-            .map_err(|_| KError::Io)?;
-        if ports == 0 {
-            return Err(KError::NoDev);
-        }
-        k.usb_register_hcd(&name, sharded_hcd_ops(path_init, pending_init))?;
-        let hw_irq = Rc::clone(&hw_init);
-        k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))?;
-        Ok(())
-    })?;
+    let (uhci_obj, init_latency_ns) =
+        support::load(kernel, "uhci-hcd-sharded", &channels, "uhci_hcd", |k, u| {
+            start_controller(k, &hw, &nuc, u)?;
+            let ops = sharded_hcd_ops(Rc::clone(&urb_path), Rc::clone(&pending));
+            k.usb_register_hcd(hcd, ops)?;
+            let hw_irq = Rc::clone(&hw);
+            k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
+        })?;
 
     let poll_timer = arm_poll_timer(kernel, &urb_path, &pending);
 
@@ -1042,6 +909,63 @@ pub fn install_sharded_with(
         urb_path,
         poll_timer,
     })
+}
+
+/// Builds the sharded URB path over one sector pool and registers the
+/// per-shard decaf drains.
+fn build_urb_path(
+    channels: &Rc<ShardedChannel>,
+    hw: &Rc<UhciHw>,
+    mode: AllocMode,
+) -> XpcResult<Rc<ShardedUrbPath>> {
+    let shards = channels.shard_count();
+    // One pool in the controller's DMA region, shared by every shard's
+    // ring pair: the device is singular even when the queues are not.
+    let pool = Rc::new(SectorPool::new_with_mode(
+        hw.dma.clone(),
+        SECTOR_POOL_OFF,
+        hwreg::SECTOR_SIZE,
+        SECTOR_POOL_SECTORS,
+        mode,
+    ));
+    let set = UrbRingSet::new("uhci-urb", shards, URB_RING_DEPTH, 2 * URB_RING_DEPTH, pool);
+    let urb_path = ShardedUrbPath::new(
+        Rc::clone(channels),
+        Domain::Nucleus,
+        "uhci_urb_drain",
+        set,
+        URB_DOORBELL_WATERMARK,
+    )?;
+
+    // Per-shard decaf drains against the one simulated controller: each
+    // walks its own submit ring in FIFO order (command stages before
+    // data stages within the LUNs steered here), programs TDs straight
+    // from the shared runs, and gives back through the set so every
+    // completion steers home — all charged to this shard's scope.
+    for i in 0..shards {
+        let end = urb_path.path(i).end(Domain::Decaf);
+        let set = Rc::clone(urb_path.set());
+        let hw_drain = Rc::clone(hw);
+        channels.shard(i).register_proc(
+            Domain::Decaf,
+            ProcDef::scalar("uhci_urb_drain", move |k, _| {
+                k.shard_scope(i, || {
+                    let _span = k.trace_span("urb", "drain");
+                    let mut n = 0;
+                    for d in end.consume(k) {
+                        let segs = end.pool().sg_segments(d.buf).expect("live chain");
+                        let (status, actual) =
+                            hw_drain.submit_sg(k, d.endpoint, &segs, d.len as usize);
+                        set.complete(k, CpuClass::User, d.completed(status, actual))
+                            .expect("giveback ring sized 2x submit ring");
+                        n += 1;
+                    }
+                    XdrValue::Int(n)
+                })
+            }),
+        )?;
+    }
+    Ok(urb_path)
 }
 
 impl ShardedUhci {

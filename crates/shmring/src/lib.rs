@@ -113,11 +113,6 @@ pub mod ring;
 pub mod ringset;
 pub mod sector;
 pub mod urb;
-// `UrbRingSet`'s unit tests, mounted where its module used to be so
-// their ids (`urbset::tests::*`) stay stable.
-#[cfg(test)]
-#[path = "ringset_urb_tests.rs"]
-mod urbset;
 
 pub use doorbell::DoorbellPolicy;
 pub use pool::{BufHandle, BufPool, PoolError, PoolStats};
@@ -127,3 +122,9 @@ pub use ringset::{
 };
 pub use sector::{AllocMode, SectorHandle, SectorPool, SectorPoolStats, SgHandle, SgSegment};
 pub use urb::{UrbDescriptor, XferDir};
+
+// `UrbRingSet`'s unit tests, mounted under its old module name so
+// their ids (`urbset::tests::*`) stay stable.
+#[cfg(test)]
+#[path = "ringset_urb_tests.rs"]
+mod urbset;

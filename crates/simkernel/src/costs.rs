@@ -27,8 +27,6 @@ pub const DMA_DESC_NS: u64 = 300;
 pub const COPY_BYTE_NS: u64 = 1;
 /// A kernel/user protection-domain crossing (one way).
 pub const DOMAIN_CROSSING_NS: u64 = 4_000;
-/// Scheduling a different thread to handle an XPC (vs. reusing the caller).
-pub const THREAD_HANDOFF_NS: u64 = 12_000;
 /// Per-byte cost of XDR marshaling work (encode or decode).
 pub const MARSHAL_BYTE_NS: u64 = 6;
 /// Fixed per-object overhead of cross-language (C↔Java analogue)

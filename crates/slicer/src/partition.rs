@@ -133,6 +133,15 @@ impl SlicePlan {
     pub fn placement_of(&self, name: &str) -> Option<Placement> {
         self.placement.get(name).copied()
     }
+
+    /// The upcall entry point called `name`, if the image lists one
+    /// ([`SlicePlan::user_entry_points`] is sorted by name).
+    pub fn user_entry_point(&self, name: &str) -> Option<&EntryPoint> {
+        let at = self
+            .user_entry_points
+            .binary_search_by(|ep| ep.name.as_str().cmp(name));
+        at.ok().map(|i| &self.user_entry_points[i])
+    }
 }
 
 /// Partitions `program` and derives all boundary artifacts.
@@ -342,6 +351,11 @@ int drv_ethtool_race(struct adapter *a) @kernel_only { return 0; }
         // kernel import pci_enable_device.
         assert!(plan.kernel_entry_points.is_empty());
         assert_eq!(plan.kernel_imports_from_user, vec!["pci_enable_device"]);
+        // By name: every entry point is found, a kernel function is not.
+        for ep in &plan.user_entry_points {
+            assert_eq!(plan.user_entry_point(&ep.name), Some(ep));
+        }
+        assert_eq!(plan.user_entry_point("drv_intr"), None);
     }
 
     #[test]

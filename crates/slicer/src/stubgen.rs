@@ -2,10 +2,11 @@
 //!
 //! For every entry point DriverSlicer emits stubs that (1) translate
 //! parameters through the object tracker, (2) marshal arguments, (3)
-//! transfer control, (4) unmarshal return values. Three renderings are
-//! produced: a Jeannie-style stub (the paper's Figure 2 artifact), a
-//! kernel-side C stub for the emitted nucleus source tree, and the Rust
-//! registration snippet used by this repository's runtime.
+//! transfer control, (4) unmarshal return values. Two renderings are
+//! produced: a Jeannie-style stub (the paper's Figure 2 artifact) and a
+//! kernel-side C stub for the emitted nucleus source tree. This
+//! repository's own runtime renders nothing: a decaf driver registers its
+//! handlers by entry-point name against the [`crate::SlicePlan`] itself.
 
 use crate::ast::CType;
 use crate::partition::EntryPoint;
@@ -113,22 +114,6 @@ pub fn kernel_stub(ep: &EntryPoint) -> String {
     out
 }
 
-/// Renders the Rust registration snippet for this repository's runtime.
-pub fn rust_stub(ep: &EntryPoint) -> String {
-    let types: Vec<String> = ep
-        .object_params
-        .iter()
-        .map(|(_, s)| format!("\"{s}\".into()"))
-        .collect();
-    format!(
-        "channel.register_proc(Domain::Decaf, ProcDef {{\n    name: \"{}\".into(),\n    \
-         arg_types: vec![{}],\n    handler: Rc::new({}_handler),\n}})?;\n",
-        ep.name,
-        types.join(", "),
-        ep.name
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,13 +161,6 @@ mod tests {
         assert!(s.contains("xpc_marshal_e1000_adapter(&msg, adapter);"));
         assert!(s.contains("xpc_marshal_scalar(&msg, speed);"));
         assert!(s.contains("xpc_upcall(\"e1000_check_options\", &msg);"));
-    }
-
-    #[test]
-    fn rust_stub_registers_proc() {
-        let s = rust_stub(&snd_card_register());
-        assert!(s.contains("name: \"snd_card_register\""));
-        assert!(s.contains("arg_types: vec![\"snd_card\".into()]"));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!   Jeannie stubs perform (§3.1.1, Figure 2) — tracker translation,
 //!   marshal, transfer, unmarshal, dispatch, out-parameter return;
 //! * the **[`Transport`]** (see [`crate::transport`]) decides how control
-//!   reaches the other side: thread reuse ([`TransportKind::InProc`]),
-//!   dedicated-thread handoff ([`TransportKind::Threaded`]), or deferred
-//!   batching ([`TransportKind::Batched`]).
+//!   reaches the other side: thread reuse ([`TransportKind::InProc`])
+//!   or deferred batching ([`TransportKind::Batched`]).
 //!
 //! A call performs:
 //!
@@ -265,6 +264,34 @@ pub struct ProcDef {
 /// Handler signature: object arguments arrive as local heap addresses,
 /// scalars as XDR values; the scalar return value travels back.
 pub type ProcHandler = Rc<dyn Fn(&Kernel, &XpcChannel, &[Option<CAddr>], &[XdrValue]) -> XdrValue>;
+
+impl ProcDef {
+    /// An entry point: `name` takes one object argument per entry of
+    /// `arg_types`, each of that struct type, then scalars.
+    pub fn entry<T: Into<String>>(
+        name: impl Into<String>,
+        arg_types: impl IntoIterator<Item = T>,
+        handler: impl Fn(&Kernel, &XpcChannel, &[Option<CAddr>], &[XdrValue]) -> XdrValue + 'static,
+    ) -> Self {
+        ProcDef {
+            name: name.into(),
+            arg_types: arg_types.into_iter().map(Into::into).collect(),
+            handler: Rc::new(handler),
+        }
+    }
+
+    /// A procedure over scalars alone — a register access, a kernel
+    /// import, a data-path doorbell: no object crosses and the handler
+    /// needs neither the channel nor an argument list.
+    pub fn scalar(
+        name: impl Into<String>,
+        f: impl Fn(&Kernel, &[XdrValue]) -> XdrValue + 'static,
+    ) -> Self {
+        ProcDef::entry(name, Vec::<String>::new(), move |k, _, _, scalars| {
+            f(k, scalars)
+        })
+    }
+}
 
 /// Sender-side delta state for one channel end: the heap generation at
 /// which each local object last crossed, per direction.

@@ -84,6 +84,6 @@ pub use shard::{ShardPolicy, ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
 pub use shardurb::ShardedUrbPath;
 pub use tracker::{ObjectTracker, TrackerStats};
 pub use transport::{
-    Async, Batched, CompletionToken, DeferredCall, InProc, Threaded, Transport, TransportKind,
+    Async, Batched, CompletionToken, DeferredCall, InProc, Transport, TransportKind,
 };
 pub use urbpath::{UrbDataPath, UrbEnd, UrbPathStats, UrbReclaim};

@@ -3,10 +3,9 @@
 //! The paper's XPC hard-wires one policy: reuse the calling thread for
 //! co-located domains (§2.3), schedule a dedicated thread otherwise. This
 //! module turns that choice into a [`Transport`] trait the channel's stub
-//! layer consults for every crossing, with four implementations:
+//! layer consults for every crossing, with three implementations:
 //!
 //! * [`InProc`] — thread reuse, the paper's optimization;
-//! * [`Threaded`] — dedicated-thread handoff, the unoptimized baseline;
 //! * [`Batched`] — thread reuse **plus** a deferred-call queue: calls
 //!   whose results nobody reads are parked in a shared ring and flushed
 //!   through the boundary in a single crossing (the doorbell pattern —
@@ -39,8 +38,6 @@ use crate::domain::Domain;
 pub enum TransportKind {
     /// Reuse the calling thread (paper §2.3).
     InProc,
-    /// Hand off to a dedicated thread in the target domain.
-    Threaded,
     /// Thread reuse plus deferred-call batching with delta-friendly
     /// flushes.
     Batched,
@@ -107,8 +104,8 @@ pub trait Transport {
     /// Charges the virtual-time cost of one one-way control transfer
     /// initiated by `class`.
     ///
-    /// This default is the one instrumentation point covering all four
-    /// transport kinds: every synchronous crossing emits a per-transport
+    /// This default is the one instrumentation point covering every
+    /// transport kind: every synchronous crossing emits a per-transport
     /// `xpc.crossing` trace instant named after [`Transport::name`].
     fn charge_crossing(&self, kernel: &Kernel, class: CpuClass, domain_crossing: bool) {
         let cost = self.crossing_cost_ns(domain_crossing);
@@ -162,7 +159,6 @@ pub trait Transport {
 pub fn build(kind: TransportKind, capacity: usize, deadline_ns: u64) -> Box<dyn Transport> {
     match kind {
         TransportKind::InProc => Box::new(InProc),
-        TransportKind::Threaded => Box::new(Threaded),
         TransportKind::Batched => Box::new(Batched::with_deadline(capacity, deadline_ns)),
         TransportKind::Async => Box::new(Async::new(capacity, deadline_ns)),
     }
@@ -186,51 +182,6 @@ impl Transport for InProc {
         } else {
             0
         }
-    }
-    fn offer(
-        &self,
-        _kernel: &Kernel,
-        _class: CpuClass,
-        call: DeferredCall,
-    ) -> Result<Option<CompletionToken>, DeferredCall> {
-        Err(call)
-    }
-    fn drain(&self) -> Vec<DeferredCall> {
-        Vec::new()
-    }
-    fn pending(&self) -> usize {
-        0
-    }
-    fn flush_due(&self, _kernel: &Kernel) -> bool {
-        false
-    }
-    fn retain(&self, _keep: &dyn Fn(&DeferredCall) -> bool) -> Vec<CompletionToken> {
-        Vec::new()
-    }
-    fn oldest_deferred_at(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Dedicated-thread transport: every crossing additionally pays a
-/// scheduler round trip to wake the target domain's service thread.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Threaded;
-
-impl Transport for Threaded {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Threaded
-    }
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-    fn crossing_cost_ns(&self, domain_crossing: bool) -> u64 {
-        let base = if domain_crossing {
-            costs::DOMAIN_CROSSING_NS
-        } else {
-            0
-        };
-        base + costs::THREAD_HANDOFF_NS
     }
     fn offer(
         &self,
@@ -473,11 +424,10 @@ mod tests {
     #[test]
     fn non_batching_transports_refuse_deferral() {
         let k = Kernel::new();
-        for t in [&InProc as &dyn Transport, &Threaded] {
-            assert!(t.offer(&k, CpuClass::User, call("writel")).is_err());
-            assert_eq!(t.pending(), 0);
-            assert!(!t.flush_due(&k));
-        }
+        let t = InProc;
+        assert!(t.offer(&k, CpuClass::User, call("writel")).is_err());
+        assert_eq!(t.pending(), 0);
+        assert!(!t.flush_due(&k));
     }
 
     #[test]
@@ -643,7 +593,7 @@ mod tests {
 
     #[test]
     fn crossing_costs_ordered() {
-        // threaded > batched == async > inproc for the same crossing.
+        // batched == async > inproc for the same crossing.
         let cost = |t: &dyn Transport| {
             let k = Kernel::new();
             let before = k.snapshot().user_busy_ns;
@@ -652,9 +602,8 @@ mod tests {
         };
         let inproc = cost(&InProc);
         let batched = cost(&Batched::new(4));
-        let threaded = cost(&Threaded);
         let asynchronous = cost(&Async::new(4, 1_000));
-        assert!(inproc < batched && batched < threaded);
+        assert!(inproc < batched);
         assert_eq!(
             asynchronous, batched,
             "a synchronous crossing prices identically on async"

@@ -227,3 +227,159 @@ fn a_dropped_ring_build_frees_its_channels() {
         assert!(ch.upgrade().is_none(), "ring-build channel {i} leaked");
     }
 }
+
+/// The load path's fixed point: what one `insmod` of each decaf driver on
+/// a fresh kernel costs in virtual time, round trips and wire bytes
+/// (`bytes_in + bytes_out` of the control channel). The constants were
+/// read at 99be6ce, the parent of the PR that moved the entry-point stubs
+/// and the `insmod` prologue into `drivers::support`; before that only
+/// `decaf_bench` (outside `cargo test`) and Table 3's rounded cells saw
+/// them.
+#[test]
+fn load_cost_of_each_driver_is_what_it_was_at_99be6ce() {
+    let seen = |latency: u64, crossings: u64, ch: &XpcChannel| {
+        let wire = ch.stats();
+        (latency, crossings, wire.bytes_in + wire.bytes_out)
+    };
+    let k = Kernel::new();
+    let e = e1000::decaf::install(&k, "eth0").unwrap();
+    assert_eq!(
+        seen(e.init_latency_ns, e.crossings(), &e.channel),
+        (223_162, 22, 352),
+        "e1000"
+    );
+    let k = Kernel::new();
+    let r = rtl8139::install_decaf(&k, "eth1").unwrap();
+    assert_eq!(
+        seen(r.init_latency_ns, r.crossings(), &r.channel),
+        (70_072, 5, 100),
+        "8139too"
+    );
+    let k = Kernel::new();
+    let s = ens1371::install_decaf(&k, "card0").unwrap();
+    assert_eq!(
+        seen(s.init_latency_ns, s.crossings(), &s.channel),
+        (79_234, 3, 160),
+        "ens1371"
+    );
+    let k = Kernel::new();
+    let u = uhci::install_decaf(&k, "uhci0").unwrap();
+    assert_eq!(
+        seen(u.init_latency_ns, u.crossings(), &u.channel),
+        (141_356, 7, 188),
+        "uhci-hcd"
+    );
+    let k = Kernel::new();
+    let m = psmouse::install_decaf(&k, "mouse0").unwrap();
+    assert_eq!(
+        seen(m.init_latency_ns, m.crossings(), &m.channel),
+        (247_112, 25, 300),
+        "psmouse"
+    );
+}
+
+/// Decaf-side procedures that are not entry points of any image: the
+/// data-path doorbells the ring builds ring (`DataPathChannel` /
+/// `ShardedUrbPath` drains) and the by-value ablation's submit call.
+/// They carry descriptors or scalars, never a marshaled object, so the
+/// image has no signature for them.
+const DOORBELLS: [&str; 6] = [
+    "e1000_tx_drain",
+    "e1000_rx_drain",
+    "rtl8139_tx_drain",
+    "rtl8139_rx_drain",
+    "uhci_urb_drain",
+    "uhci_submit_value",
+];
+
+/// The one nucleus procedure that is not a kernel import of its image:
+/// the 8139too mini-C source lists `rtl8139_hw_start` as a *user*
+/// function, but this build keeps the ring start in the nucleus and
+/// `rtl8139_open` reaches it through this downcall.
+const NUCLEUS_EXTRAS: [&str; 1] = ["hw_start_datapath"];
+
+/// Every procedure an install registered is one the image declares.
+fn assert_linked_against<'a>(
+    kind: DriverKind,
+    install: &str,
+    channels: impl IntoIterator<Item = &'a Rc<XpcChannel>>,
+) {
+    let image = kind.image();
+    for (shard, ch) in channels.into_iter().enumerate() {
+        let decaf = ch.proc_names(Domain::Decaf);
+        assert!(
+            !decaf.is_empty(),
+            "{install}: shard {shard} has no handlers"
+        );
+        for name in decaf {
+            assert!(
+                image.user_entry_point(&name).is_some() || DOORBELLS.contains(&name.as_str()),
+                "{install}: decaf procedure `{name}` on shard {shard} is not a user entry point"
+            );
+        }
+        for name in ch.proc_names(Domain::Nucleus) {
+            assert!(
+                image.kernel_imports_from_user.contains(&name)
+                    || NUCLEUS_EXTRAS.contains(&name.as_str()),
+                "{install}: nucleus procedure `{name}` on shard {shard} is not a kernel import"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_installer_registers_only_what_its_image_declares() {
+    use DriverKind::*;
+    let fresh = Kernel::new;
+
+    let d = e1000::decaf::install(&fresh(), "eth0").unwrap();
+    assert_linked_against(E1000, "e1000 install", [&d.channel]);
+    let d = e1000::decaf::install_shmring(&fresh(), "eth0").unwrap();
+    assert_linked_against(E1000, "e1000 install_shmring", [&d.channel]);
+    let d = e1000::decaf::install_shmring_poll(&fresh(), "eth0").unwrap();
+    assert_linked_against(E1000, "e1000 install_shmring_poll", [&d.channel]);
+    let d = e1000::decaf::install_sharded(&fresh(), "eth0", 4).unwrap();
+    let four = || (0..4).map(|i| d.channels.shard(i));
+    assert_linked_against(E1000, "e1000 install_sharded", four());
+    let registered: usize = four()
+        .map(|ch| ch.proc_names(Domain::Decaf).len() + ch.proc_names(Domain::Nucleus).len())
+        .sum();
+    assert_eq!(registered, 84, "8 decaf + 13 nucleus procedures per shard");
+
+    let d = rtl8139::install_decaf(&fresh(), "eth1").unwrap();
+    assert_linked_against(Rtl8139, "8139too install_decaf", [&d.channel]);
+    let d = rtl8139::install_shmring(&fresh(), "eth1").unwrap();
+    assert_linked_against(Rtl8139, "8139too install_shmring", [&d.channel]);
+    let d = rtl8139::install_shmring_poll(&fresh(), "eth1").unwrap();
+    assert_linked_against(Rtl8139, "8139too install_shmring_poll", [&d.channel]);
+
+    let d = ens1371::install_decaf(&fresh(), "card0").unwrap();
+    assert_linked_against(Ens1371, "ens1371 install_decaf", [&d.channel]);
+
+    let d = uhci::install_decaf(&fresh(), "uhci0").unwrap();
+    assert_linked_against(UhciHcd, "uhci install_decaf", [&d.channel]);
+    let d = uhci::install_value(&fresh(), "uhci0", true).unwrap();
+    assert_linked_against(UhciHcd, "uhci install_value", [&d.channel]);
+    let d = uhci::install_sharded(&fresh(), "uhci0", 4).unwrap();
+    let four = (0..4).map(|i| d.channels.shard(i));
+    assert_linked_against(UhciHcd, "uhci install_sharded", four);
+
+    let d = psmouse::install_decaf(&fresh(), "mouse0").unwrap();
+    assert_linked_against(Psmouse, "psmouse install_decaf", [&d.channel]);
+}
+
+/// The by-name lookup the stubs resolve through agrees with the list it
+/// searches, on every image.
+#[test]
+fn by_name_lookup_finds_every_entry_point_of_every_image() {
+    for kind in DriverKind::all() {
+        let image = kind.image();
+        assert!(!image.user_entry_points.is_empty(), "{}", kind.name());
+        for ep in &image.user_entry_points {
+            assert_eq!(image.user_entry_point(&ep.name), Some(ep), "{}", ep.name);
+        }
+        for kernel_fn in &image.kernel_fns {
+            assert_eq!(image.user_entry_point(kernel_fn), None, "{kernel_fn}");
+        }
+    }
+}
