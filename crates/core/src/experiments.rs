@@ -204,10 +204,10 @@ fn drained_path(
     ch.register_proc(
         Domain::Decaf,
         ProcDef::scalar(drain_proc, move |k, _| {
-            for d in end.consume(k) {
+            end.consume(k, |d| {
                 k.charge(CpuClass::User, costs::DMA_DESC_NS);
                 let _ = end.complete(k, d);
-            }
+            });
             XdrValue::Void
         }),
     )
@@ -2026,10 +2026,10 @@ pub fn rx_mode_run_schedule(mode: decaf_drivers::support::RxMode, schedule: &[u6
                     post(arrived);
                     arrived += 1;
                 }
-                for d in end.poll_and_reclaim(&kernel, RX_POLL_BUDGET) {
+                end.poll_and_reclaim(&kernel, RX_POLL_BUDGET, |d| {
                     kernel.charge(CpuClass::User, costs::DMA_DESC_NS);
                     end.complete(&kernel, d).expect("complete");
-                }
+                });
                 delivered += reclaim();
                 if tick >= nominal_ticks && arrived == total && delivered == total {
                     break;

@@ -37,8 +37,8 @@ use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
-    XpcResult,
+    ChannelConfig, DataPathChannel, DataPathEnd, Domain, NuclearRuntime, ProcDef, ShardedChannel,
+    XpcChannel, XpcResult,
 };
 
 use super::{attach, E1000Hw, BUF_SIZE, IRQ_LINE, N_DESC, TX_BUF_OFF};
@@ -486,6 +486,7 @@ fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>, ifname: &str) ->
             hw: Rc::clone(hw),
             ifname: ifname.to_string(),
             set: rx_set,
+            ends: rx_paths.iter().map(|p| p.end(Domain::Decaf)).collect(),
             paths: rx_paths,
         }),
     })
@@ -517,17 +518,13 @@ fn register_drains(
             Domain::Decaf,
             ProcDef::scalar("e1000_tx_drain", move |k, _| {
                 k.shard_scope(i, || {
-                    let drained = end.consume(k);
-                    if drained.is_empty() {
-                        return XdrValue::Int(0);
-                    }
                     let pool = end.pool().expect("tx path owns a pool");
                     let mut queued = 0;
-                    for d in &drained {
+                    end.consume(k, |d| {
                         let off = pool.offset_of(d.buf).expect("live pool handle");
                         match hw.xmit_desc(k, off, d.len as usize) {
                             Ok(()) => {
-                                inflight.borrow_mut().push_back(*d);
+                                inflight.borrow_mut().push_back(d);
                                 queued += 1;
                             }
                             // A frame the hardware rejects never becomes
@@ -535,10 +532,10 @@ fn register_drains(
                             // the next TXDW); it is completed on the
                             // spot — steered home like any other.
                             Err(_) => {
-                                let _ = set.complete(k, CpuClass::User, *d);
+                                let _ = set.complete(k, CpuClass::User, d);
                             }
                         }
-                    }
+                    });
                     if queued > 0 {
                         hw.tx_kick(k);
                     }
@@ -555,12 +552,10 @@ fn register_drains(
             Domain::Decaf,
             ProcDef::scalar("e1000_rx_drain", move |k, _| {
                 k.shard_scope(i, || {
-                    let mut n = 0;
-                    for d in end.consume(k) {
+                    let n = end.consume(k, |d| {
                         let _ = set.complete(k, CpuClass::User, d);
-                        n += 1;
-                    }
-                    XdrValue::Int(n)
+                    });
+                    XdrValue::Int(n as i32)
                 })
             }),
         )?;
@@ -575,6 +570,9 @@ struct RxSide {
     ifname: String,
     set: Rc<RingSet>,
     paths: Vec<Rc<DataPathChannel>>,
+    /// The decaf end of each path, for the poll tick: kept, so the batch
+    /// its probes fill is reused from tick to tick.
+    ends: Vec<DataPathEnd>,
 }
 
 impl RxSide {
@@ -602,7 +600,7 @@ impl RxSide {
     fn deliver(&self, k: &Kernel) {
         let mut last = None;
         for path in &self.paths {
-            for d in path.reclaim_completions(k) {
+            path.reclaim_completions_with(k, |d| {
                 let slot = d.cookie as u32;
                 let data = self
                     .hw
@@ -617,7 +615,7 @@ impl RxSide {
                 );
                 self.hw.rx_recycle(k, slot);
                 last = Some(slot);
-            }
+            });
         }
         if let Some(slot) = last {
             self.hw.rx_kick(k, slot);
@@ -645,8 +643,9 @@ fn ring_irq_handler(
         let icr = hw.bar.read32(k, hwreg::ICR);
         if icr & hwreg::ICR_TXDW != 0 {
             let (mut pkts, mut bytes) = (0u64, 0u64);
-            let done: Vec<Descriptor> = inflight.borrow_mut().drain(..).collect();
-            for d in done {
+            // Popped one at a time, so no borrow is held across the
+            // completion and nothing is collected.
+            while let Some(d) = { inflight.borrow_mut().pop_front() } {
                 pkts += 1;
                 bytes += d.len as u64;
                 // Completion steering: handback lands on the ring of
@@ -695,12 +694,11 @@ fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
             k.schedule_work("e1000_rx_poll_task", move |k| {
                 let _span = k.trace_span("rx", "poll");
                 rx.harvest(k);
-                for (i, path) in rx.paths.iter().enumerate() {
+                for (i, end) in rx.ends.iter().enumerate() {
                     k.shard_scope(i, || {
-                        let end = path.end(Domain::Decaf);
-                        for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
+                        end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
                             let _ = rx.set.complete(k, CpuClass::User, d);
-                        }
+                        });
                     });
                 }
                 rx.deliver(k);

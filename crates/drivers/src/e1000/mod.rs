@@ -242,22 +242,20 @@ impl E1000Hw {
     }
 
     /// Scans completed receive descriptors *without copying payloads*:
-    /// returns `(slot, len)` pairs for the shmring data path to post as
-    /// descriptors. The buffers stay software-owned until
+    /// yields `(slot, len)` pairs, as it finds them, for the shmring data
+    /// path to post as descriptors. The buffers stay software-owned until
     /// [`E1000Hw::rx_recycle`] hands them back.
-    pub fn rx_harvest(&self, _kernel: &Kernel) -> Vec<(u32, usize)> {
-        let mut out = Vec::new();
-        loop {
+    pub fn rx_harvest<'a>(&'a self, _kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
+        std::iter::from_fn(move || {
             let slot = self.next_rx.get();
             let desc = RX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
             if self.dma.read_u32(desc + 12) & hwreg::TXD_STAT_DD == 0 {
-                break;
+                return None;
             }
             let len = (self.dma.read_u32(desc + 8) & 0xffff) as usize;
-            out.push((slot, len));
             self.next_rx.set((slot + 1) % N_DESC);
-        }
-        out
+            Some((slot, len))
+        })
     }
 
     /// DMA offset of one receive buffer slot.

@@ -642,7 +642,7 @@ impl RxSide {
 
     /// Delivers every completed receive descriptor to the stack.
     fn deliver(&self, k: &Kernel) {
-        for d in self.path.reclaim_completions(k) {
+        self.path.reclaim_completions_with(k, |d| {
             let data = self.hw.dma.read_bytes(d.cookie as usize, d.len as usize);
             let _ = k.netif_rx(
                 &self.ifname,
@@ -651,7 +651,7 @@ impl RxSide {
                     protocol: 0x0800,
                 },
             );
-        }
+        });
     }
 }
 
@@ -731,10 +731,10 @@ fn build_datapath(
             Domain::Decaf,
             ProcDef::scalar("rtl8139_rx_drain", move |k, _| {
                 let mut n = 0;
-                for d in end.consume(k) {
+                end.consume(k, |d| {
                     let _ = end.complete(k, d);
                     n += 1;
-                }
+                });
                 XdrValue::Int(n)
             }),
         )?;
@@ -803,9 +803,9 @@ fn build_datapath(
                     let _span = k.trace_span("rx", "poll");
                     rx.harvest(k);
                     let end = rx.path.end(Domain::Decaf);
-                    for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
+                    end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
                         let _ = end.complete(k, d);
-                    }
+                    });
                     rx.deliver(k);
                     // Only rewind once nothing unread remains parked in
                     // the shm ring (the hardware pointer is then safe).

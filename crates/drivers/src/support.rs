@@ -126,20 +126,21 @@ pub fn sharded_poll_timer(
     name: &'static str,
     tx_paths: &[Rc<DataPathChannel>],
 ) -> TimerId {
-    let paths: Vec<Rc<DataPathChannel>> = tx_paths.to_vec();
+    assert!(tx_paths.len() <= 64, "the busy set is one word");
+    let paths: Rc<[Rc<DataPathChannel>]> = tx_paths.into();
     let timer = kernel.timer_create(
         name,
         Rc::new(move |k| {
-            let busy: Vec<usize> = paths
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.pending() > 0 || !p.completions().is_empty())
-                .map(|(i, _)| i)
-                .collect();
-            if !busy.is_empty() {
-                let paths = paths.clone();
+            // One bit per busy shard: a tick allocates its work item and
+            // nothing else.
+            let busy = paths.iter().enumerate().fold(0u64, |busy, (i, p)| {
+                let is_busy = p.pending() > 0 || !p.completions().is_empty();
+                busy | (is_busy as u64) << i
+            });
+            if busy != 0 {
+                let paths = Rc::clone(&paths);
                 k.schedule_work(name, move |k| {
-                    for i in busy {
+                    for i in (0..paths.len()).filter(|i| busy >> i & 1 != 0) {
                         k.shard_scope(i, || {
                             let _ = paths[i].poll(k);
                         });
@@ -370,10 +371,10 @@ pub fn install_open_loop_net(
             Domain::Decaf,
             ProcDef::scalar("rx_drain", move |k, _| {
                 let mut n = 0;
-                for d in end.consume(k) {
+                end.consume(k, |d| {
                     let _ = end.complete(k, d);
                     n += 1;
-                }
+                });
                 XdrValue::Int(n)
             }),
         )?;
@@ -423,13 +424,13 @@ pub fn install_open_loop_storage(
         sc.shard(i).register_proc(
             Domain::Decaf,
             ProcDef::scalar("urb_drain", move |k, _| {
-                for d in end.consume(k) {
+                end.consume(k, |d| {
                     let actual = match d.dir {
                         XferDir::Out => d.len,
                         XferDir::In => 512,
                     };
                     let _ = set.complete(k, CpuClass::User, d.completed(0, actual));
-                }
+                });
                 XdrValue::Void
             }),
         )?;

@@ -952,14 +952,14 @@ fn build_urb_path(
                 k.shard_scope(i, || {
                     let _span = k.trace_span("urb", "drain");
                     let mut n = 0;
-                    for d in end.consume(k) {
+                    end.consume(k, |d| {
                         let segs = end.pool().sg_segments(d.buf).expect("live chain");
                         let (status, actual) =
                             hw_drain.submit_sg(k, d.endpoint, &segs, d.len as usize);
                         set.complete(k, CpuClass::User, d.completed(status, actual))
                             .expect("giveback ring sized 2x submit ring");
                         n += 1;
-                    }
+                    });
                     XdrValue::Int(n)
                 })
             }),

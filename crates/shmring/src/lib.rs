@@ -98,7 +98,8 @@
 //! let desc = Descriptor { buf: BufHandle(0), len: 64, cookie: 9 };
 //! set.post(&kernel, CpuClass::Kernel, shard, desc).unwrap();
 //!
-//! let drained = set.ring(shard).drain(&kernel, CpuClass::User);
+//! let mut drained = Vec::new(); // the consumer's batch, reused per drain
+//! set.ring(shard).drain(&kernel, CpuClass::User, &mut drained);
 //! let home = set.complete(&kernel, CpuClass::User, drained[0]).unwrap();
 //! assert_eq!(home, shard, "completions come home");
 //! assert!(set.conserved(), "no descriptor lost or double-completed");

@@ -204,13 +204,15 @@ impl<D: Copy + Default> ShmRing<D> {
         desc.into()
     }
 
-    /// Consumes every posted descriptor, oldest first.
-    pub fn drain(&self, kernel: &Kernel, class: CpuClass) -> Vec<D> {
-        let mut out = Vec::with_capacity(self.len());
+    /// Consumes every posted descriptor, oldest first, onto the end of
+    /// `out`. Every pop is paid for before the caller looks at the first
+    /// descriptor, and the storage is the caller's: a drain runs once per
+    /// doorbell or poll tick, so whoever drains keeps one batch and
+    /// reuses it instead of being handed a fresh `Vec` each time.
+    pub fn drain(&self, kernel: &Kernel, class: CpuClass, out: &mut Vec<D>) {
         while let Some(d) = self.pop(kernel, class) {
             out.push(d);
         }
-        out
     }
 }
 
@@ -238,8 +240,10 @@ mod tests {
         assert_eq!(r.pop(&k, CpuClass::User).unwrap(), desc(1));
         r.push(&k, CpuClass::Kernel, desc(4)).unwrap();
         r.push(&k, CpuClass::Kernel, desc(5)).unwrap();
-        let drained = r.drain(&k, CpuClass::User);
-        assert_eq!(drained, vec![desc(2), desc(3), desc(4), desc(5)]);
+        let mut drained = vec![desc(9)];
+        r.drain(&k, CpuClass::User, &mut drained);
+        let appended = vec![desc(9), desc(2), desc(3), desc(4), desc(5)];
+        assert_eq!(drained, appended, "oldest first, after what was there");
         assert!(r.is_empty());
     }
 

@@ -440,7 +440,8 @@ impl<D: RingDescriptor> ShardedRings<D> {
     /// Drains `shard`'s completion ring (the producer reclaiming its
     /// handed-back descriptors, oldest first).
     pub fn reclaim(&self, kernel: &Kernel, class: CpuClass, shard: usize) -> Vec<D> {
-        let done = self.completions[shard].drain(kernel, class);
+        let mut done = Vec::new();
+        self.completions[shard].drain(kernel, class, &mut done);
         if !done.is_empty() {
             kernel.trace_instant(
                 "ring",
@@ -512,6 +513,13 @@ mod tests {
         }
     }
 
+    /// Everything posted on `ring`, popped as the consumer.
+    fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
+        let mut out = Vec::new();
+        ring.drain(k, CpuClass::User, &mut out);
+        out
+    }
+
     #[test]
     fn flow_steering_is_deterministic_and_spreads() {
         let set = RingSet::new("tx", 4, 8, 16);
@@ -538,7 +546,7 @@ mod tests {
         // A consumer drains every ring (order immaterial), completing
         // each descriptor; the completion must come home.
         for shard in 0..3 {
-            for d in set.ring(shard).drain(&k, CpuClass::User) {
+            for d in drained(set.ring(shard), &k) {
                 let home = set.complete(&k, CpuClass::User, d).unwrap();
                 assert_eq!(home, shard, "cookie {} steered astray", d.cookie);
             }
@@ -564,7 +572,7 @@ mod tests {
         );
         // Double completion is also a conservation violation.
         set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
-        set.ring(0).drain(&k, CpuClass::User);
+        drained(set.ring(0), &k);
         set.complete(&k, CpuClass::User, desc(1)).unwrap();
         assert_eq!(
             set.complete(&k, CpuClass::User, desc(1)),
@@ -580,7 +588,7 @@ mod tests {
         let set = RingSet::new("rx", 2, 4, 8);
         for round in 0..3 {
             set.post(&k, CpuClass::Kernel, 1, desc(5)).unwrap();
-            set.ring(1).drain(&k, CpuClass::User);
+            drained(set.ring(1), &k);
             assert_eq!(set.complete(&k, CpuClass::User, desc(5)).unwrap(), 1);
             assert_eq!(
                 set.reclaim(&k, CpuClass::Kernel, 1).len(),
@@ -605,7 +613,7 @@ mod tests {
         assert!(set.conserved());
         // Cancelling an already-completed (or unknown) cookie is a no-op.
         set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
-        set.ring(0).drain(&k, CpuClass::User);
+        drained(set.ring(0), &k);
         set.complete(&k, CpuClass::User, desc(1)).unwrap();
         set.cancel_post(1);
         assert_eq!(set.stats().posted, 1);
@@ -631,7 +639,7 @@ mod tests {
         set.cancel_post(2);
         assert_eq!(set.stats().in_flight_hwm, 2, "phantom peak recorded");
         // …survives a refused post after the ring has drained to zero.
-        for d in set.ring(0).drain(&k, CpuClass::User) {
+        for d in drained(set.ring(0), &k) {
             set.complete(&k, CpuClass::User, d).unwrap();
         }
         assert_eq!(set.shard_in_flight(0), 0);

@@ -9,7 +9,7 @@ mod tests {
 
     use decaf_simkernel::{CpuClass, Kernel};
 
-    use crate::{RingSetError, SectorPool, SgHandle, UrbDescriptor, UrbRingSet};
+    use crate::{RingSetError, SectorPool, SgHandle, ShmRing, UrbDescriptor, UrbRingSet};
 
     fn set(shards: usize) -> Rc<UrbRingSet> {
         UrbRingSet::new(
@@ -33,6 +33,13 @@ mod tests {
         s.note_submit(shard, cookie);
     }
 
+    /// Everything posted on `ring`, popped as the consumer.
+    fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
+        let mut out = Vec::new();
+        ring.drain(k, CpuClass::User, &mut out);
+        out
+    }
+
     #[test]
     fn lun_steering_is_deterministic_and_spreads() {
         let s = set(4);
@@ -54,7 +61,7 @@ mod tests {
         // One completer drains every shard's submit ring in arbitrary
         // order; the giveback must come home.
         for shard in [2, 0, 1] {
-            for d in s.submit_ring(shard).drain(&k, CpuClass::User) {
+            for d in drained(s.submit_ring(shard), &k) {
                 let home = s
                     .complete(&k, CpuClass::User, d.completed(0, d.len))
                     .unwrap();
@@ -86,7 +93,7 @@ mod tests {
             Err(RingSetError::UnknownOrigin(7))
         );
         submit(&k, &s, 1, 7);
-        s.submit_ring(1).drain(&k, CpuClass::User);
+        drained(s.submit_ring(1), &k);
         assert_eq!(s.complete(&k, CpuClass::User, d).unwrap(), 1);
         assert_eq!(
             s.complete(&k, CpuClass::User, d),
@@ -127,7 +134,7 @@ mod tests {
         assert_eq!(s.shard_stats(0).in_flight_hwm, 2, "phantom peak recorded");
         // Drain to zero, then another refused submit: the old peak of 2
         // must survive the restore.
-        for d in s.submit_ring(0).drain(&k, CpuClass::User) {
+        for d in drained(s.submit_ring(0), &k) {
             s.complete(&k, CpuClass::User, d).unwrap();
         }
         assert_eq!(s.shard_in_flight(0), 0);
@@ -148,7 +155,7 @@ mod tests {
         assert_eq!(s.shard_stats(1).posted, 1);
         assert_eq!(s.shard_in_flight(0), 2);
         assert_eq!(s.stats().in_flight_hwm, 2, "HWM is a max, not a sum");
-        for d in s.submit_ring(0).drain(&k, CpuClass::User) {
+        for d in drained(s.submit_ring(0), &k) {
             s.complete(&k, CpuClass::User, d).unwrap();
         }
         assert!(s.shard_conserved(0));

@@ -22,6 +22,13 @@ fn desc(n: u32) -> Descriptor {
     }
 }
 
+/// Everything posted on `ring`, popped as the consumer.
+fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
+    let mut out = Vec::new();
+    ring.drain(k, CpuClass::User, &mut out);
+    out
+}
+
 proptest! {
     /// Any interleaving of pushes and pops behaves exactly like a bounded
     /// FIFO: order preserved across wrap-around, fullness refused with
@@ -80,7 +87,7 @@ proptest! {
                 seq += 1;
             }
             prop_assert!(ring.is_full());
-            let drained = ring.drain(&k, CpuClass::User);
+            let drained = drained(&ring, &k);
             prop_assert_eq!(drained.len(), capacity, "full ring drains completely");
             prop_assert!(ring.is_empty(), "every slot handed back");
         }
@@ -321,7 +328,7 @@ proptest! {
                 // ring; every giveback must steer home.
                 _ => {
                     let victim = (*op as usize / 7) % shards;
-                    for d in set.submit_ring(victim).drain(&k, CpuClass::User) {
+                    for d in drained(set.submit_ring(victim), &k) {
                         let home = set
                             .complete(&k, CpuClass::User, d.completed(0, d.len))
                             .unwrap();
@@ -340,7 +347,7 @@ proptest! {
         }
         // Quiesce.
         for (shard, count) in reclaimed.iter_mut().enumerate() {
-            for d in set.submit_ring(shard).drain(&k, CpuClass::User) {
+            for d in drained(set.submit_ring(shard), &k) {
                 let home = set.complete(&k, CpuClass::User, d.completed(0, d.len)).unwrap();
                 prop_assert_eq!(home, shard);
             }

@@ -12,6 +12,8 @@
 //! shared [`DmaMemory`] region; checksum offload, VLANs and flow control
 //! are not modelled.
 
+use std::collections::VecDeque;
+
 use decaf_simkernel::{costs, DmaMemory, Kernel, MmioDevice};
 
 /// Device control register.
@@ -112,7 +114,9 @@ pub struct E1000Device {
     tpt: u32,
     tpr: u32,
     /// Frames waiting to enter the RX ring (loopback + injected traffic).
-    pending_rx: Vec<Vec<u8>>,
+    pending_rx: VecDeque<Vec<u8>>,
+    /// Emptied frame buffers, reused by the next frame to wait.
+    spare_rx: Vec<Vec<u8>>,
     /// Frames dropped because no RX descriptor was available.
     pub rx_dropped: u64,
 }
@@ -142,7 +146,8 @@ impl E1000Device {
             rdt: 0,
             tpt: 0,
             tpr: 0,
-            pending_rx: Vec::new(),
+            pending_rx: VecDeque::new(),
+            spare_rx: Vec::new(),
             rx_dropped: 0,
         }
     }
@@ -191,14 +196,19 @@ impl E1000Device {
             let len = (self.dma.read_u32(desc + 8) & 0xffff) as usize;
             let cmd = self.dma.read_u32(desc + 8) >> 24;
             kernel.charge_kernel(costs::DMA_DESC_NS);
-            let frame = self.dma.read_bytes(buf_addr, len);
-            if cmd & TXD_CMD_EOP != 0 {
-                self.tpt = self.tpt.wrapping_add(1);
-                // Internal loopback: the link reflects every frame.
-                if self.status & STATUS_LU != 0 {
-                    self.pending_rx.push(frame);
+            // The payload is fetched through a borrowed view (a bounds
+            // panic for a descriptor pointing outside the region, like
+            // any DMA access) and copied only if it has somewhere to go.
+            let dma = self.dma.clone();
+            dma.with_bytes(buf_addr, len, |payload| {
+                if cmd & TXD_CMD_EOP != 0 {
+                    self.tpt = self.tpt.wrapping_add(1);
+                    // Internal loopback: the link reflects every frame.
+                    if self.status & STATUS_LU != 0 {
+                        self.queue_rx(payload);
+                    }
                 }
-            }
+            });
             if cmd & TXD_CMD_RS != 0 {
                 // Write back descriptor-done status.
                 let st = self.dma.read_u32(desc + 12) | TXD_STAT_DD;
@@ -228,7 +238,9 @@ impl E1000Device {
                 self.pending_rx.clear();
                 break;
             }
-            let frame = self.pending_rx.remove(0);
+            let Some(frame) = self.pending_rx.pop_front() else {
+                break;
+            };
             let desc = self.rdbal as usize + self.rdh as usize * DESC_SIZE;
             let buf_addr = self.dma.read_u64(desc) as usize;
             kernel.charge_kernel(costs::DMA_DESC_NS);
@@ -239,6 +251,7 @@ impl E1000Device {
             self.tpr = self.tpr.wrapping_add(1);
             self.rdh = next;
             delivered = true;
+            self.spare_rx.push(frame);
         }
         if delivered {
             self.assert_cause(kernel, ICR_RXT0);
@@ -247,8 +260,17 @@ impl E1000Device {
 
     /// Injects an externally received frame (a peer on the wire).
     pub fn inject_rx(&mut self, kernel: &Kernel, frame: &[u8]) {
-        self.pending_rx.push(frame.to_vec());
+        self.queue_rx(frame);
         self.deliver_rx(kernel);
+    }
+
+    /// Copies `frame` into the wait queue, in a buffer a delivered frame
+    /// left behind when there is one.
+    fn queue_rx(&mut self, frame: &[u8]) {
+        let mut buf = self.spare_rx.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(frame);
+        self.pending_rx.push_back(buf);
     }
 
     /// Whether the model currently reports link-up.

@@ -70,10 +70,112 @@ struct TimerEntry {
     /// reads it (and so never clones it per fire).
     #[allow(dead_code)]
     name: String,
-    callback: Rc<dyn Fn(&Kernel)>,
-    deadline_ns: Option<u64>,
+    /// `None` once the timer is deleted: whatever the closure captured
+    /// is freed with the timer, not with the kernel.
+    callback: Option<TimerFn>,
     period_ns: Option<u64>,
-    live: bool,
+    /// This timer's slot in [`Timers::armed`], while it is armed.
+    slot: Option<usize>,
+}
+
+/// The timer table plus the armed timers as a binary min-heap of
+/// `(deadline, timer index)` keyed by deadline. Dispatch never walks the
+/// table: the earliest deadline is the heap's root, and the timers due at
+/// `now` are exactly the connected subtree at the root whose deadlines
+/// are `<= now`, so a fire visits the due timers and nothing else.
+///
+/// The firing rule is **lowest timer index among the due timers**, not
+/// earliest deadline: busy time can carry the clock past several
+/// deadlines at once, and the order they then fire in is creation order.
+#[derive(Default)]
+struct Timers {
+    entries: Vec<TimerEntry>,
+    armed: Vec<(u64, usize)>,
+}
+
+impl Timers {
+    /// Arms (or re-arms) live timer `idx` for `deadline`.
+    fn arm(&mut self, idx: usize, deadline: u64, period_ns: Option<u64>) {
+        let Some(t) = self.entries.get_mut(idx).filter(|t| t.callback.is_some()) else {
+            return;
+        };
+        t.period_ns = period_ns;
+        let slot = match t.slot {
+            Some(slot) => {
+                self.armed[slot].0 = deadline;
+                slot
+            }
+            None => {
+                self.armed.push((deadline, idx));
+                self.armed.len() - 1
+            }
+        };
+        self.sift(slot);
+    }
+
+    fn disarm(&mut self, idx: usize) {
+        if let Some(slot) = self.entries.get_mut(idx).and_then(|t| t.slot.take()) {
+            self.armed.swap_remove(slot);
+            if slot < self.armed.len() {
+                self.sift(slot);
+            }
+        }
+    }
+
+    /// Restores the heap order around `slot` after its key changed (or a
+    /// different entry was moved into it), keeping every moved timer's
+    /// `slot` current.
+    fn sift(&mut self, mut slot: usize) {
+        while slot > 0 && self.armed[slot].0 < self.armed[(slot - 1) / 2].0 {
+            self.armed.swap(slot, (slot - 1) / 2);
+            self.entries[self.armed[slot].1].slot = Some(slot);
+            slot = (slot - 1) / 2;
+        }
+        loop {
+            let mut least = slot;
+            for child in [2 * slot + 1, 2 * slot + 2] {
+                if child < self.armed.len() && self.armed[child].0 < self.armed[least].0 {
+                    least = child;
+                }
+            }
+            if least == slot {
+                break;
+            }
+            self.armed.swap(slot, least);
+            self.entries[self.armed[slot].1].slot = Some(slot);
+            slot = least;
+        }
+        self.entries[self.armed[slot].1].slot = Some(slot);
+    }
+
+    /// Takes the next timer to fire at `now` — the lowest index among the
+    /// due ones — re-arming it `period` past `now` if periodic, disarming
+    /// it otherwise.
+    fn take_due(&mut self, now: u64) -> Option<TimerFn> {
+        let (mut slot, mut first) = (0, None::<usize>);
+        loop {
+            if let Some(&(_, idx)) = self.armed.get(slot).filter(|&&(d, _)| d <= now) {
+                first = Some(first.map_or(idx, |f| f.min(idx)));
+                slot = 2 * slot + 1;
+                continue;
+            }
+            // Not due (or past the end): nothing below is due either.
+            // Climb out of right subtrees, then cross to the sibling.
+            while slot > 0 && slot % 2 == 0 {
+                slot = (slot - 1) / 2;
+            }
+            if slot == 0 {
+                break;
+            }
+            slot += 1;
+        }
+        let idx = first?;
+        match self.entries[idx].period_ns {
+            Some(p) => self.arm(idx, now + p, Some(p)),
+            None => self.disarm(idx),
+        }
+        self.entries[idx].callback.clone()
+    }
 }
 
 /// A registered interrupt handler: name plus callback.
@@ -83,10 +185,16 @@ pub type IrqHandler = Rc<dyn Fn(&Kernel)>;
 struct IrqLine {
     handler: Option<(String, IrqHandler)>,
     disable_depth: u32,
-    pending: bool,
+}
+
+/// The bit of `line` in the pending and masked words.
+fn irq_bit(line: u32) -> u64 {
+    assert!(line < 64, "the simulated interrupt controller has 64 lines");
+    1 << line
 }
 
 type WorkFn = Box<dyn FnOnce(&Kernel)>;
+type TimerFn = Rc<dyn Fn(&Kernel)>;
 
 #[derive(Default)]
 struct WorkState {
@@ -127,7 +235,11 @@ pub(crate) struct Inner {
     shard: Cell<Option<usize>>,
     shard_busy: RefCell<Vec<u64>>,
     irqs: RefCell<Vec<IrqLine>>,
-    timers: RefCell<Vec<TimerEntry>>,
+    /// One bit per line: raised and not yet delivered.
+    irq_pending: Cell<u64>,
+    /// One bit per line: `disable_depth > 0`.
+    irq_masked: Cell<u64>,
+    timers: RefCell<Timers>,
     work: RefCell<WorkState>,
     modules: RefCell<Vec<LoadedModule>>,
     violations: RefCell<Vec<Violation>>,
@@ -206,7 +318,9 @@ impl Kernel {
                 shard: Cell::new(None),
                 shard_busy: RefCell::new(Vec::new()),
                 irqs: RefCell::new(Vec::new()),
-                timers: RefCell::new(Vec::new()),
+                irq_pending: Cell::new(0),
+                irq_masked: Cell::new(0),
+                timers: RefCell::new(Timers::default()),
                 work: RefCell::new(WorkState::default()),
                 modules: RefCell::new(Vec::new()),
                 violations: RefCell::new(Vec::new()),
@@ -442,7 +556,8 @@ impl Kernel {
     pub fn free_irq(&self, line: u32) {
         if let Some(entry) = self.inner.irqs.borrow_mut().get_mut(line as usize) {
             entry.handler = None;
-            entry.pending = false;
+            let pending = &self.inner.irq_pending;
+            pending.set(pending.get() & !irq_bit(line));
         }
     }
 
@@ -451,6 +566,8 @@ impl Kernel {
     /// This is the mechanism the nuclear runtime uses to keep the driver
     /// from interrupting itself while its decaf driver runs (§3.1.3).
     pub fn disable_irq(&self, line: u32) {
+        let masked = &self.inner.irq_masked;
+        masked.set(masked.get() | irq_bit(line));
         let mut irqs = self.inner.irqs.borrow_mut();
         let line = line as usize;
         if irqs.len() <= line {
@@ -464,16 +581,16 @@ impl Kernel {
     pub fn enable_irq(&self, line: u32) {
         if let Some(entry) = self.inner.irqs.borrow_mut().get_mut(line as usize) {
             entry.disable_depth = entry.disable_depth.saturating_sub(1);
+            if entry.disable_depth == 0 {
+                let masked = &self.inner.irq_masked;
+                masked.set(masked.get() & !irq_bit(line));
+            }
         }
     }
 
     /// Whether `line` currently has undelivered pending interrupts.
     pub fn irq_pending(&self, line: u32) -> bool {
-        self.inner
-            .irqs
-            .borrow()
-            .get(line as usize)
-            .is_some_and(|l| l.pending)
+        line < 64 && self.inner.irq_pending.get() & irq_bit(line) != 0
     }
 
     /// Raises IRQ `line` (called by device models).
@@ -481,12 +598,8 @@ impl Kernel {
     /// Delivery is deferred to the next scheduling point, keeping driver
     /// code re-entrancy-free and the simulation deterministic.
     pub fn raise_irq(&self, line: u32) {
-        let mut irqs = self.inner.irqs.borrow_mut();
-        let line = line as usize;
-        if irqs.len() <= line {
-            irqs.resize_with(line + 1, IrqLine::default);
-        }
-        irqs[line].pending = true;
+        let pending = &self.inner.irq_pending;
+        pending.set(pending.get() | irq_bit(line));
     }
 
     // -------------------------------------------------------- timers
@@ -494,25 +607,19 @@ impl Kernel {
     /// Creates a timer; it does not fire until armed.
     pub fn timer_create(&self, name: impl Into<String>, callback: Rc<dyn Fn(&Kernel)>) -> TimerId {
         let mut timers = self.inner.timers.borrow_mut();
-        timers.push(TimerEntry {
+        timers.entries.push(TimerEntry {
             name: name.into(),
-            callback,
-            deadline_ns: None,
+            callback: Some(callback),
             period_ns: None,
-            live: true,
+            slot: None,
         });
-        TimerId(timers.len() - 1)
+        TimerId(timers.entries.len() - 1)
     }
 
     /// Arms `timer` to fire once, `delay_ns` from now (like `mod_timer`).
     pub fn timer_arm(&self, timer: TimerId, delay_ns: u64) {
-        let now = self.now_ns();
-        if let Some(t) = self.inner.timers.borrow_mut().get_mut(timer.0) {
-            if t.live {
-                t.deadline_ns = Some(now + delay_ns);
-                t.period_ns = None;
-            }
-        }
+        let deadline = self.now_ns() + delay_ns;
+        self.inner.timers.borrow_mut().arm(timer.0, deadline, None);
     }
 
     /// Arms `timer` to fire once at absolute virtual time `deadline_ns`
@@ -523,53 +630,48 @@ impl Kernel {
     /// re-arming to `schedule[i]` directly cannot accumulate the off-by-
     /// one-dispatch drift that repeated `now + delta` arithmetic can.
     pub fn timer_arm_at(&self, timer: TimerId, deadline_ns: u64) {
-        let now = self.now_ns();
-        if let Some(t) = self.inner.timers.borrow_mut().get_mut(timer.0) {
-            if t.live {
-                t.deadline_ns = Some(deadline_ns.max(now));
-                t.period_ns = None;
-            }
-        }
+        let deadline = deadline_ns.max(self.now_ns());
+        self.inner.timers.borrow_mut().arm(timer.0, deadline, None);
     }
 
     /// Arms `timer` to fire every `period_ns` (must be positive).
     pub fn timer_arm_periodic(&self, timer: TimerId, period_ns: u64) {
         assert!(period_ns > 0, "periodic timers require a positive period");
-        let now = self.now_ns();
-        if let Some(t) = self.inner.timers.borrow_mut().get_mut(timer.0) {
-            if t.live {
-                t.deadline_ns = Some(now + period_ns);
-                t.period_ns = Some(period_ns);
-            }
-        }
+        let deadline = self.now_ns() + period_ns;
+        self.inner
+            .timers
+            .borrow_mut()
+            .arm(timer.0, deadline, Some(period_ns));
     }
 
-    /// Disarms and destroys `timer` (like `del_timer_sync`).
+    /// Disarms and destroys `timer` (like `del_timer_sync`), dropping its
+    /// callback: a removed driver's timers must not keep the driver's
+    /// channels alive until the kernel goes. A timer deleting itself from
+    /// inside its callback is safe — dispatch runs a clone.
     pub fn timer_del(&self, timer: TimerId) {
-        if let Some(t) = self.inner.timers.borrow_mut().get_mut(timer.0) {
-            t.live = false;
-            t.deadline_ns = None;
-            t.period_ns = None;
-        }
+        let mut timers = self.inner.timers.borrow_mut();
+        timers.disarm(timer.0);
+        // Dropped after the borrow is released: a captured value's `Drop`
+        // may itself delete timers.
+        let callback = timers
+            .entries
+            .get_mut(timer.0)
+            .and_then(|t| t.callback.take());
+        drop(timers);
+        drop(callback);
     }
 
     /// Whether `timer` is armed.
     pub fn timer_pending(&self, timer: TimerId) -> bool {
-        self.inner
-            .timers
-            .borrow()
+        let timers = self.inner.timers.borrow();
+        timers
+            .entries
             .get(timer.0)
-            .is_some_and(|t| t.live && t.deadline_ns.is_some())
+            .is_some_and(|t| t.slot.is_some())
     }
 
     fn next_timer_deadline(&self) -> Option<u64> {
-        self.inner
-            .timers
-            .borrow()
-            .iter()
-            .filter(|t| t.live)
-            .filter_map(|t| t.deadline_ns)
-            .min()
+        self.inner.timers.borrow().armed.first().map(|&(d, _)| d)
     }
 
     // ---------------------------------------------------- work queue
@@ -612,52 +714,36 @@ impl Kernel {
     }
 
     fn deliver_one_irq(&self) -> bool {
-        let found = {
-            let mut irqs = self.inner.irqs.borrow_mut();
-            irqs.iter_mut().find_map(|entry| {
-                if entry.pending && entry.disable_depth == 0 {
-                    if let Some((_name, handler)) = &entry.handler {
-                        entry.pending = false;
-                        return Some(Rc::clone(handler));
-                    }
-                    // Pending IRQ with no handler: drop it (spurious).
-                    entry.pending = false;
-                }
-                None
-            })
-        };
-        match found {
-            Some(handler) => {
+        let inner = &self.inner;
+        loop {
+            let ready = inner.irq_pending.get() & !inner.irq_masked.get();
+            if ready == 0 {
+                return false;
+            }
+            // Lowest line first.
+            let line = ready.trailing_zeros();
+            inner
+                .irq_pending
+                .set(inner.irq_pending.get() & !irq_bit(line));
+            let handler = inner
+                .irqs
+                .borrow()
+                .get(line as usize)
+                .and_then(|l| l.handler.as_ref().map(|(_, h)| Rc::clone(h)));
+            // A pending line with no handler is spurious: dropped.
+            if let Some(handler) = handler {
                 let _span = self.trace_span("kernel", "irq");
                 self.charge_kernel(costs::IRQ_ENTRY_NS);
                 self.bump_stats(|s| s.irqs_delivered += 1);
                 self.with_context(ExecContext::HardIrq, || handler(self));
-                true
+                return true;
             }
-            None => false,
         }
     }
 
     fn fire_one_timer(&self) -> bool {
         let now = self.now_ns();
-        let due = {
-            let mut timers = self.inner.timers.borrow_mut();
-            timers.iter_mut().find_map(|t| {
-                if !t.live {
-                    return None;
-                }
-                match t.deadline_ns {
-                    Some(d) if d <= now => {
-                        match t.period_ns {
-                            Some(p) => t.deadline_ns = Some(now + p),
-                            None => t.deadline_ns = None,
-                        }
-                        Some(Rc::clone(&t.callback))
-                    }
-                    _ => None,
-                }
-            })
-        };
+        let due = self.inner.timers.borrow_mut().take_due(now);
         match due {
             Some(cb) => {
                 let _span = self.trace_span("kernel", "timer");
@@ -1054,6 +1140,145 @@ mod tests {
         k.timer_arm(t, 50);
         k.run_for(100);
         assert!(fired.get());
+    }
+
+    /// The `(timer label, time seen by the callback)` log recording
+    /// timers append to.
+    type FireLog = Rc<std::cell::RefCell<Vec<(u32, u64)>>>;
+
+    fn recording_timer(k: &Kernel, log: &FireLog, label: u32) -> TimerId {
+        let log = Rc::clone(log);
+        k.timer_create(
+            "recorder",
+            Rc::new(move |k| log.borrow_mut().push((label, k.now_ns()))),
+        )
+    }
+
+    #[test]
+    fn overdue_timers_fire_in_creation_order_not_deadline_order() {
+        // Busy time carries the clock past both deadlines before the next
+        // dispatch point. The later-created timer has the earlier
+        // deadline; the earlier-created one still fires first. A
+        // `(deadline, seq)` ordering would get this backwards.
+        let k = Kernel::new();
+        let log = FireLog::default();
+        let first = recording_timer(&k, &log, 0);
+        let second = recording_timer(&k, &log, 1);
+        k.timer_arm(first, 900);
+        k.timer_arm(second, 100);
+        k.charge_kernel(1_000);
+        k.schedule_point();
+        let d = costs::SOFTIRQ_DISPATCH_NS;
+        assert_eq!(*log.borrow(), vec![(0, 1_000 + d), (1, 1_000 + 2 * d)]);
+    }
+
+    #[test]
+    fn overdue_periodic_timer_rearms_from_the_dispatch_time() {
+        // 2.5 periods late: the next deadline is `now + period` with the
+        // `now` sampled at dispatch — missed periods are not replayed and
+        // the grid is not `deadline + period`.
+        let k = Kernel::new();
+        let log = FireLog::default();
+        let t = recording_timer(&k, &log, 0);
+        k.timer_arm_periodic(t, 1_000);
+        k.charge_kernel(3_500);
+        k.schedule_point();
+        assert_eq!(log.borrow().len(), 1, "one fire, however late");
+        assert_eq!(k.next_timer_deadline(), Some(3_500 + 1_000));
+    }
+
+    #[test]
+    fn timer_rearmed_into_the_past_by_its_callback_fires_again_same_round() {
+        let k = Kernel::new();
+        let fires = Rc::new(StdCell::new(0u32));
+        let me = Rc::new(StdCell::new(None::<TimerId>));
+        let (f, m) = (Rc::clone(&fires), Rc::clone(&me));
+        let t = k.timer_create(
+            "again",
+            Rc::new(move |k| {
+                f.set(f.get() + 1);
+                if f.get() < 3 {
+                    // Already in the past: clamped to `now`, so due.
+                    k.timer_arm_at(m.get().unwrap(), 5);
+                }
+            }),
+        );
+        me.set(Some(t));
+        k.timer_arm(t, 10);
+        k.charge_kernel(10);
+        k.schedule_point();
+        assert_eq!(fires.get(), 3, "each re-arm fired within the one round");
+        assert!(!k.timer_pending(t));
+    }
+
+    #[test]
+    fn pending_irqs_deliver_lowest_line_first_and_chain_within_the_round() {
+        let k = Kernel::new();
+        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+        for line in [3u32, 9, 40] {
+            let order = Rc::clone(&order);
+            k.request_irq(
+                line,
+                "l",
+                Rc::new(move |k| {
+                    order.borrow_mut().push(line);
+                    if line == 9 {
+                        // Raised by a handler: delivered in this round,
+                        // and before the higher line still waiting.
+                        k.raise_irq(3);
+                    }
+                }),
+            )
+            .unwrap();
+        }
+        k.raise_irq(40);
+        k.raise_irq(9);
+        k.raise_irq(17); // no handler: spurious, dropped
+        k.schedule_point();
+        assert_eq!(*order.borrow(), vec![9, 3, 40]);
+        assert!(!k.irq_pending(17));
+        assert_eq!(k.stats().irqs_delivered, 3);
+    }
+
+    #[test]
+    fn timer_del_frees_what_the_callback_captured() {
+        // A removed driver's timers must not keep its channels alive
+        // until the kernel is dropped.
+        let k = Kernel::new();
+        let captured = Rc::new(());
+        let weak = Rc::downgrade(&captured);
+        let t = k.timer_create("holder", Rc::new(move |_| drop(Rc::clone(&captured))));
+        k.timer_arm_periodic(t, 100);
+        assert!(weak.upgrade().is_some());
+        k.timer_del(t);
+        assert!(weak.upgrade().is_none(), "freed with the kernel alive");
+        assert!(!k.timer_pending(t));
+        k.timer_arm(t, 10);
+        assert!(!k.timer_pending(t), "a deleted timer cannot be re-armed");
+        k.run_for(1_000);
+        assert_eq!(k.stats().timers_fired, 0);
+    }
+
+    #[test]
+    fn timer_deleting_itself_mid_callback_is_safe() {
+        let k = Kernel::new();
+        let me = Rc::new(StdCell::new(None::<TimerId>));
+        let m = Rc::clone(&me);
+        let ran_to_end = Rc::new(StdCell::new(false));
+        let r = Rc::clone(&ran_to_end);
+        let t = k.timer_create(
+            "suicide",
+            Rc::new(move |k| {
+                k.timer_del(m.get().unwrap());
+                // The closure is still alive: dispatch runs a clone.
+                r.set(true);
+            }),
+        );
+        me.set(Some(t));
+        k.timer_arm_periodic(t, 10);
+        k.run_for(100);
+        assert!(ran_to_end.get());
+        assert_eq!(k.stats().timers_fired, 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Network stack: `sk_buff`s, netdevice registration, transmit/receive.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::error::{KError, KResult};
@@ -67,16 +66,29 @@ pub struct NetStats {
 }
 
 struct NetDev {
+    name: String,
     ops: NetDeviceOps,
     stats: NetStats,
     carrier: bool,
     open: bool,
 }
 
-/// Network-subsystem state stored inside the kernel.
+/// Network-subsystem state stored inside the kernel. A machine has a
+/// NIC or two, and the per-packet entry points find theirs by comparing
+/// names, not by hashing one.
 #[derive(Default)]
 pub struct NetState {
-    devices: HashMap<String, NetDev>,
+    devices: Vec<NetDev>,
+}
+
+impl NetState {
+    fn dev(&self, name: &str) -> Option<&NetDev> {
+        self.devices.iter().find(|d| d.name == name)
+    }
+
+    fn dev_mut(&mut self, name: &str) -> Option<&mut NetDev> {
+        self.devices.iter_mut().find(|d| d.name == name)
+    }
 }
 
 impl Kernel {
@@ -84,46 +96,40 @@ impl Kernel {
     pub fn register_netdev(&self, name: impl Into<String>, ops: NetDeviceOps) -> KResult<()> {
         let name = name.into();
         let mut net = self.inner().net.borrow_mut();
-        if net.devices.contains_key(&name) {
+        if net.dev(&name).is_some() {
             return Err(KError::Busy);
         }
-        net.devices.insert(
+        net.devices.push(NetDev {
             name,
-            NetDev {
-                ops,
-                stats: NetStats::default(),
-                carrier: false,
-                open: false,
-            },
-        );
+            ops,
+            stats: NetStats::default(),
+            carrier: false,
+            open: false,
+        });
         Ok(())
     }
 
     /// Unregisters a network device.
     pub fn unregister_netdev(&self, name: &str) {
-        self.inner().net.borrow_mut().devices.remove(name);
+        let mut net = self.inner().net.borrow_mut();
+        net.devices.retain(|d| d.name != name);
     }
 
     /// Whether a device with this name is registered.
     pub fn netdev_exists(&self, name: &str) -> bool {
-        self.inner().net.borrow().devices.contains_key(name)
+        self.inner().net.borrow().dev(name).is_some()
     }
 
     fn netdev_ops(&self, name: &str) -> KResult<NetDeviceOps> {
-        self.inner()
-            .net
-            .borrow()
-            .devices
-            .get(name)
-            .map(|d| d.ops.clone())
-            .ok_or(KError::NoDev)
+        let net = self.inner().net.borrow();
+        net.dev(name).map(|d| d.ops.clone()).ok_or(KError::NoDev)
     }
 
     /// Brings the interface up, invoking the driver's `open`.
     pub fn netdev_open(&self, name: &str) -> KResult<()> {
         let ops = self.netdev_ops(name)?;
         (ops.open)(self)?;
-        if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+        if let Some(d) = self.inner().net.borrow_mut().dev_mut(name) {
             d.open = true;
         }
         Ok(())
@@ -133,7 +139,7 @@ impl Kernel {
     pub fn netdev_stop(&self, name: &str) -> KResult<()> {
         let ops = self.netdev_ops(name)?;
         (ops.stop)(self)?;
-        if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+        if let Some(d) = self.inner().net.borrow_mut().dev_mut(name) {
             d.open = false;
         }
         Ok(())
@@ -141,17 +147,14 @@ impl Kernel {
 
     /// Transmits a packet through the driver (stack → driver).
     pub fn net_xmit(&self, name: &str, skb: SkBuff) -> KResult<()> {
-        let (ops, open) = {
+        let xmit = {
             let net = self.inner().net.borrow();
-            let d = net.devices.get(name).ok_or(KError::NoDev)?;
-            (d.ops.clone(), d.open)
+            let d = net.dev(name).filter(|d| d.open).ok_or(KError::NoDev)?;
+            Rc::clone(&d.ops.xmit)
         };
-        if !open {
-            return Err(KError::NoDev);
-        }
-        let result = (ops.xmit)(self, skb);
+        let result = xmit(self, skb);
         if result.is_err() {
-            if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+            if let Some(d) = self.inner().net.borrow_mut().dev_mut(name) {
                 d.stats.tx_errors += 1;
             }
         }
@@ -163,7 +166,7 @@ impl Kernel {
     pub fn netif_rx(&self, name: &str, skb: SkBuff) -> KResult<()> {
         self.charge_copy(crate::CpuClass::Kernel, skb.len() as u64);
         let mut net = self.inner().net.borrow_mut();
-        let d = net.devices.get_mut(name).ok_or(KError::NoDev)?;
+        let d = net.dev_mut(name).ok_or(KError::NoDev)?;
         d.stats.rx_packets += 1;
         d.stats.rx_bytes += skb.len() as u64;
         Ok(())
@@ -171,7 +174,7 @@ impl Kernel {
 
     /// Records completed transmissions (driver bookkeeping on TX IRQ).
     pub fn net_tx_done(&self, name: &str, packets: u64, bytes: u64) {
-        if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+        if let Some(d) = self.inner().net.borrow_mut().dev_mut(name) {
             d.stats.tx_packets += packets;
             d.stats.tx_bytes += bytes;
         }
@@ -179,30 +182,21 @@ impl Kernel {
 
     /// Sets link carrier state (like `netif_carrier_on`/`_off`).
     pub fn netif_carrier(&self, name: &str, on: bool) {
-        if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+        if let Some(d) = self.inner().net.borrow_mut().dev_mut(name) {
             d.carrier = on;
         }
     }
 
     /// Reads link carrier state.
     pub fn carrier_ok(&self, name: &str) -> bool {
-        self.inner()
-            .net
-            .borrow()
-            .devices
-            .get(name)
-            .is_some_and(|d| d.carrier)
+        let net = self.inner().net.borrow();
+        net.dev(name).is_some_and(|d| d.carrier)
     }
 
     /// Reads the device's packet counters.
     pub fn net_stats(&self, name: &str) -> NetStats {
-        self.inner()
-            .net
-            .borrow()
-            .devices
-            .get(name)
-            .map(|d| d.stats)
-            .unwrap_or_default()
+        let net = self.inner().net.borrow();
+        net.dev(name).map(|d| d.stats).unwrap_or_default()
     }
 }
 

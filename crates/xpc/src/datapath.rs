@@ -25,6 +25,7 @@
 //! `O(payload bytes)` marshaling to `O(1)` descriptor traffic plus an
 //! amortized doorbell.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, PoolError, ShmRing};
@@ -35,12 +36,33 @@ use crate::doorbell::Doorbell;
 use crate::endpoint::XpcChannel;
 use crate::error::{XpcError, XpcResult};
 
+/// The convention every ring drain in this crate follows: whoever drains
+/// keeps one batch and reuses it. `fill` loads the batch kept in `slot`
+/// (see [`ShmRing::drain`] — every pop is paid for before the first
+/// descriptor is looked at), then each descriptor goes to `each`, oldest
+/// first, and the emptied batch goes back. Returns how many there were.
+pub(crate) fn drain_batch<D>(
+    slot: &RefCell<Vec<D>>,
+    fill: impl FnOnce(&mut Vec<D>),
+    each: impl FnMut(D),
+) -> usize {
+    // Taken, not borrowed: `each` may re-enter whoever owns the slot.
+    let mut batch = slot.take();
+    fill(&mut batch);
+    let drained = batch.len();
+    batch.drain(..).for_each(each);
+    slot.replace(batch);
+    drained
+}
+
 /// Producer-side handle: posts descriptors, coalesces doorbells,
 /// reclaims completed buffers.
 pub struct DataPathChannel {
     bell: Doorbell<Descriptor>,
     completions: Rc<ShmRing>,
     pool: Option<Rc<BufPool>>,
+    /// The reclaim batch (see [`ShmRing::drain`]), reused per reclaim.
+    reclaimed: RefCell<Vec<Descriptor>>,
 }
 
 impl DataPathChannel {
@@ -65,6 +87,7 @@ impl DataPathChannel {
             bell: Doorbell::new(channel, producer, doorbell_proc, ring, policy)?,
             completions,
             pool,
+            reclaimed: RefCell::default(),
         }))
     }
 
@@ -102,6 +125,7 @@ impl DataPathChannel {
             completions: Rc::clone(&self.completions),
             pool: self.pool.clone(),
             domain,
+            batch: RefCell::default(),
         }
     }
 
@@ -126,12 +150,12 @@ impl DataPathChannel {
             .pool
             .as_ref()
             .ok_or_else(|| XpcError::Backpressure("data path has no buffer pool".into()))?;
-        self.reclaim_completions(kernel);
+        self.reclaim_completions_with(kernel, |_| {});
         let handle = match pool.alloc() {
             Ok(h) => h,
             Err(PoolError::Exhausted) => {
                 self.ring_doorbell(kernel)?;
-                self.reclaim_completions(kernel);
+                self.reclaim_completions_with(kernel, |_| {});
                 pool.alloc().map_err(Self::map_pool_err)?
             }
             Err(e) => return Err(Self::map_pool_err(e)),
@@ -192,7 +216,7 @@ impl DataPathChannel {
     /// completions and rings the doorbell if the coalescing deadline has
     /// expired on parked descriptors.
     pub fn poll(&self, kernel: &Kernel) -> XpcResult<bool> {
-        self.reclaim_completions(kernel);
+        self.reclaim_completions_with(kernel, |_| {});
         self.maybe_ring(kernel)
     }
 
@@ -201,22 +225,35 @@ impl DataPathChannel {
     /// any order); the descriptors are returned for drivers that need
     /// their cookies (e.g. to recycle device receive slots).
     pub fn reclaim_completions(&self, kernel: &Kernel) -> Vec<Descriptor> {
+        let mut done = Vec::new();
+        self.reclaim_completions_with(kernel, |d| done.push(d));
+        done
+    }
+
+    /// [`DataPathChannel::reclaim_completions`] for callers on a
+    /// per-packet path: every reclaimed descriptor is handed to `each`
+    /// (after the whole ring is drained and the pool buffers are freed)
+    /// out of a batch this path keeps, not a fresh `Vec`. Returns how
+    /// many came back.
+    pub fn reclaim_completions_with(&self, kernel: &Kernel, each: impl FnMut(Descriptor)) -> usize {
         // Settle any launched doorbell crossings first: time spent
         // producing since the launch covers them as overlap.
-        let _ = self.channel().harvest(kernel);
+        self.channel().harvest_with(kernel, |_| {});
         let class = self.bell.producer().cpu_class();
-        let done = self.completions.drain(kernel, class);
-        if !done.is_empty() {
-            kernel.trace_instant("ring", "reclaim", &[("completions", done.len() as u64)]);
-        }
-        if let Some(pool) = &self.pool {
-            for d in &done {
-                // A handle the pool rejects belongs to the driver (raw
-                // descriptor); the driver reclaims it via the cookie.
-                let _ = pool.free(d.buf);
+        let fill = |done: &mut Vec<Descriptor>| {
+            self.completions.drain(kernel, class, done);
+            if !done.is_empty() {
+                kernel.trace_instant("ring", "reclaim", &[("completions", done.len() as u64)]);
             }
-        }
-        done
+            if let Some(pool) = &self.pool {
+                for d in done.iter() {
+                    // A handle the pool rejects belongs to the driver (raw
+                    // descriptor); the driver reclaims it via the cookie.
+                    let _ = pool.free(d.buf);
+                }
+            }
+        };
+        drain_batch(&self.reclaimed, fill, each)
     }
 }
 
@@ -232,13 +269,16 @@ impl std::fmt::Debug for DataPathChannel {
 
 /// One end's view of the shared rings: just `Rc`s to pinned memory, so
 /// drain handlers can capture it without creating a reference cycle
-/// through the channel's procedure table.
+/// through the channel's procedure table — plus the batch its drains
+/// fill (see [`ShmRing::drain`]): a handler keeps its end, so the batch
+/// is allocated once and reused on every doorbell or poll tick.
 #[derive(Clone)]
 pub struct DataPathEnd {
     ring: Rc<ShmRing>,
     completions: Rc<ShmRing>,
     pool: Option<Rc<BufPool>>,
     domain: Domain,
+    batch: RefCell<Vec<Descriptor>>,
 }
 
 impl DataPathEnd {
@@ -248,9 +288,11 @@ impl DataPathEnd {
     }
 
     /// Pops every posted descriptor (consumer side of the main ring),
-    /// charging this end's CPU class per cache-line pull.
-    pub fn consume(&self, kernel: &Kernel) -> Vec<Descriptor> {
-        self.ring.drain(kernel, self.domain.cpu_class())
+    /// charging this end's CPU class per cache-line pull, then hands
+    /// them to `each`, oldest first. Returns how many there were.
+    pub fn consume(&self, kernel: &Kernel, each: impl FnMut(Descriptor)) -> usize {
+        let class = self.domain.cpu_class();
+        drain_batch(&self.batch, |b| self.ring.drain(kernel, class, b), each)
     }
 
     /// Pops one posted descriptor.
@@ -272,27 +314,34 @@ impl DataPathEnd {
 
     /// Poll-mode receive: probes the ring up to `budget` times, paying
     /// one [`costs::POLL_SPIN_NS`] probe per iteration whether or not a
-    /// descriptor is waiting, and returns what it found. No interrupt
-    /// entry, no doorbell crossing — the consumer pays a steady spin tax
-    /// instead, which wins once the offered rate is high enough that
-    /// probes rarely miss (the interrupt-vs-poll crossover).
-    pub fn poll_and_reclaim(&self, kernel: &Kernel, budget: usize) -> Vec<Descriptor> {
-        let mut got = Vec::new();
-        let mut probes = 0u64;
-        for _ in 0..budget {
-            kernel.charge(self.domain.cpu_class(), costs::POLL_SPIN_NS);
-            probes += 1;
-            match self.ring.pop(kernel, self.domain.cpu_class()) {
-                Some(d) => got.push(d),
-                None => break,
+    /// descriptor is waiting, then hands what it found to `each` and
+    /// returns the count. No interrupt entry, no doorbell crossing — the
+    /// consumer pays a steady spin tax instead, which wins once the
+    /// offered rate is high enough that probes rarely miss (the
+    /// interrupt-vs-poll crossover).
+    pub fn poll_and_reclaim(
+        &self,
+        kernel: &Kernel,
+        budget: usize,
+        each: impl FnMut(Descriptor),
+    ) -> usize {
+        let probe = |got: &mut Vec<Descriptor>| {
+            let mut probes = 0u64;
+            for _ in 0..budget {
+                kernel.charge(self.domain.cpu_class(), costs::POLL_SPIN_NS);
+                probes += 1;
+                match self.ring.pop(kernel, self.domain.cpu_class()) {
+                    Some(d) => got.push(d),
+                    None => break,
+                }
             }
-        }
-        kernel.trace_instant(
-            "rx",
-            "poll_probe",
-            &[("probes", probes), ("hits", got.len() as u64)],
-        );
-        got
+            kernel.trace_instant(
+                "rx",
+                "poll_probe",
+                &[("probes", probes), ("hits", got.len() as u64)],
+            );
+        };
+        drain_batch(&self.batch, probe, each)
     }
 }
 
@@ -303,7 +352,6 @@ mod tests {
     use decaf_simkernel::costs;
     use decaf_xdr::mask::MaskSet;
     use decaf_xdr::{XdrSpec, XdrValue};
-    use std::cell::RefCell;
 
     fn channel() -> Rc<XpcChannel> {
         Rc::new(XpcChannel::new(
@@ -326,12 +374,12 @@ mod tests {
                 name: "drain".into(),
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
-                    for d in end.consume(k) {
+                    end.consume(k, |d| {
                         let pool = end.pool().expect("pool-backed path");
                         seen.borrow_mut()
                             .push(pool.read_payload(d.buf, d.len as usize).unwrap());
                         end.complete(k, d).unwrap();
-                    }
+                    });
                     XdrValue::Void
                 }),
             },
@@ -447,9 +495,7 @@ mod tests {
                 name: "drain".into(),
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
-                    for d in end.consume(k) {
-                        end.complete(k, d).unwrap();
-                    }
+                    end.consume(k, |d| end.complete(k, d).unwrap());
                     XdrValue::Void
                 }),
             },
@@ -607,18 +653,74 @@ mod tests {
             .unwrap();
         }
         let before = k.snapshot().user_busy_ns;
-        let got = end.poll_and_reclaim(&k, 2);
-        assert_eq!(got.len(), 2, "budget caps a burst");
-        let got = end.poll_and_reclaim(&k, 8);
-        assert_eq!(got.len(), 1, "remainder drained, then a miss breaks");
+        let mut got = Vec::new();
+        assert_eq!(end.poll_and_reclaim(&k, 2, |d| got.push(d.cookie)), 2);
+        assert_eq!(got, [0, 1], "budget caps a burst");
+        assert_eq!(end.poll_and_reclaim(&k, 8, |d| got.push(d.cookie)), 1);
+        assert_eq!(got, [0, 1, 2], "remainder drained, then a miss breaks");
         // 2 + 2 probes (the second call pays one hit and one miss).
         let spun = k.snapshot().user_busy_ns - before;
         assert!(
             spun >= 4 * costs::POLL_SPIN_NS,
             "every probe pays the spin tax: {spun} ns"
         );
-        let empty = end.poll_and_reclaim(&k, 8);
-        assert!(empty.is_empty(), "an idle probe returns nothing");
+        let idle = end.poll_and_reclaim(&k, 8, |_| unreachable!());
+        assert_eq!(idle, 0, "an idle probe finds nothing");
         assert_eq!(ch.stats().doorbells, 0, "poll mode never rang a doorbell");
+    }
+
+    #[test]
+    fn a_reregistered_drain_is_what_the_next_doorbell_runs() {
+        // The doorbell resolves its drain once, to a slot; registering the
+        // name again replaces what the slot holds, so the handle the
+        // doorbell kept is never stale.
+        let k = Kernel::new();
+        let ch = channel();
+        let dp = DataPathChannel::new(
+            Rc::clone(&ch),
+            Domain::Nucleus,
+            "drain",
+            Rc::new(ShmRing::new("rx", 8)),
+            Rc::new(ShmRing::new("rx-done", 8)),
+            None,
+            DoorbellPolicy::with_watermark(64),
+        )
+        .unwrap();
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let register = |generation: u32| {
+            let (end, ran) = (dp.end(Domain::Decaf), Rc::clone(&ran));
+            let drain = ProcDef::scalar("drain", move |k, _| {
+                end.consume(k, |d| end.complete(k, d).unwrap());
+                ran.borrow_mut().push(generation);
+                XdrValue::Void
+            });
+            ch.register_proc(Domain::Decaf, drain).unwrap();
+        };
+        let ring = |cookie: u64| {
+            let desc = Descriptor {
+                cookie,
+                ..Descriptor::default()
+            };
+            dp.post(&k, desc).unwrap();
+            dp.ring_doorbell(&k).unwrap();
+            assert_eq!(dp.reclaim_completions(&k).len(), 1);
+        };
+        // Rung before anything is registered: refused by name, and the
+        // descriptor stays parked for the next ring.
+        dp.post(&k, Descriptor::default()).unwrap();
+        let unregistered = dp.ring_doorbell(&k).unwrap_err();
+        assert!(matches!(unregistered, XpcError::UnknownProc { proc, .. } if proc == "drain"));
+        register(1);
+        dp.ring_doorbell(&k).unwrap();
+        assert_eq!(dp.reclaim_completions(&k).len(), 1);
+        ring(1);
+        register(2);
+        ring(2);
+        assert_eq!(*ran.borrow(), [1, 1, 2]);
+        assert_eq!(
+            ch.proc_names(Domain::Decaf),
+            ["drain"],
+            "one slot, replaced"
+        );
     }
 }

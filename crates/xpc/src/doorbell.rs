@@ -20,6 +20,7 @@
 //!   leave descriptors parked; the deadline restarts for them instead of
 //!   disarming into the never-fires state.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use decaf_shmring::{DoorbellPolicy, RingError, ShmRing};
@@ -27,7 +28,7 @@ use decaf_simkernel::Kernel;
 use decaf_xdr::XdrValue;
 
 use crate::domain::Domain;
-use crate::endpoint::XpcChannel;
+use crate::endpoint::{ProcHandle, XpcChannel};
 use crate::error::XpcResult;
 use crate::transport::TransportKind;
 
@@ -38,6 +39,9 @@ pub(crate) struct Doorbell<D: Copy + Default> {
     producer: Domain,
     ring: Rc<ShmRing<D>>,
     proc_name: String,
+    /// `proc_name` resolved at the consumer's end — on the first ring,
+    /// since the drain is registered after the path that rings it.
+    proc: Cell<Option<ProcHandle>>,
     bell: DoorbellPolicy,
 }
 
@@ -58,6 +62,7 @@ impl<D: Copy + Default> Doorbell<D> {
             producer,
             ring,
             proc_name: proc_name.into(),
+            proc: Cell::new(None),
             bell: policy,
         })
     }
@@ -140,15 +145,22 @@ impl<D: Copy + Default> Doorbell<D> {
         let _span = kernel.trace_span("ring", "doorbell");
         kernel.trace_instant("ring", "ring", &[("descriptors", count as u64)]);
         let args = [XdrValue::UInt(count)];
-        if self.channel.transport_kind() == TransportKind::Async {
-            self.channel
-                .call_async(kernel, self.producer, &self.proc_name, &[], &args)?;
+        let (channel, from) = (&self.channel, self.producer);
+        let proc = match self.proc.get() {
+            Some(proc) => proc,
+            None => {
+                let proc = channel.resolve_proc(from, &self.proc_name)?;
+                self.proc.set(Some(proc));
+                proc
+            }
+        };
+        if channel.transport_kind() == TransportKind::Async {
+            channel.call_async_resolved(kernel, from, proc, &[], &args)?;
             // Launch now: the drain must run before the producer reuses
             // the ring, only the crossing latency is deferred.
-            self.channel.flush(kernel)?;
+            channel.flush(kernel)?;
         } else {
-            self.channel
-                .call(kernel, self.producer, &self.proc_name, &[], &args)?;
+            channel.call_resolved(kernel, from, proc, &[], &args)?;
         }
         self.channel.bump(|s| s.doorbells += 1);
         // A budgeted or declining consumer may have left descriptors

@@ -45,7 +45,7 @@
 //! crashed user process.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -293,6 +293,25 @@ impl ProcDef {
     }
 }
 
+/// A procedure of one channel end, resolved: the slot
+/// [`XpcChannel::resolve_proc`] found for its name. The name is looked up
+/// once — at first use by whoever calls repeatedly — and the handle is what
+/// a parked [`DeferredCall`] carries. Registering the same name again
+/// replaces the slot's contents, so a held handle never goes stale; it
+/// means nothing on another channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcHandle(pub(crate) u32);
+
+/// One end's procedures: name → slot at registration and resolution,
+/// slot → definition on every call.
+#[derive(Default)]
+struct ProcTable {
+    slot_of: HashMap<String, ProcHandle>,
+    /// Shared, so a call takes a reference-count bump instead of cloning
+    /// a name and an argument-type list.
+    slots: Vec<Rc<ProcDef>>,
+}
+
 /// Sender-side delta state for one channel end: the heap generation at
 /// which each local object last crossed, per direction.
 #[derive(Debug, Default)]
@@ -328,9 +347,7 @@ struct DomainEnd {
     heap_base: u64,
     heap: Rc<RefCell<ObjHeap>>,
     tracker: RefCell<ObjectTracker>,
-    /// Shared, so the call and flush paths take a reference-count bump
-    /// instead of cloning a name and an argument-type list per call.
-    procs: RefCell<HashMap<String, Rc<ProcDef>>>,
+    procs: RefCell<ProcTable>,
     delta: RefCell<DeltaMap>,
 }
 
@@ -341,7 +358,7 @@ impl DomainEnd {
             heap_base,
             heap: Rc::new(RefCell::new(ObjHeap::with_base(heap_base))),
             tracker: RefCell::new(ObjectTracker::new()),
-            procs: RefCell::new(HashMap::new()),
+            procs: RefCell::new(ProcTable::default()),
             delta: RefCell::new(DeltaMap::default()),
         }
     }
@@ -351,7 +368,9 @@ impl DomainEnd {
 /// the crossing latency banked at launch time, settled at harvest.
 #[derive(Debug)]
 struct LaunchedBatch {
-    tokens: Vec<CompletionToken>,
+    /// How many entries of the channel's `launched_tokens` are this
+    /// batch's (batches settle in launch order).
+    tokens: usize,
     class: CpuClass,
     launched_at: u64,
     cost_ns: u64,
@@ -384,8 +403,12 @@ pub struct XpcChannel {
     launch_cost: Cell<u64>,
     /// Launched-but-unharvested batches, in launch order.
     launched: RefCell<VecDeque<LaunchedBatch>>,
-    /// Tokens issued and not yet harvested or cancelled.
-    outstanding: RefCell<HashSet<u64>>,
+    /// The tokens of every launched batch, back to back in launch order.
+    launched_tokens: RefCell<VecDeque<CompletionToken>>,
+    /// Tokens issued and not yet harvested or cancelled, ascending: the
+    /// transport mints them in increasing order and they enter here as
+    /// they are minted, so the ledger is a sorted queue, not a hash set.
+    outstanding: RefCell<VecDeque<u64>>,
     /// Token numbers for calls that resolved synchronously (degraded
     /// mode on a non-async transport, or per-call fallback): a disjoint
     /// high range so they can never collide with transport-minted ones.
@@ -400,6 +423,13 @@ pub struct XpcChannel {
     /// needs it takes it and puts it back (an error path that drops it
     /// only costs the next call a fresh allocation).
     wire: Cell<Vec<u8>>,
+    /// Flush scratch, taken and put back like `wire`: the drained queue
+    /// and the definitions of the group being flushed. `spare` holds the
+    /// emptied shells of executed calls; the next parked call reuses one
+    /// (and its argument vectors' capacity) instead of allocating.
+    queue: Cell<Vec<DeferredCall>>,
+    defs: Cell<Vec<Rc<ProcDef>>>,
+    spare: RefCell<Vec<DeferredCall>>,
 }
 
 impl XpcChannel {
@@ -445,10 +475,14 @@ impl XpcChannel {
             launching: Cell::new(false),
             launch_cost: Cell::new(0),
             launched: RefCell::new(VecDeque::new()),
-            outstanding: RefCell::new(HashSet::new()),
+            launched_tokens: RefCell::new(VecDeque::new()),
+            outstanding: RefCell::new(VecDeque::new()),
             next_sync_token: Cell::new(1 << 63),
             wakeup: Cell::new(None),
             wire: Cell::new(Vec::new()),
+            queue: Cell::new(Vec::new()),
+            defs: Cell::new(Vec::new()),
+            spare: RefCell::new(Vec::new()),
         }
     }
 
@@ -467,7 +501,9 @@ impl XpcChannel {
     /// requeue a dead shard's in-flight calls after resetting its user
     /// end. The calls are returned in defer order.
     pub fn take_deferred(&self) -> Vec<DeferredCall> {
-        self.transport.drain()
+        let mut parked = Vec::new();
+        self.transport.drain(&mut parked);
+        parked
     }
 
     fn end(&self, domain: Domain) -> XpcResult<&DomainEnd> {
@@ -523,20 +559,45 @@ impl XpcChannel {
             .unwrap_or(0)
     }
 
-    /// Registers a procedure at `domain`'s end.
+    /// Registers a procedure at `domain`'s end. A name registered before
+    /// keeps its slot and gets the new definition.
     pub fn register_proc(&self, domain: Domain, def: ProcDef) -> XpcResult<()> {
-        self.end(domain)?
-            .procs
-            .borrow_mut()
-            .insert(def.name.clone(), Rc::new(def));
+        let mut procs = self.end(domain)?.procs.borrow_mut();
+        match procs.slot_of.get(&def.name) {
+            Some(&ProcHandle(slot)) => procs.slots[slot as usize] = Rc::new(def),
+            None => {
+                let slot = ProcHandle(procs.slots.len() as u32);
+                procs.slot_of.insert(def.name.clone(), slot);
+                procs.slots.push(Rc::new(def));
+            }
+        }
         Ok(())
+    }
+
+    /// Resolves `proc` as `from` would call it — at the peer end — for
+    /// callers that ring the same procedure again and again.
+    pub fn resolve_proc(&self, from: Domain, proc: &str) -> XpcResult<ProcHandle> {
+        let target = self.peer(from)?;
+        let slot = target.procs.borrow().slot_of.get(proc).copied();
+        slot.ok_or_else(|| XpcError::UnknownProc {
+            domain: target.domain.to_string(),
+            proc: proc.to_string(),
+        })
+    }
+
+    fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<Rc<ProcDef>> {
+        let def = target.procs.borrow().slots.get(proc.0 as usize).cloned();
+        def.ok_or_else(|| XpcError::UnknownProc {
+            domain: target.domain.to_string(),
+            proc: format!("slot {}", proc.0),
+        })
     }
 
     /// Names of procedures registered at `domain`'s end, sorted.
     pub fn proc_names(&self, domain: Domain) -> Vec<String> {
         match self.end(domain) {
             Ok(e) => {
-                let mut v: Vec<_> = e.procs.borrow().keys().cloned().collect();
+                let mut v: Vec<_> = e.procs.borrow().slot_of.keys().cloned().collect();
                 v.sort();
                 v
             }
@@ -744,16 +805,52 @@ impl XpcChannel {
         }
     }
 
-    fn lookup_proc(&self, target: &DomainEnd, proc: &str) -> XpcResult<Rc<ProcDef>> {
-        target
-            .procs
-            .borrow()
-            .get(proc)
-            .cloned()
-            .ok_or_else(|| XpcError::UnknownProc {
-                domain: target.domain.to_string(),
-                proc: proc.to_string(),
-            })
+    /// One leg of a crossing, stub steps 2–5: marshal `roots` out of
+    /// `src`, transfer (banked instead of charged when `launch`), and
+    /// unmarshal into `dst` as `types`. `scalar_bytes` ride the same
+    /// transfer. Returns the objects' addresses at `dst`.
+    ///
+    /// A leg that carries no object skips marshal and unmarshal outright:
+    /// with no roots the wire is 0 bytes, the delta statistics are zero
+    /// and every per-byte and per-object charge is × 0, so the skip is
+    /// the same crossing — a doorbell pays for its transfer and nothing
+    /// else.
+    #[allow(clippy::too_many_arguments)]
+    fn cross<T: AsRef<str>>(
+        &self,
+        kernel: &Kernel,
+        launch: bool,
+        src: &DomainEnd,
+        dst: &DomainEnd,
+        roots: &[Option<CAddr>],
+        types: impl IntoIterator<Item = T>,
+        dir: Direction,
+        scalar_bytes: usize,
+    ) -> XpcResult<Vec<Option<CAddr>>> {
+        let mut types = types.into_iter().peekable();
+        let objects = !roots.is_empty() || types.peek().is_some();
+        let wire = match objects {
+            true => self.marshal_from(kernel, src, roots, dir)?,
+            false => Vec::new(),
+        };
+        let bytes = wire.len() + scalar_bytes;
+        self.bump(|s| match dir {
+            Direction::In => s.bytes_in += bytes as u64,
+            Direction::Out => s.bytes_out += bytes as u64,
+        });
+        // Nested synchronous calls made by the handlers must price their
+        // own crossings normally — the launch bracket covers only this
+        // transfer.
+        self.launching.set(launch);
+        self.charge_transfer(kernel, src.domain, bytes);
+        self.launching.set(false);
+        if !objects {
+            return Ok(Vec::new());
+        }
+        let object_args = if dir == Direction::In { roots.len() } else { 0 };
+        let locals = self.unmarshal_into(kernel, dst, &wire, types, dir, object_args)?;
+        self.wire.set(wire);
+        Ok(locals)
     }
 
     /// Performs one cross-domain procedure call from `from` to its peer.
@@ -773,6 +870,20 @@ impl XpcChannel {
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
         self.flush(kernel)?;
+        let proc = self.resolve_proc(from, proc)?;
+        self.call_inner(kernel, from, proc, args, scalars)
+    }
+
+    /// [`XpcChannel::call`] on an already-resolved procedure.
+    pub(crate) fn call_resolved(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: ProcHandle,
+        args: &[Option<CAddr>],
+        scalars: &[XdrValue],
+    ) -> XpcResult<XdrValue> {
+        self.flush(kernel)?;
         self.call_inner(kernel, from, proc, args, scalars)
     }
 
@@ -782,7 +893,7 @@ impl XpcChannel {
         &self,
         kernel: &Kernel,
         from: Domain,
-        proc: &str,
+        proc: ProcHandle,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
@@ -793,30 +904,26 @@ impl XpcChannel {
         let _span = kernel.trace_span("xpc", "call");
         let caller = self.end(from)?;
         let target = self.peer(from)?;
-        self.record_atomic_violation(kernel, target, proc);
-        let def = self.lookup_proc(target, proc)?;
+        let def = self.def(target, proc)?;
+        self.record_atomic_violation(kernel, target, &def.name);
 
-        // Steps 2+3: translate and marshal. Scalar arguments travel by
-        // value too: they are encoded onto the same wire and accounted
-        // the same way — a payload smuggled through an opaque scalar
-        // pays exactly what it would as an object field.
+        // Steps 2–5: translate, marshal, transfer, unmarshal at the
+        // target. Scalar arguments travel by value too: they are encoded
+        // onto the same wire and accounted the same way — a payload
+        // smuggled through an opaque scalar pays exactly what it would as
+        // an object field.
         let scalar_in: usize = scalars.iter().map(Self::scalar_wire_bytes).sum();
-        let wire_in = self.marshal_from(kernel, caller, args, Direction::In)?;
-        self.bump(|s| s.bytes_in += (wire_in.len() + scalar_in) as u64);
-
-        // Step 4: control transfer.
-        self.charge_transfer(kernel, from, wire_in.len() + scalar_in);
-
-        // Step 5: unmarshal at the target, tracker-aware.
-        let locals = self.unmarshal_into(
+        let types = &def.arg_types;
+        let locals = self.cross(
             kernel,
+            false,
+            caller,
             target,
-            &wire_in,
-            &def.arg_types,
+            args,
+            types,
             Direction::In,
-            args.len(),
+            scalar_in,
         )?;
-        self.wire.set(wire_in);
 
         // Dispatch, catching user-level faults.
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -841,11 +948,10 @@ impl XpcChannel {
         // Step 6: marshal out-parameters (and the scalar return) back
         // and update caller objects.
         let scalar_out = Self::scalar_wire_bytes(&ret);
-        let wire_out = self.marshal_from(kernel, target, &locals, Direction::Out)?;
-        self.bump(|s| s.bytes_out += (wire_out.len() + scalar_out) as u64);
-        self.charge_transfer(kernel, target.domain, wire_out.len() + scalar_out);
-        self.unmarshal_into(kernel, caller, &wire_out, &def.arg_types, Direction::Out, 0)?;
-        self.wire.set(wire_out);
+        let out = Direction::Out;
+        self.cross(
+            kernel, false, target, caller, &locals, types, out, scalar_out,
+        )?;
 
         self.bump(|s| s.round_trips += 1);
         Ok(ret)
@@ -871,21 +977,38 @@ impl XpcChannel {
     ) -> XpcResult<()> {
         // Validate eagerly: at flush time the error could not be
         // attributed to this call site.
-        let target = self.peer(from)?;
-        self.lookup_proc(target, proc)?;
-        let call = DeferredCall {
+        let proc = self.resolve_proc(from, proc)?;
+        self.park(kernel, from, proc, args, scalars).map(|_| ())
+    }
+
+    /// Offers one call to the transport. `Some(token)`: parked on a
+    /// completion-based transport, which tracks every deferred call,
+    /// whoever enqueued it. `None`: parked untracked, or — on a transport
+    /// that does not queue — executed synchronously.
+    fn park(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: ProcHandle,
+        args: &[Option<CAddr>],
+        scalars: &[XdrValue],
+    ) -> XpcResult<Option<CompletionToken>> {
+        let mut call = self.spare.borrow_mut().pop().unwrap_or(DeferredCall {
             from,
-            proc: proc.to_string(),
-            args: args.to_vec(),
-            scalars: scalars.to_vec(),
+            proc,
+            args: Vec::new(),
+            scalars: Vec::new(),
             token: None,
-        };
+        });
+        (call.from, call.proc) = (from, proc);
+        call.args.extend_from_slice(args);
+        call.scalars.extend_from_slice(scalars);
         match self.transport.offer(kernel, from.cpu_class(), call) {
-            Ok(maybe_token) => {
-                // On a completion-based transport every deferred call is
-                // token-tracked, whoever enqueued it.
-                if let Some(token) = maybe_token {
-                    self.outstanding.borrow_mut().insert(token.0);
+            Ok(token) => {
+                if let Some(token) = token {
+                    let mut outstanding = self.outstanding.borrow_mut();
+                    debug_assert!(outstanding.back().is_none_or(|&last| last < token.0));
+                    outstanding.push_back(token.0);
                     self.bump(|s| s.tokens_issued += 1);
                 }
                 self.bump(|s| s.deferred_calls += 1);
@@ -893,12 +1016,25 @@ impl XpcChannel {
                     self.flush(kernel)?;
                 }
                 self.schedule_deadline_wakeup(kernel);
-                Ok(())
+                Ok(token)
             }
-            Err(call) => self
-                .call(kernel, from, &call.proc, &call.args, &call.scalars)
-                .map(|_| ()),
+            Err(call) => {
+                self.flush(kernel)?;
+                let done = self.call_inner(kernel, from, proc, &call.args, &call.scalars);
+                self.recycle(call);
+                done.map(|_| None)
+            }
         }
+    }
+
+    /// Keeps an executed call's emptied shell for the next [`park`].
+    ///
+    /// [`park`]: XpcChannel::park
+    fn recycle(&self, mut call: DeferredCall) {
+        call.args.clear();
+        call.scalars.clear();
+        call.token = None;
+        self.spare.borrow_mut().push(call);
     }
 
     /// Issues a result-free call asynchronously, returning a
@@ -915,45 +1051,25 @@ impl XpcChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<CompletionToken> {
-        let target = self.peer(from)?;
-        self.lookup_proc(target, proc)?;
-        let call = DeferredCall {
-            from,
-            proc: proc.to_string(),
-            args: args.to_vec(),
-            scalars: scalars.to_vec(),
-            token: None,
-        };
-        match self.transport.offer(kernel, from.cpu_class(), call) {
-            Ok(Some(token)) => {
-                self.outstanding.borrow_mut().insert(token.0);
-                self.bump(|s| {
-                    s.deferred_calls += 1;
-                    s.tokens_issued += 1;
-                });
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
-                self.schedule_deadline_wakeup(kernel);
-                Ok(token)
-            }
-            Ok(None) => {
-                // Batched transport: the call is parked but completion is
-                // not tracked — the token resolves with the next flush,
-                // which is synchronous on this transport.
-                self.bump(|s| {
-                    s.deferred_calls += 1;
-                    s.tokens_issued += 1;
-                    s.tokens_harvested += 1;
-                });
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
-                self.schedule_deadline_wakeup(kernel);
-                Ok(self.mint_sync_token())
-            }
-            Err(call) => {
-                self.call(kernel, from, &call.proc, &call.args, &call.scalars)?;
+        let proc = self.resolve_proc(from, proc)?;
+        self.call_async_resolved(kernel, from, proc, args, scalars)
+    }
+
+    /// [`XpcChannel::call_async`] on an already-resolved procedure.
+    pub(crate) fn call_async_resolved(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: ProcHandle,
+        args: &[Option<CAddr>],
+        scalars: &[XdrValue],
+    ) -> XpcResult<CompletionToken> {
+        match self.park(kernel, from, proc, args, scalars)? {
+            Some(token) => Ok(token),
+            // Parked on a batched transport (the token resolves with the
+            // next flush, which is synchronous there) or executed on the
+            // spot: either way the token is born resolved.
+            None => {
                 self.bump(|s| {
                     s.tokens_issued += 1;
                     s.tokens_harvested += 1;
@@ -977,8 +1093,7 @@ impl XpcChannel {
     /// across recovery. On a non-queueing transport the call executes
     /// synchronously and its token (if any) resolves immediately.
     pub fn requeue_deferred(&self, kernel: &Kernel, call: DeferredCall) -> XpcResult<()> {
-        let target = self.peer(call.from)?;
-        self.lookup_proc(target, &call.proc)?;
+        self.def(self.peer(call.from)?, call.proc)?;
         let token = call.token;
         match self.transport.offer(kernel, call.from.cpu_class(), call) {
             Ok(_) => {
@@ -987,7 +1102,7 @@ impl XpcChannel {
                 Ok(())
             }
             Err(call) => {
-                self.call(kernel, call.from, &call.proc, &call.args, &call.scalars)?;
+                self.call_resolved(kernel, call.from, call.proc, &call.args, &call.scalars)?;
                 if let Some(t) = token {
                     self.resolve_tokens(&[t]);
                 }
@@ -996,37 +1111,26 @@ impl XpcChannel {
         }
     }
 
+    /// Strikes `token` off the outstanding ledger; whether it was on it.
+    fn settle(&self, token: CompletionToken) -> bool {
+        let mut outstanding = self.outstanding.borrow_mut();
+        let at = outstanding.binary_search(&token.0);
+        at.map(|i| outstanding.remove(i)).is_ok()
+    }
+
     /// Marks tokens resolved: removes them from the outstanding set and
     /// counts them harvested.
     fn resolve_tokens(&self, tokens: &[CompletionToken]) {
-        let mut outstanding = self.outstanding.borrow_mut();
-        let mut resolved = 0u64;
-        for t in tokens {
-            if outstanding.remove(&t.0) {
-                resolved += 1;
-            }
-        }
-        drop(outstanding);
-        if resolved > 0 {
-            self.bump(|s| s.tokens_harvested += resolved);
-        }
+        let resolved = tokens.iter().filter(|t| self.settle(**t)).count() as u64;
+        self.bump(|s| s.tokens_harvested += resolved);
     }
 
     /// Cancels tokens whose calls were dropped before launching (fault
     /// recovery): removes them from the outstanding set and counts them
     /// cancelled, never harvested.
     pub fn cancel_tokens(&self, tokens: &[CompletionToken]) {
-        let mut outstanding = self.outstanding.borrow_mut();
-        let mut cancelled = 0u64;
-        for t in tokens {
-            if outstanding.remove(&t.0) {
-                cancelled += 1;
-            }
-        }
-        drop(outstanding);
-        if cancelled > 0 {
-            self.bump(|s| s.tokens_cancelled += cancelled);
-        }
+        let cancelled = tokens.iter().filter(|t| self.settle(**t)).count() as u64;
+        self.bump(|s| s.tokens_cancelled += cancelled);
     }
 
     /// Tokens issued and not yet harvested or cancelled.
@@ -1041,12 +1145,21 @@ impl XpcChannel {
     /// is charged as wait. Returns the resolved tokens.
     pub fn harvest(&self, kernel: &Kernel) -> Vec<CompletionToken> {
         let mut resolved = Vec::new();
+        self.harvest_with(kernel, |token| resolved.push(token));
+        resolved
+    }
+
+    /// [`XpcChannel::harvest`] for callers on a per-packet path: each
+    /// resolved token is handed to `each` instead of collected into a
+    /// fresh `Vec`. Returns how many resolved.
+    pub fn harvest_with(&self, kernel: &Kernel, mut each: impl FnMut(CompletionToken)) -> usize {
         if self.launched.borrow().is_empty() {
             // Poll paths harvest on every probe; emit no trace events
             // (and open no span) when there is nothing to settle.
-            return resolved;
+            return 0;
         }
         let _span = kernel.trace_span("xpc", "harvest");
+        let mut resolved = 0;
         loop {
             let Some(batch) = self.launched.borrow_mut().pop_front() else {
                 break;
@@ -1061,14 +1174,21 @@ impl XpcChannel {
                 "xpc.batch",
                 "harvest",
                 &[
-                    ("tokens", batch.tokens.len() as u64),
+                    ("tokens", batch.tokens as u64),
                     ("overlap_ns", covered),
                     ("uncovered_ns", uncovered),
                 ],
             );
             self.bump(|s| s.overlap_ns += covered);
-            self.resolve_tokens(&batch.tokens);
-            resolved.extend(batch.tokens);
+            let mut harvested = 0;
+            for _ in 0..batch.tokens {
+                let token = self.launched_tokens.borrow_mut().pop_front();
+                let token = token.expect("a launched batch's tokens are queued");
+                harvested += self.settle(token) as u64;
+                each(token);
+            }
+            self.bump(|s| s.tokens_harvested += harvested);
+            resolved += batch.tokens;
         }
         resolved
     }
@@ -1081,22 +1201,15 @@ impl XpcChannel {
         kernel: &Kernel,
         token: CompletionToken,
     ) -> XpcResult<Vec<CompletionToken>> {
-        if !self.outstanding.borrow().contains(&token.0) {
+        let outstanding = || self.outstanding.borrow().binary_search(&token.0).is_ok();
+        if !outstanding() {
             return Ok(Vec::new());
         }
-        let launched = self
-            .launched
-            .borrow()
-            .iter()
-            .any(|b| b.tokens.contains(&token));
-        if !launched {
+        if !self.launched_tokens.borrow().contains(&token) {
             self.flush(kernel)?;
         }
         let resolved = self.harvest(kernel);
-        debug_assert!(
-            !self.outstanding.borrow().contains(&token.0),
-            "wait_token must resolve its token"
-        );
+        debug_assert!(!outstanding(), "wait_token must resolve its token");
         Ok(resolved)
     }
 
@@ -1209,13 +1322,15 @@ impl XpcChannel {
         // A flushed handler may defer again; bound the ping-pong.
         for _ in 0..64 {
             let pending_before = self.transport.pending();
-            let queue = self.transport.drain();
+            let mut queue = self.queue.take();
+            self.transport.drain(&mut queue);
             debug_assert!(
                 pending_before > 0 || queue.is_empty(),
                 "transport reported pending() == 0 but drained {} calls",
                 queue.len()
             );
             if queue.is_empty() {
+                self.queue.set(queue);
                 return Ok(());
             }
             let mut i = 0;
@@ -1234,7 +1349,7 @@ impl XpcChannel {
                         let one = self.call_inner(
                             kernel,
                             call.from,
-                            &call.proc,
+                            call.proc,
                             &call.args,
                             &call.scalars,
                         );
@@ -1254,6 +1369,8 @@ impl XpcChannel {
                 }
                 i = end;
             }
+            queue.drain(..).for_each(|call| self.recycle(call));
+            self.queue.set(queue);
         }
         // Handlers kept re-deferring past the bound: surface the broken
         // ordering guarantee instead of silently leaving calls parked.
@@ -1273,10 +1390,11 @@ impl XpcChannel {
         let target = self.peer(from)?;
         self.record_atomic_violation(kernel, target, "batched flush");
 
-        let defs: Vec<Rc<ProcDef>> = group
-            .iter()
-            .map(|c| self.lookup_proc(target, &c.proc))
-            .collect::<XpcResult<_>>()?;
+        let mut defs = self.defs.take();
+        defs.clear();
+        for call in group {
+            defs.push(self.def(target, call.proc)?);
+        }
 
         // One wire message for the whole batch: roots share a seen-table,
         // so an object repeated across calls crosses once.
@@ -1288,26 +1406,17 @@ impl XpcChannel {
             .flat_map(|c| c.scalars.iter())
             .map(Self::scalar_wire_bytes)
             .sum();
-        let wire_in = self.marshal_from(kernel, caller, &all_roots, Direction::In)?;
-        self.bump(|s| s.bytes_in += (wire_in.len() + scalar_in) as u64);
-        if launch {
-            self.launching.set(true);
-        }
-        self.charge_transfer(kernel, from, wire_in.len() + scalar_in);
-        // Nested synchronous calls made by the handlers below must price
-        // their own crossings normally — the bracket covers only this
-        // batch's two transfers.
-        self.launching.set(false);
-
-        let locals = self.unmarshal_into(
+        let dir = Direction::In;
+        let locals = self.cross(
             kernel,
+            launch,
+            caller,
             target,
-            &wire_in,
+            &all_roots,
             all_types(),
-            Direction::In,
-            all_roots.len(),
+            dir,
+            scalar_in,
         )?;
-        self.wire.set(wire_in);
 
         // Dispatch each call in queue order; results are discarded and
         // faults contained (deferred calls have no waiting caller).
@@ -1325,27 +1434,28 @@ impl XpcChannel {
         }
 
         // One return crossing updates every caller-side object.
-        let wire_out = self.marshal_from(kernel, target, &locals, Direction::Out)?;
-        self.bump(|s| s.bytes_out += wire_out.len() as u64);
-        if launch {
-            self.launching.set(true);
-        }
-        self.charge_transfer(kernel, target.domain, wire_out.len());
-        self.launching.set(false);
-        self.unmarshal_into(kernel, caller, &wire_out, all_types(), Direction::Out, 0)?;
-        self.wire.set(wire_out);
+        let dir = Direction::Out;
+        self.cross(kernel, launch, target, caller, &locals, all_types(), dir, 0)?;
+        defs.clear();
+        self.defs.set(defs);
 
         if launch {
             // Bank the batch's crossing latency for harvest to settle:
             // elapsed virtual time from here on covers it as overlap.
             let cost_ns = self.launch_cost.take();
-            let tokens: Vec<CompletionToken> = group.iter().filter_map(|c| c.token).collect();
+            let mut launched_tokens = self.launched_tokens.borrow_mut();
+            let before = launched_tokens.len();
+            launched_tokens.extend(group.iter().filter_map(|c| c.token));
+            let tokens = launched_tokens.len() - before;
             kernel.trace_instant(
                 "xpc.batch",
                 "launch",
                 &[
-                    ("tokens", tokens.len() as u64),
-                    ("first_token", tokens.first().map_or(0, |t| t.0)),
+                    ("tokens", tokens as u64),
+                    (
+                        "first_token",
+                        launched_tokens.get(before).map_or(0, |t| t.0),
+                    ),
                     ("cost_ns", cost_ns),
                 ],
             );
@@ -1981,6 +2091,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, XpcError::UnknownProc { .. }));
         assert_eq!(ch.pending_deferred(), 0);
+        // The async form too, and the error names what was asked for.
+        let err = async_channel()
+            .call_async(&k, Domain::Nucleus, "nope", &[], &[])
+            .unwrap_err();
+        assert!(matches!(err, XpcError::UnknownProc { proc, .. } if proc == "nope"));
     }
 
     #[test]
@@ -2437,5 +2552,254 @@ mod tests {
             flushes,
             "no spurious re-fires when idle"
         );
+    }
+
+    // ------------------------------------------- the resolved crossing
+
+    /// What one zero-object crossing costs, per configuration, read at
+    /// 224f247 — before procedures were slots, doorbells resolved once
+    /// and object-free legs skipped the marshaler. One row per step
+    /// ([`zero_object_steps`]): kernel busy ns, user busy ns, bytes in,
+    /// bytes out, one-way crossings, round trips, tokens issued, tokens
+    /// harvested. The handler charges 7 user ns so dispatch shows.
+    type Row = [u64; 8];
+    const SYNC: [Row; 2] = [[4024, 4031, 4, 4, 2, 1, 0, 0]; 2];
+    const BATCHED: [Row; 2] = [
+        [4274, 4281, 4, 4, 2, 1, 0, 0],
+        [4314, 4257, 4, 0, 2, 1, 0, 0],
+    ];
+    const ASYNC: [Row; 3] = [
+        [4274, 4281, 4, 4, 2, 1, 0, 0],
+        [64, 7, 4, 0, 2, 1, 1, 0],
+        // The harvest settles this launch and the previous step's.
+        [8564, 7, 4, 0, 2, 1, 1, 2],
+    ];
+    const SAME_PROCESS: [Row; 2] = [[24, 31, 4, 4, 2, 1, 0, 0]; 2];
+
+    /// The trace of the same steps at 224f247, as `phase cat/name(args)`.
+    const SYNC_TRACE: &str = "B xpc/call() i xpc.crossing/inproc(4000,1) \
+        i xpc.crossing/inproc(4000,1) E xpc/call() B xpc/call() \
+        i xpc.crossing/inproc(4000,1) i xpc.crossing/inproc(4000,1) E xpc/call()";
+    const BATCHED_TRACE: &str = "B xpc/call() i xpc.crossing/batched(4250,1) \
+        i xpc.crossing/batched(4250,1) E xpc/call() B xpc/flush() \
+        i xpc.crossing/batched(4250,1) i xpc.crossing/batched(4250,1) E xpc/flush()";
+    const ASYNC_TRACE: &str = "B xpc/call() i xpc.crossing/async(4250,1) \
+        i xpc.crossing/async(4250,1) E xpc/call() B xpc/flush() \
+        i xpc.batch/launch(1,1,8500) E xpc/flush() B xpc/flush() \
+        i xpc.batch/launch(1,2,8500) E xpc/flush() B xpc/harvest() \
+        i xpc.batch/harvest(1,71,8429) i xpc.batch/harvest(1,8429,71) E xpc/harvest()";
+    const SAME_PROCESS_TRACE: &str = "B xpc/call() i xpc.crossing/inproc(0,0) \
+        i xpc.crossing/inproc(0,0) E xpc/call() B xpc/call() \
+        i xpc.crossing/inproc(0,0) i xpc.crossing/inproc(0,0) E xpc/call()";
+
+    /// One zero-object `call`, one `call_deferred` + `flush`, and on an
+    /// async transport one `call_async` + `flush` + `harvest`, traced:
+    /// the per-step counter deltas and the event sequence.
+    fn zero_object_steps(config: ChannelConfig) -> (Vec<Row>, String) {
+        use decaf_simkernel::decaf_trace::{Phase, Tracer};
+        let k = Kernel::new();
+        let tracer = Tracer::new();
+        k.set_tracer(Some(Rc::clone(&tracer)));
+        let ch = XpcChannel::new(
+            spec(),
+            MaskSet::full(),
+            config,
+            Domain::Nucleus,
+            Domain::Decaf,
+        );
+        let bell = ProcDef::scalar("bell", |k, _| {
+            k.charge_user(7);
+            XdrValue::Int(0)
+        });
+        ch.register_proc(Domain::Decaf, bell).unwrap();
+        let mut rows = Vec::new();
+        let mut before = (k.snapshot(), ch.stats());
+        let mut step_done = || {
+            let (snap, s) = (k.snapshot(), ch.stats());
+            let (was, b) = before;
+            rows.push([
+                snap.kernel_busy_ns - was.kernel_busy_ns,
+                snap.user_busy_ns - was.user_busy_ns,
+                s.bytes_in - b.bytes_in,
+                s.bytes_out - b.bytes_out,
+                s.one_way_crossings - b.one_way_crossings,
+                s.round_trips - b.round_trips,
+                s.tokens_issued - b.tokens_issued,
+                s.tokens_harvested - b.tokens_harvested,
+            ]);
+            before = (snap, s);
+        };
+        let count = [XdrValue::UInt(3)];
+        ch.call(&k, Domain::Nucleus, "bell", &[], &count).unwrap();
+        step_done();
+        ch.call_deferred(&k, Domain::Nucleus, "bell", &[], &count)
+            .unwrap();
+        ch.flush(&k).unwrap();
+        step_done();
+        if config.transport == TransportKind::Async {
+            ch.call_async(&k, Domain::Nucleus, "bell", &[], &count)
+                .unwrap();
+            ch.flush(&k).unwrap();
+            ch.harvest(&k);
+            step_done();
+        }
+        let events: Vec<String> = tracer
+            .events()
+            .iter()
+            .map(|e| {
+                let phase = match e.phase {
+                    Phase::Begin => "B",
+                    Phase::End => "E",
+                    _ => "i",
+                };
+                let args: Vec<String> = e.args.iter().map(|(_, v)| v.to_string()).collect();
+                format!("{phase} {}/{}({})", e.cat, e.name, args.join(","))
+            })
+            .collect();
+        (rows, events.join(" "))
+    }
+
+    #[test]
+    fn zero_object_crossings_cost_and_trace_what_they_did_at_224f247() {
+        let cases: [(ChannelConfig, &[Row], &str); 6] = [
+            (ChannelConfig::kernel_user(), &SYNC, SYNC_TRACE),
+            (
+                ChannelConfig::kernel_user_batched(),
+                &BATCHED,
+                BATCHED_TRACE,
+            ),
+            (ChannelConfig::kernel_user_async(), &ASYNC, ASYNC_TRACE),
+            (
+                ChannelConfig::kernel_user_shmring(),
+                &BATCHED,
+                BATCHED_TRACE,
+            ),
+            (
+                ChannelConfig::kernel_user_async_shmring(),
+                &ASYNC,
+                ASYNC_TRACE,
+            ),
+            (
+                ChannelConfig::cross_language_only(),
+                &SAME_PROCESS,
+                SAME_PROCESS_TRACE,
+            ),
+        ];
+        for (config, rows, trace) in cases {
+            let (got_rows, got_trace) = zero_object_steps(config);
+            assert_eq!(got_rows, rows, "{config:?}");
+            let want: Vec<&str> = trace.split_whitespace().collect();
+            assert_eq!(got_trace, want.join(" "), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn requeued_handles_survive_reset_end_with_tokens_conserved() {
+        // The `recover_shard` sequence on one channel: parked calls carry
+        // their procedure as a slot handle, are taken out, the dead end is
+        // reset, and the survivors requeued — same handle, same token.
+        let k = Kernel::new();
+        let ch = async_channel();
+        let ran = Rc::new(Cell::new(0u32));
+        let r = Rc::clone(&ran);
+        let count = ProcDef::scalar("count", move |_, _| {
+            r.set(r.get() + 1);
+            XdrValue::Void
+        });
+        ch.register_proc(Domain::Decaf, count).unwrap();
+        ch.register_proc(
+            Domain::Nucleus,
+            ProcDef::scalar("down", |_, _| XdrValue::Void),
+        )
+        .unwrap();
+        let up = ch.resolve_proc(Domain::Nucleus, "count").unwrap();
+        for _ in 0..3 {
+            ch.call_async(&k, Domain::Nucleus, "count", &[], &[])
+                .unwrap();
+        }
+        // One call from the end that is about to die.
+        ch.call_async(&k, Domain::Decaf, "down", &[], &[]).unwrap();
+        let parked = ch.take_deferred();
+        assert_eq!(parked.len(), 4);
+        assert!(parked[..3].iter().all(|c| c.proc == up), "the handle form");
+        let tokens: Vec<_> = parked.iter().map(|c| c.token).collect();
+        ch.reset_end(Domain::Decaf).unwrap();
+        let mut died = Vec::new();
+        for call in parked {
+            if call.from == Domain::Decaf {
+                died.extend(call.token);
+            } else {
+                ch.requeue_deferred(&k, call).unwrap();
+            }
+        }
+        ch.cancel_tokens(&died);
+        let requeued = ch.take_deferred();
+        let kept: Vec<_> = requeued.iter().map(|c| c.token).collect();
+        assert_eq!(kept, tokens[..3], "requeuing never re-issues");
+        for call in requeued {
+            ch.requeue_deferred(&k, call).unwrap();
+        }
+        ch.flush(&k).unwrap();
+        assert_eq!(ch.harvest(&k).len(), 3);
+        assert_eq!(ran.get(), 3, "each survivor ran exactly once");
+        let s = ch.stats();
+        assert_eq!(
+            (s.tokens_issued, s.tokens_harvested, s.tokens_cancelled),
+            (4, 3, 1)
+        );
+        assert_eq!(ch.tokens_outstanding(), 0);
+        // A handle that is not a slot of the target end is refused.
+        let stray = DeferredCall {
+            from: Domain::Nucleus,
+            proc: ProcHandle(99),
+            args: vec![],
+            scalars: vec![],
+            token: None,
+        };
+        let err = ch.requeue_deferred(&k, stray).unwrap_err();
+        assert!(matches!(err, XpcError::UnknownProc { .. }));
+    }
+
+    #[test]
+    fn doorbell_and_object_call_in_one_batch_share_one_wire_and_seen_table() {
+        let touches_only = {
+            let k = Kernel::new();
+            let ch = batched_channel();
+            register_noop(&ch, "touch");
+            let adapter = alloc_adapter(&ch);
+            for _ in 0..2 {
+                ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+                    .unwrap();
+            }
+            ch.flush(&k).unwrap();
+            ch.stats()
+        };
+        let k = Kernel::new();
+        let ch = batched_channel();
+        register_noop(&ch, "touch");
+        let rung = Rc::new(Cell::new(0u32));
+        let r = Rc::clone(&rung);
+        let bell = ProcDef::scalar("bell", move |_, s| {
+            r.set(s[0].as_uint().unwrap());
+            XdrValue::Void
+        });
+        ch.register_proc(Domain::Decaf, bell).unwrap();
+        let adapter = alloc_adapter(&ch);
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+            .unwrap();
+        ch.call_deferred(&k, Domain::Nucleus, "bell", &[], &[XdrValue::UInt(5)])
+            .unwrap();
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+            .unwrap();
+        ch.flush(&k).unwrap();
+        let s = ch.stats();
+        assert_eq!(rung.get(), 5, "the doorbell ran, with its scalar");
+        assert_eq!((s.flushes, s.round_trips, s.batched_calls), (1, 1, 3));
+        // One wire, one seen-table: the second `touch` is still a
+        // back-reference, and the doorbell adds only its scalar.
+        assert_eq!(ch.heap(Domain::Decaf).borrow().len(), 2);
+        assert_eq!(s.bytes_in, touches_only.bytes_in + 4);
+        assert_eq!(s.bytes_out, touches_only.bytes_out);
+        assert_eq!(s.full_objects, touches_only.full_objects);
     }
 }

@@ -77,7 +77,7 @@ pub use admission::{
 pub use combolock::{ComboStats, Combolock};
 pub use datapath::{DataPathChannel, DataPathEnd};
 pub use domain::Domain;
-pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, SharedObject, XpcChannel};
+pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, ProcHandle, SharedObject, XpcChannel};
 pub use error::{XpcError, XpcResult};
 pub use runtime::{DecafRuntime, NuclearRuntime};
 pub use shard::{ShardPolicy, ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};

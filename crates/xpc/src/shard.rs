@@ -387,7 +387,7 @@ impl ShardedChannel {
     pub fn harvest_all(&self, kernel: &Kernel) -> usize {
         let mut resolved = 0;
         for (i, ch) in self.shards.iter().enumerate() {
-            resolved += kernel.shard_scope(i, || ch.harvest(kernel).len());
+            resolved += kernel.shard_scope(i, || ch.harvest_with(kernel, |_| {}));
         }
         resolved
     }
@@ -518,9 +518,7 @@ impl ShardedChannel {
     pub fn recover_shard(&self, kernel: &Kernel, shard: usize, failed: Domain) -> XpcResult<usize> {
         let _span = kernel.trace_span("shard", "recover");
         let ch = &self.shards[shard];
-        kernel.shard_scope(shard, || {
-            let _ = ch.harvest(kernel);
-        });
+        kernel.shard_scope(shard, || ch.harvest_with(kernel, |_| {}));
         let parked = ch.take_deferred();
         ch.reset_end(failed)?;
         let mut requeued = 0;

@@ -355,14 +355,14 @@ mod tests {
                         name: "urb_drain".into(),
                         arg_types: vec![],
                         handler: Rc::new(move |k, _, _, _| {
-                            for d in end.consume(k) {
+                            end.consume(k, |d| {
                                 let actual = match d.dir {
                                     XferDir::Out => d.len,
                                     XferDir::In => 100,
                                 };
                                 set.complete(k, CpuClass::User, d.completed(0, actual))
                                     .unwrap();
-                            }
+                            });
                             XdrValue::Void
                         }),
                     },

@@ -31,6 +31,7 @@ use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 
 use crate::domain::Domain;
+use crate::endpoint::ProcHandle;
 
 /// Transport selector carried by `ChannelConfig` (the config stays
 /// `Copy`; the channel instantiates the matching [`Transport`] object).
@@ -69,8 +70,9 @@ pub struct CompletionToken(pub u64);
 pub struct DeferredCall {
     /// Calling domain.
     pub from: Domain,
-    /// Target procedure name.
-    pub proc: String,
+    /// Target procedure: its slot at the peer end of `from`, resolved
+    /// when the call was parked.
+    pub proc: ProcHandle,
     /// Object arguments (caller-heap addresses).
     pub args: Vec<Option<CAddr>>,
     /// By-value scalar arguments.
@@ -129,8 +131,9 @@ pub trait Transport {
         call: DeferredCall,
     ) -> Result<Option<CompletionToken>, DeferredCall>;
 
-    /// Drains every queued call, oldest first.
-    fn drain(&self) -> Vec<DeferredCall>;
+    /// Drains every queued call, oldest first, onto the end of `out` —
+    /// the flush path's reused batch, so a flush allocates nothing.
+    fn drain(&self, out: &mut Vec<DeferredCall>);
 
     /// Number of calls currently queued.
     fn pending(&self) -> usize;
@@ -191,9 +194,7 @@ impl Transport for InProc {
     ) -> Result<Option<CompletionToken>, DeferredCall> {
         Err(call)
     }
-    fn drain(&self) -> Vec<DeferredCall> {
-        Vec::new()
-    }
+    fn drain(&self, _out: &mut Vec<DeferredCall>) {}
     fn pending(&self) -> usize {
         0
     }
@@ -276,8 +277,8 @@ impl Transport for Batched {
         self.queue.borrow_mut().push_back((kernel.now_ns(), call));
         Ok(None)
     }
-    fn drain(&self) -> Vec<DeferredCall> {
-        self.queue.borrow_mut().drain(..).map(|(_, c)| c).collect()
+    fn drain(&self, out: &mut Vec<DeferredCall>) {
+        out.extend(self.queue.borrow_mut().drain(..).map(|(_, c)| c));
     }
     fn pending(&self) -> usize {
         self.queue.borrow().len()
@@ -376,9 +377,9 @@ impl Transport for Async {
         self.queue.borrow_mut().push_back((kernel.now_ns(), call));
         Ok(Some(token))
     }
-    fn drain(&self) -> Vec<DeferredCall> {
+    fn drain(&self, out: &mut Vec<DeferredCall>) {
         self.policy.rang();
-        self.queue.borrow_mut().drain(..).map(|(_, c)| c).collect()
+        out.extend(self.queue.borrow_mut().drain(..).map(|(_, c)| c));
     }
     fn pending(&self) -> usize {
         self.queue.borrow().len()
@@ -411,21 +412,29 @@ impl Transport for Async {
 mod tests {
     use super::*;
 
-    fn call(proc: &str) -> DeferredCall {
+    /// The tests name procedures by slot: what a channel end would have
+    /// resolved `a`, `b`, `victim`… to.
+    fn call(slot: u32) -> DeferredCall {
         DeferredCall {
             from: Domain::Decaf,
-            proc: proc.into(),
+            proc: ProcHandle(slot),
             args: vec![],
             scalars: vec![],
             token: None,
         }
     }
 
+    fn drained(t: &dyn Transport) -> Vec<DeferredCall> {
+        let mut out = Vec::new();
+        t.drain(&mut out);
+        out
+    }
+
     #[test]
     fn non_batching_transports_refuse_deferral() {
         let k = Kernel::new();
         let t = InProc;
-        assert!(t.offer(&k, CpuClass::User, call("writel")).is_err());
+        assert!(t.offer(&k, CpuClass::User, call(0)).is_err());
         assert_eq!(t.pending(), 0);
         assert!(!t.flush_due(&k));
     }
@@ -436,11 +445,11 @@ mod tests {
         let t = Batched::new(3);
         for i in 0..3 {
             assert!(!t.flush_due(&k), "not due at {i}");
-            t.offer(&k, CpuClass::User, call("writel")).unwrap();
+            t.offer(&k, CpuClass::User, call(0)).unwrap();
         }
         assert_eq!(t.pending(), 3);
         assert!(t.flush_due(&k));
-        let drained = t.drain();
+        let drained = drained(&t);
         assert_eq!(drained.len(), 3);
         assert_eq!(t.pending(), 0);
     }
@@ -449,7 +458,7 @@ mod tests {
     fn deadline_makes_partial_batch_due() {
         let k = Kernel::new();
         let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call("writel")).unwrap();
+        t.offer(&k, CpuClass::User, call(0)).unwrap();
         assert!(!t.flush_due(&k), "fresh call, deadline not reached");
         k.run_for(999);
         assert!(!t.flush_due(&k));
@@ -459,9 +468,9 @@ mod tests {
             "a lone deferred call must not wait forever"
         );
         // Draining disarms; the next call re-arms from its own time.
-        t.drain();
+        drained(&t);
         assert!(!t.flush_due(&k));
-        t.offer(&k, CpuClass::User, call("writel")).unwrap();
+        t.offer(&k, CpuClass::User, call(0)).unwrap();
         assert!(!t.flush_due(&k), "deadline restarts with the new batch");
         k.run_for(1_001);
         assert!(t.flush_due(&k));
@@ -471,10 +480,10 @@ mod tests {
     fn deadline_measured_from_oldest_call() {
         let k = Kernel::new();
         let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call("a")).unwrap();
+        t.offer(&k, CpuClass::User, call(1)).unwrap();
         k.run_for(900);
         // A later call does not push the oldest call's deadline out.
-        t.offer(&k, CpuClass::User, call("b")).unwrap();
+        t.offer(&k, CpuClass::User, call(2)).unwrap();
         k.run_for(150);
         assert!(t.flush_due(&k));
     }
@@ -487,10 +496,10 @@ mod tests {
         // coalescing window off its own defer time.
         let k = Kernel::new();
         let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call("victim")).unwrap();
+        t.offer(&k, CpuClass::User, call(4)).unwrap();
         k.run_for(900);
-        t.offer(&k, CpuClass::User, call("survivor")).unwrap();
-        t.retain(&|c| c.proc != "victim");
+        t.offer(&k, CpuClass::User, call(5)).unwrap();
+        t.retain(&|c| c.proc != ProcHandle(4));
         k.run_for(150); // t=1050: the victim's window passed, the survivor's did not
         assert!(
             !t.flush_due(&k),
@@ -510,12 +519,12 @@ mod tests {
         // a window measured from the drained batch.
         let k = Kernel::new();
         let t = Batched::with_deadline(2, 1_000);
-        t.offer(&k, CpuClass::User, call("a")).unwrap();
-        t.offer(&k, CpuClass::User, call("b")).unwrap();
+        t.offer(&k, CpuClass::User, call(1)).unwrap();
+        t.offer(&k, CpuClass::User, call(2)).unwrap();
         assert!(t.flush_due(&k), "at the watermark");
-        assert_eq!(t.drain().len(), 2, "drained exactly at the watermark");
+        assert_eq!(drained(&t).len(), 2, "drained exactly at the watermark");
         k.run_for(600);
-        t.offer(&k, CpuClass::User, call("c")).unwrap(); // t=600
+        t.offer(&k, CpuClass::User, call(3)).unwrap(); // t=600
         k.run_for(999); // t=1599
         assert!(!t.flush_due(&k), "one tick before c's own deadline");
         k.run_for(1); // t=1600 = 600 + 1000
@@ -526,23 +535,23 @@ mod tests {
     fn retain_drops_matching_calls() {
         let k = Kernel::new();
         let t = Batched::new(8);
-        t.offer(&k, CpuClass::User, call("a")).unwrap();
-        t.offer(&k, CpuClass::User, call("b")).unwrap();
-        t.retain(&|c| c.proc != "a");
-        let left = t.drain();
+        t.offer(&k, CpuClass::User, call(1)).unwrap();
+        t.offer(&k, CpuClass::User, call(2)).unwrap();
+        t.retain(&|c| c.proc != ProcHandle(1));
+        let left = drained(&t);
         assert_eq!(left.len(), 1);
-        assert_eq!(left[0].proc, "b");
+        assert_eq!(left[0].proc, ProcHandle(2));
     }
 
     #[test]
     fn async_issues_distinct_tokens_and_keeps_requeued_ones() {
         let k = Kernel::new();
         let t = Async::new(8, 1_000);
-        let a = t.offer(&k, CpuClass::User, call("a")).unwrap().unwrap();
-        let b = t.offer(&k, CpuClass::User, call("b")).unwrap().unwrap();
+        let a = t.offer(&k, CpuClass::User, call(1)).unwrap().unwrap();
+        let b = t.offer(&k, CpuClass::User, call(2)).unwrap().unwrap();
         assert_ne!(a, b, "each fresh offer mints a new token");
         assert_eq!(t.pending(), 2);
-        let drained = t.drain();
+        let drained = drained(&t);
         assert_eq!(drained[0].token, Some(a));
         assert_eq!(drained[1].token, Some(b));
         // A requeued call keeps its token: no double-issue on recovery.
@@ -558,14 +567,14 @@ mod tests {
         let k = Kernel::new();
         let t = Async::new(3, 1_000);
         assert!(!t.flush_due(&k), "empty queue never due");
-        t.offer(&k, CpuClass::User, call("a")).unwrap();
+        t.offer(&k, CpuClass::User, call(1)).unwrap();
         assert!(!t.flush_due(&k));
         k.run_for(1_000);
         assert!(t.flush_due(&k), "deadline fires for a partial batch");
-        t.drain();
+        drained(&t);
         for _ in 0..3 {
             assert!(!t.flush_due(&k));
-            t.offer(&k, CpuClass::User, call("b")).unwrap();
+            t.offer(&k, CpuClass::User, call(2)).unwrap();
         }
         assert!(t.flush_due(&k), "watermark fires immediately");
     }
@@ -574,13 +583,10 @@ mod tests {
     fn async_retain_returns_cancelled_tokens_and_reanchors() {
         let k = Kernel::new();
         let t = Async::new(16, 1_000);
-        let victim = t
-            .offer(&k, CpuClass::User, call("victim"))
-            .unwrap()
-            .unwrap();
+        let victim = t.offer(&k, CpuClass::User, call(4)).unwrap().unwrap();
         k.run_for(900);
-        t.offer(&k, CpuClass::User, call("survivor")).unwrap();
-        let cancelled = t.retain(&|c| c.proc != "victim");
+        t.offer(&k, CpuClass::User, call(5)).unwrap();
+        let cancelled = t.retain(&|c| c.proc != ProcHandle(4));
         assert_eq!(cancelled, vec![victim]);
         k.run_for(150); // t=1050: past the victim's window, within the survivor's
         assert!(

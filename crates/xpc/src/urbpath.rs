@@ -27,12 +27,13 @@
 //! given back or still in flight, and the sector pool's own counters
 //! guarantee no run leaks across the boundary.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use decaf_shmring::{DoorbellPolicy, PoolError, SectorPool, ShmRing, UrbDescriptor, XferDir};
 use decaf_simkernel::Kernel;
 
+use crate::datapath::drain_batch;
 use crate::domain::Domain;
 use crate::doorbell::Doorbell;
 use crate::endpoint::XpcChannel;
@@ -83,6 +84,8 @@ pub struct UrbDataPath {
     pool: Rc<SectorPool>,
     in_flight: Cell<u64>,
     stats: Cell<UrbPathStats>,
+    /// The giveback batch (see [`ShmRing::drain`]), reused per reclaim.
+    reclaimed: RefCell<Vec<UrbDescriptor>>,
 }
 
 impl UrbDataPath {
@@ -105,6 +108,7 @@ impl UrbDataPath {
             pool,
             in_flight: Cell::new(0),
             stats: Cell::new(UrbPathStats::default()),
+            reclaimed: RefCell::default(),
         }))
     }
 
@@ -169,6 +173,7 @@ impl UrbDataPath {
             giveback: Rc::clone(&self.giveback),
             pool: Rc::clone(&self.pool),
             domain,
+            batch: RefCell::default(),
         }
     }
 
@@ -317,23 +322,19 @@ impl UrbDataPath {
     /// the sector run, and returns a [`UrbReclaim`] for the submitter's
     /// callback dispatch. Givebacks may arrive in any order.
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
-        let done = self
-            .giveback
-            .drain(kernel, self.bell.producer().cpu_class());
-        if !done.is_empty() {
-            // Every giveback frees its sector run below, so one instant
-            // carries both the reclaim count and the pool releases.
-            kernel.trace_instant(
-                "ring",
-                "reclaim",
-                &[
-                    ("completions", done.len() as u64),
-                    ("freed_runs", done.len() as u64),
-                ],
-            );
-        }
-        let mut out = Vec::with_capacity(done.len());
-        for d in done {
+        let class = self.bell.producer().cpu_class();
+        let mut out = Vec::new();
+        let fill = |done: &mut Vec<UrbDescriptor>| {
+            self.giveback.drain(kernel, class, done);
+            if !done.is_empty() {
+                // Every giveback frees its sector run below, so one
+                // instant carries both the reclaim count and the pool
+                // releases.
+                let n = done.len() as u64;
+                kernel.trace_instant("ring", "reclaim", &[("completions", n), ("freed_runs", n)]);
+            }
+        };
+        drain_batch(&self.reclaimed, fill, |d| {
             // An inconsistent giveback (actual exceeding the chain, a
             // stale handle) must surface as -EIO, never masquerade as a
             // successful zero-byte read.
@@ -359,7 +360,7 @@ impl UrbDataPath {
                 dir: d.dir,
                 data,
             });
-        }
+        });
         out
     }
 }
@@ -384,6 +385,8 @@ pub struct UrbEnd {
     giveback: Rc<ShmRing<UrbDescriptor>>,
     pool: Rc<SectorPool>,
     domain: Domain,
+    /// The batch a drain fills, reused (see [`ShmRing::drain`]).
+    batch: RefCell<Vec<UrbDescriptor>>,
 }
 
 impl UrbEnd {
@@ -394,10 +397,12 @@ impl UrbEnd {
         &self.pool
     }
 
-    /// Pops every posted request, oldest first — FIFO order is what
-    /// keeps multi-URB transactions (command, then data stage) correct.
-    pub fn consume(&self, kernel: &Kernel) -> Vec<UrbDescriptor> {
-        self.submit.drain(kernel, self.domain.cpu_class())
+    /// Pops every posted request, then hands them to `each`, oldest
+    /// first — FIFO order is what keeps multi-URB transactions (command,
+    /// then data stage) correct. Returns how many there were.
+    pub fn consume(&self, kernel: &Kernel, each: impl FnMut(UrbDescriptor)) -> usize {
+        let class = self.domain.cpu_class();
+        drain_batch(&self.batch, |b| self.submit.drain(kernel, class, b), each)
     }
 
     /// Hands a completed descriptor (response fields filled in via
@@ -438,7 +443,7 @@ mod tests {
                 name: "urb_drain".into(),
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
-                    for d in end.consume(k) {
+                    end.consume(k, |d| {
                         let segs = end.pool().sg_segments(d.buf).expect("live chain");
                         assert!(segs.iter().all(|s| s.offset < 512 * 64));
                         let actual = match d.dir {
@@ -446,7 +451,7 @@ mod tests {
                             XferDir::In => 100,
                         };
                         end.complete(k, d.completed(0, actual)).unwrap();
-                    }
+                    });
                     XdrValue::Void
                 }),
             },
@@ -550,9 +555,9 @@ mod tests {
                     arg_types: vec![],
                     handler: Rc::new(move |k, _, _, _| {
                         if !busy.get() {
-                            for d in end.consume(k) {
+                            end.consume(k, |d| {
                                 end.complete(k, d.completed(0, d.len)).unwrap();
-                            }
+                            });
                         }
                         XdrValue::Void
                     }),
@@ -734,9 +739,9 @@ mod tests {
                 name: "urb_drain".into(),
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
-                    for d in end.consume(k) {
+                    end.consume(k, |d| {
                         end.complete(k, d.completed(-5, 0)).unwrap();
-                    }
+                    });
                     XdrValue::Void
                 }),
             },

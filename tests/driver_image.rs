@@ -228,6 +228,46 @@ fn a_dropped_ring_build_frees_its_channels() {
     }
 }
 
+/// A removed driver is gone *then*, not when the machine is: `timer_del`
+/// used to keep each deleted timer's closure — the watchdog's runtime and
+/// sharded channel, the poll timer's data paths — until the kernel itself
+/// was dropped, so twenty load/remove rounds on one kernel (`ctl_init`)
+/// held twenty generations of dead channels.
+#[test]
+fn a_removed_driver_is_freed_while_the_kernel_lives_on() {
+    let k = Kernel::new();
+    let single = e1000::decaf::install(&k, "eth0").unwrap();
+    k.netdev_open("eth0").unwrap();
+    k.run_for(2_500_000_000); // past a watchdog period
+    let channel = Rc::downgrade(&single.channel);
+    let hw = Rc::downgrade(&single.hw);
+    single.remove();
+    assert!(
+        channel.upgrade().is_none(),
+        "the control channel outlived remove()"
+    );
+    assert!(
+        hw.upgrade().is_none(),
+        "the hardware state outlived remove()"
+    );
+
+    let sharded = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
+    k.netdev_open("eth0").unwrap();
+    k.run_for(1_000_000);
+    let channels = Rc::downgrade(&sharded.channels);
+    let tx_path = Rc::downgrade(&sharded.tx_paths[3]);
+    sharded.remove();
+    assert!(
+        channels.upgrade().is_none(),
+        "the sharded channel outlived remove()"
+    );
+    assert!(
+        tx_path.upgrade().is_none(),
+        "a TX data path outlived remove()"
+    );
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+}
+
 /// The load path's fixed point: what one `insmod` of each decaf driver on
 /// a fresh kernel costs in virtual time, round trips and wire bytes
 /// (`bytes_in + bytes_out` of the control channel). The constants were

@@ -30,11 +30,18 @@ use decaf_core::sched::{
 
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
-use decaf_core::shmring::{BufHandle, Descriptor, RingSet};
+use decaf_core::shmring::{BufHandle, Descriptor, RingSet, ShmRing};
 use decaf_core::simkernel::{CpuClass, Kernel};
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
 use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+
+/// Everything posted on `ring`, popped as the consumer.
+fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
+    let mut out = Vec::new();
+    ring.drain(k, CpuClass::User, &mut out);
+    out
+}
 
 fn spec() -> XdrSpec {
     XdrSpec::parse("struct st { int id; int value; };").unwrap()
@@ -164,7 +171,7 @@ fn run_ring_conservation(shards: usize, schedule: &[usize]) {
         posted_by.insert(cookie, shard);
         if t % 3 == 2 {
             let victim = (shard + t) % shards;
-            for d in set.ring(victim).drain(&kernel, CpuClass::User) {
+            for d in drained(set.ring(victim), &kernel) {
                 let home = set.complete(&kernel, CpuClass::User, d).unwrap();
                 assert_eq!(home, posted_by[&d.cookie], "schedule {schedule:?}");
             }
@@ -172,7 +179,7 @@ fn run_ring_conservation(shards: usize, schedule: &[usize]) {
     }
     // Quiesce: everything still in a ring gets consumed and completed.
     for shard in 0..shards {
-        for d in set.ring(shard).drain(&kernel, CpuClass::User) {
+        for d in drained(set.ring(shard), &kernel) {
             let home = set.complete(&kernel, CpuClass::User, d).unwrap();
             assert_eq!(home, posted_by[&d.cookie], "schedule {schedule:?}");
         }

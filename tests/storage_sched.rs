@@ -38,10 +38,17 @@ use decaf_core::sched::{
 
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
-use decaf_core::shmring::{SectorPool, SgSegment, UrbDescriptor, UrbRingSet};
+use decaf_core::shmring::{SectorPool, SgSegment, ShmRing, UrbDescriptor, UrbRingSet};
 use decaf_core::simdev::uhci as hwreg;
 use decaf_core::simkernel::usb::{Urb, UrbDir};
 use decaf_core::simkernel::{costs, CpuClass, Kernel};
+
+/// Everything posted on `ring`, popped as the consumer.
+fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
+    let mut out = Vec::new();
+    ring.drain(k, CpuClass::User, &mut out);
+    out
+}
 
 // ------------------------------------------------ schedule exploration
 
@@ -85,7 +92,7 @@ fn run_storage_schedule(shards: usize, schedule: &[usize]) {
 
     let complete_ring =
         |kernel: &Kernel, victim: usize, live: &HashMap<u64, (Rc<[SgSegment]>, usize)>| {
-            for d in set.submit_ring(victim).drain(kernel, CpuClass::User) {
+            for d in drained(set.submit_ring(victim), kernel) {
                 let (_, submitter) = &live[&d.cookie];
                 let submitter = *submitter;
                 let home = set
