@@ -169,8 +169,8 @@ pub fn shared_image(
 /// DriverSlicer plan: `shards` parallel channels of `config` — a
 /// single-channel build is one shard and takes `shard(0)`. The spec and
 /// masks are exactly what the slicer generated from the driver's mini-C
-/// source, and every shard shares the plan's copy of both rather than
-/// taking its own.
+/// source, compiled once into the image's marshaling plan: every shard
+/// shares the image's spec and plan, and an install compiles nothing.
 ///
 /// The default build of all five drivers routes its configuration and
 /// control paths through [`ChannelConfig::kernel_user_batched`]:
@@ -182,9 +182,9 @@ pub fn channels_from_plan(
     config: ChannelConfig,
     shards: usize,
 ) -> Rc<ShardedChannel> {
-    ShardedChannel::new(
+    ShardedChannel::with_plan(
         Arc::clone(&plan.spec),
-        Arc::clone(&plan.masks),
+        Arc::clone(&plan.marshal),
         config,
         Domain::Nucleus,
         Domain::Decaf,
@@ -212,13 +212,16 @@ pub fn register_entry(
             domain: "the driver image's user entry points".into(),
             proc: name.into(),
         })?;
-    let types = entry.object_params.iter().map(|(_, ty)| ty.as_str());
-    let stub = ProcDef::entry(name, types, move |k, ch, args, scalars| {
-        match args.first().copied().flatten() {
+    // The stub's name and types are the image's own, by shared pointer.
+    let types = entry.object_params.iter().map(|(_, ty)| Arc::clone(ty));
+    let stub = ProcDef::entry(
+        Arc::clone(&entry.name),
+        types,
+        move |k, ch, args, scalars| match args.first().copied().flatten() {
             Some(obj) => handler(k, ch, obj, scalars),
             None => XdrValue::Int(KError::Inval.errno()),
-        }
-    });
+        },
+    );
     channel.register_proc(Domain::Decaf, stub)
 }
 
@@ -260,15 +263,12 @@ pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: &str, obj: CAddr) -> 
 /// any one driver.
 pub fn register_io_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<()> {
     let b = bar.clone();
-    channel.register_proc(
+    channel.register_io_procs(
         Domain::Nucleus,
         ProcDef::scalar("readl", move |k, scalars| {
             let off = scalars[0].as_uint().unwrap_or(0) as u64;
             XdrValue::UInt(b.read32(k, off))
         }),
-    )?;
-    channel.register_proc(
-        Domain::Nucleus,
         ProcDef::scalar("writel", move |k, scalars| {
             let off = scalars[0].as_uint().unwrap_or(0) as u64;
             let val = scalars[1].as_uint().unwrap_or(0);
@@ -279,17 +279,14 @@ pub fn register_io_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<()>
 }
 
 /// Reads a register through the channel from the decaf side (downcall).
+/// A channel without the helpers reads zero, as a failed call does.
 pub fn decaf_readl(kernel: &Kernel, ch: &XpcChannel, off: u64) -> u32 {
-    ch.call(
-        kernel,
-        Domain::Decaf,
-        "readl",
-        &[],
-        &[XdrValue::UInt(off as u32)],
-    )
-    .ok()
-    .and_then(|v| v.as_uint())
-    .unwrap_or(0)
+    let Some([readl, _]) = ch.io_procs() else {
+        return 0;
+    };
+    let off = [XdrValue::UInt(off as u32)];
+    let read = ch.call_resolved(kernel, Domain::Decaf, readl, &[], &off);
+    read.ok().and_then(|v| v.as_uint()).unwrap_or(0)
 }
 
 /// Writes a register through the channel from the decaf side (downcall).
@@ -300,13 +297,10 @@ pub fn decaf_readl(kernel: &Kernel, ch: &XpcChannel, off: u64) -> u32 {
 /// call, e.g. a register *read*, flushes first, preserving device-visible
 /// ordering); on other transports they execute immediately.
 pub fn decaf_writel(kernel: &Kernel, ch: &XpcChannel, off: u64, val: u32) {
-    let _ = ch.call_deferred(
-        kernel,
-        Domain::Decaf,
-        "writel",
-        &[],
-        &[XdrValue::UInt(off as u32), XdrValue::UInt(val)],
-    );
+    if let Some([_, writel]) = ch.io_procs() {
+        let args = [XdrValue::UInt(off as u32), XdrValue::UInt(val)];
+        let _ = ch.call_deferred_resolved(kernel, Domain::Decaf, writel, &[], &args);
+    }
 }
 
 /// The pieces of one open-loop network sink: per-shard pool-less RX

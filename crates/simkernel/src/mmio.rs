@@ -63,68 +63,124 @@ impl MmioRegion {
     }
 }
 
+/// Granularity at which a [`DmaMemory`] materialises what a write touches.
+const PAGE: usize = 4096;
+
 /// A DMA-capable memory region shared between a driver and a device model.
 ///
 /// Values are little-endian, matching descriptor layouts of the real
 /// hardware the models imitate.
+///
+/// A region costs what is touched: it reserves its declared size but
+/// holds — zero-filled — only the prefix up to the highest byte written
+/// or lent so far. Bytes beyond that prefix read as zero, and every
+/// bounds check is against the declared size.
 #[derive(Debug, Clone)]
 pub struct DmaMemory {
+    /// The materialised prefix; never longer than `size`.
     bytes: Rc<RefCell<Vec<u8>>>,
+    size: usize,
 }
 
 impl DmaMemory {
     /// Allocates a zeroed region of `size` bytes.
     pub fn new(size: usize) -> Self {
         DmaMemory {
-            bytes: Rc::new(RefCell::new(vec![0; size])),
+            bytes: Rc::new(RefCell::new(Vec::with_capacity(size))),
+            size,
         }
     }
 
     /// Size of the region in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.borrow().len()
+        self.size
     }
 
     /// Whether the region has zero size.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.size == 0
+    }
+
+    /// The end of the access `op` makes of `len` bytes at `offset`.
+    ///
+    /// # Panics
+    /// Panics if the access is out of bounds — a DMA fault in real
+    /// hardware, which is always a simulator-usage bug here.
+    fn end_of(&self, op: &str, offset: usize, len: usize) -> usize {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.size => end,
+            _ => panic!("dma {op} bounds: {offset}+{len} > {}", self.size),
+        }
+    }
+
+    #[inline(always)]
+    fn read<const N: usize>(&self, op: &str, offset: usize) -> [u8; N] {
+        let held = self.bytes.borrow();
+        match held.get(offset..).and_then(<[u8]>::first_chunk) {
+            Some(bytes) => *bytes,
+            None => self.read_past_prefix(op, offset, &held),
+        }
+    }
+
+    /// A read that reaches past the materialised prefix: zeros there,
+    /// after the bounds check.
+    #[cold]
+    fn read_past_prefix<const N: usize>(&self, op: &str, offset: usize, held: &[u8]) -> [u8; N] {
+        self.end_of(op, offset, N);
+        let mut bytes = [0; N];
+        let held = held.get(offset..).unwrap_or(&[]);
+        bytes[..held.len()].copy_from_slice(held);
+        bytes
+    }
+
+    #[inline(always)]
+    fn write(&self, op: &str, offset: usize, data: &[u8]) {
+        let mut held = self.bytes.borrow_mut();
+        let tail = held.get_mut(offset..);
+        match tail.and_then(|tail| tail.get_mut(..data.len())) {
+            Some(bytes) => bytes.copy_from_slice(data),
+            None => self.write_past_prefix(op, offset, data, &mut held),
+        }
+    }
+
+    /// A write that reaches past the materialised prefix grows it — a
+    /// page at a time ([`DmaMemory::materialise`]), so that filling a
+    /// ring or a frame list entry by entry grows it once per page, not
+    /// once per entry.
+    #[cold]
+    fn write_past_prefix(&self, op: &str, offset: usize, data: &[u8], held: &mut Vec<u8>) {
+        let end = self.end_of(op, offset, data.len());
+        self.materialise(held, end);
+        held[offset..end].copy_from_slice(data);
+    }
+
+    /// Zero-fills the prefix up to the page holding `end`.
+    fn materialise(&self, held: &mut Vec<u8>, end: usize) {
+        held.resize(end.next_multiple_of(PAGE).min(self.size), 0);
     }
 
     /// Reads a `u32` at byte `offset` (little-endian).
     ///
     /// # Panics
-    /// Panics if the access is out of bounds — a DMA fault in real
-    /// hardware, which is always a simulator-usage bug here.
+    /// Every accessor panics with `dma <op> bounds: <offset>+<len> >
+    /// <size>` if the access is out of bounds.
     pub fn read_u32(&self, offset: usize) -> u32 {
-        let b = self.bytes.borrow();
-        assert!(
-            offset + 4 <= b.len(),
-            "dma read_u32 bounds: {offset}+4 > {}",
-            b.len()
-        );
-        u32::from_le_bytes(b[offset..offset + 4].try_into().expect("length checked"))
+        u32::from_le_bytes(self.read("read_u32", offset))
     }
 
     /// Writes a `u32` at byte `offset` (little-endian).
     pub fn write_u32(&self, offset: usize, value: u32) {
-        let mut b = self.bytes.borrow_mut();
-        b[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        self.write("write_u32", offset, &value.to_le_bytes());
     }
 
     /// Reads a `u64` at byte `offset` (little-endian).
     pub fn read_u64(&self, offset: usize) -> u64 {
-        let b = self.bytes.borrow();
-        u64::from_le_bytes(
-            b[offset..offset + 8]
-                .try_into()
-                .expect("dma read_u64 bounds"),
-        )
+        u64::from_le_bytes(self.read("read_u64", offset))
     }
 
     /// Writes a `u64` at byte `offset` (little-endian).
     pub fn write_u64(&self, offset: usize, value: u64) {
-        let mut b = self.bytes.borrow_mut();
-        b[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        self.write("write_u64", offset, &value.to_le_bytes());
     }
 
     /// Lends `len` bytes at `offset` to `f` as one bounds-checked
@@ -133,19 +189,21 @@ impl DmaMemory {
     ///
     /// The region stays borrowed while `f` runs, so `f` must not write
     /// it (`write_*` from inside the closure is a `RefCell` panic): take
-    /// what is needed out of the view, return, then write.
-    ///
-    /// # Panics
-    /// Panics if `offset + len` exceeds the region — a DMA fault in real
-    /// hardware, which is always a simulator-usage bug here.
+    /// what is needed out of the view, return, then write. Reads nest;
+    /// only a view that reaches past everything touched so far takes
+    /// the region mutably, for as long as filling the gap takes.
     pub fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        let b = self.bytes.borrow();
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= b.len()),
-            "dma with_bytes bounds: {offset}+{len} > {}",
-            b.len()
-        );
-        f(&b[offset..offset + len])
+        let held = self.bytes.borrow();
+        if let Some(view) = held.get(offset..).and_then(|tail| tail.get(..len)) {
+            return f(view);
+        }
+        drop(held);
+        let end = self.end_of("with_bytes", offset, len);
+        if len == 0 {
+            return f(&[]);
+        }
+        self.materialise(&mut self.bytes.borrow_mut(), end);
+        f(&self.bytes.borrow()[offset..end])
     }
 
     /// Copies bytes out of the region.
@@ -155,7 +213,7 @@ impl DmaMemory {
 
     /// Copies bytes into the region.
     pub fn write_bytes(&self, offset: usize, data: &[u8]) {
-        self.bytes.borrow_mut()[offset..offset + data.len()].copy_from_slice(data);
+        self.write("write_bytes", offset, data);
     }
 }
 
@@ -217,9 +275,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dma read_u32 bounds")]
+    #[should_panic(expected = "dma read_u32 bounds: 2+4 > 4")]
     fn dma_out_of_bounds_panics() {
         let m = DmaMemory::new(4);
         let _ = m.read_u32(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma read_u64 bounds: 60+8 > 64")]
+    fn read_u64_out_of_bounds_names_the_region_size() {
+        let _ = DmaMemory::new(64).read_u64(60);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma write_u32 bounds: 62+4 > 64")]
+    fn write_u32_out_of_bounds_names_the_region_size() {
+        DmaMemory::new(64).write_u32(62, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma write_u64 bounds: 64+8 > 64")]
+    fn write_u64_out_of_bounds_names_the_region_size() {
+        DmaMemory::new(64).write_u64(64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma write_bytes bounds: 18446744073709551615+2 > 64")]
+    fn write_bytes_offset_overflow_is_a_bounds_fault_not_a_wrap() {
+        DmaMemory::new(64).write_bytes(usize::MAX, &[1, 2]);
+    }
+
+    #[test]
+    fn a_fresh_region_reads_zero_before_and_after_an_unrelated_write() {
+        let m = DmaMemory::new(1 << 20);
+        let reads_zero = |m: &DmaMemory| {
+            for offset in [0, 1 << 19, (1 << 20) - 4] {
+                assert_eq!(m.read_u32(offset), 0, "offset {offset}");
+            }
+            assert_eq!(m.read_u64((1 << 20) - 8), 0);
+            assert_eq!(m.read_bytes(1 << 19, 3), [0, 0, 0]);
+        };
+        reads_zero(&m);
+        m.write_u32(4096, 0xdead_beef);
+        reads_zero(&m);
+        assert_eq!(m.read_u32(4096), 0xdead_beef);
+        // A read straddling the touched prefix sees its bytes, then zeros.
+        assert_eq!(m.read_u64(4096), 0xdead_beef);
+        assert_eq!(m.read_u32(4098), 0xdead);
+        assert_eq!(m.len(), 1 << 20, "the declared size, whatever was touched");
     }
 }

@@ -114,7 +114,7 @@ pub fn apply_new_field(source: &str, plan: &SlicePlan, field: &NewField) -> Slic
         let fn_pos = out
             .find(&format!(" {}(", entry.name))
             .or_else(|| out.find(&format!("{}(", entry.name)))
-            .ok_or_else(|| SliceError::Unknown(entry.name.clone()))?;
+            .ok_or_else(|| SliceError::Unknown(entry.name.to_string()))?;
         let brace = out[fn_pos..]
             .find('{')
             .map(|o| fn_pos + o + 1)
@@ -122,7 +122,7 @@ pub fn apply_new_field(source: &str, plan: &SlicePlan, field: &NewField) -> Slic
         let var = entry
             .object_params
             .iter()
-            .find(|(_, s)| *s == field.struct_name)
+            .find(|(_, s)| **s == *field.struct_name)
             .map(|(p, _)| p.clone())
             .ok_or_else(|| {
                 SliceError::Unknown(format!(

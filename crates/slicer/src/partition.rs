@@ -11,6 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use decaf_xdr::mask::MaskSet;
+use decaf_xdr::plan::MarshalPlan;
 use decaf_xdr::spec::XdrSpec;
 
 use crate::access;
@@ -41,10 +42,11 @@ pub struct SliceConfig {
 /// An entry point: a function invoked from the other partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntryPoint {
-    /// Function name.
-    pub name: String,
+    /// Function name. Shared, like the struct types below: the stub an
+    /// install registers for this entry point holds the image's copy.
+    pub name: Arc<str>,
     /// Struct-pointer parameters: `(param name, struct type)`.
-    pub object_params: Vec<(String, String)>,
+    pub object_params: Vec<(String, Arc<str>)>,
     /// Scalar parameters: `(param name, type)`.
     pub scalar_params: Vec<(String, CType)>,
     /// Return type.
@@ -58,12 +60,12 @@ impl EntryPoint {
         let mut scalar_params = Vec::new();
         for (ty, name) in &f.params {
             match ty {
-                CType::StructPtr(s) => object_params.push((name.clone(), s.clone())),
+                CType::StructPtr(s) => object_params.push((name.clone(), s.as_str().into())),
                 other => scalar_params.push((name.clone(), other.clone())),
             }
         }
         EntryPoint {
-            name: f.name.clone(),
+            name: f.name.as_str().into(),
             object_params,
             scalar_params,
             ret: f.ret.clone(),
@@ -109,6 +111,9 @@ pub struct SlicePlan {
     pub masks: Arc<MaskSet>,
     /// Generated XDR interface specification.
     pub spec: Arc<XdrSpec>,
+    /// The generated marshaling code: `masks` compiled against `spec`.
+    /// Every channel built from this plan runs it and compiles nothing.
+    pub marshal: Arc<MarshalPlan>,
     /// Number of annotations in the source (Table 2 column).
     pub annotations: usize,
     /// Placement of every function.
@@ -139,7 +144,7 @@ impl SlicePlan {
     pub fn user_entry_point(&self, name: &str) -> Option<&EntryPoint> {
         let at = self
             .user_entry_points
-            .binary_search_by(|ep| ep.name.as_str().cmp(name));
+            .binary_search_by(|ep| (*ep.name).cmp(name));
         at.ok().map(|i| &self.user_entry_points[i])
     }
 }
@@ -248,7 +253,7 @@ pub fn partition(program: &Program, config: &SliceConfig) -> SliceResult<SlicePl
     let mut boundary: HashSet<String> = HashSet::new();
     for ep in user_entry_points.iter().chain(kernel_entry_points.iter()) {
         for (_, s) in &ep.object_params {
-            boundary.insert(s.clone());
+            boundary.insert(s.to_string());
         }
     }
     let mut boundary_structs: Vec<String> = boundary.into_iter().collect();
@@ -267,6 +272,7 @@ pub fn partition(program: &Program, config: &SliceConfig) -> SliceResult<SlicePl
         user_entry_points,
         kernel_entry_points,
         kernel_imports_from_user,
+        marshal: Arc::new(MarshalPlan::compile(&spec, &masks)),
         masks: Arc::new(masks),
         spec: Arc::new(spec),
         annotations: program.annotation_count(),
@@ -337,15 +343,11 @@ int drv_ethtool_race(struct adapter *a) @kernel_only { return 0; }
     #[test]
     fn entry_points_both_directions() {
         let plan = plan();
-        let ups: Vec<_> = plan
-            .user_entry_points
-            .iter()
-            .map(|e| e.name.as_str())
-            .collect();
+        let ups: Vec<_> = plan.user_entry_points.iter().map(|e| &*e.name).collect();
         assert_eq!(ups, vec!["drv_open"]);
         assert_eq!(
             plan.user_entry_points[0].object_params,
-            vec![("a".to_string(), "adapter".to_string())]
+            vec![("a".to_string(), "adapter".into())]
         );
         // drv_open calls no kernel driver function, but it calls the
         // kernel import pci_enable_device.

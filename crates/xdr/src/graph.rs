@@ -21,13 +21,21 @@
 //! * [`marshal_args`] shares the seen-table across all parameters of one
 //!   call, so cross-parameter sharing transfers a structure once;
 //! * [`unmarshal_graph`] consults a [`TrackerHook`] before allocating.
+//!
+//! There is one graph walker, [`marshal_plan`] / [`unmarshal_plan`], and
+//! it runs a compiled [`MarshalPlan`]: field indices, resolved kinds,
+//! interned type ids. The functions that take a spec and a mask set
+//! compile a plan and run that walker; handlers read and write fields by
+//! name through [`ObjHeap`], which resolves the name against the
+//! object's [`Layout`].
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::codec::{self, Cursor};
 use crate::error::{XdrError, XdrResult};
 use crate::mask::{Direction, MaskSet};
+use crate::plan::{FieldKind, Layout, MarshalPlan, TypeId};
 use crate::schema::XdrType;
 use crate::spec::XdrSpec;
 use crate::value::XdrValue;
@@ -47,27 +55,114 @@ pub enum FieldVal {
     Ptr(Option<CAddr>),
 }
 
-/// A structure living in an [`ObjHeap`].
+impl FieldVal {
+    fn scalar(&self) -> XdrResult<&XdrValue> {
+        match self {
+            FieldVal::Scalar(v) => Ok(v),
+            FieldVal::Ptr(_) => Err(mismatch("scalar field", "pointer field")),
+        }
+    }
+
+    fn ptr(&self) -> XdrResult<Option<CAddr>> {
+        match self {
+            FieldVal::Ptr(p) => Ok(*p),
+            FieldVal::Scalar(_) => Err(mismatch("pointer field", "scalar field")),
+        }
+    }
+
+    /// Replaces the value with one of the same kind.
+    fn overwrite(&mut self, with: FieldVal) -> XdrResult<()> {
+        match (&*self, &with) {
+            (FieldVal::Scalar(_), FieldVal::Ptr(_)) => self.ptr().map(drop)?,
+            (FieldVal::Ptr(_), FieldVal::Scalar(_)) => self.scalar().map(drop)?,
+            _ => *self = with,
+        }
+        Ok(())
+    }
+}
+
+fn mismatch(expected: &str, found: &str) -> XdrError {
+    XdrError::TypeMismatch {
+        expected: expected.into(),
+        found: found.into(),
+    }
+}
+
+/// One field of a live object: its value and the heap generation of its
+/// last tracked write (the object's allocation counts as one).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Slot {
+    val: FieldVal,
+    gen: u64,
+}
+
+impl Slot {
+    pub(crate) fn new(val: FieldVal) -> Slot {
+        Slot { val, gen: 0 }
+    }
+}
+
+/// A structure living in an [`ObjHeap`]: the [`Layout`] of its type,
+/// shared, and one slot per field in the layout's order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructObj {
-    /// Name of the struct type (resolved through the spec).
-    pub type_name: String,
-    /// Fields in declaration order.
-    pub fields: Vec<(String, FieldVal)>,
+    layout: Arc<Layout>,
+    slots: Vec<Slot>,
+    /// Generation at which the object was allocated — when a field the
+    /// object lacks counts as last written.
+    birth: u64,
 }
 
 impl StructObj {
+    /// Name of the struct type.
+    pub fn type_name(&self) -> &str {
+        self.layout.name()
+    }
+
+    /// The layout the object was built from.
+    pub fn layout(&self) -> &Arc<Layout> {
+        &self.layout
+    }
+
+    /// `(name, value)` of every field, in declaration order.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &FieldVal)> {
+        let names = self.layout.field_names().iter();
+        names.zip(&self.slots).map(|(n, s)| (n.as_str(), &s.val))
+    }
+
     /// Returns the named field.
     pub fn field(&self, name: &str) -> Option<&FieldVal> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        Some(&self.slots[self.layout.index_of(name)?].val)
     }
 
     /// Returns the named field mutably.
     pub fn field_mut(&mut self, name: &str) -> Option<&mut FieldVal> {
-        self.fields
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
+        Some(&mut self.slots[self.layout.index_of(name)?].val)
+    }
+
+    /// The slot behind index `i` of `plan_layout` (the marshal plan's
+    /// layout of this object's type): slot `i` when the object was built
+    /// from that layout (`same`), the slot of that name otherwise.
+    fn slot_index(&self, plan_layout: &Layout, same: bool, i: usize) -> XdrResult<usize> {
+        match same {
+            true => Ok(i),
+            false => self.slot_named(&plan_layout.field_names()[i]),
+        }
+    }
+
+    /// [`StructObj::slot_index`]'s slot; `None` if the object lacks it.
+    fn slot(&self, plan_layout: &Layout, same: bool, i: usize) -> Option<&Slot> {
+        let index = self.slot_index(plan_layout, same, i).ok()?;
+        Some(&self.slots[index])
+    }
+
+    /// The index of the slot called `field`.
+    fn slot_named(&self, field: &str) -> XdrResult<usize> {
+        let index = self.layout.index_of(field);
+        index.ok_or_else(|| XdrError::UnknownField {
+            type_name: self.type_name().into(),
+            field: field.into(),
+        })
     }
 }
 
@@ -83,16 +178,17 @@ impl StructObj {
 /// crossed a channel.
 #[derive(Debug, Clone, Default)]
 pub struct ObjHeap {
-    objects: BTreeMap<CAddr, StructObj>,
-    next_addr: CAddr,
+    /// Address of the first allocation; the n-th gets `base + n * STRIDE`.
+    base: CAddr,
+    /// Every allocation ever made, by its n; a freed one leaves a hole.
+    objects: Vec<Option<StructObj>>,
+    live: usize,
     /// Bumped on every mutating operation.
     generation: u64,
-    /// Generation at which each object was allocated.
-    birth_gens: HashMap<CAddr, u64>,
-    /// Generation of the last tracked write, per field. Fields absent
-    /// here were last written at the object's birth generation.
-    field_gens: HashMap<CAddr, HashMap<String, u64>>,
 }
+
+/// Distance between consecutive heap addresses.
+const STRIDE: CAddr = 0x100;
 
 impl ObjHeap {
     /// An empty heap whose first allocation gets address `base`.
@@ -101,11 +197,10 @@ impl ObjHeap {
     /// addresses across domains is detectable in tests.
     pub fn with_base(base: CAddr) -> Self {
         ObjHeap {
-            objects: BTreeMap::new(),
-            next_addr: base.max(1),
+            base: base.max(1),
+            objects: Vec::new(),
+            live: 0,
             generation: 0,
-            birth_gens: HashMap::new(),
-            field_gens: HashMap::new(),
         }
     }
 
@@ -114,43 +209,67 @@ impl ObjHeap {
         ObjHeap::with_base(0x1000)
     }
 
-    /// Allocates a structure, returning its address.
+    /// Allocates a structure from bare field names, returning its
+    /// address — for callers without a spec; [`ObjHeap::alloc_default`]
+    /// shares the spec's layout instead of building one per object.
     pub fn alloc(
         &mut self,
         type_name: impl Into<String>,
         fields: Vec<(String, FieldVal)>,
     ) -> CAddr {
-        let addr = self.next_addr;
-        self.next_addr += 0x100;
-        self.objects.insert(
-            addr,
-            StructObj {
-                type_name: type_name.into(),
-                fields,
-            },
-        );
-        self.generation += 1;
-        self.birth_gens.insert(addr, self.generation);
-        addr
+        let (names, slots) = fields.into_iter().map(|(n, v)| (n, Slot::new(v))).unzip();
+        self.insert(
+            Arc::new(Layout::unspecified(type_name.into(), names)),
+            slots,
+        )
     }
 
     /// Allocates a structure with schema-default field values.
     pub fn alloc_default(&mut self, type_name: &str, spec: &XdrSpec) -> XdrResult<CAddr> {
-        let fields = default_fields(type_name, spec)?;
-        Ok(self.alloc(type_name, fields))
+        self.alloc_layout(spec.layout(type_name)?)
+    }
+
+    /// Allocates a structure of `layout`'s type with its default values.
+    pub fn alloc_layout(&mut self, layout: &Arc<Layout>) -> XdrResult<CAddr> {
+        let slots = layout.template()?.to_vec();
+        Ok(self.insert(Arc::clone(layout), slots))
+    }
+
+    fn insert(&mut self, layout: Arc<Layout>, mut slots: Vec<Slot>) -> CAddr {
+        let addr = self.base + self.objects.len() as CAddr * STRIDE;
+        self.generation += 1;
+        slots.iter_mut().for_each(|s| s.gen = self.generation);
+        let birth = self.generation;
+        self.objects.push(Some(StructObj {
+            layout,
+            slots,
+            birth,
+        }));
+        self.live += 1;
+        addr
+    }
+
+    /// Where `addr` sits in `objects`, if it is an address of this heap.
+    fn index_of(&self, addr: CAddr) -> Option<usize> {
+        let offset = addr.checked_sub(self.base)?;
+        (offset % STRIDE == 0).then_some((offset / STRIDE) as usize)
     }
 
     /// Removes a structure (explicit free — the paper's drivers free shared
     /// objects explicitly; see §3.1.2).
     pub fn free(&mut self, addr: CAddr) -> Option<StructObj> {
-        self.birth_gens.remove(&addr);
-        self.field_gens.remove(&addr);
-        self.objects.remove(&addr)
+        let index = self.index_of(addr)?;
+        let freed = self.objects.get_mut(index)?.take();
+        self.live -= freed.is_some() as usize;
+        freed
     }
 
     /// Looks up a structure.
     pub fn get(&self, addr: CAddr) -> XdrResult<&StructObj> {
-        self.objects.get(&addr).ok_or(XdrError::DanglingAddr(addr))
+        let held = self
+            .index_of(addr)
+            .and_then(|i| self.objects.get(i)?.as_ref());
+        held.ok_or(XdrError::DanglingAddr(addr))
     }
 
     /// Looks up a structure mutably.
@@ -160,24 +279,31 @@ impl ObjHeap {
     /// dirty. Prefer [`ObjHeap::set_scalar`]/[`ObjHeap::set_ptr`], which
     /// track exactly one field.
     pub fn get_mut(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        if let Some(obj) = self.objects.get(&addr) {
-            self.generation += 1;
-            let gens = self.field_gens.entry(addr).or_default();
-            for (name, _) in &obj.fields {
-                gens.insert(name.clone(), self.generation);
-            }
-        }
-        self.objects
-            .get_mut(&addr)
-            .ok_or(XdrError::DanglingAddr(addr))
+        self.get(addr)?;
+        self.generation += 1;
+        let generation = self.generation;
+        let obj = self.get_mut_untracked(addr)?;
+        obj.slots.iter_mut().for_each(|s| s.gen = generation);
+        Ok(obj)
     }
 
     /// Looks up a structure mutably without touching dirty tracking.
     /// Internal: used by the tracked setters and the quiet decode path.
     fn get_mut_untracked(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        self.objects
-            .get_mut(&addr)
-            .ok_or(XdrError::DanglingAddr(addr))
+        let index = self.index_of(addr);
+        let held = index.and_then(|i| self.objects.get_mut(i)?.as_mut());
+        held.ok_or(XdrError::DanglingAddr(addr))
+    }
+
+    /// A tracked write of one field of the object at `addr`.
+    fn write_field(&mut self, addr: CAddr, field: &str, val: FieldVal) -> XdrResult<()> {
+        let generation = self.generation + 1;
+        let obj = self.get_mut_untracked(addr)?;
+        let slot = obj.slot_named(field)?;
+        obj.slots[slot].val.overwrite(val)?;
+        obj.slots[slot].gen = generation;
+        self.generation = generation;
+        Ok(())
     }
 
     /// The current global write generation.
@@ -188,145 +314,68 @@ impl ObjHeap {
     /// The generation at which `field` of `addr` was last written (the
     /// object's allocation counts as a write of every field).
     pub fn field_gen(&self, addr: CAddr, field: &str) -> u64 {
-        self.field_gens
-            .get(&addr)
-            .and_then(|m| m.get(field))
-            .copied()
-            .unwrap_or_else(|| self.birth_gens.get(&addr).copied().unwrap_or(0))
-    }
-
-    /// Whether `field` of `addr` was written after generation `since`.
-    pub fn dirty_since(&self, addr: CAddr, field: &str, since: u64) -> bool {
-        self.field_gen(addr, field) > since
-    }
-
-    fn mark_field_written(&mut self, addr: CAddr, field: &str) {
-        self.generation += 1;
-        let gens = self.field_gens.entry(addr).or_default();
-        match gens.get_mut(field) {
-            Some(gen) => *gen = self.generation,
-            None => {
-                gens.insert(field.to_string(), self.generation);
-            }
-        }
+        let Ok(obj) = self.get(addr) else {
+            return 0;
+        };
+        obj.slot_named(field)
+            .map_or(obj.birth, |i| obj.slots[i].gen)
     }
 
     /// Whether `addr` names a live object.
     pub fn contains(&self, addr: CAddr) -> bool {
-        self.objects.contains_key(&addr)
+        self.get(addr).is_ok()
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.live
     }
 
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.live == 0
     }
 
     /// Reads a scalar field.
     pub fn scalar(&self, addr: CAddr, field: &str) -> XdrResult<&XdrValue> {
-        match self.get(addr)?.field(field) {
-            Some(FieldVal::Scalar(v)) => Ok(v),
-            Some(FieldVal::Ptr(_)) => Err(XdrError::TypeMismatch {
-                expected: "scalar field".into(),
-                found: "pointer field".into(),
-            }),
-            None => Err(XdrError::UnknownField {
-                type_name: self.get(addr)?.type_name.clone(),
-                field: field.into(),
-            }),
-        }
+        let obj = self.get(addr)?;
+        obj.slots[obj.slot_named(field)?].val.scalar()
     }
 
     /// Writes a scalar field.
     pub fn set_scalar(&mut self, addr: CAddr, field: &str, value: XdrValue) -> XdrResult<()> {
-        self.set_scalar_quiet(addr, field, value)?;
-        self.mark_field_written(addr, field);
-        Ok(())
-    }
-
-    /// Writes a scalar field without marking it dirty. Used when decoding
-    /// a transfer: the received value matches the sender's, so it must not
-    /// be echoed back by the next delta.
-    fn set_scalar_quiet(&mut self, addr: CAddr, field: &str, value: XdrValue) -> XdrResult<()> {
-        let obj = self.get_mut_untracked(addr)?;
-        match obj.field_mut(field) {
-            Some(FieldVal::Scalar(slot)) => {
-                *slot = value;
-                Ok(())
-            }
-            Some(FieldVal::Ptr(_)) => Err(XdrError::TypeMismatch {
-                expected: "scalar field".into(),
-                found: "pointer field".into(),
-            }),
-            None => Err(XdrError::UnknownField {
-                type_name: obj.type_name.clone(),
-                field: field.into(),
-            }),
-        }
+        self.write_field(addr, field, FieldVal::Scalar(value))
     }
 
     /// Reads a pointer field.
     pub fn ptr(&self, addr: CAddr, field: &str) -> XdrResult<Option<CAddr>> {
-        match self.get(addr)?.field(field) {
-            Some(FieldVal::Ptr(p)) => Ok(*p),
-            Some(FieldVal::Scalar(_)) => Err(XdrError::TypeMismatch {
-                expected: "pointer field".into(),
-                found: "scalar field".into(),
-            }),
-            None => Err(XdrError::UnknownField {
-                type_name: self.get(addr)?.type_name.clone(),
-                field: field.into(),
-            }),
-        }
+        let obj = self.get(addr)?;
+        obj.slots[obj.slot_named(field)?].val.ptr()
     }
 
     /// Writes a pointer field.
     pub fn set_ptr(&mut self, addr: CAddr, field: &str, target: Option<CAddr>) -> XdrResult<()> {
-        self.set_ptr_quiet(addr, field, target)?;
-        self.mark_field_written(addr, field);
-        Ok(())
-    }
-
-    /// Writes a pointer field without marking it dirty (decode path).
-    fn set_ptr_quiet(&mut self, addr: CAddr, field: &str, target: Option<CAddr>) -> XdrResult<()> {
-        let obj = self.get_mut_untracked(addr)?;
-        match obj.field_mut(field) {
-            Some(FieldVal::Ptr(slot)) => {
-                *slot = target;
-                Ok(())
-            }
-            Some(FieldVal::Scalar(_)) => Err(XdrError::TypeMismatch {
-                expected: "pointer field".into(),
-                found: "scalar field".into(),
-            }),
-            None => Err(XdrError::UnknownField {
-                type_name: obj.type_name.clone(),
-                field: field.into(),
-            }),
-        }
+        self.write_field(addr, field, FieldVal::Ptr(target))
     }
 
     /// Iterates over `(addr, object)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (CAddr, &StructObj)> {
-        self.objects.iter().map(|(a, o)| (*a, o))
+        let held = self.objects.iter().enumerate();
+        held.filter_map(|(i, o)| Some((self.base + i as CAddr * STRIDE, o.as_ref()?)))
     }
 }
 
 /// Object-tracker consultation during unmarshaling (paper §3.1.2).
 ///
 /// The decoder calls [`TrackerHook::lookup`] with the sender's address and
-/// the type name before allocating; on a miss it allocates and calls
-/// [`TrackerHook::associate`]. The type name disambiguates embedded
-/// structures that share one C address.
+/// the object's type before allocating; on a miss it allocates and calls
+/// [`TrackerHook::associate`]. The type disambiguates embedded structures
+/// that share one C address.
 pub trait TrackerHook {
     /// Returns the local address already associated with `remote`, if any.
-    fn lookup(&mut self, remote: CAddr, type_name: &str) -> Option<CAddr>;
+    fn lookup(&mut self, remote: CAddr, ty: &Layout) -> Option<CAddr>;
     /// Records that `remote` now corresponds to `local`.
-    fn associate(&mut self, remote: CAddr, type_name: &str, local: CAddr);
+    fn associate(&mut self, remote: CAddr, ty: &Layout, local: CAddr);
 }
 
 /// A tracker that never remembers anything: every object decodes fresh.
@@ -334,10 +383,10 @@ pub trait TrackerHook {
 pub struct NullTracker;
 
 impl TrackerHook for NullTracker {
-    fn lookup(&mut self, _remote: CAddr, _type_name: &str) -> Option<CAddr> {
+    fn lookup(&mut self, _remote: CAddr, _ty: &Layout) -> Option<CAddr> {
         None
     }
-    fn associate(&mut self, _remote: CAddr, _type_name: &str, _local: CAddr) {}
+    fn associate(&mut self, _remote: CAddr, _ty: &Layout, _local: CAddr) {}
 }
 
 /// Delta-marshaling consultation during encoding.
@@ -389,6 +438,62 @@ const ENC_DELTA: u32 = 1;
 /// fields fall back to full encoding.
 const DELTA_MAX_FIELDS: usize = 32;
 
+/// Whether masked field `k` is flagged in a delta `bitmap`.
+fn flagged(bitmap: u32, k: usize) -> bool {
+    k < DELTA_MAX_FIELDS && bitmap & (1 << k) != 0
+}
+
+/// The tables a marshal or an unmarshal fills while it walks a message.
+/// Whoever marshals on every call keeps one and lends it to each walk,
+/// which empties it first — the tables keep their capacity, not their
+/// contents.
+#[derive(Debug, Default)]
+pub struct WalkScratch {
+    /// Encoder: object → its index in this message (back-references),
+    /// once the message holds more than [`SCAN_MAX`] objects; up to
+    /// there `sent`, which is in the same order, is scanned instead.
+    seen: HashMap<CAddr, u32>,
+    /// Encoder: dirty-reachability memo shared across the whole marshal:
+    /// the heap cannot change mid-marshal, and `mark_sent` only makes
+    /// objects cleaner, so a cached `false` is at worst conservative (the
+    /// object re-encodes as a cheap back-reference).
+    clean_memo: HashMap<CAddr, bool>,
+    /// Encoder: objects encoded by this marshal, committed to the delta
+    /// hook only after the whole message encodes successfully.
+    sent: Vec<CAddr>,
+    /// Decoder: the n-th object of this message (back-references).
+    table: Vec<CAddr>,
+}
+
+/// Objects in one message up to which a back-reference is found by
+/// scanning the encoded objects — a driver's argument graph is an
+/// adapter and a ring or two, and hashing each address costs more.
+const SCAN_MAX: usize = 8;
+
+impl WalkScratch {
+    /// The index in this message of an object already encoded.
+    fn index_of(&self, addr: CAddr) -> Option<u32> {
+        match self.sent.len() <= SCAN_MAX {
+            true => self.sent.iter().position(|&a| a == addr).map(|i| i as u32),
+            false => self.seen.get(&addr).copied(),
+        }
+    }
+
+    /// Records `addr` as the next object of this message.
+    fn note_encoded(&mut self, addr: CAddr) {
+        self.sent.push(addr);
+        if self.sent.len() > SCAN_MAX {
+            let from = if self.seen.is_empty() {
+                0
+            } else {
+                self.sent.len() - 1
+            };
+            let indexed = self.sent.iter().enumerate().skip(from);
+            self.seen.extend(indexed.map(|(i, &a)| (a, i as u32)));
+        }
+    }
+}
+
 /// Marshals a single rooted graph; equivalent to `marshal_args` with one
 /// argument.
 pub fn marshal_graph(
@@ -412,36 +517,13 @@ pub fn marshal_args(
     masks: &MaskSet,
     dir: Direction,
 ) -> XdrResult<Vec<u8>> {
-    marshal_args_translated(heap, roots, spec, masks, dir, &|a| a)
+    marshal_args_delta(heap, roots, spec, masks, dir, &|a| a, &mut NoDelta).map(|(bytes, _)| bytes)
 }
 
 /// Like [`marshal_args`], but applies `translate` to every object address
-/// written on the wire.
-///
-/// This is the sender-side half of object tracking: a stub "invokes the
-/// object tracker to translate any parameters to their equivalent C
-/// pointers" (paper §3.1.1 step 2). An object that originated in the peer
-/// domain is announced under its *canonical* (origin-domain) address so
-/// the peer recognizes it and updates it in place.
-pub fn marshal_args_translated(
-    heap: &ObjHeap,
-    roots: &[Option<CAddr>],
-    spec: &XdrSpec,
-    masks: &MaskSet,
-    dir: Direction,
-    translate: &dyn Fn(CAddr) -> CAddr,
-) -> XdrResult<Vec<u8>> {
-    marshal_args_delta(heap, roots, spec, masks, dir, translate, &mut NoDelta)
-        .map(|(bytes, _)| bytes)
-}
-
-/// Like [`marshal_args_translated`], but consults `delta` so that objects
-/// the peer has already seen transfer only their dirty fields.
-///
-/// This is the second layer of traffic reduction: field-selective masks
-/// decide which fields *can* cross; the delta hook elides those that did
-/// not change since the object's last crossing.
-#[allow(clippy::too_many_arguments)]
+/// written on the wire and consults `delta` so that objects the peer has
+/// already seen transfer only their dirty fields: compiles `masks`
+/// against `spec` and runs [`marshal_plan`].
 pub fn marshal_args_delta(
     heap: &ObjHeap,
     roots: &[Option<CAddr>],
@@ -451,155 +533,144 @@ pub fn marshal_args_delta(
     translate: &dyn Fn(CAddr) -> CAddr,
     delta: &mut dyn DeltaHook,
 ) -> XdrResult<(Vec<u8>, DeltaStats)> {
-    let mut out = Vec::new();
-    let stats = marshal_args_delta_into(heap, roots, spec, masks, dir, translate, delta, &mut out)?;
-    Ok((out, stats))
-}
-
-/// [`marshal_args_delta`] appending the wire message to a buffer the
-/// caller owns, so a stub that marshals on every call reuses one
-/// allocation. On error `out` holds a partial message the caller must
-/// discard.
-#[allow(clippy::too_many_arguments)]
-pub fn marshal_args_delta_into(
-    heap: &ObjHeap,
-    roots: &[Option<CAddr>],
-    spec: &XdrSpec,
-    masks: &MaskSet,
-    dir: Direction,
-    translate: &dyn Fn(CAddr) -> CAddr,
-    delta: &mut dyn DeltaHook,
-    out: &mut Vec<u8>,
-) -> XdrResult<DeltaStats> {
-    let mut seen: HashMap<CAddr, u32> = HashMap::new();
-    let mut stats = DeltaStats::default();
-    let mut enc = Encoder {
+    let plan = MarshalPlan::compile(spec, masks);
+    let (mut out, mut scratch) = (Vec::new(), WalkScratch::default());
+    let stats = marshal_plan(
         heap,
+        roots,
+        &plan,
         spec,
-        masks,
         dir,
         translate,
         delta,
-        stats: &mut stats,
-        sent_gen: heap.generation(),
-        clean_memo: HashMap::new(),
-        sent: Vec::new(),
+        &mut scratch,
+        &mut out,
+    )?;
+    Ok((out, stats))
+}
+
+/// Marshals `roots` out of `heap` by `plan`, appending the wire message
+/// to `out` — a buffer the caller owns, so a stub that marshals on every
+/// call reuses one allocation. On error `out` holds a partial message the
+/// caller must discard.
+///
+/// `translate` is applied to every object address written on the wire.
+/// This is the sender-side half of object tracking: a stub "invokes the
+/// object tracker to translate any parameters to their equivalent C
+/// pointers" (paper §3.1.1 step 2). An object that originated in the peer
+/// domain is announced under its *canonical* (origin-domain) address so
+/// the peer recognizes it and updates it in place.
+///
+/// `delta` is the second layer of traffic reduction: the plan's masks
+/// decide which fields *can* cross; the delta hook elides those that did
+/// not change since the object's last crossing.
+#[allow(clippy::too_many_arguments)]
+pub fn marshal_plan(
+    heap: &ObjHeap,
+    roots: &[Option<CAddr>],
+    plan: &MarshalPlan,
+    spec: &XdrSpec,
+    dir: Direction,
+    translate: &dyn Fn(CAddr) -> CAddr,
+    delta: &mut dyn DeltaHook,
+    scratch: &mut WalkScratch,
+    out: &mut Vec<u8>,
+) -> XdrResult<DeltaStats> {
+    scratch.seen.clear();
+    scratch.clean_memo.clear();
+    scratch.sent.clear();
+    let mut enc = Encoder {
+        heap,
+        plan,
+        spec,
+        dir,
+        translate,
+        delta,
+        stats: DeltaStats::default(),
+        scratch,
     };
     for root in roots {
-        enc.encode_ptr(*root, &mut seen, out)?;
+        enc.encode_ptr(*root, out)?;
     }
     // Only now that the whole message encoded does the delta map advance:
     // a mid-marshal error discards the wire, and recording sends for it
     // would make every later delta silently elide fields the peer never
     // received.
-    let Encoder {
-        delta,
-        sent,
-        sent_gen,
-        ..
-    } = enc;
-    for addr in sent {
-        delta.mark_sent(addr, dir, sent_gen);
+    for &addr in &enc.scratch.sent {
+        enc.delta.mark_sent(addr, dir, heap.generation());
     }
-    Ok(stats)
+    Ok(enc.stats)
 }
 
 /// Encoder state threaded through the graph walk.
 struct Encoder<'a> {
     heap: &'a ObjHeap,
+    plan: &'a MarshalPlan,
     spec: &'a XdrSpec,
-    masks: &'a MaskSet,
     dir: Direction,
     translate: &'a dyn Fn(CAddr) -> CAddr,
     delta: &'a mut dyn DeltaHook,
-    stats: &'a mut DeltaStats,
-    /// Generation recorded for every object sent in this marshal.
-    sent_gen: u64,
-    /// Dirty-reachability memo shared across the whole marshal: the heap
-    /// cannot change mid-marshal, and `mark_sent` only makes objects
-    /// cleaner, so a cached `false` is at worst conservative (the object
-    /// re-encodes as a cheap back-reference).
-    clean_memo: HashMap<CAddr, bool>,
-    /// Objects encoded by this marshal, committed to the delta hook only
-    /// after the whole message encodes successfully.
-    sent: Vec<CAddr>,
+    stats: DeltaStats,
+    scratch: &'a mut WalkScratch,
 }
 
 impl Encoder<'_> {
-    fn encode_ptr(
-        &mut self,
-        target: Option<CAddr>,
-        seen: &mut HashMap<CAddr, u32>,
-        out: &mut Vec<u8>,
-    ) -> XdrResult<()> {
-        let addr = match target {
-            None => {
-                out.extend_from_slice(&PTR_NULL.to_be_bytes());
-                return Ok(());
-            }
-            Some(addr) => addr,
+    fn encode_ptr(&mut self, target: Option<CAddr>, out: &mut Vec<u8>) -> XdrResult<()> {
+        let Some(addr) = target else {
+            out.extend_from_slice(&PTR_NULL.to_be_bytes());
+            return Ok(());
         };
-        if let Some(&index) = seen.get(&addr) {
+        if let Some(index) = self.scratch.index_of(addr) {
             out.extend_from_slice(&PTR_BACKREF.to_be_bytes());
             out.extend_from_slice(&index.to_be_bytes());
             return Ok(());
         }
         out.extend_from_slice(&PTR_INLINE.to_be_bytes());
         out.extend_from_slice(&(self.translate)(addr).to_be_bytes());
-        let index = seen.len() as u32;
-        seen.insert(addr, index);
-        // `heap` and `spec` outlive the encoder borrow, so the object and
-        // its field declarations are read in place.
-        let (heap, spec) = (self.heap, self.spec);
+        self.scratch.note_encoded(addr);
+        // `heap` and `plan` outlive the encoder borrow, so the object and
+        // its program are read in place.
+        let (heap, plan) = (self.heap, self.plan);
         let obj = heap.get(addr)?;
-        let decl = spec.struct_fields(&obj.type_name)?;
-        let masked: Vec<&(String, XdrType)> = decl
-            .iter()
-            .filter(|(fname, _)| self.masks.includes(&obj.type_name, fname, self.dir))
-            .collect();
+        let (layout, same) = plan.layout_of(&obj.layout, self.spec)?;
+        let masked = plan.program(layout.id(), self.dir);
 
         let prior = self.delta.last_sent(addr, self.dir);
-        let as_delta = prior.is_some() && masked.len() <= DELTA_MAX_FIELDS;
-        self.sent.push(addr);
-
-        if as_delta {
-            let since = prior.unwrap_or(0);
-            self.stats.delta_objects += 1;
-            out.extend_from_slice(&ENC_DELTA.to_be_bytes());
-            // A scalar field is present when written since `since`; a
-            // pointer field when the pointer itself changed or anything
-            // reachable through it did (so nested dirtiness propagates
-            // while clean subgraphs cost nothing at all).
-            let mut bitmap = 0u32;
-            for (i, (fname, fty)) in masked.iter().enumerate() {
-                let is_ptr = pointer_target(fty, self.spec)?.is_some();
-                let present = if self.heap.dirty_since(addr, fname, since) {
-                    true
-                } else if is_ptr {
-                    match obj.field(fname) {
-                        Some(FieldVal::Ptr(Some(p))) => !self.subgraph_clean(*p)?,
-                        _ => false,
-                    }
-                } else {
-                    false
-                };
-                if present {
-                    bitmap |= 1 << i;
-                } else {
-                    self.stats.fields_elided += 1;
-                }
-            }
-            out.extend_from_slice(&bitmap.to_be_bytes());
-            for (i, (fname, fty)) in masked.iter().enumerate() {
-                if bitmap & (1 << i) != 0 {
-                    self.encode_field(obj, fname, fty, seen, out)?;
-                }
-            }
-        } else {
+        let Some(since) = prior.filter(|_| masked.len() <= DELTA_MAX_FIELDS) else {
             self.stats.full_objects += 1;
             out.extend_from_slice(&ENC_FULL.to_be_bytes());
-            for (fname, fty) in &masked {
-                self.encode_field(obj, fname, fty, seen, out)?;
+            for &i in masked {
+                self.encode_field(obj, layout, same, i as usize, out)?;
+            }
+            return Ok(());
+        };
+        self.stats.delta_objects += 1;
+        out.extend_from_slice(&ENC_DELTA.to_be_bytes());
+        // A scalar field is present when written since `since`; a
+        // pointer field when the pointer itself changed or anything
+        // reachable through it did (so nested dirtiness propagates
+        // while clean subgraphs cost nothing at all).
+        let mut bitmap = 0u32;
+        for (k, &i) in masked.iter().enumerate() {
+            let is_ptr = matches!(layout.kind(i as usize)?, FieldKind::Ptr(_));
+            let slot = obj.slot(layout, same, i as usize);
+            let present = if slot.map_or(obj.birth, |s| s.gen) > since {
+                true
+            } else if let (true, Some(FieldVal::Ptr(Some(p)))) = (is_ptr, slot.map(|s| &s.val)) {
+                !self.subgraph_clean(*p)?
+            } else {
+                false
+            };
+            if present {
+                bitmap |= 1 << k;
+            } else {
+                self.stats.fields_elided += 1;
+            }
+        }
+        out.extend_from_slice(&bitmap.to_be_bytes());
+        for (k, &i) in masked.iter().enumerate() {
+            if flagged(bitmap, k) {
+                self.encode_field(obj, layout, same, i as usize, out)?;
             }
         }
         Ok(())
@@ -610,32 +681,33 @@ impl Encoder<'_> {
     /// objects count as dirty; cycles are broken by treating in-progress
     /// nodes as clean (a cycle alone cannot introduce dirtiness).
     fn subgraph_clean(&mut self, addr: CAddr) -> XdrResult<bool> {
-        if let Some(&clean) = self.clean_memo.get(&addr) {
+        if let Some(&clean) = self.scratch.clean_memo.get(&addr) {
             return Ok(clean);
         }
         // In-progress sentinel: assume clean to close cycles; overwritten
         // with the real verdict as the walk unwinds.
-        self.clean_memo.insert(addr, true);
-        let since = match self.delta.last_sent(addr, self.dir) {
-            Some(g) => g,
-            None => {
-                self.clean_memo.insert(addr, false);
-                return Ok(false);
-            }
+        self.scratch.clean_memo.insert(addr, true);
+        let verdict = self.subgraph_clean_uncached(addr);
+        if let Ok(false) = verdict {
+            self.scratch.clean_memo.insert(addr, false);
+        }
+        verdict
+    }
+
+    fn subgraph_clean_uncached(&mut self, addr: CAddr) -> XdrResult<bool> {
+        let Some(since) = self.delta.last_sent(addr, self.dir) else {
+            return Ok(false);
         };
-        let (heap, spec) = (self.heap, self.spec);
+        let (heap, plan) = (self.heap, self.plan);
         let obj = heap.get(addr)?;
-        for (fname, _) in spec.struct_fields(&obj.type_name)? {
-            if !self.masks.includes(&obj.type_name, fname, self.dir) {
-                continue;
-            }
-            if self.heap.dirty_since(addr, fname, since) {
-                self.clean_memo.insert(addr, false);
+        let (layout, same) = plan.layout_of(&obj.layout, self.spec)?;
+        for &i in plan.program(layout.id(), self.dir) {
+            let slot = obj.slot(layout, same, i as usize);
+            if slot.map_or(obj.birth, |s| s.gen) > since {
                 return Ok(false);
             }
-            if let Some(FieldVal::Ptr(Some(p))) = obj.field(fname) {
+            if let Some(FieldVal::Ptr(Some(p))) = slot.map(|s| &s.val) {
                 if !self.subgraph_clean(*p)? {
-                    self.clean_memo.insert(addr, false);
                     return Ok(false);
                 }
             }
@@ -646,26 +718,23 @@ impl Encoder<'_> {
     fn encode_field(
         &mut self,
         obj: &StructObj,
-        fname: &str,
-        fty: &XdrType,
-        seen: &mut HashMap<CAddr, u32>,
+        layout: &Layout,
+        same: bool,
+        i: usize,
         out: &mut Vec<u8>,
     ) -> XdrResult<()> {
-        let fval = obj.field(fname).ok_or_else(|| XdrError::UnknownField {
-            type_name: obj.type_name.clone(),
-            field: fname.into(),
-        })?;
-        match (fval, pointer_target(fty, self.spec)?) {
-            (FieldVal::Ptr(p), Some(_)) => self.encode_ptr(*p, seen, out),
-            (FieldVal::Ptr(_), None) => Err(XdrError::TypeMismatch {
-                expected: fty.idl(),
-                found: "pointer".into(),
-            }),
-            (FieldVal::Scalar(_), Some(target)) => Err(XdrError::TypeMismatch {
-                expected: format!("pointer to {target}"),
-                found: "scalar".into(),
-            }),
-            (FieldVal::Scalar(v), None) => codec::encode_into(v, fty, self.spec, out),
+        let fval = &obj.slots[obj.slot_index(layout, same, i)?].val;
+        match (fval, layout.kind(i)?) {
+            (FieldVal::Ptr(p), FieldKind::Ptr(_)) => self.encode_ptr(*p, out),
+            (FieldVal::Ptr(_), FieldKind::Scalar(ty)) => Err(mismatch(&ty.idl(), "pointer")),
+            (FieldVal::Scalar(_), FieldKind::Ptr(target)) => {
+                let target = self.plan.layouts().get(*target);
+                let target = target.map_or("an undefined struct", |t| t.name());
+                Err(mismatch(&format!("pointer to {target}"), "scalar"))
+            }
+            (FieldVal::Scalar(v), FieldKind::Scalar(ty)) => {
+                codec::encode_into(v, ty, self.spec, out)
+            }
         }
     }
 }
@@ -684,16 +753,23 @@ pub fn unmarshal_graph(
     dir: Direction,
     tracker: &mut dyn TrackerHook,
 ) -> XdrResult<Option<CAddr>> {
-    let roots = unmarshal_args(bytes, [root_type], heap, spec, masks, dir, tracker)?;
-    Ok(roots[0])
+    let mut root = None;
+    let each_root = &mut |local| root = local;
+    unmarshal_named(
+        bytes,
+        [root_type],
+        heap,
+        spec,
+        masks,
+        dir,
+        tracker,
+        each_root,
+    )?;
+    Ok(root)
 }
 
-/// Unmarshals the argument list of one XPC produced by [`marshal_args`].
-///
-/// `root_types` names the struct type of each root, in order, in
-/// whatever form the caller already holds them (`&[&str]`, a registered
-/// procedure's `Vec<String>`, or a chain over several) — the stub layer
-/// unmarshals on every call and must not rebuild a name list to do it.
+/// Unmarshals the argument list of one XPC produced by [`marshal_args`];
+/// `root_types` names the struct type of each root, in order.
 pub fn unmarshal_args<T: AsRef<str>>(
     bytes: &[u8],
     root_types: impl IntoIterator<Item = T>,
@@ -703,154 +779,147 @@ pub fn unmarshal_args<T: AsRef<str>>(
     dir: Direction,
     tracker: &mut dyn TrackerHook,
 ) -> XdrResult<Vec<Option<CAddr>>> {
-    let mut cur = Cursor::new(bytes);
-    let mut table: Vec<CAddr> = Vec::new();
-    let root_types = root_types.into_iter();
-    let mut out = Vec::with_capacity(root_types.size_hint().0);
-    for root_type in root_types {
-        out.push(decode_ptr(
-            &mut cur,
-            root_type.as_ref(),
-            heap,
-            spec,
-            masks,
-            dir,
-            tracker,
-            &mut table,
-        )?);
-    }
-    if cur.remaining() != 0 {
-        return Err(XdrError::TrailingBytes(cur.remaining()));
-    }
-    Ok(out)
+    let mut roots = Vec::new();
+    let each_root = &mut |local| roots.push(local);
+    unmarshal_named(
+        bytes, root_types, heap, spec, masks, dir, tracker, each_root,
+    )?;
+    Ok(roots)
 }
 
+/// Compiles `masks` against `spec`, resolves `root_types` and runs
+/// [`unmarshal_plan`].
 #[allow(clippy::too_many_arguments)]
-fn decode_ptr(
-    cur: &mut Cursor<'_>,
-    type_name: &str,
+fn unmarshal_named<T: AsRef<str>>(
+    bytes: &[u8],
+    root_types: impl IntoIterator<Item = T>,
     heap: &mut ObjHeap,
     spec: &XdrSpec,
     masks: &MaskSet,
     dir: Direction,
     tracker: &mut dyn TrackerHook,
-    table: &mut Vec<CAddr>,
-) -> XdrResult<Option<CAddr>> {
-    match cur.read_u32()? {
-        PTR_NULL => Ok(None),
-        PTR_BACKREF => {
-            let index = cur.read_u32()?;
-            table
-                .get(index as usize)
-                .copied()
-                .map(Some)
-                .ok_or(XdrError::BadBackRef(index))
-        }
-        PTR_INLINE => {
-            let remote = {
-                // Manually assemble the u64 source address.
-                let hi = cur.read_u32()? as u64;
-                let lo = cur.read_u32()? as u64;
-                (hi << 32) | lo
-            };
-            // An object announced under an address of *this* heap is one of
-            // our own coming home: update it in place. Otherwise consult
-            // the object tracker before allocating (paper §3.1.2). Domain
-            // heaps use disjoint address bases, so the home check is exact.
-            let mut fresh_alloc = false;
-            let local = if heap.contains(remote) {
-                remote
-            } else {
-                match tracker.lookup(remote, type_name) {
-                    Some(existing) if heap.contains(existing) => existing,
-                    _ => {
-                        let fresh = heap.alloc_default(type_name, spec)?;
-                        tracker.associate(remote, type_name, fresh);
-                        fresh_alloc = true;
-                        fresh
-                    }
-                }
-            };
-            table.push(local);
-            let mode = cur.read_u32()?;
-            let masked: Vec<&(String, XdrType)> = spec
-                .struct_fields(type_name)?
-                .iter()
-                .filter(|(fname, _)| masks.includes(type_name, fname, dir))
-                .collect();
-            let bitmap = match mode {
-                ENC_FULL => u32::MAX,
-                ENC_DELTA => {
-                    if fresh_alloc {
-                        // A delta presumes we hold the object's prior
-                        // state; surfacing the desync beats silently
-                        // merging onto schema defaults.
-                        return Err(XdrError::DeltaForUnknown(remote));
-                    }
-                    cur.read_u32()?
-                }
-                d => return Err(XdrError::InvalidDiscriminant(d)),
-            };
-            for (i, (fname, fty)) in masked.iter().enumerate() {
-                if mode == ENC_DELTA && bitmap & (1 << i) == 0 {
-                    continue; // clean field: local copy is already current
-                }
-                match pointer_target(fty, spec)? {
-                    Some(target_type) => {
-                        let p =
-                            decode_ptr(cur, &target_type, heap, spec, masks, dir, tracker, table)?;
-                        heap.set_ptr_quiet(local, fname, p)?;
-                    }
-                    None => {
-                        let v = codec::decode_from(cur, fty, spec)?;
-                        heap.set_scalar_quiet(local, fname, v)?;
-                    }
-                }
-            }
-            Ok(Some(local))
-        }
-        d => Err(XdrError::InvalidDiscriminant(d)),
-    }
+    each_root: &mut dyn FnMut(Option<CAddr>),
+) -> XdrResult<()> {
+    let plan = MarshalPlan::compile(spec, masks);
+    let ids = root_types
+        .into_iter()
+        .map(|t| Ok(spec.layout(t.as_ref())?.id()));
+    let ids = ids.collect::<XdrResult<Vec<TypeId>>>()?;
+    let scratch = &mut WalkScratch::default();
+    unmarshal_plan(
+        bytes, ids, heap, &plan, spec, dir, tracker, scratch, each_root,
+    )
 }
 
-/// If `ty` is a pointer-to-struct (possibly through aliases), returns the
-/// target struct name; otherwise `None` (scalar field). The name is
-/// borrowed from `ty` in the direct `struct s *` case — the marshalers ask
-/// this once per field per crossing — and owned only when an alias had to
-/// be resolved.
-pub fn pointer_target<'a>(ty: &'a XdrType, spec: &XdrSpec) -> XdrResult<Option<Cow<'a, str>>> {
-    match ty {
-        XdrType::Optional(inner) => match inner.as_ref() {
-            XdrType::Struct(name) => Ok(Some(Cow::Borrowed(name))),
-            XdrType::Named(name) => match spec.resolve(name)? {
-                XdrType::Struct(resolved) => Ok(Some(Cow::Owned(resolved))),
-                _ => Ok(None),
-            },
-            _ => Ok(None),
-        },
-        XdrType::Named(name) => {
-            let resolved = spec.resolve(name)?;
-            if resolved == *ty {
-                return Ok(None);
-            }
-            Ok(pointer_target(&resolved, spec)?.map(|t| Cow::Owned(t.into_owned())))
-        }
-        _ => Ok(None),
+/// Unmarshals a message produced by [`marshal_plan`] into `heap` by
+/// `plan`: one root per entry of `root_types`, each handed to `each_root`
+/// as its local address — the stub layer unmarshals on every call and
+/// collects the roots it needs where it already has room for them.
+#[allow(clippy::too_many_arguments)]
+pub fn unmarshal_plan(
+    bytes: &[u8],
+    root_types: impl IntoIterator<Item = TypeId>,
+    heap: &mut ObjHeap,
+    plan: &MarshalPlan,
+    spec: &XdrSpec,
+    dir: Direction,
+    tracker: &mut dyn TrackerHook,
+    scratch: &mut WalkScratch,
+    each_root: &mut dyn FnMut(Option<CAddr>),
+) -> XdrResult<()> {
+    scratch.table.clear();
+    let mut cur = Cursor::new(bytes);
+    let mut dec = Decoder {
+        heap,
+        plan,
+        spec,
+        dir,
+        tracker,
+        table: &mut scratch.table,
+    };
+    for root_type in root_types {
+        each_root(dec.decode_ptr(&mut cur, root_type)?);
     }
+    if cur.remaining() != 0 {
+        return Err(XdrError::TrailingBytes(cur.remaining()));
+    }
+    Ok(())
 }
 
-/// Schema-default fields for a freshly allocated structure.
-pub fn default_fields(type_name: &str, spec: &XdrSpec) -> XdrResult<Vec<(String, FieldVal)>> {
-    let decl = spec.struct_fields(type_name)?;
-    let mut fields = Vec::with_capacity(decl.len());
-    for (fname, fty) in decl {
-        let val = match pointer_target(fty, spec)? {
-            Some(_) => FieldVal::Ptr(None),
-            None => FieldVal::Scalar(default_value(fty, spec)?),
-        };
-        fields.push((fname.clone(), val));
+/// Decoder state threaded through the graph walk.
+struct Decoder<'a> {
+    heap: &'a mut ObjHeap,
+    plan: &'a MarshalPlan,
+    spec: &'a XdrSpec,
+    dir: Direction,
+    tracker: &'a mut dyn TrackerHook,
+    table: &'a mut Vec<CAddr>,
+}
+
+impl Decoder<'_> {
+    fn decode_ptr(&mut self, cur: &mut Cursor<'_>, ty: TypeId) -> XdrResult<Option<CAddr>> {
+        match cur.read_u32()? {
+            PTR_NULL => Ok(None),
+            PTR_BACKREF => {
+                let index = cur.read_u32()?;
+                let known = self.table.get(index as usize).copied();
+                known.map(Some).ok_or(XdrError::BadBackRef(index))
+            }
+            PTR_INLINE => {
+                let remote = (cur.read_u32()? as u64) << 32 | cur.read_u32()? as u64;
+                let plan = self.plan;
+                let layout = plan.layouts().get(ty)?;
+                // An object announced under an address of *this* heap is one of
+                // our own coming home: update it in place. Otherwise consult
+                // the object tracker before allocating (paper §3.1.2). Domain
+                // heaps use disjoint address bases, so the home check is exact.
+                let mut fresh_alloc = false;
+                let local = if self.heap.contains(remote) {
+                    remote
+                } else {
+                    match self.tracker.lookup(remote, layout) {
+                        Some(existing) if self.heap.contains(existing) => existing,
+                        _ => {
+                            let fresh = self.heap.alloc_layout(layout)?;
+                            self.tracker.associate(remote, layout, fresh);
+                            fresh_alloc = true;
+                            fresh
+                        }
+                    }
+                };
+                self.table.push(local);
+                let bitmap = match cur.read_u32()? {
+                    ENC_FULL => None,
+                    // A delta presumes we hold the object's prior
+                    // state; surfacing the desync beats silently
+                    // merging onto schema defaults.
+                    ENC_DELTA if fresh_alloc => return Err(XdrError::DeltaForUnknown(remote)),
+                    ENC_DELTA => Some(cur.read_u32()?),
+                    d => return Err(XdrError::InvalidDiscriminant(d)),
+                };
+                let same = Arc::ptr_eq(&self.heap.get(local)?.layout, layout);
+                for (k, &i) in plan.program(ty, self.dir).iter().enumerate() {
+                    if bitmap.is_some_and(|b| !flagged(b, k)) {
+                        continue; // clean field: local copy is already current
+                    }
+                    let val = match layout.kind(i as usize)? {
+                        FieldKind::Ptr(target) => FieldVal::Ptr(self.decode_ptr(cur, *target)?),
+                        FieldKind::Scalar(fty) => {
+                            FieldVal::Scalar(codec::decode_from(cur, fty, self.spec)?)
+                        }
+                    };
+                    // Written without marking the field dirty: the
+                    // received value matches the sender's, so it must
+                    // not be echoed back by the next delta.
+                    let obj = self.heap.get_mut_untracked(local)?;
+                    let slot = obj.slot_index(layout, same, i as usize)?;
+                    obj.slots[slot].val.overwrite(val)?;
+                }
+                Ok(Some(local))
+            }
+            d => Err(XdrError::InvalidDiscriminant(d)),
+        }
     }
-    Ok(fields)
 }
 
 /// The schema-default value for a type (zeroes, empty strings, nulls).
@@ -1062,11 +1131,11 @@ mod tests {
         #[derive(Default)]
         struct OneShot(HashMap<(CAddr, String), CAddr>);
         impl TrackerHook for OneShot {
-            fn lookup(&mut self, remote: CAddr, type_name: &str) -> Option<CAddr> {
-                self.0.get(&(remote, type_name.to_string())).copied()
+            fn lookup(&mut self, remote: CAddr, ty: &Layout) -> Option<CAddr> {
+                self.0.get(&(remote, ty.name().to_string())).copied()
             }
-            fn associate(&mut self, remote: CAddr, type_name: &str, local: CAddr) {
-                self.0.insert((remote, type_name.to_string()), local);
+            fn associate(&mut self, remote: CAddr, ty: &Layout, local: CAddr) {
+                self.0.insert((remote, ty.name().to_string()), local);
             }
         }
 

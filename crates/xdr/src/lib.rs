@@ -26,6 +26,9 @@
 //! * [`codec`] — the RFC 4506 wire format (big-endian, 4-byte alignment).
 //! * [`graph`] — cycle-aware marshaling of object heaps with tracker hooks.
 //! * [`mask`] — field-selective marshaling masks with R/W/RW directions.
+//! * [`plan`] — compiled marshaling: per-type layouts and, per mask set,
+//!   the field indices that cross in each direction — what the graph
+//!   walker runs.
 //!
 //! # Examples
 //!
@@ -53,6 +56,7 @@ pub mod codec;
 pub mod error;
 pub mod graph;
 pub mod mask;
+pub mod plan;
 pub mod schema;
 pub mod spec;
 pub mod value;

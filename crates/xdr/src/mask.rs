@@ -144,6 +144,11 @@ impl MaskSet {
         self.masks.get(type_name)
     }
 
+    /// Whether a type without a mask of its own transfers every field.
+    pub fn transfers_unlisted(&self) -> bool {
+        self.full_by_default
+    }
+
     /// Whether `field` of `type_name` is transferred in `dir`.
     pub fn includes(&self, type_name: &str, field: &str, dir: Direction) -> bool {
         match self.masks.get(type_name) {

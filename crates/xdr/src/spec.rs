@@ -7,8 +7,10 @@
 //! variable-array declarators — into an [`XdrSpec`] usable by the codec.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{XdrError, XdrResult};
+use crate::plan::{Layout, Layouts};
 use crate::schema::XdrType;
 
 /// A named type definition inside a spec.
@@ -23,12 +25,23 @@ pub enum TypeDef {
 }
 
 /// A parsed XDR interface specification: consts plus named types.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct XdrSpec {
     consts: HashMap<String, u64>,
     types: HashMap<String, TypeDef>,
     /// Declaration order, for faithful re-rendering.
     order: Vec<String>,
+    /// The struct layouts, derived from the three fields above on first
+    /// use. Clones share the cell — whichever builds first builds for
+    /// all, so an object allocated against one clone is recognised by a
+    /// plan compiled from another — and a `define_*` takes a fresh one.
+    layouts: Arc<OnceLock<Arc<Layouts>>>,
+}
+
+impl PartialEq for XdrSpec {
+    fn eq(&self, other: &XdrSpec) -> bool {
+        (&self.consts, &self.types, &self.order) == (&other.consts, &other.types, &other.order)
+    }
 }
 
 impl XdrSpec {
@@ -50,6 +63,16 @@ impl XdrSpec {
     /// ```
     pub fn parse(src: &str) -> XdrResult<Self> {
         Parser::new(src)?.parse_spec()
+    }
+
+    /// The layout of every struct this spec defines.
+    pub fn layouts(&self) -> &Arc<Layouts> {
+        self.layouts.get_or_init(|| Arc::new(Layouts::build(self)))
+    }
+
+    /// The layout of the struct called `name`.
+    pub fn layout(&self, name: &str) -> XdrResult<&Arc<Layout>> {
+        self.layouts().named(name, self)
     }
 
     /// Number of named types defined.
@@ -79,29 +102,31 @@ impl XdrSpec {
 
     /// Defines a struct programmatically (used by the slicer's generator).
     pub fn define_struct(&mut self, name: impl Into<String>, fields: Vec<(String, XdrType)>) {
-        let name = name.into();
-        if !self.types.contains_key(&name) {
-            self.order.push(name.clone());
-        }
-        self.types.insert(name, TypeDef::Struct(fields));
+        self.define(name.into(), TypeDef::Struct(fields));
     }
 
     /// Defines an enum programmatically.
     pub fn define_enum(&mut self, name: impl Into<String>, members: Vec<(String, i32)>) {
-        let name = name.into();
-        if !self.types.contains_key(&name) {
-            self.order.push(name.clone());
-        }
-        self.types.insert(name, TypeDef::Enum(members));
+        self.define(name.into(), TypeDef::Enum(members));
     }
 
     /// Defines a typedef alias programmatically.
     pub fn define_alias(&mut self, name: impl Into<String>, ty: XdrType) {
-        let name = name.into();
+        self.define(name.into(), TypeDef::Alias(ty));
+    }
+
+    /// Defines (or redefines) a named type; layouts built from what the
+    /// spec declared before are dropped — in place, or by leaving the
+    /// cell to the clones that still share it.
+    fn define(&mut self, name: String, def: TypeDef) {
         if !self.types.contains_key(&name) {
             self.order.push(name.clone());
         }
-        self.types.insert(name, TypeDef::Alias(ty));
+        self.types.insert(name, def);
+        match Arc::get_mut(&mut self.layouts) {
+            Some(cell) => drop(cell.take()),
+            None => self.layouts = Arc::default(),
+        }
     }
 
     /// Returns the `XdrType` denoted by a type name.
@@ -629,6 +654,28 @@ mod tests {
     #[test]
     fn string_with_fixed_len_rejected() {
         assert!(XdrSpec::parse("struct s { string name[4]; };").is_err());
+    }
+
+    #[test]
+    fn clones_share_layouts_until_one_is_redefined() {
+        let spec = XdrSpec::parse("struct a { int x; };").unwrap();
+        // Cloned before either built its layouts: whoever builds first
+        // builds for both.
+        let clone = spec.clone();
+        assert!(Arc::ptr_eq(clone.layouts(), spec.layouts()));
+        assert!(Arc::ptr_eq(
+            clone.layout("a").unwrap(),
+            spec.layout("a").unwrap()
+        ));
+        let mut changed = spec.clone();
+        changed.define_struct("b", vec![("y".into(), XdrType::Int)]);
+        assert_eq!(changed.layout("b").unwrap().field_names(), ["y"]);
+        assert_eq!(
+            spec.layout("b").map(|_| ()),
+            Err(XdrError::UnknownType("b".into())),
+            "the original keeps the layouts of what it declares"
+        );
+        assert_eq!(spec, clone, "layouts are derived state, not content");
     }
 
     #[test]

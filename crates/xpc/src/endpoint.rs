@@ -45,14 +45,15 @@
 //! crashed user process.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use decaf_simkernel::{costs, CpuClass, Kernel, TimerId, ViolationKind};
-use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap};
+use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap, WalkScratch};
 use decaf_xdr::mask::{Direction, MaskSet};
+use decaf_xdr::plan::{MarshalPlan, TypeId};
 use decaf_xdr::{XdrSpec, XdrValue};
 
 use crate::domain::Domain;
@@ -254,9 +255,10 @@ impl ChannelStats {
 #[derive(Clone)]
 pub struct ProcDef {
     /// Procedure name (matches the entry-point name from DriverSlicer).
-    pub name: String,
+    /// Shared: an entry point's stub takes the driver image's copy.
+    pub name: Arc<str>,
     /// Struct type of each object argument, in order.
-    pub arg_types: Vec<String>,
+    pub arg_types: Vec<Arc<str>>,
     /// The implementation.
     pub handler: ProcHandler,
 }
@@ -268,8 +270,8 @@ pub type ProcHandler = Rc<dyn Fn(&Kernel, &XpcChannel, &[Option<CAddr>], &[XdrVa
 impl ProcDef {
     /// An entry point: `name` takes one object argument per entry of
     /// `arg_types`, each of that struct type, then scalars.
-    pub fn entry<T: Into<String>>(
-        name: impl Into<String>,
+    pub fn entry<T: Into<Arc<str>>>(
+        name: impl Into<Arc<str>>,
         arg_types: impl IntoIterator<Item = T>,
         handler: impl Fn(&Kernel, &XpcChannel, &[Option<CAddr>], &[XdrValue]) -> XdrValue + 'static,
     ) -> Self {
@@ -284,10 +286,10 @@ impl ProcDef {
     /// import, a data-path doorbell: no object crosses and the handler
     /// needs neither the channel nor an argument list.
     pub fn scalar(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         f: impl Fn(&Kernel, &[XdrValue]) -> XdrValue + 'static,
     ) -> Self {
-        ProcDef::entry(name, Vec::<String>::new(), move |k, _, _, scalars| {
+        ProcDef::entry(name, Vec::<Arc<str>>::new(), move |k, _, _, scalars| {
             f(k, scalars)
         })
     }
@@ -302,21 +304,43 @@ impl ProcDef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcHandle(pub(crate) u32);
 
+/// A registered procedure: its definition plus the layout id of each
+/// object argument, resolved against the channel's spec at registration
+/// so that no call looks a type up by name.
+struct ProcSlot {
+    def: ProcDef,
+    arg_ids: Box<[TypeId]>,
+}
+
 /// One end's procedures: name → slot at registration and resolution,
 /// slot → definition on every call.
 #[derive(Default)]
 struct ProcTable {
-    slot_of: HashMap<String, ProcHandle>,
+    /// Sorted by name length, then name — an end holds a dozen or two
+    /// procedures, so a binary search that mostly compares lengths beats
+    /// hashing the name, and nothing ever rehashes.
+    slot_of: Vec<(Arc<str>, ProcHandle)>,
     /// Shared, so a call takes a reference-count bump instead of cloning
     /// a name and an argument-type list.
-    slots: Vec<Rc<ProcDef>>,
+    slots: Vec<Rc<ProcSlot>>,
+}
+
+impl ProcTable {
+    /// Where `name` is in `slot_of`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.slot_of.binary_search_by(|(held, _)| {
+            (held.len().cmp(&name.len())).then_with(|| (**held).cmp(name))
+        })
+    }
 }
 
 /// Sender-side delta state for one channel end: the heap generation at
-/// which each local object last crossed, per direction.
+/// which each local object last crossed, per direction — sorted by
+/// address, because an end shares a handful of objects and every one of
+/// them is looked up on every crossing.
 #[derive(Debug, Default)]
 struct DeltaMap {
-    sent: HashMap<(CAddr, Direction), u64>,
+    sent: Vec<(CAddr, [Option<u64>; 2])>,
 }
 
 impl DeltaMap {
@@ -324,18 +348,30 @@ impl DeltaMap {
         self.sent.clear();
     }
 
+    fn find(&self, local: CAddr) -> Result<usize, usize> {
+        self.sent.binary_search_by_key(&local, |(addr, _)| *addr)
+    }
+
     /// Forgets everything known about one local object.
     fn forget(&mut self, local: CAddr) {
-        self.sent.retain(|(addr, _), _| *addr != local);
+        if let Ok(at) = self.find(local) {
+            self.sent.remove(at);
+        }
     }
 }
 
 impl DeltaHook for DeltaMap {
     fn last_sent(&mut self, local: CAddr, dir: Direction) -> Option<u64> {
-        self.sent.get(&(local, dir)).copied()
+        self.find(local)
+            .ok()
+            .and_then(|at| self.sent[at].1[dir as usize])
     }
     fn mark_sent(&mut self, local: CAddr, dir: Direction, gen: u64) {
-        self.sent.insert((local, dir), gen);
+        let at = self.find(local).unwrap_or_else(|at| {
+            self.sent.insert(at, (local, [None; 2]));
+            at
+        });
+        self.sent[at].1[dir as usize] = Some(gen);
     }
 }
 
@@ -390,7 +426,9 @@ pub struct XpcChannel {
     /// was built from: the interface is fixed when the driver is sliced,
     /// so no channel needs a copy of its own.
     spec: Arc<XdrSpec>,
-    masks: Arc<MaskSet>,
+    /// The interface's compiled marshaling — the image's, or compiled
+    /// from a spec and mask set handed to [`XpcChannel::new`].
+    plan: Arc<MarshalPlan>,
     config: ChannelConfig,
     transport: Box<dyn Transport>,
     a: DomainEnd,
@@ -428,8 +466,17 @@ pub struct XpcChannel {
     /// emptied shells of executed calls; the next parked call reuses one
     /// (and its argument vectors' capacity) instead of allocating.
     queue: Cell<Vec<DeferredCall>>,
-    defs: Cell<Vec<Rc<ProcDef>>>,
+    defs: Cell<Vec<Rc<ProcSlot>>>,
     spare: RefCell<Vec<DeferredCall>>,
+    /// Marshal scratch: the graph walk's tables, borrowed for one
+    /// marshal or unmarshal (neither runs a handler, so never nested),
+    /// and the object arguments as the target knows them, taken and put
+    /// back like `wire` because a handler's nested call needs its own.
+    walk: RefCell<WalkScratch>,
+    locals: Cell<Vec<Option<CAddr>>>,
+    /// The register-access helpers (`readl`, `writel`) of the runtime
+    /// every decaf driver links, resolved when they were registered.
+    io_procs: Cell<Option<[ProcHandle; 2]>>,
 }
 
 impl XpcChannel {
@@ -459,10 +506,26 @@ impl XpcChannel {
         b: Domain,
         heap_offset: u64,
     ) -> Self {
+        let spec = spec.into();
+        let plan = Arc::new(MarshalPlan::compile(&spec, &masks.into()));
+        XpcChannel::with_plan(spec, plan, config, a, b, heap_offset)
+    }
+
+    /// Like [`XpcChannel::with_heap_offset`], over marshaling already
+    /// compiled — `plan` from `spec` and the interface's masks, as a
+    /// driver image holds it: the channel compiles nothing.
+    pub fn with_plan(
+        spec: Arc<XdrSpec>,
+        plan: Arc<MarshalPlan>,
+        config: ChannelConfig,
+        a: Domain,
+        b: Domain,
+        heap_offset: u64,
+    ) -> Self {
         assert_ne!(a, b, "a channel needs two distinct domains");
         XpcChannel {
-            spec: spec.into(),
-            masks: masks.into(),
+            spec,
+            plan,
             config,
             transport: transport::build(
                 config.transport,
@@ -483,6 +546,9 @@ impl XpcChannel {
             queue: Cell::new(Vec::new()),
             defs: Cell::new(Vec::new()),
             spare: RefCell::new(Vec::new()),
+            walk: RefCell::default(),
+            locals: Cell::new(Vec::new()),
+            io_procs: Cell::new(None),
         }
     }
 
@@ -540,6 +606,12 @@ impl XpcChannel {
         &self.spec
     }
 
+    /// The compiled marshaling this channel crosses by — two channels
+    /// built from one driver image return pointer-equal values.
+    pub fn plan(&self) -> &Arc<MarshalPlan> {
+        &self.plan
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> ChannelStats {
         self.stats.get()
@@ -560,32 +632,72 @@ impl XpcChannel {
     }
 
     /// Registers a procedure at `domain`'s end. A name registered before
-    /// keeps its slot and gets the new definition.
+    /// keeps its slot and gets the new definition. An object argument of
+    /// a struct type the channel's spec does not define is refused.
     pub fn register_proc(&self, domain: Domain, def: ProcDef) -> XpcResult<()> {
+        self.register(domain, def).map(drop)
+    }
+
+    /// [`XpcChannel::register_proc`], returning the procedure's slot.
+    fn register(&self, domain: Domain, def: ProcDef) -> XpcResult<ProcHandle> {
         let mut procs = self.end(domain)?.procs.borrow_mut();
-        match procs.slot_of.get(&def.name) {
-            Some(&ProcHandle(slot)) => procs.slots[slot as usize] = Rc::new(def),
-            None => {
+        let arg_ids = def.arg_types.iter();
+        let arg_ids = arg_ids.map(|ty| Ok(self.spec.layout(ty)?.id()));
+        let arg_ids = arg_ids.collect::<XpcResult<_>>()?;
+        let name = Arc::clone(&def.name);
+        let registered = Rc::new(ProcSlot { def, arg_ids });
+        match procs.find(&name) {
+            Ok(at) => {
+                let slot = procs.slot_of[at].1;
+                procs.slots[slot.0 as usize] = registered;
+                Ok(slot)
+            }
+            Err(at) => {
                 let slot = ProcHandle(procs.slots.len() as u32);
-                procs.slot_of.insert(def.name.clone(), slot);
-                procs.slots.push(Rc::new(def));
+                procs.slot_of.insert(at, (name, slot));
+                procs.slots.push(registered);
+                Ok(slot)
             }
         }
-        Ok(())
     }
 
     /// Resolves `proc` as `from` would call it — at the peer end — for
     /// callers that ring the same procedure again and again.
     pub fn resolve_proc(&self, from: Domain, proc: &str) -> XpcResult<ProcHandle> {
         let target = self.peer(from)?;
-        let slot = target.procs.borrow().slot_of.get(proc).copied();
+        let procs = target.procs.borrow();
+        let slot = procs.find(proc).ok().map(|at| procs.slot_of[at].1);
         slot.ok_or_else(|| XpcError::UnknownProc {
             domain: target.domain.to_string(),
             proc: proc.to_string(),
         })
     }
 
-    fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<Rc<ProcDef>> {
+    /// Registers the runtime's register-access helpers at `domain`'s end
+    /// and keeps their slots, so a register access — the most frequent
+    /// crossing of a driver load — looks no name up
+    /// ([`XpcChannel::io_procs`]).
+    pub fn register_io_procs(
+        &self,
+        domain: Domain,
+        readl: ProcDef,
+        writel: ProcDef,
+    ) -> XpcResult<()> {
+        let slots = [
+            self.register(domain, readl)?,
+            self.register(domain, writel)?,
+        ];
+        self.io_procs.set(Some(slots));
+        Ok(())
+    }
+
+    /// The `[readl, writel]` helpers [`XpcChannel::register_io_procs`]
+    /// registered, if it did.
+    pub fn io_procs(&self) -> Option<[ProcHandle; 2]> {
+        self.io_procs.get()
+    }
+
+    fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<Rc<ProcSlot>> {
         let def = target.procs.borrow().slots.get(proc.0 as usize).cloned();
         def.ok_or_else(|| XpcError::UnknownProc {
             domain: target.domain.to_string(),
@@ -597,9 +709,10 @@ impl XpcChannel {
     pub fn proc_names(&self, domain: Domain) -> Vec<String> {
         match self.end(domain) {
             Ok(e) => {
-                let mut v: Vec<_> = e.procs.borrow().slot_of.keys().cloned().collect();
-                v.sort();
-                v
+                let procs = e.procs.borrow();
+                let mut names: Vec<_> = procs.slot_of.iter().map(|(n, _)| n.to_string()).collect();
+                names.sort();
+                names
             }
             Err(_) => Vec::new(),
         }
@@ -717,6 +830,8 @@ impl XpcChannel {
     ) -> XpcResult<Vec<u8>> {
         let mut wire = self.wire.take();
         wire.clear();
+        // A first message sizes the scratch once, not once per doubling.
+        wire.reserve(256);
         let heap = end.heap.borrow();
         let tracker = &end.tracker;
         let translate = |local| tracker.borrow().canonical_for(local).unwrap_or(local);
@@ -728,14 +843,15 @@ impl XpcChannel {
         } else {
             &mut no_delta
         };
-        let dstats = graph::marshal_args_delta_into(
+        let dstats = graph::marshal_plan(
             &heap,
             roots,
+            &self.plan,
             &self.spec,
-            &self.masks,
             dir,
             &translate,
             hook,
+            &mut self.walk.borrow_mut(),
             &mut wire,
         )?;
         let class = end.domain.cpu_class();
@@ -757,43 +873,6 @@ impl XpcChannel {
         Ok(wire)
     }
 
-    /// Stub step 5 (and the caller-side half of step 6): tracker-aware
-    /// unmarshaling of `wire` into `end`'s heap.
-    fn unmarshal_into<T: AsRef<str>>(
-        &self,
-        kernel: &Kernel,
-        end: &DomainEnd,
-        wire: &[u8],
-        types: impl IntoIterator<Item = T>,
-        dir: Direction,
-        object_args: usize,
-    ) -> XpcResult<Vec<Option<CAddr>>> {
-        let locals = {
-            let mut heap = end.heap.borrow_mut();
-            let mut tracker = end.tracker.borrow_mut();
-            graph::unmarshal_args(
-                wire,
-                types,
-                &mut heap,
-                &self.spec,
-                &self.masks,
-                dir,
-                &mut *tracker,
-            )?
-        };
-        let class = end.domain.cpu_class();
-        kernel.charge(class, wire.len() as u64 * costs::MARSHAL_BYTE_NS);
-        if self.config.cross_language && dir == Direction::In {
-            // The C-side unmarshal + Java-side re-marshal detour (§4.2).
-            kernel.charge(
-                class,
-                object_args as u64 * costs::CROSS_LANGUAGE_OBJECT_NS
-                    + wire.len() as u64 * costs::MARSHAL_BYTE_NS,
-            );
-        }
-        Ok(locals)
-    }
-
     fn record_atomic_violation(&self, kernel: &Kernel, target: &DomainEnd, what: &str) {
         // Upcalls to user level are illegal from atomic context (§3.1.3);
         // record the violation but keep simulating.
@@ -808,7 +887,7 @@ impl XpcChannel {
     /// One leg of a crossing, stub steps 2–5: marshal `roots` out of
     /// `src`, transfer (banked instead of charged when `launch`), and
     /// unmarshal into `dst` as `types`. `scalar_bytes` ride the same
-    /// transfer. Returns the objects' addresses at `dst`.
+    /// transfer. The objects' addresses at `dst` go to `each_root`.
     ///
     /// A leg that carries no object skips marshal and unmarshal outright:
     /// with no roots the wire is 0 bytes, the delta statistics are zero
@@ -816,17 +895,18 @@ impl XpcChannel {
     /// the same crossing — a doorbell pays for its transfer and nothing
     /// else.
     #[allow(clippy::too_many_arguments)]
-    fn cross<T: AsRef<str>>(
+    fn cross(
         &self,
         kernel: &Kernel,
         launch: bool,
         src: &DomainEnd,
         dst: &DomainEnd,
         roots: &[Option<CAddr>],
-        types: impl IntoIterator<Item = T>,
+        types: impl IntoIterator<Item = TypeId>,
         dir: Direction,
         scalar_bytes: usize,
-    ) -> XpcResult<Vec<Option<CAddr>>> {
+        each_root: &mut dyn FnMut(Option<CAddr>),
+    ) -> XpcResult<()> {
         let mut types = types.into_iter().peekable();
         let objects = !roots.is_empty() || types.peek().is_some();
         let wire = match objects {
@@ -845,12 +925,33 @@ impl XpcChannel {
         self.charge_transfer(kernel, src.domain, bytes);
         self.launching.set(false);
         if !objects {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let object_args = if dir == Direction::In { roots.len() } else { 0 };
-        let locals = self.unmarshal_into(kernel, dst, &wire, types, dir, object_args)?;
+        // Step 5 (and the caller-side half of step 6): tracker-aware
+        // unmarshaling into `dst`'s heap.
+        graph::unmarshal_plan(
+            &wire,
+            types,
+            &mut dst.heap.borrow_mut(),
+            &self.plan,
+            &self.spec,
+            dir,
+            &mut *dst.tracker.borrow_mut(),
+            &mut self.walk.borrow_mut(),
+            each_root,
+        )?;
+        let class = dst.domain.cpu_class();
+        kernel.charge(class, wire.len() as u64 * costs::MARSHAL_BYTE_NS);
+        if self.config.cross_language && dir == Direction::In {
+            // The C-side unmarshal + Java-side re-marshal detour (§4.2).
+            kernel.charge(
+                class,
+                roots.len() as u64 * costs::CROSS_LANGUAGE_OBJECT_NS
+                    + wire.len() as u64 * costs::MARSHAL_BYTE_NS,
+            );
+        }
         self.wire.set(wire);
-        Ok(locals)
+        Ok(())
     }
 
     /// Performs one cross-domain procedure call from `from` to its peer.
@@ -875,7 +976,7 @@ impl XpcChannel {
     }
 
     /// [`XpcChannel::call`] on an already-resolved procedure.
-    pub(crate) fn call_resolved(
+    pub fn call_resolved(
         &self,
         kernel: &Kernel,
         from: Domain,
@@ -904,7 +1005,8 @@ impl XpcChannel {
         let _span = kernel.trace_span("xpc", "call");
         let caller = self.end(from)?;
         let target = self.peer(from)?;
-        let def = self.def(target, proc)?;
+        let slot = self.def(target, proc)?;
+        let def = &slot.def;
         self.record_atomic_violation(kernel, target, &def.name);
 
         // Steps 2–5: translate, marshal, transfer, unmarshal at the
@@ -913,16 +1015,19 @@ impl XpcChannel {
         // smuggled through an opaque scalar pays exactly what it would as
         // an object field.
         let scalar_in: usize = scalars.iter().map(Self::scalar_wire_bytes).sum();
-        let types = &def.arg_types;
-        let locals = self.cross(
+        let types = || slot.arg_ids.iter().copied();
+        let mut locals = self.locals.take();
+        locals.clear();
+        self.cross(
             kernel,
             false,
             caller,
             target,
             args,
-            types,
+            types(),
             Direction::In,
             scalar_in,
+            &mut |local| locals.push(local),
         )?;
 
         // Dispatch, catching user-level faults.
@@ -948,10 +1053,19 @@ impl XpcChannel {
         // Step 6: marshal out-parameters (and the scalar return) back
         // and update caller objects.
         let scalar_out = Self::scalar_wire_bytes(&ret);
-        let out = Direction::Out;
+        let (out, unused) = (Direction::Out, &mut |_| ());
         self.cross(
-            kernel, false, target, caller, &locals, types, out, scalar_out,
+            kernel,
+            false,
+            target,
+            caller,
+            &locals,
+            types(),
+            out,
+            scalar_out,
+            unused,
         )?;
+        self.locals.set(locals);
 
         self.bump(|s| s.round_trips += 1);
         Ok(ret)
@@ -978,6 +1092,18 @@ impl XpcChannel {
         // Validate eagerly: at flush time the error could not be
         // attributed to this call site.
         let proc = self.resolve_proc(from, proc)?;
+        self.park(kernel, from, proc, args, scalars).map(|_| ())
+    }
+
+    /// [`XpcChannel::call_deferred`] on an already-resolved procedure.
+    pub fn call_deferred_resolved(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: ProcHandle,
+        args: &[Option<CAddr>],
+        scalars: &[XdrValue],
+    ) -> XpcResult<()> {
         self.park(kernel, from, proc, args, scalars).map(|_| ())
     }
 
@@ -1400,14 +1526,16 @@ impl XpcChannel {
         // so an object repeated across calls crosses once.
         let all_roots: Vec<Option<CAddr>> =
             group.iter().flat_map(|c| c.args.iter().copied()).collect();
-        let all_types = || defs.iter().flat_map(|d| d.arg_types.iter());
+        let all_types = || defs.iter().flat_map(|d| d.arg_ids.iter().copied());
         let scalar_in: usize = group
             .iter()
             .flat_map(|c| c.scalars.iter())
             .map(Self::scalar_wire_bytes)
             .sum();
         let dir = Direction::In;
-        let locals = self.cross(
+        let mut locals = self.locals.take();
+        locals.clear();
+        self.cross(
             kernel,
             launch,
             caller,
@@ -1416,17 +1544,18 @@ impl XpcChannel {
             all_types(),
             dir,
             scalar_in,
+            &mut |local| locals.push(local),
         )?;
 
         // Dispatch each call in queue order; results are discarded and
         // faults contained (deferred calls have no waiting caller).
         let mut offset = 0;
         for (def, call) in defs.iter().zip(group) {
-            let arity = def.arg_types.len();
+            let arity = def.arg_ids.len();
             let call_locals = &locals[offset..offset + arity];
             offset += arity;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                (def.handler)(kernel, self, call_locals, &call.scalars)
+                (def.def.handler)(kernel, self, call_locals, &call.scalars)
             }));
             if result.is_err() {
                 self.bump(|s| s.faults += 1);
@@ -1434,8 +1563,19 @@ impl XpcChannel {
         }
 
         // One return crossing updates every caller-side object.
-        let dir = Direction::Out;
-        self.cross(kernel, launch, target, caller, &locals, all_types(), dir, 0)?;
+        let (dir, unused) = (Direction::Out, &mut |_| ());
+        self.cross(
+            kernel,
+            launch,
+            target,
+            caller,
+            &locals,
+            all_types(),
+            dir,
+            0,
+            unused,
+        )?;
+        self.locals.set(locals);
         defs.clear();
         self.defs.set(defs);
 
@@ -1998,7 +2138,7 @@ mod tests {
         let h = heap.borrow();
         let decaf_adapter = h
             .iter()
-            .find(|(_, o)| o.type_name == "adapter")
+            .find(|(_, o)| o.type_name() == "adapter")
             .map(|(a, _)| a)
             .unwrap();
         assert_eq!(
@@ -2180,7 +2320,7 @@ mod tests {
         let decaf_adapter = heap
             .borrow()
             .iter()
-            .find(|(_, o)| o.type_name == "adapter")
+            .find(|(_, o)| o.type_name() == "adapter")
             .map(|(a, _)| a)
             .unwrap();
         ch.release_object(Domain::Decaf, decaf_adapter).unwrap();
@@ -2221,7 +2361,9 @@ mod tests {
         let assoc: Vec<_> = {
             let heap = ch.heap(Domain::Decaf);
             let h = heap.borrow();
-            h.iter().map(|(a, o)| (a, o.type_name.clone())).collect()
+            h.iter()
+                .map(|(a, o)| (a, o.type_name().to_string()))
+                .collect()
         };
         let adapter_local = assoc
             .iter()

@@ -45,6 +45,7 @@ use decaf_shmring::flow_hash;
 use decaf_simkernel::Kernel;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::mask::MaskSet;
+use decaf_xdr::plan::MarshalPlan;
 use decaf_xdr::{XdrSpec, XdrValue};
 
 use crate::domain::Domain;
@@ -164,8 +165,9 @@ pub struct ShardedChannel {
 impl ShardedChannel {
     /// Builds `shards` parallel channels between `a` and `b`, each with
     /// its own transport, delta maps and heaps (disjoint address
-    /// ranges). The interface spec and the masks are the one thing the
-    /// shards share: every shard holds the same pointer.
+    /// ranges). The interface spec and the marshaling compiled from the
+    /// masks are the one thing the shards share: every shard holds the
+    /// same pointers.
     ///
     /// # Panics
     /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
@@ -178,17 +180,36 @@ impl ShardedChannel {
         shards: usize,
         policy: ShardPolicy,
     ) -> Rc<Self> {
+        let spec = spec.into();
+        let plan = Arc::new(MarshalPlan::compile(&spec, &masks.into()));
+        ShardedChannel::with_plan(spec, plan, config, a, b, shards, policy)
+    }
+
+    /// Like [`ShardedChannel::new`], over marshaling already compiled —
+    /// `plan` from `spec` and the interface's masks, as a driver image
+    /// holds it: every shard shares both and compiles nothing.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
+    pub fn with_plan(
+        spec: Arc<XdrSpec>,
+        plan: Arc<MarshalPlan>,
+        config: ChannelConfig,
+        a: Domain,
+        b: Domain,
+        shards: usize,
+        policy: ShardPolicy,
+    ) -> Rc<Self> {
         assert!(
             (1..=MAX_SHARDS).contains(&shards),
             "shard count {shards} outside 1..={MAX_SHARDS}"
         );
-        let (spec, masks) = (spec.into(), masks.into());
         Rc::new(ShardedChannel {
             shards: (0..shards)
                 .map(|i| {
-                    Rc::new(XpcChannel::with_heap_offset(
+                    Rc::new(XpcChannel::with_plan(
                         Arc::clone(&spec),
-                        Arc::clone(&masks),
+                        Arc::clone(&plan),
                         config,
                         a,
                         b,

@@ -11,11 +11,12 @@
 //! * One C pointer may correspond to several objects (a struct embedded
 //!   first in another shares its address), so every association carries a
 //!   *type tag*; the paper uses the address of the type's XDR marshaling
-//!   function, we use the type name.
+//!   function, we use the id of the type's compiled layout.
 
 use std::collections::HashMap;
 
 use decaf_xdr::graph::CAddr;
+use decaf_xdr::plan::{Layout, TypeId};
 use decaf_xdr::TrackerHook;
 
 /// Counters describing tracker behaviour (used by tests and benches).
@@ -35,8 +36,8 @@ pub struct TrackerStats {
 /// objects, disambiguated by type tag.
 #[derive(Debug, Default)]
 pub struct ObjectTracker {
-    by_remote: HashMap<(CAddr, String), CAddr>,
-    by_local: HashMap<CAddr, (CAddr, String)>,
+    by_remote: HashMap<(CAddr, TypeId), CAddr>,
+    by_local: HashMap<CAddr, (CAddr, TypeId)>,
     stats: TrackerStats,
 }
 
@@ -82,19 +83,19 @@ impl ObjectTracker {
     }
 
     /// Removes the association for a remote object of a given type.
-    pub fn release_remote(&mut self, remote: CAddr, type_tag: &str) -> Option<CAddr> {
-        let local = self.by_remote.remove(&(remote, type_tag.to_string()))?;
+    pub fn release_remote(&mut self, remote: CAddr, type_tag: TypeId) -> Option<CAddr> {
+        let local = self.by_remote.remove(&(remote, type_tag))?;
         self.by_local.remove(&local);
         self.stats.releases += 1;
         Some(local)
     }
 
     /// All associations as `(remote, type, local)` triples (test helper).
-    pub fn associations(&self) -> Vec<(CAddr, String, CAddr)> {
+    pub fn associations(&self) -> Vec<(CAddr, TypeId, CAddr)> {
         let mut v: Vec<_> = self
             .by_remote
             .iter()
-            .map(|((r, t), l)| (*r, t.clone(), *l))
+            .map(|((r, t), l)| (*r, *t, *l))
             .collect();
         v.sort();
         v
@@ -102,8 +103,8 @@ impl ObjectTracker {
 }
 
 impl TrackerHook for ObjectTracker {
-    fn lookup(&mut self, remote: CAddr, type_name: &str) -> Option<CAddr> {
-        match self.by_remote.get(&(remote, type_name.to_string())) {
+    fn lookup(&mut self, remote: CAddr, ty: &Layout) -> Option<CAddr> {
+        match self.by_remote.get(&(remote, ty.id())) {
             Some(local) => {
                 self.stats.hits += 1;
                 Some(*local)
@@ -115,10 +116,9 @@ impl TrackerHook for ObjectTracker {
         }
     }
 
-    fn associate(&mut self, remote: CAddr, type_name: &str, local: CAddr) {
-        self.by_remote
-            .insert((remote, type_name.to_string()), local);
-        self.by_local.insert(local, (remote, type_name.to_string()));
+    fn associate(&mut self, remote: CAddr, ty: &Layout, local: CAddr) {
+        self.by_remote.insert((remote, ty.id()), local);
+        self.by_local.insert(local, (remote, ty.id()));
         self.stats.associations += 1;
     }
 }
@@ -126,45 +126,64 @@ impl TrackerHook for ObjectTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decaf_xdr::XdrSpec;
+
+    /// The four struct types the cases below tag associations with.
+    fn spec() -> XdrSpec {
+        XdrSpec::parse(
+            "struct e1000_adapter { int a; }; struct outer { int a; };\n\
+             struct inner { int a; }; struct ring { int a; };",
+        )
+        .unwrap()
+    }
 
     #[test]
     fn lookup_miss_then_hit() {
-        let mut t = ObjectTracker::new();
-        assert_eq!(t.lookup(0x1000, "e1000_adapter"), None);
-        t.associate(0x1000, "e1000_adapter", 0x8000_0000);
-        assert_eq!(t.lookup(0x1000, "e1000_adapter"), Some(0x8000_0000));
-        let s = t.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.associations, 1);
+        let (s, mut t) = (spec(), ObjectTracker::new());
+        assert_eq!(t.lookup(0x1000, s.layout("e1000_adapter").unwrap()), None);
+        t.associate(0x1000, s.layout("e1000_adapter").unwrap(), 0x8000_0000);
+        assert_eq!(
+            t.lookup(0x1000, s.layout("e1000_adapter").unwrap()),
+            Some(0x8000_0000)
+        );
+        let stats = t.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.associations, 1);
     }
 
     #[test]
     fn embedded_structs_disambiguated_by_type_tag() {
         // A struct embedded first in another shares its C address; the
         // type tag keeps the two associations apart (paper §3.1.2).
-        let mut t = ObjectTracker::new();
-        t.associate(0x2000, "outer", 0x8000_0000);
-        t.associate(0x2000, "inner", 0x8000_0100);
-        assert_eq!(t.lookup(0x2000, "outer"), Some(0x8000_0000));
-        assert_eq!(t.lookup(0x2000, "inner"), Some(0x8000_0100));
+        let (s, mut t) = (spec(), ObjectTracker::new());
+        t.associate(0x2000, s.layout("outer").unwrap(), 0x8000_0000);
+        t.associate(0x2000, s.layout("inner").unwrap(), 0x8000_0100);
+        assert_eq!(
+            t.lookup(0x2000, s.layout("outer").unwrap()),
+            Some(0x8000_0000)
+        );
+        assert_eq!(
+            t.lookup(0x2000, s.layout("inner").unwrap()),
+            Some(0x8000_0100)
+        );
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn canonical_reverse_lookup() {
-        let mut t = ObjectTracker::new();
-        t.associate(0x3000, "ring", 0x8000_0000);
+        let (s, mut t) = (spec(), ObjectTracker::new());
+        t.associate(0x3000, s.layout("ring").unwrap(), 0x8000_0000);
         assert_eq!(t.canonical_for(0x8000_0000), Some(0x3000));
         assert_eq!(t.canonical_for(0x9999), None);
     }
 
     #[test]
     fn release_removes_both_directions() {
-        let mut t = ObjectTracker::new();
-        t.associate(0x3000, "ring", 0x8000_0000);
+        let (s, mut t) = (spec(), ObjectTracker::new());
+        t.associate(0x3000, s.layout("ring").unwrap(), 0x8000_0000);
         assert_eq!(t.release_local(0x8000_0000), Some(0x3000));
-        assert_eq!(t.lookup(0x3000, "ring"), None);
+        assert_eq!(t.lookup(0x3000, s.layout("ring").unwrap()), None);
         assert_eq!(t.canonical_for(0x8000_0000), None);
         assert!(t.is_empty());
         assert_eq!(t.stats().releases, 1);
@@ -172,11 +191,17 @@ mod tests {
 
     #[test]
     fn release_remote_by_type() {
-        let mut t = ObjectTracker::new();
-        t.associate(0x2000, "outer", 0x8000_0000);
-        t.associate(0x2000, "inner", 0x8000_0100);
-        assert_eq!(t.release_remote(0x2000, "outer"), Some(0x8000_0000));
-        assert_eq!(t.lookup(0x2000, "inner"), Some(0x8000_0100));
+        let (s, mut t) = (spec(), ObjectTracker::new());
+        t.associate(0x2000, s.layout("outer").unwrap(), 0x8000_0000);
+        t.associate(0x2000, s.layout("inner").unwrap(), 0x8000_0100);
+        assert_eq!(
+            t.release_remote(0x2000, s.layout("outer").unwrap().id()),
+            Some(0x8000_0000)
+        );
+        assert_eq!(
+            t.lookup(0x2000, s.layout("inner").unwrap()),
+            Some(0x8000_0100)
+        );
         assert_eq!(t.len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Heap allocations per completed URB on the sharded storage path, per
-//! packet sent on the sharded NIC path and per packet received in poll
-//! mode.
+//! packet sent on the sharded NIC path, per packet received in poll
+//! mode, per driver load and per object-carrying XPC call.
 //!
 //! The ixy lesson this repo keeps relearning is that a safe-language
 //! driver stack loses to per-item allocation, not to the language. These
@@ -18,9 +18,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
-use decaf_core::drivers::{e1000, uhci, workloads};
+use decaf_core::drivers::{e1000, ens1371, psmouse, rtl8139, uhci, workloads};
 use decaf_core::simkernel::{costs, Kernel};
+use decaf_core::xdr::mask::MaskSet;
+use decaf_core::xdr::{XdrSpec, XdrValue};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, XpcChannel};
 
 /// Allocations per completed data URB the storage path may spend. The
 /// count is deterministic (virtual time, no threads): 24.55 before the
@@ -42,6 +46,25 @@ const SEND_BUDGET: f64 = 6.51;
 /// filling reused batches and the device reusing its frame buffers — the
 /// received skb and the 1.25 boxed work items. The bound is that plus one.
 const RECV_BUDGET: f64 = 3.25;
+
+/// Allocations per driver load over the `ctl_init` loop (a fresh machine,
+/// the five decaf installs, both NICs opened, 2 virtual s idle, removed):
+/// 180.8 (18,080 over 100 loads) while every crossing interpreted the
+/// spec by name — a field-name `String` per field of every default
+/// object, a masked-field `Vec` per object per crossing, a `String` per
+/// tracker look-up, a name and a type list per registered procedure —
+/// 102.6 (10,260) with marshaling compiled into the image, objects
+/// holding a shared layout and stubs holding the image's names. The
+/// bound is that plus one.
+const LOAD_BUDGET: f64 = 103.6;
+
+/// Allocations per synchronous call carrying two objects (an adapter and
+/// the ring it points at) over an in-proc channel, both directions
+/// marshaled in full: 26 by name, 4.00 compiled — the wire, the walk's
+/// tables and the argument list are channel-owned scratch; what is left
+/// is the four decoded byte strings themselves (`mac` and `pad`, each
+/// way). The bound is that plus one.
+const CALL_BUDGET: f64 = 5.0;
 
 thread_local! {
     /// Allocations made by this thread while it is counting — per
@@ -185,5 +208,98 @@ fn poll_receive_path_stays_inside_its_allocation_budget() {
     assert!(
         per_packet <= RECV_BUDGET,
         "{per_packet:.2} heap allocations per received packet, budget {RECV_BUDGET}"
+    );
+}
+
+/// One machine's life, as the `ctl_init` benchmark workload lives it.
+fn load_five() {
+    let k = Kernel::new();
+    let e = e1000::decaf::install(&k, "eth0").unwrap();
+    let r = rtl8139::install_decaf(&k, "eth1").unwrap();
+    let s = ens1371::install_decaf(&k, "card0").unwrap();
+    let u = uhci::install_decaf(&k, "uhci0").unwrap();
+    let m = psmouse::install_decaf(&k, "mouse0").unwrap();
+    k.netdev_open("eth0").unwrap();
+    k.netdev_open("eth1").unwrap();
+    k.schedule_point();
+    k.run_for(2_000_000_000);
+    assert!(e.crossings() > 0 && r.crossings() > 0 && u.crossings() > 0);
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+    e.remove();
+    r.remove();
+    drop((s, u, m));
+}
+
+#[test]
+fn driver_load_stays_inside_its_allocation_budget() {
+    const MACHINES: u64 = 20;
+    // The first load of a process builds the five images; not counted.
+    load_five();
+    let ((), allocs) = counted(|| (0..MACHINES).for_each(|_| load_five()));
+    let per_load = allocs as f64 / (5 * MACHINES) as f64;
+    println!(
+        "{allocs} allocations / {} driver loads = {per_load:.1} per load",
+        5 * MACHINES
+    );
+    assert!(
+        per_load <= LOAD_BUDGET,
+        "{per_load:.1} heap allocations per driver load, budget {LOAD_BUDGET}"
+    );
+}
+
+#[test]
+fn two_object_call_stays_inside_its_allocation_budget() {
+    const CALLS: u64 = 100;
+    let spec = XdrSpec::parse(
+        "struct ring { int count; int next; opaque pad[32]; };\n\
+         struct adapter { int msg_enable; int link_up; int speed; hyper stats; \
+         opaque mac[6]; struct ring *tx; struct ring *rx; };",
+    )
+    .unwrap();
+    let config = ChannelConfig::kernel_user();
+    let ch = XpcChannel::new(
+        spec.clone(),
+        MaskSet::full(),
+        config,
+        Domain::Nucleus,
+        Domain::Decaf,
+    );
+    ch.register_proc(
+        Domain::Decaf,
+        ProcDef {
+            name: "touch".into(),
+            arg_types: vec!["adapter".into()],
+            handler: Rc::new(|_, _, _, _| XdrValue::Int(0)),
+        },
+    )
+    .unwrap();
+    let adapter = {
+        let heap = ch.heap(Domain::Nucleus);
+        let mut h = heap.borrow_mut();
+        let tx = h.alloc_default("ring", &spec).unwrap();
+        let a = h.alloc_default("adapter", &spec).unwrap();
+        h.set_ptr(a, "tx", Some(tx)).unwrap();
+        a
+    };
+    let k = Kernel::new();
+    let call = || ch.call(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[]);
+    // The first call allocates the peer's copies and grows the scratch.
+    assert_eq!(call(), Ok(XdrValue::Int(0)));
+    let (before, ((), allocs)) = (
+        ch.stats(),
+        counted(|| (0..CALLS).for_each(|_| drop(call()))),
+    );
+    let s = ch.stats();
+    assert_eq!(s.round_trips - before.round_trips, CALLS);
+    assert_eq!(
+        s.full_objects - before.full_objects,
+        4 * CALLS,
+        "two objects, both ways"
+    );
+    let per_call = allocs as f64 / CALLS as f64;
+    println!("{allocs} allocations / {CALLS} calls = {per_call:.2} per call");
+    assert!(
+        per_call <= CALL_BUDGET,
+        "{per_call:.2} heap allocations per two-object call, budget {CALL_BUDGET}"
     );
 }

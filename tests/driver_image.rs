@@ -76,6 +76,107 @@ fn loads_share_the_image_instead_of_copying_it() {
     assert!(Arc::ptr_eq(&m.plan, &DriverKind::Psmouse.image()));
 }
 
+/// Marshaling is part of the image: compiled when the image is built,
+/// once per process, and every channel of every shard of every load runs
+/// that one plan — an install compiles nothing.
+#[test]
+fn every_channel_of_every_load_runs_the_images_compiled_plan() {
+    for kind in DriverKind::all() {
+        let image = kind.image();
+        assert!(Arc::ptr_eq(&image.marshal, &kind.image().marshal));
+        assert!(
+            Arc::ptr_eq(image.marshal.layouts(), image.spec.layouts()),
+            "{}: the plan is compiled against the image's own spec",
+            kind.name()
+        );
+    }
+    let image = DriverKind::E1000.image();
+    for _load in 0..2 {
+        let k = Kernel::new();
+        let single = e1000::decaf::install(&k, "eth0").unwrap();
+        assert!(Arc::ptr_eq(single.channel.plan(), &image.marshal));
+        let k = Kernel::new();
+        let sharded = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
+        for i in 0..4 {
+            assert!(
+                Arc::ptr_eq(sharded.channels.shard(i).plan(), &image.marshal),
+                "shard {i} compiled a plan of its own"
+            );
+        }
+    }
+    let k = Kernel::new();
+    let storage = uhci::install_sharded(&k, "uhci0", 4).unwrap();
+    for i in 0..4 {
+        assert!(Arc::ptr_eq(
+            storage.channels.shard(i).plan(),
+            &DriverKind::UhciHcd.image().marshal
+        ));
+    }
+    // The adapter a load allocates is built from the image's layout, so
+    // it crosses by index, not by field name.
+    let k = Kernel::new();
+    let drv = e1000::decaf::install(&k, "eth0").unwrap();
+    let heap = drv.channel.heap(Domain::Nucleus);
+    let heap = heap.borrow();
+    let adapter = heap.get(drv.adapter).unwrap();
+    assert!(Arc::ptr_eq(
+        adapter.layout(),
+        image.spec.layout("e1000_adapter").unwrap()
+    ));
+}
+
+/// `ObjHeap::get_mut` cannot know which field its caller will write, so
+/// it marks every one dirty: the next delta carries every masked field,
+/// the one after that none.
+#[test]
+fn get_mut_makes_the_next_delta_carry_every_masked_field() {
+    let k = Kernel::new();
+    let spec = XdrSpec::parse(SPEC).unwrap();
+    let config = ChannelConfig::kernel_user_batched();
+    let ch = XpcChannel::new(
+        spec.clone(),
+        MaskSet::full(),
+        config,
+        Domain::Nucleus,
+        Domain::Decaf,
+    );
+    ch.register_proc(
+        Domain::Decaf,
+        ProcDef::entry("touch", ["ring"], |_, _, _, _| XdrValue::Int(0)),
+    )
+    .unwrap();
+    let heap = ch.heap(Domain::Nucleus);
+    let ring = heap.borrow_mut().alloc_default("ring", &spec).unwrap();
+    let call = || {
+        let before = ch.stats();
+        ch.call(&k, Domain::Nucleus, "touch", &[Some(ring)], &[])
+            .unwrap();
+        let after = ch.stats();
+        (
+            after.delta_objects - before.delta_objects,
+            after.delta_fields_elided - before.delta_fields_elided,
+            after.bytes_in - before.bytes_in,
+        )
+    };
+    let (_, _, full_bytes) = call();
+    let (deltas, elided, clean_bytes) = call();
+    assert_eq!(
+        (deltas, elided),
+        (2, 6),
+        "both ways, all three fields clean"
+    );
+    heap.borrow_mut()
+        .set_scalar(ring, "next", XdrValue::Int(1))
+        .unwrap();
+    assert_eq!(call().1, 5, "one tracked write: one field crosses, once");
+    assert!(heap.borrow_mut().get_mut(ring).is_ok());
+    let (deltas, elided, dirty_bytes) = call();
+    assert_eq!((deltas, elided), (2, 3), "in: every field; out: none");
+    // A delta of every field is a full transfer plus its bitmap word.
+    assert_eq!(dirty_bytes, full_bytes + 4);
+    assert_eq!(call(), (2, 6, clean_bytes));
+}
+
 const SPEC: &str = "struct ring { int count; int next; opaque pad[32]; };\n\
      struct adapter { int msg_enable; int link_up; hyper stats; opaque mac[6]; \
      struct ring *tx; };\n\
