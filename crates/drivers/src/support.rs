@@ -264,7 +264,6 @@ pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: &str, obj: CAddr) -> 
 pub fn register_io_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<()> {
     let b = bar.clone();
     channel.register_io_procs(
-        Domain::Nucleus,
         ProcDef::scalar("readl", move |k, scalars| {
             let off = scalars[0].as_uint().unwrap_or(0) as u64;
             XdrValue::UInt(b.read32(k, off))
@@ -478,6 +477,25 @@ mod tests {
         decaf_writel(&kernel, ch, 12, 0xfeed);
         assert_eq!(decaf_readl(&kernel, ch, 12), 0xfeed);
         assert_eq!(ch.stats().round_trips, 2);
+    }
+
+    #[test]
+    fn register_access_runs_the_nucleus_helpers_whatever_the_decaf_end_holds() {
+        let kernel = Kernel::new();
+        let channels = batched_channels(&crate::psmouse::image());
+        let ch = channels.shard(0);
+        assert_eq!(decaf_readl(&kernel, ch, 12), 0, "no helpers: reads zero");
+        // Procedures in the same slot numbers at the other end.
+        for name in ["first", "second"] {
+            let def = ProcDef::scalar(name, |_, _| panic!("a decaf procedure ran"));
+            ch.register_proc(Domain::Decaf, def).unwrap();
+        }
+        let bar = MmioRegion::new(Rc::new(RefCell::new(Scratch([0; 8]))));
+        register_io_procs(ch, bar).unwrap();
+        assert_eq!(ch.proc_names(Domain::Nucleus), ["readl", "writel"]);
+        assert_eq!(ch.proc_names(Domain::Decaf), ["first", "second"]);
+        decaf_writel(&kernel, ch, 4, 7);
+        assert_eq!(decaf_readl(&kernel, ch, 4), 7);
     }
 
     #[test]

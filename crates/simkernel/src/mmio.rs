@@ -71,10 +71,11 @@ const PAGE: usize = 4096;
 /// Values are little-endian, matching descriptor layouts of the real
 /// hardware the models imitate.
 ///
-/// A region costs what is touched: it reserves its declared size but
-/// holds — zero-filled — only the prefix up to the highest byte written
-/// or lent so far. Bytes beyond that prefix read as zero, and every
-/// bounds check is against the declared size.
+/// A region costs what is touched: it holds — zero-filled — only the
+/// prefix up to the highest byte written or lent so far. Bytes beyond
+/// that prefix read as zero, and every bounds check is against the
+/// declared size. An access inside the prefix is one borrow and one
+/// compare; the rest is the cold path.
 #[derive(Debug, Clone)]
 pub struct DmaMemory {
     /// The materialised prefix; never longer than `size`.
@@ -82,11 +83,17 @@ pub struct DmaMemory {
     size: usize,
 }
 
+/// The end of `len` bytes at `offset` if that is within `limit`.
+#[inline]
+fn end_within(offset: usize, len: usize, limit: usize) -> Option<usize> {
+    offset.checked_add(len).filter(|&end| end <= limit)
+}
+
 impl DmaMemory {
     /// Allocates a zeroed region of `size` bytes.
     pub fn new(size: usize) -> Self {
         DmaMemory {
-            bytes: Rc::new(RefCell::new(Vec::with_capacity(size))),
+            bytes: Rc::new(RefCell::new(Vec::new())),
             size,
         }
     }
@@ -107,17 +114,15 @@ impl DmaMemory {
     /// Panics if the access is out of bounds — a DMA fault in real
     /// hardware, which is always a simulator-usage bug here.
     fn end_of(&self, op: &str, offset: usize, len: usize) -> usize {
-        match offset.checked_add(len) {
-            Some(end) if end <= self.size => end,
-            _ => panic!("dma {op} bounds: {offset}+{len} > {}", self.size),
-        }
+        let end = end_within(offset, len, self.size);
+        end.unwrap_or_else(|| panic!("dma {op} bounds: {offset}+{len} > {}", self.size))
     }
 
-    #[inline(always)]
+    #[inline]
     fn read<const N: usize>(&self, op: &str, offset: usize) -> [u8; N] {
         let held = self.bytes.borrow();
-        match held.get(offset..).and_then(<[u8]>::first_chunk) {
-            Some(bytes) => *bytes,
+        match end_within(offset, N, held.len()) {
+            Some(end) => held[offset..end].try_into().expect("length checked"),
             None => self.read_past_prefix(op, offset, &held),
         }
     }
@@ -133,12 +138,11 @@ impl DmaMemory {
         bytes
     }
 
-    #[inline(always)]
+    #[inline]
     fn write(&self, op: &str, offset: usize, data: &[u8]) {
         let mut held = self.bytes.borrow_mut();
-        let tail = held.get_mut(offset..);
-        match tail.and_then(|tail| tail.get_mut(..data.len())) {
-            Some(bytes) => bytes.copy_from_slice(data),
+        match end_within(offset, data.len(), held.len()) {
+            Some(end) => held[offset..end].copy_from_slice(data),
             None => self.write_past_prefix(op, offset, data, &mut held),
         }
     }
@@ -193,17 +197,20 @@ impl DmaMemory {
     /// only a view that reaches past everything touched so far takes
     /// the region mutably, for as long as filling the gap takes.
     pub fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        let held = self.bytes.borrow();
-        if let Some(view) = held.get(offset..).and_then(|tail| tail.get(..len)) {
-            return f(view);
+        let mut held = self.bytes.borrow();
+        if end_within(offset, len, held.len()).is_none() {
+            drop(held);
+            self.materialise_view(offset, len);
+            held = self.bytes.borrow();
         }
-        drop(held);
+        f(&held[offset..offset + len])
+    }
+
+    /// Grows the prefix to hold the view [`DmaMemory::with_bytes`] lends.
+    #[cold]
+    fn materialise_view(&self, offset: usize, len: usize) {
         let end = self.end_of("with_bytes", offset, len);
-        if len == 0 {
-            return f(&[]);
-        }
         self.materialise(&mut self.bytes.borrow_mut(), end);
-        f(&self.bytes.borrow()[offset..end])
     }
 
     /// Copies bytes out of the region.
@@ -320,8 +327,9 @@ mod tests {
         reads_zero(&m);
         assert_eq!(m.read_u32(4096), 0xdead_beef);
         // A read straddling the touched prefix sees its bytes, then zeros.
-        assert_eq!(m.read_u64(4096), 0xdead_beef);
-        assert_eq!(m.read_u32(4098), 0xdead);
+        m.write_u32(2 * PAGE - 4, 0xfeed_f00d);
+        assert_eq!(m.read_u64(2 * PAGE - 4), 0xfeed_f00d);
+        assert_eq!(m.read_u32(2 * PAGE - 2), 0xfeed);
         assert_eq!(m.len(), 1 << 20, "the declared size, whatever was touched");
     }
 }

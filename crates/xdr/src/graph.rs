@@ -29,7 +29,7 @@
 //! name through [`ObjHeap`], which resolves the name against the
 //! object's [`Layout`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::codec::{self, Cursor};
@@ -178,17 +178,11 @@ impl StructObj {
 /// crossed a channel.
 #[derive(Debug, Clone, Default)]
 pub struct ObjHeap {
-    /// Address of the first allocation; the n-th gets `base + n * STRIDE`.
-    base: CAddr,
-    /// Every allocation ever made, by its n; a freed one leaves a hole.
-    objects: Vec<Option<StructObj>>,
-    live: usize,
+    objects: BTreeMap<CAddr, StructObj>,
+    next_addr: CAddr,
     /// Bumped on every mutating operation.
     generation: u64,
 }
-
-/// Distance between consecutive heap addresses.
-const STRIDE: CAddr = 0x100;
 
 impl ObjHeap {
     /// An empty heap whose first allocation gets address `base`.
@@ -197,9 +191,8 @@ impl ObjHeap {
     /// addresses across domains is detectable in tests.
     pub fn with_base(base: CAddr) -> Self {
         ObjHeap {
-            base: base.max(1),
-            objects: Vec::new(),
-            live: 0,
+            objects: BTreeMap::new(),
+            next_addr: base.max(1),
             generation: 0,
         }
     }
@@ -236,40 +229,29 @@ impl ObjHeap {
     }
 
     fn insert(&mut self, layout: Arc<Layout>, mut slots: Vec<Slot>) -> CAddr {
-        let addr = self.base + self.objects.len() as CAddr * STRIDE;
+        let addr = self.next_addr;
+        self.next_addr += 0x100;
         self.generation += 1;
         slots.iter_mut().for_each(|s| s.gen = self.generation);
         let birth = self.generation;
-        self.objects.push(Some(StructObj {
+        let obj = StructObj {
             layout,
             slots,
             birth,
-        }));
-        self.live += 1;
+        };
+        self.objects.insert(addr, obj);
         addr
-    }
-
-    /// Where `addr` sits in `objects`, if it is an address of this heap.
-    fn index_of(&self, addr: CAddr) -> Option<usize> {
-        let offset = addr.checked_sub(self.base)?;
-        (offset % STRIDE == 0).then_some((offset / STRIDE) as usize)
     }
 
     /// Removes a structure (explicit free — the paper's drivers free shared
     /// objects explicitly; see §3.1.2).
     pub fn free(&mut self, addr: CAddr) -> Option<StructObj> {
-        let index = self.index_of(addr)?;
-        let freed = self.objects.get_mut(index)?.take();
-        self.live -= freed.is_some() as usize;
-        freed
+        self.objects.remove(&addr)
     }
 
     /// Looks up a structure.
     pub fn get(&self, addr: CAddr) -> XdrResult<&StructObj> {
-        let held = self
-            .index_of(addr)
-            .and_then(|i| self.objects.get(i)?.as_ref());
-        held.ok_or(XdrError::DanglingAddr(addr))
+        self.objects.get(&addr).ok_or(XdrError::DanglingAddr(addr))
     }
 
     /// Looks up a structure mutably.
@@ -279,19 +261,17 @@ impl ObjHeap {
     /// dirty. Prefer [`ObjHeap::set_scalar`]/[`ObjHeap::set_ptr`], which
     /// track exactly one field.
     pub fn get_mut(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        self.get(addr)?;
+        let held = self.objects.get_mut(&addr);
+        let obj = held.ok_or(XdrError::DanglingAddr(addr))?;
         self.generation += 1;
-        let generation = self.generation;
-        let obj = self.get_mut_untracked(addr)?;
-        obj.slots.iter_mut().for_each(|s| s.gen = generation);
+        obj.slots.iter_mut().for_each(|s| s.gen = self.generation);
         Ok(obj)
     }
 
     /// Looks up a structure mutably without touching dirty tracking.
     /// Internal: used by the tracked setters and the quiet decode path.
     fn get_mut_untracked(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        let index = self.index_of(addr);
-        let held = index.and_then(|i| self.objects.get_mut(i)?.as_mut());
+        let held = self.objects.get_mut(&addr);
         held.ok_or(XdrError::DanglingAddr(addr))
     }
 
@@ -328,12 +308,12 @@ impl ObjHeap {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.live
+        self.objects.len()
     }
 
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.objects.is_empty()
     }
 
     /// Reads a scalar field.
@@ -360,8 +340,7 @@ impl ObjHeap {
 
     /// Iterates over `(addr, object)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (CAddr, &StructObj)> {
-        let held = self.objects.iter().enumerate();
-        held.filter_map(|(i, o)| Some((self.base + i as CAddr * STRIDE, o.as_ref()?)))
+        self.objects.iter().map(|(a, o)| (*a, o))
     }
 }
 
@@ -449,9 +428,7 @@ fn flagged(bitmap: u32, k: usize) -> bool {
 /// contents.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
-    /// Encoder: object → its index in this message (back-references),
-    /// once the message holds more than [`SCAN_MAX`] objects; up to
-    /// there `sent`, which is in the same order, is scanned instead.
+    /// Encoder: object → its index in this message (back-references).
     seen: HashMap<CAddr, u32>,
     /// Encoder: dirty-reachability memo shared across the whole marshal:
     /// the heap cannot change mid-marshal, and `mark_sent` only makes
@@ -463,35 +440,6 @@ pub struct WalkScratch {
     sent: Vec<CAddr>,
     /// Decoder: the n-th object of this message (back-references).
     table: Vec<CAddr>,
-}
-
-/// Objects in one message up to which a back-reference is found by
-/// scanning the encoded objects — a driver's argument graph is an
-/// adapter and a ring or two, and hashing each address costs more.
-const SCAN_MAX: usize = 8;
-
-impl WalkScratch {
-    /// The index in this message of an object already encoded.
-    fn index_of(&self, addr: CAddr) -> Option<u32> {
-        match self.sent.len() <= SCAN_MAX {
-            true => self.sent.iter().position(|&a| a == addr).map(|i| i as u32),
-            false => self.seen.get(&addr).copied(),
-        }
-    }
-
-    /// Records `addr` as the next object of this message.
-    fn note_encoded(&mut self, addr: CAddr) {
-        self.sent.push(addr);
-        if self.sent.len() > SCAN_MAX {
-            let from = if self.seen.is_empty() {
-                0
-            } else {
-                self.sent.len() - 1
-            };
-            let indexed = self.sent.iter().enumerate().skip(from);
-            self.seen.extend(indexed.map(|(i, &a)| (a, i as u32)));
-        }
-    }
 }
 
 /// Marshals a single rooted graph; equivalent to `marshal_args` with one
@@ -620,14 +568,16 @@ impl Encoder<'_> {
             out.extend_from_slice(&PTR_NULL.to_be_bytes());
             return Ok(());
         };
-        if let Some(index) = self.scratch.index_of(addr) {
+        if let Some(&index) = self.scratch.seen.get(&addr) {
             out.extend_from_slice(&PTR_BACKREF.to_be_bytes());
             out.extend_from_slice(&index.to_be_bytes());
             return Ok(());
         }
         out.extend_from_slice(&PTR_INLINE.to_be_bytes());
         out.extend_from_slice(&(self.translate)(addr).to_be_bytes());
-        self.scratch.note_encoded(addr);
+        let index = self.scratch.sent.len() as u32;
+        self.scratch.seen.insert(addr, index);
+        self.scratch.sent.push(addr);
         // `heap` and `plan` outlive the encoder borrow, so the object and
         // its program are read in place.
         let (heap, plan) = (self.heap, self.plan);

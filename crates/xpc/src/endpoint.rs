@@ -475,7 +475,8 @@ pub struct XpcChannel {
     walk: RefCell<WalkScratch>,
     locals: Cell<Vec<Option<CAddr>>>,
     /// The register-access helpers (`readl`, `writel`) of the runtime
-    /// every decaf driver links, resolved when they were registered.
+    /// every decaf driver links: their slots at the nucleus end,
+    /// resolved when they were registered.
     io_procs: Cell<Option<[ProcHandle; 2]>>,
 }
 
@@ -673,26 +674,22 @@ impl XpcChannel {
         })
     }
 
-    /// Registers the runtime's register-access helpers at `domain`'s end
-    /// and keeps their slots, so a register access — the most frequent
-    /// crossing of a driver load — looks no name up
-    /// ([`XpcChannel::io_procs`]).
-    pub fn register_io_procs(
-        &self,
-        domain: Domain,
-        readl: ProcDef,
-        writel: ProcDef,
-    ) -> XpcResult<()> {
+    /// Registers the runtime's register-access helpers at the nucleus
+    /// end — the side that owns the hardware — and keeps their slots, so
+    /// a register access, the most frequent crossing of a driver load,
+    /// looks no name up ([`XpcChannel::io_procs`]).
+    pub fn register_io_procs(&self, readl: ProcDef, writel: ProcDef) -> XpcResult<()> {
         let slots = [
-            self.register(domain, readl)?,
-            self.register(domain, writel)?,
+            self.register(Domain::Nucleus, readl)?,
+            self.register(Domain::Nucleus, writel)?,
         ];
         self.io_procs.set(Some(slots));
         Ok(())
     }
 
     /// The `[readl, writel]` helpers [`XpcChannel::register_io_procs`]
-    /// registered, if it did.
+    /// registered, if it did: slots of the nucleus end, to be called
+    /// from [`Domain::Decaf`].
     pub fn io_procs(&self) -> Option<[ProcHandle; 2]> {
         self.io_procs.get()
     }
