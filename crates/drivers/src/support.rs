@@ -11,8 +11,8 @@ use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardPolicy, ShardedChannel,
-    XpcChannel, XpcError, XpcResult,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
+    XpcError, XpcResult,
 };
 
 /// How a shmring NIC build collects received frames.
@@ -189,7 +189,6 @@ pub fn channels_from_plan(
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     )
 }
 
@@ -344,7 +343,6 @@ pub fn install_open_loop_net(
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     let mut paths = Vec::with_capacity(shards);
     for i in 0..shards {
@@ -401,7 +399,6 @@ pub fn install_open_loop_storage(
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     let set = UrbRingSet::new(
         "olurb",

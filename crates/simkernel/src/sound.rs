@@ -78,11 +78,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Unregisters a sound card.
-    pub fn snd_card_unregister(&self, name: &str) {
-        self.inner().sound.borrow_mut().cards.remove(name);
-    }
-
     /// Selects the lock the core takes around this card's callbacks.
     pub fn snd_set_lock_mode(&self, name: &str, mode: SoundLockMode) -> KResult<()> {
         match self.inner().sound.borrow_mut().cards.get_mut(name) {

@@ -127,13 +127,6 @@ impl Kernel {
         }
     }
 
-    /// Bumps the named metrics counter.
-    pub fn metric_count(&self, name: &str, delta: u64) {
-        if let Some(t) = self.tracer() {
-            t.registry().count(name, delta);
-        }
-    }
-
     /// Forwards a charge to span attribution (called from
     /// [`Kernel::charge`]; never advances time itself).
     pub(crate) fn trace_attribute(&self, class: CpuClass, ns: u64) {

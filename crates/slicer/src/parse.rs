@@ -1,7 +1,5 @@
 //! Mini-C parser: structs, functions, constants.
 
-use std::collections::HashMap;
-
 use crate::access::RawAccess;
 use crate::ast::{Attr, CType, DecafVar, Field, FuncDef, Program, StructDef};
 use crate::error::{SliceError, SliceResult};
@@ -400,16 +398,6 @@ fn extract_decaf_vars(body: &[Token]) -> Vec<DecafVar> {
         i += 1;
     }
     out
-}
-
-/// Returns a map from function name to its index, for call resolution.
-pub fn function_index(program: &Program) -> HashMap<&str, usize> {
-    program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect()
 }
 
 #[cfg(test)]

@@ -54,11 +54,6 @@ impl MetricsRegistry {
         self.counters.borrow().get(name).copied().unwrap_or(0)
     }
 
-    /// Sorted names of all histograms recorded so far.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.hists.borrow().keys().cloned().collect()
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.hists.borrow().is_empty() && self.counters.borrow().is_empty()

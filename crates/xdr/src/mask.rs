@@ -59,13 +59,6 @@ impl FieldMask {
         FieldMask::default()
     }
 
-    /// Builds a mask from `(field, access)` pairs.
-    pub fn from_entries(entries: impl IntoIterator<Item = (String, Access)>) -> Self {
-        FieldMask {
-            entries: entries.into_iter().collect(),
-        }
-    }
-
     /// Marks a field with an access mode, widening if already present.
     ///
     /// Widening means `Read` + `Write` → `ReadWrite`, matching repeated

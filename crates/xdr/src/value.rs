@@ -131,14 +131,6 @@ impl XdrValue {
         }
     }
 
-    /// Extracts a `u64` from a `UHyper` value.
-    pub fn as_uhyper(&self) -> Option<u64> {
-        match self {
-            XdrValue::UHyper(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Extracts a `bool` from a `Bool` value.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

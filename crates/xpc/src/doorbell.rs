@@ -14,7 +14,7 @@
 //!   otherwise record the coalesce;
 //! * **ring** — one XPC crossing with zero object arguments, carrying
 //!   only the descriptor count; the registered drain handler consumes
-//!   the ring. On an async control transport the doorbell *launches*
+//!   the ring. On a launching control channel the doorbell *launches*
 //!   instead of blocking;
 //! * **re-arm for survivors** — a budgeted or declining consumer may
 //!   leave descriptors parked; the deadline restarts for them instead of
@@ -30,7 +30,6 @@ use decaf_xdr::XdrValue;
 use crate::domain::Domain;
 use crate::endpoint::{ProcHandle, XpcChannel};
 use crate::error::XpcResult;
-use crate::transport::TransportKind;
 
 /// The producer's half of one descriptor ring plus the coalesced
 /// doorbell that tells the consumer "descriptors await".
@@ -132,7 +131,7 @@ impl<D: Copy + Default> Doorbell<D> {
     /// XPC crossing, zero object arguments, carrying only the descriptor
     /// count. The registered drain handler consumes the ring.
     ///
-    /// On an async control transport the doorbell *launches*: the drain
+    /// On a launching control channel the doorbell *launches*: the drain
     /// handler still runs right here (descriptors are consumed and
     /// completed), but the crossing's latency is banked against a
     /// completion token and settled — net of overlap — when the producer
@@ -154,7 +153,7 @@ impl<D: Copy + Default> Doorbell<D> {
                 proc
             }
         };
-        if channel.transport_kind() == TransportKind::Async {
+        if channel.transport_kind().launches() {
             channel.call_async_resolved(kernel, from, proc, &[], &args)?;
             // Launch now: the drain must run before the producer reuses
             // the ring, only the crossing latency is deferred.

@@ -1,13 +1,14 @@
-//! XPC channels: the stub layer over pluggable transports.
+//! XPC channels: the stub layer over one control-transfer seam.
 //!
 //! An [`XpcChannel`] connects two domains. It is split into two layers:
 //!
 //! * the **stub layer** (this module) performs the six steps the paper's
 //!   Jeannie stubs perform (§3.1.1, Figure 2) — tracker translation,
 //!   marshal, transfer, unmarshal, dispatch, out-parameter return;
-//! * the **[`Transport`]** (see [`crate::transport`]) decides how control
-//!   reaches the other side: thread reuse ([`TransportKind::InProc`])
-//!   or deferred batching ([`TransportKind::Batched`]).
+//! * the **[`TransportKind`]** (see [`crate::transport`]) says how
+//!   control reaches the other side — thread reuse (`InProc`), deferred
+//!   batching (`Batched`) or launched, later-harvested batches (`Async`)
+//!   — and the channel's one [`DeferredQueue`] holds what was deferred.
 //!
 //! A call performs:
 //!
@@ -19,17 +20,17 @@
 //!    (field-selective, cycle-aware, and — when `ChannelConfig::delta` is
 //!    on — dirty-field deltas for objects the peer has already seen);
 //! 4. control transfers to the target domain (cost priced by the
-//!    [`Transport`] and whether a protection boundary is crossed);
+//!    [`TransportKind`] and whether a protection boundary is crossed);
 //! 5. the target unmarshals, consulting *its* object tracker so existing
 //!    objects update in place, then the handler runs;
 //! 6. out-parameters marshal back and the caller's objects are updated.
 //!
-//! On a batched transport, deferred calls park in the transport's queue;
-//! the whole batch later crosses in a *single* round trip — its arguments
+//! On a queueing kind, deferred calls park in the channel's queue; the
+//! whole batch later crosses in a *single* round trip — its arguments
 //! share one seen-table (cross-call structure sharing) and the flush is
 //! charged one crossing, not one per call.
 //!
-//! On an *async* transport ([`TransportKind::Async`]), a flush goes one
+//! On the launching kind ([`TransportKind::Async`]), a flush goes one
 //! step further: it **launches** the crossing instead of blocking on it.
 //! [`XpcChannel::call_async`] returns a
 //! [`crate::transport::CompletionToken`]; the batch's crossing latency is
@@ -45,12 +46,11 @@
 //! crashed user process.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use decaf_simkernel::{costs, CpuClass, Kernel, TimerId, ViolationKind};
+use decaf_simkernel::{costs, Kernel, TimerId, ViolationKind};
 use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap, WalkScratch};
 use decaf_xdr::mask::{Direction, MaskSet};
 use decaf_xdr::plan::{MarshalPlan, TypeId};
@@ -59,7 +59,9 @@ use decaf_xdr::{XdrSpec, XdrValue};
 use crate::domain::Domain;
 use crate::error::{XpcError, XpcResult};
 use crate::tracker::{ObjectTracker, TrackerStats};
-use crate::transport::{self, CompletionToken, DeferredCall, Transport, TransportKind};
+use crate::transport::{
+    CompletionToken, DeferredCall, DeferredQueue, TransportKind, BATCH_DEADLINE_NS,
+};
 
 /// Static configuration of a channel.
 #[derive(Debug, Clone, Copy)]
@@ -81,14 +83,6 @@ pub struct ChannelConfig {
     /// shared buffer pool and only 16-byte descriptors plus a coalesced
     /// doorbell cross the boundary. Control paths are unaffected.
     pub shmring: bool,
-    /// Flush watermark of a queueing transport: deferred calls queued
-    /// beyond this point force a flush. Ignored by non-queueing
-    /// transports.
-    pub batch_capacity: usize,
-    /// Adaptive-batching deadline of a queueing transport: a partial
-    /// batch flushes once its oldest call has waited this much virtual
-    /// time. Ignored by non-queueing transports.
-    pub batch_deadline_ns: u64,
 }
 
 impl ChannelConfig {
@@ -102,8 +96,6 @@ impl ChannelConfig {
             transport: TransportKind::InProc,
             delta: false,
             shmring: false,
-            batch_capacity: transport::DEFAULT_BATCH_CAPACITY,
-            batch_deadline_ns: transport::DEFAULT_BATCH_DEADLINE_NS,
         }
     }
 
@@ -400,18 +392,6 @@ impl DomainEnd {
     }
 }
 
-/// One launched flush on an async transport: the batch's tokens plus
-/// the crossing latency banked at launch time, settled at harvest.
-#[derive(Debug)]
-struct LaunchedBatch {
-    /// How many entries of the channel's `launched_tokens` are this
-    /// batch's (batches settle in launch order).
-    tokens: usize,
-    class: CpuClass,
-    launched_at: u64,
-    cost_ns: u64,
-}
-
 /// Deadline-wakeup state: a kernel timer that fires the adaptive-batching
 /// flush *at* the deadline, plus the shard to attribute the flush to.
 #[derive(Debug, Clone, Copy)]
@@ -420,7 +400,7 @@ struct DeadlineWakeup {
     shard: Option<usize>,
 }
 
-/// A two-ended XPC channel: stub layer plus a pluggable transport.
+/// A two-ended XPC channel: stub layer plus the deferred-call queue.
 pub struct XpcChannel {
     /// Shared with the driver image (and every sibling shard) the channel
     /// was built from: the interface is fixed when the driver is sliced,
@@ -430,27 +410,12 @@ pub struct XpcChannel {
     /// from a spec and mask set handed to [`XpcChannel::new`].
     plan: Arc<MarshalPlan>,
     config: ChannelConfig,
-    transport: Box<dyn Transport>,
+    /// Everything deferred on this channel: parked calls, tokens,
+    /// launched batches. `config.transport` says what it does with them.
+    deferred: DeferredQueue,
     a: DomainEnd,
     b: DomainEnd,
     stats: Cell<ChannelStats>,
-    /// True while a flush on an async transport is pricing its two
-    /// crossings: `charge_transfer` banks the cost instead of charging.
-    launching: Cell<bool>,
-    /// Crossing cost accumulated by the in-progress launch.
-    launch_cost: Cell<u64>,
-    /// Launched-but-unharvested batches, in launch order.
-    launched: RefCell<VecDeque<LaunchedBatch>>,
-    /// The tokens of every launched batch, back to back in launch order.
-    launched_tokens: RefCell<VecDeque<CompletionToken>>,
-    /// Tokens issued and not yet harvested or cancelled, ascending: the
-    /// transport mints them in increasing order and they enter here as
-    /// they are minted, so the ledger is a sorted queue, not a hash set.
-    outstanding: RefCell<VecDeque<u64>>,
-    /// Token numbers for calls that resolved synchronously (degraded
-    /// mode on a non-async transport, or per-call fallback): a disjoint
-    /// high range so they can never collide with transport-minted ones.
-    next_sync_token: Cell<u64>,
     /// Deadline-wakeup timer, once [`XpcChannel::arm_deadline_wakeups`]
     /// opted this channel in. `None` means the classic behavior: the
     /// deadline is only evaluated when the next call or poll arrives.
@@ -528,20 +493,10 @@ impl XpcChannel {
             spec,
             plan,
             config,
-            transport: transport::build(
-                config.transport,
-                config.batch_capacity,
-                config.batch_deadline_ns,
-            ),
+            deferred: DeferredQueue::new(config.transport),
             a: DomainEnd::new(a, a.heap_base() + heap_offset),
             b: DomainEnd::new(b, b.heap_base() + heap_offset),
             stats: Cell::new(ChannelStats::default()),
-            launching: Cell::new(false),
-            launch_cost: Cell::new(0),
-            launched: RefCell::new(VecDeque::new()),
-            launched_tokens: RefCell::new(VecDeque::new()),
-            outstanding: RefCell::new(VecDeque::new()),
-            next_sync_token: Cell::new(1 << 63),
             wakeup: Cell::new(None),
             wire: Cell::new(Vec::new()),
             queue: Cell::new(Vec::new()),
@@ -555,21 +510,21 @@ impl XpcChannel {
 
     /// The transport kind this channel crosses with.
     pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
+        self.config.transport
     }
 
-    /// Deferred calls currently parked in the transport queue.
+    /// Deferred calls currently parked.
     pub fn pending_deferred(&self) -> usize {
-        self.transport.pending()
+        self.deferred.pending()
     }
 
-    /// Takes every parked deferred call out of the transport *without*
+    /// Takes every parked deferred call out of the queue *without*
     /// executing it — the fault-recovery hook a sharded facade uses to
     /// requeue a dead shard's in-flight calls after resetting its user
     /// end. The calls are returned in defer order.
     pub fn take_deferred(&self) -> Vec<DeferredCall> {
         let mut parked = Vec::new();
-        self.transport.drain(&mut parked);
+        self.deferred.drain(&mut parked);
         parked
     }
 
@@ -623,13 +578,6 @@ impl XpcChannel {
         self.end(domain)
             .map(|e| e.tracker.borrow().stats())
             .unwrap_or_default()
-    }
-
-    /// Live tracker associations at one end (test/diagnostic helper).
-    pub fn tracker_len(&self, domain: Domain) -> usize {
-        self.end(domain)
-            .map(|e| e.tracker.borrow().len())
-            .unwrap_or(0)
     }
 
     /// Registers a procedure at `domain`'s end. A name registered before
@@ -762,8 +710,8 @@ impl XpcChannel {
         *e.tracker.borrow_mut() = ObjectTracker::new();
         e.delta.borrow_mut().clear();
         self.peer(domain)?.delta.borrow_mut().clear();
-        let cancelled = self.transport.retain(&|c| c.from != domain);
-        self.cancel_tokens(&cancelled);
+        let cancelled = self.deferred.retain(|c| c.from != domain);
+        self.bump(|s| s.tokens_cancelled += cancelled.len() as u64);
         Ok(())
     }
 
@@ -778,20 +726,27 @@ impl XpcChannel {
         self.peer(domain).map(|e| e.domain)
     }
 
-    fn charge_transfer(&self, kernel: &Kernel, payer: Domain, bytes: usize) {
+    /// Prices one one-way transfer of `bytes` paid by `payer`. This is
+    /// the one instrumentation point covering every transport kind:
+    /// every synchronous crossing emits an `xpc.crossing` trace instant
+    /// named after its kind.
+    fn charge_transfer(&self, kernel: &Kernel, launch: bool, payer: Domain, bytes: usize) {
         self.bump(|s| s.one_way_crossings += 1);
         let class = payer.cpu_class();
-        if self.launching.get() {
-            // An async launch banks the crossing latency for harvest to
-            // settle; the marshal work below is CPU time spent *now* and
-            // is charged regardless.
-            self.launch_cost.set(
-                self.launch_cost.get()
-                    + self.transport.crossing_cost_ns(self.config.domain_crossing),
-            );
+        let (kind, domain_crossing) = (self.config.transport, self.config.domain_crossing);
+        let cost = kind.crossing_cost_ns(domain_crossing);
+        if launch {
+            // A launch banks the crossing latency for harvest to settle;
+            // the marshal work below is CPU time spent *now* and is
+            // charged regardless.
+            self.deferred.bank(cost);
         } else {
-            self.transport
-                .charge_crossing(kernel, class, self.config.domain_crossing);
+            kernel.charge(class, cost);
+            kernel.trace_instant(
+                "xpc.crossing",
+                kind.name(),
+                &[("cost_ns", cost), ("domain", domain_crossing as u64)],
+            );
         }
         kernel.charge(class, bytes as u64 * costs::MARSHAL_BYTE_NS);
     }
@@ -915,12 +870,9 @@ impl XpcChannel {
             Direction::In => s.bytes_in += bytes as u64,
             Direction::Out => s.bytes_out += bytes as u64,
         });
-        // Nested synchronous calls made by the handlers must price their
-        // own crossings normally — the launch bracket covers only this
-        // transfer.
-        self.launching.set(launch);
-        self.charge_transfer(kernel, src.domain, bytes);
-        self.launching.set(false);
+        // Only this transfer is banked: nested synchronous calls made by
+        // the handlers price their own crossings normally.
+        self.charge_transfer(kernel, launch, src.domain, bytes);
         if !objects {
             return Ok(());
         }
@@ -995,10 +947,6 @@ impl XpcChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
-        debug_assert!(
-            !self.launching.get(),
-            "synchronous call entered while a launch was pricing its crossings"
-        );
         let _span = kernel.trace_span("xpc", "call");
         let caller = self.end(from)?;
         let target = self.peer(from)?;
@@ -1068,10 +1016,11 @@ impl XpcChannel {
         Ok(ret)
     }
 
-    /// Parks a result-free call in the transport's deferred queue (the
-    /// doorbell pattern). On a non-batching transport this degrades to a
-    /// synchronous [`XpcChannel::call`] whose result is discarded, so
-    /// drivers use one code path and the transport decides the policy.
+    /// Parks a result-free call in the channel's deferred queue (the
+    /// doorbell pattern). On a kind that does not queue this degrades to
+    /// a synchronous [`XpcChannel::call`] whose result is discarded, so
+    /// drivers use one code path and the transport kind decides the
+    /// policy.
     ///
     /// Deferred calls execute at the next flush — triggered by queue
     /// capacity, an explicit [`XpcChannel::flush`], or any synchronous
@@ -1104,10 +1053,10 @@ impl XpcChannel {
         self.park(kernel, from, proc, args, scalars).map(|_| ())
     }
 
-    /// Offers one call to the transport. `Some(token)`: parked on a
-    /// completion-based transport, which tracks every deferred call,
-    /// whoever enqueued it. `None`: parked untracked, or — on a transport
-    /// that does not queue — executed synchronously.
+    /// Offers one call to the queue. `Some(token)`: parked on a launching
+    /// channel, which tracks every deferred call, whoever enqueued it.
+    /// `None`: parked untracked, or — on a kind that does not queue —
+    /// executed synchronously.
     fn park(
         &self,
         kernel: &Kernel,
@@ -1126,18 +1075,13 @@ impl XpcChannel {
         (call.from, call.proc) = (from, proc);
         call.args.extend_from_slice(args);
         call.scalars.extend_from_slice(scalars);
-        match self.transport.offer(kernel, from.cpu_class(), call) {
+        match self.deferred.offer(kernel, from.cpu_class(), call) {
             Ok(token) => {
-                if let Some(token) = token {
-                    let mut outstanding = self.outstanding.borrow_mut();
-                    debug_assert!(outstanding.back().is_none_or(|&last| last < token.0));
-                    outstanding.push_back(token.0);
-                    self.bump(|s| s.tokens_issued += 1);
-                }
-                self.bump(|s| s.deferred_calls += 1);
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
+                self.bump(|s| {
+                    s.tokens_issued += token.is_some() as u64;
+                    s.deferred_calls += 1;
+                });
+                self.flush_if_due(kernel)?;
                 self.schedule_deadline_wakeup(kernel);
                 Ok(token)
             }
@@ -1162,10 +1106,10 @@ impl XpcChannel {
 
     /// Issues a result-free call asynchronously, returning a
     /// [`CompletionToken`] that resolves when the call's launch crossing
-    /// is harvested. On a non-async transport the call degrades to the
-    /// transport's own policy (batched deferral or a synchronous call)
+    /// is harvested. On a kind that does not launch the call degrades to
+    /// that kind's own policy (batched deferral or a synchronous call)
     /// and the token is born resolved — drivers use one code path, the
-    /// transport decides how asynchronous it really is.
+    /// transport kind decides how asynchronous it really is.
     pub fn call_async(
         &self,
         kernel: &Kernel,
@@ -1189,7 +1133,7 @@ impl XpcChannel {
     ) -> XpcResult<CompletionToken> {
         match self.park(kernel, from, proc, args, scalars)? {
             Some(token) => Ok(token),
-            // Parked on a batched transport (the token resolves with the
+            // Parked on a batched channel (the token resolves with the
             // next flush, which is synchronous there) or executed on the
             // spot: either way the token is born resolved.
             None => {
@@ -1197,28 +1141,21 @@ impl XpcChannel {
                     s.tokens_issued += 1;
                     s.tokens_harvested += 1;
                 });
-                Ok(self.mint_sync_token())
+                Ok(self.deferred.mint_resolved())
             }
         }
-    }
-
-    /// A pre-resolved token from the disjoint synchronous range.
-    fn mint_sync_token(&self) -> CompletionToken {
-        let t = CompletionToken(self.next_sync_token.get());
-        self.next_sync_token.set(t.0 + 1);
-        t
     }
 
     /// Re-parks a deferred call taken out by [`XpcChannel::take_deferred`]
     /// (the fault-recovery requeue path). The call keeps its completion
     /// token if it has one — requeuing never re-issues — so conservation
     /// (`tokens_issued == tokens_harvested + tokens_cancelled`) holds
-    /// across recovery. On a non-queueing transport the call executes
+    /// across recovery. On a kind that does not queue the call executes
     /// synchronously and its token (if any) resolves immediately.
     pub fn requeue_deferred(&self, kernel: &Kernel, call: DeferredCall) -> XpcResult<()> {
         self.def(self.peer(call.from)?, call.proc)?;
         let token = call.token;
-        match self.transport.offer(kernel, call.from.cpu_class(), call) {
+        match self.deferred.offer(kernel, call.from.cpu_class(), call) {
             Ok(_) => {
                 self.bump(|s| s.deferred_calls += 1);
                 self.schedule_deadline_wakeup(kernel);
@@ -1226,39 +1163,30 @@ impl XpcChannel {
             }
             Err(call) => {
                 self.call_resolved(kernel, call.from, call.proc, &call.args, &call.scalars)?;
-                if let Some(t) = token {
-                    self.resolve_tokens(&[t]);
-                }
+                self.resolve_tokens(token);
                 Ok(())
             }
         }
     }
 
-    /// Strikes `token` off the outstanding ledger; whether it was on it.
-    fn settle(&self, token: CompletionToken) -> bool {
-        let mut outstanding = self.outstanding.borrow_mut();
-        let at = outstanding.binary_search(&token.0);
-        at.map(|i| outstanding.remove(i)).is_ok()
-    }
-
-    /// Marks tokens resolved: removes them from the outstanding set and
-    /// counts them harvested.
-    fn resolve_tokens(&self, tokens: &[CompletionToken]) {
-        let resolved = tokens.iter().filter(|t| self.settle(**t)).count() as u64;
+    /// Marks tokens resolved: strikes them off the ledger and counts
+    /// them harvested.
+    fn resolve_tokens(&self, tokens: impl IntoIterator<Item = CompletionToken>) {
+        let resolved = self.deferred.settle(tokens);
         self.bump(|s| s.tokens_harvested += resolved);
     }
 
     /// Cancels tokens whose calls were dropped before launching (fault
-    /// recovery): removes them from the outstanding set and counts them
-    /// cancelled, never harvested.
+    /// recovery): strikes them off the ledger and counts them cancelled,
+    /// never harvested.
     pub fn cancel_tokens(&self, tokens: &[CompletionToken]) {
-        let cancelled = tokens.iter().filter(|t| self.settle(**t)).count() as u64;
+        let cancelled = self.deferred.settle(tokens.iter().copied());
         self.bump(|s| s.tokens_cancelled += cancelled);
     }
 
     /// Tokens issued and not yet harvested or cancelled.
     pub fn tokens_outstanding(&self) -> usize {
-        self.outstanding.borrow().len()
+        self.deferred.outstanding()
     }
 
     /// Harvests every launched batch: settles each batch's banked
@@ -1275,45 +1203,13 @@ impl XpcChannel {
     /// [`XpcChannel::harvest`] for callers on a per-packet path: each
     /// resolved token is handed to `each` instead of collected into a
     /// fresh `Vec`. Returns how many resolved.
-    pub fn harvest_with(&self, kernel: &Kernel, mut each: impl FnMut(CompletionToken)) -> usize {
-        if self.launched.borrow().is_empty() {
-            // Poll paths harvest on every probe; emit no trace events
-            // (and open no span) when there is nothing to settle.
-            return 0;
-        }
-        let _span = kernel.trace_span("xpc", "harvest");
-        let mut resolved = 0;
-        loop {
-            let Some(batch) = self.launched.borrow_mut().pop_front() else {
-                break;
-            };
-            let elapsed = kernel.now_ns().saturating_sub(batch.launched_at);
-            let covered = elapsed.min(batch.cost_ns);
-            let uncovered = batch.cost_ns - covered;
-            if uncovered > 0 {
-                kernel.charge(batch.class, uncovered);
-            }
-            kernel.trace_instant(
-                "xpc.batch",
-                "harvest",
-                &[
-                    ("tokens", batch.tokens as u64),
-                    ("overlap_ns", covered),
-                    ("uncovered_ns", uncovered),
-                ],
-            );
-            self.bump(|s| s.overlap_ns += covered);
-            let mut harvested = 0;
-            for _ in 0..batch.tokens {
-                let token = self.launched_tokens.borrow_mut().pop_front();
-                let token = token.expect("a launched batch's tokens are queued");
-                harvested += self.settle(token) as u64;
-                each(token);
-            }
-            self.bump(|s| s.tokens_harvested += harvested);
-            resolved += batch.tokens;
-        }
-        resolved
+    pub fn harvest_with(&self, kernel: &Kernel, each: impl FnMut(CompletionToken)) -> usize {
+        let done = self.deferred.harvest(kernel, each);
+        self.bump(|s| {
+            s.overlap_ns += done.overlap_ns;
+            s.tokens_harvested += done.settled;
+        });
+        done.tokens
     }
 
     /// Resolves one token: flushes the queue if the token's call has not
@@ -1324,32 +1220,34 @@ impl XpcChannel {
         kernel: &Kernel,
         token: CompletionToken,
     ) -> XpcResult<Vec<CompletionToken>> {
-        let outstanding = || self.outstanding.borrow().binary_search(&token.0).is_ok();
-        if !outstanding() {
+        let Some(launched) = self.deferred.unresolved(token) else {
             return Ok(Vec::new());
-        }
-        if !self.launched_tokens.borrow().contains(&token) {
+        };
+        if !launched {
             self.flush(kernel)?;
         }
         let resolved = self.harvest(kernel);
-        debug_assert!(!outstanding(), "wait_token must resolve its token");
+        debug_assert!(
+            self.deferred.unresolved(token).is_none(),
+            "wait_token must resolve its token"
+        );
         Ok(resolved)
     }
 
-    /// Flushes the deferred queue only if the transport says a flush is
+    /// Flushes the deferred queue only if its rule says a flush is
     /// due — at capacity, or past the adaptive-batching deadline. Poll
     /// this from timers or scheduling points so low-rate control paths
     /// do not hold posted writes longer than the coalescing window.
     pub fn flush_if_due(&self, kernel: &Kernel) -> XpcResult<bool> {
-        if self.transport.flush_due(kernel) {
+        let due = self.deferred.flush_due(kernel.now_ns());
+        if due {
             self.flush(kernel)?;
-            return Ok(true);
         }
-        Ok(false)
+        Ok(due)
     }
 
     /// Opts this channel into timer-driven deadline flushes: whenever a
-    /// queueing transport arms its adaptive-batching deadline, a kernel
+    /// parked call arms the adaptive-batching deadline, a kernel
     /// timer is scheduled so the flush fires *at* the deadline even if
     /// no further call or poll ever arrives.
     ///
@@ -1373,7 +1271,7 @@ impl XpcChannel {
             "xpc.deadline",
             Rc::new(move |k: &Kernel| {
                 let Some(ch) = cb.upgrade() else { return };
-                if ch.transport.pending() == 0 {
+                if ch.deferred.pending() == 0 {
                     // The queue flushed through another path before the
                     // timer fired; nothing to do, nothing to re-arm.
                     return;
@@ -1424,10 +1322,10 @@ impl XpcChannel {
         if kernel.timer_pending(w.timer) {
             return;
         }
-        let Some(oldest) = self.transport.oldest_deferred_at() else {
+        let Some(oldest) = self.deferred.oldest_deferred_at() else {
             return;
         };
-        let deadline = oldest + self.config.batch_deadline_ns;
+        let deadline = oldest + BATCH_DEADLINE_NS;
         kernel.timer_arm(w.timer, deadline.saturating_sub(kernel.now_ns()));
     }
 
@@ -1438,20 +1336,14 @@ impl XpcChannel {
     /// A group that fails to marshal as a batch (say, one call's object
     /// argument was freed between defer and flush) neither takes its
     /// neighbors down nor surfaces its error on an unrelated later
-    /// synchronous call: the group's calls re-execute one by one, and
+    /// synchronous call: the group's calls execute one by one, and
     /// individual failures are counted as faults — deferred calls have
     /// no caller waiting to receive an error.
     pub fn flush(&self, kernel: &Kernel) -> XpcResult<()> {
         // A flushed handler may defer again; bound the ping-pong.
         for _ in 0..64 {
-            let pending_before = self.transport.pending();
             let mut queue = self.queue.take();
-            self.transport.drain(&mut queue);
-            debug_assert!(
-                pending_before > 0 || queue.is_empty(),
-                "transport reported pending() == 0 but drained {} calls",
-                queue.len()
-            );
+            self.deferred.drain(&mut queue);
             if queue.is_empty() {
                 self.queue.set(queue);
                 return Ok(());
@@ -1464,10 +1356,7 @@ impl XpcChannel {
                     .position(|c| c.from != from)
                     .map_or(queue.len(), |p| i + p);
                 if self.flush_group(kernel, &queue[i..end]).is_err() {
-                    // A failed group launch banks nothing: clear the
-                    // launch bracket and any partially accumulated cost.
-                    self.launching.set(false);
-                    self.launch_cost.set(0);
+                    self.deferred.abort_launch();
                     for call in &queue[i..end] {
                         let one = self.call_inner(
                             kernel,
@@ -1485,9 +1374,7 @@ impl XpcChannel {
                         // The per-call fallback is synchronous: the
                         // call's token (fault or not, the call is done)
                         // resolves here.
-                        if let Some(t) = call.token {
-                            self.resolve_tokens(&[t]);
-                        }
+                        self.resolve_tokens(call.token);
                     }
                 }
                 i = end;
@@ -1497,17 +1384,20 @@ impl XpcChannel {
         }
         // Handlers kept re-deferring past the bound: surface the broken
         // ordering guarantee instead of silently leaving calls parked.
-        Err(XpcError::FlushDiverged(self.transport.pending()))
+        Err(XpcError::FlushDiverged(self.deferred.pending()))
     }
 
     /// Executes one same-direction batch of deferred calls as a single
-    /// crossing — *launched* rather than waited on, on an async
-    /// transport: the two crossing charges are banked against the
-    /// batch's tokens and settled at harvest, while the data effects
-    /// (unmarshal, dispatch, out-parameter return) land right here.
+    /// crossing — *launched* rather than waited on, on a launching kind:
+    /// the two crossing charges are banked against the batch's tokens
+    /// and settled at harvest, while the data effects (unmarshal,
+    /// dispatch, out-parameter return) land right here.
+    ///
+    /// `Err` means no handler ran, so the caller may still execute the
+    /// group call by call.
     fn flush_group(&self, kernel: &Kernel, group: &[DeferredCall]) -> XpcResult<()> {
         let _span = kernel.trace_span("xpc", "flush");
-        let launch = self.transport.kind() == TransportKind::Async;
+        let launch = self.config.transport.launches();
         let from = group[0].from;
         let caller = self.end(from)?;
         let target = self.peer(from)?;
@@ -1561,7 +1451,7 @@ impl XpcChannel {
 
         // One return crossing updates every caller-side object.
         let (dir, unused) = (Direction::Out, &mut |_| ());
-        self.cross(
+        let returned = self.cross(
             kernel,
             launch,
             target,
@@ -1571,37 +1461,22 @@ impl XpcChannel {
             dir,
             0,
             unused,
-        )?;
+        );
+        if returned.is_err() {
+            // The handlers have run (one freed an argument, say): the
+            // group is done and must not run again. One fault, nothing
+            // banked, and its tokens resolve here, synchronously.
+            self.deferred.abort_launch();
+            self.bump(|s| s.faults += 1);
+            self.resolve_tokens(group.iter().filter_map(|c| c.token));
+            return Ok(());
+        }
         self.locals.set(locals);
         defs.clear();
         self.defs.set(defs);
 
         if launch {
-            // Bank the batch's crossing latency for harvest to settle:
-            // elapsed virtual time from here on covers it as overlap.
-            let cost_ns = self.launch_cost.take();
-            let mut launched_tokens = self.launched_tokens.borrow_mut();
-            let before = launched_tokens.len();
-            launched_tokens.extend(group.iter().filter_map(|c| c.token));
-            let tokens = launched_tokens.len() - before;
-            kernel.trace_instant(
-                "xpc.batch",
-                "launch",
-                &[
-                    ("tokens", tokens as u64),
-                    (
-                        "first_token",
-                        launched_tokens.get(before).map_or(0, |t| t.0),
-                    ),
-                    ("cost_ns", cost_ns),
-                ],
-            );
-            self.launched.borrow_mut().push_back(LaunchedBatch {
-                tokens,
-                class: from.cpu_class(),
-                launched_at: kernel.now_ns(),
-                cost_ns,
-            });
+            self.deferred.launch(kernel, from.cpu_class(), group);
         }
 
         self.bump(|s| {
@@ -2081,20 +1956,10 @@ mod tests {
     #[test]
     fn batched_queue_flushes_at_capacity() {
         let k = Kernel::new();
-        let config = ChannelConfig {
-            batch_capacity: 5,
-            ..ChannelConfig::kernel_user_batched()
-        };
-        let ch = XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            config,
-            Domain::Nucleus,
-            Domain::Decaf,
-        );
+        let ch = batched_channel();
         register_noop(&ch, "touch");
         let adapter = alloc_adapter(&ch);
-        for _ in 0..config.batch_capacity {
+        for _ in 0..crate::transport::BATCH_CAPACITY {
             ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
                 .unwrap();
         }
@@ -2241,19 +2106,9 @@ mod tests {
         // reset drops the dead domain's deferred calls; the survivors'
         // deadline must then be measured from their own defer times, not
         // from the dropped (older) call the shared anchor used to track.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let config = ChannelConfig {
-            batch_deadline_ns: WINDOW,
-            ..ChannelConfig::kernel_user_batched()
-        };
-        let ch = XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            config,
-            Domain::Nucleus,
-            Domain::Decaf,
-        );
+        let ch = batched_channel();
         register_noop(&ch, "touch");
         ch.register_proc(
             Domain::Nucleus,
@@ -2555,6 +2410,56 @@ mod tests {
     }
 
     #[test]
+    fn failed_return_leg_does_not_run_the_batch_again() {
+        // Regression: `flush` took any group error for "failed to
+        // marshal" and executed every call one by one — but the return
+        // crossing fails *after* the handlers ran. Here `free_it` frees
+        // its decaf-side copy, so the out-parameters cannot marshal.
+        for config in [
+            ChannelConfig::kernel_user_batched(),
+            ChannelConfig::kernel_user_async(),
+        ] {
+            let k = Kernel::new();
+            let ch = XpcChannel::new(
+                spec(),
+                MaskSet::full(),
+                config,
+                Domain::Nucleus,
+                Domain::Decaf,
+            );
+            let ran = Rc::new(Cell::new(0u32));
+            let r = Rc::clone(&ran);
+            let count = ProcDef::scalar("count", move |_, _| {
+                r.set(r.get() + 1);
+                XdrValue::Void
+            });
+            ch.register_proc(Domain::Decaf, count).unwrap();
+            let free_it = ProcDef::entry("free_it", ["adapter"], |_, ch, args, _| {
+                ch.heap(Domain::Decaf).borrow_mut().free(args[0].unwrap());
+                XdrValue::Void
+            });
+            ch.register_proc(Domain::Decaf, free_it).unwrap();
+            let adapter = alloc_adapter(&ch);
+            ch.call_async(&k, Domain::Nucleus, "count", &[], &[])
+                .unwrap();
+            ch.call_async(&k, Domain::Nucleus, "free_it", &[Some(adapter)], &[])
+                .unwrap();
+            ch.flush(&k).unwrap();
+            assert_eq!(ran.get(), 1, "{config:?}: each deferred call runs once");
+            let s = ch.stats();
+            assert_eq!(s.faults, 1, "{config:?}: the lost return leg is one fault");
+            assert_eq!((s.flushes, s.round_trips), (0, 0), "nothing completed");
+            // Nothing was launched; both tokens resolved with the group.
+            assert!(ch.harvest(&k).is_empty());
+            assert_eq!((s.tokens_issued, s.tokens_harvested), (2, 2));
+            assert_eq!(ch.tokens_outstanding(), 0);
+            // The channel still works.
+            ch.call(&k, Domain::Nucleus, "count", &[], &[]).unwrap();
+            assert_eq!(ran.get(), 2);
+        }
+    }
+
+    #[test]
     fn async_busy_time_never_exceeds_batched() {
         // The acceptance property in miniature: the same deferred
         // workload, paced identically, costs no more busy time on async
@@ -2598,18 +2503,9 @@ mod tests {
         // nothing evaluates `flush_if_due` and the call waits forever.
         // With wakeups armed, a kernel timer fires *at* the deadline and
         // flushes from a work item — no manual polling below.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let ch = Rc::new(XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_batched()
-            },
-            Domain::Nucleus,
-            Domain::Decaf,
-        ));
+        let ch = Rc::new(batched_channel());
         let ran = Rc::new(Cell::new(0u32));
         let r = Rc::clone(&ran);
         ch.register_proc(
@@ -2644,18 +2540,9 @@ mod tests {
         // `call_async` whose caller went to do other work. The timer
         // launches the batch at the deadline; the token resolves after a
         // harvest without the caller ever re-entering the channel.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let ch = Rc::new(XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_async()
-            },
-            Domain::Nucleus,
-            Domain::Decaf,
-        ));
+        let ch = Rc::new(async_channel());
         let ran = Rc::new(Cell::new(0u32));
         let r = Rc::clone(&ran);
         ch.register_proc(
@@ -2775,7 +2662,7 @@ mod tests {
             .unwrap();
         ch.flush(&k).unwrap();
         step_done();
-        if config.transport == TransportKind::Async {
+        if config.transport.launches() {
             ch.call_async(&k, Domain::Nucleus, "bell", &[], &count)
                 .unwrap();
             ch.flush(&k).unwrap();

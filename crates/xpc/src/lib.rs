@@ -5,12 +5,13 @@
 //! protection domains with five services (paper §2.3):
 //!
 //! 1. **Control transfer** — procedure-call semantics across the
-//!    kernel/user boundary (block and wait), behind the pluggable
-//!    [`transport::Transport`] trait: thread reuse, dedicated-thread
-//!    handoff, deferred-call batching that flushes many calls in one
-//!    crossing, or completion-based async launches whose crossing cost is
-//!    banked against a [`transport::CompletionToken`] and settled — net of
-//!    whatever computation overlapped the crossing — at harvest time.
+//!    kernel/user boundary (block and wait), in one of three
+//!    [`transport::TransportKind`]s: thread reuse, deferred-call batching
+//!    that flushes many calls in one crossing, or completion-based async
+//!    launches whose crossing cost is banked against a
+//!    [`transport::CompletionToken`] and settled — net of whatever
+//!    computation overlapped the crossing — at harvest time. One
+//!    [`transport::DeferredQueue`] per channel holds what was deferred.
 //! 2. **Object transfer** — field-selective XDR marshaling of structures
 //!    ([`decaf_xdr`]).
 //! 3. **Object sharing** — an [`tracker::ObjectTracker`] records each
@@ -36,7 +37,7 @@
 //! like netperf does.
 //!
 //! [`shard::ShardedChannel`] scales both layers out: N parallel channels
-//! (per-CPU or per-flow) behind one facade, each with its own transport
+//! (per-CPU or per-flow) behind one facade, each with its own deferred
 //! queue, delta maps and generation counters — home-channel pinning for
 //! shared objects, flow-hash steering for data-path traffic, stats that
 //! aggregate across shards, and per-shard fault recovery.
@@ -80,10 +81,8 @@ pub use domain::Domain;
 pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, ProcHandle, SharedObject, XpcChannel};
 pub use error::{XpcError, XpcResult};
 pub use runtime::{DecafRuntime, NuclearRuntime};
-pub use shard::{ShardPolicy, ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
+pub use shard::{ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
 pub use shardurb::ShardedUrbPath;
 pub use tracker::{ObjectTracker, TrackerStats};
-pub use transport::{
-    Async, Batched, CompletionToken, DeferredCall, InProc, Transport, TransportKind,
-};
+pub use transport::{CompletionToken, DeferredCall, DeferredQueue, TransportKind};
 pub use urbpath::{UrbDataPath, UrbEnd, UrbPathStats, UrbReclaim};

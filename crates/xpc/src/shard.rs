@@ -1,9 +1,9 @@
 //! Multi-channel sharded XPC: N parallel channels behind one facade.
 //!
 //! A single [`XpcChannel`] serializes every kernel/user crossing through
-//! one transport queue and one pair of delta maps. Heavy traffic wants N
+//! one deferred queue and one pair of delta maps. Heavy traffic wants N
 //! parallel channels — per-CPU or per-flow — each with its *own*
-//! transport queue, delta maps and generation counters, so independent
+//! deferred queue, delta maps and generation counters, so independent
 //! work never contends. [`ShardedChannel`] is that facade, with the two
 //! policies sharding requires:
 //!
@@ -18,8 +18,8 @@
 //!   silent split.
 //! * **Flow-hash steering** — scalar-only calls (doorbells, posted
 //!   register writes, data-path descriptors) have no home; they steer by
-//!   a deterministic flow hash so one flow stays ordered on one shard
-//!   while distinct flows spread.
+//!   a deterministic hash of the procedure name, so one procedure's
+//!   calls stay ordered on one shard while distinct procedures spread.
 //!
 //! Each shard channel's heaps are based at the domain base plus
 //! `shard × `[`SHARD_HEAP_STRIDE`], so every address in the system names
@@ -30,7 +30,7 @@
 //! high-water marks take the max.
 //!
 //! Fault recovery composes per shard: [`ShardedChannel::recover_shard`]
-//! takes a dead shard's parked deferred calls out of its transport,
+//! takes a dead shard's parked deferred calls out of its queue,
 //! resets the failed end (clearing both delta maps, so nothing is ever
 //! delta-encoded against vanished state), and requeues the surviving
 //! calls on the fresh channel — each call applies exactly once, and the
@@ -100,19 +100,6 @@ pub const SHARD_HEAP_STRIDE: u64 = 0x0010_0000;
 /// inside its domain's region (domain bases are 0x3000_0000 apart).
 pub const MAX_SHARDS: usize = 64;
 
-/// How scalar-only calls (no object argument to pin by) are steered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Pin them to shard 0, the control shard: configuration traffic
-    /// stays ordered on one queue. Object-carrying calls still steer to
-    /// their argument's home shard.
-    HomePin,
-    /// Steer by a flow hash of the procedure name (or the explicit flow
-    /// key of the `*_flow` call variants): data-path traffic spreads
-    /// across shards while each flow stays ordered.
-    FlowHash,
-}
-
 /// N parallel [`XpcChannel`]s behind one facade.
 ///
 /// # Example
@@ -121,7 +108,7 @@ pub enum ShardPolicy {
 /// use std::rc::Rc;
 /// use decaf_simkernel::Kernel;
 /// use decaf_xdr::{mask::MaskSet, XdrSpec, XdrValue};
-/// use decaf_xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+/// use decaf_xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel};
 ///
 /// let kernel = Kernel::new();
 /// let ch = ShardedChannel::new(
@@ -131,7 +118,6 @@ pub enum ShardPolicy {
 ///     Domain::Nucleus,
 ///     Domain::Decaf,
 ///     4,
-///     ShardPolicy::FlowHash,
 /// );
 /// ch.register_proc(
 ///     Domain::Decaf,
@@ -153,7 +139,6 @@ pub enum ShardPolicy {
 /// ```
 pub struct ShardedChannel {
     shards: Vec<Rc<XpcChannel>>,
-    policy: ShardPolicy,
     /// Home shard of every facade-allocated object, keyed by the address
     /// at the allocating end (addresses are globally unique across
     /// shards thanks to the heap stride).
@@ -164,7 +149,7 @@ pub struct ShardedChannel {
 
 impl ShardedChannel {
     /// Builds `shards` parallel channels between `a` and `b`, each with
-    /// its own transport, delta maps and heaps (disjoint address
+    /// its own deferred queue, delta maps and heaps (disjoint address
     /// ranges). The interface spec and the marshaling compiled from the
     /// masks are the one thing the shards share: every shard holds the
     /// same pointers.
@@ -178,11 +163,10 @@ impl ShardedChannel {
         a: Domain,
         b: Domain,
         shards: usize,
-        policy: ShardPolicy,
     ) -> Rc<Self> {
         let spec = spec.into();
         let plan = Arc::new(MarshalPlan::compile(&spec, &masks.into()));
-        ShardedChannel::with_plan(spec, plan, config, a, b, shards, policy)
+        ShardedChannel::with_plan(spec, plan, config, a, b, shards)
     }
 
     /// Like [`ShardedChannel::new`], over marshaling already compiled —
@@ -198,7 +182,6 @@ impl ShardedChannel {
         a: Domain,
         b: Domain,
         shards: usize,
-        policy: ShardPolicy,
     ) -> Rc<Self> {
         assert!(
             (1..=MAX_SHARDS).contains(&shards),
@@ -217,7 +200,6 @@ impl ShardedChannel {
                     ))
                 })
                 .collect(),
-            policy,
             homes: RefCell::new(HashMap::new()),
             next_home: Cell::new(0),
         })
@@ -226,11 +208,6 @@ impl ShardedChannel {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The steering policy for scalar-only calls.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
     }
 
     /// Shard `i`'s underlying channel (data paths attach their doorbells
@@ -279,16 +256,10 @@ impl ShardedChannel {
     }
 
     /// Steers one call: object arguments pin it to their (single) home
-    /// shard; scalar-only calls follow `flow` or the facade policy.
-    /// Every successful steering decision emits a `shard.steer` trace
-    /// instant recording the chosen shard (by-home or by-flow).
-    fn steer(
-        &self,
-        kernel: &Kernel,
-        proc: &str,
-        args: &[Option<CAddr>],
-        flow: Option<u64>,
-    ) -> XpcResult<usize> {
+    /// shard; scalar-only calls follow a flow hash of the procedure
+    /// name. Every successful steering decision emits a `shard.steer`
+    /// trace instant recording the chosen shard (by-home or by-flow).
+    fn steer(&self, kernel: &Kernel, proc: &str, args: &[Option<CAddr>]) -> XpcResult<usize> {
         let homes = self.homes.borrow();
         let mut object_home = None;
         for addr in args.iter().flatten() {
@@ -313,19 +284,10 @@ impl ShardedChannel {
         let (shard, by_home) = match object_home {
             Some(home) => (home, 1),
             None => {
-                let shard = match flow {
-                    Some(key) => (flow_hash(key) % self.shards.len() as u64) as usize,
-                    None => match self.policy {
-                        ShardPolicy::HomePin => 0,
-                        ShardPolicy::FlowHash => {
-                            let key = proc.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-                            });
-                            (flow_hash(key) % self.shards.len() as u64) as usize
-                        }
-                    },
-                };
-                (shard, 0)
+                let key = proc.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+                });
+                ((flow_hash(key) % self.shards.len() as u64) as usize, 0)
             }
         };
         kernel.trace_instant(
@@ -337,9 +299,8 @@ impl ShardedChannel {
     }
 
     /// A synchronous call through the facade; steered to the argument's
-    /// home shard (object-carrying calls) or by the facade's
-    /// [`ShardPolicy`] (scalar-only calls). Returns the handler's scalar
-    /// result.
+    /// home shard (object-carrying calls) or by the procedure name's flow
+    /// hash (scalar-only calls). Returns the handler's scalar result.
     pub fn call(
         &self,
         kernel: &Kernel,
@@ -348,24 +309,9 @@ impl ShardedChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
-        let shard = self.steer(kernel, proc, args, None)?;
+        let shard = self.steer(kernel, proc, args)?;
         kernel.shard_scope(shard, || {
             self.shards[shard].call(kernel, from, proc, args, scalars)
-        })
-    }
-
-    /// A synchronous scalar-only call steered by an explicit flow key.
-    pub fn call_flow(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        flow: u64,
-        proc: &str,
-        scalars: &[XdrValue],
-    ) -> XpcResult<XdrValue> {
-        let shard = self.steer(kernel, proc, &[], Some(flow))?;
-        kernel.shard_scope(shard, || {
-            self.shards[shard].call(kernel, from, proc, &[], scalars)
         })
     }
 
@@ -378,7 +324,7 @@ impl ShardedChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<()> {
-        let shard = self.steer(kernel, proc, args, None)?;
+        let shard = self.steer(kernel, proc, args)?;
         kernel.shard_scope(shard, || {
             self.shards[shard].call_deferred(kernel, from, proc, args, scalars)
         })
@@ -396,7 +342,7 @@ impl ShardedChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<crate::transport::CompletionToken> {
-        let shard = self.steer(kernel, proc, args, None)?;
+        let shard = self.steer(kernel, proc, args)?;
         kernel.shard_scope(shard, || {
             self.shards[shard].call_async(kernel, from, proc, args, scalars)
         })
@@ -416,21 +362,6 @@ impl ShardedChannel {
     /// Completion tokens outstanding across all shards.
     pub fn tokens_outstanding(&self) -> usize {
         self.shards.iter().map(|ch| ch.tokens_outstanding()).sum()
-    }
-
-    /// A deferred scalar-only call steered by an explicit flow key.
-    pub fn call_deferred_flow(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        flow: u64,
-        proc: &str,
-        scalars: &[XdrValue],
-    ) -> XpcResult<()> {
-        let shard = self.steer(kernel, proc, &[], Some(flow))?;
-        kernel.shard_scope(shard, || {
-            self.shards[shard].call_deferred(kernel, from, proc, &[], scalars)
-        })
     }
 
     /// Flushes every shard's deferred queue. Per-shard isolation: a
@@ -523,7 +454,7 @@ impl ShardedChannel {
     /// 1. harvests the shard's already-launched batches first — a
     ///    launched call's effects landed before the fault, so its token
     ///    resolves as harvested, never lost to the reset;
-    /// 2. takes every still-parked deferred call out of the transport;
+    /// 2. takes every still-parked deferred call out of the queue;
     /// 3. resets the failed end (heap, tracker, both delta maps — so no
     ///    later transfer delta-encodes against vanished state), which
     ///    cancels the tokens of calls originating there;
@@ -578,7 +509,6 @@ impl std::fmt::Debug for ShardedChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedChannel")
             .field("shards", &self.shards.len())
-            .field("policy", &self.policy)
             .field("homes", &self.homes.borrow().len())
             .finish()
     }
@@ -593,12 +523,10 @@ mod tests {
         XdrSpec::parse("struct st { int id; int value; };").unwrap()
     }
 
-    /// Coalescing window used by the deadline-sensitive tests below,
-    /// configured explicitly instead of reaching into transport
-    /// defaults.
-    const WINDOW: u64 = 80_000;
+    /// The coalescing window the deadline-sensitive tests below wait out.
+    const WINDOW: u64 = crate::transport::BATCH_DEADLINE_NS;
 
-    fn sharded_with(n: usize, policy: ShardPolicy, config: ChannelConfig) -> Rc<ShardedChannel> {
+    fn sharded_with(n: usize, config: ChannelConfig) -> Rc<ShardedChannel> {
         let sc = ShardedChannel::new(
             spec(),
             MaskSet::full(),
@@ -606,7 +534,6 @@ mod tests {
             Domain::Nucleus,
             Domain::Decaf,
             n,
-            policy,
         );
         sc.register_proc(
             Domain::Decaf,
@@ -629,20 +556,35 @@ mod tests {
         sc
     }
 
-    fn sharded(n: usize, policy: ShardPolicy) -> Rc<ShardedChannel> {
-        sharded_with(
-            n,
-            policy,
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_batched()
-            },
-        )
+    fn sharded(n: usize) -> Rc<ShardedChannel> {
+        sharded_with(n, ChannelConfig::kernel_user_batched())
+    }
+
+    fn register_count(sc: &ShardedChannel) -> Rc<Cell<u32>> {
+        let hits = Rc::new(Cell::new(0u32));
+        let h = Rc::clone(&hits);
+        let count = ProcDef::scalar("count", move |_, _| {
+            h.set(h.get() + 1);
+            XdrValue::Void
+        });
+        sc.register_proc(Domain::Decaf, count).unwrap();
+        hits
+    }
+
+    /// Parks four `count` calls, two on each of two shards.
+    fn park_burst(sc: &ShardedChannel, k: &Kernel) {
+        for i in 0..4 {
+            let ch = sc.shard(i % 2);
+            k.shard_scope(i % 2, || {
+                ch.call_deferred(k, Domain::Nucleus, "count", &[], &[])
+            })
+            .unwrap();
+        }
     }
 
     #[test]
     fn shard_heaps_are_disjoint() {
-        let sc = sharded(4, ShardPolicy::HomePin);
+        let sc = sharded(4);
         let k = Kernel::new();
         let mut addrs = Vec::new();
         for _ in 0..8 {
@@ -666,7 +608,7 @@ mod tests {
 
     #[test]
     fn mixed_homes_are_a_steering_conflict() {
-        let sc = sharded(2, ShardPolicy::HomePin);
+        let sc = sharded(2);
         let k = Kernel::new();
         let a = sc.alloc_shared_at(0, Domain::Nucleus, "st").unwrap();
         let b = sc.alloc_shared_at(1, Domain::Nucleus, "st").unwrap();
@@ -683,29 +625,34 @@ mod tests {
 
     #[test]
     fn flow_steering_spreads_scalar_calls() {
-        let sc = sharded(4, ShardPolicy::FlowHash);
+        // A scalar-only call has no home: it steers by its procedure
+        // name, so one name stays on one shard and names spread.
+        let sc = sharded(4);
         let k = Kernel::new();
-        for flow in 0..32u64 {
-            sc.call_flow(&k, Domain::Nucleus, flow, "ping", &[])
-                .unwrap();
+        let names: Vec<String> = (0..32).map(|i| format!("ping{i}")).collect();
+        for name in &names {
+            let ping = ProcDef::scalar(name.as_str(), |_, _| XdrValue::Int(1));
+            sc.register_proc(Domain::Decaf, ping).unwrap();
+        }
+        for name in &names {
+            let before: Vec<u64> = (0..4).map(|i| sc.shard_stats(i).round_trips).collect();
+            for _ in 0..2 {
+                sc.call(&k, Domain::Nucleus, name, &[], &[]).unwrap();
+            }
+            let moved = (0..4).filter(|&i| sc.shard_stats(i).round_trips != before[i]);
+            assert_eq!(moved.count(), 1, "`{name}` stayed on one shard");
         }
         let per_shard: Vec<u64> = (0..4).map(|i| sc.shard_stats(i).round_trips).collect();
-        assert_eq!(per_shard.iter().sum::<u64>(), 32);
+        assert_eq!(per_shard.iter().sum::<u64>(), 64);
         assert!(
             per_shard.iter().all(|&n| n > 0),
             "every shard saw traffic: {per_shard:?}"
         );
-        // HomePin sends the same calls to the control shard instead.
-        let pinned = sharded(4, ShardPolicy::HomePin);
-        for _ in 0..8 {
-            pinned.call(&k, Domain::Nucleus, "ping", &[], &[]).unwrap();
-        }
-        assert_eq!(pinned.shard_stats(0).round_trips, 8);
     }
 
     #[test]
     fn stats_aggregate_across_shards() {
-        let sc = sharded(2, ShardPolicy::FlowHash);
+        let sc = sharded(2);
         let k = Kernel::new();
         let a = sc.alloc_shared_at(0, Domain::Nucleus, "st").unwrap();
         let b = sc.alloc_shared_at(1, Domain::Nucleus, "st").unwrap();
@@ -724,7 +671,7 @@ mod tests {
 
     #[test]
     fn per_shard_costs_attributed_through_scope() {
-        let sc = sharded(2, ShardPolicy::FlowHash);
+        let sc = sharded(2);
         let k = Kernel::new();
         let a = sc.alloc_shared_at(1, Domain::Nucleus, "st").unwrap();
         sc.call(&k, Domain::Nucleus, "touch", &[Some(a)], &[])
@@ -736,7 +683,7 @@ mod tests {
 
     #[test]
     fn deferred_calls_flush_per_shard() {
-        let sc = sharded(2, ShardPolicy::FlowHash);
+        let sc = sharded(2);
         let k = Kernel::new();
         let a = sc.alloc_shared_at(0, Domain::Nucleus, "st").unwrap();
         let b = sc.alloc_shared_at(1, Domain::Nucleus, "st").unwrap();
@@ -756,7 +703,7 @@ mod tests {
 
     #[test]
     fn flush_if_due_polls_every_shard() {
-        let sc = sharded(3, ShardPolicy::FlowHash);
+        let sc = sharded(3);
         let k = Kernel::new();
         let a = sc.alloc_shared_at(1, Domain::Nucleus, "st").unwrap();
         let b = sc.alloc_shared_at(2, Domain::Nucleus, "st").unwrap();
@@ -772,7 +719,7 @@ mod tests {
 
     #[test]
     fn broken_shard_does_not_starve_sibling_flushes() {
-        let sc = sharded(2, ShardPolicy::FlowHash);
+        let sc = sharded(2);
         let k = Kernel::new();
         // Shard 0 hosts a diverging handler: every flush round re-defers
         // it, so XpcChannel::flush gives up with FlushDiverged.
@@ -788,20 +735,7 @@ mod tests {
             },
         )
         .unwrap();
-        let hits = Rc::new(Cell::new(0u32));
-        let h = Rc::clone(&hits);
-        sc.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "count".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |_, _, _, _| {
-                    h.set(h.get() + 1);
-                    XdrValue::Void
-                }),
-            },
-        )
-        .unwrap();
+        let hits = register_count(&sc);
         sc.shard(0)
             .call_deferred(&k, Domain::Nucleus, "loop_forever", &[], &[])
             .unwrap();
@@ -820,28 +754,12 @@ mod tests {
 
     #[test]
     fn recover_shard_requeues_without_double_apply() {
-        let sc = sharded(2, ShardPolicy::FlowHash);
+        let sc = sharded(2);
         let k = Kernel::new();
-        let hits = Rc::new(Cell::new(0u32));
-        let h = Rc::clone(&hits);
-        sc.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "count".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |_, _, _, _| {
-                    h.set(h.get() + 1);
-                    XdrValue::Void
-                }),
-            },
-        )
-        .unwrap();
-        for flow in 0..4u64 {
-            sc.call_deferred_flow(&k, Domain::Nucleus, flow, "count", &[])
-                .unwrap();
-        }
+        let hits = register_count(&sc);
+        park_burst(&sc, &k);
         let parked_on_1 = sc.shard(1).pending_deferred();
-        assert!(parked_on_1 > 0, "burst reached shard 1");
+        assert_eq!(parked_on_1, 2, "burst reached shard 1");
         // Shard 1's decaf end dies mid-burst; the facade requeues.
         let requeued = sc.recover_shard(&k, 1, Domain::Decaf).unwrap();
         assert_eq!(requeued, parked_on_1);
@@ -852,22 +770,9 @@ mod tests {
 
     #[test]
     fn recover_shard_conserves_tokens_on_async_transport() {
-        let sc = sharded_with(2, ShardPolicy::FlowHash, ChannelConfig::kernel_user_async());
+        let sc = sharded_with(2, ChannelConfig::kernel_user_async());
         let k = Kernel::new();
-        let hits = Rc::new(Cell::new(0u32));
-        let h = Rc::clone(&hits);
-        sc.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "count".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |_, _, _, _| {
-                    h.set(h.get() + 1);
-                    XdrValue::Void
-                }),
-            },
-        )
-        .unwrap();
+        let hits = register_count(&sc);
         // A decaf-originated downcall registered at the nucleus end, so
         // fault recovery has something to cancel.
         sc.register_proc(
@@ -879,15 +784,12 @@ mod tests {
             },
         )
         .unwrap();
-        for flow in 0..4u64 {
-            sc.call_deferred_flow(&k, Domain::Nucleus, flow, "count", &[])
-                .unwrap();
-        }
+        park_burst(&sc, &k);
         sc.shard(1)
             .call_async(&k, Domain::Decaf, "writel", &[], &[])
             .unwrap();
         let parked_on_1 = sc.shard(1).pending_deferred();
-        assert!(parked_on_1 > 0, "burst reached shard 1");
+        assert_eq!(parked_on_1, 3, "burst reached shard 1");
         // Shard 1's decaf end dies: its own call cancels, nucleus calls
         // requeue with their original tokens.
         let requeued = sc.recover_shard(&k, 1, Domain::Decaf).unwrap();

@@ -323,7 +323,6 @@ impl std::fmt::Debug for ShardedUrbPath {
 mod tests {
     use super::*;
     use crate::endpoint::{ChannelConfig, ProcDef};
-    use crate::shard::ShardPolicy;
     use decaf_shmring::{SectorPool, XferDir};
     use decaf_simkernel::CpuClass;
     use decaf_xdr::mask::MaskSet;
@@ -337,7 +336,6 @@ mod tests {
             Domain::Nucleus,
             Domain::Decaf,
             shards,
-            ShardPolicy::FlowHash,
         )
     }
 

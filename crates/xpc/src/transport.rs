@@ -1,31 +1,31 @@
-//! Pluggable control-transfer mechanisms.
+//! The control-transfer seam: three kinds of crossing, one deferred-call
+//! queue.
 //!
 //! The paper's XPC hard-wires one policy: reuse the calling thread for
-//! co-located domains (§2.3), schedule a dedicated thread otherwise. This
-//! module turns that choice into a [`Transport`] trait the channel's stub
-//! layer consults for every crossing, with three implementations:
+//! co-located domains (§2.3). A channel here picks one of three
+//! [`TransportKind`]s, rows of one enum that differ in two answers —
+//! whether result-free calls *park* instead of crossing alone, and
+//! whether a flush *launches* its crossing instead of blocking on it:
 //!
-//! * [`InProc`] — thread reuse, the paper's optimization;
-//! * [`Batched`] — thread reuse **plus** a deferred-call queue: calls
-//!   whose results nobody reads are parked in a shared ring and flushed
-//!   through the boundary in a single crossing (the doorbell pattern —
-//!   the same lever "The Case for Writing Network Drivers in High-Level
+//! * `InProc` — thread reuse, the paper's optimization; nothing parks;
+//! * `Batched` — thread reuse **plus** deferral: calls whose results
+//!   nobody reads park and cross together on one doorbell (the same
+//!   lever "The Case for Writing Network Drivers in High-Level
 //!   Programming Languages" identifies as what lets high-level drivers
 //!   match C throughput);
-//! * [`Async`] — completion-based batching: every deferred call is
-//!   issued a [`CompletionToken`], the queue launches through the
-//!   boundary when its doorbell fires (watermark or virtual-time
-//!   deadline, [`DoorbellPolicy`] semantics), and the stub layer
-//!   harvests completions later — charging only the portion of each
-//!   crossing that no computation covered.
+//! * `Async` — completion-based batching: every parked call is issued a
+//!   [`CompletionToken`], a flush launches the crossing, and the stub
+//!   layer harvests completions later — charging only the portion of
+//!   each crossing that no computation covered.
 //!
-//! The trait is the seam later scaling work builds on: the stub layer
-//! never knows which policy is behind it.
+//! Everything deferral means lives in the one [`DeferredQueue`] a
+//! channel holds: the parked calls with their defer timestamps, the
+//! single flush rule, both token ranges, the ledger of unresolved tokens
+//! and the launched batches awaiting harvest.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
-use decaf_shmring::DoorbellPolicy;
 use decaf_simkernel::{costs, CpuClass, Kernel};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
@@ -33,8 +33,8 @@ use decaf_xdr::XdrValue;
 use crate::domain::Domain;
 use crate::endpoint::ProcHandle;
 
-/// Transport selector carried by `ChannelConfig` (the config stays
-/// `Copy`; the channel instantiates the matching [`Transport`] object).
+/// How control reaches the other side of a channel (`ChannelConfig`
+/// carries one; the config stays `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
     /// Reuse the calling thread (paper §2.3).
@@ -48,23 +48,65 @@ pub enum TransportKind {
     Async,
 }
 
-/// Deferred calls queued beyond this point force a flush.
-pub const DEFAULT_BATCH_CAPACITY: usize = 16;
+impl TransportKind {
+    /// Human-readable name for stats and docs; every synchronous
+    /// crossing emits an `xpc.crossing` trace instant under it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TransportKind::InProc => "inproc",
+            TransportKind::Batched => "batched",
+            TransportKind::Async => "async",
+        }
+    }
 
-/// Virtual-time deadline after which a batched transport flushes even a
-/// partial queue (adaptive batching): low-rate control paths must not
-/// hold posted writes for long. Matches the shmring doorbell-coalescing
-/// window — both are the same "amortize or bound the latency" decision.
-pub const DEFAULT_BATCH_DEADLINE_NS: u64 = costs::DOORBELL_COALESCE_NS;
+    /// Whether deferred calls park in the channel's [`DeferredQueue`]
+    /// (otherwise they execute synchronously, one crossing each).
+    pub fn queues(self) -> bool {
+        self != TransportKind::InProc
+    }
 
-/// Names one in-flight asynchronous call on a completion-based
-/// transport. Issued at `offer` time, resolved exactly once — harvested
-/// after its launch crossing completes, or cancelled when fault
-/// recovery drops the call before it ever launched.
+    /// Whether a flush *launches* its crossing — the latency banked
+    /// against the batch's tokens and settled at harvest, net of
+    /// overlap — instead of blocking on it.
+    pub fn launches(self) -> bool {
+        self == TransportKind::Async
+    }
+
+    /// The virtual-time latency of one one-way control transfer — the
+    /// portion a launching kind banks (and later charges net of overlap)
+    /// instead of blocking on. A queueing kind rings a doorbell per
+    /// crossing; `Async` prices like `Batched`: the asymmetry is *when*
+    /// the cost lands, not how big it is.
+    pub fn crossing_cost_ns(self, domain_crossing: bool) -> u64 {
+        let base = if domain_crossing {
+            costs::DOMAIN_CROSSING_NS
+        } else {
+            0
+        };
+        match self.queues() {
+            true => base + costs::BATCH_DOORBELL_NS,
+            false => base,
+        }
+    }
+}
+
+/// Parked calls at or beyond this count force a flush.
+pub const BATCH_CAPACITY: usize = 16;
+
+/// Virtual-time deadline after which a partial batch flushes anyway
+/// (adaptive batching): low-rate control paths must not hold posted
+/// writes for long. Matches the shmring doorbell-coalescing window —
+/// both are the same "amortize or bound the latency" decision.
+pub const BATCH_DEADLINE_NS: u64 = costs::DOORBELL_COALESCE_NS;
+
+/// Names one in-flight asynchronous call on a launching channel. Issued
+/// when the call parks, resolved exactly once — harvested after its
+/// launch crossing completes, or cancelled when fault recovery drops the
+/// call before it ever launched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CompletionToken(pub u64);
 
-/// A call parked in a queueing transport: executed at the next flush,
+/// A call parked in a [`DeferredQueue`]: executed at the next flush,
 /// result discarded (only result-free calls should be deferred).
 #[derive(Debug, Clone)]
 pub struct DeferredCall {
@@ -77,334 +119,279 @@ pub struct DeferredCall {
     pub args: Vec<Option<CAddr>>,
     /// By-value scalar arguments.
     pub scalars: Vec<XdrValue>,
-    /// Completion token, on a completion-based transport. Travels with
-    /// the call through fault-recovery requeues so a recovered call is
-    /// never double-issued.
+    /// Completion token, on a launching channel. Travels with the call
+    /// through fault-recovery requeues so a recovered call is never
+    /// double-issued.
     pub token: Option<CompletionToken>,
 }
 
-/// A control-transfer mechanism. The stub layer asks it to price each
-/// one-way crossing and offers it calls for deferral.
-///
-/// `pending`, `flush_due` and `retain` are deliberately *required*:
-/// an earlier version gave them silent no-op defaults, which let a
-/// queueing transport compile while reporting an always-empty queue —
-/// flushes then never fired and `drain` quietly returned calls the
-/// channel believed did not exist.
-pub trait Transport {
-    /// Which selector built this transport.
-    fn kind(&self) -> TransportKind;
-
-    /// Human-readable name for stats and docs.
-    fn name(&self) -> &'static str;
-
-    /// The virtual-time latency of one one-way control transfer — the
-    /// portion a completion-based transport may *launch* (and later
-    /// charge net of overlap) instead of blocking on.
-    fn crossing_cost_ns(&self, domain_crossing: bool) -> u64;
-
-    /// Charges the virtual-time cost of one one-way control transfer
-    /// initiated by `class`.
-    ///
-    /// This default is the one instrumentation point covering every
-    /// transport kind: every synchronous crossing emits a per-transport
-    /// `xpc.crossing` trace instant named after [`Transport::name`].
-    fn charge_crossing(&self, kernel: &Kernel, class: CpuClass, domain_crossing: bool) {
-        let cost = self.crossing_cost_ns(domain_crossing);
-        kernel.charge(class, cost);
-        kernel.trace_instant(
-            "xpc.crossing",
-            self.name(),
-            &[("cost_ns", cost), ("domain", domain_crossing as u64)],
-        );
-    }
-
-    /// Offers a call for deferral. A transport that does not batch hands
-    /// the call back (`Err`) and the channel executes it synchronously.
-    /// A completion-based transport returns the call's token (minting
-    /// one if the call does not already carry it); a plain batching
-    /// transport queues the call and returns `Ok(None)`.
-    fn offer(
-        &self,
-        kernel: &Kernel,
-        class: CpuClass,
-        call: DeferredCall,
-    ) -> Result<Option<CompletionToken>, DeferredCall>;
-
-    /// Drains every queued call, oldest first, onto the end of `out` —
-    /// the flush path's reused batch, so a flush allocates nothing.
-    fn drain(&self, out: &mut Vec<DeferredCall>);
-
-    /// Number of calls currently queued.
-    fn pending(&self) -> usize;
-
-    /// Whether the queue must flush now: it reached capacity, or its
-    /// oldest deferred call has waited past the transport's virtual-time
-    /// deadline (adaptive batching).
-    fn flush_due(&self, kernel: &Kernel) -> bool;
-
-    /// Drops queued calls not matching `keep` (fault-recovery hygiene),
-    /// returning the completion tokens of the dropped calls so the stub
-    /// layer can account them as cancelled.
-    fn retain(&self, keep: &dyn Fn(&DeferredCall) -> bool) -> Vec<CompletionToken>;
-
-    /// Virtual time at which the oldest queued call was deferred, or
-    /// `None` when nothing is queued (always `None` on a non-queueing
-    /// transport). The stub layer's deadline-wakeup timer arms from this
-    /// so a parked batch flushes *at* its deadline even if no further
-    /// call or post ever arrives to evaluate [`Transport::flush_due`].
-    fn oldest_deferred_at(&self) -> Option<u64>;
-}
-
-/// Builds the transport object for a selector. `capacity` and
-/// `deadline_ns` configure the queueing transports' flush watermark and
-/// adaptive-batching deadline; the non-queueing transports ignore them.
-pub fn build(kind: TransportKind, capacity: usize, deadline_ns: u64) -> Box<dyn Transport> {
-    match kind {
-        TransportKind::InProc => Box::new(InProc),
-        TransportKind::Batched => Box::new(Batched::with_deadline(capacity, deadline_ns)),
-        TransportKind::Async => Box::new(Async::new(capacity, deadline_ns)),
-    }
-}
-
-/// Thread-reuse transport: the calling thread continues in the target
-/// domain, paying only the protection-boundary switch.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InProc;
-
-impl Transport for InProc {
-    fn kind(&self) -> TransportKind {
-        TransportKind::InProc
-    }
-    fn name(&self) -> &'static str {
-        "inproc"
-    }
-    fn crossing_cost_ns(&self, domain_crossing: bool) -> u64 {
-        if domain_crossing {
-            costs::DOMAIN_CROSSING_NS
-        } else {
-            0
-        }
-    }
-    fn offer(
-        &self,
-        _kernel: &Kernel,
-        _class: CpuClass,
-        call: DeferredCall,
-    ) -> Result<Option<CompletionToken>, DeferredCall> {
-        Err(call)
-    }
-    fn drain(&self, _out: &mut Vec<DeferredCall>) {}
-    fn pending(&self) -> usize {
-        0
-    }
-    fn flush_due(&self, _kernel: &Kernel) -> bool {
-        false
-    }
-    fn retain(&self, _keep: &dyn Fn(&DeferredCall) -> bool) -> Vec<CompletionToken> {
-        Vec::new()
-    }
-    fn oldest_deferred_at(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Batching transport: deferred calls accumulate in a shared ring and a
-/// whole batch crosses the boundary on one doorbell.
-///
-/// Flushes are due at *capacity* (the batch is worth a crossing) or at a
-/// virtual-time *deadline* measured from the oldest queued call (a
-/// low-rate path must not hold a posted write indefinitely) — the same
-/// watermark/deadline decision a shmring [`DoorbellPolicy`] makes for
-/// parked descriptors, with the queue capacity as the watermark.
-///
-/// The deadline is anchored *per call*: each deferred call carries its
-/// own defer timestamp and `flush_due` measures from the oldest call
-/// still queued. An earlier implementation kept one shared armed-at
-/// timestamp that survived `retain` (the fault-recovery drop path), so
-/// after a queue drained at the watermark boundary the next batch's
-/// deadline could be measured from a call that no longer existed —
-/// firing a coalescing window early or late depending on which side of
-/// the boundary the drop landed. The regression tests below pin the
-/// exact anchoring.
+/// One launched flush: the batch's tokens plus the crossing latency
+/// banked at launch time, settled at harvest.
 #[derive(Debug)]
-pub struct Batched {
-    /// `(deferred_at_ns, call)` in arrival order.
-    queue: RefCell<VecDeque<(u64, DeferredCall)>>,
-    capacity: usize,
-    deadline_ns: u64,
+struct LaunchedBatch {
+    /// How many entries of `launched_tokens` are this batch's (batches
+    /// settle in launch order).
+    tokens: usize,
+    class: CpuClass,
+    launched_at: u64,
+    cost_ns: u64,
 }
 
-impl Batched {
-    /// A batched transport flushing after `capacity` queued calls or
-    /// [`DEFAULT_BATCH_DEADLINE_NS`] of virtual time, whichever first.
-    pub fn new(capacity: usize) -> Self {
-        Batched::with_deadline(capacity, DEFAULT_BATCH_DEADLINE_NS)
-    }
-
-    /// A batched transport with an explicit flush deadline.
-    pub fn with_deadline(capacity: usize, deadline_ns: u64) -> Self {
-        Batched {
-            queue: RefCell::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            deadline_ns,
-        }
-    }
+/// What one [`DeferredQueue::harvest`] settled.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Harvest {
+    /// Tokens handed to the caller.
+    pub tokens: usize,
+    /// Of those, how many were still on the ledger.
+    pub settled: u64,
+    /// Crossing latency that had already elapsed when it was settled.
+    pub overlap_ns: u64,
 }
 
-impl Transport for Batched {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Batched
-    }
-    fn name(&self) -> &'static str {
-        "batched"
-    }
-    fn crossing_cost_ns(&self, domain_crossing: bool) -> u64 {
-        let base = if domain_crossing {
-            costs::DOMAIN_CROSSING_NS
-        } else {
-            0
-        };
-        base + costs::BATCH_DOORBELL_NS
-    }
-    fn offer(
-        &self,
-        kernel: &Kernel,
-        class: CpuClass,
-        call: DeferredCall,
-    ) -> Result<Option<CompletionToken>, DeferredCall> {
-        kernel.charge(class, costs::BATCH_ENQUEUE_NS);
-        self.queue.borrow_mut().push_back((kernel.now_ns(), call));
-        Ok(None)
-    }
-    fn drain(&self, out: &mut Vec<DeferredCall>) {
-        out.extend(self.queue.borrow_mut().drain(..).map(|(_, c)| c));
-    }
-    fn pending(&self) -> usize {
-        self.queue.borrow().len()
-    }
-    fn flush_due(&self, kernel: &Kernel) -> bool {
-        let queue = self.queue.borrow();
-        match queue.front() {
-            None => false,
-            Some((oldest_at, _)) => {
-                queue.len() >= self.capacity
-                    || kernel.now_ns().saturating_sub(*oldest_at) >= self.deadline_ns
-            }
-        }
-    }
-    fn retain(&self, keep: &dyn Fn(&DeferredCall) -> bool) -> Vec<CompletionToken> {
-        let mut dropped = Vec::new();
-        self.queue.borrow_mut().retain(|(_, c)| {
-            let keep_it = keep(c);
-            if !keep_it {
-                dropped.extend(c.token);
-            }
-            keep_it
-        });
-        dropped
-    }
-    fn oldest_deferred_at(&self) -> Option<u64> {
-        self.queue.borrow().front().map(|(at, _)| *at)
-    }
-}
-
-/// Completion-based batching transport: [`Batched`]'s queue with tokens.
+/// The deferred side of one channel, for every [`TransportKind`]: on
+/// `InProc` it refuses every call and stays empty.
 ///
-/// Every offered call is issued a [`CompletionToken`] (or keeps the one
-/// it already carries, on a fault-recovery requeue). The flush decision
-/// reuses [`DoorbellPolicy`] semantics directly — arm on the first
-/// post, fire at the watermark occupancy (`capacity`) or once the
-/// armed-at timestamp has waited out the deadline — and `retain`
-/// re-anchors the policy to the oldest *surviving* call, preserving the
-/// per-call-anchoring guarantee the [`Batched`] regression tests pin.
+/// A flush is due at *capacity* (the batch is worth a crossing) or at a
+/// virtual-time *deadline* measured from the oldest call still parked (a
+/// low-rate path must not hold a posted write indefinitely). Each call
+/// carries its own defer timestamp, so dropping the oldest
+/// ([`DeferredQueue::retain`], the fault-recovery path) re-anchors the
+/// deadline to the oldest *survivor*: a shared armed-at timestamp that
+/// outlived the call it was taken from once fired a coalescing window
+/// early or late, and the regression tests below pin the exact
+/// anchoring.
 ///
-/// What makes it asynchronous is not the queue but what the stub layer
-/// does at flush time: on this transport a flush *launches* the
-/// boundary crossing — handlers run, data lands, but the crossing's
-/// latency is banked against the batch's tokens and charged at harvest
-/// time net of whatever computation overlapped it.
+/// What makes a channel asynchronous is not this queue's rule but what
+/// the stub layer does with a drained batch: on a launching kind the
+/// handlers run and the data lands at flush time, while the crossing's
+/// latency is banked here against the batch's tokens and charged at
+/// harvest, net of whatever computation overlapped it.
 #[derive(Debug)]
-pub struct Async {
+pub struct DeferredQueue {
+    kind: TransportKind,
     /// `(deferred_at_ns, call)` in arrival order.
-    queue: RefCell<VecDeque<(u64, DeferredCall)>>,
-    policy: DoorbellPolicy,
+    parked: RefCell<VecDeque<(u64, DeferredCall)>>,
+    /// Next token for a parked call, from 1.
     next_token: Cell<u64>,
+    /// Next token for a call that resolved synchronously: a disjoint
+    /// high range, so the two can never collide.
+    next_resolved: Cell<u64>,
+    /// Tokens issued and not yet harvested or cancelled, ascending —
+    /// they enter as they are minted, in increasing order, so the ledger
+    /// is a sorted queue, not a hash set.
+    outstanding: RefCell<VecDeque<u64>>,
+    /// Crossing latency banked by the launch in progress.
+    banked_ns: Cell<u64>,
+    /// Launched-but-unharvested batches, in launch order.
+    launched: RefCell<VecDeque<LaunchedBatch>>,
+    /// The tokens of every launched batch, back to back in launch order.
+    launched_tokens: RefCell<VecDeque<CompletionToken>>,
 }
 
-impl Async {
-    /// A completion-based transport launching after `capacity` queued
-    /// calls or `deadline_ns` of virtual time, whichever first.
-    pub fn new(capacity: usize, deadline_ns: u64) -> Self {
-        Async {
-            queue: RefCell::new(VecDeque::new()),
-            policy: DoorbellPolicy::new(capacity, deadline_ns),
+impl DeferredQueue {
+    /// An empty queue for a channel of `kind`.
+    pub fn new(kind: TransportKind) -> Self {
+        DeferredQueue {
+            kind,
+            parked: RefCell::new(VecDeque::new()),
             next_token: Cell::new(1),
+            next_resolved: Cell::new(1 << 63),
+            outstanding: RefCell::new(VecDeque::new()),
+            banked_ns: Cell::new(0),
+            launched: RefCell::new(VecDeque::new()),
+            launched_tokens: RefCell::new(VecDeque::new()),
         }
     }
-}
 
-impl Transport for Async {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Async
-    }
-    fn name(&self) -> &'static str {
-        "async"
-    }
-    fn crossing_cost_ns(&self, domain_crossing: bool) -> u64 {
-        // A synchronous crossing on this transport prices like Batched:
-        // the asymmetry is *when* the cost lands, not how big it is.
-        let base = if domain_crossing {
-            costs::DOMAIN_CROSSING_NS
-        } else {
-            0
-        };
-        base + costs::BATCH_DOORBELL_NS
-    }
-    fn offer(
+    /// Offers a call for deferral. A kind that does not queue hands the
+    /// call back (`Err`) and the channel executes it synchronously. A
+    /// launching kind returns the call's token, minting one — and
+    /// entering it on the ledger — unless the call already carries it
+    /// (a fault-recovery requeue); a plain batching kind parks the call
+    /// and returns `Ok(None)`.
+    pub fn offer(
         &self,
         kernel: &Kernel,
         class: CpuClass,
         mut call: DeferredCall,
     ) -> Result<Option<CompletionToken>, DeferredCall> {
+        if !self.kind.queues() {
+            return Err(call);
+        }
         kernel.charge(class, costs::BATCH_ENQUEUE_NS);
-        let token = *call.token.get_or_insert_with(|| {
-            let t = CompletionToken(self.next_token.get());
-            self.next_token.set(t.0 + 1);
-            t
-        });
-        self.policy.note_post(kernel.now_ns());
-        self.queue.borrow_mut().push_back((kernel.now_ns(), call));
-        Ok(Some(token))
+        if self.kind.launches() && call.token.is_none() {
+            let minted = self.next_token.get();
+            self.next_token.set(minted + 1);
+            self.outstanding.borrow_mut().push_back(minted);
+            call.token = Some(CompletionToken(minted));
+        }
+        let token = call.token;
+        self.parked.borrow_mut().push_back((kernel.now_ns(), call));
+        Ok(token)
     }
-    fn drain(&self, out: &mut Vec<DeferredCall>) {
-        self.policy.rang();
-        out.extend(self.queue.borrow_mut().drain(..).map(|(_, c)| c));
+
+    /// Drains every parked call, oldest first, onto the end of `out` —
+    /// the flush path's reused batch, so a flush allocates nothing.
+    pub fn drain(&self, out: &mut Vec<DeferredCall>) {
+        out.extend(self.parked.borrow_mut().drain(..).map(|(_, c)| c));
     }
-    fn pending(&self) -> usize {
-        self.queue.borrow().len()
+
+    /// Number of calls currently parked.
+    pub fn pending(&self) -> usize {
+        self.parked.borrow().len()
     }
-    fn flush_due(&self, kernel: &Kernel) -> bool {
-        self.policy.due(kernel.now_ns(), self.queue.borrow().len())
+
+    /// Whether the queue must flush at virtual time `now_ns`: it reached
+    /// [`BATCH_CAPACITY`], or its oldest parked call has waited
+    /// [`BATCH_DEADLINE_NS`].
+    pub fn flush_due(&self, now_ns: u64) -> bool {
+        self.oldest_deferred_at().is_some_and(|oldest| {
+            self.pending() >= BATCH_CAPACITY || now_ns.saturating_sub(oldest) >= BATCH_DEADLINE_NS
+        })
     }
-    fn retain(&self, keep: &dyn Fn(&DeferredCall) -> bool) -> Vec<CompletionToken> {
+
+    /// Drops parked calls not matching `keep` (fault-recovery hygiene)
+    /// and strikes their tokens off the ledger; returns those tokens so
+    /// the stub layer can account them as cancelled.
+    pub fn retain(&self, keep: impl Fn(&DeferredCall) -> bool) -> Vec<CompletionToken> {
         let mut dropped = Vec::new();
-        let mut queue = self.queue.borrow_mut();
-        queue.retain(|(_, c)| {
+        self.parked.borrow_mut().retain(|(_, c)| {
             let keep_it = keep(c);
             if !keep_it {
                 dropped.extend(c.token);
             }
             keep_it
         });
-        // Re-anchor the doorbell to the oldest surviving call so a
-        // dropped older call cannot fire (or hold) the window for the
-        // survivors — the same anchoring `Batched` gets per call.
-        self.policy.rearm(queue.front().map(|(at, _)| *at));
+        self.settle(dropped.iter().copied());
         dropped
     }
-    fn oldest_deferred_at(&self) -> Option<u64> {
-        self.queue.borrow().front().map(|(at, _)| *at)
+
+    /// Virtual time at which the oldest parked call was deferred, or
+    /// `None` when nothing is parked. The stub layer's deadline-wakeup
+    /// timer arms from this so a parked batch flushes *at* its deadline
+    /// even if no further call or post ever arrives to evaluate
+    /// [`DeferredQueue::flush_due`].
+    pub fn oldest_deferred_at(&self) -> Option<u64> {
+        self.parked.borrow().front().map(|(at, _)| *at)
+    }
+
+    /// A token born resolved, for a call that executed synchronously
+    /// (degraded mode on a kind that does not launch): never on the
+    /// ledger.
+    pub(crate) fn mint_resolved(&self) -> CompletionToken {
+        let minted = self.next_resolved.get();
+        self.next_resolved.set(minted + 1);
+        CompletionToken(minted)
+    }
+
+    /// Tokens issued and not yet harvested or cancelled.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.borrow().len()
+    }
+
+    /// Whether `token` is still unresolved, and if so whether its call
+    /// has launched.
+    pub(crate) fn unresolved(&self, token: CompletionToken) -> Option<bool> {
+        let on_ledger = self.outstanding.borrow().binary_search(&token.0).is_ok();
+        on_ledger.then(|| self.launched_tokens.borrow().contains(&token))
+    }
+
+    /// Strikes `tokens` off the ledger; how many were on it.
+    pub(crate) fn settle(&self, tokens: impl IntoIterator<Item = CompletionToken>) -> u64 {
+        let mut outstanding = self.outstanding.borrow_mut();
+        let struck = |t: &CompletionToken| {
+            let at = outstanding.binary_search(&t.0);
+            at.map(|i| outstanding.remove(i)).is_ok()
+        };
+        tokens.into_iter().filter(struck).count() as u64
+    }
+
+    /// Banks one crossing's latency against the launch in progress
+    /// instead of charging it.
+    pub(crate) fn bank(&self, cost_ns: u64) {
+        self.banked_ns.set(self.banked_ns.get() + cost_ns);
+    }
+
+    /// A failed launch banks nothing: forgets what it accumulated.
+    pub(crate) fn abort_launch(&self) {
+        self.banked_ns.set(0);
+    }
+
+    /// Launches `group`: its tokens and the latency banked since the
+    /// last launch wait, as one batch, for harvest to settle — virtual
+    /// time elapsed from here on covers the crossing as overlap.
+    pub(crate) fn launch(&self, kernel: &Kernel, class: CpuClass, group: &[DeferredCall]) {
+        let cost_ns = self.banked_ns.take();
+        let mut launched_tokens = self.launched_tokens.borrow_mut();
+        let before = launched_tokens.len();
+        launched_tokens.extend(group.iter().filter_map(|c| c.token));
+        let tokens = launched_tokens.len() - before;
+        kernel.trace_instant(
+            "xpc.batch",
+            "launch",
+            &[
+                ("tokens", tokens as u64),
+                (
+                    "first_token",
+                    launched_tokens.get(before).map_or(0, |t| t.0),
+                ),
+                ("cost_ns", cost_ns),
+            ],
+        );
+        self.launched.borrow_mut().push_back(LaunchedBatch {
+            tokens,
+            class,
+            launched_at: kernel.now_ns(),
+            cost_ns,
+        });
+    }
+
+    /// Settles every launched batch against the virtual time that
+    /// elapsed since its launch — elapsed time is *overlap* (the
+    /// crossing was hidden behind computation or idle latency), only the
+    /// uncovered remainder is charged as wait — and hands each of its
+    /// tokens to `each`.
+    pub(crate) fn harvest(
+        &self,
+        kernel: &Kernel,
+        mut each: impl FnMut(CompletionToken),
+    ) -> Harvest {
+        let mut done = Harvest::default();
+        if self.launched.borrow().is_empty() {
+            // Poll paths harvest on every probe; emit no trace events
+            // (and open no span) when there is nothing to settle.
+            return done;
+        }
+        let _span = kernel.trace_span("xpc", "harvest");
+        loop {
+            let Some(batch) = self.launched.borrow_mut().pop_front() else {
+                break;
+            };
+            let elapsed = kernel.now_ns().saturating_sub(batch.launched_at);
+            let covered = elapsed.min(batch.cost_ns);
+            let uncovered = batch.cost_ns - covered;
+            if uncovered > 0 {
+                kernel.charge(batch.class, uncovered);
+            }
+            kernel.trace_instant(
+                "xpc.batch",
+                "harvest",
+                &[
+                    ("tokens", batch.tokens as u64),
+                    ("overlap_ns", covered),
+                    ("uncovered_ns", uncovered),
+                ],
+            );
+            done.overlap_ns += covered;
+            for _ in 0..batch.tokens {
+                let token = self.launched_tokens.borrow_mut().pop_front();
+                let token = token.expect("a launched batch's tokens are queued");
+                done.settled += self.settle([token]);
+                each(token);
+            }
+            done.tokens += batch.tokens;
+        }
+        done
     }
 }
 
@@ -424,68 +411,81 @@ mod tests {
         }
     }
 
-    fn drained(t: &dyn Transport) -> Vec<DeferredCall> {
+    fn batched() -> DeferredQueue {
+        DeferredQueue::new(TransportKind::Batched)
+    }
+
+    fn offer(t: &DeferredQueue, k: &Kernel, slot: u32) -> Option<CompletionToken> {
+        t.offer(k, CpuClass::User, call(slot)).unwrap()
+    }
+
+    fn due(t: &DeferredQueue, k: &Kernel) -> bool {
+        t.flush_due(k.now_ns())
+    }
+
+    fn drained(t: &DeferredQueue) -> Vec<DeferredCall> {
         let mut out = Vec::new();
         t.drain(&mut out);
         out
     }
 
+    /// The coalescing window, and fractions of it.
+    const W: u64 = BATCH_DEADLINE_NS;
+    const TENTH: u64 = W / 10;
+
     #[test]
     fn non_batching_transports_refuse_deferral() {
         let k = Kernel::new();
-        let t = InProc;
+        let t = DeferredQueue::new(TransportKind::InProc);
         assert!(t.offer(&k, CpuClass::User, call(0)).is_err());
         assert_eq!(t.pending(), 0);
-        assert!(!t.flush_due(&k));
+        assert!(!due(&t, &k));
+        assert_eq!(k.now_ns(), 0, "a refused call is not charged an enqueue");
     }
 
     #[test]
     fn batched_queues_until_capacity() {
         let k = Kernel::new();
-        let t = Batched::new(3);
-        for i in 0..3 {
-            assert!(!t.flush_due(&k), "not due at {i}");
-            t.offer(&k, CpuClass::User, call(0)).unwrap();
+        let t = batched();
+        for i in 0..BATCH_CAPACITY {
+            assert!(!due(&t, &k), "not due at {i}");
+            offer(&t, &k, 0);
         }
-        assert_eq!(t.pending(), 3);
-        assert!(t.flush_due(&k));
-        let drained = drained(&t);
-        assert_eq!(drained.len(), 3);
+        assert_eq!(t.pending(), BATCH_CAPACITY);
+        assert!(due(&t, &k));
+        assert_eq!(drained(&t).len(), BATCH_CAPACITY);
         assert_eq!(t.pending(), 0);
     }
 
     #[test]
     fn deadline_makes_partial_batch_due() {
         let k = Kernel::new();
-        let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call(0)).unwrap();
-        assert!(!t.flush_due(&k), "fresh call, deadline not reached");
-        k.run_for(999);
-        assert!(!t.flush_due(&k));
-        k.run_for(2);
-        assert!(
-            t.flush_due(&k),
-            "a lone deferred call must not wait forever"
-        );
+        let t = batched();
+        offer(&t, &k, 0);
+        assert!(!due(&t, &k), "fresh call, deadline not reached");
+        k.run_for(W - 1);
+        assert!(!due(&t, &k));
+        k.run_for(1);
+        assert!(due(&t, &k), "a lone deferred call must not wait forever");
         // Draining disarms; the next call re-arms from its own time.
         drained(&t);
-        assert!(!t.flush_due(&k));
-        t.offer(&k, CpuClass::User, call(0)).unwrap();
-        assert!(!t.flush_due(&k), "deadline restarts with the new batch");
-        k.run_for(1_001);
-        assert!(t.flush_due(&k));
+        assert!(!due(&t, &k));
+        offer(&t, &k, 0);
+        assert!(!due(&t, &k), "deadline restarts with the new batch");
+        k.run_for(W + 1);
+        assert!(due(&t, &k));
     }
 
     #[test]
     fn deadline_measured_from_oldest_call() {
         let k = Kernel::new();
-        let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call(1)).unwrap();
-        k.run_for(900);
+        let t = batched();
+        offer(&t, &k, 1);
+        k.run_for(9 * TENTH);
         // A later call does not push the oldest call's deadline out.
-        t.offer(&k, CpuClass::User, call(2)).unwrap();
-        k.run_for(150);
-        assert!(t.flush_due(&k));
+        offer(&t, &k, 2);
+        k.run_for(TENTH);
+        assert!(due(&t, &k));
     }
 
     #[test]
@@ -495,20 +495,20 @@ mod tests {
         // pointing at a dropped call, so the surviving batch flushed a
         // coalescing window off its own defer time.
         let k = Kernel::new();
-        let t = Batched::with_deadline(16, 1_000);
-        t.offer(&k, CpuClass::User, call(4)).unwrap();
-        k.run_for(900);
-        t.offer(&k, CpuClass::User, call(5)).unwrap();
-        t.retain(&|c| c.proc != ProcHandle(4));
-        k.run_for(150); // t=1050: the victim's window passed, the survivor's did not
+        let t = batched();
+        offer(&t, &k, 4);
+        k.run_for(9 * TENTH);
+        offer(&t, &k, 5);
+        t.retain(|c| c.proc != ProcHandle(4));
+        let survivor_at = t.oldest_deferred_at().unwrap();
+        assert!(survivor_at >= 9 * TENTH);
+        k.run_for(2 * TENTH); // the victim's window passed, the survivor's did not
         assert!(
-            !t.flush_due(&k),
+            !due(&t, &k),
             "deadline must anchor to the oldest surviving call, not a dropped one"
         );
-        k.run_for(750); // t=1800
-        assert!(!t.flush_due(&k));
-        k.run_for(100); // t=1900 = 900 + 1000
-        assert!(t.flush_due(&k));
+        assert!(!t.flush_due(survivor_at + W - 1));
+        assert!(t.flush_due(survivor_at + W));
     }
 
     #[test]
@@ -518,26 +518,30 @@ mod tests {
         // exactly one coalescing window after *its own* defer time — not
         // a window measured from the drained batch.
         let k = Kernel::new();
-        let t = Batched::with_deadline(2, 1_000);
-        t.offer(&k, CpuClass::User, call(1)).unwrap();
-        t.offer(&k, CpuClass::User, call(2)).unwrap();
-        assert!(t.flush_due(&k), "at the watermark");
-        assert_eq!(drained(&t).len(), 2, "drained exactly at the watermark");
-        k.run_for(600);
-        t.offer(&k, CpuClass::User, call(3)).unwrap(); // t=600
-        k.run_for(999); // t=1599
-        assert!(!t.flush_due(&k), "one tick before c's own deadline");
-        k.run_for(1); // t=1600 = 600 + 1000
-        assert!(t.flush_due(&k), "due exactly at c's deadline");
+        let t = batched();
+        for _ in 0..BATCH_CAPACITY {
+            offer(&t, &k, 1);
+        }
+        assert!(due(&t, &k), "at the watermark");
+        assert_eq!(
+            drained(&t).len(),
+            BATCH_CAPACITY,
+            "drained exactly at the watermark"
+        );
+        k.run_for(6 * TENTH);
+        offer(&t, &k, 3);
+        let at = t.oldest_deferred_at().unwrap();
+        assert!(!t.flush_due(at + W - 1), "one tick before c's own deadline");
+        assert!(t.flush_due(at + W), "due exactly at c's deadline");
     }
 
     #[test]
     fn retain_drops_matching_calls() {
         let k = Kernel::new();
-        let t = Batched::new(8);
-        t.offer(&k, CpuClass::User, call(1)).unwrap();
-        t.offer(&k, CpuClass::User, call(2)).unwrap();
-        t.retain(&|c| c.proc != ProcHandle(1));
+        let t = batched();
+        offer(&t, &k, 1);
+        offer(&t, &k, 2);
+        t.retain(|c| c.proc != ProcHandle(1));
         let left = drained(&t);
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].proc, ProcHandle(2));
@@ -546,73 +550,67 @@ mod tests {
     #[test]
     fn async_issues_distinct_tokens_and_keeps_requeued_ones() {
         let k = Kernel::new();
-        let t = Async::new(8, 1_000);
-        let a = t.offer(&k, CpuClass::User, call(1)).unwrap().unwrap();
-        let b = t.offer(&k, CpuClass::User, call(2)).unwrap().unwrap();
+        let t = DeferredQueue::new(TransportKind::Async);
+        let a = offer(&t, &k, 1).unwrap();
+        let b = offer(&t, &k, 2).unwrap();
         assert_ne!(a, b, "each fresh offer mints a new token");
-        assert_eq!(t.pending(), 2);
+        assert_eq!((t.pending(), t.outstanding()), (2, 2));
         let drained = drained(&t);
         assert_eq!(drained[0].token, Some(a));
         assert_eq!(drained[1].token, Some(b));
         // A requeued call keeps its token: no double-issue on recovery.
-        let again = t
-            .offer(&k, CpuClass::User, drained[0].clone())
-            .unwrap()
-            .unwrap();
-        assert_eq!(again, a);
+        let again = t.offer(&k, CpuClass::User, drained[0].clone()).unwrap();
+        assert_eq!(again, Some(a));
+        assert_eq!(t.outstanding(), 2, "and enters the ledger once");
+        assert!(t.mint_resolved().0 >= 1 << 63, "the disjoint range");
     }
 
     #[test]
     fn async_flush_due_follows_doorbell_policy() {
         let k = Kernel::new();
-        let t = Async::new(3, 1_000);
-        assert!(!t.flush_due(&k), "empty queue never due");
-        t.offer(&k, CpuClass::User, call(1)).unwrap();
-        assert!(!t.flush_due(&k));
-        k.run_for(1_000);
-        assert!(t.flush_due(&k), "deadline fires for a partial batch");
+        let t = DeferredQueue::new(TransportKind::Async);
+        assert!(!due(&t, &k), "empty queue never due");
+        offer(&t, &k, 1);
+        assert!(!due(&t, &k));
+        k.run_for(W);
+        assert!(due(&t, &k), "deadline fires for a partial batch");
         drained(&t);
-        for _ in 0..3 {
-            assert!(!t.flush_due(&k));
-            t.offer(&k, CpuClass::User, call(2)).unwrap();
+        for _ in 0..BATCH_CAPACITY {
+            assert!(!due(&t, &k));
+            offer(&t, &k, 2);
         }
-        assert!(t.flush_due(&k), "watermark fires immediately");
+        assert!(due(&t, &k), "watermark fires immediately");
     }
 
     #[test]
     fn async_retain_returns_cancelled_tokens_and_reanchors() {
         let k = Kernel::new();
-        let t = Async::new(16, 1_000);
-        let victim = t.offer(&k, CpuClass::User, call(4)).unwrap().unwrap();
-        k.run_for(900);
-        t.offer(&k, CpuClass::User, call(5)).unwrap();
-        let cancelled = t.retain(&|c| c.proc != ProcHandle(4));
+        let t = DeferredQueue::new(TransportKind::Async);
+        let victim = offer(&t, &k, 4).unwrap();
+        k.run_for(9 * TENTH);
+        offer(&t, &k, 5);
+        let cancelled = t.retain(|c| c.proc != ProcHandle(4));
         assert_eq!(cancelled, vec![victim]);
-        k.run_for(150); // t=1050: past the victim's window, within the survivor's
+        assert_eq!(t.outstanding(), 1, "a cancelled token leaves the ledger");
+        let survivor_at = t.oldest_deferred_at().unwrap();
+        k.run_for(2 * TENTH); // past the victim's window, within the survivor's
         assert!(
-            !t.flush_due(&k),
+            !due(&t, &k),
             "deadline must re-anchor to the surviving call"
         );
-        k.run_for(850); // t=1900 = 900 + 1000
-        assert!(t.flush_due(&k));
+        assert!(t.flush_due(survivor_at + W));
     }
 
     #[test]
     fn crossing_costs_ordered() {
         // batched == async > inproc for the same crossing.
-        let cost = |t: &dyn Transport| {
-            let k = Kernel::new();
-            let before = k.snapshot().user_busy_ns;
-            t.charge_crossing(&k, CpuClass::User, true);
-            k.snapshot().user_busy_ns - before
-        };
-        let inproc = cost(&InProc);
-        let batched = cost(&Batched::new(4));
-        let asynchronous = cost(&Async::new(4, 1_000));
-        assert!(inproc < batched);
+        let cost = |kind: TransportKind| kind.crossing_cost_ns(true);
+        assert!(cost(TransportKind::InProc) < cost(TransportKind::Batched));
         assert_eq!(
-            asynchronous, batched,
+            cost(TransportKind::Async),
+            cost(TransportKind::Batched),
             "a synchronous crossing prices identically on async"
         );
+        assert_eq!(TransportKind::InProc.crossing_cost_ns(false), 0);
     }
 }

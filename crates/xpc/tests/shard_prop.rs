@@ -9,7 +9,7 @@ use std::rc::Rc;
 use decaf_simkernel::Kernel;
 use decaf_xdr::mask::MaskSet;
 use decaf_xdr::{XdrSpec, XdrValue};
-use decaf_xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+use decaf_xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel};
 use proptest::prelude::*;
 
 fn spec() -> XdrSpec {
@@ -37,7 +37,6 @@ fn run(
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     sc.register_proc(
         Domain::Decaf,
@@ -136,7 +135,6 @@ proptest! {
             Domain::Nucleus,
             Domain::Decaf,
             shards,
-            ShardPolicy::FlowHash,
         );
         sc.register_proc(
             Domain::Decaf,

@@ -28,7 +28,7 @@ use std::rc::Rc;
 use decaf_core::simkernel::Kernel;
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
-use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel};
 use proptest::prelude::*;
 
 /// Shards every generated sequence runs against.
@@ -80,7 +80,6 @@ fn run_ops(ops: &[Op]) {
         Domain::Nucleus,
         Domain::Decaf,
         SHARDS,
-        ShardPolicy::FlowHash,
     );
     sc.register_proc(
         Domain::Decaf,

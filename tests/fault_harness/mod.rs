@@ -38,7 +38,7 @@ use decaf_core::simkernel::usb::{Urb, UrbDir};
 use decaf_core::simkernel::{costs, Kernel};
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
-use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel};
 
 /// Double-fault plans per schedule in the standard sweeps: enough to
 /// cross same-shard repeats with cross-shard pairs without doubling the
@@ -64,7 +64,6 @@ pub fn run_nic_fault_schedule(shards: usize, schedule: &[usize], plan: &FaultPla
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     // Exactly-once execution ledger: the handler counts applications.
     let hits = Rc::new(Cell::new(0u64));

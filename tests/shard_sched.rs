@@ -34,7 +34,7 @@ use decaf_core::shmring::{BufHandle, Descriptor, RingSet, ShmRing};
 use decaf_core::simkernel::{CpuClass, Kernel};
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
-use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardPolicy, ShardedChannel};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel};
 
 /// Everything posted on `ring`, popped as the consumer.
 fn drained<D: Copy + Default>(ring: &ShmRing<D>, k: &Kernel) -> Vec<D> {
@@ -61,7 +61,6 @@ fn run_home_pinning(shards: usize, schedule: &[usize]) {
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     sc.register_proc(
         Domain::Decaf,
@@ -219,7 +218,6 @@ fn run_token_lifecycle(shards: usize, schedule: &[usize]) {
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-        ShardPolicy::FlowHash,
     );
     sc.register_proc(
         Domain::Decaf,
