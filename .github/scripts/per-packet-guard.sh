@@ -1,0 +1,27 @@
+#!/bin/sh
+# Prints every line of the NIC data paths that copies a frame out of DMA
+# memory into a `Vec` (`read_bytes(`) or boxes a work item
+# (`schedule_work(`) — the two per-packet allocations PR 20 removed.
+# Product code only: each file up to its trailing test module. The
+# watchdog work item, boxed once every two virtual seconds, is the one
+# exemption. CI requires the output to be empty:
+#
+#   test -z "$(.github/scripts/per-packet-guard.sh)"
+#
+# Lend the frame (`DmaMemory::with_bytes` + `Kernel::netif_rx`) and queue
+# recurring work by handle (`Kernel::schedule_work_handle`) instead.
+set -eu
+cd "$(dirname "$0")/../.."
+for f in \
+    crates/drivers/src/e1000/mod.rs \
+    crates/drivers/src/e1000/decaf.rs \
+    crates/drivers/src/rtl8139.rs \
+    crates/drivers/src/support.rs \
+    crates/simdev/src/e1000.rs \
+    crates/simdev/src/rtl8139.rs
+do
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -n 'read_bytes(\|schedule_work(' |
+        grep -v '_watchdog_task' |
+        sed "s|^|$f:|" || true
+done

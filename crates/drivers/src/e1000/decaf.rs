@@ -30,9 +30,9 @@ use std::sync::Arc;
 use decaf_simdev::E1000Device;
 
 use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet};
-use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
-use decaf_simkernel::{CpuClass, KError, KResult, Kernel, SkBuff, TimerId};
+use decaf_simkernel::{CpuClass, KError, KResult, Kernel, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
@@ -432,7 +432,7 @@ fn link(
             Rc::new(move |k| {
                 hw_irq.handle_irq(k, &name);
             }),
-            Rc::new(move |k, skb| hw_ops.xmit(k, &skb)),
+            Rc::new(move |k, skb| hw_ops.xmit(k, skb)),
         )
     };
     for i in 0..shards {
@@ -602,17 +602,10 @@ impl RxSide {
         for path in &self.paths {
             path.reclaim_completions_with(k, |d| {
                 let slot = d.cookie as u32;
-                let data = self
-                    .hw
-                    .dma
-                    .read_bytes(E1000Hw::rx_buf_off(slot), d.len as usize);
-                let _ = k.netif_rx(
-                    &self.ifname,
-                    SkBuff {
-                        data,
-                        protocol: 0x0800,
-                    },
-                );
+                let (dma, off) = (&self.hw.dma, E1000Hw::rx_buf_off(slot));
+                let _ = dma.with_bytes(off, d.len as usize, |frame| {
+                    k.netif_rx(&self.ifname, frame, 0x0800)
+                });
                 self.hw.rx_recycle(k, slot);
                 last = Some(slot);
             });
@@ -639,6 +632,20 @@ fn ring_irq_handler(
     let name = ifname.to_string();
     let tx_set = Rc::clone(tx_set);
     let rx = Rc::clone(rx);
+    // The drain is the same work after every receive interrupt: built
+    // once here, queued by handle from the handler.
+    let drain: WorkBody = {
+        let rx = Rc::clone(&rx);
+        Rc::new(move |k, _| {
+            let _span = k.trace_span("rx", "drain");
+            for (i, path) in rx.paths.iter().enumerate() {
+                k.shard_scope(i, || {
+                    let _ = path.ring_doorbell(k);
+                });
+            }
+            rx.deliver(k);
+        })
+    };
     Rc::new(move |k| {
         let icr = hw.bar.read32(k, hwreg::ICR);
         if icr & hwreg::ICR_TXDW != 0 {
@@ -663,16 +670,7 @@ fn ring_irq_handler(
             let _span = k.trace_span("rx", "irq");
             rx.harvest(k);
             if rx.paths.iter().any(|p| p.pending() > 0) {
-                let rx = Rc::clone(&rx);
-                k.schedule_work("e1000_rx_drain_task", move |k| {
-                    let _span = k.trace_span("rx", "drain");
-                    for (i, path) in rx.paths.iter().enumerate() {
-                        k.shard_scope(i, || {
-                            let _ = path.ring_doorbell(k);
-                        });
-                    }
-                    rx.deliver(k);
-                });
+                k.schedule_work_handle(&drain, 0);
             }
         }
         if icr & hwreg::ICR_LSC != 0 {
@@ -687,23 +685,21 @@ fn ring_irq_handler(
 /// whether or not frames arrived), and delivers completions — no
 /// interrupt entry, no crossing.
 fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
+    let poll: WorkBody = Rc::new(move |k, _| {
+        let _span = k.trace_span("rx", "poll");
+        rx.harvest(k);
+        for (i, end) in rx.ends.iter().enumerate() {
+            k.shard_scope(i, || {
+                end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
+                    let _ = rx.set.complete(k, CpuClass::User, d);
+                });
+            });
+        }
+        rx.deliver(k);
+    });
     let timer = kernel.timer_create(
         "e1000_rx_poll",
-        Rc::new(move |k| {
-            let rx = Rc::clone(&rx);
-            k.schedule_work("e1000_rx_poll_task", move |k| {
-                let _span = k.trace_span("rx", "poll");
-                rx.harvest(k);
-                for (i, end) in rx.ends.iter().enumerate() {
-                    k.shard_scope(i, || {
-                        end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
-                            let _ = rx.set.complete(k, CpuClass::User, d);
-                        });
-                    });
-                }
-                rx.deliver(k);
-            });
-        }),
+        Rc::new(move |k| k.schedule_work_handle(&poll, 0)),
     );
     kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
     timer

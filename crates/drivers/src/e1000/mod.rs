@@ -287,15 +287,11 @@ impl E1000Hw {
                 break;
             }
             let len = (self.dma.read_u32(desc + 8) & 0xffff) as usize;
-            let buf = RX_BUF_OFF + slot as usize * BUF_SIZE;
-            let data = self.dma.read_bytes(buf, len);
-            let _ = kernel.netif_rx(
-                ifname,
-                SkBuff {
-                    data,
-                    protocol: 0x0800,
-                },
-            );
+            // The stack copies out of the receive buffer itself: lent,
+            // not copied into a packet of our own first.
+            let _ = self.dma.with_bytes(Self::rx_buf_off(slot), len, |frame| {
+                kernel.netif_rx(ifname, frame, 0x0800)
+            });
             // Return the descriptor to the hardware.
             self.dma.write_u32(desc + 12, 0);
             self.bar.write32(kernel, hwreg::RDT, slot);
@@ -328,7 +324,7 @@ mod tests {
                 stop: Rc::new(|_| Ok(())),
                 xmit: {
                     let hw = Rc::clone(&hw);
-                    Rc::new(move |k, skb| hw.xmit(k, &skb))
+                    Rc::new(move |k, skb| hw.xmit(k, skb))
                 },
             },
         )

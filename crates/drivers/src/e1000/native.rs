@@ -77,7 +77,7 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<NativeE1000> {
                     hw_stop.down(k);
                     Ok(())
                 }),
-                xmit: Rc::new(move |k, skb| hw_ops.xmit(k, &skb)),
+                xmit: Rc::new(move |k, skb| hw_ops.xmit(k, skb)),
             },
         )?;
 

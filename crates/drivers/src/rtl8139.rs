@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, ShmRing};
 use decaf_simdev::rtl8139 as hwreg;
 use decaf_simdev::Rtl8139Device;
-use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::{
     DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff, TimerId,
 };
@@ -264,23 +264,18 @@ impl Rtl8139Hw {
 
     fn rx_poll(&self, kernel: &Kernel, ifname: &str) {
         for (off, payload) in self.rx_harvest(kernel) {
-            let data = self.dma.read_bytes(off as usize, payload);
-            let _ = kernel.netif_rx(
-                ifname,
-                SkBuff {
-                    data,
-                    protocol: 0x0800,
-                },
-            );
+            let _ = self.dma.with_bytes(off as usize, payload, |frame| {
+                kernel.netif_rx(ifname, frame, 0x0800)
+            });
         }
         self.rx_maybe_rewind(kernel);
     }
 
     /// Walks completed receive-ring entries *without copying payloads*:
-    /// returns `(payload_offset, payload_len)` pairs. Callers must call
-    /// [`Rtl8139Hw::rx_maybe_rewind`] once the payloads have been
-    /// consumed.
-    pub fn rx_harvest(&self, kernel: &Kernel) -> Vec<(u32, usize)> {
+    /// yields `(payload_offset, payload_len)` pairs as it finds them.
+    /// Callers must call [`Rtl8139Hw::rx_maybe_rewind`] once the payloads
+    /// have been consumed.
+    pub fn rx_harvest<'a>(&'a self, kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
         self.rx_harvest_limited(kernel, usize::MAX)
     }
 
@@ -288,24 +283,30 @@ impl Rtl8139Hw {
     /// read pointer advances only past harvested frames, so a bounded
     /// caller (a descriptor ring with finite free slots) never loses
     /// what it could not take — the remainder is picked up next time.
-    pub fn rx_harvest_limited(&self, kernel: &Kernel, max: usize) -> Vec<(u32, usize)> {
+    /// CBR is read once, up front: frames the chip adds while the caller
+    /// works through these wait for the next harvest.
+    pub fn rx_harvest_limited<'a>(
+        &'a self,
+        kernel: &Kernel,
+        max: usize,
+    ) -> impl Iterator<Item = (u32, usize)> + 'a {
         let cbr = self.bar.read32(kernel, hwreg::CBR);
-        let mut off = self.rx_read_off.get();
-        let mut out = Vec::new();
-        while off < cbr && out.len() < max {
+        std::iter::from_fn(move || {
+            let off = self.rx_read_off.get();
+            if off >= cbr {
+                return None;
+            }
             let base = RX_RING_OFF + off;
             let header = self.dma.read_u32(base as usize);
             if header & 1 == 0 {
-                break;
+                return None;
             }
             let len = ((header >> 16) & 0xffff) as usize;
             let payload = len.saturating_sub(4);
-            out.push((base + 4, payload));
-            off += 4 + payload as u32;
-            off = (off + 3) & !3;
-        }
-        self.rx_read_off.set(off);
-        out
+            self.rx_read_off.set((off + 4 + payload as u32 + 3) & !3);
+            Some((base + 4, payload))
+        })
+        .take(max)
     }
 
     /// Rewinds the ring once the read pointer nears the end (drain point;
@@ -357,7 +358,7 @@ pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native8139> {
                     hw_stop.bar.write32(k, hwreg::CR, 0);
                     Ok(())
                 }),
-                xmit: Rc::new(move |k, skb| hw_x.xmit(k, &skb)),
+                xmit: Rc::new(move |k, skb| hw_x.xmit(k, skb)),
             },
         )?;
         let hw_irq = Rc::clone(&hw_init);
@@ -470,7 +471,7 @@ fn install_decaf_with(
         Some(dp) => support::shmring_xmit_op(Rc::clone(&dp.tx), 1792),
         None => {
             let hw_x = Rc::clone(&hw);
-            Rc::new(move |k, skb| hw_x.xmit(k, &skb))
+            Rc::new(move |k, skb| hw_x.xmit(k, skb))
         }
     };
     register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
@@ -643,14 +644,10 @@ impl RxSide {
     /// Delivers every completed receive descriptor to the stack.
     fn deliver(&self, k: &Kernel) {
         self.path.reclaim_completions_with(k, |d| {
-            let data = self.hw.dma.read_bytes(d.cookie as usize, d.len as usize);
-            let _ = k.netif_rx(
-                &self.ifname,
-                SkBuff {
-                    data,
-                    protocol: 0x0800,
-                },
-            );
+            let (dma, off) = (&self.hw.dma, d.cookie as usize);
+            let _ = dma.with_bytes(off, d.len as usize, |frame| {
+                k.netif_rx(&self.ifname, frame, 0x0800)
+            });
         });
     }
 }
@@ -744,12 +741,34 @@ fn build_datapath(
         let hw = Rc::clone(hw);
         let tx_end = tx.end(Domain::Nucleus);
         let rx = Rc::clone(&rx);
+        // The drain is the same work after every receive interrupt: built
+        // once here, queued by handle from the handler.
+        let drain: WorkBody = {
+            let rx = Rc::clone(&rx);
+            Rc::new(move |k, _| {
+                let _span = k.trace_span("rx", "drain");
+                // Keep picking up the frames the IRQ handler had to leave
+                // behind for want of ring slots.
+                loop {
+                    let _ = rx.path.ring_doorbell(k);
+                    rx.deliver(k);
+                    rx.harvest(k);
+                    if rx.path.pending() == 0 {
+                        break;
+                    }
+                }
+                // Everything harvested and delivered: the rewind cannot
+                // discard unread frames.
+                rx.hw.rx_maybe_rewind(k);
+            })
+        };
         Rc::new(move |k| {
             let isr = hw.bar.read32(k, hwreg::ISR);
             if isr & hwreg::INT_TOK != 0 {
                 let (mut pkts, mut bytes) = (0u64, 0u64);
-                let done: Vec<Descriptor> = inflight.borrow_mut().drain(..).collect();
-                for d in done {
+                // Popped one at a time, so no borrow is held across the
+                // completion and nothing is collected.
+                while let Some(d) = { inflight.borrow_mut().pop_front() } {
                     pkts += 1;
                     bytes += d.len as u64;
                     let _ = tx_end.complete(k, d);
@@ -765,23 +784,7 @@ fn build_datapath(
                 let _span = k.trace_span("rx", "irq");
                 rx.harvest(k);
                 if rx.path.pending() > 0 {
-                    let rx = Rc::clone(&rx);
-                    k.schedule_work("rtl8139_rx_drain_task", move |k| {
-                        let _span = k.trace_span("rx", "drain");
-                        // Keep picking up the frames the IRQ handler had
-                        // to leave behind for want of ring slots.
-                        loop {
-                            let _ = rx.path.ring_doorbell(k);
-                            rx.deliver(k);
-                            rx.harvest(k);
-                            if rx.path.pending() == 0 {
-                                break;
-                            }
-                        }
-                        // Everything harvested and delivered: the rewind
-                        // cannot discard unread frames.
-                        rx.hw.rx_maybe_rewind(k);
-                    });
+                    k.schedule_work_handle(&drain, 0);
                 }
             }
             hw.bar.write32(k, hwreg::ISR, isr);
@@ -795,25 +798,25 @@ fn build_datapath(
     // upcall (see the e1000 sibling for the cost shape).
     let rx_poll_timer = (rx_mode == RxMode::Poll).then(|| {
         let rx = Rc::clone(&rx);
+        // The decaf end is kept with the body, so the batch its probes
+        // fill is reused from tick to tick.
+        let end = rx.path.end(Domain::Decaf);
+        let poll: WorkBody = Rc::new(move |k, _| {
+            let _span = k.trace_span("rx", "poll");
+            rx.harvest(k);
+            end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
+                let _ = end.complete(k, d);
+            });
+            rx.deliver(k);
+            // Only rewind once nothing unread remains parked in the shm
+            // ring (the hardware pointer is then safe).
+            if rx.path.pending() == 0 {
+                rx.hw.rx_maybe_rewind(k);
+            }
+        });
         let timer = kernel.timer_create(
             "rtl8139_rx_poll",
-            Rc::new(move |k| {
-                let rx = Rc::clone(&rx);
-                k.schedule_work("rtl8139_rx_poll_task", move |k| {
-                    let _span = k.trace_span("rx", "poll");
-                    rx.harvest(k);
-                    let end = rx.path.end(Domain::Decaf);
-                    end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
-                        let _ = end.complete(k, d);
-                    });
-                    rx.deliver(k);
-                    // Only rewind once nothing unread remains parked in
-                    // the shm ring (the hardware pointer is then safe).
-                    if rx.path.pending() == 0 {
-                        rx.hw.rx_maybe_rewind(k);
-                    }
-                });
-            }),
+            Rc::new(move |k| k.schedule_work_handle(&poll, 0)),
         );
         kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
         timer

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::RingSet;
-use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::{costs, KError, KResult, Kernel, MmioRegion, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
@@ -121,6 +121,9 @@ pub fn sharded_xmit_op(
 
 /// Arms the periodic coalescing poll for a set of sharded TX paths: one
 /// timer, one work item, each busy shard polled under its cost scope.
+/// The work item's body is built here, once; a tick queues it by handle
+/// with the busy set — one bit per shard — as its argument word, and
+/// allocates nothing.
 pub fn sharded_poll_timer(
     kernel: &Kernel,
     name: &'static str,
@@ -128,24 +131,25 @@ pub fn sharded_poll_timer(
 ) -> TimerId {
     assert!(tx_paths.len() <= 64, "the busy set is one word");
     let paths: Rc<[Rc<DataPathChannel>]> = tx_paths.into();
+    let poll: WorkBody = {
+        let paths = Rc::clone(&paths);
+        Rc::new(move |k, busy| {
+            for i in (0..paths.len()).filter(|i| busy >> i & 1 != 0) {
+                k.shard_scope(i, || {
+                    let _ = paths[i].poll(k);
+                });
+            }
+        })
+    };
     let timer = kernel.timer_create(
         name,
         Rc::new(move |k| {
-            // One bit per busy shard: a tick allocates its work item and
-            // nothing else.
             let busy = paths.iter().enumerate().fold(0u64, |busy, (i, p)| {
                 let is_busy = p.pending() > 0 || !p.completions().is_empty();
                 busy | (is_busy as u64) << i
             });
             if busy != 0 {
-                let paths = Rc::clone(&paths);
-                k.schedule_work(name, move |k| {
-                    for i in (0..paths.len()).filter(|i| busy >> i & 1 != 0) {
-                        k.shard_scope(i, || {
-                            let _ = paths[i].poll(k);
-                        });
-                    }
-                });
+                k.schedule_work_handle(&poll, busy);
             }
         }),
     );

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use decaf_simkernel::clock::ClockSnapshot;
 use decaf_simkernel::usb::{Urb, UrbDir};
-use decaf_simkernel::{KResult, Kernel, SkBuff};
+use decaf_simkernel::{KResult, Kernel};
 
 /// Common measurements every workload reports.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,7 +76,7 @@ pub fn netperf_send(
     let mut sent = 0u64;
     for i in 0..total {
         kernel.trace_req_begin("net.pkt_ns", i);
-        kernel.net_xmit(ifname, SkBuff::synthetic(pkt_len, (i & 0xff) as u8, 0x0800))?;
+        kernel.net_xmit(ifname, kernel.alloc_skb(pkt_len, (i & 0xff) as u8, 0x0800))?;
         kernel.schedule_point();
         kernel.trace_req_end("net.pkt_ns", i);
         sent += 1;

@@ -91,13 +91,6 @@ impl DoorbellPolicy {
         self.armed_at
             .set(if survivors > 0 { Some(now_ns) } else { None });
     }
-
-    /// Re-anchors (or disarms, with `None`) the deadline explicitly —
-    /// used when the oldest parked item is dropped rather than flushed,
-    /// so the window is measured from the oldest *surviving* post.
-    pub fn rearm(&self, at_ns: Option<u64>) {
-        self.armed_at.set(at_ns);
-    }
 }
 
 #[cfg(test)]

@@ -64,6 +64,9 @@ pub struct Rtl8139Device {
     cbr: u32,
     tx_count: u64,
     rx_count: u64,
+    /// Where a transmitted frame is fetched to before it loops back (the
+    /// chip's TX FIFO): one buffer, reused from frame to frame.
+    tx_fifo: Vec<u8>,
     /// Frames dropped for lack of ring space.
     pub rx_dropped: u64,
 }
@@ -84,6 +87,7 @@ impl Rtl8139Device {
             cbr: 0,
             tx_count: 0,
             rx_count: 0,
+            tx_fifo: Vec::new(),
             rx_dropped: 0,
         }
     }
@@ -161,12 +165,18 @@ impl MmioDevice for Rtl8139Device {
                 if value & TSD_OWN == 0 && self.cr & CR_TE != 0 {
                     let addr = self.tsad[slot] as usize;
                     kernel.charge_kernel(costs::DMA_DESC_NS);
-                    let frame = self.dma.read_bytes(addr, len);
+                    // Fetched, not lent: the loopback below writes the
+                    // region the view would keep borrowed.
+                    let mut frame = std::mem::take(&mut self.tx_fifo);
+                    frame.clear();
+                    self.dma
+                        .with_bytes(addr, len, |payload| frame.extend_from_slice(payload));
                     self.tx_count += 1;
                     self.tsd[slot] = TSD_OWN | TSD_TOK | value;
                     self.assert_int(kernel, INT_TOK);
                     // Internal loopback.
                     self.receive(kernel, &frame);
+                    self.tx_fifo = frame;
                 } else {
                     self.tsd[slot] = value;
                 }

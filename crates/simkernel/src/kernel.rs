@@ -193,13 +193,28 @@ fn irq_bit(line: u32) -> u64 {
     1 << line
 }
 
-type WorkFn = Box<dyn FnOnce(&Kernel)>;
 type TimerFn = Rc<dyn Fn(&Kernel)>;
 
-#[derive(Default)]
-struct WorkState {
-    queue: VecDeque<(&'static str, WorkFn)>,
-    executed: u64,
+/// The first charge attributed to `shard`: grows the busy table to it.
+#[cold]
+fn charge_new_shard(busy: &mut Vec<u64>, shard: usize, ns: u64) {
+    busy.resize(shard + 1, 0);
+    busy[shard] = ns;
+}
+
+/// The body of a recurring work item: built once by whoever schedules it
+/// every tick (a poll timer, an interrupt handler), queued by handle with
+/// one argument word ([`Kernel::schedule_work_handle`]).
+pub type WorkBody = Rc<dyn Fn(&Kernel, u64)>;
+
+/// One entry of the work queue. Both kinds wait in the same FIFO, run in
+/// process context and count the same.
+enum WorkItem {
+    /// Rare work (a watchdog, a deadline flush): a boxed closure of its own.
+    Once(Box<dyn FnOnce(&Kernel)>),
+    /// Recurring work: a shared body and this run's argument word, so
+    /// queueing it allocates nothing.
+    Handle(WorkBody, u64),
 }
 
 /// A loaded kernel module record.
@@ -229,7 +244,7 @@ pub struct KernelStats {
 }
 
 pub(crate) struct Inner {
-    pub(crate) clock: RefCell<Clock>,
+    pub(crate) clock: Cell<Clock>,
     ctx: Cell<ExecContext>,
     atomic_depth: Cell<u32>,
     shard: Cell<Option<usize>>,
@@ -240,12 +255,15 @@ pub(crate) struct Inner {
     /// One bit per line: `disable_depth > 0`.
     irq_masked: Cell<u64>,
     timers: RefCell<Timers>,
-    work: RefCell<WorkState>,
+    work: RefCell<VecDeque<WorkItem>>,
     modules: RefCell<Vec<LoadedModule>>,
     violations: RefCell<Vec<Violation>>,
     stats: Cell<KernelStats>,
     dispatching: Cell<bool>,
     tracer: RefCell<Option<Rc<decaf_trace::Tracer>>>,
+    /// Whether `tracer` holds one: what the per-charge and per-span fast
+    /// paths read instead of borrowing the slot.
+    tracing: Cell<bool>,
     pub(crate) net: RefCell<NetState>,
     pub(crate) sound: RefCell<SoundState>,
     pub(crate) usb: RefCell<UsbState>,
@@ -312,7 +330,7 @@ impl Kernel {
     pub fn new() -> Self {
         Kernel {
             inner: Rc::new(Inner {
-                clock: RefCell::new(Clock::new()),
+                clock: Cell::new(Clock::new()),
                 ctx: Cell::new(ExecContext::Process),
                 atomic_depth: Cell::new(0),
                 shard: Cell::new(None),
@@ -321,12 +339,13 @@ impl Kernel {
                 irq_pending: Cell::new(0),
                 irq_masked: Cell::new(0),
                 timers: RefCell::new(Timers::default()),
-                work: RefCell::new(WorkState::default()),
+                work: RefCell::new(VecDeque::new()),
                 modules: RefCell::new(Vec::new()),
                 violations: RefCell::new(Vec::new()),
                 stats: Cell::new(KernelStats::default()),
                 dispatching: Cell::new(false),
                 tracer: RefCell::new(None),
+                tracing: Cell::new(false),
                 net: RefCell::new(NetState::default()),
                 sound: RefCell::new(SoundState::default()),
                 usb: RefCell::new(UsbState::default()),
@@ -346,16 +365,19 @@ impl Kernel {
     // ---------------------------------------------------------- time
 
     /// Current virtual time in nanoseconds.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.inner.clock.borrow().now_ns()
+        self.inner.clock.get().now_ns()
     }
 
     /// Charges `ns` of busy time to the kernel CPU class.
+    #[inline]
     pub fn charge_kernel(&self, ns: u64) {
         self.charge(CpuClass::Kernel, ns);
     }
 
     /// Charges `ns` of busy time to the user CPU class.
+    #[inline]
     pub fn charge_user(&self, ns: u64) {
         self.charge(CpuClass::User, ns);
     }
@@ -366,16 +388,25 @@ impl Kernel {
     /// When a [`Kernel::shard_scope`] is active, the charge is *also*
     /// attributed to that shard's busy counter — the per-CPU accounting
     /// behind the sharded-channel ablation.
+    ///
+    /// Called per descriptor from four crates, so it is kept to the adds:
+    /// the clock is a `Copy` value in a `Cell`, and a shard's first charge
+    /// and an installed tracer are the out-of-line cases.
+    #[inline]
     pub fn charge(&self, class: CpuClass, ns: u64) {
-        self.inner.clock.borrow_mut().charge(class, ns);
+        let mut clock = self.inner.clock.get();
+        clock.charge(class, ns);
+        self.inner.clock.set(clock);
         if let Some(shard) = self.inner.shard.get() {
             let mut busy = self.inner.shard_busy.borrow_mut();
-            if busy.len() <= shard {
-                busy.resize(shard + 1, 0);
+            match busy.get_mut(shard) {
+                Some(busy) => *busy += ns,
+                None => charge_new_shard(&mut busy, shard, ns),
             }
-            busy[shard] += ns;
         }
-        self.trace_attribute(class, ns);
+        if self.inner.tracing.get() {
+            self.trace_attribute(class, ns);
+        }
     }
 
     // ---------------------------------------------- shard accounting
@@ -411,6 +442,7 @@ impl Kernel {
     }
 
     /// The shard charges are currently attributed to, if any.
+    #[inline]
     pub fn current_shard(&self) -> Option<usize> {
         self.inner.shard.get()
     }
@@ -437,15 +469,18 @@ impl Kernel {
 
     /// Takes a clock snapshot for interval measurements.
     pub fn snapshot(&self) -> ClockSnapshot {
-        self.inner.clock.borrow().snapshot()
+        self.inner.clock.get().snapshot()
     }
 
     /// Advances virtual time by `ns` without charging any CPU class.
     ///
     /// Device models use this to represent real-time progress that keeps
     /// the CPU idle (e.g. a DAC draining a playback buffer).
+    #[inline]
     pub fn advance_idle(&self, ns: u64) {
-        self.inner.clock.borrow_mut().advance_idle(ns);
+        let mut clock = self.inner.clock.get();
+        clock.advance_idle(ns);
+        self.inner.clock.set(clock);
     }
 
     // ------------------------------------------------------- context
@@ -552,12 +587,16 @@ impl Kernel {
         Ok(())
     }
 
-    /// Unregisters the handler on IRQ `line` (like `free_irq`).
+    /// Unregisters the handler on IRQ `line` (like `free_irq`). The line
+    /// goes back to its reset state — nothing pending, not disabled — so
+    /// whoever requests it next gets a line that delivers, even if the
+    /// last owner was removed with its interrupt masked.
     pub fn free_irq(&self, line: u32) {
         if let Some(entry) = self.inner.irqs.borrow_mut().get_mut(line as usize) {
-            entry.handler = None;
-            let pending = &self.inner.irq_pending;
+            *entry = IrqLine::default();
+            let (pending, masked) = (&self.inner.irq_pending, &self.inner.irq_masked);
             pending.set(pending.get() & !irq_bit(line));
+            masked.set(masked.get() & !irq_bit(line));
         }
     }
 
@@ -597,6 +636,7 @@ impl Kernel {
     ///
     /// Delivery is deferred to the next scheduling point, keeping driver
     /// code re-entrancy-free and the simulation deterministic.
+    #[inline]
     pub fn raise_irq(&self, line: u32) {
         let pending = &self.inner.irq_pending;
         pending.set(pending.get() | irq_bit(line));
@@ -681,17 +721,26 @@ impl Kernel {
     ///
     /// Work items may block — this is how high-priority code defers
     /// operations that must reach the decaf driver (§3.1.3).
-    pub fn schedule_work(&self, name: &'static str, f: impl FnOnce(&Kernel) + 'static) {
-        self.inner
-            .work
-            .borrow_mut()
-            .queue
-            .push_back((name, Box::new(f)));
+    ///
+    /// The item is a boxed closure of its own: right for rare work. `name`
+    /// labels the call site for the reader; dispatch does not keep it.
+    pub fn schedule_work(&self, _name: &'static str, f: impl FnOnce(&Kernel) + 'static) {
+        let item = WorkItem::Once(Box::new(f));
+        self.inner.work.borrow_mut().push_back(item);
+    }
+
+    /// Schedules one run of `body` with `arg`, on the same queue and under
+    /// the same rules as [`Kernel::schedule_work`]. Code that schedules
+    /// the same work every tick builds the body once and queues it by
+    /// handle: a reference-count bump and one word, no allocation.
+    pub fn schedule_work_handle(&self, body: &WorkBody, arg: u64) {
+        let item = WorkItem::Handle(Rc::clone(body), arg);
+        self.inner.work.borrow_mut().push_back(item);
     }
 
     /// Number of work items waiting.
     pub fn work_pending(&self) -> usize {
-        self.inner.work.borrow().queue.len()
+        self.inner.work.borrow().len()
     }
 
     // ----------------------------------------------------- dispatch
@@ -757,18 +806,17 @@ impl Kernel {
     }
 
     fn run_one_work(&self) -> bool {
-        let item = self.inner.work.borrow_mut().queue.pop_front();
-        match item {
-            Some((_name, f)) => {
-                let _span = self.trace_span("kernel", "work");
-                self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
-                self.bump_stats(|s| s.work_executed += 1);
-                self.inner.work.borrow_mut().executed += 1;
-                self.with_context(ExecContext::Process, || f(self));
-                true
-            }
-            None => false,
-        }
+        let Some(item) = self.inner.work.borrow_mut().pop_front() else {
+            return false;
+        };
+        let _span = self.trace_span("kernel", "work");
+        self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
+        self.bump_stats(|s| s.work_executed += 1);
+        self.with_context(ExecContext::Process, || match item {
+            WorkItem::Once(f) => f(self),
+            WorkItem::Handle(body, arg) => body(self, arg),
+        });
+        true
     }
 
     /// Advances virtual time by `ns`, dispatching events as they come due.
@@ -788,7 +836,7 @@ impl Kernel {
                 // A timer is due exactly now; loop to dispatch it.
                 continue;
             }
-            self.inner.clock.borrow_mut().advance_idle(step);
+            self.advance_idle(step);
         }
         self.schedule_point();
     }
@@ -811,7 +859,7 @@ impl Kernel {
             if let Some(d) = next_timer {
                 let step = d.clamp(now, end).saturating_sub(now);
                 if step > 0 {
-                    self.inner.clock.borrow_mut().advance_idle(step);
+                    self.advance_idle(step);
                 }
             }
             if next_timer.is_none() && !has_work {
@@ -858,6 +906,12 @@ impl Kernel {
 
     pub(crate) fn tracer_slot(&self) -> &RefCell<Option<Rc<decaf_trace::Tracer>>> {
         &self.inner.tracer
+    }
+
+    /// Whether a tracer is installed ([`Kernel::set_tracer`] keeps it).
+    #[inline]
+    pub(crate) fn tracing(&self) -> &Cell<bool> {
+        &self.inner.tracing
     }
 }
 
@@ -920,6 +974,35 @@ mod tests {
         assert_eq!(k.request_irq(1, "b", Rc::new(|_| {})), Err(KError::Busy));
         k.free_irq(1);
         assert!(k.request_irq(1, "b", Rc::new(|_| {})).is_ok());
+    }
+
+    #[test]
+    fn a_freed_line_delivers_again_even_if_it_was_freed_disabled() {
+        // A driver removed while the nuclear runtime holds its interrupt
+        // masked, then reloaded: the new owner's line must deliver.
+        let k = Kernel::new();
+        k.request_irq(7, "old", Rc::new(|_| {})).unwrap();
+        k.disable_irq(7);
+        k.disable_irq(7);
+        k.raise_irq(7);
+        k.free_irq(7);
+        assert!(!k.irq_pending(7), "the old owner's interrupt went with it");
+
+        let fired = Rc::new(StdCell::new(0));
+        let f = Rc::clone(&fired);
+        k.request_irq(7, "new", Rc::new(move |_| f.set(f.get() + 1)))
+            .unwrap();
+        k.raise_irq(7);
+        k.schedule_point();
+        assert_eq!(fired.get(), 1, "a re-requested line is not left masked");
+        // And the depth restarted from zero: one disable, one enable.
+        k.disable_irq(7);
+        k.raise_irq(7);
+        k.schedule_point();
+        assert_eq!(fired.get(), 1);
+        k.enable_irq(7);
+        k.schedule_point();
+        assert_eq!(fired.get(), 2);
     }
 
     #[test]
@@ -988,6 +1071,58 @@ mod tests {
         assert!(ok.get(), "work items may block");
         assert_eq!(k.work_pending(), 0);
         assert_eq!(k.stats().work_executed, 1);
+    }
+
+    #[test]
+    fn boxed_and_by_handle_work_share_one_fifo_and_one_count() {
+        let k = Kernel::new();
+        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = Rc::clone(&order);
+        let body: WorkBody = Rc::new(move |k, arg| {
+            assert!(k.may_block(), "by-handle work runs in process context");
+            log.borrow_mut().push(arg);
+        });
+        let boxed = |label: u64| {
+            let log = Rc::clone(&order);
+            move |_: &Kernel| log.borrow_mut().push(label)
+        };
+        k.schedule_work_handle(&body, 1);
+        k.schedule_work("a", boxed(2));
+        k.schedule_work_handle(&body, 3);
+        k.schedule_work("b", boxed(4));
+        assert_eq!(k.work_pending(), 4, "both kinds wait in one queue");
+        k.schedule_point();
+        assert_eq!(*order.borrow(), [1, 2, 3, 4], "in the order queued");
+        assert_eq!(k.work_pending(), 0);
+        assert_eq!(k.stats().work_executed, 4, "and both kinds count");
+        assert_eq!(k.now_ns(), 4 * costs::SOFTIRQ_DISPATCH_NS, "at one price");
+    }
+
+    #[test]
+    fn a_by_handle_body_that_requeues_itself_runs_after_what_was_waiting() {
+        let k = Kernel::new();
+        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let me = Rc::new(std::cell::RefCell::new(None::<WorkBody>));
+        let (log, again) = (Rc::clone(&order), Rc::clone(&me));
+        let body: WorkBody = Rc::new(move |k, round| {
+            log.borrow_mut().push(round);
+            if round == 0 {
+                let me = again.borrow().clone().expect("set before the first run");
+                k.schedule_work_handle(&me, 1);
+                assert_eq!(k.work_pending(), 2, "queued behind the boxed item");
+            }
+        });
+        *me.borrow_mut() = Some(Rc::clone(&body));
+        let log = Rc::clone(&order);
+        k.schedule_work_handle(&body, 0);
+        k.schedule_work("waiting", move |_| log.borrow_mut().push(100));
+        k.schedule_point();
+        // Not re-entered from inside its own run: behind what was waiting,
+        // in the same dispatch.
+        assert_eq!(*order.borrow(), [0, 100, 1]);
+        assert_eq!(k.work_pending(), 0);
+        assert_eq!(k.stats().work_executed, 3);
+        me.borrow_mut().take(); // the test's own body → slot → body cycle
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! methods, which stamp events with `Kernel::now_ns()` (the
 //! virtual-time-stamping rule: no other clock exists) and route charges
 //! into span attribution. When no tracer is installed each wrapper is a
-//! single `Option` check that charges **zero virtual time**, so a
-//! tracing-disabled run is bit-identical to an untraced one.
+//! single inlined flag test that charges **zero virtual time**, so a
+//! tracing-disabled run is bit-identical to an untraced one; everything
+//! a traced run does is out of line, behind that test.
 //!
 //! That check comes *after* the caller has evaluated its arguments, so
 //! the host-time half of "free when off" is the call site's job:
@@ -42,15 +43,24 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// A guard that does nothing on drop.
+    #[inline]
     pub fn disabled() -> Self {
         TraceSpan { live: None }
+    }
+
+    #[cold]
+    fn close(&mut self) {
+        if let Some((kernel, tracer)) = self.live.take() {
+            tracer.end_span(kernel.now_ns());
+        }
     }
 }
 
 impl Drop for TraceSpan {
+    #[inline]
     fn drop(&mut self) {
-        if let Some((kernel, tracer)) = self.live.take() {
-            tracer.end_span(kernel.now_ns());
+        if self.live.is_some() {
+            self.close();
         }
     }
 }
@@ -59,6 +69,7 @@ impl Kernel {
     /// Installs `tracer` as the sink for spans, events and metrics
     /// (replacing any previous one). Pass `None` to disable tracing.
     pub fn set_tracer(&self, tracer: Option<Rc<Tracer>>) {
+        self.tracing().set(tracer.is_some());
         *self.tracer_slot().borrow_mut() = tracer;
     }
 
@@ -79,25 +90,39 @@ impl Kernel {
     /// Opens a sync span stamped with the current virtual time; the
     /// returned guard closes it when dropped. Charges made while the
     /// guard is the innermost open span are attributed to it.
+    #[inline]
     pub fn trace_span(&self, cat: &'static str, name: &'static str) -> TraceSpan {
-        match self.tracer() {
-            Some(t) => {
-                t.begin_span(self.now_ns(), cat, name, self.trace_track());
-                TraceSpan {
-                    live: Some((self.clone(), t)),
-                }
-            }
-            None => TraceSpan::disabled(),
+        if self.tracing().get() {
+            self.open_span(cat, name)
+        } else {
+            TraceSpan::disabled()
         }
     }
 
+    #[cold]
+    fn open_span(&self, cat: &'static str, name: &'static str) -> TraceSpan {
+        let live = self.tracer().map(|t| {
+            t.begin_span(self.now_ns(), cat, name, self.trace_track());
+            (self.clone(), t)
+        });
+        TraceSpan { live }
+    }
+
     /// Records a point event with up to three numeric arguments.
+    #[inline]
     pub fn trace_instant(
         &self,
         cat: &'static str,
         name: &'static str,
         args: &[(&'static str, u64)],
     ) {
+        if self.tracing().get() {
+            self.emit_instant(cat, name, args);
+        }
+    }
+
+    #[cold]
+    fn emit_instant(&self, cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
         if let Some(t) = self.tracer() {
             t.instant(self.now_ns(), cat, name, self.trace_track(), args);
         }
@@ -107,16 +132,25 @@ impl Kernel {
     /// outlive the opening call stack (a URB completing later). Its
     /// latency lands in the registry histogram named `key` when the
     /// matching [`Kernel::trace_req_end`] runs.
+    #[inline]
     pub fn trace_req_begin(&self, key: &'static str, id: u64) {
-        if let Some(t) = self.tracer() {
-            t.req_begin(self.now_ns(), key, id, self.trace_track());
+        if self.tracing().get() {
+            self.emit_req(key, id, Tracer::req_begin);
         }
     }
 
     /// Closes request `(key, id)`, recording its virtual-time latency.
+    #[inline]
     pub fn trace_req_end(&self, key: &'static str, id: u64) {
+        if self.tracing().get() {
+            self.emit_req(key, id, Tracer::req_end);
+        }
+    }
+
+    #[cold]
+    fn emit_req(&self, key: &'static str, id: u64, emit: fn(&Tracer, u64, &'static str, u64, u32)) {
         if let Some(t) = self.tracer() {
-            t.req_end(self.now_ns(), key, id, self.trace_track());
+            emit(&t, self.now_ns(), key, id, self.trace_track());
         }
     }
 
@@ -128,7 +162,9 @@ impl Kernel {
     }
 
     /// Forwards a charge to span attribution (called from
-    /// [`Kernel::charge`]; never advances time itself).
+    /// [`Kernel::charge`] when a tracer is installed; never advances time
+    /// itself).
+    #[cold]
     pub(crate) fn trace_attribute(&self, class: CpuClass, ns: u64) {
         if let Some(t) = self.tracer() {
             t.attribute(class.into(), ns);

@@ -1,10 +1,10 @@
 //! The metrics registry and the one text-report path.
 //!
-//! A [`MetricsRegistry`] is a named collection of [`Histogram`]s (and
-//! plain counters). Workload request spans record per-request latencies
-//! here; the benchmark tables read p50/p99/p999 back out. Names are kept
-//! in a `BTreeMap` so iteration — and therefore every rendered report —
-//! is deterministic.
+//! A [`MetricsRegistry`] is a named collection of [`Histogram`]s.
+//! Workload request spans record per-request latencies here; the
+//! benchmark tables read p50/p99/p999 back out. Names are kept in a
+//! `BTreeMap` so iteration — and therefore every rendered report — is
+//! deterministic.
 //!
 //! [`Table`] is the single report renderer the bench tables print
 //! through: column headers plus stringified rows, aligned and rendered
@@ -16,13 +16,11 @@ use std::fmt::Write as _;
 
 use crate::hist::Histogram;
 
-/// Named histograms and counters with interior mutability, so recording
-/// needs only a shared reference (the tracer holds one registry behind
-/// an `Rc`).
+/// Named histograms with interior mutability, so recording needs only a
+/// shared reference (the tracer holds one registry behind an `Rc`).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     hists: RefCell<BTreeMap<String, Histogram>>,
-    counters: RefCell<BTreeMap<String, u64>>,
 }
 
 impl MetricsRegistry {
@@ -38,30 +36,18 @@ impl MetricsRegistry {
         hists.entry(name.to_string()).or_default().record(value);
     }
 
-    /// Adds to the named counter (created on first use).
-    pub fn count(&self, name: &str, delta: u64) {
-        let mut counters = self.counters.borrow_mut();
-        *counters.entry(name.to_string()).or_default() += delta;
-    }
-
     /// A snapshot of the named histogram, if any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.hists.borrow().get(name).copied()
     }
 
-    /// The named counter's value (0 if never bumped).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.borrow().get(name).copied().unwrap_or(0)
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.hists.borrow().is_empty() && self.counters.borrow().is_empty()
+        self.hists.borrow().is_empty()
     }
 
     /// Renders every histogram as one percentile table (count, p50, p99,
-    /// p999, max in microseconds) plus any counters — the registry's own
-    /// report path.
+    /// p999, max in microseconds) — the registry's own report path.
     pub fn report(&self) -> String {
         let mut t = Table::new("Metrics");
         t.columns(&["metric", "count", "p50 µs", "p99 µs", "p999 µs", "max µs"]);
@@ -75,18 +61,7 @@ impl MetricsRegistry {
                 fmt_us(h.max()),
             ]);
         }
-        let mut out = t.render();
-        let counters = self.counters.borrow();
-        if !counters.is_empty() {
-            let mut t = Table::new("Counters");
-            t.columns(&["counter", "value"]);
-            for (name, v) in counters.iter() {
-                t.row(vec![name.clone(), v.to_string()]);
-            }
-            out.push('\n');
-            out.push_str(&t.render());
-        }
-        out
+        t.render()
     }
 }
 
@@ -182,14 +157,11 @@ mod tests {
         for v in [1_000u64, 2_000, 4_000, 1_000_000] {
             r.record("request_ns", v);
         }
-        r.count("doorbells", 3);
         let h = r.histogram("request_ns").unwrap();
         assert_eq!(h.count(), 4);
         assert!(h.p50() <= h.p99() && h.p99() <= h.p999());
         let report = r.report();
         assert!(report.contains("request_ns"));
-        assert!(report.contains("doorbells"));
-        assert_eq!(r.counter("doorbells"), 3);
     }
 
     #[test]

@@ -286,7 +286,12 @@ impl RefTransport for RefAsync {
         // Re-anchor the doorbell to the oldest surviving call so a
         // dropped older call cannot fire (or hold) the window for the
         // survivors — the same anchoring `Batched` gets per call.
-        self.policy.rearm(queue.front().map(|(at, _)| *at));
+        // (`DoorbellPolicy::rearm` went with its last product caller:
+        // disarm, then arm at the survivor's time, is the same state.)
+        self.policy.rang();
+        if let Some((at, _)) = queue.front() {
+            self.policy.note_post(*at);
+        }
         dropped
     }
     fn oldest_deferred_at(&self) -> Option<u64> {
