@@ -15,6 +15,7 @@ cd "$(dirname "$0")/../.."
 for f in \
     crates/drivers/src/e1000/mod.rs \
     crates/drivers/src/e1000/decaf.rs \
+    crates/drivers/src/ringnic.rs \
     crates/drivers/src/rtl8139.rs \
     crates/drivers/src/support.rs \
     crates/simdev/src/e1000.rs \

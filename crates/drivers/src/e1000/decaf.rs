@@ -14,7 +14,8 @@
 //! decaf driver's drain handlers program the hardware descriptor ring
 //! straight from the shared mapping (one TDT write per batch); and
 //! received frames flow back the same way. Zero payload bytes touch the
-//! XDR marshaler.
+//! XDR marshaler. That glue is chip-independent ([`crate::ringnic`]); this
+//! module supplies the channels, the handlers and the timers' phase.
 //!
 //! There is one build, parametric in the channel configuration, the
 //! receive mode and the shard count; the four public installers name
@@ -23,25 +24,25 @@
 //! [`install_sharded`] at width 1 on the synchronous shmring transport.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use decaf_simdev::E1000Device;
 
-use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet};
-use decaf_simkernel::kernel::{IrqHandler, WorkBody};
+use decaf_shmring::RingSet;
+use decaf_simkernel::kernel::IrqHandler;
 use decaf_simkernel::net::XmitOp;
-use decaf_simkernel::{CpuClass, KError, KResult, Kernel, TimerId};
+use decaf_simkernel::{KError, KResult, Kernel, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, DataPathEnd, Domain, NuclearRuntime, ProcDef, ShardedChannel,
-    XpcChannel, XpcResult,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
+    XpcResult,
 };
 
-use super::{attach, E1000Hw, BUF_SIZE, IRQ_LINE, N_DESC, TX_BUF_OFF};
+use super::{attach, E1000Hw, IRQ_LINE};
+use crate::ringnic::{self, Rings};
 use crate::support::{self, decaf_readl, decaf_writel, RxMode};
 use decaf_simdev::e1000 as hwreg;
 
@@ -165,14 +166,6 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
     build(kernel, ifname, config, RxMode::Interrupt, shards).map(Build::into_sharded)
 }
 
-/// The per-shard rings and data paths of a build whose configuration
-/// hosts the data path at user level.
-struct Rings {
-    tx_paths: Vec<Rc<DataPathChannel>>,
-    tx_set: Rc<RingSet>,
-    rx: Rc<RxSide>,
-}
-
 /// One installed build, before it takes the shape of the public struct
 /// its installer returns.
 struct Build {
@@ -185,7 +178,7 @@ struct Build {
     init_latency_ns: u64,
     plan: Arc<SlicePlan>,
     dev: Rc<RefCell<E1000Device>>,
-    rings: Option<Rings>,
+    rings: Option<Rings<E1000Hw>>,
     rx_mode: RxMode,
     timers: Vec<TimerId>,
 }
@@ -195,7 +188,7 @@ impl Build {
         let (tx_path, rx_path) = match &self.rings {
             Some(r) => (
                 Some(Rc::clone(&r.tx_paths[0])),
-                Some(Rc::clone(&r.rx.paths[0])),
+                Some(Rc::clone(&r.rx_paths[0])),
             ),
             None => (None, None),
         };
@@ -229,9 +222,9 @@ impl Build {
             plan: self.plan,
             dev: self.dev,
             tx_paths: rings.tx_paths,
-            rx_paths: rings.rx.paths.clone(),
+            rx_paths: rings.rx_paths,
             tx_set: rings.tx_set,
-            rx_set: Rc::clone(&rings.rx.set),
+            rx_set: rings.rx_set,
             timers: self.timers,
         }
     }
@@ -302,7 +295,7 @@ fn build(
     if let (Some(rings), RxMode::Poll) = (&rings, rx_mode) {
         // The receive grid keeps the pre-`insmod` phase the poll build
         // has always had: per-packet latencies depend on it.
-        timers.push(rx_poll_timer(kernel, Rc::clone(&rings.rx)));
+        timers.push(ringnic::rx_poll_timer(kernel, rings));
     }
 
     let nuc = Rc::new(NuclearRuntime::new(
@@ -375,11 +368,7 @@ fn build(
     // The coalescing poll is armed after `insmod`, at every width: its
     // phase against the traffic is part of what the tables pin.
     if let Some(rings) = &rings {
-        timers.push(support::sharded_poll_timer(
-            kernel,
-            "e1000_shard_poll",
-            &rings.tx_paths,
-        ));
+        timers.push(ringnic::tx_poll_timer(kernel, rings));
     }
 
     Ok(Build {
@@ -410,18 +399,14 @@ fn link(
     ifname: &str,
     shmring: bool,
     rx_mode: RxMode,
-) -> XpcResult<(Option<Rings>, IrqHandler, XmitOp)> {
+) -> XpcResult<(Option<Rings<E1000Hw>>, IrqHandler, XmitOp)> {
     let shards = channels.shard_count();
     for i in 0..shards {
         support::register_io_procs(channels.shard(i), hw.bar.clone())?;
         register_decaf_handlers(channels.shard(i), plan)?;
     }
     let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = if shmring {
-        let rings = build_rings(channels, hw, ifname)?;
-        let inflight = register_drains(channels, hw, &rings)?;
-        let irq = ring_irq_handler(hw, ifname, &rings.tx_set, inflight, &rings.rx, rx_mode);
-        let xmit =
-            support::sharded_xmit_op(Rc::clone(&rings.tx_set), rings.tx_paths.clone(), BUF_SIZE);
+        let (rings, irq, xmit) = ringnic::link(channels, hw, ifname, rx_mode)?;
         (Some(rings), irq, xmit)
     } else {
         let hw_irq = Rc::clone(hw);
@@ -439,270 +424,6 @@ fn link(
         register_nucleus_procs(channels.shard(i), hw, &irq_handler)?;
     }
     Ok((rings, irq_handler, xmit))
-}
-
-/// Builds the per-shard rings and data paths over one shared
-/// DMA-resident pool.
-fn build_rings(channels: &Rc<ShardedChannel>, hw: &Rc<E1000Hw>, ifname: &str) -> XpcResult<Rings> {
-    let shards = channels.shard_count();
-    let tx_set = RingSet::new("e1000-tx", shards, N_DESC as usize, 2 * N_DESC as usize);
-    let rx_set = RingSet::new("e1000-rx", shards, N_DESC as usize, 2 * N_DESC as usize);
-    // TX payloads live in a pool carved from the device's own DMA
-    // region, so a posted descriptor already points where the NIC reads.
-    let pool = Rc::new(BufPool::new(
-        hw.dma.clone(),
-        TX_BUF_OFF,
-        BUF_SIZE,
-        N_DESC as usize,
-    ));
-    let mut tx_paths = Vec::with_capacity(shards);
-    let mut rx_paths = Vec::with_capacity(shards);
-    for i in 0..shards {
-        tx_paths.push(DataPathChannel::new(
-            Rc::clone(channels.shard(i)),
-            Domain::Nucleus,
-            "e1000_tx_drain",
-            Rc::clone(tx_set.ring(i)),
-            Rc::clone(tx_set.completions(i)),
-            Some(Rc::clone(&pool)),
-            DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
-        )?);
-        // RX descriptors reference device receive slots (no pool); the
-        // IRQ handler posts, a work item rings, the decaf driver drains.
-        rx_paths.push(DataPathChannel::new(
-            Rc::clone(channels.shard(i)),
-            Domain::Nucleus,
-            "e1000_rx_drain",
-            Rc::clone(rx_set.ring(i)),
-            Rc::clone(rx_set.completions(i)),
-            None,
-            DoorbellPolicy::with_watermark(N_DESC as usize),
-        )?);
-    }
-    Ok(Rings {
-        tx_paths,
-        tx_set,
-        rx: Rc::new(RxSide {
-            hw: Rc::clone(hw),
-            ifname: ifname.to_string(),
-            set: rx_set,
-            ends: rx_paths.iter().map(|p| p.end(Domain::Decaf)).collect(),
-            paths: rx_paths,
-        }),
-    })
-}
-
-/// TX descriptors queued to hardware by a decaf drain, completed
-/// (ownership handed back through the completion ring) by the IRQ.
-type TxInflight = Rc<RefCell<VecDeque<Descriptor>>>;
-
-/// Registers the decaf-side drains, one pair per shard, each charged to
-/// its shard. Completions go through the ring sets so every handback
-/// steers home to the posting shard.
-fn register_drains(
-    channels: &Rc<ShardedChannel>,
-    hw: &Rc<E1000Hw>,
-    rings: &Rings,
-) -> XpcResult<TxInflight> {
-    let inflight: TxInflight = Rc::new(RefCell::new(VecDeque::new()));
-    for (i, (tx_path, rx_path)) in rings.tx_paths.iter().zip(&rings.rx.paths).enumerate() {
-        // TX drain: the user-level driver programs the hardware
-        // descriptor ring straight from its mapping of the shared pool —
-        // no payload copy — and publishes the whole batch with one TDT
-        // write.
-        let end = tx_path.end(Domain::Decaf);
-        let hw = Rc::clone(hw);
-        let inflight = Rc::clone(&inflight);
-        let set = Rc::clone(&rings.tx_set);
-        channels.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("e1000_tx_drain", move |k, _| {
-                k.shard_scope(i, || {
-                    let pool = end.pool().expect("tx path owns a pool");
-                    let mut queued = 0;
-                    end.consume(k, |d| {
-                        let off = pool.offset_of(d.buf).expect("live pool handle");
-                        match hw.xmit_desc(k, off, d.len as usize) {
-                            Ok(()) => {
-                                inflight.borrow_mut().push_back(d);
-                                queued += 1;
-                            }
-                            // A frame the hardware rejects never becomes
-                            // in-flight (it would be counted as sent at
-                            // the next TXDW); it is completed on the
-                            // spot — steered home like any other.
-                            Err(_) => {
-                                let _ = set.complete(k, CpuClass::User, d);
-                            }
-                        }
-                    });
-                    if queued > 0 {
-                        hw.tx_kick(k);
-                    }
-                    XdrValue::Int(queued)
-                })
-            }),
-        )?;
-
-        // RX drain: user-level receive processing sees every descriptor,
-        // then hands buffer ownership back in completion order.
-        let end = rx_path.end(Domain::Decaf);
-        let set = Rc::clone(&rings.rx.set);
-        channels.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("e1000_rx_drain", move |k, _| {
-                k.shard_scope(i, || {
-                    let n = end.consume(k, |d| {
-                        let _ = set.complete(k, CpuClass::User, d);
-                    });
-                    XdrValue::Int(n as i32)
-                })
-            }),
-        )?;
-    }
-    Ok(inflight)
-}
-
-/// The nucleus side of the receive rings: what the interrupt handler
-/// and the poll tick share.
-struct RxSide {
-    hw: Rc<E1000Hw>,
-    ifname: String,
-    set: Rc<RingSet>,
-    paths: Vec<Rc<DataPathChannel>>,
-    /// The decaf end of each path, for the poll tick: kept, so the batch
-    /// its probes fill is reused from tick to tick.
-    ends: Vec<DataPathEnd>,
-}
-
-impl RxSide {
-    /// Harvests the hardware ring: each filled receive slot flow-hashes
-    /// to a shard's RX ring.
-    fn harvest(&self, k: &Kernel) {
-        for (slot, len) in self.hw.rx_harvest(k) {
-            let shard = self.set.steer(slot as u64);
-            let posted = self.paths[shard].post(
-                k,
-                Descriptor {
-                    buf: BufHandle(slot),
-                    len: len as u32,
-                    cookie: slot as u64,
-                },
-            );
-            if posted.is_ok() {
-                self.set.note_post(shard, slot as u64);
-            }
-        }
-    }
-
-    /// Delivers every completed receive descriptor to the stack and
-    /// recycles its hardware slot.
-    fn deliver(&self, k: &Kernel) {
-        let mut last = None;
-        for path in &self.paths {
-            path.reclaim_completions_with(k, |d| {
-                let slot = d.cookie as u32;
-                let (dma, off) = (&self.hw.dma, E1000Hw::rx_buf_off(slot));
-                let _ = dma.with_bytes(off, d.len as usize, |frame| {
-                    k.netif_rx(&self.ifname, frame, 0x0800)
-                });
-                self.hw.rx_recycle(k, slot);
-                last = Some(slot);
-            });
-        }
-        if let Some(slot) = last {
-            self.hw.rx_kick(k, slot);
-        }
-    }
-}
-
-/// The nucleus IRQ handler of a ring build: TX completions steer home
-/// through the ring set, harvested RX slots flow-hash across the
-/// per-shard RX rings, and the doorbell upcall is deferred to a work
-/// item (process context — §3.1.3 forbids upcalls from atomic context).
-fn ring_irq_handler(
-    hw: &Rc<E1000Hw>,
-    ifname: &str,
-    tx_set: &Rc<RingSet>,
-    inflight: TxInflight,
-    rx: &Rc<RxSide>,
-    rx_mode: RxMode,
-) -> IrqHandler {
-    let hw = Rc::clone(hw);
-    let name = ifname.to_string();
-    let tx_set = Rc::clone(tx_set);
-    let rx = Rc::clone(rx);
-    // The drain is the same work after every receive interrupt: built
-    // once here, queued by handle from the handler.
-    let drain: WorkBody = {
-        let rx = Rc::clone(&rx);
-        Rc::new(move |k, _| {
-            let _span = k.trace_span("rx", "drain");
-            for (i, path) in rx.paths.iter().enumerate() {
-                k.shard_scope(i, || {
-                    let _ = path.ring_doorbell(k);
-                });
-            }
-            rx.deliver(k);
-        })
-    };
-    Rc::new(move |k| {
-        let icr = hw.bar.read32(k, hwreg::ICR);
-        if icr & hwreg::ICR_TXDW != 0 {
-            let (mut pkts, mut bytes) = (0u64, 0u64);
-            // Popped one at a time, so no borrow is held across the
-            // completion and nothing is collected.
-            while let Some(d) = { inflight.borrow_mut().pop_front() } {
-                pkts += 1;
-                bytes += d.len as u64;
-                // Completion steering: handback lands on the ring of
-                // the shard that posted the descriptor.
-                let _ = tx_set.complete(k, CpuClass::Kernel, d);
-            }
-            k.net_tx_done(&name, pkts, bytes);
-        }
-        if icr & hwreg::ICR_RXT0 != 0 && rx_mode == RxMode::Poll {
-            // NAPI-style handoff: the first receive interrupt masks
-            // further ones; the harvested frames wait in the
-            // hardware ring for the next poll tick.
-            hw.bar.write32(k, hwreg::IMC, hwreg::ICR_RXT0);
-        } else if icr & hwreg::ICR_RXT0 != 0 {
-            let _span = k.trace_span("rx", "irq");
-            rx.harvest(k);
-            if rx.paths.iter().any(|p| p.pending() > 0) {
-                k.schedule_work_handle(&drain, 0);
-            }
-        }
-        if icr & hwreg::ICR_LSC != 0 {
-            k.netif_carrier(&name, hw.link_up(k));
-        }
-    })
-}
-
-/// Poll-mode receive: a fixed-grid tick replaces the RX doorbell
-/// upcall. Each tick harvests the hardware ring into the shm rings,
-/// probes each from the decaf side under a budget (paying the spin tax
-/// whether or not frames arrived), and delivers completions — no
-/// interrupt entry, no crossing.
-fn rx_poll_timer(kernel: &Kernel, rx: Rc<RxSide>) -> TimerId {
-    let poll: WorkBody = Rc::new(move |k, _| {
-        let _span = k.trace_span("rx", "poll");
-        rx.harvest(k);
-        for (i, end) in rx.ends.iter().enumerate() {
-            k.shard_scope(i, || {
-                end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
-                    let _ = rx.set.complete(k, CpuClass::User, d);
-                });
-            });
-        }
-        rx.deliver(k);
-    });
-    let timer = kernel.timer_create(
-        "e1000_rx_poll",
-        Rc::new(move |k| k.schedule_work_handle(&poll, 0)),
-    );
-    kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
-    timer
 }
 
 /// Kernel procedures the decaf driver calls down into. These correspond

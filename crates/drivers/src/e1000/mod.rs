@@ -9,10 +9,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
+use decaf_shmring::BufPool;
 use decaf_simdev::e1000 as hwreg;
 use decaf_simdev::E1000Device;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
+
+use crate::ringnic::{IrqCause, RingNic};
 
 /// Descriptors per ring.
 pub const N_DESC: u32 = 64;
@@ -190,34 +193,6 @@ impl E1000Hw {
         Ok(())
     }
 
-    /// Queues a transmit descriptor for a payload *already resident* in
-    /// the DMA region at `buf` — the zero-copy path: no payload copy, no
-    /// copy charge, and no TDT write (call [`E1000Hw::tx_kick`] once per
-    /// batch, the MMIO-doorbell-coalescing half of the shmring win).
-    pub fn xmit_desc(&self, _kernel: &Kernel, buf: usize, len: usize) -> KResult<()> {
-        if len > BUF_SIZE {
-            return Err(KError::Inval);
-        }
-        let slot = self.next_tx.get();
-        let desc = TX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
-        self.dma.write_u64(desc, buf as u64);
-        self.dma.write_u32(
-            desc + 8,
-            len as u32 | ((hwreg::TXD_CMD_EOP | hwreg::TXD_CMD_RS) << 24),
-        );
-        self.dma.write_u32(desc + 12, 0);
-        self.next_tx.set((slot + 1) % N_DESC);
-        self.tx_inflight_bytes
-            .set(self.tx_inflight_bytes.get() + len as u64);
-        self.tx_inflight_pkts.set(self.tx_inflight_pkts.get() + 1);
-        Ok(())
-    }
-
-    /// Publishes every queued transmit descriptor with one TDT write.
-    pub fn tx_kick(&self, kernel: &Kernel) {
-        self.bar.write32(kernel, hwreg::TDT, self.next_tx.get());
-    }
-
     /// Interrupt service: reads ICR, reclaims TX, receives RX.
     ///
     /// Returns the interrupt causes handled.
@@ -241,40 +216,9 @@ impl E1000Hw {
         icr
     }
 
-    /// Scans completed receive descriptors *without copying payloads*:
-    /// yields `(slot, len)` pairs, as it finds them, for the shmring data
-    /// path to post as descriptors. The buffers stay software-owned until
-    /// [`E1000Hw::rx_recycle`] hands them back.
-    pub fn rx_harvest<'a>(&'a self, _kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
-        std::iter::from_fn(move || {
-            let slot = self.next_rx.get();
-            let desc = RX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
-            if self.dma.read_u32(desc + 12) & hwreg::TXD_STAT_DD == 0 {
-                return None;
-            }
-            let len = (self.dma.read_u32(desc + 8) & 0xffff) as usize;
-            self.next_rx.set((slot + 1) % N_DESC);
-            Some((slot, len))
-        })
-    }
-
     /// DMA offset of one receive buffer slot.
     pub fn rx_buf_off(slot: u32) -> usize {
         RX_BUF_OFF + slot as usize * BUF_SIZE
-    }
-
-    /// Clears a harvested descriptor's status (software done with the
-    /// buffer). Publish a batch back to the hardware with one
-    /// [`E1000Hw::rx_kick`].
-    pub fn rx_recycle(&self, _kernel: &Kernel, slot: u32) {
-        let desc = RX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
-        self.dma.write_u32(desc + 12, 0);
-    }
-
-    /// Advances RDT to `slot` — one MMIO write returning a whole batch of
-    /// recycled buffers to the device.
-    pub fn rx_kick(&self, kernel: &Kernel, slot: u32) {
-        self.bar.write32(kernel, hwreg::RDT, slot);
     }
 
     /// Drains completed receive descriptors into the network stack.
@@ -297,6 +241,101 @@ impl E1000Hw {
             self.bar.write32(kernel, hwreg::RDT, slot);
             self.next_rx.set((slot + 1) % N_DESC);
         }
+    }
+}
+
+/// The e1000 as a ring-hosted NIC: descriptor rings in DMA, a tail
+/// register per direction, a read-to-clear cause register.
+impl RingNic for E1000Hw {
+    const NAME: &'static str = "e1000";
+    const TX_SLOTS: usize = N_DESC as usize;
+    const TX_WATERMARK: usize = decaf::TX_DOORBELL_WATERMARK;
+    const RX_SLOTS: usize = N_DESC as usize;
+    const MAX_FRAME: usize = BUF_SIZE;
+
+    fn tx_pool(&self) -> BufPool {
+        BufPool::new(self.dma.clone(), TX_BUF_OFF, BUF_SIZE, N_DESC as usize)
+    }
+
+    /// ICR is read-to-clear: the read is the acknowledgement.
+    fn irq_cause(&self, kernel: &Kernel) -> IrqCause {
+        let raw = self.bar.read32(kernel, hwreg::ICR);
+        IrqCause {
+            raw,
+            tx_done: raw & hwreg::ICR_TXDW != 0,
+            rx: raw & hwreg::ICR_RXT0 != 0,
+        }
+    }
+
+    fn irq_mask_rx(&self, kernel: &Kernel) {
+        self.bar.write32(kernel, hwreg::IMC, hwreg::ICR_RXT0);
+    }
+
+    fn irq_end(&self, kernel: &Kernel, ifname: &str, raw: u32) {
+        if raw & hwreg::ICR_LSC != 0 {
+            kernel.netif_carrier(ifname, self.link_up(kernel));
+        }
+    }
+
+    /// No payload copy, no copy charge, and no TDT write: one
+    /// [`RingNic::tx_kick`] per batch is the MMIO-doorbell-coalescing
+    /// half of the shmring win.
+    fn xmit_desc(&self, _kernel: &Kernel, buf: usize, len: usize) -> KResult<()> {
+        if len > BUF_SIZE {
+            return Err(KError::Inval);
+        }
+        let slot = self.next_tx.get();
+        let desc = TX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
+        self.dma.write_u64(desc, buf as u64);
+        self.dma.write_u32(
+            desc + 8,
+            len as u32 | ((hwreg::TXD_CMD_EOP | hwreg::TXD_CMD_RS) << 24),
+        );
+        self.dma.write_u32(desc + 12, 0);
+        self.next_tx.set((slot + 1) % N_DESC);
+        self.tx_inflight_bytes
+            .set(self.tx_inflight_bytes.get() + len as u64);
+        self.tx_inflight_pkts.set(self.tx_inflight_pkts.get() + 1);
+        Ok(())
+    }
+
+    /// One TDT write publishes every queued transmit descriptor.
+    fn tx_kick(&self, kernel: &Kernel) {
+        self.bar.write32(kernel, hwreg::TDT, self.next_tx.get());
+    }
+
+    /// The cookie is the descriptor slot. The buffers stay
+    /// software-owned until [`RingNic::rx_slot_done`] hands them back;
+    /// the chip cannot fill more slots than a ring has, so the caller's
+    /// bound never binds.
+    fn rx_harvest<'a>(&'a self, _kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
+        std::iter::from_fn(move || {
+            let slot = self.next_rx.get();
+            let desc = RX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
+            if self.dma.read_u32(desc + 12) & hwreg::TXD_STAT_DD == 0 {
+                return None;
+            }
+            let len = (self.dma.read_u32(desc + 8) & 0xffff) as usize;
+            self.next_rx.set((slot + 1) % N_DESC);
+            Some((slot, len))
+        })
+    }
+
+    fn rx_frame<R>(&self, slot: u32, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.dma.with_bytes(Self::rx_buf_off(slot), len, f)
+    }
+
+    /// Clears the harvested descriptor's status.
+    fn rx_slot_done(&self, _kernel: &Kernel, slot: u32) {
+        let desc = RX_RING_OFF + slot as usize * hwreg::DESC_SIZE;
+        self.dma.write_u32(desc + 12, 0);
+    }
+
+    /// Advances RDT to `last` — one MMIO write returning the whole batch
+    /// of recycled buffers to the device. Each slot is returned on its
+    /// own, whatever else is still in flight.
+    fn rx_delivered(&self, kernel: &Kernel, last: u32, _in_flight: usize) {
+        self.bar.write32(kernel, hwreg::RDT, last);
     }
 }
 

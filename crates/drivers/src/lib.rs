@@ -28,6 +28,7 @@
 pub mod e1000;
 pub mod ens1371;
 pub mod psmouse;
+pub mod ringnic;
 pub mod rtl8139;
 pub mod support;
 pub mod uhci;

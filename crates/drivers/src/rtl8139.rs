@@ -8,15 +8,15 @@
 //! to a worker thread — reproduced here by the `rtl8139_thread` work-item
 //! deferral.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use decaf_shmring::{BufPool, Descriptor, DoorbellPolicy, ShmRing};
+use decaf_shmring::{BufPool, RingSet};
 use decaf_simdev::rtl8139 as hwreg;
 use decaf_simdev::Rtl8139Device;
-use decaf_simkernel::kernel::{IrqHandler, WorkBody};
+use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{
     DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff, TimerId,
 };
@@ -27,6 +27,7 @@ use decaf_xpc::{
     ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel, XpcResult,
 };
 
+use crate::ringnic::{self, IrqCause, RingNic};
 use crate::support::{self, decaf_readl, decaf_writel, RxMode};
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
@@ -214,7 +215,7 @@ impl Rtl8139Hw {
     /// Transmits one frame through the next TX slot: one audited payload
     /// copy into the DMA buffer, then the descriptor writes.
     pub fn xmit(&self, kernel: &Kernel, skb: &SkBuff) -> KResult<()> {
-        if skb.len() > 1792 {
+        if skb.len() > Self::MAX_FRAME {
             return Err(KError::Inval);
         }
         let slot = self.cur_tx.get() % 4;
@@ -222,26 +223,6 @@ impl Rtl8139Hw {
         self.dma.write_bytes(buf, &skb.data);
         kernel.charge_copy(decaf_simkernel::CpuClass::Kernel, skb.len() as u64);
         self.xmit_desc(kernel, buf, skb.len())
-    }
-
-    /// Starts transmission of a payload *already resident* in the DMA
-    /// region at `buf` — the zero-copy path. The 8139 has no posted
-    /// descriptor ring: the TSD write *is* the per-packet doorbell, so
-    /// only the payload copy is saved, not the MMIO.
-    pub fn xmit_desc(&self, kernel: &Kernel, buf: usize, len: usize) -> KResult<()> {
-        if len > 1792 {
-            return Err(KError::Inval);
-        }
-        let slot = self.cur_tx.get() % 4;
-        self.bar
-            .write32(kernel, hwreg::TSAD0 + slot as u64 * 4, buf as u32);
-        self.bar
-            .write32(kernel, hwreg::TSD0 + slot as u64 * 4, len as u32);
-        self.cur_tx.set(self.cur_tx.get() + 1);
-        self.pending_tx_pkts.set(self.pending_tx_pkts.get() + 1);
-        self.pending_tx_bytes
-            .set(self.pending_tx_bytes.get() + len as u64);
-        Ok(())
     }
 
     /// Interrupt service: acknowledge causes, drain the rx ring.
@@ -271,25 +252,79 @@ impl Rtl8139Hw {
         self.rx_maybe_rewind(kernel);
     }
 
-    /// Walks completed receive-ring entries *without copying payloads*:
-    /// yields `(payload_offset, payload_len)` pairs as it finds them.
-    /// Callers must call [`Rtl8139Hw::rx_maybe_rewind`] once the payloads
-    /// have been consumed.
-    pub fn rx_harvest<'a>(&'a self, kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
-        self.rx_harvest_limited(kernel, usize::MAX)
+    /// Rewinds the ring once the read pointer nears the end (drain point;
+    /// the harvested payloads must already be consumed).
+    pub fn rx_maybe_rewind(&self, kernel: &Kernel) {
+        if self.rx_read_off.get() >= hwreg::RX_RING_LEN as u32 - 2048 {
+            self.bar.write32(kernel, hwreg::CBR, 0);
+            self.rx_read_off.set(0);
+        }
+    }
+}
+
+/// The 8139 as a ring-hosted NIC — the one-shard instance: four
+/// transmit slots whose TSD write is the per-packet doorbell, one
+/// byte-packed receive ring that is rewound rather than recycled, a
+/// write-one-to-clear cause register.
+impl RingNic for Rtl8139Hw {
+    const NAME: &'static str = "rtl8139";
+    const TX_SLOTS: usize = 8;
+    const TX_WATERMARK: usize = TX_DOORBELL_WATERMARK;
+    const RX_SLOTS: usize = 64;
+    const MAX_FRAME: usize = 1792;
+
+    /// The 8139 has exactly four 2 KiB transmit buffers; the pool wraps
+    /// them so ring descriptors point straight at hardware memory.
+    fn tx_pool(&self) -> BufPool {
+        BufPool::new(self.dma.clone(), TX_BUF_OFF, 2048, 4)
     }
 
-    /// Like [`Rtl8139Hw::rx_harvest`], stopping after `max` frames. The
-    /// read pointer advances only past harvested frames, so a bounded
-    /// caller (a descriptor ring with finite free slots) never loses
-    /// what it could not take — the remainder is picked up next time.
-    /// CBR is read once, up front: frames the chip adds while the caller
-    /// works through these wait for the next harvest.
-    pub fn rx_harvest_limited<'a>(
-        &'a self,
-        kernel: &Kernel,
-        max: usize,
-    ) -> impl Iterator<Item = (u32, usize)> + 'a {
+    fn irq_cause(&self, kernel: &Kernel) -> IrqCause {
+        let raw = self.bar.read32(kernel, hwreg::ISR);
+        IrqCause {
+            raw,
+            tx_done: raw & hwreg::INT_TOK != 0,
+            rx: raw & hwreg::INT_ROK != 0,
+        }
+    }
+
+    fn irq_mask_rx(&self, kernel: &Kernel) {
+        self.bar.write32(kernel, hwreg::IMR, hwreg::INT_TOK);
+    }
+
+    /// ISR is write-one-to-clear: what was read is written back.
+    fn irq_end(&self, kernel: &Kernel, _ifname: &str, raw: u32) {
+        self.bar.write32(kernel, hwreg::ISR, raw);
+    }
+
+    /// The 8139 has no posted descriptor ring: the TSD write *is* the
+    /// per-packet doorbell, so only the payload copy is saved, not the
+    /// MMIO.
+    fn xmit_desc(&self, kernel: &Kernel, buf: usize, len: usize) -> KResult<()> {
+        if len > Self::MAX_FRAME {
+            return Err(KError::Inval);
+        }
+        let slot = self.cur_tx.get() % 4;
+        self.bar
+            .write32(kernel, hwreg::TSAD0 + slot as u64 * 4, buf as u32);
+        self.bar
+            .write32(kernel, hwreg::TSD0 + slot as u64 * 4, len as u32);
+        self.cur_tx.set(self.cur_tx.get() + 1);
+        self.pending_tx_pkts.set(self.pending_tx_pkts.get() + 1);
+        self.pending_tx_bytes
+            .set(self.pending_tx_bytes.get() + len as u64);
+        Ok(())
+    }
+
+    /// Nothing to publish: each TSD write already started its frame.
+    fn tx_kick(&self, _kernel: &Kernel) {}
+
+    /// The cookie is the payload's DMA offset (the ring is byte-packed,
+    /// not slot-based). CBR is read once, up front: frames the chip adds
+    /// while the caller works through these wait for the next harvest.
+    /// The ring is rewound once the payloads have been consumed
+    /// ([`Rtl8139Hw::rx_maybe_rewind`]).
+    fn rx_harvest<'a>(&'a self, kernel: &Kernel) -> impl Iterator<Item = (u32, usize)> + 'a {
         let cbr = self.bar.read32(kernel, hwreg::CBR);
         std::iter::from_fn(move || {
             let off = self.rx_read_off.get();
@@ -306,15 +341,21 @@ impl Rtl8139Hw {
             self.rx_read_off.set((off + 4 + payload as u32 + 3) & !3);
             Some((base + 4, payload))
         })
-        .take(max)
     }
 
-    /// Rewinds the ring once the read pointer nears the end (drain point;
-    /// the harvested payloads must already be consumed).
-    pub fn rx_maybe_rewind(&self, kernel: &Kernel) {
-        if self.rx_read_off.get() >= hwreg::RX_RING_LEN as u32 - 2048 {
-            self.bar.write32(kernel, hwreg::CBR, 0);
-            self.rx_read_off.set(0);
+    fn rx_frame<R>(&self, off: u32, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.dma.with_bytes(off as usize, len, f)
+    }
+
+    /// Ring memory goes back all at once, at the rewind.
+    fn rx_slot_done(&self, _kernel: &Kernel, _off: u32) {}
+
+    /// The ring can be rewound only once every harvested frame has been
+    /// delivered and the chip has written nothing that is still unread:
+    /// one CBR read answers the second.
+    fn rx_delivered(&self, kernel: &Kernel, _last: u32, in_flight: usize) {
+        if in_flight == 0 && self.rx_read_off.get() >= self.bar.read32(kernel, hwreg::CBR) {
+            self.rx_maybe_rewind(kernel);
         }
     }
 }
@@ -412,10 +453,14 @@ pub struct Decaf8139 {
     pub tx_path: Option<Rc<DataPathChannel>>,
     /// The receive shmring data path (shmring build only).
     pub rx_path: Option<Rc<DataPathChannel>>,
+    /// The TX ring set — the conservation ledger of the transmit
+    /// descriptors (shmring builds only).
+    pub tx_set: Option<Rc<RingSet>>,
+    /// The RX ring set (shmring builds only).
+    pub rx_set: Option<Rc<RingSet>>,
     /// How this build collects received frames (shmring builds only).
     pub rx_mode: RxMode,
-    poll_timer: Option<TimerId>,
-    rx_poll_timer: Option<TimerId>,
+    timers: Vec<TimerId>,
 }
 
 /// Loads the decaf (split) driver with the kernel-resident data path.
@@ -431,7 +476,8 @@ pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
 
 /// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
 /// interrupt masks `INT_ROK`, and a periodic budgeted poll probes the
-/// byte-packed receive ring instead of riding doorbell upcalls.
+/// byte-packed receive ring instead of riding doorbell upcalls — the
+/// shared tick of [`ringnic::rx_poll_timer`].
 pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
     install_decaf_with(kernel, ifname, true, RxMode::Poll)
 }
@@ -453,25 +499,29 @@ fn install_decaf_with(
     let channels = support::channels_from_plan(&plan, config, 1);
     let channel = Rc::clone(channels.shard(0));
 
-    let datapath = shmring
-        .then(|| build_datapath(kernel, &channel, &hw, ifname, rx_mode))
+    // The ring build is the one-shard instance of the shared glue; both
+    // its timers are armed before `insmod`, the coalescing poll first.
+    let rings = shmring
+        .then(|| ringnic::link(&channels, &hw, ifname, rx_mode))
         .transpose()
         .map_err(|_| KError::Io)?;
-    let irq_handler: IrqHandler = match &datapath {
-        Some(dp) => Rc::clone(&dp.irq_handler),
-        None => {
-            let hw_irq = Rc::clone(&hw);
-            let name = ifname.to_string();
-            Rc::new(move |k| hw_irq.handle_irq(k, &name))
+    let mut timers = Vec::new();
+    let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = match rings {
+        Some((rings, irq, xmit)) => {
+            timers.push(ringnic::tx_poll_timer(kernel, &rings));
+            if rx_mode == RxMode::Poll {
+                timers.push(ringnic::rx_poll_timer(kernel, &rings));
+            }
+            (Some(rings), irq, xmit)
         }
-    };
-    // The 1792-byte hardware limit is enforced at the ring mouth, so a
-    // descriptor the chip would reject never enters the data path.
-    let xmit: decaf_simkernel::net::XmitOp = match &datapath {
-        Some(dp) => support::shmring_xmit_op(Rc::clone(&dp.tx), 1792),
         None => {
-            let hw_x = Rc::clone(&hw);
-            Rc::new(move |k, skb| hw_x.xmit(k, skb))
+            let (hw_irq, hw_x) = (Rc::clone(&hw), Rc::clone(&hw));
+            let name = ifname.to_string();
+            (
+                None,
+                Rc::new(move |k| hw_irq.handle_irq(k, &name)),
+                Rc::new(move |k, skb| hw_x.xmit(k, skb)),
+            )
         }
     };
     register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
@@ -503,12 +553,12 @@ fn install_decaf_with(
         },
     )?;
 
-    let (tx_path, rx_path, poll_timer, rx_poll_timer) = match datapath {
-        Some(dp) => (
-            Some(dp.tx),
-            Some(dp.rx),
-            Some(dp.poll_timer),
-            dp.rx_poll_timer,
+    let (tx_path, rx_path, tx_set, rx_set) = match rings {
+        Some(mut r) => (
+            r.tx_paths.pop(),
+            r.rx_paths.pop(),
+            Some(r.tx_set),
+            Some(r.rx_set),
         ),
         None => (None, None, None, None),
     };
@@ -524,9 +574,10 @@ fn install_decaf_with(
         dev,
         tx_path,
         rx_path,
+        tx_set,
+        rx_set,
         rx_mode,
-        poll_timer,
-        rx_poll_timer,
+        timers,
     })
 }
 
@@ -612,225 +663,6 @@ fn register_procs(
     })
 }
 
-/// The nucleus side of the receive ring: what the interrupt handler, its
-/// drain work item and the poll tick share. RX descriptors carry raw
-/// hardware-ring offsets in their cookies (the 8139's receive ring is
-/// byte-packed, not slot-based).
-struct RxSide {
-    hw: Rc<Rtl8139Hw>,
-    ifname: String,
-    path: Rc<DataPathChannel>,
-}
-
-impl RxSide {
-    /// Harvests only what the shm ring can hold: the read pointer stays
-    /// on the first unharvested frame, so a burst larger than the ring
-    /// waits in the hardware ring for the next harvest instead of being
-    /// dropped.
-    fn harvest(&self, k: &Kernel) {
-        let avail = self.path.ring().capacity() - self.path.pending();
-        for (off, len) in self.hw.rx_harvest_limited(k, avail) {
-            let _ = self.path.post(
-                k,
-                Descriptor {
-                    buf: decaf_shmring::BufHandle(0),
-                    len: len as u32,
-                    cookie: off as u64,
-                },
-            );
-        }
-    }
-
-    /// Delivers every completed receive descriptor to the stack.
-    fn deliver(&self, k: &Kernel) {
-        self.path.reclaim_completions_with(k, |d| {
-            let (dma, off) = (&self.hw.dma, d.cookie as usize);
-            let _ = dma.with_bytes(off, d.len as usize, |frame| {
-                k.netif_rx(&self.ifname, frame, 0x0800)
-            });
-        });
-    }
-}
-
-/// Builds the rings, the pool over the four hardware transmit buffers,
-/// the decaf drain handlers, the interrupt handler and the poll timer.
-fn build_datapath(
-    kernel: &Kernel,
-    channel: &Rc<XpcChannel>,
-    hw: &Rc<Rtl8139Hw>,
-    ifname: &str,
-    rx_mode: RxMode,
-) -> XpcResult<support::ShmDataPath> {
-    // The 8139 has exactly four 2 KiB transmit buffers; the pool wraps
-    // them so ring descriptors point straight at hardware memory.
-    let tx = DataPathChannel::new(
-        Rc::clone(channel),
-        Domain::Nucleus,
-        "rtl8139_tx_drain",
-        Rc::new(ShmRing::new("8139-tx", 8)),
-        Rc::new(ShmRing::new("8139-tx-done", 16)),
-        Some(Rc::new(BufPool::new(hw.dma.clone(), TX_BUF_OFF, 2048, 4))),
-        DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
-    )?;
-    let rx = Rc::new(RxSide {
-        hw: Rc::clone(hw),
-        ifname: ifname.to_string(),
-        path: DataPathChannel::new(
-            Rc::clone(channel),
-            Domain::Nucleus,
-            "rtl8139_rx_drain",
-            Rc::new(ShmRing::new("8139-rx", 64)),
-            Rc::new(ShmRing::new("8139-rx-done", 128)),
-            None,
-            DoorbellPolicy::with_watermark(64),
-        )?,
-    });
-
-    let inflight: Rc<RefCell<VecDeque<Descriptor>>> = Rc::new(RefCell::new(VecDeque::new()));
-
-    // Decaf-side TX drain: the user-level driver writes TSAD/TSD from
-    // its shared mapping. The 8139's TSD write is a per-packet doorbell
-    // by hardware design — only the payload copy is saved here.
-    {
-        let end = tx.end(Domain::Decaf);
-        let hw = Rc::clone(hw);
-        let inflight = Rc::clone(&inflight);
-        channel.register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("rtl8139_tx_drain", move |k, _| {
-                let mut n = 0;
-                let pool = end.pool().expect("tx path owns a pool");
-                while let Some(d) = end.consume_one(k) {
-                    let off = pool.offset_of(d.buf).expect("live pool handle");
-                    match hw.xmit_desc(k, off, d.len as usize) {
-                        Ok(()) => {
-                            inflight.borrow_mut().push_back(d);
-                            n += 1;
-                        }
-                        // A rejected frame must not become in-flight
-                        // (it would be counted as transmitted at the
-                        // next INT_TOK); hand its buffer back.
-                        Err(_) => {
-                            let _ = end.complete(k, d);
-                        }
-                    }
-                }
-                XdrValue::Int(n)
-            }),
-        )?;
-    }
-
-    // Decaf-side RX drain: sees every received descriptor, hands the
-    // ring memory back in order.
-    {
-        let end = rx.path.end(Domain::Decaf);
-        channel.register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("rtl8139_rx_drain", move |k, _| {
-                let mut n = 0;
-                end.consume(k, |d| {
-                    let _ = end.complete(k, d);
-                    n += 1;
-                });
-                XdrValue::Int(n)
-            }),
-        )?;
-    }
-
-    let irq_handler: IrqHandler = {
-        let hw = Rc::clone(hw);
-        let tx_end = tx.end(Domain::Nucleus);
-        let rx = Rc::clone(&rx);
-        // The drain is the same work after every receive interrupt: built
-        // once here, queued by handle from the handler.
-        let drain: WorkBody = {
-            let rx = Rc::clone(&rx);
-            Rc::new(move |k, _| {
-                let _span = k.trace_span("rx", "drain");
-                // Keep picking up the frames the IRQ handler had to leave
-                // behind for want of ring slots.
-                loop {
-                    let _ = rx.path.ring_doorbell(k);
-                    rx.deliver(k);
-                    rx.harvest(k);
-                    if rx.path.pending() == 0 {
-                        break;
-                    }
-                }
-                // Everything harvested and delivered: the rewind cannot
-                // discard unread frames.
-                rx.hw.rx_maybe_rewind(k);
-            })
-        };
-        Rc::new(move |k| {
-            let isr = hw.bar.read32(k, hwreg::ISR);
-            if isr & hwreg::INT_TOK != 0 {
-                let (mut pkts, mut bytes) = (0u64, 0u64);
-                // Popped one at a time, so no borrow is held across the
-                // completion and nothing is collected.
-                while let Some(d) = { inflight.borrow_mut().pop_front() } {
-                    pkts += 1;
-                    bytes += d.len as u64;
-                    let _ = tx_end.complete(k, d);
-                }
-                k.net_tx_done(&rx.ifname, pkts, bytes);
-            }
-            if isr & hwreg::INT_ROK != 0 && rx_mode == RxMode::Poll {
-                // NAPI-style handoff: the first receive interrupt masks
-                // `INT_ROK`; the frames wait in the byte-packed hardware
-                // ring for the next poll tick.
-                hw.bar.write32(k, hwreg::IMR, hwreg::INT_TOK);
-            } else if isr & hwreg::INT_ROK != 0 {
-                let _span = k.trace_span("rx", "irq");
-                rx.harvest(k);
-                if rx.path.pending() > 0 {
-                    k.schedule_work_handle(&drain, 0);
-                }
-            }
-            hw.bar.write32(k, hwreg::ISR, isr);
-        })
-    };
-
-    let poll_timer =
-        support::sharded_poll_timer(kernel, "rtl8139_shmring_poll", std::slice::from_ref(&tx));
-
-    // Poll-mode receive: a fixed-grid tick replaces the RX doorbell
-    // upcall (see the e1000 sibling for the cost shape).
-    let rx_poll_timer = (rx_mode == RxMode::Poll).then(|| {
-        let rx = Rc::clone(&rx);
-        // The decaf end is kept with the body, so the batch its probes
-        // fill is reused from tick to tick.
-        let end = rx.path.end(Domain::Decaf);
-        let poll: WorkBody = Rc::new(move |k, _| {
-            let _span = k.trace_span("rx", "poll");
-            rx.harvest(k);
-            end.poll_and_reclaim(k, support::RX_POLL_BUDGET, |d| {
-                let _ = end.complete(k, d);
-            });
-            rx.deliver(k);
-            // Only rewind once nothing unread remains parked in the shm
-            // ring (the hardware pointer is then safe).
-            if rx.path.pending() == 0 {
-                rx.hw.rx_maybe_rewind(k);
-            }
-        });
-        let timer = kernel.timer_create(
-            "rtl8139_rx_poll",
-            Rc::new(move |k| k.schedule_work_handle(&poll, 0)),
-        );
-        kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
-        timer
-    });
-
-    Ok(support::ShmDataPath {
-        tx,
-        rx: Rc::clone(&rx.path),
-        irq_handler,
-        poll_timer,
-        rx_poll_timer,
-    })
-}
-
 impl Decaf8139 {
     /// Round trips between nucleus and decaf driver.
     pub fn crossings(&self) -> u64 {
@@ -839,10 +671,7 @@ impl Decaf8139 {
 
     /// Unloads the driver.
     pub fn remove(self) {
-        if let Some(t) = self.poll_timer {
-            self.kernel.timer_del(t);
-        }
-        if let Some(t) = self.rx_poll_timer {
+        for t in self.timers {
             self.kernel.timer_del(t);
         }
         self.kernel.free_irq(IRQ_LINE);

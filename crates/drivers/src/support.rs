@@ -1,12 +1,9 @@
 //! Shared glue for the decaf driver builds.
 
-use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use decaf_shmring::RingSet;
-use decaf_simkernel::kernel::{IrqHandler, WorkBody};
-use decaf_simkernel::{costs, KError, KResult, Kernel, MmioRegion, TimerId};
+use decaf_simkernel::{KError, KResult, Kernel, MmioRegion};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
@@ -44,118 +41,6 @@ pub const RX_POLL_TICK_NS: u64 = 50_000;
 
 /// Descriptors one poll-mode tick may consume before yielding.
 pub const RX_POLL_BUDGET: usize = 64;
-
-/// The shmring data-path pieces of the rtl8139 build (its byte-packed
-/// RX ring is a different hardware shape from the e1000's descriptor
-/// rings, so it keeps a single-queue build of its own): the TX and RX
-/// descriptor paths, the interrupt handler that feeds them, and the
-/// coalescing poll timer.
-pub struct ShmDataPath {
-    /// Transmit path (stack → decaf driver → device).
-    pub tx: Rc<DataPathChannel>,
-    /// Receive path (IRQ → decaf driver → stack).
-    pub rx: Rc<DataPathChannel>,
-    /// The nucleus interrupt handler `request_irq` installs.
-    pub irq_handler: IrqHandler,
-    /// The periodic deadline-flush timer.
-    pub poll_timer: TimerId,
-    /// The poll-mode receive tick ([`RxMode::Poll`] builds only).
-    pub rx_poll_timer: Option<TimerId>,
-}
-
-/// Builds the netdev transmit op for a single-queue shmring TX path
-/// (rtl8139): frames post into the ring with a monotonic cookie. Frames over `max_len` fail
-/// with `Inval` — the same check (and `tx_errors` accounting through
-/// `net_xmit`) the kernel-resident paths apply, so the ring never
-/// carries a descriptor the hardware would reject.
-pub fn shmring_xmit_op(tx_dp: Rc<DataPathChannel>, max_len: usize) -> decaf_simkernel::net::XmitOp {
-    let seq = Cell::new(0u64);
-    Rc::new(move |k, skb| {
-        if skb.len() > max_len {
-            return Err(KError::Inval);
-        }
-        let cookie = seq.get();
-        seq.set(cookie + 1);
-        tx_dp.send(k, &skb.data, cookie).map_err(|_| KError::Busy)
-    })
-}
-
-/// Builds the netdev transmit op for a *sharded* TX data path (e1000,
-/// at every width — one shard is the unsharded build): each frame is
-/// steered to a shard by an RSS-style flow hash over its
-/// protocol and leading payload bytes, posted into that shard's ring
-/// under the shard's cost scope, and recorded in the [`RingSet`] so the
-/// IRQ-side completion steers back to the posting shard.
-pub fn sharded_xmit_op(
-    tx_set: Rc<RingSet>,
-    tx_paths: Vec<Rc<DataPathChannel>>,
-    max_len: usize,
-) -> decaf_simkernel::net::XmitOp {
-    let seq = Cell::new(0u64);
-    Rc::new(move |k, skb| {
-        if skb.len() > max_len {
-            return Err(KError::Inval);
-        }
-        let cookie = seq.get();
-        seq.set(cookie + 1);
-        // The flow identity of the synthetic workloads lives in the
-        // frame's protocol and fill bytes; hashing them keeps one flow
-        // on one queue while distinct flows spread (RSS semantics).
-        let flow = skb.data.first().copied().unwrap_or(0) as u64
-            | ((skb.protocol as u64) << 8)
-            | ((skb.len() as u64) << 24);
-        let shard = tx_set.steer(flow);
-        k.shard_scope(shard, || {
-            // Record the origin *before* sending: a watermark or
-            // pool-exhaustion doorbell inside send() runs the decaf
-            // drain synchronously, and its reject path steers the
-            // descriptor home through this record.
-            tx_set.note_post(shard, cookie);
-            tx_paths[shard].send(k, &skb.data, cookie).map_err(|_| {
-                tx_set.cancel_post(cookie);
-                KError::Busy
-            })
-        })
-    })
-}
-
-/// Arms the periodic coalescing poll for a set of sharded TX paths: one
-/// timer, one work item, each busy shard polled under its cost scope.
-/// The work item's body is built here, once; a tick queues it by handle
-/// with the busy set — one bit per shard — as its argument word, and
-/// allocates nothing.
-pub fn sharded_poll_timer(
-    kernel: &Kernel,
-    name: &'static str,
-    tx_paths: &[Rc<DataPathChannel>],
-) -> TimerId {
-    assert!(tx_paths.len() <= 64, "the busy set is one word");
-    let paths: Rc<[Rc<DataPathChannel>]> = tx_paths.into();
-    let poll: WorkBody = {
-        let paths = Rc::clone(&paths);
-        Rc::new(move |k, busy| {
-            for i in (0..paths.len()).filter(|i| busy >> i & 1 != 0) {
-                k.shard_scope(i, || {
-                    let _ = paths[i].poll(k);
-                });
-            }
-        })
-    };
-    let timer = kernel.timer_create(
-        name,
-        Rc::new(move |k| {
-            let busy = paths.iter().enumerate().fold(0u64, |busy, (i, p)| {
-                let is_busy = p.pending() > 0 || !p.completions().is_empty();
-                busy | (is_busy as u64) << i
-            });
-            if busy != 0 {
-                k.schedule_work_handle(&poll, busy);
-            }
-        }),
-    );
-    kernel.timer_arm_periodic(timer, costs::DOORBELL_COALESCE_NS);
-    timer
-}
 
 /// The body of every driver module's `image()` accessor: the plan in
 /// `cell`, produced by `build` on first use. The sources are static, so
@@ -452,7 +337,7 @@ pub fn result_from_errno(v: &XdrValue) -> Result<(), KError> {
 mod tests {
     use super::*;
     use decaf_simkernel::MmioDevice;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     struct Scratch([u32; 8]);
     impl MmioDevice for Scratch {

@@ -64,7 +64,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         let _ = write!(
             out,
             "\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            json_escape(&ev.name),
+            json_escape(ev.name),
             json_escape(ev.cat),
             phase_code(ev.phase),
             ts_us(ev.ts),

@@ -22,7 +22,6 @@
 //!   request records its latency into the registry's histogram under
 //!   the request key.
 
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -79,7 +78,7 @@ pub struct TraceEvent {
     /// Category (subsystem: `xpc`, `ring`, `kernel`, ...).
     pub cat: &'static str,
     /// Event name.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Track (Chrome `tid`): 0 for unsharded work, shard id + 1 inside a
     /// shard scope.
     pub track: u32,
@@ -182,9 +181,11 @@ impl Tracer {
         &self.registry
     }
 
-    fn push_event(&self, ev: TraceEvent) {
+    /// Buffers the event `build` makes — called only when events are
+    /// kept, so a metrics-only tracer never materialises one.
+    fn push_event(&self, build: impl FnOnce() -> TraceEvent) {
         if self.keep_events {
-            self.events.borrow_mut().push(ev);
+            self.events.borrow_mut().push(build());
         }
     }
 
@@ -199,11 +200,11 @@ impl Tracer {
             start_ts: ts,
             self_ns: [0; 2],
         });
-        self.push_event(TraceEvent {
+        self.push_event(|| TraceEvent {
             ts,
             phase: Phase::Begin,
             cat,
-            name: Cow::Borrowed(name),
+            name,
             track,
             id: 0,
             args: Vec::new(),
@@ -224,11 +225,11 @@ impl Tracer {
         e.self_ns[1] += span.self_ns[1];
         e.total_ns += ts.saturating_sub(span.start_ts);
         drop(flame);
-        self.push_event(TraceEvent {
+        self.push_event(|| TraceEvent {
             ts,
             phase: Phase::End,
             cat: span.cat,
-            name: Cow::Borrowed(span.name),
+            name: span.name,
             track: span.track,
             id: 0,
             args: Vec::new(),
@@ -244,11 +245,11 @@ impl Tracer {
         track: u32,
         args: &[(&'static str, u64)],
     ) {
-        self.push_event(TraceEvent {
+        self.push_event(|| TraceEvent {
             ts,
             phase: Phase::Instant,
             cat,
-            name: Cow::Borrowed(name),
+            name,
             track,
             id: 0,
             args: args.iter().take(MAX_ARGS).copied().collect(),
@@ -259,11 +260,11 @@ impl Tracer {
     /// restarts its clock (last begin wins).
     pub fn req_begin(&self, ts: u64, key: &'static str, id: u64, track: u32) {
         self.open_requests.borrow_mut().insert((key, id), ts);
-        self.push_event(TraceEvent {
+        self.push_event(|| TraceEvent {
             ts,
             phase: Phase::ReqBegin,
             cat: "request",
-            name: Cow::Borrowed(key),
+            name: key,
             track,
             id,
             args: Vec::new(),
@@ -278,11 +279,11 @@ impl Tracer {
             return;
         };
         self.registry.record(key, ts.saturating_sub(begin));
-        self.push_event(TraceEvent {
+        self.push_event(|| TraceEvent {
             ts,
             phase: Phase::ReqEnd,
             cat: "request",
-            name: Cow::Borrowed(key),
+            name: key,
             track,
             id,
             args: Vec::new(),
@@ -420,10 +421,7 @@ pub fn validate_nesting(events: &[TraceEvent]) -> Result<(), String> {
         }
         *prev = ev.ts;
         match ev.phase {
-            Phase::Begin => stacks
-                .entry(ev.track)
-                .or_default()
-                .push((ev.name.as_ref(), ev.ts)),
+            Phase::Begin => stacks.entry(ev.track).or_default().push((ev.name, ev.ts)),
             Phase::End => {
                 let Some((name, begin_ts)) = stacks.entry(ev.track).or_default().pop() else {
                     return Err(format!(
@@ -431,7 +429,7 @@ pub fn validate_nesting(events: &[TraceEvent]) -> Result<(), String> {
                         ev.cat, ev.name, ev.track
                     ));
                 };
-                if name != ev.name.as_ref() {
+                if name != ev.name {
                     return Err(format!(
                         "event {i}: span {} closed while {} was innermost (track {})",
                         ev.name, name, ev.track
@@ -442,10 +440,10 @@ pub fn validate_nesting(events: &[TraceEvent]) -> Result<(), String> {
                 }
             }
             Phase::ReqBegin => {
-                open_reqs.insert((ev.name.as_ref(), ev.id), ev.ts);
+                open_reqs.insert((ev.name, ev.id), ev.ts);
             }
             Phase::ReqEnd => {
-                if open_reqs.remove(&(ev.name.as_ref(), ev.id)).is_none() {
+                if open_reqs.remove(&(ev.name, ev.id)).is_none() {
                     return Err(format!(
                         "event {i}: request {}#{} ended without a begin",
                         ev.name, ev.id
@@ -523,7 +521,7 @@ mod tests {
             ts: 20,
             phase: Phase::Begin,
             cat: "k",
-            name: Cow::Borrowed("x"),
+            name: "x",
             track: 0,
             id: 0,
             args: vec![],
@@ -532,7 +530,7 @@ mod tests {
             ts: 25,
             phase: Phase::End,
             cat: "k",
-            name: Cow::Borrowed("y"),
+            name: "y",
             track: 0,
             id: 0,
             args: vec![],

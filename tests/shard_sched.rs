@@ -480,3 +480,165 @@ fn same_seed_traces_are_byte_identical_and_well_nested() {
         "sharded run emitted on a single track: {tracks:?}"
     );
 }
+
+// ------------------------------------------- the 8139 under the ledger
+//
+// The 8139's ring build is the one-shard instance of the glue the e1000
+// runs at every width (`drivers::ringnic`), so its descriptors sit under
+// the same `RingSet` conservation ledger. Its receive cookies are byte
+// offsets into a packed hardware ring that is *rewound*, not slot
+// numbers that are recycled — the cases below are the ones that shape
+// could get wrong.
+
+/// The oracle: after a quiesced run of `offered` looped-back packets
+/// every frame went out and came back once, both ledgers close, and
+/// every descriptor on a ring was put there by exactly one ledger post
+/// or completion.
+fn rtl8139_ledger_closes(k: &Kernel, drv: &decaf_core::drivers::rtl8139::Decaf8139, offered: u64) {
+    let net = k.net_stats(&drv.ifname);
+    assert_eq!(
+        (net.tx_packets, net.rx_packets, net.tx_errors),
+        (offered, offered, 0)
+    );
+    for (dir, set) in [("tx", &drv.tx_set), ("rx", &drv.rx_set)] {
+        let set = set.as_ref().expect("a ring build has ring sets");
+        assert!(set.conserved(), "{dir}: {:?}", set.stats());
+        assert_eq!(set.in_flight(), 0, "{dir} descriptors in flight");
+        let ledger = set.stats();
+        assert_eq!(ledger.posted, offered, "{dir} posts");
+        assert_eq!(set.ring(0).stats().posts, ledger.posted, "{dir} ring");
+        assert_eq!(
+            set.completions(0).stats().posts,
+            ledger.completed,
+            "{dir}: a completion the ledger never steered home"
+        );
+    }
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+}
+
+/// `netperf_send` 1 s × 2,000 pkt/s through one of the 8139's two ring
+/// builds, settled, checked against the oracle.
+fn rtl8139_send_closes_the_ledger(poll: bool) {
+    use decaf_core::drivers::{rtl8139, workloads};
+    let k = Kernel::new();
+    let drv = if poll {
+        rtl8139::install_shmring_poll(&k, "eth1")
+    } else {
+        rtl8139::install_shmring(&k, "eth1")
+    }
+    .expect("8139 ring build installs");
+    k.netdev_open("eth1").expect("open");
+    k.schedule_point();
+    let sent = workloads::netperf_send(&k, "eth1", 1, 2_000, 1500).expect("netperf");
+    k.run_for(4 * decaf_core::simkernel::costs::DOORBELL_COALESCE_NS);
+    rtl8139_ledger_closes(&k, &drv, sent.ops);
+}
+
+#[test]
+fn rtl8139_ring_builds_close_the_ledger() {
+    rtl8139_send_closes_the_ledger(false);
+    rtl8139_send_closes_the_ledger(true);
+}
+
+/// Frames of a length that does not divide the 8 KiB hardware ring, in
+/// bursts, so the read pointer walks to the end and is rewound again and
+/// again while descriptors are in flight. A work item queued *before*
+/// each burst runs after the interrupt handler harvested it and before
+/// the drain completes it: there every frame of the burst must be a
+/// distinct entry of the origin ledger. Two in-flight descriptors
+/// sharing a cookie would not be absorbed — the ledger's map would hold
+/// one entry for two posts and `conserved()` says so.
+#[test]
+fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
+    use std::cell::Cell;
+    const BURST: usize = 3;
+    const ROUNDS: usize = 40;
+    const LEN: usize = 700;
+
+    // What the probe relies on: the ledger notices a shared cookie.
+    let dup = RingSet::new("dup", 1, 4, 8);
+    dup.note_post(0, 7);
+    dup.note_post(0, 7);
+    assert!(!dup.conserved() && dup.in_flight() == 1);
+
+    let k = Kernel::new();
+    let drv = decaf_core::drivers::rtl8139::install_shmring(&k, "eth1").expect("installs");
+    k.netdev_open("eth1").expect("open");
+    k.schedule_point();
+    let rx_set = drv.rx_set.clone().expect("a ring build has ring sets");
+    let probed = Rc::new(Cell::new(0));
+    for round in 0..ROUNDS {
+        let (set, probed) = (Rc::clone(&rx_set), Rc::clone(&probed));
+        k.schedule_work("in_flight_probe", move |_| {
+            assert_eq!(set.in_flight(), BURST, "round {round}: a shared cookie");
+            assert!(set.conserved(), "round {round}: {:?}", set.stats());
+            probed.set(probed.get() + 1);
+        });
+        for i in 0..BURST {
+            let frame = [(round * BURST + i) as u8; LEN];
+            drv.dev.borrow_mut().inject_rx(&k, &frame);
+        }
+        k.schedule_point();
+        assert_eq!(rx_set.in_flight(), 0, "round {round} delivered");
+    }
+    assert_eq!(probed.get(), ROUNDS);
+    // 120 frames of 704 bytes through an 8 KiB ring that holds eleven:
+    // none dropped means it was rewound every few rounds.
+    let total = (ROUNDS * BURST) as u64;
+    assert_eq!(drv.dev.borrow().rx_dropped, 0);
+    assert_eq!(drv.dev.borrow().frames_received(), total);
+    let net = k.net_stats("eth1");
+    assert_eq!((net.rx_packets, net.rx_bytes), (total, total * LEN as u64));
+    assert!(rx_set.conserved());
+    assert_eq!(rx_set.stats().completed, total);
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+}
+
+/// A burst larger than the 64-slot RX ring: the harvest takes what the
+/// ring can hold and the rest waits in the hardware ring — picked up by
+/// the drain once slots come free (interrupt mode: nothing will
+/// interrupt again for frames already announced) or by the next tick
+/// (poll mode) — and the ring is not rewound over frames still unread.
+#[test]
+fn rtl8139_burst_larger_than_the_rx_ring_loses_nothing() {
+    use decaf_core::drivers::{rtl8139, support::RX_POLL_TICK_NS};
+    const FRAMES: u64 = 78;
+    for poll in [false, true] {
+        let k = Kernel::new();
+        let drv = if poll {
+            rtl8139::install_shmring_poll(&k, "eth1")
+        } else {
+            rtl8139::install_shmring(&k, "eth1")
+        }
+        .expect("installs");
+        k.netdev_open("eth1").expect("open");
+        k.schedule_point();
+        // 64 records of 104 bytes already reach the rewind threshold.
+        for i in 0..FRAMES {
+            drv.dev.borrow_mut().inject_rx(&k, &[i as u8; 100]);
+        }
+        k.run_for(3 * RX_POLL_TICK_NS);
+        assert_eq!(drv.dev.borrow().rx_dropped, 0);
+        let net = k.net_stats("eth1");
+        assert_eq!(net.rx_packets, FRAMES, "poll={poll}: frames lost");
+        let rx_set = drv.rx_set.as_ref().unwrap();
+        assert!(rx_set.conserved() && rx_set.in_flight() == 0);
+        assert_eq!(rx_set.stats().completed, FRAMES);
+        assert!(k.violations().is_empty(), "{:?}", k.violations());
+    }
+}
+
+/// Oracle sensitivity on the 8139: with the planted double-completion
+/// armed, the first TX completion lands on the completion ring twice —
+/// the same run that closes the ledger above must fail its oracle.
+#[test]
+#[cfg(debug_assertions)] // the mutation seam exists in debug builds only
+fn ledger_oracle_rejects_planted_double_completion_on_the_8139() {
+    use decaf_core::shmring::ringset::mutation;
+    fault_harness::expect_oracle_failure("double-complete on the 8139", || {
+        mutation::arm_double_complete();
+        rtl8139_send_closes_the_ledger(false);
+    });
+    mutation::disarm();
+    rtl8139_send_closes_the_ledger(false);
+}
