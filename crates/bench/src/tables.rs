@@ -2,14 +2,20 @@
 //! `tables` bench target prints it, and `tests/golden_tables.rs` pins
 //! everything except Table 1 byte for byte.
 //!
-//! Every table renders through [`Table`] — decaf-trace's one report
-//! path — instead of a hand-rolled `format!` string per table, and the
-//! ablation tables print the p50/p99/p999 request-latency percentiles
-//! their rows now carry.
+//! A column is one value, `Col`: its header beside the function that
+//! fills its cell. A table is a title, stretches of columns and a
+//! footnote, laid out and rendered by `Sheet` through decaf-trace's
+//! [`Table`]. The columns the ablations repeat are constants over what
+//! a row holds — a [`Run`], the [`Measured`] of its window, its
+//! [`LatencyPercentiles`] — so "which counter is under this header" has
+//! one answer in this file.
 
 use std::fmt::Write as _;
 
-use decaf_core::experiments::{self, LatencyPercentiles};
+use decaf_core::experiments::{
+    self, AsyncSweepRow, FragAblationRow, LatencyPercentiles, Measured, OverloadKneeRow, Run,
+    RxModeSweepRow, StorageShardRow, Table2Row, Table3Row,
+};
 use decaf_core::simkernel::decaf_trace::Table;
 
 /// `println!` into the report (writing to a `String` cannot fail).
@@ -48,31 +54,108 @@ pub fn render_behaviour() -> String {
     out
 }
 
-/// Renders nanoseconds as one-decimal microseconds.
+/// Nanoseconds as one-decimal microseconds.
 fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e3)
 }
 
-/// Headers for the request-latency percentile triple every ablation
-/// table appends.
-const LAT_HEADERS: [&str; 3] = ["p50 µs", "p99 µs", "p999 µs"];
-
-/// Cells for the percentile triple, rendered by the one shared path.
-/// Three decimals: submit-side latencies sit well under a microsecond.
-fn lat_cells(lat: &LatencyPercentiles) -> [String; 3] {
-    let f = |ns: u64| format!("{:.3}", ns as f64 / 1e3);
-    [f(lat.p50_ns), f(lat.p99_ns), f(lat.p999_ns)]
+/// Nanoseconds as three-decimal microseconds: submit-side latencies sit
+/// well under a microsecond.
+fn us3(ns: u64) -> String {
+    format!("{:.3}", ns as f64 / 1e3)
 }
 
-/// Headers for the async completion-token ledger pair (shared by the
-/// shard ablation and the async sweep — previously two copies of the
-/// same column code).
-const TOKEN_HEADERS: [&str; 2] = ["Tokens", "Overlap µs"];
-
-/// Cells for the completion-token ledger pair.
-fn token_cells(tokens: u64, overlap_ns: u64) -> [String; 2] {
-    [tokens.to_string(), us(overlap_ns)]
+/// A rate or ratio to one decimal.
+fn f1(x: f64) -> String {
+    format!("{x:.1}")
 }
+
+/// One column over values `T`: its header beside the function that
+/// fills its cell.
+type Col<T> = (&'static str, fn(&T) -> String);
+
+/// One table over `rows`, laid out a stretch of columns at a time.
+struct Sheet<'a, R> {
+    title: &'a str,
+    rows: &'a [R],
+    headers: Vec<&'static str>,
+    /// The cells so far of each row.
+    lines: Vec<Vec<String>>,
+}
+
+impl<'a, R> Sheet<'a, R> {
+    fn new(title: &'a str, rows: &'a [R]) -> Self {
+        Sheet {
+            title,
+            rows,
+            headers: Vec::new(),
+            lines: vec![Vec::new(); rows.len()],
+        }
+    }
+
+    /// Appends columns of the row itself.
+    fn own(self, cols: &[Col<R>]) -> Self {
+        self.of(|r| r, cols)
+    }
+
+    /// Appends `cols`, each reading the `T` that `part` reaches from a
+    /// row.
+    fn of<T>(mut self, part: fn(&R) -> &T, cols: &[Col<T>]) -> Self {
+        for &(header, cell) in cols {
+            self.headers.push(header);
+            for (line, row) in self.lines.iter_mut().zip(self.rows) {
+                line.push(cell(part(row)));
+            }
+        }
+        self
+    }
+
+    /// Renders banner, header row, one line per row and the footnote.
+    fn render(self, out: &mut String, footnote: &str) {
+        banner(out, self.title);
+        let mut t = Table::new("");
+        t.columns(&self.headers);
+        for line in self.lines {
+            t.row(line);
+        }
+        out.push_str(&t.render());
+        outln!(out, "{footnote}");
+    }
+}
+
+// What a run offered.
+const CONFIGURATION: Col<Run> = ("Configuration", |r| r.label.to_string());
+const SHARDS: Col<Run> = ("Shards", |r| r.shards.to_string());
+const PKTS: Col<Run> = ("Pkts", |r| r.ops.to_string());
+const URBS: Col<Run> = ("URBs", |r| r.ops.to_string());
+const PAYLOAD: Col<Run> = ("Payload", |r| r.payload_bytes.to_string());
+/// Throughput under the serial model (payload over `busy_ns`).
+const SERIAL_MBPS: Col<Run> = ("Virt.Mb/s", |r| f1(r.virtual_mbps()));
+/// Throughput under the parallel wall model (payload over `effective_ns`).
+const WALL_MBPS: Col<Run> = ("Virt.Mb/s", |r| f1(r.effective_mbps()));
+
+// What its window measured.
+const MARSHALED: Col<Measured> = ("Marshaled", |m| {
+    (m.channel.bytes_in + m.channel.bytes_out).to_string()
+});
+const RT: Col<Measured> = ("RT", |m| m.channel.round_trips.to_string());
+const DBELL: Col<Measured> = ("DBell", |m| m.channel.doorbells.to_string());
+const D_PER_DB: Col<Measured> = ("D/DB", |m| f1(m.channel.descriptors_per_doorbell()));
+const HWM: Col<Measured> = ("HWM", |m| m.channel.ring_occupancy_hwm.to_string());
+const TOKENS: Col<Measured> = ("Tokens", |m| m.channel.tokens_issued.to_string());
+const OVERLAP: Col<Measured> = ("Overlap µs", |m| us(m.channel.overlap_ns));
+const COPIED: Col<Measured> = ("Copied", |m| m.bytes_copied.to_string());
+const VIRT_US: Col<Measured> = ("Virt. µs", |m| us(m.busy_ns));
+const SERIAL_US: Col<Measured> = ("Serial µs", |m| us(m.effective_ns - m.shard_max_ns));
+const CRIT_US: Col<Measured> = ("Crit. µs", |m| us(m.shard_max_ns));
+const EFF_US: Col<Measured> = ("Eff. µs", |m| us(m.effective_ns));
+
+/// The request-latency triple every ablation table ends with.
+const LAT: [Col<LatencyPercentiles>; 3] = [
+    ("p50 µs", |l| us3(l.p50_ns)),
+    ("p99 µs", |l| us3(l.p99_ns)),
+    ("p999 µs", |l| us3(l.p999_ns)),
+];
 
 fn banner(out: &mut String, title: &str) {
     outln!(
@@ -114,80 +197,57 @@ fn table1(out: &mut String) {
 }
 
 fn table2(out: &mut String) {
-    banner(
-        out,
+    let cols: [Col<Table2Row>; 11] = [
+        ("Driver", |r| r.name.to_string()),
+        ("Type", |r| r.device_type.to_string()),
+        ("LoC", |r| r.loc.to_string()),
+        ("Annot", |r| r.annotations.to_string()),
+        ("N.fn", |r| r.nucleus_funcs.to_string()),
+        ("N.loc", |r| r.nucleus_loc.to_string()),
+        ("L.fn", |r| r.library_funcs.to_string()),
+        ("L.loc", |r| r.library_loc.to_string()),
+        ("D.fn", |r| r.decaf_funcs.to_string()),
+        ("D.loc", |r| r.decaf_loc.to_string()),
+        ("user%", |r| format!("{:.0}%", r.user_fraction() * 100.0)),
+    ];
+    Sheet::new(
         "Table 2: The drivers converted to the Decaf architecture",
-    );
-    let mut t = Table::new("");
-    t.columns(&[
-        "Driver", "Type", "LoC", "Annot", "N.fn", "N.loc", "L.fn", "L.loc", "D.fn", "D.loc",
-        "user%",
-    ]);
-    for row in experiments::table2() {
-        t.row(vec![
-            row.name.to_string(),
-            row.device_type.to_string(),
-            row.loc.to_string(),
-            row.annotations.to_string(),
-            row.nucleus_funcs.to_string(),
-            row.nucleus_loc.to_string(),
-            row.library_funcs.to_string(),
-            row.library_loc.to_string(),
-            row.decaf_funcs.to_string(),
-            row.decaf_loc.to_string(),
-            format!("{:.0}%", row.user_fraction() * 100.0),
-        ]);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::table2(),
+    )
+    .own(&cols)
+    .render(
         out,
         "(paper: >75% of functions moved to user level in 4 of 5 drivers;\n\
-         uhci-hcd converted only 4% to Java — same shape expected above)"
+         uhci-hcd converted only 4% to Java — same shape expected above)",
     );
 }
 
 fn table3(out: &mut String) {
-    banner(
-        out,
+    // The row keeps its ring counters as fields of its own (the
+    // benchmark reads them), so its last three cells are those fields
+    // under the headers of the shared columns that mean the same.
+    let cols: [Col<Table3Row>; 14] = [
+        ("Driver", |r| r.driver.to_string()),
+        ("Workload", |r| r.workload.to_string()),
+        ("RelPerf", |r| format!("{:.3}", r.relative_perf)),
+        ("CPU n.", |r| format!("{:.1}%", r.cpu_native * 100.0)),
+        ("CPU d.", |r| format!("{:.1}%", r.cpu_decaf * 100.0)),
+        ("Init n.", |r| format!("{:.3}ms", r.init_native_s * 1e3)),
+        ("Init d.", |r| format!("{:.3}ms", r.init_decaf_s * 1e3)),
+        ("Crossings", |r| r.init_crossings.to_string()),
+        ("InBytes", |r| r.init_bytes_in.to_string()),
+        ("Batched", |r| r.init_batched_calls.to_string()),
+        ("Invoc", |r| r.workload_invocations.to_string()),
+        (DBELL.0, |r| r.doorbells.to_string()),
+        (D_PER_DB.0, |r| f1(r.descs_per_doorbell)),
+        (HWM.0, |r| r.ring_occupancy_hwm.to_string()),
+    ];
+    Sheet::new(
         "Table 3: Performance of Decaf Drivers on common workloads",
-    );
-    let mut t = Table::new("");
-    t.columns(&[
-        "Driver",
-        "Workload",
-        "RelPerf",
-        "CPU n.",
-        "CPU d.",
-        "Init n.",
-        "Init d.",
-        "Crossings",
-        "InBytes",
-        "Batched",
-        "Invoc",
-        "DBell",
-        "D/DB",
-        "HWM",
-    ]);
-    for row in experiments::table3() {
-        t.row(vec![
-            row.driver.to_string(),
-            row.workload.to_string(),
-            format!("{:.3}", row.relative_perf),
-            format!("{:.1}%", row.cpu_native * 100.0),
-            format!("{:.1}%", row.cpu_decaf * 100.0),
-            format!("{:.3}ms", row.init_native_s * 1e3),
-            format!("{:.3}ms", row.init_decaf_s * 1e3),
-            row.init_crossings.to_string(),
-            row.init_bytes_in.to_string(),
-            row.init_batched_calls.to_string(),
-            row.workload_invocations.to_string(),
-            row.doorbells.to_string(),
-            format!("{:.1}", row.descs_per_doorbell),
-            row.ring_occupancy_hwm.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::table3(),
+    )
+    .own(&cols)
+    .render(
         out,
         "(paper: relative performance 0.99-1.03, CPU within a point or two,\n\
          decaf init several times slower, crossings 24-237 per driver;\n\
@@ -196,98 +256,43 @@ fn table3(out: &mut String) {
          show the batched transport + delta marshaling at work during init.\n\
          The netperf-send/shm rows host the data path at user level over\n\
          the shmring subsystem: DBell/D-per-DB/HWM are the doorbell count,\n\
-         descriptors amortized per doorbell, and ring occupancy high-water)"
+         descriptors amortized per doorbell, and ring occupancy high-water)",
     );
 }
 
 fn datapath_ablation(out: &mut String) {
-    banner(
-        out,
+    Sheet::new(
         "Data-path ablation: hosting the packet path at user level",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec![
-        "Configuration",
-        "Pkts",
-        "Payload",
-        "Marshaled",
-        "RT",
-        "DBell",
-        "D/DB",
-        "HWM",
-        "Copied",
-        "Virt. µs",
-        "Virt.Mb/s",
-    ];
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    for row in experiments::datapath_ablation() {
-        let mut cells = vec![
-            row.label.to_string(),
-            row.packets.to_string(),
-            row.payload_bytes.to_string(),
-            row.marshaled_bytes.to_string(),
-            row.round_trips.to_string(),
-            row.doorbells.to_string(),
-            format!("{:.1}", row.descs_per_doorbell),
-            row.ring_occupancy_hwm.to_string(),
-            row.bytes_copied.to_string(),
-            us(row.virtual_ns),
-            format!("{:.1}", row.virtual_mbps()),
-        ];
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::datapath_ablation(),
+    )
+    .own(&[CONFIGURATION, PKTS, PAYLOAD])
+    .of(
+        |r| &r.m,
+        &[MARSHALED, RT, DBELL, D_PER_DB, HWM, COPIED, VIRT_US],
+    )
+    .own(&[SERIAL_MBPS])
+    .of(|r| &r.m.lat, &LAT)
+    .render(
         out,
         "(every configuration copies identical payload bytes — the ablation\n\
          isolates marshaling and crossing costs. Batched-copy removes the\n\
          per-packet round trips; shmring removes the bytes: descriptors +\n\
          coalesced doorbells make the user-level hot path cheaper than the\n\
          by-value paths on both bytes moved and virtual time. p50/p99/p999\n\
-         are per-packet request latencies from the metrics registry)"
+         are per-packet request latencies from the metrics registry)",
     );
 }
 
 fn storage_ablation(out: &mut String) {
-    banner(
-        out,
+    Sheet::new(
         "Storage ablation: hosting the uhci URB path at user level",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec![
-        "Configuration",
-        "URBs",
-        "Payload",
-        "Marshaled",
-        "RT",
-        "DBell",
-        "D/DB",
-        "Copied",
-        "Virt. µs",
-        "Virt.Mb/s",
-    ];
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    for row in experiments::storage_ablation() {
-        let mut cells = vec![
-            row.label.to_string(),
-            row.urbs.to_string(),
-            row.payload_bytes.to_string(),
-            row.marshaled_bytes.to_string(),
-            row.round_trips.to_string(),
-            row.doorbells.to_string(),
-            format!("{:.1}", row.descs_per_doorbell),
-            row.bytes_copied.to_string(),
-            us(row.virtual_ns),
-            format!("{:.1}", row.virtual_mbps()),
-        ];
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::storage_ablation(),
+    )
+    .own(&[CONFIGURATION, URBS, PAYLOAD])
+    .of(|r| &r.m, &[MARSHALED, RT, DBELL, D_PER_DB, COPIED, VIRT_US])
+    .own(&[SERIAL_MBPS])
+    .of(|r| &r.m.lat, &LAT)
+    .render(
         out,
         "(the same tar write + streaming-read pair under three hostings of\n\
          the URB path. Batched-copy amortizes crossings but still marshals\n\
@@ -296,42 +301,28 @@ fn storage_ablation(out: &mut String) {
          pool, and hands IN data back by ownership — Copied drops to ZERO,\n\
          descriptor traffic only, asserted in decaf-core's\n\
          storage_ablation_shmring_drops_copies_to_descriptor_traffic test.\n\
-         p50/p99/p999 are per-URB submit→completion latencies)"
+         p50/p99/p999 are per-URB submit→completion latencies)",
     );
 }
 
 fn frag_ablation(out: &mut String) {
-    banner(
-        out,
+    let ledger: [Col<FragAblationRow>; 7] = [
+        ("Mode", |r| r.label.to_string()),
+        ("Pinned %", |r| r.pressure.to_string()),
+        ("Attempts", |r| r.attempts.to_string()),
+        ("Failures", |r| r.failures.to_string()),
+        ("Fail rate", |r| format!("{:.2}", r.failure_rate())),
+        ("FragRef", |r| r.frag_refusals.to_string()),
+        ("Exhausted", |r| r.exhausted.to_string()),
+    ];
+    Sheet::new(
         "Fragmentation ablation: allocator modes under adversarial pool pressure",
-    );
-    let mut t = Table::new("");
-    t.columns(&[
-        "Mode",
-        "Pinned %",
-        "Attempts",
-        "Failures",
-        "Fail rate",
-        "FragRef",
-        "Exhausted",
-        "Copied",
-        "Virt.Mb/s",
-    ]);
-    for row in experiments::frag_ablation() {
-        t.row(vec![
-            row.label.to_string(),
-            row.pressure.to_string(),
-            row.attempts.to_string(),
-            row.failures.to_string(),
-            format!("{:.2}", row.failure_rate()),
-            row.frag_refusals.to_string(),
-            row.exhausted.to_string(),
-            row.bytes_copied.to_string(),
-            format!("{:.1}", row.virtual_mbps()),
-        ]);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::frag_ablation(),
+    )
+    .own(&ledger)
+    .of(|r| &r.m, &[COPIED])
+    .own(&[(SERIAL_MBPS.0, |r| f1(r.virtual_mbps()))])
+    .render(
         out,
         "(each cell pins Pinned% of the sector pool as scattered singles,\n\
          then fires multi-sector flash writes. FragRef counts refusals\n\
@@ -339,50 +330,25 @@ fn frag_ablation(out: &mut String) {
          saturate it under pressure; buddy+SG chains scattered blocks into\n\
          one URB and holds failures AND FragRef at zero across the sweep\n\
          (asserted inside frag_ablation), with Copied exactly zero in\n\
-         every cell)"
+         every cell)",
     );
 }
 
 fn shard_ablation(out: &mut String) {
-    banner(
-        out,
+    Sheet::new(
         "Shard ablation: multi-channel XPC + per-shard shmrings (netperf)",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec![
-        "Shards",
-        "Pkts",
-        "Payload",
-        "Serial µs",
-        "Crit. µs",
-        "Eff. µs",
-        "DBell",
-        "D/DB",
-    ];
-    headers.extend(TOKEN_HEADERS);
-    headers.extend(["Copied", "Virt.Mb/s"]);
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    let rows = experiments::shard_ablation();
-    for row in &rows {
-        let mut cells = vec![
-            row.shards.to_string(),
-            row.packets.to_string(),
-            row.payload_bytes.to_string(),
-            us(row.effective_ns - row.shard_max_ns),
-            us(row.shard_max_ns),
-            us(row.effective_ns),
-            row.doorbells.to_string(),
-            format!("{:.1}", row.descs_per_doorbell),
-        ];
-        cells.extend(token_cells(row.tokens, row.overlap_ns));
-        cells.push(row.bytes_copied.to_string());
-        cells.push(format!("{:.1}", row.virtual_mbps()));
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::shard_ablation(),
+    )
+    .own(&[SHARDS, PKTS, PAYLOAD])
+    .of(
+        |r| &r.m,
+        &[
+            SERIAL_US, CRIT_US, EFF_US, DBELL, D_PER_DB, TOKENS, OVERLAP, COPIED,
+        ],
+    )
+    .own(&[WALL_MBPS])
+    .of(|r| &r.m.lat, &LAT)
+    .render(
         out,
         "(identical netperf stream at every shard count; Eff = serial work\n\
          + the critical-path shard, the parallel wall-clock model of\n\
@@ -392,50 +358,25 @@ fn shard_ablation(out: &mut String) {
          collects later, and the overlapped slice is never charged.\n\
          shards=4 beating shards=1 on Virt.Mb/s is the tentpole\n\
          acceptance claim, asserted in decaf-core's\n\
-         shard_ablation_parallelism_wins test)"
+         shard_ablation_parallelism_wins test)",
     );
 }
 
 fn storage_shard_ablation(out: &mut String) {
-    banner(
-        out,
+    Sheet::<StorageShardRow>::new(
         "Sharded storage ablation: multi-LUN tar over per-shard URB queues",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec![
-        "Shards",
-        "Used",
-        "URBs",
-        "Payload",
-        "Serial µs",
-        "Crit. µs",
-        "Eff. µs",
-        "DBell",
-        "D/DB",
-        "Copied",
-        "Virt.Mb/s",
-    ];
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    for row in experiments::storage_shard_ablation() {
-        let mut cells = vec![
-            row.shards.to_string(),
-            row.shards_used.to_string(),
-            row.urbs.to_string(),
-            row.payload_bytes.to_string(),
-            us(row.effective_ns - row.shard_max_ns),
-            us(row.shard_max_ns),
-            us(row.effective_ns),
-            row.doorbells.to_string(),
-            format!("{:.1}", row.descs_per_doorbell),
-            row.bytes_copied.to_string(),
-            format!("{:.1}", row.virtual_mbps()),
-        ];
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::storage_shard_ablation(),
+    )
+    .of(|r| &r.run, &[SHARDS])
+    .own(&[("Used", |r| r.shards_used.to_string())])
+    .of(|r| &r.run, &[URBS, PAYLOAD])
+    .of(
+        |r| &r.run.m,
+        &[SERIAL_US, CRIT_US, EFF_US, DBELL, D_PER_DB, COPIED],
+    )
+    .of(|r| &r.run, &[WALL_MBPS])
+    .of(|r| &r.run.m.lat, &LAT)
+    .render(
         out,
         "(identical 4-LUN tar write + streaming-read pair at every shard\n\
          count; each LUN's URBs stay FIFO on one queue while LUNs spread.\n\
@@ -443,77 +384,49 @@ fn storage_shard_ablation(out: &mut String) {
          storage_shard_run — sharding changes steering, payload adoption\n\
          stays zero-copy. shards=4 beating shards=1 on Virt.Mb/s is the\n\
          tentpole acceptance claim, asserted in decaf-core's\n\
-         storage_shard_ablation_parallelism_wins_and_stays_zero_copy test)"
+         storage_shard_ablation_parallelism_wins_and_stays_zero_copy test)",
     );
 }
 
 fn transport_ablation(out: &mut String) {
-    banner(
-        out,
-        "Transport ablation: the same repeated-configuration sequence",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec![
-        "Configuration",
-        "RT",
-        "1-way",
-        "B.in",
-        "B.out",
-        "Flush",
-        "Batch",
-        "Elided",
-        "Virt. µs",
+    let crossed: [Col<Measured>; 8] = [
+        RT,
+        ("1-way", |m| m.channel.one_way_crossings.to_string()),
+        ("B.in", |m| m.channel.bytes_in.to_string()),
+        ("B.out", |m| m.channel.bytes_out.to_string()),
+        ("Flush", |m| m.channel.flushes.to_string()),
+        ("Batch", |m| m.channel.batched_calls.to_string()),
+        ("Elided", |m| m.channel.delta_fields_elided.to_string()),
+        VIRT_US,
     ];
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    for row in experiments::transport_ablation() {
-        let mut cells = vec![
-            row.label.to_string(),
-            row.round_trips.to_string(),
-            row.one_way_crossings.to_string(),
-            row.bytes_in.to_string(),
-            row.bytes_out.to_string(),
-            row.flushes.to_string(),
-            row.batched_calls.to_string(),
-            row.delta_fields_elided.to_string(),
-            us(row.virtual_ns),
-        ];
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+    Sheet::new(
+        "Transport ablation: the same repeated-configuration sequence",
+        &experiments::transport_ablation(),
+    )
+    .own(&[CONFIGURATION])
+    .of(|r| &r.m, &crossed)
+    .of(|r| &r.m.lat, &LAT)
+    .render(
         out,
         "(each layer stacks on field-selective masks: delta cuts bytes,\n\
          batching cuts crossings — see DESIGN.md's ablation matrix.\n\
-         p50/p99/p999 are per-configuration-cycle latencies)"
+         p50/p99/p999 are per-configuration-cycle latencies)",
     );
 }
 
 fn async_sweep(out: &mut String) {
-    banner(
-        out,
+    const BATCHED_US: Col<Measured> = ("Batched µs", |m| us(m.busy_ns));
+    const ASYNC_US: Col<Measured> = ("Async µs", |m| us(m.busy_ns));
+    Sheet::<AsyncSweepRow>::new(
         "Async transport sweep: batched vs completion-token launches",
-    );
-    let mut t = Table::new("");
-    let mut headers = vec!["Calls/s", "Batched µs", "Async µs"];
-    headers.extend(TOKEN_HEADERS);
-    headers.push("Saved");
-    headers.extend(LAT_HEADERS);
-    t.columns(&headers);
-    for row in experiments::async_transport_sweep() {
-        let mut cells = vec![
-            row.offered_cps.to_string(),
-            us(row.batched_ns),
-            us(row.async_ns),
-        ];
-        cells.extend(token_cells(row.tokens, row.overlap_ns));
-        cells.push(format!("{:.1}%", row.saving() * 100.0));
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
-    outln!(
+        &experiments::async_transport_sweep(),
+    )
+    .own(&[("Calls/s", |r| r.offered_cps.to_string())])
+    .of(|r| &r.batched, &[BATCHED_US])
+    .of(|r| &r.launched, &[ASYNC_US, TOKENS, OVERLAP])
+    .own(&[("Saved", |r| format!("{:.1}%", r.saving() * 100.0))])
+    .of(|r| &r.launched.lat, &LAT)
+    .render(
         out,
         "(identical paced deferred-call stream on both transports. The\n\
          async transport launches the batch when the doorbell fires and\n\
@@ -521,44 +434,30 @@ fn async_sweep(out: &mut String) {
          of each crossing — computation during an in-flight crossing is\n\
          overlap, not wait. Async ≤ batched at EVERY rate is the tentpole\n\
          acceptance claim, asserted per row inside async_transport_sweep.\n\
-         p50/p99/p999 are per-call submit latencies on the async run)"
+         p50/p99/p999 are per-call submit latencies on the async run)",
     );
 }
 
 fn rx_mode_sweep(out: &mut String) {
-    banner(out, "RX-mode sweep: interrupt-driven vs poll-mode receive");
-    let mut t = Table::new("");
-    t.columns(&[
-        "Pkts/s", "Pkts", "Intr µs", "Poll µs", "I.DBl", "P.DBl", "Winner", "I.p50", "I.p99",
-        "P.p50", "P.p99",
-    ]);
+    let cols: [Col<RxModeSweepRow>; 11] = [
+        ("Pkts/s", |r| r.offered_pps.to_string()),
+        (PKTS.0, |r| r.interrupt.channel.ring_posts.to_string()),
+        ("Intr µs", |r| us(r.interrupt.busy_ns)),
+        ("Poll µs", |r| us(r.poll.busy_ns)),
+        ("I.DBl", |r| r.interrupt.channel.doorbells.to_string()),
+        ("P.DBl", |r| r.poll.channel.doorbells.to_string()),
+        ("Winner", |r| r.winner().to_string()),
+        ("I.p50", |r| us(r.interrupt.lat.p50_ns)),
+        ("I.p99", |r| us(r.interrupt.lat.p99_ns)),
+        ("P.p50", |r| us(r.poll.lat.p50_ns)),
+        ("P.p99", |r| us(r.poll.lat.p99_ns)),
+    ];
     let rows = experiments::rx_mode_sweep();
-    for row in &rows {
-        t.row(vec![
-            row.offered_pps.to_string(),
-            row.packets.to_string(),
-            us(row.interrupt_ns),
-            us(row.poll_ns),
-            row.interrupt_doorbells.to_string(),
-            row.poll_doorbells.to_string(),
-            row.winner().to_string(),
-            us(row.interrupt_lat.p50_ns),
-            us(row.interrupt_lat.p99_ns),
-            us(row.poll_lat.p50_ns),
-            us(row.poll_lat.p99_ns),
-        ]);
-    }
-    out.push_str(&t.render());
-    match experiments::rx_crossover_pps(&rows) {
-        Some(pps) => outln!(
-            out,
-            "crossover: poll-mode receive first wins at {pps} pkts/s offered"
-        ),
-        None => outln!(out, "crossover: not reached in this sweep"),
-    }
-    outln!(
-        out,
-        "(one virtual second of paced arrivals through a pool-less shmring\n\
+    let crossover = match experiments::rx_crossover_pps(&rows) {
+        Some(pps) => format!("crossover: poll-mode receive first wins at {pps} pkts/s offered"),
+        None => "crossover: not reached in this sweep".to_string(),
+    };
+    let footnote = "(one virtual second of paced arrivals through a pool-less shmring\n\
          data path. Interrupt mode pays interrupt entry per frame plus a\n\
          watermark doorbell crossing; poll mode pays a softirq tick plus\n\
          budgeted ring probes and rings NO doorbells. The fixed poll tax\n\
@@ -567,46 +466,28 @@ fn rx_mode_sweep(out: &mut String) {
          I./P. p50/p99 are per-packet post→reclaim latencies in µs:\n\
          interrupt mode services each frame as it lands, poll mode holds\n\
          frames until the next grid tick — the latency cost of the CPU\n\
-         the poll grid saves at high rates)"
-    );
+         the poll grid saves at high rates)";
+    Sheet::new(
+        "RX-mode sweep: interrupt-driven vs poll-mode receive",
+        &rows,
+    )
+    .own(&cols)
+    .render(out, &format!("{crossover}\n{footnote}"));
 }
 
 fn overload_knee(out: &mut String) {
-    banner(
-        out,
-        "Overload knee: open-loop offered rate vs goodput and tail latency",
-    );
-    let sat = experiments::overload_saturation_rate();
-    let mut t = Table::new("");
-    let mut cols = vec![
-        "Policy",
-        "Rate%",
-        "Offered",
-        "Admit",
-        "Rej",
-        "Shed",
-        "Goodput/s",
+    let cols: [Col<OverloadKneeRow>; 7] = [
+        ("Policy", |r| r.policy.name().to_string()),
+        ("Rate%", |r| r.multiplier_pct.to_string()),
+        ("Offered", |r| r.offered.to_string()),
+        ("Admit", |r| r.admitted.to_string()),
+        ("Rej", |r| r.rejected.to_string()),
+        ("Shed", |r| r.shed.to_string()),
+        ("Goodput/s", |r| r.goodput_per_s.to_string()),
     ];
-    cols.extend(LAT_HEADERS);
-    t.columns(&cols);
-    let rows = experiments::overload_sweep();
-    for row in &rows {
-        let mut cells = vec![
-            row.policy.name().to_string(),
-            row.multiplier_pct.to_string(),
-            row.offered.to_string(),
-            row.admitted.to_string(),
-            row.rejected.to_string(),
-            row.shed.to_string(),
-            row.goodput_per_s.to_string(),
-        ];
-        cells.extend(lat_cells(&row.lat));
-        t.row(cells);
-    }
-    out.push_str(&t.render());
+    let (sat, rows) = experiments::overload_sweep();
     let v = experiments::knee_verdict(&rows);
-    outln!(
-        out,
+    let verdict = format!(
         "calibrated saturation: {sat} req/s. Unbounded p99 blows up {:.1}×\n\
          past saturation; {} holds p99 within {:.1}× pre-knee at {:.0}% of\n\
          peak goodput (acceptance: ≥10× / ≤3× / ≥80% — {}).",
@@ -616,9 +497,7 @@ fn overload_knee(out: &mut String) {
         v.goodput_fraction * 100.0,
         if v.holds { "holds" } else { "FAILS" }
     );
-    outln!(
-        out,
-        "(seeded open-loop arrivals — Poisson netperf packets plus bursty\n\
+    let footnote = "(seeded open-loop arrivals — Poisson netperf packets plus bursty\n\
          tar URBs — dispatched by an absolute-deadline kernel timer into\n\
          real shmring data paths. Latency is completion minus *scheduled*\n\
          arrival: when the single CPU falls behind, the wait shows up in\n\
@@ -627,8 +506,14 @@ fn overload_knee(out: &mut String) {
          token buckets; shed-oldest drops the stalest queued request. Every\n\
          cell asserts zero payload bytes copied, URB descriptor/sector\n\
          conservation, a closed admission ledger, and every async doorbell\n\
-         token settled)"
-    );
+         token settled)";
+    Sheet::new(
+        "Overload knee: open-loop offered rate vs goodput and tail latency",
+        &rows,
+    )
+    .own(&cols)
+    .of(|r| &r.lat, &LAT)
+    .render(out, &format!("{verdict}\n{footnote}"));
 }
 
 fn table4(out: &mut String) {

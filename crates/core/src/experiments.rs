@@ -123,35 +123,13 @@ impl<'k> Window<'k> {
             .collect();
         let shard_max_ns = shard_busy.iter().copied().max().unwrap_or(0);
         let shard_sum_ns = shard_busy.iter().sum::<u64>();
-        let b = &self.channel;
         Measured {
             busy_ns,
             shard_max_ns,
             shard_sum_ns,
             effective_ns: busy_ns.saturating_sub(shard_sum_ns) + shard_max_ns,
             bytes_copied: k.stats().bytes_copied - self.bytes_copied,
-            // Spelled out field by field so a counter added to
-            // `ChannelStats` fails to compile here until it is classified.
-            channel: ChannelStats {
-                round_trips: channel.round_trips - b.round_trips,
-                one_way_crossings: channel.one_way_crossings - b.one_way_crossings,
-                bytes_in: channel.bytes_in - b.bytes_in,
-                bytes_out: channel.bytes_out - b.bytes_out,
-                faults: channel.faults - b.faults,
-                deferred_calls: channel.deferred_calls - b.deferred_calls,
-                batched_calls: channel.batched_calls - b.batched_calls,
-                flushes: channel.flushes - b.flushes,
-                full_objects: channel.full_objects - b.full_objects,
-                delta_objects: channel.delta_objects - b.delta_objects,
-                delta_fields_elided: channel.delta_fields_elided - b.delta_fields_elided,
-                ring_posts: channel.ring_posts - b.ring_posts,
-                doorbells: channel.doorbells - b.doorbells,
-                ring_occupancy_hwm: channel.ring_occupancy_hwm,
-                tokens_issued: channel.tokens_issued - b.tokens_issued,
-                tokens_harvested: channel.tokens_harvested - b.tokens_harvested,
-                tokens_cancelled: channel.tokens_cancelled - b.tokens_cancelled,
-                overlap_ns: channel.overlap_ns - b.overlap_ns,
-            },
+            channel: channel.since(&self.channel),
             lat: LatencyPercentiles::from_tracer(&self.tracer, lat_key),
         }
     }
@@ -163,6 +141,41 @@ fn mbps(bytes: u64, ns: u64) -> f64 {
         return 0.0;
     }
     (bytes as f64 * 8.0) / (ns as f64 / 1e9) / 1e6
+}
+
+/// One measured run: what was offered, and what the window around it
+/// measured. Every runner that makes one run per row returns this, so a
+/// quantity is called what [`Measured`] calls it whichever table prints
+/// it; rows that compare two runs or carry a ledger of their own
+/// ([`AsyncSweepRow`], [`RxModeSweepRow`], [`FragAblationRow`]) hold
+/// their `Measured`s the same way.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Configuration label (`""` where the caller names the configuration).
+    pub label: &'static str,
+    /// Channels the build under test ran over.
+    pub shards: usize,
+    /// Operations completed inside the window: packets, data-bearing
+    /// transfers, or configuration cycles.
+    pub ops: u64,
+    /// Payload bytes those operations moved (0 for a control-path run).
+    pub payload_bytes: u64,
+    /// What the window measured.
+    pub m: Measured,
+}
+
+impl Run {
+    /// Virtual-time throughput under the serial model: payload over
+    /// `m.busy_ns`, one CPU doing everything.
+    pub fn virtual_mbps(&self) -> f64 {
+        mbps(self.payload_bytes, self.m.busy_ns)
+    }
+
+    /// Virtual-time throughput under the parallel wall model: payload
+    /// over `m.effective_ns`, serial work plus the critical-path shard.
+    pub fn effective_mbps(&self) -> f64 {
+        mbps(self.payload_bytes, self.m.effective_ns)
+    }
 }
 
 /// The synthetic single-channel rig the micro-ablations run on: the XDR
@@ -845,42 +858,6 @@ pub enum DataPathKind {
     Shmring,
 }
 
-/// One row of the data-path ablation.
-#[derive(Debug, Clone)]
-pub struct DataPathAblationRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Packets pushed through the path.
-    pub packets: u64,
-    /// Payload bytes offered.
-    pub payload_bytes: u64,
-    /// Bytes that crossed through the XDR marshaler (both directions) —
-    /// the "bytes moved" the shmring path eliminates.
-    pub marshaled_bytes: u64,
-    /// Call/return round trips.
-    pub round_trips: u64,
-    /// Data-path doorbells rung.
-    pub doorbells: u64,
-    /// Average descriptors per doorbell.
-    pub descs_per_doorbell: f64,
-    /// Ring occupancy high-water mark.
-    pub ring_occupancy_hwm: u64,
-    /// CPU-copied payload bytes (the audit counter: identical across
-    /// configurations — the ablation varies *marshaling*, not copying).
-    pub bytes_copied: u64,
-    /// Total virtual CPU time consumed (kernel + user, ns).
-    pub virtual_ns: u64,
-    /// Per-packet request-latency percentiles (ns).
-    pub lat: LatencyPercentiles,
-}
-
-impl DataPathAblationRow {
-    /// Virtual-time throughput: offered payload over consumed CPU time.
-    pub fn virtual_mbps(&self) -> f64 {
-        mbps(self.payload_bytes, self.virtual_ns)
-    }
-}
-
 /// Packets per ablation run.
 pub const DATAPATH_PKTS: u32 = 200;
 /// Payload bytes per packet (an MTU-sized frame).
@@ -901,7 +878,10 @@ impl DataPathKind {
 
 /// Runs `packets` MTU-sized frames through one user-level data-path
 /// mechanism and reports what crossed, what copied, and what it cost.
-pub fn datapath_run(kind: DataPathKind, packets: u32) -> DataPathAblationRow {
+/// `m.bytes_copied` is the audit counter: identical across hostings,
+/// because the ablation varies *marshaling*, not copying; what the
+/// shmring path eliminates is `m.channel.bytes_in + bytes_out`.
+pub fn datapath_run(kind: DataPathKind, packets: u32) -> Run {
     let kernel = Kernel::new();
     let (label, config) = match kind {
         DataPathKind::Copy => ("copy (per-packet marshal)", ChannelConfig::kernel_user()),
@@ -993,19 +973,12 @@ pub fn datapath_run(kind: DataPathKind, packets: u32) -> DataPathAblationRow {
         ch.flush(&kernel).expect("final flush");
     }
 
-    let m = window.close(ch.stats(), "op_ns");
-    DataPathAblationRow {
+    Run {
         label,
-        packets: packets as u64,
+        shards: 1,
+        ops: packets as u64,
         payload_bytes: packets as u64 * DATAPATH_PKT_LEN as u64,
-        marshaled_bytes: m.channel.bytes_in + m.channel.bytes_out,
-        round_trips: m.channel.round_trips,
-        doorbells: m.channel.doorbells,
-        descs_per_doorbell: m.channel.descriptors_per_doorbell(),
-        ring_occupancy_hwm: m.channel.ring_occupancy_hwm,
-        bytes_copied: m.bytes_copied,
-        virtual_ns: m.busy_ns,
-        lat: m.lat,
+        m: window.close(ch.stats(), "op_ns"),
     }
 }
 
@@ -1013,7 +986,7 @@ pub fn datapath_run(kind: DataPathKind, packets: u32) -> DataPathAblationRow {
 /// on the same offered packet stream. The scale story of the shmring
 /// subsystem: the first configuration where hosting the hot path at
 /// user level is cheaper than moving the bytes.
-pub fn datapath_ablation() -> Vec<DataPathAblationRow> {
+pub fn datapath_ablation() -> Vec<Run> {
     DataPathKind::ALL
         .into_iter()
         .map(|kind| datapath_run(kind, DATAPATH_PKTS))
@@ -1026,44 +999,6 @@ pub fn datapath_ablation() -> Vec<DataPathAblationRow> {
 pub const STORAGE_FILES: u32 = 2;
 /// Sectors per archived file (one `tar` burst).
 pub const STORAGE_SECTORS_PER_FILE: u32 = 16;
-
-/// One row of the storage data-path ablation: the same `tar` write +
-/// streaming-read workload pair over one user-level hosting of the uhci
-/// URB path.
-#[derive(Debug, Clone)]
-pub struct StorageAblationRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Completed data-bearing transfers (write sectors + read sectors).
-    pub urbs: u64,
-    /// Payload bytes moved (written + read back).
-    pub payload_bytes: u64,
-    /// Bytes that crossed through the XDR marshaler during the workload
-    /// (both directions, scalar payloads included).
-    pub marshaled_bytes: u64,
-    /// Call/return round trips during the workload.
-    pub round_trips: u64,
-    /// URB doorbells rung.
-    pub doorbells: u64,
-    /// Average URB descriptors per doorbell.
-    pub descs_per_doorbell: f64,
-    /// CPU-copied payload bytes. Unlike the NIC ablation — where every
-    /// hosting pays the same one copy into the DMA pool — sector-granular
-    /// payloads are page-shaped, so the shmring build *adopts* them
-    /// (page donation) and this drops to zero: descriptor traffic only.
-    pub bytes_copied: u64,
-    /// Total virtual CPU time consumed (kernel + user, ns).
-    pub virtual_ns: u64,
-    /// Per-URB submit→completion latency percentiles (ns).
-    pub lat: LatencyPercentiles,
-}
-
-impl StorageAblationRow {
-    /// Virtual-time throughput: payload moved over CPU time consumed.
-    pub fn virtual_mbps(&self) -> f64 {
-        mbps(self.payload_bytes, self.virtual_ns)
-    }
-}
 
 /// Runs the `tar` write + streaming-read pair over `luns` LUNs of
 /// `uhci0` and returns (completed data-bearing transfers, payload bytes
@@ -1083,8 +1018,12 @@ fn tar_pair(k: &Kernel, luns: u32, files: u32, sectors_per_file: u32) -> (u64, u
 
 /// Runs the `tar` write + streaming-read pair over one uhci user-level
 /// data-path hosting and reports what crossed, what copied, and what it
-/// cost.
-pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
+/// cost; `ops` counts completed data-bearing transfers (write sectors +
+/// read sectors). Unlike the NIC ablation — where every hosting pays the
+/// same one copy into the DMA pool — sector-granular payloads are
+/// page-shaped, so the shmring build *adopts* them (page donation) and
+/// `m.bytes_copied` drops to zero: descriptor traffic only.
+pub fn storage_run(kind: DataPathKind) -> Run {
     let k = Kernel::new();
     let (label, channel, urb_path) = match kind {
         DataPathKind::Copy => {
@@ -1109,7 +1048,7 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
     };
 
     let window = Window::open(&k, channel.stats());
-    let (urbs, payload_bytes) = tar_pair(&k, 1, STORAGE_FILES, STORAGE_SECTORS_PER_FILE);
+    let (ops, payload_bytes) = tar_pair(&k, 1, STORAGE_FILES, STORAGE_SECTORS_PER_FILE);
     // End-of-run barrier: flush parked deferred OUT URBs, let the last
     // coalesced doorbells and givebacks land.
     let _ = channel.flush(&k);
@@ -1124,17 +1063,12 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
             "shmring bulk payloads must never be CPU-copied"
         );
     }
-    StorageAblationRow {
+    Run {
         label,
-        urbs,
+        shards: 1,
+        ops,
         payload_bytes,
-        marshaled_bytes: m.channel.bytes_in + m.channel.bytes_out,
-        round_trips: m.channel.round_trips,
-        doorbells: m.channel.doorbells,
-        descs_per_doorbell: m.channel.descriptors_per_doorbell(),
-        bytes_copied: m.bytes_copied,
-        virtual_ns: m.busy_ns,
-        lat: m.lat,
+        m,
     }
 }
 
@@ -1143,7 +1077,7 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
 /// netperf in the data-path story — and goes one step further: because
 /// sector payloads are page-granular, the shmring build adopts them
 /// instead of copying, so `bytes_copied` drops to zero outright.
-pub fn storage_ablation() -> Vec<StorageAblationRow> {
+pub fn storage_ablation() -> Vec<Run> {
     DataPathKind::ALL.into_iter().map(storage_run).collect()
 }
 
@@ -1174,13 +1108,11 @@ pub struct FragAblationRow {
     pub frag_refusals: u64,
     /// Pool refusals issued with genuinely too few free sectors.
     pub exhausted: u64,
-    /// CPU-copied payload bytes during the workload (every mode adopts;
-    /// must be zero).
-    pub bytes_copied: u64,
     /// Payload bytes landed on flash by completed writes.
     pub payload_bytes: u64,
-    /// Total busy virtual time consumed by the workload (ns).
-    pub virtual_ns: u64,
+    /// What the window around the attempts measured (every mode adopts:
+    /// `m.bytes_copied` must be zero).
+    pub m: Measured,
 }
 
 impl FragAblationRow {
@@ -1194,7 +1126,7 @@ impl FragAblationRow {
 
     /// Virtual-time throughput of the writes that did complete.
     pub fn virtual_mbps(&self) -> f64 {
-        mbps(self.payload_bytes, self.virtual_ns)
+        mbps(self.payload_bytes, self.m.busy_ns)
     }
 }
 
@@ -1313,9 +1245,8 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         completed,
         frag_refusals: stats.frag_refusals - stats_before.frag_refusals,
         exhausted: stats.exhausted - stats_before.exhausted,
-        bytes_copied: m.bytes_copied,
         payload_bytes: completed * payload_len as u64,
-        virtual_ns: m.busy_ns,
+        m,
     }
 }
 
@@ -1350,59 +1281,15 @@ pub fn frag_ablation() -> Vec<FragAblationRow> {
 
 // ----------------------------------------------------- Shard ablation
 
-/// One row of the multi-channel sharding ablation: the same netperf
-/// stream over the sharded e1000 build at one shard count.
-#[derive(Debug, Clone)]
-pub struct ShardAblationRow {
-    /// Shard count.
-    pub shards: usize,
-    /// Packets offered (and transmitted).
-    pub packets: u64,
-    /// Payload bytes offered.
-    pub payload_bytes: u64,
-    /// Total busy virtual time, kernel + user (the serial model: one CPU
-    /// does everything).
-    pub total_busy_ns: u64,
-    /// Busy time of the busiest shard (the critical path).
-    pub shard_max_ns: u64,
-    /// Busy time attributed to shards, summed.
-    pub shard_sum_ns: u64,
-    /// The parallel wall-clock estimate: serial (unattributed) work plus
-    /// the critical-path shard. With shards=1 this equals
-    /// `total_busy_ns`; with N balanced shards the sharded portion
-    /// divides by ~N.
-    pub effective_ns: u64,
-    /// Data-path doorbells rung across all shards.
-    pub doorbells: u64,
-    /// Average descriptors per doorbell.
-    pub descs_per_doorbell: f64,
-    /// TX descriptors posted across the ring set.
-    pub ring_posts: u64,
-    /// CPU-copied payload bytes (the audit counter: must not regress as
-    /// shards are added — sharding changes steering, never copying).
-    pub bytes_copied: u64,
-    /// Completion tokens issued by the async transport across all shards.
-    pub tokens: u64,
-    /// Crossing cost covered by computation that ran while the crossing
-    /// was in flight (the async transport's overlap credit, ns).
-    pub overlap_ns: u64,
-    /// Per-packet request-latency percentiles (ns).
-    pub lat: LatencyPercentiles,
-}
-
-impl ShardAblationRow {
-    /// Virtual-time netperf throughput under the parallel wall model.
-    pub fn virtual_mbps(&self) -> f64 {
-        mbps(self.payload_bytes, self.effective_ns)
-    }
-}
-
 /// Shard counts the ablation sweeps.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the netperf send workload over the sharded e1000 build with
-/// `shards` channels and reports the per-shard cost breakdown.
-pub fn shard_run(shards: usize, seconds: u32, pps: u32) -> ShardAblationRow {
+/// `shards` channels and reports the per-shard cost breakdown; `ops`
+/// counts packets offered (and transmitted). `m.bytes_copied` is the
+/// audit counter: it must not move as shards are added — sharding
+/// changes steering, never copying.
+pub fn shard_run(shards: usize, seconds: u32, pps: u32) -> Run {
     let k = Kernel::new();
     let drv = decaf_drivers::e1000::decaf::install_sharded(&k, "eth0", shards)
         .expect("sharded e1000 installs");
@@ -1459,21 +1346,12 @@ pub fn shard_run(shards: usize, seconds: u32, pps: u32) -> ShardAblationRow {
         "async crossings overlapped no computation"
     );
 
-    ShardAblationRow {
+    Run {
+        label: "sharded e1000",
         shards,
-        packets: stats.ops,
+        ops: stats.ops,
         payload_bytes: stats.bytes,
-        total_busy_ns: m.busy_ns,
-        shard_max_ns: m.shard_max_ns,
-        shard_sum_ns: m.shard_sum_ns,
-        effective_ns: m.effective_ns,
-        doorbells: s.doorbells,
-        descs_per_doorbell: s.descriptors_per_doorbell(),
-        ring_posts: s.ring_posts,
-        bytes_copied: m.bytes_copied,
-        tokens: s.tokens_issued,
-        overlap_ns: s.overlap_ns,
-        lat: m.lat,
+        m,
     }
 }
 
@@ -1482,7 +1360,7 @@ pub fn shard_run(shards: usize, seconds: u32, pps: u32) -> ShardAblationRow {
 /// critical-path shard) is where multi-channel sharding pays: the
 /// per-packet data-path work divides across shards while copies and
 /// marshaled bytes stay identical.
-pub fn shard_ablation() -> Vec<ShardAblationRow> {
+pub fn shard_ablation() -> Vec<Run> {
     SHARD_COUNTS
         .into_iter()
         .map(|n| shard_run(n, NET_SECONDS, E1000_PPS))
@@ -1499,43 +1377,14 @@ pub const STORAGE_LUNS: u32 = 4;
 
 /// One row of the sharded storage ablation: the identical multi-LUN
 /// `tar` write + streaming-read pair over the sharded uhci build at one
-/// shard count.
+/// shard count. The run, plus the one thing its window cannot see.
 #[derive(Debug, Clone)]
-pub struct StorageShardAblationRow {
-    /// Shard count.
-    pub shards: usize,
-    /// Completed data-bearing transfers (write + read sectors, all LUNs).
-    pub urbs: u64,
-    /// Payload bytes moved (written + read back).
-    pub payload_bytes: u64,
-    /// Total busy virtual time, kernel + user (the serial model).
-    pub total_busy_ns: u64,
-    /// Busy time of the busiest shard (the critical path).
-    pub shard_max_ns: u64,
-    /// Busy time attributed to shards, summed.
-    pub shard_sum_ns: u64,
-    /// The parallel wall-clock estimate: serial (unattributed) work plus
-    /// the critical-path shard.
-    pub effective_ns: u64,
-    /// URB doorbells rung across all shards.
-    pub doorbells: u64,
-    /// Average URB descriptors per doorbell.
-    pub descs_per_doorbell: f64,
+pub struct StorageShardRow {
+    /// The measured run; `ops` counts completed data-bearing transfers
+    /// (write + read sectors, all LUNs).
+    pub run: Run,
     /// Shards that actually carried URB traffic (≤ min(shards, LUNs)).
     pub shards_used: usize,
-    /// CPU-copied payload bytes — the acceptance invariant: **exactly
-    /// zero at every shard width**. Sharding changes steering; payloads
-    /// stay adopted, never copied.
-    pub bytes_copied: u64,
-    /// Per-URB submit→completion latency percentiles (ns).
-    pub lat: LatencyPercentiles,
-}
-
-impl StorageShardAblationRow {
-    /// Virtual-time storage throughput under the parallel wall model.
-    pub fn virtual_mbps(&self) -> f64 {
-        mbps(self.payload_bytes, self.effective_ns)
-    }
 }
 
 /// Shard counts the storage ablation sweeps.
@@ -1546,16 +1395,12 @@ pub const STORAGE_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// breakdown. Asserts the invariants every width must uphold — most
 /// importantly `bytes_copied == 0`: the zero-copy claim is not allowed
 /// to regress as queues are added.
-pub fn storage_shard_run(
-    shards: usize,
-    files: u32,
-    sectors_per_file: u32,
-) -> StorageShardAblationRow {
+pub fn storage_shard_run(shards: usize, files: u32, sectors_per_file: u32) -> StorageShardRow {
     let k = Kernel::new();
     let drv =
         decaf_drivers::uhci::install_sharded(&k, "uhci0", shards).expect("sharded uhci installs");
     let window = Window::open(&k, drv.channels.stats());
-    let (urbs, payload_bytes) = tar_pair(&k, STORAGE_LUNS, files, sectors_per_file);
+    let (ops, payload_bytes) = tar_pair(&k, STORAGE_LUNS, files, sectors_per_file);
     k.run_for(4 * costs::DOORBELL_COALESCE_NS);
     let m = window.close(drv.channels.stats(), "tar.urb_ns");
 
@@ -1585,20 +1430,14 @@ pub fn storage_shard_run(
         );
     }
 
-    StorageShardAblationRow {
+    let run = Run {
+        label: "sharded uhci",
         shards,
-        urbs,
+        ops,
         payload_bytes,
-        total_busy_ns: m.busy_ns,
-        shard_max_ns: m.shard_max_ns,
-        shard_sum_ns: m.shard_sum_ns,
-        effective_ns: m.effective_ns,
-        doorbells: m.channel.doorbells,
-        descs_per_doorbell: m.channel.descriptors_per_doorbell(),
-        shards_used,
-        bytes_copied: m.bytes_copied,
-        lat: m.lat,
-    }
+        m,
+    };
+    StorageShardRow { run, shards_used }
 }
 
 /// Regenerates the sharded storage ablation: the identical multi-LUN
@@ -1606,7 +1445,7 @@ pub fn storage_shard_run(
 /// every width. The storage counterpart of [`shard_ablation`]: per-URB
 /// drain work divides across queues under the parallel wall model while
 /// the zero-copy property holds unchanged.
-pub fn storage_shard_ablation() -> Vec<StorageShardAblationRow> {
+pub fn storage_shard_ablation() -> Vec<StorageShardRow> {
     STORAGE_SHARD_COUNTS
         .into_iter()
         .map(|n| storage_shard_run(n, STORAGE_FILES, STORAGE_SECTORS_PER_FILE))
@@ -1614,34 +1453,6 @@ pub fn storage_shard_ablation() -> Vec<StorageShardAblationRow> {
 }
 
 // ------------------------------------------------- Transport ablation
-
-/// One row of the transport/delta ablation: the same repeated-
-/// configuration call sequence over one channel configuration.
-#[derive(Debug, Clone)]
-pub struct TransportAblationRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Call/return round trips (batched flushes count once).
-    pub round_trips: u64,
-    /// One-way boundary crossings.
-    pub one_way_crossings: u64,
-    /// Marshaled bytes into the target domain.
-    pub bytes_in: u64,
-    /// Marshaled bytes back out.
-    pub bytes_out: u64,
-    /// Batched flushes performed.
-    pub flushes: u64,
-    /// Deferred calls carried by those flushes.
-    pub batched_calls: u64,
-    /// Objects transferred as dirty-field deltas.
-    pub delta_objects: u64,
-    /// Masked fields elided by delta marshaling.
-    pub delta_fields_elided: u64,
-    /// Total virtual CPU time consumed (kernel + user, ns).
-    pub virtual_ns: u64,
-    /// Per-configuration-cycle request-latency percentiles (ns).
-    pub lat: LatencyPercentiles,
-}
 
 /// The three stacked configurations the ablation compares: the seed
 /// per-call path, masks + delta, and masks + delta + batching.
@@ -1662,12 +1473,13 @@ pub fn transport_ablation_configs() -> [(&'static str, ChannelConfig); 3] {
 /// Runs the repeated-configuration workload — the shape of a driver's
 /// control path: tweak one knob on a shared structure, post a few
 /// register writes, invoke the decaf driver to apply — and returns the
-/// channel counters plus virtual time burned.
+/// channel counters plus virtual time burned (`ops` configuration
+/// cycles, no payload, the label left for the caller).
 ///
 /// Every configuration executes the *same* call sequence; only the
 /// transport and delta policy differ, so the counters isolate exactly
 /// what batching and dirty-field marshaling save.
-pub fn repeated_config_run(config: ChannelConfig, iters: u32) -> TransportAblationRow {
+pub fn repeated_config_run(config: ChannelConfig, iters: u32) -> Run {
     let kernel = Kernel::new();
     let ch = synthetic_channel(
         "struct cfg_ring { int size; int head; };\n\
@@ -1728,19 +1540,12 @@ pub fn repeated_config_run(config: ChannelConfig, iters: u32) -> TransportAblati
     }
     ch.flush(&kernel).expect("final flush");
 
-    let m = window.close(ch.stats(), "op_ns");
-    TransportAblationRow {
+    Run {
         label: "",
-        round_trips: m.channel.round_trips,
-        one_way_crossings: m.channel.one_way_crossings,
-        bytes_in: m.channel.bytes_in,
-        bytes_out: m.channel.bytes_out,
-        flushes: m.channel.flushes,
-        batched_calls: m.channel.batched_calls,
-        delta_objects: m.channel.delta_objects,
-        delta_fields_elided: m.channel.delta_fields_elided,
-        virtual_ns: m.busy_ns,
-        lat: m.lat,
+        shards: 1,
+        ops: iters as u64,
+        payload_bytes: 0,
+        m: window.close(ch.stats(), "op_ns"),
     }
 }
 
@@ -1749,10 +1554,10 @@ pub const ABLATION_ITERS: u32 = 25;
 
 /// Regenerates the transport ablation: mask-only vs mask+delta vs
 /// mask+delta+batch on the identical repeated-configuration workload.
-pub fn transport_ablation() -> Vec<TransportAblationRow> {
+pub fn transport_ablation() -> Vec<Run> {
     transport_ablation_configs()
         .into_iter()
-        .map(|(label, config)| TransportAblationRow {
+        .map(|(label, config)| Run {
             label,
             ..repeated_config_run(config, ABLATION_ITERS)
         })
@@ -1768,27 +1573,20 @@ pub fn transport_ablation() -> Vec<TransportAblationRow> {
 pub struct AsyncSweepRow {
     /// Offered deferred-call rate (calls per virtual second).
     pub offered_cps: u32,
-    /// Busy virtual time under the batched transport (ns).
-    pub batched_ns: u64,
-    /// Busy virtual time under the async transport (ns).
-    pub async_ns: u64,
-    /// Crossing cost covered by computation that ran while crossings
-    /// were in flight (async run, ns).
-    pub overlap_ns: u64,
-    /// Completion tokens issued by the async run.
-    pub tokens: u64,
-    /// Per-call submit (marshal + enqueue) latency percentiles for the
-    /// async run (ns).
-    pub lat: LatencyPercentiles,
+    /// The run under the batched transport.
+    pub batched: Measured,
+    /// The run under the async transport; its `lat` is the per-call
+    /// submit (marshal + enqueue) latency.
+    pub launched: Measured,
 }
 
 impl AsyncSweepRow {
     /// Busy time the async transport saved, as a fraction of batched.
     pub fn saving(&self) -> f64 {
-        if self.batched_ns == 0 {
+        if self.batched.busy_ns == 0 {
             return 0.0;
         }
-        1.0 - self.async_ns as f64 / self.batched_ns as f64
+        1.0 - self.launched.busy_ns as f64 / self.batched.busy_ns as f64
     }
 }
 
@@ -1844,11 +1642,13 @@ pub fn async_transport_sweep() -> Vec<AsyncSweepRow> {
         .map(|cps| {
             let gap_ns = 1_000_000_000 / cps as u64;
             let batched = paced_deferred_run(ChannelConfig::kernel_user_batched(), gap_ns);
-            let run = paced_deferred_run(ChannelConfig::kernel_user_async(), gap_ns);
-            let (batched_ns, async_ns, s) = (batched.busy_ns, run.busy_ns, run.channel);
+            let launched = paced_deferred_run(ChannelConfig::kernel_user_async(), gap_ns);
+            let s = launched.channel;
             assert!(
-                async_ns <= batched_ns,
-                "async busy ({async_ns}) exceeds batched ({batched_ns}) at {cps} calls/s"
+                launched.busy_ns <= batched.busy_ns,
+                "async busy ({}) exceeds batched ({}) at {cps} calls/s",
+                launched.busy_ns,
+                batched.busy_ns
             );
             assert!(s.overlap_ns > 0, "no overlap credit at {cps} calls/s");
             assert_eq!(
@@ -1858,11 +1658,8 @@ pub fn async_transport_sweep() -> Vec<AsyncSweepRow> {
             );
             AsyncSweepRow {
                 offered_cps: cps,
-                batched_ns,
-                async_ns,
-                overlap_ns: s.overlap_ns,
-                tokens: s.tokens_issued,
-                lat: run.lat,
+                batched,
+                launched,
             }
         })
         .collect()
@@ -1877,27 +1674,24 @@ pub fn async_transport_sweep() -> Vec<AsyncSweepRow> {
 pub struct RxModeSweepRow {
     /// Offered arrival rate (packets per virtual second).
     pub offered_pps: u32,
-    /// Frames delivered (must equal the offered count in both modes).
-    pub packets: u64,
-    /// Busy virtual time, interrupt-driven servicing (ns).
-    pub interrupt_ns: u64,
-    /// Busy virtual time, poll-mode servicing (ns).
-    pub poll_ns: u64,
-    /// Data-path doorbells rung by the interrupt-driven run.
-    pub interrupt_doorbells: u64,
-    /// Data-path doorbells rung by the poll-mode run (zero: polling
-    /// replaces the doorbell crossing entirely).
-    pub poll_doorbells: u64,
-    /// Per-packet post→reclaim latency percentiles, interrupt run (ns).
-    pub interrupt_lat: LatencyPercentiles,
-    /// Per-packet post→reclaim latency percentiles, poll run (ns).
-    pub poll_lat: LatencyPercentiles,
+    /// The interrupt-driven run; `lat` is per-packet post→reclaim and
+    /// `channel.ring_posts` the frames delivered (the offered count, in
+    /// both modes).
+    pub interrupt: Measured,
+    /// The poll-mode run (zero `channel.doorbells`: polling replaces the
+    /// doorbell crossing entirely).
+    pub poll: Measured,
 }
 
 impl RxModeSweepRow {
+    /// Whether poll-mode servicing burned less CPU at this rate.
+    pub fn poll_wins(&self) -> bool {
+        self.poll.busy_ns < self.interrupt.busy_ns
+    }
+
     /// Whichever mode burned less CPU at this rate.
     pub fn winner(&self) -> &'static str {
-        if self.poll_ns < self.interrupt_ns {
+        if self.poll_wins() {
             "poll"
         } else {
             "interrupt"
@@ -2065,19 +1859,14 @@ pub fn rx_mode_sweep() -> Vec<RxModeSweepRow> {
             assert!(interrupt.channel.doorbells > 0, "interrupt mode never rang");
             RxModeSweepRow {
                 offered_pps: pps,
-                packets: pps as u64,
-                interrupt_ns: interrupt.busy_ns,
-                poll_ns: poll.busy_ns,
-                interrupt_lat: interrupt.lat,
-                poll_lat: poll.lat,
-                interrupt_doorbells: interrupt.channel.doorbells,
-                poll_doorbells: poll.channel.doorbells,
+                interrupt,
+                poll,
             }
         })
         .collect();
     let crossover = rows
         .iter()
-        .position(|r| r.poll_ns < r.interrupt_ns)
+        .position(RxModeSweepRow::poll_wins)
         .expect("poll mode never overtakes interrupt mode");
     assert!(
         crossover > 0,
@@ -2085,7 +1874,7 @@ pub fn rx_mode_sweep() -> Vec<RxModeSweepRow> {
     );
     for (i, row) in rows.iter().enumerate() {
         assert_eq!(
-            row.poll_ns < row.interrupt_ns,
+            row.poll_wins(),
             i >= crossover,
             "winner flipped more than once at {} pps",
             row.offered_pps
@@ -2097,9 +1886,7 @@ pub fn rx_mode_sweep() -> Vec<RxModeSweepRow> {
 /// The offered rate at which poll-mode servicing first beats
 /// interrupt-driven servicing in `rows` (packets per virtual second).
 pub fn rx_crossover_pps(rows: &[RxModeSweepRow]) -> Option<u32> {
-    rows.iter()
-        .find(|r| r.poll_ns < r.interrupt_ns)
-        .map(|r| r.offered_pps)
+    rows.iter().find(|r| r.poll_wins()).map(|r| r.offered_pps)
 }
 
 // ---------------------------------------------------------------- Table 4
@@ -2565,7 +2352,10 @@ pub fn overload_run(
     OverloadKneeRow {
         policy,
         offered_rate_per_s,
-        multiplier_pct: offered_rate_per_s * 100 / saturation_rate_per_s.max(1),
+        // To the nearest percent: the sweep floors `saturation * pct / 100`,
+        // and flooring again here would print `pct - 1` for most rates.
+        multiplier_pct: (offered_rate_per_s * 100 + saturation_rate_per_s / 2)
+            / saturation_rate_per_s.max(1),
         offered,
         admitted: stats.admitted,
         rejected: stats.rejected,
@@ -2583,7 +2373,8 @@ pub const OVERLOAD_MULTIPLIERS_PCT: [u64; 4] = [40, 70, 100, 150];
 
 /// The headline experiment: every admission policy swept across
 /// [`OVERLOAD_MULTIPLIERS_PCT`] at the same seeded arrival schedules.
-pub fn overload_sweep() -> Vec<OverloadKneeRow> {
+/// Returns the saturation rate it calibrated (once) beside the rows.
+pub fn overload_sweep() -> (u64, Vec<OverloadKneeRow>) {
     let sat = overload_saturation_rate();
     let mut rows = Vec::new();
     for policy in AdmissionPolicy::ALL {
@@ -2591,7 +2382,7 @@ pub fn overload_sweep() -> Vec<OverloadKneeRow> {
             rows.push(overload_run(policy, sat * pct / 100, sat, None));
         }
     }
-    rows
+    (sat, rows)
 }
 
 /// The knee verdict over a sweep: does unbounded queueing blow up past
@@ -2618,8 +2409,9 @@ pub fn knee_verdict(rows: &[OverloadKneeRow]) -> KneeVerdict {
     let base = OVERLOAD_MULTIPLIERS_PCT[0];
     let at = |policy: AdmissionPolicy, pct: u64| {
         rows.iter()
-            .find(|r| r.policy == policy && r.multiplier_pct >= pct && r.multiplier_pct < pct + 20)
-            .expect("sweep covers every (policy, rate) cell")
+            .filter(|r| r.policy == policy)
+            .min_by_key(|r| r.multiplier_pct.abs_diff(pct))
+            .expect("sweep covers every policy")
     };
     let peak_goodput = rows.iter().map(|r| r.goodput_per_s).max().unwrap_or(1) as f64;
     let ratio = |policy: AdmissionPolicy| {
@@ -2653,6 +2445,11 @@ pub fn knee_verdict(rows: &[OverloadKneeRow]) -> KneeVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes a run put through the XDR marshaler, both directions.
+    fn marshaled(r: &Run) -> u64 {
+        r.m.channel.bytes_in + r.m.channel.bytes_out
+    }
 
     #[test]
     fn table1_counts_real_lines() {
@@ -2811,17 +2608,24 @@ mod tests {
     #[test]
     fn transport_ablation_layers_stack() {
         let rows = transport_ablation();
-        let (seed, delta, batch) = (&rows[0], &rows[1], &rows[2]);
+        let (seed, delta, batch) = (&rows[0].m, &rows[1].m, &rows[2].m);
+        let (seed_ch, delta_ch, batch_ch) = (&seed.channel, &delta.channel, &batch.channel);
         // Delta marshaling alone cuts bytes, not crossings.
-        assert!(delta.bytes_in < seed.bytes_in, "{delta:?} vs {seed:?}");
-        assert_eq!(delta.one_way_crossings, seed.one_way_crossings);
-        assert!(delta.delta_objects > 0 && delta.delta_fields_elided > 0);
+        assert!(
+            delta_ch.bytes_in < seed_ch.bytes_in,
+            "{delta:?} vs {seed:?}"
+        );
+        assert_eq!(delta_ch.one_way_crossings, seed_ch.one_way_crossings);
+        assert!(delta_ch.delta_objects > 0 && delta_ch.delta_fields_elided > 0);
         // Batching on top cuts crossings too, and total virtual time.
-        assert!(batch.bytes_in < seed.bytes_in, "{batch:?} vs {seed:?}");
-        assert!(batch.one_way_crossings < seed.one_way_crossings);
-        assert!(batch.round_trips < seed.round_trips);
-        assert!(batch.virtual_ns < seed.virtual_ns);
-        assert!(batch.batched_calls > 0 && batch.flushes > 0);
+        assert!(
+            batch_ch.bytes_in < seed_ch.bytes_in,
+            "{batch:?} vs {seed:?}"
+        );
+        assert!(batch_ch.one_way_crossings < seed_ch.one_way_crossings);
+        assert!(batch_ch.round_trips < seed_ch.round_trips);
+        assert!(batch.busy_ns < seed.busy_ns);
+        assert!(batch_ch.batched_calls > 0 && batch_ch.flushes > 0);
     }
 
     #[test]
@@ -2830,32 +2634,35 @@ mod tests {
         let (copy, batched, shm) = (&rows[0], &rows[1], &rows[2]);
         // The audit invariant: every configuration copies the same
         // payload bytes — the ablation varies marshaling, not copying.
-        assert_eq!(copy.bytes_copied, shm.bytes_copied, "{copy:?} vs {shm:?}");
-        assert_eq!(batched.bytes_copied, shm.bytes_copied);
+        assert_eq!(
+            copy.m.bytes_copied, shm.m.bytes_copied,
+            "{copy:?} vs {shm:?}"
+        );
+        assert_eq!(batched.m.bytes_copied, shm.m.bytes_copied);
         // Batching removes crossings but not bytes.
-        assert!(batched.round_trips < copy.round_trips);
-        assert!(batched.virtual_ns < copy.virtual_ns);
+        assert!(batched.m.channel.round_trips < copy.m.channel.round_trips);
+        assert!(batched.m.busy_ns < copy.m.busy_ns);
         // Shmring removes the bytes: descriptors cross, payloads do not.
         assert!(
-            shm.marshaled_bytes * 20 < batched.marshaled_bytes,
+            marshaled(shm) * 20 < marshaled(batched),
             "shmring marshaled {} B vs batched {} B",
-            shm.marshaled_bytes,
-            batched.marshaled_bytes
+            marshaled(shm),
+            marshaled(batched)
         );
         assert!(
-            shm.virtual_ns < batched.virtual_ns,
+            shm.m.busy_ns < batched.m.busy_ns,
             "shmring {} ns vs batched {} ns",
-            shm.virtual_ns,
-            batched.virtual_ns
+            shm.m.busy_ns,
+            batched.m.busy_ns
         );
         assert!(shm.virtual_mbps() > batched.virtual_mbps());
         // Doorbell amortization: many descriptors per crossing.
         assert!(
-            shm.descs_per_doorbell > 8.0,
+            shm.m.channel.descriptors_per_doorbell() > 8.0,
             "descs/doorbell {}",
-            shm.descs_per_doorbell
+            shm.m.channel.descriptors_per_doorbell()
         );
-        assert!(shm.ring_occupancy_hwm >= 8);
+        assert!(shm.m.channel.ring_occupancy_hwm >= 8);
     }
 
     #[test]
@@ -2863,38 +2670,39 @@ mod tests {
         let rows = storage_ablation();
         let (copy, batched, shm) = (&rows[0], &rows[1], &rows[2]);
         // Identical offered workload across hostings.
-        assert_eq!(copy.urbs, shm.urbs);
+        assert_eq!(copy.ops, shm.ops);
         assert_eq!(copy.payload_bytes, shm.payload_bytes);
         // The by-value hostings copy every bulk payload (both
         // directions); batching changes crossings, not copies.
-        assert!(copy.bytes_copied > copy.payload_bytes, "{copy:?}");
-        assert_eq!(batched.bytes_copied, copy.bytes_copied);
+        assert!(copy.m.bytes_copied > copy.payload_bytes, "{copy:?}");
+        assert_eq!(batched.m.bytes_copied, copy.m.bytes_copied);
         // Batching the OUT bursts amortizes round trips.
         assert!(
-            batched.round_trips < copy.round_trips,
+            batched.m.channel.round_trips < copy.m.channel.round_trips,
             "batched {} vs copy {}",
-            batched.round_trips,
-            copy.round_trips
+            batched.m.channel.round_trips,
+            copy.m.channel.round_trips
         );
         // The acceptance claim: under the shmring build, bulk payloads
         // are never CPU-copied — bytes_copied is zero, descriptor
         // traffic only — and payloads stay out of the marshaler.
-        assert_eq!(shm.bytes_copied, 0, "{shm:?}");
+        assert_eq!(shm.m.bytes_copied, 0, "{shm:?}");
         assert!(
-            shm.marshaled_bytes * 10 < batched.marshaled_bytes,
+            marshaled(shm) * 10 < marshaled(batched),
             "shmring marshaled {} B vs batched {} B",
-            shm.marshaled_bytes,
-            batched.marshaled_bytes
+            marshaled(shm),
+            marshaled(batched)
         );
-        assert!(shm.doorbells > 0 && shm.descs_per_doorbell > 2.0);
+        let ring = &shm.m.channel;
+        assert!(ring.doorbells > 0 && ring.descriptors_per_doorbell() > 2.0);
         // Cheaper on virtual CPU time too, so the ordering tells the
         // same story as the NIC ablation.
         assert!(
-            shm.virtual_ns < batched.virtual_ns && batched.virtual_ns < copy.virtual_ns,
+            shm.m.busy_ns < batched.m.busy_ns && batched.m.busy_ns < copy.m.busy_ns,
             "shm {} / batched {} / copy {} ns",
-            shm.virtual_ns,
-            batched.virtual_ns,
-            copy.virtual_ns
+            shm.m.busy_ns,
+            batched.m.busy_ns,
+            copy.m.busy_ns
         );
         assert!(shm.virtual_mbps() > copy.virtual_mbps());
     }
@@ -2915,8 +2723,8 @@ mod tests {
         assert_eq!(sg.failures, 0, "{sg:?}");
         assert_eq!(sg.frag_refusals, 0, "{sg:?}");
         assert_eq!(sg.completed, sg.attempts);
-        assert_eq!(ff.bytes_copied, 0);
-        assert_eq!(sg.bytes_copied, 0);
+        assert_eq!(ff.m.bytes_copied, 0);
+        assert_eq!(sg.m.bytes_copied, 0);
         assert!(
             sg.virtual_mbps() > 0.0 && ff.virtual_mbps() == 0.0,
             "throughput under pressure: sg {:.1} vs ff {:.1} Mb/s",
@@ -2930,32 +2738,32 @@ mod tests {
         // Smaller run than the bench prints, same acceptance property:
         // shards=4 beats shards=1 on virtual-time netperf throughput,
         // with zero bytes_copied regression.
-        let rows: Vec<ShardAblationRow> = [1usize, 4]
+        let rows: Vec<Run> = [1usize, 4]
             .into_iter()
             .map(|n| shard_run(n, 1, 2_000))
             .collect();
         let (one, four) = (&rows[0], &rows[1]);
-        assert_eq!(one.packets, four.packets, "identical offered stream");
+        assert_eq!(one.ops, four.ops, "identical offered stream");
         assert!(
-            four.virtual_mbps() > one.virtual_mbps(),
+            four.effective_mbps() > one.effective_mbps(),
             "shards=4 ({:.1} Mb/s) must beat shards=1 ({:.1} Mb/s)",
-            four.virtual_mbps(),
-            one.virtual_mbps()
+            four.effective_mbps(),
+            one.effective_mbps()
         );
         assert!(
-            four.effective_ns < one.effective_ns,
+            four.m.effective_ns < one.m.effective_ns,
             "parallel wall estimate must shrink: {} vs {}",
-            four.effective_ns,
-            one.effective_ns
+            four.m.effective_ns,
+            one.m.effective_ns
         );
         assert_eq!(
-            four.bytes_copied, one.bytes_copied,
+            four.m.bytes_copied, one.m.bytes_copied,
             "sharding must not change copy accounting"
         );
         // With one shard the sharded portion IS the critical path.
-        assert_eq!(one.shard_max_ns, one.shard_sum_ns);
+        assert_eq!(one.m.shard_max_ns, one.m.shard_sum_ns);
         // With four shards the critical path is strictly below the sum.
-        assert!(four.shard_max_ns < four.shard_sum_ns);
+        assert!(four.m.shard_max_ns < four.m.shard_sum_ns);
     }
 
     #[test]
@@ -2964,31 +2772,32 @@ mod tests {
         // shards=4 beats shards=1 on virtual-time storage throughput,
         // and bytes_copied is exactly zero at both widths (the
         // assertion inside storage_shard_run enforces it for every row).
-        let rows: Vec<StorageShardAblationRow> = [1usize, 4]
+        let rows: Vec<StorageShardRow> = [1usize, 4]
             .into_iter()
             .map(|n| storage_shard_run(n, 1, 8))
             .collect();
-        let (one, four) = (&rows[0], &rows[1]);
-        assert_eq!(one.urbs, four.urbs, "identical offered workload");
-        assert_eq!(one.bytes_copied, 0);
-        assert_eq!(four.bytes_copied, 0);
+        let (one, four) = (&rows[0].run, &rows[1].run);
+        assert_eq!(one.ops, four.ops, "identical offered workload");
+        assert_eq!(one.m.bytes_copied, 0);
+        assert_eq!(four.m.bytes_copied, 0);
         assert!(
-            four.virtual_mbps() > one.virtual_mbps(),
+            four.effective_mbps() > one.effective_mbps(),
             "shards=4 ({:.1} Mb/s) must beat shards=1 ({:.1} Mb/s)",
-            four.virtual_mbps(),
-            one.virtual_mbps()
+            four.effective_mbps(),
+            one.effective_mbps()
         );
         assert!(
-            four.effective_ns < one.effective_ns,
+            four.m.effective_ns < one.m.effective_ns,
             "parallel wall estimate must shrink: {} vs {}",
-            four.effective_ns,
-            one.effective_ns
+            four.m.effective_ns,
+            one.m.effective_ns
         );
         // With one shard the sharded portion IS the critical path; with
         // four the critical path sits strictly below the sum.
-        assert_eq!(one.shard_max_ns, one.shard_sum_ns);
-        assert!(four.shard_max_ns < four.shard_sum_ns);
-        assert!(four.shards_used >= 2, "{} shards used", four.shards_used);
+        assert_eq!(one.m.shard_max_ns, one.m.shard_sum_ns);
+        assert!(four.m.shard_max_ns < four.m.shard_sum_ns);
+        let used = rows[1].shards_used;
+        assert!(used >= 2, "{used} shards used");
     }
 
     #[test]
@@ -3000,12 +2809,12 @@ mod tests {
         let rows = async_transport_sweep();
         assert_eq!(rows.len(), ASYNC_SWEEP_RATES.len());
         for row in &rows {
-            assert!(row.tokens > 0, "{row:?}");
+            assert!(row.launched.channel.tokens_issued > 0, "{row:?}");
             assert!(row.saving() >= 0.0, "{row:?}");
         }
         // At the fastest pacing the deadline never fires first, so the
         // watermark launches full batches and overlap still shows up.
-        assert!(rows.last().unwrap().overlap_ns > 0);
+        assert!(rows.last().unwrap().launched.channel.overlap_ns > 0);
     }
 
     #[test]
@@ -3086,7 +2895,7 @@ mod tests {
         // The headline: unbounded queueing past saturation blows the
         // p99 tail up ≥10×; an admission policy holds it within 3× of
         // its own pre-knee tail at ≥80% of peak goodput.
-        let rows = overload_sweep();
+        let (_, rows) = overload_sweep();
         let v = knee_verdict(&rows);
         assert!(
             v.holds,
@@ -3119,6 +2928,47 @@ mod tests {
             .iter()
             .filter(|r| r.policy == AdmissionPolicy::RejectAtAdmission)
             .all(|r| r.shed == 0));
+    }
+
+    #[test]
+    fn knee_cells_are_found_one_percent_off_their_nominal_rate() {
+        // Both divisions of the sweep floor, so a saturation rate that is
+        // not a multiple of 100 used to print `pct - 1` and leave
+        // `knee_verdict` without its cell.
+        let sat = 654_451;
+        let run = overload_run(AdmissionPolicy::QueueUnbounded, sat * 40 / 100, sat, None);
+        assert_eq!(run.multiplier_pct, 40);
+
+        let sweep = |off: u64| -> Vec<OverloadKneeRow> {
+            let mut rows = Vec::new();
+            for (p, policy) in AdmissionPolicy::ALL.into_iter().enumerate() {
+                for (i, pct) in OVERLOAD_MULTIPLIERS_PCT.into_iter().enumerate() {
+                    // Unbounded blows its tail up past saturation, the
+                    // bounded policies hold theirs.
+                    let blowup = policy == AdmissionPolicy::QueueUnbounded && pct > 100;
+                    let p99_ns = if blowup {
+                        50_000
+                    } else {
+                        1_000 + 100 * i as u64
+                    };
+                    rows.push(OverloadKneeRow {
+                        policy,
+                        multiplier_pct: pct - off,
+                        goodput_per_s: 1_000 * (i as u64 + 1) - 10 * p as u64,
+                        lat: LatencyPercentiles {
+                            p50_ns: 500,
+                            p99_ns,
+                            p999_ns: 2 * p99_ns,
+                        },
+                        ..run
+                    });
+                }
+            }
+            rows
+        };
+        let (nominal, off_by_one) = (knee_verdict(&sweep(0)), knee_verdict(&sweep(1)));
+        assert!(nominal.holds, "{nominal:?}");
+        assert_eq!(format!("{off_by_one:?}"), format!("{nominal:?}"));
     }
 
     #[test]

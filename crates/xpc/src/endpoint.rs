@@ -216,30 +216,53 @@ impl ChannelStats {
         self.ring_posts as f64 / self.doorbells as f64
     }
 
+    /// The one place that says which counters add up and which are
+    /// maxima: `sum` combines each summed counter of `self` and `other`,
+    /// `hwm` the occupancy high-water mark. The literal names every
+    /// field, so a counter added to the struct does not compile until it
+    /// is classified here.
+    fn combine(
+        &self,
+        other: &ChannelStats,
+        sum: fn(u64, u64) -> u64,
+        hwm: fn(u64, u64) -> u64,
+    ) -> ChannelStats {
+        ChannelStats {
+            round_trips: sum(self.round_trips, other.round_trips),
+            one_way_crossings: sum(self.one_way_crossings, other.one_way_crossings),
+            bytes_in: sum(self.bytes_in, other.bytes_in),
+            bytes_out: sum(self.bytes_out, other.bytes_out),
+            faults: sum(self.faults, other.faults),
+            deferred_calls: sum(self.deferred_calls, other.deferred_calls),
+            batched_calls: sum(self.batched_calls, other.batched_calls),
+            flushes: sum(self.flushes, other.flushes),
+            full_objects: sum(self.full_objects, other.full_objects),
+            delta_objects: sum(self.delta_objects, other.delta_objects),
+            delta_fields_elided: sum(self.delta_fields_elided, other.delta_fields_elided),
+            ring_posts: sum(self.ring_posts, other.ring_posts),
+            doorbells: sum(self.doorbells, other.doorbells),
+            ring_occupancy_hwm: hwm(self.ring_occupancy_hwm, other.ring_occupancy_hwm),
+            tokens_issued: sum(self.tokens_issued, other.tokens_issued),
+            tokens_harvested: sum(self.tokens_harvested, other.tokens_harvested),
+            tokens_cancelled: sum(self.tokens_cancelled, other.tokens_cancelled),
+            overlap_ns: sum(self.overlap_ns, other.overlap_ns),
+        }
+    }
+
     /// Folds another channel's counters into this one — the aggregation
     /// rule a sharded facade uses to present N channels as one: every
     /// counter sums, except the occupancy high-water mark, which takes
     /// the max (per-shard rings fill independently; summing HWMs would
     /// report an occupancy no single ring ever saw).
     pub fn merge(&mut self, other: &ChannelStats) {
-        self.round_trips += other.round_trips;
-        self.one_way_crossings += other.one_way_crossings;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.faults += other.faults;
-        self.deferred_calls += other.deferred_calls;
-        self.batched_calls += other.batched_calls;
-        self.flushes += other.flushes;
-        self.full_objects += other.full_objects;
-        self.delta_objects += other.delta_objects;
-        self.delta_fields_elided += other.delta_fields_elided;
-        self.ring_posts += other.ring_posts;
-        self.doorbells += other.doorbells;
-        self.ring_occupancy_hwm = self.ring_occupancy_hwm.max(other.ring_occupancy_hwm);
-        self.tokens_issued += other.tokens_issued;
-        self.tokens_harvested += other.tokens_harvested;
-        self.tokens_cancelled += other.tokens_cancelled;
-        self.overlap_ns += other.overlap_ns;
+        *self = self.combine(other, |a, b| a + b, u64::max);
+    }
+
+    /// What happened since `base` was read off the same channel: every
+    /// summed counter minus its baseline; the high-water mark, a maximum,
+    /// stays the current value. `base.merge(&now.since(&base))` is `now`.
+    pub fn since(&self, base: &ChannelStats) -> ChannelStats {
+        self.combine(base, |now, then| now - then, |now, _| now)
     }
 }
 
@@ -1601,6 +1624,45 @@ mod tests {
                 ("tx".into(), FieldVal::Ptr(Some(ring))),
             ],
         )
+    }
+
+    #[test]
+    fn since_then_merge_restores_the_sums_and_keeps_the_larger_high_water_mark() {
+        // Every counter distinct and `a` ahead of `b` by a different
+        // amount in each, so a misclassified or swapped field shows.
+        let counters = |k: u64, hwm: u64| ChannelStats {
+            round_trips: k,
+            one_way_crossings: 2 * k + 1,
+            bytes_in: 3 * k + 2,
+            bytes_out: 4 * k + 3,
+            faults: 5 * k + 4,
+            deferred_calls: 6 * k + 5,
+            batched_calls: 7 * k + 6,
+            flushes: 8 * k + 7,
+            full_objects: 9 * k + 8,
+            delta_objects: 10 * k + 9,
+            delta_fields_elided: 11 * k + 10,
+            ring_posts: 12 * k + 11,
+            doorbells: 13 * k + 12,
+            ring_occupancy_hwm: hwm,
+            tokens_issued: 14 * k + 13,
+            tokens_harvested: 15 * k + 14,
+            tokens_cancelled: 16 * k + 15,
+            overlap_ns: 17 * k + 16,
+        };
+        for (hwm_a, hwm_b) in [(9, 4), (4, 9)] {
+            let (a, b) = (counters(7, hwm_a), counters(3, hwm_b));
+            let delta = a.since(&b);
+            assert_eq!(delta.round_trips, 4);
+            assert_eq!(delta.overlap_ns, 17 * 4);
+            assert_eq!(
+                delta.ring_occupancy_hwm, hwm_a,
+                "a maximum: the later value"
+            );
+            let mut back = b;
+            back.merge(&delta);
+            assert_eq!(back, counters(7, 9), "sums restored, larger mark kept");
+        }
     }
 
     #[test]

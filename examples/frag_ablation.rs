@@ -51,7 +51,7 @@ fn main() {
             r.failure_rate(),
             r.frag_refusals,
             r.exhausted,
-            r.bytes_copied,
+            r.m.bytes_copied,
             r.virtual_mbps()
         );
     }

@@ -12,10 +12,10 @@
 //!
 //! Run with: `cargo run --release --example overload_knee`
 
-use decaf_core::experiments::{knee_verdict, overload_saturation_rate, overload_sweep};
+use decaf_core::experiments::{knee_verdict, overload_sweep};
 
 fn main() {
-    let sat = overload_saturation_rate();
+    let (sat, rows) = overload_sweep();
     println!("calibrated saturation: {sat} req/s (virtual)");
     println!();
     println!(
@@ -31,7 +31,6 @@ fn main() {
         "p99 µs",
         "p999 µs"
     );
-    let rows = overload_sweep();
     for r in &rows {
         println!(
             "{:<20} {:>6} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10.1} {:>10.1} {:>10.1}",

@@ -27,31 +27,31 @@ fn main() {
     let row = shard_run(shards, seconds, pps);
     println!(
         "  shards={shards}: effective {:.1} µs, {:.1} Mb/s virtual",
-        row.effective_ns as f64 / 1e3,
-        row.virtual_mbps()
+        row.m.effective_ns as f64 / 1e3,
+        row.effective_mbps()
     );
 
     if shards > 1 {
         let base = shard_run(1, seconds, pps);
         println!(
             "  shards=1: effective {:.1} µs, {:.1} Mb/s virtual",
-            base.effective_ns as f64 / 1e3,
-            base.virtual_mbps()
+            base.m.effective_ns as f64 / 1e3,
+            base.effective_mbps()
         );
-        assert_eq!(row.packets, base.packets, "identical offered stream");
+        assert_eq!(row.ops, base.ops, "identical offered stream");
         assert_eq!(
-            row.bytes_copied, base.bytes_copied,
+            row.m.bytes_copied, base.m.bytes_copied,
             "copy audit must not move with shard count"
         );
         assert!(
-            row.virtual_mbps() > base.virtual_mbps(),
+            row.effective_mbps() > base.effective_mbps(),
             "shards={shards} ({:.1} Mb/s) must beat shards=1 ({:.1} Mb/s)",
-            row.virtual_mbps(),
-            base.virtual_mbps()
+            row.effective_mbps(),
+            base.effective_mbps()
         );
         println!(
             "  speedup: {:.2}x",
-            base.effective_ns as f64 / row.effective_ns as f64
+            base.m.effective_ns as f64 / row.m.effective_ns as f64
         );
     }
     println!("OK: conservation, steering, zero-marshal and copy-audit checks passed");

@@ -25,7 +25,7 @@
 //! same-seed captures are byte-identical.
 
 use decaf_core::experiments::{
-    storage_ablation, storage_shard_run, STORAGE_FILES, STORAGE_LUNS, STORAGE_SECTORS_PER_FILE,
+    storage_ablation, storage_shard_run, Run, STORAGE_FILES, STORAGE_LUNS, STORAGE_SECTORS_PER_FILE,
 };
 use decaf_core::simkernel::decaf_trace::{chrome_trace_json, Tracer};
 use decaf_core::simkernel::Kernel;
@@ -58,31 +58,32 @@ fn sharded_smoke(shards: usize) {
         .map(|n| storage_shard_run(n, STORAGE_FILES, STORAGE_SECTORS_PER_FILE))
         .collect();
     for row in &rows {
+        let run = &row.run;
         println!(
             "  shards={:<2} used={:<2} urbs={:<4} eff={:<9.1}µs crit={:<9.1}µs dbell={:<3} copied={} virt={:.1}Mb/s",
-            row.shards,
+            run.shards,
             row.shards_used,
-            row.urbs,
-            row.effective_ns as f64 / 1e3,
-            row.shard_max_ns as f64 / 1e3,
-            row.doorbells,
-            row.bytes_copied,
-            row.virtual_mbps(),
+            run.ops,
+            run.m.effective_ns as f64 / 1e3,
+            run.m.shard_max_ns as f64 / 1e3,
+            run.m.channel.doorbells,
+            run.m.bytes_copied,
+            run.effective_mbps(),
         );
     }
-    let (one, n) = (&rows[0], &rows[1]);
+    let (one, n) = (&rows[0].run, &rows[1].run);
     // bytes_copied == 0 is already asserted inside storage_shard_run for
     // every row; gate the parallel-speedup ordering on top.
     assert!(
-        n.virtual_mbps() > one.virtual_mbps(),
+        n.effective_mbps() > one.effective_mbps(),
         "shards={} ({:.1} Mb/s) must beat shards=1 ({:.1} Mb/s)",
         n.shards,
-        n.virtual_mbps(),
-        one.virtual_mbps()
+        n.effective_mbps(),
+        one.effective_mbps()
     );
     println!(
         "OK: sharded storage queues hold (zero copies at both widths, {:.2}x parallel speedup)",
-        one.effective_ns as f64 / n.effective_ns as f64
+        one.m.effective_ns as f64 / n.m.effective_ns as f64
     );
 }
 
@@ -108,37 +109,38 @@ fn main() {
     );
 
     let rows = storage_ablation();
+    let marshaled = |r: &Run| r.m.channel.bytes_in + r.m.channel.bytes_out;
     for row in &rows {
         println!(
             "  {:<24} urbs={:<3} payload={:<6} marshaled={:<7} RT={:<3} dbell={:<2} copied={:<6} virt={:.1}µs",
             row.label,
-            row.urbs,
+            row.ops,
             row.payload_bytes,
-            row.marshaled_bytes,
-            row.round_trips,
-            row.doorbells,
-            row.bytes_copied,
-            row.virtual_ns as f64 / 1e3,
+            marshaled(row),
+            row.m.channel.round_trips,
+            row.m.channel.doorbells,
+            row.m.bytes_copied,
+            row.m.busy_ns as f64 / 1e3,
         );
     }
 
     let (copy, batched, shm) = (&rows[0], &rows[1], &rows[2]);
     assert_eq!(
-        shm.bytes_copied, 0,
+        shm.m.bytes_copied, 0,
         "shmring bulk payloads must cross as descriptor traffic only"
     );
     assert!(
-        shm.marshaled_bytes < batched.marshaled_bytes && shm.marshaled_bytes < copy.marshaled_bytes,
+        marshaled(shm) < marshaled(batched) && marshaled(shm) < marshaled(copy),
         "shmring must keep payloads out of the marshaler"
     );
     assert!(
-        shm.virtual_ns < batched.virtual_ns && batched.virtual_ns < copy.virtual_ns,
+        shm.m.busy_ns < batched.m.busy_ns && batched.m.busy_ns < copy.m.busy_ns,
         "each hosting must beat the one below it on virtual CPU time"
     );
     println!(
         "OK: zero-copy storage path holds ({} B copied vs {} B by value, {:.1}x virtual speedup)",
-        shm.bytes_copied,
-        copy.bytes_copied,
-        copy.virtual_ns as f64 / shm.virtual_ns as f64
+        shm.m.bytes_copied,
+        copy.m.bytes_copied,
+        copy.m.busy_ns as f64 / shm.m.busy_ns as f64
     );
 }

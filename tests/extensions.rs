@@ -239,7 +239,7 @@ fn every_driver_has_bidirectional_masks() {
 fn batched_delta_transport_beats_seed_inproc_path() {
     let rows = decaf_core::experiments::transport_ablation();
     assert_eq!(rows.len(), 3);
-    let (seed, delta, batch) = (&rows[0], &rows[1], &rows[2]);
+    let (seed, delta, batch) = (&rows[0].m.channel, &rows[1].m.channel, &rows[2].m.channel);
 
     assert!(
         batch.one_way_crossings < seed.one_way_crossings,
@@ -254,7 +254,7 @@ fn batched_delta_transport_beats_seed_inproc_path() {
         seed.bytes_in
     );
     assert!(
-        batch.virtual_ns < seed.virtual_ns,
+        rows[2].m.busy_ns < rows[0].m.busy_ns,
         "batching + delta must also cost less virtual time"
     );
     // Delta alone: same crossings, fewer bytes.
