@@ -27,12 +27,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use decaf_shmring::{BufHandle, BufPool, Descriptor, DoorbellPolicy, RingSet};
+use decaf_shmring::{BufHandle, BufPool, Descriptor, RingSet};
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel, TimerId};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{DataPathChannel, DataPathEnd, Domain, ProcDef, ShardedChannel, XpcResult};
+use decaf_xpc::{DataPathChannel, Domain, ProcDef, RingEnd, ShardedChannel, XpcResult};
 
 use crate::support::{RxMode, RX_POLL_BUDGET, RX_POLL_TICK_NS};
 
@@ -146,28 +146,14 @@ fn build_rings<H: RingNic>(
     let shards = channels.shard_count();
     let set = |dir, slots| RingSet::new(&format!("{}-{dir}", H::NAME), shards, slots, 2 * slots);
     let (tx_set, rx_set) = (set("tx", H::TX_SLOTS), set("rx", H::RX_SLOTS));
-    let path = |set: &RingSet, i, dir, pool, watermark| {
-        DataPathChannel::new(
-            Rc::clone(channels.shard(i)),
-            Domain::Nucleus,
-            format!("{}_{dir}_drain", H::NAME),
-            Rc::clone(set.ring(i)),
-            Rc::clone(set.completions(i)),
-            pool,
-            DoorbellPolicy::with_watermark(watermark),
-        )
+    let paths = |set: &RingSet, dir, pool, watermark| {
+        let drain = format!("{}_{dir}_drain", H::NAME);
+        DataPathChannel::per_shard(channels, Domain::Nucleus, drain, set, pool, watermark)
     };
-    let pool = Rc::new(hw.tx_pool());
-    let mut tx_paths = Vec::with_capacity(shards);
-    let mut rx_paths = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let pool = Some(Rc::clone(&pool));
-        tx_paths.push(path(&tx_set, i, "tx", pool, H::TX_WATERMARK)?);
-        // RX descriptors reference receive memory the chip owns (no
-        // pool); the IRQ handler posts, a work item rings, the decaf
-        // driver drains.
-        rx_paths.push(path(&rx_set, i, "rx", None, H::RX_SLOTS)?);
-    }
+    let tx_paths = paths(&tx_set, "tx", Some(Rc::new(hw.tx_pool())), H::TX_WATERMARK)?;
+    // RX descriptors reference receive memory the chip owns (no pool);
+    // the IRQ handler posts, a work item rings, the decaf driver drains.
+    let rx_paths = paths(&rx_set, "rx", None, H::RX_SLOTS)?;
     Ok(Rings {
         tx_paths,
         tx_set,
@@ -245,7 +231,7 @@ fn register_drains<H: RingNic>(
             Domain::Decaf,
             ProcDef::scalar(format!("{}_tx_drain", H::NAME), move |k, _| {
                 k.shard_scope(i, || {
-                    let pool = end.pool().expect("tx path owns a pool");
+                    let pool = end.pool().as_ref().expect("tx path owns a pool");
                     let mut queued = 0;
                     end.consume(k, |d| {
                         let off = pool.offset_of(d.buf).expect("live pool handle");
@@ -299,7 +285,7 @@ struct RxSide<H> {
     paths: Vec<Rc<DataPathChannel>>,
     /// The decaf end of each path, for the poll tick: kept, so the batch
     /// its probes fill is reused from tick to tick.
-    ends: Vec<DataPathEnd>,
+    ends: Vec<RingEnd<Descriptor>>,
     /// The last harvest stopped for want of ring slots, not of frames:
     /// the rest wait in the hardware, and no interrupt will announce
     /// them again.

@@ -31,7 +31,7 @@ pub enum RxMode {
     Interrupt,
     /// Budgeted poll receive: the first RX interrupt masks further RX
     /// interrupts; from then on a periodic tick probes the ring with
-    /// [`DataPathEnd::poll_and_reclaim`](decaf_xpc::DataPathEnd::poll_and_reclaim)
+    /// [`RingEnd::poll_and_reclaim`](decaf_xpc::RingEnd::poll_and_reclaim)
     /// under [`RX_POLL_BUDGET`].
     Poll,
 }

@@ -53,11 +53,11 @@
 //!   steered per LUN because a storage transaction's FIFO order is
 //!   load-bearing).
 //!
-//! The XPC layer builds its data-path channels on these pieces
-//! (`DataPathChannel` for NIC streams, `UrbDataPath` for storage
-//! request/response): the descriptors ride the rings, the doorbell rides
-//! the existing transport crossing, and the payload bytes never see the
-//! XDR marshaler.
+//! The XPC layer builds its one data path on these pieces (`RingPath`,
+//! generic over [`RingDescriptor`]: `DataPathChannel` for NIC streams,
+//! `UrbDataPath` for storage request/response): the descriptors ride the
+//! rings, the doorbell rides the existing transport crossing, and the
+//! payload bytes never see the XDR marshaler.
 //!
 //! # Example: one frame, zero marshaled payload bytes
 //!

@@ -167,17 +167,18 @@ impl Hasher for CookieHasher {
 
 /// What a ring set needs to know about the descriptor it carries.
 pub trait RingDescriptor: Copy + Default {
-    /// What every shard of a set shares besides the rings: the
-    /// [`SectorPool`] for URBs, nothing for NIC frames (their buffers
-    /// belong to the data path or the device).
-    type Pool: std::fmt::Debug;
+    /// The payload pool a data path over these rings draws from: the
+    /// [`SectorPool`] every shard of a URB set shares; for NIC frames a
+    /// [`crate::BufPool`] when the path sends payloads, `None` when
+    /// descriptors name device memory (a [`RingSet`] holds `None`).
+    type Pool: std::fmt::Debug + Clone;
 
     /// The cookie identifying this descriptor while it is in flight.
     fn cookie(&self) -> u64;
 }
 
 impl RingDescriptor for Descriptor {
-    type Pool = ();
+    type Pool = Option<Rc<crate::BufPool>>;
 
     fn cookie(&self) -> u64 {
         self.cookie
@@ -246,7 +247,7 @@ impl RingSet {
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn new(name: &str, shards: usize, capacity: usize, completion_capacity: usize) -> Rc<Self> {
-        Self::with_pool(name, shards, capacity, completion_capacity, ())
+        Self::with_pool(name, shards, capacity, completion_capacity, None)
     }
 }
 
@@ -341,8 +342,8 @@ impl<D: RingDescriptor> ShardedRings<D> {
     }
 
     /// Records that `cookie` was posted on `shard` without touching the
-    /// ring — for producers that post through a higher-level path (a
-    /// `DataPathChannel` or `UrbDataPath` holding the same ring `Rc`).
+    /// ring — for producers that post through a higher-level path (an
+    /// XPC `RingPath` holding the same ring `Rc`).
     /// Note first, [`ShardedRings::cancel_post`] if the post never
     /// happens: a synchronously-triggered consumer must be able to steer
     /// the completion home.

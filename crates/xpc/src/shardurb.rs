@@ -4,7 +4,8 @@
 //! [`crate::DataPathChannel`] scaled out in PR 3 by pairing a
 //! [`decaf_shmring::RingSet`] with per-shard channels; this module is
 //! the same move for the request/response storage path. A
-//! [`ShardedUrbPath`] owns one [`UrbDataPath`] per shard, each bound to
+//! [`ShardedUrbPath`] owns one [`UrbDataPath`] per shard (built by
+//! [`crate::RingPath::per_shard`], as the NIC paths are), each bound to
 //! its shard's [`crate::XpcChannel`] (own transport queue, own delta
 //! maps) and to its shard's submit/giveback ring pair inside one
 //! [`UrbRingSet`] — all over a single shared [`decaf_shmring::SectorPool`]
@@ -33,14 +34,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use decaf_shmring::{DoorbellPolicy, UrbRingSet};
+use decaf_shmring::UrbRingSet;
 use decaf_simkernel::Kernel;
 
 use crate::admission::{AdmissionController, AdmissionVerdict, TrafficClass};
 use crate::domain::Domain;
 use crate::error::{XpcError, XpcResult};
+use crate::ringpath::{UrbDataPath, UrbReclaim};
 use crate::shard::ShardedChannel;
-use crate::urbpath::{UrbDataPath, UrbPathStats, UrbReclaim};
 
 /// N parallel URB data paths behind one facade, steered per LUN.
 pub struct ShardedUrbPath {
@@ -55,12 +56,8 @@ impl ShardedUrbPath {
     /// Builds one [`UrbDataPath`] per shard over `set`'s ring pairs and
     /// shared pool, each riding its shard of `channels` and ringing
     /// `doorbell_proc` (which must be registered at the peer end of
-    /// every shard). Each shard gets its own doorbell policy with
-    /// `watermark` (coalescing state is per queue).
-    ///
-    /// Fails with [`XpcError::ShardConflict`] when the ring set and the
-    /// channel facade disagree on the shard count — a mismatch would
-    /// leave rings without a doorbell or doorbells without rings.
+    /// every shard) — see [`crate::RingPath::per_shard`], which also
+    /// refuses a set and facade that disagree on the shard count.
     pub fn new(
         channels: Rc<ShardedChannel>,
         producer: Domain,
@@ -68,25 +65,9 @@ impl ShardedUrbPath {
         set: Rc<UrbRingSet>,
         watermark: usize,
     ) -> XpcResult<Rc<Self>> {
-        if channels.shard_count() != set.shards() {
-            return Err(XpcError::ShardConflict(format!(
-                "urb ring set has {} shards, channel facade {}",
-                set.shards(),
-                channels.shard_count()
-            )));
-        }
-        let mut paths = Vec::with_capacity(set.shards());
-        for i in 0..set.shards() {
-            paths.push(UrbDataPath::new(
-                Rc::clone(channels.shard(i)),
-                producer,
-                doorbell_proc,
-                Rc::clone(set.submit_ring(i)),
-                Rc::clone(set.giveback_ring(i)),
-                Rc::clone(set.pool()),
-                DoorbellPolicy::with_watermark(watermark),
-            )?);
-        }
+        let pool = Rc::clone(set.pool());
+        let paths =
+            UrbDataPath::per_shard(&channels, producer, doorbell_proc, &set, pool, watermark)?;
         Ok(Rc::new(ShardedUrbPath {
             channels,
             set,
@@ -111,11 +92,6 @@ impl ShardedUrbPath {
         *self.admission.borrow_mut() = ctrl;
     }
 
-    /// The installed admission controller, if any.
-    pub fn admission(&self) -> Option<Rc<AdmissionController>> {
-        self.admission.borrow().clone()
-    }
-
     fn admit(&self, kernel: &Kernel, cookie: u64) -> XpcResult<()> {
         let guard = self.admission.borrow();
         let Some(ctrl) = guard.as_ref() else {
@@ -135,18 +111,13 @@ impl ShardedUrbPath {
         self.paths.len()
     }
 
-    /// The channel facade the doorbells ride.
-    pub fn channels(&self) -> &Rc<ShardedChannel> {
-        &self.channels
-    }
-
     /// The underlying ring set (per-shard counters, origin map, pool).
     pub fn set(&self) -> &Rc<UrbRingSet> {
         &self.set
     }
 
     /// Shard `i`'s data path (the completer builds its
-    /// [`crate::UrbEnd`] from here).
+    /// [`crate::RingEnd`] from here).
     pub fn path(&self, shard: usize) -> &Rc<UrbDataPath> {
         &self.paths[shard]
     }
@@ -243,7 +214,7 @@ impl ShardedUrbPath {
         let mut rang = 0;
         let mut first_err = None;
         for (i, path) in self.paths.iter().enumerate() {
-            match kernel.shard_scope(i, || path.poll(kernel)) {
+            match kernel.shard_scope(i, || path.maybe_ring(kernel)) {
                 Ok(true) => rang += 1,
                 Ok(false) => {}
                 Err(e) => {
@@ -262,29 +233,19 @@ impl ShardedUrbPath {
         self.paths.iter().map(|p| p.pending()).sum()
     }
 
-    /// URBs submitted and not yet given back, across all shards.
+    /// URBs submitted and not yet reclaimed, across all shards: those
+    /// the completer has not given back (the set's origin ledger) plus
+    /// the givebacks waiting in the completion rings.
     pub fn in_flight(&self) -> u64 {
-        self.paths.iter().map(|p| p.in_flight()).sum()
+        let landed: usize = self.paths.iter().map(|p| p.completions().len()).sum();
+        (self.set.in_flight() + landed) as u64
     }
 
-    /// Merged path counters: sums across shards, max for the high-water
-    /// mark.
-    pub fn stats(&self) -> UrbPathStats {
-        let mut total = UrbPathStats::default();
-        for p in &self.paths {
-            let s = p.stats();
-            total.submitted += s.submitted;
-            total.given_back += s.given_back;
-            total.in_flight_hwm = total.in_flight_hwm.max(s.in_flight_hwm);
-        }
-        total
-    }
-
-    /// The conservation invariant, both layers: every per-shard path
-    /// conserves its URBs, and the ring set's per-shard counters (which
-    /// additionally check completion *affinity*) conserve too.
+    /// The conservation invariant: the ring set's per-shard counters
+    /// conserve — none lost, none double-completed, every completion
+    /// steered home to the shard that submitted it.
     pub fn conserved(&self) -> bool {
-        self.paths.iter().all(|p| p.conserved()) && self.set.conserved()
+        self.set.conserved()
     }
 
     /// Recovers shard `shard` after its `failed` end died mid-burst:
@@ -462,6 +423,22 @@ mod tests {
             assert_eq!(r.data.len(), 100);
         }
         assert_eq!(k.stats().bytes_copied, 0, "handback is in place");
+        assert!(path.conserved());
+    }
+
+    #[test]
+    fn in_flight_counts_givebacks_landed_but_not_reclaimed() {
+        // Watermark 1: every submit rings, so the completer has given
+        // each URB back before `submit_out` returns — yet until the
+        // submitter reclaims it, the URB is still in flight.
+        let (k, _sc, path) = sharded(2, 64, 8, 1);
+        for cookie in 0..4u64 {
+            path.submit_out(&k, cookie, 2, &[1; 64], cookie).unwrap();
+        }
+        assert_eq!(path.set().in_flight(), 0, "every URB was given back");
+        assert_eq!(path.in_flight(), 4, "submitted and not yet reclaimed");
+        assert_eq!(path.reclaim(&k).len(), 4);
+        assert_eq!(path.in_flight(), 0);
         assert!(path.conserved());
     }
 
