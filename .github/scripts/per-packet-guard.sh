@@ -22,7 +22,8 @@ for f in \
     crates/drivers/src/support.rs \
     crates/simdev/src/e1000.rs \
     crates/simdev/src/rtl8139.rs \
-    crates/xpc/src/ringpath.rs
+    crates/xpc/src/ringpath.rs \
+    crates/xpc/src/shardpath.rs
 do
     if [ ! -f "$f" ]; then
         echo "$f: missing"

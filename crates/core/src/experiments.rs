@@ -1968,6 +1968,7 @@ pub fn e1000_patch_stream(plan: &SlicePlan) -> Vec<Patch> {
 // ------------------------------------------------ Overload knee (open loop)
 
 use decaf_drivers::support::{install_open_loop_net, install_open_loop_storage, OpenLoopNet};
+use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::TimerId;
 use decaf_xpc::{
     AdmissionController, AdmissionPolicy, AdmissionVerdict, ShardedUrbPath, TokenBucket,
@@ -2020,7 +2021,7 @@ struct OverloadRig {
 }
 
 /// The arrival/service loop. Runs in process context (the arrival
-/// timer's softirq hands off through `schedule_work`). Because service
+/// timer's softirq hands off to a work item). Because service
 /// work *charges* the single virtual CPU, time moves forward inside the
 /// loop — arrivals whose scheduled instant has meanwhile passed are
 /// admitted on the next iteration, which is exactly how a backlog forms
@@ -2262,23 +2263,21 @@ pub fn overload_run(
     });
 
     // Timers fire in softirq context; everything here makes upcalls, so
-    // each timer hands its body off to a work item.
-    let work_timer = |timer: &'static str, work: &'static str, body: fn(&OverloadRig, &Kernel)| {
+    // each timer hands its body off to a work item, built once and queued
+    // by handle.
+    let work_timer = |timer: &'static str, body: fn(&OverloadRig, &Kernel)| {
         let rig = Rc::clone(&rig);
-        let on_fire = move |k: &Kernel| {
-            let rig = Rc::clone(&rig);
-            k.schedule_work(work, move |k| body(&rig, k));
-        };
-        kernel.timer_create(timer, Rc::new(on_fire))
+        let work: WorkBody = Rc::new(move |k, _| body(&rig, k));
+        kernel.timer_create(timer, Rc::new(move |k| k.schedule_work_handle(&work, 0)))
     };
-    let arrival = work_timer("overload.arrival", "overload.dispatch", overload_dispatch);
+    let arrival = work_timer("overload.arrival", overload_dispatch);
     rig.arrival_timer.set(Some(arrival));
 
     // The satellite machinery under integration load: deadline wakeups
     // on the async net facade, and a periodic poll that flushes
     // past-deadline doorbells and reclaims completions.
     rig.net.channels.arm_deadline_wakeups(&kernel);
-    let poll = work_timer("overload.poll", "overload.poll_work", |rig, k| {
+    let poll = work_timer("overload.poll", |rig, k| {
         for i in 0..rig.net.paths.len() {
             k.shard_scope(i, || {
                 let _ = rig.net.paths[i].poll(k);
@@ -2291,7 +2290,7 @@ pub fn overload_run(
     kernel.timer_arm_periodic(poll, costs::DOORBELL_COALESCE_NS);
 
     if let Some(at) = fault_at_ns {
-        let fault = work_timer("overload.fault", "overload.recover", |rig, k| {
+        let fault = work_timer("overload.fault", |rig, k| {
             let _ = rig.storage.recover_shard(k, 0, Domain::Decaf);
         });
         kernel.timer_arm_at(fault, at);

@@ -42,7 +42,7 @@ use decaf_xpc::{
 };
 
 use super::{attach, E1000Hw, IRQ_LINE};
-use crate::ringnic::{self, Rings};
+use crate::ringnic::{self, NicPath, Rings};
 use crate::support::{self, decaf_readl, decaf_writel, RxMode};
 use decaf_simdev::e1000 as hwreg;
 
@@ -121,10 +121,10 @@ pub struct ShardedE1000 {
     pub plan: Arc<SlicePlan>,
     /// Handle to the device model.
     pub dev: Rc<RefCell<E1000Device>>,
-    /// Per-shard transmit data paths.
-    pub tx_paths: Vec<Rc<DataPathChannel>>,
-    /// Per-shard receive data paths.
-    pub rx_paths: Vec<Rc<DataPathChannel>>,
+    /// The transmit paths, one per shard.
+    pub tx: Rc<NicPath>,
+    /// The receive paths, one per shard.
+    pub rx: Rc<NicPath>,
     /// The TX ring set (flow steering + completion steering).
     pub tx_set: Rc<RingSet>,
     /// The RX ring set.
@@ -186,10 +186,7 @@ struct Build {
 impl Build {
     fn into_unsharded(self) -> DecafE1000 {
         let (tx_path, rx_path) = match &self.rings {
-            Some(r) => (
-                Some(Rc::clone(&r.tx_paths[0])),
-                Some(Rc::clone(&r.rx_paths[0])),
-            ),
+            Some(r) => (Some(Rc::clone(r.tx.path(0))), Some(Rc::clone(r.rx.path(0)))),
             None => (None, None),
         };
         DecafE1000 {
@@ -221,10 +218,10 @@ impl Build {
             init_latency_ns: self.init_latency_ns,
             plan: self.plan,
             dev: self.dev,
-            tx_paths: rings.tx_paths,
-            rx_paths: rings.rx_paths,
-            tx_set: rings.tx_set,
-            rx_set: rings.rx_set,
+            tx_set: Rc::clone(rings.tx.set()),
+            rx_set: Rc::clone(rings.rx.set()),
+            tx: rings.tx,
+            rx: rings.rx,
             timers: self.timers,
         }
     }

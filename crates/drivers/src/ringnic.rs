@@ -32,7 +32,7 @@ use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel, TimerId};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{DataPathChannel, Domain, ProcDef, RingEnd, ShardedChannel, XpcResult};
+use decaf_xpc::{Domain, RingEnd, ShardedChannel, ShardedRingPath, XpcResult};
 
 use crate::support::{RxMode, RX_POLL_BUDGET, RX_POLL_TICK_NS};
 
@@ -103,17 +103,17 @@ pub trait RingNic: 'static {
     fn rx_delivered(&self, kernel: &Kernel, last: u32, in_flight: usize);
 }
 
+/// One direction's rings: a [`decaf_xpc::DataPathChannel`] per shard
+/// over a [`RingSet`], flow-steered, completions steered home.
+pub type NicPath = ShardedRingPath<Descriptor>;
+
 /// The per-shard rings and data paths of a ring-hosted build.
 pub struct Rings<H> {
-    /// Per-shard transmit data paths.
-    pub tx_paths: Vec<Rc<DataPathChannel>>,
-    /// The TX ring set (flow steering + completion steering).
-    pub tx_set: Rc<RingSet>,
-    /// Per-shard receive data paths.
-    pub rx_paths: Vec<Rc<DataPathChannel>>,
-    /// The RX ring set.
-    pub rx_set: Rc<RingSet>,
-    rx: Rc<RxSide<H>>,
+    /// The transmit paths.
+    pub tx: Rc<NicPath>,
+    /// The receive paths.
+    pub rx: Rc<NicPath>,
+    rx_side: Rc<RxSide<H>>,
 }
 
 /// Builds the rings of `hw` over `channels` (one TX/RX pair per shard),
@@ -126,13 +126,9 @@ pub fn link<H: RingNic>(
     rx_mode: RxMode,
 ) -> XpcResult<(Rings<H>, IrqHandler, XmitOp)> {
     let rings = build_rings(channels, hw, ifname)?;
-    let inflight = register_drains(channels, hw, &rings)?;
+    let inflight = register_drains(hw, &rings)?;
     let irq = irq_handler(hw, ifname, &rings, inflight, rx_mode);
-    let xmit = xmit_op(
-        Rc::clone(&rings.tx_set),
-        rings.tx_paths.clone(),
-        H::MAX_FRAME,
-    );
+    let xmit = xmit_op(Rc::clone(&rings.tx), H::MAX_FRAME);
     Ok((rings, irq, xmit))
 }
 
@@ -144,40 +140,34 @@ fn build_rings<H: RingNic>(
     ifname: &str,
 ) -> XpcResult<Rings<H>> {
     let shards = channels.shard_count();
-    let set = |dir, slots| RingSet::new(&format!("{}-{dir}", H::NAME), shards, slots, 2 * slots);
-    let (tx_set, rx_set) = (set("tx", H::TX_SLOTS), set("rx", H::RX_SLOTS));
-    let paths = |set: &RingSet, dir, pool, watermark| {
+    let paths = |dir, slots, pool, watermark| {
+        let name = format!("{}-{dir}", H::NAME);
         let drain = format!("{}_{dir}_drain", H::NAME);
-        DataPathChannel::per_shard(channels, Domain::Nucleus, drain, set, pool, watermark)
+        let set = RingSet::with_pool(&name, shards, slots, 2 * slots, pool);
+        NicPath::new(Rc::clone(channels), Domain::Nucleus, drain, set, watermark)
     };
-    let tx_paths = paths(&tx_set, "tx", Some(Rc::new(hw.tx_pool())), H::TX_WATERMARK)?;
+    let tx_pool = Some(Rc::new(hw.tx_pool()));
+    let tx = paths("tx", H::TX_SLOTS, tx_pool, H::TX_WATERMARK)?;
     // RX descriptors reference receive memory the chip owns (no pool);
     // the IRQ handler posts, a work item rings, the decaf driver drains.
-    let rx_paths = paths(&rx_set, "rx", None, H::RX_SLOTS)?;
-    Ok(Rings {
-        tx_paths,
-        tx_set,
-        rx: Rc::new(RxSide {
-            hw: Rc::clone(hw),
-            ifname: ifname.to_string(),
-            set: Rc::clone(&rx_set),
-            ends: rx_paths.iter().map(|p| p.end(Domain::Decaf)).collect(),
-            paths: rx_paths.clone(),
-            cut_short: Cell::new(false),
-        }),
-        rx_paths,
-        rx_set,
-    })
+    let rx = paths("rx", H::RX_SLOTS, None, H::RX_SLOTS)?;
+    let rx_side = Rc::new(RxSide {
+        hw: Rc::clone(hw),
+        ifname: ifname.to_string(),
+        ends: (0..shards).map(|i| rx.path(i).end(Domain::Decaf)).collect(),
+        rings: Rc::clone(&rx),
+        cut_short: Cell::new(false),
+    });
+    Ok(Rings { tx, rx, rx_side })
 }
 
 /// Builds the netdev transmit op: frames over `max_len` fail with
 /// `Inval` (and `tx_errors` accounting through `net_xmit`), as on the
 /// kernel-resident paths; every other frame is steered to a shard by an
-/// RSS-style flow hash over its protocol and leading payload bytes,
-/// posted into that shard's ring under the shard's cost scope, and
-/// recorded in the [`RingSet`] so the IRQ-side completion steers back to
-/// the posting shard.
-fn xmit_op(tx_set: Rc<RingSet>, tx_paths: Vec<Rc<DataPathChannel>>, max_len: usize) -> XmitOp {
+/// RSS-style flow hash over its protocol and leading payload bytes and
+/// posted into that shard's ring ([`NicPath::post_on`]), so the IRQ-side
+/// completion steers back to the posting shard.
+fn xmit_op(tx: Rc<NicPath>, max_len: usize) -> XmitOp {
     let seq = Cell::new(0u64);
     Rc::new(move |k, skb| {
         if skb.len() > max_len {
@@ -191,18 +181,10 @@ fn xmit_op(tx_set: Rc<RingSet>, tx_paths: Vec<Rc<DataPathChannel>>, max_len: usi
         let flow = skb.data.first().copied().unwrap_or(0) as u64
             | ((skb.protocol as u64) << 8)
             | ((skb.len() as u64) << 24);
-        let shard = tx_set.steer(flow);
-        k.shard_scope(shard, || {
-            // Record the origin *before* sending: a watermark or
-            // pool-exhaustion doorbell inside send() runs the decaf
-            // drain synchronously, and its reject path steers the
-            // descriptor home through this record.
-            tx_set.note_post(shard, cookie);
-            tx_paths[shard].send(k, &skb.data, cookie).map_err(|_| {
-                tx_set.cancel_post(cookie);
-                KError::Busy
-            })
+        tx.post_on(k, tx.steer(flow), cookie, |path| {
+            path.send(k, &skb.data, cookie)
         })
+        .map_err(|_| KError::Busy)
     })
 }
 
@@ -210,69 +192,51 @@ fn xmit_op(tx_set: Rc<RingSet>, tx_paths: Vec<Rc<DataPathChannel>>, max_len: usi
 /// (ownership handed back through the completion ring) by the IRQ.
 type TxInflight = Rc<RefCell<VecDeque<Descriptor>>>;
 
-/// Registers the decaf-side drains, one pair per shard, each charged to
-/// its shard. Completions go through the ring sets so every handback
-/// steers home to the posting shard.
-fn register_drains<H: RingNic>(
-    channels: &Rc<ShardedChannel>,
-    hw: &Rc<H>,
-    rings: &Rings<H>,
-) -> XpcResult<TxInflight> {
+/// Registers the decaf-side drains of both directions. Completions go
+/// through the ring sets so every handback steers home to the posting
+/// shard.
+fn register_drains<H: RingNic>(hw: &Rc<H>, rings: &Rings<H>) -> XpcResult<TxInflight> {
     let inflight: TxInflight = Rc::new(RefCell::new(VecDeque::new()));
-    for (i, (tx_path, rx_path)) in rings.tx_paths.iter().zip(&rings.rx_paths).enumerate() {
-        // TX drain: the user-level driver programs the hardware straight
-        // from its mapping of the shared pool — no payload copy — and
-        // publishes the whole batch with one kick.
-        let end = tx_path.end(Domain::Decaf);
-        let hw = Rc::clone(hw);
-        let inflight = Rc::clone(&inflight);
-        let set = Rc::clone(&rings.tx_set);
-        channels.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar(format!("{}_tx_drain", H::NAME), move |k, _| {
-                k.shard_scope(i, || {
-                    let pool = end.pool().as_ref().expect("tx path owns a pool");
-                    let mut queued = 0;
-                    end.consume(k, |d| {
-                        let off = pool.offset_of(d.buf).expect("live pool handle");
-                        match hw.xmit_desc(k, off, d.len as usize) {
-                            Ok(()) => {
-                                inflight.borrow_mut().push_back(d);
-                                queued += 1;
-                            }
-                            // A frame the hardware rejects never becomes
-                            // in-flight (it would be counted as sent at
-                            // the next TX-done interrupt); it is completed
-                            // on the spot — steered home like any other.
-                            Err(_) => {
-                                let _ = set.complete(k, CpuClass::User, d);
-                            }
-                        }
-                    });
-                    if queued > 0 {
-                        hw.tx_kick(k);
+    // TX drain: the user-level driver programs the hardware straight from
+    // its mapping of the shared pool — no payload copy — and publishes the
+    // whole batch with one kick.
+    rings.tx.register_drains(|end, set| {
+        let (hw, inflight) = (Rc::clone(hw), Rc::clone(&inflight));
+        move |k| {
+            let pool = end.pool().as_ref().expect("tx path owns a pool");
+            let mut queued = 0;
+            end.consume(k, |d| {
+                let off = pool.offset_of(d.buf).expect("live pool handle");
+                match hw.xmit_desc(k, off, d.len as usize) {
+                    Ok(()) => {
+                        inflight.borrow_mut().push_back(d);
+                        queued += 1;
                     }
-                    XdrValue::Int(queued)
-                })
-            }),
-        )?;
-
-        // RX drain: user-level receive processing sees every descriptor,
-        // then hands buffer ownership back in completion order.
-        let end = rx_path.end(Domain::Decaf);
-        let set = Rc::clone(&rings.rx_set);
-        channels.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar(format!("{}_rx_drain", H::NAME), move |k, _| {
-                k.shard_scope(i, || {
-                    let n = end.consume(k, |d| {
+                    // A frame the hardware rejects never becomes in-flight
+                    // (it would be counted as sent at the next TX-done
+                    // interrupt); it is completed on the spot — steered
+                    // home like any other.
+                    Err(_) => {
                         let _ = set.complete(k, CpuClass::User, d);
-                    });
-                    XdrValue::Int(n as i32)
-                })
-            }),
-        )?;
-    }
+                    }
+                }
+            });
+            if queued > 0 {
+                hw.tx_kick(k);
+            }
+            XdrValue::Int(queued)
+        }
+    })?;
+    // RX drain: user-level receive processing sees every descriptor, then
+    // hands buffer ownership back in completion order.
+    rings.rx.register_drains(|end, set| {
+        move |k| {
+            let n = end.consume(k, |d| {
+                let _ = set.complete(k, CpuClass::User, d);
+            });
+            XdrValue::Int(n as i32)
+        }
+    })?;
     Ok(inflight)
 }
 
@@ -281,8 +245,7 @@ fn register_drains<H: RingNic>(
 struct RxSide<H> {
     hw: Rc<H>,
     ifname: String,
-    set: Rc<RingSet>,
-    paths: Vec<Rc<DataPathChannel>>,
+    rings: Rc<NicPath>,
     /// The decaf end of each path, for the poll tick: kept, so the batch
     /// its probes fill is reused from tick to tick.
     ends: Vec<RingEnd<Descriptor>>,
@@ -298,15 +261,17 @@ impl<H: RingNic> RxSide<H> {
     /// burst larger than the rings waits in the hardware for the next
     /// harvest instead of being dropped.
     fn harvest(&self, k: &Kernel) {
-        let free = |p: &Rc<DataPathChannel>| p.ring().capacity() - p.pending();
-        let free = self.paths.iter().map(free).min().unwrap_or(0);
+        let free = |i| self.rings.path(i).ring().capacity() - self.rings.path(i).pending();
+        let free = (0..self.rings.shards()).map(free).min().unwrap_or(0);
         let mut frames = self.hw.rx_harvest(k);
         for _ in 0..free {
             let Some((cookie, len)) = frames.next() else {
                 return self.cut_short.set(false);
             };
-            let shard = self.set.steer(cookie as u64);
-            let posted = self.paths[shard].post(
+            // Not through `post_on`: a harvest is charged outside any
+            // shard's scope, and a bare post rings no doorbell.
+            let shard = self.rings.steer(cookie as u64);
+            let posted = self.rings.path(shard).post(
                 k,
                 Descriptor {
                     buf: BufHandle(cookie),
@@ -315,7 +280,7 @@ impl<H: RingNic> RxSide<H> {
                 },
             );
             if posted.is_ok() {
-                self.set.note_post(shard, cookie as u64);
+                self.rings.set().note_post(shard, cookie as u64);
             }
         }
         self.cut_short.set(true);
@@ -326,8 +291,8 @@ impl<H: RingNic> RxSide<H> {
     /// was any.
     fn deliver(&self, k: &Kernel) -> bool {
         let mut last = None;
-        for path in &self.paths {
-            path.reclaim_completions_with(k, |d| {
+        for i in 0..self.rings.shards() {
+            self.rings.path(i).reclaim_completions_with(k, |d| {
                 let cookie = d.cookie as u32;
                 let _ = self.hw.rx_frame(cookie, d.len as usize, |frame| {
                     k.netif_rx(&self.ifname, frame, 0x0800)
@@ -337,7 +302,8 @@ impl<H: RingNic> RxSide<H> {
             });
         }
         if let Some(cookie) = last {
-            self.hw.rx_delivered(k, cookie, self.set.in_flight());
+            self.hw
+                .rx_delivered(k, cookie, self.rings.set().in_flight());
         }
         last.is_some()
     }
@@ -356,8 +322,8 @@ fn irq_handler<H: RingNic>(
 ) -> IrqHandler {
     let hw = Rc::clone(hw);
     let name = ifname.to_string();
-    let tx_set = Rc::clone(&rings.tx_set);
-    let rx = Rc::clone(&rings.rx);
+    let tx_set = Rc::clone(rings.tx.set());
+    let rx = Rc::clone(&rings.rx_side);
     // The drain is the same work after every receive interrupt: built
     // once here, queued by handle from the handler.
     let drain: WorkBody = {
@@ -365,11 +331,7 @@ fn irq_handler<H: RingNic>(
         Rc::new(move |k, _| {
             let _span = k.trace_span("rx", "drain");
             loop {
-                for (i, path) in rx.paths.iter().enumerate() {
-                    k.shard_scope(i, || {
-                        let _ = path.ring_doorbell(k);
-                    });
-                }
+                let _ = rx.rings.ring_all(k);
                 // Slots came free: pick up what the last harvest had to
                 // leave behind. A pass that delivered nothing freed none.
                 if !rx.deliver(k) || !rx.cut_short.get() {
@@ -402,7 +364,7 @@ fn irq_handler<H: RingNic>(
         } else if cause.rx {
             let _span = k.trace_span("rx", "irq");
             rx.harvest(k);
-            if rx.paths.iter().any(|p| p.pending() > 0) {
+            if rx.rings.pending() > 0 {
                 k.schedule_work_handle(&drain, 0);
             }
         }
@@ -413,28 +375,23 @@ fn irq_handler<H: RingNic>(
 /// Arms the periodic coalescing poll of the TX paths: one timer, one
 /// work item, each busy shard polled under its cost scope. The work
 /// item's body is built here, once; a tick queues it by handle with the
-/// busy set — one bit per shard — as its argument word, and allocates
+/// busy set ([`NicPath::busy`]) as its argument word, and allocates
 /// nothing.
 pub fn tx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
-    assert!(rings.tx_paths.len() <= 64, "the busy set is one word");
-    let paths: Rc<[Rc<DataPathChannel>]> = rings.tx_paths.as_slice().into();
+    let tx = Rc::clone(&rings.tx);
     let poll: WorkBody = {
-        let paths = Rc::clone(&paths);
+        let tx = Rc::clone(&tx);
         Rc::new(move |k, busy| {
-            for i in (0..paths.len()).filter(|i| busy >> i & 1 != 0) {
-                k.shard_scope(i, || {
-                    let _ = paths[i].poll(k);
-                });
-            }
+            let _ = tx.sweep(k, |i, path| match busy >> i & 1 {
+                0 => Ok(false),
+                _ => path.poll(k),
+            });
         })
     };
     let timer = kernel.timer_create(
         format!("{}_shard_poll", H::NAME),
         Rc::new(move |k| {
-            let busy = paths.iter().enumerate().fold(0u64, |busy, (i, p)| {
-                let is_busy = p.pending() > 0 || !p.completions().is_empty();
-                busy | (is_busy as u64) << i
-            });
+            let busy = tx.busy();
             if busy != 0 {
                 k.schedule_work_handle(&poll, busy);
             }
@@ -450,14 +407,14 @@ pub fn tx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
 /// or not frames arrived), and delivers completions — no interrupt
 /// entry, no crossing.
 pub fn rx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
-    let rx = Rc::clone(&rings.rx);
+    let rx = Rc::clone(&rings.rx_side);
     let poll: WorkBody = Rc::new(move |k, _| {
         let _span = k.trace_span("rx", "poll");
         rx.harvest(k);
         for (i, end) in rx.ends.iter().enumerate() {
             k.shard_scope(i, || {
                 end.poll_and_reclaim(k, RX_POLL_BUDGET, |d| {
-                    let _ = rx.set.complete(k, CpuClass::User, d);
+                    let _ = rx.rings.set().complete(k, CpuClass::User, d);
                 });
             });
         }

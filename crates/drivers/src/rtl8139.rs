@@ -554,11 +554,11 @@ fn install_decaf_with(
     )?;
 
     let (tx_path, rx_path, tx_set, rx_set) = match rings {
-        Some(mut r) => (
-            r.tx_paths.pop(),
-            r.rx_paths.pop(),
-            Some(r.tx_set),
-            Some(r.rx_set),
+        Some(r) => (
+            Some(Rc::clone(r.tx.path(0))),
+            Some(Rc::clone(r.rx.path(0))),
+            Some(Rc::clone(r.tx.set())),
+            Some(Rc::clone(r.rx.set())),
         ),
         None => (None, None, None, None),
     };

@@ -215,6 +215,19 @@ impl OpenLoopNet {
     }
 }
 
+/// The sharded facade of an open-loop rig: no driver image behind it, so
+/// a placeholder spec under full masks.
+fn open_loop_channels(config: ChannelConfig, shards: usize) -> Rc<ShardedChannel> {
+    ShardedChannel::new(
+        decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
+        decaf_xdr::mask::MaskSet::full(),
+        config,
+        Domain::Nucleus,
+        Domain::Decaf,
+        shards,
+    )
+}
+
 /// Builds an [`OpenLoopNet`]: `shards` RX descriptor rings of `depth`
 /// slots over one async-shmring [`decaf_xpc::ShardedChannel`], each
 /// with a watermark/deadline doorbell and a decaf-side `rx_drain` that
@@ -225,14 +238,7 @@ pub fn install_open_loop_net(
     watermark: usize,
 ) -> XpcResult<OpenLoopNet> {
     use decaf_shmring::{DoorbellPolicy, ShmRing};
-    let sc = ShardedChannel::new(
-        decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
-        decaf_xdr::mask::MaskSet::full(),
-        ChannelConfig::kernel_user_async_shmring(),
-        Domain::Nucleus,
-        Domain::Decaf,
-        shards,
-    );
+    let sc = open_loop_channels(ChannelConfig::kernel_user_async_shmring(), shards);
     let mut paths = Vec::with_capacity(shards);
     for i in 0..shards {
         let ring = Rc::new(ShmRing::new(format!("olnet-rx{i}"), depth));
@@ -281,39 +287,22 @@ pub fn install_open_loop_storage(
     use decaf_simkernel::CpuClass;
     use decaf_xpc::ShardedUrbPath;
 
-    let sc = ShardedChannel::new(
-        decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
-        decaf_xdr::mask::MaskSet::full(),
-        ChannelConfig::kernel_user_shmring(),
-        Domain::Nucleus,
-        Domain::Decaf,
-        shards,
-    );
-    let set = UrbRingSet::new(
-        "olurb",
-        shards,
-        depth,
-        2 * depth,
-        Rc::new(SectorPool::with_capacity(512, sectors)),
-    );
+    let sc = open_loop_channels(ChannelConfig::kernel_user_shmring(), shards);
+    let pool = Rc::new(SectorPool::with_capacity(512, sectors));
+    let set = UrbRingSet::new("olurb", shards, depth, 2 * depth, pool);
     let path = ShardedUrbPath::new(Rc::clone(&sc), Domain::Nucleus, "urb_drain", set, watermark)?;
-    for i in 0..shards {
-        let end = path.path(i).end(Domain::Decaf);
-        let set = Rc::clone(path.set());
-        sc.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("urb_drain", move |k, _| {
-                end.consume(k, |d| {
-                    let actual = match d.dir {
-                        XferDir::Out => d.len,
-                        XferDir::In => 512,
-                    };
-                    let _ = set.complete(k, CpuClass::User, d.completed(0, actual));
-                });
-                XdrValue::Void
-            }),
-        )?;
-    }
+    path.register_drains(|end, set| {
+        move |k| {
+            end.consume(k, |d| {
+                let actual = match d.dir {
+                    XferDir::Out => d.len,
+                    XferDir::In => 512,
+                };
+                let _ = set.complete(k, CpuClass::User, d.completed(0, actual));
+            });
+            XdrValue::Void
+        }
+    })?;
     Ok((sc, path))
 }
 

@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 use decaf_shmring::{AllocMode, SectorPool, SgSegment, UrbRingSet};
 use decaf_simdev::uhci as hwreg;
 use decaf_simdev::UhciDevice;
+use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::usb::{HcdOps, Urb, UrbCompletion, UrbDir};
 use decaf_simkernel::{
     costs, CpuClass, DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, TimerId,
@@ -832,23 +833,22 @@ fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: PendingUrbs) -> HcdOps {
 /// work item — upcalls are illegal from atomic context — in which each
 /// due shard is polled under its own cost scope by
 /// [`ShardedUrbPath::poll`] and the givebacks that came home are
-/// dispatched.
+/// dispatched. The work item's body is built here, once; a busy tick
+/// queues it by handle.
 fn arm_poll_timer(kernel: &Kernel, path: &Rc<ShardedUrbPath>, pending: &PendingUrbs) -> TimerId {
-    const NAME: &str = "uhci_shard_poll";
+    let poll: WorkBody = {
+        let (path, pending) = (Rc::clone(path), Rc::clone(pending));
+        Rc::new(move |k, _| {
+            let _ = path.poll(k);
+            dispatch_reclaims(k, path.reclaim(k), &pending);
+        })
+    };
     let path = Rc::clone(path);
-    let pending = Rc::clone(pending);
     let timer = kernel.timer_create(
-        NAME,
+        "uhci_shard_poll",
         Rc::new(move |k| {
-            let busy = path.pending() > 0
-                || (0..path.shards()).any(|i| !path.set().giveback_ring(i).is_empty());
-            if busy {
-                let path = Rc::clone(&path);
-                let pending = Rc::clone(&pending);
-                k.schedule_work(NAME, move |k| {
-                    let _ = path.poll(k);
-                    dispatch_reclaims(k, path.reclaim(k), &pending);
-                });
+            if path.busy() != 0 {
+                k.schedule_work_handle(&poll, 0);
             }
         }),
     );
@@ -941,30 +941,22 @@ fn build_urb_path(
     // walks its own submit ring in FIFO order (command stages before
     // data stages within the LUNs steered here), programs TDs straight
     // from the shared runs, and gives back through the set so every
-    // completion steers home — all charged to this shard's scope.
-    for i in 0..shards {
-        let end = urb_path.path(i).end(Domain::Decaf);
-        let set = Rc::clone(urb_path.set());
-        let hw_drain = Rc::clone(hw);
-        channels.shard(i).register_proc(
-            Domain::Decaf,
-            ProcDef::scalar("uhci_urb_drain", move |k, _| {
-                k.shard_scope(i, || {
-                    let _span = k.trace_span("urb", "drain");
-                    let mut n = 0;
-                    end.consume(k, |d| {
-                        let segs = end.pool().sg_segments(d.buf).expect("live chain");
-                        let (status, actual) =
-                            hw_drain.submit_sg(k, d.endpoint, &segs, d.len as usize);
-                        set.complete(k, CpuClass::User, d.completed(status, actual))
-                            .expect("giveback ring sized 2x submit ring");
-                        n += 1;
-                    });
-                    XdrValue::Int(n)
-                })
-            }),
-        )?;
-    }
+    // completion steers home.
+    urb_path.register_drains(|end, set| {
+        let hw = Rc::clone(hw);
+        move |k| {
+            let _span = k.trace_span("urb", "drain");
+            let mut n = 0;
+            end.consume(k, |d| {
+                let segs = end.pool().sg_segments(d.buf).expect("live chain");
+                let (status, actual) = hw.submit_sg(k, d.endpoint, &segs, d.len as usize);
+                set.complete(k, CpuClass::User, d.completed(status, actual))
+                    .expect("giveback ring sized 2x submit ring");
+                n += 1;
+            });
+            XdrValue::Int(n)
+        }
+    })?;
     Ok(urb_path)
 }
 

@@ -55,9 +55,11 @@
 //!
 //! The XPC layer builds its one data path on these pieces (`RingPath`,
 //! generic over [`RingDescriptor`]: `DataPathChannel` for NIC streams,
-//! `UrbDataPath` for storage request/response): the descriptors ride the
-//! rings, the doorbell rides the existing transport crossing, and the
-//! payload bytes never see the XDR marshaler.
+//! `UrbDataPath` for storage request/response), and its one sharded data
+//! path (`ShardedRingPath`, one `RingPath` per shard of a set, drawing on
+//! the set's pool): the descriptors ride the rings, the doorbell rides
+//! the existing transport crossing, and the payload bytes never see the
+//! XDR marshaler.
 //!
 //! # Example: one frame, zero marshaled payload bytes
 //!

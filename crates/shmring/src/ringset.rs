@@ -169,8 +169,8 @@ impl Hasher for CookieHasher {
 pub trait RingDescriptor: Copy + Default {
     /// The payload pool a data path over these rings draws from: the
     /// [`SectorPool`] every shard of a URB set shares; for NIC frames a
-    /// [`crate::BufPool`] when the path sends payloads, `None` when
-    /// descriptors name device memory (a [`RingSet`] holds `None`).
+    /// [`crate::BufPool`] when the paths send payloads, `None` when
+    /// descriptors name device memory (what [`RingSet::new`] builds).
     type Pool: std::fmt::Debug + Clone;
 
     /// The cookie identifying this descriptor while it is in flight.
@@ -268,11 +268,6 @@ impl UrbRingSet {
         Self::with_pool(name, shards, capacity, giveback_capacity, pool)
     }
 
-    /// The shared sector pool all shards allocate from.
-    pub fn pool(&self) -> &Rc<SectorPool> {
-        &self.pool
-    }
-
     /// Shard `i`'s submit ring (requests, submitter → completer) —
     /// [`ShardedRings::ring`] in storage vocabulary.
     pub fn submit_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
@@ -289,15 +284,17 @@ impl UrbRingSet {
     pub fn note_submit(&self, shard: usize, cookie: u64) {
         self.note_post(shard, cookie);
     }
-
-    /// [`ShardedRings::cancel_post`] in storage vocabulary.
-    pub fn cancel_submit(&self, cookie: u64) {
-        self.cancel_post(cookie);
-    }
 }
 
 impl<D: RingDescriptor> ShardedRings<D> {
-    fn with_pool(
+    /// Builds `shards` descriptor rings of `capacity` slots (named
+    /// `{name}-{i}`) and completion rings of `completion_capacity`
+    /// (named `{name}-done-{i}`), over `pool`, the payload pool every
+    /// data path on these rings draws from.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn with_pool(
         name: &str,
         shards: usize,
         capacity: usize,
@@ -322,6 +319,11 @@ impl<D: RingDescriptor> ShardedRings<D> {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.rings.len()
+    }
+
+    /// The payload pool every shard's data path draws from.
+    pub fn pool(&self) -> &D::Pool {
+        &self.pool
     }
 
     /// Shard `i`'s descriptor ring (producer → consumer).

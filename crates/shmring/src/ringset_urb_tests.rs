@@ -108,12 +108,12 @@ mod tests {
         let s = set(2);
         s.note_submit(1, 3);
         assert_eq!(s.shard_in_flight(1), 1);
-        s.cancel_submit(3);
+        s.cancel_post(3);
         assert_eq!(s.shard_in_flight(1), 0);
         assert_eq!(s.shard_stats(1).posted, 0);
         assert!(s.conserved());
         // Cancelling an unknown cookie is a no-op.
-        s.cancel_submit(99);
+        s.cancel_post(99);
         assert!(s.conserved());
         let _ = k;
     }
@@ -130,7 +130,7 @@ mod tests {
         assert_eq!(s.shard_stats(0).in_flight_hwm, 2);
         // Refused submit: noted, then cancelled.
         s.note_submit(0, 2);
-        s.cancel_submit(2);
+        s.cancel_post(2);
         assert_eq!(s.shard_stats(0).in_flight_hwm, 2, "phantom peak recorded");
         // Drain to zero, then another refused submit: the old peak of 2
         // must survive the restore.
@@ -139,7 +139,7 @@ mod tests {
         }
         assert_eq!(s.shard_in_flight(0), 0);
         s.note_submit(0, 3);
-        s.cancel_submit(3);
+        s.cancel_post(3);
         assert_eq!(s.shard_stats(0).in_flight_hwm, 2, "legitimate peak erased");
         assert!(s.conserved());
     }

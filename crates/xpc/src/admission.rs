@@ -16,11 +16,10 @@
 //! its current backlog and executes the verdict — enqueue, refuse, or
 //! shed its oldest entries first (reporting the shed count back via
 //! [`AdmissionController::note_shed`] so the ledger stays closed).
-//! This split lets the same controller govern a software dispatch
-//! queue (which *can* shed) and a descriptor ring
-//! ([`crate::ShardedUrbPath`], which cannot — rings are SPSC FIFO, so
-//! at that layer shed-oldest degrades to admit and only reject is
-//! enforceable).
+//! The queue it governs is a software one, in front of the rings: a
+//! descriptor ring is SPSC FIFO and cannot shed a parked entry, so the
+//! open-loop overload engine consults the controller at its dispatch
+//! queue, before anything reaches [`crate::ShardedUrbPath::submit_out`].
 //!
 //! The ledger invariant, per class:
 //! `offered == admitted + rejected` and `shed <= admitted`. Every

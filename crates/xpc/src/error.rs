@@ -33,10 +33,6 @@ pub enum XpcError {
     /// arguments are homed on different shards, or an argument has no
     /// recorded home (home-channel pinning violated).
     ShardConflict(String),
-    /// An admission controller refused the request at the door — unlike
-    /// [`XpcError::Backpressure`] no capacity was consumed; the request
-    /// was never queued and there is nothing to reclaim before retrying.
-    AdmissionReject(String),
     /// The request itself is malformed — e.g. a URB whose segment chain
     /// is shorter than its requested length. Unlike
     /// [`XpcError::Backpressure`] no amount of reclaim-and-retry can
@@ -64,9 +60,6 @@ impl fmt::Display for XpcError {
             }
             XpcError::ShardConflict(what) => {
                 write!(f, "shard steering conflict: {what}")
-            }
-            XpcError::AdmissionReject(what) => {
-                write!(f, "admission refused: {what}")
             }
             XpcError::InvalidRequest(what) => {
                 write!(f, "invalid request: {what}")

@@ -41,11 +41,13 @@
 //! queue, delta maps and generation counters — home-channel pinning for
 //! shared objects, flow-hash steering for data-path traffic, stats that
 //! aggregate across shards, and per-shard fault recovery.
-//! [`shardurb::ShardedUrbPath`] rides that facade for storage: one URB
-//! data path per shard over a [`decaf_shmring::UrbRingSet`], steered per
-//! LUN (a storage transaction's FIFO order is load-bearing), with
-//! per-shard staged backpressure and completion steering back to the
-//! submitting shard.
+//! [`shardpath::ShardedRingPath`] rides that facade for the data path,
+//! again once for both descriptor kinds: one ring path per shard of a
+//! [`decaf_shmring::ShardedRings`] set, with note-first posting, scoped
+//! poll sweeps, per-shard drain registration and recovery.
+//! [`ShardedUrbPath`] is its storage instance, steered per LUN (a storage
+//! transaction's FIFO order is load-bearing); a ring-hosted NIC holds a
+//! TX and an RX instance steered per flow.
 //!
 //! Domains are [`domain::Domain::Nucleus`] (kernel),
 //! [`domain::Domain::Library`] (user-level C) and
@@ -65,7 +67,7 @@ pub mod error;
 pub mod ringpath;
 pub mod runtime;
 pub mod shard;
-pub mod shardurb;
+pub mod shardpath;
 pub mod tracker;
 pub mod transport;
 
@@ -80,16 +82,20 @@ pub use error::{XpcError, XpcResult};
 pub use ringpath::{DataPathChannel, RingEnd, RingPath, UrbDataPath, UrbReclaim};
 pub use runtime::{DecafRuntime, NuclearRuntime};
 pub use shard::{ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
-pub use shardurb::ShardedUrbPath;
+pub use shardpath::{ShardedRingPath, ShardedUrbPath};
 pub use tracker::{ObjectTracker, TrackerStats};
 pub use transport::{CompletionToken, DeferredCall, DeferredQueue, TransportKind};
 
-// The unit tests of the two descriptor kinds of `RingPath`, mounted
-// under the names of the modules the kinds once had so their ids
-// (`datapath::tests::*`, `urbpath::tests::*`) stay stable.
+// The unit tests of the two descriptor kinds of `RingPath` and of the
+// sharded facade, mounted under the names of the modules they once had
+// so their ids (`datapath::tests::*`, `urbpath::tests::*`,
+// `shardurb::tests::*`) stay stable.
 #[cfg(test)]
 #[path = "ringpath_nic_tests.rs"]
 mod datapath;
+#[cfg(test)]
+#[path = "shardpath_urb_tests.rs"]
+mod shardurb;
 #[cfg(test)]
 #[path = "ringpath_urb_tests.rs"]
 mod urbpath;

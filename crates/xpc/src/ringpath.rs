@@ -46,8 +46,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use decaf_shmring::{
-    Descriptor, DoorbellPolicy, PoolError, RingDescriptor, RingError, SgHandle, ShardedRings,
-    ShmRing, UrbDescriptor, XferDir,
+    Descriptor, DoorbellPolicy, PoolError, RingDescriptor, RingError, SgHandle, ShmRing,
+    UrbDescriptor, XferDir,
 };
 use decaf_simkernel::{costs, Kernel};
 use decaf_xdr::XdrValue;
@@ -55,7 +55,6 @@ use decaf_xdr::XdrValue;
 use crate::domain::Domain;
 use crate::endpoint::{ProcHandle, XpcChannel};
 use crate::error::{XpcError, XpcResult};
-use crate::shard::ShardedChannel;
 
 /// The convention every ring drain in this crate follows: whoever drains
 /// keeps one batch and reuses it. `fill` loads the batch kept in `slot`
@@ -88,7 +87,9 @@ pub struct RingPath<D: RingDescriptor> {
     ring: Rc<ShmRing<D>>,
     completions: Rc<ShmRing<D>>,
     pool: D::Pool,
-    proc_name: String,
+    /// The doorbell's procedure at the consumer's end (what
+    /// [`crate::ShardedRingPath::register_drains`] registers).
+    pub(crate) proc_name: String,
     /// `proc_name` resolved at the consumer's end — on the first ring,
     /// since the drain is registered after the path that rings it.
     proc: Cell<Option<ProcHandle>>,
@@ -132,46 +133,6 @@ impl<D: RingDescriptor> RingPath<D> {
             bell: policy,
             reclaimed: RefCell::default(),
         }))
-    }
-
-    /// Builds one path per shard of `set`, each riding its shard of
-    /// `channels`, sharing `pool` and ringing `doorbell_proc` (which must
-    /// be registered at the peer end of every shard). Each shard gets its
-    /// own doorbell policy with `watermark` (coalescing state is per
-    /// queue).
-    ///
-    /// Fails with [`XpcError::ShardConflict`] when the ring set and the
-    /// channel facade disagree on the shard count — a mismatch would
-    /// leave rings without a doorbell or doorbells without rings.
-    pub fn per_shard(
-        channels: &ShardedChannel,
-        producer: Domain,
-        doorbell_proc: impl Into<String>,
-        set: &ShardedRings<D>,
-        pool: D::Pool,
-        watermark: usize,
-    ) -> XpcResult<Vec<Rc<Self>>> {
-        if channels.shard_count() != set.shards() {
-            return Err(XpcError::ShardConflict(format!(
-                "ring set has {} shards, channel facade {}",
-                set.shards(),
-                channels.shard_count()
-            )));
-        }
-        let mut paths = Vec::with_capacity(set.shards());
-        let names = std::iter::repeat_n(doorbell_proc.into(), set.shards());
-        for (i, name) in names.enumerate() {
-            paths.push(Self::new(
-                Rc::clone(channels.shard(i)),
-                producer,
-                name,
-                Rc::clone(set.ring(i)),
-                Rc::clone(set.completions(i)),
-                pool.clone(),
-                DoorbellPolicy::with_watermark(watermark),
-            )?);
-        }
-        Ok(paths)
     }
 
     /// The control channel the doorbell rides.

@@ -14,7 +14,9 @@ mod tests {
     use decaf_xdr::{XdrSpec, XdrValue};
 
     use crate::endpoint::{ChannelConfig, ProcDef};
-    use crate::{DataPathChannel, Domain, RingEnd, ShardedChannel, XpcChannel, XpcError};
+    use crate::{
+        DataPathChannel, Domain, RingEnd, ShardedChannel, ShardedRingPath, XpcChannel, XpcError,
+    };
 
     fn channel() -> Rc<XpcChannel> {
         Rc::new(XpcChannel::new(
@@ -403,15 +405,15 @@ mod tests {
             )
         };
         let set = RingSet::new("tx", 3, 8, 16);
-        let per_shard = |sc: &ShardedChannel| {
-            DataPathChannel::per_shard(sc, Domain::Nucleus, "drain", &set, None, 4)
+        let per_shard = |shards| {
+            ShardedRingPath::new(facade(shards), Domain::Nucleus, "drain", Rc::clone(&set), 4)
         };
-        let err = per_shard(&facade(2)).unwrap_err();
+        let err = per_shard(2).unwrap_err();
         assert!(matches!(err, XpcError::ShardConflict(_)), "{err}");
-        let paths = per_shard(&facade(3)).unwrap();
-        assert_eq!(paths.len(), 3);
+        let paths = per_shard(3).unwrap();
+        assert_eq!(paths.shards(), 3);
         assert!(
-            Rc::ptr_eq(paths[2].ring(), set.ring(2)),
+            Rc::ptr_eq(paths.path(2).ring(), set.ring(2)),
             "shard i rides ring i"
         );
     }

@@ -356,7 +356,7 @@ fn a_removed_driver_is_freed_while_the_kernel_lives_on() {
     k.netdev_open("eth0").unwrap();
     k.run_for(1_000_000);
     let channels = Rc::downgrade(&sharded.channels);
-    let tx_path = Rc::downgrade(&sharded.tx_paths[3]);
+    let tx_path = Rc::downgrade(sharded.tx.path(3));
     sharded.remove();
     assert!(
         channels.upgrade().is_none(),
