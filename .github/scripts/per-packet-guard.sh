@@ -34,3 +34,23 @@ do
         grep -v '_watchdog_task' |
         sed "s|^|$f:|" || true
 done
+
+# Prints every `HashMap` in the product code of the storage data path —
+# the sector pool's run and chain tables, the uhci pending-URB table and
+# the flash store are slabs whose index is the handle, so no lookup
+# there hashes. Product code only, each file up to its trailing test
+# module; a listed file that does not exist prints "<file>: missing".
+# Index a slab by the handle (slot plus generation) instead of hashing.
+for f in \
+    crates/shmring/src/sector.rs \
+    crates/drivers/src/uhci.rs \
+    crates/simdev/src/uhci.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -n 'HashMap' |
+        sed "s|^|$f:|" || true
+done

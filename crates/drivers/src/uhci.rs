@@ -9,7 +9,6 @@
 //! only suspend/resume/debug at user level.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
@@ -759,33 +758,87 @@ pub struct ShardedUhci {
     poll_timer: TimerId,
 }
 
-/// In-flight completion callbacks, keyed by URB cookie.
-type PendingUrbs = Rc<RefCell<HashMap<u64, UrbCompletion>>>;
+/// One slot of the completion slab.
+#[derive(Default)]
+struct PendingSlot {
+    /// Bumped each time the slot's URB leaves, so its cookie goes stale.
+    generation: u32,
+    callback: Option<UrbCompletion>,
+}
 
-/// Fires the completion callbacks of a batch of reclaimed URBs.
-/// Callbacks run after the pending map is released, so a completion may
-/// legally submit new URBs.
-fn dispatch_reclaims(k: &Kernel, done: Vec<decaf_xpc::UrbReclaim>, pending: &PendingUrbs) {
-    if done.is_empty() {
-        return;
-    }
-    let mut callbacks = Vec::with_capacity(done.len());
-    {
-        let mut map = pending.borrow_mut();
-        for r in done {
-            if let Some(cb) = map.remove(&r.cookie) {
-                callbacks.push((cb, r));
+/// In-flight completion callbacks, in a slab whose slot *is* the URB
+/// cookie: `cookie = slot | generation << 32`. Submitting pops a vacant
+/// slot, completing pushes it back — no hashing, and no allocation once
+/// the slab has grown to the in-flight depth. A cookie comes home in a
+/// giveback the completer writes, so it is checked, not trusted: a slot
+/// out of range, vacant, or reused under a later generation fires
+/// nothing.
+#[derive(Default)]
+struct PendingUrbs {
+    slab: RefCell<PendingSlab>,
+    /// The reclaim batch, kept and reused (taken while in use: a
+    /// callback may submit URBs, and every submit dispatches).
+    batch: RefCell<Vec<decaf_xpc::UrbReclaim>>,
+}
+
+#[derive(Default)]
+struct PendingSlab {
+    slots: Vec<PendingSlot>,
+    /// Vacant slots; the most recently vacated is reused first.
+    free: Vec<u32>,
+}
+
+impl PendingUrbs {
+    /// Parks `callback` in a vacant slot and returns its cookie.
+    fn insert(&self, callback: UrbCompletion) -> u64 {
+        let mut slab = self.slab.borrow_mut();
+        let slot = match slab.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                slab.slots.push(PendingSlot::default());
+                slab.slots.len() - 1
             }
-        }
+        };
+        let s = &mut slab.slots[slot];
+        s.callback = Some(callback);
+        slot as u64 | u64::from(s.generation) << 32
     }
-    for (cb, r) in callbacks {
+
+    /// Takes the callback of the in-flight URB `cookie` names, vacating
+    /// its slot; `None` for a cookie that names no in-flight URB.
+    fn take(&self, cookie: u64) -> Option<UrbCompletion> {
+        let mut slab = self.slab.borrow_mut();
+        let slot = (cookie as u32) as usize;
+        let s = slab.slots.get_mut(slot)?;
+        if u64::from(s.generation) != cookie >> 32 {
+            return None;
+        }
+        let callback = s.callback.take()?;
+        s.generation = s.generation.wrapping_add(1);
+        slab.free.push(slot as u32);
+        Some(callback)
+    }
+}
+
+/// Reclaims every shard's givebacks into the batch `pending` keeps and
+/// fires their completion callbacks, oldest first. Each callback is
+/// taken out of its slot and fired with no borrow held, so a completion
+/// may legally submit new URBs.
+fn dispatch_reclaims(k: &Kernel, path: &ShardedUrbPath, pending: &PendingUrbs) {
+    let mut batch = pending.batch.take();
+    path.reclaim_into(k, &mut batch);
+    for r in batch.drain(..) {
+        let Some(callback) = pending.take(r.cookie) else {
+            continue;
+        };
         let result = if r.status == 0 {
             Ok(r.data)
         } else {
             Err(KError::from_errno(r.status).unwrap_or(KError::Io))
         };
-        cb(k, result);
+        callback(k, result);
     }
+    pending.batch.replace(batch);
 }
 
 /// The ring build's HCD ops: `usb_submit_urb` steers the URB to its
@@ -796,8 +849,7 @@ fn dispatch_reclaims(k: &Kernel, done: Vec<decaf_xpc::UrbReclaim>, pending: &Pen
 /// backpressure the path has already forced a doorbell, so finished
 /// URBs are waiting: reclaim (dispatching them) and retry once, `Busy`
 /// after the retry.
-fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: PendingUrbs) -> HcdOps {
-    let seq = Cell::new(0u64);
+fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: Rc<PendingUrbs>) -> HcdOps {
     HcdOps {
         submit: Rc::new(move |k: &Kernel, urb: Urb, completion: UrbCompletion| {
             let lun = hwreg::lun_of_endpoint(urb.endpoint as u32).ok_or(KError::Inval)? as u64;
@@ -810,20 +862,18 @@ fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: PendingUrbs) -> HcdOps {
                     path.submit_in(k, lun, urb.endpoint, len, cookie).is_ok()
                 }
             };
-            let cookie = seq.get();
-            seq.set(cookie + 1);
-            pending.borrow_mut().insert(cookie, completion);
+            let cookie = pending.insert(completion);
             if !submit_once(cookie) {
-                dispatch_reclaims(k, path.reclaim(k), &pending);
+                dispatch_reclaims(k, &path, &pending);
                 if !submit_once(cookie) {
-                    pending.borrow_mut().remove(&cookie);
+                    pending.take(cookie);
                     return Err(KError::Busy);
                 }
             }
             k.schedule_point();
             // Harvest whatever a synchronous watermark doorbell already
             // completed, so callbacks fire close to their transfers.
-            dispatch_reclaims(k, path.reclaim(k), &pending);
+            dispatch_reclaims(k, &path, &pending);
             Ok(())
         }),
     }
@@ -835,12 +885,16 @@ fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: PendingUrbs) -> HcdOps {
 /// [`ShardedUrbPath::poll`] and the givebacks that came home are
 /// dispatched. The work item's body is built here, once; a busy tick
 /// queues it by handle.
-fn arm_poll_timer(kernel: &Kernel, path: &Rc<ShardedUrbPath>, pending: &PendingUrbs) -> TimerId {
+fn arm_poll_timer(
+    kernel: &Kernel,
+    path: &Rc<ShardedUrbPath>,
+    pending: &Rc<PendingUrbs>,
+) -> TimerId {
     let poll: WorkBody = {
         let (path, pending) = (Rc::clone(path), Rc::clone(pending));
         Rc::new(move |k, _| {
             let _ = path.poll(k);
-            dispatch_reclaims(k, path.reclaim(k), &pending);
+            dispatch_reclaims(k, &path, &pending);
         })
     };
     let path = Rc::clone(path);
@@ -883,7 +937,7 @@ pub fn install_sharded_with(
         Rc::clone(channels.shard(0)),
         Some(IRQ_LINE),
     ));
-    let pending: PendingUrbs = Rc::new(RefCell::new(HashMap::new()));
+    let pending = Rc::new(PendingUrbs::default());
 
     let (uhci_obj, init_latency_ns) =
         support::load(kernel, "uhci-hcd-sharded", &channels, "uhci_hcd", |k, u| {
@@ -944,16 +998,24 @@ fn build_urb_path(
     // completion steers home.
     urb_path.register_drains(|end, set| {
         let hw = Rc::clone(hw);
+        let batch = RefCell::new(Vec::new());
         move |k| {
             let _span = k.trace_span("urb", "drain");
+            // Each chain's segments are copied into a batch this drain
+            // keeps, so no pool borrow is held while `submit_sg` kicks
+            // the device.
+            let mut segs = batch.take();
             let mut n = 0;
             end.consume(k, |d| {
-                let segs = end.pool().sg_segments(d.buf).expect("live chain");
+                end.pool()
+                    .sg_segments_into(d.buf, &mut segs)
+                    .expect("live chain");
                 let (status, actual) = hw.submit_sg(k, d.endpoint, &segs, d.len as usize);
                 set.complete(k, CpuClass::User, d.completed(status, actual))
                     .expect("giveback ring sized 2x submit ring");
                 n += 1;
             });
+            batch.replace(segs);
             XdrValue::Int(n)
         }
     })?;
@@ -1223,6 +1285,101 @@ mod tests {
             0,
             "chain reclaimed"
         );
+    }
+
+    #[test]
+    fn stale_cookie_giveback_is_refused_and_fires_nothing() {
+        use decaf_shmring::{RingSetError, UrbDescriptor};
+        let k = Kernel::new();
+        let drv = install_sharded(&k, "uhci0", 1).unwrap();
+        let fired = Rc::new(Cell::new(0));
+        let submit = |s| {
+            let f = Rc::clone(&fired);
+            let done: UrbCompletion = Rc::new(move |_, r| {
+                r.unwrap();
+                f.set(f.get() + 1);
+            });
+            k.usb_submit_urb("uhci0", write_sector_urb(s, 0x6e), done)
+                .unwrap();
+        };
+        submit(0);
+        k.run_for(4 * costs::DOORBELL_COALESCE_NS);
+        assert_eq!(fired.get(), 1);
+        // The second URB reuses the first one's slot under generation 1
+        // and waits below the doorbell watermark.
+        submit(1);
+        let set = drv.urb_path.set();
+        let (stale, live) = (0, 1 << 32);
+        assert_eq!((set.origin_of(stale), set.origin_of(live)), (None, Some(0)));
+        // A completer handing back the first URB's cookie again is
+        // refused at the set: nothing reaches a giveback ring.
+        let forged = UrbDescriptor::request_out(Default::default(), 517, 2, stale);
+        assert_eq!(
+            set.complete(&k, CpuClass::User, forged.completed(0, 517)),
+            Err(RingSetError::UnknownOrigin(stale))
+        );
+        k.run_for(4 * costs::DOORBELL_COALESCE_NS);
+        assert_eq!(fired.get(), 2, "each callback fired exactly once");
+        assert!(drv.urb_path.conserved());
+        assert_eq!(drv.urb_path.in_flight(), 0);
+        assert!(k.violations().is_empty(), "{:?}", k.violations());
+    }
+
+    #[test]
+    fn stale_cookie_takes_no_callback_from_the_slab() {
+        let pending = PendingUrbs::default();
+        let fired = Rc::new(Cell::new(0));
+        let callback = || -> UrbCompletion {
+            let f = Rc::clone(&fired);
+            Rc::new(move |_, _| f.set(f.get() + 1))
+        };
+        let first = pending.insert(callback());
+        assert!(pending.take(first).is_some());
+        let second = pending.insert(callback());
+        assert_eq!(second, first | 1 << 32, "same slot, next generation");
+        assert!(pending.take(first).is_none(), "stale generation");
+        assert!(pending.take(7).is_none(), "slot never handed out");
+        assert!(pending.take(second).is_some());
+        assert!(pending.take(second).is_none(), "already taken");
+        assert_eq!(fired.get(), 0);
+    }
+
+    #[test]
+    fn flash_commands_past_the_media_complete_eio_on_the_ring() {
+        let k = Kernel::new();
+        let drv = install_sharded(&k, "uhci0", 1).unwrap();
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let past = hwreg::MEDIA_SECTORS;
+        let mut read_cmd = vec![hwreg::FLASH_CMD_READ];
+        read_cmd.extend_from_slice(&past.to_le_bytes());
+        let urbs = [
+            write_sector_urb(past, 0x42),
+            write_sector_urb(u32::MAX, 0x43),
+            Urb {
+                endpoint: hwreg::EP_BULK_OUT as u8,
+                dir: UrbDir::Out,
+                data: read_cmd,
+            },
+            write_sector_urb(past - 1, 0x44),
+        ];
+        for urb in urbs {
+            let out = Rc::clone(&results);
+            k.usb_submit_urb("uhci0", urb, Rc::new(move |_, r| out.borrow_mut().push(r)))
+                .unwrap();
+        }
+        k.run_for(4 * costs::DOORBELL_COALESCE_NS);
+        let eio = Err(KError::Io);
+        assert_eq!(
+            *results.borrow(),
+            vec![eio.clone(), eio.clone(), eio, Ok(Vec::new())]
+        );
+        assert_eq!(
+            drv.dev.borrow().flash_sector_count(),
+            1,
+            "only the last sector"
+        );
+        assert!(drv.urb_path.conserved());
+        assert_eq!(drv.urb_path.set().pool().in_use_sectors(), 0);
     }
 
     #[test]

@@ -142,7 +142,7 @@ pub fn flow_hash(key: u64) -> u64 {
 }
 
 /// One [`flow_hash`] round per ledger operation. Cookies are minted by
-/// the drivers (sequence numbers, device slot indices), never taken
+/// the drivers (completion-slab slots, device slot indices), never taken
 /// from outside the program, so the default hasher's collision defence
 /// buys nothing here — and the ledger is consulted three times per
 /// descriptor at every shard count, one shard included.
@@ -216,8 +216,8 @@ struct ShardLedger {
 /// same cookie may be reused only after its previous incarnation has
 /// been completed (device RX slots naturally satisfy this: a slot is
 /// recycled only after its completion comes home; the uhci build draws
-/// URB cookies from one monotonic sequence, so they are unique across
-/// shards by construction).
+/// URB cookies from its completion slab — slot plus generation — so no
+/// two in-flight URBs share one, across shards too).
 #[derive(Debug)]
 pub struct ShardedRings<D: RingDescriptor> {
     rings: Vec<Rc<ShmRing<D>>>,

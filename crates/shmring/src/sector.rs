@@ -43,10 +43,14 @@
 //! both across arbitrary alloc/free interleavings, and check the buddy
 //! modes against a first-fit oracle for the completeness property
 //! (buddy+SG never refuses a transfer the pool has the bytes for).
+//!
+//! The bookkeeping is two slabs, not hash maps: run lengths sit in a
+//! dense per-sector table indexed by a run's first sector, and chains
+//! sit in a table of slots whose index *is* the [`SgHandle`] — alloc is
+//! a pop of a free slot, free is a push, and a warm pool allocates
+//! nothing per chain (the mempool shape of the ixy paper).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
 
 use decaf_simkernel::{costs, CpuClass, DmaMemory, Kernel};
 
@@ -58,12 +62,25 @@ use crate::pool::PoolError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SectorHandle(pub u32);
 
+/// Bits of an [`SgHandle`] naming the chain's slot; the bits above them
+/// carry the slot's generation.
+const SG_SLOT_BITS: u32 = 16;
+const SG_SLOT_MASK: u32 = (1 << SG_SLOT_BITS) - 1;
+
 /// Handle to one scatter-gather chain: an ordered list of contiguous
 /// sector runs that together back one transfer. Allocated by
 /// [`SectorPool::alloc_sg`]; the segment list is the pool's bookkeeping
-/// ([`SectorPool::sg_segments`]), so the handle stays 4 bytes and rides
-/// a ring descriptor unchanged. A zero-length transfer is a valid chain
-/// with **no** segments — it allocates nothing.
+/// ([`SectorPool::sg_segments_into`]), so the handle stays 4 bytes and
+/// rides a ring descriptor unchanged. A zero-length transfer is a valid
+/// chain with **no** segments — it allocates nothing.
+///
+/// The value is `slot | generation << 16`: the low half indexes the
+/// pool's chain table, the high half is that slot's generation, bumped
+/// on every [`SectorPool::free_sg`]. A handle is a number the completer
+/// hands back, so the pool trusts neither half: a slot out of range, a
+/// vacant slot, or a freed handle whose slot has since been reused all
+/// read as [`PoolError::NotAllocated`] — never as another chain's
+/// segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SgHandle(pub u32);
 
@@ -232,6 +249,55 @@ impl Buddy {
     }
 }
 
+/// One slot of the chain table. The segment `Vec` stays with the slot
+/// across reuse, so a warm pool allocates nothing per chain.
+#[derive(Debug, Default)]
+struct ChainSlot {
+    /// Bumped on every free: a handle to an earlier occupant is stale.
+    generation: u16,
+    live: bool,
+    segs: Vec<SgSegment>,
+}
+
+/// The chain table: slots indexed by [`SgHandle`], and the vacant ones.
+#[derive(Debug, Default)]
+struct Chains {
+    slots: Vec<ChainSlot>,
+    /// Vacant slot indices; the most recently freed is reused first.
+    free: Vec<u32>,
+}
+
+impl Chains {
+    /// The slot `h` names, if it holds the live chain `h` was issued for.
+    fn slot_of(&self, h: SgHandle) -> Option<usize> {
+        let slot = (h.0 & SG_SLOT_MASK) as usize;
+        let c = self.slots.get(slot)?;
+        (c.live && u32::from(c.generation) == h.0 >> SG_SLOT_BITS).then_some(slot)
+    }
+
+    /// The handle of the chain in `slot`.
+    fn handle(&self, slot: usize) -> SgHandle {
+        SgHandle(slot as u32 | u32::from(self.slots[slot].generation) << SG_SLOT_BITS)
+    }
+
+    /// A vacant slot — popped from the free list, or appended — or
+    /// `None` once every slot value a handle can name is live.
+    fn vacant(&mut self) -> Option<usize> {
+        if let Some(slot) = self.free.pop() {
+            return Some(slot as usize);
+        }
+        if self.slots.len() > SG_SLOT_MASK as usize {
+            return None;
+        }
+        self.slots.push(ChainSlot::default());
+        Some(self.slots.len() - 1)
+    }
+
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
 /// A pool of `sector_size`-byte sectors carved out of a [`DmaMemory`]
 /// region, allocated as variable-length runs — contiguous
 /// ([`SectorPool::alloc`]) or chained across fragmentation
@@ -276,16 +342,16 @@ pub struct SectorPool {
     /// not a scan; [`SectorPool::conserved`] recounts the flags against
     /// it.
     used: Cell<usize>,
-    /// Run length (in sectors) keyed by the run's first sector.
-    runs: RefCell<HashMap<u32, u32>>,
+    /// Run length in sectors, indexed by the run's first sector; 0 where
+    /// no live run starts.
+    runs: RefCell<Vec<u32>>,
     /// Buddy free lists — maintained in the buddy modes, absent under
     /// first-fit.
     buddy: RefCell<Option<Buddy>>,
-    /// Live chains keyed by SG handle id: each chain's DMA extents,
-    /// resolved once at allocation (its runs cannot move or die before
-    /// [`SectorPool::free_sg`]) and shared with every reader.
-    chains: RefCell<HashMap<u32, Rc<[SgSegment]>>>,
-    next_sg: Cell<u32>,
+    /// The chain table: each live chain's DMA extents, resolved once at
+    /// allocation (its runs cannot move or die before
+    /// [`SectorPool::free_sg`]) and read in place by every accessor.
+    chains: RefCell<Chains>,
     stats: Cell<SectorPoolStats>,
 }
 
@@ -332,10 +398,9 @@ impl SectorPool {
             mode,
             in_use: RefCell::new(vec![false; count]),
             used: Cell::new(0),
-            runs: RefCell::new(HashMap::new()),
+            runs: RefCell::new(vec![0; count]),
             buddy: RefCell::new(buddy),
-            chains: RefCell::new(HashMap::new()),
-            next_sg: Cell::new(0),
+            chains: RefCell::default(),
             stats: Cell::new(SectorPoolStats::default()),
         }
     }
@@ -384,12 +449,12 @@ impl SectorPool {
 
     /// Live contiguous runs (SG chains count once per segment).
     pub fn live_runs(&self) -> usize {
-        self.runs.borrow().len()
+        self.runs.borrow().iter().filter(|&&len| len > 0).count()
     }
 
     /// Live scatter-gather chains.
     pub fn live_chains(&self) -> usize {
-        self.chains.borrow().len()
+        self.chains.borrow().live()
     }
 
     /// Counter snapshot.
@@ -400,7 +465,11 @@ impl SectorPool {
     /// The conservation invariant: every sector ever allocated is either
     /// reclaimed or still in use — none lost, none double-counted. The
     /// occupancy counter must equal a recount of the flags, and in the
-    /// buddy modes the free lists must agree exactly with both.
+    /// buddy modes the free lists must agree exactly with both. The two
+    /// slabs must agree with them too: the run table's lengths sum to the
+    /// occupancy counter; every segment of a live chain is a live run of
+    /// the same length; a vacant chain slot holds no segments, and the
+    /// free list names exactly the vacant slots.
     pub fn conserved(&self) -> bool {
         let s = self.stats.get();
         let flagged = self.in_use.borrow().iter().filter(|u| **u).count();
@@ -413,7 +482,27 @@ impl SectorPool {
                 free == self.available_sectors()
             }
         };
-        counters && buddy_sync
+        let runs = self.runs.borrow();
+        let run_sum: usize = runs.iter().map(|&len| len as usize).sum();
+        let is_run = |seg: &SgSegment| {
+            let len = runs.get(self.run_of(seg).0 as usize).copied().unwrap_or(0);
+            len > 0 && len as usize * self.sector_size == seg.bytes
+        };
+        let chains = self.chains.borrow();
+        let slots_sync = chains.slots.iter().all(|c| {
+            if c.live {
+                c.segs.iter().all(is_run)
+            } else {
+                c.segs.is_empty()
+            }
+        });
+        let vacant = chains.slots.iter().filter(|c| !c.live).count();
+        let free_sync = vacant == chains.free.len()
+            && chains
+                .free
+                .iter()
+                .all(|&i| chains.slots.get(i as usize).is_some_and(|c| !c.live));
+        counters && buddy_sync && run_sum == self.used.get() && slots_sync && free_sync
     }
 
     /// Sectors a `len`-byte transfer occupies. Zero-length transfers
@@ -481,8 +570,8 @@ impl SectorPool {
             *flag = true;
         }
         self.used.set(self.used.get() + need);
-        let prev = self.runs.borrow_mut().insert(start as u32, need as u32);
-        debug_assert!(prev.is_none(), "run start reused while live");
+        let prev = std::mem::replace(&mut self.runs.borrow_mut()[start], need as u32);
+        debug_assert_eq!(prev, 0, "run start reused while live");
     }
 
     /// Grabs `need` contiguous sectors under the pool's mode and
@@ -525,9 +614,10 @@ impl SectorPool {
         if h.0 as usize >= self.capacity_sectors() {
             return Err(PoolError::BadHandle(h.0));
         }
-        let Some(len) = self.runs.borrow_mut().remove(&h.0) else {
+        let len = std::mem::take(&mut self.runs.borrow_mut()[h.0 as usize]);
+        if len == 0 {
             return Err(PoolError::NotAllocated(h.0));
-        };
+        }
         let mut in_use = self.in_use.borrow_mut();
         for flag in in_use.iter_mut().skip(h.0 as usize).take(len as usize) {
             debug_assert!(*flag, "freed run covers a sector not in use");
@@ -609,7 +699,30 @@ impl SectorPool {
                 buf_size: self.capacity_sectors() * self.sector_size,
             });
         }
-        let mut segs: Vec<SgSegment> = Vec::new();
+        let mut chains = self.chains.borrow_mut();
+        let Some(slot) = chains.vacant() else {
+            // Every handle value names a live chain — a table only a
+            // flood of zero-length chains can fill. Out of handles is
+            // out of space.
+            self.bump(|s| s.exhausted += 1);
+            return Err(PoolError::Exhausted);
+        };
+        if let Err(e) = self.fill_chain(need, &mut chains.slots[slot].segs) {
+            chains.free.push(slot as u32);
+            return Err(e);
+        }
+        chains.slots[slot].live = true;
+        let h = chains.handle(slot);
+        drop(chains);
+        self.note_alloc(need);
+        Ok(h)
+    }
+
+    /// Grabs `need` sectors into the empty `segs`: one contiguous run
+    /// when a free block covers them, else (buddy+SG only) the largest
+    /// free blocks in turn. A refusal rolls the partial chain back —
+    /// the pool is left exactly as it was found, `segs` empty.
+    fn fill_chain(&self, need: usize, segs: &mut Vec<SgSegment>) -> Result<(), PoolError> {
         let mut remaining = need;
         while remaining > 0 {
             if let Some(start) = self.grab_contig(remaining) {
@@ -626,10 +739,8 @@ impl SectorPool {
                 _ => None,
             };
             let Some((start, size)) = grabbed else {
-                // Roll the partial chain back — a refused allocation
-                // must leave the pool exactly as it found it.
-                for s in &segs {
-                    self.release_run(self.run_of(s))
+                for s in segs.drain(..) {
+                    self.release_run(self.run_of(&s))
                         .expect("rollback frees what it grabbed");
                 }
                 return Err(self.refuse(need));
@@ -639,26 +750,26 @@ impl SectorPool {
             segs.push(self.segment(start, size));
             remaining -= size;
         }
-        let id = self.next_sg.get();
-        self.next_sg.set(id.wrapping_add(1));
-        self.chains.borrow_mut().insert(id, segs.into());
-        self.note_alloc(need);
-        Ok(SgHandle(id))
+        Ok(())
     }
 
     /// Returns a whole chain to the pool. Order-independent; double
     /// frees and stale handles are rejected. Returns the number of
     /// sectors reclaimed (zero for an empty chain).
     pub fn free_sg(&self, h: SgHandle) -> Result<usize, PoolError> {
-        let Some(segs) = self.chains.borrow_mut().remove(&h.0) else {
-            return Err(PoolError::NotAllocated(h.0));
-        };
+        let mut chains = self.chains.borrow_mut();
+        let slot = chains.slot_of(h).ok_or(PoolError::NotAllocated(h.0))?;
+        let c = &mut chains.slots[slot];
+        c.live = false;
+        c.generation = c.generation.wrapping_add(1);
         let mut total = 0usize;
-        for s in segs.iter() {
+        for s in c.segs.drain(..) {
             total += self
-                .release_run(self.run_of(s))
+                .release_run(self.run_of(&s))
                 .expect("chain segments are live until the chain is freed");
         }
+        chains.free.push(slot as u32);
+        drop(chains);
         self.bump(|s| {
             s.frees += 1;
             s.sectors_reclaimed += total as u64;
@@ -679,31 +790,49 @@ impl SectorPool {
         SectorHandle(((seg.offset - self.base) / self.sector_size) as u32)
     }
 
-    /// The chain's segments in transfer order, as DMA extents — what
-    /// the HCD programs one transfer descriptor per entry from. The
-    /// slice is the one resolved at [`SectorPool::alloc_sg`], shared by
-    /// pointer: holding it across [`SectorPool::free_sg`] keeps the
-    /// extents readable but no longer owned.
-    pub fn sg_segments(&self, h: SgHandle) -> Result<Rc<[SgSegment]>, PoolError> {
-        self.chains
-            .borrow()
-            .get(&h.0)
-            .map(Rc::clone)
-            .ok_or(PoolError::NotAllocated(h.0))
+    /// Runs `f` on the live chain `h`'s segments, read in place.
+    fn with_chain<R>(
+        &self,
+        h: SgHandle,
+        f: impl FnOnce(&[SgSegment]) -> R,
+    ) -> Result<R, PoolError> {
+        let chains = self.chains.borrow();
+        let slot = chains.slot_of(h).ok_or(PoolError::NotAllocated(h.0))?;
+        Ok(f(&chains.slots[slot].segs))
+    }
+
+    /// Copies the chain's segments, in transfer order, into `out`
+    /// (cleared first) — what the HCD programs one transfer descriptor
+    /// per entry from. A caller on a per-URB path keeps `out` and reuses
+    /// it, and holds no pool borrow while it programs the device. The
+    /// extents are the ones resolved at [`SectorPool::alloc_sg`]; once
+    /// the chain is freed they name sectors the pool may hand to another
+    /// chain.
+    pub fn sg_segments_into(&self, h: SgHandle, out: &mut Vec<SgSegment>) -> Result<(), PoolError> {
+        self.with_chain(h, |segs| {
+            out.clear();
+            out.extend_from_slice(segs);
+        })
+    }
+
+    /// The chain's segments as a fresh `Vec` — for tests and diagnostics;
+    /// see [`SectorPool::sg_segments_into`].
+    pub fn sg_segments(&self, h: SgHandle) -> Result<Vec<SgSegment>, PoolError> {
+        self.with_chain(h, <[SgSegment]>::to_vec)
     }
 
     /// Total byte capacity of a chain (zero for an empty chain).
     pub fn sg_capacity(&self, h: SgHandle) -> Result<usize, PoolError> {
-        Ok(self.sg_segments(h)?.iter().map(|s| s.bytes).sum())
+        self.with_chain(h, |segs| segs.iter().map(|s| s.bytes).sum())
     }
 
     fn check(&self, h: SectorHandle) -> Result<(usize, usize), PoolError> {
         if h.0 as usize >= self.capacity_sectors() {
             return Err(PoolError::BadHandle(h.0));
         }
-        match self.runs.borrow().get(&h.0) {
-            None => Err(PoolError::NotAllocated(h.0)),
-            Some(&len) => Ok((
+        match self.runs.borrow()[h.0 as usize] {
+            0 => Err(PoolError::NotAllocated(h.0)),
+            len => Ok((
                 self.base + h.0 as usize * self.sector_size,
                 len as usize * self.sector_size,
             )),
@@ -776,24 +905,26 @@ impl SectorPool {
         data: &[u8],
         h: SgHandle,
     ) -> Result<(), PoolError> {
-        let segs = self.sg_segments(h)?;
-        let cap: usize = segs.iter().map(|s| s.bytes).sum();
-        if data.len() > cap {
-            return Err(PoolError::TooLarge {
-                len: data.len(),
-                buf_size: cap,
-            });
-        }
-        let mut written = 0usize;
-        for seg in segs.iter() {
-            if written >= data.len() {
-                break;
+        self.with_chain(h, |segs| {
+            let cap: usize = segs.iter().map(|s| s.bytes).sum();
+            if data.len() > cap {
+                return Err(PoolError::TooLarge {
+                    len: data.len(),
+                    buf_size: cap,
+                });
             }
-            let n = seg.bytes.min(data.len() - written);
-            self.dma
-                .write_bytes(seg.offset, &data[written..written + n]);
-            written += n;
-        }
+            let mut written = 0usize;
+            for seg in segs {
+                if written >= data.len() {
+                    break;
+                }
+                let n = seg.bytes.min(data.len() - written);
+                self.dma
+                    .write_bytes(seg.offset, &data[written..written + n]);
+                written += n;
+            }
+            Ok(())
+        })??;
         kernel.charge_kernel(self.sectors_for(data.len()) as u64 * costs::SECTOR_MAP_NS);
         Ok(())
     }
@@ -819,21 +950,22 @@ impl SectorPool {
     /// segment. Like [`SectorPool::read_payload`], in place and
     /// copy-free.
     pub fn read_payload_sg(&self, h: SgHandle, len: usize) -> Result<Vec<u8>, PoolError> {
-        let segs = self.sg_segments(h)?;
-        let cap: usize = segs.iter().map(|s| s.bytes).sum();
-        if len > cap {
-            return Err(PoolError::TooLarge { len, buf_size: cap });
-        }
-        let mut out = Vec::with_capacity(len);
-        for seg in segs.iter() {
-            if out.len() >= len {
-                break;
+        self.with_chain(h, |segs| {
+            let cap: usize = segs.iter().map(|s| s.bytes).sum();
+            if len > cap {
+                return Err(PoolError::TooLarge { len, buf_size: cap });
             }
-            let n = seg.bytes.min(len - out.len());
-            self.dma
-                .with_bytes(seg.offset, n, |bytes| out.extend_from_slice(bytes));
-        }
-        Ok(out)
+            let mut out = Vec::with_capacity(len);
+            for seg in segs {
+                if out.len() >= len {
+                    break;
+                }
+                let n = seg.bytes.min(len - out.len());
+                self.dma
+                    .with_bytes(seg.offset, n, |bytes| out.extend_from_slice(bytes));
+            }
+            Ok(out)
+        })?
     }
 }
 
@@ -1020,6 +1152,39 @@ mod tests {
         assert_eq!(p.adopt_payload_sg(&Kernel::new(), &[1], chain).err(), gone);
         assert_eq!(p.read_payload_sg(chain, 1).err(), gone);
         assert_eq!(p.free_sg(chain).err(), gone);
+        assert!(p.conserved());
+    }
+
+    #[test]
+    fn stale_handle_after_slot_reuse_is_dead_to_every_accessor() {
+        // The handle is the slot: a freed chain's slot goes to the next
+        // chain, and the old handle — a number a completer could hand
+        // back — must read as not allocated, never as the new chain.
+        let k = Kernel::new();
+        let p = SectorPool::with_capacity(64, 8);
+        let old = p.alloc_sg(2 * 64).unwrap();
+        p.free_sg(old).unwrap();
+        let new = p.alloc_sg(3 * 64).unwrap();
+        assert_eq!(new.0 & 0xffff, old.0 & 0xffff, "the slot was reused");
+        assert_ne!(new, old, "under a new generation");
+        let gone = Some(PoolError::NotAllocated(old.0));
+        assert_eq!(p.sg_segments(old).err(), gone);
+        assert_eq!(p.sg_segments_into(old, &mut Vec::new()).err(), gone);
+        assert_eq!(p.sg_capacity(old).err(), gone);
+        assert_eq!(p.adopt_payload_sg(&k, &[1], old).err(), gone);
+        assert_eq!(p.read_payload_sg(old, 1).err(), gone);
+        assert_eq!(p.free_sg(old).err(), gone);
+        // The new chain is untouched by the attempts.
+        assert_eq!(p.sg_capacity(new).unwrap(), 3 * 64);
+        assert_eq!(p.in_use_sectors(), 3);
+        assert!(p.conserved());
+        // A forged handle naming a slot never handed out is dead too.
+        assert_eq!(
+            p.sg_capacity(SgHandle(7)).err(),
+            Some(PoolError::NotAllocated(7))
+        );
+        p.free_sg(new).unwrap();
+        assert_eq!((p.live_chains(), p.live_runs()), (0, 0));
         assert!(p.conserved());
     }
 

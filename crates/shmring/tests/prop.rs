@@ -413,7 +413,10 @@ proptest! {
         const COUNT: usize = 16;
         let pool = SectorPool::with_capacity(SECTOR, COUNT);
         // Live chains as (handle, requested bytes, segments).
-        let mut live: Vec<(SgHandle, usize, Rc<[SgSegment]>)> = Vec::new();
+        let mut live: Vec<(SgHandle, usize, Vec<SgSegment>)> = Vec::new();
+        // Freed handles. Their slots go to later chains (the handle is
+        // the slot), so each stays a forgery the pool must refuse.
+        let mut dead: Vec<SgHandle> = Vec::new();
         for op in ops {
             if op % 5 < 3 {
                 let len = 1 + (op as usize * 37) % (4 * SECTOR);
@@ -453,6 +456,16 @@ proptest! {
                 let (h, _, _) = live.remove(op as usize % live.len());
                 pool.free_sg(h).unwrap();
                 prop_assert_eq!(pool.free_sg(h), Err(PoolError::NotAllocated(h.0)));
+                dead.push(h);
+            }
+            // A stale handle whose slot now holds another chain reads as
+            // not allocated from every accessor — never as that chain.
+            for &d in &dead {
+                let gone = Some(PoolError::NotAllocated(d.0));
+                prop_assert_eq!(pool.sg_segments(d).err(), gone);
+                prop_assert_eq!(pool.sg_capacity(d).err(), gone);
+                prop_assert_eq!(pool.read_payload_sg(d, 0).err(), gone);
+                prop_assert_eq!(pool.free_sg(d).err(), gone);
             }
             prop_assert!(pool.conserved(), "conservation broke mid-history");
             let in_use: usize =

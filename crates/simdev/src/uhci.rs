@@ -21,8 +21,6 @@
 //! [`EP_BULK_OUT`]/[`EP_BULK_IN`] remain LUN 0, so single-LUN callers
 //! are unchanged.
 
-use std::collections::HashMap;
-
 use decaf_simkernel::{costs, DmaMemory, Kernel, MmioDevice};
 
 /// USB command register.
@@ -122,12 +120,23 @@ pub fn lun_of_endpoint(endpoint: u32) -> Option<usize> {
 pub const FLASH_CMD_WRITE: u8 = b'W';
 /// Flash command byte: stage a sector for the next IN transfer.
 pub const FLASH_CMD_READ: u8 = b'R';
+/// Sectors on each LUN's media (2 MiB of 512-byte sectors) — more than
+/// any workload addresses. A sector number arrives in a command the host
+/// wrote, so a `W` or `R` naming a sector at or past this stalls its TD
+/// instead of growing the store.
+pub const MEDIA_SECTORS: u32 = 4096;
+
+/// What an IN transfer of a never-written sector delivers.
+const BLANK_SECTOR: [u8; SECTOR_SIZE] = [0; SECTOR_SIZE];
 
 /// A bulk-only flash drive: a sector store plus a staged read, plus the
 /// per-LUN scatter-gather reassembly state ([`TD_TOKEN_MORE`]).
 #[derive(Default)]
 struct FlashDrive {
-    sectors: HashMap<u32, Vec<u8>>,
+    /// Sector contents indexed by sector number, `None` where never
+    /// written. Grows to the highest sector written, never past
+    /// [`MEDIA_SECTORS`]; a rewrite reuses the sector's buffer.
+    sectors: Vec<Option<Vec<u8>>>,
     staged_read: Option<u32>,
     /// OUT bytes accumulated from `MORE`-marked TDs, awaiting the
     /// chain-final TD that executes them as one command.
@@ -143,15 +152,20 @@ struct FlashDrive {
 
 impl FlashDrive {
     fn handle_out(&mut self, data: &[u8]) -> Result<(), ()> {
-        match data.first() {
-            Some(&FLASH_CMD_WRITE) if data.len() >= 5 => {
-                let sector = u32::from_le_bytes([data[1], data[2], data[3], data[4]]);
-                self.sectors.insert(sector, data[5..].to_vec());
+        let sector = match data {
+            [_, a, b, c, d, ..] => u32::from_le_bytes([*a, *b, *c, *d]),
+            _ => return Err(()),
+        };
+        if sector >= MEDIA_SECTORS {
+            return Err(());
+        }
+        match data[0] {
+            FLASH_CMD_WRITE => {
+                self.store(sector, &data[5..]);
                 self.writes += 1;
                 Ok(())
             }
-            Some(&FLASH_CMD_READ) if data.len() >= 5 => {
-                let sector = u32::from_le_bytes([data[1], data[2], data[3], data[4]]);
+            FLASH_CMD_READ => {
                 self.staged_read = Some(sector);
                 Ok(())
             }
@@ -159,14 +173,30 @@ impl FlashDrive {
         }
     }
 
-    fn handle_in(&mut self) -> Result<Vec<u8>, ()> {
-        let sector = self.staged_read.take().ok_or(())?;
-        self.reads += 1;
-        Ok(self
-            .sectors
-            .get(&sector)
-            .cloned()
-            .unwrap_or_else(|| vec![0; SECTOR_SIZE]))
+    /// The table entry of `sector` (below [`MEDIA_SECTORS`]), growing
+    /// the table to reach it.
+    fn entry(&mut self, sector: u32) -> &mut Option<Vec<u8>> {
+        let at = sector as usize;
+        if at >= self.sectors.len() {
+            self.sectors.resize_with(at + 1, || None);
+        }
+        &mut self.sectors[at]
+    }
+
+    /// Writes `data` to `sector` (below [`MEDIA_SECTORS`]).
+    fn store(&mut self, sector: u32, data: &[u8]) {
+        match self.entry(sector) {
+            Some(held) => {
+                held.clear();
+                held.extend_from_slice(data);
+            }
+            empty => *empty = Some(data.to_vec()),
+        }
+    }
+
+    /// A written sector's contents.
+    fn sector(&self, sector: u32) -> Option<&[u8]> {
+        self.sectors.get(sector as usize)?.as_deref()
     }
 }
 
@@ -216,7 +246,8 @@ impl UhciDevice {
 
     /// Sectors currently stored across every LUN.
     pub fn flash_sector_count(&self) -> usize {
-        self.luns.iter().map(|l| l.sectors.len()).sum()
+        let written = |l: &FlashDrive| l.sectors.iter().flatten().count();
+        self.luns.iter().map(written).sum()
     }
 
     /// LUN 0 sector contents, if written.
@@ -226,7 +257,7 @@ impl UhciDevice {
 
     /// One LUN's sector contents, if written.
     pub fn flash_sector_lun(&self, lun: usize, sector: u32) -> Option<Vec<u8>> {
-        self.luns.get(lun)?.sectors.get(&sector).cloned()
+        self.luns.get(lun)?.sector(sector).map(<[u8]>::to_vec)
     }
 
     /// Completed write commands across every LUN.
@@ -250,9 +281,11 @@ impl UhciDevice {
     /// Places `data` in a sector of one LUN directly, bypassing the bus.
     ///
     /// # Panics
-    /// Panics if `lun` is not below [`MAX_LUNS`].
+    /// Panics if `lun` is not below [`MAX_LUNS`] or `sector` not below
+    /// [`MEDIA_SECTORS`].
     pub fn preload_sector_lun(&mut self, lun: usize, sector: u32, data: Vec<u8>) {
-        self.luns[lun].sectors.insert(sector, data);
+        assert!(sector < MEDIA_SECTORS, "sector {sector} past the media");
+        *self.luns[lun].entry(sector) = Some(data);
     }
 
     /// A sorted snapshot of the entire media: `(lun, sector, contents)`
@@ -260,18 +293,14 @@ impl UhciDevice {
     /// across driver builds — two hostings of the same workload must
     /// leave byte-identical flash.
     pub fn flash_contents(&self) -> Vec<(usize, u32, Vec<u8>)> {
-        let mut out: Vec<(usize, u32, Vec<u8>)> = self
-            .luns
-            .iter()
-            .enumerate()
-            .flat_map(|(lun, drive)| {
-                drive
-                    .sectors
-                    .iter()
-                    .map(move |(&sector, data)| (lun, sector, data.clone()))
-            })
-            .collect();
-        out.sort_by_key(|&(lun, sector, _)| (lun, sector));
+        let mut out = Vec::new();
+        for (lun, drive) in self.luns.iter().enumerate() {
+            for (sector, data) in drive.sectors.iter().enumerate() {
+                if let Some(data) = data {
+                    out.push((lun, sector as u32, data.clone()));
+                }
+            }
+        }
         out
     }
 
@@ -385,10 +414,6 @@ impl UhciDevice {
                 }
             });
         }
-        let data = match drive.in_stream.take() {
-            Some(stream) => stream,
-            None => drive.handle_in()?,
-        };
         // The TD's maxlen bounds the transfer: a staged sector longer
         // than the buffer the TD names is truncated, never written past
         // it — and `actual` reports the truncated length, honouring the
@@ -396,9 +421,21 @@ impl UhciDevice {
         // MORE set the remainder streams into the next TD of the chain —
         // but only after a *full* packet: a short packet terminates the
         // transfer and drops the stream, like a real bulk pipe.
+        let stream = drive.in_stream.take();
+        let data: &[u8] = match &stream {
+            Some(stream) => stream,
+            None => {
+                let sector = drive.staged_read.take().ok_or(())?;
+                drive.reads += 1;
+                // The sector goes out from the store in place.
+                let stored = drive.sectors.get(sector as usize);
+                stored.and_then(Option::as_deref).unwrap_or(&BLANK_SECTOR)
+            }
+        };
         let n = data.len().min(len);
         self.dma.write_bytes(buffer, &data[..n]);
         if more && n == len {
+            // Only the remainder the chain's next TD takes is copied.
             drive.in_stream = Some(data[n..].to_vec());
         }
         Ok(n)
@@ -594,6 +631,54 @@ mod tests {
         install_frame_list(&k, &mut dev, &dma, 0x2000);
         dev.write32(&k, USBCMD, CMD_RS);
         assert!(dma.read_u32(0x2004) & TD_STALLED != 0);
+    }
+
+    #[test]
+    fn commands_past_the_media_stall_and_store_nothing() {
+        // A sector number is host input: the last sector takes a write,
+        // one past it stalls a `W` or an `R` without growing the store.
+        let (k, mut dev, dma) = setup();
+        let len = stage_write(&dma, 0x6000, MEDIA_SECTORS - 1, 0x3c);
+        build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, len);
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dma.read_u32(0x2004) & TD_STALLED, 0);
+        assert_eq!(dev.flash_sector_count(), 1);
+        for sector in [MEDIA_SECTORS, u32::MAX] {
+            let len = stage_write(&dma, 0x6000, sector, 0x3d);
+            build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, len);
+            dev.write32(&k, USBCMD, CMD_RS);
+            assert!(dma.read_u32(0x2004) & TD_STALLED != 0, "W {sector}");
+            let mut r = vec![FLASH_CMD_READ];
+            r.extend_from_slice(&sector.to_le_bytes());
+            dma.write_bytes(0x6000, &r);
+            build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, r.len());
+            dev.write32(&k, USBCMD, CMD_RS);
+            assert!(dma.read_u32(0x2004) & TD_STALLED != 0, "R {sector}");
+        }
+        assert_eq!(dev.flash_sector_count(), 1, "the store did not grow");
+        assert_eq!((dev.flash_writes(), dev.flash_reads()), (1, 0));
+        // Nothing was staged, so an IN still stalls.
+        build_td(&dma, 0x2000, EP_BULK_IN, 0x7000, SECTOR_SIZE);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert!(dma.read_u32(0x2004) & TD_STALLED != 0);
+    }
+
+    #[test]
+    fn a_never_written_sector_reads_blank() {
+        let (k, mut dev, dma) = setup();
+        dma.write_bytes(0x7000, &[0xff; SECTOR_SIZE]);
+        let mut r = vec![FLASH_CMD_READ];
+        r.extend_from_slice(&12u32.to_le_bytes());
+        dma.write_bytes(0x6000, &r);
+        build_td(&dma, 0x2000, EP_BULK_OUT, 0x6000, r.len());
+        dma.write_u32(0x2000, 0x2010);
+        build_td(&dma, 0x2010, EP_BULK_IN, 0x7000, SECTOR_SIZE);
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dma.read_u32(0x2014) & 0x7ff, SECTOR_SIZE as u32);
+        assert_eq!(dma.read_bytes(0x7000, SECTOR_SIZE), vec![0; SECTOR_SIZE]);
+        assert_eq!(dev.flash_sector_count(), 0, "a read stores nothing");
     }
 
     #[test]

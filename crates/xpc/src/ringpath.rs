@@ -557,6 +557,14 @@ impl RingPath<UrbDescriptor> {
     /// callback dispatch. Givebacks may arrive in any order.
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
         let mut out = Vec::new();
+        self.reclaim_into(kernel, &mut out);
+        out
+    }
+
+    /// [`UrbDataPath::reclaim`] into a batch the caller keeps: the
+    /// reclaimed URBs are appended to `out`, oldest first. Returns how
+    /// many came back.
+    pub fn reclaim_into(&self, kernel: &Kernel, out: &mut Vec<UrbReclaim>) -> usize {
         let note = |done: &[UrbDescriptor]| {
             if !done.is_empty() {
                 // Every giveback frees its sector run below, so one
@@ -594,8 +602,7 @@ impl RingPath<UrbDescriptor> {
                 dir: d.dir,
                 data,
             });
-        });
-        out
+        })
     }
 }
 
@@ -615,8 +622,9 @@ pub struct RingEnd<D: RingDescriptor> {
 
 impl<D: RingDescriptor> RingEnd<D> {
     /// The payload pool (a URB completer programs the hardware straight
-    /// from a chain's [`decaf_shmring::SectorPool::sg_segments`]: one
-    /// transfer descriptor per segment).
+    /// from a chain's segments, copied out with
+    /// [`decaf_shmring::SectorPool::sg_segments_into`]: one transfer
+    /// descriptor per segment).
     pub fn pool(&self) -> &D::Pool {
         &self.pool
     }

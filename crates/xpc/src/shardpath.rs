@@ -296,9 +296,20 @@ impl ShardedRingPath<UrbDescriptor> {
     /// Drains every shard's giveback ring (shard order; givebacks within
     /// a shard stay FIFO).
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
-        (0..self.shards())
-            .flat_map(|shard| self.reclaim_shard(kernel, shard))
-            .collect()
+        let mut out = Vec::new();
+        self.reclaim_into(kernel, &mut out);
+        out
+    }
+
+    /// [`ShardedUrbPath::reclaim`] into a batch the caller keeps and
+    /// reuses: every shard's givebacks are appended to `out`, each shard
+    /// under its cost scope. Returns how many came back.
+    pub fn reclaim_into(&self, kernel: &Kernel, out: &mut Vec<UrbReclaim>) -> usize {
+        let mut reclaimed = 0;
+        for (shard, path) in self.paths.iter().enumerate() {
+            reclaimed += kernel.shard_scope(shard, || path.reclaim_into(kernel, out));
+        }
+        reclaimed
     }
 
     /// URBs submitted and not yet reclaimed, across all shards: those

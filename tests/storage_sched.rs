@@ -87,11 +87,11 @@ fn run_storage_schedule(shards: usize, schedule: &[usize]) {
         pool,
     );
     // Live chains as cookie -> (segments, submitting shard).
-    let mut live: HashMap<u64, (Rc<[SgSegment]>, usize)> = HashMap::new();
+    let mut live: HashMap<u64, (Vec<SgSegment>, usize)> = HashMap::new();
     let mut reclaimed_per_shard = vec![0u64; shards];
 
     let complete_ring =
-        |kernel: &Kernel, victim: usize, live: &HashMap<u64, (Rc<[SgSegment]>, usize)>| {
+        |kernel: &Kernel, victim: usize, live: &HashMap<u64, (Vec<SgSegment>, usize)>| {
             for d in drained(set.submit_ring(victim), kernel) {
                 let (_, submitter) = &live[&d.cookie];
                 let submitter = *submitter;
