@@ -2,11 +2,10 @@
 # Prints every line of the NIC data paths that copies a frame out of DMA
 # memory into a `Vec` (`read_bytes(`) or boxes a work item
 # (`schedule_work(`) — the two per-packet allocations PR 20 removed.
-# Product code only: each file up to its trailing test module. The
-# watchdog work item, boxed once every two virtual seconds, is the one
-# exemption. A listed file that does not exist prints "<file>: missing",
-# so a move or rename cannot drop it from the guard unnoticed. CI
-# requires the output to be empty:
+# Product code only: each file up to its trailing test module. A listed
+# file that does not exist prints "<file>: missing", so a move or rename
+# cannot drop it from the guard unnoticed. CI requires the output to be
+# empty:
 #
 #   test -z "$(.github/scripts/per-packet-guard.sh)"
 #
@@ -31,7 +30,6 @@ do
     fi
     sed '/^#\[cfg(test)\]/,$d' "$f" |
         grep -n 'read_bytes(\|schedule_work(' |
-        grep -v '_watchdog_task' |
         sed "s|^|$f:|" || true
 done
 
@@ -53,4 +51,54 @@ do
     sed '/^#\[cfg(test)\]/,$d' "$f" |
         grep -n 'HashMap' |
         sed "s|^|$f:|" || true
+done
+
+# Prints every call in the product code of the five decaf drivers and
+# their shared glue that names its procedure with a string literal — a
+# `.call(`, `.call_deferred(`, `upcall(` or `upcall_errno(` whose
+# arguments, up to the closing parenthesis, hold a `"` — as
+# `<file>:<line of the call>:<that line>`. A driver registers a procedure
+# once and calls it by the handle registering returned, so no call
+# searches a name. Product code only, each file up to its trailing test
+# module; a listed file that does not exist prints "<file>: missing".
+for f in \
+    crates/drivers/src/e1000/decaf.rs \
+    crates/drivers/src/rtl8139.rs \
+    crates/drivers/src/ens1371.rs \
+    crates/drivers/src/uhci.rs \
+    crates/drivers/src/psmouse.rs \
+    crates/drivers/src/support.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        awk -v f="$f" '
+            # Appends `s` to the call text up to the parenthesis that
+            # closes the call; true once it has closed.
+            function scan(s,    i, c) {
+                for (i = 1; i <= length(s); i++) {
+                    c = substr(s, i, 1)
+                    if (c == "(") depth++
+                    if (c == ")" && --depth == 0) {
+                        text = text substr(s, 1, i)
+                        return 1
+                    }
+                }
+                text = text s
+                return 0
+            }
+            function report() {
+                if (text ~ /"/) print f ":" start ":" first
+            }
+            depth > 0 {
+                if (scan($0)) report()
+                next
+            }
+            $0 !~ /^[ \t]*\/\// && match($0, /(\.call|\.call_deferred|upcall|upcall_errno)\(/) {
+                start = NR; first = $0; text = ""
+                if (scan(substr($0, RSTART + RLENGTH - 1))) report()
+            }
+        ' || true
 done

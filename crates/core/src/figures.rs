@@ -9,6 +9,7 @@
 use decaf_drivers::DriverKind;
 use decaf_slicer::partition::EntryPoint;
 use decaf_slicer::{audit, parse, slice, stubgen, CType, SliceConfig};
+use decaf_xdr::plan::TypeIds;
 
 /// Figure 1: the Decaf architecture, rendered from a live decaf E1000.
 ///
@@ -64,6 +65,7 @@ pub fn figure2() -> String {
     let ep = EntryPoint {
         name: "snd_card_register".into(),
         object_params: vec![("card".into(), "snd_card".into())],
+        object_ids: TypeIds::default(),
         scalar_params: vec![],
         ret: CType::Int,
     };

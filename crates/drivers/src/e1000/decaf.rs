@@ -30,15 +30,15 @@ use std::sync::Arc;
 use decaf_simdev::E1000Device;
 
 use decaf_shmring::RingSet;
-use decaf_simkernel::kernel::IrqHandler;
+use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{KError, KResult, Kernel, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
-    XpcResult,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, ShardedChannel,
+    XpcChannel, XpcResult,
 };
 
 use super::{attach, E1000Hw, IRQ_LINE};
@@ -285,7 +285,7 @@ fn build(
     let hw = Rc::new(E1000Hw::new(bar, dma));
     let plan = super::image();
     let channels = support::channels_from_plan(&plan, config, shards);
-    let (rings, irq_handler, xmit) =
+    let (rings, irq_handler, xmit, entries) =
         link(&channels, &plan, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
 
     let mut timers = Vec::new();
@@ -304,7 +304,7 @@ fn build(
     // probe runs there.
     let (adapter, init_latency_ns) =
         support::load(kernel, "e1000_decaf", &channels, "e1000_adapter", |k, a| {
-            support::upcall(&nuc, k, "e1000_probe", a)?;
+            support::upcall(&nuc, k, entries.probe, a)?;
             // Register the netdevice: open/stop go through the decaf
             // driver; transmit stays in the nucleus or posts into the
             // shared-memory rings, as the configuration says.
@@ -319,9 +319,9 @@ fn build(
                         // `request_irq` procedure on the channel only
                         // borrows it.
                         let _owned_while_registered = &irq_handler;
-                        support::upcall(&nuc_open, k, "e1000_open", a)
+                        support::upcall(&nuc_open, k, entries.open, a)
                     }),
-                    stop: Rc::new(move |k| support::upcall(&nuc_stop, k, "e1000_close", a)),
+                    stop: Rc::new(move |k| support::upcall(&nuc_stop, k, entries.close, a)),
                     xmit,
                 },
             )
@@ -329,35 +329,30 @@ fn build(
 
     // The watchdog timer fires at softirq priority, so it only enqueues a
     // work item; the work item (process context) makes the upcall
-    // (paper §3.1.3).
-    let nuc_wd = Rc::clone(&nuc);
-    let channels_wd = Rc::clone(&channels);
-    let name_wd = ifname.to_string();
+    // (paper §3.1.3). Its body is built here, once, and queued by handle.
+    let watchdog_task: WorkBody = {
+        let (nuc, channels, name) = (Rc::clone(&nuc), Rc::clone(&channels), ifname.to_string());
+        Rc::new(move |k, _| {
+            if nuc
+                .upcall(k, entries.watchdog, &[Some(adapter)], &[])
+                .is_ok()
+            {
+                // The decaf driver updated adapter->link_up; the nucleus
+                // mirrors it into the stack.
+                let heap = channels.heap(0, Domain::Nucleus);
+                let up = heap
+                    .borrow()
+                    .scalar(adapter, "link_up")
+                    .ok()
+                    .and_then(|v| v.as_int())
+                    .unwrap_or(0);
+                k.netif_carrier(&name, up != 0);
+            }
+        })
+    };
     let watchdog = kernel.timer_create(
         "e1000_watchdog",
-        Rc::new(move |k| {
-            let nuc = Rc::clone(&nuc_wd);
-            let channels = Rc::clone(&channels_wd);
-            let name = name_wd.clone();
-            let a = adapter;
-            k.schedule_work("e1000_watchdog_task", move |k| {
-                if nuc
-                    .upcall(k, "e1000_watchdog_task", &[Some(a)], &[])
-                    .is_ok()
-                {
-                    // The decaf driver updated adapter->link_up; the nucleus
-                    // mirrors it into the stack.
-                    let heap = channels.heap(0, Domain::Nucleus);
-                    let up = heap
-                        .borrow()
-                        .scalar(a, "link_up")
-                        .ok()
-                        .and_then(|v| v.as_int())
-                        .unwrap_or(0);
-                    k.netif_carrier(&name, up != 0);
-                }
-            });
-        }),
+        Rc::new(move |k| k.schedule_work_handle(&watchdog_task, 0)),
     );
     kernel.timer_arm_periodic(watchdog, 2_000_000_000);
     timers.push(watchdog);
@@ -384,11 +379,13 @@ fn build(
     })
 }
 
-/// Links every shard's channel: the register-access imports and the
-/// decaf driver's entry points, the rings and their drains when the
-/// configuration hosts the data path at user level, then the kernel
-/// imports — which need the interrupt handler the data path decided.
-/// Returns that handler and the netdev transmit op beside the rings.
+/// Links every shard's channel: the register-access imports, the rings
+/// and their drains when the configuration hosts the data path at user
+/// level, the kernel imports — which need the interrupt handler the data
+/// path decided — and then the decaf driver's entry points, which call
+/// those imports by handle. Returns that handler, the netdev transmit op
+/// and the entry points' handles (every shard registers in one order,
+/// so the control shard's serve all) beside the rings.
 fn link(
     channels: &Rc<ShardedChannel>,
     plan: &SlicePlan,
@@ -396,11 +393,10 @@ fn link(
     ifname: &str,
     shmring: bool,
     rx_mode: RxMode,
-) -> XpcResult<(Option<Rings<E1000Hw>>, IrqHandler, XmitOp)> {
+) -> XpcResult<(Option<Rings<E1000Hw>>, IrqHandler, XmitOp, Entries)> {
     let shards = channels.shard_count();
     for i in 0..shards {
         support::register_io_procs(channels.shard(i), hw.bar.clone())?;
-        register_decaf_handlers(channels.shard(i), plan)?;
     }
     let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = if shmring {
         let (rings, irq, xmit) = ringnic::link(channels, hw, ifname, rx_mode)?;
@@ -417,10 +413,39 @@ fn link(
             Rc::new(move |k, skb| hw_ops.xmit(k, skb)),
         )
     };
+    let mut control = None;
     for i in 0..shards {
-        register_nucleus_procs(channels.shard(i), hw, &irq_handler)?;
+        let imports = register_nucleus_procs(channels.shard(i), hw, &irq_handler)?;
+        let entries = register_decaf_handlers(channels.shard(i), plan, imports)?;
+        control.get_or_insert(entries);
     }
-    Ok((rings, irq_handler, xmit))
+    let entries = control.expect("a channel facade has a shard");
+    Ok((rings, irq_handler, xmit, entries))
+}
+
+/// The kernel imports the decaf handlers call down into, as registered.
+#[derive(Clone, Copy)]
+struct Imports {
+    eeprom_read: ProcHandle,
+    phy_read: ProcHandle,
+    phy_write: ProcHandle,
+    setup_tx_resources: ProcHandle,
+    setup_rx_resources: ProcHandle,
+    request_irq: ProcHandle,
+    free_irq: ProcHandle,
+    up_datapath: ProcHandle,
+    free_tx_resources: ProcHandle,
+    free_rx_resources: ProcHandle,
+    down_datapath: ProcHandle,
+}
+
+/// The entry points the nucleus upcalls, as registered.
+#[derive(Clone, Copy)]
+struct Entries {
+    probe: ProcHandle,
+    open: ProcHandle,
+    close: ProcHandle,
+    watchdog: ProcHandle,
 }
 
 /// Kernel procedures the decaf driver calls down into. These correspond
@@ -430,101 +455,85 @@ fn link(
 /// It is held weakly: the ring handler reaches the channel through its
 /// receive paths, and a procedure stored on the channel that owned it
 /// would keep channel, rings and DMA region alive for ever. The netdev
-/// `open` op, the only way to `request_irq`, is the owner.
+/// `open` op, the only way to `request_irq`, is the owner. Returns the
+/// procedures' handles.
 fn register_nucleus_procs(
     channel: &XpcChannel,
     hw: &Rc<E1000Hw>,
     irq_handler: &IrqHandler,
-) -> XpcResult<()> {
+) -> XpcResult<Imports> {
+    let nucleus = |def| channel.register_proc(Domain::Nucleus, def);
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("eeprom_read", move |k, s| {
-            XdrValue::UInt(h.eeprom_read(k, s[0].as_uint().unwrap_or(0)) as u32)
-        }),
-    )?;
+    let eeprom_read = nucleus(ProcDef::scalar("eeprom_read", move |k, s| {
+        XdrValue::UInt(h.eeprom_read(k, s[0].as_uint().unwrap_or(0)) as u32)
+    }))?;
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("phy_read", move |k, s| {
-            XdrValue::UInt(h.phy_read(k, s[0].as_uint().unwrap_or(0)) as u32)
-        }),
-    )?;
+    let phy_read = nucleus(ProcDef::scalar("phy_read", move |k, s| {
+        XdrValue::UInt(h.phy_read(k, s[0].as_uint().unwrap_or(0)) as u32)
+    }))?;
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("phy_write", move |k, s| {
-            h.phy_write(
-                k,
-                s[0].as_uint().unwrap_or(0),
-                s[1].as_uint().unwrap_or(0) as u16,
-            );
-            XdrValue::Int(0)
-        }),
-    )?;
+    let phy_write = nucleus(ProcDef::scalar("phy_write", move |k, s| {
+        h.phy_write(
+            k,
+            s[0].as_uint().unwrap_or(0),
+            s[1].as_uint().unwrap_or(0) as u16,
+        );
+        XdrValue::Int(0)
+    }))?;
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("setup_tx_resources", move |k, _| {
-            support::errno_value(h.setup_tx(k))
-        }),
-    )?;
+    let setup_tx_resources = nucleus(ProcDef::scalar("setup_tx_resources", move |k, _| {
+        support::errno_value(h.setup_tx(k))
+    }))?;
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("setup_rx_resources", move |k, _| {
-            support::errno_value(h.setup_rx(k))
-        }),
-    )?;
+    let setup_rx_resources = nucleus(ProcDef::scalar("setup_rx_resources", move |k, _| {
+        support::errno_value(h.setup_rx(k))
+    }))?;
     let irq_handler = Rc::downgrade(irq_handler);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("request_irq", move |k, _| {
-            support::errno_value(match irq_handler.upgrade() {
-                Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
-                None => Err(KError::NoDev),
-            })
-        }),
-    )?;
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("free_irq", |k, _| {
-            k.free_irq(IRQ_LINE);
-            XdrValue::Int(0)
-        }),
-    )?;
+    let request_irq = nucleus(ProcDef::scalar("request_irq", move |k, _| {
+        support::errno_value(match irq_handler.upgrade() {
+            Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
+            None => Err(KError::NoDev),
+        })
+    }))?;
+    let free_irq = nucleus(ProcDef::scalar("free_irq", |k, _| {
+        k.free_irq(IRQ_LINE);
+        XdrValue::Int(0)
+    }))?;
     let h = Rc::clone(hw);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("up_datapath", move |k, _| {
-            h.up(k);
-            XdrValue::Int(0)
-        }),
-    )?;
+    let up_datapath = nucleus(ProcDef::scalar("up_datapath", move |k, _| {
+        h.up(k);
+        XdrValue::Int(0)
+    }))?;
     // Freeing either ring's resources and stopping the data path are the
     // same quiesce on this hardware model.
-    for name in ["free_tx_resources", "free_rx_resources", "down_datapath"] {
+    let down = |name| {
         let h = Rc::clone(hw);
-        channel.register_proc(
-            Domain::Nucleus,
-            ProcDef::scalar(name, move |k, _| {
-                h.down(k);
-                XdrValue::Int(0)
-            }),
-        )?;
-    }
-    Ok(())
+        nucleus(ProcDef::scalar(name, move |k, _| {
+            h.down(k);
+            XdrValue::Int(0)
+        }))
+    };
+    Ok(Imports {
+        eeprom_read,
+        phy_read,
+        phy_write,
+        setup_tx_resources,
+        setup_rx_resources,
+        request_irq,
+        free_irq,
+        up_datapath,
+        free_tx_resources: down("free_tx_resources")?,
+        free_rx_resources: down("free_rx_resources")?,
+        down_datapath: down("down_datapath")?,
+    })
 }
 
 /// Sets an embedded-struct member (`adapter->hw.<member>`) on the decaf
-/// heap copy of the adapter.
+/// heap copy of the adapter, in place: one tracked write of `hw`.
 fn set_hw_member(ch: &XpcChannel, adapter: CAddr, member: &str, value: XdrValue) {
     let heap = ch.heap(Domain::Decaf);
     let mut h = heap.borrow_mut();
-    if let Ok(mut hw_val) = h.scalar(adapter, "hw").cloned() {
-        hw_val.set_field(member, value);
-        let _ = h.set_scalar(adapter, "hw", hw_val);
-    }
+    let _ = h.update_scalar(adapter, "hw", |hw| hw.set_field(member, value));
 }
 
 fn set_field(ch: &XpcChannel, adapter: CAddr, field: &str, value: XdrValue) {
@@ -539,11 +548,16 @@ fn get_int(ch: &XpcChannel, adapter: CAddr, field: &str) -> i32 {
 }
 
 /// User-level decaf-driver handlers: the converted Java (here: safe Rust)
-/// implementations of the user partition.
-fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<()> {
+/// implementations of the user partition. They call the kernel imports
+/// by the handles `imp` holds.
+fn register_decaf_handlers(
+    channel: &XpcChannel,
+    plan: &SlicePlan,
+    imp: Imports,
+) -> XpcResult<Entries> {
     // e1000_probe: sw_init + check_options + EEPROM + reset + link setup,
     // mirroring the mini-C bodies.
-    support::register_entry(channel, plan, "e1000_probe", |k, ch, a, _| {
+    let probe = support::register_entry(channel, plan, "e1000_probe", move |k, ch, a, _| {
         // e1000_sw_init.
         set_field(ch, a, "msg_enable", XdrValue::Int(3));
         set_field(ch, a, "itr", XdrValue::Int(8000));
@@ -555,19 +569,20 @@ fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<
         set_field(ch, a, "speed", XdrValue::Int(1000));
         set_field(ch, a, "duplex", XdrValue::Int(1));
         // e1000_init_eeprom: MAC + checksum through downcalls.
+        let eeprom_read = |k: &Kernel, w: u32| {
+            let word = [XdrValue::UInt(w)];
+            ch.call_resolved(k, Domain::Decaf, imp.eeprom_read, &[], &word)
+        };
         let mut mac = [0u8; 6];
         for w in 0..3u32 {
-            let word = ch
-                .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(w)])
+            let word = eeprom_read(k, w)
                 .ok()
                 .and_then(|v| v.as_uint())
                 .unwrap_or(0) as u16;
             mac[w as usize * 2] = (word & 0xff) as u8;
             mac[w as usize * 2 + 1] = (word >> 8) as u8;
         }
-        let _checksum = ch
-            .call(k, Domain::Decaf, "eeprom_read", &[], &[XdrValue::UInt(63)])
-            .ok();
+        let _checksum = eeprom_read(k, 63).ok();
         set_field(ch, a, "mac", XdrValue::Opaque(mac.to_vec()));
         set_hw_member(ch, a, "fc_mode", XdrValue::Int(3));
         // e1000_reset_hw_decaf.
@@ -582,7 +597,8 @@ fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<
         }
         // e1000_setup_link + the Figure 5 DSP sequence.
         let phy_read = |k: &Kernel, reg: u32| {
-            ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(reg)])
+            let reg = [XdrValue::UInt(reg)];
+            ch.call_resolved(k, Domain::Decaf, imp.phy_read, &[], &reg)
                 .ok()
                 .and_then(|v| v.as_uint())
                 .unwrap_or(0)
@@ -590,13 +606,8 @@ fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<
         // PHY writes are posted: defer them so a whole DSP
         // programming sequence crosses in one batched flush.
         let phy_write = |k: &Kernel, reg: u32, val: u32| {
-            let _ = ch.call_deferred(
-                k,
-                Domain::Decaf,
-                "phy_write",
-                &[],
-                &[XdrValue::UInt(reg), XdrValue::UInt(val)],
-            );
+            let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
+            let _ = ch.call_deferred_resolved(k, Domain::Decaf, imp.phy_write, &[], &args);
         };
         let _ctrl = phy_read(k, 0);
         phy_write(k, 0, 0x1140);
@@ -617,57 +628,53 @@ fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<
 
     // e1000_open: the Figure 4 function. Result-based staged cleanup —
     // the Rust rendition of the nested exception handlers.
-    support::register_entry(channel, plan, "e1000_open", |k, ch, a, _| {
-        let down = |k: &Kernel, proc: &str| -> Result<(), i32> {
-            match ch.call(k, Domain::Decaf, proc, &[], &[]) {
+    let open = support::register_entry(channel, plan, "e1000_open", move |k, ch, a, _| {
+        let down = |k: &Kernel, proc: ProcHandle| -> Result<(), i32> {
+            match ch.call_resolved(k, Domain::Decaf, proc, &[], &[]) {
                 Ok(XdrValue::Int(0)) => Ok(()),
                 Ok(XdrValue::Int(e)) => Err(e),
                 _ => Err(KError::Io.errno()),
             }
         };
         // Stage 1: transmit resources.
-        if let Err(e) = down(k, "setup_tx_resources") {
-            let _ = down(k, "down_datapath"); // e1000_reset
+        if let Err(e) = down(k, imp.setup_tx_resources) {
+            let _ = down(k, imp.down_datapath); // e1000_reset
             return XdrValue::Int(e);
         }
         // Stage 2: receive resources; on failure free stage 1.
-        if let Err(e) = down(k, "setup_rx_resources") {
-            let _ = down(k, "free_tx_resources");
+        if let Err(e) = down(k, imp.setup_rx_resources) {
+            let _ = down(k, imp.free_tx_resources);
             return XdrValue::Int(e);
         }
         // Stage 3: the interrupt line; on failure free stages 1-2.
-        if let Err(e) = down(k, "request_irq") {
-            let _ = down(k, "free_rx_resources");
-            let _ = down(k, "free_tx_resources");
+        if let Err(e) = down(k, imp.request_irq) {
+            let _ = down(k, imp.free_rx_resources);
+            let _ = down(k, imp.free_tx_resources);
             return XdrValue::Int(e);
         }
         // Power up the PHY and start the data path.
-        let _ = ch.call(k, Domain::Decaf, "phy_read", &[], &[XdrValue::UInt(0)]);
-        let _ = ch.call_deferred(
-            k,
-            Domain::Decaf,
-            "phy_write",
-            &[],
-            &[XdrValue::UInt(0), XdrValue::UInt(0x1000)],
-        );
-        if let Err(e) = down(k, "up_datapath") {
-            let _ = down(k, "free_irq");
-            let _ = down(k, "free_rx_resources");
-            let _ = down(k, "free_tx_resources");
+        let reg = [XdrValue::UInt(0)];
+        let _ = ch.call_resolved(k, Domain::Decaf, imp.phy_read, &[], &reg);
+        let args = [XdrValue::UInt(0), XdrValue::UInt(0x1000)];
+        let _ = ch.call_deferred_resolved(k, Domain::Decaf, imp.phy_write, &[], &args);
+        if let Err(e) = down(k, imp.up_datapath) {
+            let _ = down(k, imp.free_irq);
+            let _ = down(k, imp.free_rx_resources);
+            let _ = down(k, imp.free_tx_resources);
             return XdrValue::Int(e);
         }
         set_field(ch, a, "link_up", XdrValue::Int(1));
         XdrValue::Int(0)
     })?;
 
-    support::register_entry(channel, plan, "e1000_close", |k, ch, a, _| {
+    let close = support::register_entry(channel, plan, "e1000_close", move |k, ch, a, _| {
         set_field(ch, a, "link_up", XdrValue::Int(0));
-        let _ = ch.call(k, Domain::Decaf, "down_datapath", &[], &[]);
-        let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
+        let _ = ch.call_resolved(k, Domain::Decaf, imp.down_datapath, &[], &[]);
+        let _ = ch.call_resolved(k, Domain::Decaf, imp.free_irq, &[], &[]);
         XdrValue::Int(0)
     })?;
 
-    support::register_entry(channel, plan, "e1000_watchdog_task", |k, ch, a, _| {
+    let watchdog = support::register_entry(channel, plan, "e1000_watchdog_task", |k, ch, a, _| {
         let status = decaf_readl(k, ch, hwreg::STATUS);
         let up = status & hwreg::STATUS_LU != 0;
         set_field(ch, a, "link_up", XdrValue::Int(up as i32));
@@ -686,7 +693,12 @@ fn register_decaf_handlers(channel: &XpcChannel, plan: &SlicePlan) -> XpcResult<
         decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
         XdrValue::Int(0)
     })?;
-    Ok(())
+    Ok(Entries {
+        probe,
+        open,
+        close,
+        watchdog,
+    })
 }
 
 #[cfg(test)]

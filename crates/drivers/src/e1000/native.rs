@@ -7,6 +7,7 @@
 
 use std::rc::Rc;
 
+use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::{KResult, Kernel};
 
 use std::cell::RefCell;
@@ -94,19 +95,18 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<NativeE1000> {
     })?;
 
     // The watchdog: a 2-second periodic timer. Native drivers can do the
-    // link check directly from the deferred work item.
-    let hw_wd = Rc::clone(&hw);
-    let name_wd = ifname.clone();
+    // link check directly from the deferred work item, whose body is built
+    // here, once, and queued by handle.
+    let watchdog_task: WorkBody = {
+        let (hw, name) = (Rc::clone(&hw), ifname.clone());
+        Rc::new(move |k, _| {
+            let up = hw.link_up(k);
+            k.netif_carrier(&name, up);
+        })
+    };
     let watchdog = kernel.timer_create(
         "e1000_watchdog",
-        Rc::new(move |k| {
-            let hw = Rc::clone(&hw_wd);
-            let name = name_wd.clone();
-            k.schedule_work("e1000_watchdog_task", move |k| {
-                let up = hw.link_up(k);
-                k.netif_carrier(&name, up);
-            });
-        }),
+        Rc::new(move |k| k.schedule_work_handle(&watchdog_task, 0)),
     );
     kernel.timer_arm_periodic(watchdog, 2_000_000_000);
 

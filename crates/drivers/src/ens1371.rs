@@ -16,7 +16,9 @@ use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, ProcDef, XpcChannel, XpcResult};
+use decaf_xpc::{
+    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
+};
 
 use crate::support::{self, decaf_readl, decaf_writel};
 
@@ -294,18 +296,20 @@ pub struct DecafEns {
     pub dev: Rc<std::cell::RefCell<Ens1371Device>>,
 }
 
-/// Links the channel: the register and codec imports, the card-register
-/// import that routes the card's open/close back up, and the decaf
-/// driver's four entry points.
+/// Links the channel: the register and codec imports, the decaf driver's
+/// playback and mixer entry points, the card-register import that routes
+/// the card's open/close back up to them, and the probe that calls that
+/// import — each registered before whatever calls it by handle. Returns
+/// the probe's handle.
 fn register_procs(
     channel: &Rc<XpcChannel>,
     plan: &SlicePlan,
     hw: &Rc<EnsHw>,
     card: &str,
-) -> XpcResult<()> {
+) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, hw.bar.clone())?;
     let hw_codec = Rc::clone(hw);
-    channel.register_proc(
+    let codec_write = channel.register_proc(
         Domain::Nucleus,
         ProcDef::scalar("codec_write", move |k, s| {
             let reg = s[0].as_uint().unwrap_or(0);
@@ -314,71 +318,8 @@ fn register_procs(
             XdrValue::Int(0)
         }),
     )?;
-    // snd_card_register import: the nucleus registers the card with ops
-    // that route open/close back up to the decaf driver. The procedure
-    // lives on the channel, so it may only hold the channel weakly; the
-    // ops it hands the kernel own it for real.
-    let hw_write = Rc::clone(hw);
-    let card_name = card.to_string();
-    let ch_for_ops = Rc::downgrade(channel);
-    channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::entry("snd_card_register", ["ensoniq"], move |k, _, args, _| {
-            let chip = args[0];
-            let ch = ch_for_ops.upgrade().expect("a call is running on it");
-            let op = move |proc: &'static str| -> decaf_simkernel::sound::StreamOp {
-                let ch = Rc::clone(&ch);
-                Rc::new(
-                    move |k| match ch.call(k, Domain::Nucleus, proc, &[chip], &[]) {
-                        Ok(XdrValue::Int(0)) => Ok(()),
-                        _ => Err(KError::Io),
-                    },
-                )
-            };
-            let hww = Rc::clone(&hw_write);
-            let result = k.snd_card_register(
-                &card_name,
-                decaf_simkernel::sound::SoundCardOps {
-                    open: op("snd_ensoniq_playback_open"),
-                    write: Rc::new(move |k, frames| hww.pcm_write(k, frames)),
-                    close: op("snd_ensoniq_playback_close"),
-                },
-            );
-            support::errno_value(result)
-        }),
-    )?;
 
-    support::register_entry(channel, plan, "snd_audiopci_probe", |k, ch, chip, _| {
-        // snd_ensoniq_create.
-        decaf_writel(k, ch, hwreg::CTRL, 0);
-        decaf_writel(k, ch, hwreg::SRC, 44_100);
-        {
-            let heap = ch.heap(Domain::Decaf);
-            let mut h = heap.borrow_mut();
-            let _ = h.set_scalar(chip, "rate", XdrValue::Int(44_100));
-            let _ = h.set_scalar(chip, "ctrl", XdrValue::Int(0));
-            let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(10));
-            let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(10));
-        }
-        // 1371 mixer: three codec writes, posted — the batch
-        // crosses once when the card-register downcall flushes.
-        for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-            let _ = ch.call_deferred(
-                k,
-                Domain::Decaf,
-                "codec_write",
-                &[],
-                &[XdrValue::UInt(reg), XdrValue::UInt(val)],
-            );
-        }
-        // Register the card (downcall carrying the chip object).
-        match ch.call(k, Domain::Decaf, "snd_card_register", &[Some(chip)], &[]) {
-            Ok(XdrValue::Int(0)) => XdrValue::Int(0),
-            Ok(XdrValue::Int(e)) => XdrValue::Int(e),
-            _ => XdrValue::Int(KError::Io.errno()),
-        }
-    })?;
-    support::register_entry(
+    let playback_open = support::register_entry(
         channel,
         plan,
         "snd_ensoniq_playback_open",
@@ -393,21 +334,16 @@ fn register_procs(
             XdrValue::Int(0)
         },
     )?;
-    support::register_entry(
+    let playback_close = support::register_entry(
         channel,
         plan,
         "snd_ensoniq_playback_close",
-        |k, ch, chip, _| {
+        move |k, ch, chip, _| {
             decaf_writel(k, ch, hwreg::CTRL, 0);
             // Power down the codec (posted, batched with the
             // control-register write above).
-            let _ = ch.call_deferred(
-                k,
-                Domain::Decaf,
-                "codec_write",
-                &[],
-                &[XdrValue::UInt(38), XdrValue::UInt(0xffff)],
-            );
+            let args = [XdrValue::UInt(38), XdrValue::UInt(0xffff)];
+            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
             let heap = ch.heap(Domain::Decaf);
             let _ = heap
                 .borrow_mut()
@@ -419,7 +355,7 @@ fn register_procs(
         channel,
         plan,
         "snd_ensoniq_volume_put",
-        |k, ch, chip, scalars| {
+        move |k, ch, chip, scalars| {
             let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
             let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
             {
@@ -428,14 +364,75 @@ fn register_procs(
                 let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(left));
                 let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(right));
             }
-            let _ = ch.call_deferred(
-                k,
-                Domain::Decaf,
-                "codec_write",
-                &[],
-                &[XdrValue::UInt(2), XdrValue::UInt(left as u32)],
-            );
+            let args = [XdrValue::UInt(2), XdrValue::UInt(left as u32)];
+            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
             XdrValue::Int(0)
+        },
+    )?;
+
+    // snd_card_register import: the nucleus registers the card with ops
+    // that route open/close back up to the decaf driver. The procedure
+    // lives on the channel, so it may only hold the channel weakly; the
+    // ops it hands the kernel own it for real.
+    let hw_write = Rc::clone(hw);
+    let card_name = card.to_string();
+    let ch_for_ops = Rc::downgrade(channel);
+    let snd_card_register = channel.register_proc(
+        Domain::Nucleus,
+        ProcDef::entry("snd_card_register", ["ensoniq"], move |k, _, args, _| {
+            let chip = args[0];
+            let ch = ch_for_ops.upgrade().expect("a call is running on it");
+            let op = move |proc: ProcHandle| -> decaf_simkernel::sound::StreamOp {
+                let ch = Rc::clone(&ch);
+                Rc::new(
+                    move |k| match ch.call_resolved(k, Domain::Nucleus, proc, &[chip], &[]) {
+                        Ok(XdrValue::Int(0)) => Ok(()),
+                        _ => Err(KError::Io),
+                    },
+                )
+            };
+            let hww = Rc::clone(&hw_write);
+            let result = k.snd_card_register(
+                &card_name,
+                decaf_simkernel::sound::SoundCardOps {
+                    open: op(playback_open),
+                    write: Rc::new(move |k, frames| hww.pcm_write(k, frames)),
+                    close: op(playback_close),
+                },
+            );
+            support::errno_value(result)
+        }),
+    )?;
+
+    support::register_entry(
+        channel,
+        plan,
+        "snd_audiopci_probe",
+        move |k, ch, chip, _| {
+            // snd_ensoniq_create.
+            decaf_writel(k, ch, hwreg::CTRL, 0);
+            decaf_writel(k, ch, hwreg::SRC, 44_100);
+            {
+                let heap = ch.heap(Domain::Decaf);
+                let mut h = heap.borrow_mut();
+                let _ = h.set_scalar(chip, "rate", XdrValue::Int(44_100));
+                let _ = h.set_scalar(chip, "ctrl", XdrValue::Int(0));
+                let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(10));
+                let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(10));
+            }
+            // 1371 mixer: three codec writes, posted — the batch
+            // crosses once when the card-register downcall flushes.
+            for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
+                let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
+                let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
+            }
+            // Register the card (downcall carrying the chip object).
+            let chip = [Some(chip)];
+            match ch.call_resolved(k, Domain::Decaf, snd_card_register, &chip, &[]) {
+                Ok(XdrValue::Int(0)) => XdrValue::Int(0),
+                Ok(XdrValue::Int(e)) => XdrValue::Int(e),
+                _ => XdrValue::Int(KError::Io.errno()),
+            }
         },
     )
 }
@@ -448,12 +445,12 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
-    register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
+    let probe = register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
     let (chip, init_latency_ns) =
         support::load(kernel, "snd-ens1371-decaf", &channels, "ensoniq", |k, c| {
-            support::upcall(&nuc, k, "snd_audiopci_probe", c)?;
+            support::upcall(&nuc, k, probe, c)?;
             let hw_irq = Rc::clone(&hw);
             k.request_irq(
                 IRQ_LINE,

@@ -18,7 +18,7 @@ use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, XpcChannel, XpcResult};
+use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, ProcHandle, XpcChannel, XpcResult};
 
 use crate::support::{self, decaf_readl, decaf_writel};
 
@@ -307,8 +307,12 @@ pub struct DecafMouse {
 /// Links the channel: the register-access imports and the decaf
 /// driver's one entry point, `psmouse_probe` — reset, detect, configure
 /// and activate the mouse through register downcalls, then record what
-/// it found in the shared object.
-fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<()> {
+/// it found in the shared object. Returns the probe's handle.
+fn register_procs(
+    channel: &XpcChannel,
+    plan: &SlicePlan,
+    bar: MmioRegion,
+) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, bar)?;
     support::register_entry(channel, plan, "psmouse_probe", |k, ch, m, _| {
         let send = |k: &Kernel, cmd: u32| {
@@ -362,12 +366,12 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
-    register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
+    let probe = register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
     let (mouse_obj, init_latency_ns) =
         support::load(kernel, "psmouse-decaf", &channels, "psmouse", |k, m| {
-            support::upcall(&nuc, k, "psmouse_probe", m)?;
+            support::upcall(&nuc, k, probe, m)?;
             k.input_register_device(devname)?;
             let hw_irq = Rc::clone(&hw);
             let n = devname.to_string();

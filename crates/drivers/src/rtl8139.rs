@@ -24,7 +24,8 @@ use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel, XpcResult,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel,
+    XpcResult,
 };
 
 use crate::ringnic::{self, IrqCause, RingNic};
@@ -524,7 +525,7 @@ fn install_decaf_with(
             )
         }
     };
-    register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
+    let entries = register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
     let (priv_obj, init_latency_ns) = support::load(
@@ -533,7 +534,7 @@ fn install_decaf_with(
         &channels,
         "rtl8139_private",
         |k, a| {
-            support::upcall(&nuc, k, "rtl8139_probe", a)?;
+            support::upcall(&nuc, k, entries.probe, a)?;
             let nuc_open = Rc::clone(&nuc);
             let nuc_stop = Rc::clone(&nuc);
             k.register_netdev(
@@ -541,10 +542,10 @@ fn install_decaf_with(
                 decaf_simkernel::net::NetDeviceOps {
                     open: Rc::new(move |k| {
                         let _owned_while_registered = &irq_handler;
-                        support::upcall(&nuc_open, k, "rtl8139_open", a)
+                        support::upcall(&nuc_open, k, entries.open, a)
                     }),
                     stop: Rc::new(move |k| {
-                        let _ = support::upcall(&nuc_stop, k, "rtl8139_close", a);
+                        let _ = support::upcall(&nuc_stop, k, entries.close, a);
                         Ok(())
                     }),
                     xmit,
@@ -583,18 +584,19 @@ fn install_decaf_with(
 
 /// Links the channel: the register-access imports, the kernel imports
 /// `rtl8139_open`/`rtl8139_close` call down into, and the decaf driver's
-/// three entry points. `request_irq` borrows the handler and the netdev
-/// `open` op owns it, for the e1000's reason: the ring handler reaches
-/// this channel through its receive path.
+/// three entry points, which call the imports by handle. `request_irq`
+/// borrows the handler and the netdev `open` op owns it, for the e1000's
+/// reason: the ring handler reaches this channel through its receive
+/// path. Returns the entry points' handles.
 fn register_procs(
     channel: &XpcChannel,
     plan: &SlicePlan,
     hw: &Rc<Rtl8139Hw>,
     irq_handler: &IrqHandler,
-) -> XpcResult<()> {
+) -> XpcResult<Entries> {
     support::register_io_procs(channel, hw.bar.clone())?;
     let irq_weak = Rc::downgrade(irq_handler);
-    channel.register_proc(
+    let request_irq = channel.register_proc(
         Domain::Nucleus,
         ProcDef::scalar("request_irq", move |k, _| {
             support::errno_value(match irq_weak.upgrade() {
@@ -603,7 +605,7 @@ fn register_procs(
             })
         }),
     )?;
-    channel.register_proc(
+    let free_irq = channel.register_proc(
         Domain::Nucleus,
         ProcDef::scalar("free_irq", |k, _| {
             k.free_irq(IRQ_LINE);
@@ -613,7 +615,7 @@ fn register_procs(
     // The mini-C source lists `rtl8139_hw_start` as a user function; this
     // build keeps the ring start in the nucleus, behind a downcall.
     let hw_start = Rc::clone(hw);
-    channel.register_proc(
+    let hw_start_datapath = channel.register_proc(
         Domain::Nucleus,
         ProcDef::scalar("hw_start_datapath", move |k, _| {
             hw_start.hw_start(k);
@@ -621,7 +623,7 @@ fn register_procs(
         }),
     )?;
 
-    support::register_entry(channel, plan, "rtl8139_probe", |k, ch, a, _| {
+    let probe = support::register_entry(channel, plan, "rtl8139_probe", |k, ch, a, _| {
         // init_board: reset and settle.
         decaf_writel(k, ch, hwreg::CR, hwreg::CR_RST);
         let _ = decaf_readl(k, ch, hwreg::CR);
@@ -641,26 +643,35 @@ fn register_procs(
         }
         XdrValue::Int(0)
     })?;
-    support::register_entry(channel, plan, "rtl8139_open", |k, ch, a, _| {
+    let open = support::register_entry(channel, plan, "rtl8139_open", move |k, ch, a, _| {
         // request_irq, then hw_start; free the irq if start fails.
-        match ch.call(k, Domain::Decaf, "request_irq", &[], &[]) {
+        match ch.call_resolved(k, Domain::Decaf, request_irq, &[], &[]) {
             Ok(XdrValue::Int(0)) => {}
             Ok(XdrValue::Int(e)) => return XdrValue::Int(e),
             _ => return XdrValue::Int(KError::Io.errno()),
         }
-        let _ = ch.call(k, Domain::Decaf, "hw_start_datapath", &[], &[]);
+        let _ = ch.call_resolved(k, Domain::Decaf, hw_start_datapath, &[], &[]);
         decaf_writel(k, ch, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
         let heap = ch.heap(Domain::Decaf);
         let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(1));
         XdrValue::Int(0)
     })?;
-    support::register_entry(channel, plan, "rtl8139_close", |k, ch, a, _| {
+    let close = support::register_entry(channel, plan, "rtl8139_close", move |k, ch, a, _| {
         let heap = ch.heap(Domain::Decaf);
         let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(0));
         decaf_writel(k, ch, hwreg::CR, 0);
-        let _ = ch.call(k, Domain::Decaf, "free_irq", &[], &[]);
+        let _ = ch.call_resolved(k, Domain::Decaf, free_irq, &[], &[]);
         XdrValue::Int(0)
-    })
+    })?;
+    Ok(Entries { probe, open, close })
+}
+
+/// The entry points the nucleus upcalls, as registered.
+#[derive(Clone, Copy)]
+struct Entries {
+    probe: ProcHandle,
+    open: ProcHandle,
+    close: ProcHandle,
 }
 
 impl Decaf8139 {

@@ -8,8 +8,8 @@ use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardedChannel, XpcChannel,
-    XpcError, XpcResult,
+    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, ProcHandler,
+    ShardedChannel, XpcChannel, XpcError, XpcResult,
 };
 
 /// How a shmring NIC build collects received frames.
@@ -66,19 +66,29 @@ pub fn shared_image(
 /// register writes defer into the transport queue and flush in one
 /// crossing, and a shared structure that crosses repeatedly marshals
 /// only its dirty fields.
+///
+/// Each end's procedure table is sized once, for what the image
+/// declares: its user entry points at the decaf end, its kernel imports
+/// at the nucleus end.
 pub fn channels_from_plan(
     plan: &SlicePlan,
     config: ChannelConfig,
     shards: usize,
 ) -> Rc<ShardedChannel> {
-    ShardedChannel::with_plan(
+    let channels = ShardedChannel::with_plan(
         Arc::clone(&plan.spec),
         Arc::clone(&plan.marshal),
         config,
         Domain::Nucleus,
         Domain::Decaf,
         shards,
-    )
+    );
+    for i in 0..shards {
+        let ch = channels.shard(i);
+        ch.reserve_procs(Domain::Decaf, plan.user_entry_points.len());
+        ch.reserve_procs(Domain::Nucleus, plan.kernel_imports_from_user.len());
+    }
+    channels
 }
 
 /// Registers the decaf-side handler of one entry point of the driver
@@ -87,30 +97,29 @@ pub fn channels_from_plan(
 /// entry point's object already checked (a null object answers
 /// `-EINVAL` here, before the handler runs). A `name` the image does not
 /// list as a user entry point is refused: the procedure would cross
-/// untyped.
+/// untyped. Returns the handle the nucleus upcalls it by.
 pub fn register_entry(
     channel: &XpcChannel,
     plan: &SlicePlan,
     name: &str,
     handler: impl Fn(&Kernel, &XpcChannel, CAddr, &[XdrValue]) -> XdrValue + 'static,
-) -> XpcResult<()> {
+) -> XpcResult<ProcHandle> {
     let entry = plan
         .user_entry_point(name)
         .ok_or_else(|| XpcError::UnknownProc {
             domain: "the driver image's user entry points".into(),
             proc: name.into(),
         })?;
-    // The stub's name and types are the image's own, by shared pointer.
-    let types = entry.object_params.iter().map(|(_, ty)| Arc::clone(ty));
-    let stub = ProcDef::entry(
-        Arc::clone(&entry.name),
-        types,
-        move |k, ch, args, scalars| match args.first().copied().flatten() {
-            Some(obj) => handler(k, ch, obj, scalars),
-            None => XdrValue::Int(KError::Inval.errno()),
-        },
-    );
-    channel.register_proc(Domain::Decaf, stub)
+    let stub: ProcHandler = Rc::new(move |k, ch, args, scalars| {
+        let Some(obj) = args.first().copied().flatten() else {
+            return XdrValue::Int(KError::Inval.errno());
+        };
+        handler(k, ch, obj, scalars)
+    });
+    // The stub's name and types are the image's own: a shared pointer and
+    // the ids resolved once per image.
+    let (name, types) = (&entry.name, entry.object_ids);
+    channel.register_resolved(Domain::Decaf, name, types, &plan.spec, stub)
 }
 
 /// The `insmod` prologue every decaf driver shares: allocates the
@@ -133,10 +142,11 @@ pub fn load(
     Ok((root, init_latency_ns))
 }
 
-/// Upcalls entry point `proc` on `obj` and maps its errno-style return
-/// to a `KResult`: what a probe path or a netdev/sound op does with a
-/// decaf driver's answer. A channel failure is `-EIO`.
-pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: &str, obj: CAddr) -> KResult<()> {
+/// Upcalls entry point `proc` — the handle [`register_entry`] returned —
+/// on `obj` and maps its errno-style return to a `KResult`: what a probe
+/// path or a netdev/sound op does with a decaf driver's answer. A channel
+/// failure is `-EIO`.
+pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: ProcHandle, obj: CAddr) -> KResult<()> {
     match nuc.upcall_errno(kernel, proc, &[Some(obj)], &[]) {
         Ok(0) => Ok(()),
         Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
@@ -398,12 +408,13 @@ mod tests {
         // object it was handed has a field only `e1000_adapter` has.
         let typed = Rc::new(Cell::new(None));
         let seen = Rc::clone(&typed);
-        register_entry(ch, &plan, "e1000_check_options", move |_, ch, obj, _| {
-            let heap = ch.heap(Domain::Decaf);
-            seen.set(Some(heap.borrow().scalar(obj, "watchdog_events").is_ok()));
-            XdrValue::Int(0)
-        })
-        .unwrap();
+        let check_options =
+            register_entry(ch, &plan, "e1000_check_options", move |_, ch, obj, _| {
+                let heap = ch.heap(Domain::Decaf);
+                seen.set(Some(heap.borrow().scalar(obj, "watchdog_events").is_ok()));
+                XdrValue::Int(0)
+            })
+            .unwrap();
 
         let null = ch.call(
             &kernel,
@@ -419,13 +430,19 @@ mod tests {
             .alloc_shared_at(0, Domain::Nucleus, "e1000_adapter")
             .unwrap();
         let nuc = NuclearRuntime::new(Rc::clone(ch), None);
-        assert_eq!(
-            upcall(&nuc, &kernel, "e1000_check_options", adapter),
-            Ok(())
-        );
+        assert_eq!(upcall(&nuc, &kernel, check_options, adapter), Ok(()));
         assert_eq!(typed.get(), Some(true), "unmarshaled as the image's type");
+        // A handle another channel handed out names nothing here.
+        let other = batched_channels(&plan);
+        for name in ["e1000_check_options", "e1000_probe"] {
+            register_entry(other.shard(0), &plan, name, |_, _, _, _| XdrValue::Int(0)).unwrap();
+        }
+        let probe = other
+            .shard(0)
+            .resolve_proc(Domain::Nucleus, "e1000_probe")
+            .unwrap();
         assert_eq!(
-            upcall(&nuc, &kernel, "e1000_probe", adapter),
+            upcall(&nuc, &kernel, probe, adapter),
             Err(KError::Io),
             "an unregistered entry point is a channel failure"
         );

@@ -24,8 +24,8 @@ use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, Domain, NuclearRuntime, ProcDef, ShardedChannel, ShardedUrbPath, XpcChannel,
-    XpcResult,
+    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, ShardedChannel, ShardedUrbPath,
+    XpcChannel, XpcResult,
 };
 
 use crate::support::{self, decaf_readl, decaf_writel};
@@ -427,6 +427,9 @@ struct Attached {
     plan: Arc<SlicePlan>,
     channels: Rc<ShardedChannel>,
     dev: Rc<RefCell<UhciDevice>>,
+    /// The root-hub entry points' handles — every shard registers in one
+    /// order, so the control shard's serve all.
+    root_hub: RootHub,
 }
 
 fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KResult<Attached> {
@@ -434,14 +437,17 @@ fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KRe
     let hw = Rc::new(UhciHw::new(bar.clone(), dma));
     let plan = image();
     let channels = support::channels_from_plan(&plan, config, shards);
-    (0..shards)
-        .try_for_each(|i| register_procs(channels.shard(i), &plan, bar.clone()))
-        .map_err(|_| KError::Io)?;
+    let mut control = None;
+    for i in 0..shards {
+        let root_hub = register_procs(channels.shard(i), &plan, bar.clone());
+        control.get_or_insert(root_hub.map_err(|_| KError::Io)?);
+    }
     Ok(Attached {
         hw,
         plan,
         channels,
         dev,
+        root_hub: control.expect("a channel facade has a shard"),
     })
 }
 
@@ -467,11 +473,19 @@ pub struct DecafUhci {
     pub dev: Rc<std::cell::RefCell<UhciDevice>>,
 }
 
+/// The root-hub entry points the nucleus upcalls, as registered.
+#[derive(Clone, Copy)]
+struct RootHub {
+    suspend: ProcHandle,
+    resume: ProcHandle,
+    count_ports: ProcHandle,
+}
+
 /// Links one channel: the register-access imports and the three
 /// root-hub procedures the slicer moved to the decaf driver.
-fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<()> {
+fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<RootHub> {
     support::register_io_procs(channel, bar)?;
-    support::register_entry(channel, plan, "uhci_rh_suspend", |k, ch, u, _| {
+    let suspend = support::register_entry(channel, plan, "uhci_rh_suspend", |k, ch, u, _| {
         {
             let heap = ch.heap(Domain::Decaf);
             let mut h = heap.borrow_mut();
@@ -481,7 +495,7 @@ fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> Xp
         decaf_writel(k, ch, hwreg::USBCMD, 0x10);
         XdrValue::Int(0)
     })?;
-    support::register_entry(channel, plan, "uhci_rh_resume", |k, ch, u, _| {
+    let resume = support::register_entry(channel, plan, "uhci_rh_resume", |k, ch, u, _| {
         let _cmd = decaf_readl(k, ch, hwreg::USBCMD);
         decaf_writel(k, ch, hwreg::USBCMD, hwreg::CMD_RS);
         {
@@ -492,18 +506,29 @@ fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> Xp
         }
         XdrValue::Int(0)
     })?;
-    support::register_entry(channel, plan, "uhci_count_ports", |k, ch, _, _| {
+    let count_ports = support::register_entry(channel, plan, "uhci_count_ports", |k, ch, _, _| {
         let sc = decaf_readl(k, ch, hwreg::PORTSC1);
         XdrValue::Int(if sc == 0 { 0 } else { 2 })
+    })?;
+    Ok(RootHub {
+        suspend,
+        resume,
+        count_ports,
     })
 }
 
 /// The start of every decaf `insmod`: the kernel-side controller start
 /// (data path), then the user-level port count — no ports, no device.
-fn start_controller(k: &Kernel, hw: &UhciHw, nuc: &NuclearRuntime, u: CAddr) -> KResult<()> {
+fn start_controller(
+    k: &Kernel,
+    hw: &UhciHw,
+    nuc: &NuclearRuntime,
+    root_hub: RootHub,
+    u: CAddr,
+) -> KResult<()> {
     hw.start(k);
     let ports = nuc
-        .upcall_errno(k, "uhci_count_ports", &[Some(u)], &[])
+        .upcall_errno(k, root_hub.count_ports, &[Some(u)], &[])
         .map_err(|_| KError::Io)?;
     if ports == 0 {
         return Err(KError::NoDev);
@@ -519,17 +544,18 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
         plan,
         channels,
         dev,
+        root_hub,
     } = attach_channels(kernel, ChannelConfig::kernel_user_batched(), 1)?;
     let channel = Rc::clone(channels.shard(0));
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
     let (uhci_obj, init_latency_ns) =
         support::load(kernel, "uhci-hcd-decaf", &channels, "uhci_hcd", |k, u| {
-            start_controller(k, &hw, &nuc, u)?;
+            start_controller(k, &hw, &nuc, root_hub, u)?;
             // A suspend/resume cycle as the paper's power management
             // exercise.
-            support::upcall(&nuc, k, "uhci_rh_suspend", u)?;
-            support::upcall(&nuc, k, "uhci_rh_resume", u)?;
+            support::upcall(&nuc, k, root_hub.suspend, u)?;
+            support::upcall(&nuc, k, root_hub.resume, u)?;
             k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
             let hw_irq = Rc::clone(&hw);
             k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
@@ -596,7 +622,7 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
     // staging buffer (audited) and, for IN, copies the result back out
     // — which then marshals back by value too.
     let hw_sub = Rc::clone(&hw);
-    channel
+    let submit = channel
         .register_proc(
             Domain::Decaf,
             ProcDef::scalar("uhci_submit_value", move |k, scalars| {
@@ -626,13 +652,15 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
                 XdrValue::UInt((urb.dir == UrbDir::In) as u32),
                 XdrValue::Opaque(urb.data),
             ];
-            let (from, proc) = (Domain::Nucleus, "uhci_submit_value");
+            let from = Domain::Nucleus;
             let ret = if posted {
                 ch_ops
-                    .call_deferred(k, from, proc, &[], &scalars)
+                    .call_deferred_resolved(k, from, submit, &[], &scalars)
                     .map(|_| None)
             } else {
-                ch_ops.call(k, from, proc, &[], &scalars).map(Some)
+                ch_ops
+                    .call_resolved(k, from, submit, &[], &scalars)
+                    .map(Some)
             }
             .map_err(|_| KError::Io)?;
             let Some(ret) = ret else {
@@ -930,6 +958,7 @@ pub fn install_sharded_with(
         plan,
         channels,
         dev,
+        root_hub,
     } = attach_channels(kernel, ChannelConfig::kernel_user_shmring(), shards)?;
     let urb_path = build_urb_path(&channels, &hw, mode).map_err(|_| KError::Io)?;
 
@@ -941,7 +970,7 @@ pub fn install_sharded_with(
 
     let (uhci_obj, init_latency_ns) =
         support::load(kernel, "uhci-hcd-sharded", &channels, "uhci_hcd", |k, u| {
-            start_controller(k, &hw, &nuc, u)?;
+            start_controller(k, &hw, &nuc, root_hub, u)?;
             let ops = sharded_hcd_ops(Rc::clone(&urb_path), Rc::clone(&pending));
             k.usb_register_hcd(hcd, ops)?;
             let hw_irq = Rc::clone(&hw);

@@ -144,6 +144,16 @@ impl<D: Copy + Default> ShmRing<D> {
         self.stats.get()
     }
 
+    /// The slot after `slot`, wrapping at the end — a compare, not the
+    /// 64-bit division a `%` by the run-time capacity costs on every post
+    /// and every pop.
+    fn after(&self, slot: usize) -> usize {
+        match slot + 1 {
+            next if next == self.capacity() => 0,
+            next => next,
+        }
+    }
+
     fn bump(&self, f: impl FnOnce(&mut RingStats)) {
         let mut s = self.stats.get();
         f(&mut s);
@@ -170,7 +180,7 @@ impl<D: Copy + Default> ShmRing<D> {
         );
         self.slots[slot].set(desc);
         self.owner[slot].set(SlotOwner::Consumer);
-        self.head.set((slot + 1) % self.capacity());
+        self.head.set(self.after(slot));
         let occ = self.occupancy.get() + 1;
         self.occupancy.set(occ);
         kernel.charge(class, costs::RING_POST_NS);
@@ -197,7 +207,7 @@ impl<D: Copy + Default> ShmRing<D> {
         );
         let desc = self.slots[slot].get();
         self.owner[slot].set(SlotOwner::Producer);
-        self.tail.set((slot + 1) % self.capacity());
+        self.tail.set(self.after(slot));
         self.occupancy.set(self.occupancy.get() - 1);
         kernel.charge(class, costs::RING_CACHELINE_NS);
         self.bump(|s| s.pops += 1);

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use decaf_xdr::mask::MaskSet;
-use decaf_xdr::plan::MarshalPlan;
+use decaf_xdr::plan::{MarshalPlan, TypeIds};
 use decaf_xdr::spec::XdrSpec;
 
 use crate::access;
@@ -47,6 +47,12 @@ pub struct EntryPoint {
     pub name: Arc<str>,
     /// Struct-pointer parameters: `(param name, struct type)`.
     pub object_params: Vec<(String, Arc<str>)>,
+    /// The struct types of `object_params`, in order, resolved against
+    /// the image's spec — once per image, so a stub registers with no
+    /// type looked up by name. [`partition`] fills them in after it has
+    /// built the spec from the entry points; [`EntryPoint::from_func`]
+    /// leaves them empty.
+    pub object_ids: TypeIds,
     /// Scalar parameters: `(param name, type)`.
     pub scalar_params: Vec<(String, CType)>,
     /// Return type.
@@ -67,6 +73,7 @@ impl EntryPoint {
         EntryPoint {
             name: f.name.as_str().into(),
             object_params,
+            object_ids: TypeIds::default(),
             scalar_params,
             ret: f.ret.clone(),
         }
@@ -263,6 +270,9 @@ pub fn partition(program: &Program, config: &SliceConfig) -> SliceResult<SlicePl
     //    boundary closure.
     let masks = access::build_masks(program, &user_fns);
     let spec = xdrgen::generate_spec(program, &boundary_structs)?;
+    for ep in user_entry_points.iter_mut().chain(&mut kernel_entry_points) {
+        ep.object_ids = TypeIds::resolve(&spec, ep.object_params.iter().map(|(_, ty)| ty))?;
+    }
 
     Ok(SlicePlan {
         kernel_fns,
@@ -349,6 +359,8 @@ int drv_ethtool_race(struct adapter *a) @kernel_only { return 0; }
             plan.user_entry_points[0].object_params,
             vec![("a".to_string(), "adapter".into())]
         );
+        let adapter = plan.spec.layout("adapter").unwrap().id();
+        assert_eq!(plan.user_entry_points[0].object_ids.as_slice(), [adapter]);
         // drv_open calls no kernel driver function, but it calls the
         // kernel import pci_enable_device.
         assert!(plan.kernel_entry_points.is_empty());

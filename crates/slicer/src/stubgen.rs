@@ -117,11 +117,13 @@ pub fn kernel_stub(ep: &EntryPoint) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decaf_xdr::plan::TypeIds;
 
     fn snd_card_register() -> EntryPoint {
         EntryPoint {
             name: "snd_card_register".into(),
             object_params: vec![("card".into(), "snd_card".into())],
+            object_ids: TypeIds::default(),
             scalar_params: vec![],
             ret: CType::Int,
         }
@@ -153,6 +155,7 @@ mod tests {
         let ep = EntryPoint {
             name: "e1000_check_options".into(),
             object_params: vec![("adapter".into(), "e1000_adapter".into())],
+            object_ids: TypeIds::default(),
             scalar_params: vec![("speed".into(), CType::Int)],
             ret: CType::Int,
         };
@@ -168,6 +171,7 @@ mod tests {
         let ep = EntryPoint {
             name: "get_stats".into(),
             object_params: vec![],
+            object_ids: TypeIds::default(),
             scalar_params: vec![],
             ret: CType::ULongLong,
         };

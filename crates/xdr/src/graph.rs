@@ -327,6 +327,31 @@ impl ObjHeap {
         self.write_field(addr, field, FieldVal::Scalar(value))
     }
 
+    /// Changes a scalar field in place: `f` gets the value to change, and
+    /// the write is tracked exactly as [`ObjHeap::set_scalar`] tracks one
+    /// — one generation bump, recorded as that field's. Nothing is
+    /// cloned, so one member of an embedded struct changes without a copy
+    /// of the rest. A pointer field is a `TypeMismatch`, and nothing is
+    /// bumped.
+    pub fn update_scalar<R>(
+        &mut self,
+        addr: CAddr,
+        field: &str,
+        f: impl FnOnce(&mut XdrValue) -> R,
+    ) -> XdrResult<R> {
+        let generation = self.generation + 1;
+        let obj = self.get_mut_untracked(addr)?;
+        let index = obj.slot_named(field)?;
+        let slot = &mut obj.slots[index];
+        let FieldVal::Scalar(value) = &mut slot.val else {
+            return Err(mismatch("scalar field", "pointer field"));
+        };
+        let out = f(value);
+        slot.gen = generation;
+        self.generation = generation;
+        Ok(out)
+    }
+
     /// Reads a pointer field.
     pub fn ptr(&self, addr: CAddr, field: &str) -> XdrResult<Option<CAddr>> {
         let obj = self.get(addr)?;
@@ -1234,5 +1259,88 @@ mod tests {
         let v = default_value(&XdrType::Struct("node".into()), &s).unwrap();
         assert_eq!(v.field("v"), Some(&XdrValue::Int(0)));
         assert_eq!(v.field("next"), Some(&XdrValue::Optional(None)));
+    }
+
+    /// A delta map for one sender: the generation of each object's last
+    /// send, per direction.
+    #[derive(Default)]
+    struct Sent(BTreeMap<(CAddr, usize), u64>);
+
+    impl DeltaHook for Sent {
+        fn last_sent(&mut self, local: CAddr, dir: Direction) -> Option<u64> {
+            self.0.get(&(local, dir as usize)).copied()
+        }
+        fn mark_sent(&mut self, local: CAddr, dir: Direction, gen: u64) {
+            self.0.insert((local, dir as usize), gen);
+        }
+    }
+
+    fn embedding_spec() -> XdrSpec {
+        XdrSpec::parse(
+            "struct hw { int mac_type; int fc_mode; };\n\
+             struct adapter { int msg_enable; struct hw hw; int link_up; struct node *n; };\n\
+             struct node { int v; };",
+        )
+        .unwrap()
+    }
+
+    /// The next delta of `adapter` out of `heap`: its wire and statistics.
+    fn delta_of(heap: &ObjHeap, adapter: CAddr, sent: &mut Sent) -> (Vec<u8>, DeltaStats) {
+        let (s, full) = (embedding_spec(), MaskSet::full());
+        let id = &|a| a;
+        marshal_args_delta(heap, &[Some(adapter)], &s, &full, Direction::In, id, sent).unwrap()
+    }
+
+    #[test]
+    fn update_scalar_is_the_tracked_write_of_the_clone_and_set_form() {
+        let s = embedding_spec();
+        let member = |v: &mut XdrValue| v.set_field("fc_mode", XdrValue::Int(3));
+        let mut crossings = Vec::new();
+        for in_place in [false, true] {
+            let mut heap = ObjHeap::new();
+            let adapter = heap.alloc_default("adapter", &s).unwrap();
+            let mut sent = Sent::default();
+            delta_of(&heap, adapter, &mut sent);
+            let before = heap.generation();
+            if in_place {
+                heap.update_scalar(adapter, "hw", member).unwrap();
+            } else {
+                let mut hw = heap.scalar(adapter, "hw").unwrap().clone();
+                member(&mut hw);
+                heap.set_scalar(adapter, "hw", hw).unwrap();
+            }
+            assert_eq!(heap.generation(), before + 1, "one bump");
+            assert_eq!(heap.field_gen(adapter, "hw"), before + 1);
+            let fc_mode = heap
+                .scalar(adapter, "hw")
+                .unwrap()
+                .field("fc_mode")
+                .cloned();
+            assert_eq!(fc_mode, Some(XdrValue::Int(3)));
+            crossings.push(delta_of(&heap, adapter, &mut sent));
+        }
+        let (wire, stats) = &crossings[1];
+        assert_eq!(stats.delta_objects, 1);
+        assert_eq!(stats.fields_elided, 3, "only `hw` crosses");
+        assert_eq!(
+            crossings[0],
+            (wire.clone(), *stats),
+            "same wire, same statistics"
+        );
+    }
+
+    #[test]
+    fn update_scalar_of_a_pointer_field_is_refused_untracked() {
+        let s = embedding_spec();
+        let mut heap = ObjHeap::new();
+        let adapter = heap.alloc_default("adapter", &s).unwrap();
+        let (before, field_before) = (heap.generation(), heap.field_gen(adapter, "n"));
+        let refused = heap.update_scalar(adapter, "n", |_| panic!("a pointer is not a scalar"));
+        assert!(matches!(refused, Err(XdrError::TypeMismatch { .. })));
+        assert_eq!(heap.generation(), before, "nothing bumped");
+        assert_eq!(heap.field_gen(adapter, "n"), field_before);
+        let unknown = heap.update_scalar(adapter, "nope", |_| ());
+        assert!(matches!(unknown, Err(XdrError::UnknownField { .. })));
+        assert_eq!(heap.generation(), before);
     }
 }

@@ -29,6 +29,43 @@ use crate::spec::XdrSpec;
 /// [`Layouts`]. Means nothing against another spec.
 pub type TypeId = u32;
 
+/// The struct types of a procedure's object arguments, resolved against
+/// one spec and held inline: whoever keeps them — a registered procedure,
+/// a driver image's entry point — allocates nothing for them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeIds {
+    len: u8,
+    ids: [TypeId; TypeIds::CAPACITY],
+}
+
+impl TypeIds {
+    /// The most object arguments one procedure takes.
+    pub const CAPACITY: usize = 4;
+
+    /// Resolves each struct type `names` lists against `spec`. A name
+    /// `spec` does not define as a struct, or a list longer than
+    /// [`TypeIds::CAPACITY`], is an error.
+    pub fn resolve<S: AsRef<str>>(
+        spec: &XdrSpec,
+        names: impl IntoIterator<Item = S>,
+    ) -> XdrResult<TypeIds> {
+        let mut resolved = TypeIds::default();
+        for (i, name) in names.into_iter().enumerate() {
+            let max = TypeIds::CAPACITY;
+            let slot = resolved.ids.get_mut(i);
+            *slot.ok_or(XdrError::MaxExceeded { max, found: i + 1 })? =
+                spec.layout(name.as_ref())?.id();
+            resolved.len += 1;
+        }
+        Ok(resolved)
+    }
+
+    /// The ids, one per object argument, in order.
+    pub fn as_slice(&self) -> &[TypeId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
 /// What a declared field holds, resolved once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldKind {
@@ -297,6 +334,32 @@ mod tests {
         assert_eq!(spec.layouts().get(ghost).map(|_| ()), unknown);
         assert_eq!(spec.layout("ghost").map(|_| ()), unknown);
         assert!(adapter.template().is_ok(), "a null `g` needs no ghost");
+    }
+
+    #[test]
+    fn type_ids_resolve_inline_up_to_capacity() {
+        let spec = spec();
+        let (ring, adapter) = (
+            spec.layout("ring").unwrap().id(),
+            spec.layout("adapter").unwrap().id(),
+        );
+        let ids = TypeIds::resolve(&spec, ["adapter", "ring"]).unwrap();
+        assert_eq!(ids.as_slice(), [adapter, ring]);
+        assert!(TypeIds::resolve(&spec, [""; 0])
+            .unwrap()
+            .as_slice()
+            .is_empty());
+        assert_eq!(
+            TypeIds::resolve(&spec, ["ring", "ghost"]),
+            Err(XdrError::UnknownType("ghost".into()))
+        );
+        assert_eq!(
+            TypeIds::resolve(&spec, ["ring"; TypeIds::CAPACITY + 1]),
+            Err(XdrError::MaxExceeded {
+                max: TypeIds::CAPACITY,
+                found: TypeIds::CAPACITY + 1
+            })
+        );
     }
 
     #[test]

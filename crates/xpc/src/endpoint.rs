@@ -53,7 +53,7 @@ use std::sync::Arc;
 use decaf_simkernel::{costs, Kernel, TimerId, ViolationKind};
 use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap, WalkScratch};
 use decaf_xdr::mask::{Direction, MaskSet};
-use decaf_xdr::plan::{MarshalPlan, TypeId};
+use decaf_xdr::plan::{MarshalPlan, TypeId, TypeIds};
 use decaf_xdr::{XdrSpec, XdrValue};
 
 use crate::domain::Domain;
@@ -270,7 +270,7 @@ impl ChannelStats {
 #[derive(Clone)]
 pub struct ProcDef {
     /// Procedure name (matches the entry-point name from DriverSlicer).
-    /// Shared: an entry point's stub takes the driver image's copy.
+    /// Shared: registering keeps this pointer, not a copy.
     pub name: Arc<str>,
     /// Struct type of each object argument, in order.
     pub arg_types: Vec<Arc<str>>,
@@ -310,34 +310,37 @@ impl ProcDef {
     }
 }
 
-/// A procedure of one channel end, resolved: the slot
-/// [`XpcChannel::resolve_proc`] found for its name. The name is looked up
-/// once — at first use by whoever calls repeatedly — and the handle is what
-/// a parked [`DeferredCall`] carries. Registering the same name again
-/// replaces the slot's contents, so a held handle never goes stale; it
-/// means nothing on another channel.
+/// A procedure of one channel end, resolved: the slot its registration
+/// returned, or [`XpcChannel::resolve_proc`] found for its name. Whoever
+/// calls a procedure again and again holds its handle, so no call searches
+/// a name; it is also what a parked [`DeferredCall`] carries. Registering
+/// the same name again replaces the slot's contents, so a held handle
+/// never goes stale; it means nothing on another channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcHandle(pub(crate) u32);
 
-/// A registered procedure: its definition plus the layout id of each
-/// object argument, resolved against the channel's spec at registration
-/// so that no call looks a type up by name.
+/// A registered procedure: its handler plus the layout id of each object
+/// argument, resolved against the channel's spec at registration so that
+/// no call looks a type up by name. A clone is one reference-count bump,
+/// and a call runs its own: a handler that re-registers its own name
+/// mid-call finishes with the body it started with.
+#[derive(Clone)]
 struct ProcSlot {
-    def: ProcDef,
-    arg_ids: Box<[TypeId]>,
+    handler: ProcHandler,
+    arg_ids: TypeIds,
 }
 
 /// One end's procedures: name → slot at registration and resolution,
-/// slot → definition on every call.
+/// slot → procedure on every call.
 #[derive(Default)]
 struct ProcTable {
     /// Sorted by name length, then name — an end holds a dozen or two
     /// procedures, so a binary search that mostly compares lengths beats
-    /// hashing the name, and nothing ever rehashes.
+    /// hashing the name, and nothing ever rehashes. The only place a
+    /// procedure's name is kept.
     slot_of: Vec<(Arc<str>, ProcHandle)>,
-    /// Shared, so a call takes a reference-count bump instead of cloning
-    /// a name and an argument-type list.
-    slots: Vec<Rc<ProcSlot>>,
+    /// Indexed by handle.
+    slots: Vec<ProcSlot>,
 }
 
 impl ProcTable {
@@ -346,6 +349,13 @@ impl ProcTable {
         self.slot_of.binary_search_by(|(held, _)| {
             (held.len().cmp(&name.len())).then_with(|| (**held).cmp(name))
         })
+    }
+
+    /// The name `proc` is registered under — a scan, for the cold paths
+    /// that print one.
+    fn name_of(&self, proc: ProcHandle) -> &str {
+        let held = self.slot_of.iter().find(|(_, slot)| *slot == proc);
+        held.map_or("?", |(name, _)| name)
     }
 }
 
@@ -454,7 +464,7 @@ pub struct XpcChannel {
     /// emptied shells of executed calls; the next parked call reuses one
     /// (and its argument vectors' capacity) instead of allocating.
     queue: Cell<Vec<DeferredCall>>,
-    defs: Cell<Vec<Rc<ProcSlot>>>,
+    defs: Cell<Vec<ProcSlot>>,
     spare: RefCell<Vec<DeferredCall>>,
     /// Marshal scratch: the graph walk's tables, borrowed for one
     /// marshal or unmarshal (neither runs a handler, so never nested),
@@ -603,22 +613,46 @@ impl XpcChannel {
             .unwrap_or_default()
     }
 
-    /// Registers a procedure at `domain`'s end. A name registered before
-    /// keeps its slot and gets the new definition. An object argument of
-    /// a struct type the channel's spec does not define is refused.
-    pub fn register_proc(&self, domain: Domain, def: ProcDef) -> XpcResult<()> {
-        self.register(domain, def).map(drop)
+    /// Registers a procedure at `domain`'s end and returns its handle. A
+    /// name registered before keeps its slot — and its handle — and gets
+    /// the new definition. An object argument of a struct type the
+    /// channel's spec does not define is refused.
+    pub fn register_proc(&self, domain: Domain, def: ProcDef) -> XpcResult<ProcHandle> {
+        let arg_ids = TypeIds::resolve(&self.spec, &def.arg_types)?;
+        self.register(domain, &def.name, arg_ids, def.handler)
     }
 
-    /// [`XpcChannel::register_proc`], returning the procedure's slot.
-    fn register(&self, domain: Domain, def: ProcDef) -> XpcResult<ProcHandle> {
+    /// [`XpcChannel::register_proc`] for a procedure whose object
+    /// arguments' types are already resolved — `arg_ids` against `spec`,
+    /// which must be the channel's own (a driver image's entry point
+    /// holds its types resolved against the spec every channel built from
+    /// the image shares). Ids resolved against another spec are refused.
+    pub fn register_resolved(
+        &self,
+        domain: Domain,
+        name: &Arc<str>,
+        arg_ids: TypeIds,
+        spec: &Arc<XdrSpec>,
+        handler: ProcHandler,
+    ) -> XpcResult<ProcHandle> {
+        if !Arc::ptr_eq(spec, &self.spec) {
+            return Err(XpcError::InvalidRequest(format!(
+                "`{name}`: argument types resolved against another spec"
+            )));
+        }
+        self.register(domain, name, arg_ids, handler)
+    }
+
+    fn register(
+        &self,
+        domain: Domain,
+        name: &Arc<str>,
+        arg_ids: TypeIds,
+        handler: ProcHandler,
+    ) -> XpcResult<ProcHandle> {
         let mut procs = self.end(domain)?.procs.borrow_mut();
-        let arg_ids = def.arg_types.iter();
-        let arg_ids = arg_ids.map(|ty| Ok(self.spec.layout(ty)?.id()));
-        let arg_ids = arg_ids.collect::<XpcResult<_>>()?;
-        let name = Arc::clone(&def.name);
-        let registered = Rc::new(ProcSlot { def, arg_ids });
-        match procs.find(&name) {
+        let registered = ProcSlot { handler, arg_ids };
+        match procs.find(name) {
             Ok(at) => {
                 let slot = procs.slot_of[at].1;
                 procs.slots[slot.0 as usize] = registered;
@@ -626,11 +660,24 @@ impl XpcChannel {
             }
             Err(at) => {
                 let slot = ProcHandle(procs.slots.len() as u32);
-                procs.slot_of.insert(at, (name, slot));
+                procs.slot_of.insert(at, (Arc::clone(name), slot));
                 procs.slots.push(registered);
                 Ok(slot)
             }
         }
+    }
+
+    /// Sizes `domain`'s procedure table for `procs` more registrations,
+    /// so registering them grows nothing — what an install calls with the
+    /// count its driver image declares.
+    ///
+    /// # Panics
+    /// Panics if `domain` is not an end of this channel.
+    pub fn reserve_procs(&self, domain: Domain, procs: usize) {
+        let end = self.end(domain).expect("domain not on this channel");
+        let mut table = end.procs.borrow_mut();
+        table.slot_of.reserve_exact(procs);
+        table.slots.reserve_exact(procs);
     }
 
     /// Resolves `proc` as `from` would call it — at the peer end — for
@@ -651,8 +698,8 @@ impl XpcChannel {
     /// looks no name up ([`XpcChannel::io_procs`]).
     pub fn register_io_procs(&self, readl: ProcDef, writel: ProcDef) -> XpcResult<()> {
         let slots = [
-            self.register(Domain::Nucleus, readl)?,
-            self.register(Domain::Nucleus, writel)?,
+            self.register_proc(Domain::Nucleus, readl)?,
+            self.register_proc(Domain::Nucleus, writel)?,
         ];
         self.io_procs.set(Some(slots));
         Ok(())
@@ -665,7 +712,7 @@ impl XpcChannel {
         self.io_procs.get()
     }
 
-    fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<Rc<ProcSlot>> {
+    fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<ProcSlot> {
         let def = target.procs.borrow().slots.get(proc.0 as usize).cloned();
         def.ok_or_else(|| XpcError::UnknownProc {
             domain: target.domain.to_string(),
@@ -848,10 +895,18 @@ impl XpcChannel {
         Ok(wire)
     }
 
-    fn record_atomic_violation(&self, kernel: &Kernel, target: &DomainEnd, what: &str) {
+    /// `proc` is the procedure called; `None`, a batched flush.
+    fn record_atomic_violation(
+        &self,
+        kernel: &Kernel,
+        target: &DomainEnd,
+        proc: Option<ProcHandle>,
+    ) {
         // Upcalls to user level are illegal from atomic context (§3.1.3);
         // record the violation but keep simulating.
         if target.domain.is_user() && !kernel.may_block() {
+            let procs = target.procs.borrow();
+            let what = proc.map_or("batched flush", |proc| procs.name_of(proc));
             kernel.record_violation(
                 ViolationKind::UpcallInAtomic,
                 format!("XPC `{what}` to {} from atomic context", target.domain),
@@ -974,8 +1029,7 @@ impl XpcChannel {
         let caller = self.end(from)?;
         let target = self.peer(from)?;
         let slot = self.def(target, proc)?;
-        let def = &slot.def;
-        self.record_atomic_violation(kernel, target, &def.name);
+        self.record_atomic_violation(kernel, target, Some(proc));
 
         // Steps 2–5: translate, marshal, transfer, unmarshal at the
         // target. Scalar arguments travel by value too: they are encoded
@@ -983,7 +1037,7 @@ impl XpcChannel {
         // smuggled through an opaque scalar pays exactly what it would as
         // an object field.
         let scalar_in: usize = scalars.iter().map(Self::scalar_wire_bytes).sum();
-        let types = || slot.arg_ids.iter().copied();
+        let types = || slot.arg_ids.as_slice().iter().copied();
         let mut locals = self.locals.take();
         locals.clear();
         self.cross(
@@ -1000,7 +1054,7 @@ impl XpcChannel {
 
         // Dispatch, catching user-level faults.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            (def.handler)(kernel, self, &locals, scalars)
+            (slot.handler)(kernel, self, &locals, scalars)
         }));
         let ret = match result {
             Ok(v) => v,
@@ -1424,7 +1478,7 @@ impl XpcChannel {
         let from = group[0].from;
         let caller = self.end(from)?;
         let target = self.peer(from)?;
-        self.record_atomic_violation(kernel, target, "batched flush");
+        self.record_atomic_violation(kernel, target, None);
 
         let mut defs = self.defs.take();
         defs.clear();
@@ -1436,7 +1490,10 @@ impl XpcChannel {
         // so an object repeated across calls crosses once.
         let all_roots: Vec<Option<CAddr>> =
             group.iter().flat_map(|c| c.args.iter().copied()).collect();
-        let all_types = || defs.iter().flat_map(|d| d.arg_ids.iter().copied());
+        let all_types = || {
+            defs.iter()
+                .flat_map(|d| d.arg_ids.as_slice().iter().copied())
+        };
         let scalar_in: usize = group
             .iter()
             .flat_map(|c| c.scalars.iter())
@@ -1461,11 +1518,11 @@ impl XpcChannel {
         // faults contained (deferred calls have no waiting caller).
         let mut offset = 0;
         for (def, call) in defs.iter().zip(group) {
-            let arity = def.arg_ids.len();
+            let arity = def.arg_ids.as_slice().len();
             let call_locals = &locals[offset..offset + arity];
             offset += arity;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                (def.def.handler)(kernel, self, call_locals, &call.scalars)
+                (def.handler)(kernel, self, call_locals, &call.scalars)
             }));
             if result.is_err() {
                 self.bump(|s| s.faults += 1);
@@ -1840,7 +1897,101 @@ mod tests {
         assert!(k
             .violations()
             .iter()
-            .any(|v| v.kind == ViolationKind::UpcallInAtomic));
+            .any(|v| v.kind == ViolationKind::UpcallInAtomic && v.detail.contains("`bad`")));
+    }
+
+    /// A procedure answering with `n`.
+    fn returns(name: &str, n: i32) -> ProcDef {
+        ProcDef::scalar(name, move |_, _| XdrValue::Int(n))
+    }
+
+    #[test]
+    fn registration_hands_out_the_handle_resolution_finds() {
+        let ch = channel();
+        for (i, name) in ["probe", "open", "close"].into_iter().enumerate() {
+            let registered = ch
+                .register_proc(Domain::Decaf, returns(name, i as i32))
+                .unwrap();
+            assert_eq!(
+                ch.resolve_proc(Domain::Nucleus, name),
+                Ok(registered),
+                "{name}"
+            );
+        }
+        let readl = ch
+            .register_proc(Domain::Nucleus, returns("readl", 0))
+            .unwrap();
+        assert_eq!(ch.resolve_proc(Domain::Decaf, "readl"), Ok(readl));
+    }
+
+    #[test]
+    fn a_re_registered_name_keeps_its_handle_and_runs_the_new_body() {
+        let k = Kernel::new();
+        let ch = channel();
+        let first = ch
+            .register_proc(Domain::Decaf, returns("probe", 1))
+            .unwrap();
+        ch.register_proc(Domain::Decaf, returns("open", 2)).unwrap();
+        let held = ch.resolve_proc(Domain::Nucleus, "probe").unwrap();
+        let again = ch
+            .register_proc(Domain::Decaf, returns("probe", 3))
+            .unwrap();
+        assert_eq!(again, first, "the name keeps its slot");
+        let called = ch.call_resolved(&k, Domain::Nucleus, held, &[], &[]);
+        assert_eq!(
+            called,
+            Ok(XdrValue::Int(3)),
+            "a handle held from before runs the new body"
+        );
+        assert_eq!(ch.proc_names(Domain::Decaf), ["open", "probe"]);
+    }
+
+    #[test]
+    fn a_handler_re_registering_its_own_name_finishes_with_its_own_body() {
+        let k = Kernel::new();
+        let ch = channel();
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&ran);
+        let body: ProcHandler = Rc::new(move |_, ch, _, _| {
+            log.borrow_mut().push("old: before");
+            // The last reference the table held to this body goes here.
+            ch.register_proc(Domain::Decaf, returns("swap", 7)).unwrap();
+            log.borrow_mut().push("old: after");
+            XdrValue::Int(1)
+        });
+        let def = ProcDef {
+            name: "swap".into(),
+            arg_types: vec![],
+            handler: body,
+        };
+        let swap = ch.register_proc(Domain::Decaf, def).unwrap();
+        let first = ch.call_resolved(&k, Domain::Nucleus, swap, &[], &[]);
+        assert_eq!(first, Ok(XdrValue::Int(1)));
+        assert_eq!(*ran.borrow(), ["old: before", "old: after"]);
+        let second = ch.call_resolved(&k, Domain::Nucleus, swap, &[], &[]);
+        assert_eq!(
+            second,
+            Ok(XdrValue::Int(7)),
+            "the next call runs the new body"
+        );
+    }
+
+    #[test]
+    fn ids_resolved_against_another_spec_are_refused() {
+        let ch = channel();
+        let foreign = Arc::new(spec());
+        let ids = TypeIds::resolve(&foreign, ["adapter"]).unwrap();
+        let handler: ProcHandler = Rc::new(|_, _, _, _| XdrValue::Void);
+        let name: Arc<str> = "touch".into();
+        let refused = ch.register_resolved(Domain::Decaf, &name, ids, &foreign, handler.clone());
+        assert!(matches!(refused, Err(XpcError::InvalidRequest(_))));
+        assert!(ch.proc_names(Domain::Decaf).is_empty());
+        let own = Arc::clone(ch.spec());
+        let ids = TypeIds::resolve(&own, ["adapter"]).unwrap();
+        let touch = ch
+            .register_resolved(Domain::Decaf, &name, ids, &own, handler)
+            .unwrap();
+        assert_eq!(ch.resolve_proc(Domain::Nucleus, "touch"), Ok(touch));
     }
 
     #[test]

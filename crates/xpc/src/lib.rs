@@ -77,7 +77,9 @@ pub use admission::{
 };
 pub use combolock::{ComboStats, Combolock};
 pub use domain::Domain;
-pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, ProcHandle, SharedObject, XpcChannel};
+pub use endpoint::{
+    ChannelConfig, ChannelStats, ProcDef, ProcHandle, ProcHandler, SharedObject, XpcChannel,
+};
 pub use error::{XpcError, XpcResult};
 pub use ringpath::{DataPathChannel, RingEnd, RingPath, UrbDataPath, UrbReclaim};
 pub use runtime::{DecafRuntime, NuclearRuntime};

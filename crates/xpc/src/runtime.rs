@@ -14,7 +14,7 @@ use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 
 use crate::domain::Domain;
-use crate::endpoint::XpcChannel;
+use crate::endpoint::{ProcHandle, XpcChannel};
 use crate::error::{XpcError, XpcResult};
 
 /// The kernel-side runtime linked into every driver nucleus.
@@ -55,11 +55,12 @@ impl NuclearRuntime {
         self.decaf_invocations.get()
     }
 
-    /// Invokes a decaf-driver procedure with the device IRQ masked.
+    /// Invokes a decaf-driver procedure with the device IRQ masked. `proc`
+    /// is its handle at the decaf end — what registering it returned.
     pub fn upcall(
         &self,
         kernel: &Kernel,
-        proc: &str,
+        proc: ProcHandle,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
@@ -69,7 +70,7 @@ impl NuclearRuntime {
         self.decaf_invocations.set(self.decaf_invocations.get() + 1);
         let result = self
             .channel
-            .call(kernel, Domain::Nucleus, proc, args, scalars);
+            .call_resolved(kernel, Domain::Nucleus, proc, args, scalars);
         if let Some(line) = self.device_irq {
             kernel.enable_irq(line);
         }
@@ -81,7 +82,7 @@ impl NuclearRuntime {
     pub fn upcall_errno(
         &self,
         kernel: &Kernel,
-        proc: &str,
+        proc: ProcHandle,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<i32> {
@@ -193,23 +194,24 @@ mod tests {
 
         // The decaf handler raises the device IRQ mid-execution and then
         // checks it is *not* delivered while it runs.
-        ch.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "probe".into(),
-                arg_types: vec![],
-                handler: Rc::new(move |k, _, _, _| {
-                    k.raise_irq(7);
-                    k.schedule_point();
-                    assert!(k.irq_pending(7), "IRQ must stay masked during the upcall");
-                    XdrValue::Int(0)
-                }),
-            },
-        )
-        .unwrap();
+        let probe = ch
+            .register_proc(
+                Domain::Decaf,
+                ProcDef {
+                    name: "probe".into(),
+                    arg_types: vec![],
+                    handler: Rc::new(move |k, _, _, _| {
+                        k.raise_irq(7);
+                        k.schedule_point();
+                        assert!(k.irq_pending(7), "IRQ must stay masked during the upcall");
+                        XdrValue::Int(0)
+                    }),
+                },
+            )
+            .unwrap();
 
         let rt = NuclearRuntime::new(Rc::clone(&ch), Some(irq_line));
-        rt.upcall(&kernel, "probe", &[], &[]).unwrap();
+        rt.upcall(&kernel, probe, &[], &[]).unwrap();
         assert!(!fired.get());
         // After the upcall returns, the pending IRQ is delivered.
         kernel.schedule_point();
@@ -220,34 +222,36 @@ mod tests {
     #[test]
     fn upcall_errno_maps_ints() {
         let (kernel, ch) = setup();
-        ch.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "ret5".into(),
-                arg_types: vec![],
-                handler: Rc::new(|_, _, _, _| XdrValue::Int(5)),
-            },
-        )
-        .unwrap();
+        let ret5 = ch
+            .register_proc(
+                Domain::Decaf,
+                ProcDef {
+                    name: "ret5".into(),
+                    arg_types: vec![],
+                    handler: Rc::new(|_, _, _, _| XdrValue::Int(5)),
+                },
+            )
+            .unwrap();
         let rt = NuclearRuntime::new(ch, None);
-        assert_eq!(rt.upcall_errno(&kernel, "ret5", &[], &[]).unwrap(), 5);
+        assert_eq!(rt.upcall_errno(&kernel, ret5, &[], &[]).unwrap(), 5);
     }
 
     #[test]
     fn restart_clears_decaf_state() {
         let (kernel, ch) = setup();
-        ch.register_proc(
-            Domain::Decaf,
-            ProcDef {
-                name: "boom".into(),
-                arg_types: vec![],
-                handler: Rc::new(|_, _, _, _| panic!("bug")),
-            },
-        )
-        .unwrap();
+        let boom = ch
+            .register_proc(
+                Domain::Decaf,
+                ProcDef {
+                    name: "boom".into(),
+                    arg_types: vec![],
+                    handler: Rc::new(|_, _, _, _| panic!("bug")),
+                },
+            )
+            .unwrap();
         let nuc = NuclearRuntime::new(Rc::clone(&ch), None);
         let dec = DecafRuntime::new(ch);
-        let err = nuc.upcall(&kernel, "boom", &[], &[]).unwrap_err();
+        let err = nuc.upcall(&kernel, boom, &[], &[]).unwrap_err();
         assert!(matches!(err, XpcError::DecafFault(_)));
         dec.restart().unwrap();
         assert_eq!(dec.restarts(), 1);

@@ -14,7 +14,8 @@ fn main() {
     let drv = decaf_core::drivers::e1000::decaf::install(&kernel, "eth0").expect("install");
 
     // Plant a buggy decaf handler (a null dereference in user code).
-    drv.channel
+    let buggy_diag = drv
+        .channel
         .register_proc(
             Domain::Decaf,
             ProcDef {
@@ -26,10 +27,7 @@ fn main() {
         .unwrap();
 
     // The kernel invokes it; the fault is contained in the XPC layer.
-    let err = drv
-        .nuc
-        .upcall(&kernel, "e1000_buggy_diag", &[], &[])
-        .unwrap_err();
+    let err = drv.nuc.upcall(&kernel, buggy_diag, &[], &[]).unwrap_err();
     match &err {
         XpcError::DecafFault(msg) => println!("decaf driver fault caught: {msg}"),
         other => println!("unexpected: {other}"),
@@ -42,9 +40,15 @@ fn main() {
     decaf_rt.restart().expect("restart");
     println!("decaf driver restarted (restart #{})", decaf_rt.restarts());
 
+    let probe = drv.channel.resolve_proc(Domain::Nucleus, "e1000_probe");
     let ret = drv
         .nuc
-        .upcall(&kernel, "e1000_probe", &[Some(drv.adapter)], &[])
+        .upcall(
+            &kernel,
+            probe.expect("probe registered"),
+            &[Some(drv.adapter)],
+            &[],
+        )
         .expect("re-probe after restart");
     assert_eq!(ret, XdrValue::Int(0));
     println!("re-probe after restart: OK");

@@ -149,11 +149,15 @@ fn upcall_from_interrupt_context_is_flagged() {
     let drv = decaf_core::drivers::e1000::decaf::install(&k, "eth0").unwrap();
     let nuc = Rc::clone(&drv.nuc);
     let adapter = drv.adapter;
+    let watchdog = drv
+        .channel
+        .resolve_proc(Domain::Nucleus, "e1000_watchdog_task")
+        .unwrap();
     let t = k.timer_create(
         "bad_timer",
         Rc::new(move |k| {
             // A timer (softirq) calling the decaf driver directly: illegal.
-            let _ = nuc.upcall(k, "e1000_watchdog_task", &[Some(adapter)], &[]);
+            let _ = nuc.upcall(k, watchdog, &[Some(adapter)], &[]);
         }),
     );
     k.timer_arm(t, 1_000);
