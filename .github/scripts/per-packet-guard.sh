@@ -1,16 +1,15 @@
 #!/bin/sh
 # Prints every line of the NIC data paths that copies a frame out of DMA
-# memory into a `Vec` (`read_bytes(`) or boxes a work item
-# (`schedule_work(`) — the two per-packet allocations PR 20 removed.
-# Product code only: each file up to its trailing test module. A listed
+# memory into a `Vec` (`read_bytes(`) — a per-packet allocation those
+# paths no longer make. (A boxed work item, the other one, no longer
+# compiles: work is queued by handle only.) Product code only: each file up to its trailing test module. A listed
 # file that does not exist prints "<file>: missing", so a move or rename
 # cannot drop it from the guard unnoticed. CI requires the output to be
 # empty:
 #
 #   test -z "$(.github/scripts/per-packet-guard.sh)"
 #
-# Lend the frame (`DmaMemory::with_bytes` + `Kernel::netif_rx`) and queue
-# recurring work by handle (`Kernel::schedule_work_handle`) instead.
+# Lend the frame (`DmaMemory::with_bytes` + `Kernel::netif_rx`) instead.
 set -eu
 cd "$(dirname "$0")/../.."
 for f in \
@@ -29,7 +28,7 @@ do
         continue
     fi
     sed '/^#\[cfg(test)\]/,$d' "$f" |
-        grep -n 'read_bytes(\|schedule_work(' |
+        grep -n 'read_bytes(' |
         sed "s|^|$f:|" || true
 done
 
@@ -101,4 +100,22 @@ do
                 if (scan(substr($0, RSTART + RLENGTH - 1))) report()
             }
         ' || true
+done
+
+# Prints every `allow(dead_code)` in the product code of every crate —
+# state that is stored and never read goes, rather than being silenced.
+# Product code only, each file up to its trailing test module; a listed
+# directory that does not exist prints "<dir>: missing".
+for d in crates/*/src
+do
+    if [ ! -d "$d" ]; then
+        echo "$d: missing"
+        continue
+    fi
+    for f in $(find "$d" -name '*.rs' | sort)
+    do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -n 'allow(dead_code)' |
+            sed "s|^|$f:|" || true
+    done
 done

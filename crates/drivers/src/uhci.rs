@@ -692,16 +692,15 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
     })?;
 
     // Deadline flush for parked OUT URBs (softirq → work item, like
-    // every other batched control path).
-    let ch_flush = Rc::clone(&channel);
+    // every other batched control path), its body built once.
+    let ch = Rc::clone(&channel);
+    let flush: WorkBody = Rc::new(move |k, _| _ = ch.flush_if_due(k));
+    let ch = Rc::clone(&channel);
     let flush_timer = kernel.timer_create(
         "uhci_value_flush",
         Rc::new(move |k| {
-            if ch_flush.pending_deferred() > 0 {
-                let ch = Rc::clone(&ch_flush);
-                k.schedule_work("uhci_value_flush", move |k| {
-                    let _ = ch.flush_if_due(k);
-                });
+            if ch.pending_deferred() > 0 {
+                k.schedule_work_handle(&flush, 0);
             }
         }),
     );

@@ -73,14 +73,10 @@ impl DoorbellPolicy {
         self.armed_at.get().map(|t| now_ns.saturating_sub(t))
     }
 
-    /// Records that the doorbell rang (disarms the deadline).
-    pub fn rang(&self) {
-        self.armed_at.set(None);
-    }
-
-    /// Records that the doorbell rang but the drain left `survivors`
-    /// posts parked (a budgeted consumer, a device that NAKed, a
-    /// recovery re-ring). Disarming unconditionally here is the
+    /// Records that the doorbell rang and the drain left `survivors`
+    /// posts parked: none disarms the deadline, any re-arms it at
+    /// `now_ns` (a budgeted consumer, a device that NAKed, a recovery
+    /// re-ring). Disarming unconditionally here is the
     /// disarm-with-occupancy hazard: with `armed_at` back to `None` and
     /// occupancy below the watermark, [`DoorbellPolicy::due`] can never
     /// deadline-fire again and the survivors wait forever. Rings drain
@@ -112,7 +108,7 @@ mod tests {
         p.note_post(100);
         assert!(!p.due(500, 1));
         assert!(p.due(1_100, 1), "coalescing window expired");
-        p.rang();
+        p.rang_with_survivors(1_100, 0);
         assert!(!p.due(10_000, 0), "nothing pending after the ring");
     }
 

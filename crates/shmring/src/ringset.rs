@@ -274,12 +274,6 @@ impl UrbRingSet {
         self.ring(shard)
     }
 
-    /// Shard `i`'s giveback ring (completions, completer → submitter) —
-    /// [`ShardedRings::completions`] in storage vocabulary.
-    pub fn giveback_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
-        self.completions(shard)
-    }
-
     /// [`ShardedRings::note_post`] in storage vocabulary.
     pub fn note_submit(&self, shard: usize, cookie: u64) {
         self.note_post(shard, cookie);

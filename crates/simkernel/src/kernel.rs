@@ -66,10 +66,6 @@ pub enum ViolationKind {
 pub struct TimerId(usize);
 
 struct TimerEntry {
-    /// A label for whoever inspects the timer table; dispatch never
-    /// reads it (and so never clones it per fire).
-    #[allow(dead_code)]
-    name: String,
     /// `None` once the timer is deleted: whatever the closure captured
     /// is freed with the timer, not with the kernel.
     callback: Option<TimerFn>,
@@ -178,18 +174,22 @@ impl Timers {
     }
 }
 
-/// A registered interrupt handler: name plus callback.
+/// A registered interrupt handler.
 pub type IrqHandler = Rc<dyn Fn(&Kernel)>;
 
 #[derive(Default)]
 struct IrqLine {
-    handler: Option<(String, IrqHandler)>,
+    handler: Option<IrqHandler>,
     disable_depth: u32,
 }
 
+/// Lines of the simulated interrupt controller: one bit each in the
+/// pending and masked words.
+const IRQ_LINES: u32 = 64;
+
 /// The bit of `line` in the pending and masked words.
 fn irq_bit(line: u32) -> u64 {
-    assert!(line < 64, "the simulated interrupt controller has 64 lines");
+    assert!(line < IRQ_LINES, "no such interrupt line");
     1 << line
 }
 
@@ -202,20 +202,10 @@ fn charge_new_shard(busy: &mut Vec<u64>, shard: usize, ns: u64) {
     busy[shard] = ns;
 }
 
-/// The body of a recurring work item: built once by whoever schedules it
-/// every tick (a poll timer, an interrupt handler), queued by handle with
+/// The body of a work item: built once by whoever schedules it (a poll
+/// timer, an interrupt handler, a deadline wakeup), queued by handle with
 /// one argument word ([`Kernel::schedule_work_handle`]).
 pub type WorkBody = Rc<dyn Fn(&Kernel, u64)>;
-
-/// One entry of the work queue. Both kinds wait in the same FIFO, run in
-/// process context and count the same.
-enum WorkItem {
-    /// Rare work (a watchdog, a deadline flush): a boxed closure of its own.
-    Once(Box<dyn FnOnce(&Kernel)>),
-    /// Recurring work: a shared body and this run's argument word, so
-    /// queueing it allocates nothing.
-    Handle(WorkBody, u64),
-}
 
 /// A loaded kernel module record.
 #[derive(Debug, Clone)]
@@ -255,7 +245,8 @@ pub(crate) struct Inner {
     /// One bit per line: `disable_depth > 0`.
     irq_masked: Cell<u64>,
     timers: RefCell<Timers>,
-    work: RefCell<VecDeque<WorkItem>>,
+    /// Queued work: a shared body and its run's argument word.
+    work: RefCell<VecDeque<(WorkBody, u64)>>,
     modules: RefCell<Vec<LoadedModule>>,
     violations: RefCell<Vec<Violation>>,
     stats: Cell<KernelStats>,
@@ -568,13 +559,18 @@ impl Kernel {
 
     // ---------------------------------------------------------- IRQs
 
-    /// Registers `handler` on IRQ `line` (like `request_irq`).
+    /// Registers `handler` on IRQ `line` (like `request_irq`). A line
+    /// the controller does not have is refused with [`KError::Inval`].
+    /// `name` labels the call site for the reader; the kernel keeps none.
     pub fn request_irq(
         &self,
         line: u32,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         handler: Rc<dyn Fn(&Kernel)>,
     ) -> KResult<()> {
+        if line >= IRQ_LINES {
+            return Err(KError::Inval);
+        }
         let mut irqs = self.inner.irqs.borrow_mut();
         let line = line as usize;
         if irqs.len() <= line {
@@ -583,7 +579,7 @@ impl Kernel {
         if irqs[line].handler.is_some() {
             return Err(KError::Busy);
         }
-        irqs[line].handler = Some((name.into(), handler));
+        irqs[line].handler = Some(handler);
         Ok(())
     }
 
@@ -629,7 +625,7 @@ impl Kernel {
 
     /// Whether `line` currently has undelivered pending interrupts.
     pub fn irq_pending(&self, line: u32) -> bool {
-        line < 64 && self.inner.irq_pending.get() & irq_bit(line) != 0
+        line < IRQ_LINES && self.inner.irq_pending.get() & irq_bit(line) != 0
     }
 
     /// Raises IRQ `line` (called by device models).
@@ -644,11 +640,11 @@ impl Kernel {
 
     // -------------------------------------------------------- timers
 
-    /// Creates a timer; it does not fire until armed.
-    pub fn timer_create(&self, name: impl Into<String>, callback: Rc<dyn Fn(&Kernel)>) -> TimerId {
+    /// Creates a timer; it does not fire until armed. `name` labels the
+    /// call site for the reader; the kernel keeps none.
+    pub fn timer_create(&self, _name: impl Into<String>, callback: Rc<dyn Fn(&Kernel)>) -> TimerId {
         let mut timers = self.inner.timers.borrow_mut();
         timers.entries.push(TimerEntry {
-            name: name.into(),
             callback: Some(callback),
             period_ns: None,
             slot: None,
@@ -716,25 +712,16 @@ impl Kernel {
 
     // ---------------------------------------------------- work queue
 
-    /// Schedules a work item to run in process context at the next
-    /// scheduling point (like `schedule_work`).
+    /// Schedules one run of `body` with `arg` in process context at the
+    /// next scheduling point (like `schedule_work`), behind whatever is
+    /// already queued.
     ///
     /// Work items may block — this is how high-priority code defers
-    /// operations that must reach the decaf driver (§3.1.3).
-    ///
-    /// The item is a boxed closure of its own: right for rare work. `name`
-    /// labels the call site for the reader; dispatch does not keep it.
-    pub fn schedule_work(&self, _name: &'static str, f: impl FnOnce(&Kernel) + 'static) {
-        let item = WorkItem::Once(Box::new(f));
-        self.inner.work.borrow_mut().push_back(item);
-    }
-
-    /// Schedules one run of `body` with `arg`, on the same queue and under
-    /// the same rules as [`Kernel::schedule_work`]. Code that schedules
-    /// the same work every tick builds the body once and queues it by
-    /// handle: a reference-count bump and one word, no allocation.
+    /// operations that must reach the decaf driver (§3.1.3). The body is
+    /// built once and queued by handle: a reference-count bump and one
+    /// word, no allocation.
     pub fn schedule_work_handle(&self, body: &WorkBody, arg: u64) {
-        let item = WorkItem::Handle(Rc::clone(body), arg);
+        let item = (Rc::clone(body), arg);
         self.inner.work.borrow_mut().push_back(item);
     }
 
@@ -778,7 +765,7 @@ impl Kernel {
                 .irqs
                 .borrow()
                 .get(line as usize)
-                .and_then(|l| l.handler.as_ref().map(|(_, h)| Rc::clone(h)));
+                .and_then(|l| l.handler.clone());
             // A pending line with no handler is spurious: dropped.
             if let Some(handler) = handler {
                 let _span = self.trace_span("kernel", "irq");
@@ -806,16 +793,13 @@ impl Kernel {
     }
 
     fn run_one_work(&self) -> bool {
-        let Some(item) = self.inner.work.borrow_mut().pop_front() else {
+        let Some((body, arg)) = self.inner.work.borrow_mut().pop_front() else {
             return false;
         };
         let _span = self.trace_span("kernel", "work");
         self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
         self.bump_stats(|s| s.work_executed += 1);
-        self.with_context(ExecContext::Process, || match item {
-            WorkItem::Once(f) => f(self),
-            WorkItem::Handle(body, arg) => body(self, arg),
-        });
+        self.with_context(ExecContext::Process, || body(self, arg));
         true
     }
 
@@ -839,33 +823,6 @@ impl Kernel {
             self.advance_idle(step);
         }
         self.schedule_point();
-    }
-
-    /// Dispatches until no IRQ, timer-due or work remains (bounded by
-    /// `max_ns` of virtual time to guarantee termination).
-    pub fn run_until_idle(&self, max_ns: u64) {
-        let end = self.now_ns() + max_ns;
-        loop {
-            self.schedule_point();
-            let has_work = self.work_pending() > 0;
-            let now = self.now_ns();
-            let next_timer = self.next_timer_deadline();
-            if !has_work && next_timer.is_none() {
-                break;
-            }
-            if now >= end {
-                break;
-            }
-            if let Some(d) = next_timer {
-                let step = d.clamp(now, end).saturating_sub(now);
-                if step > 0 {
-                    self.advance_idle(step);
-                }
-            }
-            if next_timer.is_none() && !has_work {
-                break;
-            }
-        }
     }
 
     // -------------------------------------------------------- modules
@@ -977,6 +934,26 @@ mod tests {
     }
 
     #[test]
+    fn a_line_the_controller_lacks_is_refused() {
+        let k = Kernel::new();
+        let fired = Rc::new(StdCell::new(0));
+        let f = Rc::clone(&fired);
+        let handler: IrqHandler = Rc::new(move |_| f.set(f.get() + 1));
+        for line in [IRQ_LINES, IRQ_LINES + 1, u32::MAX] {
+            let refused = k.request_irq(line, "past_the_end", Rc::clone(&handler));
+            assert_eq!(refused, Err(KError::Inval), "line {line}");
+            assert!(!k.irq_pending(line));
+            k.free_irq(line); // nothing registered: no panic, nothing freed
+        }
+        assert!(k.inner.irqs.borrow().is_empty(), "no line table grown");
+        // The last line the controller has still works.
+        k.request_irq(IRQ_LINES - 1, "last", handler).unwrap();
+        k.raise_irq(IRQ_LINES - 1);
+        k.schedule_point();
+        assert_eq!(fired.get(), 1);
+    }
+
+    #[test]
     fn a_freed_line_delivers_again_even_if_it_was_freed_disabled() {
         // A driver removed while the nuclear runtime holds its interrupt
         // masked, then reloaded: the new owner's line must deliver.
@@ -1063,9 +1040,8 @@ mod tests {
         let k = Kernel::new();
         let ok = Rc::new(StdCell::new(false));
         let o = Rc::clone(&ok);
-        k.schedule_work("deferred", move |k| {
-            o.set(k.may_block());
-        });
+        let body: WorkBody = Rc::new(move |k, _| o.set(k.may_block()));
+        k.schedule_work_handle(&body, 0);
         assert_eq!(k.work_pending(), 1);
         k.schedule_point();
         assert!(ok.get(), "work items may block");
@@ -1073,28 +1049,26 @@ mod tests {
         assert_eq!(k.stats().work_executed, 1);
     }
 
+    /// A body that logs `(label, arg)` for each run.
+    fn logging_body(log: &Rc<std::cell::RefCell<Vec<(u64, u64)>>>, label: u64) -> WorkBody {
+        let log = Rc::clone(log);
+        Rc::new(move |_, arg| log.borrow_mut().push((label, arg)))
+    }
+
     #[test]
-    fn boxed_and_by_handle_work_share_one_fifo_and_one_count() {
+    fn work_runs_in_the_order_queued_whichever_body() {
         let k = Kernel::new();
         let order = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let log = Rc::clone(&order);
-        let body: WorkBody = Rc::new(move |k, arg| {
-            assert!(k.may_block(), "by-handle work runs in process context");
-            log.borrow_mut().push(arg);
-        });
-        let boxed = |label: u64| {
-            let log = Rc::clone(&order);
-            move |_: &Kernel| log.borrow_mut().push(label)
-        };
-        k.schedule_work_handle(&body, 1);
-        k.schedule_work("a", boxed(2));
-        k.schedule_work_handle(&body, 3);
-        k.schedule_work("b", boxed(4));
-        assert_eq!(k.work_pending(), 4, "both kinds wait in one queue");
+        let (a, b) = (logging_body(&order, 0), logging_body(&order, 1));
+        k.schedule_work_handle(&a, 1);
+        k.schedule_work_handle(&b, 2);
+        k.schedule_work_handle(&a, 3);
+        k.schedule_work_handle(&b, 4);
+        assert_eq!(k.work_pending(), 4, "one queue");
         k.schedule_point();
-        assert_eq!(*order.borrow(), [1, 2, 3, 4], "in the order queued");
+        assert_eq!(*order.borrow(), [(0, 1), (1, 2), (0, 3), (1, 4)]);
         assert_eq!(k.work_pending(), 0);
-        assert_eq!(k.stats().work_executed, 4, "and both kinds count");
+        assert_eq!(k.stats().work_executed, 4);
         assert_eq!(k.now_ns(), 4 * costs::SOFTIRQ_DISPATCH_NS, "at one price");
     }
 
@@ -1109,13 +1083,14 @@ mod tests {
             if round == 0 {
                 let me = again.borrow().clone().expect("set before the first run");
                 k.schedule_work_handle(&me, 1);
-                assert_eq!(k.work_pending(), 2, "queued behind the boxed item");
+                assert_eq!(k.work_pending(), 2, "queued behind the waiting item");
             }
         });
         *me.borrow_mut() = Some(Rc::clone(&body));
         let log = Rc::clone(&order);
+        let waiting: WorkBody = Rc::new(move |_, _| log.borrow_mut().push(100));
         k.schedule_work_handle(&body, 0);
-        k.schedule_work("waiting", move |_| log.borrow_mut().push(100));
+        k.schedule_work_handle(&waiting, 0);
         k.schedule_point();
         // Not re-entered from inside its own run: behind what was waiting,
         // in the same dispatch.
@@ -1132,12 +1107,10 @@ mod tests {
         let k = Kernel::new();
         let ran_in = Rc::new(StdCell::new(None::<bool>));
         let r = Rc::clone(&ran_in);
+        let task: WorkBody = Rc::new(move |k, _| r.set(Some(k.may_block())));
         let t = k.timer_create(
             "watchdog",
-            Rc::new(move |k| {
-                let r2 = Rc::clone(&r);
-                k.schedule_work("watchdog_task", move |k| r2.set(Some(k.may_block())));
-            }),
+            Rc::new(move |k| k.schedule_work_handle(&task, 0)),
         );
         k.timer_arm(t, 100);
         k.run_for(200);
@@ -1417,16 +1390,19 @@ mod tests {
     }
 
     #[test]
-    fn run_until_idle_drains_chained_work() {
+    fn run_for_drains_chained_work() {
         let k = Kernel::new();
         let count = Rc::new(StdCell::new(0));
         let c = Rc::clone(&count);
-        k.schedule_work("a", move |k| {
+        let second: WorkBody = Rc::new(move |_, _| c.set(c.get() + 1));
+        let c = Rc::clone(&count);
+        let first: WorkBody = Rc::new(move |k, _| {
             c.set(c.get() + 1);
-            let c2 = Rc::clone(&c);
-            k.schedule_work("b", move |_| c2.set(c2.get() + 1));
+            k.schedule_work_handle(&second, 0);
         });
-        k.run_until_idle(1_000_000);
+        k.schedule_work_handle(&first, 0);
+        k.run_for(0);
         assert_eq!(count.get(), 2);
+        assert_eq!(k.work_pending(), 0);
     }
 }

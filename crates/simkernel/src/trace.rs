@@ -238,7 +238,8 @@ mod tests {
         k.raise_irq(1);
         let timer = k.timer_create("tick", Rc::new(|_| {}));
         k.timer_arm(timer, 10);
-        k.schedule_work("job", |_| {});
+        let job: crate::kernel::WorkBody = Rc::new(|_, _| {});
+        k.schedule_work_handle(&job, 0);
         k.run_for(100);
         let names: Vec<String> = t.events().iter().map(|e| e.name.to_string()).collect();
         for expected in ["irq", "timer", "work"] {

@@ -32,12 +32,11 @@
 //!
 //! On the launching kind ([`TransportKind::Async`]), a flush goes one
 //! step further: it **launches** the crossing instead of blocking on it.
-//! [`XpcChannel::call_async`] returns a
-//! [`crate::transport::CompletionToken`]; the batch's crossing latency is
-//! banked at launch and settled by [`XpcChannel::harvest`] (or
-//! [`XpcChannel::wait_token`]) — computation that ran while the crossing
-//! was in flight counts as overlap ([`ChannelStats::overlap_ns`]), and
-//! only the *uncovered* remainder is charged as wait. Data effects
+//! [`XpcChannel::call_deferred`] returns the call's
+//! [`crate::transport::CompletionToken`]; the batch is launched with its
+//! crossing latency, which [`XpcChannel::harvest`] settles — computation
+//! that ran while the crossing was in flight counts as overlap
+//! ([`ChannelStats::overlap_ns`]), and only the *uncovered* remainder is charged as wait. Data effects
 //! (unmarshal, dispatch, out-parameters) still land at flush time; only
 //! the latency accounting is deferred.
 //!
@@ -50,6 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::{costs, Kernel, TimerId, ViolationKind};
 use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap, WalkScratch};
 use decaf_xdr::mask::{Direction, MaskSet};
@@ -189,13 +189,13 @@ pub struct ChannelStats {
     pub doorbells: u64,
     /// Highest data-path ring occupancy observed.
     pub ring_occupancy_hwm: u64,
-    /// Completion tokens issued by async calls (every async call gets
-    /// one; on a non-async transport the call resolves synchronously and
-    /// the token is born resolved).
+    /// Completion tokens issued to deferred calls: one per call parked on
+    /// a launching transport, none on any other kind.
     pub tokens_issued: u64,
-    /// Tokens resolved by harvest (or synchronously, on a non-async
-    /// transport). Conservation: `tokens_issued == tokens_harvested +
-    /// tokens_cancelled` once the channel quiesces.
+    /// Tokens resolved by harvest, or synchronously when their call ran
+    /// outside a launch (a failed batch's fallback, a requeue onto a kind
+    /// that does not queue). Conservation: `tokens_issued ==
+    /// tokens_harvested + tokens_cancelled` once the channel quiesces.
     pub tokens_harvested: u64,
     /// Tokens cancelled by fault recovery before their call launched.
     pub tokens_cancelled: u64,
@@ -805,12 +805,10 @@ impl XpcChannel {
         let class = payer.cpu_class();
         let (kind, domain_crossing) = (self.config.transport, self.config.domain_crossing);
         let cost = kind.crossing_cost_ns(domain_crossing);
-        if launch {
-            // A launch banks the crossing latency for harvest to settle;
-            // the marshal work below is CPU time spent *now* and is
-            // charged regardless.
-            self.deferred.bank(cost);
-        } else {
+        // A launched transfer's latency goes with its batch, for harvest
+        // to settle; the marshal work below is CPU time spent *now* and
+        // is charged regardless.
+        if !launch {
             kernel.charge(class, cost);
             kernel.trace_instant(
                 "xpc.crossing",
@@ -915,7 +913,7 @@ impl XpcChannel {
     }
 
     /// One leg of a crossing, stub steps 2–5: marshal `roots` out of
-    /// `src`, transfer (banked instead of charged when `launch`), and
+    /// `src`, transfer (left to the launched batch when `launch`), and
     /// unmarshal into `dst` as `types`. `scalar_bytes` ride the same
     /// transfer. The objects' addresses at `dst` go to `each_root`.
     ///
@@ -948,8 +946,6 @@ impl XpcChannel {
             Direction::In => s.bytes_in += bytes as u64,
             Direction::Out => s.bytes_out += bytes as u64,
         });
-        // Only this transfer is banked: nested synchronous calls made by
-        // the handlers price their own crossings normally.
         self.charge_transfer(kernel, launch, src.domain, bytes);
         if !objects {
             return Ok(());
@@ -1104,6 +1100,13 @@ impl XpcChannel {
     /// call on the channel. Handler faults during a flush are counted in
     /// [`ChannelStats::faults`] but not propagated (there is no caller
     /// waiting for the result).
+    ///
+    /// `Some(token)`: parked on a launching channel, which tracks every
+    /// deferred call, whoever enqueued it; the token resolves when
+    /// [`XpcChannel::harvest`] settles the call's launch, or is cancelled
+    /// when fault recovery drops the call first. `None`: parked
+    /// untracked, or — on a kind that does not queue — executed on the
+    /// spot.
     pub fn call_deferred(
         &self,
         kernel: &Kernel,
@@ -1111,30 +1114,15 @@ impl XpcChannel {
         proc: &str,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
-    ) -> XpcResult<()> {
+    ) -> XpcResult<Option<CompletionToken>> {
         // Validate eagerly: at flush time the error could not be
         // attributed to this call site.
         let proc = self.resolve_proc(from, proc)?;
-        self.park(kernel, from, proc, args, scalars).map(|_| ())
+        self.call_deferred_resolved(kernel, from, proc, args, scalars)
     }
 
     /// [`XpcChannel::call_deferred`] on an already-resolved procedure.
     pub fn call_deferred_resolved(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        proc: ProcHandle,
-        args: &[Option<CAddr>],
-        scalars: &[XdrValue],
-    ) -> XpcResult<()> {
-        self.park(kernel, from, proc, args, scalars).map(|_| ())
-    }
-
-    /// Offers one call to the queue. `Some(token)`: parked on a launching
-    /// channel, which tracks every deferred call, whoever enqueued it.
-    /// `None`: parked untracked, or — on a kind that does not queue —
-    /// executed synchronously.
-    fn park(
         &self,
         kernel: &Kernel,
         from: Domain,
@@ -1171,56 +1159,12 @@ impl XpcChannel {
         }
     }
 
-    /// Keeps an executed call's emptied shell for the next [`park`].
-    ///
-    /// [`park`]: XpcChannel::park
+    /// Keeps an executed call's emptied shell for the next deferred call.
     fn recycle(&self, mut call: DeferredCall) {
         call.args.clear();
         call.scalars.clear();
         call.token = None;
         self.spare.borrow_mut().push(call);
-    }
-
-    /// Issues a result-free call asynchronously, returning a
-    /// [`CompletionToken`] that resolves when the call's launch crossing
-    /// is harvested. On a kind that does not launch the call degrades to
-    /// that kind's own policy (batched deferral or a synchronous call)
-    /// and the token is born resolved — drivers use one code path, the
-    /// transport kind decides how asynchronous it really is.
-    pub fn call_async(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        proc: &str,
-        args: &[Option<CAddr>],
-        scalars: &[XdrValue],
-    ) -> XpcResult<CompletionToken> {
-        let proc = self.resolve_proc(from, proc)?;
-        self.call_async_resolved(kernel, from, proc, args, scalars)
-    }
-
-    /// [`XpcChannel::call_async`] on an already-resolved procedure.
-    pub(crate) fn call_async_resolved(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        proc: ProcHandle,
-        args: &[Option<CAddr>],
-        scalars: &[XdrValue],
-    ) -> XpcResult<CompletionToken> {
-        match self.park(kernel, from, proc, args, scalars)? {
-            Some(token) => Ok(token),
-            // Parked on a batched channel (the token resolves with the
-            // next flush, which is synchronous there) or executed on the
-            // spot: either way the token is born resolved.
-            None => {
-                self.bump(|s| {
-                    s.tokens_issued += 1;
-                    s.tokens_harvested += 1;
-                });
-                Ok(self.deferred.mint_resolved())
-            }
-        }
     }
 
     /// Re-parks a deferred call taken out by [`XpcChannel::take_deferred`]
@@ -1266,8 +1210,8 @@ impl XpcChannel {
         self.deferred.outstanding()
     }
 
-    /// Harvests every launched batch: settles each batch's banked
-    /// crossing latency against the virtual time that elapsed since its
+    /// Harvests every launched batch: settles each batch's crossing
+    /// latency against the virtual time that elapsed since its
     /// launch — elapsed time is *overlap* (the crossing was hidden
     /// behind computation or idle latency), only the uncovered remainder
     /// is charged as wait. Returns the resolved tokens.
@@ -1287,28 +1231,6 @@ impl XpcChannel {
             s.tokens_harvested += done.settled;
         });
         done.tokens
-    }
-
-    /// Resolves one token: flushes the queue if the token's call has not
-    /// launched yet, then harvests. Returns every token resolved along
-    /// the way (harvest settles whole batches, never single calls).
-    pub fn wait_token(
-        &self,
-        kernel: &Kernel,
-        token: CompletionToken,
-    ) -> XpcResult<Vec<CompletionToken>> {
-        let Some(launched) = self.deferred.unresolved(token) else {
-            return Ok(Vec::new());
-        };
-        if !launched {
-            self.flush(kernel)?;
-        }
-        let resolved = self.harvest(kernel);
-        debug_assert!(
-            self.deferred.unresolved(token).is_none(),
-            "wait_token must resolve its token"
-        );
-        Ok(resolved)
     }
 
     /// Flushes the deferred queue only if its rule says a flush is
@@ -1343,26 +1265,25 @@ impl XpcChannel {
         if self.wakeup.get().is_some() {
             return;
         }
-        let cb = Rc::downgrade(self);
+        // Timer callbacks run in softirq context, where an upcall to user
+        // level is illegal — the flush runs as a work item (process
+        // context), built once here and queued by handle, the same
+        // pattern the drivers' poll timers use.
+        let ch = Rc::downgrade(self);
+        let flush: WorkBody = Rc::new(move |k, _| {
+            if let Some(ch) = ch.upgrade() {
+                ch.deadline_flush(k);
+            }
+        });
+        let ch = Rc::downgrade(self);
         let timer = kernel.timer_create(
             "xpc.deadline",
             Rc::new(move |k: &Kernel| {
-                let Some(ch) = cb.upgrade() else { return };
-                if ch.deferred.pending() == 0 {
-                    // The queue flushed through another path before the
-                    // timer fired; nothing to do, nothing to re-arm.
-                    return;
+                // Nothing parked: the queue flushed through another path
+                // before the timer fired; nothing to do, nothing to re-arm.
+                if ch.upgrade().is_some_and(|ch| ch.deferred.pending() > 0) {
+                    k.schedule_work_handle(&flush, 0);
                 }
-                // Timer callbacks run in softirq context, where an
-                // upcall to user level is illegal — defer the flush to
-                // a work item (process context), the same pattern the
-                // drivers' poll timers use.
-                let work = cb.clone();
-                k.schedule_work("xpc.deadline_flush", move |k| {
-                    if let Some(ch) = work.upgrade() {
-                        ch.deadline_flush(k);
-                    }
-                });
             }),
         );
         self.wakeup.set(Some(DeadlineWakeup { timer, shard }));
@@ -1433,7 +1354,6 @@ impl XpcChannel {
                     .position(|c| c.from != from)
                     .map_or(queue.len(), |p| i + p);
                 if self.flush_group(kernel, &queue[i..end]).is_err() {
-                    self.deferred.abort_launch();
                     for call in &queue[i..end] {
                         let one = self.call_inner(
                             kernel,
@@ -1466,9 +1386,9 @@ impl XpcChannel {
 
     /// Executes one same-direction batch of deferred calls as a single
     /// crossing — *launched* rather than waited on, on a launching kind:
-    /// the two crossing charges are banked against the batch's tokens
-    /// and settled at harvest, while the data effects (unmarshal,
-    /// dispatch, out-parameter return) land right here.
+    /// the batch is launched with its two legs' latency, which harvest
+    /// settles against the batch's tokens, while the data effects
+    /// (unmarshal, dispatch, out-parameter return) land right here.
     ///
     /// `Err` means no handler ran, so the caller may still execute the
     /// group call by call.
@@ -1545,8 +1465,7 @@ impl XpcChannel {
         if returned.is_err() {
             // The handlers have run (one freed an argument, say): the
             // group is done and must not run again. One fault, nothing
-            // banked, and its tokens resolve here, synchronously.
-            self.deferred.abort_launch();
+            // launched, and its tokens resolve here, synchronously.
             self.bump(|s| s.faults += 1);
             self.resolve_tokens(group.iter().filter_map(|c| c.token));
             return Ok(());
@@ -1556,7 +1475,10 @@ impl XpcChannel {
         self.defs.set(defs);
 
         if launch {
-            self.deferred.launch(kernel, from.cpu_class(), group);
+            let config = self.config;
+            let leg = config.transport.crossing_cost_ns(config.domain_crossing);
+            self.deferred
+                .launch(kernel, from.cpu_class(), group, 2 * leg);
         }
 
         self.bump(|s| {
@@ -2306,9 +2228,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, XpcError::UnknownProc { .. }));
         assert_eq!(ch.pending_deferred(), 0);
-        // The async form too, and the error names what was asked for.
+        // On a launching channel too, and the error names what was asked
+        // for.
         let err = async_channel()
-            .call_async(&k, Domain::Nucleus, "nope", &[], &[])
+            .call_deferred(&k, Domain::Nucleus, "nope", &[], &[])
             .unwrap_err();
         assert!(matches!(err, XpcError::UnknownProc { proc, .. } if proc == "nope"));
     }
@@ -2460,26 +2383,26 @@ mod tests {
         register_noop(&ch, "touch");
         let adapter = alloc_adapter(&ch);
         let t = ch
-            .call_async(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+            .call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
             .unwrap();
         assert_eq!(ch.tokens_outstanding(), 1);
         ch.flush(&k).unwrap();
-        // The launch charged marshal work but banked the two crossing
-        // latencies (2 × (DOMAIN_CROSSING + BATCH_DOORBELL)).
-        let banked = 2 * (costs::DOMAIN_CROSSING_NS + costs::BATCH_DOORBELL_NS);
+        // The launch charged marshal work but left the two crossing
+        // latencies (2 × (DOMAIN_CROSSING + BATCH_DOORBELL)) to harvest.
+        let legs = 2 * (costs::DOMAIN_CROSSING_NS + costs::BATCH_DOORBELL_NS);
         assert_eq!(ch.stats().flushes, 1, "flush launched the batch");
         // Idle latency fully covers the crossings: harvest charges zero.
-        k.run_for(banked);
+        k.run_for(legs);
         let busy_mid = k.snapshot().kernel_busy_ns;
         let resolved = ch.harvest(&k);
-        assert_eq!(resolved, vec![t]);
+        assert_eq!(resolved, Vec::from_iter(t));
         assert_eq!(
             k.snapshot().kernel_busy_ns,
             busy_mid,
             "a fully covered crossing charges nothing at harvest"
         );
         let s = ch.stats();
-        assert_eq!(s.overlap_ns, banked, "whole crossing was overlap");
+        assert_eq!(s.overlap_ns, legs, "whole crossing was overlap");
         assert_eq!(s.tokens_issued, 1);
         assert_eq!(s.tokens_harvested, 1);
         assert_eq!(ch.tokens_outstanding(), 0);
@@ -2491,7 +2414,7 @@ mod tests {
         let ch = async_channel();
         register_noop(&ch, "touch");
         let adapter = alloc_adapter(&ch);
-        ch.call_async(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
             .unwrap();
         ch.flush(&k).unwrap();
         // No time passes between launch and harvest: zero overlap, the
@@ -2508,24 +2431,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_token_flushes_unlaunched_call_and_resolves() {
-        let k = Kernel::new();
-        let ch = async_channel();
-        register_noop(&ch, "touch");
-        let adapter = alloc_adapter(&ch);
-        let t = ch
-            .call_async(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
-            .unwrap();
-        assert_eq!(ch.pending_deferred(), 1, "still parked");
-        let resolved = ch.wait_token(&k, t).unwrap();
-        assert!(resolved.contains(&t));
-        assert_eq!(ch.tokens_outstanding(), 0);
-        // Waiting again on a resolved token is a no-op.
-        assert!(ch.wait_token(&k, t).unwrap().is_empty());
-    }
-
-    #[test]
-    fn async_degrades_on_non_async_transports_with_resolved_tokens() {
+    fn call_deferred_issues_a_token_only_on_a_launching_channel() {
         let k = Kernel::new();
         for config in [
             ChannelConfig::kernel_user(),
@@ -2540,17 +2446,75 @@ mod tests {
             );
             register_noop(&ch, "touch");
             let adapter = alloc_adapter(&ch);
-            let t = ch
-                .call_async(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
-                .unwrap();
-            assert_eq!(ch.tokens_outstanding(), 0, "token born resolved");
-            assert!(ch.wait_token(&k, t).unwrap().is_empty());
+            let issued = ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[]);
+            assert_eq!(issued, Ok(None), "{config:?}");
             ch.flush(&k).unwrap();
+            assert!(ch.harvest(&k).is_empty(), "{config:?}: nothing launches");
             let s = ch.stats();
-            assert_eq!(s.tokens_issued, 1);
-            assert_eq!(s.tokens_harvested, 1);
-            assert_eq!(s.overlap_ns, 0, "nothing launches on a sync transport");
+            let tokens = (s.tokens_issued, s.tokens_harvested, ch.tokens_outstanding());
+            assert_eq!(tokens, (0, 0, 0), "{config:?}");
         }
+        // On a launching channel the token stays on the ledger, parked
+        // and then launched, until harvest settles it…
+        let ch = async_channel();
+        register_noop(&ch, "touch");
+        let adapter = alloc_adapter(&ch);
+        let t = ch
+            .call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+            .unwrap()
+            .expect("a launching channel issues a token");
+        assert_eq!(ch.tokens_outstanding(), 1, "parked");
+        ch.flush(&k).unwrap();
+        assert_eq!(ch.tokens_outstanding(), 1, "launched, not yet harvested");
+        assert_eq!(ch.harvest(&k), vec![t]);
+        assert_eq!(ch.tokens_outstanding(), 0);
+        // …or until recovery cancels it before it launches.
+        let writel = ProcDef::scalar("writel", |_, _| XdrValue::Void);
+        ch.register_proc(Domain::Nucleus, writel).unwrap();
+        let dropped = ch.call_deferred(&k, Domain::Decaf, "writel", &[], &[]);
+        assert!(dropped.unwrap().is_some_and(|d| d != t));
+        assert_eq!(ch.tokens_outstanding(), 1);
+        ch.reset_end(Domain::Decaf).unwrap();
+        assert_eq!(ch.tokens_outstanding(), 0);
+        let s = ch.stats();
+        let tokens = (s.tokens_issued, s.tokens_harvested, s.tokens_cancelled);
+        assert_eq!(tokens, (2, 1, 1));
+    }
+
+    #[test]
+    fn a_launch_nested_in_a_launched_flush_carries_only_its_own_legs() {
+        // A decaf handler, dispatched by a launched flush, defers a call
+        // and then calls synchronously: the synchronous call flushes —
+        // launches — the inner batch between the outer batch's two legs.
+        use decaf_simkernel::decaf_trace::Tracer;
+        let k = Kernel::new();
+        let tracer = Tracer::new();
+        k.set_tracer(Some(Rc::clone(&tracer)));
+        let ch = async_channel();
+        let writel = ProcDef::scalar("writel", |_, _| XdrValue::Void);
+        let readl = ProcDef::scalar("readl", |_, _| XdrValue::UInt(0));
+        ch.register_proc(Domain::Nucleus, writel).unwrap();
+        ch.register_proc(Domain::Nucleus, readl).unwrap();
+        let no_objects: [&str; 0] = [];
+        let probe = ProcDef::entry("probe", no_objects, |k, ch, _, _| {
+            ch.call_deferred(k, Domain::Decaf, "writel", &[], &[])
+                .unwrap();
+            ch.call(k, Domain::Decaf, "readl", &[], &[]).unwrap()
+        });
+        ch.register_proc(Domain::Decaf, probe).unwrap();
+        ch.call_deferred(&k, Domain::Nucleus, "probe", &[], &[])
+            .unwrap();
+        ch.flush(&k).unwrap();
+        assert_eq!(ch.harvest(&k).len(), 2, "both batches launched");
+        let launch_costs: Vec<u64> = tracer
+            .events()
+            .iter()
+            .filter(|e| (e.cat, e.name) == ("xpc.batch", "launch"))
+            .flat_map(|e| e.args.iter().filter(|(arg, _)| *arg == "cost_ns"))
+            .map(|&(_, cost)| cost)
+            .collect();
+        let leg = TransportKind::Async.crossing_cost_ns(true);
+        assert_eq!(launch_costs, [2 * leg, 2 * leg], "inner, then outer");
     }
 
     #[test]
@@ -2569,9 +2533,9 @@ mod tests {
         register_noop(&ch, "touch");
         // The decaf driver posts a register write, then faults before it
         // launches: the token must resolve as cancelled, not leak.
-        ch.call_async(&k, Domain::Decaf, "writel", &[], &[])
+        ch.call_deferred(&k, Domain::Decaf, "writel", &[], &[])
             .unwrap();
-        ch.call_async(&k, Domain::Nucleus, "touch", &[], &[])
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[], &[])
             .unwrap();
         assert_eq!(ch.tokens_outstanding(), 2);
         ch.reset_end(Domain::Decaf).unwrap();
@@ -2605,9 +2569,9 @@ mod tests {
         )
         .unwrap();
         let adapter = alloc_adapter(&ch);
-        ch.call_async(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
             .unwrap();
-        ch.call_async(&k, Domain::Nucleus, "count", &[], &[])
+        ch.call_deferred(&k, Domain::Nucleus, "count", &[], &[])
             .unwrap();
         // Yank the first call's argument: the batch launch fails and the
         // per-call fallback runs synchronously — tokens must still
@@ -2653,18 +2617,19 @@ mod tests {
             });
             ch.register_proc(Domain::Decaf, free_it).unwrap();
             let adapter = alloc_adapter(&ch);
-            ch.call_async(&k, Domain::Nucleus, "count", &[], &[])
+            ch.call_deferred(&k, Domain::Nucleus, "count", &[], &[])
                 .unwrap();
-            ch.call_async(&k, Domain::Nucleus, "free_it", &[Some(adapter)], &[])
+            ch.call_deferred(&k, Domain::Nucleus, "free_it", &[Some(adapter)], &[])
                 .unwrap();
             ch.flush(&k).unwrap();
             assert_eq!(ran.get(), 1, "{config:?}: each deferred call runs once");
             let s = ch.stats();
             assert_eq!(s.faults, 1, "{config:?}: the lost return leg is one fault");
             assert_eq!((s.flushes, s.round_trips), (0, 0), "nothing completed");
-            // Nothing was launched; both tokens resolved with the group.
+            // Nothing was launched; any tokens resolved with the group.
             assert!(ch.harvest(&k).is_empty());
-            assert_eq!((s.tokens_issued, s.tokens_harvested), (2, 2));
+            let tokens = 2 * config.transport.launches() as u64;
+            assert_eq!((s.tokens_issued, s.tokens_harvested), (tokens, tokens));
             assert_eq!(ch.tokens_outstanding(), 0);
             // The channel still works.
             ch.call(&k, Domain::Nucleus, "count", &[], &[]).unwrap();
@@ -2750,7 +2715,7 @@ mod tests {
     #[test]
     fn deadline_wakeup_flushes_idle_async_channel() {
         // Same latent bug on the completion transport: a parked
-        // `call_async` whose caller went to do other work. The timer
+        // deferred call whose caller went to do other work. The timer
         // launches the batch at the deadline; the token resolves after a
         // harvest without the caller ever re-entering the channel.
         const WINDOW: u64 = BATCH_DEADLINE_NS;
@@ -2772,15 +2737,14 @@ mod tests {
         .unwrap();
         ch.arm_deadline_wakeups(&k);
         let token = ch
-            .call_async(&k, Domain::Nucleus, "count", &[], &[])
+            .call_deferred(&k, Domain::Nucleus, "count", &[], &[])
             .unwrap();
         assert_eq!(ch.pending_deferred(), 1);
         k.run_for(WINDOW * 2);
         assert_eq!(ch.pending_deferred(), 0, "timer launched the batch");
         assert_eq!(ran.get(), 1, "handler ran from the deadline flush");
         assert!(ch.stats().flushes >= 1);
-        ch.harvest(&k);
-        assert!(ch.wait_token(&k, token).is_ok());
+        assert_eq!(ch.harvest(&k), Vec::from_iter(token));
         assert_eq!(ch.tokens_outstanding(), 0);
         // The wakeup is one-shot per parked batch: nothing queued now, so
         // letting more virtual time pass must not re-fire or flush again.
@@ -2832,8 +2796,8 @@ mod tests {
         i xpc.crossing/inproc(0,0) i xpc.crossing/inproc(0,0) E xpc/call()";
 
     /// One zero-object `call`, one `call_deferred` + `flush`, and on an
-    /// async transport one `call_async` + `flush` + `harvest`, traced:
-    /// the per-step counter deltas and the event sequence.
+    /// async transport one more `call_deferred` + `flush` + `harvest`,
+    /// traced: the per-step counter deltas and the event sequence.
     fn zero_object_steps(config: ChannelConfig) -> (Vec<Row>, String) {
         use decaf_simkernel::decaf_trace::{Phase, Tracer};
         let k = Kernel::new();
@@ -2876,7 +2840,7 @@ mod tests {
         ch.flush(&k).unwrap();
         step_done();
         if config.transport.launches() {
-            ch.call_async(&k, Domain::Nucleus, "bell", &[], &count)
+            ch.call_deferred(&k, Domain::Nucleus, "bell", &[], &count)
                 .unwrap();
             ch.flush(&k).unwrap();
             ch.harvest(&k);
@@ -2953,11 +2917,12 @@ mod tests {
         .unwrap();
         let up = ch.resolve_proc(Domain::Nucleus, "count").unwrap();
         for _ in 0..3 {
-            ch.call_async(&k, Domain::Nucleus, "count", &[], &[])
+            ch.call_deferred(&k, Domain::Nucleus, "count", &[], &[])
                 .unwrap();
         }
         // One call from the end that is about to die.
-        ch.call_async(&k, Domain::Decaf, "down", &[], &[]).unwrap();
+        ch.call_deferred(&k, Domain::Decaf, "down", &[], &[])
+            .unwrap();
         let parked = ch.take_deferred();
         assert_eq!(parked.len(), 4);
         assert!(parked[..3].iter().all(|c| c.proc == up), "the handle form");

@@ -8,8 +8,8 @@
 //!    kernel/user boundary (block and wait), in one of three
 //!    [`transport::TransportKind`]s: thread reuse, deferred-call batching
 //!    that flushes many calls in one crossing, or completion-based async
-//!    launches whose crossing cost is banked against a
-//!    [`transport::CompletionToken`] and settled — net of whatever
+//!    launches whose crossing cost travels with the batch's
+//!    [`transport::CompletionToken`]s and is settled — net of whatever
 //!    computation overlapped the crossing — at harvest time. One
 //!    [`transport::DeferredQueue`] per channel holds what was deferred.
 //! 2. **Object transfer** — field-selective XDR marshaling of structures

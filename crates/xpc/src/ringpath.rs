@@ -225,11 +225,12 @@ impl<D: RingDescriptor> RingPath<D> {
     /// XPC crossing, zero object arguments, carrying only the descriptor
     /// count. The registered drain handler consumes the ring.
     ///
-    /// On a launching control channel the doorbell *launches*: the drain
-    /// handler still runs right here (descriptors are consumed and
-    /// completed), but the crossing's latency is banked against a
-    /// completion token and settled — net of overlap — when the producer
-    /// next harvests ([`DataPathChannel::reclaim_completions`] does).
+    /// On a launching control channel the doorbell is parked and then
+    /// flushed, so it *launches*: the drain handler still runs right here
+    /// (descriptors are consumed and completed), but the crossing's
+    /// latency goes with a completion token and is settled — net of
+    /// overlap — when the producer next harvests
+    /// ([`DataPathChannel::reclaim_completions`] does).
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
         if self.ring.is_empty() {
             return Ok(());
@@ -248,7 +249,7 @@ impl<D: RingDescriptor> RingPath<D> {
             }
         };
         if channel.transport_kind().launches() {
-            channel.call_async_resolved(kernel, from, proc, &[], &args)?;
+            channel.call_deferred_resolved(kernel, from, proc, &[], &args)?;
             // Launch now: the drain must run before the producer reuses
             // the ring, only the crossing latency is deferred.
             channel.flush(kernel)?;

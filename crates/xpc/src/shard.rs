@@ -51,7 +51,7 @@ use decaf_xdr::{XdrSpec, XdrValue};
 use crate::domain::Domain;
 use crate::endpoint::{ChannelConfig, ChannelStats, ProcDef, XpcChannel};
 use crate::error::{XpcError, XpcResult};
-use crate::tracker::TrackerStats;
+use crate::transport::CompletionToken;
 
 /// Oracle-sensitivity seam for the fault-exploration harness
 /// (`tests/shard_sched.rs`): one-shot, thread-local switches that plant
@@ -315,7 +315,9 @@ impl ShardedChannel {
         })
     }
 
-    /// A deferred (result-free) call through the facade.
+    /// A deferred (result-free) call through the facade. A token it
+    /// returns belongs to the steered shard's channel — harvest it per
+    /// shard, or sweep every shard with [`ShardedChannel::harvest_all`].
     pub fn call_deferred(
         &self,
         kernel: &Kernel,
@@ -323,32 +325,14 @@ impl ShardedChannel {
         proc: &str,
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
-    ) -> XpcResult<()> {
+    ) -> XpcResult<Option<CompletionToken>> {
         let shard = self.steer(kernel, proc, args)?;
         kernel.shard_scope(shard, || {
             self.shards[shard].call_deferred(kernel, from, proc, args, scalars)
         })
     }
 
-    /// An asynchronous (completion-token) call through the facade;
-    /// steered like [`ShardedChannel::call_deferred`]. The token belongs
-    /// to the steered shard's channel — harvest it per shard, or sweep
-    /// every shard with [`ShardedChannel::harvest_all`].
-    pub fn call_async(
-        &self,
-        kernel: &Kernel,
-        from: Domain,
-        proc: &str,
-        args: &[Option<CAddr>],
-        scalars: &[XdrValue],
-    ) -> XpcResult<crate::transport::CompletionToken> {
-        let shard = self.steer(kernel, proc, args)?;
-        kernel.shard_scope(shard, || {
-            self.shards[shard].call_async(kernel, from, proc, args, scalars)
-        })
-    }
-
-    /// Harvests every shard's launched batches (settling each banked
+    /// Harvests every shard's launched batches (settling each launched
     /// crossing against the time that elapsed since its launch); returns
     /// how many tokens resolved across the facade.
     pub fn harvest_all(&self, kernel: &Kernel) -> usize {
@@ -434,19 +418,6 @@ impl ShardedChannel {
     /// One shard's counters.
     pub fn shard_stats(&self, shard: usize) -> ChannelStats {
         self.shards[shard].stats()
-    }
-
-    /// Aggregated object-tracker counters for one domain across shards.
-    pub fn tracker_stats(&self, domain: Domain) -> TrackerStats {
-        let mut total = TrackerStats::default();
-        for ch in &self.shards {
-            let s = ch.tracker_stats(domain);
-            total.associations += s.associations;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.releases += s.releases;
-        }
-        total
     }
 
     /// Recovers shard `shard` after its `failed` end died mid-burst:
@@ -786,7 +757,7 @@ mod tests {
         .unwrap();
         park_burst(&sc, &k);
         sc.shard(1)
-            .call_async(&k, Domain::Decaf, "writel", &[], &[])
+            .call_deferred(&k, Domain::Decaf, "writel", &[], &[])
             .unwrap();
         let parked_on_1 = sc.shard(1).pending_deferred();
         assert_eq!(parked_on_1, 3, "burst reached shard 1");

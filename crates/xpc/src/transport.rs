@@ -20,8 +20,8 @@
 //!
 //! Everything deferral means lives in the one [`DeferredQueue`] a
 //! channel holds: the parked calls with their defer timestamps, the
-//! single flush rule, both token ranges, the ledger of unresolved tokens
-//! and the launched batches awaiting harvest.
+//! single flush rule, the one token range, the ledger of outstanding
+//! tokens and the launched batches awaiting harvest.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -65,7 +65,7 @@ impl TransportKind {
         self != TransportKind::InProc
     }
 
-    /// Whether a flush *launches* its crossing — the latency banked
+    /// Whether a flush *launches* its crossing — the latency held
     /// against the batch's tokens and settled at harvest, net of
     /// overlap — instead of blocking on it.
     pub fn launches(self) -> bool {
@@ -73,10 +73,10 @@ impl TransportKind {
     }
 
     /// The virtual-time latency of one one-way control transfer — the
-    /// portion a launching kind banks (and later charges net of overlap)
-    /// instead of blocking on. A queueing kind rings a doorbell per
-    /// crossing; `Async` prices like `Batched`: the asymmetry is *when*
-    /// the cost lands, not how big it is.
+    /// portion a launching kind hands to its launched batch (and later
+    /// charges net of overlap) instead of blocking on. A queueing kind
+    /// rings a doorbell per crossing; `Async` prices like `Batched`: the
+    /// asymmetry is *when* the cost lands, not how big it is.
     pub fn crossing_cost_ns(self, domain_crossing: bool) -> u64 {
         let base = if domain_crossing {
             costs::DOMAIN_CROSSING_NS
@@ -125,8 +125,8 @@ pub struct DeferredCall {
     pub token: Option<CompletionToken>,
 }
 
-/// One launched flush: the batch's tokens plus the crossing latency
-/// banked at launch time, settled at harvest.
+/// One launched flush: the batch's tokens plus the crossing latency it
+/// was launched with, settled at harvest.
 #[derive(Debug)]
 struct LaunchedBatch {
     /// How many entries of `launched_tokens` are this batch's (batches
@@ -164,8 +164,12 @@ pub(crate) struct Harvest {
 /// What makes a channel asynchronous is not this queue's rule but what
 /// the stub layer does with a drained batch: on a launching kind the
 /// handlers run and the data lands at flush time, while the crossing's
-/// latency is banked here against the batch's tokens and charged at
+/// latency is held here against the batch's tokens and charged at
 /// harvest, net of whatever computation overlapped it.
+///
+/// The whole interface is seven transitions — `offer`, `drain`,
+/// `flush_due`, `retain`, `launch`, `harvest`, `settle` — and three
+/// observers: `pending`, `oldest_deferred_at`, `outstanding`.
 #[derive(Debug)]
 pub struct DeferredQueue {
     kind: TransportKind,
@@ -173,15 +177,10 @@ pub struct DeferredQueue {
     parked: RefCell<VecDeque<(u64, DeferredCall)>>,
     /// Next token for a parked call, from 1.
     next_token: Cell<u64>,
-    /// Next token for a call that resolved synchronously: a disjoint
-    /// high range, so the two can never collide.
-    next_resolved: Cell<u64>,
     /// Tokens issued and not yet harvested or cancelled, ascending —
     /// they enter as they are minted, in increasing order, so the ledger
     /// is a sorted queue, not a hash set.
     outstanding: RefCell<VecDeque<u64>>,
-    /// Crossing latency banked by the launch in progress.
-    banked_ns: Cell<u64>,
     /// Launched-but-unharvested batches, in launch order.
     launched: RefCell<VecDeque<LaunchedBatch>>,
     /// The tokens of every launched batch, back to back in launch order.
@@ -195,9 +194,7 @@ impl DeferredQueue {
             kind,
             parked: RefCell::new(VecDeque::new()),
             next_token: Cell::new(1),
-            next_resolved: Cell::new(1 << 63),
             outstanding: RefCell::new(VecDeque::new()),
-            banked_ns: Cell::new(0),
             launched: RefCell::new(VecDeque::new()),
             launched_tokens: RefCell::new(VecDeque::new()),
         }
@@ -275,25 +272,9 @@ impl DeferredQueue {
         self.parked.borrow().front().map(|(at, _)| *at)
     }
 
-    /// A token born resolved, for a call that executed synchronously
-    /// (degraded mode on a kind that does not launch): never on the
-    /// ledger.
-    pub(crate) fn mint_resolved(&self) -> CompletionToken {
-        let minted = self.next_resolved.get();
-        self.next_resolved.set(minted + 1);
-        CompletionToken(minted)
-    }
-
     /// Tokens issued and not yet harvested or cancelled.
     pub fn outstanding(&self) -> usize {
         self.outstanding.borrow().len()
-    }
-
-    /// Whether `token` is still unresolved, and if so whether its call
-    /// has launched.
-    pub(crate) fn unresolved(&self, token: CompletionToken) -> Option<bool> {
-        let on_ledger = self.outstanding.borrow().binary_search(&token.0).is_ok();
-        on_ledger.then(|| self.launched_tokens.borrow().contains(&token))
     }
 
     /// Strikes `tokens` off the ledger; how many were on it.
@@ -306,22 +287,16 @@ impl DeferredQueue {
         tokens.into_iter().filter(struck).count() as u64
     }
 
-    /// Banks one crossing's latency against the launch in progress
-    /// instead of charging it.
-    pub(crate) fn bank(&self, cost_ns: u64) {
-        self.banked_ns.set(self.banked_ns.get() + cost_ns);
-    }
-
-    /// A failed launch banks nothing: forgets what it accumulated.
-    pub(crate) fn abort_launch(&self) {
-        self.banked_ns.set(0);
-    }
-
-    /// Launches `group`: its tokens and the latency banked since the
-    /// last launch wait, as one batch, for harvest to settle — virtual
-    /// time elapsed from here on covers the crossing as overlap.
-    pub(crate) fn launch(&self, kernel: &Kernel, class: CpuClass, group: &[DeferredCall]) {
-        let cost_ns = self.banked_ns.take();
+    /// Launches `group`: its tokens and the `cost_ns` of its crossing,
+    /// as one batch, for harvest to settle — virtual time elapsed from
+    /// here on covers the crossing as overlap.
+    pub(crate) fn launch(
+        &self,
+        kernel: &Kernel,
+        class: CpuClass,
+        group: &[DeferredCall],
+        cost_ns: u64,
+    ) {
         let mut launched_tokens = self.launched_tokens.borrow_mut();
         let before = launched_tokens.len();
         launched_tokens.extend(group.iter().filter_map(|c| c.token));
@@ -562,7 +537,6 @@ mod tests {
         let again = t.offer(&k, CpuClass::User, drained[0].clone()).unwrap();
         assert_eq!(again, Some(a));
         assert_eq!(t.outstanding(), 2, "and enters the ledger once");
-        assert!(t.mint_resolved().0 >= 1 << 63, "the disjoint range");
     }
 
     #[test]

@@ -264,7 +264,10 @@ impl RefTransport for RefAsync {
         Ok(Some(token))
     }
     fn drain(&self, out: &mut Vec<DeferredCall>) {
-        self.policy.rang();
+        // (`DoorbellPolicy::rang` went with its last product caller: a
+        // ring that leaves no survivors is the same disarm, whatever the
+        // time.)
+        self.policy.rang_with_survivors(0, 0);
         out.extend(self.queue.borrow_mut().drain(..).map(|(_, c)| c));
     }
     fn pending(&self) -> usize {
@@ -288,7 +291,7 @@ impl RefTransport for RefAsync {
         // survivors — the same anchoring `Batched` gets per call.
         // (`DoorbellPolicy::rearm` went with its last product caller:
         // disarm, then arm at the survivor's time, is the same state.)
-        self.policy.rang();
+        self.policy.rang_with_survivors(0, 0);
         if let Some((at, _)) = queue.front() {
             self.policy.note_post(*at);
         }

@@ -113,8 +113,9 @@ fn run_ops(ops: &[Op]) {
             Op::Launch(shard) => {
                 let token = sc
                     .shard(shard)
-                    .call_async(&kernel, Domain::Nucleus, "ping", &[], &[])
-                    .unwrap();
+                    .call_deferred(&kernel, Domain::Nucleus, "ping", &[], &[])
+                    .unwrap()
+                    .expect("an async channel issues a token");
                 prop_assert!(
                     issued.insert((shard, token.0)),
                     "token {} issued twice on shard {shard} in {ops:?}",

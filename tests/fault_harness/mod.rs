@@ -112,14 +112,15 @@ pub fn run_nic_fault_schedule(shards: usize, schedule: &[usize], plan: &FaultPla
             .set_scalar(objects[shard], "value", XdrValue::Int(value))
             .unwrap();
         let token = sc
-            .call_async(
+            .call_deferred(
                 &kernel,
                 Domain::Nucleus,
                 "touch",
                 &[Some(objects[shard])],
                 &[],
             )
-            .unwrap();
+            .unwrap()
+            .expect("an async channel issues a token");
         assert!(
             issued.insert((shard, token.0)),
             "{}: token {} issued twice on shard {shard}",

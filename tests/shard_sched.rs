@@ -31,6 +31,7 @@ use decaf_core::sched::{
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
 use decaf_core::shmring::{BufHandle, Descriptor, RingSet, ShmRing};
+use decaf_core::simkernel::kernel::WorkBody;
 use decaf_core::simkernel::{CpuClass, Kernel};
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
@@ -262,14 +263,15 @@ fn run_token_lifecycle(shards: usize, schedule: &[usize]) {
             .set_scalar(objects[shard], "value", XdrValue::Int(t as i32 + 1))
             .unwrap();
         let token = sc
-            .call_async(
+            .call_deferred(
                 &kernel,
                 Domain::Nucleus,
                 "touch",
                 &[Some(objects[shard])],
                 &[],
             )
-            .unwrap();
+            .unwrap()
+            .expect("an async channel issues a token");
         assert!(
             issued.insert((shard, token.0)),
             "schedule {schedule:?}: token {} issued twice on shard {shard}",
@@ -569,11 +571,12 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     let probed = Rc::new(Cell::new(0));
     for round in 0..ROUNDS {
         let (set, probed) = (Rc::clone(&rx_set), Rc::clone(&probed));
-        k.schedule_work("in_flight_probe", move |_| {
+        let in_flight_probe: WorkBody = Rc::new(move |_, _| {
             assert_eq!(set.in_flight(), BURST, "round {round}: a shared cookie");
             assert!(set.conserved(), "round {round}: {:?}", set.stats());
             probed.set(probed.get() + 1);
         });
+        k.schedule_work_handle(&in_flight_probe, 0);
         for i in 0..BURST {
             let frame = [(round * BURST + i) as u8; LEN];
             drv.dev.borrow_mut().inject_rx(&k, &frame);
