@@ -34,14 +34,16 @@ done
 
 # Prints every `HashMap` in the product code of the storage data path —
 # the sector pool's run and chain tables, the uhci pending-URB table and
-# the flash store are slabs whose index is the handle, so no lookup
-# there hashes. Product code only, each file up to its trailing test
-# module; a listed file that does not exist prints "<file>: missing".
-# Index a slab by the handle (slot plus generation) instead of hashing.
+# the flash store are slabs whose index is the handle, and the USB core
+# finds a host controller by comparing names, so no lookup there hashes.
+# Product code only, each file up to its trailing test module; a listed
+# file that does not exist prints "<file>: missing". Index a slab by the
+# handle (slot plus generation) instead of hashing.
 for f in \
     crates/shmring/src/sector.rs \
     crates/drivers/src/uhci.rs \
-    crates/simdev/src/uhci.rs
+    crates/simdev/src/uhci.rs \
+    crates/simkernel/src/usb.rs
 do
     if [ ! -f "$f" ]; then
         echo "$f: missing"

@@ -16,7 +16,7 @@
 use std::rc::Rc;
 
 use decaf_simkernel::clock::ClockSnapshot;
-use decaf_simkernel::usb::{Urb, UrbDir};
+use decaf_simkernel::usb::{Urb, UrbCompletion, UrbDir};
 use decaf_simkernel::{KResult, Kernel};
 
 /// Common measurements every workload reports.
@@ -270,6 +270,8 @@ pub fn tar_from_flash_luns(
     let before = kernel.snapshot();
     let bytes = Rc::new(std::cell::Cell::new(0u64));
     let done = Rc::new(std::cell::Cell::new(0u64));
+    // A stage command's completion does nothing: one for every command.
+    let staged: UrbCompletion = Rc::new(|_, _| {});
     for f in 0..files {
         // The readahead window lives inside one file: the final burst
         // of a non-multiple file is issued (and paced) on its own, never
@@ -289,7 +291,7 @@ pub fn tar_from_flash_luns(
                             dir: UrbDir::Out,
                             data: cmd,
                         },
-                        Rc::new(|_, _| {}),
+                        Rc::clone(&staged),
                     )?;
                     let b = Rc::clone(&bytes);
                     let d = Rc::clone(&done);

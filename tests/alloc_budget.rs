@@ -34,12 +34,13 @@ use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, XpcChannel};
 /// chain store, the borrowed device reads and the sized command buffer,
 /// 9.55 with them (3,667 over 384 URBs), 8.82 once the doorbell crossing
 /// stopped allocating, 8.76 (3,363) with the coalescing tick's work
-/// queued by handle, and 4.17 (1,603) with the sector pool's run and
+/// queued by handle, 4.17 (1,603) with the sector pool's run and
 /// chain maps, the pending-URB map and the flash store turned into slabs
-/// and the reclaim batch kept — what is left is the workload's own
-/// command `Vec`s and completion closures and each IN URB's data. The
-/// bound is that plus one.
-const BUDGET: f64 = 5.17;
+/// and the reclaim batch kept, and 3.68 (1,412) with one no-op completion
+/// shared by every stage command of the read — what is left is the
+/// workload's own command `Vec`s and data-URB completion closures and
+/// each IN URB's data. The bound is that plus one.
+const BUDGET: f64 = 4.68;
 
 /// Allocations per packet sent over the 4-shard zero-copy e1000 TX path
 /// (each packet also comes back through the loopback RX path): 29.27
