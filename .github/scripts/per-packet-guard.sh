@@ -121,3 +121,24 @@ do
             sed "s|^|$f:|" || true
     done
 done
+
+# Prints every `rmmod(` in the product code of the drivers outside
+# `support.rs`: every build unloads by running the teardown record its
+# install filled (`support::Unload`), so unload is said once. Product
+# code only, each file up to its trailing test module; a listed
+# directory or file that does not exist prints "<path>: missing".
+d=crates/drivers/src
+for p in "$d" "$d/support.rs"
+do
+    if [ ! -e "$p" ]; then
+        echo "$p: missing"
+    fi
+done
+if [ -d "$d" ]; then
+    for f in $(find "$d" -name '*.rs' ! -path "$d/support.rs" | sort)
+    do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -n 'rmmod(' |
+            sed "s|^|$f:|" || true
+    done
+fi

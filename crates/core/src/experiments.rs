@@ -1,11 +1,11 @@
 //! Experiment runners for the paper's tables.
 
 use crate::loadgen::{self, SplitMix64};
-use decaf_drivers::{workloads, DriverKind};
+use decaf_drivers::{ringnic::RingSplit, support::Native, support::Split, workloads, DriverKind};
 use decaf_shmring::{BufPool, DoorbellPolicy, ShmRing};
 use decaf_simkernel::clock::ClockSnapshot;
 use decaf_simkernel::decaf_trace::Tracer;
-use decaf_simkernel::{costs, CpuClass, Kernel};
+use decaf_simkernel::{costs, CpuClass, KResult, Kernel};
 use decaf_slicer::evolve::{self, NewField, Patch};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
@@ -593,8 +593,8 @@ struct Side {
     /// Measured `insmod` latency (virtual seconds).
     init_s: f64,
     input: Input,
-    /// A split build's control channel and nuclear runtime.
-    split: Option<(Rc<XpcChannel>, Rc<decaf_xpc::NuclearRuntime>)>,
+    /// A split build's nuclear runtime, which holds its control channel.
+    split: Option<Rc<decaf_xpc::NuclearRuntime>>,
 }
 
 impl Side {
@@ -605,8 +605,8 @@ impl Side {
     /// driver on the channel directly, past the runtime's counter.
     fn invocations(&self) -> u64 {
         match (&self.split, self.kind) {
-            (Some((_, nuc)), DriverKind::E1000) => nuc.decaf_invocations(),
-            (Some((channel, _)), _) => channel.stats().round_trips,
+            (Some(nuc), DriverKind::E1000) => nuc.decaf_invocations(),
+            (Some(nuc), _) => nuc.channel().stats().round_trips,
             (None, _) => 0,
         }
     }
@@ -623,22 +623,20 @@ fn load(kind: DriverKind, hosting: Hosting) -> Side {
     fn frames<D: 'static>(dev: Rc<RefCell<D>>, inject: fn(&mut D, &Kernel, &[u8])) -> Input {
         Input::Frames(Box::new(move |k, f| inject(&mut dev.borrow_mut(), k, f)))
     }
-    fn none<D>(_dev: D) -> Input {
-        Input::None
+    // What a `Side` keeps of each of the three handle shapes Table 3
+    // loads: the load latency, the device's input, a split's runtime.
+    type Kept = (u64, Input, Option<Rc<decaf_xpc::NuclearRuntime>>);
+    fn native<H, D>(d: KResult<Native<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
+        let d = d.expect("Table 3 driver loads");
+        (d.init_latency_ns, input(d.dev), None)
     }
-    // The ten driver handles are unrelated types with the same field
-    // names; these project the fields a `Side` keeps.
-    macro_rules! native {
-        ($handle:expr, $input:expr) => {{
-            let d = $handle.expect("Table 3 driver loads");
-            (d.init_latency_ns, $input(d.dev), None)
-        }};
+    fn split<H, D>(d: KResult<Split<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
+        let d = d.expect("Table 3 driver loads");
+        (d.init_latency_ns, input(d.dev), Some(d.nuc))
     }
-    macro_rules! split {
-        ($handle:expr, $input:expr) => {{
-            let d = $handle.expect("Table 3 driver loads");
-            (d.init_latency_ns, $input(d.dev), Some((d.channel, d.nuc)))
-        }};
+    fn ring<H, D>(d: KResult<RingSplit<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
+        let d = d.expect("Table 3 driver loads");
+        (d.init_latency_ns, input(d.dev), Some(d.nuc))
     }
     let rtl = |dev| frames(dev, Rtl8139Device::inject_rx);
     let gige = |dev| frames(dev, E1000Device::inject_rx);
@@ -657,18 +655,18 @@ fn load(kind: DriverKind, hosting: Hosting) -> Side {
         K::Psmouse => "mouse0",
     };
     let (init_latency_ns, input, split) = match (kind, hosting) {
-        (K::Rtl8139, H::Native) => native!(rtl8139::install_native(k, name), rtl),
-        (K::Rtl8139, H::Decaf) => split!(rtl8139::install_decaf(k, name), rtl),
-        (K::Rtl8139, H::Shmring) => split!(rtl8139::install_shmring(k, name), rtl),
-        (K::E1000, H::Native) => native!(e1000::native::install(k, name), gige),
-        (K::E1000, H::Decaf) => split!(e1000::decaf::install(k, name), gige),
-        (K::E1000, H::Shmring) => split!(e1000::decaf::install_shmring(k, name), gige),
-        (K::Ens1371, H::Native) => native!(ens1371::install_native(k, name), none),
-        (K::Ens1371, H::Decaf) => split!(ens1371::install_decaf(k, name), none),
-        (K::UhciHcd, H::Native) => native!(uhci::install_native(k, name), none),
-        (K::UhciHcd, H::Decaf) => split!(uhci::install_decaf(k, name), none),
-        (K::Psmouse, H::Native) => native!(psmouse::install_native(k, name), mouse),
-        (K::Psmouse, H::Decaf) => split!(psmouse::install_decaf(k, name), mouse),
+        (K::Rtl8139, H::Native) => native(rtl8139::install_native(k, name), rtl),
+        (K::Rtl8139, H::Decaf) => split(rtl8139::install_decaf(k, name), rtl),
+        (K::Rtl8139, H::Shmring) => ring(rtl8139::install_shmring(k, name), rtl),
+        (K::E1000, H::Native) => native(e1000::native::install(k, name), gige),
+        (K::E1000, H::Decaf) => split(e1000::decaf::install(k, name), gige),
+        (K::E1000, H::Shmring) => ring(e1000::decaf::install_shmring(k, name), gige),
+        (K::Ens1371, H::Native) => native(ens1371::install_native(k, name), |_| Input::None),
+        (K::Ens1371, H::Decaf) => split(ens1371::install_decaf(k, name), |_| Input::None),
+        (K::UhciHcd, H::Native) => native(uhci::install_native(k, name), |_| Input::None),
+        (K::UhciHcd, H::Decaf) => split(uhci::install_decaf(k, name), |_| Input::None),
+        (K::Psmouse, H::Native) => native(psmouse::install_native(k, name), mouse),
+        (K::Psmouse, H::Decaf) => split(psmouse::install_decaf(k, name), mouse),
         (_, H::Shmring) => panic!("{} has no shmring build", kind.name()),
     };
     if matches!(kind, K::Rtl8139 | K::E1000) {
@@ -808,7 +806,7 @@ pub fn table3() -> Vec<Table3Row> {
         let native = &natives[measured];
 
         let side = load(kind, hosting);
-        let channel = &side.split.as_ref().expect("a split build").0;
+        let channel = side.split.as_ref().expect("a split build").channel();
         let init = channel.stats();
         for (&(workload, how, perf), n) in cells.iter().zip(&native.stats) {
             let before = side.invocations();

@@ -23,27 +23,24 @@
 //! unsharded build — [`install_shmring`] is the same code as
 //! [`install_sharded`] at width 1 on the synchronous shmring transport.
 
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use decaf_simdev::E1000Device;
 
-use decaf_shmring::RingSet;
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
-use decaf_simkernel::{KError, KResult, Kernel, TimerId};
+use decaf_simkernel::{KError, KResult, Kernel};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, ShardedChannel,
-    XpcChannel, XpcResult,
+    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, ShardedChannel, XpcChannel,
+    XpcResult,
 };
 
 use super::{attach, E1000Hw, IRQ_LINE};
-use crate::ringnic::{self, NicPath, Rings};
-use crate::support::{self, decaf_readl, decaf_writel, RxMode};
+use crate::ringnic::{self, RingSplit, Rings, SplitLoad};
+use crate::support::{self, decaf_readl, decaf_writel, RxMode, Split, Unload};
 use decaf_simdev::e1000 as hwreg;
 
 /// TX descriptors per doorbell at line rate (the batch a crossing is
@@ -51,41 +48,40 @@ use decaf_simdev::e1000 as hwreg;
 /// deadline).
 pub const TX_DOORBELL_WATERMARK: usize = 8;
 
-/// The installed decaf driver on a single channel: the kernel-resident
-/// data path ([`install`]) or the one-shard ring data path
-/// ([`install_shmring`], [`install_shmring_poll`]).
-pub struct DecafE1000 {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Kernel-resident hardware state (the nucleus data path).
-    pub hw: Rc<E1000Hw>,
-    /// Interface name.
-    pub ifname: String,
-    /// The XPC channel between nucleus and decaf driver.
-    pub channel: Rc<XpcChannel>,
-    /// The nuclear runtime guarding upcalls.
-    pub nuc: Rc<NuclearRuntime>,
-    /// The shared adapter object (nucleus heap address).
-    pub adapter: CAddr,
-    /// Measured `insmod` latency (virtual ns).
-    pub init_latency_ns: u64,
-    /// The slicing plan this build implements (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model (for traffic injection in workloads).
-    pub dev: Rc<RefCell<E1000Device>>,
-    /// The transmit shmring data path (shmring build only).
-    pub tx_path: Option<Rc<DataPathChannel>>,
-    /// The receive shmring data path (shmring build only).
-    pub rx_path: Option<Rc<DataPathChannel>>,
-    /// How this build collects received frames (shmring builds only;
-    /// the kernel-data-path build always uses the hardware interrupt).
-    pub rx_mode: RxMode,
-    timers: Vec<TimerId>,
+/// Loads the decaf driver (kernel-resident data path, batched control
+/// paths — the `ChannelConfig::kernel_user_batched()` build).
+pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Split<E1000Hw, E1000Device>> {
+    let config = ChannelConfig::kernel_user_batched();
+    build(kernel, ifname, config, RxMode::Interrupt, 1).map(|(split, _)| split)
 }
 
-/// The sharded decaf driver: N parallel XPC channels behind a
-/// [`ShardedChannel`] facade, with RSS-style per-shard TX/RX descriptor
-/// rings ([`RingSet`]) feeding the one simulated device.
+/// Loads the decaf driver with the *user-level* shmring data path — the
+/// `ChannelConfig::kernel_user_shmring()` build. netperf-shaped
+/// workloads run entirely through the descriptor rings: payloads cross
+/// as pool handles, never as marshaled bytes.
+pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<RingSplit<E1000Hw, E1000Device>> {
+    let config = ChannelConfig::kernel_user_shmring();
+    build(kernel, ifname, config, RxMode::Interrupt, 1).map(RingSplit::new)
+}
+
+/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
+/// interrupt masks further ones, and a periodic budgeted poll probes
+/// the receive ring instead of riding doorbell upcalls.
+pub fn install_shmring_poll(
+    kernel: &Kernel,
+    ifname: &str,
+) -> KResult<RingSplit<E1000Hw, E1000Device>> {
+    let config = ChannelConfig::kernel_user_shmring();
+    build(kernel, ifname, config, RxMode::Poll, 1).map(RingSplit::new)
+}
+
+/// Loads the decaf driver with `shards` parallel channels and per-shard
+/// shmring TX/RX queues — the multi-queue, multi-channel build: N
+/// parallel XPC channels behind a [`ShardedChannel`] facade, with
+/// RSS-style per-shard TX/RX descriptor rings feeding the one simulated
+/// device. It rides the completion-based async transport: per-shard
+/// doorbells *launch* rather than block, and the send-path reclaim
+/// harvests them — crossing latency overlaps with posting.
 ///
 /// * **TX** — the netdev xmit op flow-hashes each frame to a shard,
 ///   writes the payload into the shared pool (one audited copy), posts a
@@ -102,172 +98,13 @@ pub struct DecafE1000 {
 /// All data-path work is charged under [`Kernel::shard_scope`], so the
 /// shards=1/2/4/8 ablation can report the parallel wall-clock estimate
 /// (serial work + critical-path shard).
-pub struct ShardedE1000 {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Kernel-resident hardware state.
-    pub hw: Rc<E1000Hw>,
-    /// Interface name.
-    pub ifname: String,
-    /// The sharded channel facade (shard 0 is the control shard).
-    pub channels: Rc<ShardedChannel>,
-    /// The nuclear runtime guarding upcalls (control shard).
-    pub nuc: Rc<NuclearRuntime>,
-    /// The shared adapter object (homed on shard 0).
-    pub adapter: CAddr,
-    /// Measured `insmod` latency (virtual ns).
-    pub init_latency_ns: u64,
-    /// The slicing plan this build implements (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model.
-    pub dev: Rc<RefCell<E1000Device>>,
-    /// The transmit paths, one per shard.
-    pub tx: Rc<NicPath>,
-    /// The receive paths, one per shard.
-    pub rx: Rc<NicPath>,
-    /// The TX ring set (flow steering + completion steering).
-    pub tx_set: Rc<RingSet>,
-    /// The RX ring set.
-    pub rx_set: Rc<RingSet>,
-    timers: Vec<TimerId>,
-}
-
-/// Loads the decaf driver (kernel-resident data path, batched control
-/// paths — the `ChannelConfig::kernel_user_batched()` build).
-pub fn install(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    let config = ChannelConfig::kernel_user_batched();
-    build(kernel, ifname, config, RxMode::Interrupt, 1).map(Build::into_unsharded)
-}
-
-/// Loads the decaf driver with the *user-level* shmring data path — the
-/// `ChannelConfig::kernel_user_shmring()` build. netperf-shaped
-/// workloads run entirely through the descriptor rings: payloads cross
-/// as pool handles, never as marshaled bytes.
-pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    let config = ChannelConfig::kernel_user_shmring();
-    build(kernel, ifname, config, RxMode::Interrupt, 1).map(Build::into_unsharded)
-}
-
-/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
-/// interrupt masks further ones, and a periodic budgeted poll probes
-/// the receive ring instead of riding doorbell upcalls.
-pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<DecafE1000> {
-    let config = ChannelConfig::kernel_user_shmring();
-    build(kernel, ifname, config, RxMode::Poll, 1).map(Build::into_unsharded)
-}
-
-/// Loads the decaf driver with `shards` parallel channels and per-shard
-/// shmring TX/RX queues — the multi-queue, multi-channel build. It rides
-/// the completion-based async transport: per-shard doorbells *launch*
-/// rather than block, and the send-path reclaim harvests them —
-/// crossing latency overlaps with posting.
-pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<ShardedE1000> {
+pub fn install_sharded(
+    kernel: &Kernel,
+    ifname: &str,
+    shards: usize,
+) -> KResult<RingSplit<E1000Hw, E1000Device>> {
     let config = ChannelConfig::kernel_user_async_shmring();
-    build(kernel, ifname, config, RxMode::Interrupt, shards).map(Build::into_sharded)
-}
-
-/// One installed build, before it takes the shape of the public struct
-/// its installer returns.
-struct Build {
-    kernel: Kernel,
-    hw: Rc<E1000Hw>,
-    ifname: String,
-    channels: Rc<ShardedChannel>,
-    nuc: Rc<NuclearRuntime>,
-    adapter: CAddr,
-    init_latency_ns: u64,
-    plan: Arc<SlicePlan>,
-    dev: Rc<RefCell<E1000Device>>,
-    rings: Option<Rings<E1000Hw>>,
-    rx_mode: RxMode,
-    timers: Vec<TimerId>,
-}
-
-impl Build {
-    fn into_unsharded(self) -> DecafE1000 {
-        let (tx_path, rx_path) = match &self.rings {
-            Some(r) => (Some(Rc::clone(r.tx.path(0))), Some(Rc::clone(r.rx.path(0)))),
-            None => (None, None),
-        };
-        DecafE1000 {
-            channel: Rc::clone(self.channels.shard(0)),
-            tx_path,
-            rx_path,
-            kernel: self.kernel,
-            hw: self.hw,
-            ifname: self.ifname,
-            nuc: self.nuc,
-            adapter: self.adapter,
-            init_latency_ns: self.init_latency_ns,
-            plan: self.plan,
-            dev: self.dev,
-            rx_mode: self.rx_mode,
-            timers: self.timers,
-        }
-    }
-
-    fn into_sharded(self) -> ShardedE1000 {
-        let rings = self.rings.expect("the sharded configuration has rings");
-        ShardedE1000 {
-            kernel: self.kernel,
-            hw: self.hw,
-            ifname: self.ifname,
-            channels: self.channels,
-            nuc: self.nuc,
-            adapter: self.adapter,
-            init_latency_ns: self.init_latency_ns,
-            plan: self.plan,
-            dev: self.dev,
-            tx_set: Rc::clone(rings.tx.set()),
-            rx_set: Rc::clone(rings.rx.set()),
-            tx: rings.tx,
-            rx: rings.rx,
-            timers: self.timers,
-        }
-    }
-}
-
-/// Unloads a build: timers, the IRQ line and the netdev registration.
-fn remove(kernel: &Kernel, ifname: String, timers: Vec<TimerId>) {
-    for t in timers {
-        kernel.timer_del(t);
-    }
-    kernel.free_irq(IRQ_LINE);
-    kernel.rmmod("e1000_decaf", move |k| k.unregister_netdev(&ifname));
-}
-
-impl DecafE1000 {
-    /// Round trips between nucleus and decaf driver so far.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
-
-    /// Upcalls into the decaf driver so far.
-    pub fn decaf_invocations(&self) -> u64 {
-        self.nuc.decaf_invocations()
-    }
-
-    /// Unloads the driver.
-    pub fn remove(self) {
-        remove(&self.kernel, self.ifname, self.timers);
-    }
-}
-
-impl ShardedE1000 {
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.channels.shard_count()
-    }
-
-    /// Aggregated round trips across every shard channel.
-    pub fn crossings(&self) -> u64 {
-        self.channels.stats().round_trips
-    }
-
-    /// Unloads the driver.
-    pub fn remove(self) {
-        remove(&self.kernel, self.ifname, self.timers);
-    }
+    build(kernel, ifname, config, RxMode::Interrupt, shards).map(RingSplit::new)
 }
 
 /// Loads the decaf driver over `shards` channels of `config`. With
@@ -280,7 +117,7 @@ fn build(
     config: ChannelConfig,
     rx_mode: RxMode,
     shards: usize,
-) -> KResult<Build> {
+) -> KResult<SplitLoad<E1000Hw, E1000Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar, dma));
     let plan = super::image();
@@ -363,20 +200,19 @@ fn build(
         timers.push(ringnic::tx_poll_timer(kernel, rings));
     }
 
-    Ok(Build {
+    let split = Split {
         kernel: kernel.clone(),
         hw,
-        ifname: ifname.to_string(),
-        channels,
+        name: ifname.to_string(),
+        channel: Rc::clone(channels.shard(0)),
         nuc,
-        adapter,
+        root: adapter,
         init_latency_ns,
         plan,
         dev,
-        rings,
-        rx_mode,
-        timers,
-    })
+        unload: Unload::new("e1000_decaf", IRQ_LINE, Kernel::unregister_netdev).with_timers(timers),
+    };
+    Ok((split, rings))
 }
 
 /// Links every shard's channel: the register-access imports, the rings
@@ -720,7 +556,7 @@ mod tests {
         // The decaf driver populated the shared adapter: the nucleus can
         // read back the MAC the user-level code assembled.
         let heap = drv.channel.heap(Domain::Nucleus);
-        let mac = heap.borrow().scalar(drv.adapter, "mac").unwrap().clone();
+        let mac = heap.borrow().scalar(drv.root, "mac").unwrap().clone();
         assert_eq!(mac.as_opaque().unwrap(), super::super::MAC);
         assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
@@ -753,9 +589,9 @@ mod tests {
         let k = Kernel::new();
         let drv = install(&k, "eth0").unwrap();
         k.netdev_open("eth0").unwrap();
-        let invocations_before = drv.decaf_invocations();
+        let invocations_before = drv.nuc.decaf_invocations();
         k.run_for(6_500_000_000);
-        let delta = drv.decaf_invocations() - invocations_before;
+        let delta = drv.nuc.decaf_invocations() - invocations_before;
         assert_eq!(delta, 3, "one upcall per 2 s watchdog period");
         assert!(k.carrier_ok("eth0"));
         assert!(k.violations().is_empty(), "{:?}", k.violations());
@@ -772,11 +608,7 @@ mod tests {
         assert_eq!(err, KError::Busy);
         // The adapter must not report link-up after the failed open.
         let heap = drv.channel.heap(Domain::Nucleus);
-        let up = heap
-            .borrow()
-            .scalar(drv.adapter, "link_up")
-            .unwrap()
-            .as_int();
+        let up = heap.borrow().scalar(drv.root, "link_up").unwrap().as_int();
         assert_eq!(up, Some(0));
     }
 
@@ -925,9 +757,9 @@ mod tests {
         assert!(drv.init_latency_ns > 0);
         // The decaf driver populated the shared adapter on shard 0.
         let heap = drv.channels.heap(0, Domain::Nucleus);
-        let mac = heap.borrow().scalar(drv.adapter, "mac").unwrap().clone();
+        let mac = heap.borrow().scalar(drv.root, "mac").unwrap().clone();
         assert_eq!(mac.as_opaque().unwrap(), super::super::MAC);
-        assert_eq!(drv.channels.home_of(drv.adapter), Some(0));
+        assert_eq!(drv.channels.home_of(drv.root), Some(0));
         // Control traffic lands on shard 0 only.
         assert!(drv.channels.shard_stats(0).round_trips > 0);
         for i in 1..4 {

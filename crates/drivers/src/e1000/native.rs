@@ -7,33 +7,16 @@
 
 use std::rc::Rc;
 
+use decaf_simdev::E1000Device;
 use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::{KResult, Kernel};
 
-use std::cell::RefCell;
-
-use decaf_simdev::E1000Device;
-
 use super::{attach, E1000Hw, IRQ_LINE};
-
-/// The installed native driver.
-pub struct NativeE1000 {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<E1000Hw>,
-    /// Interface name.
-    pub ifname: String,
-    /// Measured `insmod` latency (virtual ns).
-    pub init_latency_ns: u64,
-    /// Handle to the device model (for traffic injection in workloads).
-    pub dev: Rc<RefCell<E1000Device>>,
-    watchdog: decaf_simkernel::TimerId,
-}
+use crate::support::{Native, Unload};
 
 /// Loads the native driver: attaches the device, probes, registers the
 /// netdevice and the watchdog.
-pub fn install(kernel: &Kernel, ifname: &str) -> KResult<NativeE1000> {
+pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar, dma));
     let ifname = ifname.to_string();
@@ -82,13 +65,11 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<NativeE1000> {
             },
         )?;
 
-        let hw_irq = Rc::clone(&hw_init);
-        let name_irq = name_init.clone();
         k.request_irq(
             IRQ_LINE,
             "e1000",
             Rc::new(move |k| {
-                hw_irq.handle_irq(k, &name_irq);
+                hw_init.handle_irq(k, &name_init);
             }),
         )?;
         Ok(())
@@ -110,25 +91,15 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<NativeE1000> {
     );
     kernel.timer_arm_periodic(watchdog, 2_000_000_000);
 
-    Ok(NativeE1000 {
+    Ok(Native {
         kernel: kernel.clone(),
         hw,
-        ifname,
+        name: ifname,
         init_latency_ns,
         dev,
-        watchdog,
+        unload: Unload::new("e1000", IRQ_LINE, Kernel::unregister_netdev)
+            .with_timers(vec![watchdog]),
     })
-}
-
-impl NativeE1000 {
-    /// Unloads the driver.
-    pub fn remove(self) {
-        self.kernel.timer_del(self.watchdog);
-        self.kernel.free_irq(IRQ_LINE);
-        let ifname = self.ifname.clone();
-        self.kernel
-            .rmmod("e1000", move |k| k.unregister_netdev(&ifname));
-    }
 }
 
 #[cfg(test)]

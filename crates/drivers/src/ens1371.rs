@@ -14,13 +14,12 @@ use decaf_simdev::ens1371 as hwreg;
 use decaf_simdev::Ens1371Device;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
-use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
     ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
 };
 
-use crate::support::{self, decaf_readl, decaf_writel};
+use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
 
 /// IRQ line of the sound chip.
 pub const IRQ_LINE: u32 = 5;
@@ -204,22 +203,8 @@ impl EnsHw {
     }
 }
 
-/// The installed native driver.
-pub struct NativeEns {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<EnsHw>,
-    /// Card name.
-    pub card: String,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Handle to the device model.
-    pub dev: Rc<std::cell::RefCell<Ens1371Device>>,
-}
-
 /// Loads the native driver.
-pub fn install_native(kernel: &Kernel, card: &str) -> KResult<NativeEns> {
+pub fn install_native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens1371Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(EnsHw::new(bar, dma));
     let name = card.to_string();
@@ -256,12 +241,13 @@ pub fn install_native(kernel: &Kernel, card: &str) -> KResult<NativeEns> {
         )?;
         Ok(())
     })?;
-    Ok(NativeEns {
+    Ok(Native {
         kernel: kernel.clone(),
         hw,
-        card: card.to_string(),
+        name: card.to_string(),
         init_latency_ns,
         dev,
+        unload: Unload::new("snd-ens1371", IRQ_LINE, Kernel::snd_card_unregister),
     })
 }
 
@@ -272,28 +258,6 @@ pub fn install_native(kernel: &Kernel, card: &str) -> KResult<NativeEns> {
 pub fn image() -> Arc<SlicePlan> {
     static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
     support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
-}
-
-/// The installed decaf driver.
-pub struct DecafEns {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<EnsHw>,
-    /// Card name.
-    pub card: String,
-    /// XPC channel.
-    pub channel: Rc<XpcChannel>,
-    /// Nuclear runtime.
-    pub nuc: Rc<NuclearRuntime>,
-    /// Shared chip object.
-    pub chip: CAddr,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Slicing plan (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model.
-    pub dev: Rc<std::cell::RefCell<Ens1371Device>>,
 }
 
 /// Links the channel: the register and codec imports, the decaf driver's
@@ -439,7 +403,7 @@ fn register_procs(
 
 /// Loads the decaf driver: probe/open/close run at user level, the PCM
 /// write path and the period interrupt stay in the kernel.
-pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
+pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<Split<EnsHw, Ens1371Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(EnsHw::new(bar, dma));
     let plan = image();
@@ -448,7 +412,7 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
     let probe = register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (chip, init_latency_ns) =
+    let (root, init_latency_ns) =
         support::load(kernel, "snd-ens1371-decaf", &channels, "ensoniq", |k, c| {
             support::upcall(&nuc, k, probe, c)?;
             let hw_irq = Rc::clone(&hw);
@@ -459,24 +423,18 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<DecafEns> {
             )
         })?;
 
-    Ok(DecafEns {
+    Ok(Split {
         kernel: kernel.clone(),
         hw,
-        card: card.to_string(),
+        name: card.to_string(),
         channel,
         nuc,
-        chip,
+        root,
         init_latency_ns,
         plan,
         dev,
+        unload: Unload::new("snd-ens1371-decaf", IRQ_LINE, Kernel::snd_card_unregister),
     })
-}
-
-impl DecafEns {
-    /// Round trips between nucleus and decaf driver.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,11 @@
 //! masked during upcalls, timers defer to work items before reaching user
 //! level (the E1000 watchdog, §3.1.3), and ethtool-style functions with
 //! interrupt data races stay pinned to the nucleus (§5).
+//!
+//! Every installer returns one of five handle shapes —
+//! [`support::Native`], [`support::Split`], [`ringnic::RingSplit`],
+//! [`uhci::ShardedUhci`] and [`uhci::ValueUhci`] — and each has a
+//! `remove` that runs the teardown its install recorded (`rmmod`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

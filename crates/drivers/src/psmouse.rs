@@ -16,11 +16,10 @@ use decaf_simdev::PsMouseDevice;
 use decaf_simkernel::input::{InputEvent, BTN_LEFT, EV_KEY, EV_REL, REL_X, REL_Y};
 use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
-use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, ProcHandle, XpcChannel, XpcResult};
 
-use crate::support::{self, decaf_readl, decaf_writel};
+use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
 
 /// IRQ line of the AUX port.
 pub const IRQ_LINE: u32 = 12;
@@ -224,22 +223,8 @@ impl MouseHw {
     }
 }
 
-/// The installed native driver.
-pub struct NativeMouse {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<MouseHw>,
-    /// Input device name.
-    pub devname: String,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Handle to the device model (movement injection).
-    pub dev: Rc<std::cell::RefCell<PsMouseDevice>>,
-}
-
 /// Loads the native driver.
-pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<NativeMouse> {
+pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, PsMouseDevice>> {
     let (bar, dev) = attach(kernel);
     let hw = Rc::new(MouseHw::new(bar));
     let name = devname.to_string();
@@ -264,12 +249,13 @@ pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<NativeMouse> {
         )?;
         Ok(())
     })?;
-    Ok(NativeMouse {
+    Ok(Native {
         kernel: kernel.clone(),
         hw,
-        devname: devname.to_string(),
+        name: devname.to_string(),
         init_latency_ns,
         dev,
+        unload: Unload::new("psmouse", IRQ_LINE, Kernel::input_unregister_device),
     })
 }
 
@@ -280,28 +266,6 @@ pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<NativeMouse> {
 pub fn image() -> Arc<SlicePlan> {
     static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
     support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
-}
-
-/// The installed decaf driver.
-pub struct DecafMouse {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<MouseHw>,
-    /// Input device name.
-    pub devname: String,
-    /// XPC channel.
-    pub channel: Rc<XpcChannel>,
-    /// Nuclear runtime.
-    pub nuc: Rc<NuclearRuntime>,
-    /// Shared mouse object.
-    pub mouse_obj: CAddr,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Slicing plan (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model (movement injection).
-    pub dev: Rc<std::cell::RefCell<PsMouseDevice>>,
 }
 
 /// Links the channel: the register-access imports and the decaf
@@ -360,7 +324,7 @@ fn register_procs(
 
 /// Loads the decaf driver: detection/configuration at user level, the
 /// byte-stream interrupt path in the kernel.
-pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
+pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, PsMouseDevice>> {
     let (bar, dev) = attach(kernel);
     let hw = Rc::new(MouseHw::new(bar.clone()));
     let plan = image();
@@ -369,7 +333,7 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
     let probe = register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (mouse_obj, init_latency_ns) =
+    let (root, init_latency_ns) =
         support::load(kernel, "psmouse-decaf", &channels, "psmouse", |k, m| {
             support::upcall(&nuc, k, probe, m)?;
             k.input_register_device(devname)?;
@@ -382,24 +346,18 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<DecafMouse> {
             )
         })?;
 
-    Ok(DecafMouse {
+    Ok(Split {
         kernel: kernel.clone(),
         hw,
-        devname: devname.to_string(),
+        name: devname.to_string(),
         channel,
         nuc,
-        mouse_obj,
+        root,
         init_latency_ns,
         plan,
         dev,
+        unload: Unload::new("psmouse-decaf", IRQ_LINE, Kernel::input_unregister_device),
     })
-}
-
-impl DecafMouse {
-    /// Round trips between nucleus and decaf driver.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
 }
 
 #[cfg(test)]
@@ -443,8 +401,8 @@ mod tests {
         // The decaf driver stored its results in the shared object.
         let heap = drv.channel.heap(Domain::Nucleus);
         let h = heap.borrow();
-        assert_eq!(h.scalar(drv.mouse_obj, "state").unwrap().as_int(), Some(2));
-        assert_eq!(h.scalar(drv.mouse_obj, "rate").unwrap().as_int(), Some(100));
+        assert_eq!(h.scalar(drv.root, "state").unwrap().as_int(), Some(2));
+        assert_eq!(h.scalar(drv.root, "rate").unwrap().as_int(), Some(100));
         assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
 }

@@ -26,15 +26,21 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use decaf_shmring::{BufHandle, BufPool, Descriptor, RingSet};
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel, TimerId};
+use decaf_slicer::SlicePlan;
+use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{Domain, RingEnd, ShardedChannel, ShardedRingPath, XpcResult};
+use decaf_xpc::{
+    DataPathChannel, Domain, NuclearRuntime, RingEnd, ShardedChannel, ShardedRingPath, XpcChannel,
+    XpcResult,
+};
 
-use crate::support::{RxMode, RX_POLL_BUDGET, RX_POLL_TICK_NS};
+use crate::support::{RxMode, Split, Unload, RX_POLL_BUDGET, RX_POLL_TICK_NS};
 
 /// What one read of a chip's interrupt cause register said.
 pub struct IrqCause {
@@ -107,13 +113,98 @@ pub trait RingNic: 'static {
 /// over a [`RingSet`], flow-steered, completions steered home.
 pub type NicPath = ShardedRingPath<Descriptor>;
 
-/// The per-shard rings and data paths of a ring-hosted build.
+/// The per-shard rings and data paths of a ring-hosted build, over the
+/// channel facade they ride.
 pub struct Rings<H> {
     /// The transmit paths.
     pub tx: Rc<NicPath>,
     /// The receive paths.
     pub rx: Rc<NicPath>,
     rx_side: Rc<RxSide<H>>,
+    channels: Rc<ShardedChannel>,
+    rx_mode: RxMode,
+}
+
+/// A NIC's split load as its installer built it: the kernel-path handle
+/// and, when the configuration hosts the data path at user level, its
+/// rings ([`RingSplit::new`] makes the two one handle).
+pub(crate) type SplitLoad<H, D> = (Split<H, D>, Option<Rings<H>>);
+
+/// A split NIC build whose data path is hosted at user level on
+/// per-shard rings, at any width: the e1000's `install_shmring`,
+/// `install_shmring_poll` and `install_sharded`, the 8139's
+/// `install_shmring` and `install_shmring_poll`.
+pub struct RingSplit<H, D> {
+    /// Kernel handle.
+    pub kernel: Kernel,
+    /// Kernel-resident hardware state.
+    pub hw: Rc<H>,
+    /// Interface name.
+    pub name: String,
+    /// The sharded channel facade (shard 0 is the control shard).
+    pub channels: Rc<ShardedChannel>,
+    /// The control shard's channel.
+    pub channel: Rc<XpcChannel>,
+    /// The nuclear runtime guarding upcalls (control shard).
+    pub nuc: Rc<NuclearRuntime>,
+    /// The driver's root object (homed on shard 0).
+    pub root: CAddr,
+    /// Measured `insmod` latency (virtual ns).
+    pub init_latency_ns: u64,
+    /// The slicing plan this build implements (the shared driver image).
+    pub plan: Arc<SlicePlan>,
+    /// Handle to the device model.
+    pub dev: Rc<RefCell<D>>,
+    /// The transmit paths, one per shard.
+    pub tx: Rc<NicPath>,
+    /// The receive paths, one per shard.
+    pub rx: Rc<NicPath>,
+    /// The TX ring set (flow steering + completion steering).
+    pub tx_set: Rc<RingSet>,
+    /// The RX ring set.
+    pub rx_set: Rc<RingSet>,
+    /// Shard 0's receive path (always `Some`).
+    pub rx_path: Option<Rc<DataPathChannel>>,
+    /// How this build collects received frames.
+    pub rx_mode: RxMode,
+    unload: Unload,
+}
+
+impl<H, D> RingSplit<H, D> {
+    /// The ring build of a split load: `split` as installed, with the
+    /// rings its data path runs on — which a shmring configuration has.
+    pub(crate) fn new((split, rings): SplitLoad<H, D>) -> Self {
+        let rings = rings.expect("a shmring configuration has rings");
+        RingSplit {
+            kernel: split.kernel,
+            hw: split.hw,
+            name: split.name,
+            channel: split.channel,
+            nuc: split.nuc,
+            root: split.root,
+            init_latency_ns: split.init_latency_ns,
+            plan: split.plan,
+            dev: split.dev,
+            unload: split.unload,
+            tx_set: Rc::clone(rings.tx.set()),
+            rx_set: Rc::clone(rings.rx.set()),
+            rx_path: Some(Rc::clone(rings.rx.path(0))),
+            tx: rings.tx,
+            rx: rings.rx,
+            channels: rings.channels,
+            rx_mode: rings.rx_mode,
+        }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.channels.shard_count()
+    }
+
+    /// Unloads the driver.
+    pub fn remove(self) {
+        self.unload.run(&self.kernel, &self.name);
+    }
 }
 
 /// Builds the rings of `hw` over `channels` (one TX/RX pair per shard),
@@ -125,7 +216,7 @@ pub fn link<H: RingNic>(
     ifname: &str,
     rx_mode: RxMode,
 ) -> XpcResult<(Rings<H>, IrqHandler, XmitOp)> {
-    let rings = build_rings(channels, hw, ifname)?;
+    let rings = build_rings(channels, hw, ifname, rx_mode)?;
     let inflight = register_drains(hw, &rings)?;
     let irq = irq_handler(hw, ifname, &rings, inflight, rx_mode);
     let xmit = xmit_op(Rc::clone(&rings.tx), H::MAX_FRAME);
@@ -138,6 +229,7 @@ fn build_rings<H: RingNic>(
     channels: &Rc<ShardedChannel>,
     hw: &Rc<H>,
     ifname: &str,
+    rx_mode: RxMode,
 ) -> XpcResult<Rings<H>> {
     let shards = channels.shard_count();
     let paths = |dir, slots, pool, watermark| {
@@ -158,7 +250,13 @@ fn build_rings<H: RingNic>(
         rings: Rc::clone(&rx),
         cut_short: Cell::new(false),
     });
-    Ok(Rings { tx, rx, rx_side })
+    Ok(Rings {
+        tx,
+        rx,
+        rx_side,
+        channels: Rc::clone(channels),
+        rx_mode,
+    })
 }
 
 /// Builds the netdev transmit op: frames over `max_len` fail with

@@ -12,24 +12,20 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use decaf_shmring::{BufPool, RingSet};
+use decaf_shmring::BufPool;
 use decaf_simdev::rtl8139 as hwreg;
 use decaf_simdev::Rtl8139Device;
 use decaf_simkernel::kernel::IrqHandler;
 use decaf_simkernel::net::XmitOp;
-use decaf_simkernel::{
-    DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff, TimerId,
-};
+use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
-use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel,
-    XpcResult,
+    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
 };
 
-use crate::ringnic::{self, IrqCause, RingNic};
-use crate::support::{self, decaf_readl, decaf_writel, RxMode};
+use crate::ringnic::{self, IrqCause, RingNic, RingSplit, SplitLoad};
+use crate::support::{self, decaf_readl, decaf_writel, Native, RxMode, Split, Unload};
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
 /// so the ring batches shallowly.
@@ -361,22 +357,8 @@ impl RingNic for Rtl8139Hw {
     }
 }
 
-/// The installed native driver.
-pub struct Native8139 {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<Rtl8139Hw>,
-    /// Interface name.
-    pub ifname: String,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Handle to the device model.
-    pub dev: Rc<std::cell::RefCell<Rtl8139Device>>,
-}
-
 /// Loads the native (kernel-only) driver.
-pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native8139> {
+pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw, Rtl8139Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let name = ifname.to_string();
@@ -412,12 +394,13 @@ pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native8139> {
         )?;
         Ok(())
     })?;
-    Ok(Native8139 {
+    Ok(Native {
         kernel: kernel.clone(),
         hw,
-        ifname: ifname.to_string(),
+        name: ifname.to_string(),
         init_latency_ns,
         dev,
+        unload: Unload::new("8139too", IRQ_LINE, Kernel::unregister_netdev),
     })
 }
 
@@ -430,65 +413,39 @@ pub fn image() -> Arc<SlicePlan> {
     support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
 }
 
-/// The installed decaf driver.
-pub struct Decaf8139 {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<Rtl8139Hw>,
-    /// Interface name.
-    pub ifname: String,
-    /// XPC channel to the decaf driver.
-    pub channel: Rc<XpcChannel>,
-    /// Nuclear runtime.
-    pub nuc: Rc<NuclearRuntime>,
-    /// Shared private-state object.
-    pub priv_obj: CAddr,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Slicing plan (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model.
-    pub dev: Rc<std::cell::RefCell<Rtl8139Device>>,
-    /// The transmit shmring data path (shmring build only).
-    pub tx_path: Option<Rc<DataPathChannel>>,
-    /// The receive shmring data path (shmring build only).
-    pub rx_path: Option<Rc<DataPathChannel>>,
-    /// The TX ring set — the conservation ledger of the transmit
-    /// descriptors (shmring builds only).
-    pub tx_set: Option<Rc<RingSet>>,
-    /// The RX ring set (shmring builds only).
-    pub rx_set: Option<Rc<RingSet>>,
-    /// How this build collects received frames (shmring builds only).
-    pub rx_mode: RxMode,
-    timers: Vec<TimerId>,
-}
-
 /// Loads the decaf (split) driver with the kernel-resident data path.
-pub fn install_decaf(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, false, RxMode::Interrupt)
+pub fn install_decaf(kernel: &Kernel, ifname: &str) -> KResult<Split<Rtl8139Hw, Rtl8139Device>> {
+    install_decaf_with(kernel, ifname, false, RxMode::Interrupt).map(|(split, _)| split)
 }
 
 /// Loads the decaf driver with the user-level shmring data path — the
 /// `ChannelConfig::kernel_user_shmring()` build for this adapter.
-pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, true, RxMode::Interrupt)
+pub fn install_shmring(
+    kernel: &Kernel,
+    ifname: &str,
+) -> KResult<RingSplit<Rtl8139Hw, Rtl8139Device>> {
+    install_decaf_with(kernel, ifname, true, RxMode::Interrupt).map(RingSplit::new)
 }
 
 /// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
 /// interrupt masks `INT_ROK`, and a periodic budgeted poll probes the
 /// byte-packed receive ring instead of riding doorbell upcalls — the
 /// shared tick of [`ringnic::rx_poll_timer`].
-pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, true, RxMode::Poll)
+pub fn install_shmring_poll(
+    kernel: &Kernel,
+    ifname: &str,
+) -> KResult<RingSplit<Rtl8139Hw, Rtl8139Device>> {
+    install_decaf_with(kernel, ifname, true, RxMode::Poll).map(RingSplit::new)
 }
 
+/// Loads the decaf driver, its data path in the nucleus or, with
+/// `shmring`, on the one-shard rings with `rx_mode` receive.
 fn install_decaf_with(
     kernel: &Kernel,
     ifname: &str,
     shmring: bool,
     rx_mode: RxMode,
-) -> KResult<Decaf8139> {
+) -> KResult<SplitLoad<Rtl8139Hw, Rtl8139Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let plan = image();
@@ -528,7 +485,7 @@ fn install_decaf_with(
     let entries = register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
 
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (priv_obj, init_latency_ns) = support::load(
+    let (root, init_latency_ns) = support::load(
         kernel,
         "8139too_decaf",
         &channels,
@@ -554,32 +511,20 @@ fn install_decaf_with(
         },
     )?;
 
-    let (tx_path, rx_path, tx_set, rx_set) = match rings {
-        Some(r) => (
-            Some(Rc::clone(r.tx.path(0))),
-            Some(Rc::clone(r.rx.path(0))),
-            Some(Rc::clone(r.tx.set())),
-            Some(Rc::clone(r.rx.set())),
-        ),
-        None => (None, None, None, None),
-    };
-    Ok(Decaf8139 {
+    let split = Split {
         kernel: kernel.clone(),
         hw,
-        ifname: ifname.to_string(),
+        name: ifname.to_string(),
         channel,
         nuc,
-        priv_obj,
+        root,
         init_latency_ns,
         plan,
         dev,
-        tx_path,
-        rx_path,
-        tx_set,
-        rx_set,
-        rx_mode,
-        timers,
-    })
+        unload: Unload::new("8139too_decaf", IRQ_LINE, Kernel::unregister_netdev)
+            .with_timers(timers),
+    };
+    Ok((split, rings))
 }
 
 /// Links the channel: the register-access imports, the kernel imports
@@ -674,24 +619,6 @@ struct Entries {
     close: ProcHandle,
 }
 
-impl Decaf8139 {
-    /// Round trips between nucleus and decaf driver.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
-
-    /// Unloads the driver.
-    pub fn remove(self) {
-        for t in self.timers {
-            self.kernel.timer_del(t);
-        }
-        self.kernel.free_irq(IRQ_LINE);
-        let ifname = self.ifname.clone();
-        self.kernel
-            .rmmod("8139too_decaf", move |k| k.unregister_netdev(&ifname));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,7 +707,7 @@ mod tests {
         let k = Kernel::new();
         let drv = install_decaf(&k, "eth1").unwrap();
         let heap = drv.channel.heap(Domain::Nucleus);
-        let mac = heap.borrow().scalar(drv.priv_obj, "mac").unwrap().clone();
+        let mac = heap.borrow().scalar(drv.root, "mac").unwrap().clone();
         assert_eq!(mac.as_opaque().unwrap(), MAC);
     }
 

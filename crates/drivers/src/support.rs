@@ -1,9 +1,12 @@
-//! Shared glue for the decaf driver builds.
+//! Shared glue for the driver builds: the image, channel and entry-point
+//! plumbing of the decaf builds, the native and kernel-path split handle
+//! shapes, and the one teardown record every build's `remove` runs.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use decaf_simkernel::{KError, KResult, Kernel, MmioRegion};
+use decaf_simkernel::{KError, KResult, Kernel, MmioRegion, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
@@ -140,6 +143,110 @@ pub fn load(
         .map_err(|_| KError::NoMem)?;
     let init_latency_ns = kernel.insmod(module, |k| init(k, root))?;
     Ok((root, init_latency_ns))
+}
+
+/// What one install did to the kernel, recorded by that install so the
+/// build's `remove` undoes exactly that: the module it loaded, the IRQ
+/// line it (or the interface's `open`) requested, the timers it armed and
+/// the call that drops the name it registered. Every build's `remove`
+/// runs one of these, so unload is said once.
+pub(crate) struct Unload {
+    module: &'static str,
+    irq: u32,
+    timers: Vec<TimerId>,
+    unregister: fn(&Kernel, &str),
+}
+
+impl Unload {
+    /// The record of an install that loaded `module`, took IRQ `irq` and
+    /// registers with what `unregister` drops.
+    pub(crate) fn new(module: &'static str, irq: u32, unregister: fn(&Kernel, &str)) -> Self {
+        Unload {
+            module,
+            irq,
+            timers: Vec::new(),
+            unregister,
+        }
+    }
+
+    /// The same record, for an install that armed `timers`.
+    pub(crate) fn with_timers(self, timers: Vec<TimerId>) -> Self {
+        Unload { timers, ..self }
+    }
+
+    /// `rmmod`: deletes the timers, frees the IRQ line and unregisters
+    /// `name` in the module's exit. What the kernel held of the build goes
+    /// with them, so the same name installs again.
+    pub(crate) fn run(self, kernel: &Kernel, name: &str) {
+        for t in self.timers {
+            kernel.timer_del(t);
+        }
+        kernel.free_irq(self.irq);
+        kernel.rmmod(self.module, |k| (self.unregister)(k, name));
+    }
+}
+
+/// A native build: the whole driver in the kernel — the Table 3
+/// baseline. `H` is the kernel-resident hardware state, `D` the device
+/// model.
+pub struct Native<H, D> {
+    /// Kernel handle.
+    pub kernel: Kernel,
+    /// Hardware state.
+    pub hw: Rc<H>,
+    /// The name the driver registered: interface, card, HCD or input
+    /// device.
+    pub name: String,
+    /// Measured `insmod` latency (virtual ns).
+    pub init_latency_ns: u64,
+    /// Handle to the device model (traffic injection, media inspection).
+    pub dev: Rc<RefCell<D>>,
+    pub(crate) unload: Unload,
+}
+
+impl<H, D> Native<H, D> {
+    /// Unloads the driver.
+    pub fn remove(self) {
+        self.unload.run(&self.kernel, &self.name);
+    }
+}
+
+/// A split build whose data path stays in the kernel: the nucleus keeps
+/// the interrupt handler and the data path, the decaf driver runs
+/// initialization and configuration over one XPC channel.
+pub struct Split<H, D> {
+    /// Kernel handle.
+    pub kernel: Kernel,
+    /// Kernel-resident hardware state (the nucleus data path).
+    pub hw: Rc<H>,
+    /// The name the driver registered.
+    pub name: String,
+    /// The XPC channel between nucleus and decaf driver.
+    pub channel: Rc<XpcChannel>,
+    /// The nuclear runtime guarding upcalls.
+    pub nuc: Rc<NuclearRuntime>,
+    /// The driver's root object, shared across the boundary (nucleus
+    /// heap address).
+    pub root: CAddr,
+    /// Measured `insmod` latency (virtual ns).
+    pub init_latency_ns: u64,
+    /// The slicing plan this build implements (the shared driver image).
+    pub plan: Arc<SlicePlan>,
+    /// Handle to the device model.
+    pub dev: Rc<RefCell<D>>,
+    pub(crate) unload: Unload,
+}
+
+impl<H, D> Split<H, D> {
+    /// Round trips between nucleus and decaf driver so far.
+    pub fn crossings(&self) -> u64 {
+        self.channel.stats().round_trips
+    }
+
+    /// Unloads the driver.
+    pub fn remove(self) {
+        self.unload.run(&self.kernel, &self.name);
+    }
 }
 
 /// Upcalls entry point `proc` — the handle [`register_entry`] returned —

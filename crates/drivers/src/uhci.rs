@@ -28,7 +28,7 @@ use decaf_xpc::{
     XpcChannel, XpcResult,
 };
 
-use crate::support::{self, decaf_readl, decaf_writel};
+use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
 
 /// IRQ line of the controller.
 pub const IRQ_LINE: u32 = 9;
@@ -371,22 +371,8 @@ fn hcd_ops(hw: Rc<UhciHw>) -> HcdOps {
     }
 }
 
-/// The installed native driver.
-pub struct NativeUhci {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<UhciHw>,
-    /// HCD name.
-    pub hcd: String,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Handle to the device model (flash media inspection).
-    pub dev: Rc<std::cell::RefCell<UhciDevice>>,
-}
-
 /// Loads the native driver.
-pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<NativeUhci> {
+pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<Native<UhciHw, UhciDevice>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(UhciHw::new(bar, dma));
     let name = hcd.to_string();
@@ -399,12 +385,13 @@ pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<NativeUhci> {
         k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))?;
         Ok(())
     })?;
-    Ok(NativeUhci {
+    Ok(Native {
         kernel: kernel.clone(),
         hw,
-        hcd: hcd.to_string(),
+        name: hcd.to_string(),
         init_latency_ns,
         dev,
+        unload: Unload::new("uhci-hcd", IRQ_LINE, Kernel::usb_unregister_hcd),
     })
 }
 
@@ -449,28 +436,6 @@ fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KRe
         dev,
         root_hub: control.expect("a channel facade has a shard"),
     })
-}
-
-/// The installed decaf driver.
-pub struct DecafUhci {
-    /// Kernel handle.
-    pub kernel: Kernel,
-    /// Hardware state.
-    pub hw: Rc<UhciHw>,
-    /// HCD name.
-    pub hcd: String,
-    /// XPC channel.
-    pub channel: Rc<XpcChannel>,
-    /// Nuclear runtime.
-    pub nuc: Rc<NuclearRuntime>,
-    /// Shared controller object.
-    pub uhci_obj: CAddr,
-    /// Measured `insmod` latency.
-    pub init_latency_ns: u64,
-    /// Slicing plan (the shared driver image).
-    pub plan: Arc<SlicePlan>,
-    /// Handle to the device model (flash media inspection).
-    pub dev: Rc<std::cell::RefCell<UhciDevice>>,
 }
 
 /// The root-hub entry points the nucleus upcalls, as registered.
@@ -538,7 +503,7 @@ fn start_controller(
 
 /// Loads the decaf driver: the schedule path stays in the kernel; root
 /// hub suspend/resume/port counting run at user level.
-pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
+pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<Split<UhciHw, UhciDevice>> {
     let Attached {
         hw,
         plan,
@@ -549,7 +514,7 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
     let channel = Rc::clone(channels.shard(0));
     let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
 
-    let (uhci_obj, init_latency_ns) =
+    let (root, init_latency_ns) =
         support::load(kernel, "uhci-hcd-decaf", &channels, "uhci_hcd", |k, u| {
             start_controller(k, &hw, &nuc, root_hub, u)?;
             // A suspend/resume cycle as the paper's power management
@@ -561,24 +526,18 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<DecafUhci> {
             k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
         })?;
 
-    Ok(DecafUhci {
+    Ok(Split {
         kernel: kernel.clone(),
         hw,
-        hcd: hcd.to_string(),
+        name: hcd.to_string(),
         channel,
         nuc,
-        uhci_obj,
+        root,
         init_latency_ns,
         plan,
         dev,
+        unload: Unload::new("uhci-hcd-decaf", IRQ_LINE, Kernel::usb_unregister_hcd),
     })
-}
-
-impl DecafUhci {
-    /// Round trips between nucleus and decaf driver.
-    pub fn crossings(&self) -> u64 {
-        self.channel.stats().round_trips
-    }
 }
 
 // --------------------------------------------- by-value build (ablation)
@@ -599,8 +558,8 @@ pub struct ValueUhci {
     pub channel: Rc<XpcChannel>,
     /// Handle to the device model.
     pub dev: Rc<RefCell<UhciDevice>>,
-    hcd: String,
-    flush_timer: TimerId,
+    name: String,
+    unload: Unload,
 }
 
 /// Loads the by-value user-level URB path: the `copy` (per-URB
@@ -711,8 +670,9 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
         hw,
         channel,
         dev,
-        hcd: hcd.to_string(),
-        flush_timer,
+        name: hcd.to_string(),
+        unload: Unload::new("uhci-hcd-value", IRQ_LINE, Kernel::usb_unregister_hcd)
+            .with_timers(vec![flush_timer]),
     })
 }
 
@@ -727,11 +687,7 @@ impl ValueUhci {
     /// starts clean.
     pub fn remove(self) {
         let _ = self.flush();
-        self.kernel.timer_del(self.flush_timer);
-        self.kernel.free_irq(IRQ_LINE);
-        let hcd = self.hcd.clone();
-        self.kernel
-            .rmmod("uhci-hcd-value", move |k| k.usb_unregister_hcd(&hcd));
+        self.unload.run(&self.kernel, &self.name);
     }
 }
 
@@ -767,13 +723,13 @@ pub struct ShardedUhci {
     /// Hardware state.
     pub hw: Rc<UhciHw>,
     /// HCD name.
-    pub hcd: String,
+    pub name: String,
     /// The sharded channel facade (shard 0 is the control shard).
     pub channels: Rc<ShardedChannel>,
     /// Nuclear runtime (control shard).
     pub nuc: Rc<NuclearRuntime>,
     /// Shared controller object (homed on shard 0).
-    pub uhci_obj: CAddr,
+    pub root: CAddr,
     /// Measured `insmod` latency.
     pub init_latency_ns: u64,
     /// Slicing plan (the shared driver image).
@@ -782,7 +738,7 @@ pub struct ShardedUhci {
     pub dev: Rc<RefCell<UhciDevice>>,
     /// The sharded URB data path.
     pub urb_path: Rc<ShardedUrbPath>,
-    poll_timer: TimerId,
+    unload: Unload,
 }
 
 /// One slot of the completion slab.
@@ -967,7 +923,7 @@ pub fn install_sharded_with(
     ));
     let pending = Rc::new(PendingUrbs::default());
 
-    let (uhci_obj, init_latency_ns) =
+    let (root, init_latency_ns) =
         support::load(kernel, "uhci-hcd-sharded", &channels, "uhci_hcd", |k, u| {
             start_controller(k, &hw, &nuc, root_hub, u)?;
             let ops = sharded_hcd_ops(Rc::clone(&urb_path), Rc::clone(&pending));
@@ -981,15 +937,16 @@ pub fn install_sharded_with(
     Ok(ShardedUhci {
         kernel: kernel.clone(),
         hw,
-        hcd: hcd.to_string(),
+        name: hcd.to_string(),
         channels,
         nuc,
-        uhci_obj,
+        root,
         init_latency_ns,
         plan,
         dev,
         urb_path,
-        poll_timer,
+        unload: Unload::new("uhci-hcd-sharded", IRQ_LINE, Kernel::usb_unregister_hcd)
+            .with_timers(vec![poll_timer]),
     })
 }
 
@@ -1073,11 +1030,7 @@ impl ShardedUhci {
 
     /// Unloads the driver.
     pub fn remove(self) {
-        self.kernel.timer_del(self.poll_timer);
-        self.kernel.free_irq(IRQ_LINE);
-        let hcd = self.hcd.clone();
-        self.kernel
-            .rmmod("uhci-hcd-sharded", move |k| k.usb_unregister_hcd(&hcd));
+        self.unload.run(&self.kernel, &self.name);
     }
 }
 

@@ -503,8 +503,8 @@ impl Kernel {
         }
     }
 
-    /// Enters atomic context (used by spinlock-like primitives, including
-    /// the XPC combolock in spin mode). Must be balanced by
+    /// Enters atomic context (used by spinlock-like primitives, such as
+    /// the sound core's spinlock mode). Must be balanced by
     /// [`Kernel::leave_atomic`].
     pub fn enter_atomic(&self) {
         self.inner

@@ -78,6 +78,14 @@ impl Kernel {
         Ok(())
     }
 
+    /// Unregisters a sound card (like `snd_card_free`): its ops go, and
+    /// the name may register again.
+    pub fn snd_card_unregister(&self, name: &str) {
+        // Dropped once the borrow is released: the ops may own a driver.
+        let card = self.inner().sound.borrow_mut().cards.remove(name);
+        drop(card);
+    }
+
     /// Selects the lock the core takes around this card's callbacks.
     pub fn snd_set_lock_mode(&self, name: &str, mode: SoundLockMode) -> KResult<()> {
         match self.inner().sound.borrow_mut().cards.get_mut(name) {
@@ -215,6 +223,18 @@ mod tests {
         let w = Rc::new(Cell::new(0));
         k.snd_card_register("c", ops(w, false)).unwrap();
         assert_eq!(k.snd_pcm_write("c", &[0i16; 4]), Err(KError::Inval));
+    }
+
+    #[test]
+    fn an_unregistered_card_is_gone_and_its_name_free() {
+        let k = Kernel::new();
+        let w = Rc::new(Cell::new(0));
+        k.snd_card_register("c", ops(Rc::clone(&w), false)).unwrap();
+        k.snd_card_unregister("c");
+        assert_eq!(k.snd_pcm_open("c"), Err(KError::NoDev));
+        assert_eq!(Rc::strong_count(&w), 1, "the card's ops were dropped");
+        k.snd_card_register("c", ops(w, false)).unwrap();
+        k.snd_pcm_open("c").unwrap();
     }
 
     #[test]

@@ -58,7 +58,7 @@ use decaf_xdr::{XdrSpec, XdrValue};
 
 use crate::domain::Domain;
 use crate::error::{XpcError, XpcResult};
-use crate::tracker::{ObjectTracker, TrackerStats};
+use crate::tracker::ObjectTracker;
 use crate::transport::{
     CompletionToken, DeferredCall, DeferredQueue, TransportKind, BATCH_DEADLINE_NS,
 };
@@ -604,13 +604,6 @@ impl XpcChannel {
     /// Counter snapshot.
     pub fn stats(&self) -> ChannelStats {
         self.stats.get()
-    }
-
-    /// Object-tracker counters for one end.
-    pub fn tracker_stats(&self, domain: Domain) -> TrackerStats {
-        self.end(domain)
-            .map(|e| e.tracker.borrow().stats())
-            .unwrap_or_default()
     }
 
     /// Registers a procedure at `domain`'s end and returns its handle. A
@@ -1724,9 +1717,6 @@ mod tests {
         // Adapter + embedded ring: exactly two objects at the decaf end,
         // no matter how many calls were made.
         assert_eq!(ch.heap(Domain::Decaf).borrow().len(), 2);
-        let ts = ch.tracker_stats(Domain::Decaf);
-        assert_eq!(ts.associations, 2);
-        assert!(ts.hits >= 4, "subsequent calls hit the tracker");
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!    shared object so the same object is updated, never duplicated, when
 //!    it crosses a boundary again; a type tag disambiguates embedded
 //!    structures that share a C address (§3.1.2).
-//! 4. **Synchronization** — [`combolock::Combolock`]: a spinlock while
-//!    only the kernel uses it, a semaphore once user mode participates
-//!    (§3.1.3).
+//! 4. **Synchronization** — the [`runtime::NuclearRuntime`] masks the
+//!    device's interrupt while user-level code runs, and the kernel
+//!    records a violation whenever a call that may block — every upcall —
+//!    runs in atomic context. The paper's other §3.1.3 change, a sound
+//!    core that holds a mutex rather than a spinlock across driver
+//!    callbacks, lives in the simulated kernel's `SoundLockMode`.
 //! 5. **Stubs** — [`endpoint::XpcChannel`] performs the six stub steps of
 //!    §3.1.1 (tracker translation, marshal, transfer, unmarshal, dispatch,
 //!    out-parameter return).
@@ -60,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod combolock;
 pub mod domain;
 pub mod endpoint;
 pub mod error;
@@ -75,7 +77,6 @@ pub use admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict, TokenBucket,
     TrafficClass,
 };
-pub use combolock::{ComboStats, Combolock};
 pub use domain::Domain;
 pub use endpoint::{
     ChannelConfig, ChannelStats, ProcDef, ProcHandle, ProcHandler, SharedObject, XpcChannel,
@@ -85,7 +86,7 @@ pub use ringpath::{DataPathChannel, RingEnd, RingPath, UrbDataPath, UrbReclaim};
 pub use runtime::{DecafRuntime, NuclearRuntime};
 pub use shard::{ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
 pub use shardpath::{ShardedRingPath, ShardedUrbPath};
-pub use tracker::{ObjectTracker, TrackerStats};
+pub use tracker::ObjectTracker;
 pub use transport::{CompletionToken, DeferredCall, DeferredQueue, TransportKind};
 
 // The unit tests of the two descriptor kinds of `RingPath` and of the

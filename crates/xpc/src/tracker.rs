@@ -19,26 +19,12 @@ use decaf_xdr::graph::CAddr;
 use decaf_xdr::plan::{Layout, TypeId};
 use decaf_xdr::TrackerHook;
 
-/// Counters describing tracker behaviour (used by tests and benches).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TrackerStats {
-    /// Lookups that found an existing association.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Associations recorded.
-    pub associations: u64,
-    /// Associations removed.
-    pub releases: u64,
-}
-
 /// A per-domain object tracker mapping peer (canonical) addresses to local
 /// objects, disambiguated by type tag.
 #[derive(Debug, Default)]
 pub struct ObjectTracker {
     by_remote: HashMap<(CAddr, TypeId), CAddr>,
     by_local: HashMap<CAddr, (CAddr, TypeId)>,
-    stats: TrackerStats,
 }
 
 impl ObjectTracker {
@@ -57,11 +43,6 @@ impl ObjectTracker {
         self.by_remote.is_empty()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> TrackerStats {
-        self.stats
-    }
-
     /// The canonical (peer) address a local object corresponds to, if the
     /// object originated elsewhere.
     ///
@@ -78,7 +59,6 @@ impl ObjectTracker {
     pub fn release_local(&mut self, local: CAddr) -> Option<CAddr> {
         let (remote, tag) = self.by_local.remove(&local)?;
         self.by_remote.remove(&(remote, tag));
-        self.stats.releases += 1;
         Some(remote)
     }
 
@@ -86,7 +66,6 @@ impl ObjectTracker {
     pub fn release_remote(&mut self, remote: CAddr, type_tag: TypeId) -> Option<CAddr> {
         let local = self.by_remote.remove(&(remote, type_tag))?;
         self.by_local.remove(&local);
-        self.stats.releases += 1;
         Some(local)
     }
 
@@ -104,22 +83,12 @@ impl ObjectTracker {
 
 impl TrackerHook for ObjectTracker {
     fn lookup(&mut self, remote: CAddr, ty: &Layout) -> Option<CAddr> {
-        match self.by_remote.get(&(remote, ty.id())) {
-            Some(local) => {
-                self.stats.hits += 1;
-                Some(*local)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.by_remote.get(&(remote, ty.id())).copied()
     }
 
     fn associate(&mut self, remote: CAddr, ty: &Layout, local: CAddr) {
         self.by_remote.insert((remote, ty.id()), local);
         self.by_local.insert(local, (remote, ty.id()));
-        self.stats.associations += 1;
     }
 }
 
@@ -146,10 +115,8 @@ mod tests {
             t.lookup(0x1000, s.layout("e1000_adapter").unwrap()),
             Some(0x8000_0000)
         );
-        let stats = t.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.associations, 1);
+        let id = s.layout("e1000_adapter").unwrap().id();
+        assert_eq!(t.associations(), [(0x1000, id, 0x8000_0000)]);
     }
 
     #[test]
@@ -186,7 +153,7 @@ mod tests {
         assert_eq!(t.lookup(0x3000, s.layout("ring").unwrap()), None);
         assert_eq!(t.canonical_for(0x8000_0000), None);
         assert!(t.is_empty());
-        assert_eq!(t.stats().releases, 1);
+        assert_eq!(t.release_local(0x8000_0000), None, "released once");
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
         .upcall(
             &kernel,
             probe.expect("probe registered"),
-            &[Some(drv.adapter)],
+            &[Some(drv.root)],
             &[],
         )
         .expect("re-probe after restart");

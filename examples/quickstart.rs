@@ -57,7 +57,7 @@ fn main() {
     // 4. The shared adapter object lives in both domains; the nucleus
     //    sees what the decaf driver wrote.
     let heap = drv.channel.heap(Domain::Nucleus);
-    let mac = heap.borrow().scalar(drv.adapter, "mac").unwrap().clone();
+    let mac = heap.borrow().scalar(drv.root, "mac").unwrap().clone();
     println!(
         "\nMAC assembled by the decaf driver: {:02x?}",
         mac.as_opaque().unwrap()

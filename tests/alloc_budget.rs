@@ -261,7 +261,7 @@ fn rtl8139_ring_send_path_stays_inside_its_allocation_budget() {
         (net.tx_packets, net.rx_packets, net.tx_errors),
         (sent, sent, 0)
     );
-    let (tx_set, rx_set) = (drv.tx_set.as_ref().unwrap(), drv.rx_set.as_ref().unwrap());
+    let (tx_set, rx_set) = (&drv.tx_set, &drv.rx_set);
     assert!(tx_set.conserved() && rx_set.conserved());
     assert_eq!((tx_set.in_flight(), rx_set.in_flight()), (0, 0));
     assert!(kernel.violations().is_empty(), "{:?}", kernel.violations());

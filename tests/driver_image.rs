@@ -8,10 +8,14 @@
 //! a buffer was reused. The last test is the regression for the leak the
 //! shared image made visible: a dropped machine frees its drivers.
 
-use std::rc::Rc;
+use std::any::Any;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
+use decaf_core::drivers::ringnic::RingSplit;
+use decaf_core::drivers::support::{Native, Split};
 use decaf_core::drivers::{e1000, ens1371, psmouse, rtl8139, uhci, DriverKind};
+use decaf_core::shmring::AllocMode;
 use decaf_core::simkernel::Kernel;
 use decaf_core::slicer::{slice, SliceConfig};
 use decaf_core::xdr::mask::MaskSet;
@@ -118,7 +122,7 @@ fn every_channel_of_every_load_runs_the_images_compiled_plan() {
     let drv = e1000::decaf::install(&k, "eth0").unwrap();
     let heap = drv.channel.heap(Domain::Nucleus);
     let heap = heap.borrow();
-    let adapter = heap.get(drv.adapter).unwrap();
+    let adapter = heap.get(drv.root).unwrap();
     assert!(Arc::ptr_eq(
         adapter.layout(),
         image.spec.layout("e1000_adapter").unwrap()
@@ -329,43 +333,127 @@ fn a_dropped_ring_build_frees_its_channels() {
     }
 }
 
-/// A removed driver is gone *then*, not when the machine is: `timer_del`
-/// used to keep each deleted timer's closure — the watchdog's runtime and
-/// sharded channel, the poll timer's data paths — until the kernel itself
-/// was dropped, so twenty load/remove rounds on one kernel (`ctl_init`)
-/// held twenty generations of dead channels.
+/// How a check removes a loaded build, and weak handles on what that
+/// must free: its hardware state, its channels, its data paths.
+type Loaded = (Box<dyn FnOnce()>, Vec<Weak<dyn Any>>);
+
+fn native<H: 'static, D: 'static>(d: Native<H, D>) -> Loaded {
+    let freed = vec![Rc::downgrade(&d.hw) as Weak<dyn Any>];
+    (Box::new(move || d.remove()), freed)
+}
+
+fn split<H: 'static, D: 'static>(d: Split<H, D>) -> Loaded {
+    let freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channel) as _];
+    (Box::new(move || d.remove()), freed)
+}
+
+fn ring<H: 'static, D: 'static>(d: RingSplit<H, D>) -> Loaded {
+    let mut freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channels) as _];
+    for i in 0..d.channels.shard_count() {
+        freed.push(Rc::downgrade(d.channels.shard(i)) as _);
+        freed.push(Rc::downgrade(d.tx.path(i)) as _);
+        freed.push(Rc::downgrade(d.rx.path(i)) as _);
+    }
+    (Box::new(move || d.remove()), freed)
+}
+
+fn sharded_uhci(d: uhci::ShardedUhci) -> Loaded {
+    let mut freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.urb_path) as _];
+    for i in 0..d.channels.shard_count() {
+        freed.push(Rc::downgrade(d.channels.shard(i)) as _);
+    }
+    (Box::new(move || d.remove()), freed)
+}
+
+/// A removed driver is gone *then*, not when the machine is — every build
+/// of all five drivers, on one kernel. `timer_del` used to keep each
+/// deleted timer's closure — the watchdog's runtime and sharded channel,
+/// the poll timer's data paths — until the kernel itself was dropped, so
+/// twenty load/remove rounds on one kernel (`ctl_init`) held twenty
+/// generations of dead channels. And seven builds had no `remove` at all:
+/// their module, IRQ handler and card/HCD/input registration stayed, so
+/// installing them again under the same name was `Busy`.
 #[test]
 fn a_removed_driver_is_freed_while_the_kernel_lives_on() {
+    type Install = fn(&Kernel, &str) -> Loaded;
+    let builds: [(&str, &str, Install); 18] = [
+        ("e1000 native", "eth0", |k, n| {
+            native(e1000::native::install(k, n).unwrap())
+        }),
+        ("e1000 decaf", "eth0", |k, n| {
+            split(e1000::decaf::install(k, n).unwrap())
+        }),
+        ("e1000 shmring", "eth0", |k, n| {
+            ring(e1000::decaf::install_shmring(k, n).unwrap())
+        }),
+        ("e1000 poll", "eth0", |k, n| {
+            ring(e1000::decaf::install_shmring_poll(k, n).unwrap())
+        }),
+        ("e1000 sharded", "eth0", |k, n| {
+            ring(e1000::decaf::install_sharded(k, n, 4).unwrap())
+        }),
+        ("8139 native", "eth1", |k, n| {
+            native(rtl8139::install_native(k, n).unwrap())
+        }),
+        ("8139 decaf", "eth1", |k, n| {
+            split(rtl8139::install_decaf(k, n).unwrap())
+        }),
+        ("8139 shmring", "eth1", |k, n| {
+            ring(rtl8139::install_shmring(k, n).unwrap())
+        }),
+        ("8139 poll", "eth1", |k, n| {
+            ring(rtl8139::install_shmring_poll(k, n).unwrap())
+        }),
+        ("ens1371 native", "card0", |k, n| {
+            native(ens1371::install_native(k, n).unwrap())
+        }),
+        ("ens1371 decaf", "card0", |k, n| {
+            split(ens1371::install_decaf(k, n).unwrap())
+        }),
+        ("uhci native", "uhci0", |k, n| {
+            native(uhci::install_native(k, n).unwrap())
+        }),
+        ("uhci decaf", "uhci0", |k, n| {
+            split(uhci::install_decaf(k, n).unwrap())
+        }),
+        ("uhci value", "uhci0", |k, n| {
+            let d = uhci::install_value(k, n, true).unwrap();
+            let freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channel) as _];
+            (Box::new(move || d.remove()), freed)
+        }),
+        ("uhci sharded", "uhci0", |k, n| {
+            sharded_uhci(uhci::install_sharded(k, n, 4).unwrap())
+        }),
+        ("uhci sharded first-fit", "uhci0", |k, n| {
+            let mode = AllocMode::FirstFit;
+            sharded_uhci(uhci::install_sharded_with(k, n, 2, mode).unwrap())
+        }),
+        ("psmouse native", "mouse0", |k, n| {
+            native(psmouse::install_native(k, n).unwrap())
+        }),
+        ("psmouse decaf", "mouse0", |k, n| {
+            split(psmouse::install_decaf(k, n).unwrap())
+        }),
+    ];
     let k = Kernel::new();
-    let single = e1000::decaf::install(&k, "eth0").unwrap();
-    k.netdev_open("eth0").unwrap();
-    k.run_for(2_500_000_000); // past a watchdog period
-    let channel = Rc::downgrade(&single.channel);
-    let hw = Rc::downgrade(&single.hw);
-    single.remove();
-    assert!(
-        channel.upgrade().is_none(),
-        "the control channel outlived remove()"
-    );
-    assert!(
-        hw.upgrade().is_none(),
-        "the hardware state outlived remove()"
-    );
-
-    let sharded = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
-    k.netdev_open("eth0").unwrap();
-    k.run_for(1_000_000);
-    let channels = Rc::downgrade(&sharded.channels);
-    let tx_path = Rc::downgrade(sharded.tx.path(3));
-    sharded.remove();
-    assert!(
-        channels.upgrade().is_none(),
-        "the sharded channel outlived remove()"
-    );
-    assert!(
-        tx_path.upgrade().is_none(),
-        "a TX data path outlived remove()"
-    );
+    for (build, name, install) in builds {
+        // Installed twice under one name: the second load finds the
+        // name, the IRQ line and the module free again.
+        for round in 0..2 {
+            let (remove, freed) = install(&k, name);
+            if name.starts_with("eth") {
+                // `open` requests the IRQ line of a split NIC.
+                k.netdev_open(name).unwrap();
+            }
+            k.run_for(2_500_000_000); // past a watchdog period
+            remove();
+            for (i, weak) in freed.iter().enumerate() {
+                let what = format!("{build}, load {round}: object {i}");
+                assert!(weak.upgrade().is_none(), "{what} outlived remove()");
+            }
+            assert!(k.modules().is_empty(), "{build}: {:?}", k.modules());
+        }
+    }
     assert!(k.violations().is_empty(), "{:?}", k.violations());
 }
 

@@ -136,8 +136,6 @@ fn shared_adapter_is_tracked_not_duplicated() {
         decaf_objects_after_init,
         "repeat transfers must update, not duplicate"
     );
-    let ts = drv.channel.tracker_stats(Domain::Decaf);
-    assert!(ts.hits > 5, "tracker hits accumulate: {ts:?}");
 }
 
 /// An upcall attempted from interrupt context is flagged by the kernel —
@@ -148,7 +146,7 @@ fn upcall_from_interrupt_context_is_flagged() {
     let k = Kernel::new();
     let drv = decaf_core::drivers::e1000::decaf::install(&k, "eth0").unwrap();
     let nuc = Rc::clone(&drv.nuc);
-    let adapter = drv.adapter;
+    let adapter = drv.root;
     let watchdog = drv
         .channel
         .resolve_proc(Domain::Nucleus, "e1000_watchdog_task")

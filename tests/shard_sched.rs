@@ -24,9 +24,12 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use decaf_core::drivers::ringnic::RingSplit;
+use decaf_core::drivers::rtl8139::Rtl8139Hw;
 use decaf_core::sched::{
     self, fault_sweep, interleavings, interleavings_spread, schedule_sweep, FaultPlan, SweepConfig,
 };
+use decaf_core::simdev::Rtl8139Device;
 
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
@@ -496,14 +499,13 @@ fn same_seed_traces_are_byte_identical_and_well_nested() {
 /// every frame went out and came back once, both ledgers close, and
 /// every descriptor on a ring was put there by exactly one ledger post
 /// or completion.
-fn rtl8139_ledger_closes(k: &Kernel, drv: &decaf_core::drivers::rtl8139::Decaf8139, offered: u64) {
-    let net = k.net_stats(&drv.ifname);
+fn rtl8139_ledger_closes(k: &Kernel, drv: &RingSplit<Rtl8139Hw, Rtl8139Device>, offered: u64) {
+    let net = k.net_stats(&drv.name);
     assert_eq!(
         (net.tx_packets, net.rx_packets, net.tx_errors),
         (offered, offered, 0)
     );
     for (dir, set) in [("tx", &drv.tx_set), ("rx", &drv.rx_set)] {
-        let set = set.as_ref().expect("a ring build has ring sets");
         assert!(set.conserved(), "{dir}: {:?}", set.stats());
         assert_eq!(set.in_flight(), 0, "{dir} descriptors in flight");
         let ledger = set.stats();
@@ -567,7 +569,7 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     let drv = decaf_core::drivers::rtl8139::install_shmring(&k, "eth1").expect("installs");
     k.netdev_open("eth1").expect("open");
     k.schedule_point();
-    let rx_set = drv.rx_set.clone().expect("a ring build has ring sets");
+    let rx_set = Rc::clone(&drv.rx_set);
     let probed = Rc::new(Cell::new(0));
     for round in 0..ROUNDS {
         let (set, probed) = (Rc::clone(&rx_set), Rc::clone(&probed));
@@ -624,7 +626,7 @@ fn rtl8139_burst_larger_than_the_rx_ring_loses_nothing() {
         assert_eq!(drv.dev.borrow().rx_dropped, 0);
         let net = k.net_stats("eth1");
         assert_eq!(net.rx_packets, FRAMES, "poll={poll}: frames lost");
-        let rx_set = drv.rx_set.as_ref().unwrap();
+        let rx_set = &drv.rx_set;
         assert!(rx_set.conserved() && rx_set.in_flight() == 0);
         assert_eq!(rx_set.stats().completed, FRAMES);
         assert!(k.violations().is_empty(), "{:?}", k.violations());
