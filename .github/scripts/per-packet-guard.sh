@@ -142,3 +142,48 @@ if [ -d "$d" ]; then
             sed "s|^|$f:|" || true
     done
 fi
+
+# Prints every `pub fn install*` in the product code of the drivers that
+# is not on the list below: the installers `decaf_bench` calls by name
+# (`decaf_bench/README.md`, "Pinned entry points"), the one table-driven
+# `install`, and the two open-loop rigs. Every other build is reached as
+# `drivers::install(kernel, name, Build { driver, hosting })`, so a new
+# build is a `Hosting` entry in `Build::ALL`, not a function. Product
+# code only, each file up to its trailing test module; a listed file
+# that does not exist prints "<file>: missing".
+d=crates/drivers/src
+allowed="
+$d/e1000/decaf.rs:install
+$d/e1000/decaf.rs:install_sharded
+$d/e1000/decaf.rs:install_shmring_poll
+$d/e1000/native.rs:install
+$d/rtl8139.rs:install_decaf
+$d/ens1371.rs:install_decaf
+$d/uhci.rs:install_decaf
+$d/uhci.rs:install_sharded
+$d/uhci.rs:install_native
+$d/psmouse.rs:install_decaf
+$d/lib.rs:install
+$d/support.rs:install_open_loop_net
+$d/support.rs:install_open_loop_storage
+"
+for f in $(echo "$allowed" | sed 's/:.*//' | sort -u)
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+    fi
+done
+if [ -d "$d" ]; then
+    for f in $(find "$d" -name '*.rs' | sort)
+    do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -n 'pub fn install[A-Za-z0-9_]*' |
+            while IFS= read -r hit
+            do
+                name=$(echo "$hit" | sed 's/.*pub fn \(install[A-Za-z0-9_]*\).*/\1/')
+                if ! echo "$allowed" | grep -qx "$f:$name"; then
+                    echo "$f:$hit"
+                fi
+            done
+    done
+fi

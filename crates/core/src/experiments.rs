@@ -1,11 +1,11 @@
 //! Experiment runners for the paper's tables.
 
 use crate::loadgen::{self, SplitMix64};
-use decaf_drivers::{ringnic::RingSplit, support::Native, support::Split, workloads, DriverKind};
+use decaf_drivers::{workloads, Build, DriverKind, Hosting, Loaded};
 use decaf_shmring::{BufPool, DoorbellPolicy, ShmRing};
 use decaf_simkernel::clock::ClockSnapshot;
 use decaf_simkernel::decaf_trace::Tracer;
-use decaf_simkernel::{costs, CpuClass, KResult, Kernel};
+use decaf_simkernel::{costs, CpuClass, Kernel};
 use decaf_slicer::evolve::{self, NewField, Patch};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
@@ -557,18 +557,6 @@ impl Perf {
     }
 }
 
-/// Which build of a driver a Table 3 side loads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Hosting {
-    /// The unmodified in-kernel driver.
-    Native,
-    /// The split driver, data path resident in the kernel.
-    Decaf,
-    /// The split driver with the data path at user level: every packet
-    /// crosses as a descriptor through the shared-memory ring.
-    Shmring,
-}
-
 /// What pushes input at a loaded device model — the peer on the wire,
 /// the hand on the mouse.
 enum Input {
@@ -612,74 +600,51 @@ impl Side {
     }
 }
 
-/// `insmod`s the `hosting` build of `kind` on a fresh kernel and brings
-/// it to the state the paper's runs start from (a NIC is opened).
-fn load(kind: DriverKind, hosting: Hosting) -> Side {
-    use decaf_drivers::{e1000, ens1371, psmouse, rtl8139, uhci};
-    use decaf_simdev::{e1000::E1000Device, rtl8139::Rtl8139Device};
-    use std::cell::RefCell;
-    use {DriverKind as K, Hosting as H};
+/// `insmod`s `build` on a fresh kernel and brings it to the state the
+/// paper's runs start from (a NIC is opened).
+fn load(build: Build) -> Side {
+    use decaf_simdev::{e1000::E1000Device, psmouse::PsMouseDevice, rtl8139::Rtl8139Device};
+    use std::any::Any;
+    use std::cell::{RefCell, RefMut};
+    use DriverKind as K;
 
-    fn frames<D: 'static>(dev: Rc<RefCell<D>>, inject: fn(&mut D, &Kernel, &[u8])) -> Input {
-        Input::Frames(Box::new(move |k, f| inject(&mut dev.borrow_mut(), k, f)))
+    /// The device model behind a loaded build's erased handle.
+    fn model<D: 'static>(dev: &RefCell<dyn Any>) -> RefMut<'_, D> {
+        RefMut::map(dev.borrow_mut(), |d| d.downcast_mut().expect("its device"))
     }
-    // What a `Side` keeps of each of the three handle shapes Table 3
-    // loads: the load latency, the device's input, a split's runtime.
-    type Kept = (u64, Input, Option<Rc<decaf_xpc::NuclearRuntime>>);
-    fn native<H, D>(d: KResult<Native<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
-        let d = d.expect("Table 3 driver loads");
-        (d.init_latency_ns, input(d.dev), None)
+    fn frames<D: 'static>(dev: Rc<RefCell<dyn Any>>, inject: fn(&mut D, &Kernel, &[u8])) -> Input {
+        Input::Frames(Box::new(move |k, f| inject(&mut model(&dev), k, f)))
     }
-    fn split<H, D>(d: KResult<Split<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
-        let d = d.expect("Table 3 driver loads");
-        (d.init_latency_ns, input(d.dev), Some(d.nuc))
-    }
-    fn ring<H, D>(d: KResult<RingSplit<H, D>>, input: fn(Rc<RefCell<D>>) -> Input) -> Kept {
-        let d = d.expect("Table 3 driver loads");
-        (d.init_latency_ns, input(d.dev), Some(d.nuc))
-    }
-    let rtl = |dev| frames(dev, Rtl8139Device::inject_rx);
-    let gige = |dev| frames(dev, E1000Device::inject_rx);
-    let mouse = |dev: Rc<RefCell<decaf_simdev::psmouse::PsMouseDevice>>| {
-        Input::Mouse(Box::new(move |k, dx, dy, b| {
-            dev.borrow_mut().inject_move(k, dx, dy, b)
-        }))
-    };
 
+    let kind = build.driver;
     let kernel = Kernel::new();
-    let k = &kernel;
     let name = match kind {
         K::Rtl8139 | K::E1000 => "eth0",
         K::Ens1371 => "card0",
         K::UhciHcd => "uhci0",
         K::Psmouse => "mouse0",
     };
-    let (init_latency_ns, input, split) = match (kind, hosting) {
-        (K::Rtl8139, H::Native) => native(rtl8139::install_native(k, name), rtl),
-        (K::Rtl8139, H::Decaf) => split(rtl8139::install_decaf(k, name), rtl),
-        (K::Rtl8139, H::Shmring) => ring(rtl8139::install_shmring(k, name), rtl),
-        (K::E1000, H::Native) => native(e1000::native::install(k, name), gige),
-        (K::E1000, H::Decaf) => split(e1000::decaf::install(k, name), gige),
-        (K::E1000, H::Shmring) => ring(e1000::decaf::install_shmring(k, name), gige),
-        (K::Ens1371, H::Native) => native(ens1371::install_native(k, name), |_| Input::None),
-        (K::Ens1371, H::Decaf) => split(ens1371::install_decaf(k, name), |_| Input::None),
-        (K::UhciHcd, H::Native) => native(uhci::install_native(k, name), |_| Input::None),
-        (K::UhciHcd, H::Decaf) => split(uhci::install_decaf(k, name), |_| Input::None),
-        (K::Psmouse, H::Native) => native(psmouse::install_native(k, name), mouse),
-        (K::Psmouse, H::Decaf) => split(psmouse::install_decaf(k, name), mouse),
-        (_, H::Shmring) => panic!("{} has no shmring build", kind.name()),
+    let d = decaf_drivers::install(&kernel, name, build).expect("Table 3 driver loads");
+    let dev = d.dev();
+    let input = match kind {
+        K::Rtl8139 => frames(dev, Rtl8139Device::inject_rx),
+        K::E1000 => frames(dev, E1000Device::inject_rx),
+        K::Psmouse => Input::Mouse(Box::new(move |k, dx, dy, b| {
+            model::<PsMouseDevice>(&dev).inject_move(k, dx, dy, b)
+        })),
+        K::Ens1371 | K::UhciHcd => Input::None,
     };
     if matches!(kind, K::Rtl8139 | K::E1000) {
-        k.netdev_open(name).expect("interface opens");
-        k.schedule_point();
+        kernel.netdev_open(name).expect("interface opens");
+        kernel.schedule_point();
     }
     Side {
         kind,
         kernel,
         name,
-        init_s: init_latency_ns as f64 / 1e9,
+        init_s: d.init_latency_ns() as f64 / 1e9,
         input,
-        split,
+        split: d.nuc().cloned(),
     }
 }
 
@@ -705,10 +670,9 @@ fn drive(side: &Side, how: Drive) -> workloads::WorkloadStats {
 /// each on a fresh kernel — and the cells measured on that pair in order
 /// (the paper loads once and runs netperf send, then receive).
 struct Table3Load {
-    kind: DriverKind,
     /// The split build under test; a shmring build's rows carry the
     /// ring columns.
-    hosting: Hosting,
+    build: Build,
     /// (workload name, how to drive it, which ratio is relative perf).
     cells: &'static [(&'static str, Drive, Perf)],
 }
@@ -721,16 +685,14 @@ const E1000_RECV: Drive = Drive::NetRecv(NET_SECONDS, E1000_PPS, 1500);
 /// Table 3, in printed order.
 const TABLE3: [Table3Load; 8] = [
     Table3Load {
-        kind: DriverKind::Rtl8139,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::Rtl8139, Hosting::Decaf),
         cells: &[
             ("netperf-send", RTL_SEND, Perf::Throughput),
             ("netperf-recv", RTL_RECV, Perf::Ops),
         ],
     },
     Table3Load {
-        kind: DriverKind::E1000,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::E1000, Hosting::Decaf),
         cells: &[
             ("netperf-send", E1000_SEND, Perf::Throughput),
             ("netperf-recv", E1000_RECV, Perf::Ops),
@@ -738,34 +700,28 @@ const TABLE3: [Table3Load; 8] = [
     },
     // UDP with 1-byte messages (§4.2 extra).
     Table3Load {
-        kind: DriverKind::E1000,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::E1000, Hosting::Decaf),
         cells: &[("udp-1-byte", Drive::NetSend(1, E1000_PPS, 1), Perf::Ops)],
     },
     Table3Load {
-        kind: DriverKind::Ens1371,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::Ens1371, Hosting::Decaf),
         cells: &[("mpg123", Drive::Mpg123(2), Perf::Ops)],
     },
     Table3Load {
-        kind: DriverKind::UhciHcd,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::UhciHcd, Hosting::Decaf),
         cells: &[("tar", Drive::Tar(8, 32), Perf::Throughput)],
     },
     Table3Load {
-        kind: DriverKind::Psmouse,
-        hosting: Hosting::Decaf,
+        build: Build::new(DriverKind::Psmouse, Hosting::Decaf),
         cells: &[("move-and-click", Drive::MoveAndClick(2, 100), Perf::Ops)],
     },
     // The user-level data path, against the same native netperf runs.
     Table3Load {
-        kind: DriverKind::E1000,
-        hosting: Hosting::Shmring,
+        build: Build::new(DriverKind::E1000, Hosting::Shmring),
         cells: &[("netperf-send/shm", E1000_SEND, Perf::Throughput)],
     },
     Table3Load {
-        kind: DriverKind::Rtl8139,
-        hosting: Hosting::Shmring,
+        build: Build::new(DriverKind::Rtl8139, Hosting::Shmring),
         cells: &[("netperf-send/shm", RTL_SEND, Perf::Throughput)],
     },
 ];
@@ -788,13 +744,13 @@ pub fn table3() -> Vec<Table3Row> {
     let mut natives: Vec<NativeRun> = Vec::new();
     let mut rows = Vec::new();
     for t in &TABLE3 {
-        let (kind, hosting, cells) = (t.kind, t.hosting, t.cells);
+        let (kind, cells) = (t.build.driver, t.cells);
         let drives: Vec<Drive> = cells.iter().map(|c| c.1).collect();
         let measured = natives
             .iter()
             .position(|n| n.kind == kind && n.drives.starts_with(&drives));
         let measured = measured.unwrap_or_else(|| {
-            let side = load(kind, Hosting::Native);
+            let side = load(Build::new(kind, Hosting::Native));
             natives.push(NativeRun {
                 kind,
                 stats: drives.iter().map(|&d| drive(&side, d)).collect(),
@@ -805,7 +761,7 @@ pub fn table3() -> Vec<Table3Row> {
         });
         let native = &natives[measured];
 
-        let side = load(kind, hosting);
+        let side = load(t.build);
         let channel = side.split.as_ref().expect("a split build").channel();
         let init = channel.stats();
         for (&(workload, how, perf), n) in cells.iter().zip(&native.stats) {
@@ -813,7 +769,7 @@ pub fn table3() -> Vec<Table3Row> {
             let d = drive(&side, how);
             // Ring columns: let the last coalesced doorbell land, then
             // read the data path's whole-run counters.
-            let ring = if hosting == Hosting::Shmring {
+            let ring = if t.build.hosting == Hosting::Shmring {
                 side.kernel.run_for(2 * costs::DOORBELL_COALESCE_NS);
                 channel.stats()
             } else {
@@ -1022,27 +978,20 @@ fn tar_pair(k: &Kernel, luns: u32, files: u32, sectors_per_file: u32) -> (u64, u
 /// page-shaped, so the shmring build *adopts* them (page donation) and
 /// `m.bytes_copied` drops to zero: descriptor traffic only.
 pub fn storage_run(kind: DataPathKind) -> Run {
+    let (label, hosting) = match kind {
+        DataPathKind::Copy => ("copy (per-URB marshal)", Hosting::Copy),
+        DataPathKind::BatchedCopy => ("batched-copy (marshal)", Hosting::BatchedCopy),
+        DataPathKind::Shmring => (
+            "shmring (descriptors)",
+            Hosting::ShardedUrb(1, decaf_shmring::AllocMode::default()),
+        ),
+    };
     let k = Kernel::new();
-    let (label, channel, urb_path) = match kind {
-        DataPathKind::Copy => {
-            let d = decaf_drivers::uhci::install_value(&k, "uhci0", false)
-                .expect("value uhci installs");
-            ("copy (per-URB marshal)", Rc::clone(&d.channel), None)
-        }
-        DataPathKind::BatchedCopy => {
-            let d = decaf_drivers::uhci::install_value(&k, "uhci0", true)
-                .expect("batched value uhci installs");
-            ("batched-copy (marshal)", Rc::clone(&d.channel), None)
-        }
-        DataPathKind::Shmring => {
-            let d = decaf_drivers::uhci::install_sharded(&k, "uhci0", 1)
-                .expect("shmring uhci installs");
-            (
-                "shmring (descriptors)",
-                Rc::clone(d.channels.shard(0)),
-                Some(Rc::clone(&d.urb_path)),
-            )
-        }
+    let build = Build::new(DriverKind::UhciHcd, hosting);
+    let (channel, urb_path) = match decaf_drivers::install(&k, "uhci0", build) {
+        Ok(Loaded::ValueUhci(d)) => (d.channel, None),
+        Ok(Loaded::ShardedUhci(d)) => (Rc::clone(d.channels.shard(0)), Some(d.urb_path)),
+        _ => panic!("{build:?} does not install as a user-level URB path"),
     };
 
     let window = Window::open(&k, channel.stats());
@@ -1146,8 +1095,10 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         decaf_shmring::AllocMode::BuddySg => "buddy+SG",
     };
     let k = Kernel::new();
-    let drv = decaf_drivers::uhci::install_sharded_with(&k, "uhci0", 1, mode)
-        .expect("shmring uhci installs");
+    let build = Build::new(DriverKind::UhciHcd, Hosting::ShardedUrb(1, mode));
+    let Ok(Loaded::ShardedUhci(drv)) = decaf_drivers::install(&k, "uhci0", build) else {
+        panic!("shmring uhci installs");
+    };
     let pool = drv.urb_path.set().pool();
 
     // Adversarial pinning: every sector leaves the pool as a

@@ -18,10 +18,11 @@
 //! module supplies the channels, the handlers and the timers' phase.
 //!
 //! There is one build, parametric in the channel configuration, the
-//! receive mode and the shard count; the four public installers name
-//! the four points of that space the tables use. One shard *is* the
-//! unsharded build — [`install_shmring`] is the same code as
-//! [`install_sharded`] at width 1 on the synchronous shmring transport.
+//! receive mode and the shard count; the four decaf [`Hosting`]s name
+//! the four points of that space the tables use, and three of them keep
+//! a typed installer here. One shard *is* the unsharded build —
+//! [`Hosting::Shmring`] is the same code as [`install_sharded`] at width
+//! 1 on the synchronous shmring transport.
 
 use std::rc::Rc;
 
@@ -41,6 +42,7 @@ use decaf_xpc::{
 use super::{attach, E1000Hw, IRQ_LINE};
 use crate::ringnic::{self, RingSplit, Rings, SplitLoad};
 use crate::support::{self, decaf_readl, decaf_writel, RxMode, Split, Unload};
+use crate::Hosting;
 use decaf_simdev::e1000 as hwreg;
 
 /// TX descriptors per doorbell at line rate (the batch a crossing is
@@ -49,39 +51,28 @@ use decaf_simdev::e1000 as hwreg;
 pub const TX_DOORBELL_WATERMARK: usize = 8;
 
 /// Loads the decaf driver (kernel-resident data path, batched control
-/// paths — the `ChannelConfig::kernel_user_batched()` build).
+/// paths — the [`Hosting::Decaf`] build).
 pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Split<E1000Hw, E1000Device>> {
-    let config = ChannelConfig::kernel_user_batched();
-    build(kernel, ifname, config, RxMode::Interrupt, 1).map(|(split, _)| split)
+    build(kernel, ifname, Hosting::Decaf).map(|(split, _)| split)
 }
 
-/// Loads the decaf driver with the *user-level* shmring data path — the
-/// `ChannelConfig::kernel_user_shmring()` build. netperf-shaped
-/// workloads run entirely through the descriptor rings: payloads cross
-/// as pool handles, never as marshaled bytes.
-pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<RingSplit<E1000Hw, E1000Device>> {
-    let config = ChannelConfig::kernel_user_shmring();
-    build(kernel, ifname, config, RxMode::Interrupt, 1).map(RingSplit::new)
-}
-
-/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
-/// interrupt masks further ones, and a periodic budgeted poll probes
-/// the receive ring instead of riding doorbell upcalls.
+/// Loads the [`Hosting::Poll`] build: the user-level shmring data path
+/// with poll-mode receive.
 pub fn install_shmring_poll(
     kernel: &Kernel,
     ifname: &str,
 ) -> KResult<RingSplit<E1000Hw, E1000Device>> {
-    let config = ChannelConfig::kernel_user_shmring();
-    build(kernel, ifname, config, RxMode::Poll, 1).map(RingSplit::new)
+    build(kernel, ifname, Hosting::Poll).map(RingSplit::new)
 }
 
 /// Loads the decaf driver with `shards` parallel channels and per-shard
-/// shmring TX/RX queues — the multi-queue, multi-channel build: N
-/// parallel XPC channels behind a [`ShardedChannel`] facade, with
-/// RSS-style per-shard TX/RX descriptor rings feeding the one simulated
-/// device. It rides the completion-based async transport: per-shard
-/// doorbells *launch* rather than block, and the send-path reclaim
-/// harvests them — crossing latency overlaps with posting.
+/// shmring TX/RX queues — the multi-queue, multi-channel
+/// [`Hosting::Sharded`] build: N parallel XPC channels behind a
+/// [`ShardedChannel`] facade, with RSS-style per-shard TX/RX descriptor
+/// rings feeding the one simulated device. It rides the completion-based
+/// async transport: per-shard doorbells *launch* rather than block, and
+/// the send-path reclaim harvests them — crossing latency overlaps with
+/// posting.
 ///
 /// * **TX** — the netdev xmit op flow-hashes each frame to a shard,
 ///   writes the payload into the shared pool (one audited copy), posts a
@@ -103,21 +94,31 @@ pub fn install_sharded(
     ifname: &str,
     shards: usize,
 ) -> KResult<RingSplit<E1000Hw, E1000Device>> {
-    let config = ChannelConfig::kernel_user_async_shmring();
-    build(kernel, ifname, config, RxMode::Interrupt, shards).map(RingSplit::new)
+    build(kernel, ifname, Hosting::Sharded(shards)).map(RingSplit::new)
 }
 
-/// Loads the decaf driver over `shards` channels of `config`. With
-/// `config.shmring` the data path is hosted at user level on per-shard
-/// rings and `rx_mode` picks how received frames are collected;
+/// Loads the decaf driver in `hosting` ([`Hosting::Decaf`],
+/// [`Hosting::Shmring`], [`Hosting::Poll`] or [`Hosting::Sharded`]): a
+/// channel configuration, a receive mode and a shard count. A shmring
+/// configuration hosts the data path at user level on per-shard rings
+/// and the receive mode picks how received frames are collected;
 /// without it the data path stays in the nucleus and neither applies.
-fn build(
+pub(crate) fn build(
     kernel: &Kernel,
     ifname: &str,
-    config: ChannelConfig,
-    rx_mode: RxMode,
-    shards: usize,
+    hosting: Hosting,
 ) -> KResult<SplitLoad<E1000Hw, E1000Device>> {
+    let (config, rx_mode, shards) = match hosting {
+        Hosting::Decaf => (ChannelConfig::kernel_user_batched(), RxMode::Interrupt, 1),
+        Hosting::Shmring => (ChannelConfig::kernel_user_shmring(), RxMode::Interrupt, 1),
+        Hosting::Poll => (ChannelConfig::kernel_user_shmring(), RxMode::Poll, 1),
+        Hosting::Sharded(n) => (
+            ChannelConfig::kernel_user_async_shmring(),
+            RxMode::Interrupt,
+            n,
+        ),
+        _ => return Err(KError::Inval),
+    };
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar, dma));
     let plan = super::image();
@@ -541,6 +542,11 @@ fn register_decaf_handlers(
 mod tests {
     use super::*;
     use decaf_simkernel::SkBuff;
+
+    /// The [`Hosting::Shmring`] build, typed.
+    fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<RingSplit<E1000Hw, E1000Device>> {
+        build(kernel, ifname, Hosting::Shmring).map(RingSplit::new)
+    }
 
     #[test]
     fn install_probes_through_xpc() {

@@ -203,8 +203,8 @@ impl EnsHw {
     }
 }
 
-/// Loads the native driver.
-pub fn install_native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens1371Device>> {
+/// Loads the native driver — the [`crate::Hosting::Native`] build.
+pub(crate) fn native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens1371Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(EnsHw::new(bar, dma));
     let name = card.to_string();
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn native_playback() {
         let k = Kernel::new();
-        let drv = install_native(&k, "card0").unwrap();
+        let drv = native(&k, "card0").unwrap();
         k.snd_pcm_open("card0").unwrap();
         let frames = vec![0i16; 44_100 / 5]; // 0.1 s stereo
         let written = k.snd_pcm_write("card0", &frames).unwrap();

@@ -223,8 +223,8 @@ impl MouseHw {
     }
 }
 
-/// Loads the native driver.
-pub fn install_native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, PsMouseDevice>> {
+/// Loads the native driver — the [`crate::Hosting::Native`] build.
+pub(crate) fn native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, PsMouseDevice>> {
     let (bar, dev) = attach(kernel);
     let hw = Rc::new(MouseHw::new(bar));
     let name = devname.to_string();
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn native_reports_motion() {
         let k = Kernel::new();
-        let drv = install_native(&k, "mouse0").unwrap();
+        let drv = native(&k, "mouse0").unwrap();
         assert!(drv.init_latency_ns > 0);
         assert!(drv.dev.borrow().reporting(), "probe enabled reporting");
         // Inject movement; the IRQ path decodes it into input events.

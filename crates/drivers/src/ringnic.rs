@@ -131,10 +131,11 @@ pub struct Rings<H> {
 pub(crate) type SplitLoad<H, D> = (Split<H, D>, Option<Rings<H>>);
 
 /// A split NIC build whose data path is hosted at user level on
-/// per-shard rings, at any width: the e1000's `install_shmring`,
-/// `install_shmring_poll` and `install_sharded`, the 8139's
-/// `install_shmring` and `install_shmring_poll`.
-pub struct RingSplit<H, D> {
+/// per-shard rings, at any width: both NICs'
+/// [`Hosting::Shmring`](crate::Hosting::Shmring) and
+/// [`Hosting::Poll`](crate::Hosting::Poll) builds and the e1000's
+/// [`Hosting::Sharded`](crate::Hosting::Sharded).
+pub struct RingSplit<H: ?Sized, D: ?Sized> {
     /// Kernel handle.
     pub kernel: Kernel,
     /// Kernel-resident hardware state.
@@ -170,10 +171,11 @@ pub struct RingSplit<H, D> {
     unload: Unload,
 }
 
-impl<H, D> RingSplit<H, D> {
-    /// The ring build of a split load: `split` as installed, with the
-    /// rings its data path runs on — which a shmring configuration has.
-    pub(crate) fn new((split, rings): SplitLoad<H, D>) -> Self {
+impl<H: ?Sized, D: ?Sized> RingSplit<H, D> {
+    /// The ring build of a split load: `split` as installed (or erased),
+    /// with the rings its data path runs on — which a shmring
+    /// configuration has.
+    pub(crate) fn new<R>((split, rings): (Split<H, D>, Option<Rings<R>>)) -> Self {
         let rings = rings.expect("a shmring configuration has rings");
         RingSplit {
             kernel: split.kernel,

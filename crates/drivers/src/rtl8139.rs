@@ -24,8 +24,9 @@ use decaf_xpc::{
     ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
 };
 
-use crate::ringnic::{self, IrqCause, RingNic, RingSplit, SplitLoad};
+use crate::ringnic::{self, IrqCause, RingNic, SplitLoad};
 use crate::support::{self, decaf_readl, decaf_writel, Native, RxMode, Split, Unload};
+use crate::Hosting;
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
 /// so the ring batches shallowly.
@@ -357,8 +358,8 @@ impl RingNic for Rtl8139Hw {
     }
 }
 
-/// Loads the native (kernel-only) driver.
-pub fn install_native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw, Rtl8139Device>> {
+/// Loads the native (kernel-only) driver — the [`Hosting::Native`] build.
+pub(crate) fn native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw, Rtl8139Device>> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let name = ifname.to_string();
@@ -415,59 +416,43 @@ pub fn image() -> Arc<SlicePlan> {
 
 /// Loads the decaf (split) driver with the kernel-resident data path.
 pub fn install_decaf(kernel: &Kernel, ifname: &str) -> KResult<Split<Rtl8139Hw, Rtl8139Device>> {
-    install_decaf_with(kernel, ifname, false, RxMode::Interrupt).map(|(split, _)| split)
+    build(kernel, ifname, Hosting::Decaf).map(|(split, _)| split)
 }
 
-/// Loads the decaf driver with the user-level shmring data path — the
-/// `ChannelConfig::kernel_user_shmring()` build for this adapter.
-pub fn install_shmring(
+/// Loads the decaf driver in `hosting`: its data path in the nucleus
+/// ([`Hosting::Decaf`]) or on the one-shard rings with interrupt
+/// ([`Hosting::Shmring`]) or poll ([`Hosting::Poll`]) receive.
+pub(crate) fn build(
     kernel: &Kernel,
     ifname: &str,
-) -> KResult<RingSplit<Rtl8139Hw, Rtl8139Device>> {
-    install_decaf_with(kernel, ifname, true, RxMode::Interrupt).map(RingSplit::new)
-}
-
-/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
-/// interrupt masks `INT_ROK`, and a periodic budgeted poll probes the
-/// byte-packed receive ring instead of riding doorbell upcalls — the
-/// shared tick of [`ringnic::rx_poll_timer`].
-pub fn install_shmring_poll(
-    kernel: &Kernel,
-    ifname: &str,
-) -> KResult<RingSplit<Rtl8139Hw, Rtl8139Device>> {
-    install_decaf_with(kernel, ifname, true, RxMode::Poll).map(RingSplit::new)
-}
-
-/// Loads the decaf driver, its data path in the nucleus or, with
-/// `shmring`, on the one-shard rings with `rx_mode` receive.
-fn install_decaf_with(
-    kernel: &Kernel,
-    ifname: &str,
-    shmring: bool,
-    rx_mode: RxMode,
+    hosting: Hosting,
 ) -> KResult<SplitLoad<Rtl8139Hw, Rtl8139Device>> {
+    let (config, rx_mode) = match hosting {
+        Hosting::Decaf => (ChannelConfig::kernel_user_batched(), None),
+        Hosting::Shmring => (
+            ChannelConfig::kernel_user_shmring(),
+            Some(RxMode::Interrupt),
+        ),
+        Hosting::Poll => (ChannelConfig::kernel_user_shmring(), Some(RxMode::Poll)),
+        _ => return Err(KError::Inval),
+    };
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let plan = image();
-    let config = if shmring {
-        ChannelConfig::kernel_user_shmring()
-    } else {
-        ChannelConfig::kernel_user_batched()
-    };
     let channels = support::channels_from_plan(&plan, config, 1);
     let channel = Rc::clone(channels.shard(0));
 
     // The ring build is the one-shard instance of the shared glue; both
     // its timers are armed before `insmod`, the coalescing poll first.
-    let rings = shmring
-        .then(|| ringnic::link(&channels, &hw, ifname, rx_mode))
+    let rings = rx_mode
+        .map(|rx_mode| ringnic::link(&channels, &hw, ifname, rx_mode))
         .transpose()
         .map_err(|_| KError::Io)?;
     let mut timers = Vec::new();
     let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = match rings {
         Some((rings, irq, xmit)) => {
             timers.push(ringnic::tx_poll_timer(kernel, &rings));
-            if rx_mode == RxMode::Poll {
+            if rx_mode == Some(RxMode::Poll) {
                 timers.push(ringnic::rx_poll_timer(kernel, &rings));
             }
             (Some(rings), irq, xmit)
@@ -622,6 +607,12 @@ struct Entries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ringnic::RingSplit;
+
+    /// The one-shard ring build in `hosting`, typed.
+    fn ring(k: &Kernel, hosting: Hosting) -> RingSplit<Rtl8139Hw, Rtl8139Device> {
+        build(k, "eth1", hosting).map(RingSplit::new).unwrap()
+    }
 
     #[test]
     fn slicer_plan_shape_matches_table2() {
@@ -635,7 +626,7 @@ mod tests {
     #[test]
     fn native_loopback() {
         let k = Kernel::new();
-        let _drv = install_native(&k, "eth1").unwrap();
+        let _drv = native(&k, "eth1").unwrap();
         k.netdev_open("eth1").unwrap();
         for _ in 0..8 {
             k.net_xmit("eth1", SkBuff::synthetic(600, 3, 0x0800))
@@ -671,7 +662,7 @@ mod tests {
     #[test]
     fn shmring_build_zero_marshal_data_path() {
         let k = Kernel::new();
-        let drv = install_shmring(&k, "eth1").unwrap();
+        let drv = ring(&k, Hosting::Shmring);
         k.netdev_open("eth1").unwrap();
         let before = drv.channel.stats();
         let copied_before = k.stats().bytes_copied;
@@ -716,11 +707,12 @@ mod tests {
         const PKTS: u64 = 16;
         let run = |poll: bool| {
             let k = Kernel::new();
-            let drv = if poll {
-                install_shmring_poll(&k, "eth1").unwrap()
+            let hosting = if poll {
+                Hosting::Poll
             } else {
-                install_shmring(&k, "eth1").unwrap()
+                Hosting::Shmring
             };
+            let drv = ring(&k, hosting);
             assert_eq!(
                 drv.rx_mode,
                 if poll {

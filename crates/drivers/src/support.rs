@@ -2,6 +2,7 @@
 //! plumbing of the decaf builds, the native and kernel-path split handle
 //! shapes, and the one teardown record every build's `remove` runs.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
@@ -188,8 +189,8 @@ impl Unload {
 
 /// A native build: the whole driver in the kernel — the Table 3
 /// baseline. `H` is the kernel-resident hardware state, `D` the device
-/// model.
-pub struct Native<H, D> {
+/// model; both are `dyn Any` in a [`crate::Loaded`].
+pub struct Native<H: ?Sized, D: ?Sized> {
     /// Kernel handle.
     pub kernel: Kernel,
     /// Hardware state.
@@ -204,17 +205,32 @@ pub struct Native<H, D> {
     pub(crate) unload: Unload,
 }
 
-impl<H, D> Native<H, D> {
+impl<H: ?Sized, D: ?Sized> Native<H, D> {
     /// Unloads the driver.
     pub fn remove(self) {
         self.unload.run(&self.kernel, &self.name);
     }
 }
 
+impl<H: Any, D: Any> Native<H, D> {
+    /// The same handle with the hardware state and the device model
+    /// erased — what [`crate::Loaded`] holds. Allocates nothing.
+    pub(crate) fn erase(self) -> Native<dyn Any, dyn Any> {
+        Native {
+            kernel: self.kernel,
+            hw: self.hw,
+            name: self.name,
+            init_latency_ns: self.init_latency_ns,
+            dev: self.dev,
+            unload: self.unload,
+        }
+    }
+}
+
 /// A split build whose data path stays in the kernel: the nucleus keeps
 /// the interrupt handler and the data path, the decaf driver runs
 /// initialization and configuration over one XPC channel.
-pub struct Split<H, D> {
+pub struct Split<H: ?Sized, D: ?Sized> {
     /// Kernel handle.
     pub kernel: Kernel,
     /// Kernel-resident hardware state (the nucleus data path).
@@ -237,7 +253,7 @@ pub struct Split<H, D> {
     pub(crate) unload: Unload,
 }
 
-impl<H, D> Split<H, D> {
+impl<H: ?Sized, D: ?Sized> Split<H, D> {
     /// Round trips between nucleus and decaf driver so far.
     pub fn crossings(&self) -> u64 {
         self.channel.stats().round_trips
@@ -246,6 +262,25 @@ impl<H, D> Split<H, D> {
     /// Unloads the driver.
     pub fn remove(self) {
         self.unload.run(&self.kernel, &self.name);
+    }
+}
+
+impl<H: Any, D: Any> Split<H, D> {
+    /// The same handle with the hardware state and the device model
+    /// erased — what [`crate::Loaded`] holds. Allocates nothing.
+    pub(crate) fn erase(self) -> Split<dyn Any, dyn Any> {
+        Split {
+            kernel: self.kernel,
+            hw: self.hw,
+            name: self.name,
+            channel: self.channel,
+            nuc: self.nuc,
+            root: self.root,
+            init_latency_ns: self.init_latency_ns,
+            plan: self.plan,
+            dev: self.dev,
+            unload: self.unload,
+        }
     }
 }
 

@@ -543,29 +543,29 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<Split<UhciHw, UhciDe
 // --------------------------------------------- by-value build (ablation)
 
 /// The ablation-only build hosting the URB data path at user level *by
-/// value*: every payload crosses through the XDR marshaler as opaque
-/// bytes and is copied into the staging buffer on the far side. The
-/// `batched` flavor defers OUT URBs into the transport queue
-/// (posted-write semantics: their completions fire at submit with empty
-/// data, like posted register writes); IN URBs stay synchronous — their
-/// response *is* the data, marshaled back by value.
+/// value* ([`crate::Hosting::Copy`], [`crate::Hosting::BatchedCopy`]):
+/// every payload crosses through the XDR marshaler as opaque bytes and
+/// is copied into the staging buffer on the far side.
 pub struct ValueUhci {
     /// Kernel handle.
     pub kernel: Kernel,
     /// Hardware state.
     pub hw: Rc<UhciHw>,
+    /// HCD name.
+    pub name: String,
     /// XPC channel.
     pub channel: Rc<XpcChannel>,
+    /// Measured `insmod` latency.
+    pub init_latency_ns: u64,
     /// Handle to the device model.
     pub dev: Rc<RefCell<UhciDevice>>,
-    name: String,
     unload: Unload,
 }
 
 /// Loads the by-value user-level URB path: the `copy` (per-URB
 /// synchronous marshal) baseline, or with `batched` the `batched-copy`
 /// middle rung of the storage ablation.
-pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<ValueUhci> {
+pub(crate) fn by_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<ValueUhci> {
     let config = if batched {
         ChannelConfig::kernel_user_batched()
     } else {
@@ -642,7 +642,7 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
 
     let hw_init = Rc::clone(&hw);
     let name = hcd.to_string();
-    kernel.insmod("uhci-hcd-value", move |k| {
+    let init_latency_ns = kernel.insmod("uhci-hcd-value", move |k| {
         hw_init.start(k);
         k.usb_register_hcd(&name, ops)?;
         let hw_irq = Rc::clone(&hw_init);
@@ -668,9 +668,10 @@ pub fn install_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Value
     Ok(ValueUhci {
         kernel: kernel.clone(),
         hw,
-        channel,
-        dev,
         name: hcd.to_string(),
+        channel,
+        init_latency_ns,
+        dev,
         unload: Unload::new("uhci-hcd-value", IRQ_LINE, Kernel::usb_unregister_hcd)
             .with_timers(vec![flush_timer]),
     })
@@ -896,13 +897,12 @@ fn arm_poll_timer(
 /// Loads the decaf driver with `shards` parallel URB queues — the
 /// user-level URB data path; `shards = 1` is the unsharded build.
 pub fn install_sharded(kernel: &Kernel, hcd: &str, shards: usize) -> KResult<ShardedUhci> {
-    install_sharded_with(kernel, hcd, shards, AllocMode::default())
+    sharded(kernel, hcd, shards, AllocMode::default())
 }
 
-/// Loads the ring build with an explicit sector-pool allocation mode —
-/// the seam the fragmentation ablation turns: first-fit vs buddy vs
-/// buddy + scatter-gather over the same driver and workload.
-pub fn install_sharded_with(
+/// Loads the ring build with the sector pool allocating `mode`'s way —
+/// the [`crate::Hosting::ShardedUrb`] build.
+pub(crate) fn sharded(
     kernel: &Kernel,
     hcd: &str,
     shards: usize,
@@ -1366,7 +1366,7 @@ mod tests {
     #[test]
     fn value_build_marshals_payloads_by_value() {
         let k = Kernel::new();
-        let drv = install_value(&k, "uhci0", false).unwrap();
+        let drv = by_value(&k, "uhci0", false).unwrap();
         let done = Rc::new(Cell::new(0));
         for s in 0..3u32 {
             let d = Rc::clone(&done);
@@ -1518,7 +1518,7 @@ mod tests {
     #[test]
     fn batched_value_build_defers_out_urbs() {
         let k = Kernel::new();
-        let drv = install_value(&k, "uhci0", true).unwrap();
+        let drv = by_value(&k, "uhci0", true).unwrap();
         for s in 0..8u32 {
             k.usb_submit_urb(
                 "uhci0",

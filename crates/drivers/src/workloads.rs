@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn mpg123_on_native_ens1371_is_nearly_idle() {
         let k = Kernel::new();
-        let _drv = crate::ens1371::install_native(&k, "card0").unwrap();
+        let _drv = crate::ens1371::native(&k, "card0").unwrap();
         let stats = mpg123(&k, "card0", 2).unwrap();
         assert_eq!(stats.ops, 44_100 * 2);
         assert!(stats.cpu_util < 0.05, "sound is idle: {}", stats.cpu_util);
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn mouse_events_flow() {
         let k = Kernel::new();
-        let drv = crate::psmouse::install_native(&k, "mouse0").unwrap();
+        let drv = crate::psmouse::native(&k, "mouse0").unwrap();
         let dev = Rc::clone(&drv.dev);
         let stats = move_and_click(&k, "mouse0", 1, 100, &move |k, dx, dy, b| {
             dev.borrow_mut().inject_move(k, dx, dy, b);

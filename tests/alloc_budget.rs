@@ -23,6 +23,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use decaf_core::drivers::{e1000, ens1371, psmouse, rtl8139, uhci, workloads};
+use decaf_core::drivers::{install, Build, DriverKind, Hosting, Loaded};
 use decaf_core::experiments;
 use decaf_core::simkernel::{costs, Kernel};
 use decaf_core::xdr::mask::MaskSet;
@@ -239,7 +240,10 @@ fn sharded_send_path_stays_inside_its_allocation_budget() {
 fn rtl8139_ring_send_path_stays_inside_its_allocation_budget() {
     const PPS: u32 = 2_000;
     let kernel = Kernel::new();
-    let drv = rtl8139::install_shmring(&kernel, "eth1").unwrap();
+    let build = Build::new(DriverKind::Rtl8139, Hosting::Shmring);
+    let Ok(Loaded::Ring(drv)) = install(&kernel, "eth1", build) else {
+        panic!("the 8139 ring build installs");
+    };
     kernel.netdev_open("eth1").unwrap();
     kernel.schedule_point();
     let (sent, allocs) = counted(|| {
@@ -346,6 +350,42 @@ fn load_five() {
     drop((s, u, m));
 }
 
+/// [`load_five`] with every driver loaded through the build table
+/// ([`install`]) instead of its typed installer.
+fn load_five_through_the_table() {
+    let k = Kernel::new();
+    let name = |driver| match driver {
+        DriverKind::E1000 => "eth0",
+        DriverKind::Rtl8139 => "eth1",
+        DriverKind::Ens1371 => "card0",
+        DriverKind::UhciHcd => "uhci0",
+        DriverKind::Psmouse => "mouse0",
+    };
+    // In `load_five`'s order; an array, so the erased handles live on
+    // the stack as the typed ones do.
+    let [e, r, s, u, m] = [
+        DriverKind::E1000,
+        DriverKind::Rtl8139,
+        DriverKind::Ens1371,
+        DriverKind::UhciHcd,
+        DriverKind::Psmouse,
+    ]
+    .map(|driver| install(&k, name(driver), Build::new(driver, Hosting::Decaf)).unwrap());
+    k.netdev_open("eth0").unwrap();
+    k.netdev_open("eth1").unwrap();
+    k.schedule_point();
+    k.run_for(2_000_000_000);
+    let crossings = |d: &Loaded| match d {
+        Loaded::Split(d) => d.crossings(),
+        _ => panic!("{}: a decaf build is a split", d.name()),
+    };
+    assert!(crossings(&e) > 0 && crossings(&r) > 0 && crossings(&u) > 0);
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+    e.remove();
+    r.remove();
+    drop((s, u, m));
+}
+
 #[test]
 fn driver_load_stays_inside_its_allocation_budget() {
     const MACHINES: u64 = 20;
@@ -357,6 +397,29 @@ fn driver_load_stays_inside_its_allocation_budget() {
         "{allocs} allocations / {} driver loads = {per_load:.1} per load",
         5 * MACHINES
     );
+    assert!(
+        per_load <= LOAD_BUDGET,
+        "{per_load:.1} heap allocations per driver load, budget {LOAD_BUDGET}"
+    );
+}
+
+/// The build table erases each handle's hardware and device types
+/// (`Rc<H>` → `Rc<dyn Any>`): a coercion, not a copy. The same
+/// machines loaded through [`install`] allocate exactly what the typed
+/// installers do, inside the same per-load budget.
+#[test]
+fn loading_through_the_build_table_allocates_what_the_typed_installers_do() {
+    const MACHINES: u64 = 20;
+    load_five();
+    load_five_through_the_table();
+    let ((), typed) = counted(|| (0..MACHINES).for_each(|_| load_five()));
+    let ((), table) = counted(|| (0..MACHINES).for_each(|_| load_five_through_the_table()));
+    let per_load = table as f64 / (5 * MACHINES) as f64;
+    println!(
+        "{typed} allocations typed, {table} through the table / {} driver loads",
+        5 * MACHINES
+    );
+    assert_eq!(table, typed, "erasing a handle allocates");
     assert!(
         per_load <= LOAD_BUDGET,
         "{per_load:.1} heap allocations per driver load, budget {LOAD_BUDGET}"

@@ -9,18 +9,18 @@
 //! shared image made visible: a dropped machine frees its drivers.
 
 use std::any::Any;
+use std::mem::discriminant;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
-use decaf_core::drivers::ringnic::RingSplit;
-use decaf_core::drivers::support::{Native, Split};
-use decaf_core::drivers::{e1000, ens1371, psmouse, rtl8139, uhci, DriverKind};
+use decaf_core::drivers::{e1000, ens1371, install, psmouse, rtl8139, uhci};
+use decaf_core::drivers::{Build, DriverKind, Hosting, Loaded};
 use decaf_core::shmring::AllocMode;
-use decaf_core::simkernel::Kernel;
+use decaf_core::simkernel::{KError, Kernel};
 use decaf_core::slicer::{slice, SliceConfig};
 use decaf_core::xdr::mask::MaskSet;
 use decaf_core::xdr::{XdrSpec, XdrValue};
-use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, TransportKind, XpcChannel};
+use decaf_core::xpc::{ChannelConfig, Domain, ProcDef, ShardedChannel, TransportKind, XpcChannel};
 
 /// `SlicePlan: PartialEq` compares every field — the five function
 /// lists, both entry-point lists, the kernel imports, masks, spec,
@@ -280,22 +280,34 @@ fn wire_scratch_reuse_is_invisible_to_the_model() {
 #[test]
 fn a_dropped_kernel_frees_its_drivers() {
     let k = Kernel::new();
-    let e = e1000::decaf::install(&k, "eth0").unwrap();
-    let r = rtl8139::install_decaf(&k, "eth1").unwrap();
-    let s = ens1371::install_decaf(&k, "card0").unwrap();
-    let u = uhci::install_decaf(&k, "uhci0").unwrap();
-    let m = psmouse::install_decaf(&k, "mouse0").unwrap();
+    let decaf = Build::ALL
+        .into_iter()
+        .filter(|b| b.hosting == Hosting::Decaf);
+    let loaded: Vec<Loaded> = decaf
+        .map(|b| install(&k, name_of(b.driver), b).unwrap())
+        .collect();
+    assert_eq!(loaded.len(), 5, "one decaf build per driver");
     k.netdev_open("eth0").unwrap();
     k.netdev_open("eth1").unwrap();
     k.schedule_point();
     k.run_for(2_000_000_000);
-    let channels = [&e.channel, &r.channel, &s.channel, &u.channel, &m.channel].map(Rc::downgrade);
-    let hw = Rc::downgrade(&e.hw);
+    let mut channels = Vec::new();
+    let mut hw = Vec::new();
+    for d in &loaded {
+        let Loaded::Split(d) = d else {
+            panic!("{}: a decaf build is a split", d.name());
+        };
+        channels.push(Rc::downgrade(&d.channel));
+        hw.push(Rc::downgrade(&d.hw));
+    }
 
-    // Unload exactly as `decaf_bench`'s `load_five` does.
-    e.remove();
-    r.remove();
-    drop((s, u, m));
+    // Unload exactly as `decaf_bench`'s `load_five` does: the NICs are
+    // removed, the rest dropped.
+    for d in loaded {
+        if d.name().starts_with("eth") {
+            d.remove();
+        }
+    }
     let machine = k.downgrade();
     assert!(machine.upgrade().is_some(), "the test still holds it");
     drop(k);
@@ -303,10 +315,12 @@ fn a_dropped_kernel_frees_its_drivers() {
     for (i, ch) in channels.iter().enumerate() {
         assert!(ch.upgrade().is_none(), "channel {i} outlived the kernel");
     }
-    assert!(
-        hw.upgrade().is_none(),
-        "e1000 hardware state (and its DMA region) leaked"
-    );
+    for (i, hw) in hw.iter().enumerate() {
+        assert!(
+            hw.upgrade().is_none(),
+            "hardware state {i} (and its DMA region) leaked"
+        );
+    }
 }
 
 /// The ring builds had a second loop of their own: channel → the
@@ -316,7 +330,10 @@ fn a_dropped_kernel_frees_its_drivers() {
 fn a_dropped_ring_build_frees_its_channels() {
     let k = Kernel::new();
     let e = e1000::decaf::install_sharded(&k, "eth0", 4).unwrap();
-    let r = rtl8139::install_shmring(&k, "eth1").unwrap();
+    let shmring = Build::new(DriverKind::Rtl8139, Hosting::Shmring);
+    let Ok(Loaded::Ring(r)) = install(&k, "eth1", shmring) else {
+        panic!("the 8139 ring build installs");
+    };
     k.netdev_open("eth0").unwrap();
     k.netdev_open("eth1").unwrap();
     k.run_for(1_000_000);
@@ -333,36 +350,44 @@ fn a_dropped_ring_build_frees_its_channels() {
     }
 }
 
-/// How a check removes a loaded build, and weak handles on what that
-/// must free: its hardware state, its channels, its data paths.
-type Loaded = (Box<dyn FnOnce()>, Vec<Weak<dyn Any>>);
-
-fn native<H: 'static, D: 'static>(d: Native<H, D>) -> Loaded {
-    let freed = vec![Rc::downgrade(&d.hw) as Weak<dyn Any>];
-    (Box::new(move || d.remove()), freed)
-}
-
-fn split<H: 'static, D: 'static>(d: Split<H, D>) -> Loaded {
-    let freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channel) as _];
-    (Box::new(move || d.remove()), freed)
-}
-
-fn ring<H: 'static, D: 'static>(d: RingSplit<H, D>) -> Loaded {
-    let mut freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channels) as _];
-    for i in 0..d.channels.shard_count() {
-        freed.push(Rc::downgrade(d.channels.shard(i)) as _);
-        freed.push(Rc::downgrade(d.tx.path(i)) as _);
-        freed.push(Rc::downgrade(d.rx.path(i)) as _);
+/// Weak handles on what removing `d` must free: its hardware state, its
+/// channels, its data paths.
+fn freed_by_remove(d: &Loaded) -> Vec<Weak<dyn Any>> {
+    let shards = |c: &ShardedChannel| -> Vec<Weak<dyn Any>> {
+        let shard = |i| Rc::downgrade(c.shard(i)) as Weak<dyn Any>;
+        (0..c.shard_count()).map(shard).collect()
+    };
+    match d {
+        Loaded::Native(d) => vec![Rc::downgrade(&d.hw)],
+        Loaded::Split(d) => vec![Rc::downgrade(&d.hw), Rc::downgrade(&d.channel) as _],
+        Loaded::ValueUhci(d) => vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channel) as _],
+        Loaded::Ring(d) => {
+            let mut freed = vec![Rc::downgrade(&d.hw), Rc::downgrade(&d.channels) as _];
+            freed.extend(shards(&d.channels));
+            for i in 0..d.channels.shard_count() {
+                freed.push(Rc::downgrade(d.tx.path(i)) as _);
+                freed.push(Rc::downgrade(d.rx.path(i)) as _);
+            }
+            freed
+        }
+        Loaded::ShardedUhci(d) => {
+            let mut freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.urb_path) as _];
+            freed.extend(shards(&d.channels));
+            freed
+        }
     }
-    (Box::new(move || d.remove()), freed)
 }
 
-fn sharded_uhci(d: uhci::ShardedUhci) -> Loaded {
-    let mut freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.urb_path) as _];
-    for i in 0..d.channels.shard_count() {
-        freed.push(Rc::downgrade(d.channels.shard(i)) as _);
+/// The name each driver registers in these checks; the two NICs differ,
+/// so both fit on one kernel.
+fn name_of(driver: DriverKind) -> &'static str {
+    match driver {
+        DriverKind::E1000 => "eth0",
+        DriverKind::Rtl8139 => "eth1",
+        DriverKind::Ens1371 => "card0",
+        DriverKind::UhciHcd => "uhci0",
+        DriverKind::Psmouse => "mouse0",
     }
-    (Box::new(move || d.remove()), freed)
 }
 
 /// A removed driver is gone *then*, not when the machine is — every build
@@ -375,86 +400,87 @@ fn sharded_uhci(d: uhci::ShardedUhci) -> Loaded {
 /// installing them again under the same name was `Busy`.
 #[test]
 fn a_removed_driver_is_freed_while_the_kernel_lives_on() {
-    type Install = fn(&Kernel, &str) -> Loaded;
-    let builds: [(&str, &str, Install); 18] = [
-        ("e1000 native", "eth0", |k, n| {
-            native(e1000::native::install(k, n).unwrap())
-        }),
-        ("e1000 decaf", "eth0", |k, n| {
-            split(e1000::decaf::install(k, n).unwrap())
-        }),
-        ("e1000 shmring", "eth0", |k, n| {
-            ring(e1000::decaf::install_shmring(k, n).unwrap())
-        }),
-        ("e1000 poll", "eth0", |k, n| {
-            ring(e1000::decaf::install_shmring_poll(k, n).unwrap())
-        }),
-        ("e1000 sharded", "eth0", |k, n| {
-            ring(e1000::decaf::install_sharded(k, n, 4).unwrap())
-        }),
-        ("8139 native", "eth1", |k, n| {
-            native(rtl8139::install_native(k, n).unwrap())
-        }),
-        ("8139 decaf", "eth1", |k, n| {
-            split(rtl8139::install_decaf(k, n).unwrap())
-        }),
-        ("8139 shmring", "eth1", |k, n| {
-            ring(rtl8139::install_shmring(k, n).unwrap())
-        }),
-        ("8139 poll", "eth1", |k, n| {
-            ring(rtl8139::install_shmring_poll(k, n).unwrap())
-        }),
-        ("ens1371 native", "card0", |k, n| {
-            native(ens1371::install_native(k, n).unwrap())
-        }),
-        ("ens1371 decaf", "card0", |k, n| {
-            split(ens1371::install_decaf(k, n).unwrap())
-        }),
-        ("uhci native", "uhci0", |k, n| {
-            native(uhci::install_native(k, n).unwrap())
-        }),
-        ("uhci decaf", "uhci0", |k, n| {
-            split(uhci::install_decaf(k, n).unwrap())
-        }),
-        ("uhci value", "uhci0", |k, n| {
-            let d = uhci::install_value(k, n, true).unwrap();
-            let freed = vec![Rc::downgrade(&d.hw) as _, Rc::downgrade(&d.channel) as _];
-            (Box::new(move || d.remove()), freed)
-        }),
-        ("uhci sharded", "uhci0", |k, n| {
-            sharded_uhci(uhci::install_sharded(k, n, 4).unwrap())
-        }),
-        ("uhci sharded first-fit", "uhci0", |k, n| {
-            let mode = AllocMode::FirstFit;
-            sharded_uhci(uhci::install_sharded_with(k, n, 2, mode).unwrap())
-        }),
-        ("psmouse native", "mouse0", |k, n| {
-            native(psmouse::install_native(k, n).unwrap())
-        }),
-        ("psmouse decaf", "mouse0", |k, n| {
-            split(psmouse::install_decaf(k, n).unwrap())
-        }),
-    ];
+    // The uhci ring build in every pool mode: each allocator keeps its
+    // own bookkeeping, and all of it must go with the driver.
+    let modes = [AllocMode::FirstFit, AllocMode::Buddy, AllocMode::BuddySg];
+    let builds = Build::ALL.into_iter().flat_map(|b| match b.hosting {
+        Hosting::ShardedUrb(n, _) => modes
+            .map(|mode| Build::new(b.driver, Hosting::ShardedUrb(n, mode)))
+            .to_vec(),
+        _ => vec![b],
+    });
     let k = Kernel::new();
-    for (build, name, install) in builds {
+    for build in builds {
+        let name = name_of(build.driver);
         // Installed twice under one name: the second load finds the
         // name, the IRQ line and the module free again.
         for round in 0..2 {
-            let (remove, freed) = install(&k, name);
+            let d = install(&k, name, build).unwrap();
+            let freed = freed_by_remove(&d);
             if name.starts_with("eth") {
                 // `open` requests the IRQ line of a split NIC.
                 k.netdev_open(name).unwrap();
             }
             k.run_for(2_500_000_000); // past a watchdog period
-            remove();
+            d.remove();
             for (i, weak) in freed.iter().enumerate() {
-                let what = format!("{build}, load {round}: object {i}");
+                let what = format!("{build:?}, load {round}: object {i}");
                 assert!(weak.upgrade().is_none(), "{what} outlived remove()");
             }
-            assert!(k.modules().is_empty(), "{build}: {:?}", k.modules());
+            assert!(k.modules().is_empty(), "{build:?}: {:?}", k.modules());
         }
     }
     assert!(k.violations().is_empty(), "{:?}", k.violations());
+}
+
+/// A build the table does not list is refused before the kernel sees it:
+/// every driver in every hosting the table uses for some other driver,
+/// and each sharded hosting at width zero, on one kernel. Nothing —
+/// module, IRQ line, timer or name — is left behind, so each driver's
+/// first listed build still installs under the same name.
+#[test]
+fn a_build_outside_the_table_is_refused_before_the_kernel_sees_it() {
+    let mut hostings: Vec<Hosting> = Vec::new();
+    for b in Build::ALL {
+        if !hostings
+            .iter()
+            .any(|h| discriminant(h) == discriminant(&b.hosting))
+        {
+            hostings.push(b.hosting);
+        }
+    }
+    hostings.extend([
+        Hosting::Sharded(0),
+        Hosting::ShardedUrb(0, AllocMode::BuddySg),
+    ]);
+    let k = Kernel::new();
+    let mut refused = 0;
+    for driver in DriverKind::all() {
+        for &hosting in &hostings {
+            let build = Build::new(driver, hosting);
+            if build.is_listed() {
+                continue;
+            }
+            let got = install(&k, name_of(driver), build).map(|_| ());
+            assert_eq!(got, Err(KError::Inval), "{build:?}");
+            refused += 1;
+        }
+    }
+    // Five drivers in eight hostings less the eighteen listed, and every
+    // driver at the two zero widths.
+    assert_eq!(refused, 5 * 8 - 18 + 5 * 2, "every pair outside the table");
+    assert!(k.modules().is_empty(), "{:?}", k.modules());
+    k.run_for(2_500_000_000); // past a watchdog period
+    let stats = k.stats();
+    assert_eq!((stats.timers_fired, stats.work_executed), (0, 0), "armed");
+    assert!(k.violations().is_empty(), "{:?}", k.violations());
+    for driver in DriverKind::all() {
+        let build = Build::ALL.into_iter().find(|b| b.driver == driver).unwrap();
+        let d = install(&k, name_of(driver), build).unwrap();
+        assert_eq!(d.name(), name_of(driver));
+        d.remove();
+    }
+    assert!(k.modules().is_empty(), "{:?}", k.modules());
 }
 
 /// The load path's fixed point: what one `insmod` of each decaf driver on
@@ -558,43 +584,29 @@ fn assert_linked_against<'a>(
 
 #[test]
 fn every_installer_registers_only_what_its_image_declares() {
-    use DriverKind::*;
-    let fresh = Kernel::new;
-
-    let d = e1000::decaf::install(&fresh(), "eth0").unwrap();
-    assert_linked_against(E1000, "e1000 install", [&d.channel]);
-    let d = e1000::decaf::install_shmring(&fresh(), "eth0").unwrap();
-    assert_linked_against(E1000, "e1000 install_shmring", [&d.channel]);
-    let d = e1000::decaf::install_shmring_poll(&fresh(), "eth0").unwrap();
-    assert_linked_against(E1000, "e1000 install_shmring_poll", [&d.channel]);
-    let d = e1000::decaf::install_sharded(&fresh(), "eth0", 4).unwrap();
-    let four = || (0..4).map(|i| d.channels.shard(i));
-    assert_linked_against(E1000, "e1000 install_sharded", four());
-    let registered: usize = four()
-        .map(|ch| ch.proc_names(Domain::Decaf).len() + ch.proc_names(Domain::Nucleus).len())
-        .sum();
-    assert_eq!(registered, 84, "8 decaf + 13 nucleus procedures per shard");
-
-    let d = rtl8139::install_decaf(&fresh(), "eth1").unwrap();
-    assert_linked_against(Rtl8139, "8139too install_decaf", [&d.channel]);
-    let d = rtl8139::install_shmring(&fresh(), "eth1").unwrap();
-    assert_linked_against(Rtl8139, "8139too install_shmring", [&d.channel]);
-    let d = rtl8139::install_shmring_poll(&fresh(), "eth1").unwrap();
-    assert_linked_against(Rtl8139, "8139too install_shmring_poll", [&d.channel]);
-
-    let d = ens1371::install_decaf(&fresh(), "card0").unwrap();
-    assert_linked_against(Ens1371, "ens1371 install_decaf", [&d.channel]);
-
-    let d = uhci::install_decaf(&fresh(), "uhci0").unwrap();
-    assert_linked_against(UhciHcd, "uhci install_decaf", [&d.channel]);
-    let d = uhci::install_value(&fresh(), "uhci0", true).unwrap();
-    assert_linked_against(UhciHcd, "uhci install_value", [&d.channel]);
-    let d = uhci::install_sharded(&fresh(), "uhci0", 4).unwrap();
-    let four = (0..4).map(|i| d.channels.shard(i));
-    assert_linked_against(UhciHcd, "uhci install_sharded", four);
-
-    let d = psmouse::install_decaf(&fresh(), "mouse0").unwrap();
-    assert_linked_against(Psmouse, "psmouse install_decaf", [&d.channel]);
+    for build in Build::ALL {
+        let d = install(&Kernel::new(), name_of(build.driver), build).unwrap();
+        let channels: Vec<&Rc<XpcChannel>> = match &d {
+            Loaded::Native(_) => continue,
+            Loaded::Split(d) => vec![&d.channel],
+            Loaded::ValueUhci(d) => vec![&d.channel],
+            Loaded::Ring(d) => (0..d.shards()).map(|i| d.channels.shard(i)).collect(),
+            Loaded::ShardedUhci(d) => (0..d.shards()).map(|i| d.channels.shard(i)).collect(),
+        };
+        let label = format!("{build:?}");
+        assert_linked_against(build.driver, &label, channels.iter().copied());
+        if let (DriverKind::E1000, Hosting::Sharded(n)) = (build.driver, build.hosting) {
+            let registered: usize = channels
+                .iter()
+                .map(|ch| ch.proc_names(Domain::Decaf).len() + ch.proc_names(Domain::Nucleus).len())
+                .sum();
+            assert_eq!(
+                registered,
+                21 * n,
+                "8 decaf + 13 nucleus procedures per shard"
+            );
+        }
+    }
 }
 
 /// The by-name lookup the stubs resolve through agrees with the list it

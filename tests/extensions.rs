@@ -8,7 +8,7 @@ use std::rc::Rc;
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
 
-use decaf_core::drivers::DriverKind;
+use decaf_core::drivers::{install, Build, DriverKind, Hosting, Loaded};
 use decaf_core::simkernel::sound::SoundLockMode;
 use decaf_core::simkernel::{Kernel, ViolationKind};
 use decaf_core::slicer::callgraph::CallGraph;
@@ -272,52 +272,27 @@ fn batched_delta_transport_beats_seed_inproc_path() {
 fn all_five_decaf_builds_use_batched_transport() {
     use decaf_core::xpc::TransportKind;
     let k = Kernel::new();
-    let checks: Vec<(&str, TransportKind, u64)> = vec![
-        {
-            let d = decaf_core::drivers::e1000::decaf::install(&k, "eth0").unwrap();
-            (
-                "E1000",
-                d.channel.transport_kind(),
-                d.channel.stats().batched_calls,
-            )
-        },
-        {
-            let d = decaf_core::drivers::rtl8139::install_decaf(&k, "eth1").unwrap();
-            (
-                "8139too",
-                d.channel.transport_kind(),
-                d.channel.stats().batched_calls,
-            )
-        },
-        {
-            let d = decaf_core::drivers::ens1371::install_decaf(&k, "card0").unwrap();
-            (
-                "ens1371",
-                d.channel.transport_kind(),
-                d.channel.stats().batched_calls,
-            )
-        },
-        {
-            let d = decaf_core::drivers::uhci::install_decaf(&k, "uhci0").unwrap();
-            (
-                "uhci-hcd",
-                d.channel.transport_kind(),
-                d.channel.stats().batched_calls,
-            )
-        },
-        {
-            let d = decaf_core::drivers::psmouse::install_decaf(&k, "mouse0").unwrap();
-            (
-                "psmouse",
-                d.channel.transport_kind(),
-                d.channel.stats().batched_calls,
-            )
-        },
-    ];
-    for (name, kind, batched) in checks {
-        assert_eq!(kind, TransportKind::Batched, "{name} transport");
+    let decaf = Build::ALL
+        .into_iter()
+        .filter(|b| b.hosting == Hosting::Decaf);
+    let mut drivers = Vec::new();
+    for build in decaf {
+        // Each registers under its driver's name: one kernel holds all five.
+        let name = build.driver.name();
+        let Ok(Loaded::Split(d)) = install(&k, name, build) else {
+            panic!("{name}: the decaf build installs as a split");
+        };
+        assert_eq!(
+            d.channel.transport_kind(),
+            TransportKind::Batched,
+            "{name} transport"
+        );
+        let batched = d.channel.stats().batched_calls;
         assert!(batched > 0, "{name} deferred no calls during init");
+        drivers.push(build.driver);
     }
+    assert_eq!(drivers.len(), 5, "one decaf build per driver");
+    assert!(DriverKind::all().iter().all(|d| drivers.contains(d)));
 }
 
 /// SharedObject guards compose with real driver channels: allocating a
@@ -340,6 +315,9 @@ fn shared_object_guard_with_real_driver() {
     assert_eq!(drv.channel.heap(Domain::Nucleus).borrow().len(), before);
 }
 
+/// The e1000 with its data path on the one-shard rings.
+const E1000_SHMRING: Build = Build::new(DriverKind::E1000, Hosting::Shmring);
+
 /// The PR 2 acceptance claim at workload level: a netperf-shaped run on
 /// the shmring e1000 build crosses zero payload bytes through the XDR
 /// marshaler — the channel's marshaled-byte counters are identical no
@@ -348,7 +326,9 @@ fn shared_object_guard_with_real_driver() {
 fn shmring_netperf_crosses_zero_payload_bytes() {
     let run = |pkt_len: usize| {
         let k = Kernel::new();
-        let drv = decaf_core::drivers::e1000::decaf::install_shmring(&k, "eth0").unwrap();
+        let Ok(Loaded::Ring(drv)) = install(&k, "eth0", E1000_SHMRING) else {
+            panic!("the e1000 ring build installs");
+        };
         k.netdev_open("eth0").unwrap();
         k.schedule_point();
         let before = drv.channel.stats();
@@ -417,7 +397,7 @@ fn copy_accounting_consistent_across_e1000_builds() {
         decaf_core::drivers::e1000::decaf::install(k, "eth0").unwrap();
     });
     let shmring = run(&|k| {
-        decaf_core::drivers::e1000::decaf::install_shmring(k, "eth0").unwrap();
+        install(k, "eth0", E1000_SHMRING).unwrap();
     });
     // One copy into the device buffer (TX) + one into the stack (RX),
     // per packet, in every build.
@@ -529,7 +509,10 @@ fn sharded_storage_fault_recovery_redrains_pinned_urbs() {
 #[test]
 fn shmring_rtl8139_runs_netperf_shape() {
     let k = Kernel::new();
-    let drv = decaf_core::drivers::rtl8139::install_shmring(&k, "eth1").unwrap();
+    let build = Build::new(DriverKind::Rtl8139, Hosting::Shmring);
+    let Ok(Loaded::Ring(drv)) = install(&k, "eth1", build) else {
+        panic!("the 8139 ring build installs");
+    };
     k.netdev_open("eth1").unwrap();
     let before = drv.channel.stats();
     let stats = decaf_core::drivers::workloads::netperf_send(&k, "eth1", 1, 1_000, 1200).unwrap();

@@ -21,11 +21,13 @@
 //!   tokens_harvested + tokens_cancelled` closes, including across a
 //!   mid-schedule `recover_shard`.
 
+use std::any::Any;
+use std::cell::RefMut;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use decaf_core::drivers::ringnic::RingSplit;
-use decaf_core::drivers::rtl8139::Rtl8139Hw;
+use decaf_core::drivers::{install, Build, DriverKind, Hosting, Loaded};
 use decaf_core::sched::{
     self, fault_sweep, interleavings, interleavings_spread, schedule_sweep, FaultPlan, SweepConfig,
 };
@@ -499,7 +501,7 @@ fn same_seed_traces_are_byte_identical_and_well_nested() {
 /// every frame went out and came back once, both ledgers close, and
 /// every descriptor on a ring was put there by exactly one ledger post
 /// or completion.
-fn rtl8139_ledger_closes(k: &Kernel, drv: &RingSplit<Rtl8139Hw, Rtl8139Device>, offered: u64) {
+fn rtl8139_ledger_closes(k: &Kernel, drv: &RingSplit<dyn Any, dyn Any>, offered: u64) {
     let net = k.net_stats(&drv.name);
     assert_eq!(
         (net.tx_packets, net.rx_packets, net.tx_errors),
@@ -520,17 +522,29 @@ fn rtl8139_ledger_closes(k: &Kernel, drv: &RingSplit<Rtl8139Hw, Rtl8139Device>, 
     assert!(k.violations().is_empty(), "{:?}", k.violations());
 }
 
+/// The 8139's ring build in `hosting` ([`Hosting::Shmring`] or
+/// [`Hosting::Poll`]), installed as `eth1`.
+fn rtl8139_ring(k: &Kernel, hosting: Hosting) -> RingSplit<dyn Any, dyn Any> {
+    match install(k, "eth1", Build::new(DriverKind::Rtl8139, hosting)) {
+        Ok(Loaded::Ring(drv)) => drv,
+        _ => panic!("the 8139's {hosting:?} build installs as a ring build"),
+    }
+}
+
+/// The 8139 model behind a ring build's erased device handle.
+fn rtl8139_dev(drv: &RingSplit<dyn Any, dyn Any>) -> RefMut<'_, Rtl8139Device> {
+    RefMut::map(drv.dev.borrow_mut(), |d| d.downcast_mut().expect("an 8139"))
+}
+
+/// The 8139's two ring builds.
+const RTL8139_RINGS: [Hosting; 2] = [Hosting::Shmring, Hosting::Poll];
+
 /// `netperf_send` 1 s × 2,000 pkt/s through one of the 8139's two ring
 /// builds, settled, checked against the oracle.
-fn rtl8139_send_closes_the_ledger(poll: bool) {
-    use decaf_core::drivers::{rtl8139, workloads};
+fn rtl8139_send_closes_the_ledger(hosting: Hosting) {
+    use decaf_core::drivers::workloads;
     let k = Kernel::new();
-    let drv = if poll {
-        rtl8139::install_shmring_poll(&k, "eth1")
-    } else {
-        rtl8139::install_shmring(&k, "eth1")
-    }
-    .expect("8139 ring build installs");
+    let drv = rtl8139_ring(&k, hosting);
     k.netdev_open("eth1").expect("open");
     k.schedule_point();
     let sent = workloads::netperf_send(&k, "eth1", 1, 2_000, 1500).expect("netperf");
@@ -540,8 +554,9 @@ fn rtl8139_send_closes_the_ledger(poll: bool) {
 
 #[test]
 fn rtl8139_ring_builds_close_the_ledger() {
-    rtl8139_send_closes_the_ledger(false);
-    rtl8139_send_closes_the_ledger(true);
+    RTL8139_RINGS
+        .into_iter()
+        .for_each(rtl8139_send_closes_the_ledger);
 }
 
 /// Frames of a length that does not divide the 8 KiB hardware ring, in
@@ -566,7 +581,7 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     assert!(!dup.conserved() && dup.in_flight() == 1);
 
     let k = Kernel::new();
-    let drv = decaf_core::drivers::rtl8139::install_shmring(&k, "eth1").expect("installs");
+    let drv = rtl8139_ring(&k, Hosting::Shmring);
     k.netdev_open("eth1").expect("open");
     k.schedule_point();
     let rx_set = Rc::clone(&drv.rx_set);
@@ -581,7 +596,7 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
         k.schedule_work_handle(&in_flight_probe, 0);
         for i in 0..BURST {
             let frame = [(round * BURST + i) as u8; LEN];
-            drv.dev.borrow_mut().inject_rx(&k, &frame);
+            rtl8139_dev(&drv).inject_rx(&k, &frame);
         }
         k.schedule_point();
         assert_eq!(rx_set.in_flight(), 0, "round {round} delivered");
@@ -590,8 +605,8 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     // 120 frames of 704 bytes through an 8 KiB ring that holds eleven:
     // none dropped means it was rewound every few rounds.
     let total = (ROUNDS * BURST) as u64;
-    assert_eq!(drv.dev.borrow().rx_dropped, 0);
-    assert_eq!(drv.dev.borrow().frames_received(), total);
+    assert_eq!(rtl8139_dev(&drv).rx_dropped, 0);
+    assert_eq!(rtl8139_dev(&drv).frames_received(), total);
     let net = k.net_stats("eth1");
     assert_eq!((net.rx_packets, net.rx_bytes), (total, total * LEN as u64));
     assert!(rx_set.conserved());
@@ -606,26 +621,21 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
 /// (poll mode) — and the ring is not rewound over frames still unread.
 #[test]
 fn rtl8139_burst_larger_than_the_rx_ring_loses_nothing() {
-    use decaf_core::drivers::{rtl8139, support::RX_POLL_TICK_NS};
+    use decaf_core::drivers::support::RX_POLL_TICK_NS;
     const FRAMES: u64 = 78;
-    for poll in [false, true] {
+    for hosting in RTL8139_RINGS {
         let k = Kernel::new();
-        let drv = if poll {
-            rtl8139::install_shmring_poll(&k, "eth1")
-        } else {
-            rtl8139::install_shmring(&k, "eth1")
-        }
-        .expect("installs");
+        let drv = rtl8139_ring(&k, hosting);
         k.netdev_open("eth1").expect("open");
         k.schedule_point();
         // 64 records of 104 bytes already reach the rewind threshold.
         for i in 0..FRAMES {
-            drv.dev.borrow_mut().inject_rx(&k, &[i as u8; 100]);
+            rtl8139_dev(&drv).inject_rx(&k, &[i as u8; 100]);
         }
         k.run_for(3 * RX_POLL_TICK_NS);
-        assert_eq!(drv.dev.borrow().rx_dropped, 0);
+        assert_eq!(rtl8139_dev(&drv).rx_dropped, 0);
         let net = k.net_stats("eth1");
-        assert_eq!(net.rx_packets, FRAMES, "poll={poll}: frames lost");
+        assert_eq!(net.rx_packets, FRAMES, "{hosting:?}: frames lost");
         let rx_set = &drv.rx_set;
         assert!(rx_set.conserved() && rx_set.in_flight() == 0);
         assert_eq!(rx_set.stats().completed, FRAMES);
@@ -642,8 +652,8 @@ fn ledger_oracle_rejects_planted_double_completion_on_the_8139() {
     use decaf_core::shmring::ringset::mutation;
     fault_harness::expect_oracle_failure("double-complete on the 8139", || {
         mutation::arm_double_complete();
-        rtl8139_send_closes_the_ledger(false);
+        rtl8139_send_closes_the_ledger(Hosting::Shmring);
     });
     mutation::disarm();
-    rtl8139_send_closes_the_ledger(false);
+    rtl8139_send_closes_the_ledger(Hosting::Shmring);
 }

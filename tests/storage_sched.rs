@@ -21,16 +21,16 @@
 //!
 //! The **differential oracle** then replays one multi-LUN workload —
 //! interleaved short and full sector writes, then streaming reads —
-//! through every hosting of the uhci URB path (`install_native`,
-//! `install_value` copy + batched, `install_sharded(1..=4)` — one shard
-//! being the unsharded ring build) and asserts byte-identical flash
-//! contents and identical actual-length read results across all of
-//! them: seven drivers, one observable behaviour.
+//! through every uhci build of `Build::ALL` — native, decaf, by-value
+//! copy and batched-copy, and the ring build at one to four shards (one
+//! shard being the unsharded ring build) — and asserts byte-identical
+//! flash contents and identical actual-length read results across all of
+//! them: eight drivers, one observable behaviour.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use decaf_core::drivers::uhci;
+use decaf_core::drivers::{install, uhci, Build, DriverKind, Hosting};
 use decaf_core::sched::{
     self, fault_sweep, interleavings, schedule_count, schedule_count_checked, schedule_sweep,
     FaultPlan, SweepConfig,
@@ -40,6 +40,7 @@ use decaf_core::sched::{
 mod fault_harness;
 use decaf_core::shmring::{SectorPool, SgSegment, ShmRing, UrbDescriptor, UrbRingSet};
 use decaf_core::simdev::uhci as hwreg;
+use decaf_core::simdev::UhciDevice;
 use decaf_core::simkernel::usb::{Urb, UrbDir};
 use decaf_core::simkernel::{costs, CpuClass, Kernel};
 
@@ -430,25 +431,26 @@ fn oracle_workload(k: &Kernel, hcd: &str) -> CellReads {
 #[test]
 fn differential_oracle_all_hostings_agree_bit_for_bit() {
     type Snapshot = (CellReads, CellReads);
-    let run =
-        |label: &str,
-         install: &dyn Fn(&Kernel) -> Rc<std::cell::RefCell<decaf_core::simdev::UhciDevice>>|
-         -> Snapshot {
-            let k = Kernel::new();
-            let dev = install(&k);
-            let results = oracle_workload(&k, "uhci0");
-            assert_eq!(
-                results.len(),
-                ORACLE_LUNS * ORACLE_SECTORS as usize,
-                "{label}: not every read completed"
-            );
-            assert!(k.violations().is_empty(), "{label}: {:?}", k.violations());
-            let flash = dev.borrow().flash_contents();
-            (results, flash)
-        };
+    let run = |build: Build| -> Snapshot {
+        let k = Kernel::new();
+        let dev = install(&k, "uhci0", build).unwrap().dev();
+        let results = oracle_workload(&k, "uhci0");
+        assert_eq!(
+            results.len(),
+            ORACLE_LUNS * ORACLE_SECTORS as usize,
+            "{build:?}: not every read completed"
+        );
+        assert!(k.violations().is_empty(), "{build:?}: {:?}", k.violations());
+        let flash = dev
+            .borrow()
+            .downcast_ref::<UhciDevice>()
+            .unwrap()
+            .flash_contents();
+        (results, flash)
+    };
 
     // The native build is the golden reference.
-    let golden = run("native", &|k| uhci::install_native(k, "uhci0").unwrap().dev);
+    let golden = run(Build::new(DriverKind::UhciHcd, Hosting::Native));
 
     // Every cell's read returns exactly the bytes written — including
     // the short cells at their true actual length.
@@ -460,39 +462,26 @@ fn differential_oracle_all_hostings_agree_bit_for_bit() {
         );
     }
 
-    let hostings: Vec<(String, Snapshot)> = vec![
-        (
-            "value/copy".into(),
-            run("value/copy", &|k| {
-                uhci::install_value(k, "uhci0", false).unwrap().dev
-            }),
-        ),
-        (
-            "value/batched".into(),
-            run("value/batched", &|k| {
-                uhci::install_value(k, "uhci0", true).unwrap().dev
-            }),
-        ),
-    ]
-    .into_iter()
-    .chain((1..=4).map(|shards| {
-        (
-            format!("sharded/{shards}"),
-            run(&format!("sharded/{shards}"), &move |k| {
-                uhci::install_sharded(k, "uhci0", shards).unwrap().dev
-            }),
-        )
-    }))
-    .collect();
-
-    for (label, (results, flash)) in &hostings {
+    // Every other uhci build of the table, the ring build at one to four
+    // shards.
+    let others = Build::ALL
+        .into_iter()
+        .filter(|b| b.driver == DriverKind::UhciHcd && b.hosting != Hosting::Native);
+    let builds = others.flat_map(|b| match b.hosting {
+        Hosting::ShardedUrb(_, mode) => (1..=4)
+            .map(|shards| Build::new(b.driver, Hosting::ShardedUrb(shards, mode)))
+            .collect(),
+        _ => vec![b],
+    });
+    for build in builds {
+        let (results, flash) = run(build);
         assert_eq!(
-            results, &golden.0,
-            "{label}: actual-length read results diverge from native"
+            results, golden.0,
+            "{build:?}: actual-length read results diverge from native"
         );
         assert_eq!(
-            flash, &golden.1,
-            "{label}: flash contents diverge from native"
+            flash, golden.1,
+            "{build:?}: flash contents diverge from native"
         );
     }
 }
@@ -511,7 +500,7 @@ fn differential_oracle_zero_copy_only_on_ring_hostings() {
     };
     assert!(
         copied(&|k| {
-            uhci::install_value(k, "uhci0", false).unwrap();
+            install(k, "uhci0", Build::new(DriverKind::UhciHcd, Hosting::Copy)).unwrap();
         }) > 0,
         "the by-value hosting must pay its copies"
     );
