@@ -143,6 +143,25 @@ if [ -d "$d" ]; then
     done
 fi
 
+# Prints every `call_deferred` in the product code of the ring data
+# paths: a doorbell launches through `XpcChannel::launch_resolved`, which
+# parks it only behind calls already parked, so no doorbell pays for a
+# park and a drain of its own. Product code only, each file up to its
+# trailing test module; a listed file that does not exist prints
+# "<file>: missing".
+for f in \
+    crates/xpc/src/ringpath.rs \
+    crates/xpc/src/shardpath.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -n 'call_deferred' |
+        sed "s|^|$f:|" || true
+done
+
 # Prints every `pub fn install*` in the product code of the drivers that
 # is not on the list below: the installers `decaf_bench` calls by name
 # (`decaf_bench/README.md`, "Pinned entry points"), the one table-driven

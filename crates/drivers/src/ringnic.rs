@@ -482,10 +482,7 @@ pub fn tx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
     let poll: WorkBody = {
         let tx = Rc::clone(&tx);
         Rc::new(move |k, busy| {
-            let _ = tx.sweep(k, |i, path| match busy >> i & 1 {
-                0 => Ok(false),
-                _ => path.poll(k),
-            });
+            let _ = tx.sweep(k, busy, |_, path| path.poll(k));
         })
     };
     let timer = kernel.timer_create(

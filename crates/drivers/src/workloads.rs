@@ -408,7 +408,7 @@ pub fn open_loop_packet_reclaim(kernel: &Kernel, net: &crate::support::OpenLoopN
     let mut done = Vec::new();
     for (i, dp) in net.paths.iter().enumerate() {
         kernel.shard_scope(i, || {
-            done.extend(dp.reclaim_completions(kernel).into_iter().map(|d| d.cookie));
+            dp.reclaim_completions_with(kernel, |d| done.push(d.cookie))
         });
     }
     done

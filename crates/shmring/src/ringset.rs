@@ -412,9 +412,11 @@ impl<D: RingDescriptor> ShardedRings<D> {
         desc: D,
     ) -> Result<usize, RingSetError> {
         let cookie = desc.cookie();
-        let shard = self
-            .origin_of(cookie)
-            .ok_or(RingSetError::UnknownOrigin(cookie))?;
+        // One lookup: the record comes out here, and goes back if the
+        // completion cannot land.
+        let noted = self.origin.borrow_mut().remove(&cookie);
+        let noted = noted.ok_or(RingSetError::UnknownOrigin(cookie))?;
+        let shard = noted.shard;
         match self.completions[shard].push(kernel, class, desc) {
             Ok(()) => {
                 #[cfg(debug_assertions)]
@@ -423,14 +425,16 @@ impl<D: RingDescriptor> ShardedRings<D> {
                     // completion lands on the home ring twice.
                     let _ = self.completions[shard].push(kernel, class, desc);
                 }
-                self.origin.borrow_mut().remove(&cookie);
                 let mut shards = self.shards.borrow_mut();
                 shards[shard].in_flight -= 1;
                 shards[shard].stats.completed += 1;
                 kernel.trace_instant("ring", "complete", &[("shard", shard as u64)]);
                 Ok(shard)
             }
-            Err(RingError::Full) => Err(RingSetError::CompletionFull(shard)),
+            Err(RingError::Full) => {
+                self.origin.borrow_mut().insert(cookie, noted);
+                Err(RingSetError::CompletionFull(shard))
+            }
         }
     }
 
@@ -575,6 +579,33 @@ mod tests {
             set.complete(&k, CpuClass::User, desc(1)),
             Err(RingSetError::UnknownOrigin(1))
         );
+        assert!(set.conserved());
+    }
+
+    #[test]
+    fn a_completion_that_cannot_land_stays_in_flight() {
+        // `complete` takes the origin record out before the push; a full
+        // completion ring must put it back, or the descriptor would leave
+        // the ledger without landing and its retry be refused as unknown.
+        let k = Kernel::new();
+        let set = RingSet::new("tx", 2, 4, 2);
+        for cookie in 0..3 {
+            set.post(&k, CpuClass::Kernel, 1, desc(cookie)).unwrap();
+        }
+        drained(set.ring(1), &k);
+        set.complete(&k, CpuClass::User, desc(0)).unwrap();
+        set.complete(&k, CpuClass::User, desc(1)).unwrap();
+        assert_eq!(
+            set.complete(&k, CpuClass::User, desc(2)),
+            Err(RingSetError::CompletionFull(1))
+        );
+        assert_eq!(set.origin_of(2), Some(1));
+        assert_eq!((set.in_flight(), set.shard_in_flight(1)), (1, 1));
+        assert!(set.conserved());
+        assert_eq!(set.reclaim(&k, CpuClass::Kernel, 1).len(), 2);
+        assert_eq!(set.complete(&k, CpuClass::User, desc(2)), Ok(1));
+        assert_eq!(set.in_flight(), 0);
+        assert_eq!(set.stats().completed, 3);
         assert!(set.conserved());
     }
 

@@ -60,7 +60,7 @@ use crate::domain::Domain;
 use crate::error::{XpcError, XpcResult};
 use crate::tracker::ObjectTracker;
 use crate::transport::{
-    CompletionToken, DeferredCall, DeferredQueue, TransportKind, BATCH_DEADLINE_NS,
+    CompletionToken, DeferredCall, DeferredQueue, Harvest, TransportKind, BATCH_DEADLINE_NS,
 };
 
 /// Static configuration of a channel.
@@ -432,6 +432,25 @@ struct DeadlineWakeup {
     timer: TimerId,
     shard: Option<usize>,
 }
+
+/// What a group's crossing reads of one of its calls — procedure, object
+/// arguments, scalars, token: a parked [`DeferredCall`], or a call
+/// launched without parking.
+#[derive(Clone, Copy)]
+struct GroupCall<'a>(
+    ProcHandle,
+    &'a [Option<CAddr>],
+    &'a [XdrValue],
+    Option<CompletionToken>,
+);
+
+/// The calls of one group, in order: what a flush walks more than once.
+trait Group<'a>: ExactSizeIterator<Item = GroupCall<'a>> + Clone {}
+impl<'a, G: ExactSizeIterator<Item = GroupCall<'a>> + Clone> Group<'a> for G {}
+
+/// How many rounds a flush takes before it reports
+/// [`XpcError::FlushDiverged`]: a flushed handler may defer again.
+const FLUSH_ROUNDS: usize = 64;
 
 /// A two-ended XPC channel: stub layer plus the deferred-call queue.
 pub struct XpcChannel {
@@ -1140,7 +1159,7 @@ impl XpcChannel {
                     s.deferred_calls += 1;
                 });
                 self.flush_if_due(kernel)?;
-                self.schedule_deadline_wakeup(kernel);
+                self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
                 Ok(token)
             }
             Err(call) => {
@@ -1150,6 +1169,38 @@ impl XpcChannel {
                 done.map(|_| None)
             }
         }
+    }
+
+    /// [`XpcChannel::call_deferred_resolved`] of a call with no object
+    /// arguments, then [`XpcChannel::flush`] — the doorbell of a
+    /// launching data path. With nothing parked on a launching channel
+    /// the call does not park: its token is minted and it launches at
+    /// once as a one-call batch, with the charges, counters, wakeup timer
+    /// and trace events the park and flush would have produced. Otherwise
+    /// it parks behind what is there and flushes, so program order and
+    /// batch membership do not change.
+    pub fn launch_resolved(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: ProcHandle,
+        scalars: &[XdrValue],
+    ) -> XpcResult<()> {
+        if !self.config.transport.launches() || self.deferred.pending() > 0 {
+            self.call_deferred_resolved(kernel, from, proc, &[], scalars)?;
+            return self.flush(kernel);
+        }
+        let token = self.deferred.mint(kernel, from.cpu_class());
+        self.bump(|s| {
+            s.tokens_issued += 1;
+            s.deferred_calls += 1;
+        });
+        self.schedule_deadline_wakeup(kernel, Some(kernel.now_ns()));
+        let call = GroupCall(proc, &[], scalars, Some(token));
+        self.flush_group(kernel, from, std::iter::once(call));
+        // What its handler parked goes next, as the flush's next round
+        // would have taken it.
+        self.flush_rounds(kernel, FLUSH_ROUNDS - 1)
     }
 
     /// Keeps an executed call's emptied shell for the next deferred call.
@@ -1172,7 +1223,7 @@ impl XpcChannel {
         match self.deferred.offer(kernel, call.from.cpu_class(), call) {
             Ok(_) => {
                 self.bump(|s| s.deferred_calls += 1);
-                self.schedule_deadline_wakeup(kernel);
+                self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
                 Ok(())
             }
             Err(call) => {
@@ -1219,10 +1270,12 @@ impl XpcChannel {
     /// fresh `Vec`. Returns how many resolved.
     pub fn harvest_with(&self, kernel: &Kernel, each: impl FnMut(CompletionToken)) -> usize {
         let done = self.deferred.harvest(kernel, each);
-        self.bump(|s| {
-            s.overlap_ns += done.overlap_ns;
-            s.tokens_harvested += done.settled;
-        });
+        if done != Harvest::default() {
+            self.bump(|s| {
+                s.overlap_ns += done.overlap_ns;
+                s.tokens_harvested += done.settled;
+            });
+        }
         done.tokens
     }
 
@@ -1281,7 +1334,7 @@ impl XpcChannel {
         );
         self.wakeup.set(Some(DeadlineWakeup { timer, shard }));
         // Calls may already be parked (armed late): cover them too.
-        self.schedule_deadline_wakeup(kernel);
+        self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
     }
 
     /// The work-item half of the deadline wakeup: flush if due, then
@@ -1295,7 +1348,7 @@ impl XpcChannel {
             // is contained exactly like a doorbell fault (already
             // counted in the channel's fault stats).
             let _ = self.flush_if_due(kernel);
-            self.schedule_deadline_wakeup(kernel);
+            self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
         };
         match shard {
             Some(s) => kernel.shard_scope(s, run),
@@ -1303,17 +1356,17 @@ impl XpcChannel {
         }
     }
 
-    /// Arms the wakeup timer for the oldest parked call's deadline, if
-    /// wakeups are enabled, something is parked, and the timer is not
-    /// already pending. A pending timer is never re-armed — it may be
-    /// early (stale anchor), and an early fire is harmless: the work
-    /// item declines and re-arms exactly.
-    fn schedule_deadline_wakeup(&self, kernel: &Kernel) {
+    /// Arms the wakeup timer for the deadline of the oldest call, parked
+    /// at `oldest` (`None`: nothing parked), if wakeups are enabled and
+    /// the timer is not already pending. A pending timer is never
+    /// re-armed — it may be early (stale anchor), and an early fire is
+    /// harmless: the work item declines and re-arms exactly.
+    fn schedule_deadline_wakeup(&self, kernel: &Kernel, oldest: Option<u64>) {
         let Some(w) = self.wakeup.get() else { return };
         if kernel.timer_pending(w.timer) {
             return;
         }
-        let Some(oldest) = self.deferred.oldest_deferred_at() else {
+        let Some(oldest) = oldest else {
             return;
         };
         let deadline = oldest + BATCH_DEADLINE_NS;
@@ -1331,43 +1384,22 @@ impl XpcChannel {
     /// individual failures are counted as faults — deferred calls have
     /// no caller waiting to receive an error.
     pub fn flush(&self, kernel: &Kernel) -> XpcResult<()> {
-        // A flushed handler may defer again; bound the ping-pong.
-        for _ in 0..64 {
-            let mut queue = self.queue.take();
-            self.deferred.drain(&mut queue);
-            if queue.is_empty() {
-                self.queue.set(queue);
+        self.flush_rounds(kernel, FLUSH_ROUNDS)
+    }
+
+    /// [`XpcChannel::flush`] bounded at `rounds` rounds of the ping-pong.
+    fn flush_rounds(&self, kernel: &Kernel, rounds: usize) -> XpcResult<()> {
+        for _ in 0..rounds {
+            if self.deferred.pending() == 0 {
                 return Ok(());
             }
-            let mut i = 0;
-            while i < queue.len() {
-                let from = queue[i].from;
-                let end = queue[i..]
+            let mut queue = self.queue.take();
+            self.deferred.drain(&mut queue);
+            for calls in queue.chunk_by(|a, b| a.from == b.from) {
+                let group = calls
                     .iter()
-                    .position(|c| c.from != from)
-                    .map_or(queue.len(), |p| i + p);
-                if self.flush_group(kernel, &queue[i..end]).is_err() {
-                    for call in &queue[i..end] {
-                        let one = self.call_inner(
-                            kernel,
-                            call.from,
-                            call.proc,
-                            &call.args,
-                            &call.scalars,
-                        );
-                        match one {
-                            Ok(_) => {}
-                            // A handler panic already counted itself.
-                            Err(XpcError::DecafFault(_)) => {}
-                            Err(_) => self.bump(|s| s.faults += 1),
-                        }
-                        // The per-call fallback is synchronous: the
-                        // call's token (fault or not, the call is done)
-                        // resolves here.
-                        self.resolve_tokens(call.token);
-                    }
-                }
-                i = end;
+                    .map(|c| GroupCall(c.proc, &c.args, &c.scalars, c.token));
+                self.flush_group(kernel, calls[0].from, group);
             }
             queue.drain(..).for_each(|call| self.recycle(call));
             self.queue.set(queue);
@@ -1375,6 +1407,26 @@ impl XpcChannel {
         // Handlers kept re-deferring past the bound: surface the broken
         // ordering guarantee instead of silently leaving calls parked.
         Err(XpcError::FlushDiverged(self.deferred.pending()))
+    }
+
+    /// Executes one same-direction group of calls from `from` — one
+    /// crossing ([`XpcChannel::cross_group`]), or, when that fails before
+    /// any handler ran, call by call.
+    fn flush_group<'a>(&self, kernel: &Kernel, from: Domain, group: impl Group<'a>) {
+        if self.cross_group(kernel, from, group.clone()).is_ok() {
+            return;
+        }
+        for GroupCall(proc, args, scalars, token) in group {
+            match self.call_inner(kernel, from, proc, args, scalars) {
+                Ok(_) => {}
+                // A handler panic already counted itself.
+                Err(XpcError::DecafFault(_)) => {}
+                Err(_) => self.bump(|s| s.faults += 1),
+            }
+            // The per-call fallback is synchronous: the call's token
+            // (fault or not, the call is done) resolves here.
+            self.resolve_tokens(token);
+        }
     }
 
     /// Executes one same-direction batch of deferred calls as a single
@@ -1385,31 +1437,37 @@ impl XpcChannel {
     ///
     /// `Err` means no handler ran, so the caller may still execute the
     /// group call by call.
-    fn flush_group(&self, kernel: &Kernel, group: &[DeferredCall]) -> XpcResult<()> {
+    fn cross_group<'a>(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        group: impl Group<'a>,
+    ) -> XpcResult<()> {
         let _span = kernel.trace_span("xpc", "flush");
         let launch = self.config.transport.launches();
-        let from = group[0].from;
         let caller = self.end(from)?;
         let target = self.peer(from)?;
         self.record_atomic_violation(kernel, target, None);
 
         let mut defs = self.defs.take();
         defs.clear();
-        for call in group {
-            defs.push(self.def(target, call.proc)?);
+        for GroupCall(proc, ..) in group.clone() {
+            defs.push(self.def(target, proc)?);
         }
 
         // One wire message for the whole batch: roots share a seen-table,
         // so an object repeated across calls crosses once.
-        let all_roots: Vec<Option<CAddr>> =
-            group.iter().flat_map(|c| c.args.iter().copied()).collect();
+        let all_roots: Vec<Option<CAddr>> = group
+            .clone()
+            .flat_map(|GroupCall(_, args, ..)| args.iter().copied())
+            .collect();
         let all_types = || {
             defs.iter()
                 .flat_map(|d| d.arg_ids.as_slice().iter().copied())
         };
         let scalar_in: usize = group
-            .iter()
-            .flat_map(|c| c.scalars.iter())
+            .clone()
+            .flat_map(|GroupCall(_, _, scalars, _)| scalars.iter())
             .map(Self::scalar_wire_bytes)
             .sum();
         let dir = Direction::In;
@@ -1430,12 +1488,12 @@ impl XpcChannel {
         // Dispatch each call in queue order; results are discarded and
         // faults contained (deferred calls have no waiting caller).
         let mut offset = 0;
-        for (def, call) in defs.iter().zip(group) {
+        for (def, GroupCall(_, _, scalars, _)) in defs.iter().zip(group.clone()) {
             let arity = def.arg_ids.as_slice().len();
             let call_locals = &locals[offset..offset + arity];
             offset += arity;
             let result = catch_unwind(AssertUnwindSafe(|| {
-                (def.handler)(kernel, self, call_locals, &call.scalars)
+                (def.handler)(kernel, self, call_locals, scalars)
             }));
             if result.is_err() {
                 self.bump(|s| s.faults += 1);
@@ -1460,7 +1518,7 @@ impl XpcChannel {
             // group is done and must not run again. One fault, nothing
             // launched, and its tokens resolve here, synchronously.
             self.bump(|s| s.faults += 1);
-            self.resolve_tokens(group.iter().filter_map(|c| c.token));
+            self.resolve_tokens(group.clone().filter_map(|GroupCall(.., token)| token));
             return Ok(());
         }
         self.locals.set(locals);
@@ -1469,9 +1527,9 @@ impl XpcChannel {
 
         if launch {
             let config = self.config;
-            let leg = config.transport.crossing_cost_ns(config.domain_crossing);
-            self.deferred
-                .launch(kernel, from.cpu_class(), group, 2 * leg);
+            let cost = 2 * config.transport.crossing_cost_ns(config.domain_crossing);
+            let tokens = group.clone().filter_map(|GroupCall(.., token)| token);
+            self.deferred.launch(kernel, from.cpu_class(), tokens, cost);
         }
 
         self.bump(|s| {
@@ -2995,5 +3053,129 @@ mod tests {
         assert_eq!(s.bytes_in, touches_only.bytes_in + 4);
         assert_eq!(s.bytes_out, touches_only.bytes_out);
         assert_eq!(s.full_objects, touches_only.full_objects);
+    }
+
+    // ------------------------------------------- the launched doorbell
+
+    /// Everything a doorbell may leave behind on its channel and kernel.
+    type End = (
+        String,
+        ChannelStats,
+        decaf_simkernel::clock::ClockSnapshot,
+        Vec<CompletionToken>,
+        usize,
+        Option<bool>,
+        Vec<decaf_simkernel::decaf_trace::TraceEvent>,
+    );
+
+    /// Rings a doorbell on a fresh, traced channel of `config` — through
+    /// [`XpcChannel::launch_resolved`] when `launch`, else by parking it
+    /// and flushing — optionally behind a parked control call and with
+    /// deadline wakeups armed. The bell's handler returns (`0`), parks a
+    /// call of its own (`1`), panics (`2`) or parks a call that parks
+    /// itself again forever (`3`). Then lets time pass, harvests, and lets
+    /// the wakeup timer come due.
+    fn ring_once(
+        config: ChannelConfig,
+        wakeups: bool,
+        parked: bool,
+        body: u8,
+        launch: bool,
+    ) -> End {
+        use decaf_simkernel::decaf_trace::Tracer;
+        let k = Kernel::new();
+        let tracer = Tracer::new();
+        k.set_tracer(Some(Rc::clone(&tracer)));
+        let ch = Rc::new(XpcChannel::new(
+            spec(),
+            MaskSet::full(),
+            config,
+            Domain::Nucleus,
+            Domain::Decaf,
+        ));
+        register_noop(&ch, "touch");
+        let writel = ProcDef::scalar("writel", |_, _| XdrValue::Void);
+        ch.register_proc(Domain::Nucleus, writel).unwrap();
+        let no_objects: [&str; 0] = [];
+        let again = ProcDef::entry("again", no_objects, |k, ch, _, _| {
+            drop(ch.call_deferred(k, Domain::Decaf, "again", &[], &[]));
+            XdrValue::Void
+        });
+        ch.register_proc(Domain::Nucleus, again).unwrap();
+        let bell = ProcDef::entry("bell", no_objects, move |k, ch, _, s| {
+            k.charge_user(7);
+            match body {
+                0 => {}
+                1 => drop(ch.call_deferred(k, Domain::Decaf, "writel", &[], &[])),
+                2 => panic!("doorbell handler fault"),
+                _ => drop(ch.call_deferred(k, Domain::Decaf, "again", &[], &[])),
+            }
+            s[0].clone()
+        });
+        ch.register_proc(Domain::Decaf, bell).unwrap();
+        if wakeups {
+            ch.arm_deadline_wakeups(&k);
+        }
+        k.run_for(1_000);
+        if parked {
+            let adapter = alloc_adapter(&ch);
+            ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
+                .unwrap();
+            k.run_for(1_000);
+        }
+        let bell = ch.resolve_proc(Domain::Nucleus, "bell").unwrap();
+        let count = [XdrValue::UInt(3)];
+        let rung = match launch {
+            true => ch.launch_resolved(&k, Domain::Nucleus, bell, &count),
+            false => ch
+                .call_deferred_resolved(&k, Domain::Nucleus, bell, &[], &count)
+                .and_then(|_| ch.flush(&k)),
+        };
+        let timer = ch.wakeup.get().map(|w| k.timer_pending(w.timer));
+        k.run_for(3_000);
+        let harvested = ch.harvest(&k);
+        let outstanding = ch.tokens_outstanding();
+        k.run_for(2 * BATCH_DEADLINE_NS);
+        let events = tracer.events();
+        (
+            format!("{rung:?}"),
+            ch.stats(),
+            k.snapshot(),
+            harvested,
+            outstanding,
+            timer,
+            events,
+        )
+    }
+
+    #[test]
+    fn a_launched_doorbell_ends_where_a_parked_and_flushed_one_does() {
+        let kinds = [
+            ChannelConfig::kernel_user_batched(),
+            ChannelConfig::kernel_user_async(),
+        ];
+        for config in kinds {
+            for (wakeups, parked, body) in (0..16).map(|i| (i & 1 == 1, i & 2 == 2, i as u8 / 4)) {
+                let case = (config.transport, wakeups, parked, body);
+                let old = ring_once(config, wakeups, parked, body, false);
+                let new = ring_once(config, wakeups, parked, body, true);
+                assert_eq!(new.0, old.0, "{case:?}: result");
+                assert_eq!(new.1, old.1, "{case:?}: channel stats");
+                assert_eq!(new.2, old.2, "{case:?}: clocks");
+                assert_eq!(new.3, old.3, "{case:?}: harvested tokens");
+                assert_eq!(new.4, old.4, "{case:?}: outstanding after harvest");
+                assert_eq!(new.5, old.5, "{case:?}: wakeup timer pending");
+                assert_eq!(new.6, old.6, "{case:?}: trace events");
+                assert_eq!(new.1.faults, (body == 2) as u64, "{case:?}");
+                // The handler that re-defers forever leaves its call
+                // parked, token and all; every other case closes.
+                assert_eq!(new.0 == "Ok(())", body != 3, "{case:?}: {}", new.0);
+                assert_eq!(
+                    new.4 == 0,
+                    body != 3 || !config.transport.launches(),
+                    "{case:?}"
+                );
+            }
+        }
     }
 }

@@ -29,7 +29,9 @@
 //! the channel), **maybe ring** (ring when the policy says the parked
 //! descriptors are due, otherwise record the coalesce), **ring** (one
 //! crossing carrying only the descriptor count; on a launching control
-//! channel the doorbell *launches* instead of blocking) and **re-arm for
+//! channel the doorbell *launches* at once as a one-call batch instead of
+//! blocking, without parking unless control calls are parked ahead of
+//! it) and **re-arm for
 //! survivors** (a budgeted or declining consumer may leave descriptors
 //! parked; the deadline restarts for them instead of disarming into the
 //! never-fires state).
@@ -225,10 +227,12 @@ impl<D: RingDescriptor> RingPath<D> {
     /// XPC crossing, zero object arguments, carrying only the descriptor
     /// count. The registered drain handler consumes the ring.
     ///
-    /// On a launching control channel the doorbell is parked and then
-    /// flushed, so it *launches*: the drain handler still runs right here
-    /// (descriptors are consumed and completed), but the crossing's
-    /// latency goes with a completion token and is settled — net of
+    /// On a launching control channel the doorbell *launches*
+    /// ([`XpcChannel::launch_resolved`]): it is issued a completion token
+    /// and crosses at once as a one-call batch — behind any control calls
+    /// already parked, in their batch — so the drain handler still runs
+    /// right here (descriptors are consumed and completed), but the
+    /// crossing's latency goes with the token and is settled — net of
     /// overlap — when the producer next harvests
     /// ([`DataPathChannel::reclaim_completions`] does).
     pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
@@ -242,17 +246,13 @@ impl<D: RingDescriptor> RingPath<D> {
         let (channel, from) = (&self.channel, self.producer);
         let proc = match self.proc.get() {
             Some(proc) => proc,
-            None => {
-                let proc = channel.resolve_proc(from, &self.proc_name)?;
-                self.proc.set(Some(proc));
-                proc
-            }
+            None => channel.resolve_proc(from, &self.proc_name)?,
         };
+        self.proc.set(Some(proc));
         if channel.transport_kind().launches() {
-            channel.call_deferred_resolved(kernel, from, proc, &[], &args)?;
             // Launch now: the drain must run before the producer reuses
             // the ring, only the crossing latency is deferred.
-            channel.flush(kernel)?;
+            channel.launch_resolved(kernel, from, proc, &args)?;
         } else {
             channel.call_resolved(kernel, from, proc, &[], &args)?;
         }

@@ -156,17 +156,21 @@ impl<D: RingDescriptor> ShardedRingPath<D> {
         })
     }
 
-    /// Runs `f` on every shard's path, in shard order, each under its
-    /// cost scope; returns how many said `true`. A shard whose `f` errors
-    /// does not starve the ones after it: the first error is reported
-    /// once the sweep completes.
+    /// Runs `f` on the path of every shard in `shards` (one bit per
+    /// shard, as [`ShardedRingPath::busy`] reports them), in shard order,
+    /// each under its cost scope; returns how many said `true`. The other
+    /// shards are not entered. A shard whose `f` errors does not starve
+    /// the ones after it: the first error is reported once the sweep
+    /// completes.
     pub fn sweep(
         &self,
         kernel: &Kernel,
+        shards: u64,
         mut f: impl FnMut(usize, &RingPath<D>) -> XpcResult<bool>,
     ) -> XpcResult<usize> {
         let (mut hits, mut first_err) = (0, None);
-        for (i, path) in self.paths.iter().enumerate() {
+        let paths = self.paths.iter().enumerate();
+        for (i, path) in paths.filter(|&(i, _)| shards >> i & 1 == 1) {
             match kernel.shard_scope(i, || f(i, path)) {
                 Ok(hit) => hits += hit as usize,
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -178,13 +182,16 @@ impl<D: RingDescriptor> ShardedRingPath<D> {
     /// Polls every shard's coalescing deadline; returns how many shards
     /// rang. A due shard never waits for traffic on its siblings.
     pub fn poll(&self, kernel: &Kernel) -> XpcResult<usize> {
-        self.sweep(kernel, |_, path| path.maybe_ring(kernel))
+        self.sweep(kernel, u64::MAX, |_, path| path.maybe_ring(kernel))
     }
 
-    /// Rings every shard's doorbell (a no-op on an empty ring).
+    /// Rings the doorbell of every shard [`ShardedRingPath::busy`] when
+    /// the sweep starts (a no-op on an empty ring). An idle shard is not
+    /// visited: nothing parked, nothing completed, so there it would move
+    /// neither clock.
     pub fn ring_all(&self, kernel: &Kernel) -> XpcResult<()> {
-        self.sweep(kernel, |_, path| path.ring_doorbell(kernel).map(|()| true))
-            .map(drop)
+        let ring = |_, path: &RingPath<D>| path.ring_doorbell(kernel).map(|()| true);
+        self.sweep(kernel, self.busy(), ring).map(drop)
     }
 
     /// Registers the consumer's drain on every shard under the paths'

@@ -167,7 +167,7 @@ pub(crate) struct Harvest {
 /// latency is held here against the batch's tokens and charged at
 /// harvest, net of whatever computation overlapped it.
 ///
-/// The whole interface is seven transitions — `offer`, `drain`,
+/// The whole interface is eight transitions — `offer`, `mint`, `drain`,
 /// `flush_due`, `retain`, `launch`, `harvest`, `settle` — and three
 /// observers: `pending`, `oldest_deferred_at`, `outstanding`.
 #[derive(Debug)]
@@ -215,16 +215,25 @@ impl DeferredQueue {
         if !self.kind.queues() {
             return Err(call);
         }
-        kernel.charge(class, costs::BATCH_ENQUEUE_NS);
-        if self.kind.launches() && call.token.is_none() {
-            let minted = self.next_token.get();
-            self.next_token.set(minted + 1);
-            self.outstanding.borrow_mut().push_back(minted);
-            call.token = Some(CompletionToken(minted));
+        match self.kind.launches() && call.token.is_none() {
+            true => call.token = Some(self.mint(kernel, class)),
+            false => kernel.charge(class, costs::BATCH_ENQUEUE_NS),
         }
         let token = call.token;
         self.parked.borrow_mut().push_back((kernel.now_ns(), call));
         Ok(token)
+    }
+
+    /// Issues the token of a call that launches at once instead of
+    /// parking (a doorbell, on a launching kind with nothing parked):
+    /// what [`DeferredQueue::offer`] charges and mints for a fresh call,
+    /// without the park. The caller launches it as a one-call batch.
+    pub fn mint(&self, kernel: &Kernel, class: CpuClass) -> CompletionToken {
+        kernel.charge(class, costs::BATCH_ENQUEUE_NS);
+        let minted = self.next_token.get();
+        self.next_token.set(minted + 1);
+        self.outstanding.borrow_mut().push_back(minted);
+        CompletionToken(minted)
     }
 
     /// Drains every parked call, oldest first, onto the end of `out` —
@@ -277,29 +286,34 @@ impl DeferredQueue {
         self.outstanding.borrow().len()
     }
 
-    /// Strikes `tokens` off the ledger; how many were on it.
+    /// Strikes `tokens` off the ledger; how many were on it. The oldest
+    /// outstanding token — what a harvest settles, batches settling in
+    /// launch order — comes off the front without a search.
     pub(crate) fn settle(&self, tokens: impl IntoIterator<Item = CompletionToken>) -> u64 {
         let mut outstanding = self.outstanding.borrow_mut();
         let struck = |t: &CompletionToken| {
-            let at = outstanding.binary_search(&t.0);
+            let at = match outstanding.front() == Some(&t.0) {
+                true => Ok(0),
+                false => outstanding.binary_search(&t.0),
+            };
             at.map(|i| outstanding.remove(i)).is_ok()
         };
         tokens.into_iter().filter(struck).count() as u64
     }
 
-    /// Launches `group`: its tokens and the `cost_ns` of its crossing,
-    /// as one batch, for harvest to settle — virtual time elapsed from
-    /// here on covers the crossing as overlap.
+    /// Launches a group's `tokens` and the `cost_ns` of its crossing, as
+    /// one batch, for harvest to settle — virtual time elapsed from here
+    /// on covers the crossing as overlap.
     pub(crate) fn launch(
         &self,
         kernel: &Kernel,
         class: CpuClass,
-        group: &[DeferredCall],
+        tokens: impl IntoIterator<Item = CompletionToken>,
         cost_ns: u64,
     ) {
         let mut launched_tokens = self.launched_tokens.borrow_mut();
         let before = launched_tokens.len();
-        launched_tokens.extend(group.iter().filter_map(|c| c.token));
+        launched_tokens.extend(tokens);
         let tokens = launched_tokens.len() - before;
         kernel.trace_instant(
             "xpc.batch",

@@ -1,9 +1,13 @@
 //! The one `DeferredQueue` against the two transports it replaced
 //! (`reference/`): over arbitrary offer / advance-clock / retain / drain /
-//! requeue sequences it makes the same flush decision at every step,
-//! anchors its deadline to the same call, charges the same enqueue cost,
-//! drains the same calls in the same order and mints and cancels the same
-//! tokens.
+//! requeue / doorbell sequences it makes the same flush decision at every
+//! step, anchors its deadline to the same call, charges the same enqueue
+//! cost, drains the same calls in the same order and mints and cancels the
+//! same tokens.
+//!
+//! The reference has no `mint`: a doorbell on a launching queue with
+//! nothing parked mints its token and launches at once, which the model
+//! states as what the old doorbell did — offer the call, then drain it.
 
 mod reference;
 
@@ -129,7 +133,7 @@ fn twin_run(kind: TransportKind, model: &dyn RefTransport, ops: &[Op]) {
                 limbo.append(&mut got);
                 ref_limbo.append(&mut want);
             }
-            _ => {
+            9 => {
                 for (call, ref_call) in limbo.drain(..).zip(ref_limbo.drain(..)) {
                     parked_ids.push(id_of(&call));
                     let class = CpuClass::Kernel;
@@ -137,6 +141,32 @@ fn twin_run(kind: TransportKind, model: &dyn RefTransport, ops: &[Op]) {
                     let want = model.offer(&rk, class, ref_call).unwrap();
                     assert_eq!(kept, want, "step {step}: a requeue keeps its token");
                 }
+            }
+            _ => {
+                // A doorbell: minted and launched at once when it can be,
+                // otherwise parked behind what is there.
+                let call = DeferredCall {
+                    from: Domain::Nucleus,
+                    proc,
+                    args: vec![],
+                    scalars: vec![XdrValue::UInt(next_id)],
+                    token: None,
+                };
+                next_id += 1;
+                let class = call.from.cpu_class();
+                let want = model.offer(&rk, class, call.clone()).unwrap();
+                let minted = match kind.launches() && queue.pending() == 0 {
+                    true => {
+                        model.drain(&mut Vec::new());
+                        Some(queue.mint(&k, class))
+                    }
+                    false => {
+                        parked_ids.push(next_id - 1);
+                        queue.offer(&k, class, call).unwrap()
+                    }
+                };
+                assert_eq!(minted, want, "step {step}: the doorbell's token");
+                unresolved += minted.is_some() as usize;
             }
         }
         assert_eq!(k.now_ns(), rk.now_ns(), "step {step}: enqueue charges");
@@ -155,7 +185,7 @@ fn twin_run(kind: TransportKind, model: &dyn RefTransport, ops: &[Op]) {
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..10, any::<u64>()), 1..96)
+    proptest::collection::vec((0u8..11, any::<u64>()), 1..96)
 }
 
 proptest! {

@@ -5,7 +5,9 @@
 //! verbatim (types renamed `Ref*`, `InProc` and `build` left out) as the
 //! reference model `queue_prop.rs` checks the one `DeferredQueue`
 //! against: same flush decisions, same anchors, same drained order, same
-//! tokens. Not product code; do not simplify it.
+//! tokens. `DeferredQueue::mint` has no counterpart here: `queue_prop.rs`
+//! states it as an offer drained at once. Not product code; do not
+//! simplify it.
 #![allow(dead_code)]
 
 use std::cell::{Cell, RefCell};
