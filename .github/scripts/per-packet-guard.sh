@@ -143,6 +143,30 @@ if [ -d "$d" ]; then
     done
 fi
 
+# Prints every `insmod(`, `timer_create(`, `work_timer(` or
+# `NuclearRuntime::new(` in the product code of the drivers outside
+# `support.rs`: an install loads its module, builds its nuclear runtime
+# and arms its timers through the load record it fills
+# (`support::Unload`), so no build loads or arms something its `remove`
+# does not undo. Product code only, each file up to its trailing test
+# module; a listed directory or file that does not exist prints
+# "<path>: missing".
+d=crates/drivers/src
+for p in "$d" "$d/support.rs"
+do
+    if [ ! -e "$p" ]; then
+        echo "$p: missing"
+    fi
+done
+if [ -d "$d" ]; then
+    for f in $(find "$d" -name '*.rs' ! -path "$d/support.rs" | sort)
+    do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -n 'insmod(\|timer_create(\|work_timer(\|NuclearRuntime::new(' |
+            sed "s|^|$f:|" || true
+    done
+fi
+
 # Prints every `call_deferred` in the product code of the ring data
 # paths: a doorbell launches through `XpcChannel::launch_resolved`, which
 # parks it only behind calls already parked, so no doorbell pays for a

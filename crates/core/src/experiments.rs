@@ -2217,7 +2217,7 @@ pub fn overload_run(
     let work_timer = |timer: &'static str, body: fn(&OverloadRig, &Kernel)| {
         let rig = Rc::clone(&rig);
         let work: WorkBody = Rc::new(move |k, _| body(&rig, k));
-        kernel.timer_create(timer, Rc::new(move |k| k.schedule_work_handle(&work, 0)))
+        kernel.work_timer(timer, work, || Some(0))
     };
     let arrival = work_timer("overload.arrival", overload_dispatch);
     rig.arrival_timer.set(Some(arrival));

@@ -246,11 +246,6 @@ impl FaultPlan {
         FaultPlan { injections }
     }
 
-    /// True when this is the fault-free baseline.
-    pub fn is_healthy(&self) -> bool {
-        self.injections.is_empty()
-    }
-
     /// Shards to fault after step `step`, in plan order.
     pub fn shards_at(&self, step: usize) -> impl Iterator<Item = usize> + '_ {
         self.injections
@@ -517,7 +512,6 @@ mod tests {
         // Deterministic.
         assert_eq!(plans, fault_plans(6, 3, 4));
         // Healthy plan fires nowhere.
-        assert!(FaultPlan::healthy().is_healthy());
         assert_eq!(FaultPlan::healthy().shards_at(0).count(), 0);
         // shards_at surfaces the planned injections in order.
         let p = FaultPlan::double(

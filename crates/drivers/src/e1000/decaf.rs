@@ -35,8 +35,7 @@ use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, ShardedChannel, XpcChannel,
-    XpcResult,
+    ChannelConfig, Domain, ProcDef, ProcHandle, ShardedChannel, XpcChannel, XpcResult,
 };
 
 use super::{attach, E1000Hw, IRQ_LINE};
@@ -119,51 +118,47 @@ pub(crate) fn build(
         ),
         _ => return Err(KError::Inval),
     };
-    let (bar, dma, dev) = attach(kernel);
+    let mut unload = Unload::new("e1000_decaf", IRQ_LINE, Kernel::unregister_netdev);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(E1000Hw::new(bar, dma));
     let plan = super::image();
     let channels = support::channels_from_plan(&plan, config, shards);
     let (rings, irq_handler, xmit, entries) =
         link(&channels, &plan, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
 
-    let mut timers = Vec::new();
     if let (Some(rings), RxMode::Poll) = (&rings, rx_mode) {
         // The receive grid keeps the pre-`insmod` phase the poll build
         // has always had: per-packet latencies depend on it.
-        timers.push(ringnic::rx_poll_timer(kernel, rings));
+        ringnic::arm_rx_poll(&mut unload, kernel, rings);
     }
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        Rc::clone(channels.shard(0)),
-        Some(IRQ_LINE),
-    ));
+    let nuc = unload.nuc(channels.shard(0));
 
     // insmod: the adapter is homed on the control shard; the user-level
     // probe runs there.
-    let (adapter, init_latency_ns) =
-        support::load(kernel, "e1000_decaf", &channels, "e1000_adapter", |k, a| {
-            support::upcall(&nuc, k, entries.probe, a)?;
-            // Register the netdevice: open/stop go through the decaf
-            // driver; transmit stays in the nucleus or posts into the
-            // shared-memory rings, as the configuration says.
-            let nuc_open = Rc::clone(&nuc);
-            let nuc_stop = Rc::clone(&nuc);
-            k.register_netdev(
-                ifname,
-                decaf_simkernel::net::NetDeviceOps {
-                    open: Rc::new(move |k| {
-                        // The interface owns the interrupt handler
-                        // `e1000_open` is about to request; the
-                        // `request_irq` procedure on the channel only
-                        // borrows it.
-                        let _owned_while_registered = &irq_handler;
-                        support::upcall(&nuc_open, k, entries.open, a)
-                    }),
-                    stop: Rc::new(move |k| support::upcall(&nuc_stop, k, entries.close, a)),
-                    xmit,
-                },
-            )
-        })?;
+    let (adapter, init_latency_ns) = unload.load(kernel, &channels, "e1000_adapter", |k, a| {
+        support::upcall(&nuc, k, entries.probe, a)?;
+        // Register the netdevice: open/stop go through the decaf
+        // driver; transmit stays in the nucleus or posts into the
+        // shared-memory rings, as the configuration says.
+        let nuc_open = Rc::clone(&nuc);
+        let nuc_stop = Rc::clone(&nuc);
+        k.register_netdev(
+            ifname,
+            decaf_simkernel::net::NetDeviceOps {
+                open: Rc::new(move |k| {
+                    // The interface owns the interrupt handler
+                    // `e1000_open` is about to request; the
+                    // `request_irq` procedure on the channel only
+                    // borrows it.
+                    let _owned_while_registered = &irq_handler;
+                    support::upcall(&nuc_open, k, entries.open, a)
+                }),
+                stop: Rc::new(move |k| support::upcall(&nuc_stop, k, entries.close, a)),
+                xmit,
+            },
+        )
+    })?;
 
     // The watchdog timer fires at softirq priority, so it only enqueues a
     // work item; the work item (process context) makes the upcall
@@ -188,17 +183,18 @@ pub(crate) fn build(
             }
         })
     };
-    let watchdog = kernel.timer_create(
+    unload.arm_every(
+        kernel,
         "e1000_watchdog",
-        Rc::new(move |k| k.schedule_work_handle(&watchdog_task, 0)),
+        2_000_000_000,
+        watchdog_task,
+        || Some(0),
     );
-    kernel.timer_arm_periodic(watchdog, 2_000_000_000);
-    timers.push(watchdog);
 
     // The coalescing poll is armed after `insmod`, at every width: its
     // phase against the traffic is part of what the tables pin.
     if let Some(rings) = &rings {
-        timers.push(ringnic::tx_poll_timer(kernel, rings));
+        ringnic::arm_tx_poll(&mut unload, kernel, rings);
     }
 
     let split = Split {
@@ -211,7 +207,7 @@ pub(crate) fn build(
         init_latency_ns,
         plan,
         dev,
-        unload: Unload::new("e1000_decaf", IRQ_LINE, Kernel::unregister_netdev).with_timers(timers),
+        unload,
     };
     Ok((split, rings))
 }

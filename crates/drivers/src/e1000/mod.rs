@@ -44,21 +44,14 @@ pub fn image() -> Arc<SlicePlan> {
     crate::support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
 }
 
-/// Creates the device model and plugs it into the PCI bus.
+/// Creates the device model.
 ///
 /// Returns the register window, the DMA region, and a handle to the
 /// model (workloads use it to inject external traffic).
-pub fn attach(kernel: &Kernel) -> (MmioRegion, DmaMemory, Rc<RefCell<E1000Device>>) {
+pub fn attach() -> (MmioRegion, DmaMemory, Rc<RefCell<E1000Device>>) {
     let dma = DmaMemory::new(512 * 1024);
     let dev = Rc::new(RefCell::new(E1000Device::new(MAC, IRQ_LINE, dma.clone())));
     let handle: MmioHandle = dev.clone();
-    kernel.pci_add_device(decaf_simkernel::pci::PciDevice {
-        vendor: 0x8086,
-        device: 0x100e,
-        irq_line: IRQ_LINE,
-        bars: vec![handle.clone()],
-        name: "e1000".into(),
-    });
     (MmioRegion::new(handle), dma, dev)
 }
 
@@ -346,7 +339,7 @@ mod tests {
     #[test]
     fn eeprom_mac_roundtrip() {
         let k = Kernel::new();
-        let (bar, dma, _dev) = attach(&k);
+        let (bar, dma, _dev) = attach();
         let hw = E1000Hw::new(bar, dma);
         assert_eq!(hw.read_mac(&k), MAC);
     }
@@ -354,7 +347,7 @@ mod tests {
     #[test]
     fn tx_rx_loopback_through_rings() {
         let k = Kernel::new();
-        let (bar, dma, _dev) = attach(&k);
+        let (bar, dma, _dev) = attach();
         let hw = Rc::new(E1000Hw::new(bar, dma));
         k.register_netdev(
             "eth0",

@@ -17,23 +17,21 @@ use crate::support::{Native, Unload};
 /// Loads the native driver: attaches the device, probes, registers the
 /// netdevice and the watchdog.
 pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000Device>> {
-    let (bar, dma, dev) = attach(kernel);
+    let mut unload = Unload::new("e1000", IRQ_LINE, Kernel::unregister_netdev);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(E1000Hw::new(bar, dma));
-    let ifname = ifname.to_string();
 
-    let hw_init = Rc::clone(&hw);
-    let name_init = ifname.clone();
-    let init_latency_ns = kernel.insmod("e1000", move |k| {
+    let init_latency_ns = unload.init(kernel, |k| {
         // The same logical steps the decaf build runs through XPC:
         // sw_init, check_options, EEPROM, reset, PHY link setup.
-        let _mac = hw_init.read_mac(k);
-        let _checksum = hw_init.eeprom_read(k, 63);
-        hw_init.reset(k);
-        let _ctrl = hw_init.phy_read(k, 0);
-        hw_init.phy_write(k, 0, 0x1140);
-        hw_init.phy_write(k, 4, 0x0de0);
-        hw_init.phy_write(k, 9, 0x0300);
-        let _status = hw_init.phy_read(k, 1);
+        let _mac = hw.read_mac(k);
+        let _checksum = hw.eeprom_read(k, 63);
+        hw.reset(k);
+        let _ctrl = hw.phy_read(k, 0);
+        hw.phy_write(k, 0, 0x1140);
+        hw.phy_write(k, 4, 0x0de0);
+        hw.phy_write(k, 9, 0x0300);
+        let _status = hw.phy_read(k, 1);
         // The Figure 5 DSP sequence.
         for (reg, val) in [
             (29u32, 0x001f_u16),
@@ -41,15 +39,15 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000De
             (29, 0x001b),
             (30, 0x8fae),
         ] {
-            hw_init.phy_write(k, reg, val);
+            hw.phy_write(k, reg, val);
         }
-        let _ = hw_init.phy_read(k, 30);
+        let _ = hw.phy_read(k, 30);
 
-        let hw_ops = Rc::clone(&hw_init);
-        let hw_open = Rc::clone(&hw_init);
-        let hw_stop = Rc::clone(&hw_init);
+        let hw_ops = Rc::clone(&hw);
+        let hw_open = Rc::clone(&hw);
+        let hw_stop = Rc::clone(&hw);
         k.register_netdev(
-            &name_init,
+            ifname,
             decaf_simkernel::net::NetDeviceOps {
                 open: Rc::new(move |k| {
                     hw_open.setup_tx(k)?;
@@ -65,40 +63,35 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000De
             },
         )?;
 
-        k.request_irq(
-            IRQ_LINE,
-            "e1000",
-            Rc::new(move |k| {
-                hw_init.handle_irq(k, &name_init);
-            }),
-        )?;
-        Ok(())
+        let (hw_irq, name) = (Rc::clone(&hw), ifname.to_string());
+        unload.request_irq(k, Rc::new(move |k| _ = hw_irq.handle_irq(k, &name)))
     })?;
 
     // The watchdog: a 2-second periodic timer. Native drivers can do the
     // link check directly from the deferred work item, whose body is built
     // here, once, and queued by handle.
     let watchdog_task: WorkBody = {
-        let (hw, name) = (Rc::clone(&hw), ifname.clone());
+        let (hw, name) = (Rc::clone(&hw), ifname.to_string());
         Rc::new(move |k, _| {
             let up = hw.link_up(k);
             k.netif_carrier(&name, up);
         })
     };
-    let watchdog = kernel.timer_create(
+    unload.arm_every(
+        kernel,
         "e1000_watchdog",
-        Rc::new(move |k| k.schedule_work_handle(&watchdog_task, 0)),
+        2_000_000_000,
+        watchdog_task,
+        || Some(0),
     );
-    kernel.timer_arm_periodic(watchdog, 2_000_000_000);
 
     Ok(Native {
         kernel: kernel.clone(),
         hw,
-        name: ifname,
+        name: ifname.to_string(),
         init_latency_ns,
         dev,
-        unload: Unload::new("e1000", IRQ_LINE, Kernel::unregister_netdev)
-            .with_timers(vec![watchdog]),
+        unload,
     })
 }
 

@@ -15,9 +15,7 @@ use decaf_simdev::Ens1371Device;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{
-    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
-};
+use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
 use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
 
@@ -131,21 +129,14 @@ int snd_ensoniq_volume_get(struct ensoniq *chip) @export {
 "#;
 }
 
-/// Attaches the device model.
-pub fn attach(kernel: &Kernel) -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<Ens1371Device>>) {
+/// Creates the device model.
+pub fn attach() -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<Ens1371Device>>) {
     let dma = DmaMemory::new(256 * 1024);
     let dev = Rc::new(std::cell::RefCell::new(Ens1371Device::new(
         IRQ_LINE,
         dma.clone(),
     )));
     let handle: MmioHandle = dev.clone();
-    kernel.pci_add_device(decaf_simkernel::pci::PciDevice {
-        vendor: 0x1274,
-        device: 0x1371,
-        irq_line: IRQ_LINE,
-        bars: vec![handle.clone()],
-        name: "ens1371".into(),
-    });
     (MmioRegion::new(handle), dma, dev)
 }
 
@@ -205,22 +196,21 @@ impl EnsHw {
 
 /// Loads the native driver — the [`crate::Hosting::Native`] build.
 pub(crate) fn native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens1371Device>> {
-    let (bar, dma, dev) = attach(kernel);
+    let unload = Unload::new("snd-ens1371", IRQ_LINE, Kernel::snd_card_unregister);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(EnsHw::new(bar, dma));
-    let name = card.to_string();
-    let hw_init = Rc::clone(&hw);
-    let init_latency_ns = kernel.insmod("snd-ens1371", move |k| {
+    let init_latency_ns = unload.init(kernel, |k| {
         // create + mixer + register, all in the kernel.
-        hw_init.bar.write32(k, hwreg::CTRL, 0);
-        hw_init.bar.write32(k, hwreg::SRC, 44_100);
+        hw.bar.write32(k, hwreg::CTRL, 0);
+        hw.bar.write32(k, hwreg::SRC, 44_100);
         for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-            hw_init.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
+            hw.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
         }
-        let hw_open = Rc::clone(&hw_init);
-        let hw_write = Rc::clone(&hw_init);
-        let hw_close = Rc::clone(&hw_init);
+        let hw_open = Rc::clone(&hw);
+        let hw_write = Rc::clone(&hw);
+        let hw_close = Rc::clone(&hw);
         k.snd_card_register(
-            &name,
+            card,
             decaf_simkernel::sound::SoundCardOps {
                 open: Rc::new(move |k| {
                     hw_open.bar.write32(k, hwreg::SRC, 44_100);
@@ -233,13 +223,8 @@ pub(crate) fn native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens13
                 }),
             },
         )?;
-        let hw_irq = Rc::clone(&hw_init);
-        k.request_irq(
-            IRQ_LINE,
-            "snd-ens1371",
-            Rc::new(move |k| hw_irq.handle_irq(k)),
-        )?;
-        Ok(())
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
     })?;
     Ok(Native {
         kernel: kernel.clone(),
@@ -247,7 +232,7 @@ pub(crate) fn native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens13
         name: card.to_string(),
         init_latency_ns,
         dev,
-        unload: Unload::new("snd-ens1371", IRQ_LINE, Kernel::snd_card_unregister),
+        unload,
     })
 }
 
@@ -404,24 +389,20 @@ fn register_procs(
 /// Loads the decaf driver: probe/open/close run at user level, the PCM
 /// write path and the period interrupt stay in the kernel.
 pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<Split<EnsHw, Ens1371Device>> {
-    let (bar, dma, dev) = attach(kernel);
+    let unload = Unload::new("snd-ens1371-decaf", IRQ_LINE, Kernel::snd_card_unregister);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(EnsHw::new(bar, dma));
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
     let probe = register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (root, init_latency_ns) =
-        support::load(kernel, "snd-ens1371-decaf", &channels, "ensoniq", |k, c| {
-            support::upcall(&nuc, k, probe, c)?;
-            let hw_irq = Rc::clone(&hw);
-            k.request_irq(
-                IRQ_LINE,
-                "snd-ens1371",
-                Rc::new(move |k| hw_irq.handle_irq(k)),
-            )
-        })?;
+    let nuc = unload.nuc(&channel);
+    let (root, init_latency_ns) = unload.load(kernel, &channels, "ensoniq", |k, c| {
+        support::upcall(&nuc, k, probe, c)?;
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
+    })?;
 
     Ok(Split {
         kernel: kernel.clone(),
@@ -433,7 +414,7 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<Split<EnsHw, Ens137
         init_latency_ns,
         plan,
         dev,
-        unload: Unload::new("snd-ens1371-decaf", IRQ_LINE, Kernel::snd_card_unregister),
+        unload,
     })
 }
 

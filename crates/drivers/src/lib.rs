@@ -28,8 +28,8 @@
 //! five handle shapes — [`support::Native`], [`support::Split`],
 //! [`ringnic::RingSplit`], [`uhci::ShardedUhci`] and
 //! [`uhci::ValueUhci`] — with the hardware state and device model erased
-//! to `dyn Any`. Each shape has a `remove` that runs the teardown its
-//! install recorded (`rmmod`). The builds the benchmark calls by name
+//! to `dyn Any`. Each shape has a `remove` that runs the load record its
+//! install wrote (`rmmod`). The builds the benchmark calls by name
 //! keep typed installers (`e1000::decaf::install_sharded`, …) over the
 //! same build code.
 
@@ -151,7 +151,7 @@ pub enum Hosting {
     Shmring,
     /// [`Hosting::Shmring`] with [`support::RxMode::Poll`] receive: the
     /// first RX interrupt masks further ones (on the 8139, `INT_ROK`),
-    /// and the shared budgeted tick of [`ringnic::rx_poll_timer`] probes
+    /// and the shared budgeted tick of `ringnic::arm_rx_poll` probes
     /// the receive ring instead of riding doorbell upcalls.
     Poll,
     /// The e1000's ring build on this many parallel channels of the

@@ -17,7 +17,7 @@ use decaf_simkernel::input::{InputEvent, BTN_LEFT, EV_KEY, EV_REL, REL_X, REL_Y}
 use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, Domain, NuclearRuntime, ProcHandle, XpcChannel, XpcResult};
+use decaf_xpc::{ChannelConfig, Domain, ProcHandle, XpcChannel, XpcResult};
 
 use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
 
@@ -134,8 +134,8 @@ int genius_detect(struct psmouse *mouse) @library { return 0; }
 "#;
 }
 
-/// Attaches the mouse to the platform (no PCI; legacy port device).
-pub fn attach(_kernel: &Kernel) -> (MmioRegion, Rc<std::cell::RefCell<PsMouseDevice>>) {
+/// Creates the mouse model (a legacy port device).
+pub fn attach() -> (MmioRegion, Rc<std::cell::RefCell<PsMouseDevice>>) {
     let dev = Rc::new(std::cell::RefCell::new(PsMouseDevice::new(IRQ_LINE)));
     let handle: MmioHandle = dev.clone();
     (MmioRegion::new(handle), dev)
@@ -225,29 +225,22 @@ impl MouseHw {
 
 /// Loads the native driver — the [`crate::Hosting::Native`] build.
 pub(crate) fn native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, PsMouseDevice>> {
-    let (bar, dev) = attach(kernel);
+    let unload = Unload::new("psmouse", IRQ_LINE, Kernel::input_unregister_device);
+    let (bar, dev) = attach();
     let hw = Rc::new(MouseHw::new(bar));
-    let name = devname.to_string();
-    let hw_init = Rc::clone(&hw);
-    let init_latency_ns = kernel.insmod("psmouse", move |k| {
-        hw_init.send_cmd(k, hwreg::MOUSE_RESET);
-        let _ = hw_init.drain(k);
-        hw_init.send_cmd(k, hwreg::MOUSE_GET_ID);
-        let _ = hw_init.drain(k);
-        hw_init.send_cmd(k, hwreg::MOUSE_SET_RATE);
-        hw_init.send_cmd(k, 100);
-        let _ = hw_init.drain(k);
-        hw_init.send_cmd(k, hwreg::MOUSE_ENABLE);
-        let _ = hw_init.drain(k);
-        k.input_register_device(&name)?;
-        let hw_irq = Rc::clone(&hw_init);
-        let n = name.clone();
-        k.request_irq(
-            IRQ_LINE,
-            "psmouse",
-            Rc::new(move |k| hw_irq.handle_irq(k, &n)),
-        )?;
-        Ok(())
+    let init_latency_ns = unload.init(kernel, |k| {
+        hw.send_cmd(k, hwreg::MOUSE_RESET);
+        let _ = hw.drain(k);
+        hw.send_cmd(k, hwreg::MOUSE_GET_ID);
+        let _ = hw.drain(k);
+        hw.send_cmd(k, hwreg::MOUSE_SET_RATE);
+        hw.send_cmd(k, 100);
+        let _ = hw.drain(k);
+        hw.send_cmd(k, hwreg::MOUSE_ENABLE);
+        let _ = hw.drain(k);
+        k.input_register_device(devname)?;
+        let (hw_irq, n) = (Rc::clone(&hw), devname.to_string());
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
     })?;
     Ok(Native {
         kernel: kernel.clone(),
@@ -255,7 +248,7 @@ pub(crate) fn native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, 
         name: devname.to_string(),
         init_latency_ns,
         dev,
-        unload: Unload::new("psmouse", IRQ_LINE, Kernel::input_unregister_device),
+        unload,
     })
 }
 
@@ -325,26 +318,21 @@ fn register_procs(
 /// Loads the decaf driver: detection/configuration at user level, the
 /// byte-stream interrupt path in the kernel.
 pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, PsMouseDevice>> {
-    let (bar, dev) = attach(kernel);
+    let unload = Unload::new("psmouse-decaf", IRQ_LINE, Kernel::input_unregister_device);
+    let (bar, dev) = attach();
     let hw = Rc::new(MouseHw::new(bar.clone()));
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
     let probe = register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (root, init_latency_ns) =
-        support::load(kernel, "psmouse-decaf", &channels, "psmouse", |k, m| {
-            support::upcall(&nuc, k, probe, m)?;
-            k.input_register_device(devname)?;
-            let hw_irq = Rc::clone(&hw);
-            let n = devname.to_string();
-            k.request_irq(
-                IRQ_LINE,
-                "psmouse",
-                Rc::new(move |k| hw_irq.handle_irq(k, &n)),
-            )
-        })?;
+    let nuc = unload.nuc(&channel);
+    let (root, init_latency_ns) = unload.load(kernel, &channels, "psmouse", |k, m| {
+        support::upcall(&nuc, k, probe, m)?;
+        k.input_register_device(devname)?;
+        let (hw_irq, n) = (Rc::clone(&hw), devname.to_string());
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
+    })?;
 
     Ok(Split {
         kernel: kernel.clone(),
@@ -356,7 +344,7 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, P
         init_latency_ns,
         plan,
         dev,
-        unload: Unload::new("psmouse-decaf", IRQ_LINE, Kernel::input_unregister_device),
+        unload,
     })
 }
 

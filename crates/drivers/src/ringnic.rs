@@ -19,8 +19,8 @@
 //! chip's descriptors sit under the same conservation ledger
 //! ([`RingSet::conserved`]) as a multi-queue chip's.
 //!
-//! *When* a timer is armed is the installer's call ([`tx_poll_timer`],
-//! [`rx_poll_timer`]): its phase against `insmod` and the traffic is part
+//! *When* a timer is armed is the installer's call (`arm_tx_poll`,
+//! `arm_rx_poll`): its phase against `insmod` and the traffic is part
 //! of what the tables pin.
 
 use std::cell::{Cell, RefCell};
@@ -31,7 +31,7 @@ use std::sync::Arc;
 use decaf_shmring::{BufHandle, BufPool, Descriptor, RingSet};
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
-use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel, TimerId};
+use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
@@ -472,12 +472,12 @@ fn irq_handler<H: RingNic>(
     })
 }
 
-/// Arms the periodic coalescing poll of the TX paths: one timer, one
-/// work item, each busy shard polled under its cost scope. The work
-/// item's body is built here, once; a tick queues it by handle with the
-/// busy set ([`NicPath::busy`]) as its argument word, and allocates
+/// Arms the periodic coalescing poll of the TX paths in `unload`: one
+/// timer, one work item, each busy shard polled under its cost scope. The
+/// work item's body is built here, once; a tick queues it by handle with
+/// the busy set ([`NicPath::busy`]) as its argument word, and allocates
 /// nothing.
-pub fn tx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
+pub(crate) fn arm_tx_poll<H: RingNic>(unload: &mut Unload, kernel: &Kernel, rings: &Rings<H>) {
     let tx = Rc::clone(&rings.tx);
     let poll: WorkBody = {
         let tx = Rc::clone(&tx);
@@ -485,25 +485,19 @@ pub fn tx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
             let _ = tx.sweep(k, busy, |_, path| path.poll(k));
         })
     };
-    let timer = kernel.timer_create(
-        format!("{}_shard_poll", H::NAME),
-        Rc::new(move |k| {
-            let busy = tx.busy();
-            if busy != 0 {
-                k.schedule_work_handle(&poll, busy);
-            }
-        }),
-    );
-    kernel.timer_arm_periodic(timer, costs::DOORBELL_COALESCE_NS);
-    timer
+    let name = format!("{}_shard_poll", H::NAME);
+    unload.arm_every(kernel, name, costs::DOORBELL_COALESCE_NS, poll, move || {
+        let busy = tx.busy();
+        (busy != 0).then_some(busy)
+    });
 }
 
-/// Arms poll-mode receive: a fixed-grid tick replaces the RX doorbell
-/// upcall. Each tick harvests the hardware into the shm rings, probes
-/// each from the decaf side under a budget (paying the spin tax whether
-/// or not frames arrived), and delivers completions — no interrupt
-/// entry, no crossing.
-pub fn rx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
+/// Arms poll-mode receive in `unload`: a fixed-grid tick replaces the RX
+/// doorbell upcall. Each tick harvests the hardware into the shm rings,
+/// probes each from the decaf side under a budget (paying the spin tax
+/// whether or not frames arrived), and delivers completions — no
+/// interrupt entry, no crossing.
+pub(crate) fn arm_rx_poll<H: RingNic>(unload: &mut Unload, kernel: &Kernel, rings: &Rings<H>) {
     let rx = Rc::clone(&rings.rx_side);
     let poll: WorkBody = Rc::new(move |k, _| {
         let _span = k.trace_span("rx", "poll");
@@ -517,10 +511,6 @@ pub fn rx_poll_timer<H: RingNic>(kernel: &Kernel, rings: &Rings<H>) -> TimerId {
         }
         rx.deliver(k);
     });
-    let timer = kernel.timer_create(
-        format!("{}_rx_poll", H::NAME),
-        Rc::new(move |k| k.schedule_work_handle(&poll, 0)),
-    );
-    kernel.timer_arm_periodic(timer, RX_POLL_TICK_NS);
-    timer
+    let name = format!("{}_rx_poll", H::NAME);
+    unload.arm_every(kernel, name, RX_POLL_TICK_NS, poll, || Some(0));
 }

@@ -20,9 +20,7 @@ use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{
-    ChannelConfig, Domain, NuclearRuntime, ProcDef, ProcHandle, XpcChannel, XpcResult,
-};
+use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
 use crate::ringnic::{self, IrqCause, RingNic, SplitLoad};
 use crate::support::{self, decaf_readl, decaf_writel, Native, RxMode, Split, Unload};
@@ -156,8 +154,8 @@ int rtl8139_eeprom_delay(struct rtl8139_private *tp) @library {
 "#;
 }
 
-/// Attaches the device model to the bus.
-pub fn attach(kernel: &Kernel) -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<Rtl8139Device>>) {
+/// Creates the device model.
+pub fn attach() -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<Rtl8139Device>>) {
     let dma = DmaMemory::new(64 * 1024);
     let dev = Rc::new(std::cell::RefCell::new(Rtl8139Device::new(
         MAC,
@@ -165,13 +163,6 @@ pub fn attach(kernel: &Kernel) -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<
         dma.clone(),
     )));
     let handle: MmioHandle = dev.clone();
-    kernel.pci_add_device(decaf_simkernel::pci::PciDevice {
-        vendor: 0x10ec,
-        device: 0x8139,
-        irq_line: IRQ_LINE,
-        bars: vec![handle.clone()],
-        name: "8139too".into(),
-    });
     (MmioRegion::new(handle), dma, dev)
 }
 
@@ -360,20 +351,19 @@ impl RingNic for Rtl8139Hw {
 
 /// Loads the native (kernel-only) driver — the [`Hosting::Native`] build.
 pub(crate) fn native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw, Rtl8139Device>> {
-    let (bar, dma, dev) = attach(kernel);
+    let unload = Unload::new("8139too", IRQ_LINE, Kernel::unregister_netdev);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
-    let name = ifname.to_string();
-    let hw_init = Rc::clone(&hw);
-    let init_latency_ns = kernel.insmod("8139too", move |k| {
-        hw_init.bar.write32(k, hwreg::CR, hwreg::CR_RST);
-        let _ = hw_init.bar.read32(k, hwreg::CR);
-        let _lo = hw_init.bar.read32(k, hwreg::IDR0);
-        let _hi = hw_init.bar.read32(k, hwreg::IDR4);
-        let hw_open = Rc::clone(&hw_init);
-        let hw_stop = Rc::clone(&hw_init);
-        let hw_x = Rc::clone(&hw_init);
+    let init_latency_ns = unload.init(kernel, |k| {
+        hw.bar.write32(k, hwreg::CR, hwreg::CR_RST);
+        let _ = hw.bar.read32(k, hwreg::CR);
+        let _lo = hw.bar.read32(k, hwreg::IDR0);
+        let _hi = hw.bar.read32(k, hwreg::IDR4);
+        let hw_open = Rc::clone(&hw);
+        let hw_stop = Rc::clone(&hw);
+        let hw_x = Rc::clone(&hw);
         k.register_netdev(
-            &name,
+            ifname,
             decaf_simkernel::net::NetDeviceOps {
                 open: Rc::new(move |k| {
                     hw_open.hw_start(k);
@@ -386,14 +376,8 @@ pub(crate) fn native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw,
                 xmit: Rc::new(move |k, skb| hw_x.xmit(k, skb)),
             },
         )?;
-        let hw_irq = Rc::clone(&hw_init);
-        let n = name.clone();
-        k.request_irq(
-            IRQ_LINE,
-            "8139too",
-            Rc::new(move |k| hw_irq.handle_irq(k, &n)),
-        )?;
-        Ok(())
+        let (hw_irq, n) = (Rc::clone(&hw), ifname.to_string());
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
     })?;
     Ok(Native {
         kernel: kernel.clone(),
@@ -401,7 +385,7 @@ pub(crate) fn native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw,
         name: ifname.to_string(),
         init_latency_ns,
         dev,
-        unload: Unload::new("8139too", IRQ_LINE, Kernel::unregister_netdev),
+        unload,
     })
 }
 
@@ -436,7 +420,8 @@ pub(crate) fn build(
         Hosting::Poll => (ChannelConfig::kernel_user_shmring(), Some(RxMode::Poll)),
         _ => return Err(KError::Inval),
     };
-    let (bar, dma, dev) = attach(kernel);
+    let mut unload = Unload::new("8139too_decaf", IRQ_LINE, Kernel::unregister_netdev);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
     let plan = image();
     let channels = support::channels_from_plan(&plan, config, 1);
@@ -448,12 +433,11 @@ pub(crate) fn build(
         .map(|rx_mode| ringnic::link(&channels, &hw, ifname, rx_mode))
         .transpose()
         .map_err(|_| KError::Io)?;
-    let mut timers = Vec::new();
     let (rings, irq_handler, xmit): (_, IrqHandler, XmitOp) = match rings {
         Some((rings, irq, xmit)) => {
-            timers.push(ringnic::tx_poll_timer(kernel, &rings));
+            ringnic::arm_tx_poll(&mut unload, kernel, &rings);
             if rx_mode == Some(RxMode::Poll) {
-                timers.push(ringnic::rx_poll_timer(kernel, &rings));
+                ringnic::arm_rx_poll(&mut unload, kernel, &rings);
             }
             (Some(rings), irq, xmit)
         }
@@ -469,32 +453,26 @@ pub(crate) fn build(
     };
     let entries = register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
-    let (root, init_latency_ns) = support::load(
-        kernel,
-        "8139too_decaf",
-        &channels,
-        "rtl8139_private",
-        |k, a| {
-            support::upcall(&nuc, k, entries.probe, a)?;
-            let nuc_open = Rc::clone(&nuc);
-            let nuc_stop = Rc::clone(&nuc);
-            k.register_netdev(
-                ifname,
-                decaf_simkernel::net::NetDeviceOps {
-                    open: Rc::new(move |k| {
-                        let _owned_while_registered = &irq_handler;
-                        support::upcall(&nuc_open, k, entries.open, a)
-                    }),
-                    stop: Rc::new(move |k| {
-                        let _ = support::upcall(&nuc_stop, k, entries.close, a);
-                        Ok(())
-                    }),
-                    xmit,
-                },
-            )
-        },
-    )?;
+    let nuc = unload.nuc(&channel);
+    let (root, init_latency_ns) = unload.load(kernel, &channels, "rtl8139_private", |k, a| {
+        support::upcall(&nuc, k, entries.probe, a)?;
+        let nuc_open = Rc::clone(&nuc);
+        let nuc_stop = Rc::clone(&nuc);
+        k.register_netdev(
+            ifname,
+            decaf_simkernel::net::NetDeviceOps {
+                open: Rc::new(move |k| {
+                    let _owned_while_registered = &irq_handler;
+                    support::upcall(&nuc_open, k, entries.open, a)
+                }),
+                stop: Rc::new(move |k| {
+                    let _ = support::upcall(&nuc_stop, k, entries.close, a);
+                    Ok(())
+                }),
+                xmit,
+            },
+        )
+    })?;
 
     let split = Split {
         kernel: kernel.clone(),
@@ -506,8 +484,7 @@ pub(crate) fn build(
         init_latency_ns,
         plan,
         dev,
-        unload: Unload::new("8139too_decaf", IRQ_LINE, Kernel::unregister_netdev)
-            .with_timers(timers),
+        unload,
     };
     Ok((split, rings))
 }

@@ -1,12 +1,14 @@
 //! Shared glue for the driver builds: the image, channel and entry-point
 //! plumbing of the decaf builds, the native and kernel-path split handle
-//! shapes, and the one teardown record every build's `remove` runs.
+//! shapes, and the one load record every install writes and every build's
+//! `remove` runs.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
+use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::{KError, KResult, Kernel, MmioRegion, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
@@ -126,31 +128,12 @@ pub fn register_entry(
     channel.register_resolved(Domain::Decaf, name, types, &plan.spec, stub)
 }
 
-/// The `insmod` prologue every decaf driver shares: allocates the
-/// driver's root object (`root_type`, homed on the control shard's
-/// nucleus heap — heap allocation charges no virtual time, so it needs
-/// no place inside the measured region) and runs `init` with it as the
-/// module's init function. Returns the object and the measured load
-/// latency; an `init` error leaves no module behind.
-pub fn load(
-    kernel: &Kernel,
-    module: &str,
-    channels: &ShardedChannel,
-    root_type: &str,
-    init: impl FnOnce(&Kernel, CAddr) -> KResult<()>,
-) -> KResult<(CAddr, u64)> {
-    let root = channels
-        .alloc_shared_at(0, Domain::Nucleus, root_type)
-        .map_err(|_| KError::NoMem)?;
-    let init_latency_ns = kernel.insmod(module, |k| init(k, root))?;
-    Ok((root, init_latency_ns))
-}
-
-/// What one install did to the kernel, recorded by that install so the
-/// build's `remove` undoes exactly that: the module it loaded, the IRQ
-/// line it (or the interface's `open`) requested, the timers it armed and
-/// the call that drops the name it registered. Every build's `remove`
-/// runs one of these, so unload is said once.
+/// What one install does to the kernel, written by that install as it
+/// loads so the build's `remove` undoes exactly that: the module, the IRQ
+/// line, the timers it arms and the call that drops the name it
+/// registers. An install creates it first and loads, guards its upcalls
+/// and arms its timers through it; every build's `remove` runs it, so
+/// unload is said once.
 pub(crate) struct Unload {
     module: &'static str,
     irq: u32,
@@ -159,7 +142,7 @@ pub(crate) struct Unload {
 }
 
 impl Unload {
-    /// The record of an install that loaded `module`, took IRQ `irq` and
+    /// The record of an install that loads `module`, takes IRQ `irq` and
     /// registers with what `unregister` drops.
     pub(crate) fn new(module: &'static str, irq: u32, unregister: fn(&Kernel, &str)) -> Self {
         Unload {
@@ -170,9 +153,62 @@ impl Unload {
         }
     }
 
-    /// The same record, for an install that armed `timers`.
-    pub(crate) fn with_timers(self, timers: Vec<TimerId>) -> Self {
-        Unload { timers, ..self }
+    /// `insmod` of a native build: runs `init` as the module's init and
+    /// returns the measured load latency.
+    pub(crate) fn init(
+        &self,
+        kernel: &Kernel,
+        init: impl FnOnce(&Kernel) -> KResult<()>,
+    ) -> KResult<u64> {
+        kernel.insmod(self.module, init)
+    }
+
+    /// `insmod` of a split build: allocates the driver's root object
+    /// (`root_type`, homed on the control shard's nucleus heap — heap
+    /// allocation charges no virtual time, so it needs no place inside the
+    /// measured region) and runs `init` with it as the module's init.
+    /// Returns the object and the measured load latency; an `init` error
+    /// leaves no module behind.
+    pub(crate) fn load(
+        &self,
+        kernel: &Kernel,
+        channels: &ShardedChannel,
+        root_type: &str,
+        init: impl FnOnce(&Kernel, CAddr) -> KResult<()>,
+    ) -> KResult<(CAddr, u64)> {
+        let root = channels
+            .alloc_shared_at(0, Domain::Nucleus, root_type)
+            .map_err(|_| KError::NoMem)?;
+        let init_latency_ns = kernel.insmod(self.module, |k| init(k, root))?;
+        Ok((root, init_latency_ns))
+    }
+
+    /// Requests the build's IRQ line for `handler`.
+    pub(crate) fn request_irq(&self, kernel: &Kernel, handler: IrqHandler) -> KResult<()> {
+        kernel.request_irq(self.irq, self.module, handler)
+    }
+
+    /// The nuclear runtime guarding upcalls over `channel`: it masks the
+    /// build's IRQ line while the decaf driver runs.
+    pub(crate) fn nuc(&self, channel: &Rc<XpcChannel>) -> Rc<NuclearRuntime> {
+        Rc::new(NuclearRuntime::new(Rc::clone(channel), Some(self.irq)))
+    }
+
+    /// Creates the build's periodic timer `name`, which defers to `body`
+    /// whenever `guard` gives it an argument word
+    /// ([`Kernel::work_timer`]), arms it every `period_ns` and keeps it
+    /// for `remove`.
+    pub(crate) fn arm_every(
+        &mut self,
+        kernel: &Kernel,
+        name: impl Into<String>,
+        period_ns: u64,
+        body: WorkBody,
+        guard: impl Fn() -> Option<u64> + 'static,
+    ) {
+        let timer = kernel.work_timer(name, body, guard);
+        kernel.timer_arm_periodic(timer, period_ns);
+        self.timers.push(timer);
     }
 
     /// `rmmod`: deletes the timers, frees the IRQ line and unregisters
@@ -466,14 +502,6 @@ pub fn errno_value(result: Result<(), KError>) -> XdrValue {
     }
 }
 
-/// Maps an errno-style integer back to a `KResult`.
-pub fn result_from_errno(v: &XdrValue) -> Result<(), KError> {
-    match v.as_int().unwrap_or(KError::Io.errno()) {
-        0 => Ok(()),
-        e => Err(KError::from_errno(e).unwrap_or(KError::Io)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,12 +623,17 @@ mod tests {
         let kernel = Kernel::new();
         let channels = batched_channels(&crate::uhci::image());
         let mut saw = 0;
-        let (root, latency) = load(&kernel, "m", &channels, "uhci_hcd", |k, obj| {
-            saw = obj;
-            k.charge_kernel(700);
-            Ok(())
-        })
-        .unwrap();
+        let (m, n) = (
+            Unload::new("m", 9, |_, _| {}),
+            Unload::new("n", 9, |_, _| {}),
+        );
+        let (root, latency) = m
+            .load(&kernel, &channels, "uhci_hcd", |k, obj| {
+                saw = obj;
+                k.charge_kernel(700);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!((root, latency), (saw, 700));
         assert_eq!(
             channels.home_of(root),
@@ -609,11 +642,9 @@ mod tests {
         );
         assert_eq!(kernel.modules().len(), 1);
 
-        let failed = load(&kernel, "n", &channels, "uhci_hcd", |_, _| {
-            Err(KError::NoDev)
-        });
+        let failed = n.load(&kernel, &channels, "uhci_hcd", |_, _| Err(KError::NoDev));
         assert_eq!(failed, Err(KError::NoDev));
-        let unknown = load(&kernel, "n", &channels, "no_such_struct", |_, _| Ok(()));
+        let unknown = n.load(&kernel, &channels, "no_such_struct", |_, _| Ok(()));
         assert_eq!(unknown, Err(KError::NoMem));
         let loaded: Vec<_> = kernel.modules().into_iter().map(|m| m.name).collect();
         assert_eq!(loaded, ["m"], "a failed load leaves no module behind");
@@ -623,7 +654,5 @@ mod tests {
     fn errno_mapping() {
         assert_eq!(errno_value(Ok(())), XdrValue::Int(0));
         assert_eq!(errno_value(Err(KError::NoMem)), XdrValue::Int(-12));
-        assert_eq!(result_from_errno(&XdrValue::Int(0)), Ok(()));
-        assert_eq!(result_from_errno(&XdrValue::Int(-12)), Err(KError::NoMem));
     }
 }

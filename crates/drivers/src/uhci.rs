@@ -18,7 +18,7 @@ use decaf_simdev::UhciDevice;
 use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::usb::{HcdOps, Urb, UrbCompletion, UrbDir};
 use decaf_simkernel::{
-    costs, CpuClass, DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, TimerId,
+    costs, CpuClass, DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion,
 };
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
@@ -151,21 +151,14 @@ int uhci_count_ports(struct uhci_hcd *uhci) @export {
 "#;
 }
 
-/// Attaches the controller (with its flash drive) to the bus.
-pub fn attach(kernel: &Kernel) -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<UhciDevice>>) {
+/// Creates the controller model, with its flash drive.
+pub fn attach() -> (MmioRegion, DmaMemory, Rc<std::cell::RefCell<UhciDevice>>) {
     let dma = DmaMemory::new(256 * 1024);
     let dev = Rc::new(std::cell::RefCell::new(UhciDevice::new(
         IRQ_LINE,
         dma.clone(),
     )));
     let handle: MmioHandle = dev.clone();
-    kernel.pci_add_device(decaf_simkernel::pci::PciDevice {
-        vendor: 0x8086,
-        device: 0x7112,
-        irq_line: IRQ_LINE,
-        bars: vec![handle.clone()],
-        name: "uhci-hcd".into(),
-    });
     (MmioRegion::new(handle), dma, dev)
 }
 
@@ -373,17 +366,15 @@ fn hcd_ops(hw: Rc<UhciHw>) -> HcdOps {
 
 /// Loads the native driver.
 pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<Native<UhciHw, UhciDevice>> {
-    let (bar, dma, dev) = attach(kernel);
+    let unload = Unload::new("uhci-hcd", IRQ_LINE, Kernel::usb_unregister_hcd);
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(UhciHw::new(bar, dma));
-    let name = hcd.to_string();
-    let hw_init = Rc::clone(&hw);
-    let init_latency_ns = kernel.insmod("uhci-hcd", move |k| {
-        hw_init.start(k);
-        let _ports = hw_init.bar.inl(k, hwreg::PORTSC1);
-        k.usb_register_hcd(&name, hcd_ops(Rc::clone(&hw_init)))?;
-        let hw_irq = Rc::clone(&hw_init);
-        k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))?;
-        Ok(())
+    let init_latency_ns = unload.init(kernel, |k| {
+        hw.start(k);
+        let _ports = hw.bar.inl(k, hwreg::PORTSC1);
+        k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
     })?;
     Ok(Native {
         kernel: kernel.clone(),
@@ -391,7 +382,7 @@ pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<Native<UhciHw, Uhci
         name: hcd.to_string(),
         init_latency_ns,
         dev,
-        unload: Unload::new("uhci-hcd", IRQ_LINE, Kernel::usb_unregister_hcd),
+        unload,
     })
 }
 
@@ -419,8 +410,8 @@ struct Attached {
     root_hub: RootHub,
 }
 
-fn attach_channels(kernel: &Kernel, config: ChannelConfig, shards: usize) -> KResult<Attached> {
-    let (bar, dma, dev) = attach(kernel);
+fn attach_channels(config: ChannelConfig, shards: usize) -> KResult<Attached> {
+    let (bar, dma, dev) = attach();
     let hw = Rc::new(UhciHw::new(bar.clone(), dma));
     let plan = image();
     let channels = support::channels_from_plan(&plan, config, shards);
@@ -504,27 +495,27 @@ fn start_controller(
 /// Loads the decaf driver: the schedule path stays in the kernel; root
 /// hub suspend/resume/port counting run at user level.
 pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<Split<UhciHw, UhciDevice>> {
+    let unload = Unload::new("uhci-hcd-decaf", IRQ_LINE, Kernel::usb_unregister_hcd);
     let Attached {
         hw,
         plan,
         channels,
         dev,
         root_hub,
-    } = attach_channels(kernel, ChannelConfig::kernel_user_batched(), 1)?;
+    } = attach_channels(ChannelConfig::kernel_user_batched(), 1)?;
     let channel = Rc::clone(channels.shard(0));
-    let nuc = Rc::new(NuclearRuntime::new(Rc::clone(&channel), Some(IRQ_LINE)));
+    let nuc = unload.nuc(&channel);
 
-    let (root, init_latency_ns) =
-        support::load(kernel, "uhci-hcd-decaf", &channels, "uhci_hcd", |k, u| {
-            start_controller(k, &hw, &nuc, root_hub, u)?;
-            // A suspend/resume cycle as the paper's power management
-            // exercise.
-            support::upcall(&nuc, k, root_hub.suspend, u)?;
-            support::upcall(&nuc, k, root_hub.resume, u)?;
-            k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
-            let hw_irq = Rc::clone(&hw);
-            k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
-        })?;
+    let (root, init_latency_ns) = unload.load(kernel, &channels, "uhci_hcd", |k, u| {
+        start_controller(k, &hw, &nuc, root_hub, u)?;
+        // A suspend/resume cycle as the paper's power management
+        // exercise.
+        support::upcall(&nuc, k, root_hub.suspend, u)?;
+        support::upcall(&nuc, k, root_hub.resume, u)?;
+        k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
+    })?;
 
     Ok(Split {
         kernel: kernel.clone(),
@@ -536,7 +527,7 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<Split<UhciHw, UhciDe
         init_latency_ns,
         plan,
         dev,
-        unload: Unload::new("uhci-hcd-decaf", IRQ_LINE, Kernel::usb_unregister_hcd),
+        unload,
     })
 }
 
@@ -571,9 +562,10 @@ pub(crate) fn by_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Val
     } else {
         ChannelConfig::kernel_user()
     };
+    let mut unload = Unload::new("uhci-hcd-value", IRQ_LINE, Kernel::usb_unregister_hcd);
     let Attached {
         hw, channels, dev, ..
-    } = attach_channels(kernel, config, 1)?;
+    } = attach_channels(config, 1)?;
     let channel = Rc::clone(channels.shard(0));
 
     // The user-level submit handler: the payload arrives by value
@@ -640,14 +632,11 @@ pub(crate) fn by_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Val
         }),
     };
 
-    let hw_init = Rc::clone(&hw);
-    let name = hcd.to_string();
-    let init_latency_ns = kernel.insmod("uhci-hcd-value", move |k| {
-        hw_init.start(k);
-        k.usb_register_hcd(&name, ops)?;
-        let hw_irq = Rc::clone(&hw_init);
-        k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))?;
-        Ok(())
+    let init_latency_ns = unload.init(kernel, |k| {
+        hw.start(k);
+        k.usb_register_hcd(hcd, ops)?;
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
     })?;
 
     // Deadline flush for parked OUT URBs (softirq → work item, like
@@ -655,15 +644,14 @@ pub(crate) fn by_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Val
     let ch = Rc::clone(&channel);
     let flush: WorkBody = Rc::new(move |k, _| _ = ch.flush_if_due(k));
     let ch = Rc::clone(&channel);
-    let flush_timer = kernel.timer_create(
+    let parked = move || (ch.pending_deferred() > 0).then_some(0);
+    unload.arm_every(
+        kernel,
         "uhci_value_flush",
-        Rc::new(move |k| {
-            if ch.pending_deferred() > 0 {
-                k.schedule_work_handle(&flush, 0);
-            }
-        }),
+        costs::DOORBELL_COALESCE_NS,
+        flush,
+        parked,
     );
-    kernel.timer_arm_periodic(flush_timer, costs::DOORBELL_COALESCE_NS);
 
     Ok(ValueUhci {
         kernel: kernel.clone(),
@@ -672,8 +660,7 @@ pub(crate) fn by_value(kernel: &Kernel, hcd: &str, batched: bool) -> KResult<Val
         channel,
         init_latency_ns,
         dev,
-        unload: Unload::new("uhci-hcd-value", IRQ_LINE, Kernel::usb_unregister_hcd)
-            .with_timers(vec![flush_timer]),
+        unload,
     })
 }
 
@@ -863,17 +850,18 @@ fn sharded_hcd_ops(path: Rc<ShardedUrbPath>, pending: Rc<PendingUrbs>) -> HcdOps
     }
 }
 
-/// Arms the coalescing poll: the timer (softirq priority) defers to a
-/// work item — upcalls are illegal from atomic context — in which each
-/// due shard is polled under its own cost scope by
+/// Arms the coalescing poll in `unload`: the timer (softirq priority)
+/// defers to a work item — upcalls are illegal from atomic context — in
+/// which each due shard is polled under its own cost scope by
 /// [`ShardedUrbPath::poll`] and the givebacks that came home are
 /// dispatched. The work item's body is built here, once; a busy tick
 /// queues it by handle.
-fn arm_poll_timer(
+fn arm_poll(
+    unload: &mut Unload,
     kernel: &Kernel,
     path: &Rc<ShardedUrbPath>,
     pending: &Rc<PendingUrbs>,
-) -> TimerId {
+) {
     let poll: WorkBody = {
         let (path, pending) = (Rc::clone(path), Rc::clone(pending));
         Rc::new(move |k, _| {
@@ -882,16 +870,14 @@ fn arm_poll_timer(
         })
     };
     let path = Rc::clone(path);
-    let timer = kernel.timer_create(
+    let busy = move || (path.busy() != 0).then_some(0);
+    unload.arm_every(
+        kernel,
         "uhci_shard_poll",
-        Rc::new(move |k| {
-            if path.busy() != 0 {
-                k.schedule_work_handle(&poll, 0);
-            }
-        }),
+        costs::DOORBELL_COALESCE_NS,
+        poll,
+        busy,
     );
-    kernel.timer_arm_periodic(timer, costs::DOORBELL_COALESCE_NS);
-    timer
 }
 
 /// Loads the decaf driver with `shards` parallel URB queues — the
@@ -908,31 +894,28 @@ pub(crate) fn sharded(
     shards: usize,
     mode: AllocMode,
 ) -> KResult<ShardedUhci> {
+    let mut unload = Unload::new("uhci-hcd-sharded", IRQ_LINE, Kernel::usb_unregister_hcd);
     let Attached {
         hw,
         plan,
         channels,
         dev,
         root_hub,
-    } = attach_channels(kernel, ChannelConfig::kernel_user_shmring(), shards)?;
+    } = attach_channels(ChannelConfig::kernel_user_shmring(), shards)?;
     let urb_path = build_urb_path(&channels, &hw, mode).map_err(|_| KError::Io)?;
 
-    let nuc = Rc::new(NuclearRuntime::new(
-        Rc::clone(channels.shard(0)),
-        Some(IRQ_LINE),
-    ));
+    let nuc = unload.nuc(channels.shard(0));
     let pending = Rc::new(PendingUrbs::default());
 
-    let (root, init_latency_ns) =
-        support::load(kernel, "uhci-hcd-sharded", &channels, "uhci_hcd", |k, u| {
-            start_controller(k, &hw, &nuc, root_hub, u)?;
-            let ops = sharded_hcd_ops(Rc::clone(&urb_path), Rc::clone(&pending));
-            k.usb_register_hcd(hcd, ops)?;
-            let hw_irq = Rc::clone(&hw);
-            k.request_irq(IRQ_LINE, "uhci-hcd", Rc::new(move |k| hw_irq.handle_irq(k)))
-        })?;
+    let (root, init_latency_ns) = unload.load(kernel, &channels, "uhci_hcd", |k, u| {
+        start_controller(k, &hw, &nuc, root_hub, u)?;
+        let ops = sharded_hcd_ops(Rc::clone(&urb_path), Rc::clone(&pending));
+        k.usb_register_hcd(hcd, ops)?;
+        let hw_irq = Rc::clone(&hw);
+        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
+    })?;
 
-    let poll_timer = arm_poll_timer(kernel, &urb_path, &pending);
+    arm_poll(&mut unload, kernel, &urb_path, &pending);
 
     Ok(ShardedUhci {
         kernel: kernel.clone(),
@@ -945,8 +928,7 @@ pub(crate) fn sharded(
         plan,
         dev,
         urb_path,
-        unload: Unload::new("uhci-hcd-sharded", IRQ_LINE, Kernel::usb_unregister_hcd)
-            .with_timers(vec![poll_timer]),
+        unload,
     })
 }
 

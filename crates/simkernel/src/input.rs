@@ -30,7 +30,6 @@ pub const BTN_LEFT: u16 = 0x110;
 #[derive(Default)]
 struct InputDev {
     events: u64,
-    last: Option<InputEvent>,
 }
 
 /// Input-subsystem state stored inside the kernel.
@@ -57,11 +56,11 @@ impl Kernel {
     }
 
     /// Reports an event from a driver (like `input_report_rel` etc.).
-    pub fn input_report(&self, name: &str, event: InputEvent) -> KResult<()> {
+    /// The kernel counts it and keeps none.
+    pub fn input_report(&self, name: &str, _event: InputEvent) -> KResult<()> {
         let mut input = self.inner().input.borrow_mut();
         let d = input.devices.get_mut(name).ok_or(KError::NoDev)?;
         d.events += 1;
-        d.last = Some(event);
         Ok(())
     }
 
@@ -74,16 +73,6 @@ impl Kernel {
             .get(name)
             .map_or(0, |d| d.events)
     }
-
-    /// The most recent event reported by `name`.
-    pub fn input_last_event(&self, name: &str) -> Option<InputEvent> {
-        self.inner()
-            .input
-            .borrow()
-            .devices
-            .get(name)
-            .and_then(|d| d.last)
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +80,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_count_and_remember_last() {
+    fn events_are_counted_per_device() {
         let k = Kernel::new();
         k.input_register_device("psmouse").unwrap();
         k.input_report(
@@ -113,14 +102,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(k.input_event_count("psmouse"), 2);
-        assert_eq!(
-            k.input_last_event("psmouse"),
-            Some(InputEvent {
-                ev_type: EV_KEY,
-                code: BTN_LEFT,
-                value: 1
-            })
-        );
+        assert_eq!(k.input_event_count("other"), 0);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   which yields the CPU-utilization and latency numbers of Table 3.
 //! * **Kernel subsystems** — module loader (`insmod` latency), network
 //!   stack (`SkBuff`, netdevice ops), sound core (using *mutexes*, the
-//!   kernel modification from §3.1.3), USB core, input core, and a PCI bus
-//!   that maps BARs onto register-level device models.
+//!   kernel modification from §3.1.3), USB core and input core.
 //!
 //! Everything is single-threaded and deterministic: devices raise IRQs,
 //! drivers charge costs, and `run_for` advances virtual time delivering
@@ -39,7 +38,6 @@ pub mod input;
 pub mod kernel;
 pub mod mmio;
 pub mod net;
-pub mod pci;
 pub mod sound;
 pub mod sync;
 pub mod trace;

@@ -145,14 +145,6 @@ impl ChannelConfig {
             ..ChannelConfig::kernel_user_async()
         }
     }
-
-    /// A same-process C↔Java channel (driver library ↔ decaf driver).
-    pub fn cross_language_only() -> Self {
-        ChannelConfig {
-            domain_crossing: false,
-            ..ChannelConfig::kernel_user()
-        }
-    }
 }
 
 /// Counters for one channel.
@@ -1322,16 +1314,12 @@ impl XpcChannel {
             }
         });
         let ch = Rc::downgrade(self);
-        let timer = kernel.timer_create(
-            "xpc.deadline",
-            Rc::new(move |k: &Kernel| {
-                // Nothing parked: the queue flushed through another path
-                // before the timer fired; nothing to do, nothing to re-arm.
-                if ch.upgrade().is_some_and(|ch| ch.deferred.pending() > 0) {
-                    k.schedule_work_handle(&flush, 0);
-                }
-            }),
-        );
+        let timer = kernel.work_timer("xpc.deadline", flush, move || {
+            // Nothing parked: the queue flushed through another path
+            // before the timer fired; nothing to do, nothing to re-arm.
+            let parked = ch.upgrade().is_some_and(|ch| ch.deferred.pending() > 0);
+            parked.then_some(0)
+        });
         self.wakeup.set(Some(DeadlineWakeup { timer, shard }));
         // Calls may already be parked (armed late): cover them too.
         self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
@@ -1579,14 +1567,6 @@ impl SharedObject {
     /// The domain owning the object.
     pub fn domain(&self) -> Domain {
         self.domain
-    }
-
-    /// Releases ownership without freeing (hand the object to the driver
-    /// for its full lifetime).
-    pub fn into_raw(self) -> CAddr {
-        let addr = self.addr;
-        std::mem::forget(self);
-        addr
     }
 }
 
@@ -2368,14 +2348,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_object_into_raw_keeps_it_alive() {
-        let ch = Rc::new(channel());
-        let obj = SharedObject::new(Rc::clone(&ch), Domain::Nucleus, "ring").unwrap();
-        let addr = obj.into_raw();
-        assert!(ch.heap(Domain::Nucleus).borrow().contains(addr));
-    }
-
-    #[test]
     fn release_object_forgets_association() {
         let k = Kernel::new();
         let ch = channel();
@@ -2931,7 +2903,10 @@ mod tests {
                 ASYNC_TRACE,
             ),
             (
-                ChannelConfig::cross_language_only(),
+                ChannelConfig {
+                    domain_crossing: false,
+                    ..ChannelConfig::kernel_user()
+                },
                 &SAME_PROCESS,
                 SAME_PROCESS_TRACE,
             ),

@@ -62,13 +62,6 @@ impl ObjectTracker {
         Some(remote)
     }
 
-    /// Removes the association for a remote object of a given type.
-    pub fn release_remote(&mut self, remote: CAddr, type_tag: TypeId) -> Option<CAddr> {
-        let local = self.by_remote.remove(&(remote, type_tag))?;
-        self.by_local.remove(&local);
-        Some(local)
-    }
-
     /// All associations as `(remote, type, local)` triples (test helper).
     pub fn associations(&self) -> Vec<(CAddr, TypeId, CAddr)> {
         let mut v: Vec<_> = self
@@ -154,21 +147,5 @@ mod tests {
         assert_eq!(t.canonical_for(0x8000_0000), None);
         assert!(t.is_empty());
         assert_eq!(t.release_local(0x8000_0000), None, "released once");
-    }
-
-    #[test]
-    fn release_remote_by_type() {
-        let (s, mut t) = (spec(), ObjectTracker::new());
-        t.associate(0x2000, s.layout("outer").unwrap(), 0x8000_0000);
-        t.associate(0x2000, s.layout("inner").unwrap(), 0x8000_0100);
-        assert_eq!(
-            t.release_remote(0x2000, s.layout("outer").unwrap().id()),
-            Some(0x8000_0000)
-        );
-        assert_eq!(
-            t.lookup(0x2000, s.layout("inner").unwrap()),
-            Some(0x8000_0100)
-        );
-        assert_eq!(t.len(), 1);
     }
 }
