@@ -230,3 +230,63 @@ if [ -d "$d" ]; then
             done
     done
 fi
+
+# Prints every std `HashMap`, `HashSet` or `BTreeMap` in the product code
+# of the tables a driver load consults per object — the heap, the walk
+# tables, the object tracker and the sharded facade's homes — and every
+# field a driver names with a string literal: a `.scalar(`,
+# `.set_scalar(` or `.update_scalar(` whose field argument (the second,
+# across lines) is a `"` literal, as `<file>:<line of the call>:<that
+# line>`. The heap is a slab indexed by address, the address tables hash
+# through `decaf_xdr::intmap::IntMap`, and a driver reads and writes
+# fields by the `FieldHandle`s its image resolved once
+# (`support::Linked`). Product code only, each file up to its trailing
+# test module; a listed file or directory that does not exist prints
+# "<path>: missing".
+for f in \
+    crates/xdr/src/graph.rs \
+    crates/xpc/src/tracker.rs \
+    crates/xpc/src/shard.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -n 'HashMap\|HashSet\|BTreeMap' |
+        sed "s|^|$f:|" || true
+done
+d=crates/drivers/src
+if [ ! -d "$d" ]; then
+    echo "$d: missing"
+else
+    for f in $(find "$d" -name '*.rs' | sort)
+    do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            awk -v f="$f" '
+                # Reads `s` up to the parenthesis that closes the call,
+                # collecting the second argument; true once it closed.
+                function scan(s,    i, c) {
+                    for (i = 1; i <= length(s); i++) {
+                        c = substr(s, i, 1)
+                        if (c == "(") depth++
+                        if (c == ")" && --depth == 0) return 1
+                        if (depth == 1 && c == ",") args++
+                        else if (args == 1) field = field c
+                    }
+                    return 0
+                }
+                function report() {
+                    if (field ~ /^[ \t]*"/) print f ":" start ":" first
+                }
+                depth > 0 {
+                    if (scan($0)) report()
+                    next
+                }
+                $0 !~ /^[ \t]*\/\// && match($0, /\.(set_|update_)?scalar\(/) {
+                    start = NR; first = $0; field = ""; args = 0
+                    if (scan(substr($0, RSTART + RLENGTH - 1))) report()
+                }
+            ' || true
+    done
+fi

@@ -25,14 +25,15 @@
 //! 1 on the synchronous shmring transport.
 
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use decaf_simdev::E1000Device;
 
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{KError, KResult, Kernel};
-use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
+use decaf_xdr::plan::FieldHandle;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
     ChannelConfig, Domain, ProcDef, ProcHandle, ShardedChannel, XpcChannel, XpcResult,
@@ -40,7 +41,7 @@ use decaf_xpc::{
 
 use super::{attach, E1000Hw, IRQ_LINE};
 use crate::ringnic::{self, RingSplit, Rings, SplitLoad};
-use crate::support::{self, decaf_readl, decaf_writel, RxMode, Split, Unload};
+use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, RxMode, Split, Unload};
 use crate::Hosting;
 use decaf_simdev::e1000 as hwreg;
 
@@ -124,7 +125,7 @@ pub(crate) fn build(
     let plan = super::image();
     let channels = support::channels_from_plan(&plan, config, shards);
     let (rings, irq_handler, xmit, entries) =
-        link(&channels, &plan, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
+        link(&channels, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
 
     if let (Some(rings), RxMode::Poll) = (&rings, rx_mode) {
         // The receive grid keeps the pre-`insmod` phase the poll build
@@ -165,6 +166,7 @@ pub(crate) fn build(
     // (paper §3.1.3). Its body is built here, once, and queued by handle.
     let watchdog_task: WorkBody = {
         let (nuc, channels, name) = (Rc::clone(&nuc), Rc::clone(&channels), ifname.to_string());
+        let [.., link_up, _] = linked().fields;
         Rc::new(move |k, _| {
             if nuc
                 .upcall(k, entries.watchdog, &[Some(adapter)], &[])
@@ -175,7 +177,7 @@ pub(crate) fn build(
                 let heap = channels.heap(0, Domain::Nucleus);
                 let up = heap
                     .borrow()
-                    .scalar(adapter, "link_up")
+                    .scalar(adapter, link_up)
                     .ok()
                     .and_then(|v| v.as_int())
                     .unwrap_or(0);
@@ -221,7 +223,6 @@ pub(crate) fn build(
 /// so the control shard's serve all) beside the rings.
 fn link(
     channels: &Rc<ShardedChannel>,
-    plan: &SlicePlan,
     hw: &Rc<E1000Hw>,
     ifname: &str,
     shmring: bool,
@@ -249,7 +250,7 @@ fn link(
     let mut control = None;
     for i in 0..shards {
         let imports = register_nucleus_procs(channels.shard(i), hw, &irq_handler)?;
-        let entries = register_decaf_handlers(channels.shard(i), plan, imports)?;
+        let entries = register_decaf_handlers(channels.shard(i), imports)?;
         control.get_or_insert(entries);
     }
     let entries = control.expect("a channel facade has a shard");
@@ -361,20 +362,41 @@ fn register_nucleus_procs(
     })
 }
 
+/// The decaf driver's six entry points and the adapter fields they read
+/// or write, resolved once against the image.
+fn linked() -> &'static Linked<6, 9> {
+    static LINKED: OnceLock<Linked<6, 9>> = OnceLock::new();
+    let entries = [
+        "e1000_probe",
+        "e1000_open",
+        "e1000_close",
+        "e1000_watchdog_task",
+        "e1000_get_settings",
+        "e1000_set_settings",
+    ];
+    let fields = [
+        "msg_enable",
+        "itr",
+        "rx_csum",
+        "hw",
+        "speed",
+        "duplex",
+        "mac",
+        "link_up",
+        "watchdog_events",
+    ];
+    LINKED.get_or_init(|| Linked::new(&super::image(), entries, "e1000_adapter", fields))
+}
+
 /// Sets an embedded-struct member (`adapter->hw.<member>`) on the decaf
 /// heap copy of the adapter, in place: one tracked write of `hw`.
-fn set_hw_member(ch: &XpcChannel, adapter: CAddr, member: &str, value: XdrValue) {
+fn set_hw_member(ch: &XpcChannel, adapter: CAddr, hw: FieldHandle, member: &str, value: XdrValue) {
     let heap = ch.heap(Domain::Decaf);
     let mut h = heap.borrow_mut();
-    let _ = h.update_scalar(adapter, "hw", |hw| hw.set_field(member, value));
+    let _ = h.update_scalar(adapter, hw, |hw| hw.set_field(member, value));
 }
 
-fn set_field(ch: &XpcChannel, adapter: CAddr, field: &str, value: XdrValue) {
-    let heap = ch.heap(Domain::Decaf);
-    let _ = heap.borrow_mut().set_scalar(adapter, field, value);
-}
-
-fn get_int(ch: &XpcChannel, adapter: CAddr, field: &str) -> i32 {
+fn get_int(ch: &XpcChannel, adapter: CAddr, field: FieldHandle) -> i32 {
     let heap = ch.heap(Domain::Decaf);
     let v = heap.borrow().scalar(adapter, field).ok().cloned();
     v.and_then(|v| v.as_int()).unwrap_or(0)
@@ -383,24 +405,24 @@ fn get_int(ch: &XpcChannel, adapter: CAddr, field: &str) -> i32 {
 /// User-level decaf-driver handlers: the converted Java (here: safe Rust)
 /// implementations of the user partition. They call the kernel imports
 /// by the handles `imp` holds.
-fn register_decaf_handlers(
-    channel: &XpcChannel,
-    plan: &SlicePlan,
-    imp: Imports,
-) -> XpcResult<Entries> {
+fn register_decaf_handlers(channel: &XpcChannel, imp: Imports) -> XpcResult<Entries> {
+    let linked = linked();
+    let [probe, open, close, watchdog, get_settings, set_settings] = linked.entries;
+    let [msg_enable, itr, rx_csum, hw, speed, duplex, mac_field, link_up, watchdog_events] =
+        linked.fields;
     // e1000_probe: sw_init + check_options + EEPROM + reset + link setup,
     // mirroring the mini-C bodies.
-    let probe = support::register_entry(channel, plan, "e1000_probe", move |k, ch, a, _| {
+    let probe = linked.register(channel, probe, move |k, ch, a, _| {
         // e1000_sw_init.
-        set_field(ch, a, "msg_enable", XdrValue::Int(3));
-        set_field(ch, a, "itr", XdrValue::Int(8000));
-        set_field(ch, a, "rx_csum", XdrValue::Int(1));
-        set_hw_member(ch, a, "mac_type", XdrValue::Int(5));
-        set_hw_member(ch, a, "media_type", XdrValue::Int(1));
-        set_hw_member(ch, a, "autoneg", XdrValue::Int(1));
+        set_field(ch, a, msg_enable, XdrValue::Int(3));
+        set_field(ch, a, itr, XdrValue::Int(8000));
+        set_field(ch, a, rx_csum, XdrValue::Int(1));
+        set_hw_member(ch, a, hw, "mac_type", XdrValue::Int(5));
+        set_hw_member(ch, a, hw, "media_type", XdrValue::Int(1));
+        set_hw_member(ch, a, hw, "autoneg", XdrValue::Int(1));
         // e1000_check_options: range/set-membership validation.
-        set_field(ch, a, "speed", XdrValue::Int(1000));
-        set_field(ch, a, "duplex", XdrValue::Int(1));
+        set_field(ch, a, speed, XdrValue::Int(1000));
+        set_field(ch, a, duplex, XdrValue::Int(1));
         // e1000_init_eeprom: MAC + checksum through downcalls.
         let eeprom_read = |k: &Kernel, w: u32| {
             let word = [XdrValue::UInt(w)];
@@ -416,8 +438,8 @@ fn register_decaf_handlers(
             mac[w as usize * 2 + 1] = (word >> 8) as u8;
         }
         let _checksum = eeprom_read(k, 63).ok();
-        set_field(ch, a, "mac", XdrValue::Opaque(mac.to_vec()));
-        set_hw_member(ch, a, "fc_mode", XdrValue::Int(3));
+        set_field(ch, a, mac_field, XdrValue::Opaque(mac.to_vec()));
+        set_hw_member(ch, a, hw, "fc_mode", XdrValue::Int(3));
         // e1000_reset_hw_decaf.
         decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
         let _ = decaf_readl(k, ch, hwreg::STATUS);
@@ -461,7 +483,7 @@ fn register_decaf_handlers(
 
     // e1000_open: the Figure 4 function. Result-based staged cleanup —
     // the Rust rendition of the nested exception handlers.
-    let open = support::register_entry(channel, plan, "e1000_open", move |k, ch, a, _| {
+    let open = linked.register(channel, open, move |k, ch, a, _| {
         let down = |k: &Kernel, proc: ProcHandle| -> Result<(), i32> {
             match ch.call_resolved(k, Domain::Decaf, proc, &[], &[]) {
                 Ok(XdrValue::Int(0)) => Ok(()),
@@ -496,33 +518,33 @@ fn register_decaf_handlers(
             let _ = down(k, imp.free_tx_resources);
             return XdrValue::Int(e);
         }
-        set_field(ch, a, "link_up", XdrValue::Int(1));
+        set_field(ch, a, link_up, XdrValue::Int(1));
         XdrValue::Int(0)
     })?;
 
-    let close = support::register_entry(channel, plan, "e1000_close", move |k, ch, a, _| {
-        set_field(ch, a, "link_up", XdrValue::Int(0));
+    let close = linked.register(channel, close, move |k, ch, a, _| {
+        set_field(ch, a, link_up, XdrValue::Int(0));
         let _ = ch.call_resolved(k, Domain::Decaf, imp.down_datapath, &[], &[]);
         let _ = ch.call_resolved(k, Domain::Decaf, imp.free_irq, &[], &[]);
         XdrValue::Int(0)
     })?;
 
-    let watchdog = support::register_entry(channel, plan, "e1000_watchdog_task", |k, ch, a, _| {
+    let watchdog = linked.register(channel, watchdog, move |k, ch, a, _| {
         let status = decaf_readl(k, ch, hwreg::STATUS);
         let up = status & hwreg::STATUS_LU != 0;
-        set_field(ch, a, "link_up", XdrValue::Int(up as i32));
-        let events = get_int(ch, a, "watchdog_events");
-        set_field(ch, a, "watchdog_events", XdrValue::Int(events + 1));
+        set_field(ch, a, link_up, XdrValue::Int(up as i32));
+        let events = get_int(ch, a, watchdog_events);
+        set_field(ch, a, watchdog_events, XdrValue::Int(events + 1));
         XdrValue::Int(0)
     })?;
 
     // Management paths (ethtool get/set analogues).
-    support::register_entry(channel, plan, "e1000_get_settings", |_k, ch, a, _| {
-        XdrValue::Int(get_int(ch, a, "speed"))
+    linked.register(channel, get_settings, move |_k, ch, a, _| {
+        XdrValue::Int(get_int(ch, a, speed))
     })?;
-    support::register_entry(channel, plan, "e1000_set_settings", |k, ch, a, scalars| {
-        let speed = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
-        set_field(ch, a, "speed", XdrValue::Int(speed));
+    linked.register(channel, set_settings, move |k, ch, a, scalars| {
+        let value = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
+        set_field(ch, a, speed, XdrValue::Int(value));
         decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
         XdrValue::Int(0)
     })?;

@@ -17,7 +17,7 @@ use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
-use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
+use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
 
 /// IRQ line of the sound chip.
 pub const IRQ_LINE: u32 = 5;
@@ -250,12 +250,7 @@ pub fn image() -> Arc<SlicePlan> {
 /// the card's open/close back up to them, and the probe that calls that
 /// import — each registered before whatever calls it by handle. Returns
 /// the probe's handle.
-fn register_procs(
-    channel: &Rc<XpcChannel>,
-    plan: &SlicePlan,
-    hw: &Rc<EnsHw>,
-    card: &str,
-) -> XpcResult<ProcHandle> {
+fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, hw.bar.clone())?;
     let hw_codec = Rc::clone(hw);
     let codec_write = channel.register_proc(
@@ -268,56 +263,44 @@ fn register_procs(
         }),
     )?;
 
-    let playback_open = support::register_entry(
-        channel,
-        plan,
+    // The decaf driver's four entry points and the chip fields they write,
+    // resolved once against the image.
+    static LINKED: OnceLock<Linked<4, 5>> = OnceLock::new();
+    let entries = [
         "snd_ensoniq_playback_open",
-        |k, ch, chip, _| {
-            let _src = decaf_readl(k, ch, hwreg::SRC);
-            decaf_writel(k, ch, hwreg::SRC, 44_100);
-            decaf_writel(k, ch, hwreg::DAC2_PERIOD, 1102);
-            let heap = ch.heap(Domain::Decaf);
-            let _ = heap
-                .borrow_mut()
-                .set_scalar(chip, "playing", XdrValue::Int(1));
-            XdrValue::Int(0)
-        },
-    )?;
-    let playback_close = support::register_entry(
-        channel,
-        plan,
         "snd_ensoniq_playback_close",
-        move |k, ch, chip, _| {
-            decaf_writel(k, ch, hwreg::CTRL, 0);
-            // Power down the codec (posted, batched with the
-            // control-register write above).
-            let args = [XdrValue::UInt(38), XdrValue::UInt(0xffff)];
-            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-            let heap = ch.heap(Domain::Decaf);
-            let _ = heap
-                .borrow_mut()
-                .set_scalar(chip, "playing", XdrValue::Int(0));
-            XdrValue::Int(0)
-        },
-    )?;
-    support::register_entry(
-        channel,
-        plan,
         "snd_ensoniq_volume_put",
-        move |k, ch, chip, scalars| {
-            let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
-            let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
-            {
-                let heap = ch.heap(Domain::Decaf);
-                let mut h = heap.borrow_mut();
-                let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(left));
-                let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(right));
-            }
-            let args = [XdrValue::UInt(2), XdrValue::UInt(left as u32)];
-            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-            XdrValue::Int(0)
-        },
-    )?;
+        "snd_audiopci_probe",
+    ];
+    let fields = ["playing", "volume_left", "volume_right", "rate", "ctrl"];
+    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "ensoniq", fields));
+    let [playback_open, playback_close, volume_put, probe] = linked.entries;
+    let [playing, volume_left, volume_right, rate, ctrl] = linked.fields;
+    let playback_open = linked.register(channel, playback_open, move |k, ch, chip, _| {
+        let _src = decaf_readl(k, ch, hwreg::SRC);
+        decaf_writel(k, ch, hwreg::SRC, 44_100);
+        decaf_writel(k, ch, hwreg::DAC2_PERIOD, 1102);
+        set_field(ch, chip, playing, XdrValue::Int(1));
+        XdrValue::Int(0)
+    })?;
+    let playback_close = linked.register(channel, playback_close, move |k, ch, chip, _| {
+        decaf_writel(k, ch, hwreg::CTRL, 0);
+        // Power down the codec (posted, batched with the
+        // control-register write above).
+        let args = [XdrValue::UInt(38), XdrValue::UInt(0xffff)];
+        let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
+        set_field(ch, chip, playing, XdrValue::Int(0));
+        XdrValue::Int(0)
+    })?;
+    linked.register(channel, volume_put, move |k, ch, chip, scalars| {
+        let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
+        let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
+        set_field(ch, chip, volume_left, XdrValue::Int(left));
+        set_field(ch, chip, volume_right, XdrValue::Int(right));
+        let args = [XdrValue::UInt(2), XdrValue::UInt(left as u32)];
+        let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
+        XdrValue::Int(0)
+    })?;
 
     // snd_card_register import: the nucleus registers the card with ops
     // that route open/close back up to the decaf driver. The procedure
@@ -353,37 +336,28 @@ fn register_procs(
         }),
     )?;
 
-    support::register_entry(
-        channel,
-        plan,
-        "snd_audiopci_probe",
-        move |k, ch, chip, _| {
-            // snd_ensoniq_create.
-            decaf_writel(k, ch, hwreg::CTRL, 0);
-            decaf_writel(k, ch, hwreg::SRC, 44_100);
-            {
-                let heap = ch.heap(Domain::Decaf);
-                let mut h = heap.borrow_mut();
-                let _ = h.set_scalar(chip, "rate", XdrValue::Int(44_100));
-                let _ = h.set_scalar(chip, "ctrl", XdrValue::Int(0));
-                let _ = h.set_scalar(chip, "volume_left", XdrValue::Int(10));
-                let _ = h.set_scalar(chip, "volume_right", XdrValue::Int(10));
-            }
-            // 1371 mixer: three codec writes, posted — the batch
-            // crosses once when the card-register downcall flushes.
-            for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-                let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
-                let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-            }
-            // Register the card (downcall carrying the chip object).
-            let chip = [Some(chip)];
-            match ch.call_resolved(k, Domain::Decaf, snd_card_register, &chip, &[]) {
-                Ok(XdrValue::Int(0)) => XdrValue::Int(0),
-                Ok(XdrValue::Int(e)) => XdrValue::Int(e),
-                _ => XdrValue::Int(KError::Io.errno()),
-            }
-        },
-    )
+    linked.register(channel, probe, move |k, ch, chip, _| {
+        // snd_ensoniq_create.
+        decaf_writel(k, ch, hwreg::CTRL, 0);
+        decaf_writel(k, ch, hwreg::SRC, 44_100);
+        set_field(ch, chip, rate, XdrValue::Int(44_100));
+        set_field(ch, chip, ctrl, XdrValue::Int(0));
+        set_field(ch, chip, volume_left, XdrValue::Int(10));
+        set_field(ch, chip, volume_right, XdrValue::Int(10));
+        // 1371 mixer: three codec writes, posted — the batch
+        // crosses once when the card-register downcall flushes.
+        for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
+            let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
+            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
+        }
+        // Register the card (downcall carrying the chip object).
+        let chip = [Some(chip)];
+        match ch.call_resolved(k, Domain::Decaf, snd_card_register, &chip, &[]) {
+            Ok(XdrValue::Int(0)) => XdrValue::Int(0),
+            Ok(XdrValue::Int(e)) => XdrValue::Int(e),
+            _ => XdrValue::Int(KError::Io.errno()),
+        }
+    })
 }
 
 /// Loads the decaf driver: probe/open/close run at user level, the PCM
@@ -395,7 +369,7 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<Split<EnsHw, Ens137
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
-    let probe = register_procs(&channel, &plan, &hw, card).map_err(|_| KError::Io)?;
+    let probe = register_procs(&channel, &hw, card).map_err(|_| KError::Io)?;
 
     let nuc = unload.nuc(&channel);
     let (root, init_latency_ns) = unload.load(kernel, &channels, "ensoniq", |k, c| {

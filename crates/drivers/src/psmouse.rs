@@ -17,9 +17,9 @@ use decaf_simkernel::input::{InputEvent, BTN_LEFT, EV_KEY, EV_REL, REL_X, REL_Y}
 use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, Domain, ProcHandle, XpcChannel, XpcResult};
+use decaf_xpc::{ChannelConfig, ProcHandle, XpcChannel, XpcResult};
 
-use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
+use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
 
 /// IRQ line of the AUX port.
 pub const IRQ_LINE: u32 = 12;
@@ -265,13 +265,15 @@ pub fn image() -> Arc<SlicePlan> {
 /// driver's one entry point, `psmouse_probe` — reset, detect, configure
 /// and activate the mouse through register downcalls, then record what
 /// it found in the shared object. Returns the probe's handle.
-fn register_procs(
-    channel: &XpcChannel,
-    plan: &SlicePlan,
-    bar: MmioRegion,
-) -> XpcResult<ProcHandle> {
+fn register_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, bar)?;
-    support::register_entry(channel, plan, "psmouse_probe", |k, ch, m, _| {
+    // The decaf driver's one entry point and the fields it records, resolved
+    // once against the image.
+    static LINKED: OnceLock<Linked<1, 5>> = OnceLock::new();
+    let fields = ["state", "protocol", "pktsize", "rate", "resolution"];
+    let linked = LINKED.get_or_init(|| Linked::new(&image(), ["psmouse_probe"], "psmouse", fields));
+    let [state, protocol, pktsize, rate, resolution] = linked.fields;
+    linked.register(channel, linked.entries[0], move |k, ch, m, _| {
         let send = |k: &Kernel, cmd: u32| {
             decaf_writel(k, ch, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
             decaf_writel(k, ch, hwreg::PORT_DATA, cmd);
@@ -302,15 +304,11 @@ fn register_procs(
         if ack != vec![hwreg::MOUSE_ACK] {
             return XdrValue::Int(KError::Io.errno());
         }
-        let heap = ch.heap(Domain::Decaf);
-        {
-            let mut h = heap.borrow_mut();
-            let _ = h.set_scalar(m, "state", XdrValue::Int(2));
-            let _ = h.set_scalar(m, "protocol", XdrValue::Int(1));
-            let _ = h.set_scalar(m, "pktsize", XdrValue::Int(3));
-            let _ = h.set_scalar(m, "rate", XdrValue::Int(100));
-            let _ = h.set_scalar(m, "resolution", XdrValue::Int(4));
-        }
+        set_field(ch, m, state, XdrValue::Int(2));
+        set_field(ch, m, protocol, XdrValue::Int(1));
+        set_field(ch, m, pktsize, XdrValue::Int(3));
+        set_field(ch, m, rate, XdrValue::Int(100));
+        set_field(ch, m, resolution, XdrValue::Int(4));
         XdrValue::Int(0)
     })
 }
@@ -324,7 +322,7 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, P
     let plan = image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
     let channel = Rc::clone(channels.shard(0));
-    let probe = register_procs(&channel, &plan, bar).map_err(|_| KError::Io)?;
+    let probe = register_procs(&channel, bar).map_err(|_| KError::Io)?;
 
     let nuc = unload.nuc(&channel);
     let (root, init_latency_ns) = unload.load(kernel, &channels, "psmouse", |k, m| {
@@ -351,6 +349,7 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decaf_xpc::Domain;
 
     #[test]
     fn slicer_keeps_protocol_handlers_in_library() {

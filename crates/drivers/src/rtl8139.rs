@@ -23,7 +23,9 @@ use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
 use crate::ringnic::{self, IrqCause, RingNic, SplitLoad};
-use crate::support::{self, decaf_readl, decaf_writel, Native, RxMode, Split, Unload};
+use crate::support::{
+    self, decaf_readl, decaf_writel, set_field, Linked, Native, RxMode, Split, Unload,
+};
 use crate::Hosting;
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
@@ -451,7 +453,7 @@ pub(crate) fn build(
             )
         }
     };
-    let entries = register_procs(&channel, &plan, &hw, &irq_handler).map_err(|_| KError::Io)?;
+    let entries = register_procs(&channel, &hw, &irq_handler).map_err(|_| KError::Io)?;
 
     let nuc = unload.nuc(&channel);
     let (root, init_latency_ns) = unload.load(kernel, &channels, "rtl8139_private", |k, a| {
@@ -497,7 +499,6 @@ pub(crate) fn build(
 /// path. Returns the entry points' handles.
 fn register_procs(
     channel: &XpcChannel,
-    plan: &SlicePlan,
     hw: &Rc<Rtl8139Hw>,
     irq_handler: &IrqHandler,
 ) -> XpcResult<Entries> {
@@ -530,27 +531,28 @@ fn register_procs(
         }),
     )?;
 
-    let probe = support::register_entry(channel, plan, "rtl8139_probe", |k, ch, a, _| {
+    // The decaf driver's three entry points and the fields they write,
+    // resolved once against the image.
+    static LINKED: OnceLock<Linked<3, 4>> = OnceLock::new();
+    let entries = ["rtl8139_probe", "rtl8139_open", "rtl8139_close"];
+    let fields = ["msg_enable", "media", "mac", "link_up"];
+    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "rtl8139_private", fields));
+    let [probe, open, close] = linked.entries;
+    let [msg_enable, media, mac, link_up] = linked.fields;
+    let probe = linked.register(channel, probe, move |k, ch, a, _| {
         // init_board: reset and settle.
         decaf_writel(k, ch, hwreg::CR, hwreg::CR_RST);
         let _ = decaf_readl(k, ch, hwreg::CR);
         // read_mac.
         let lo = decaf_readl(k, ch, hwreg::IDR0).to_le_bytes();
         let hi = decaf_readl(k, ch, hwreg::IDR4).to_le_bytes();
-        let heap = ch.heap(Domain::Decaf);
-        {
-            let mut h = heap.borrow_mut();
-            let _ = h.set_scalar(a, "msg_enable", XdrValue::Int(7));
-            let _ = h.set_scalar(a, "media", XdrValue::Int(1));
-            let _ = h.set_scalar(
-                a,
-                "mac",
-                XdrValue::Opaque(vec![lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]]),
-            );
-        }
+        set_field(ch, a, msg_enable, XdrValue::Int(7));
+        set_field(ch, a, media, XdrValue::Int(1));
+        let mac_bytes = vec![lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]];
+        set_field(ch, a, mac, XdrValue::Opaque(mac_bytes));
         XdrValue::Int(0)
     })?;
-    let open = support::register_entry(channel, plan, "rtl8139_open", move |k, ch, a, _| {
+    let open = linked.register(channel, open, move |k, ch, a, _| {
         // request_irq, then hw_start; free the irq if start fails.
         match ch.call_resolved(k, Domain::Decaf, request_irq, &[], &[]) {
             Ok(XdrValue::Int(0)) => {}
@@ -559,13 +561,11 @@ fn register_procs(
         }
         let _ = ch.call_resolved(k, Domain::Decaf, hw_start_datapath, &[], &[]);
         decaf_writel(k, ch, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
-        let heap = ch.heap(Domain::Decaf);
-        let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(1));
+        set_field(ch, a, link_up, XdrValue::Int(1));
         XdrValue::Int(0)
     })?;
-    let close = support::register_entry(channel, plan, "rtl8139_close", move |k, ch, a, _| {
-        let heap = ch.heap(Domain::Decaf);
-        let _ = heap.borrow_mut().set_scalar(a, "link_up", XdrValue::Int(0));
+    let close = linked.register(channel, close, move |k, ch, a, _| {
+        set_field(ch, a, link_up, XdrValue::Int(0));
         decaf_writel(k, ch, hwreg::CR, 0);
         let _ = ch.call_resolved(k, Domain::Decaf, free_irq, &[], &[]);
         XdrValue::Int(0)

@@ -12,10 +12,11 @@ use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::{KError, KResult, Kernel, MmioRegion, TimerId};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
+use decaf_xdr::plan::FieldHandle;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
     ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, ProcHandler,
-    ShardedChannel, XpcChannel, XpcError, XpcResult,
+    ShardedChannel, XpcChannel, XpcResult,
 };
 
 /// How a shmring NIC build collects received frames.
@@ -97,35 +98,58 @@ pub fn channels_from_plan(
     channels
 }
 
-/// Registers the decaf-side handler of one entry point of the driver
-/// image — the stub DriverSlicer generates (§3.1.1). The object-argument
-/// types are the image's, not the caller's; `handler` receives the
-/// entry point's object already checked (a null object answers
-/// `-EINVAL` here, before the handler runs). A `name` the image does not
-/// list as a user entry point is refused: the procedure would cross
-/// untyped. Returns the handle the nucleus upcalls it by.
-pub fn register_entry(
-    channel: &XpcChannel,
-    plan: &SlicePlan,
-    name: &str,
-    handler: impl Fn(&Kernel, &XpcChannel, CAddr, &[XdrValue]) -> XdrValue + 'static,
-) -> XpcResult<ProcHandle> {
-    let entry = plan
-        .user_entry_point(name)
-        .ok_or_else(|| XpcError::UnknownProc {
-            domain: "the driver image's user entry points".into(),
-            proc: name.into(),
-        })?;
-    let stub: ProcHandler = Rc::new(move |k, ch, args, scalars| {
-        let Some(obj) = args.first().copied().flatten() else {
-            return XdrValue::Int(KError::Inval.errno());
-        };
-        handler(k, ch, obj, scalars)
-    });
-    // The stub's name and types are the image's own: a shared pointer and
-    // the ids resolved once per image.
-    let (name, types) = (&entry.name, entry.object_ids);
-    channel.register_resolved(Domain::Decaf, name, types, &plan.spec, stub)
+/// What one driver's handlers name in its image, resolved once per image
+/// against the image's spec: the `E` user entry points they implement,
+/// by index into the image's list, and `F` fields of the root struct
+/// they read or write, by handle — so a load looks up no name at all.
+/// Registering through it is refused on a channel built from another
+/// spec, as [`XpcChannel::register_resolved`] refuses foreign types, and
+/// the field handles were resolved against the spec that check compares.
+pub(crate) struct Linked<const E: usize, const F: usize> {
+    plan: Arc<SlicePlan>,
+    /// Indices into `plan.user_entry_points`, in the order named.
+    pub(crate) entries: [usize; E],
+    /// The fields' handles, in the order named.
+    pub(crate) fields: [FieldHandle; F],
+}
+
+impl<const E: usize, const F: usize> Linked<E, F> {
+    /// Resolves the user entry points `eps` and the fields `fields` of
+    /// struct `ty` against `plan`. The sources are static, so a name the
+    /// image lacks is a bug in this repository.
+    pub(crate) fn new(plan: &Arc<SlicePlan>, eps: [&str; E], ty: &str, fields: [&str; F]) -> Self {
+        let all = &plan.user_entry_points;
+        let entry = |name: &str| all.iter().position(|ep| *ep.name == *name);
+        let field = |name: &str| plan.spec.layout(ty).ok()?.handle(name);
+        Linked {
+            plan: Arc::clone(plan),
+            entries: eps.map(|n| entry(n).expect("a driver names its image's entry points")),
+            fields: fields.map(|n| field(n).expect("a driver names its image's fields")),
+        }
+    }
+
+    /// Registers the decaf-side handler of user entry point `entry` (one
+    /// of [`Linked::entries`]) — the stub DriverSlicer generates
+    /// (§3.1.1). The object-argument types are the image's, not the
+    /// caller's; `handler` receives the entry point's object already
+    /// checked (a null object answers `-EINVAL` here, before the handler
+    /// runs). Returns the handle the nucleus upcalls it by.
+    pub(crate) fn register(
+        &self,
+        channel: &XpcChannel,
+        entry: usize,
+        handler: impl Fn(&Kernel, &XpcChannel, CAddr, &[XdrValue]) -> XdrValue + 'static,
+    ) -> XpcResult<ProcHandle> {
+        let entry = &self.plan.user_entry_points[entry];
+        let stub: ProcHandler = Rc::new(move |k, ch, args, scalars| match args.first() {
+            Some(&Some(obj)) => handler(k, ch, obj, scalars),
+            _ => XdrValue::Int(KError::Inval.errno()),
+        });
+        // The stub's name and types are the image's own: a shared pointer
+        // and the ids resolved once per image.
+        let (name, types) = (&entry.name, entry.object_ids);
+        channel.register_resolved(Domain::Decaf, name, types, &self.plan.spec, stub)
+    }
 }
 
 /// What one install does to the kernel, written by that install as it
@@ -320,7 +344,17 @@ impl<H: Any, D: Any> Split<H, D> {
     }
 }
 
-/// Upcalls entry point `proc` — the handle [`register_entry`] returned —
+/// Writes `field` of `obj` on the decaf end's heap: what a handler
+/// records in the shared object. An object or field the heap does not
+/// hold is no write.
+pub(crate) fn set_field(ch: &XpcChannel, obj: CAddr, field: FieldHandle, value: XdrValue) {
+    let _ = ch
+        .heap(Domain::Decaf)
+        .borrow_mut()
+        .set_scalar(obj, field, value);
+}
+
+/// Upcalls entry point `proc` — the handle registering it returned —
 /// on `obj` and maps its errno-style return to a `KResult`: what a probe
 /// path or a netdev/sound op does with a decaf driver's answer. A channel
 /// failure is `-EIO`.
@@ -506,6 +540,7 @@ pub fn errno_value(result: Result<(), KError>) -> XdrValue {
 mod tests {
     use super::*;
     use decaf_simkernel::MmioDevice;
+    use decaf_xpc::XpcError;
     use std::cell::{Cell, RefCell};
 
     struct Scratch([u32; 8]);
@@ -520,6 +555,55 @@ mod tests {
 
     fn batched_channels(plan: &SlicePlan) -> Rc<ShardedChannel> {
         channels_from_plan(plan, ChannelConfig::kernel_user_batched(), 1)
+    }
+
+    /// Registers `handler` for the user entry point called `name`, found
+    /// by name on the spot — how these tests name entry points. A name
+    /// the image does not list is refused: the procedure would cross
+    /// untyped.
+    fn register_entry(
+        channel: &XpcChannel,
+        plan: &Arc<SlicePlan>,
+        name: &str,
+        handler: impl Fn(&Kernel, &XpcChannel, CAddr, &[XdrValue]) -> XdrValue + 'static,
+    ) -> XpcResult<ProcHandle> {
+        let Some(at) = plan
+            .user_entry_points
+            .iter()
+            .position(|ep| *ep.name == *name)
+        else {
+            return Err(XpcError::UnknownProc {
+                domain: "the driver image's user entry points".into(),
+                proc: name.into(),
+            });
+        };
+        Linked::new(plan, [], "", []).register(channel, at, handler)
+    }
+
+    #[test]
+    fn a_link_is_refused_on_a_channel_of_another_image() {
+        let (mouse, nic) = (crate::psmouse::image(), crate::e1000::image());
+        let linked = Linked::new(&mouse, ["psmouse_probe"], "psmouse", ["rate"]);
+        let handler = |_: &Kernel, _: &XpcChannel, _: CAddr, _: &[XdrValue]| XdrValue::Int(0);
+        let foreign = batched_channels(&nic);
+        let refused = linked.register(foreign.shard(0), linked.entries[0], handler);
+        assert!(
+            matches!(refused, Err(XpcError::InvalidRequest(_))),
+            "{refused:?}"
+        );
+        assert!(foreign.shard(0).proc_names(Domain::Decaf).is_empty());
+        let own = batched_channels(&mouse);
+        let probe = linked.register(own.shard(0), linked.entries[0], handler);
+        assert_eq!(own.shard(0).proc_names(Domain::Decaf), ["psmouse_probe"]);
+        assert!(probe.is_ok());
+        // The handle names the field the name does.
+        let m = own.alloc_shared_at(0, Domain::Nucleus, "psmouse").unwrap();
+        let heap = own.heap(0, Domain::Nucleus);
+        heap.borrow_mut()
+            .set_scalar(m, "rate", XdrValue::Int(40))
+            .unwrap();
+        let rate = heap.borrow().scalar(m, linked.fields[0]).cloned();
+        assert_eq!(rate, Ok(XdrValue::Int(40)));
     }
 
     #[test]

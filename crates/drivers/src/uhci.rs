@@ -28,7 +28,7 @@ use decaf_xpc::{
     XpcChannel, XpcResult,
 };
 
-use crate::support::{self, decaf_readl, decaf_writel, Native, Split, Unload};
+use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
 
 /// IRQ line of the controller.
 pub const IRQ_LINE: u32 = 9;
@@ -187,10 +187,9 @@ impl UhciHw {
     /// Initializes the frame list and starts the controller.
     pub fn start(&self, kernel: &Kernel) {
         self.bar.outl(kernel, hwreg::USBCMD, hwreg::CMD_HCRESET);
-        for f in 0..1024usize {
-            self.dma
-                .write_u32(FRAME_LIST_OFF + f * 4, hwreg::LINK_TERMINATE);
-        }
+        let frame_list = [hwreg::LINK_TERMINATE.to_le_bytes(); 1024];
+        self.dma
+            .write_bytes(FRAME_LIST_OFF, frame_list.as_flattened());
         self.bar
             .outl(kernel, hwreg::FRBASEADD, FRAME_LIST_OFF as u32);
         self.bar.outl(kernel, hwreg::USBINTR, 1);
@@ -417,7 +416,7 @@ fn attach_channels(config: ChannelConfig, shards: usize) -> KResult<Attached> {
     let channels = support::channels_from_plan(&plan, config, shards);
     let mut control = None;
     for i in 0..shards {
-        let root_hub = register_procs(channels.shard(i), &plan, bar.clone());
+        let root_hub = register_procs(channels.shard(i), bar.clone());
         control.get_or_insert(root_hub.map_err(|_| KError::Io)?);
     }
     Ok(Attached {
@@ -439,30 +438,30 @@ struct RootHub {
 
 /// Links one channel: the register-access imports and the three
 /// root-hub procedures the slicer moved to the decaf driver.
-fn register_procs(channel: &XpcChannel, plan: &SlicePlan, bar: MmioRegion) -> XpcResult<RootHub> {
+fn register_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<RootHub> {
     support::register_io_procs(channel, bar)?;
-    let suspend = support::register_entry(channel, plan, "uhci_rh_suspend", |k, ch, u, _| {
-        {
-            let heap = ch.heap(Domain::Decaf);
-            let mut h = heap.borrow_mut();
-            let _ = h.set_scalar(u, "rh_state", XdrValue::Int(1));
-            let _ = h.set_scalar(u, "port_c_suspend", XdrValue::Int(1));
-        }
+    // The three root-hub entry points and the fields they write, resolved
+    // once against the image.
+    static LINKED: OnceLock<Linked<3, 3>> = OnceLock::new();
+    let entries = ["uhci_rh_suspend", "uhci_rh_resume", "uhci_count_ports"];
+    let fields = ["rh_state", "port_c_suspend", "resume_detect"];
+    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "uhci_hcd", fields));
+    let [suspend, resume, count_ports] = linked.entries;
+    let [rh_state, port_c_suspend, resume_detect] = linked.fields;
+    let suspend = linked.register(channel, suspend, move |k, ch, u, _| {
+        set_field(ch, u, rh_state, XdrValue::Int(1));
+        set_field(ch, u, port_c_suspend, XdrValue::Int(1));
         decaf_writel(k, ch, hwreg::USBCMD, 0x10);
         XdrValue::Int(0)
     })?;
-    let resume = support::register_entry(channel, plan, "uhci_rh_resume", |k, ch, u, _| {
+    let resume = linked.register(channel, resume, move |k, ch, u, _| {
         let _cmd = decaf_readl(k, ch, hwreg::USBCMD);
         decaf_writel(k, ch, hwreg::USBCMD, hwreg::CMD_RS);
-        {
-            let heap = ch.heap(Domain::Decaf);
-            let mut h = heap.borrow_mut();
-            let _ = h.set_scalar(u, "rh_state", XdrValue::Int(2));
-            let _ = h.set_scalar(u, "resume_detect", XdrValue::Int(0));
-        }
+        set_field(ch, u, rh_state, XdrValue::Int(2));
+        set_field(ch, u, resume_detect, XdrValue::Int(0));
         XdrValue::Int(0)
     })?;
-    let count_ports = support::register_entry(channel, plan, "uhci_count_ports", |k, ch, _, _| {
+    let count_ports = linked.register(channel, count_ports, |k, ch, _, _| {
         let sc = decaf_readl(k, ch, hwreg::PORTSC1);
         XdrValue::Int(if sc == 0 { 0 } else { 2 })
     })?;
@@ -1019,6 +1018,73 @@ impl ShardedUhci {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The frame-list set-up `UhciHw::start` made word by word before it
+    /// wrote the list in one `write_bytes`: the reference the one write is
+    /// checked against.
+    fn start_word_by_word(hw: &UhciHw, kernel: &Kernel) {
+        hw.bar.outl(kernel, hwreg::USBCMD, hwreg::CMD_HCRESET);
+        for f in 0..1024usize {
+            hw.dma
+                .write_u32(FRAME_LIST_OFF + f * 4, hwreg::LINK_TERMINATE);
+        }
+        hw.bar.outl(kernel, hwreg::FRBASEADD, FRAME_LIST_OFF as u32);
+        hw.bar.outl(kernel, hwreg::USBINTR, 1);
+        hw.bar.outl(kernel, hwreg::USBCMD, hwreg::CMD_RS);
+    }
+
+    /// A register window that ignores every access, so nothing re-arms
+    /// the DMA write window behind the frame-list write.
+    struct Inert;
+    impl decaf_simkernel::MmioDevice for Inert {
+        fn read32(&mut self, _: &Kernel, _: u64) -> u32 {
+            0
+        }
+        fn write32(&mut self, _: &Kernel, _: u64, _: u32) {}
+    }
+
+    /// What one start, or two back to back, leaves: every DMA byte and
+    /// the window's dirty lines after each, on the controller model and —
+    /// under windows the model does not re-arm — on an inert window.
+    fn after_start(start: fn(&UhciHw, &Kernel)) -> Vec<(Vec<u8>, u64)> {
+        let k = Kernel::new();
+        let (bar, dma, _dev) = attach();
+        let inert = MmioRegion::new(Rc::new(RefCell::new(Inert)));
+        let inert_dma = DmaMemory::new(dma.len());
+        let (model, inert) = (UhciHw::new(bar, dma), UhciHw::new(inert, inert_dma));
+        let runs = [
+            (&model, None),
+            (&inert, Some((0, 0x4000))),
+            (&inert, Some((0x1800, 0x1000))),
+        ];
+        let mut seen = Vec::new();
+        for (hw, window) in runs {
+            for _ in 0..2 {
+                if let Some((offset, len)) = window {
+                    hw.dma.watch(offset, len);
+                    hw.dma.take_dirty();
+                }
+                start(hw, &k);
+                let bytes = hw.dma.with_bytes(0, hw.dma.len(), <[u8]>::to_vec);
+                seen.push((bytes, hw.dma.take_dirty()));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn one_frame_list_write_leaves_what_the_word_loop_left() {
+        let written = after_start(UhciHw::start);
+        assert_eq!(written, after_start(start_word_by_word));
+        let list = (FRAME_LIST_OFF..FRAME_LIST_OFF + 4096).step_by(4);
+        let (bytes, _) = &written[0];
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert!(list.map(word).all(|w| w == hwreg::LINK_TERMINATE));
+        // Under a window of 256-byte lines over the first 16 KiB, the list
+        // (0x1000..0x2000) is lines 16 to 31; under one of 64-byte lines
+        // from 0x1800, the first 32.
+        assert_eq!((written[2].1, written[4].1), (0xffff_0000, 0xffff_ffff));
+    }
 
     #[test]
     fn slicer_keeps_most_functions_kernel() {

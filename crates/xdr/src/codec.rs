@@ -124,7 +124,7 @@ fn encode_unchecked(
             out.extend_from_slice(&1u32.to_be_bytes());
             encode_unchecked(v, inner, spec, out)
         }
-        (XdrType::Named(name), v) => encode_unchecked(v, &spec.resolve(name)?.clone(), spec, out),
+        (XdrType::Named(name), v) => encode_unchecked(v, &*spec.resolved(name)?, spec, out),
         (ty, v) => Err(XdrError::TypeMismatch {
             expected: ty.idl(),
             found: v.kind().into(),
@@ -265,11 +265,10 @@ pub fn decode_from(cur: &mut Cursor<'_>, ty: &XdrType, spec: &XdrSpec) -> XdrRes
             Ok(XdrValue::Array(items))
         }
         XdrType::Struct(name) => {
-            let decl = spec.struct_fields(name)?.to_vec();
+            let decl = spec.struct_fields(name)?;
             let mut fields = Vec::with_capacity(decl.len());
             for (fname, fty) in decl {
-                let v = decode_from(cur, &fty, spec)?;
-                fields.push((fname, v));
+                fields.push((fname.clone(), decode_from(cur, fty, spec)?));
             }
             Ok(XdrValue::Struct {
                 type_name: name.clone(),
@@ -283,10 +282,7 @@ pub fn decode_from(cur: &mut Cursor<'_>, ty: &XdrType, spec: &XdrSpec) -> XdrRes
             )?)))),
             d => Err(XdrError::InvalidDiscriminant(d)),
         },
-        XdrType::Named(name) => {
-            let resolved = spec.resolve(name)?.clone();
-            decode_from(cur, &resolved, spec)
-        }
+        XdrType::Named(name) => decode_from(cur, &*spec.resolved(name)?, spec),
     }
 }
 

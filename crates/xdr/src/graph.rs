@@ -25,17 +25,17 @@
 //! There is one graph walker, [`marshal_plan`] / [`unmarshal_plan`], and
 //! it runs a compiled [`MarshalPlan`]: field indices, resolved kinds,
 //! interned type ids. The functions that take a spec and a mask set
-//! compile a plan and run that walker; handlers read and write fields by
-//! name through [`ObjHeap`], which resolves the name against the
-//! object's [`Layout`].
+//! compile a plan and run that walker; handlers read and write fields
+//! through [`ObjHeap`] by a [`FieldHandle`] resolved once (or by name,
+//! resolved against the object's [`Layout`] on every access).
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::codec::{self, Cursor};
 use crate::error::{XdrError, XdrResult};
+use crate::intmap::IntMap;
 use crate::mask::{Direction, MaskSet};
-use crate::plan::{FieldKind, Layout, MarshalPlan, TypeId};
+use crate::plan::{FieldHandle, FieldKind, Layout, MarshalPlan, TypeId};
 use crate::schema::XdrType;
 use crate::spec::XdrSpec;
 use crate::value::XdrValue;
@@ -124,52 +124,65 @@ impl StructObj {
         &self.layout
     }
 
-    /// `(name, value)` of every field, in declaration order.
-    pub fn fields(&self) -> impl Iterator<Item = (&str, &FieldVal)> {
-        let names = self.layout.field_names().iter();
-        names.zip(&self.slots).map(|(n, s)| (n.as_str(), &s.val))
-    }
-
     /// Returns the named field.
     pub fn field(&self, name: &str) -> Option<&FieldVal> {
         Some(&self.slots[self.layout.index_of(name)?].val)
     }
 
-    /// Returns the named field mutably.
-    pub fn field_mut(&mut self, name: &str) -> Option<&mut FieldVal> {
-        Some(&mut self.slots[self.layout.index_of(name)?].val)
-    }
-
     /// The slot behind index `i` of `plan_layout` (the marshal plan's
     /// layout of this object's type): slot `i` when the object was built
-    /// from that layout (`same`), the slot of that name otherwise.
-    fn slot_index(&self, plan_layout: &Layout, same: bool, i: usize) -> XdrResult<usize> {
+    /// from that layout (`same`), the slot of that name otherwise; `None`
+    /// if the object lacks it.
+    fn slot_index(&self, plan_layout: &Layout, same: bool, i: usize) -> Option<usize> {
         match same {
-            true => Ok(i),
-            false => self.slot_named(&plan_layout.field_names()[i]),
+            true => Some(i),
+            false => self.layout.index_of(&plan_layout.field_names()[i]),
         }
     }
 
-    /// [`StructObj::slot_index`]'s slot; `None` if the object lacks it.
+    /// [`StructObj::slot_index`]'s slot.
     fn slot(&self, plan_layout: &Layout, same: bool, i: usize) -> Option<&Slot> {
-        let index = self.slot_index(plan_layout, same, i).ok()?;
-        Some(&self.slots[index])
+        Some(&self.slots[self.slot_index(plan_layout, same, i)?])
     }
 
-    /// The index of the slot called `field`.
-    fn slot_named(&self, field: &str) -> XdrResult<usize> {
-        let index = self.layout.index_of(field);
-        index.ok_or_else(|| XdrError::UnknownField {
+    fn unknown(&self, field: &str) -> XdrError {
+        XdrError::UnknownField {
             type_name: self.type_name().into(),
             field: field.into(),
-        })
+        }
+    }
+}
+
+/// How a heap accessor names a field: by a [`FieldHandle`], resolved
+/// once, or by name — resolved against the object's layout on every
+/// access, for tests and one-off callers.
+pub trait FieldKey: Copy {
+    /// The index of the field among `obj`'s slots.
+    fn slot_in(self, obj: &StructObj) -> XdrResult<usize>;
+}
+
+impl FieldKey for &str {
+    fn slot_in(self, obj: &StructObj) -> XdrResult<usize> {
+        obj.layout.index_of(self).ok_or_else(|| obj.unknown(self))
+    }
+}
+
+impl FieldKey for FieldHandle {
+    /// The handle's slot, if `obj` is of the handle's type.
+    fn slot_in(self, obj: &StructObj) -> XdrResult<usize> {
+        let (ty, slot) = (self.ty, usize::from(self.slot));
+        let ours = obj.layout.id() == ty && slot < obj.slots.len();
+        ours.then_some(slot)
+            .ok_or_else(|| obj.unknown(&format!("#{slot} of type #{ty}")))
     }
 }
 
 /// A heap of addressable structures, modelling one domain's memory.
 ///
-/// Addresses are opaque and never reused within a heap's lifetime, like
-/// kernel addresses during a driver's lifetime.
+/// Addresses are never reused within a heap's lifetime, like kernel
+/// addresses during a driver's lifetime: the `n`-th allocation gets
+/// `base + 0x100·n`, so the heap is a slab indexed by `(addr − base) >> 8`
+/// whose freed entries stay empty.
 ///
 /// The heap also keeps **dirty-field generation counters**: a global
 /// generation is bumped on every mutation, and each field remembers the
@@ -178,11 +191,15 @@ impl StructObj {
 /// crossed a channel.
 #[derive(Debug, Clone, Default)]
 pub struct ObjHeap {
-    objects: BTreeMap<CAddr, StructObj>,
-    next_addr: CAddr,
+    /// The object at `base + 0x100·n` at index `n`; `None` once freed.
+    objects: Vec<Option<StructObj>>,
+    base: CAddr,
     /// Bumped on every mutating operation.
     generation: u64,
 }
+
+/// Address bits per object: consecutive allocations are `1 << 8` apart.
+const ADDR_SHIFT: u32 = 8;
 
 impl ObjHeap {
     /// An empty heap whose first allocation gets address `base`.
@@ -191,8 +208,8 @@ impl ObjHeap {
     /// addresses across domains is detectable in tests.
     pub fn with_base(base: CAddr) -> Self {
         ObjHeap {
-            objects: BTreeMap::new(),
-            next_addr: base.max(1),
+            objects: Vec::new(),
+            base: base.max(1),
             generation: 0,
         }
     }
@@ -229,8 +246,7 @@ impl ObjHeap {
     }
 
     fn insert(&mut self, layout: Arc<Layout>, mut slots: Vec<Slot>) -> CAddr {
-        let addr = self.next_addr;
-        self.next_addr += 0x100;
+        let addr = self.base + ((self.objects.len() as CAddr) << ADDR_SHIFT);
         self.generation += 1;
         slots.iter_mut().for_each(|s| s.gen = self.generation);
         let birth = self.generation;
@@ -239,19 +255,31 @@ impl ObjHeap {
             slots,
             birth,
         };
-        self.objects.insert(addr, obj);
+        self.objects.push(Some(obj));
         addr
+    }
+
+    /// The slab index of `addr`: any address this heap could have handed
+    /// out, live or freed. Peer-written addresses reach here, so anything
+    /// below the base, off the stride or past the last allocation is
+    /// `None`, never a panic.
+    fn index(&self, addr: CAddr) -> Option<usize> {
+        let offset = addr.checked_sub(self.base)?;
+        let index = usize::try_from(offset >> ADDR_SHIFT).ok()?;
+        (offset.trailing_zeros() >= ADDR_SHIFT && index < self.objects.len()).then_some(index)
     }
 
     /// Removes a structure (explicit free — the paper's drivers free shared
     /// objects explicitly; see §3.1.2).
     pub fn free(&mut self, addr: CAddr) -> Option<StructObj> {
-        self.objects.remove(&addr)
+        let index = self.index(addr)?;
+        self.objects[index].take()
     }
 
     /// Looks up a structure.
     pub fn get(&self, addr: CAddr) -> XdrResult<&StructObj> {
-        self.objects.get(&addr).ok_or(XdrError::DanglingAddr(addr))
+        let held = self.index(addr).and_then(|i| self.objects[i].as_ref());
+        held.ok_or(XdrError::DanglingAddr(addr))
     }
 
     /// Looks up a structure mutably.
@@ -261,7 +289,7 @@ impl ObjHeap {
     /// dirty. Prefer [`ObjHeap::set_scalar`]/[`ObjHeap::set_ptr`], which
     /// track exactly one field.
     pub fn get_mut(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        let held = self.objects.get_mut(&addr);
+        let held = self.index(addr).and_then(|i| self.objects[i].as_mut());
         let obj = held.ok_or(XdrError::DanglingAddr(addr))?;
         self.generation += 1;
         obj.slots.iter_mut().for_each(|s| s.gen = self.generation);
@@ -271,15 +299,15 @@ impl ObjHeap {
     /// Looks up a structure mutably without touching dirty tracking.
     /// Internal: used by the tracked setters and the quiet decode path.
     fn get_mut_untracked(&mut self, addr: CAddr) -> XdrResult<&mut StructObj> {
-        let held = self.objects.get_mut(&addr);
+        let held = self.index(addr).and_then(|i| self.objects[i].as_mut());
         held.ok_or(XdrError::DanglingAddr(addr))
     }
 
     /// A tracked write of one field of the object at `addr`.
-    fn write_field(&mut self, addr: CAddr, field: &str, val: FieldVal) -> XdrResult<()> {
+    fn write_field(&mut self, addr: CAddr, field: impl FieldKey, val: FieldVal) -> XdrResult<()> {
         let generation = self.generation + 1;
         let obj = self.get_mut_untracked(addr)?;
-        let slot = obj.slot_named(field)?;
+        let slot = field.slot_in(obj)?;
         obj.slots[slot].val.overwrite(val)?;
         obj.slots[slot].gen = generation;
         self.generation = generation;
@@ -297,33 +325,37 @@ impl ObjHeap {
         let Ok(obj) = self.get(addr) else {
             return 0;
         };
-        obj.slot_named(field)
-            .map_or(obj.birth, |i| obj.slots[i].gen)
+        field.slot_in(obj).map_or(obj.birth, |i| obj.slots[i].gen)
     }
 
     /// Whether `addr` names a live object.
     pub fn contains(&self, addr: CAddr) -> bool {
-        self.get(addr).is_ok()
+        self.index(addr).is_some_and(|i| self.objects[i].is_some())
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.objects.iter().flatten().count()
     }
 
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len() == 0
     }
 
     /// Reads a scalar field.
-    pub fn scalar(&self, addr: CAddr, field: &str) -> XdrResult<&XdrValue> {
+    pub fn scalar(&self, addr: CAddr, field: impl FieldKey) -> XdrResult<&XdrValue> {
         let obj = self.get(addr)?;
-        obj.slots[obj.slot_named(field)?].val.scalar()
+        obj.slots[field.slot_in(obj)?].val.scalar()
     }
 
     /// Writes a scalar field.
-    pub fn set_scalar(&mut self, addr: CAddr, field: &str, value: XdrValue) -> XdrResult<()> {
+    pub fn set_scalar(
+        &mut self,
+        addr: CAddr,
+        field: impl FieldKey,
+        value: XdrValue,
+    ) -> XdrResult<()> {
         self.write_field(addr, field, FieldVal::Scalar(value))
     }
 
@@ -336,12 +368,12 @@ impl ObjHeap {
     pub fn update_scalar<R>(
         &mut self,
         addr: CAddr,
-        field: &str,
+        field: impl FieldKey,
         f: impl FnOnce(&mut XdrValue) -> R,
     ) -> XdrResult<R> {
         let generation = self.generation + 1;
         let obj = self.get_mut_untracked(addr)?;
-        let index = obj.slot_named(field)?;
+        let index = field.slot_in(obj)?;
         let slot = &mut obj.slots[index];
         let FieldVal::Scalar(value) = &mut slot.val else {
             return Err(mismatch("scalar field", "pointer field"));
@@ -353,19 +385,26 @@ impl ObjHeap {
     }
 
     /// Reads a pointer field.
-    pub fn ptr(&self, addr: CAddr, field: &str) -> XdrResult<Option<CAddr>> {
+    pub fn ptr(&self, addr: CAddr, field: impl FieldKey) -> XdrResult<Option<CAddr>> {
         let obj = self.get(addr)?;
-        obj.slots[obj.slot_named(field)?].val.ptr()
+        obj.slots[field.slot_in(obj)?].val.ptr()
     }
 
     /// Writes a pointer field.
-    pub fn set_ptr(&mut self, addr: CAddr, field: &str, target: Option<CAddr>) -> XdrResult<()> {
+    pub fn set_ptr(
+        &mut self,
+        addr: CAddr,
+        field: impl FieldKey,
+        target: Option<CAddr>,
+    ) -> XdrResult<()> {
         self.write_field(addr, field, FieldVal::Ptr(target))
     }
 
     /// Iterates over `(addr, object)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (CAddr, &StructObj)> {
-        self.objects.iter().map(|(a, o)| (*a, o))
+        let at = |n: usize| self.base + ((n as CAddr) << ADDR_SHIFT);
+        let live = self.objects.iter().enumerate();
+        live.filter_map(move |(n, o)| Some((at(n), o.as_ref()?)))
     }
 }
 
@@ -454,12 +493,12 @@ fn flagged(bitmap: u32, k: usize) -> bool {
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     /// Encoder: object → its index in this message (back-references).
-    seen: HashMap<CAddr, u32>,
+    seen: IntMap<CAddr, u32>,
     /// Encoder: dirty-reachability memo shared across the whole marshal:
     /// the heap cannot change mid-marshal, and `mark_sent` only makes
     /// objects cleaner, so a cached `false` is at worst conservative (the
     /// object re-encodes as a cheap back-reference).
-    clean_memo: HashMap<CAddr, bool>,
+    clean_memo: IntMap<CAddr, bool>,
     /// Encoder: objects encoded by this marshal, committed to the delta
     /// hook only after the whole message encodes successfully.
     sent: Vec<CAddr>,
@@ -698,7 +737,8 @@ impl Encoder<'_> {
         i: usize,
         out: &mut Vec<u8>,
     ) -> XdrResult<()> {
-        let fval = &obj.slots[obj.slot_index(layout, same, i)?].val;
+        let index = obj.slot_index(layout, same, i);
+        let fval = &obj.slots[index.ok_or_else(|| obj.unknown(&layout.field_names()[i]))?].val;
         match (fval, layout.kind(i)?) {
             (FieldVal::Ptr(p), FieldKind::Ptr(_)) => self.encode_ptr(*p, out),
             (FieldVal::Ptr(_), FieldKind::Scalar(ty)) => Err(mismatch(&ty.idl(), "pointer")),
@@ -887,7 +927,9 @@ impl Decoder<'_> {
                     // received value matches the sender's, so it must
                     // not be echoed back by the next delta.
                     let obj = self.heap.get_mut_untracked(local)?;
-                    let slot = obj.slot_index(layout, same, i as usize)?;
+                    let slot = obj.slot_index(layout, same, i as usize);
+                    let slot =
+                        slot.ok_or_else(|| obj.unknown(&layout.field_names()[i as usize]))?;
                     obj.slots[slot].val.overwrite(val)?;
                 }
                 Ok(Some(local))
@@ -939,6 +981,7 @@ pub fn default_value(ty: &XdrType, spec: &XdrSpec) -> XdrResult<XdrValue> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap};
 
     fn spec() -> XdrSpec {
         XdrSpec::parse(
@@ -1253,6 +1296,107 @@ mod tests {
         assert_eq!(err, XdrError::DanglingAddr(0xdead_beef));
     }
 
+    /// A `node` message a peer could write: the root announced inline as
+    /// `remote`, full, with value `v` and `next` as the given words.
+    fn inline_node(remote: CAddr, v: i32, next: &[u32]) -> Vec<u8> {
+        let words = [PTR_INLINE, (remote >> 32) as u32, remote as u32, ENC_FULL];
+        let words = words
+            .into_iter()
+            .chain([v as u32])
+            .chain(next.iter().copied());
+        words.flat_map(u32::to_be_bytes).collect()
+    }
+
+    /// A heap holding a live, a freed and a last node, and the addresses
+    /// a peer can write that it does not hold: off the stride, below its
+    /// base, one past its last slot, the freed slot, and the top of the
+    /// address space.
+    fn forged_heap() -> (ObjHeap, CAddr, [CAddr; 7]) {
+        let s = spec();
+        let mut heap = ObjHeap::with_base(0x9000_0000);
+        let live = heap.alloc_default("node", &s).unwrap();
+        let freed = heap.alloc_default("node", &s).unwrap();
+        let last = heap.alloc_default("node", &s).unwrap();
+        assert!(heap.free(freed).is_some());
+        let forged = [
+            live + 0x80,
+            live + 1,
+            live - 0x100,
+            last + 0x100,
+            freed,
+            u64::MAX,
+            !0xff,
+        ];
+        (heap, live, forged)
+    }
+
+    #[test]
+    fn a_forged_address_decodes_fresh_or_fails_typed() {
+        let s = spec();
+        let (heap, _, forged) = forged_heap();
+        for addr in forged {
+            let mut dst = heap.clone();
+            assert_eq!(dst.get(addr).err(), Some(XdrError::DanglingAddr(addr)));
+            assert!(!dst.contains(addr), "{addr:#x}");
+            assert!(dst.free(addr).is_none(), "{addr:#x}");
+            assert!(dst.get_mut(addr).is_err() && dst.scalar(addr, "v").is_err());
+            let decode = |dst: &mut ObjHeap, bytes: &[u8]| {
+                let full = MaskSet::full();
+                unmarshal_graph(
+                    bytes,
+                    "node",
+                    dst,
+                    &s,
+                    &full,
+                    Direction::In,
+                    &mut NullTracker,
+                )
+            };
+            // A delta presumes an object the receiver holds.
+            let mut delta = inline_node(addr, 0, &[]);
+            delta.truncate(16);
+            delta[15] = ENC_DELTA as u8;
+            delta.extend_from_slice(&[0; 4]);
+            let unknown = decode(&mut heap.clone(), &delta);
+            assert_eq!(unknown, Err(XdrError::DeltaForUnknown(addr)));
+            // Inline, full: a fresh object, never one already there.
+            let root = decode(&mut dst, &inline_node(addr, 7, &[PTR_NULL]));
+            let root = root.unwrap().unwrap();
+            assert!(
+                !heap.contains(root) && dst.contains(root),
+                "{addr:#x} → {root:#x}"
+            );
+            assert_eq!(dst.len(), heap.len() + 1);
+            assert_eq!(dst.scalar(root, "v"), Ok(&XdrValue::Int(7)));
+            // A back-reference to it closes a cycle; one past it fails.
+            let cycle = decode(&mut dst, &inline_node(addr, 8, &[PTR_BACKREF, 0]));
+            let cycle = cycle.unwrap().unwrap();
+            assert_eq!(dst.ptr(cycle, "next"), Ok(Some(cycle)));
+            for index in [1, u32::MAX] {
+                let past = decode(&mut dst, &inline_node(addr, 9, &[PTR_BACKREF, index]));
+                assert_eq!(past, Err(XdrError::BadBackRef(index)));
+            }
+            // The heap's readings of the address still agree.
+            assert_eq!(dst.get(addr).is_ok(), dst.contains(addr), "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn get_contains_and_free_agree_on_every_address_near_a_heap() {
+        let (mut heap, live, _) = forged_heap();
+        let near = (0..0x600).map(|d| 0x9000_0000 - 0x100 + d);
+        let edges = [0, 1, 0xff, 0x8fff_ffff, u64::MAX - 0xff, u64::MAX, live];
+        for addr in near.chain(edges) {
+            let held = heap.get(addr).is_ok();
+            assert_eq!(heap.contains(addr), held, "{addr:#x}");
+            let freed = heap.clone().free(addr);
+            assert_eq!(freed.is_some(), held, "{addr:#x}");
+            assert_eq!(heap.iter().any(|(a, _)| a == addr), held, "{addr:#x}");
+        }
+        assert!(heap.free(live).is_some() && heap.free(live).is_none());
+        assert!(!heap.contains(live) && heap.get(live).is_err());
+    }
+
     #[test]
     fn default_values_match_schema() {
         let s = spec();
@@ -1327,6 +1471,27 @@ mod tests {
             (wire.clone(), *stats),
             "same wire, same statistics"
         );
+    }
+
+    #[test]
+    fn a_field_handle_names_one_field_of_one_type() {
+        let s = embedding_spec();
+        let mut heap = ObjHeap::new();
+        let adapter = heap.alloc_default("adapter", &s).unwrap();
+        let node = heap.alloc_default("node", &s).unwrap();
+        let layout = s.layout("adapter").unwrap();
+        let msg_enable = layout.handle("msg_enable").unwrap();
+        heap.set_scalar(adapter, msg_enable, XdrValue::Int(5))
+            .unwrap();
+        assert_eq!(heap.scalar(adapter, "msg_enable"), Ok(&XdrValue::Int(5)));
+        assert_eq!(heap.field_gen(adapter, "msg_enable"), heap.generation());
+        // Slot 0 exists in a `node` too; the type refuses the handle.
+        let before = heap.generation();
+        let refused = heap.set_scalar(node, msg_enable, XdrValue::Int(1));
+        assert!(matches!(refused, Err(XdrError::UnknownField { .. })));
+        assert!(heap.scalar(node, msg_enable).is_err());
+        assert_eq!(heap.generation(), before, "nothing bumped");
+        assert_eq!(layout.handle("nope"), None);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   IDL front end (the language emitted by DriverSlicer, Figure 3).
 //! * [`codec`] — the RFC 4506 wire format (big-endian, 4-byte alignment).
 //! * [`graph`] — cycle-aware marshaling of object heaps with tracker hooks.
+//! * [`intmap`] — address-keyed tables without SipHash.
 //! * [`mask`] — field-selective marshaling masks with R/W/RW directions.
 //! * [`plan`] — compiled marshaling: per-type layouts and, per mask set,
 //!   the field indices that cross in each direction — what the graph
@@ -55,6 +56,7 @@
 pub mod codec;
 pub mod error;
 pub mod graph;
+pub mod intmap;
 pub mod mask;
 pub mod plan;
 pub mod schema;

@@ -66,6 +66,17 @@ impl TypeIds {
     }
 }
 
+/// One field of one struct type, resolved against one spec
+/// ([`Layout::handle`]): the type's id and the field's index in its
+/// layout — what a handler reads or writes a field by, with no name
+/// compared per access. Means nothing against another spec, and an
+/// object of another type refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldHandle {
+    pub(crate) ty: TypeId,
+    pub(crate) slot: u16,
+}
+
 /// What a declared field holds, resolved once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldKind {
@@ -118,6 +129,12 @@ impl Layout {
     /// The index of the field called `name` — the name → index step.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
+    }
+
+    /// The handle of the field called `name`, resolved once.
+    pub fn handle(&self, name: &str) -> Option<FieldHandle> {
+        let slot = u16::try_from(self.index_of(name)?).ok()?;
+        Some(FieldHandle { ty: self.id, slot })
     }
 
     pub(crate) fn kind(&self, index: usize) -> XdrResult<&FieldKind> {

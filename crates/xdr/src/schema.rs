@@ -154,7 +154,7 @@ impl XdrType {
             }
             (XdrType::Optional(_), XdrValue::Optional(None)) => Ok(()),
             (XdrType::Optional(inner), XdrValue::Optional(Some(v))) => inner.validate(v, spec),
-            (XdrType::Named(name), v) => spec.resolve(name)?.validate(v, spec),
+            (XdrType::Named(name), v) => spec.resolved(name)?.validate(v, spec),
             (_, found) => mismatch(found),
         }
     }
@@ -178,7 +178,7 @@ impl XdrType {
                 }
                 Some(total)
             }
-            XdrType::Named(name) => spec.resolve(name).ok()?.fixed_wire_size(spec),
+            XdrType::Named(name) => spec.resolved(name).ok()?.fixed_wire_size(spec),
             _ => None,
         }
     }

@@ -6,6 +6,7 @@
 //! typedefs, enums and structs with pointer, fixed-array and
 //! variable-array declarators — into an [`XdrSpec`] usable by the codec.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -144,15 +145,21 @@ impl XdrSpec {
 
     /// Resolves a name to a concrete type, following alias chains.
     pub fn resolve(&self, name: &str) -> XdrResult<XdrType> {
-        let mut current = name.to_string();
+        self.resolved(name).map(Cow::into_owned)
+    }
+
+    /// [`XdrSpec::resolve`], borrowing an alias's target from the spec:
+    /// only a struct or an enum name builds a type.
+    pub(crate) fn resolved(&self, name: &str) -> XdrResult<Cow<'_, XdrType>> {
+        let mut current = name;
         // Alias chains are finite in well-formed specs; cap to be safe.
         for _ in 0..64 {
-            match self.types.get(&current) {
-                Some(TypeDef::Struct(_)) => return Ok(XdrType::Struct(current)),
-                Some(TypeDef::Enum(_)) => return Ok(XdrType::Enum(current)),
-                Some(TypeDef::Alias(XdrType::Named(next))) => current = next.clone(),
-                Some(TypeDef::Alias(t)) => return Ok(t.clone()),
-                None => return Err(XdrError::UnknownType(current)),
+            match self.types.get(current) {
+                Some(TypeDef::Struct(_)) => return Ok(Cow::Owned(XdrType::Struct(current.into()))),
+                Some(TypeDef::Enum(_)) => return Ok(Cow::Owned(XdrType::Enum(current.into()))),
+                Some(TypeDef::Alias(XdrType::Named(next))) => current = next,
+                Some(TypeDef::Alias(t)) => return Ok(Cow::Borrowed(t)),
+                None => return Err(XdrError::UnknownType(current.into())),
             }
         }
         Err(XdrError::UnknownType(format!("{name} (alias cycle)")))

@@ -37,13 +37,13 @@
 //! first post-recovery transfer of every object is a full marshal.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use decaf_shmring::flow_hash;
 use decaf_simkernel::Kernel;
 use decaf_xdr::graph::CAddr;
+use decaf_xdr::intmap::IntMap;
 use decaf_xdr::mask::MaskSet;
 use decaf_xdr::plan::MarshalPlan;
 use decaf_xdr::{XdrSpec, XdrValue};
@@ -142,7 +142,7 @@ pub struct ShardedChannel {
     /// Home shard of every facade-allocated object, keyed by the address
     /// at the allocating end (addresses are globally unique across
     /// shards thanks to the heap stride).
-    homes: RefCell<HashMap<CAddr, usize>>,
+    homes: RefCell<IntMap<CAddr, usize>>,
     /// Round-robin cursor for home assignment.
     next_home: Cell<usize>,
 }
@@ -200,7 +200,7 @@ impl ShardedChannel {
                     ))
                 })
                 .collect(),
-            homes: RefCell::new(HashMap::new()),
+            homes: RefCell::default(),
             next_home: Cell::new(0),
         })
     }

@@ -12,10 +12,12 @@
 //!   first in another shares its address), so every association carries a
 //!   *type tag*; the paper uses the address of the type's XDR marshaling
 //!   function, we use the id of the type's compiled layout.
-
-use std::collections::HashMap;
+//!
+//! Both tables are consulted on every crossing that carries an object, so
+//! they hash through [`IntMap`]'s one integer mix, not SipHash.
 
 use decaf_xdr::graph::CAddr;
+use decaf_xdr::intmap::IntMap;
 use decaf_xdr::plan::{Layout, TypeId};
 use decaf_xdr::TrackerHook;
 
@@ -23,8 +25,8 @@ use decaf_xdr::TrackerHook;
 /// objects, disambiguated by type tag.
 #[derive(Debug, Default)]
 pub struct ObjectTracker {
-    by_remote: HashMap<(CAddr, TypeId), CAddr>,
-    by_local: HashMap<CAddr, (CAddr, TypeId)>,
+    by_remote: IntMap<(CAddr, TypeId), CAddr>,
+    by_local: IntMap<CAddr, (CAddr, TypeId)>,
 }
 
 impl ObjectTracker {
