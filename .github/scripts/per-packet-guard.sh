@@ -233,12 +233,14 @@ fi
 
 # Prints every std `HashMap`, `HashSet` or `BTreeMap` in the product code
 # of the tables a driver load consults per object — the heap, the walk
-# tables, the object tracker and the sharded facade's homes — and every
+# tables, the object tracker and the sharded facade's homes — and of the
+# ring sets' origin ledger, consulted per descriptor; and every
 # field a driver names with a string literal: a `.scalar(`,
 # `.set_scalar(` or `.update_scalar(` whose field argument (the second,
 # across lines) is a `"` literal, as `<file>:<line of the call>:<that
 # line>`. The heap is a slab indexed by address, the address tables hash
-# through `decaf_xdr::intmap::IntMap`, and a driver reads and writes
+# through `decaf_xdr::intmap::IntMap`, the origin ledger is a table
+# indexed by the cookie's own bits, and a driver reads and writes
 # fields by the `FieldHandle`s its image resolved once
 # (`support::Linked`). Product code only, each file up to its trailing
 # test module; a listed file or directory that does not exist prints
@@ -246,7 +248,8 @@ fi
 for f in \
     crates/xdr/src/graph.rs \
     crates/xpc/src/tracker.rs \
-    crates/xpc/src/shard.rs
+    crates/xpc/src/shard.rs \
+    crates/shmring/src/ringset.rs
 do
     if [ ! -f "$f" ]; then
         echo "$f: missing"

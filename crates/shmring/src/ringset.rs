@@ -45,8 +45,6 @@
 //! hundreds of enumerated interleavings.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use decaf_simkernel::{CpuClass, Kernel};
@@ -141,30 +139,6 @@ pub fn flow_hash(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One [`flow_hash`] round per ledger operation. Cookies are minted by
-/// the drivers (completion-slab slots, device slot indices), never taken
-/// from outside the program, so the default hasher's collision defence
-/// buys nothing here — and the ledger is consulted three times per
-/// descriptor at every shard count, one shard included.
-#[derive(Default)]
-struct CookieHasher(u64);
-
-impl Hasher for CookieHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b.into());
-        }
-    }
-
-    fn write_u64(&mut self, cookie: u64) {
-        self.0 = flow_hash(self.0 ^ cookie);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// What a ring set needs to know about the descriptor it carries.
 pub trait RingDescriptor: Copy + Default {
     /// The payload pool a data path over these rings draws from: the
@@ -201,6 +175,102 @@ struct Noted {
     hwm_before: u64,
 }
 
+/// The origin ledger: every in-flight cookie and its [`Noted`] record,
+/// in an open-addressed table indexed by the cookie's own low bits —
+/// no hashing, because cookies are minted by the drivers as slot
+/// indices and sequence numbers (a uhci cookie's slot sits in its low
+/// bits, its generation above), so consecutive cookies land in
+/// consecutive slots. Any `u64` is a valid cookie: two that share their
+/// low bits probe forward (linear probing), and a removal shifts the
+/// probe run behind it back instead of leaving a tombstone, so a lookup
+/// stops at the first empty slot. At least half the slots stay empty:
+/// the table doubles when a note would fill more. It starts empty, so
+/// it is sized by the most descriptors ever in flight at once.
+#[derive(Debug, Default)]
+struct Origins {
+    /// A power of two long (or empty).
+    slots: Vec<Option<(u64, Noted)>>,
+    len: usize,
+}
+
+impl Origins {
+    fn mask(&self) -> usize {
+        self.slots.len().wrapping_sub(1)
+    }
+
+    /// The slot holding `cookie`, if it is in flight.
+    fn find(&self, cookie: u64) -> Option<usize> {
+        let mask = self.mask();
+        let mut i = cookie as usize & mask;
+        loop {
+            match self.slots.get(i)? {
+                Some((held, _)) if *held == cookie => return Some(i),
+                Some(_) => i = (i + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+
+    fn get(&self, cookie: u64) -> Option<&Noted> {
+        self.find(cookie)
+            .and_then(|i| self.slots[i].as_ref())
+            .map(|(_, n)| n)
+    }
+
+    /// Records `cookie`, replacing the record of the same cookie if it
+    /// is already in flight.
+    fn insert(&mut self, cookie: u64, noted: Noted) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.mask();
+        let mut i = cookie as usize & mask;
+        while let Some((held, record)) = &mut self.slots[i] {
+            if *held == cookie {
+                *record = noted;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Some((cookie, noted));
+        self.len += 1;
+    }
+
+    /// Takes `cookie`'s record out, moving each later entry of its probe
+    /// run back into the hole when the hole lies on that entry's path
+    /// from its home slot.
+    fn remove(&mut self, cookie: u64) -> Option<Noted> {
+        let mut hole = self.find(cookie)?;
+        let (_, noted) = self.slots[hole].take()?;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut next = (hole + 1) & mask;
+        while let Some((held, _)) = self.slots[next] {
+            let home = held as usize & mask;
+            // Distance from home to `next` at least that from the hole:
+            // the hole is on the probe path.
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next].take();
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        Some(noted)
+    }
+
+    /// Doubles the table (eight slots the first time), re-placing every
+    /// record.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (2 * self.slots.len()).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![None; slots]);
+        self.len = 0;
+        for (cookie, noted) in old.into_iter().flatten() {
+            self.insert(cookie, noted);
+        }
+    }
+}
+
 /// One shard's counters plus its in-flight count (denormalized from the
 /// origin ledger so the per-shard conservation check is O(1)).
 #[derive(Debug, Default, Clone, Copy)]
@@ -227,7 +297,7 @@ pub struct ShardedRings<D: RingDescriptor> {
     /// in-flight high-water mark *before* the note — what
     /// [`ShardedRings::cancel_post`] restores when the post the note
     /// announced never happened.
-    origin: RefCell<HashMap<u64, Noted, BuildHasherDefault<CookieHasher>>>,
+    origin: RefCell<Origins>,
     shards: RefCell<Vec<ShardLedger>>,
 }
 
@@ -305,7 +375,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
             rings: rings("", capacity),
             completions: rings("-done", completion_capacity),
             pool,
-            origin: RefCell::new(HashMap::default()),
+            origin: RefCell::default(),
             shards: RefCell::new(vec![ShardLedger::default(); shards]),
         })
     }
@@ -367,7 +437,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
     /// forced-doorbell drain only ever *lowers* in-flight), which is the
     /// only way the note/cancel pair is used.
     pub fn cancel_post(&self, cookie: u64) {
-        if let Some(noted) = self.origin.borrow_mut().remove(&cookie) {
+        if let Some(noted) = self.origin.borrow_mut().remove(cookie) {
             let mut shards = self.shards.borrow_mut();
             let s = &mut shards[noted.shard];
             s.in_flight -= 1;
@@ -414,7 +484,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
         let cookie = desc.cookie();
         // One lookup: the record comes out here, and goes back if the
         // completion cannot land.
-        let noted = self.origin.borrow_mut().remove(&cookie);
+        let noted = self.origin.borrow_mut().remove(cookie);
         let noted = noted.ok_or(RingSetError::UnknownOrigin(cookie))?;
         let shard = noted.shard;
         match self.completions[shard].push(kernel, class, desc) {
@@ -455,7 +525,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
 
     /// Descriptors posted but not yet completed, across all shards.
     pub fn in_flight(&self) -> usize {
-        self.origin.borrow().len()
+        self.origin.borrow().len
     }
 
     /// Descriptors in flight on one shard.
@@ -465,7 +535,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
 
     /// The posting shard of an in-flight cookie.
     pub fn origin_of(&self, cookie: u64) -> Option<usize> {
-        self.origin.borrow().get(&cookie).map(|n| n.shard)
+        self.origin.borrow().get(cookie).map(|n| n.shard)
     }
 
     /// One shard's conservation counters.

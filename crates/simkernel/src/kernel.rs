@@ -8,6 +8,8 @@ use crate::clock::{Clock, ClockSnapshot, CpuClass};
 use crate::costs;
 use crate::error::{KError, KResult};
 use crate::input::InputState;
+#[cfg(debug_assertions)]
+use crate::mutation::{self, Mutant};
 use crate::net::NetState;
 use crate::sound::SoundState;
 use crate::usb::UsbState;
@@ -171,6 +173,11 @@ impl Timers {
         }
         self.entries[idx].callback.clone()
     }
+
+    /// The earliest armed deadline: the heap's root.
+    fn next_deadline(&self) -> Option<u64> {
+        self.armed.first().map(|&(d, _)| d)
+    }
 }
 
 /// A registered interrupt handler.
@@ -242,6 +249,10 @@ pub(crate) struct Inner {
     /// One bit per line: `disable_depth > 0`.
     irq_masked: Cell<u64>,
     timers: RefCell<Timers>,
+    /// The root deadline of `timers`' heap, refreshed by every arm,
+    /// disarm and fire ([`Kernel::with_timers`]): what dispatch reads to
+    /// learn that no timer is due, without borrowing the table.
+    next_deadline: Cell<Option<u64>>,
     /// Queued work: a shared body and its run's argument word.
     work: RefCell<VecDeque<(WorkBody, u64)>>,
     modules: RefCell<Vec<LoadedModule>>,
@@ -326,6 +337,7 @@ impl Kernel {
                 irq_pending: Cell::new(0),
                 irq_masked: Cell::new(0),
                 timers: RefCell::new(Timers::default()),
+                next_deadline: Cell::new(None),
                 work: RefCell::new(VecDeque::new()),
                 modules: RefCell::new(Vec::new()),
                 violations: RefCell::new(Vec::new()),
@@ -669,7 +681,7 @@ impl Kernel {
     /// Arms `timer` to fire once, `delay_ns` from now (like `mod_timer`).
     pub fn timer_arm(&self, timer: TimerId, delay_ns: u64) {
         let deadline = self.now_ns() + delay_ns;
-        self.inner.timers.borrow_mut().arm(timer.0, deadline, None);
+        self.with_timers(|t| t.arm(timer.0, deadline, None));
     }
 
     /// Arms `timer` to fire once at absolute virtual time `deadline_ns`
@@ -681,17 +693,14 @@ impl Kernel {
     /// one-dispatch drift that repeated `now + delta` arithmetic can.
     pub fn timer_arm_at(&self, timer: TimerId, deadline_ns: u64) {
         let deadline = deadline_ns.max(self.now_ns());
-        self.inner.timers.borrow_mut().arm(timer.0, deadline, None);
+        self.with_timers(|t| t.arm(timer.0, deadline, None));
     }
 
     /// Arms `timer` to fire every `period_ns` (must be positive).
     pub fn timer_arm_periodic(&self, timer: TimerId, period_ns: u64) {
         assert!(period_ns > 0, "periodic timers require a positive period");
         let deadline = self.now_ns() + period_ns;
-        self.inner
-            .timers
-            .borrow_mut()
-            .arm(timer.0, deadline, Some(period_ns));
+        self.with_timers(|t| t.arm(timer.0, deadline, Some(period_ns)));
     }
 
     /// Disarms and destroys `timer` (like `del_timer_sync`), dropping its
@@ -699,15 +708,25 @@ impl Kernel {
     /// channels alive until the kernel goes. A timer deleting itself from
     /// inside its callback is safe — dispatch runs a clone.
     pub fn timer_del(&self, timer: TimerId) {
-        let mut timers = self.inner.timers.borrow_mut();
-        timers.disarm(timer.0);
+        #[cfg(debug_assertions)]
+        let cached = self.inner.next_deadline.get();
+        let callback = self.with_timers(|timers| {
+            timers.disarm(timer.0);
+            let entry = timers.entries.get_mut(timer.0)?;
+            #[cfg(debug_assertions)]
+            if mutation::armed(Mutant::TimerDelKeepsCallback) {
+                // Planted bug: the callback outlives its timer.
+                return None;
+            }
+            entry.callback.take()
+        });
+        #[cfg(debug_assertions)]
+        if mutation::armed(Mutant::TimerDelKeepsDeadline) {
+            // Planted bug: the cache keeps the deleted timer's deadline.
+            self.inner.next_deadline.set(cached);
+        }
         // Dropped after the borrow is released: a captured value's `Drop`
         // may itself delete timers.
-        let callback = timers
-            .entries
-            .get_mut(timer.0)
-            .and_then(|t| t.callback.take());
-        drop(timers);
         drop(callback);
     }
 
@@ -721,7 +740,16 @@ impl Kernel {
     }
 
     fn next_timer_deadline(&self) -> Option<u64> {
-        self.inner.timers.borrow().armed.first().map(|&(d, _)| d)
+        self.inner.next_deadline.get()
+    }
+
+    /// Runs `f` on the timer table, then refreshes the cached root
+    /// deadline — the one way the table changes after a timer is created.
+    fn with_timers<R>(&self, f: impl FnOnce(&mut Timers) -> R) -> R {
+        let mut timers = self.inner.timers.borrow_mut();
+        let r = f(&mut timers);
+        self.inner.next_deadline.set(timers.next_deadline());
+        r
     }
 
     // ---------------------------------------------------- work queue
@@ -734,6 +762,7 @@ impl Kernel {
     /// operations that must reach the decaf driver (§3.1.3). The body is
     /// built once and queued by handle: a reference-count bump and one
     /// word, no allocation.
+    #[inline]
     pub fn schedule_work_handle(&self, body: &WorkBody, arg: u64) {
         let item = (Rc::clone(body), arg);
         self.inner.work.borrow_mut().push_back(item);
@@ -793,17 +822,17 @@ impl Kernel {
 
     fn fire_one_timer(&self) -> bool {
         let now = self.now_ns();
-        let due = self.inner.timers.borrow_mut().take_due(now);
-        match due {
-            Some(cb) => {
-                let _span = self.trace_span("kernel", "timer");
-                self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
-                self.bump_stats(|s| s.timers_fired += 1);
-                self.with_context(ExecContext::SoftIrq, || cb(self));
-                true
-            }
-            None => false,
+        if self.next_timer_deadline().is_none_or(|d| d > now) {
+            return false;
         }
+        let Some(cb) = self.with_timers(|t| t.take_due(now)) else {
+            return false;
+        };
+        let _span = self.trace_span("kernel", "timer");
+        self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
+        self.bump_stats(|s| s.timers_fired += 1);
+        self.with_context(ExecContext::SoftIrq, || cb(self));
+        true
     }
 
     fn run_one_work(&self) -> bool {
@@ -1366,8 +1395,12 @@ mod tests {
 
     #[test]
     fn timer_del_frees_what_the_callback_captured() {
-        // A removed driver's timers must not keep its channels alive
-        // until the kernel is dropped.
+        delete_a_capturing_timer();
+    }
+
+    /// A removed driver's timers must not keep its channels alive until
+    /// the kernel is dropped: a deleted timer's capture is freed at once.
+    fn delete_a_capturing_timer() {
         let k = Kernel::new();
         let captured = Rc::new(());
         let weak = Rc::downgrade(&captured);
@@ -1420,5 +1453,181 @@ mod tests {
         k.run_for(0);
         assert_eq!(count.get(), 2);
         assert_eq!(k.work_pending(), 0);
+    }
+
+    // ------------------------------------- the cached root deadline
+
+    /// Fires what is due on `k` as dispatch did before the root deadline
+    /// was cached: `take_due` on every attempt, whatever the cache says.
+    fn dispatch_uncached(k: &Kernel) {
+        loop {
+            let due = k.inner.timers.borrow_mut().take_due(k.now_ns());
+            let Some(cb) = due else { return };
+            k.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
+            k.bump_stats(|s| s.timers_fired += 1);
+            k.with_context(ExecContext::SoftIrq, || cb(k));
+        }
+    }
+
+    /// `run_for` over [`dispatch_uncached`], reading the heap's root.
+    fn run_for_uncached(k: &Kernel, ns: u64) {
+        let end = k.now_ns() + ns;
+        loop {
+            dispatch_uncached(k);
+            let now = k.now_ns();
+            if now >= end {
+                break;
+            }
+            let next = k.inner.timers.borrow().next_deadline();
+            k.advance_idle(next.map_or(end, |d| d.clamp(now, end)) - now);
+        }
+        dispatch_uncached(k);
+    }
+
+    /// Per timer, the timer its callback deletes, if any.
+    type Victims = Rc<[StdCell<Option<usize>>]>;
+
+    /// Eight recording timers on `k`. When timer `i` fires it also
+    /// deletes the timer `victims[i]` names, if any — itself included.
+    fn victim_timers(k: &Kernel, log: &FireLog) -> (Vec<TimerId>, Victims) {
+        let victims: Victims = (0..8).map(|_| StdCell::new(None)).collect();
+        let ids = Rc::new(StdCell::new(Vec::new()));
+        let timers: Vec<TimerId> = (0..8)
+            .map(|i| {
+                let (log, victims, ids) = (Rc::clone(log), Rc::clone(&victims), Rc::clone(&ids));
+                k.timer_create(
+                    "victim",
+                    Rc::new(move |k: &Kernel| {
+                        log.borrow_mut().push((i as u32, k.now_ns()));
+                        if let Some(v) = victims[i].get() {
+                            let all: Vec<TimerId> = ids.take();
+                            k.timer_del(all[v]);
+                            ids.set(all);
+                        }
+                    }),
+                )
+            })
+            .collect();
+        ids.set(timers.clone());
+        (timers, victims)
+    }
+
+    /// One random sequence of arms (relative, absolute and often in the
+    /// past, periodic), deletions (direct and from inside a callback),
+    /// busy time and `run_for`, on two kernels: one dispatching as the
+    /// kernel does, one through [`dispatch_uncached`]. After every step
+    /// the first one's cached deadline is its heap's root, and both fired
+    /// the same timers at the same times.
+    fn cached_deadline_run(seed: u64) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (cached, uncached) = (Kernel::new(), Kernel::new());
+        let (log_c, log_u): (FireLog, FireLog) = Default::default();
+        let (ids_c, victims_c) = victim_timers(&cached, &log_c);
+        let (ids_u, victims_u) = victim_timers(&uncached, &log_u);
+        for step in 0..160 {
+            let (i, ns) = (next(8) as usize, 20 * (1 + next(2_000)));
+            let now = cached.now_ns();
+            match next(8) {
+                0 => {
+                    cached.timer_arm(ids_c[i], ns);
+                    uncached.timer_arm(ids_u[i], ns);
+                }
+                1 => {
+                    let at = (now + ns).saturating_sub(20_000);
+                    cached.timer_arm_at(ids_c[i], at);
+                    uncached.timer_arm_at(ids_u[i], at);
+                }
+                2 => {
+                    let period = 8 * costs::SOFTIRQ_DISPATCH_NS + ns;
+                    cached.timer_arm_periodic(ids_c[i], period);
+                    uncached.timer_arm_periodic(ids_u[i], period);
+                }
+                3 if next(3) == 0 => {
+                    cached.timer_del(ids_c[i]);
+                    uncached.timer_del(ids_u[i]);
+                }
+                4 => {
+                    let victim = (next(4) == 0).then(|| next(8) as usize);
+                    victims_c[i].set(victim);
+                    victims_u[i].set(victim);
+                }
+                5 => {
+                    cached.charge_kernel(ns);
+                    uncached.charge_kernel(ns);
+                }
+                6 | 7 => {
+                    cached.run_for(ns);
+                    run_for_uncached(&uncached, ns);
+                }
+                _ => {}
+            }
+            let root = cached.inner.timers.borrow().next_deadline();
+            assert_eq!(
+                cached.next_timer_deadline(),
+                root,
+                "seed {seed} step {step}: cached root"
+            );
+            assert_eq!(
+                cached.now_ns(),
+                uncached.now_ns(),
+                "seed {seed} step {step}: clock"
+            );
+            assert_eq!(
+                *log_c.borrow(),
+                *log_u.borrow(),
+                "seed {seed} step {step}: fires"
+            );
+        }
+        assert_eq!(cached.stats(), uncached.stats(), "seed {seed}");
+    }
+
+    #[test]
+    fn the_cached_deadline_is_the_heap_root_and_fires_what_take_due_fired() {
+        for seed in 0..64 {
+            cached_deadline_run(seed);
+        }
+    }
+
+    /// The message a caught panic carried.
+    #[cfg(debug_assertions)]
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |m| m.to_string()),
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn museum_a_deleted_timer_that_keeps_its_callback_is_caught() {
+        // The fixed leak, re-planted: the capture outlives the timer.
+        mutation::arm(Mutant::TimerDelKeepsCallback);
+        let caught = std::panic::catch_unwind(delete_a_capturing_timer);
+        mutation::disarm();
+        let msg = panic_message(caught.expect_err("the kept callback went unseen"));
+        assert!(msg.contains("freed with the kernel alive"), "{msg}");
+        delete_a_capturing_timer();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn museum_a_stale_deadline_after_timer_del_is_caught() {
+        mutation::arm(Mutant::TimerDelKeepsDeadline);
+        let caught = std::panic::catch_unwind(|| {
+            for seed in 0..64 {
+                cached_deadline_run(seed);
+            }
+        });
+        mutation::disarm();
+        let msg = panic_message(caught.expect_err("the stale deadline went unseen"));
+        assert!(msg.contains("cached root"), "{msg}");
     }
 }

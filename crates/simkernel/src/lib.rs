@@ -37,6 +37,8 @@ pub mod error;
 pub mod input;
 pub mod kernel;
 pub mod mmio;
+#[cfg(debug_assertions)]
+pub mod mutation;
 pub mod net;
 pub mod sound;
 pub mod sync;

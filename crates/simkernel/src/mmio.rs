@@ -34,24 +34,28 @@ impl MmioRegion {
     }
 
     /// Reads a 32-bit register (charges MMIO read cost).
+    #[inline]
     pub fn read32(&self, kernel: &Kernel, offset: u64) -> u32 {
         kernel.charge_kernel(costs::MMIO_READ_NS);
         self.handle.borrow_mut().read32(kernel, offset)
     }
 
     /// Writes a 32-bit register (charges MMIO write cost).
+    #[inline]
     pub fn write32(&self, kernel: &Kernel, offset: u64, value: u32) {
         kernel.charge_kernel(costs::MMIO_WRITE_NS);
         self.handle.borrow_mut().write32(kernel, offset, value);
     }
 
     /// Reads as a port I/O access (slower; used by UHCI and psmouse).
+    #[inline]
     pub fn inl(&self, kernel: &Kernel, offset: u64) -> u32 {
         kernel.charge_kernel(costs::PORT_IO_NS);
         self.handle.borrow_mut().read32(kernel, offset)
     }
 
     /// Writes as a port I/O access.
+    #[inline]
     pub fn outl(&self, kernel: &Kernel, offset: u64, value: u32) {
         kernel.charge_kernel(costs::PORT_IO_NS);
         self.handle.borrow_mut().write32(kernel, offset, value);
@@ -215,21 +219,25 @@ impl DmaMemory {
     /// # Panics
     /// Every accessor panics with `dma <op> bounds: <offset>+<len> >
     /// <size>` if the access is out of bounds.
+    #[inline]
     pub fn read_u32(&self, offset: usize) -> u32 {
         u32::from_le_bytes(self.read("read_u32", offset))
     }
 
     /// Writes a `u32` at byte `offset` (little-endian).
+    #[inline]
     pub fn write_u32(&self, offset: usize, value: u32) {
         self.write("write_u32", offset, &value.to_le_bytes());
     }
 
     /// Reads a `u64` at byte `offset` (little-endian).
+    #[inline]
     pub fn read_u64(&self, offset: usize) -> u64 {
         u64::from_le_bytes(self.read("read_u64", offset))
     }
 
     /// Writes a `u64` at byte `offset` (little-endian).
+    #[inline]
     pub fn write_u64(&self, offset: usize, value: u64) {
         self.write("write_u64", offset, &value.to_le_bytes());
     }

@@ -800,12 +800,25 @@ impl XpcChannel {
         self.peer(domain).map(|e| e.domain)
     }
 
-    /// Prices one one-way transfer of `bytes` paid by `payer`. This is
-    /// the one instrumentation point covering every transport kind:
-    /// every synchronous crossing emits an `xpc.crossing` trace instant
-    /// named after its kind.
-    fn charge_transfer(&self, kernel: &Kernel, launch: bool, payer: Domain, bytes: usize) {
-        self.bump(|s| s.one_way_crossings += 1);
+    /// Counts and prices one one-way transfer of `bytes` in `dir`, paid
+    /// by `payer`. This is the one instrumentation point covering every
+    /// transport kind: every synchronous crossing emits an `xpc.crossing`
+    /// trace instant named after its kind.
+    fn charge_transfer(
+        &self,
+        kernel: &Kernel,
+        launch: bool,
+        payer: Domain,
+        dir: Direction,
+        bytes: usize,
+    ) {
+        self.bump(|s| {
+            match dir {
+                Direction::In => s.bytes_in += bytes as u64,
+                Direction::Out => s.bytes_out += bytes as u64,
+            }
+            s.one_way_crossings += 1;
+        });
         let class = payer.cpu_class();
         let (kind, domain_crossing) = (self.config.transport, self.config.domain_crossing);
         let cost = kind.crossing_cost_ns(domain_crossing);
@@ -946,11 +959,7 @@ impl XpcChannel {
             false => Vec::new(),
         };
         let bytes = wire.len() + scalar_bytes;
-        self.bump(|s| match dir {
-            Direction::In => s.bytes_in += bytes as u64,
-            Direction::Out => s.bytes_out += bytes as u64,
-        });
-        self.charge_transfer(kernel, launch, src.domain, bytes);
+        self.charge_transfer(kernel, launch, src.domain, dir, bytes);
         if !objects {
             return Ok(());
         }
@@ -1397,6 +1406,19 @@ impl XpcChannel {
         Err(XpcError::FlushDiverged(self.deferred.pending()))
     }
 
+    /// Whether every group crossing must take the marshaling path,
+    /// object-free ones included: what the twin-channel tests set to
+    /// compare the bare crossing with the full one.
+    #[cfg(test)]
+    fn full_crossing_forced() -> bool {
+        tests::FULL_CROSSING.with(Cell::get)
+    }
+
+    #[cfg(not(test))]
+    fn full_crossing_forced() -> bool {
+        false
+    }
+
     /// Executes one same-direction group of calls from `from` — one
     /// crossing ([`XpcChannel::cross_group`]), or, when that fails before
     /// any handler ran, call by call.
@@ -1437,18 +1459,24 @@ impl XpcChannel {
         let target = self.peer(from)?;
         self.record_atomic_violation(kernel, target, None);
 
-        let mut defs = self.defs.take();
-        defs.clear();
-        for GroupCall(proc, ..) in group.clone() {
-            defs.push(self.def(target, proc)?);
-        }
-
-        // One wire message for the whole batch: roots share a seen-table,
-        // so an object repeated across calls crosses once.
-        let all_roots: Vec<Option<CAddr>> = group
-            .clone()
-            .flat_map(|GroupCall(_, args, ..)| args.iter().copied())
-            .collect();
+        // A one-call group keeps its definition here, a batch's go in the
+        // scratch: all resolved before any handler runs.
+        let (mut batch, one);
+        let defs: &[ProcSlot] = match group.clone().next() {
+            Some(GroupCall(proc, ..)) if group.len() == 1 => {
+                batch = Vec::new();
+                one = [self.def(target, proc)?];
+                &one
+            }
+            _ => {
+                batch = self.defs.take();
+                batch.clear();
+                for GroupCall(proc, ..) in group.clone() {
+                    batch.push(self.def(target, proc)?);
+                }
+                &batch
+            }
+        };
         let all_types = || {
             defs.iter()
                 .flat_map(|d| d.arg_ids.as_slice().iter().copied())
@@ -1458,20 +1486,36 @@ impl XpcChannel {
             .flat_map(|GroupCall(_, _, scalars, _)| scalars.iter())
             .map(Self::scalar_wire_bytes)
             .sum();
-        let dir = Direction::In;
-        let mut locals = self.locals.take();
-        locals.clear();
-        self.cross(
-            kernel,
-            launch,
-            caller,
-            target,
-            &all_roots,
-            all_types(),
-            dir,
-            scalar_in,
-            &mut |local| locals.push(local),
-        )?;
+        // A group that passes no object and declares none — every
+        // doorbell — has nothing to marshal: its legs are bare transfers,
+        // and it gathers no roots and borrows no argument scratch.
+        let objects = Self::full_crossing_forced()
+            || group.clone().any(|GroupCall(_, args, ..)| !args.is_empty())
+            || all_types().next().is_some();
+        let mut locals = Vec::new();
+        if objects {
+            // One wire message for the whole batch: roots share a
+            // seen-table, so an object repeated across calls crosses once.
+            let all_roots: Vec<Option<CAddr>> = group
+                .clone()
+                .flat_map(|GroupCall(_, args, ..)| args.iter().copied())
+                .collect();
+            locals = self.locals.take();
+            locals.clear();
+            self.cross(
+                kernel,
+                launch,
+                caller,
+                target,
+                &all_roots,
+                all_types(),
+                Direction::In,
+                scalar_in,
+                &mut |local| locals.push(local),
+            )?;
+        } else {
+            self.charge_transfer(kernel, launch, caller.domain, Direction::In, scalar_in);
+        }
 
         // Dispatch each call in queue order; results are discarded and
         // faults contained (deferred calls have no waiting caller).
@@ -1489,29 +1533,35 @@ impl XpcChannel {
         }
 
         // One return crossing updates every caller-side object.
-        let (dir, unused) = (Direction::Out, &mut |_| ());
-        let returned = self.cross(
-            kernel,
-            launch,
-            target,
-            caller,
-            &locals,
-            all_types(),
-            dir,
-            0,
-            unused,
-        );
-        if returned.is_err() {
-            // The handlers have run (one freed an argument, say): the
-            // group is done and must not run again. One fault, nothing
-            // launched, and its tokens resolve here, synchronously.
-            self.bump(|s| s.faults += 1);
-            self.resolve_tokens(group.clone().filter_map(|GroupCall(.., token)| token));
-            return Ok(());
+        if objects {
+            let (dir, unused) = (Direction::Out, &mut |_| ());
+            let returned = self.cross(
+                kernel,
+                launch,
+                target,
+                caller,
+                &locals,
+                all_types(),
+                dir,
+                0,
+                unused,
+            );
+            if returned.is_err() {
+                // The handlers have run (one freed an argument, say): the
+                // group is done and must not run again. One fault, nothing
+                // launched, and its tokens resolve here, synchronously.
+                self.bump(|s| s.faults += 1);
+                self.resolve_tokens(group.clone().filter_map(|GroupCall(.., token)| token));
+                return Ok(());
+            }
+            self.locals.set(locals);
+        } else {
+            self.charge_transfer(kernel, launch, target.domain, Direction::Out, 0);
         }
-        self.locals.set(locals);
-        defs.clear();
-        self.defs.set(defs);
+        if !batch.is_empty() {
+            batch.clear();
+            self.defs.set(batch);
+        }
 
         if launch {
             let config = self.config;
@@ -3032,6 +3082,12 @@ mod tests {
 
     // ------------------------------------------- the launched doorbell
 
+    thread_local! {
+        /// Forces every group crossing on this thread onto the full
+        /// marshaling path ([`XpcChannel::full_crossing_forced`]).
+        pub(super) static FULL_CROSSING: Cell<bool> = const { Cell::new(false) };
+    }
+
     /// Everything a doorbell may leave behind on its channel and kernel.
     type End = (
         String,
@@ -3043,20 +3099,28 @@ mod tests {
         Vec<decaf_simkernel::decaf_trace::TraceEvent>,
     );
 
-    /// Rings a doorbell on a fresh, traced channel of `config` — through
-    /// [`XpcChannel::launch_resolved`] when `launch`, else by parking it
-    /// and flushing — optionally behind a parked control call and with
-    /// deadline wakeups armed. The bell's handler returns (`0`), parks a
-    /// call of its own (`1`), panics (`2`) or parks a call that parks
-    /// itself again forever (`3`). Then lets time pass, harvests, and lets
-    /// the wakeup timer come due.
-    fn ring_once(
-        config: ChannelConfig,
-        wakeups: bool,
-        parked: bool,
-        body: u8,
-        launch: bool,
-    ) -> End {
+    /// How [`ring_once`] rings its doorbell.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ring {
+        /// Parked, then flushed.
+        Parked,
+        /// Through [`XpcChannel::launch_resolved`].
+        Launched,
+        /// Launched, with every group crossing forced onto the full
+        /// marshaling path: the crossing an object-free group took
+        /// before it crossed bare.
+        LaunchedFull,
+    }
+
+    /// Rings a doorbell on a fresh, traced channel of `config` as `how`
+    /// says, optionally behind a parked control call and with deadline
+    /// wakeups armed. The bell's handler returns (`0`), parks a call of
+    /// its own (`1`), panics (`2`) or parks a call that parks itself
+    /// again forever (`3`); or the bell declares an object argument it
+    /// is rung without (`4`), which no crossing may skip. Then lets time
+    /// pass, harvests, and lets the wakeup timer come due.
+    fn ring_once(config: ChannelConfig, wakeups: bool, parked: bool, body: u8, how: Ring) -> End {
+        FULL_CROSSING.with(|f| f.set(how == Ring::LaunchedFull));
         use decaf_simkernel::decaf_trace::Tracer;
         let k = Kernel::new();
         let tracer = Tracer::new();
@@ -3077,7 +3141,8 @@ mod tests {
             XdrValue::Void
         });
         ch.register_proc(Domain::Nucleus, again).unwrap();
-        let bell = ProcDef::entry("bell", no_objects, move |k, ch, _, s| {
+        let declared: &[&str] = if body == 4 { &["adapter"] } else { &[] };
+        let bell = ProcDef::entry("bell", declared.iter().copied(), move |k, ch, _, s| {
             k.charge_user(7);
             match body {
                 0 => {}
@@ -3100,11 +3165,11 @@ mod tests {
         }
         let bell = ch.resolve_proc(Domain::Nucleus, "bell").unwrap();
         let count = [XdrValue::UInt(3)];
-        let rung = match launch {
-            true => ch.launch_resolved(&k, Domain::Nucleus, bell, &count),
-            false => ch
+        let rung = match how {
+            Ring::Parked => ch
                 .call_deferred_resolved(&k, Domain::Nucleus, bell, &[], &count)
                 .and_then(|_| ch.flush(&k)),
+            _ => ch.launch_resolved(&k, Domain::Nucleus, bell, &count),
         };
         let timer = ch.wakeup.get().map(|w| k.timer_pending(w.timer));
         k.run_for(3_000);
@@ -3112,6 +3177,7 @@ mod tests {
         let outstanding = ch.tokens_outstanding();
         k.run_for(2 * BATCH_DEADLINE_NS);
         let events = tracer.events();
+        FULL_CROSSING.with(|f| f.set(false));
         (
             format!("{rung:?}"),
             ch.stats(),
@@ -3130,17 +3196,30 @@ mod tests {
             ChannelConfig::kernel_user_async(),
         ];
         for config in kinds {
-            for (wakeups, parked, body) in (0..16).map(|i| (i & 1 == 1, i & 2 == 2, i as u8 / 4)) {
+            for (wakeups, parked, body) in (0..20).map(|i| (i & 1 == 1, i & 2 == 2, i as u8 / 4)) {
                 let case = (config.transport, wakeups, parked, body);
-                let old = ring_once(config, wakeups, parked, body, false);
-                let new = ring_once(config, wakeups, parked, body, true);
-                assert_eq!(new.0, old.0, "{case:?}: result");
-                assert_eq!(new.1, old.1, "{case:?}: channel stats");
-                assert_eq!(new.2, old.2, "{case:?}: clocks");
-                assert_eq!(new.3, old.3, "{case:?}: harvested tokens");
-                assert_eq!(new.4, old.4, "{case:?}: outstanding after harvest");
-                assert_eq!(new.5, old.5, "{case:?}: wakeup timer pending");
-                assert_eq!(new.6, old.6, "{case:?}: trace events");
+                let new = ring_once(config, wakeups, parked, body, Ring::Launched);
+                // Against the bell parked and flushed, and against the
+                // same launch forced across the full marshaling path:
+                // the bare crossing leaves what each of them left.
+                for how in [Ring::Parked, Ring::LaunchedFull] {
+                    let old = ring_once(config, wakeups, parked, body, how);
+                    assert_eq!(new.0, old.0, "{case:?} {how:?}: result");
+                    assert_eq!(new.1, old.1, "{case:?} {how:?}: channel stats");
+                    assert_eq!(new.2, old.2, "{case:?} {how:?}: clocks");
+                    assert_eq!(new.3, old.3, "{case:?} {how:?}: harvested tokens");
+                    assert_eq!(new.4, old.4, "{case:?} {how:?}: outstanding");
+                    assert_eq!(new.5, old.5, "{case:?} {how:?}: wakeup timer pending");
+                    assert_eq!(new.6, old.6, "{case:?} {how:?}: trace events");
+                }
+                if body == 4 {
+                    // The declared object is marshaled though none was
+                    // passed: the group crossing fails before any handler
+                    // runs and the call falls back alone — the full path,
+                    // which a bare crossing would have skipped.
+                    assert_eq!((new.1.faults, new.1.flushes), (1, 0), "{case:?}");
+                    continue;
+                }
                 assert_eq!(new.1.faults, (body == 2) as u64, "{case:?}");
                 // The handler that re-defers forever leaves its call
                 // parked, token and all; every other case closes.
