@@ -293,3 +293,28 @@ else
             ' || true
     done
 fi
+
+# Prints every `decaf_readl(`, `decaf_writel(` or `set_field(` in the
+# product code of the merged drivers: each control entry point is one
+# body over `support::Io`, and only `support::Over` — the decaf hosting
+# of that body — reaches registers and root fields through the channel.
+# A call here would be a second, decaf-only copy of a control path.
+# Product code only, each file up to its trailing test module; a listed
+# file that does not exist prints "<file>: missing".
+for f in \
+    crates/drivers/src/e1000/mod.rs \
+    crates/drivers/src/e1000/decaf.rs \
+    crates/drivers/src/e1000/native.rs \
+    crates/drivers/src/rtl8139.rs \
+    crates/drivers/src/ens1371.rs \
+    crates/drivers/src/uhci.rs \
+    crates/drivers/src/psmouse.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -n 'decaf_readl(\|decaf_writel(\|set_field(' |
+        sed "s|^|$f:|" || true
+done

@@ -25,25 +25,20 @@
 //! 1 on the synchronous shmring transport.
 
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use decaf_simdev::E1000Device;
 
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{KError, KResult, Kernel};
-use decaf_xdr::graph::CAddr;
-use decaf_xdr::plan::FieldHandle;
-use decaf_xdr::XdrValue;
 use decaf_xpc::{
     ChannelConfig, Domain, ProcDef, ProcHandle, ShardedChannel, XpcChannel, XpcResult,
 };
 
 use super::{attach, E1000Hw, IRQ_LINE};
 use crate::ringnic::{self, RingSplit, Rings, SplitLoad};
-use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, RxMode, Split, Unload};
+use crate::support::{self, Body, RxMode, Split, Unload};
 use crate::Hosting;
-use decaf_simdev::e1000 as hwreg;
 
 /// TX descriptors per doorbell at line rate (the batch a crossing is
 /// amortized over when the ring fills faster than the coalescing
@@ -122,9 +117,9 @@ pub(crate) fn build(
     let mut unload = Unload::new("e1000_decaf", IRQ_LINE, Kernel::unregister_netdev);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(E1000Hw::new(bar, dma));
-    let plan = super::image();
+    let plan = crate::DriverKind::E1000.image();
     let channels = support::channels_from_plan(&plan, config, shards);
-    let (rings, irq_handler, xmit, entries) =
+    let (rings, irq_handler, xmit, [probe, open, close, watchdog]) =
         link(&channels, &hw, ifname, config.shmring, rx_mode).map_err(|_| KError::Io)?;
 
     if let (Some(rings), RxMode::Poll) = (&rings, rx_mode) {
@@ -133,45 +128,24 @@ pub(crate) fn build(
         ringnic::arm_rx_poll(&mut unload, kernel, rings);
     }
 
-    let nuc = unload.nuc(channels.shard(0));
-
     // insmod: the adapter is homed on the control shard; the user-level
-    // probe runs there.
-    let (adapter, init_latency_ns) = unload.load(kernel, &channels, "e1000_adapter", |k, a| {
-        support::upcall(&nuc, k, entries.probe, a)?;
-        // Register the netdevice: open/stop go through the decaf
-        // driver; transmit stays in the nucleus or posts into the
-        // shared-memory rings, as the configuration says.
-        let nuc_open = Rc::clone(&nuc);
-        let nuc_stop = Rc::clone(&nuc);
-        k.register_netdev(
-            ifname,
-            decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    // The interface owns the interrupt handler
-                    // `e1000_open` is about to request; the
-                    // `request_irq` procedure on the channel only
-                    // borrows it.
-                    let _owned_while_registered = &irq_handler;
-                    support::upcall(&nuc_open, k, entries.open, a)
-                }),
-                stop: Rc::new(move |k| support::upcall(&nuc_stop, k, entries.close, a)),
-                xmit,
-            },
-        )
+    // probe runs there. Open/stop go through the decaf driver; transmit
+    // stays in the nucleus or posts into the shared-memory rings, as the
+    // configuration says.
+    let (parts, links, root) = ((hw, dev), (plan, &*channels), "e1000_adapter");
+    let mut split = unload.split(kernel, ifname, parts, links, root, |k, a, nuc, _| {
+        support::upcall(nuc, k, probe, a)?;
+        ringnic::register_netdev(k, ifname, (nuc, a), [open, close], (irq_handler, xmit))
     })?;
 
     // The watchdog timer fires at softirq priority, so it only enqueues a
     // work item; the work item (process context) makes the upcall
     // (paper §3.1.3). Its body is built here, once, and queued by handle.
     let watchdog_task: WorkBody = {
-        let (nuc, channels, name) = (Rc::clone(&nuc), Rc::clone(&channels), ifname.to_string());
-        let [.., link_up, _] = linked().fields;
+        let (nuc, adapter, name) = (Rc::clone(&split.nuc), split.root, ifname.to_string());
+        let link_up = super::linked().fields[super::LINK_UP];
         Rc::new(move |k, _| {
-            if nuc
-                .upcall(k, entries.watchdog, &[Some(adapter)], &[])
-                .is_ok()
-            {
+            if nuc.upcall(k, watchdog, &[Some(adapter)], &[]).is_ok() {
                 // The decaf driver updated adapter->link_up; the nucleus
                 // mirrors it into the stack.
                 let heap = channels.heap(0, Domain::Nucleus);
@@ -185,6 +159,7 @@ pub(crate) fn build(
             }
         })
     };
+    let unload = &mut split.unload;
     unload.arm_every(
         kernel,
         "e1000_watchdog",
@@ -196,23 +171,16 @@ pub(crate) fn build(
     // The coalescing poll is armed after `insmod`, at every width: its
     // phase against the traffic is part of what the tables pin.
     if let Some(rings) = &rings {
-        ringnic::arm_tx_poll(&mut unload, kernel, rings);
+        ringnic::arm_tx_poll(unload, kernel, rings);
     }
-
-    let split = Split {
-        kernel: kernel.clone(),
-        hw,
-        name: ifname.to_string(),
-        channel: Rc::clone(channels.shard(0)),
-        nuc,
-        root: adapter,
-        init_latency_ns,
-        plan,
-        dev,
-        unload,
-    };
     Ok((split, rings))
 }
+
+/// What [`link`] hands back: the rings when the configuration has them,
+/// the interrupt handler and transmit op the data path decided, and the
+/// handles of the four entry points the nucleus upcalls — probe, open,
+/// close, watchdog.
+type LinkedNic = (Option<Rings<E1000Hw>>, IrqHandler, XmitOp, [ProcHandle; 4]);
 
 /// Links every shard's channel: the register-access imports, the rings
 /// and their drains when the configuration hosts the data path at user
@@ -227,7 +195,7 @@ fn link(
     ifname: &str,
     shmring: bool,
     rx_mode: RxMode,
-) -> XpcResult<(Option<Rings<E1000Hw>>, IrqHandler, XmitOp, Entries)> {
+) -> XpcResult<LinkedNic> {
     let shards = channels.shard_count();
     for i in 0..shards {
         support::register_io_procs(channels.shard(i), hw.bar.clone())?;
@@ -257,31 +225,6 @@ fn link(
     Ok((rings, irq_handler, xmit, entries))
 }
 
-/// The kernel imports the decaf handlers call down into, as registered.
-#[derive(Clone, Copy)]
-struct Imports {
-    eeprom_read: ProcHandle,
-    phy_read: ProcHandle,
-    phy_write: ProcHandle,
-    setup_tx_resources: ProcHandle,
-    setup_rx_resources: ProcHandle,
-    request_irq: ProcHandle,
-    free_irq: ProcHandle,
-    up_datapath: ProcHandle,
-    free_tx_resources: ProcHandle,
-    free_rx_resources: ProcHandle,
-    down_datapath: ProcHandle,
-}
-
-/// The entry points the nucleus upcalls, as registered.
-#[derive(Clone, Copy)]
-struct Entries {
-    probe: ProcHandle,
-    open: ProcHandle,
-    close: ProcHandle,
-    watchdog: ProcHandle,
-}
-
 /// Kernel procedures the decaf driver calls down into. These correspond
 /// to the slicer's `kernel_entry_points` and `kernel_imports_from_user`.
 /// `irq_handler` is what `request_irq` installs — the kernel-resident
@@ -295,265 +238,55 @@ fn register_nucleus_procs(
     channel: &XpcChannel,
     hw: &Rc<E1000Hw>,
     irq_handler: &IrqHandler,
-) -> XpcResult<Imports> {
-    let nucleus = |def| channel.register_proc(Domain::Nucleus, def);
-    let h = Rc::clone(hw);
-    let eeprom_read = nucleus(ProcDef::scalar("eeprom_read", move |k, s| {
-        XdrValue::UInt(h.eeprom_read(k, s[0].as_uint().unwrap_or(0)) as u32)
-    }))?;
-    let h = Rc::clone(hw);
-    let phy_read = nucleus(ProcDef::scalar("phy_read", move |k, s| {
-        XdrValue::UInt(h.phy_read(k, s[0].as_uint().unwrap_or(0)) as u32)
-    }))?;
-    let h = Rc::clone(hw);
-    let phy_write = nucleus(ProcDef::scalar("phy_write", move |k, s| {
-        h.phy_write(
-            k,
-            s[0].as_uint().unwrap_or(0),
-            s[1].as_uint().unwrap_or(0) as u16,
-        );
-        XdrValue::Int(0)
-    }))?;
-    let h = Rc::clone(hw);
-    let setup_tx_resources = nucleus(ProcDef::scalar("setup_tx_resources", move |k, _| {
-        support::errno_value(h.setup_tx(k))
-    }))?;
-    let h = Rc::clone(hw);
-    let setup_rx_resources = nucleus(ProcDef::scalar("setup_rx_resources", move |k, _| {
-        support::errno_value(h.setup_rx(k))
-    }))?;
-    let irq_handler = Rc::downgrade(irq_handler);
-    let request_irq = nucleus(ProcDef::scalar("request_irq", move |k, _| {
-        support::errno_value(match irq_handler.upgrade() {
-            Some(handler) => k.request_irq(IRQ_LINE, "e1000_decaf", handler),
-            None => Err(KError::NoDev),
-        })
-    }))?;
-    let free_irq = nucleus(ProcDef::scalar("free_irq", |k, _| {
-        k.free_irq(IRQ_LINE);
-        XdrValue::Int(0)
-    }))?;
-    let h = Rc::clone(hw);
-    let up_datapath = nucleus(ProcDef::scalar("up_datapath", move |k, _| {
-        h.up(k);
-        XdrValue::Int(0)
-    }))?;
-    // Freeing either ring's resources and stopping the data path are the
-    // same quiesce on this hardware model.
-    let down = |name| {
+) -> XpcResult<[ProcHandle; 11]> {
+    let import = |name, proc| {
         let h = Rc::clone(hw);
-        nucleus(ProcDef::scalar(name, move |k, _| {
-            h.down(k);
-            XdrValue::Int(0)
-        }))
+        let def = ProcDef::scalar(name, move |k, s| super::nucleus(&h, k, proc, s));
+        channel.register_proc(Domain::Nucleus, def)
     };
-    Ok(Imports {
+    let eeprom_read = import("eeprom_read", super::EEPROM_READ)?;
+    let phy_read = import("phy_read", super::PHY_READ)?;
+    let phy_write = import("phy_write", super::PHY_WRITE)?;
+    let setup_tx = import("setup_tx_resources", super::SETUP_TX)?;
+    let setup_rx = import("setup_rx_resources", super::SETUP_RX)?;
+    let [request_irq, free_irq] =
+        ringnic::register_irq_procs(channel, IRQ_LINE, "e1000_decaf", irq_handler)?;
+    Ok([
         eeprom_read,
         phy_read,
         phy_write,
-        setup_tx_resources,
-        setup_rx_resources,
+        setup_tx,
+        setup_rx,
         request_irq,
         free_irq,
-        up_datapath,
-        free_tx_resources: down("free_tx_resources")?,
-        free_rx_resources: down("free_rx_resources")?,
-        down_datapath: down("down_datapath")?,
-    })
+        import("up_datapath", super::UP)?,
+        import("free_tx_resources", super::FREE_TX)?,
+        import("free_rx_resources", super::FREE_RX)?,
+        import("down_datapath", super::DOWN)?,
+    ])
 }
 
-/// The decaf driver's six entry points and the adapter fields they read
-/// or write, resolved once against the image.
-fn linked() -> &'static Linked<6, 9> {
-    static LINKED: OnceLock<Linked<6, 9>> = OnceLock::new();
-    let entries = [
-        "e1000_probe",
-        "e1000_open",
-        "e1000_close",
-        "e1000_watchdog_task",
-        "e1000_get_settings",
-        "e1000_set_settings",
-    ];
-    let fields = [
-        "msg_enable",
-        "itr",
-        "rx_csum",
-        "hw",
-        "speed",
-        "duplex",
-        "mac",
-        "link_up",
-        "watchdog_events",
-    ];
-    LINKED.get_or_init(|| Linked::new(&super::image(), entries, "e1000_adapter", fields))
-}
-
-/// Sets an embedded-struct member (`adapter->hw.<member>`) on the decaf
-/// heap copy of the adapter, in place: one tracked write of `hw`.
-fn set_hw_member(ch: &XpcChannel, adapter: CAddr, hw: FieldHandle, member: &str, value: XdrValue) {
-    let heap = ch.heap(Domain::Decaf);
-    let mut h = heap.borrow_mut();
-    let _ = h.update_scalar(adapter, hw, |hw| hw.set_field(member, value));
-}
-
-fn get_int(ch: &XpcChannel, adapter: CAddr, field: FieldHandle) -> i32 {
-    let heap = ch.heap(Domain::Decaf);
-    let v = heap.borrow().scalar(adapter, field).ok().cloned();
-    v.and_then(|v| v.as_int()).unwrap_or(0)
-}
-
-/// User-level decaf-driver handlers: the converted Java (here: safe Rust)
-/// implementations of the user partition. They call the kernel imports
-/// by the handles `imp` holds.
-fn register_decaf_handlers(channel: &XpcChannel, imp: Imports) -> XpcResult<Entries> {
-    let linked = linked();
+/// Registers the decaf driver's entry points — the one bodies, on the
+/// channel — calling the kernel imports by the handles `imports` holds.
+/// Returns the handles of the four the nucleus upcalls: probe, open,
+/// close and the watchdog.
+fn register_decaf_handlers(
+    channel: &XpcChannel,
+    imports: [ProcHandle; 11],
+) -> XpcResult<[ProcHandle; 4]> {
+    let linked = super::linked();
     let [probe, open, close, watchdog, get_settings, set_settings] = linked.entries;
-    let [msg_enable, itr, rx_csum, hw, speed, duplex, mac_field, link_up, watchdog_events] =
-        linked.fields;
-    // e1000_probe: sw_init + check_options + EEPROM + reset + link setup,
-    // mirroring the mini-C bodies.
-    let probe = linked.register(channel, probe, move |k, ch, a, _| {
-        // e1000_sw_init.
-        set_field(ch, a, msg_enable, XdrValue::Int(3));
-        set_field(ch, a, itr, XdrValue::Int(8000));
-        set_field(ch, a, rx_csum, XdrValue::Int(1));
-        set_hw_member(ch, a, hw, "mac_type", XdrValue::Int(5));
-        set_hw_member(ch, a, hw, "media_type", XdrValue::Int(1));
-        set_hw_member(ch, a, hw, "autoneg", XdrValue::Int(1));
-        // e1000_check_options: range/set-membership validation.
-        set_field(ch, a, speed, XdrValue::Int(1000));
-        set_field(ch, a, duplex, XdrValue::Int(1));
-        // e1000_init_eeprom: MAC + checksum through downcalls.
-        let eeprom_read = |k: &Kernel, w: u32| {
-            let word = [XdrValue::UInt(w)];
-            ch.call_resolved(k, Domain::Decaf, imp.eeprom_read, &[], &word)
-        };
-        let mut mac = [0u8; 6];
-        for w in 0..3u32 {
-            let word = eeprom_read(k, w)
-                .ok()
-                .and_then(|v| v.as_uint())
-                .unwrap_or(0) as u16;
-            mac[w as usize * 2] = (word & 0xff) as u8;
-            mac[w as usize * 2 + 1] = (word >> 8) as u8;
-        }
-        let _checksum = eeprom_read(k, 63).ok();
-        set_field(ch, a, mac_field, XdrValue::Opaque(mac.to_vec()));
-        set_hw_member(ch, a, hw, "fc_mode", XdrValue::Int(3));
-        // e1000_reset_hw_decaf.
-        decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
-        let _ = decaf_readl(k, ch, hwreg::STATUS);
-        decaf_writel(k, ch, hwreg::IMC, 0xffff_ffff);
-        let _ = decaf_readl(k, ch, hwreg::ICR);
-        // Save PCI config space (the @exp(PCI_LEN) array exists
-        // for this path).
-        for w in 0..8u64 {
-            let _ = decaf_readl(k, ch, w * 4);
-        }
-        // e1000_setup_link + the Figure 5 DSP sequence.
-        let phy_read = |k: &Kernel, reg: u32| {
-            let reg = [XdrValue::UInt(reg)];
-            ch.call_resolved(k, Domain::Decaf, imp.phy_read, &[], &reg)
-                .ok()
-                .and_then(|v| v.as_uint())
-                .unwrap_or(0)
-        };
-        // PHY writes are posted: defer them so a whole DSP
-        // programming sequence crosses in one batched flush.
-        let phy_write = |k: &Kernel, reg: u32, val: u32| {
-            let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
-            let _ = ch.call_deferred_resolved(k, Domain::Decaf, imp.phy_write, &[], &args);
-        };
-        let _ctrl = phy_read(k, 0);
-        phy_write(k, 0, 0x1140);
-        phy_write(k, 4, 0x0de0);
-        phy_write(k, 9, 0x0300);
-        let _status = phy_read(k, 1);
-        for (reg, val) in [
-            (29u32, 0x001f_u32),
-            (30, 0x0646),
-            (29, 0x001b),
-            (30, 0x8fae),
-        ] {
-            phy_write(k, reg, val);
-        }
-        let _ = phy_read(k, 30);
-        XdrValue::Int(0)
-    })?;
-
-    // e1000_open: the Figure 4 function. Result-based staged cleanup —
-    // the Rust rendition of the nested exception handlers.
-    let open = linked.register(channel, open, move |k, ch, a, _| {
-        let down = |k: &Kernel, proc: ProcHandle| -> Result<(), i32> {
-            match ch.call_resolved(k, Domain::Decaf, proc, &[], &[]) {
-                Ok(XdrValue::Int(0)) => Ok(()),
-                Ok(XdrValue::Int(e)) => Err(e),
-                _ => Err(KError::Io.errno()),
-            }
-        };
-        // Stage 1: transmit resources.
-        if let Err(e) = down(k, imp.setup_tx_resources) {
-            let _ = down(k, imp.down_datapath); // e1000_reset
-            return XdrValue::Int(e);
-        }
-        // Stage 2: receive resources; on failure free stage 1.
-        if let Err(e) = down(k, imp.setup_rx_resources) {
-            let _ = down(k, imp.free_tx_resources);
-            return XdrValue::Int(e);
-        }
-        // Stage 3: the interrupt line; on failure free stages 1-2.
-        if let Err(e) = down(k, imp.request_irq) {
-            let _ = down(k, imp.free_rx_resources);
-            let _ = down(k, imp.free_tx_resources);
-            return XdrValue::Int(e);
-        }
-        // Power up the PHY and start the data path.
-        let reg = [XdrValue::UInt(0)];
-        let _ = ch.call_resolved(k, Domain::Decaf, imp.phy_read, &[], &reg);
-        let args = [XdrValue::UInt(0), XdrValue::UInt(0x1000)];
-        let _ = ch.call_deferred_resolved(k, Domain::Decaf, imp.phy_write, &[], &args);
-        if let Err(e) = down(k, imp.up_datapath) {
-            let _ = down(k, imp.free_irq);
-            let _ = down(k, imp.free_rx_resources);
-            let _ = down(k, imp.free_tx_resources);
-            return XdrValue::Int(e);
-        }
-        set_field(ch, a, link_up, XdrValue::Int(1));
-        XdrValue::Int(0)
-    })?;
-
-    let close = linked.register(channel, close, move |k, ch, a, _| {
-        set_field(ch, a, link_up, XdrValue::Int(0));
-        let _ = ch.call_resolved(k, Domain::Decaf, imp.down_datapath, &[], &[]);
-        let _ = ch.call_resolved(k, Domain::Decaf, imp.free_irq, &[], &[]);
-        XdrValue::Int(0)
-    })?;
-
-    let watchdog = linked.register(channel, watchdog, move |k, ch, a, _| {
-        let status = decaf_readl(k, ch, hwreg::STATUS);
-        let up = status & hwreg::STATUS_LU != 0;
-        set_field(ch, a, link_up, XdrValue::Int(up as i32));
-        let events = get_int(ch, a, watchdog_events);
-        set_field(ch, a, watchdog_events, XdrValue::Int(events + 1));
-        XdrValue::Int(0)
-    })?;
-
+    let register = |entry, body: Body| linked.register_body(channel, entry, imports, body);
+    let upcalled = [
+        register(probe, super::probe)?,
+        register(open, super::open)?,
+        register(close, super::close)?,
+        register(watchdog, super::watchdog)?,
+    ];
     // Management paths (ethtool get/set analogues).
-    linked.register(channel, get_settings, move |_k, ch, a, _| {
-        XdrValue::Int(get_int(ch, a, speed))
-    })?;
-    linked.register(channel, set_settings, move |k, ch, a, scalars| {
-        let value = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
-        set_field(ch, a, speed, XdrValue::Int(value));
-        decaf_writel(k, ch, hwreg::CTRL, hwreg::CTRL_RST);
-        XdrValue::Int(0)
-    })?;
-    Ok(Entries {
-        probe,
-        open,
-        close,
-        watchdog,
-    })
+    register(get_settings, super::get_settings)?;
+    register(set_settings, super::set_settings)?;
+    Ok(upcalled)
 }
 
 #[cfg(test)]

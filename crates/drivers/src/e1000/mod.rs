@@ -7,15 +7,18 @@ pub mod native;
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use decaf_shmring::BufPool;
 use decaf_simdev::e1000 as hwreg;
 use decaf_simdev::E1000Device;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
+
+use decaf_xdr::XdrValue;
 
 use crate::ringnic::{IrqCause, RingNic};
+use crate::support::{self, Io, Linked};
+use crate::DriverKind;
 
 /// Descriptors per ring.
 pub const N_DESC: u32 = 64;
@@ -33,16 +36,6 @@ pub const RX_BUF_OFF: usize = 0x3_0000;
 pub const MAC: [u8; 6] = [0x00, 0x1b, 0x21, 0x6a, 0x7b, 0x8c];
 /// IRQ line the platform assigns the adapter.
 pub const IRQ_LINE: u32 = 11;
-
-/// The driver image: DriverSlicer's output for [`minic::SOURCE`] —
-/// partition, entry points, XDR spec, field masks. In the paper this is
-/// a build-time artefact compiled into the nucleus and the decaf driver;
-/// here it is built on first use and shared immutably by every load
-/// (`insmod` links a prebuilt image, it does not re-slice the source).
-pub fn image() -> Arc<SlicePlan> {
-    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
-    crate::support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
-}
 
 /// Creates the device model.
 ///
@@ -88,14 +81,6 @@ impl E1000Hw {
         (self.bar.read32(kernel, hwreg::EERD) >> 16) as u16
     }
 
-    /// Reads the MAC address from the EEPROM.
-    pub fn read_mac(&self, kernel: &Kernel) -> [u8; 6] {
-        let w0 = self.eeprom_read(kernel, 0).to_le_bytes();
-        let w1 = self.eeprom_read(kernel, 1).to_le_bytes();
-        let w2 = self.eeprom_read(kernel, 2).to_le_bytes();
-        [w0[0], w0[1], w1[0], w1[1], w2[0], w2[1]]
-    }
-
     /// Reads a PHY register through MDIC.
     pub fn phy_read(&self, kernel: &Kernel, reg: u32) -> u16 {
         self.bar
@@ -110,13 +95,6 @@ impl E1000Hw {
             hwreg::MDIC,
             (0b01 << 26) | ((reg & 0x1f) << 16) | value as u32,
         );
-    }
-
-    /// Issues a software reset.
-    pub fn reset(&self, kernel: &Kernel) {
-        self.bar.write32(kernel, hwreg::CTRL, hwreg::CTRL_RST);
-        self.next_tx.set(0);
-        self.next_rx.set(0);
     }
 
     /// Programs the transmit ring registers.
@@ -237,6 +215,217 @@ impl E1000Hw {
     }
 }
 
+// ------------------------------------------------------ control path
+
+/// The adapter fields the bodies touch, by index into `linked().fields`.
+const MSG_ENABLE: usize = 0;
+const ITR: usize = 1;
+const RX_CSUM: usize = 2;
+const HW: usize = 3;
+const SPEED: usize = 4;
+const DUPLEX: usize = 5;
+const MAC_FIELD: usize = 6;
+const LINK_UP: usize = 7;
+const WATCHDOG_EVENTS: usize = 8;
+
+/// The nucleus imports the bodies call, by index: the decaf build's
+/// import table, in this order ([`nucleus`] serves the native build).
+const EEPROM_READ: usize = 0;
+const PHY_READ: usize = 1;
+const PHY_WRITE: usize = 2;
+const SETUP_TX: usize = 3;
+const SETUP_RX: usize = 4;
+const REQUEST_IRQ: usize = 5;
+const FREE_IRQ: usize = 6;
+const UP: usize = 7;
+const FREE_TX: usize = 8;
+const FREE_RX: usize = 9;
+const DOWN: usize = 10;
+
+/// The decaf driver's six entry points and the adapter fields they read
+/// or write, resolved once against the image.
+fn linked() -> &'static Linked<6, 9> {
+    static LINKED: OnceLock<Linked<6, 9>> = OnceLock::new();
+    let entries = [
+        "e1000_probe",
+        "e1000_open",
+        "e1000_close",
+        "e1000_watchdog_task",
+        "e1000_get_settings",
+        "e1000_set_settings",
+    ];
+    let fields = [
+        "msg_enable",
+        "itr",
+        "rx_csum",
+        "hw",
+        "speed",
+        "duplex",
+        "mac",
+        "link_up",
+        "watchdog_events",
+    ];
+    LINKED.get_or_init(|| Linked::new(&DriverKind::E1000.image(), entries, "e1000_adapter", fields))
+}
+
+/// The imports as the native build calls them: straight into `hw`.
+/// Freeing either ring's resources and stopping the data path are the
+/// same quiesce on this hardware model; the line is the decaf build's
+/// only ([`open`]).
+fn nucleus(hw: &E1000Hw, k: &Kernel, proc: usize, args: &[XdrValue]) -> XdrValue {
+    let arg = |i: usize| args[i].as_uint().unwrap_or(0);
+    match proc {
+        EEPROM_READ => XdrValue::UInt(hw.eeprom_read(k, arg(0)) as u32),
+        PHY_READ => XdrValue::UInt(hw.phy_read(k, arg(0)) as u32),
+        PHY_WRITE => {
+            hw.phy_write(k, arg(0), arg(1) as u16);
+            XdrValue::Int(0)
+        }
+        SETUP_TX => support::errno_value(hw.setup_tx(k)),
+        SETUP_RX => support::errno_value(hw.setup_rx(k)),
+        UP => {
+            hw.up(k);
+            XdrValue::Int(0)
+        }
+        FREE_TX | FREE_RX | DOWN => {
+            hw.down(k);
+            XdrValue::Int(0)
+        }
+        _ => XdrValue::Void,
+    }
+}
+
+/// `e1000_probe`: sw_init, check_options, the EEPROM, reset and link
+/// setup, mirroring the mini-C bodies.
+fn probe(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    // e1000_sw_init.
+    io.set(MSG_ENABLE, XdrValue::Int(3));
+    io.set(ITR, XdrValue::Int(8000));
+    io.set(RX_CSUM, XdrValue::Int(1));
+    io.set_member(HW, "mac_type", XdrValue::Int(5));
+    io.set_member(HW, "media_type", XdrValue::Int(1));
+    io.set_member(HW, "autoneg", XdrValue::Int(1));
+    // e1000_check_options: range/set-membership validation.
+    io.set(SPEED, XdrValue::Int(1000));
+    io.set(DUPLEX, XdrValue::Int(1));
+    // e1000_init_eeprom: MAC + checksum.
+    let mut mac = [0u8; 6];
+    for w in 0..3u32 {
+        let word = io.import(k, EEPROM_READ, &[XdrValue::UInt(w)]);
+        let word = word.as_uint().unwrap_or(0) as u16;
+        mac[w as usize * 2..][..2].copy_from_slice(&word.to_le_bytes());
+    }
+    let _checksum = io.import(k, EEPROM_READ, &[XdrValue::UInt(63)]);
+    io.set_bytes(MAC_FIELD, &mac);
+    io.set_member(HW, "fc_mode", XdrValue::Int(3));
+    // e1000_reset_hw.
+    io.writel(k, hwreg::CTRL, hwreg::CTRL_RST);
+    // Allowance `e1000-reset`: the decaf reset also reads STATUS, masks
+    // and acknowledges every interrupt cause, and saves PCI config space
+    // (the @exp(PCI_LEN) array exists for this path).
+    if io.decaf() {
+        let _ = io.readl(k, hwreg::STATUS);
+        io.writel(k, hwreg::IMC, 0xffff_ffff);
+        let _ = io.readl(k, hwreg::ICR);
+        for w in 0..8u64 {
+            let _ = io.readl(k, w * 4);
+        }
+    }
+    // e1000_setup_link + the Figure 5 DSP sequence. PHY writes are
+    // posted: a whole DSP programming sequence crosses in one batch.
+    let phy_read = |reg: u32| io.import(k, PHY_READ, &[XdrValue::UInt(reg)]);
+    let phy_write = |reg: u32, val: u32| {
+        io.post(k, PHY_WRITE, &[XdrValue::UInt(reg), XdrValue::UInt(val)]);
+    };
+    let _ctrl = phy_read(0);
+    phy_write(0, 0x1140);
+    phy_write(4, 0x0de0);
+    phy_write(9, 0x0300);
+    let _status = phy_read(1);
+    for (reg, val) in [(29, 0x001f), (30, 0x0646), (29, 0x001b), (30, 0x8fae)] {
+        phy_write(reg, val);
+    }
+    let _ = phy_read(30);
+    0
+}
+
+/// `e1000_open`: the Figure 4 function. Result-based staged cleanup —
+/// the Rust rendition of the nested exception handlers.
+fn open(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    let call = |proc: usize| match io.import(k, proc, &[]) {
+        XdrValue::Int(0) => Ok(()),
+        e => Err(support::errno_of(e)),
+    };
+    // Stage 1: transmit resources.
+    if let Err(e) = call(SETUP_TX) {
+        let _ = call(DOWN); // e1000_reset
+        return e;
+    }
+    // Stage 2: receive resources; on failure free stage 1.
+    if let Err(e) = call(SETUP_RX) {
+        let _ = call(FREE_TX);
+        return e;
+    }
+    // Stage 3, allowance `e1000-irq-at-open`: the decaf driver requests
+    // its line here and frees it at close; the native one holds it from
+    // init to remove. On failure free stages 1-2.
+    if io.decaf() {
+        if let Err(e) = call(REQUEST_IRQ) {
+            let _ = call(FREE_RX);
+            let _ = call(FREE_TX);
+            return e;
+        }
+        // Allowance `e1000-open-phy-power`: power up the PHY.
+        let _ = io.import(k, PHY_READ, &[XdrValue::UInt(0)]);
+        io.post(k, PHY_WRITE, &[XdrValue::UInt(0), XdrValue::UInt(0x1000)]);
+    }
+    // Start the data path.
+    if let Err(e) = call(UP) {
+        if io.decaf() {
+            let _ = call(FREE_IRQ);
+        }
+        let _ = call(FREE_RX);
+        let _ = call(FREE_TX);
+        return e;
+    }
+    io.set(LINK_UP, XdrValue::Int(1));
+    0
+}
+
+/// `e1000_close`.
+fn close(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    io.set(LINK_UP, XdrValue::Int(0));
+    let _ = io.import(k, DOWN, &[]);
+    if io.decaf() {
+        let _ = io.import(k, FREE_IRQ, &[]);
+    }
+    0
+}
+
+/// `e1000_watchdog_task`: the link check, recorded in `link_up`.
+fn watchdog(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    let up = io.readl(k, hwreg::STATUS) & hwreg::STATUS_LU != 0;
+    io.set(LINK_UP, XdrValue::Int(up as i32));
+    let events = io.get(WATCHDOG_EVENTS);
+    io.set(WATCHDOG_EVENTS, XdrValue::Int(events + 1));
+    0
+}
+
+/// `e1000_get_settings`: an ethtool analogue only the decaf build
+/// exposes.
+fn get_settings(io: &dyn Io, _: &Kernel, _: &[XdrValue]) -> i32 {
+    io.get(SPEED)
+}
+
+/// `e1000_set_settings`: an ethtool analogue only the decaf build
+/// exposes.
+fn set_settings(io: &dyn Io, k: &Kernel, scalars: &[XdrValue]) -> i32 {
+    let value = scalars.first().and_then(|v| v.as_int()).unwrap_or(1000);
+    io.set(SPEED, XdrValue::Int(value));
+    io.writel(k, hwreg::CTRL, hwreg::CTRL_RST);
+    0
+}
+
 /// The e1000 as a ring-hosted NIC: descriptor rings in DMA, a tail
 /// register per direction, a read-to-clear cause register.
 impl RingNic for E1000Hw {
@@ -341,7 +530,8 @@ mod tests {
         let k = Kernel::new();
         let (bar, dma, _dev) = attach();
         let hw = E1000Hw::new(bar, dma);
-        assert_eq!(hw.read_mac(&k), MAC);
+        let words = [0, 1, 2].map(|w| hw.eeprom_read(&k, w).to_le_bytes());
+        assert_eq!(words.concat(), MAC);
     }
 
     #[test]

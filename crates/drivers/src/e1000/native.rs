@@ -1,9 +1,10 @@
 //! Native (kernel-only) E1000 build: the Table 3 baseline.
 //!
 //! All logic runs in the kernel, including initialization and the
-//! watchdog. The initialization sequence mirrors the decaf build step for
-//! step so the only latency difference between the two is the cost of
-//! crossing domains and marshaling.
+//! watchdog: the decaf build's own entry points, run on a
+//! `support::Direct` hosting, so the only latency difference between the
+//! two is the cost of crossing domains and marshaling, and the
+//! allowances the bodies name.
 
 use std::rc::Rc;
 
@@ -12,57 +13,33 @@ use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::{KResult, Kernel};
 
 use super::{attach, E1000Hw, IRQ_LINE};
-use crate::support::{Native, Unload};
+use crate::support::{self, Body, Direct, Io, Native, Unload};
+
+/// Runs `body` on `hw` in the kernel; returns its errno and what it left
+/// in `link_up`.
+fn run(hw: &E1000Hw, k: &Kernel, body: Body) -> (i32, bool) {
+    let nucleus = |k: &Kernel, proc: usize, args: &[_]| super::nucleus(hw, k, proc, args);
+    let io = Direct::mmio(&hw.bar, &nucleus);
+    (body(&io, k, &[]), io.get(super::LINK_UP) != 0)
+}
 
 /// Loads the native driver: attaches the device, probes, registers the
 /// netdevice and the watchdog.
 pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000Device>> {
-    let mut unload = Unload::new("e1000", IRQ_LINE, Kernel::unregister_netdev);
+    let unload = Unload::new("e1000", IRQ_LINE, Kernel::unregister_netdev);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(E1000Hw::new(bar, dma));
-
-    let init_latency_ns = unload.init(kernel, |k| {
-        // The same logical steps the decaf build runs through XPC:
-        // sw_init, check_options, EEPROM, reset, PHY link setup.
-        let _mac = hw.read_mac(k);
-        let _checksum = hw.eeprom_read(k, 63);
-        hw.reset(k);
-        let _ctrl = hw.phy_read(k, 0);
-        hw.phy_write(k, 0, 0x1140);
-        hw.phy_write(k, 4, 0x0de0);
-        hw.phy_write(k, 9, 0x0300);
-        let _status = hw.phy_read(k, 1);
-        // The Figure 5 DSP sequence.
-        for (reg, val) in [
-            (29u32, 0x001f_u16),
-            (30, 0x0646),
-            (29, 0x001b),
-            (30, 0x8fae),
-        ] {
-            hw.phy_write(k, reg, val);
-        }
-        let _ = hw.phy_read(k, 30);
-
-        let hw_ops = Rc::clone(&hw);
-        let hw_open = Rc::clone(&hw);
-        let hw_stop = Rc::clone(&hw);
+    let mut native = unload.native(kernel, ifname, (Rc::clone(&hw), dev), |k, unload| {
+        support::kresult(run(&hw, k, super::probe).0)?;
+        let (hw_open, hw_stop, hw_ops) = (Rc::clone(&hw), Rc::clone(&hw), Rc::clone(&hw));
         k.register_netdev(
             ifname,
             decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    hw_open.setup_tx(k)?;
-                    hw_open.setup_rx(k)?;
-                    hw_open.up(k);
-                    Ok(())
-                }),
-                stop: Rc::new(move |k| {
-                    hw_stop.down(k);
-                    Ok(())
-                }),
+                open: Rc::new(move |k| support::kresult(run(&hw_open, k, super::open).0)),
+                stop: Rc::new(move |k| support::kresult(run(&hw_stop, k, super::close).0)),
                 xmit: Rc::new(move |k, skb| hw_ops.xmit(k, skb)),
             },
         )?;
-
         let (hw_irq, name) = (Rc::clone(&hw), ifname.to_string());
         unload.request_irq(k, Rc::new(move |k| _ = hw_irq.handle_irq(k, &name)))
     })?;
@@ -73,10 +50,11 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000De
     let watchdog_task: WorkBody = {
         let (hw, name) = (Rc::clone(&hw), ifname.to_string());
         Rc::new(move |k, _| {
-            let up = hw.link_up(k);
+            let (_, up) = run(&hw, k, super::watchdog);
             k.netif_carrier(&name, up);
         })
     };
+    let unload = &mut native.unload;
     unload.arm_every(
         kernel,
         "e1000_watchdog",
@@ -84,15 +62,7 @@ pub fn install(kernel: &Kernel, ifname: &str) -> KResult<Native<E1000Hw, E1000De
         watchdog_task,
         || Some(0),
     );
-
-    Ok(Native {
-        kernel: kernel.clone(),
-        hw,
-        name: ifname.to_string(),
-        init_latency_ns,
-        dev,
-        unload,
-    })
+    Ok(native)
 }
 
 #[cfg(test)]

@@ -8,16 +8,17 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use decaf_simdev::ens1371 as hwreg;
 use decaf_simdev::Ens1371Device;
+use decaf_simkernel::sound::{SoundCardOps, StreamOp};
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion};
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
-use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
+use crate::support::{self, Body, Direct, Io, Linked, Native, Split, Unload};
+use crate::DriverKind;
 
 /// IRQ line of the sound chip.
 pub const IRQ_LINE: u32 = 5;
@@ -194,75 +195,131 @@ impl EnsHw {
     }
 }
 
+/// The chip fields the bodies write, by index into the `Linked` fields
+/// `register_procs` names.
+const PLAYING: usize = 0;
+const VOLUME_LEFT: usize = 1;
+const VOLUME_RIGHT: usize = 2;
+const RATE: usize = 3;
+const CTRL: usize = 4;
+
+/// The nucleus imports the bodies call, by index: the decaf build's
+/// import table, in this order.
+const CODEC_WRITE: usize = 0;
+const CARD_REGISTER: usize = 1;
+
+/// `snd_audiopci_probe`: create, the 1371 mixer, card registration.
+fn probe(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    // snd_ensoniq_create.
+    io.writel(k, hwreg::CTRL, 0);
+    io.writel(k, hwreg::SRC, 44_100);
+    io.set(RATE, XdrValue::Int(44_100));
+    io.set(CTRL, XdrValue::Int(0));
+    io.set(VOLUME_LEFT, XdrValue::Int(10));
+    io.set(VOLUME_RIGHT, XdrValue::Int(10));
+    // 1371 mixer: three codec writes, posted — the batch crosses once
+    // when the card-register downcall flushes.
+    for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
+        io.post(k, CODEC_WRITE, &[XdrValue::UInt(reg), XdrValue::UInt(val)]);
+    }
+    // Register the card (a downcall carrying the chip object).
+    support::errno_of(io.import_root(k, CARD_REGISTER))
+}
+
+/// `snd_ensoniq_playback_open`.
+fn playback_open(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    // Allowance `ens1371-open`: the decaf driver reads the converter
+    // back and programs the DAC period here; the native one leaves the
+    // period to the first PCM write.
+    if io.decaf() {
+        let _src = io.readl(k, hwreg::SRC);
+    }
+    io.writel(k, hwreg::SRC, 44_100);
+    if io.decaf() {
+        io.writel(k, hwreg::DAC2_PERIOD, 1102);
+    }
+    io.set(PLAYING, XdrValue::Int(1));
+    0
+}
+
+/// `snd_ensoniq_playback_close`.
+fn playback_close(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    io.writel(k, hwreg::CTRL, 0);
+    // Allowance `ens1371-close`: the decaf driver also powers the codec
+    // down (posted, batched with the control-register write above).
+    if io.decaf() {
+        let power_down = [XdrValue::UInt(38), XdrValue::UInt(0xffff)];
+        io.post(k, CODEC_WRITE, &power_down);
+    }
+    io.set(PLAYING, XdrValue::Int(0));
+    0
+}
+
+/// `snd_ensoniq_volume_put`: the mixer control, which only the decaf
+/// build exposes.
+fn volume_put(io: &dyn Io, k: &Kernel, scalars: &[XdrValue]) -> i32 {
+    let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
+    let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
+    io.set(VOLUME_LEFT, XdrValue::Int(left));
+    io.set(VOLUME_RIGHT, XdrValue::Int(right));
+    let master = [XdrValue::UInt(2), XdrValue::UInt(left as u32)];
+    io.post(k, CODEC_WRITE, &master);
+    0
+}
+
+/// The nucleus half of `codec_write`: one AC97 register write through
+/// the codec port.
+fn codec_write(hw: &EnsHw, k: &Kernel, args: &[XdrValue]) -> XdrValue {
+    let reg = args[0].as_uint().unwrap_or(0);
+    let val = args[1].as_uint().unwrap_or(0);
+    hw.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
+    XdrValue::Int(0)
+}
+
+/// A native stream op: `body` run on the chip in the kernel.
+fn native_op(hw: &Rc<EnsHw>, body: Body) -> StreamOp {
+    let hw = Rc::clone(hw);
+    Rc::new(move |k| {
+        let codec = |k: &Kernel, _: usize, args: &[XdrValue]| codec_write(&hw, k, args);
+        support::kresult(body(&Direct::mmio(&hw.bar, &codec), k, &[]))
+    })
+}
+
 /// Loads the native driver — the [`crate::Hosting::Native`] build.
 pub(crate) fn native(kernel: &Kernel, card: &str) -> KResult<Native<EnsHw, Ens1371Device>> {
     let unload = Unload::new("snd-ens1371", IRQ_LINE, Kernel::snd_card_unregister);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(EnsHw::new(bar, dma));
-    let init_latency_ns = unload.init(kernel, |k| {
-        // create + mixer + register, all in the kernel.
-        hw.bar.write32(k, hwreg::CTRL, 0);
-        hw.bar.write32(k, hwreg::SRC, 44_100);
-        for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-            hw.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
-        }
-        let hw_open = Rc::clone(&hw);
-        let hw_write = Rc::clone(&hw);
-        let hw_close = Rc::clone(&hw);
-        k.snd_card_register(
-            card,
-            decaf_simkernel::sound::SoundCardOps {
-                open: Rc::new(move |k| {
-                    hw_open.bar.write32(k, hwreg::SRC, 44_100);
-                    Ok(())
-                }),
-                write: Rc::new(move |k, frames| hw_write.pcm_write(k, frames)),
-                close: Rc::new(move |k| {
-                    hw_close.bar.write32(k, hwreg::CTRL, 0);
-                    Ok(())
-                }),
-            },
-        )?;
+    unload.native(kernel, card, (Rc::clone(&hw), dev), |k, unload| {
+        let nucleus = |k: &Kernel, proc: usize, args: &[XdrValue]| match proc {
+            CODEC_WRITE => codec_write(&hw, k, args),
+            _ => {
+                let hw_write = Rc::clone(&hw);
+                let ops = SoundCardOps {
+                    open: native_op(&hw, playback_open),
+                    write: Rc::new(move |k, frames| hw_write.pcm_write(k, frames)),
+                    close: native_op(&hw, playback_close),
+                };
+                support::errno_value(k.snd_card_register(card, ops))
+            }
+        };
+        support::kresult(probe(&Direct::mmio(&hw.bar, &nucleus), k, &[]))?;
         let hw_irq = Rc::clone(&hw);
         unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
-    })?;
-    Ok(Native {
-        kernel: kernel.clone(),
-        hw,
-        name: card.to_string(),
-        init_latency_ns,
-        dev,
-        unload,
     })
 }
 
-/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
-/// first use and shared immutably by every load — `insmod` links a
-/// prebuilt image, it does not re-slice the source (see
-/// [`crate::e1000::image`]).
-pub fn image() -> Arc<SlicePlan> {
-    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
-    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
-}
-
-/// Links the channel: the register and codec imports, the decaf driver's
-/// playback and mixer entry points, the card-register import that routes
-/// the card's open/close back up to them, and the probe that calls that
-/// import — each registered before whatever calls it by handle. Returns
-/// the probe's handle.
+/// Links the channel: the register and codec imports, the card-register
+/// import that routes the card's open/close back up to the decaf
+/// driver, and its four entry points — each registered before whatever
+/// calls it by handle. Returns the probe's handle.
 fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, hw.bar.clone())?;
     let hw_codec = Rc::clone(hw);
     let codec_write = channel.register_proc(
         Domain::Nucleus,
-        ProcDef::scalar("codec_write", move |k, s| {
-            let reg = s[0].as_uint().unwrap_or(0);
-            let val = s[1].as_uint().unwrap_or(0);
-            hw_codec.bar.write32(k, hwreg::CODEC, (reg << 16) | val);
-            XdrValue::Int(0)
-        }),
+        ProcDef::scalar("codec_write", move |k, s| codec_write(&hw_codec, k, s)),
     )?;
-
     // The decaf driver's four entry points and the chip fields they write,
     // resolved once against the image.
     static LINKED: OnceLock<Linked<4, 5>> = OnceLock::new();
@@ -273,33 +330,16 @@ fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcRe
         "snd_audiopci_probe",
     ];
     let fields = ["playing", "volume_left", "volume_right", "rate", "ctrl"];
-    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "ensoniq", fields));
+    let linked = LINKED
+        .get_or_init(|| Linked::new(&DriverKind::Ens1371.image(), entries, "ensoniq", fields));
     let [playback_open, playback_close, volume_put, probe] = linked.entries;
-    let [playing, volume_left, volume_right, rate, ctrl] = linked.fields;
-    let playback_open = linked.register(channel, playback_open, move |k, ch, chip, _| {
-        let _src = decaf_readl(k, ch, hwreg::SRC);
-        decaf_writel(k, ch, hwreg::SRC, 44_100);
-        decaf_writel(k, ch, hwreg::DAC2_PERIOD, 1102);
-        set_field(ch, chip, playing, XdrValue::Int(1));
-        XdrValue::Int(0)
-    })?;
-    let playback_close = linked.register(channel, playback_close, move |k, ch, chip, _| {
-        decaf_writel(k, ch, hwreg::CTRL, 0);
-        // Power down the codec (posted, batched with the
-        // control-register write above).
-        let args = [XdrValue::UInt(38), XdrValue::UInt(0xffff)];
-        let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-        set_field(ch, chip, playing, XdrValue::Int(0));
-        XdrValue::Int(0)
-    })?;
-    linked.register(channel, volume_put, move |k, ch, chip, scalars| {
-        let left = scalars.first().and_then(|v| v.as_int()).unwrap_or(0);
-        let right = scalars.get(1).and_then(|v| v.as_int()).unwrap_or(0);
-        set_field(ch, chip, volume_left, XdrValue::Int(left));
-        set_field(ch, chip, volume_right, XdrValue::Int(right));
-        let args = [XdrValue::UInt(2), XdrValue::UInt(left as u32)];
-        let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-        XdrValue::Int(0)
+    let imports = [codec_write];
+    let playback_open =
+        linked.register_body(channel, playback_open, imports, self::playback_open)?;
+    let playback_close =
+        linked.register_body(channel, playback_close, imports, self::playback_close)?;
+    linked.register_body(channel, volume_put, imports, |io, k, s| {
+        self::volume_put(io, k, s)
     })?;
 
     // snd_card_register import: the nucleus registers the card with ops
@@ -314,7 +354,7 @@ fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcRe
         ProcDef::entry("snd_card_register", ["ensoniq"], move |k, _, args, _| {
             let chip = args[0];
             let ch = ch_for_ops.upgrade().expect("a call is running on it");
-            let op = move |proc: ProcHandle| -> decaf_simkernel::sound::StreamOp {
+            let op = move |proc: ProcHandle| -> StreamOp {
                 let ch = Rc::clone(&ch);
                 Rc::new(
                     move |k| match ch.call_resolved(k, Domain::Nucleus, proc, &[chip], &[]) {
@@ -326,7 +366,7 @@ fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcRe
             let hww = Rc::clone(&hw_write);
             let result = k.snd_card_register(
                 &card_name,
-                decaf_simkernel::sound::SoundCardOps {
+                SoundCardOps {
                     open: op(playback_open),
                     write: Rc::new(move |k, frames| hww.pcm_write(k, frames)),
                     close: op(playback_close),
@@ -335,29 +375,8 @@ fn register_procs(channel: &Rc<XpcChannel>, hw: &Rc<EnsHw>, card: &str) -> XpcRe
             support::errno_value(result)
         }),
     )?;
-
-    linked.register(channel, probe, move |k, ch, chip, _| {
-        // snd_ensoniq_create.
-        decaf_writel(k, ch, hwreg::CTRL, 0);
-        decaf_writel(k, ch, hwreg::SRC, 44_100);
-        set_field(ch, chip, rate, XdrValue::Int(44_100));
-        set_field(ch, chip, ctrl, XdrValue::Int(0));
-        set_field(ch, chip, volume_left, XdrValue::Int(10));
-        set_field(ch, chip, volume_right, XdrValue::Int(10));
-        // 1371 mixer: three codec writes, posted — the batch
-        // crosses once when the card-register downcall flushes.
-        for (reg, val) in [(2u32, 0x0a0a_u32), (24, 0x0a0a), (26, 0x0a0a)] {
-            let args = [XdrValue::UInt(reg), XdrValue::UInt(val)];
-            let _ = ch.call_deferred_resolved(k, Domain::Decaf, codec_write, &[], &args);
-        }
-        // Register the card (downcall carrying the chip object).
-        let chip = [Some(chip)];
-        match ch.call_resolved(k, Domain::Decaf, snd_card_register, &chip, &[]) {
-            Ok(XdrValue::Int(0)) => XdrValue::Int(0),
-            Ok(XdrValue::Int(e)) => XdrValue::Int(e),
-            _ => XdrValue::Int(KError::Io.errno()),
-        }
-    })
+    let imports = [codec_write, snd_card_register];
+    linked.register_body(channel, probe, imports, self::probe)
 }
 
 /// Loads the decaf driver: probe/open/close run at user level, the PCM
@@ -366,29 +385,13 @@ pub fn install_decaf(kernel: &Kernel, card: &str) -> KResult<Split<EnsHw, Ens137
     let unload = Unload::new("snd-ens1371-decaf", IRQ_LINE, Kernel::snd_card_unregister);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(EnsHw::new(bar, dma));
-    let plan = image();
+    let plan = DriverKind::Ens1371.image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
-    let channel = Rc::clone(channels.shard(0));
-    let probe = register_procs(&channel, &hw, card).map_err(|_| KError::Io)?;
-
-    let nuc = unload.nuc(&channel);
-    let (root, init_latency_ns) = unload.load(kernel, &channels, "ensoniq", |k, c| {
-        support::upcall(&nuc, k, probe, c)?;
-        let hw_irq = Rc::clone(&hw);
-        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
-    })?;
-
-    Ok(Split {
-        kernel: kernel.clone(),
-        hw,
-        name: card.to_string(),
-        channel,
-        nuc,
-        root,
-        init_latency_ns,
-        plan,
-        dev,
-        unload,
+    let probe = register_procs(channels.shard(0), &hw, card).map_err(|_| KError::Io)?;
+    let (parts, links, root) = ((Rc::clone(&hw), dev), (plan, &*channels), "ensoniq");
+    unload.split(kernel, card, parts, links, root, |k, c, nuc, unload| {
+        support::upcall(nuc, k, probe, c)?;
+        unload.request_irq(k, Rc::new(move |k| hw.handle_irq(k)))
     })
 }
 
@@ -398,7 +401,7 @@ mod tests {
 
     #[test]
     fn slicer_plan_moves_most_functions() {
-        let plan = image();
+        let plan = DriverKind::Ens1371.image();
         assert!(plan
             .kernel_fns
             .contains(&"snd_audiopci_interrupt".to_string()));

@@ -40,9 +40,11 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::mem::discriminant;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use decaf_shmring::AllocMode;
 use decaf_simkernel::{KError, KResult, Kernel};
+use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xpc::NuclearRuntime;
 
 use ringnic::{RingSplit, SplitLoad};
@@ -85,50 +87,45 @@ impl DriverKind {
         ]
     }
 
+    /// What Table 2 says of each driver, in its order: the paper's name,
+    /// the device type, and the mini-C source.
+    const INFO: [(&'static str, &'static str, &'static str); 5] = [
+        ("8139too", "Network", rtl8139::minic::SOURCE),
+        ("E1000", "Network", e1000::minic::SOURCE),
+        ("ens1371", "Sound", ens1371::minic::SOURCE),
+        ("uhci-hcd", "USB 1.0", uhci::minic::SOURCE),
+        ("psmouse", "Mouse", psmouse::minic::SOURCE),
+    ];
+
     /// The paper's name for the driver.
     pub fn name(self) -> &'static str {
-        match self {
-            DriverKind::Rtl8139 => "8139too",
-            DriverKind::E1000 => "E1000",
-            DriverKind::Ens1371 => "ens1371",
-            DriverKind::UhciHcd => "uhci-hcd",
-            DriverKind::Psmouse => "psmouse",
-        }
+        Self::INFO[self as usize].0
     }
 
     /// The driver's mini-C source.
     pub fn minic_source(self) -> &'static str {
-        match self {
-            DriverKind::Rtl8139 => rtl8139::minic::SOURCE,
-            DriverKind::E1000 => e1000::minic::SOURCE,
-            DriverKind::Ens1371 => ens1371::minic::SOURCE,
-            DriverKind::UhciHcd => uhci::minic::SOURCE,
-            DriverKind::Psmouse => psmouse::minic::SOURCE,
-        }
+        Self::INFO[self as usize].2
     }
 
-    /// The driver's image — [`decaf_slicer::slice`] of
-    /// [`DriverKind::minic_source`], built once and shared by every load
-    /// (each driver module's `image()`).
-    pub fn image(self) -> std::sync::Arc<decaf_slicer::SlicePlan> {
-        match self {
-            DriverKind::Rtl8139 => rtl8139::image(),
-            DriverKind::E1000 => e1000::image(),
-            DriverKind::Ens1371 => ens1371::image(),
-            DriverKind::UhciHcd => uhci::image(),
-            DriverKind::Psmouse => psmouse::image(),
-        }
+    /// The driver's image: DriverSlicer's output for
+    /// [`DriverKind::minic_source`] — partition, entry points, XDR spec,
+    /// field masks. In the paper this is a build-time artefact compiled
+    /// into the nucleus and the decaf driver; here it is built on first
+    /// use and shared immutably by every load (`insmod` links a prebuilt
+    /// image, it does not re-slice the source). The sources are static,
+    /// so a slicing error is a bug in this repository, not a load-time
+    /// failure.
+    pub fn image(self) -> Arc<SlicePlan> {
+        static IMAGES: [OnceLock<Arc<SlicePlan>>; 5] = [const { OnceLock::new() }; 5];
+        let build = || slice(self.minic_source(), &SliceConfig::default());
+        let plan = IMAGES[self as usize]
+            .get_or_init(|| Arc::new(build().expect("a static source slices")));
+        Arc::clone(plan)
     }
 
     /// The driver's type as named in Table 2.
     pub fn device_type(self) -> &'static str {
-        match self {
-            DriverKind::Rtl8139 => "Network",
-            DriverKind::E1000 => "Network",
-            DriverKind::Ens1371 => "Sound",
-            DriverKind::UhciHcd => "USB 1.0",
-            DriverKind::Psmouse => "Mouse",
-        }
+        Self::INFO[self as usize].1
     }
 }
 

@@ -9,17 +9,17 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use decaf_simdev::psmouse as hwreg;
 use decaf_simdev::PsMouseDevice;
 use decaf_simkernel::input::{InputEvent, BTN_LEFT, EV_KEY, EV_REL, REL_X, REL_Y};
 use decaf_simkernel::{KError, KResult, Kernel, MmioHandle, MmioRegion};
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, ProcHandle, XpcChannel, XpcResult};
 
-use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
+use crate::support::{self, Direct, Io, Linked, Native, Split, Unload};
+use crate::DriverKind;
 
 /// IRQ line of the AUX port.
 pub const IRQ_LINE: u32 = 12;
@@ -205,22 +205,61 @@ impl MouseHw {
             }
         }
     }
+}
 
-    /// Sends a command byte to the mouse through the controller.
-    pub fn send_cmd(&self, kernel: &Kernel, cmd: u32) {
-        self.bar
-            .outl(kernel, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
-        self.bar.outl(kernel, hwreg::PORT_DATA, cmd);
-    }
+/// The mouse fields the probe records, by index into the `Linked`
+/// fields `register_procs` names.
+const STATE: usize = 0;
+const PROTOCOL: usize = 1;
+const PKTSIZE: usize = 2;
+const RATE: usize = 3;
+const RESOLUTION: usize = 4;
 
-    /// Drains and returns pending response bytes.
-    pub fn drain(&self, kernel: &Kernel) -> Vec<u8> {
+/// `psmouse_probe`: reset, detect, configure and activate the mouse
+/// through the controller, then record what it found.
+fn probe(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    let send = |cmd: u32| {
+        io.writel(k, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
+        io.writel(k, hwreg::PORT_DATA, cmd);
+    };
+    let drain = || {
         let mut out = Vec::new();
-        while self.bar.inl(kernel, hwreg::PORT_STATUS) & hwreg::STATUS_OBF != 0 {
-            out.push(self.bar.inl(kernel, hwreg::PORT_DATA) as u8);
+        while io.readl(k, hwreg::PORT_STATUS) & hwreg::STATUS_OBF != 0 {
+            out.push(io.readl(k, hwreg::PORT_DATA) as u8);
         }
         out
+    };
+    // psmouse_reset: expect ACK + self-test + id.
+    send(hwreg::MOUSE_RESET);
+    if drain() != [hwreg::MOUSE_ACK, hwreg::MOUSE_SELFTEST_OK, 0x00] {
+        return KError::NoDev.errno();
     }
+    // psmouse_detect.
+    send(hwreg::MOUSE_GET_ID);
+    let _ = drain();
+    // psmouse_initialize: rate + resolution.
+    send(hwreg::MOUSE_SET_RATE);
+    send(100);
+    let _ = drain();
+    // psmouse_activate.
+    send(hwreg::MOUSE_ENABLE);
+    if drain() != [hwreg::MOUSE_ACK] {
+        return KError::Io.errno();
+    }
+    io.set(STATE, XdrValue::Int(2));
+    io.set(PROTOCOL, XdrValue::Int(1));
+    io.set(PKTSIZE, XdrValue::Int(3));
+    io.set(RATE, XdrValue::Int(100));
+    io.set(RESOLUTION, XdrValue::Int(4));
+    0
+}
+
+/// What every build does once the mouse answered its probe: register
+/// the input device and take the line its bytes arrive on.
+fn register(k: &Kernel, unload: &Unload, hw: &Rc<MouseHw>, devname: &str) -> KResult<()> {
+    k.input_register_device(devname)?;
+    let (hw_irq, n) = (Rc::clone(hw), devname.to_string());
+    unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
 }
 
 /// Loads the native driver — the [`crate::Hosting::Native`] build.
@@ -228,89 +267,29 @@ pub(crate) fn native(kernel: &Kernel, devname: &str) -> KResult<Native<MouseHw, 
     let unload = Unload::new("psmouse", IRQ_LINE, Kernel::input_unregister_device);
     let (bar, dev) = attach();
     let hw = Rc::new(MouseHw::new(bar));
-    let init_latency_ns = unload.init(kernel, |k| {
-        hw.send_cmd(k, hwreg::MOUSE_RESET);
-        let _ = hw.drain(k);
-        hw.send_cmd(k, hwreg::MOUSE_GET_ID);
-        let _ = hw.drain(k);
-        hw.send_cmd(k, hwreg::MOUSE_SET_RATE);
-        hw.send_cmd(k, 100);
-        let _ = hw.drain(k);
-        hw.send_cmd(k, hwreg::MOUSE_ENABLE);
-        let _ = hw.drain(k);
-        k.input_register_device(devname)?;
-        let (hw_irq, n) = (Rc::clone(&hw), devname.to_string());
-        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
-    })?;
-    Ok(Native {
-        kernel: kernel.clone(),
-        hw,
-        name: devname.to_string(),
-        init_latency_ns,
-        dev,
-        unload,
+    unload.native(kernel, devname, (Rc::clone(&hw), dev), |k, unload| {
+        support::kresult(probe(&Direct::port(&hw.bar, &support::no_imports), k, &[]))?;
+        register(k, unload, &hw, devname)
     })
 }
 
-/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
-/// first use and shared immutably by every load — `insmod` links a
-/// prebuilt image, it does not re-slice the source (see
-/// [`crate::e1000::image`]).
-pub fn image() -> Arc<SlicePlan> {
-    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
-    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
-}
-
 /// Links the channel: the register-access imports and the decaf
-/// driver's one entry point, `psmouse_probe` — reset, detect, configure
-/// and activate the mouse through register downcalls, then record what
-/// it found in the shared object. Returns the probe's handle.
+/// driver's one entry point, [`probe`]. Returns its handle.
 fn register_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<ProcHandle> {
     support::register_io_procs(channel, bar)?;
     // The decaf driver's one entry point and the fields it records, resolved
     // once against the image.
     static LINKED: OnceLock<Linked<1, 5>> = OnceLock::new();
     let fields = ["state", "protocol", "pktsize", "rate", "resolution"];
-    let linked = LINKED.get_or_init(|| Linked::new(&image(), ["psmouse_probe"], "psmouse", fields));
-    let [state, protocol, pktsize, rate, resolution] = linked.fields;
-    linked.register(channel, linked.entries[0], move |k, ch, m, _| {
-        let send = |k: &Kernel, cmd: u32| {
-            decaf_writel(k, ch, hwreg::PORT_STATUS, hwreg::CMD_WRITE_MOUSE);
-            decaf_writel(k, ch, hwreg::PORT_DATA, cmd);
-        };
-        let drain = |k: &Kernel| {
-            let mut out = Vec::new();
-            while decaf_readl(k, ch, hwreg::PORT_STATUS) & hwreg::STATUS_OBF != 0 {
-                out.push(decaf_readl(k, ch, hwreg::PORT_DATA) as u8);
-            }
-            out
-        };
-        // psmouse_reset: expect ACK + self-test + id.
-        send(k, hwreg::MOUSE_RESET);
-        let resp = drain(k);
-        if resp != vec![hwreg::MOUSE_ACK, hwreg::MOUSE_SELFTEST_OK, 0x00] {
-            return XdrValue::Int(KError::NoDev.errno());
-        }
-        // psmouse_detect.
-        send(k, hwreg::MOUSE_GET_ID);
-        let _ = drain(k);
-        // psmouse_initialize: rate + resolution.
-        send(k, hwreg::MOUSE_SET_RATE);
-        send(k, 100);
-        let _ = drain(k);
-        // psmouse_activate.
-        send(k, hwreg::MOUSE_ENABLE);
-        let ack = drain(k);
-        if ack != vec![hwreg::MOUSE_ACK] {
-            return XdrValue::Int(KError::Io.errno());
-        }
-        set_field(ch, m, state, XdrValue::Int(2));
-        set_field(ch, m, protocol, XdrValue::Int(1));
-        set_field(ch, m, pktsize, XdrValue::Int(3));
-        set_field(ch, m, rate, XdrValue::Int(100));
-        set_field(ch, m, resolution, XdrValue::Int(4));
-        XdrValue::Int(0)
-    })
+    let linked = LINKED.get_or_init(|| {
+        Linked::new(
+            &DriverKind::Psmouse.image(),
+            ["psmouse_probe"],
+            "psmouse",
+            fields,
+        )
+    });
+    linked.register_body(channel, linked.entries[0], [], probe)
 }
 
 /// Loads the decaf driver: detection/configuration at user level, the
@@ -319,30 +298,13 @@ pub fn install_decaf(kernel: &Kernel, devname: &str) -> KResult<Split<MouseHw, P
     let unload = Unload::new("psmouse-decaf", IRQ_LINE, Kernel::input_unregister_device);
     let (bar, dev) = attach();
     let hw = Rc::new(MouseHw::new(bar.clone()));
-    let plan = image();
+    let plan = DriverKind::Psmouse.image();
     let channels = support::channels_from_plan(&plan, ChannelConfig::kernel_user_batched(), 1);
-    let channel = Rc::clone(channels.shard(0));
-    let probe = register_procs(&channel, bar).map_err(|_| KError::Io)?;
-
-    let nuc = unload.nuc(&channel);
-    let (root, init_latency_ns) = unload.load(kernel, &channels, "psmouse", |k, m| {
-        support::upcall(&nuc, k, probe, m)?;
-        k.input_register_device(devname)?;
-        let (hw_irq, n) = (Rc::clone(&hw), devname.to_string());
-        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
-    })?;
-
-    Ok(Split {
-        kernel: kernel.clone(),
-        hw,
-        name: devname.to_string(),
-        channel,
-        nuc,
-        root,
-        init_latency_ns,
-        plan,
-        dev,
-        unload,
+    let probe = register_procs(channels.shard(0), bar).map_err(|_| KError::Io)?;
+    let (parts, links, root) = ((Rc::clone(&hw), dev), (plan, &*channels), "psmouse");
+    unload.split(kernel, devname, parts, links, root, |k, m, nuc, unload| {
+        support::upcall(nuc, k, probe, m)?;
+        register(k, unload, &hw, devname)
     })
 }
 
@@ -353,7 +315,7 @@ mod tests {
 
     #[test]
     fn slicer_keeps_protocol_handlers_in_library() {
-        let plan = image();
+        let plan = DriverKind::Psmouse.image();
         assert_eq!(
             plan.library_fns.len(),
             10,

@@ -30,17 +30,17 @@ use std::sync::Arc;
 
 use decaf_shmring::{BufHandle, BufPool, Descriptor, RingSet};
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
-use decaf_simkernel::net::XmitOp;
+use decaf_simkernel::net::{NetDeviceOps, XmitOp};
 use decaf_simkernel::{costs, CpuClass, KError, KResult, Kernel};
 use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
-    DataPathChannel, Domain, NuclearRuntime, RingEnd, ShardedChannel, ShardedRingPath, XpcChannel,
-    XpcResult,
+    DataPathChannel, Domain, NuclearRuntime, ProcDef, ProcHandle, RingEnd, ShardedChannel,
+    ShardedRingPath, XpcChannel, XpcResult,
 };
 
-use crate::support::{RxMode, Split, Unload, RX_POLL_BUDGET, RX_POLL_TICK_NS};
+use crate::support::{self, RxMode, Split, Unload, RX_POLL_BUDGET, RX_POLL_TICK_NS};
 
 /// What one read of a chip's interrupt cause register said.
 pub struct IrqCause {
@@ -369,18 +369,18 @@ impl<H: RingNic> RxSide<H> {
                 return self.cut_short.set(false);
             };
             // Not through `post_on`: a harvest is charged outside any
-            // shard's scope, and a bare post rings no doorbell.
-            let shard = self.rings.steer(cookie as u64);
-            let posted = self.rings.path(shard).post(
-                k,
-                Descriptor {
-                    buf: BufHandle(cookie),
-                    len: len as u32,
-                    cookie: cookie as u64,
-                },
-            );
-            if posted.is_ok() {
-                self.rings.set().note_post(shard, cookie as u64);
+            // shard's scope, and a bare post rings no doorbell. Noted
+            // first, as there: a cookie in flight is never posted twice.
+            let (shard, set) = (self.rings.steer(cookie as u64), self.rings.set());
+            let desc = Descriptor {
+                buf: BufHandle(cookie),
+                len: len as u32,
+                cookie: cookie as u64,
+            };
+            if set.note_post(shard, desc.cookie).is_ok()
+                && self.rings.path(shard).post(k, desc).is_err()
+            {
+                set.cancel_post(desc.cookie);
             }
         }
         self.cut_short.set(true);
@@ -476,6 +476,63 @@ fn irq_handler<H: RingNic>(
 /// timer, one work item, each busy shard polled under its cost scope. The
 /// work item's body is built here, once; a tick queues it by handle with
 /// the busy set ([`NicPath::busy`]) as its argument word, and allocates
+/// Registers a split NIC build's interface: `open` and `stop` upcall the
+/// decaf driver's `[open, close]` entry points on `root`, and transmit
+/// is `xmit`. A stop always succeeds, whatever the driver answers — the
+/// kernel's own ignores it. The interface owns `irq_handler`, which the
+/// open entry point requests: the `request_irq` import on the channel
+/// only borrows it (see [`register_irq_procs`]).
+pub(crate) fn register_netdev(
+    k: &Kernel,
+    ifname: &str,
+    (nuc, root): (&Rc<NuclearRuntime>, CAddr),
+    [open, close]: [ProcHandle; 2],
+    (irq_handler, xmit): (IrqHandler, XmitOp),
+) -> KResult<()> {
+    let (nuc_open, nuc_stop) = (Rc::clone(nuc), Rc::clone(nuc));
+    let ops = NetDeviceOps {
+        open: Rc::new(move |k| {
+            let _owned_while_registered = &irq_handler;
+            support::upcall(&nuc_open, k, open, root)
+        }),
+        stop: Rc::new(move |k| {
+            let _ = support::upcall(&nuc_stop, k, close, root);
+            Ok(())
+        }),
+        xmit,
+    };
+    k.register_netdev(ifname, ops)
+}
+
+/// Registers a NIC's `request_irq` and `free_irq` imports on `channel`:
+/// line `irq` for `irq_handler`, taken under `owner`. The handler is
+/// held weakly — a ring handler reaches the channel through its receive
+/// path, and a procedure stored on the channel that owned it would keep
+/// channel, rings and DMA region alive for ever; the interface owns it
+/// ([`register_netdev`]). Returns the imports' handles.
+pub(crate) fn register_irq_procs(
+    channel: &XpcChannel,
+    irq: u32,
+    owner: &'static str,
+    irq_handler: &IrqHandler,
+) -> XpcResult<[ProcHandle; 2]> {
+    let irq_handler = Rc::downgrade(irq_handler);
+    let request_irq = ProcDef::scalar("request_irq", move |k, _| {
+        support::errno_value(match irq_handler.upgrade() {
+            Some(handler) => k.request_irq(irq, owner, handler),
+            None => Err(KError::NoDev),
+        })
+    });
+    let free_irq = ProcDef::scalar("free_irq", move |k, _| {
+        k.free_irq(irq);
+        XdrValue::Int(0)
+    });
+    Ok([
+        channel.register_proc(Domain::Nucleus, request_irq)?,
+        channel.register_proc(Domain::Nucleus, free_irq)?,
+    ])
+}
+
 /// nothing.
 pub(crate) fn arm_tx_poll<H: RingNic>(unload: &mut Unload, kernel: &Kernel, rings: &Rings<H>) {
     let tx = Rc::clone(&rings.tx);

@@ -10,7 +10,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use decaf_shmring::BufPool;
 use decaf_simdev::rtl8139 as hwreg;
@@ -18,14 +18,12 @@ use decaf_simdev::Rtl8139Device;
 use decaf_simkernel::kernel::IrqHandler;
 use decaf_simkernel::net::XmitOp;
 use decaf_simkernel::{DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion, SkBuff};
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, Domain, ProcDef, ProcHandle, XpcChannel, XpcResult};
 
 use crate::ringnic::{self, IrqCause, RingNic, SplitLoad};
-use crate::support::{
-    self, decaf_readl, decaf_writel, set_field, Linked, Native, RxMode, Split, Unload,
-};
+use crate::support::{self, Body, Direct, Io, Linked, Native, RxMode, Split, Unload};
+use crate::DriverKind;
 use crate::Hosting;
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
@@ -351,53 +349,94 @@ impl RingNic for Rtl8139Hw {
     }
 }
 
+/// The private fields the bodies write, by index into the `Linked`
+/// fields `register_procs` names.
+const MSG_ENABLE: usize = 0;
+const MEDIA: usize = 1;
+const MAC_FIELD: usize = 2;
+const LINK_UP: usize = 3;
+
+/// The nucleus imports the bodies call, by index: the decaf build's
+/// import table, in this order. The native build reaches only the first.
+const HW_START: usize = 0;
+const REQUEST_IRQ: usize = 1;
+const FREE_IRQ: usize = 2;
+
+/// `rtl8139_probe`: init_board (reset and settle), read_mac,
+/// init_media.
+fn probe(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    io.writel(k, hwreg::CR, hwreg::CR_RST);
+    let _ = io.readl(k, hwreg::CR);
+    let lo = io.readl(k, hwreg::IDR0).to_le_bytes();
+    let hi = io.readl(k, hwreg::IDR4).to_le_bytes();
+    io.set(MSG_ENABLE, XdrValue::Int(7));
+    io.set(MEDIA, XdrValue::Int(1));
+    io.set_bytes(MAC_FIELD, &[lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]]);
+    0
+}
+
+/// `rtl8139_open`: the line, then `hw_start` (which the mini-C source
+/// lists as a user function; both builds keep the ring start in the
+/// nucleus, behind an import).
+fn open(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    // Allowance `rtl8139-irq-at-open`: the decaf driver requests its
+    // line here and frees it at close; the native one holds it from init
+    // to remove.
+    if io.decaf() {
+        match io.import(k, REQUEST_IRQ, &[]) {
+            XdrValue::Int(0) => {}
+            e => return support::errno_of(e),
+        }
+    }
+    let _ = io.import(k, HW_START, &[]);
+    // Allowance `rtl8139-open-imr`: the decaf driver writes the
+    // interrupt mask `hw_start` just wrote once more.
+    if io.decaf() {
+        io.writel(k, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
+    }
+    io.set(LINK_UP, XdrValue::Int(1));
+    0
+}
+
+/// `rtl8139_close`.
+fn close(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    io.set(LINK_UP, XdrValue::Int(0));
+    io.writel(k, hwreg::CR, 0);
+    if io.decaf() {
+        let _ = io.import(k, FREE_IRQ, &[]);
+    }
+    0
+}
+
+/// The native build's bodies on `hw`: registers by MMIO, `hw_start` as a
+/// direct call.
+fn native_run(hw: &Rtl8139Hw, k: &Kernel, body: Body) -> KResult<()> {
+    let hw_start = |k: &Kernel, _: usize, _: &[XdrValue]| {
+        hw.hw_start(k);
+        XdrValue::Int(0)
+    };
+    support::kresult(body(&Direct::mmio(&hw.bar, &hw_start), k, &[]))
+}
+
 /// Loads the native (kernel-only) driver — the [`Hosting::Native`] build.
 pub(crate) fn native(kernel: &Kernel, ifname: &str) -> KResult<Native<Rtl8139Hw, Rtl8139Device>> {
     let unload = Unload::new("8139too", IRQ_LINE, Kernel::unregister_netdev);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
-    let init_latency_ns = unload.init(kernel, |k| {
-        hw.bar.write32(k, hwreg::CR, hwreg::CR_RST);
-        let _ = hw.bar.read32(k, hwreg::CR);
-        let _lo = hw.bar.read32(k, hwreg::IDR0);
-        let _hi = hw.bar.read32(k, hwreg::IDR4);
-        let hw_open = Rc::clone(&hw);
-        let hw_stop = Rc::clone(&hw);
-        let hw_x = Rc::clone(&hw);
+    unload.native(kernel, ifname, (Rc::clone(&hw), dev), |k, unload| {
+        native_run(&hw, k, probe)?;
+        let (hw_open, hw_stop, hw_x) = (Rc::clone(&hw), Rc::clone(&hw), Rc::clone(&hw));
         k.register_netdev(
             ifname,
             decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    hw_open.hw_start(k);
-                    Ok(())
-                }),
-                stop: Rc::new(move |k| {
-                    hw_stop.bar.write32(k, hwreg::CR, 0);
-                    Ok(())
-                }),
+                open: Rc::new(move |k| native_run(&hw_open, k, open)),
+                stop: Rc::new(move |k| native_run(&hw_stop, k, close)),
                 xmit: Rc::new(move |k, skb| hw_x.xmit(k, skb)),
             },
         )?;
         let (hw_irq, n) = (Rc::clone(&hw), ifname.to_string());
         unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k, &n)))
-    })?;
-    Ok(Native {
-        kernel: kernel.clone(),
-        hw,
-        name: ifname.to_string(),
-        init_latency_ns,
-        dev,
-        unload,
     })
-}
-
-/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
-/// first use and shared immutably by every load — `insmod` links a
-/// prebuilt image, it does not re-slice the source (see
-/// [`crate::e1000::image`]).
-pub fn image() -> Arc<SlicePlan> {
-    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
-    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
 }
 
 /// Loads the decaf (split) driver with the kernel-resident data path.
@@ -425,9 +464,8 @@ pub(crate) fn build(
     let mut unload = Unload::new("8139too_decaf", IRQ_LINE, Kernel::unregister_netdev);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(Rtl8139Hw::new(bar, dma));
-    let plan = image();
+    let plan = DriverKind::Rtl8139.image();
     let channels = support::channels_from_plan(&plan, config, 1);
-    let channel = Rc::clone(channels.shard(0));
 
     // The ring build is the one-shard instance of the shared glue; both
     // its timers are armed before `insmod`, the coalescing poll first.
@@ -453,75 +491,28 @@ pub(crate) fn build(
             )
         }
     };
-    let entries = register_procs(&channel, &hw, &irq_handler).map_err(|_| KError::Io)?;
-
-    let nuc = unload.nuc(&channel);
-    let (root, init_latency_ns) = unload.load(kernel, &channels, "rtl8139_private", |k, a| {
-        support::upcall(&nuc, k, entries.probe, a)?;
-        let nuc_open = Rc::clone(&nuc);
-        let nuc_stop = Rc::clone(&nuc);
-        k.register_netdev(
-            ifname,
-            decaf_simkernel::net::NetDeviceOps {
-                open: Rc::new(move |k| {
-                    let _owned_while_registered = &irq_handler;
-                    support::upcall(&nuc_open, k, entries.open, a)
-                }),
-                stop: Rc::new(move |k| {
-                    let _ = support::upcall(&nuc_stop, k, entries.close, a);
-                    Ok(())
-                }),
-                xmit,
-            },
-        )
+    let [probe, open, close] =
+        register_procs(channels.shard(0), &hw, &irq_handler).map_err(|_| KError::Io)?;
+    let (parts, links, root) = ((hw, dev), (plan, &*channels), "rtl8139_private");
+    let split = unload.split(kernel, ifname, parts, links, root, |k, a, nuc, _| {
+        support::upcall(nuc, k, probe, a)?;
+        ringnic::register_netdev(k, ifname, (nuc, a), [open, close], (irq_handler, xmit))
     })?;
-
-    let split = Split {
-        kernel: kernel.clone(),
-        hw,
-        name: ifname.to_string(),
-        channel,
-        nuc,
-        root,
-        init_latency_ns,
-        plan,
-        dev,
-        unload,
-    };
     Ok((split, rings))
 }
 
 /// Links the channel: the register-access imports, the kernel imports
-/// `rtl8139_open`/`rtl8139_close` call down into, and the decaf driver's
-/// three entry points, which call the imports by handle. `request_irq`
-/// borrows the handler and the netdev `open` op owns it, for the e1000's
-/// reason: the ring handler reaches this channel through its receive
-/// path. Returns the entry points' handles.
+/// `rtl8139_open`/`rtl8139_close` call down into — `request_irq` for
+/// `irq_handler` — and the decaf driver's three entry points, which call
+/// the imports by handle. Returns the entry points' handles.
 fn register_procs(
     channel: &XpcChannel,
     hw: &Rc<Rtl8139Hw>,
     irq_handler: &IrqHandler,
-) -> XpcResult<Entries> {
+) -> XpcResult<[ProcHandle; 3]> {
     support::register_io_procs(channel, hw.bar.clone())?;
-    let irq_weak = Rc::downgrade(irq_handler);
-    let request_irq = channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("request_irq", move |k, _| {
-            support::errno_value(match irq_weak.upgrade() {
-                Some(handler) => k.request_irq(IRQ_LINE, "8139too", handler),
-                None => Err(KError::NoDev),
-            })
-        }),
-    )?;
-    let free_irq = channel.register_proc(
-        Domain::Nucleus,
-        ProcDef::scalar("free_irq", |k, _| {
-            k.free_irq(IRQ_LINE);
-            XdrValue::Int(0)
-        }),
-    )?;
-    // The mini-C source lists `rtl8139_hw_start` as a user function; this
-    // build keeps the ring start in the nucleus, behind a downcall.
+    let [request_irq, free_irq] =
+        ringnic::register_irq_procs(channel, IRQ_LINE, "8139too", irq_handler)?;
     let hw_start = Rc::clone(hw);
     let hw_start_datapath = channel.register_proc(
         Domain::Nucleus,
@@ -536,49 +527,21 @@ fn register_procs(
     static LINKED: OnceLock<Linked<3, 4>> = OnceLock::new();
     let entries = ["rtl8139_probe", "rtl8139_open", "rtl8139_close"];
     let fields = ["msg_enable", "media", "mac", "link_up"];
-    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "rtl8139_private", fields));
+    let linked = LINKED.get_or_init(|| {
+        Linked::new(
+            &DriverKind::Rtl8139.image(),
+            entries,
+            "rtl8139_private",
+            fields,
+        )
+    });
     let [probe, open, close] = linked.entries;
-    let [msg_enable, media, mac, link_up] = linked.fields;
-    let probe = linked.register(channel, probe, move |k, ch, a, _| {
-        // init_board: reset and settle.
-        decaf_writel(k, ch, hwreg::CR, hwreg::CR_RST);
-        let _ = decaf_readl(k, ch, hwreg::CR);
-        // read_mac.
-        let lo = decaf_readl(k, ch, hwreg::IDR0).to_le_bytes();
-        let hi = decaf_readl(k, ch, hwreg::IDR4).to_le_bytes();
-        set_field(ch, a, msg_enable, XdrValue::Int(7));
-        set_field(ch, a, media, XdrValue::Int(1));
-        let mac_bytes = vec![lo[0], lo[1], lo[2], lo[3], hi[0], hi[1]];
-        set_field(ch, a, mac, XdrValue::Opaque(mac_bytes));
-        XdrValue::Int(0)
-    })?;
-    let open = linked.register(channel, open, move |k, ch, a, _| {
-        // request_irq, then hw_start; free the irq if start fails.
-        match ch.call_resolved(k, Domain::Decaf, request_irq, &[], &[]) {
-            Ok(XdrValue::Int(0)) => {}
-            Ok(XdrValue::Int(e)) => return XdrValue::Int(e),
-            _ => return XdrValue::Int(KError::Io.errno()),
-        }
-        let _ = ch.call_resolved(k, Domain::Decaf, hw_start_datapath, &[], &[]);
-        decaf_writel(k, ch, hwreg::IMR, hwreg::INT_TOK | hwreg::INT_ROK);
-        set_field(ch, a, link_up, XdrValue::Int(1));
-        XdrValue::Int(0)
-    })?;
-    let close = linked.register(channel, close, move |k, ch, a, _| {
-        set_field(ch, a, link_up, XdrValue::Int(0));
-        decaf_writel(k, ch, hwreg::CR, 0);
-        let _ = ch.call_resolved(k, Domain::Decaf, free_irq, &[], &[]);
-        XdrValue::Int(0)
-    })?;
-    Ok(Entries { probe, open, close })
-}
-
-/// The entry points the nucleus upcalls, as registered.
-#[derive(Clone, Copy)]
-struct Entries {
-    probe: ProcHandle,
-    open: ProcHandle,
-    close: ProcHandle,
+    let imports = [hw_start_datapath, request_irq, free_irq];
+    Ok([
+        linked.register_body(channel, probe, imports, self::probe)?,
+        linked.register_body(channel, open, imports, self::open)?,
+        linked.register_body(channel, close, imports, self::close)?,
+    ])
 }
 
 #[cfg(test)]
@@ -593,7 +556,7 @@ mod tests {
 
     #[test]
     fn slicer_plan_shape_matches_table2() {
-        let plan = image();
+        let plan = DriverKind::Rtl8139.image();
         assert!(plan.kernel_fns.contains(&"rtl8139_interrupt".to_string()));
         assert!(plan.decaf_fns.contains(&"rtl8139_open".to_string()));
         assert_eq!(plan.library_fns.len(), 2, "two @library helpers");

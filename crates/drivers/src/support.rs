@@ -4,9 +4,9 @@
 //! `remove` runs.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use decaf_simkernel::kernel::{IrqHandler, WorkBody};
 use decaf_simkernel::{KError, KResult, Kernel, MmioRegion, TimerId};
@@ -48,18 +48,6 @@ pub const RX_POLL_TICK_NS: u64 = 50_000;
 
 /// Descriptors one poll-mode tick may consume before yielding.
 pub const RX_POLL_BUDGET: usize = 64;
-
-/// The body of every driver module's `image()` accessor: the plan in
-/// `cell`, produced by `build` on first use. The sources are static, so
-/// a slicing error is a bug in this repository, not a load-time failure.
-pub fn shared_image(
-    cell: &'static OnceLock<Arc<SlicePlan>>,
-    build: impl FnOnce() -> decaf_slicer::SliceResult<SlicePlan>,
-) -> Arc<SlicePlan> {
-    Arc::clone(
-        cell.get_or_init(|| Arc::new(build().expect("a driver's static mini-C source slices"))),
-    )
-}
 
 /// Builds the channels between nucleus and decaf driver from a
 /// DriverSlicer plan: `shards` parallel channels of `config` — a
@@ -150,6 +138,29 @@ impl<const E: usize, const F: usize> Linked<E, F> {
         let (name, types) = (&entry.name, entry.object_ids);
         channel.register_resolved(Domain::Decaf, name, types, &self.plan.spec, stub)
     }
+
+    /// Registers user entry point `entry`'s one body: `body` run on an
+    /// [`Over`] of the channel and object each upcall brings, this
+    /// link's fields and the nucleus imports `imports` (the driver's
+    /// import table, in its order). The body's errno is the answer.
+    pub(crate) fn register_body<const N: usize>(
+        &'static self,
+        channel: &XpcChannel,
+        entry: usize,
+        imports: [ProcHandle; N],
+        body: Body,
+    ) -> XpcResult<ProcHandle> {
+        self.register(channel, entry, move |k, ch, root, scalars| {
+            let fields = &self.fields;
+            let io = Over {
+                ch,
+                root,
+                fields,
+                imports: &imports,
+            };
+            XdrValue::Int(body(&io, k, scalars))
+        })
+    }
 }
 
 /// What one install does to the kernel, written by that install as it
@@ -178,7 +189,63 @@ impl Unload {
     }
 
     /// `insmod` of a native build: runs `init` as the module's init and
-    /// returns the measured load latency.
+    /// returns the build's handle — `name`, registered over the hardware
+    /// state `hw` and the device model `dev` — with the measured load
+    /// latency.
+    pub(crate) fn native<H, D>(
+        self,
+        kernel: &Kernel,
+        name: &str,
+        (hw, dev): (Rc<H>, Rc<RefCell<D>>),
+        init: impl FnOnce(&Kernel, &Unload) -> KResult<()>,
+    ) -> KResult<Native<H, D>> {
+        let init_latency_ns = self.init(kernel, |k| init(k, &self))?;
+        Ok(Native {
+            kernel: kernel.clone(),
+            hw,
+            name: name.to_string(),
+            init_latency_ns,
+            dev,
+            unload: self,
+        })
+    }
+
+    /// `insmod` of a split build over `channels` (built from `plan`):
+    /// allocates the driver's root object (`root_type`, homed on the
+    /// control shard), builds the nuclear runtime on that shard's channel,
+    /// runs `init` with both as the module's init and returns the build's
+    /// handle, as [`Unload::native`] does. An `init` error leaves no
+    /// module behind.
+    pub(crate) fn split<H, D>(
+        self,
+        kernel: &Kernel,
+        name: &str,
+        (hw, dev): (Rc<H>, Rc<RefCell<D>>),
+        (plan, channels): (Arc<SlicePlan>, &ShardedChannel),
+        root_type: &str,
+        init: impl FnOnce(&Kernel, CAddr, &Rc<NuclearRuntime>, &Unload) -> KResult<()>,
+    ) -> KResult<Split<H, D>> {
+        let channel = Rc::clone(channels.shard(0));
+        let nuc = self.nuc(&channel);
+        let (root, init_latency_ns) = self.load(kernel, channels, root_type, |k, root| {
+            init(k, root, &nuc, &self)
+        })?;
+        Ok(Split {
+            kernel: kernel.clone(),
+            hw,
+            name: name.to_string(),
+            channel,
+            nuc,
+            root,
+            init_latency_ns,
+            plan,
+            dev,
+            unload: self,
+        })
+    }
+
+    /// `insmod`: runs `init` as the module's init and returns the
+    /// measured load latency.
     pub(crate) fn init(
         &self,
         kernel: &Kernel,
@@ -360,9 +427,208 @@ pub(crate) fn set_field(ch: &XpcChannel, obj: CAddr, field: FieldHandle, value: 
 /// failure is `-EIO`.
 pub fn upcall(nuc: &NuclearRuntime, kernel: &Kernel, proc: ProcHandle, obj: CAddr) -> KResult<()> {
     match nuc.upcall_errno(kernel, proc, &[Some(obj)], &[]) {
-        Ok(0) => Ok(()),
-        Ok(e) => Err(KError::from_errno(e).unwrap_or(KError::Io)),
+        Ok(e) => kresult(e),
         Err(_) => Err(KError::Io),
+    }
+}
+
+/// An errno-style return as a `KResult`: 0 is success, an errno the
+/// kernel does not know is `-EIO`.
+pub(crate) fn kresult(errno: i32) -> KResult<()> {
+    match errno {
+        0 => Ok(()),
+        e => Err(KError::from_errno(e).unwrap_or(KError::Io)),
+    }
+}
+
+/// The errno an import answered: its `Int`, or `-EIO` for anything else
+/// (a failed call answers `Void`).
+pub(crate) fn errno_of(answer: XdrValue) -> i32 {
+    match answer {
+        XdrValue::Int(e) => e,
+        _ => KError::Io.errno(),
+    }
+}
+
+/// What one driver's control entry points do to the device, the root
+/// object and the nucleus, whichever side hosts them. Each entry point
+/// is written once, generic over it: [`Direct`] runs it in the kernel
+/// (the native build), [`Over`] at user level over the channel (the
+/// decaf builds). A difference the two builds keep on purpose is a
+/// branch on [`Io::decaf`] inside the one body — an allowance, named in
+/// DESIGN.md and checked by `tests/device_traffic.rs`.
+///
+/// Fields and imports are indices: a field into the driver's
+/// [`Linked::fields`], an import into the driver's import table (the
+/// handles [`Linked::register_body`] is given, in the same order).
+pub(crate) trait Io {
+    /// Whether the body runs at user level.
+    fn decaf(&self) -> bool;
+    /// Reads register `off`.
+    fn readl(&self, k: &Kernel, off: u64) -> u32;
+    /// Writes register `off` (a posted write).
+    fn writel(&self, k: &Kernel, off: u64, val: u32);
+    /// Sets root-object field `field`.
+    fn set(&self, field: usize, value: XdrValue);
+    /// Sets byte-array root-object field `field`: a field only the decaf
+    /// build's shared object has any use for, so by default none.
+    fn set_bytes(&self, _field: usize, _bytes: &[u8]) {}
+    /// Sets `member` of the embedded struct in root-object field `field`
+    /// — as [`Io::set_bytes`], by default nowhere.
+    fn set_member(&self, _field: usize, _member: &str, _value: XdrValue) {}
+    /// Reads integer root-object field `field`; 0 if it holds none.
+    fn get(&self, field: usize) -> i32;
+    /// Calls nucleus import `proc` and returns its answer: `Void` when
+    /// the call failed.
+    fn import(&self, k: &Kernel, proc: usize, args: &[XdrValue]) -> XdrValue;
+    /// [`Io::import`] of an import that takes the root object.
+    fn import_root(&self, k: &Kernel, proc: usize) -> XdrValue {
+        self.import(k, proc, &[])
+    }
+    /// Posts nucleus import `proc`: nothing waits for its answer.
+    fn post(&self, k: &Kernel, proc: usize, args: &[XdrValue]) {
+        self.import(k, proc, args);
+    }
+}
+
+/// One control entry point, written once: run on either hosting with the
+/// upcall's scalar arguments, it answers an errno.
+pub(crate) type Body = fn(&dyn Io, &Kernel, &[XdrValue]) -> i32;
+
+/// The nucleus side of a [`Direct`]: import `proc` run on `args`.
+pub(crate) type Nucleus<'a> = &'a dyn Fn(&Kernel, usize, &[XdrValue]) -> XdrValue;
+
+/// The native hosting of a driver body: registers by kernel MMIO or port
+/// I/O, imports as direct calls into `nucleus`, and the integer fields
+/// in cells that live as long as the call — nothing outside the body
+/// reads the native build's root fields back but the caller that made
+/// it. There are as many cells as the widest driver names fields (the
+/// e1000's nine).
+pub(crate) struct Direct<'a> {
+    bar: &'a MmioRegion,
+    read: fn(&MmioRegion, &Kernel, u64) -> u32,
+    write: fn(&MmioRegion, &Kernel, u64, u32),
+    nucleus: Nucleus<'a>,
+    fields: [Cell<i32>; 9],
+}
+
+impl<'a> Direct<'a> {
+    /// A device reached by MMIO.
+    pub(crate) fn mmio(bar: &'a MmioRegion, nucleus: Nucleus<'a>) -> Self {
+        Direct {
+            bar,
+            read: MmioRegion::read32,
+            write: MmioRegion::write32,
+            nucleus,
+            fields: Default::default(),
+        }
+    }
+
+    /// A device reached by port I/O (`inl` / `outl`).
+    pub(crate) fn port(bar: &'a MmioRegion, nucleus: Nucleus<'a>) -> Self {
+        Direct {
+            read: MmioRegion::inl,
+            write: MmioRegion::outl,
+            ..Direct::mmio(bar, nucleus)
+        }
+    }
+}
+
+/// A [`Nucleus`] for a body that imports nothing.
+pub(crate) fn no_imports(_: &Kernel, _: usize, _: &[XdrValue]) -> XdrValue {
+    XdrValue::Void
+}
+
+impl Io for Direct<'_> {
+    fn decaf(&self) -> bool {
+        false
+    }
+
+    fn readl(&self, k: &Kernel, off: u64) -> u32 {
+        (self.read)(self.bar, k, off)
+    }
+
+    fn writel(&self, k: &Kernel, off: u64, val: u32) {
+        (self.write)(self.bar, k, off, val);
+    }
+
+    fn set(&self, field: usize, value: XdrValue) {
+        if let Some(v) = value.as_int() {
+            self.fields[field].set(v);
+        }
+    }
+
+    fn get(&self, field: usize) -> i32 {
+        self.fields[field].get()
+    }
+
+    fn import(&self, k: &Kernel, proc: usize, args: &[XdrValue]) -> XdrValue {
+        (self.nucleus)(k, proc, args)
+    }
+}
+
+/// The decaf hosting of a driver body: the handler of one upcall on
+/// `root`, reaching registers, fields and imports over the channel it
+/// was called on.
+pub(crate) struct Over<'a> {
+    ch: &'a XpcChannel,
+    root: CAddr,
+    fields: &'a [FieldHandle],
+    imports: &'a [ProcHandle],
+}
+
+impl Io for Over<'_> {
+    fn decaf(&self) -> bool {
+        true
+    }
+
+    fn readl(&self, k: &Kernel, off: u64) -> u32 {
+        decaf_readl(k, self.ch, off)
+    }
+
+    fn writel(&self, k: &Kernel, off: u64, val: u32) {
+        decaf_writel(k, self.ch, off, val);
+    }
+
+    fn set(&self, field: usize, value: XdrValue) {
+        set_field(self.ch, self.root, self.fields[field], value);
+    }
+
+    fn set_bytes(&self, field: usize, bytes: &[u8]) {
+        self.set(field, XdrValue::Opaque(bytes.to_vec()));
+    }
+
+    fn set_member(&self, field: usize, member: &str, value: XdrValue) {
+        let heap = self.ch.heap(Domain::Decaf);
+        let mut heap = heap.borrow_mut();
+        let field = self.fields[field];
+        let _ = heap.update_scalar(self.root, field, |s| s.set_field(member, value));
+    }
+
+    fn get(&self, field: usize) -> i32 {
+        let heap = self.ch.heap(Domain::Decaf);
+        let heap = heap.borrow();
+        let value = heap.scalar(self.root, self.fields[field]).ok();
+        value.and_then(|v| v.as_int()).unwrap_or(0)
+    }
+
+    fn import(&self, k: &Kernel, proc: usize, args: &[XdrValue]) -> XdrValue {
+        let proc = self.imports[proc];
+        let answer = self.ch.call_resolved(k, Domain::Decaf, proc, &[], args);
+        answer.unwrap_or(XdrValue::Void)
+    }
+
+    fn import_root(&self, k: &Kernel, proc: usize) -> XdrValue {
+        let (proc, root) = (self.imports[proc], [Some(self.root)]);
+        let answer = self.ch.call_resolved(k, Domain::Decaf, proc, &root, &[]);
+        answer.unwrap_or(XdrValue::Void)
+    }
+
+    fn post(&self, k: &Kernel, proc: usize, args: &[XdrValue]) {
+        let proc = self.imports[proc];
+        let _ = self
+            .ch
+            .call_deferred_resolved(k, Domain::Decaf, proc, &[], args);
     }
 }
 
@@ -582,7 +848,10 @@ mod tests {
 
     #[test]
     fn a_link_is_refused_on_a_channel_of_another_image() {
-        let (mouse, nic) = (crate::psmouse::image(), crate::e1000::image());
+        let (mouse, nic) = (
+            crate::DriverKind::Psmouse.image(),
+            crate::DriverKind::E1000.image(),
+        );
         let linked = Linked::new(&mouse, ["psmouse_probe"], "psmouse", ["rate"]);
         let handler = |_: &Kernel, _: &XpcChannel, _: CAddr, _: &[XdrValue]| XdrValue::Int(0);
         let foreign = batched_channels(&nic);
@@ -609,7 +878,7 @@ mod tests {
     #[test]
     fn io_procs_roundtrip_registers() {
         let kernel = Kernel::new();
-        let channels = batched_channels(&crate::psmouse::image());
+        let channels = batched_channels(&crate::DriverKind::Psmouse.image());
         let ch = channels.shard(0);
         let bar = MmioRegion::new(Rc::new(RefCell::new(Scratch([0; 8]))));
         register_io_procs(ch, bar).unwrap();
@@ -621,7 +890,7 @@ mod tests {
     #[test]
     fn register_access_runs_the_nucleus_helpers_whatever_the_decaf_end_holds() {
         let kernel = Kernel::new();
-        let channels = batched_channels(&crate::psmouse::image());
+        let channels = batched_channels(&crate::DriverKind::Psmouse.image());
         let ch = channels.shard(0);
         assert_eq!(decaf_readl(&kernel, ch, 12), 0, "no helpers: reads zero");
         // Procedures in the same slot numbers at the other end.
@@ -639,7 +908,7 @@ mod tests {
 
     #[test]
     fn a_name_outside_the_image_is_refused_by_name() {
-        let plan = crate::e1000::image();
+        let plan = crate::DriverKind::E1000.image();
         let channels = batched_channels(&plan);
         // A kernel function of the same image is not a user entry point.
         let refused = register_entry(channels.shard(0), &plan, "e1000_intr", |_, _, _, _| {
@@ -655,7 +924,7 @@ mod tests {
     #[test]
     fn stub_types_come_from_the_image_and_null_objects_stop_at_the_stub() {
         let kernel = Kernel::new();
-        let plan = crate::e1000::image();
+        let plan = crate::DriverKind::E1000.image();
         let channels = batched_channels(&plan);
         let ch = channels.shard(0);
         // The caller names no type; the handler reports whether the
@@ -705,7 +974,7 @@ mod tests {
     #[test]
     fn load_hands_back_the_object_init_saw_and_its_error() {
         let kernel = Kernel::new();
-        let channels = batched_channels(&crate::uhci::image());
+        let channels = batched_channels(&crate::DriverKind::UhciHcd.image());
         let mut saw = 0;
         let (m, n) = (
             Unload::new("m", 9, |_, _| {}),

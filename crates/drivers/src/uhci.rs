@@ -20,7 +20,7 @@ use decaf_simkernel::usb::{HcdOps, Urb, UrbCompletion, UrbDir};
 use decaf_simkernel::{
     costs, CpuClass, DmaMemory, KError, KResult, Kernel, MmioHandle, MmioRegion,
 };
-use decaf_slicer::{slice, SliceConfig, SlicePlan};
+use decaf_slicer::SlicePlan;
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
@@ -28,7 +28,8 @@ use decaf_xpc::{
     XpcChannel, XpcResult,
 };
 
-use crate::support::{self, decaf_readl, decaf_writel, set_field, Linked, Native, Split, Unload};
+use crate::support::{self, Direct, Io, Linked, Native, Split, Unload};
+use crate::DriverKind;
 
 /// IRQ line of the controller.
 pub const IRQ_LINE: u32 = 9;
@@ -363,35 +364,25 @@ fn hcd_ops(hw: Rc<UhciHw>) -> HcdOps {
     }
 }
 
+/// What every build of the schedule in the kernel does once the
+/// controller is up: register the HCD and take the completion line.
+fn register(k: &Kernel, unload: &Unload, hw: &Rc<UhciHw>, hcd: &str) -> KResult<()> {
+    k.usb_register_hcd(hcd, hcd_ops(Rc::clone(hw)))?;
+    let hw_irq = Rc::clone(hw);
+    unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
+}
+
 /// Loads the native driver.
 pub fn install_native(kernel: &Kernel, hcd: &str) -> KResult<Native<UhciHw, UhciDevice>> {
     let unload = Unload::new("uhci-hcd", IRQ_LINE, Kernel::usb_unregister_hcd);
     let (bar, dma, dev) = attach();
     let hw = Rc::new(UhciHw::new(bar, dma));
-    let init_latency_ns = unload.init(kernel, |k| {
+    unload.native(kernel, hcd, (Rc::clone(&hw), dev), |k, unload| {
         hw.start(k);
-        let _ports = hw.bar.inl(k, hwreg::PORTSC1);
-        k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
-        let hw_irq = Rc::clone(&hw);
-        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
-    })?;
-    Ok(Native {
-        kernel: kernel.clone(),
-        hw,
-        name: hcd.to_string(),
-        init_latency_ns,
-        dev,
-        unload,
+        let io = Direct::port(&hw.bar, &support::no_imports);
+        has_ports(count_ports(&io, k, &[]))?;
+        register(k, unload, &hw, hcd)
     })
-}
-
-/// The driver image: DriverSlicer's output for [`minic::SOURCE`], built on
-/// first use and shared immutably by every load — `insmod` links a
-/// prebuilt image, it does not re-slice the source (see
-/// [`crate::e1000::image`]).
-pub fn image() -> Arc<SlicePlan> {
-    static IMAGE: OnceLock<Arc<SlicePlan>> = OnceLock::new();
-    support::shared_image(&IMAGE, || slice(minic::SOURCE, &SliceConfig::default()))
 }
 
 /// What every user-level build starts from: the attached controller,
@@ -404,15 +395,16 @@ struct Attached {
     plan: Arc<SlicePlan>,
     channels: Rc<ShardedChannel>,
     dev: Rc<RefCell<UhciDevice>>,
-    /// The root-hub entry points' handles — every shard registers in one
-    /// order, so the control shard's serve all.
-    root_hub: RootHub,
+    /// The root-hub entry points' handles — suspend, resume, port count;
+    /// every shard registers in one order, so the control shard's serve
+    /// all.
+    root_hub: [ProcHandle; 3],
 }
 
 fn attach_channels(config: ChannelConfig, shards: usize) -> KResult<Attached> {
     let (bar, dma, dev) = attach();
     let hw = Rc::new(UhciHw::new(bar.clone(), dma));
-    let plan = image();
+    let plan = DriverKind::UhciHcd.image();
     let channels = support::channels_from_plan(&plan, config, shards);
     let mut control = None;
     for i in 0..shards {
@@ -428,48 +420,62 @@ fn attach_channels(config: ChannelConfig, shards: usize) -> KResult<Attached> {
     })
 }
 
-/// The root-hub entry points the nucleus upcalls, as registered.
-#[derive(Clone, Copy)]
-struct RootHub {
-    suspend: ProcHandle,
-    resume: ProcHandle,
-    count_ports: ProcHandle,
+/// The controller fields the root-hub bodies write, by index into the
+/// `Linked` fields `register_procs` names.
+const RH_STATE: usize = 0;
+const PORT_C_SUSPEND: usize = 1;
+const RESUME_DETECT: usize = 2;
+
+/// `uhci_rh_suspend`.
+fn rh_suspend(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    io.set(RH_STATE, XdrValue::Int(1));
+    io.set(PORT_C_SUSPEND, XdrValue::Int(1));
+    io.writel(k, hwreg::USBCMD, 0x10);
+    0
+}
+
+/// `uhci_rh_resume`.
+fn rh_resume(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    let _cmd = io.readl(k, hwreg::USBCMD);
+    io.writel(k, hwreg::USBCMD, hwreg::CMD_RS);
+    io.set(RH_STATE, XdrValue::Int(2));
+    io.set(RESUME_DETECT, XdrValue::Int(0));
+    0
+}
+
+/// `uhci_count_ports`: 2 if the first port answers, else none.
+fn count_ports(io: &dyn Io, k: &Kernel, _: &[XdrValue]) -> i32 {
+    match io.readl(k, hwreg::PORTSC1) {
+        0 => 0,
+        _ => 2,
+    }
+}
+
+/// No ports, no device.
+fn has_ports(ports: i32) -> KResult<()> {
+    match ports {
+        0 => Err(KError::NoDev),
+        _ => Ok(()),
+    }
 }
 
 /// Links one channel: the register-access imports and the three
 /// root-hub procedures the slicer moved to the decaf driver.
-fn register_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<RootHub> {
+fn register_procs(channel: &XpcChannel, bar: MmioRegion) -> XpcResult<[ProcHandle; 3]> {
     support::register_io_procs(channel, bar)?;
     // The three root-hub entry points and the fields they write, resolved
     // once against the image.
     static LINKED: OnceLock<Linked<3, 3>> = OnceLock::new();
     let entries = ["uhci_rh_suspend", "uhci_rh_resume", "uhci_count_ports"];
     let fields = ["rh_state", "port_c_suspend", "resume_detect"];
-    let linked = LINKED.get_or_init(|| Linked::new(&image(), entries, "uhci_hcd", fields));
-    let [suspend, resume, count_ports] = linked.entries;
-    let [rh_state, port_c_suspend, resume_detect] = linked.fields;
-    let suspend = linked.register(channel, suspend, move |k, ch, u, _| {
-        set_field(ch, u, rh_state, XdrValue::Int(1));
-        set_field(ch, u, port_c_suspend, XdrValue::Int(1));
-        decaf_writel(k, ch, hwreg::USBCMD, 0x10);
-        XdrValue::Int(0)
-    })?;
-    let resume = linked.register(channel, resume, move |k, ch, u, _| {
-        let _cmd = decaf_readl(k, ch, hwreg::USBCMD);
-        decaf_writel(k, ch, hwreg::USBCMD, hwreg::CMD_RS);
-        set_field(ch, u, rh_state, XdrValue::Int(2));
-        set_field(ch, u, resume_detect, XdrValue::Int(0));
-        XdrValue::Int(0)
-    })?;
-    let count_ports = linked.register(channel, count_ports, |k, ch, _, _| {
-        let sc = decaf_readl(k, ch, hwreg::PORTSC1);
-        XdrValue::Int(if sc == 0 { 0 } else { 2 })
-    })?;
-    Ok(RootHub {
-        suspend,
-        resume,
-        count_ports,
-    })
+    let linked = LINKED
+        .get_or_init(|| Linked::new(&DriverKind::UhciHcd.image(), entries, "uhci_hcd", fields));
+    let [suspend, resume, count] = linked.entries;
+    Ok([
+        linked.register_body(channel, suspend, [], rh_suspend)?,
+        linked.register_body(channel, resume, [], rh_resume)?,
+        linked.register_body(channel, count, [], count_ports)?,
+    ])
 }
 
 /// The start of every decaf `insmod`: the kernel-side controller start
@@ -478,17 +484,14 @@ fn start_controller(
     k: &Kernel,
     hw: &UhciHw,
     nuc: &NuclearRuntime,
-    root_hub: RootHub,
+    root_hub: [ProcHandle; 3],
     u: CAddr,
 ) -> KResult<()> {
     hw.start(k);
     let ports = nuc
-        .upcall_errno(k, root_hub.count_ports, &[Some(u)], &[])
+        .upcall_errno(k, root_hub[2], &[Some(u)], &[])
         .map_err(|_| KError::Io)?;
-    if ports == 0 {
-        return Err(KError::NoDev);
-    }
-    Ok(())
+    has_ports(ports)
 }
 
 /// Loads the decaf driver: the schedule path stays in the kernel; root
@@ -502,31 +505,16 @@ pub fn install_decaf(kernel: &Kernel, hcd: &str) -> KResult<Split<UhciHw, UhciDe
         dev,
         root_hub,
     } = attach_channels(ChannelConfig::kernel_user_batched(), 1)?;
-    let channel = Rc::clone(channels.shard(0));
-    let nuc = unload.nuc(&channel);
-
-    let (root, init_latency_ns) = unload.load(kernel, &channels, "uhci_hcd", |k, u| {
-        start_controller(k, &hw, &nuc, root_hub, u)?;
-        // A suspend/resume cycle as the paper's power management
-        // exercise.
-        support::upcall(&nuc, k, root_hub.suspend, u)?;
-        support::upcall(&nuc, k, root_hub.resume, u)?;
-        k.usb_register_hcd(hcd, hcd_ops(Rc::clone(&hw)))?;
-        let hw_irq = Rc::clone(&hw);
-        unload.request_irq(k, Rc::new(move |k| hw_irq.handle_irq(k)))
-    })?;
-
-    Ok(Split {
-        kernel: kernel.clone(),
-        hw,
-        name: hcd.to_string(),
-        channel,
-        nuc,
-        root,
-        init_latency_ns,
-        plan,
-        dev,
-        unload,
+    let (parts, links, root) = ((Rc::clone(&hw), dev), (plan, &*channels), "uhci_hcd");
+    unload.split(kernel, hcd, parts, links, root, |k, u, nuc, unload| {
+        start_controller(k, &hw, nuc, root_hub, u)?;
+        // Allowance `uhci-pm-cycle`: a suspend/resume cycle as the
+        // paper's power management exercise, which the native build does
+        // not run.
+        let [suspend, resume, _] = root_hub;
+        support::upcall(nuc, k, suspend, u)?;
+        support::upcall(nuc, k, resume, u)?;
+        register(k, unload, &hw, hcd)
     })
 }
 
@@ -1088,7 +1076,7 @@ mod tests {
 
     #[test]
     fn slicer_keeps_most_functions_kernel() {
-        let plan = image();
+        let plan = DriverKind::UhciHcd.image();
         // uhci-hcd is the outlier: only a few functions convert (§4.1).
         assert!(plan.kernel_fns.len() > plan.decaf_fns.len());
         assert_eq!(plan.decaf_fns.len(), 3);

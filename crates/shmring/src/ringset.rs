@@ -97,6 +97,9 @@ pub enum RingSetError {
     CompletionFull(usize),
     /// The target shard's descriptor ring is full (backpressure).
     RingFull(usize),
+    /// The cookie is already in flight: a second post of it would leave
+    /// two descriptors that one completion steers home.
+    InFlight(u64),
 }
 
 impl std::fmt::Display for RingSetError {
@@ -110,6 +113,9 @@ impl std::fmt::Display for RingSetError {
             }
             RingSetError::RingFull(shard) => {
                 write!(f, "descriptor ring of shard {shard} full")
+            }
+            RingSetError::InFlight(cookie) => {
+                write!(f, "cookie {cookie} posted while in flight")
             }
         }
     }
@@ -128,6 +134,9 @@ pub struct RingSetStats {
     pub completed: u64,
     /// Most descriptors simultaneously in flight on one shard.
     pub in_flight_hwm: u64,
+    /// Notes refused because their cookie was already in flight
+    /// ([`RingSetError::InFlight`]).
+    pub refused: u64,
 }
 
 /// A deterministic 64-bit mix (SplitMix64 finalizer) used for flow
@@ -217,23 +226,23 @@ impl Origins {
             .map(|(_, n)| n)
     }
 
-    /// Records `cookie`, replacing the record of the same cookie if it
-    /// is already in flight.
-    fn insert(&mut self, cookie: u64, noted: Noted) {
+    /// Records `cookie`; `false`, recording nothing, if it is already in
+    /// flight.
+    fn insert(&mut self, cookie: u64, noted: Noted) -> bool {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow();
         }
         let mask = self.mask();
         let mut i = cookie as usize & mask;
-        while let Some((held, record)) = &mut self.slots[i] {
+        while let Some((held, _)) = &self.slots[i] {
             if *held == cookie {
-                *record = noted;
-                return;
+                return false;
             }
             i = (i + 1) & mask;
         }
         self.slots[i] = Some((cookie, noted));
         self.len += 1;
+        true
     }
 
     /// Takes `cookie`'s record out, moving each later entry of its probe
@@ -344,9 +353,12 @@ impl UrbRingSet {
         self.ring(shard)
     }
 
-    /// [`ShardedRings::note_post`] in storage vocabulary.
+    /// [`ShardedRings::note_post`] in storage vocabulary, for a caller
+    /// that mints fresh cookies: a refused note is only counted
+    /// ([`RingSetStats::refused`]). A caller that must see the refusal
+    /// calls `note_post`.
     pub fn note_submit(&self, shard: usize, cookie: u64) {
-        self.note_post(shard, cookie);
+        let _ = self.note_post(shard, cookie);
     }
 }
 
@@ -412,20 +424,25 @@ impl<D: RingDescriptor> ShardedRings<D> {
     /// XPC `RingPath` holding the same ring `Rc`).
     /// Note first, [`ShardedRings::cancel_post`] if the post never
     /// happens: a synchronously-triggered consumer must be able to steer
-    /// the completion home.
-    pub fn note_post(&self, shard: usize, cookie: u64) {
+    /// the completion home. A cookie already in flight is refused
+    /// ([`RingSetError::InFlight`], counted in `shard`'s
+    /// [`RingSetStats::refused`]) and changes nothing else.
+    pub fn note_post(&self, shard: usize, cookie: u64) -> Result<(), RingSetError> {
         let mut shards = self.shards.borrow_mut();
         let s = &mut shards[shard];
+        let hwm_before = s.stats.in_flight_hwm;
+        if !self
+            .origin
+            .borrow_mut()
+            .insert(cookie, Noted { shard, hwm_before })
+        {
+            s.stats.refused += 1;
+            return Err(RingSetError::InFlight(cookie));
+        }
         s.in_flight += 1;
         s.stats.posted += 1;
-        self.origin.borrow_mut().insert(
-            cookie,
-            Noted {
-                shard,
-                hwm_before: s.stats.in_flight_hwm,
-            },
-        );
         s.stats.in_flight_hwm = s.stats.in_flight_hwm.max(s.in_flight);
+        Ok(())
     }
 
     /// Cancels an origin record whose post failed after being noted.
@@ -447,7 +464,8 @@ impl<D: RingDescriptor> ShardedRings<D> {
     }
 
     /// Posts one descriptor directly onto `shard`'s ring and records its
-    /// origin.
+    /// origin — noted first, so a cookie already in flight is refused
+    /// before the ring is touched.
     pub fn post(
         &self,
         kernel: &Kernel,
@@ -455,21 +473,20 @@ impl<D: RingDescriptor> ShardedRings<D> {
         shard: usize,
         desc: D,
     ) -> Result<(), RingSetError> {
-        match self.rings[shard].push(kernel, class, desc) {
-            Ok(()) => {
-                self.note_post(shard, desc.cookie());
-                kernel.trace_instant(
-                    "ring",
-                    "post",
-                    &[
-                        ("shard", shard as u64),
-                        ("occupancy", self.rings[shard].len() as u64),
-                    ],
-                );
-                Ok(())
-            }
-            Err(RingError::Full) => Err(RingSetError::RingFull(shard)),
+        self.note_post(shard, desc.cookie())?;
+        if let Err(RingError::Full) = self.rings[shard].push(kernel, class, desc) {
+            self.cancel_post(desc.cookie());
+            return Err(RingSetError::RingFull(shard));
         }
+        kernel.trace_instant(
+            "ring",
+            "post",
+            &[
+                ("shard", shard as u64),
+                ("occupancy", self.rings[shard].len() as u64),
+            ],
+        );
+        Ok(())
     }
 
     /// Steers a finished descriptor home: pushes it onto the *posting*
@@ -550,6 +567,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
             total.posted += s.stats.posted;
             total.completed += s.stats.completed;
             total.in_flight_hwm = total.in_flight_hwm.max(s.stats.in_flight_hwm);
+            total.refused += s.stats.refused;
         }
         total
     }
@@ -703,7 +721,7 @@ mod tests {
         let k = Kernel::new();
         let set = RingSet::new("tx", 2, 4, 8);
         // note-first producer pattern: the post never happens.
-        set.note_post(1, 9);
+        set.note_post(1, 9).unwrap();
         assert_eq!(set.in_flight(), 1);
         set.cancel_post(9);
         assert_eq!(set.in_flight(), 0);
@@ -726,14 +744,14 @@ mod tests {
         // is refused notes, then cancels.
         let k = Kernel::new();
         let set = RingSet::new("tx", 2, 4, 8);
-        set.note_post(0, 7);
+        set.note_post(0, 7).unwrap();
         set.cancel_post(7);
         assert_eq!(set.shard_stats(0).in_flight_hwm, 0, "phantom peak recorded");
         // A real peak of two…
         set.post(&k, CpuClass::Kernel, 0, desc(0)).unwrap();
         set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
         assert_eq!(set.stats().in_flight_hwm, 2);
-        set.note_post(0, 2);
+        set.note_post(0, 2).unwrap();
         set.cancel_post(2);
         assert_eq!(set.stats().in_flight_hwm, 2, "phantom peak recorded");
         // …survives a refused post after the ring has drained to zero.
@@ -741,7 +759,7 @@ mod tests {
             set.complete(&k, CpuClass::User, d).unwrap();
         }
         assert_eq!(set.shard_in_flight(0), 0);
-        set.note_post(0, 3);
+        set.note_post(0, 3).unwrap();
         set.cancel_post(3);
         assert_eq!(set.stats().in_flight_hwm, 2, "legitimate peak erased");
         assert!(set.conserved());

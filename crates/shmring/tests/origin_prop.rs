@@ -39,13 +39,20 @@ struct RefLedger {
 }
 
 impl RefLedger {
-    fn note(&mut self, shard: usize, cookie: u64) {
-        self.in_flight[shard] += 1;
+    /// A cookie already in flight is refused and counted, and nothing
+    /// else changes.
+    fn note(&mut self, shard: usize, cookie: u64) -> Result<(), RingSetError> {
         let s = &mut self.stats[shard];
+        if self.origin.contains_key(&cookie) {
+            s.refused += 1;
+            return Err(RingSetError::InFlight(cookie));
+        }
+        self.in_flight[shard] += 1;
         s.posted += 1;
         let hwm_before = s.in_flight_hwm;
         self.origin.insert(cookie, Noted { shard, hwm_before });
         s.in_flight_hwm = s.in_flight_hwm.max(self.in_flight[shard]);
+        Ok(())
     }
 
     fn cancel(&mut self, cookie: u64) {
@@ -77,8 +84,7 @@ impl RefLedger {
         std::mem::take(&mut self.waiting[shard])
     }
 
-    /// Noting a cookie already in flight replaces its record, so the
-    /// per-shard counts then run ahead of the ledger: not conserved.
+    /// Whether the per-shard counts and the ledger agree.
     fn conserved(&self) -> bool {
         self.in_flight.iter().sum::<u64>() == self.origin.len() as u64
             && (0..SHARDS)
@@ -125,10 +131,11 @@ fn twin_run(ops: &[Op]) {
         let cookie = cookie(shape, n);
         match op % 8 {
             // Notes outnumber retirements, so the ledger fills up.
-            0..=2 => {
-                set.note_post(shard, cookie);
-                model.note(shard, cookie);
-            }
+            0..=2 => assert_eq!(
+                set.note_post(shard, cookie),
+                model.note(shard, cookie),
+                "note {cookie:#x}"
+            ),
             3 => assert_eq!(
                 set.complete(&k, CpuClass::User, desc(cookie)),
                 model.complete(cookie),
@@ -162,6 +169,7 @@ fn twin_run(ops: &[Op]) {
             assert_eq!(set.shard_in_flight(i), model.in_flight[i], "shard {i}");
         }
         assert_eq!(set.conserved(), model.conserved());
+        assert!(set.conserved(), "a refused note leaves the ledger whole");
     }
     for (&cookie, noted) in &model.origin {
         assert_eq!(set.origin_of(cookie), Some(noted.shard), "{cookie:#x}");
@@ -189,9 +197,9 @@ fn cookies_sharing_slot_bits_survive_removal_from_the_middle_of_their_run() {
     let uhci = |slot: u64, gen: u64| slot | (gen << 32);
     let cookies = [uhci(5, 0), uhci(5, 1), uhci(5, 2), uhci(6, 0), uhci(5, 3)];
     for (i, &c) in cookies.iter().enumerate() {
-        set.note_post(i % 2, c);
+        set.note_post(i % 2, c).unwrap();
     }
-    set.note_post(1, u64::MAX);
+    set.note_post(1, u64::MAX).unwrap();
     assert_eq!(set.in_flight(), 6);
     for gone in [uhci(5, 1), uhci(5, 0)] {
         assert_eq!(
@@ -205,7 +213,7 @@ fn cookies_sharing_slot_bits_survive_removal_from_the_middle_of_their_run() {
     }
     assert_eq!(set.origin_of(u64::MAX), Some(1));
     for n in 0..100 {
-        set.note_post(0, n << 40);
+        set.note_post(0, n << 40).unwrap();
     }
     assert_eq!(set.in_flight(), 104);
     assert!((0..100).all(|n| set.origin_of(n << 40) == Some(0)));

@@ -8,6 +8,7 @@ use crate::clock::{Clock, ClockSnapshot, CpuClass};
 use crate::costs;
 use crate::error::{KError, KResult};
 use crate::input::InputState;
+use crate::mmio::Access;
 #[cfg(debug_assertions)]
 use crate::mutation::{self, Mutant};
 use crate::net::NetState;
@@ -263,6 +264,10 @@ pub(crate) struct Inner {
     /// Whether `tracer` holds one: what the per-charge and per-span fast
     /// paths read instead of borrowing the slot.
     tracing: Cell<bool>,
+    /// Whether register accesses are recorded into `traffic`
+    /// ([`Kernel::record_device_traffic`]).
+    recording: Cell<bool>,
+    traffic: RefCell<Vec<Access>>,
     pub(crate) net: RefCell<NetState>,
     pub(crate) sound: RefCell<SoundState>,
     pub(crate) usb: RefCell<UsbState>,
@@ -345,6 +350,8 @@ impl Kernel {
                 dispatching: Cell::new(false),
                 tracer: RefCell::new(None),
                 tracing: Cell::new(false),
+                recording: Cell::new(false),
+                traffic: RefCell::new(Vec::new()),
                 net: RefCell::new(NetState::default()),
                 sound: RefCell::new(SoundState::default()),
                 usb: RefCell::new(UsbState::default()),
@@ -909,6 +916,42 @@ impl Kernel {
     #[inline]
     pub(crate) fn tracing(&self) -> &Cell<bool> {
         &self.inner.tracing
+    }
+
+    // ---------------------------------------------- device traffic
+
+    /// Starts recording every register access a driver makes through an
+    /// [`crate::MmioRegion`] on this kernel, in order: what a test reads
+    /// back with [`Kernel::take_device_traffic`] to compare two builds of
+    /// one driver by what their device saw.
+    pub fn record_device_traffic(&self) {
+        self.inner.recording.set(true);
+    }
+
+    /// The accesses recorded since the last call, oldest first.
+    pub fn take_device_traffic(&self) -> Vec<Access> {
+        self.inner.traffic.take()
+    }
+
+    /// Records an access if this kernel records traffic: one flag test
+    /// unless it does.
+    #[inline]
+    pub(crate) fn note_access(&self, offset: u64, value: u32, write: bool, port: bool) {
+        if self.inner.recording.get() {
+            self.record_access(offset, value, write, port);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_access(&self, offset: u64, value: u32, write: bool, port: bool) {
+        let access = Access {
+            offset,
+            value,
+            write,
+            port,
+        };
+        self.inner.traffic.borrow_mut().push(access);
     }
 }
 

@@ -54,6 +54,6 @@ pub use decaf_trace;
 pub use clock::CpuClass;
 pub use error::{KError, KResult};
 pub use kernel::{ExecContext, Kernel, TimerId, Violation, ViolationKind, WeakKernel};
-pub use mmio::{DmaMemory, MmioDevice, MmioHandle, MmioRegion};
+pub use mmio::{Access, DmaMemory, MmioDevice, MmioHandle, MmioRegion};
 pub use net::SkBuff;
 pub use trace::TraceSpan;

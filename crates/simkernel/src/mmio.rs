@@ -20,6 +20,22 @@ pub trait MmioDevice {
 /// Shared handle to a device model (one BAR or I/O port window).
 pub type MmioHandle = Rc<RefCell<dyn MmioDevice>>;
 
+/// One register access a driver made through an [`MmioRegion`], as the
+/// device saw it: no virtual time, so two builds that charge differently
+/// but drive the device alike record the same sequence
+/// ([`Kernel::record_device_traffic`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// Register offset in the window.
+    pub offset: u64,
+    /// The value written, or the value the read returned.
+    pub value: u32,
+    /// A write, not a read.
+    pub write: bool,
+    /// Port I/O (`inl` / `outl`), not MMIO.
+    pub port: bool,
+}
+
 /// Wraps an [`MmioHandle`] with cost-charging register accessors, the way
 /// `readl`/`writel` wrap MMIO in Linux drivers.
 #[derive(Clone)]
@@ -37,27 +53,40 @@ impl MmioRegion {
     #[inline]
     pub fn read32(&self, kernel: &Kernel, offset: u64) -> u32 {
         kernel.charge_kernel(costs::MMIO_READ_NS);
-        self.handle.borrow_mut().read32(kernel, offset)
+        self.read(kernel, offset, false)
     }
 
     /// Writes a 32-bit register (charges MMIO write cost).
     #[inline]
     pub fn write32(&self, kernel: &Kernel, offset: u64, value: u32) {
         kernel.charge_kernel(costs::MMIO_WRITE_NS);
-        self.handle.borrow_mut().write32(kernel, offset, value);
+        self.write(kernel, offset, value, false);
     }
 
     /// Reads as a port I/O access (slower; used by UHCI and psmouse).
     #[inline]
     pub fn inl(&self, kernel: &Kernel, offset: u64) -> u32 {
         kernel.charge_kernel(costs::PORT_IO_NS);
-        self.handle.borrow_mut().read32(kernel, offset)
+        self.read(kernel, offset, true)
     }
 
     /// Writes as a port I/O access.
     #[inline]
     pub fn outl(&self, kernel: &Kernel, offset: u64, value: u32) {
         kernel.charge_kernel(costs::PORT_IO_NS);
+        self.write(kernel, offset, value, true);
+    }
+
+    #[inline]
+    fn read(&self, kernel: &Kernel, offset: u64, port: bool) -> u32 {
+        let value = self.handle.borrow_mut().read32(kernel, offset);
+        kernel.note_access(offset, value, false, port);
+        value
+    }
+
+    #[inline]
+    fn write(&self, kernel: &Kernel, offset: u64, value: u32, port: bool) {
+        kernel.note_access(offset, value, true, port);
         self.handle.borrow_mut().write32(kernel, offset, value);
     }
 

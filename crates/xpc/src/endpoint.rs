@@ -716,6 +716,15 @@ impl XpcChannel {
         self.io_procs.get()
     }
 
+    /// Refuses a call of `proc` that passes `given` object arguments when
+    /// the procedure declares another number.
+    fn check_args(slot: &ProcSlot, given: usize) -> XpcResult<()> {
+        match slot.arg_ids.as_slice().len() {
+            declared if declared == given => Ok(()),
+            declared => Err(XpcError::ArgCount { declared, given }),
+        }
+    }
+
     fn def(&self, target: &DomainEnd, proc: ProcHandle) -> XpcResult<ProcSlot> {
         let def = target.procs.borrow().slots.get(proc.0 as usize).cloned();
         def.ok_or_else(|| XpcError::UnknownProc {
@@ -1020,6 +1029,11 @@ impl XpcChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
+        // Planted bug: the call overtakes the calls parked before it.
+        #[cfg(debug_assertions)]
+        if crate::mutation::armed(crate::mutation::Mutant::SyncCallSkipsFlush) {
+            return self.call_inner(kernel, from, proc, args, scalars);
+        }
         self.flush(kernel)?;
         self.call_inner(kernel, from, proc, args, scalars)
     }
@@ -1143,6 +1157,11 @@ impl XpcChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<Option<CompletionToken>> {
+        // Checked here, where the error reaches its caller: a flush could
+        // only count a fault.
+        if let Some(slot) = self.peer(from)?.procs.borrow().slots.get(proc.0 as usize) {
+            Self::check_args(slot, args.len())?;
+        }
         let mut call = self.spare.borrow_mut().pop().unwrap_or(DeferredCall {
             from,
             proc,
@@ -1191,6 +1210,12 @@ impl XpcChannel {
             self.call_deferred_resolved(kernel, from, proc, &[], scalars)?;
             return self.flush(kernel);
         }
+        // The definition the bare crossing reads, looked up once: a bell
+        // that declares objects is refused here, before anything launches.
+        let def = self.def(self.peer(from)?, proc).ok();
+        if let Some(def) = &def {
+            Self::check_args(def, 0)?;
+        }
         let token = self.deferred.mint(kernel, from.cpu_class());
         self.bump(|s| {
             s.tokens_issued += 1;
@@ -1198,7 +1223,7 @@ impl XpcChannel {
         });
         self.schedule_deadline_wakeup(kernel, Some(kernel.now_ns()));
         let call = GroupCall(proc, &[], scalars, Some(token));
-        self.flush_group(kernel, from, std::iter::once(call));
+        self.flush_group(kernel, from, std::iter::once(call), def);
         // What its handler parked goes next, as the flush's next round
         // would have taken it.
         self.flush_rounds(kernel, FLUSH_ROUNDS - 1)
@@ -1396,7 +1421,7 @@ impl XpcChannel {
                 let group = calls
                     .iter()
                     .map(|c| GroupCall(c.proc, &c.args, &c.scalars, c.token));
-                self.flush_group(kernel, calls[0].from, group);
+                self.flush_group(kernel, calls[0].from, group, None);
             }
             queue.drain(..).for_each(|call| self.recycle(call));
             self.queue.set(queue);
@@ -1420,10 +1445,17 @@ impl XpcChannel {
     }
 
     /// Executes one same-direction group of calls from `from` — one
-    /// crossing ([`XpcChannel::cross_group`]), or, when that fails before
+    /// crossing ([`XpcChannel::cross_group`]; `def`, when the caller has
+    /// it, is a one-call group's definition), or, when that fails before
     /// any handler ran, call by call.
-    fn flush_group<'a>(&self, kernel: &Kernel, from: Domain, group: impl Group<'a>) {
-        if self.cross_group(kernel, from, group.clone()).is_ok() {
+    fn flush_group<'a>(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        group: impl Group<'a>,
+        def: Option<ProcSlot>,
+    ) {
+        if self.cross_group(kernel, from, group.clone(), def).is_ok() {
             return;
         }
         for GroupCall(proc, args, scalars, token) in group {
@@ -1452,6 +1484,7 @@ impl XpcChannel {
         kernel: &Kernel,
         from: Domain,
         group: impl Group<'a>,
+        def: Option<ProcSlot>,
     ) -> XpcResult<()> {
         let _span = kernel.trace_span("xpc", "flush");
         let launch = self.config.transport.launches();
@@ -1465,7 +1498,10 @@ impl XpcChannel {
         let defs: &[ProcSlot] = match group.clone().next() {
             Some(GroupCall(proc, ..)) if group.len() == 1 => {
                 batch = Vec::new();
-                one = [self.def(target, proc)?];
+                one = [match def {
+                    Some(def) => def,
+                    None => self.def(target, proc)?,
+                }];
                 &one
             }
             _ => {
@@ -2338,7 +2374,8 @@ mod tests {
             .unwrap();
         k.run_for(WINDOW / 2);
         // t=W/2: the nucleus defers an upcall.
-        ch.call_deferred(&k, Domain::Nucleus, "touch", &[], &[])
+        let adapter = alloc_adapter(&ch);
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
             .unwrap();
         // The decaf end faults; its queued calls are dropped.
         ch.reset_end(Domain::Decaf).unwrap();
@@ -2353,6 +2390,35 @@ mod tests {
         k.run_for(WINDOW / 2);
         assert!(ch.flush_if_due(&k).unwrap());
         assert_eq!(ch.pending_deferred(), 0);
+    }
+
+    #[test]
+    fn deferred_calls_with_the_wrong_objects_are_refused_where_they_are_made() {
+        let k = Kernel::new();
+        let ch = batched_channel();
+        register_noop(&ch, "touch");
+        let writel = ProcDef::scalar("writel", |_, _| XdrValue::Void);
+        ch.register_proc(Domain::Decaf, writel).unwrap();
+        let (touch, writel) = (
+            ch.resolve_proc(Domain::Nucleus, "touch").unwrap(),
+            ch.resolve_proc(Domain::Nucleus, "writel").unwrap(),
+        );
+        let adapter = alloc_adapter(&ch);
+        let refused = |declared, given| Err(XpcError::ArgCount { declared, given });
+        let none: &[Option<CAddr>] = &[];
+        for (proc, args, expected) in [
+            (touch, none, refused(1, 0)),
+            (touch, &[Some(adapter), Some(adapter)][..], refused(1, 2)),
+            (writel, &[Some(adapter)][..], refused(0, 1)),
+            (touch, &[Some(adapter)][..], Ok(None)),
+            (writel, none, Ok(None)),
+        ] {
+            let call = ch.call_deferred_resolved(&k, Domain::Nucleus, proc, args, &[]);
+            assert_eq!(call, expected);
+        }
+        assert_eq!(ch.pending_deferred(), 2, "only the well-formed calls park");
+        ch.flush(&k).unwrap();
+        assert_eq!((ch.stats().faults, ch.stats().flushes), (0, 1));
     }
 
     #[test]
@@ -2605,7 +2671,8 @@ mod tests {
         // launches: the token must resolve as cancelled, not leak.
         ch.call_deferred(&k, Domain::Decaf, "writel", &[], &[])
             .unwrap();
-        ch.call_deferred(&k, Domain::Nucleus, "touch", &[], &[])
+        let adapter = alloc_adapter(&ch);
+        ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
             .unwrap();
         assert_eq!(ch.tokens_outstanding(), 2);
         ch.reset_end(Domain::Decaf).unwrap();
@@ -3117,7 +3184,7 @@ mod tests {
     /// wakeups armed. The bell's handler returns (`0`), parks a call of
     /// its own (`1`), panics (`2`) or parks a call that parks itself
     /// again forever (`3`); or the bell declares an object argument it
-    /// is rung without (`4`), which no crossing may skip. Then lets time
+    /// is rung without (`4`), which the call refuses. Then lets time
     /// pass, harvests, and lets the wakeup timer come due.
     fn ring_once(config: ChannelConfig, wakeups: bool, parked: bool, body: u8, how: Ring) -> End {
         FULL_CROSSING.with(|f| f.set(how == Ring::LaunchedFull));
@@ -3213,11 +3280,17 @@ mod tests {
                     assert_eq!(new.6, old.6, "{case:?} {how:?}: trace events");
                 }
                 if body == 4 {
-                    // The declared object is marshaled though none was
-                    // passed: the group crossing fails before any handler
-                    // runs and the call falls back alone — the full path,
-                    // which a bare crossing would have skipped.
-                    assert_eq!((new.1.faults, new.1.flushes), (1, 0), "{case:?}");
+                    // A bell that declares an object it is not given is
+                    // refused at the call, whichever way it is rung:
+                    // nothing parks, launches or faults.
+                    let refused = Err::<(), _>(XpcError::ArgCount {
+                        declared: 1,
+                        given: 0,
+                    });
+                    assert_eq!(new.0, format!("{refused:?}"), "{case:?}");
+                    // Only the call parked before it was ever deferred.
+                    let s = new.1;
+                    assert_eq!((s.faults, s.deferred_calls), (0, parked as u64), "{case:?}");
                     continue;
                 }
                 assert_eq!(new.1.faults, (body == 2) as u64, "{case:?}");

@@ -38,6 +38,15 @@ pub enum XpcError {
     /// [`XpcError::Backpressure`] no amount of reclaim-and-retry can
     /// help: the caller's request must change.
     InvalidRequest(String),
+    /// A call passes a different number of object arguments than its
+    /// procedure declares — refused where it is made, not at the flush
+    /// that would cross it.
+    ArgCount {
+        /// Object arguments the procedure declares.
+        declared: usize,
+        /// Object arguments the call passed.
+        given: usize,
+    },
 }
 
 impl fmt::Display for XpcError {
@@ -63,6 +72,12 @@ impl fmt::Display for XpcError {
             }
             XpcError::InvalidRequest(what) => {
                 write!(f, "invalid request: {what}")
+            }
+            XpcError::ArgCount { declared, given } => {
+                write!(
+                    f,
+                    "{given} object arguments for a procedure declaring {declared}"
+                )
             }
         }
     }

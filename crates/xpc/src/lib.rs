@@ -66,6 +66,8 @@ pub mod admission;
 pub mod domain;
 pub mod endpoint;
 pub mod error;
+#[cfg(debug_assertions)]
+pub mod mutation;
 pub mod ringpath;
 pub mod runtime;
 pub mod shard;

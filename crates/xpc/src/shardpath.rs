@@ -142,7 +142,8 @@ impl<D: RingDescriptor> ShardedRingPath<D> {
     /// scope: the origin is noted first — a doorbell inside `post` runs
     /// the consumer synchronously, and it must already be able to steer
     /// the completion home — and cancelled if `post` fails, so an error
-    /// always means nothing was posted.
+    /// always means nothing was posted. A cookie already in flight is
+    /// refused there ([`XpcError::InvalidRequest`]) and `post` never runs.
     pub fn post_on<R>(
         &self,
         kernel: &Kernel,
@@ -151,7 +152,8 @@ impl<D: RingDescriptor> ShardedRingPath<D> {
         post: impl FnOnce(&RingPath<D>) -> XpcResult<R>,
     ) -> XpcResult<R> {
         kernel.shard_scope(shard, || {
-            self.set.note_post(shard, cookie);
+            let noted = self.set.note_post(shard, cookie);
+            noted.map_err(|e| XpcError::InvalidRequest(e.to_string()))?;
             post(&self.paths[shard]).inspect_err(|_| self.set.cancel_post(cookie))
         })
     }

@@ -35,7 +35,7 @@ use decaf_core::simdev::Rtl8139Device;
 
 #[path = "fault_harness/mod.rs"]
 mod fault_harness;
-use decaf_core::shmring::{BufHandle, Descriptor, RingSet, ShmRing};
+use decaf_core::shmring::{BufHandle, Descriptor, RingSet, RingSetError, ShmRing};
 use decaf_core::simkernel::kernel::WorkBody;
 use decaf_core::simkernel::{CpuClass, Kernel};
 use decaf_core::xdr::mask::MaskSet;
@@ -565,8 +565,8 @@ fn rtl8139_ring_builds_close_the_ledger() {
 /// each burst runs after the interrupt handler harvested it and before
 /// the drain completes it: there every frame of the burst must be a
 /// distinct entry of the origin ledger. Two in-flight descriptors
-/// sharing a cookie would not be absorbed — the ledger's map would hold
-/// one entry for two posts and `conserved()` says so.
+/// sharing a cookie would not be absorbed — the ledger refuses the
+/// second note and counts it, and that frame is never posted.
 #[test]
 fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     use std::cell::Cell;
@@ -574,11 +574,11 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
     const ROUNDS: usize = 40;
     const LEN: usize = 700;
 
-    // What the probe relies on: the ledger notices a shared cookie.
+    // What the probe relies on: the ledger refuses a shared cookie.
     let dup = RingSet::new("dup", 1, 4, 8);
-    dup.note_post(0, 7);
-    dup.note_post(0, 7);
-    assert!(!dup.conserved() && dup.in_flight() == 1);
+    assert_eq!(dup.note_post(0, 7), Ok(()));
+    assert_eq!(dup.note_post(0, 7), Err(RingSetError::InFlight(7)));
+    assert!(dup.conserved() && dup.in_flight() == 1 && dup.stats().refused == 1);
 
     let k = Kernel::new();
     let drv = rtl8139_ring(&k, Hosting::Shmring);
@@ -591,6 +591,7 @@ fn rtl8139_rx_cookies_stay_unique_across_ring_rewinds() {
         let in_flight_probe: WorkBody = Rc::new(move |_, _| {
             assert_eq!(set.in_flight(), BURST, "round {round}: a shared cookie");
             assert!(set.conserved(), "round {round}: {:?}", set.stats());
+            assert_eq!(set.stats().refused, 0, "round {round}: a shared cookie");
             probed.set(probed.get() + 1);
         });
         k.schedule_work_handle(&in_flight_probe, 0);
