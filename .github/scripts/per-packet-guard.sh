@@ -318,3 +318,24 @@ do
         grep -n 'decaf_readl(\|decaf_writel(\|set_field(' |
         sed "s|^|$f:|" || true
 done
+
+# Prints every name of the dispatch state in the product code of the
+# kernel core: the line table, the timer heap and the work queue, the
+# lowest-pending-line scan and the root deadline belong to
+# `simkernel::dispatch::Dispatch`, which `Kernel` keeps in one `RefCell`
+# and calls into. `Kernel::schedule_point` is one loop over
+# `Dispatch::next`, so a second copy of the order rule, or of the cached
+# root deadline dispatch used to read, shows here. Product code only, up
+# to the trailing test module; a listed file that does not exist prints
+# "<file>: missing".
+for f in \
+    crates/simkernel/src/kernel.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nw 'IrqLine\|Timers\|VecDeque\|trailing_zeros\|next_deadline' |
+        sed "s|^|$f:|" || true
+done

@@ -1,16 +1,14 @@
 //! The kernel core: contexts, interrupts, timers, work queues, modules.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use crate::clock::{Clock, ClockSnapshot, CpuClass};
 use crate::costs;
-use crate::error::{KError, KResult};
+use crate::dispatch::{Dispatch, NoSuchLine, Source};
+use crate::error::KResult;
 use crate::input::InputState;
 use crate::mmio::Access;
-#[cfg(debug_assertions)]
-use crate::mutation::{self, Mutant};
 use crate::net::NetState;
 use crate::sound::SoundState;
 use crate::usb::UsbState;
@@ -20,9 +18,10 @@ use crate::usb::UsbState;
 /// Mirrors the Linux distinction the paper leans on (§3.1.3): interrupt
 /// handlers and timers run at high priority and must never block, so they
 /// must never invoke the user-level decaf driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecContext {
     /// Ordinary process context: may block, may call up to user level.
+    #[default]
     Process,
     /// Softirq context (timers): must not block.
     SoftIrq,
@@ -61,146 +60,17 @@ pub enum ViolationKind {
     /// A user-level upcall (XPC to the decaf driver) was attempted from
     /// atomic context.
     UpcallInAtomic,
+    /// An interrupt call named a line the controller does not have; it
+    /// changed nothing.
+    NoSuchIrqLine,
 }
 
 /// Identifier of a kernel timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(usize);
 
-struct TimerEntry {
-    /// `None` once the timer is deleted: whatever the closure captured
-    /// is freed with the timer, not with the kernel.
-    callback: Option<TimerFn>,
-    period_ns: Option<u64>,
-    /// This timer's slot in [`Timers::armed`], while it is armed.
-    slot: Option<usize>,
-}
-
-/// The timer table plus the armed timers as a binary min-heap of
-/// `(deadline, timer index)` keyed by deadline. Dispatch never walks the
-/// table: the earliest deadline is the heap's root, and the timers due at
-/// `now` are exactly the connected subtree at the root whose deadlines
-/// are `<= now`, so a fire visits the due timers and nothing else.
-///
-/// The firing rule is **lowest timer index among the due timers**, not
-/// earliest deadline: busy time can carry the clock past several
-/// deadlines at once, and the order they then fire in is creation order.
-#[derive(Default)]
-struct Timers {
-    entries: Vec<TimerEntry>,
-    armed: Vec<(u64, usize)>,
-}
-
-impl Timers {
-    /// Arms (or re-arms) live timer `idx` for `deadline`.
-    fn arm(&mut self, idx: usize, deadline: u64, period_ns: Option<u64>) {
-        let Some(t) = self.entries.get_mut(idx).filter(|t| t.callback.is_some()) else {
-            return;
-        };
-        t.period_ns = period_ns;
-        let slot = match t.slot {
-            Some(slot) => {
-                self.armed[slot].0 = deadline;
-                slot
-            }
-            None => {
-                self.armed.push((deadline, idx));
-                self.armed.len() - 1
-            }
-        };
-        self.sift(slot);
-    }
-
-    fn disarm(&mut self, idx: usize) {
-        if let Some(slot) = self.entries.get_mut(idx).and_then(|t| t.slot.take()) {
-            self.armed.swap_remove(slot);
-            if slot < self.armed.len() {
-                self.sift(slot);
-            }
-        }
-    }
-
-    /// Restores the heap order around `slot` after its key changed (or a
-    /// different entry was moved into it), keeping every moved timer's
-    /// `slot` current.
-    fn sift(&mut self, mut slot: usize) {
-        while slot > 0 && self.armed[slot].0 < self.armed[(slot - 1) / 2].0 {
-            self.armed.swap(slot, (slot - 1) / 2);
-            self.entries[self.armed[slot].1].slot = Some(slot);
-            slot = (slot - 1) / 2;
-        }
-        loop {
-            let mut least = slot;
-            for child in [2 * slot + 1, 2 * slot + 2] {
-                if child < self.armed.len() && self.armed[child].0 < self.armed[least].0 {
-                    least = child;
-                }
-            }
-            if least == slot {
-                break;
-            }
-            self.armed.swap(slot, least);
-            self.entries[self.armed[slot].1].slot = Some(slot);
-            slot = least;
-        }
-        self.entries[self.armed[slot].1].slot = Some(slot);
-    }
-
-    /// Takes the next timer to fire at `now` — the lowest index among the
-    /// due ones — re-arming it `period` past `now` if periodic, disarming
-    /// it otherwise.
-    fn take_due(&mut self, now: u64) -> Option<TimerFn> {
-        let (mut slot, mut first) = (0, None::<usize>);
-        loop {
-            if let Some(&(_, idx)) = self.armed.get(slot).filter(|&&(d, _)| d <= now) {
-                first = Some(first.map_or(idx, |f| f.min(idx)));
-                slot = 2 * slot + 1;
-                continue;
-            }
-            // Not due (or past the end): nothing below is due either.
-            // Climb out of right subtrees, then cross to the sibling.
-            while slot > 0 && slot % 2 == 0 {
-                slot = (slot - 1) / 2;
-            }
-            if slot == 0 {
-                break;
-            }
-            slot += 1;
-        }
-        let idx = first?;
-        match self.entries[idx].period_ns {
-            Some(p) => self.arm(idx, now + p, Some(p)),
-            None => self.disarm(idx),
-        }
-        self.entries[idx].callback.clone()
-    }
-
-    /// The earliest armed deadline: the heap's root.
-    fn next_deadline(&self) -> Option<u64> {
-        self.armed.first().map(|&(d, _)| d)
-    }
-}
-
 /// A registered interrupt handler.
 pub type IrqHandler = Rc<dyn Fn(&Kernel)>;
-
-#[derive(Default)]
-struct IrqLine {
-    handler: Option<IrqHandler>,
-    disable_depth: u32,
-}
-
-/// Lines of the simulated interrupt controller: one bit each in the
-/// pending and masked words.
-const IRQ_LINES: u32 = 64;
-
-/// The bit of `line` in the pending and masked words.
-fn irq_bit(line: u32) -> u64 {
-    assert!(line < IRQ_LINES, "no such interrupt line");
-    1 << line
-}
-
-type TimerFn = Rc<dyn Fn(&Kernel)>;
 
 /// The first charge attributed to `shard`: grows the busy table to it.
 #[cold]
@@ -238,28 +108,17 @@ pub struct KernelStats {
     pub bytes_copied: u64,
 }
 
+#[derive(Default)]
 pub(crate) struct Inner {
     pub(crate) clock: Cell<Clock>,
     ctx: Cell<ExecContext>,
     atomic_depth: Cell<u32>,
     shard: Cell<Option<usize>>,
     shard_busy: RefCell<Vec<u64>>,
-    irqs: RefCell<Vec<IrqLine>>,
-    /// One bit per line: raised and not yet delivered.
-    irq_pending: Cell<u64>,
-    /// One bit per line: `disable_depth > 0`.
-    irq_masked: Cell<u64>,
-    timers: RefCell<Timers>,
-    /// The root deadline of `timers`' heap, refreshed by every arm,
-    /// disarm and fire ([`Kernel::with_timers`]): what dispatch reads to
-    /// learn that no timer is due, without borrowing the table.
-    next_deadline: Cell<Option<u64>>,
-    /// Queued work: a shared body and its run's argument word.
-    work: RefCell<VecDeque<(WorkBody, u64)>>,
+    pub(crate) dispatch: RefCell<Dispatch>,
     modules: RefCell<Vec<LoadedModule>>,
     violations: RefCell<Vec<Violation>>,
     stats: Cell<KernelStats>,
-    dispatching: Cell<bool>,
     tracer: RefCell<Option<Rc<decaf_trace::Tracer>>>,
     /// Whether `tracer` holds one: what the per-charge and per-span fast
     /// paths read instead of borrowing the slot.
@@ -289,7 +148,7 @@ pub(crate) struct Inner {
 /// kernel.charge_kernel(1_000);
 /// assert_eq!(kernel.now_ns(), 1_000);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Kernel {
     inner: Rc<Inner>,
 }
@@ -322,42 +181,10 @@ impl std::fmt::Debug for Kernel {
     }
 }
 
-impl Default for Kernel {
-    fn default() -> Self {
-        Kernel::new()
-    }
-}
-
 impl Kernel {
     /// Creates a fresh kernel at virtual time zero.
     pub fn new() -> Self {
-        Kernel {
-            inner: Rc::new(Inner {
-                clock: Cell::new(Clock::new()),
-                ctx: Cell::new(ExecContext::Process),
-                atomic_depth: Cell::new(0),
-                shard: Cell::new(None),
-                shard_busy: RefCell::new(Vec::new()),
-                irqs: RefCell::new(Vec::new()),
-                irq_pending: Cell::new(0),
-                irq_masked: Cell::new(0),
-                timers: RefCell::new(Timers::default()),
-                next_deadline: Cell::new(None),
-                work: RefCell::new(VecDeque::new()),
-                modules: RefCell::new(Vec::new()),
-                violations: RefCell::new(Vec::new()),
-                stats: Cell::new(KernelStats::default()),
-                dispatching: Cell::new(false),
-                tracer: RefCell::new(None),
-                tracing: Cell::new(false),
-                recording: Cell::new(false),
-                traffic: RefCell::new(Vec::new()),
-                net: RefCell::new(NetState::default()),
-                sound: RefCell::new(SoundState::default()),
-                usb: RefCell::new(UsbState::default()),
-                input: RefCell::new(InputState::default()),
-            }),
-        }
+        Kernel::default()
     }
 
     /// A non-owning handle to this kernel.
@@ -573,8 +400,31 @@ impl Kernel {
 
     // ---------------------------------------------------------- IRQs
 
+    /// The dispatch state, borrowed for one thin call: nothing runs
+    /// under this borrow.
+    #[inline]
+    fn dispatch(&self) -> std::cell::RefMut<'_, Dispatch> {
+        self.inner.dispatch.borrow_mut()
+    }
+
+    /// What a line call returned; a line the controller does not have
+    /// changed nothing and is recorded as a
+    /// [`ViolationKind::NoSuchIrqLine`].
+    #[inline]
+    fn on_line<R: Default>(&self, call: &str, line: u32, r: Result<R, NoSuchLine>) -> R {
+        r.unwrap_or_else(|NoSuchLine| self.no_such_line(call, line))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn no_such_line<R: Default>(&self, call: &str, line: u32) -> R {
+        self.record_violation(ViolationKind::NoSuchIrqLine, format!("{call}({line})"));
+        R::default()
+    }
+
     /// Registers `handler` on IRQ `line` (like `request_irq`). A line
-    /// the controller does not have is refused with [`KError::Inval`].
+    /// the controller does not have is refused with
+    /// [`KError::Inval`](crate::KError::Inval).
     /// `name` labels the call site for the reader; the kernel keeps none.
     pub fn request_irq(
         &self,
@@ -582,19 +432,7 @@ impl Kernel {
         _name: impl Into<String>,
         handler: Rc<dyn Fn(&Kernel)>,
     ) -> KResult<()> {
-        if line >= IRQ_LINES {
-            return Err(KError::Inval);
-        }
-        let mut irqs = self.inner.irqs.borrow_mut();
-        let line = line as usize;
-        if irqs.len() <= line {
-            irqs.resize_with(line + 1, IrqLine::default);
-        }
-        if irqs[line].handler.is_some() {
-            return Err(KError::Busy);
-        }
-        irqs[line].handler = Some(handler);
-        Ok(())
+        self.dispatch().request_irq(line, &handler)
     }
 
     /// Unregisters the handler on IRQ `line` (like `free_irq`). The line
@@ -602,12 +440,8 @@ impl Kernel {
     /// whoever requests it next gets a line that delivers, even if the
     /// last owner was removed with its interrupt masked.
     pub fn free_irq(&self, line: u32) {
-        if let Some(entry) = self.inner.irqs.borrow_mut().get_mut(line as usize) {
-            *entry = IrqLine::default();
-            let (pending, masked) = (&self.inner.irq_pending, &self.inner.irq_masked);
-            pending.set(pending.get() & !irq_bit(line));
-            masked.set(masked.get() & !irq_bit(line));
-        }
+        // The old handler is dropped on return, after the borrow.
+        let _handler = self.on_line("free_irq", line, self.dispatch().free_irq(line));
     }
 
     /// Disables delivery on `line`; nests (like `disable_irq`).
@@ -615,31 +449,18 @@ impl Kernel {
     /// This is the mechanism the nuclear runtime uses to keep the driver
     /// from interrupting itself while its decaf driver runs (§3.1.3).
     pub fn disable_irq(&self, line: u32) {
-        let masked = &self.inner.irq_masked;
-        masked.set(masked.get() | irq_bit(line));
-        let mut irqs = self.inner.irqs.borrow_mut();
-        let line = line as usize;
-        if irqs.len() <= line {
-            irqs.resize_with(line + 1, IrqLine::default);
-        }
-        irqs[line].disable_depth += 1;
+        self.on_line("disable_irq", line, self.dispatch().disable_irq(line));
     }
 
     /// Re-enables delivery on `line`; pending interrupts are delivered at
     /// the next scheduling point.
     pub fn enable_irq(&self, line: u32) {
-        if let Some(entry) = self.inner.irqs.borrow_mut().get_mut(line as usize) {
-            entry.disable_depth = entry.disable_depth.saturating_sub(1);
-            if entry.disable_depth == 0 {
-                let masked = &self.inner.irq_masked;
-                masked.set(masked.get() & !irq_bit(line));
-            }
-        }
+        self.on_line("enable_irq", line, self.dispatch().enable_irq(line));
     }
 
     /// Whether `line` currently has undelivered pending interrupts.
     pub fn irq_pending(&self, line: u32) -> bool {
-        line < IRQ_LINES && self.inner.irq_pending.get() & irq_bit(line) != 0
+        self.inner.dispatch.borrow().irq_pending(line)
     }
 
     /// Raises IRQ `line` (called by device models).
@@ -648,8 +469,7 @@ impl Kernel {
     /// code re-entrancy-free and the simulation deterministic.
     #[inline]
     pub fn raise_irq(&self, line: u32) {
-        let pending = &self.inner.irq_pending;
-        pending.set(pending.get() | irq_bit(line));
+        self.on_line("raise_irq", line, self.dispatch().raise_irq(line));
     }
 
     // -------------------------------------------------------- timers
@@ -657,13 +477,7 @@ impl Kernel {
     /// Creates a timer; it does not fire until armed. `name` labels the
     /// call site for the reader; the kernel keeps none.
     pub fn timer_create(&self, _name: impl Into<String>, callback: Rc<dyn Fn(&Kernel)>) -> TimerId {
-        let mut timers = self.inner.timers.borrow_mut();
-        timers.entries.push(TimerEntry {
-            callback: Some(callback),
-            period_ns: None,
-            slot: None,
-        });
-        TimerId(timers.entries.len() - 1)
+        TimerId(self.dispatch().timer_create(callback))
     }
 
     /// Creates a timer whose expiry defers to process context, the one
@@ -687,8 +501,7 @@ impl Kernel {
 
     /// Arms `timer` to fire once, `delay_ns` from now (like `mod_timer`).
     pub fn timer_arm(&self, timer: TimerId, delay_ns: u64) {
-        let deadline = self.now_ns() + delay_ns;
-        self.with_timers(|t| t.arm(timer.0, deadline, None));
+        self.dispatch().arm(timer.0, self.now_ns() + delay_ns, None);
     }
 
     /// Arms `timer` to fire once at absolute virtual time `deadline_ns`
@@ -699,15 +512,15 @@ impl Kernel {
     /// re-arming to `schedule[i]` directly cannot accumulate the off-by-
     /// one-dispatch drift that repeated `now + delta` arithmetic can.
     pub fn timer_arm_at(&self, timer: TimerId, deadline_ns: u64) {
-        let deadline = deadline_ns.max(self.now_ns());
-        self.with_timers(|t| t.arm(timer.0, deadline, None));
+        self.dispatch()
+            .arm(timer.0, deadline_ns.max(self.now_ns()), None);
     }
 
     /// Arms `timer` to fire every `period_ns` (must be positive).
     pub fn timer_arm_periodic(&self, timer: TimerId, period_ns: u64) {
         assert!(period_ns > 0, "periodic timers require a positive period");
-        let deadline = self.now_ns() + period_ns;
-        self.with_timers(|t| t.arm(timer.0, deadline, Some(period_ns)));
+        self.dispatch()
+            .arm(timer.0, self.now_ns() + period_ns, Some(period_ns));
     }
 
     /// Disarms and destroys `timer` (like `del_timer_sync`), dropping its
@@ -715,48 +528,14 @@ impl Kernel {
     /// channels alive until the kernel goes. A timer deleting itself from
     /// inside its callback is safe — dispatch runs a clone.
     pub fn timer_del(&self, timer: TimerId) {
-        #[cfg(debug_assertions)]
-        let cached = self.inner.next_deadline.get();
-        let callback = self.with_timers(|timers| {
-            timers.disarm(timer.0);
-            let entry = timers.entries.get_mut(timer.0)?;
-            #[cfg(debug_assertions)]
-            if mutation::armed(Mutant::TimerDelKeepsCallback) {
-                // Planted bug: the callback outlives its timer.
-                return None;
-            }
-            entry.callback.take()
-        });
-        #[cfg(debug_assertions)]
-        if mutation::armed(Mutant::TimerDelKeepsDeadline) {
-            // Planted bug: the cache keeps the deleted timer's deadline.
-            self.inner.next_deadline.set(cached);
-        }
-        // Dropped after the borrow is released: a captured value's `Drop`
+        // Dropped on return, after the borrow: a captured value's `Drop`
         // may itself delete timers.
-        drop(callback);
+        let _callback = self.dispatch().timer_del(timer.0);
     }
 
     /// Whether `timer` is armed.
     pub fn timer_pending(&self, timer: TimerId) -> bool {
-        let timers = self.inner.timers.borrow();
-        timers
-            .entries
-            .get(timer.0)
-            .is_some_and(|t| t.slot.is_some())
-    }
-
-    fn next_timer_deadline(&self) -> Option<u64> {
-        self.inner.next_deadline.get()
-    }
-
-    /// Runs `f` on the timer table, then refreshes the cached root
-    /// deadline — the one way the table changes after a timer is created.
-    fn with_timers<R>(&self, f: impl FnOnce(&mut Timers) -> R) -> R {
-        let mut timers = self.inner.timers.borrow_mut();
-        let r = f(&mut timers);
-        self.inner.next_deadline.set(timers.next_deadline());
-        r
+        self.inner.dispatch.borrow().timer_pending(timer.0)
     }
 
     // ---------------------------------------------------- work queue
@@ -771,108 +550,78 @@ impl Kernel {
     /// word, no allocation.
     #[inline]
     pub fn schedule_work_handle(&self, body: &WorkBody, arg: u64) {
-        let item = (Rc::clone(body), arg);
-        self.inner.work.borrow_mut().push_back(item);
+        self.dispatch().queue_work(body, arg);
     }
 
     /// Number of work items waiting.
     pub fn work_pending(&self) -> usize {
-        self.inner.work.borrow().len()
+        self.inner.dispatch.borrow().work_pending()
     }
 
     // ----------------------------------------------------- dispatch
 
-    /// Runs one dispatch round: pending IRQs, due timers, queued work.
+    /// Runs one dispatch round: pending IRQs, due timers, queued work,
+    /// one at a time until none is left. Each pick is the lowest unmasked
+    /// pending line with a handler, else the lowest-index due timer, else
+    /// the oldest work item; what runs may raise, arm or queue more.
     ///
     /// Re-entrant calls (from inside a handler) are ignored; the outer
     /// dispatch loop picks up anything new.
     pub fn schedule_point(&self) {
-        if self.inner.dispatching.replace(true) {
-            return;
-        }
-        loop {
-            let progressed = self.deliver_one_irq() || self.fire_one_timer() || self.run_one_work();
-            if !progressed {
-                break;
-            }
-        }
-        self.inner.dispatching.set(false);
+        self.dispatch_round();
     }
 
-    fn deliver_one_irq(&self) -> bool {
-        let inner = &self.inner;
-        loop {
-            let ready = inner.irq_pending.get() & !inner.irq_masked.get();
-            if ready == 0 {
-                return false;
+    /// [`Kernel::schedule_point`], returning the heap's root deadline as
+    /// read under the borrow that found nothing left to run.
+    fn dispatch_round(&self) -> Option<u64> {
+        let mut d = self.dispatch();
+        if !d.dispatching {
+            while let Some(source) = d.next(self.now_ns()) {
+                d.dispatching = true;
+                drop(d);
+                self.run_source(source);
+                d = self.dispatch();
             }
-            // Lowest line first.
-            let line = ready.trailing_zeros();
-            inner
-                .irq_pending
-                .set(inner.irq_pending.get() & !irq_bit(line));
-            let handler = inner
-                .irqs
-                .borrow()
-                .get(line as usize)
-                .and_then(|l| l.handler.clone());
-            // A pending line with no handler is spurious: dropped.
-            if let Some(handler) = handler {
-                let _span = self.trace_span("kernel", "irq");
-                self.charge_kernel(costs::IRQ_ENTRY_NS);
-                self.bump_stats(|s| s.irqs_delivered += 1);
-                self.with_context(ExecContext::HardIrq, || handler(self));
-                return true;
-            }
+            d.dispatching = false;
         }
+        d.earliest_deadline()
     }
 
-    fn fire_one_timer(&self) -> bool {
-        let now = self.now_ns();
-        if self.next_timer_deadline().is_none_or(|d| d > now) {
-            return false;
-        }
-        let Some(cb) = self.with_timers(|t| t.take_due(now)) else {
-            return false;
+    /// Charges, counts and runs what [`Dispatch::next`] picked, in its
+    /// context and trace span. It takes `source` by value, so a callback
+    /// freed while it ran is dropped here, before the next borrow: its
+    /// captures' `Drop` may call into the kernel.
+    fn run_source(&self, source: Source) {
+        let (span, ns, ctx) = match source {
+            Source::Irq(_) => ("irq", costs::IRQ_ENTRY_NS, ExecContext::HardIrq),
+            Source::Timer(_) => ("timer", costs::SOFTIRQ_DISPATCH_NS, ExecContext::SoftIrq),
+            Source::Work(..) => ("work", costs::SOFTIRQ_DISPATCH_NS, ExecContext::Process),
         };
-        let _span = self.trace_span("kernel", "timer");
-        self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
-        self.bump_stats(|s| s.timers_fired += 1);
-        self.with_context(ExecContext::SoftIrq, || cb(self));
-        true
-    }
-
-    fn run_one_work(&self) -> bool {
-        let Some((body, arg)) = self.inner.work.borrow_mut().pop_front() else {
-            return false;
-        };
-        let _span = self.trace_span("kernel", "work");
-        self.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
-        self.bump_stats(|s| s.work_executed += 1);
-        self.with_context(ExecContext::Process, || body(self, arg));
-        true
+        let _span = self.trace_span("kernel", span);
+        self.charge_kernel(ns);
+        self.bump_stats(|s| match source {
+            Source::Irq(_) => s.irqs_delivered += 1,
+            Source::Timer(_) => s.timers_fired += 1,
+            Source::Work(..) => s.work_executed += 1,
+        });
+        self.with_context(ctx, || match &source {
+            Source::Irq(run) | Source::Timer(run) => run(self),
+            Source::Work(body, arg) => body(self, *arg),
+        });
     }
 
     /// Advances virtual time by `ns`, dispatching events as they come due.
+    /// It returns from a round that left nothing to run at `end`.
     pub fn run_for(&self, ns: u64) {
         let end = self.now_ns() + ns;
         loop {
-            self.schedule_point();
+            let next = self.dispatch_round();
             let now = self.now_ns();
             if now >= end {
-                break;
+                return;
             }
-            let next = self
-                .next_timer_deadline()
-                .map_or(end, |d| d.clamp(now, end));
-            let step = next.saturating_sub(now);
-            if step == 0 {
-                // A timer is due exactly now; loop to dispatch it.
-                continue;
-            }
-            self.advance_idle(step);
+            self.advance_idle(next.map_or(end, |d| d.clamp(now, end)) - now);
         }
-        self.schedule_point();
     }
 
     // -------------------------------------------------------- modules
@@ -958,6 +707,11 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    /// Lines the simulated interrupt controller has.
+    const IRQ_LINES: u32 = 64;
+    use crate::error::KError;
+    #[cfg(debug_assertions)]
+    use crate::mutation::{self, Mutant};
     use std::cell::Cell as StdCell;
 
     #[test]
@@ -1028,10 +782,38 @@ mod tests {
             assert!(!k.irq_pending(line));
             k.free_irq(line); // nothing registered: no panic, nothing freed
         }
-        assert!(k.inner.irqs.borrow().is_empty(), "no line table grown");
+        assert!(k.dispatch().lines.is_empty(), "no line table grown");
         // The last line the controller has still works.
         k.request_irq(IRQ_LINES - 1, "last", handler).unwrap();
         k.raise_irq(IRQ_LINES - 1);
+        k.schedule_point();
+        assert_eq!(fired.get(), 1);
+    }
+
+    #[test]
+    fn a_call_on_a_line_the_controller_lacks_is_a_violation_not_a_panic() {
+        let k = Kernel::new();
+        for line in [IRQ_LINES, u32::MAX] {
+            k.raise_irq(line);
+            k.disable_irq(line);
+            k.enable_irq(line);
+            k.free_irq(line);
+            assert!(!k.irq_pending(line));
+        }
+        k.schedule_point();
+        let v = k.violations();
+        assert_eq!(v.len(), 8, "{v:?}");
+        assert!(v.iter().all(|v| v.kind == ViolationKind::NoSuchIrqLine));
+        assert_eq!(v[0].detail, "raise_irq(64)");
+        assert_eq!(v[7].detail, format!("free_irq({})", u32::MAX));
+        assert!(k.dispatch().lines.is_empty(), "no line table grown");
+        assert!((0..IRQ_LINES).all(|line| !k.irq_pending(line)));
+        // Nothing was masked: a line the controller has still delivers.
+        let fired = Rc::new(StdCell::new(0));
+        let f = Rc::clone(&fired);
+        k.request_irq(0, "first", Rc::new(move |_| f.set(f.get() + 1)))
+            .unwrap();
+        k.raise_irq(0);
         k.schedule_point();
         assert_eq!(fired.get(), 1);
     }
@@ -1380,7 +1162,7 @@ mod tests {
         k.charge_kernel(3_500);
         k.schedule_point();
         assert_eq!(log.borrow().len(), 1, "one fire, however late");
-        assert_eq!(k.next_timer_deadline(), Some(3_500 + 1_000));
+        assert_eq!(k.dispatch().earliest_deadline(), Some(3_500 + 1_000));
     }
 
     #[test]
@@ -1498,145 +1280,6 @@ mod tests {
         assert_eq!(k.work_pending(), 0);
     }
 
-    // ------------------------------------- the cached root deadline
-
-    /// Fires what is due on `k` as dispatch did before the root deadline
-    /// was cached: `take_due` on every attempt, whatever the cache says.
-    fn dispatch_uncached(k: &Kernel) {
-        loop {
-            let due = k.inner.timers.borrow_mut().take_due(k.now_ns());
-            let Some(cb) = due else { return };
-            k.charge_kernel(costs::SOFTIRQ_DISPATCH_NS);
-            k.bump_stats(|s| s.timers_fired += 1);
-            k.with_context(ExecContext::SoftIrq, || cb(k));
-        }
-    }
-
-    /// `run_for` over [`dispatch_uncached`], reading the heap's root.
-    fn run_for_uncached(k: &Kernel, ns: u64) {
-        let end = k.now_ns() + ns;
-        loop {
-            dispatch_uncached(k);
-            let now = k.now_ns();
-            if now >= end {
-                break;
-            }
-            let next = k.inner.timers.borrow().next_deadline();
-            k.advance_idle(next.map_or(end, |d| d.clamp(now, end)) - now);
-        }
-        dispatch_uncached(k);
-    }
-
-    /// Per timer, the timer its callback deletes, if any.
-    type Victims = Rc<[StdCell<Option<usize>>]>;
-
-    /// Eight recording timers on `k`. When timer `i` fires it also
-    /// deletes the timer `victims[i]` names, if any — itself included.
-    fn victim_timers(k: &Kernel, log: &FireLog) -> (Vec<TimerId>, Victims) {
-        let victims: Victims = (0..8).map(|_| StdCell::new(None)).collect();
-        let ids = Rc::new(StdCell::new(Vec::new()));
-        let timers: Vec<TimerId> = (0..8)
-            .map(|i| {
-                let (log, victims, ids) = (Rc::clone(log), Rc::clone(&victims), Rc::clone(&ids));
-                k.timer_create(
-                    "victim",
-                    Rc::new(move |k: &Kernel| {
-                        log.borrow_mut().push((i as u32, k.now_ns()));
-                        if let Some(v) = victims[i].get() {
-                            let all: Vec<TimerId> = ids.take();
-                            k.timer_del(all[v]);
-                            ids.set(all);
-                        }
-                    }),
-                )
-            })
-            .collect();
-        ids.set(timers.clone());
-        (timers, victims)
-    }
-
-    /// One random sequence of arms (relative, absolute and often in the
-    /// past, periodic), deletions (direct and from inside a callback),
-    /// busy time and `run_for`, on two kernels: one dispatching as the
-    /// kernel does, one through [`dispatch_uncached`]. After every step
-    /// the first one's cached deadline is its heap's root, and both fired
-    /// the same timers at the same times.
-    fn cached_deadline_run(seed: u64) {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        let (cached, uncached) = (Kernel::new(), Kernel::new());
-        let (log_c, log_u): (FireLog, FireLog) = Default::default();
-        let (ids_c, victims_c) = victim_timers(&cached, &log_c);
-        let (ids_u, victims_u) = victim_timers(&uncached, &log_u);
-        for step in 0..160 {
-            let (i, ns) = (next(8) as usize, 20 * (1 + next(2_000)));
-            let now = cached.now_ns();
-            match next(8) {
-                0 => {
-                    cached.timer_arm(ids_c[i], ns);
-                    uncached.timer_arm(ids_u[i], ns);
-                }
-                1 => {
-                    let at = (now + ns).saturating_sub(20_000);
-                    cached.timer_arm_at(ids_c[i], at);
-                    uncached.timer_arm_at(ids_u[i], at);
-                }
-                2 => {
-                    let period = 8 * costs::SOFTIRQ_DISPATCH_NS + ns;
-                    cached.timer_arm_periodic(ids_c[i], period);
-                    uncached.timer_arm_periodic(ids_u[i], period);
-                }
-                3 if next(3) == 0 => {
-                    cached.timer_del(ids_c[i]);
-                    uncached.timer_del(ids_u[i]);
-                }
-                4 => {
-                    let victim = (next(4) == 0).then(|| next(8) as usize);
-                    victims_c[i].set(victim);
-                    victims_u[i].set(victim);
-                }
-                5 => {
-                    cached.charge_kernel(ns);
-                    uncached.charge_kernel(ns);
-                }
-                6 | 7 => {
-                    cached.run_for(ns);
-                    run_for_uncached(&uncached, ns);
-                }
-                _ => {}
-            }
-            let root = cached.inner.timers.borrow().next_deadline();
-            assert_eq!(
-                cached.next_timer_deadline(),
-                root,
-                "seed {seed} step {step}: cached root"
-            );
-            assert_eq!(
-                cached.now_ns(),
-                uncached.now_ns(),
-                "seed {seed} step {step}: clock"
-            );
-            assert_eq!(
-                *log_c.borrow(),
-                *log_u.borrow(),
-                "seed {seed} step {step}: fires"
-            );
-        }
-        assert_eq!(cached.stats(), uncached.stats(), "seed {seed}");
-    }
-
-    #[test]
-    fn the_cached_deadline_is_the_heap_root_and_fires_what_take_due_fired() {
-        for seed in 0..64 {
-            cached_deadline_run(seed);
-        }
-    }
-
     /// The message a caught panic carried.
     #[cfg(debug_assertions)]
     fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1662,15 +1305,24 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    fn museum_a_stale_deadline_after_timer_del_is_caught() {
-        mutation::arm(Mutant::TimerDelKeepsDeadline);
-        let caught = std::panic::catch_unwind(|| {
-            for seed in 0..64 {
-                cached_deadline_run(seed);
-            }
-        });
+    fn museum_a_line_freed_while_disabled_is_caught() {
+        // The fixed dead line, re-planted: the mask outlives the owner.
+        mutation::arm(Mutant::FreeIrqKeepsMask);
+        let caught =
+            std::panic::catch_unwind(a_freed_line_delivers_again_even_if_it_was_freed_disabled);
         mutation::disarm();
-        let msg = panic_message(caught.expect_err("the stale deadline went unseen"));
-        assert!(msg.contains("cached root"), "{msg}");
+        let msg = panic_message(caught.expect_err("the kept mask went unseen"));
+        assert!(msg.contains("not left masked"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn museum_a_line_past_the_end_is_caught() {
+        // The fixed panic, re-planted: line 64 is registered.
+        mutation::arm(Mutant::RequestIrqPastTheEnd);
+        let caught = std::panic::catch_unwind(a_line_the_controller_lacks_is_refused);
+        mutation::disarm();
+        let msg = panic_message(caught.expect_err("the missing check went unseen"));
+        assert!(msg.contains("line 64"), "{msg}");
     }
 }

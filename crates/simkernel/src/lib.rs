@@ -33,6 +33,7 @@
 
 pub mod clock;
 pub mod costs;
+mod dispatch;
 pub mod error;
 pub mod input;
 pub mod kernel;

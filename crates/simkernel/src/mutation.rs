@@ -17,10 +17,13 @@ pub enum Mutant {
     /// keeps its callback — and everything the callback captured, a
     /// removed driver's channels included — until the kernel is dropped.
     TimerDelKeepsCallback,
-    /// [`crate::Kernel::timer_del`] leaves the cached earliest deadline
-    /// where it was: deleting the earliest timer leaves dispatch a
-    /// deadline no armed timer has.
-    TimerDelKeepsDeadline,
+    /// A fixed dead line: [`crate::Kernel::free_irq`] drops the handler
+    /// and the pending interrupt but keeps the disable depth and the
+    /// mask bit, so a line freed while disabled never delivers again.
+    FreeIrqKeepsMask,
+    /// A fixed panic: [`crate::Kernel::request_irq`] skips the check for
+    /// a line the controller lacks and registers the handler on it.
+    RequestIrqPastTheEnd,
 }
 
 thread_local! {
