@@ -339,3 +339,37 @@ do
         grep -nw 'IrqLine\|Timers\|VecDeque\|trailing_zeros\|next_deadline' |
         sed "s|^|$f:|" || true
 done
+
+# Prints every hand-written copy of the counter rule in the product code
+# of the files that declare the eight counter sets: which counters add
+# and which are high-water marks is stated once per set, in its
+# `decaf_simkernel::counters!` declaration, and `merge` / `since` are
+# generated from it; a counter set kept in a `Cell` is updated through
+# `counters::Bump`. A `fn merge(` / `fn since(` / `fn combine(` /
+# `fn bump…(`, or a `#[derive(` directly above a `…Stats` struct, is a
+# second copy of the rule or a set declared around the macro. Product
+# code only, up to the trailing test module; a listed file that does not
+# exist prints "<file>: missing".
+for f in \
+    crates/xpc/src/endpoint.rs \
+    crates/xpc/src/admission.rs \
+    crates/simkernel/src/kernel.rs \
+    crates/simkernel/src/net.rs \
+    crates/shmring/src/ring.rs \
+    crates/shmring/src/pool.rs \
+    crates/shmring/src/sector.rs \
+    crates/shmring/src/ringset.rs
+do
+    if [ ! -f "$f" ]; then
+        echo "$f: missing"
+        continue
+    fi
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        awk -v f="$f" '
+            /fn (merge|since|combine|bump[a-z_]*)\(/ { print f ":" NR ":" $0 }
+            /^[ \t]*(pub )?struct [A-Za-z]*Stats[ {<]/ && derive {
+                print f ":" derive_at ":" derive
+            }
+            { derive = ""; if ($0 ~ /^[ \t]*#\[derive\(/) { derive = $0; derive_at = NR } }
+        ' || true
+done

@@ -5,6 +5,7 @@ use decaf_drivers::{workloads, Build, DriverKind, Hosting, Loaded};
 use decaf_shmring::{BufPool, DoorbellPolicy, ShmRing};
 use decaf_simkernel::clock::ClockSnapshot;
 use decaf_simkernel::decaf_trace::Tracer;
+use decaf_simkernel::kernel::KernelStats;
 use decaf_simkernel::{costs, CpuClass, Kernel};
 use decaf_slicer::evolve::{self, NewField, Patch};
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
@@ -77,7 +78,7 @@ struct Window<'k> {
     tracer: Rc<Tracer>,
     clock: ClockSnapshot,
     shard_busy: Vec<u64>,
-    bytes_copied: u64,
+    stats: KernelStats,
     channel: ChannelStats,
 }
 
@@ -97,7 +98,7 @@ impl<'k> Window<'k> {
             tracer,
             clock: kernel.snapshot(),
             shard_busy: kernel.shard_busy_ns(),
-            bytes_copied: kernel.stats().bytes_copied,
+            stats: kernel.stats(),
             channel,
         }
     }
@@ -128,7 +129,7 @@ impl<'k> Window<'k> {
             shard_max_ns,
             shard_sum_ns,
             effective_ns: busy_ns.saturating_sub(shard_sum_ns) + shard_max_ns,
-            bytes_copied: k.stats().bytes_copied - self.bytes_copied,
+            bytes_copied: k.stats().since(&self.stats).bytes_copied,
             channel: channel.since(&self.channel),
             lat: LatencyPercentiles::from_tracer(&self.tracer, lat_key),
         }
@@ -1160,7 +1161,7 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
     // The attempts are bare URBs, not requests: no latency key to read.
     let m = window.close(drv.channels.stats(), "");
 
-    let stats = pool.stats();
+    let stats = pool.stats().since(&stats_before);
     let completed = completed.get();
     assert_eq!(
         completed + failures,
@@ -1192,8 +1193,8 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         attempts: FRAG_ATTEMPTS as u64,
         failures,
         completed,
-        frag_refusals: stats.frag_refusals - stats_before.frag_refusals,
-        exhausted: stats.exhausted - stats_before.exhausted,
+        frag_refusals: stats.frag_refusals,
+        exhausted: stats.exhausted,
         payload_bytes: completed * payload_len as u64,
         m,
     }
@@ -1965,7 +1966,6 @@ struct OverloadRig {
     /// semantics: time the request spent waiting for a busy CPU counts.
     samples: RefCell<Vec<(u64, u64)>>,
     arrival_timer: Cell<Option<TimerId>>,
-    shed: Cell<u64>,
     dropped: Cell<u64>,
 }
 
@@ -1995,7 +1995,6 @@ fn overload_dispatch(rig: &OverloadRig, kernel: &Kernel) {
                 for _ in 0..n {
                     if let Some(old) = q.pop_front() {
                         rig.ctrl.note_shed(old.class, 1);
-                        rig.shed.set(rig.shed.get() + 1);
                     }
                 }
             }
@@ -2207,7 +2206,6 @@ pub fn overload_run(
         in_flight: Cell::new(0),
         samples: RefCell::new(Vec::new()),
         arrival_timer: Cell::new(None),
-        shed: Cell::new(0),
         dropped: Cell::new(0),
     });
 
@@ -2285,7 +2283,7 @@ pub fn overload_run(
     assert_eq!(stats.offered, offered, "every arrival offered exactly once");
     assert_eq!(
         stats.admitted,
-        completed + rig.shed.get() + rig.dropped.get(),
+        completed + stats.shed + rig.dropped.get(),
         "admitted requests either complete, are shed, or are counted dropped"
     );
     assert!(kernel.violations().is_empty(), "{:?}", kernel.violations());
@@ -2307,7 +2305,7 @@ pub fn overload_run(
         offered,
         admitted: stats.admitted,
         rejected: stats.rejected,
-        shed: rig.shed.get(),
+        shed: stats.shed,
         completed,
         goodput_per_s: in_horizon.saturating_mul(1_000_000_000) / OVERLOAD_HORIZON_NS,
         lat,

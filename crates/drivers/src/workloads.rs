@@ -26,10 +26,6 @@ pub struct WorkloadStats {
     pub elapsed_ns: u64,
     /// Total CPU utilization (0–1).
     pub cpu_util: f64,
-    /// Kernel-class utilization.
-    pub kernel_util: f64,
-    /// User-class utilization.
-    pub user_util: f64,
     /// Operations completed (packets, frames, sectors, events).
     pub ops: u64,
     /// Payload bytes moved.
@@ -41,8 +37,6 @@ impl WorkloadStats {
         WorkloadStats {
             elapsed_ns: before.elapsed_ns(after),
             cpu_util: before.utilization(after),
-            kernel_util: before.kernel_utilization(after),
-            user_util: before.user_utilization(after),
             ops,
             bytes,
         }

@@ -2,6 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use decaf_simkernel::counters::Bump;
 use decaf_simkernel::{CpuClass, DmaMemory, Kernel};
 
 /// Handle to one pool buffer. Handles are what descriptors carry across
@@ -44,17 +45,18 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Counters for one pool.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Buffers handed back.
-    pub frees: u64,
-    /// Allocations refused for want of a free buffer.
-    pub exhausted: u64,
-    /// Most buffers simultaneously in use.
-    pub in_use_hwm: u64,
+decaf_simkernel::counters! {
+    /// Counters for one pool.
+    pub struct PoolStats {
+        /// Successful allocations.
+        allocs: sum,
+        /// Buffers handed back.
+        frees: sum,
+        /// Allocations refused for want of a free buffer.
+        exhausted: sum,
+        /// Most buffers simultaneously in use.
+        in_use_hwm: max,
+    }
 }
 
 /// A pool of fixed-size payload buffers carved out of a [`DmaMemory`]
@@ -131,21 +133,15 @@ impl BufPool {
         self.stats.get()
     }
 
-    fn bump(&self, f: impl FnOnce(&mut PoolStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
-    }
-
     /// Allocates one buffer, or [`PoolError::Exhausted`].
     pub fn alloc(&self) -> Result<BufHandle, PoolError> {
         let Some(idx) = self.free.borrow_mut().pop() else {
-            self.bump(|s| s.exhausted += 1);
+            self.stats.bump(|s| s.exhausted += 1);
             return Err(PoolError::Exhausted);
         };
         self.allocated.borrow_mut()[idx as usize] = true;
         let in_use = self.in_use() as u64;
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.allocs += 1;
             s.in_use_hwm = s.in_use_hwm.max(in_use);
         });
@@ -162,7 +158,7 @@ impl BufPool {
             Some(a) => {
                 *a = false;
                 self.free.borrow_mut().push(h.0);
-                self.bump(|s| s.frees += 1);
+                self.stats.bump(|s| s.frees += 1);
                 Ok(())
             }
         }

@@ -9,6 +9,7 @@
 
 use std::cell::Cell;
 
+use decaf_simkernel::counters::Bump;
 use decaf_simkernel::{costs, CpuClass, Kernel};
 
 use crate::pool::BufHandle;
@@ -61,17 +62,18 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// Counters for one ring.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RingStats {
-    /// Descriptors posted by the producer.
-    pub posts: u64,
-    /// Descriptors consumed.
-    pub pops: u64,
-    /// Posts refused because the ring was full.
-    pub backpressure: u64,
-    /// Highest occupancy observed (the high-water mark).
-    pub occupancy_hwm: u64,
+decaf_simkernel::counters! {
+    /// Counters for one ring.
+    pub struct RingStats {
+        /// Descriptors posted by the producer.
+        posts: sum,
+        /// Descriptors consumed.
+        pops: sum,
+        /// Posts refused because the ring was full.
+        backpressure: sum,
+        /// Highest occupancy observed (the high-water mark).
+        occupancy_hwm: max,
+    }
 }
 
 /// A single-producer/single-consumer descriptor ring in pinned shared
@@ -154,12 +156,6 @@ impl<D: Copy + Default> ShmRing<D> {
         }
     }
 
-    fn bump(&self, f: impl FnOnce(&mut RingStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
-    }
-
     /// Posts one descriptor: writes the slot body, then releases it to
     /// the consumer by flipping the ownership flag. Charges
     /// [`costs::RING_POST_NS`] to `class`.
@@ -168,7 +164,7 @@ impl<D: Copy + Default> ShmRing<D> {
     /// when no producer-owned slot is available.
     pub fn push(&self, kernel: &Kernel, class: CpuClass, desc: D) -> Result<(), RingError> {
         if self.is_full() {
-            self.bump(|s| s.backpressure += 1);
+            self.stats.bump(|s| s.backpressure += 1);
             return Err(RingError::Full);
         }
         let slot = self.head.get();
@@ -184,7 +180,7 @@ impl<D: Copy + Default> ShmRing<D> {
         let occ = self.occupancy.get() + 1;
         self.occupancy.set(occ);
         kernel.charge(class, costs::RING_POST_NS);
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.posts += 1;
             s.occupancy_hwm = s.occupancy_hwm.max(occ as u64);
         });
@@ -210,7 +206,7 @@ impl<D: Copy + Default> ShmRing<D> {
         self.tail.set(self.after(slot));
         self.occupancy.set(self.occupancy.get() - 1);
         kernel.charge(class, costs::RING_CACHELINE_NS);
-        self.bump(|s| s.pops += 1);
+        self.stats.bump(|s| s.pops += 1);
         desc.into()
     }
 

@@ -123,20 +123,21 @@ impl std::fmt::Display for RingSetError {
 
 impl std::error::Error for RingSetError {}
 
-/// Conservation counters: one shard's, or the merged view
-/// ([`ShardedRings::stats`]: sums across shards, max for the high-water
-/// mark).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RingSetStats {
-    /// Descriptors noted as posted.
-    pub posted: u64,
-    /// Descriptors completed (steered home).
-    pub completed: u64,
-    /// Most descriptors simultaneously in flight on one shard.
-    pub in_flight_hwm: u64,
-    /// Notes refused because their cookie was already in flight
-    /// ([`RingSetError::InFlight`]).
-    pub refused: u64,
+decaf_simkernel::counters! {
+    /// Conservation counters: one shard's, or the merged view
+    /// ([`ShardedRings::stats`]: sums across shards, max for the high-water
+    /// mark).
+    pub struct RingSetStats {
+        /// Descriptors noted as posted.
+        posted: sum,
+        /// Descriptors completed (steered home).
+        completed: sum,
+        /// Most descriptors simultaneously in flight on one shard.
+        in_flight_hwm: max,
+        /// Notes refused because their cookie was already in flight
+        /// ([`RingSetError::InFlight`]).
+        refused: sum,
+    }
 }
 
 /// A deterministic 64-bit mix (SplitMix64 finalizer) used for flow
@@ -564,10 +565,7 @@ impl<D: RingDescriptor> ShardedRings<D> {
     pub fn stats(&self) -> RingSetStats {
         let mut total = RingSetStats::default();
         for s in self.shards.borrow().iter() {
-            total.posted += s.stats.posted;
-            total.completed += s.stats.completed;
-            total.in_flight_hwm = total.in_flight_hwm.max(s.stats.in_flight_hwm);
-            total.refused += s.stats.refused;
+            total.merge(&s.stats);
         }
         total
     }

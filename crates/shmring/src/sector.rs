@@ -52,6 +52,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use decaf_simkernel::counters::Bump;
 use decaf_simkernel::{costs, CpuClass, DmaMemory, Kernel};
 
 use crate::pool::PoolError;
@@ -115,27 +116,28 @@ pub enum AllocMode {
     BuddySg,
 }
 
-/// Conservation counters for one sector pool.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SectorPoolStats {
-    /// Successful allocations (contiguous runs and SG chains alike; a
-    /// chain counts once however many segments it spans).
-    pub allocs: u64,
-    /// Runs/chains handed back.
-    pub frees: u64,
-    /// Allocations refused with *too few free sectors in total* — true
-    /// out-of-space, which no allocator shape can fix.
-    pub exhausted: u64,
-    /// Allocations refused while the pool held **enough free sectors**
-    /// but no fitting contiguous run — fragmentation refusals, the
-    /// spurious-failure class that scatter-gather chaining eliminates.
-    pub frag_refusals: u64,
-    /// Sectors ever allocated (summed over runs).
-    pub sectors_allocated: u64,
-    /// Sectors ever reclaimed.
-    pub sectors_reclaimed: u64,
-    /// Most sectors simultaneously in use.
-    pub in_use_hwm: u64,
+decaf_simkernel::counters! {
+    /// Conservation counters for one sector pool.
+    pub struct SectorPoolStats {
+        /// Successful allocations (contiguous runs and SG chains alike; a
+        /// chain counts once however many segments it spans).
+        allocs: sum,
+        /// Runs/chains handed back.
+        frees: sum,
+        /// Allocations refused with *too few free sectors in total* — true
+        /// out-of-space, which no allocator shape can fix.
+        exhausted: sum,
+        /// Allocations refused while the pool held **enough free sectors**
+        /// but no fitting contiguous run — fragmentation refusals, the
+        /// spurious-failure class that scatter-gather chaining eliminates.
+        frag_refusals: sum,
+        /// Sectors ever allocated (summed over runs).
+        sectors_allocated: sum,
+        /// Sectors ever reclaimed.
+        sectors_reclaimed: sum,
+        /// Most sectors simultaneously in use.
+        in_use_hwm: max,
+    }
 }
 
 /// Order-bucketed buddy free lists over sector indices.
@@ -542,21 +544,15 @@ impl SectorPool {
         }
     }
 
-    fn bump(&self, f: impl FnOnce(&mut SectorPoolStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
-    }
-
     /// Classifies a refusal: enough free sectors in total means a
     /// fragmentation refusal, too few means true exhaustion. Both
     /// surface as [`PoolError::Exhausted`] so backpressure handling
     /// upstream stays uniform — the *counters* carry the distinction.
     fn refuse(&self, need: usize) -> PoolError {
         if need <= self.available_sectors() {
-            self.bump(|s| s.frag_refusals += 1);
+            self.stats.bump(|s| s.frag_refusals += 1);
         } else {
-            self.bump(|s| s.exhausted += 1);
+            self.stats.bump(|s| s.exhausted += 1);
         }
         PoolError::Exhausted
     }
@@ -633,7 +629,7 @@ impl SectorPool {
 
     fn note_alloc(&self, need: usize) {
         let in_use_now = self.in_use_sectors() as u64;
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.allocs += 1;
             s.sectors_allocated += need as u64;
             s.in_use_hwm = s.in_use_hwm.max(in_use_now);
@@ -668,7 +664,7 @@ impl SectorPool {
     /// reclaimed.
     pub fn free(&self, h: SectorHandle) -> Result<usize, PoolError> {
         let len = self.release_run(h)?;
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.frees += 1;
             s.sectors_reclaimed += len as u64;
         });
@@ -704,7 +700,7 @@ impl SectorPool {
             // Every handle value names a live chain — a table only a
             // flood of zero-length chains can fill. Out of handles is
             // out of space.
-            self.bump(|s| s.exhausted += 1);
+            self.stats.bump(|s| s.exhausted += 1);
             return Err(PoolError::Exhausted);
         };
         if let Err(e) = self.fill_chain(need, &mut chains.slots[slot].segs) {
@@ -770,7 +766,7 @@ impl SectorPool {
         }
         chains.free.push(slot as u32);
         drop(chains);
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.frees += 1;
             s.sectors_reclaimed += total as u64;
         });

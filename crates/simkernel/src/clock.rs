@@ -112,24 +112,6 @@ impl ClockSnapshot {
             (later.kernel_busy_ns - self.kernel_busy_ns) + (later.user_busy_ns - self.user_busy_ns);
         busy as f64 / elapsed as f64
     }
-
-    /// Kernel-only utilization between `self` and a later snapshot.
-    pub fn kernel_utilization(&self, later: &ClockSnapshot) -> f64 {
-        let elapsed = self.elapsed_ns(later);
-        if elapsed == 0 {
-            return 0.0;
-        }
-        (later.kernel_busy_ns - self.kernel_busy_ns) as f64 / elapsed as f64
-    }
-
-    /// User-only utilization between `self` and a later snapshot.
-    pub fn user_utilization(&self, later: &ClockSnapshot) -> f64 {
-        let elapsed = self.elapsed_ns(later);
-        if elapsed == 0 {
-            return 0.0;
-        }
-        (later.user_busy_ns - self.user_busy_ns) as f64 / elapsed as f64
-    }
 }
 
 #[cfg(test)]
@@ -156,8 +138,6 @@ mod tests {
         let after = c.snapshot();
         assert_eq!(before.elapsed_ns(&after), 1000);
         assert!((before.utilization(&after) - 0.2).abs() < 1e-9);
-        assert!((before.kernel_utilization(&after) - 0.2).abs() < 1e-9);
-        assert_eq!(before.user_utilization(&after), 0.0);
     }
 
     #[test]

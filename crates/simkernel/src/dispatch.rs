@@ -220,17 +220,19 @@ impl Dispatch {
     /// not disabled — and returns the handler it had.
     pub(crate) fn free_irq(&mut self, line: u32) -> Result<Option<IrqHandler>, NoSuchLine> {
         let bit = irq_bit(line)?;
-        let Some(entry) = self.lines.get_mut(line as usize) else {
+        let entry = self.lines.get_mut(line as usize);
+        #[cfg(debug_assertions)] // Planted bug: a line never requested keeps its pending bit.
+        if entry.is_none() && mutation::armed(Mutant::FreeIrqKeepsPending) {
             return Ok(None);
-        };
+        }
         self.pending &= !bit;
         #[cfg(debug_assertions)]
         if mutation::armed(Mutant::FreeIrqKeepsMask) {
             // Planted bug: the depth and the mask outlive the owner.
-            return Ok(entry.handler.take());
+            return Ok(entry.and_then(|e| e.handler.take()));
         }
         self.masked &= !bit;
-        Ok(std::mem::take(entry).handler)
+        Ok(entry.and_then(|e| std::mem::take(e).handler))
     }
 
     pub(crate) fn disable_irq(&mut self, line: u32) -> Result<(), NoSuchLine> {
@@ -457,8 +459,7 @@ mod tests {
                     self.requests
                         .push(if busy { Err(KError::Busy) } else { Ok(()) });
                 }
-                Free(l) if l < s.table => s.lines[l] = Line::default(),
-                Free(_) => {}
+                Free(l) => s.lines[l] = Line::default(),
                 Disable(l) => {
                     s.table = s.table.max(l + 1);
                     s.lines[l].depth += 1;
@@ -776,16 +777,17 @@ mod tests {
         );
     }
 
-    /// The three dispatch bugs this crate fixed, re-planted one at a
+    /// The four dispatch bugs this crate fixed, re-planted one at a
     /// time: the search finds each, on the shortest event list that
     /// shows it.
     #[cfg(debug_assertions)]
     #[test]
-    fn the_model_check_catches_the_three_dispatch_bugs() {
+    fn the_model_check_catches_the_four_dispatch_bugs() {
         let bugs = [
             (Mutant::TimerDelKeepsCallback, vec![Delete(0)]),
             (Mutant::FreeIrqKeepsMask, vec![Disable(0), Free(0)]),
             (Mutant::RequestIrqPastTheEnd, vec![Request(PAST)]),
+            (Mutant::FreeIrqKeepsPending, vec![Raise(0), Free(0)]),
         ];
         for (mutant, shortest) in bugs {
             mutation::arm(mutant);

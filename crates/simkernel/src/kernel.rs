@@ -5,6 +5,7 @@ use std::rc::{Rc, Weak};
 
 use crate::clock::{Clock, ClockSnapshot, CpuClass};
 use crate::costs;
+use crate::counters::Bump;
 use crate::dispatch::{Dispatch, NoSuchLine, Source};
 use crate::error::KResult;
 use crate::input::InputState;
@@ -91,21 +92,22 @@ pub struct LoadedModule {
     pub name: String,
 }
 
-/// Counters exposed for tests and benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Hardware interrupts delivered.
-    pub irqs_delivered: u64,
-    /// Timer callbacks fired.
-    pub timers_fired: u64,
-    /// Work items executed.
-    pub work_executed: u64,
-    /// Payload bytes moved by CPU copies ([`Kernel::charge_copy`]). Every
-    /// driver build charges payload copies through this one entry point,
-    /// so the counter audits copy accounting: a given workload must copy
-    /// the same number of bytes whether the data path is native, decaf,
-    /// or shmring-hosted.
-    pub bytes_copied: u64,
+crate::counters! {
+    /// Counters exposed for tests and benchmarks.
+    pub struct KernelStats {
+        /// Hardware interrupts delivered.
+        irqs_delivered: sum,
+        /// Timer callbacks fired.
+        timers_fired: sum,
+        /// Work items executed.
+        work_executed: sum,
+        /// Payload bytes moved by CPU copies ([`Kernel::charge_copy`]). Every
+        /// driver build charges payload copies through this one entry point,
+        /// so the counter audits copy accounting: a given workload must copy
+        /// the same number of bytes whether the data path is native, decaf,
+        /// or shmring-hosted.
+        bytes_copied: sum,
+    }
 }
 
 #[derive(Default)]
@@ -296,7 +298,7 @@ impl Kernel {
     /// the same workload.
     pub fn charge_copy(&self, class: CpuClass, bytes: u64) {
         self.charge(class, bytes * costs::COPY_BYTE_NS);
-        self.bump_stats(|s| s.bytes_copied += bytes);
+        self.inner.stats.bump(|s| s.bytes_copied += bytes);
     }
 
     /// Takes a clock snapshot for interval measurements.
@@ -390,12 +392,6 @@ impl Kernel {
     /// Counter snapshot.
     pub fn stats(&self) -> KernelStats {
         self.inner.stats.get()
-    }
-
-    fn bump_stats(&self, f: impl FnOnce(&mut KernelStats)) {
-        let mut s = self.inner.stats.get();
-        f(&mut s);
-        self.inner.stats.set(s);
     }
 
     // ---------------------------------------------------------- IRQs
@@ -599,7 +595,7 @@ impl Kernel {
         };
         let _span = self.trace_span("kernel", span);
         self.charge_kernel(ns);
-        self.bump_stats(|s| match source {
+        self.inner.stats.bump(|s| match source {
             Source::Irq(_) => s.irqs_delivered += 1,
             Source::Timer(_) => s.timers_fired += 1,
             Source::Work(..) => s.work_executed += 1,
@@ -845,6 +841,22 @@ mod tests {
         k.enable_irq(7);
         k.schedule_point();
         assert_eq!(fired.get(), 2);
+    }
+
+    #[test]
+    fn a_line_raised_before_anyone_requested_it_is_clean_after_free_irq() {
+        // A device that interrupts before its driver has loaded, then a
+        // cleanup `free_irq`: the next owner starts with nothing pending.
+        let k = Kernel::new();
+        k.raise_irq(9);
+        k.free_irq(9);
+        assert!(!k.irq_pending(9), "free_irq left the line pending");
+        let fired = Rc::new(StdCell::new(0));
+        let f = Rc::clone(&fired);
+        k.request_irq(9, "new", Rc::new(move |_| f.set(f.get() + 1)))
+            .unwrap();
+        k.schedule_point();
+        assert_eq!(fired.get(), 0, "a stale interrupt reached the new owner");
     }
 
     #[test]
@@ -1324,5 +1336,19 @@ mod tests {
         mutation::disarm();
         let msg = panic_message(caught.expect_err("the missing check went unseen"));
         assert!(msg.contains("line 64"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn museum_a_stale_interrupt_after_free_irq_is_caught() {
+        // The fixed stale interrupt, re-planted: the pending bit outlives
+        // a free of a line that was never requested.
+        mutation::arm(Mutant::FreeIrqKeepsPending);
+        let caught = std::panic::catch_unwind(
+            a_line_raised_before_anyone_requested_it_is_clean_after_free_irq,
+        );
+        mutation::disarm();
+        let msg = panic_message(caught.expect_err("the kept pending bit went unseen"));
+        assert!(msg.contains("left the line pending"), "{msg}");
     }
 }

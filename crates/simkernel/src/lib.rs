@@ -33,6 +33,7 @@
 
 pub mod clock;
 pub mod costs;
+pub mod counters;
 mod dispatch;
 pub mod error;
 pub mod input;

@@ -24,6 +24,10 @@ pub enum Mutant {
     /// A fixed panic: [`crate::Kernel::request_irq`] skips the check for
     /// a line the controller lacks and registers the handler on it.
     RequestIrqPastTheEnd,
+    /// A fixed stale interrupt: [`crate::Kernel::free_irq`] of a line no
+    /// one has requested yet keeps its pending bit, so whoever requests
+    /// the line next is handed an interrupt raised before it owned it.
+    FreeIrqKeepsPending,
 }
 
 thread_local! {

@@ -53,19 +53,20 @@ pub struct NetDeviceOps {
     pub xmit: XmitOp,
 }
 
-/// Per-device packet counters (`rtnl_link_stats`-alike).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetStats {
-    /// Packets handed to the stack by the driver.
-    pub rx_packets: u64,
-    /// Bytes handed to the stack by the driver.
-    pub rx_bytes: u64,
-    /// Packets the driver reported as transmitted.
-    pub tx_packets: u64,
-    /// Bytes the driver reported as transmitted.
-    pub tx_bytes: u64,
-    /// Transmit attempts that failed.
-    pub tx_errors: u64,
+crate::counters! {
+    /// Per-device packet counters (`rtnl_link_stats`-alike).
+    pub struct NetStats {
+        /// Packets handed to the stack by the driver.
+        rx_packets: sum,
+        /// Bytes handed to the stack by the driver.
+        rx_bytes: sum,
+        /// Packets the driver reported as transmitted.
+        tx_packets: sum,
+        /// Bytes the driver reported as transmitted.
+        tx_bytes: sum,
+        /// Transmit attempts that failed.
+        tx_errors: sum,
+    }
 }
 
 struct NetDev {

@@ -28,6 +28,8 @@
 use std::cell::Cell;
 use std::fmt;
 
+use decaf_simkernel::counters::Bump;
+
 /// Scale factor for fractional tokens: one admission token is
 /// `1e9` scaled units, so integer refill math (`rate × dt_ns`) needs no
 /// floating point and loses nothing to rounding.
@@ -176,30 +178,21 @@ impl TokenBucket {
     }
 }
 
-/// One class's admission ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Arrivals offered to the controller.
-    pub offered: u64,
-    /// Arrivals admitted (including ones that later got shed).
-    pub admitted: u64,
-    /// Arrivals refused at the door.
-    pub rejected: u64,
-    /// Previously admitted entries dropped from the head of the queue.
-    pub shed: u64,
+decaf_simkernel::counters! {
+    /// One class's admission ledger.
+    pub struct AdmissionStats {
+        /// Arrivals offered to the controller.
+        offered: sum,
+        /// Arrivals admitted (including ones that later got shed).
+        admitted: sum,
+        /// Arrivals refused at the door.
+        rejected: sum,
+        /// Previously admitted entries dropped from the head of the queue.
+        shed: sum,
+    }
 }
 
 impl AdmissionStats {
-    /// Sums two ledgers (for all-class totals).
-    pub fn merge(self, other: AdmissionStats) -> AdmissionStats {
-        AdmissionStats {
-            offered: self.offered + other.offered,
-            admitted: self.admitted + other.admitted,
-            rejected: self.rejected + other.rejected,
-            shed: self.shed + other.shed,
-        }
-    }
-
     /// The ledger invariant for one class.
     pub fn balanced(&self) -> bool {
         self.offered == self.admitted + self.rejected && self.shed <= self.admitted
@@ -257,8 +250,6 @@ impl AdmissionController {
     /// separately by the owner via [`AdmissionController::note_shed`].
     pub fn offer(&self, now_ns: u64, class: TrafficClass, backlog: usize) -> AdmissionVerdict {
         let i = class.index();
-        let mut s = self.stats[i].get();
-        s.offered += 1;
         let verdict = match self.policy {
             AdmissionPolicy::QueueUnbounded => AdmissionVerdict::Admit,
             AdmissionPolicy::RejectAtAdmission => {
@@ -281,21 +272,20 @@ impl AdmissionController {
                 }
             }
         };
-        match verdict {
-            AdmissionVerdict::Reject => s.rejected += 1,
-            AdmissionVerdict::Admit | AdmissionVerdict::Shed(_) => s.admitted += 1,
-        }
-        self.stats[i].set(s);
+        self.stats[i].bump(|s| {
+            s.offered += 1;
+            match verdict {
+                AdmissionVerdict::Reject => s.rejected += 1,
+                AdmissionVerdict::Admit | AdmissionVerdict::Shed(_) => s.admitted += 1,
+            }
+        });
         verdict
     }
 
     /// Records that the queue owner dropped `n` previously admitted
     /// entries of `class` from the head of its queue.
     pub fn note_shed(&self, class: TrafficClass, n: usize) {
-        let i = class.index();
-        let mut s = self.stats[i].get();
-        s.shed += n as u64;
-        self.stats[i].set(s);
+        self.stats[class.index()].bump(|s| s.shed += n as u64);
     }
 
     /// One class's ledger.
@@ -305,10 +295,11 @@ impl AdmissionController {
 
     /// All classes merged.
     pub fn total(&self) -> AdmissionStats {
-        TrafficClass::ALL
-            .into_iter()
-            .map(|c| self.stats(c))
-            .fold(AdmissionStats::default(), AdmissionStats::merge)
+        let mut total = AdmissionStats::default();
+        for c in TrafficClass::ALL {
+            total.merge(&self.stats(c));
+        }
+        total
     }
 
     /// The ledger invariant across every class.

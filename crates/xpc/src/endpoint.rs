@@ -49,6 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use decaf_simkernel::counters::Bump;
 use decaf_simkernel::kernel::WorkBody;
 use decaf_simkernel::{costs, Kernel, TimerId, ViolationKind};
 use decaf_xdr::graph::{self, CAddr, DeltaHook, NoDelta, ObjHeap, WalkScratch};
@@ -147,55 +148,56 @@ impl ChannelConfig {
     }
 }
 
-/// Counters for one channel.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Completed call/return round trips (the paper's "User/Kernel
-    /// Crossings" column counts these). A batched flush is one round
-    /// trip no matter how many calls it carries.
-    pub round_trips: u64,
-    /// One-way transfers (2× round trips unless a call faults).
-    pub one_way_crossings: u64,
-    /// Marshaled bytes, caller → target.
-    pub bytes_in: u64,
-    /// Marshaled bytes, target → caller.
-    pub bytes_out: u64,
-    /// Handler panics caught.
-    pub faults: u64,
-    /// Calls parked in the transport queue instead of crossing alone.
-    pub deferred_calls: u64,
-    /// Deferred calls executed by flushes.
-    pub batched_calls: u64,
-    /// Batched flushes performed (each cost one round trip).
-    pub flushes: u64,
-    /// Objects transferred in full (first crossing or wide structs).
-    pub full_objects: u64,
-    /// Objects transferred as dirty-field deltas.
-    pub delta_objects: u64,
-    /// Masked fields elided by delta marshaling.
-    pub delta_fields_elided: u64,
-    /// Descriptors posted into data-path rings attached to this channel.
-    pub ring_posts: u64,
-    /// Data-path doorbells rung (each one boundary crossing carrying a
-    /// batch of descriptors).
-    pub doorbells: u64,
-    /// Highest data-path ring occupancy observed.
-    pub ring_occupancy_hwm: u64,
-    /// Completion tokens issued to deferred calls: one per call parked on
-    /// a launching transport, none on any other kind.
-    pub tokens_issued: u64,
-    /// Tokens resolved by harvest, or synchronously when their call ran
-    /// outside a launch (a failed batch's fallback, a requeue onto a kind
-    /// that does not queue). Conservation: `tokens_issued ==
-    /// tokens_harvested + tokens_cancelled` once the channel quiesces.
-    pub tokens_harvested: u64,
-    /// Tokens cancelled by fault recovery before their call launched.
-    pub tokens_cancelled: u64,
-    /// Crossing latency hidden behind computation: the portion of
-    /// launched crossings that had already elapsed by harvest time.
-    /// Overlap is the async transport's whole payoff — `wait = cost −
-    /// overlap`, so async busy time never exceeds batched busy time.
-    pub overlap_ns: u64,
+decaf_simkernel::counters! {
+    /// Counters for one channel.
+    pub struct ChannelStats {
+        /// Completed call/return round trips (the paper's "User/Kernel
+        /// Crossings" column counts these). A batched flush is one round
+        /// trip no matter how many calls it carries.
+        round_trips: sum,
+        /// One-way transfers (2× round trips unless a call faults).
+        one_way_crossings: sum,
+        /// Marshaled bytes, caller → target.
+        bytes_in: sum,
+        /// Marshaled bytes, target → caller.
+        bytes_out: sum,
+        /// Handler panics caught.
+        faults: sum,
+        /// Calls parked in the transport queue instead of crossing alone.
+        deferred_calls: sum,
+        /// Deferred calls executed by flushes.
+        batched_calls: sum,
+        /// Batched flushes performed (each cost one round trip).
+        flushes: sum,
+        /// Objects transferred in full (first crossing or wide structs).
+        full_objects: sum,
+        /// Objects transferred as dirty-field deltas.
+        delta_objects: sum,
+        /// Masked fields elided by delta marshaling.
+        delta_fields_elided: sum,
+        /// Descriptors posted into data-path rings attached to this channel.
+        ring_posts: sum,
+        /// Data-path doorbells rung (each one boundary crossing carrying a
+        /// batch of descriptors).
+        doorbells: sum,
+        /// Highest data-path ring occupancy observed.
+        ring_occupancy_hwm: max,
+        /// Completion tokens issued to deferred calls: one per call parked on
+        /// a launching transport, none on any other kind.
+        tokens_issued: sum,
+        /// Tokens resolved by harvest, or synchronously when their call ran
+        /// outside a launch (a failed batch's fallback, a requeue onto a kind
+        /// that does not queue). Conservation: `tokens_issued ==
+        /// tokens_harvested + tokens_cancelled` once the channel quiesces.
+        tokens_harvested: sum,
+        /// Tokens cancelled by fault recovery before their call launched.
+        tokens_cancelled: sum,
+        /// Crossing latency hidden behind computation: the portion of
+        /// launched crossings that had already elapsed by harvest time.
+        /// Overlap is the async transport's whole payoff — `wait = cost −
+        /// overlap`, so async busy time never exceeds batched busy time.
+        overlap_ns: sum,
+    }
 }
 
 impl ChannelStats {
@@ -206,55 +208,6 @@ impl ChannelStats {
             return 0.0;
         }
         self.ring_posts as f64 / self.doorbells as f64
-    }
-
-    /// The one place that says which counters add up and which are
-    /// maxima: `sum` combines each summed counter of `self` and `other`,
-    /// `hwm` the occupancy high-water mark. The literal names every
-    /// field, so a counter added to the struct does not compile until it
-    /// is classified here.
-    fn combine(
-        &self,
-        other: &ChannelStats,
-        sum: fn(u64, u64) -> u64,
-        hwm: fn(u64, u64) -> u64,
-    ) -> ChannelStats {
-        ChannelStats {
-            round_trips: sum(self.round_trips, other.round_trips),
-            one_way_crossings: sum(self.one_way_crossings, other.one_way_crossings),
-            bytes_in: sum(self.bytes_in, other.bytes_in),
-            bytes_out: sum(self.bytes_out, other.bytes_out),
-            faults: sum(self.faults, other.faults),
-            deferred_calls: sum(self.deferred_calls, other.deferred_calls),
-            batched_calls: sum(self.batched_calls, other.batched_calls),
-            flushes: sum(self.flushes, other.flushes),
-            full_objects: sum(self.full_objects, other.full_objects),
-            delta_objects: sum(self.delta_objects, other.delta_objects),
-            delta_fields_elided: sum(self.delta_fields_elided, other.delta_fields_elided),
-            ring_posts: sum(self.ring_posts, other.ring_posts),
-            doorbells: sum(self.doorbells, other.doorbells),
-            ring_occupancy_hwm: hwm(self.ring_occupancy_hwm, other.ring_occupancy_hwm),
-            tokens_issued: sum(self.tokens_issued, other.tokens_issued),
-            tokens_harvested: sum(self.tokens_harvested, other.tokens_harvested),
-            tokens_cancelled: sum(self.tokens_cancelled, other.tokens_cancelled),
-            overlap_ns: sum(self.overlap_ns, other.overlap_ns),
-        }
-    }
-
-    /// Folds another channel's counters into this one — the aggregation
-    /// rule a sharded facade uses to present N channels as one: every
-    /// counter sums, except the occupancy high-water mark, which takes
-    /// the max (per-shard rings fill independently; summing HWMs would
-    /// report an occupancy no single ring ever saw).
-    pub fn merge(&mut self, other: &ChannelStats) {
-        *self = self.combine(other, |a, b| a + b, u64::max);
-    }
-
-    /// What happened since `base` was read off the same channel: every
-    /// summed counter minus its baseline; the high-water mark, a maximum,
-    /// stays the current value. `base.merge(&now.since(&base))` is `now`.
-    pub fn since(&self, base: &ChannelStats) -> ChannelStats {
-        self.combine(base, |now, then| now - then, |now, _| now)
     }
 }
 
@@ -459,7 +412,7 @@ pub struct XpcChannel {
     deferred: DeferredQueue,
     a: DomainEnd,
     b: DomainEnd,
-    stats: Cell<ChannelStats>,
+    pub(crate) stats: Cell<ChannelStats>,
     /// Deadline-wakeup timer, once [`XpcChannel::arm_deadline_wakeups`]
     /// opted this channel in. `None` means the classic behavior: the
     /// deadline is only evaluated when the next call or poll arrives.
@@ -794,14 +747,9 @@ impl XpcChannel {
         e.delta.borrow_mut().clear();
         self.peer(domain)?.delta.borrow_mut().clear();
         let cancelled = self.deferred.retain(|c| c.from != domain);
-        self.bump(|s| s.tokens_cancelled += cancelled.len() as u64);
+        self.stats
+            .bump(|s| s.tokens_cancelled += cancelled.len() as u64);
         Ok(())
-    }
-
-    pub(crate) fn bump(&self, f: impl FnOnce(&mut ChannelStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
     }
 
     /// The peer of `domain` on this channel.
@@ -821,7 +769,7 @@ impl XpcChannel {
         dir: Direction,
         bytes: usize,
     ) {
-        self.bump(|s| {
+        self.stats.bump(|s| {
             match dir {
                 Direction::In => s.bytes_in += bytes as u64,
                 Direction::Out => s.bytes_out += bytes as u64,
@@ -911,7 +859,7 @@ impl XpcChannel {
                 (dstats.full_objects + dstats.delta_objects) * costs::DELTA_TRACK_NS,
             );
         }
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.full_objects += dstats.full_objects;
             s.delta_objects += dstats.delta_objects;
             s.delta_fields_elided += dstats.fields_elided;
@@ -1082,7 +1030,7 @@ impl XpcChannel {
         let ret = match result {
             Ok(v) => v,
             Err(payload) => {
-                self.bump(|s| s.faults += 1);
+                self.stats.bump(|s| s.faults += 1);
                 let msg = payload
                     .downcast_ref::<String>()
                     .cloned()
@@ -1112,7 +1060,7 @@ impl XpcChannel {
         )?;
         self.locals.set(locals);
 
-        self.bump(|s| s.round_trips += 1);
+        self.stats.bump(|s| s.round_trips += 1);
         Ok(ret)
     }
 
@@ -1174,7 +1122,7 @@ impl XpcChannel {
         call.scalars.extend_from_slice(scalars);
         match self.deferred.offer(kernel, from.cpu_class(), call) {
             Ok(token) => {
-                self.bump(|s| {
+                self.stats.bump(|s| {
                     s.tokens_issued += token.is_some() as u64;
                     s.deferred_calls += 1;
                 });
@@ -1217,7 +1165,7 @@ impl XpcChannel {
             Self::check_args(def, 0)?;
         }
         let token = self.deferred.mint(kernel, from.cpu_class());
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.tokens_issued += 1;
             s.deferred_calls += 1;
         });
@@ -1248,7 +1196,7 @@ impl XpcChannel {
         let token = call.token;
         match self.deferred.offer(kernel, call.from.cpu_class(), call) {
             Ok(_) => {
-                self.bump(|s| s.deferred_calls += 1);
+                self.stats.bump(|s| s.deferred_calls += 1);
                 self.schedule_deadline_wakeup(kernel, self.deferred.oldest_deferred_at());
                 Ok(())
             }
@@ -1264,7 +1212,7 @@ impl XpcChannel {
     /// them harvested.
     fn resolve_tokens(&self, tokens: impl IntoIterator<Item = CompletionToken>) {
         let resolved = self.deferred.settle(tokens);
-        self.bump(|s| s.tokens_harvested += resolved);
+        self.stats.bump(|s| s.tokens_harvested += resolved);
     }
 
     /// Cancels tokens whose calls were dropped before launching (fault
@@ -1272,7 +1220,7 @@ impl XpcChannel {
     /// never harvested.
     pub fn cancel_tokens(&self, tokens: &[CompletionToken]) {
         let cancelled = self.deferred.settle(tokens.iter().copied());
-        self.bump(|s| s.tokens_cancelled += cancelled);
+        self.stats.bump(|s| s.tokens_cancelled += cancelled);
     }
 
     /// Tokens issued and not yet harvested or cancelled.
@@ -1297,7 +1245,7 @@ impl XpcChannel {
     pub fn harvest_with(&self, kernel: &Kernel, each: impl FnMut(CompletionToken)) -> usize {
         let done = self.deferred.harvest(kernel, each);
         if done != Harvest::default() {
-            self.bump(|s| {
+            self.stats.bump(|s| {
                 s.overlap_ns += done.overlap_ns;
                 s.tokens_harvested += done.settled;
             });
@@ -1463,7 +1411,7 @@ impl XpcChannel {
                 Ok(_) => {}
                 // A handler panic already counted itself.
                 Err(XpcError::DecafFault(_)) => {}
-                Err(_) => self.bump(|s| s.faults += 1),
+                Err(_) => self.stats.bump(|s| s.faults += 1),
             }
             // The per-call fallback is synchronous: the call's token
             // (fault or not, the call is done) resolves here.
@@ -1564,7 +1512,7 @@ impl XpcChannel {
                 (def.handler)(kernel, self, call_locals, scalars)
             }));
             if result.is_err() {
-                self.bump(|s| s.faults += 1);
+                self.stats.bump(|s| s.faults += 1);
             }
         }
 
@@ -1586,7 +1534,7 @@ impl XpcChannel {
                 // The handlers have run (one freed an argument, say): the
                 // group is done and must not run again. One fault, nothing
                 // launched, and its tokens resolve here, synchronously.
-                self.bump(|s| s.faults += 1);
+                self.stats.bump(|s| s.faults += 1);
                 self.resolve_tokens(group.clone().filter_map(|GroupCall(.., token)| token));
                 return Ok(());
             }
@@ -1606,7 +1554,7 @@ impl XpcChannel {
             self.deferred.launch(kernel, from.cpu_class(), tokens, cost);
         }
 
-        self.bump(|s| {
+        self.stats.bump(|s| {
             s.round_trips += 1;
             s.flushes += 1;
             s.batched_calls += group.len() as u64;

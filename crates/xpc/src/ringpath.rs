@@ -51,6 +51,7 @@ use decaf_shmring::{
     Descriptor, DoorbellPolicy, PoolError, RingDescriptor, RingError, SgHandle, ShmRing,
     UrbDescriptor, XferDir,
 };
+use decaf_simkernel::counters::Bump;
 use decaf_simkernel::{costs, Kernel};
 use decaf_xdr::XdrValue;
 
@@ -191,7 +192,7 @@ impl<D: RingDescriptor> RingPath<D> {
             &[("occupancy", self.ring.len() as u64), ("bytes", bytes)],
         );
         let hwm = self.ring.stats().occupancy_hwm;
-        self.channel.bump(|s| {
+        self.channel.stats.bump(|s| {
             s.ring_posts += 1;
             s.ring_occupancy_hwm = s.ring_occupancy_hwm.max(hwm);
         });
@@ -256,7 +257,7 @@ impl<D: RingDescriptor> RingPath<D> {
         } else {
             channel.call_resolved(kernel, from, proc, &[], &args)?;
         }
-        self.channel.bump(|s| s.doorbells += 1);
+        self.channel.stats.bump(|s| s.doorbells += 1);
         // A budgeted or declining consumer may have left descriptors
         // parked; re-arm the deadline for the survivors instead of
         // disarming into the never-fires state.

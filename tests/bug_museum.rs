@@ -16,11 +16,11 @@
 //! fails here. The row with no seam armed must pass every column, and
 //! each control row must be caught by its own sweep.
 //!
-//! The three simkernel rows are also caught by the exhaustive dispatch
+//! The four simkernel rows are also caught by the exhaustive dispatch
 //! model check (`dispatch::tests` in `crates/simkernel`), which this
 //! file cannot reach: it is a unit test of that crate. That check is
-//! where the freed-while-masked and past-the-end rows show ✓; here they
-//! pin what the sweeps and the lifecycle miss. The `SyncCallSkipsFlush` row's two ✗ are the
+//! where the freed-while-masked, past-the-end and stale-pending rows
+//! show ✓; here they pin what the sweeps and the lifecycle miss. The `SyncCallSkipsFlush` row's two ✗ are the
 //! sweeps not looking at the order the device saw register accesses in.
 //!
 //! Debug builds only: the seams are `#[cfg(debug_assertions)]`.
@@ -45,7 +45,7 @@ use decaf_core::xpc::{self, shard};
 /// disarm themselves at their first use, so every replay arms again.
 type Row = (&'static str, fn());
 
-const ROWS: [Row; 7] = [
+const ROWS: [Row; 8] = [
     ("(none)", || {}),
     ("simkernel TimerDelKeepsCallback", || {
         simkernel::mutation::arm(simkernel::mutation::Mutant::TimerDelKeepsCallback)
@@ -55,6 +55,9 @@ const ROWS: [Row; 7] = [
     }),
     ("simkernel RequestIrqPastTheEnd", || {
         simkernel::mutation::arm(simkernel::mutation::Mutant::RequestIrqPastTheEnd)
+    }),
+    ("simkernel FreeIrqKeepsPending", || {
+        simkernel::mutation::arm(simkernel::mutation::Mutant::FreeIrqKeepsPending)
     }),
     ("xpc SyncCallSkipsFlush", || {
         xpc::mutation::arm(xpc::mutation::Mutant::SyncCallSkipsFlush)
@@ -97,6 +100,7 @@ seam                                     | nic sweep | storage sweep | lifecycle
 simkernel TimerDelKeepsCallback          |     ✗     |       ✗       |     ✓
 simkernel FreeIrqKeepsMask               |     ✗     |       ✗       |     ✗
 simkernel RequestIrqPastTheEnd           |     ✗     |       ✗       |     ✗
+simkernel FreeIrqKeepsPending            |     ✗     |       ✗       |     ✗
 xpc SyncCallSkipsFlush                   |     ✗     |       ✗       |     ✓
 control: arm_drop_one_requeue            |     ✓     |       ✗       |     ✗
 control: arm_double_complete             |     ✗     |       ✓       |     ✓
@@ -238,7 +242,7 @@ fn every_planted_bug_against_every_harness() {
     }
     println!("{matrix}({:?})", start.elapsed());
     assert_eq!(cells[0], [false; 3], "a harness fails with nothing planted");
-    assert!(cells[5][0], "the NIC sweep misses its control row");
-    assert!(cells[6][1], "the storage sweep misses its control row");
+    assert!(cells[6][0], "the NIC sweep misses its control row");
+    assert!(cells[7][1], "the storage sweep misses its control row");
     assert_eq!(matrix, EXPECTED, "the kill matrix moved");
 }
